@@ -5,8 +5,13 @@
 //! side), the **RPC-storm serving sweep** (wall-clock submitter-scaling
 //! throughput + p50/p99/p999 tails) and the **persistent/plan-cache
 //! sweep** across both transports, written as `BENCH_collectives.json`
-//! (schema v9) for the perf trajectory (`BENCH_*.json` files are diffed
-//! PR-over-PR). The `hierarchy` section records, per (op, layout, size), the
+//! (schema v10) for the perf trajectory (`BENCH_*.json` files are diffed
+//! PR-over-PR). The `rendezvous` section streams the same 128 KiB – 4 MiB
+//! messages between two ranks chunked through cells (`ConnMode::Eager`, the
+//! paper's protocol) and as a request-to-send plus lane stream (the lazy
+//! default, pair promoted and lane created before the clock starts), in
+//! virtual GB/s and wall MiB/s. The `hierarchy` section records, per
+//! (op, layout, size), the
 //! same collective with the two-level composition forced off and forced on,
 //! plus the speedup — the acceptance surface for the topology-aware
 //! collective stack. The `data_plane` section records, per (op, ranks, size),
@@ -63,7 +68,7 @@ use cmpi_core::coll::{build_allreduce, build_bcast, CommView};
 use cmpi_core::queue::{QueueGeometry, QueueMatrix};
 use cmpi_core::transport::conn::{srq_required_bytes, ConnTable, Doorbell, OBJ_SLACK};
 use cmpi_core::{
-    CollTuning, Comm, DataPlaneMode, DataPlaneStats, ErrHandler, Execution, FaultPlan,
+    CollTuning, Comm, ConnMode, DataPlaneMode, DataPlaneStats, ErrHandler, Execution, FaultPlan,
     FaultTrigger, FtOutcome, Group, HierarchyMode, HostPlacement, MpiError, ProgressMode, ReduceOp,
     TransportConfig, UniverseConfig,
 };
@@ -78,6 +83,16 @@ struct P2pRow {
     latency_ns: f64,
     bandwidth_gbps: f64,
     wall_bandwidth_mib_s: f64,
+}
+
+/// One row of the rendezvous sweep: a streamed transfer on one p2p data path.
+struct RendezvousRow {
+    path: &'static str,
+    size: usize,
+    bandwidth_gbps: f64,
+    wall_bandwidth_mib_s: f64,
+    /// Messages the sender put through the lane (0 proves the chunked path).
+    rdv_msgs: u64,
 }
 
 /// One overlap measurement row (the `osu_iallreduce`-style kernel),
@@ -501,11 +516,28 @@ fn p2p_latency(config: UniverseConfig, size: usize, iters: usize) -> f64 {
 
 /// Streaming bandwidth: rank 0 sends `iters` messages of `size` bytes, rank 1
 /// receives into a preallocated buffer. Returns (virtual GB/s, wall MiB/s)
-/// measured at the receiver.
-fn p2p_bandwidth(config: UniverseConfig, size: usize, iters: usize) -> (f64, f64) {
+/// measured at the receiver, and the sender's rendezvous message count. The
+/// clock starts after `warmup` untimed, individually acknowledged messages of
+/// the same size (past the promotion threshold they promote a lazy pair and
+/// create its lane).
+fn streamed_bandwidth(
+    config: UniverseConfig,
+    size: usize,
+    iters: usize,
+    warmup: usize,
+) -> (f64, f64, u64) {
     let results = cmpi_core::Universe::run(config, move |comm: &mut Comm| {
         let payload = vec![0x5au8; size];
         let mut buf = vec![0u8; size];
+        for _ in 0..warmup {
+            if comm.rank() == 0 {
+                comm.send(1, 1, &payload)?;
+                comm.recv(Some(1), Some(2), &mut [0u8; 1])?;
+            } else if comm.rank() == 1 {
+                comm.recv(Some(0), Some(1), &mut buf)?;
+                comm.send(0, 2, &[0u8])?;
+            }
+        }
         comm.barrier()?;
         let vstart = comm.clock_ns();
         let wstart = Instant::now();
@@ -523,15 +555,15 @@ fn p2p_bandwidth(config: UniverseConfig, size: usize, iters: usize) -> (f64, f64
         }
         let velapsed = comm.clock_ns() - vstart;
         let welapsed = wstart.elapsed().as_secs_f64();
-        Ok((velapsed, welapsed))
+        Ok((velapsed, welapsed, comm.stats().rdv_msgs))
     })
     .expect("bandwidth universe");
     let bytes = (size * iters) as f64;
     // Use the receiver's times: that is where the receive path runs.
-    let (velapsed, welapsed) = results[1].0;
+    let (velapsed, welapsed, _) = results[1].0;
     let virtual_gbps = bytes / velapsed; // bytes/ns == GB/s
     let wall_mib_s = bytes / (1024.0 * 1024.0) / welapsed;
-    (virtual_gbps, wall_mib_s)
+    (virtual_gbps, wall_mib_s, results[0].0 .2)
 }
 
 /// Virtual time per collective op of `size` bytes over `iters` repetitions,
@@ -934,7 +966,7 @@ fn main() {
             });
         }
         eprintln!("p2p bandwidth {label} {bw_size} B ...");
-        let (gbps, wall) = p2p_bandwidth(config, bw_size, bw_iters);
+        let (gbps, wall, _) = streamed_bandwidth(config, bw_size, bw_iters, 0);
         p2p_rows.push(P2pRow {
             transport: label,
             size: bw_size,
@@ -942,6 +974,34 @@ fn main() {
             bandwidth_gbps: gbps,
             wall_bandwidth_mib_s: wall,
         });
+    }
+
+    // Chunked cells vs request-to-send + lane on the same streamed transfer.
+    let rdv_sizes: Vec<usize> = if smoke() {
+        vec![128 * 1024]
+    } else {
+        (0..6).map(|i| (128 * 1024) << i).collect()
+    };
+    let mut rdv_rows: Vec<RendezvousRow> = Vec::new();
+    for &size in &rdv_sizes {
+        for (path, config) in [
+            (
+                "eager-chunked",
+                UniverseConfig::cxl(2).with_conn_mode(ConnMode::Eager),
+            ),
+            ("lazy-lane", UniverseConfig::cxl(2)),
+        ] {
+            eprintln!("rendezvous {path} {size} B ...");
+            let iters = (bw_iters * bw_size / size).clamp(4, 64);
+            let (gbps, wall, rdv_msgs) = streamed_bandwidth(config, size, iters, 6);
+            rdv_rows.push(RendezvousRow {
+                path,
+                size,
+                bandwidth_gbps: gbps,
+                wall_bandwidth_mib_s: wall,
+                rdv_msgs,
+            });
+        }
     }
 
     let mut coll_rows: Vec<CollRow> = Vec::new();
@@ -1194,6 +1254,7 @@ fn main() {
 
     let json = render_json(
         &p2p_rows,
+        &rdv_rows,
         &coll_rows,
         &hier_rows,
         &dp_rows,
@@ -1215,6 +1276,7 @@ fn main() {
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     p2p: &[P2pRow],
+    rendezvous: &[RendezvousRow],
     colls: &[CollRow],
     hier: &[HierRow],
     data_plane: &[DataPlaneRow],
@@ -1228,7 +1290,7 @@ fn render_json(
     scaling: &[ScalingRow],
 ) -> String {
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"cmpi-bench-collectives-v9\",\n");
+    s.push_str("{\n  \"schema\": \"cmpi-bench-collectives-v10\",\n");
     s.push_str("  \"smoke\": ");
     s.push_str(if smoke() { "true" } else { "false" });
     // RPC-storm numbers are wall-clock: record the host parallelism they
@@ -1251,6 +1313,19 @@ fn render_json(
             r.bandwidth_gbps,
             r.wall_bandwidth_mib_s,
             if i + 1 < p2p.len() { "," } else { "" }
+        );
+    }
+    s.push_str("  ],\n  \"rendezvous\": [\n");
+    for (i, r) in rendezvous.iter().enumerate() {
+        let _ = writeln!(
+            s,
+            "    {{\"path\": \"{}\", \"size_bytes\": {}, \"bandwidth_gbps\": {:.3}, \"wall_bandwidth_mib_s\": {:.1}, \"rdv_msgs\": {}}}{}",
+            r.path,
+            r.size,
+            r.bandwidth_gbps,
+            r.wall_bandwidth_mib_s,
+            r.rdv_msgs,
+            if i + 1 < rendezvous.len() { "," } else { "" }
         );
     }
     s.push_str("  ],\n  \"overlap\": [\n");

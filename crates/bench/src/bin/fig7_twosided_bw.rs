@@ -1,28 +1,43 @@
 //! Figure 7: bandwidth of two-sided MPI communication (send/recv, 64 KB
 //! message cells), three transports × {2..32} processes × 1 B–4 MB messages.
+//!
+//! The CXL-SHM panel pins `ConnMode::Eager`: the paper's protocol chunks
+//! every message through 64 KB cells of the full queue matrix, and that is
+//! the curve Figure 7 reports. A fourth panel shows what this repository's
+//! default does instead — lazy connections, and messages above one cell sent
+//! as a request-to-send plus a lane stream.
 
 use cmpi_bench::{print_panel, sweep_processes, sweep_sizes, transports};
+use cmpi_core::{ConnMode, UniverseConfig};
 use cmpi_omb::two_sided_bandwidth;
 
-fn main() {
-    let sizes = sweep_sizes();
+fn panel(label: &str, config_for: impl Fn(usize) -> UniverseConfig) {
     let procs = sweep_processes();
+    let mut rows = Vec::new();
+    for size in sweep_sizes() {
+        let mut values = Vec::new();
+        for &p in &procs {
+            let point = two_sided_bandwidth(config_for(p), size).expect("benchmark run");
+            values.push(point.bandwidth_mbps);
+        }
+        rows.push((size, values));
+    }
+    print_panel(label, "Bandwidth (MB/s)", &procs, &rows);
+}
+
+fn main() {
     println!("Figure 7: Bandwidth of two-sided MPI communication (aggregate MB/s)\n");
     for (label, _) in transports(2) {
-        let mut rows = Vec::new();
-        for &size in &sizes {
-            let mut values = Vec::new();
-            for &p in &procs {
-                let config = transports(p)
-                    .into_iter()
-                    .find(|(l, _)| *l == label)
-                    .unwrap()
-                    .1;
-                let point = two_sided_bandwidth(config, size).expect("benchmark run");
-                values.push(point.bandwidth_mbps);
-            }
-            rows.push((size, values));
-        }
-        print_panel(label, "Bandwidth (MB/s)", &procs, &rows);
+        panel(label, |p| {
+            let (_, config) = transports(p)
+                .into_iter()
+                .find(|(l, _)| *l == label)
+                .expect("label comes from the same list");
+            config.with_conn_mode(ConnMode::Eager)
+        });
     }
+    panel(
+        "CXL-SHM, lazy + rendezvous (not in the paper)",
+        UniverseConfig::cxl,
+    );
 }

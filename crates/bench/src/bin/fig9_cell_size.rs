@@ -1,8 +1,13 @@
 //! Figure 9: bandwidth of two-sided communication over CXL SHM with various
 //! message-cell sizes (16/32/64/128 KB) and 16/32 processes (Section 4.3).
+//!
+//! Pinned to `ConnMode::Eager`, the paper's chunked-cell protocol: the
+//! cell-size effect the figure studies only exists where every message is
+//! chunked through cells (the lazy default streams anything above one cell
+//! through a lane, where the cell size only sets the segment size).
 
 use cmpi_bench::{fig9_processes, print_panel, sweep_sizes};
-use cmpi_core::{CxlShmTransportConfig, TransportConfig, UniverseConfig};
+use cmpi_core::{ConnMode, CxlShmTransportConfig, TransportConfig, UniverseConfig};
 use cmpi_omb::two_sided_bandwidth;
 
 fn main() {
@@ -19,7 +24,9 @@ fn main() {
                     ranks: p,
                     hosts: 2,
                     placement: Default::default(),
-                    transport: TransportConfig::CxlShm(CxlShmTransportConfig::with_cell_size(cell)),
+                    transport: TransportConfig::CxlShm(
+                        CxlShmTransportConfig::with_cell_size(cell).with_conn_mode(ConnMode::Eager),
+                    ),
                     coll: Default::default(),
                     progress: Default::default(),
                     faults: Vec::new(),

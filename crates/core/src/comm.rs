@@ -31,6 +31,7 @@
 //! threads blocked on different communicators cannot deadlock the rank.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cmpi_fabric::SimClock;
@@ -44,7 +45,7 @@ use crate::group::Group;
 use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanOp};
 use crate::pod::{bytes_of, bytes_of_mut, vec_from_bytes, Pod};
 use crate::progress::{CollPlan, CollState, Execution, ProgressCounters, ProgressStats};
-use crate::request::{PersistentMeta, Request, RequestState};
+use crate::request::{Contention, PersistentMeta, Request, RequestState};
 use crate::spin::{PoisonFlag, SpinWait};
 use crate::topology::{HostHierarchy, HostTopology};
 use crate::transport::{
@@ -242,6 +243,10 @@ pub(crate) struct RankShared {
     tstats: Arc<TransportCounters>,
     /// Universe failure state (cloned from the transport at construction).
     pub(crate) poison: PoisonFlag,
+    /// Post order of this rank's nonblocking receives (one sequence for the
+    /// rank, hence also an order within each communicator): the `wait_*` /
+    /// `test_*` sweeps use it to keep MPI's non-overtaking rule.
+    post_seq: AtomicU64,
     pub(crate) topology: HostTopology,
     /// Collective algorithm switchover thresholds (from the universe config).
     pub(crate) tuning: CollTuning,
@@ -422,6 +427,7 @@ impl Comm {
             shards: Mutex::new(BTreeMap::new()),
             counters: ProgressCounters::default(),
             tstats,
+            post_seq: AtomicU64::new(0),
             poison,
             topology,
             tuning,
@@ -1267,6 +1273,19 @@ impl Comm {
         }
     }
 
+    /// Non-blocking probe (`MPI_Iprobe`): the status of the message a receive
+    /// with these selectors would deliver next, without receiving it;
+    /// `Ok(None)` when no such message has arrived.
+    pub fn iprobe(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Result<Option<Status>> {
+        Self::check_user_tag_sel(tag)?;
+        let src = src.map(|s| self.world_of(s)).transpose()?;
+        let found = {
+            let io = &mut *self.shared.io();
+            io.transport.iprobe(&mut io.clock, self.ctx, src, tag)?
+        };
+        found.map(|status| self.localize(status)).transpose()
+    }
+
     /// Non-blocking send (eager: completes immediately once enqueued).
     pub fn isend(&mut self, dst: Rank, tag: Tag, data: &[u8]) -> Result<Request> {
         self.send(dst, tag, data)?;
@@ -1281,7 +1300,14 @@ impl Comm {
     pub fn irecv(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Result<Request> {
         Self::check_user_tag_sel(tag)?;
         let src = src.map(|s| self.world_of(s)).transpose()?;
-        Ok(Request::recv_pending(self.ctx, src, tag))
+        Ok(Request::recv_pending(self.ctx, src, tag).posted(self.next_post_seq()))
+    }
+
+    fn next_post_seq(&self) -> u64 {
+        // Relaxed: the counter orders posts of one rank, which are already
+        // ordered by the `&mut self` of the posting calls (or, across
+        // communicators on several threads, have no defined order).
+        1 + self.shared.post_seq.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Non-blocking receive into a caller-owned buffer: completion writes the
@@ -1298,7 +1324,7 @@ impl Comm {
     ) -> Result<Request> {
         Self::check_user_tag_sel(tag)?;
         let src = src.map(|s| self.world_of(s)).transpose()?;
-        Ok(Request::recv_pending_into(self.ctx, src, tag, buf))
+        Ok(Request::recv_pending_into(self.ctx, src, tag, buf).posted(self.next_post_seq()))
     }
 
     fn check_request_ctx(&self, request: &Request) -> Result<()> {
@@ -1402,9 +1428,6 @@ impl Comm {
         }
     }
 
-    /// One non-blocking completion attempt for a pending request (receive or
-    /// collective). `during_wait` only affects how collective progress is
-    /// accounted.
     /// A pending receive posted from a specific source that is recorded dead
     /// — and has no matching message left to drain — can never complete:
     /// surface `ProcFailed` naming the source instead of spinning until the
@@ -1428,22 +1451,33 @@ impl Comm {
         }
     }
 
+    /// One non-blocking completion attempt for a pending request (receive or
+    /// collective). `during_wait` only affects how collective progress is
+    /// accounted.
     fn try_complete(&mut self, request: &mut Request, during_wait: bool) -> Result<Option<Status>> {
         if request.is_coll() {
             return self.progress_coll(request, during_wait).map(|(s, _)| s);
         }
+        let (src, tag) = (request.src, request.tag);
+        self.try_complete_recv(request, src, tag)
+    }
+
+    /// One completion attempt for a pending receive, matching `(src, tag)` —
+    /// the request's own selectors, or the one message of them a sweep has
+    /// already picked ([`Comm::try_complete_after_earlier`]).
+    fn try_complete_recv(
+        &mut self,
+        request: &mut Request,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+    ) -> Result<Option<Status>> {
         self.check_request_ctx(request)?;
         if request.is_buffered() {
             let mut buf = request.take_buffer().expect("buffered request has buffer");
             let found = {
                 let io = &mut *self.shared.io();
-                io.transport.try_recv_into(
-                    &mut io.clock,
-                    self.ctx,
-                    request.src,
-                    request.tag,
-                    &mut buf,
-                )
+                io.transport
+                    .try_recv_into(&mut io.clock, self.ctx, src, tag, &mut buf)
             };
             return match found {
                 Ok(Some(status)) => {
@@ -1452,12 +1486,12 @@ impl Comm {
                     Ok(Some(status))
                 }
                 Ok(None) => {
-                    if let Some(e) = self.dead_source_err(request.src) {
+                    if let Some(e) = self.dead_source_err(src) {
                         request.mark_failed();
                         return Err(e);
                     }
                     // Not matched yet: re-arm the request with its buffer.
-                    *request = Request::recv_pending_into(self.ctx, request.src, request.tag, buf);
+                    request.return_buffer(buf);
                     Ok(None)
                 }
                 Err(e) => {
@@ -1473,7 +1507,7 @@ impl Comm {
         let found = {
             let io = &mut *self.shared.io();
             io.transport
-                .try_recv_owned(&mut io.clock, self.ctx, request.src, request.tag)?
+                .try_recv_owned(&mut io.clock, self.ctx, src, tag)?
         };
         match found {
             Some((status, data)) => {
@@ -1482,12 +1516,74 @@ impl Comm {
                 Ok(Some(status))
             }
             None => {
-                if let Some(e) = self.dead_source_err(request.src) {
+                if let Some(e) = self.dead_source_err(src) {
                     request.mark_failed();
                     return Err(e);
                 }
                 Ok(None)
             }
+        }
+    }
+
+    /// One completion attempt for `requests[i]` inside a `wait_*`/`test_*`
+    /// sweep, with the failure attributed to the request
+    /// ([`Comm::fail_request`]).
+    ///
+    /// `ordered` (the slice holds receives with overlapping selectors) turns
+    /// on MPI's non-overtaking rule, by the request's [`Contention`]: a
+    /// receive whose every match belongs to an earlier-posted pending one
+    /// sits the round out; one that merely overlaps with an earlier receive
+    /// looks at its next message first and leaves it alone when the earlier
+    /// receive matches that message too — the earlier one takes it on its own
+    /// turn. There the decision is per message, not per selector: a message
+    /// only the later receive matches completes it, however long the earlier
+    /// receive stays pending.
+    fn try_complete_in(
+        &mut self,
+        requests: &mut [Request],
+        i: usize,
+        during_wait: bool,
+        ordered: bool,
+    ) -> Result<Option<Status>> {
+        let contention = if ordered {
+            Request::contention(requests, i)
+        } else {
+            Contention::Free
+        };
+        let attempt = match contention {
+            Contention::Free => self.try_complete(&mut requests[i], during_wait),
+            Contention::Covered => Ok(None),
+            Contention::Overlapping => self.try_complete_after_earlier(requests, i),
+        };
+        attempt.map_err(|e| self.fail_request(&mut requests[i], i, e))
+    }
+
+    fn try_complete_after_earlier(
+        &mut self,
+        requests: &mut [Request],
+        i: usize,
+    ) -> Result<Option<Status>> {
+        let (src, tag) = (requests[i].src, requests[i].tag);
+        self.check_request_ctx(&requests[i])?;
+        let next = {
+            let io = &mut *self.shared.io();
+            io.transport.iprobe(&mut io.clock, self.ctx, src, tag)?
+        };
+        match next {
+            // Nothing to take — and nothing may be taken: a message arriving
+            // right now has not been held against the earlier receives.
+            None => match self.dead_source_err(src) {
+                Some(e) => {
+                    requests[i].mark_failed();
+                    Err(e)
+                }
+                None => Ok(None),
+            },
+            Some(msg) if Request::earlier_claims(requests, i, &msg) => Ok(None),
+            // Receive exactly the message that was checked (a wildcard could
+            // otherwise pick up one that arrived in between): it is the first
+            // match of its own `(source, tag)` too.
+            Some(msg) => self.try_complete_recv(&mut requests[i], Some(msg.source), Some(msg.tag)),
         }
     }
 
@@ -1708,20 +1804,22 @@ impl Comm {
     pub fn wait_all(&mut self, requests: &mut [Request]) -> Result<Vec<Status>> {
         let poison = self.shared.poison.clone();
         let mut backoff = SpinWait::new();
+        let ordered = Request::any_contention(requests);
         loop {
             let mut all_done = true;
             let mut progressed = false;
-            for (i, request) in requests.iter_mut().enumerate() {
-                match request.state() {
+            for i in 0..requests.len() {
+                match requests[i].state() {
                     RequestState::SendComplete | RequestState::RecvComplete => {}
                     RequestState::Consumed | RequestState::Inactive => {
                         return Err(MpiError::StaleRequest)
                     }
-                    RequestState::RecvPending => match self.try_complete(request, true) {
-                        Ok(Some(_)) => progressed = true,
-                        Ok(None) => all_done = false,
-                        Err(e) => return Err(self.fail_request(request, i, e)),
-                    },
+                    RequestState::RecvPending => {
+                        match self.try_complete_in(requests, i, true, ordered)? {
+                            Some(_) => progressed = true,
+                            None => all_done = false,
+                        }
+                    }
                 }
             }
             if all_done {
@@ -1752,11 +1850,9 @@ impl Comm {
     /// complete (via [`Comm::fail_request`], which also spends just that
     /// request). Requests that completed in the meantime are left complete.
     fn attribute_failure(&mut self, requests: &mut [Request]) -> Result<()> {
-        for (i, request) in requests.iter_mut().enumerate() {
-            if matches!(request.state(), RequestState::RecvPending) {
-                if let Err(e) = self.try_complete(request, true) {
-                    return Err(self.fail_request(request, i, e));
-                }
+        for i in 0..requests.len() {
+            if matches!(requests[i].state(), RequestState::RecvPending) {
+                self.try_complete_in(requests, i, true, true)?;
             }
         }
         Ok(())
@@ -1769,8 +1865,9 @@ impl Comm {
     pub fn wait_any(&mut self, requests: &mut [Request]) -> Result<(usize, Status)> {
         let poison = self.shared.poison.clone();
         let mut backoff = SpinWait::new();
+        let ordered = Request::any_contention(requests);
         loop {
-            match self.poll_any(requests, true)? {
+            match self.poll_any(requests, true, ordered)? {
                 PollAny::Ready(i, status) => return Ok((i, status)),
                 PollAny::Pending => {
                     if let Err(e) = backoff.wait(&poison) {
@@ -1787,28 +1884,32 @@ impl Comm {
     /// currently completable (but at least one is still pending). Errors with
     /// [`MpiError::StaleRequest`] if the slice is empty or fully consumed.
     pub fn test_any(&mut self, requests: &mut [Request]) -> Result<Option<(usize, Status)>> {
-        match self.poll_any(requests, false)? {
+        let ordered = Request::any_contention(requests);
+        match self.poll_any(requests, false, ordered)? {
             PollAny::Ready(i, status) => Ok(Some((i, status))),
             PollAny::Pending => Ok(None),
             PollAny::NoneActive => Err(MpiError::StaleRequest),
         }
     }
 
-    fn poll_any(&mut self, requests: &mut [Request], during_wait: bool) -> Result<PollAny> {
+    fn poll_any(
+        &mut self,
+        requests: &mut [Request],
+        during_wait: bool,
+        ordered: bool,
+    ) -> Result<PollAny> {
         let mut any_pending = false;
-        for (i, request) in requests.iter_mut().enumerate() {
-            match request.state() {
+        for i in 0..requests.len() {
+            match requests[i].state() {
                 RequestState::SendComplete | RequestState::RecvComplete => {
-                    let status = request.status().ok_or(MpiError::StaleRequest)?;
+                    let status = requests[i].status().ok_or(MpiError::StaleRequest)?;
                     return Ok(PollAny::Ready(i, status));
                 }
                 RequestState::Consumed | RequestState::Inactive => {}
                 RequestState::RecvPending => {
                     any_pending = true;
-                    match self.try_complete(request, during_wait) {
-                        Ok(Some(status)) => return Ok(PollAny::Ready(i, status)),
-                        Ok(None) => {}
-                        Err(e) => return Err(self.fail_request(request, i, e)),
+                    if let Some(status) = self.try_complete_in(requests, i, during_wait, ordered)? {
+                        return Ok(PollAny::Ready(i, status));
                     }
                 }
             }
@@ -1826,17 +1927,18 @@ impl Comm {
     /// [`MpiError::StaleRequest`] if any request was already consumed.
     pub fn test_all(&mut self, requests: &mut [Request]) -> Result<Option<Vec<Status>>> {
         let mut all_complete = true;
-        for (i, request) in requests.iter_mut().enumerate() {
-            match request.state() {
+        let ordered = Request::any_contention(requests);
+        for i in 0..requests.len() {
+            match requests[i].state() {
                 RequestState::SendComplete | RequestState::RecvComplete => {}
                 RequestState::Consumed | RequestState::Inactive => {
                     return Err(MpiError::StaleRequest)
                 }
-                RequestState::RecvPending => match self.try_complete(request, false) {
-                    Ok(Some(_)) => {}
-                    Ok(None) => all_complete = false,
-                    Err(e) => return Err(self.fail_request(request, i, e)),
-                },
+                RequestState::RecvPending => {
+                    if self.try_complete_in(requests, i, false, ordered)?.is_none() {
+                        all_complete = false;
+                    }
+                }
             }
         }
         if !all_complete {

@@ -371,15 +371,19 @@ impl ProgressTuning {
 
 /// When an injected fault fires (see [`FaultPlan`]). Operation counts are
 /// 1-indexed and per victim rank, over the instrumented transport operations:
-/// point-to-point sends (blocking or progress-driven), data-plane slot
-/// publishes (`dp_expose`), and data-plane acknowledgements (the ack half of
-/// `dp_pull`). The fault fires at *operation entry*, before any bytes are
-/// written, so peers never observe a half-published message.
+/// point-to-point sends (blocking or progress-driven), slot publishes (a
+/// data-plane `dp_expose`, or one segment of a rendezvous p2p message
+/// entering its lane), and data-plane acknowledgements (the ack half of
+/// `dp_pull`). The fault fires at *operation entry*, before any bytes of that
+/// operation are written — so a send that dies leaves nothing visible, and a
+/// rendezvous stream that dies at a segment leaves a receiver waiting on a
+/// sender it then observes as failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultTrigger {
     /// Kill the victim as it enters its n-th send (1-indexed).
     NthSend(u64),
-    /// Kill the victim as it enters its n-th data-plane slot publish.
+    /// Kill the victim as it enters its n-th slot publish (data-plane expose
+    /// or rendezvous lane segment).
     NthPublish(u64),
     /// Kill the victim as it enters its n-th data-plane acknowledgement.
     NthAck(u64),

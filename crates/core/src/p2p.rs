@@ -245,6 +245,17 @@ impl ChunkAssembler {
         self.commit_chunk(chunk.len(), timestamp);
     }
 
+    /// Total length of the message being assembled.
+    pub fn total_len(&self) -> usize {
+        self.total_len
+    }
+
+    /// Payload bytes committed so far (the next offset of a message that
+    /// arrives in order, as a rendezvous stream does).
+    pub fn received(&self) -> usize {
+        self.received
+    }
+
     /// Whether every byte of the message has arrived.
     pub fn is_complete(&self) -> bool {
         self.received >= self.total_len

@@ -39,7 +39,7 @@ use crate::engine::OpCell;
 use crate::error::MpiError;
 use crate::pod::{vec_from_bytes, Pod};
 use crate::progress::CollState;
-use crate::types::{CtxId, Rank, Status, Tag};
+use crate::types::{source_matches, tag_matches, CtxId, Rank, Status, Tag};
 use crate::Result;
 
 /// Completion state of a request.
@@ -71,6 +71,9 @@ pub struct Request {
     pub(crate) src: Option<Rank>,
     /// Tag selector of a pending receive.
     pub(crate) tag: Option<Tag>,
+    /// Position of a receive in its rank's post order (see
+    /// [`Request::earlier_claims`]); `0` for everything else.
+    pub(crate) post_seq: u64,
     /// Caller-owned receive buffer of a buffered receive (`irecv_into`):
     /// completion writes the payload here through the transports'
     /// allocation-free `recv_into` path instead of allocating a fresh `Vec`.
@@ -86,6 +89,23 @@ pub struct Request {
     pub(crate) persistent: Option<PersistentMeta>,
     status: Option<Status>,
     data: Option<Vec<u8>>,
+}
+
+/// How a pending receive stands against the earlier-posted, still-pending
+/// receives of its `wait_*`/`test_*` slice — MPI's non-overtaking rule gives
+/// those first claim on any message they match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Contention {
+    /// No earlier receive shares a message with it: it may take what it
+    /// matches.
+    Free,
+    /// An earlier receive matches every message it matches (same selectors,
+    /// or wildcards over them): it can take nothing until that one completes.
+    Covered,
+    /// Some message could match both it and an earlier receive, some only it:
+    /// it must look at the concrete message ([`Request::earlier_claims`])
+    /// before taking it.
+    Overlapping,
 }
 
 /// What `Comm::start` must account each time a persistent request starts.
@@ -105,6 +125,7 @@ impl Request {
             ctx,
             src: None,
             tag: None,
+            post_seq: 0,
             buffer: None,
             coll: None,
             persistent: None,
@@ -121,6 +142,7 @@ impl Request {
             ctx,
             src,
             tag,
+            post_seq: 0,
             buffer: None,
             coll: None,
             persistent: None,
@@ -145,6 +167,7 @@ impl Request {
             ctx,
             src,
             tag,
+            post_seq: 0,
             buffer: Some(buf),
             coll: None,
             persistent: None,
@@ -162,6 +185,7 @@ impl Request {
             ctx,
             src: None,
             tag: None,
+            post_seq: 0,
             buffer: None,
             coll: Some(OpCell::new(ctx, state)),
             persistent: None,
@@ -180,12 +204,69 @@ impl Request {
             ctx,
             src: None,
             tag: None,
+            post_seq: 0,
             buffer: None,
             coll: Some(OpCell::new(ctx, state)),
             persistent: Some(meta),
             status: None,
             data: None,
         }
+    }
+
+    /// Stamp a freshly posted receive with its place in the rank's post order
+    /// (comm-internal).
+    pub(crate) fn posted(mut self, seq: u64) -> Self {
+        self.post_seq = seq;
+        self
+    }
+
+    /// The earlier-posted, still-pending receives of the slice on
+    /// `requests[i]`'s communicator — the ones MPI's non-overtaking rule lets
+    /// claim a message ahead of it.
+    fn earlier_pending(requests: &[Request], i: usize) -> impl Iterator<Item = &Request> {
+        let r = &requests[i];
+        requests.iter().filter(move |o| {
+            o.state == RequestState::RecvPending
+                && !o.is_coll()
+                && o.post_seq < r.post_seq
+                && o.ctx == r.ctx
+        })
+    }
+
+    /// How `requests[i]` stands against the earlier-posted pending receives
+    /// of the slice (see [`Contention`]).
+    pub(crate) fn contention(requests: &[Request], i: usize) -> Contention {
+        let r = &requests[i];
+        if r.state != RequestState::RecvPending || r.is_coll() {
+            return Contention::Free;
+        }
+        let mut contention = Contention::Free;
+        for o in Self::earlier_pending(requests, i) {
+            let src_covers = o.src.is_none() || o.src == r.src;
+            let tag_covers = o.tag.is_none() || o.tag == r.tag;
+            if src_covers && tag_covers {
+                return Contention::Covered;
+            }
+            if (src_covers || r.src.is_none()) && (tag_covers || r.tag.is_none()) {
+                contention = Contention::Overlapping;
+            }
+        }
+        contention
+    }
+
+    /// Whether any two pending receives of the slice contend (checked once
+    /// per `wait_*`/`test_*` call: selectors never change and the pending set
+    /// only shrinks, so a contention-free slice stays that way).
+    pub(crate) fn any_contention(requests: &[Request]) -> bool {
+        (0..requests.len()).any(|i| Self::contention(requests, i) != Contention::Free)
+    }
+
+    /// Whether the message `msg` (world source rank) — the one `requests[i]`
+    /// would receive next — matches an earlier-posted pending receive of the
+    /// slice, which MPI's non-overtaking rule says must get it instead.
+    pub(crate) fn earlier_claims(requests: &[Request], i: usize, msg: &Status) -> bool {
+        Self::earlier_pending(requests, i)
+            .any(|o| source_matches(o.src, msg.source) && tag_matches(o.tag, msg.tag))
     }
 
     /// Whether this is a nonblocking-collective request.
@@ -283,6 +364,13 @@ impl Request {
     /// handed to the transport's `recv_into` (comm-internal).
     pub(crate) fn take_buffer(&mut self) -> Option<Vec<u8>> {
         self.buffer.take()
+    }
+
+    /// Hand the posted buffer back after an attempt that matched nothing: the
+    /// request stays pending exactly as it was posted (comm-internal).
+    pub(crate) fn return_buffer(&mut self, buf: Vec<u8>) {
+        debug_assert_eq!(self.state, RequestState::RecvPending);
+        self.buffer = Some(buf);
     }
 
     /// Complete a buffered receive: `buf` is the posted buffer now holding

@@ -19,7 +19,12 @@
 //!   [`crate::config::CxlShmTransportConfig::promotion_threshold`] messages
 //!   and bounded per rank by
 //!   [`crate::config::CxlShmTransportConfig::qp_budget`] — per-rank transport
-//!   memory is O(active peers), never O(n).
+//!   memory is O(active peers), never O(n);
+//! * a **rendezvous lane** per promoted pair and direction ([`Lane`]), created
+//!   by the sender on the pair's first message longer than one cell: the
+//!   message's header travels the queue pair as a request-to-send and its
+//!   payload streams through the lane's slots, so a large message costs one
+//!   ring cell instead of one per `cell_size` bytes.
 //!
 //! ### The atomics deviation
 //!
@@ -44,7 +49,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cmpi_fabric::SimClock;
-use cxl_shm::{CxlShmArena, ShmObject};
+use cxl_shm::slots::SLOT_CELL_TS_OFF;
+use cxl_shm::{CxlShmArena, ShmObject, SlotLayout};
 
 use crate::config::CxlShmTransportConfig;
 use crate::error::MpiError;
@@ -85,6 +91,12 @@ pub fn srq_name(rank: Rank) -> String {
 /// produced by `src`, consumed by `dst`).
 pub fn qp_name(dst: Rank, src: Rank) -> String {
     format!("cmpi/qp_{dst}_{src}")
+}
+
+/// Name of the rendezvous lane carrying `src → dst` large-message payloads
+/// (created and written by `src`, read by `dst`).
+pub fn lane_name(dst: Rank, src: Rank) -> String {
+    format!("cmpi/lane_{dst}_{src}")
 }
 
 // ---------------------------------------------------------------------------
@@ -321,10 +333,8 @@ impl SrqProducer {
     }
 }
 
-/// Consumer handle on this rank's own SRQ (exactly one per rank). Cloning
-/// yields another handle on the same shared ring (the transport's pump path
-/// clones it to sidestep borrowing the whole connection table).
-#[derive(Debug, Clone)]
+/// Consumer handle on this rank's own SRQ (exactly one per rank).
+#[derive(Debug)]
 pub struct SrqConsumer {
     obj: ShmObject,
     geometry: QueueGeometry,
@@ -428,6 +438,187 @@ impl SrqConsumer {
 }
 
 // ---------------------------------------------------------------------------
+// Rendezvous lane
+// ---------------------------------------------------------------------------
+
+/// One end of a per-pair, per-direction rendezvous lane: a single-writer
+/// [`SlotLayout`] window with the ring's geometry (`cells` slots of
+/// `cell_payload` bytes), through which the payload of a message longer than
+/// one cell streams segment by segment.
+///
+/// The two ends never share a counter. Each counts the segments it has
+/// published (sender) or pulled (receiver) since the lane was created;
+/// segment `k` lives in slot `k % slots`, its flag cell holds `k + 1` once
+/// the data is up, and the receiver stores `k + 1` into the slot's ack cell
+/// once it has copied the data out — which is what lets the sender reuse the
+/// slot for segment `k + slots`. Every cell pairs its value with the writer's
+/// virtual time, so whoever had to wait merges exactly the timestamp it
+/// waited for. Messages follow each other through the lane in the order
+/// their request-to-send cells went through the queue pair.
+#[derive(Debug)]
+pub struct Lane {
+    obj: ShmObject,
+    layout: SlotLayout,
+    seq: u64,
+}
+
+impl Lane {
+    fn layout(geometry: QueueGeometry) -> Result<SlotLayout> {
+        let layout = SlotLayout::new(1, geometry.cells, geometry.cell_payload);
+        if layout.slot_bytes() == 0 {
+            return Err(MpiError::Transport(format!(
+                "cell_size {} is below one cache line: no room for a lane slot",
+                geometry.cell_payload
+            )));
+        }
+        Ok(layout)
+    }
+
+    /// Pool bytes one lane occupies (slots, control lines, ready flag).
+    pub fn required_bytes(geometry: QueueGeometry) -> Result<usize> {
+        Ok(Self::layout(geometry)?.total_len() + 64)
+    }
+
+    /// Create, format and publish the `src → dst` lane (sender side).
+    pub fn create(
+        arena: &CxlShmArena,
+        dst: Rank,
+        src: Rank,
+        geometry: QueueGeometry,
+    ) -> Result<Self> {
+        let layout = Self::layout(geometry)?;
+        let obj = arena.create(&lane_name(dst, src), Self::required_bytes(geometry)?)?;
+        for slot in 0..layout.slots() {
+            obj.nt_store_u64_at(layout.flag_off(0, slot, 0) as u64, 0)?;
+            obj.nt_store_u64_at(layout.ack_off(0, 0, slot) as u64, 0)?;
+        }
+        obj.nt_store_u64_at(layout.total_len() as u64, CONN_READY_MAGIC)?;
+        Ok(Lane {
+            obj,
+            layout,
+            seq: 0,
+        })
+    }
+
+    /// Open the `src → me` lane (receiver side). The sender creates the lane
+    /// before it enqueues its first request-to-send, so this never waits long.
+    pub fn open(
+        arena: &CxlShmArena,
+        me: Rank,
+        src: Rank,
+        geometry: QueueGeometry,
+        poison: &PoisonFlag,
+    ) -> Result<Self> {
+        let layout = Self::layout(geometry)?;
+        let obj = open_poisoned(arena, &lane_name(me, src), poison)?;
+        spin_flag(&obj, layout.total_len() as u64, poison, |v| {
+            v == CONN_READY_MAGIC
+        })?;
+        Ok(Lane {
+            obj,
+            layout,
+            seq: 0,
+        })
+    }
+
+    /// Payload bytes one segment carries (all but a message's last).
+    pub fn segment_bytes(&self) -> usize {
+        self.layout.slot_bytes()
+    }
+
+    /// Slots in the lane (segments that can be in flight at once).
+    pub fn slots(&self) -> usize {
+        self.layout.slots()
+    }
+
+    /// Segments this end has published (sender) or pulled (receiver).
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    fn slot(&self) -> usize {
+        (self.seq % self.layout.slots() as u64) as usize
+    }
+
+    fn cell(&self, off: usize, at_least: u64) -> Result<Option<f64>> {
+        if self.obj.nt_load_u64_at(off as u64)? < at_least {
+            return Ok(None);
+        }
+        let ts = self.obj.nt_load_u64_at((off + SLOT_CELL_TS_OFF) as u64)?;
+        Ok(Some(f64::from_bits(ts)))
+    }
+
+    fn set_cell(&self, off: usize, value: u64, ts: f64) -> Result<()> {
+        self.obj
+            .nt_store_u64_at((off + SLOT_CELL_TS_OFF) as u64, ts.to_bits())?;
+        self.obj.nt_store_u64_at(off as u64, value)?;
+        Ok(())
+    }
+
+    /// Sender: the virtual time at which the next segment's slot became
+    /// writable — `0.0` on the first lap, the receiver's ack timestamp after
+    /// — or `None` while the receiver has not yet acked the slot's occupant.
+    pub fn slot_freed_at(&self) -> Result<Option<f64>> {
+        let slots = self.layout.slots() as u64;
+        if self.seq < slots {
+            return Ok(Some(0.0));
+        }
+        self.cell(self.layout.ack_off(0, 0, self.slot()), self.seq - slots + 1)
+    }
+
+    /// Sender: stream `data` (at most one segment) into the next slot with
+    /// non-temporal stores, then raise its flag stamped `ts`. The caller must
+    /// have seen [`Lane::slot_freed_at`] return `Some`.
+    pub fn publish(&mut self, data: &[u8], ts: f64) -> Result<()> {
+        debug_assert!(data.len() <= self.layout.slot_bytes());
+        let slot = self.slot();
+        self.obj
+            .nt_store_at(self.layout.data_off(0, slot) as u64, data)?;
+        self.set_cell(self.layout.flag_off(0, slot, 0), self.seq + 1, ts)?;
+        self.seq += 1;
+        Ok(())
+    }
+
+    /// Receiver: the sender's publish timestamp of the next segment, or
+    /// `None` while it is not up yet.
+    pub fn segment_ready_at(&self) -> Result<Option<f64>> {
+        self.cell(self.layout.flag_off(0, self.slot(), 0), self.seq + 1)
+    }
+
+    /// Receiver: copy the next segment's first `dst.len()` bytes out (load
+    /// fence + non-temporal loads). The caller must have seen
+    /// [`Lane::segment_ready_at`] return `Some`, and follows up with
+    /// [`Lane::ack`] once the copy is charged to its clock.
+    pub fn read(&self, dst: &mut [u8]) -> Result<()> {
+        debug_assert!(dst.len() <= self.layout.slot_bytes());
+        self.obj
+            .nt_load_fenced_at(self.layout.data_off(0, self.slot()) as u64, dst)?;
+        Ok(())
+    }
+
+    /// Receiver: hand the segment just read back to the sender, stamped `ts`.
+    pub fn ack(&mut self, ts: f64) -> Result<()> {
+        self.set_cell(self.layout.ack_off(0, 0, self.slot()), self.seq + 1, ts)?;
+        self.seq += 1;
+        Ok(())
+    }
+
+    /// Sender: published segments the receiver has not acked yet
+    /// (diagnostics; reads up to `slots` ack cells).
+    pub fn in_flight(&self) -> Result<usize> {
+        let slots = self.layout.slots() as u64;
+        let mut n = 0;
+        for k in self.seq.saturating_sub(slots)..self.seq {
+            let ack = self.layout.ack_off(0, 0, (k % slots) as usize);
+            if self.obj.nt_load_u64_at(ack as u64)? < k + 1 {
+                n += 1;
+            }
+        }
+        Ok(n)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Connection table
 // ---------------------------------------------------------------------------
 
@@ -448,6 +639,23 @@ pub struct TxPeer {
     /// Last SRQ ticket published to this peer, if any — promotion waits
     /// (opportunistically) until the peer consumed past it.
     pub last_ticket: Option<u64>,
+    /// Rendezvous lane toward this peer, created on the pair's first message
+    /// longer than one cell once the pair is promoted.
+    pub lane: Option<Lane>,
+    /// Lane creation failed (pool exhausted): large messages toward this
+    /// peer stay chunked through the queue pair forever.
+    pub lane_sticky: bool,
+}
+
+/// Receive-side state from one sender: its dedicated ring and, once that
+/// sender's first request-to-send arrived, the lane its payloads stream
+/// through (opened by the transport, which owns the arena handle).
+#[derive(Debug)]
+pub struct RxPeer {
+    /// The dedicated ring carrying `sender → self` cells.
+    pub queue: SpscQueue,
+    /// The `sender → self` rendezvous lane, if one was opened.
+    pub lane: Option<Lane>,
 }
 
 /// Counters the transport folds into [`crate::transport::TransportStats`].
@@ -479,7 +687,7 @@ pub struct ConnTable {
     /// This rank's own SRQ (consumer side).
     pub my_srq: SrqConsumer,
     tx: BTreeMap<Rank, TxPeer>,
-    rx: BTreeMap<Rank, SpscQueue>,
+    rx: BTreeMap<Rank, RxPeer>,
     /// Senders whose dedicated rings may hold data. Survives early returns
     /// (e.g. truncation errors) — a bit once collected is only dropped after
     /// its ring drained empty.
@@ -487,6 +695,8 @@ pub struct ConnTable {
     /// Running totals folded into the transport stats.
     pub counters: ConnCounters,
     qps_created: usize,
+    /// Lanes this rank may still create (see [`ConnTable::lane_budget`]).
+    lanes_left: usize,
     poison: PoisonFlag,
 }
 
@@ -528,7 +738,31 @@ impl ConnTable {
     /// How many named objects the lazy state may create, for sizing the
     /// arena's hash directory.
     pub fn object_count_hint(ranks: usize, config: &CxlShmTransportConfig) -> usize {
-        ranks * (2 + Self::effective_qp_budget(ranks, config.qp_budget))
+        let geometry = QueueGeometry {
+            cell_payload: config.cell_size,
+            cells: config.cells_per_queue,
+        };
+        let qps = Self::effective_qp_budget(ranks, config.qp_budget);
+        // Only promoted pairs get lanes, and only within the lane budget.
+        let lanes = qps.min(Self::lane_budget(ranks, geometry, config));
+        // Per rank: doorbell, SRQ, queue pairs, lanes.
+        ranks * (2 + qps + lanes)
+    }
+
+    /// How many rendezvous lanes one rank may create. Lanes come out of the
+    /// `window_headroom` that RMA and data-plane windows are provisioned
+    /// from, so all ranks' lanes together are held to half of it — each rank
+    /// gets an equal share, fixed up front: which pairs stream and which keep
+    /// chunking then depends on the rank's own send order only, never on a
+    /// race for the pool. A share below one lane means no lanes at all
+    /// (raise `window_headroom` to get them at that scale).
+    pub fn lane_budget(
+        ranks: usize,
+        geometry: QueueGeometry,
+        config: &CxlShmTransportConfig,
+    ) -> usize {
+        let share = config.window_headroom / 2 / ranks.max(1);
+        Lane::required_bytes(geometry).map_or(0, |lane| share / lane)
     }
 
     /// Create this rank's own doorbell + SRQ and an empty table. Peer state
@@ -559,6 +793,7 @@ impl ConnTable {
             pending: BTreeSet::new(),
             counters: ConnCounters::default(),
             qps_created: 0,
+            lanes_left: Self::lane_budget(ranks, geometry, config),
             poison,
         })
     }
@@ -597,6 +832,8 @@ impl ConnTable {
                     srq_sticky: false,
                     msgs: 0,
                     last_ticket: None,
+                    lane: None,
+                    lane_sticky: false,
                 },
             );
         }
@@ -623,8 +860,11 @@ impl ConnTable {
         let budget_left = self.qps_created < self.qp_budget;
         let threshold = self.promotion_threshold;
         let geometry = self.geometry;
-        let arena = self.arena.clone();
-        let peer = self.peer_mut(dst)?;
+        self.peer_mut(dst)?;
+        let (arena, peer) = (
+            &self.arena,
+            self.tx.get_mut(&dst).expect("peer just ensured"),
+        );
         if peer.qp.is_some() || peer.srq_sticky || !budget_left || peer.msgs < threshold {
             return Ok(());
         }
@@ -655,6 +895,43 @@ impl ConnTable {
         Ok(())
     }
 
+    /// Whether a message longer than one cell toward `dst` may stream through
+    /// the pair's rendezvous lane, creating the lane on the pair's first such
+    /// message — out of the pool headroom, within this rank's
+    /// [`ConnTable::lane_budget`], with the same create-or-stick idiom as
+    /// promotion: a spent budget or a failed creation is never an error, the
+    /// pair just keeps chunking large messages through its ring.
+    /// Only promoted pairs get a lane; call at message entry, after
+    /// [`ConnTable::prepare_send`]. Charges the lane format to `clock`.
+    pub fn ensure_lane(&mut self, dst: Rank, clock: &mut SimClock, nt: f64) -> bool {
+        let Some(peer) = self.tx.get_mut(&dst) else {
+            return false;
+        };
+        if peer.qp.is_none() {
+            return false;
+        }
+        if peer.lane.is_none() && !peer.lane_sticky {
+            let created = (self.lanes_left > 0)
+                .then(|| Lane::create(&self.arena, dst, self.rank, self.geometry).ok())
+                .flatten();
+            match created {
+                Some(lane) => {
+                    // One flag and one ack line per slot, plus the ready flag.
+                    clock.advance((2 * lane.slots() + 1) as f64 * nt);
+                    peer.lane = Some(lane);
+                    self.lanes_left -= 1;
+                }
+                None => peer.lane_sticky = true,
+            }
+        }
+        peer.lane.is_some()
+    }
+
+    /// The lane toward `dst`, if one exists.
+    pub fn tx_lane(&mut self, dst: Rank) -> Option<&mut Lane> {
+        self.tx.get_mut(&dst).and_then(|p| p.lane.as_mut())
+    }
+
     /// Message-completion bookkeeping: bump the completed count that drives
     /// promotion, and record the last SRQ ticket when the message travelled
     /// the cold path (the promotion ordering barrier watches it).
@@ -678,15 +955,28 @@ impl ConnTable {
     pub fn debug_state(&self) -> String {
         use std::fmt::Write as _;
         let mut s = format!(
-            "srq_head={:?} pending={:?} rx={:?} tx=[",
+            "srq_head={:?} pending={:?} lanes_left={} rx=[",
             self.my_srq.head(),
             self.pending,
-            self.rx.keys().collect::<Vec<_>>(),
+            self.lanes_left,
         );
-        for (dst, p) in &self.tx {
+        for (src, p) in &self.rx {
             let _ = write!(
                 s,
-                "{dst}:(msgs={} qp={} sticky={} last_ticket={:?}) ",
+                "{src}:(lane_pulled={:?}) ",
+                p.lane.as_ref().map(Lane::seq)
+            );
+        }
+        s.push_str("] tx=[");
+        for (dst, p) in &self.tx {
+            let lane = match &p.lane {
+                Some(l) => format!("published={} in_flight={:?}", l.seq(), l.in_flight()),
+                None if p.lane_sticky => "sticky-fallback".to_string(),
+                None => "none".to_string(),
+            };
+            let _ = write!(
+                s,
+                "{dst}:(msgs={} qp={} sticky={} last_ticket={:?} lane={lane}) ",
                 p.msgs,
                 p.qp.is_some(),
                 p.srq_sticky,
@@ -704,19 +994,19 @@ impl ConnTable {
         self.my_db.collect_into(&mut self.pending)
     }
 
-    /// The dedicated ring carrying `sender → self` traffic, opened on first
+    /// Receive-side state from `sender`, its dedicated ring opened on first
     /// doorbell discovery. A doorbell bit is only ever rung after the sender
     /// created, formatted and filled the ring, so the open never waits long.
-    pub fn rx_queue(&mut self, sender: Rank) -> Result<SpscQueue> {
+    pub fn rx_peer(&mut self, sender: Rank) -> Result<&mut RxPeer> {
         if !self.rx.contains_key(&sender) {
             let bytes = self.geometry.checked_queue_bytes()?;
             let obj = open_poisoned(&self.arena, &qp_name(self.rank, sender), &self.poison)?;
             spin_flag(&obj, bytes as u64, &self.poison, |v| v == CONN_READY_MAGIC)?;
-            self.rx
-                .insert(sender, SpscQueue::new(obj, 0, self.geometry));
+            let queue = SpscQueue::new(obj, 0, self.geometry);
+            self.rx.insert(sender, RxPeer { queue, lane: None });
             self.counters.qps_opened += 1;
         }
-        Ok(self.rx.get(&sender).expect("rx just ensured").clone())
+        Ok(self.rx.get_mut(&sender).expect("rx just ensured"))
     }
 }
 
@@ -950,6 +1240,130 @@ mod tests {
         t0.my_srq.try_dequeue_into(5.0, &mut buf).unwrap().unwrap();
         t1.prepare_send(0, &mut clock, 1.0).unwrap();
         assert!(t1.peer(0).unwrap().qp.is_some());
+    }
+
+    #[test]
+    fn lane_streams_in_order_and_recycles_slots_on_ack() {
+        let g = QueueGeometry {
+            cell_payload: 128,
+            cells: 2,
+        };
+        let (a, b) = two_arenas(1 << 20);
+        let poison = PoisonFlag::new();
+        let mut tx = Lane::create(&a, 0, 1, g).unwrap();
+        let mut rx = Lane::open(&b, 0, 1, g, &poison).unwrap();
+        assert_eq!((tx.segment_bytes(), tx.slots()), (128, 2));
+        assert!(rx.segment_ready_at().unwrap().is_none());
+        // First lap: both slots are free from the start.
+        for k in 0..2u8 {
+            assert_eq!(tx.slot_freed_at().unwrap(), Some(0.0));
+            tx.publish(&[k; 100], 10.0 + k as f64).unwrap();
+        }
+        assert!(tx.slot_freed_at().unwrap().is_none(), "lane full");
+        assert_eq!(tx.in_flight().unwrap(), 2);
+        // The receiver pulls in order; each ack frees exactly one slot.
+        let mut buf = [0u8; 100];
+        assert_eq!(rx.segment_ready_at().unwrap(), Some(10.0));
+        rx.read(&mut buf).unwrap();
+        assert_eq!(buf, [0u8; 100]);
+        rx.ack(20.0).unwrap();
+        assert_eq!(tx.slot_freed_at().unwrap(), Some(20.0));
+        assert_eq!(tx.in_flight().unwrap(), 1);
+        tx.publish(&[2; 7], 30.0).unwrap();
+        assert!(tx.slot_freed_at().unwrap().is_none());
+        assert_eq!(rx.segment_ready_at().unwrap(), Some(11.0));
+        rx.read(&mut buf).unwrap();
+        assert_eq!(buf, [1u8; 100]);
+        rx.ack(21.0).unwrap();
+        // Second lap of slot 0: a short segment over the longer old one.
+        assert_eq!(rx.segment_ready_at().unwrap(), Some(30.0));
+        rx.read(&mut buf[..7]).unwrap();
+        assert_eq!(buf[..7], [2u8; 7]);
+        rx.ack(31.0).unwrap();
+        assert!(rx.segment_ready_at().unwrap().is_none());
+        assert_eq!((tx.seq(), rx.seq(), tx.in_flight().unwrap()), (3, 3, 0));
+        // A cell below one cache line leaves no room for a slot.
+        let tiny = QueueGeometry {
+            cell_payload: 32,
+            cells: 2,
+        };
+        assert!(Lane::create(&a, 2, 3, tiny).is_err());
+    }
+
+    #[test]
+    fn conn_table_creates_one_lane_per_promoted_pair_or_sticks() {
+        // 2 × 1 MiB cells: a queue pair and a lane take ≈ 2 MiB each. The
+        // 5 MiB device holds both tables' SRQs (1 MiB each) and the queue
+        // pair, but not the lane on top.
+        let g = QueueGeometry {
+            cell_payload: 1 << 20,
+            cells: 2,
+        };
+        let roomy = CxlShmTransportConfig {
+            cell_size: g.cell_payload,
+            cells_per_queue: g.cells,
+            qp_budget: 1,
+            promotion_threshold: 0,
+            srq_cells: 1,
+            window_headroom: 16 << 20,
+            ..CxlShmTransportConfig::small()
+        };
+        assert_eq!(ConnTable::lane_budget(2, g, &roomy), 1);
+        // Half of an 8 MiB headroom, shared by two ranks, is just short of one
+        // lane each: the budget, not the pool, says no.
+        let tight = CxlShmTransportConfig {
+            window_headroom: 8 << 20,
+            ..roomy.clone()
+        };
+        assert_eq!(ConnTable::lane_budget(2, g, &tight), 0);
+        // The default geometry and headroom: the numbers the README quotes.
+        let stock = CxlShmTransportConfig::default();
+        let stock_g = QueueGeometry {
+            cell_payload: stock.cell_size,
+            cells: stock.cells_per_queue,
+        };
+        let per_rank = |ranks| ConnTable::lane_budget(ranks, stock_g, &stock);
+        assert_eq!((per_rank(2), per_rank(8), per_rank(64)), (15, 3, 0));
+        let poison = PoisonFlag::new();
+        let mut clock = SimClock::new();
+        for (device_slack, config, expect_lane) in [
+            (1usize << 20, &roomy, false),
+            (4 << 20, &roomy, true),
+            (4 << 20, &tight, false),
+        ] {
+            let (a, b) = two_arenas(device_slack);
+            let _t0 = ConnTable::new(0, 2, a, g, config, poison.clone()).unwrap();
+            let mut t1 = ConnTable::new(1, 2, b, g, config, poison.clone()).unwrap();
+            // No lane before the pair is promoted.
+            t1.peer_mut(0).unwrap();
+            assert!(!t1.ensure_lane(0, &mut clock, 1.0));
+            assert!(
+                t1.debug_state().contains("lane=none"),
+                "{}",
+                t1.debug_state()
+            );
+            t1.prepare_send(0, &mut clock, 1.0).unwrap();
+            assert!(t1.peer(0).unwrap().qp.is_some());
+            // Asking twice creates (or fails) once.
+            let before = clock.now();
+            assert_eq!(t1.ensure_lane(0, &mut clock, 1.0), expect_lane);
+            let format_cost = clock.now() - before;
+            assert_eq!(t1.ensure_lane(0, &mut clock, 1.0), expect_lane);
+            assert_eq!(clock.now() - before, format_cost, "second call is free");
+            assert_eq!(t1.tx_lane(0).is_some(), expect_lane);
+            let state = t1.debug_state();
+            if expect_lane {
+                assert_eq!(format_cost, (2 * g.cells + 1) as f64);
+                assert!(
+                    state.contains("lane=published=0 in_flight=Ok(0)"),
+                    "{state}"
+                );
+            } else {
+                assert_eq!(format_cost, 0.0);
+                assert!(t1.peer(0).unwrap().lane_sticky);
+                assert!(state.contains("lane=sticky-fallback"), "{state}");
+            }
+        }
     }
 
     #[test]

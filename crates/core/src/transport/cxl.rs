@@ -7,7 +7,12 @@
 //!   [`QueueMatrix`] is formatted up front, in **lazy** mode (the default)
 //!   per-pair rings are established on first use behind the doorbell/SRQ
 //!   connection table of [`super::conn`], so per-rank state is O(active
-//!   peers) and an idle poll costs O(1) instead of a ranks-wide sweep;
+//!   peers) and an idle poll costs O(1) instead of a ranks-wide sweep. A
+//!   message of at most one cell is one eager cell; a longer one on a
+//!   promoted lazy pair is a **rendezvous**: one header-only request-to-send
+//!   cell through the ring, the payload streamed through the pair's
+//!   [`Lane`]. Eager mode, unpromoted pairs and pairs whose lane could not
+//!   be created chunk long messages through cells, as the paper does;
 //! * RMA windows, their PSCW flags, bakery locks and fence barrier live in a
 //!   per-window SHM object ([`crate::rma`]);
 //! * the global barrier is the sequence-number barrier of [`crate::barrier`].
@@ -21,6 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use cmpi_fabric::clock::{transfer_ns, SimNs};
 use cmpi_fabric::cost::CoherenceMode;
 use cmpi_fabric::{CxlContentionModel, CxlCostModel, SimClock};
 use cxl_shm::slots::SLOT_CELL_TS_OFF;
@@ -34,7 +40,7 @@ use crate::queue::{CellHeader, QueueGeometry, QueueMatrix, SpscQueue, CELL_HEADE
 use crate::rma::layout::WINDOW_READY_MAGIC;
 use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{PoisonFlag, SpinWait};
-use crate::transport::conn::ConnTable;
+use crate::transport::conn::{ConnTable, Lane, RxPeer};
 use crate::transport::{
     no_data_plane, DataPlaneStats, DpWindow, FaultInjector, Transport, TransportCounters,
     TransportStats, WinId,
@@ -139,12 +145,151 @@ struct WindowState {
 /// scaling work — see [`ConnMode`]).
 enum ConnState {
     /// The seed design: the full ranks×ranks queue matrix, formatted at
-    /// universe construction. Kept verbatim as the flat baseline the scaling
-    /// sweeps compare against.
-    Eager(QueueMatrix),
+    /// universe construction, of which this rank holds its send column and
+    /// its receive row. Kept as the flat baseline the scaling sweeps compare
+    /// against, and as the paper's chunked-cell protocol: it never sends a
+    /// rendezvous, so its receive lanes stay `None`.
+    Eager {
+        /// Ring toward each destination rank.
+        tx: Vec<SpscQueue>,
+        /// Ring from each source rank.
+        rx: Vec<RxPeer>,
+    },
     /// Sparse mode: per-rank doorbell + shared receive queue, with dedicated
     /// queue pairs established on first use ([`super::conn`]).
     Lazy(Box<ConnTable>),
+}
+
+impl ConnState {
+    /// Receive-side state from `sender` (opened on first use in lazy mode).
+    fn rx_peer(&mut self, sender: Rank) -> Result<&mut RxPeer> {
+        match self {
+            ConnState::Eager { rx, .. } => Ok(&mut rx[sender]),
+            ConnState::Lazy(t) => t.rx_peer(sender),
+        }
+    }
+
+    /// The lazy connection table (panics in eager mode).
+    fn lazy(&mut self) -> &mut ConnTable {
+        match self {
+            ConnState::Lazy(t) => t,
+            ConnState::Eager { .. } => unreachable!("lazy helper called on eager transport"),
+        }
+    }
+}
+
+/// A reassembly in flight from one sender.
+struct PartialRx {
+    asm: ChunkAssembler,
+    /// The payload streams through the pair's lane: the message's
+    /// request-to-send cell is already off the ring, whose head belongs to the
+    /// *next* message and must not be touched until this one is whole.
+    via_lane: bool,
+}
+
+/// The cost terms of two-sided traffic with one peer, copied out of the
+/// transport so the data path can charge the clock while it holds connection
+/// state borrowed.
+///
+/// Memory-hierarchy contention is driven by the size of the concurrent
+/// transfers (Section 3.6), not by how the MPI library slices them into cells
+/// or segments, so the cap degradation is keyed on the whole message
+/// (`msg_bytes`) while the fair-share floor applies to the bytes actually
+/// moved by one charge. A **same-host** peer shares this rank's
+/// hardware-coherent cache: no flush, no fence, and no share of the
+/// pooled-device bandwidth cap — the physical basis of the hierarchical
+/// collectives' local phases.
+#[derive(Clone, Copy)]
+struct Charge {
+    cost: CxlCostModel,
+    contention: CxlContentionModel,
+    /// `Cached` toward a same-host peer, the configured mode otherwise.
+    mode: CoherenceMode,
+    active_pairs: usize,
+    same_host: bool,
+}
+
+impl Charge {
+    /// `max(ideal, fair share of the two-sided device cap)`.
+    fn throttled(&self, ideal: SimNs, bytes: usize, msg_bytes: usize) -> SimNs {
+        if self.same_host {
+            return ideal;
+        }
+        let cap = self
+            .contention
+            .aggregate_cap_gbps(self.active_pairs, msg_bytes.max(bytes), true);
+        ideal.max(transfer_ns(bytes, cap / self.active_pairs.max(1) as f64))
+    }
+
+    /// A cell publish: cached write + flush + fence, head/tail accesses.
+    fn chunk_write(&self, clock: &mut SimClock, bytes: usize, msg_bytes: usize) {
+        let ideal = self.cost.coherent_write(bytes, self.mode) + 2.0 * self.cost.nt_access();
+        clock.advance(self.throttled(ideal, bytes, msg_bytes));
+    }
+
+    /// A cell consume; see [`Self::chunk_write`].
+    fn chunk_read(&self, clock: &mut SimClock, bytes: usize, msg_bytes: usize) {
+        let ideal = self.cost.coherent_read(bytes, self.mode) + 2.0 * self.cost.nt_access();
+        clock.advance(self.throttled(ideal, bytes, msg_bytes));
+    }
+
+    /// A lane segment publish: non-temporal store stream + fence, plus
+    /// `ctl_lines` control-line accesses (the flag store, and the ack load of
+    /// a reused slot).
+    fn segment_publish(
+        &self,
+        clock: &mut SimClock,
+        bytes: usize,
+        msg_bytes: usize,
+        ctl_lines: f64,
+    ) {
+        let ideal =
+            self.cost.streamed_publish(bytes, self.mode) + ctl_lines * self.cost.nt_access();
+        clock.advance(self.throttled(ideal, bytes, msg_bytes));
+    }
+
+    /// A lane segment pull: fence + streamed read, the flag load and the ack
+    /// store.
+    fn segment_pull(&self, clock: &mut SimClock, bytes: usize, msg_bytes: usize) {
+        let ideal = self.cost.streamed_read(bytes, self.mode) + 2.0 * self.cost.nt_access();
+        clock.advance(self.throttled(ideal, bytes, msg_bytes));
+    }
+}
+
+/// The `sender → me` lane of `peer`, opened on that sender's first
+/// request-to-send.
+fn rx_lane<'a>(
+    peer: &'a mut RxPeer,
+    arena: &CxlShmArena,
+    me: Rank,
+    sender: Rank,
+    poison: &PoisonFlag,
+) -> Result<&'a mut Lane> {
+    if peer.lane.is_none() {
+        let geometry = peer.queue.geometry();
+        peer.lane = Some(Lane::open(arena, me, sender, geometry, poison)?);
+    }
+    Ok(peer.lane.as_mut().expect("lane just ensured"))
+}
+
+/// Pull the next lane segment straight into `dst` if it is published: merge
+/// its publish time, charge the streamed read, hand the slot back. `false`
+/// (nothing touched, nothing charged) while the segment is not up.
+fn pull_segment(
+    lane: &mut Lane,
+    charge: &Charge,
+    clock: &mut SimClock,
+    msg_bytes: usize,
+    dst: &mut [u8],
+) -> Result<bool> {
+    let Some(published) = lane.segment_ready_at()? else {
+        return Ok(false);
+    };
+    clock.merge(published);
+    lane.read(dst)?;
+    charge.segment_pull(clock, dst.len(), msg_bytes);
+    lane.ack(clock.now())?;
+    Ok(true)
 }
 
 /// The CXL SHM transport (cMPI proper).
@@ -156,10 +301,11 @@ pub struct CxlTransport {
     barrier: SeqBarrier,
     unexpected: UnexpectedQueue,
     /// One in-flight reassembly per sender ring: the progress engine's drain
-    /// path pulls whatever chunks have arrived into these without ever
-    /// blocking for the rest of a message, so two ranks mid-send to each
-    /// other can both keep pumping (a blocking drain here deadlocked them).
-    partial_rx: Vec<Option<ChunkAssembler>>,
+    /// path pulls whatever chunks (or lane segments) have arrived into these
+    /// without ever blocking for the rest of a message, so two ranks mid-send
+    /// to each other can both keep pumping (a blocking drain here deadlocked
+    /// them).
+    partial_rx: Vec<Option<PartialRx>>,
     windows: Vec<Option<WindowState>>,
     /// Per-communicator data-plane windows. `Some(None)` memoizes a failed
     /// creation so the communicator never retries (ring-only forever).
@@ -233,8 +379,8 @@ impl CxlTransport {
     }
 
     /// How many named SHM objects the runtime should size the arena directory
-    /// for: its own bookkeeping plus, in lazy mode, every doorbell, SRQ and
-    /// budgeted queue pair the connection tables may create.
+    /// for: its own bookkeeping plus, in lazy mode, every doorbell, SRQ,
+    /// budgeted queue pair and budgeted lane the connection tables may create.
     pub fn arena_object_hint(ranks: usize, config: &CxlShmTransportConfig) -> usize {
         let base = 256 + ranks * 8;
         match config.conn_mode {
@@ -296,7 +442,16 @@ impl CxlTransport {
                     })?;
                     obj
                 };
-                ConnState::Eager(QueueMatrix::new(matrix_obj, ranks, geometry)?)
+                let matrix = QueueMatrix::new(matrix_obj, ranks, geometry)?;
+                ConnState::Eager {
+                    tx: (0..ranks).map(|dst| matrix.queue(dst, rank)).collect(),
+                    rx: (0..ranks)
+                        .map(|src| RxPeer {
+                            queue: matrix.queue(rank, src),
+                            lane: None,
+                        })
+                        .collect(),
+                }
             }
             ConnMode::Lazy => {
                 // Every rank creates only its own doorbell + SRQ; peer state
@@ -345,7 +500,7 @@ impl CxlTransport {
     pub fn queue_pair_endpoints(&self) -> Option<usize> {
         match &self.conn {
             ConnState::Lazy(t) => Some(t.qp_count()),
-            ConnState::Eager(_) => None,
+            ConnState::Eager { .. } => None,
         }
     }
 
@@ -369,44 +524,20 @@ impl CxlTransport {
         self.host_of[peer] == self.host_of[self.rank]
     }
 
-    /// Charge a chunk publish to `peer`. `msg_bytes` is the size of the whole
-    /// message the chunk belongs to: memory-hierarchy contention is driven by
-    /// the size of the concurrent transfers (Section 3.6), not by how the MPI
-    /// library slices them into cells, so the cap degradation is keyed on the
-    /// message while the fair-share floor applies to the bytes actually moved
-    /// here. A **same-host** peer reads the cells out of the shared
-    /// hardware-coherent cache: no flush, no fence, and no share of the
-    /// pooled-device bandwidth cap — the physical basis of the hierarchical
-    /// collectives' local phases.
-    fn charge_chunk_write(&self, clock: &mut SimClock, bytes: usize, msg_bytes: usize, peer: Rank) {
-        if self.same_host(peer) {
-            let ideal = self.cost.coherent_write(bytes, CoherenceMode::Cached)
-                + 2.0 * self.cost.nt_access();
-            clock.advance(ideal);
-            return;
+    /// The cost terms of two-sided traffic with `peer`.
+    fn charge_for(&self, peer: Rank) -> Charge {
+        let same_host = self.same_host(peer);
+        Charge {
+            cost: self.cost,
+            contention: self.contention,
+            mode: if same_host {
+                CoherenceMode::Cached
+            } else {
+                self.coherence
+            },
+            active_pairs: self.active_pairs,
+            same_host,
         }
-        let ideal = self.cost.coherent_write(bytes, self.coherence) + 2.0 * self.cost.nt_access();
-        let cap = self
-            .contention
-            .aggregate_cap_gbps(self.active_pairs, msg_bytes.max(bytes), true);
-        let floor = cmpi_fabric::clock::transfer_ns(bytes, cap / self.active_pairs.max(1) as f64);
-        clock.advance(ideal.max(floor));
-    }
-
-    /// Charge a chunk consume from `peer`; see [`Self::charge_chunk_write`].
-    fn charge_chunk_read(&self, clock: &mut SimClock, bytes: usize, msg_bytes: usize, peer: Rank) {
-        if self.same_host(peer) {
-            let ideal =
-                self.cost.coherent_read(bytes, CoherenceMode::Cached) + 2.0 * self.cost.nt_access();
-            clock.advance(ideal);
-            return;
-        }
-        let ideal = self.cost.coherent_read(bytes, self.coherence) + 2.0 * self.cost.nt_access();
-        let cap = self
-            .contention
-            .aggregate_cap_gbps(self.active_pairs, msg_bytes.max(bytes), true);
-        let floor = cmpi_fabric::clock::transfer_ns(bytes, cap / self.active_pairs.max(1) as f64);
-        clock.advance(ideal.max(floor));
     }
 
     fn charge_rma(&self, clock: &mut SimClock, bytes: usize, write: bool) {
@@ -476,22 +607,45 @@ impl CxlTransport {
         h.ctx == ctx && source_matches(src, h.src) && tag_matches(tag, h.tag)
     }
 
-    /// Dequeue all remaining chunks of the message whose first header was
-    /// `first`, writing payloads at their chunk offsets within `dst` (which
-    /// must hold the whole message). Merges timestamps and charges per-chunk
-    /// read costs. Returns the arrival time (the consumer clock after the last
-    /// chunk).
-    fn drain_chunks_into(
+    /// Receive the message whose first cell header `first` was just peeked
+    /// at the head of `sender`'s ring straight into `dst` (which must hold
+    /// the whole message): either the remaining chunks at their offsets, or —
+    /// for a request-to-send — the lane's segments in order. Merges
+    /// timestamps, charges per-chunk / per-segment read costs, and waits for
+    /// the remainder of a message still being published.
+    fn drain_message_into(
         &mut self,
         clock: &mut SimClock,
-        queue: &SpscQueue,
+        sender: Rank,
         first: &CellHeader,
         dst: &mut [u8],
-    ) -> Result<f64> {
+    ) -> Result<()> {
         let total = first.total_len as usize;
         debug_assert!(dst.len() >= total);
-        let mut received = 0usize;
+        let charge = self.charge_for(sender);
+        let peer = self.conn.rx_peer(sender)?;
         let mut backoff = SpinWait::new();
+        if first.is_rts(self.cell_payload) {
+            let h = peer
+                .queue
+                .try_dequeue_into(clock.now(), &mut [])?
+                .expect("peeked cell vanished");
+            clock.merge(h.timestamp);
+            charge.chunk_read(clock, CELL_HEADER_SIZE, total);
+            let lane = rx_lane(peer, &self.arena, self.rank, sender, &self.poison)?;
+            let mut received = 0usize;
+            while received < total {
+                let end = (received + lane.segment_bytes()).min(total);
+                if pull_segment(lane, &charge, clock, total, &mut dst[received..end])? {
+                    received = end;
+                    backoff.reset();
+                } else {
+                    backoff.wait(&self.poison)?;
+                }
+            }
+            return Ok(());
+        }
+        let mut received = 0usize;
         loop {
             // The next cell is guaranteed to belong to this message (the
             // sender publishes a whole message before starting the next), but
@@ -499,7 +653,7 @@ impl CxlTransport {
             let off = if received == 0 {
                 first.chunk_offset as usize
             } else {
-                match queue.peek_header()? {
+                match peer.queue.peek_header()? {
                     Some(h) => {
                         debug_assert_eq!(h.src, first.src);
                         debug_assert_eq!(h.ctx, first.ctx);
@@ -511,34 +665,17 @@ impl CxlTransport {
                     }
                 }
             };
-            let Some(h) = queue.try_dequeue_into(clock.now(), &mut dst[off..])? else {
+            let Some(h) = peer.queue.try_dequeue_into(clock.now(), &mut dst[off..])? else {
                 backoff.wait(&self.poison)?;
                 continue;
             };
             backoff.reset();
             clock.merge(h.timestamp);
-            self.charge_chunk_read(clock, h.chunk_len as usize + CELL_HEADER_SIZE, total, h.src);
+            charge.chunk_read(clock, h.chunk_len as usize + CELL_HEADER_SIZE, total);
             received += h.chunk_len as usize;
             if received >= total {
-                return Ok(clock.now());
+                return Ok(());
             }
-        }
-    }
-
-    /// The receive ring from `sender` in eager mode (panics in lazy mode —
-    /// lazy paths fetch rings through the connection table).
-    fn eager_rx_queue(&self, sender: Rank) -> SpscQueue {
-        match &self.conn {
-            ConnState::Eager(m) => m.queue(self.rank, sender),
-            ConnState::Lazy(_) => unreachable!("eager ring requested on lazy transport"),
-        }
-    }
-
-    /// The send ring toward `dst` in eager mode.
-    fn eager_tx_queue(&self, dst: Rank) -> SpscQueue {
-        match &self.conn {
-            ConnState::Eager(m) => m.queue(dst, self.rank),
-            ConnState::Lazy(_) => unreachable!("eager ring requested on lazy transport"),
         }
     }
 
@@ -546,71 +683,98 @@ impl CxlTransport {
         matches!(self.conn, ConnState::Lazy(_))
     }
 
-    /// The lazy connection table (panics in eager mode).
-    fn lazy(&mut self) -> &mut ConnTable {
-        match &mut self.conn {
-            ConnState::Lazy(t) => t,
-            ConnState::Eager(_) => unreachable!("lazy helper called on eager transport"),
-        }
-    }
-
-    /// Eager-mode wrapper: pump the matrix ring from `sender`.
-    fn pump_ring(&mut self, clock: &mut SimClock, sender: Rank) -> Result<Option<PendingMessage>> {
-        let queue = self.eager_rx_queue(sender);
-        self.pump_queue(clock, sender, &queue)
-    }
-
-    /// Pull every chunk currently available in the ring from `sender` into
-    /// that ring's persistent assembler **without blocking**: chunks of a
-    /// message mid-publication are accepted incrementally (freeing ring
-    /// cells, which is what keeps a sender blocked on flow control moving),
-    /// and the assembly resumes on the next call. Returns the reassembled
-    /// message once its last chunk arrives, `None` when the ring holds
-    /// nothing further (empty, or a partial message whose sender has not
-    /// published more yet).
-    fn pump_queue(
-        &mut self,
+    /// Fold one more cell (`h`, at the head of a ring or the SRQ) into the
+    /// reassembly in `part`, starting it from the staging pool when `h` opens
+    /// a message: `dequeue` consumes the cell into the slice it is handed.
+    fn accept_cell(
+        part: &mut Option<PartialRx>,
+        pool: &mut BufferPool,
+        cell_payload: usize,
+        h: &CellHeader,
+        charge: &Charge,
         clock: &mut SimClock,
-        sender: Rank,
-        queue: &SpscQueue,
-    ) -> Result<Option<PendingMessage>> {
-        TransportCounters::bump(&self.stats.ring_probes, 1);
-        let mut asm = self.partial_rx[sender].take();
-        loop {
-            let Some(h) = queue.peek_header()? else {
-                self.partial_rx[sender] = asm;
-                return Ok(None);
-            };
-            if asm.is_none() {
-                // Chunks of one message are contiguous per ring, so a fresh
-                // assembler always starts at a first-of-message header.
-                let total = h.total_len as usize;
-                let buf = self.pool.take(total);
-                asm = Some(ChunkAssembler::with_buffer(h.src, h.ctx, h.tag, total, buf));
+        dequeue: impl FnOnce(f64, &mut [u8]) -> Result<Option<CellHeader>>,
+    ) -> Result<()> {
+        // Chunks of one message are contiguous per sender, so a fresh
+        // assembly always starts at a first-of-message header.
+        let p = part.get_or_insert_with(|| {
+            let total = h.total_len as usize;
+            PartialRx {
+                asm: ChunkAssembler::with_buffer(h.src, h.ctx, h.tag, total, pool.take(total)),
+                via_lane: h.is_rts(cell_payload),
             }
-            let a = asm.as_mut().expect("assembler just ensured");
-            let dst = a.chunk_target(h.chunk_offset as usize, h.chunk_len as usize);
-            let h = queue
-                .try_dequeue_into(clock.now(), dst)?
-                .expect("peeked cell vanished");
-            clock.merge(h.timestamp);
-            self.charge_chunk_read(
-                clock,
-                h.chunk_len as usize + CELL_HEADER_SIZE,
-                h.total_len as usize,
-                sender,
-            );
-            let a = asm.as_mut().expect("assembler present");
-            a.commit_chunk(h.chunk_len as usize, clock.now());
-            if a.is_complete() {
-                let mut msg = asm.take().expect("assembler present").finish();
-                msg.arrival = clock.now();
-                self.partial_rx[sender] = None;
-                TransportCounters::bump(&self.stats.msgs_received, 1);
-                TransportCounters::bump(&self.stats.bytes_received, msg.data.len() as u64);
-                return Ok(Some(msg));
+        });
+        let dst = p
+            .asm
+            .chunk_target(h.chunk_offset as usize, h.chunk_len as usize);
+        let h = dequeue(clock.now(), dst)?.expect("peeked cell vanished");
+        clock.merge(h.timestamp);
+        charge.chunk_read(
+            clock,
+            h.chunk_len as usize + CELL_HEADER_SIZE,
+            h.total_len as usize,
+        );
+        p.asm.commit_chunk(h.chunk_len as usize, clock.now());
+        Ok(())
+    }
+
+    /// Finish a complete reassembly into a message and count it received.
+    fn finish_partial(&self, part: PartialRx, clock: &SimClock) -> PendingMessage {
+        let mut msg = part.asm.finish();
+        msg.arrival = clock.now();
+        TransportCounters::bump(&self.stats.msgs_received, 1);
+        TransportCounters::bump(&self.stats.bytes_received, msg.data.len() as u64);
+        msg
+    }
+
+    /// Pull everything currently available from `sender` — ring cells, and
+    /// the lane segments behind a request-to-send — into that sender's
+    /// persistent reassembly **without blocking**: a message mid-publication
+    /// is accepted incrementally (freeing ring cells and lane slots, which is
+    /// what keeps a sender blocked on flow control moving), and the assembly
+    /// resumes on the next call. Returns the reassembled message once its
+    /// last byte arrives, `None` when nothing further is available (empty,
+    /// or a partial message whose sender has not published more yet).
+    fn pump_queue(&mut self, clock: &mut SimClock, sender: Rank) -> Result<Option<PendingMessage>> {
+        TransportCounters::bump(&self.stats.ring_probes, 1);
+        let charge = self.charge_for(sender);
+        let peer = self.conn.rx_peer(sender)?;
+        let mut part = self.partial_rx[sender].take();
+        loop {
+            match part.as_mut() {
+                Some(p) if p.via_lane => {
+                    let lane = rx_lane(peer, &self.arena, self.rank, sender, &self.poison)?;
+                    let (total, off) = (p.asm.total_len(), p.asm.received());
+                    let len = lane.segment_bytes().min(total - off);
+                    let dst = p.asm.chunk_target(off, len);
+                    if !pull_segment(lane, &charge, clock, total, dst)? {
+                        break;
+                    }
+                    p.asm.commit_chunk(len, clock.now());
+                }
+                _ => {
+                    let Some(h) = peer.queue.peek_header()? else {
+                        break;
+                    };
+                    let queue = &peer.queue;
+                    Self::accept_cell(
+                        &mut part,
+                        &mut self.pool,
+                        self.cell_payload,
+                        &h,
+                        &charge,
+                        clock,
+                        |now, dst| queue.try_dequeue_into(now, dst),
+                    )?;
+                }
+            }
+            if part.as_ref().is_some_and(|p| p.asm.is_complete()) {
+                let done = part.take().expect("complete assembly present");
+                return Ok(Some(self.finish_partial(done, clock)));
             }
         }
+        self.partial_rx[sender] = part;
+        Ok(None)
     }
 
     /// One matching attempt: search the unexpected queue, then poll the
@@ -635,7 +799,7 @@ impl CxlTransport {
         let (start, count) = self.poll_plan(src);
         for i in 0..count {
             let sender = (start + i) % self.ranks;
-            while let Some(msg) = self.pump_ring(clock, sender)? {
+            while let Some(msg) = self.pump_queue(clock, sender)? {
                 if msg.matches(ctx, src, tag) {
                     clock.advance(self.cost.mpi_overhead());
                     return Ok(Some((msg.status, msg.data)));
@@ -657,12 +821,14 @@ impl CxlTransport {
     // 2. pumps the shared receive queue, where not-yet-promoted senders
     //    publish whole messages (two non-temporal loads when idle),
     // 3. pumps only the pending senders' dedicated rings, retiring a sender
-    //    from the set once its ring is drained (senders re-ring the doorbell
-    //    for every chunk, so retirement never loses a wakeup).
+    //    from the set once its ring is drained and no reassembly is in flight
+    //    (senders re-ring the doorbell for every cell, so retirement never
+    //    loses a wakeup; lane segments ring nothing, which is why a sender
+    //    mid-rendezvous stays pending until its message is whole).
 
     /// Drain this rank's doorbell into the connection table's pending set.
     fn lazy_collect(&mut self) -> Result<()> {
-        self.lazy().collect()?;
+        self.conn.lazy().collect()?;
         Ok(())
     }
 
@@ -670,43 +836,34 @@ impl CxlTransport {
     /// order, assembling chunks per sender. Returns a message as soon as one
     /// completes; never blocks.
     fn pump_srq(&mut self, clock: &mut SimClock) -> Result<Option<PendingMessage>> {
-        let srq = match &self.conn {
-            ConnState::Lazy(t) => t.my_srq.clone(),
-            ConnState::Eager(_) => unreachable!("SRQ pump on eager transport"),
+        let ConnState::Lazy(table) = &self.conn else {
+            unreachable!("SRQ pump on eager transport");
         };
+        let srq = &table.my_srq;
         loop {
             let Some(h) = srq.peek_header()? else {
                 return Ok(None);
             };
             let sender = h.src;
-            let mut asm = self.partial_rx[sender].take();
-            if asm.is_none() {
-                let total = h.total_len as usize;
-                let buf = self.pool.take(total);
-                asm = Some(ChunkAssembler::with_buffer(h.src, h.ctx, h.tag, total, buf));
-            }
-            let a = asm.as_mut().expect("assembler just ensured");
-            let dst = a.chunk_target(h.chunk_offset as usize, h.chunk_len as usize);
-            let h = srq
-                .try_dequeue_into(clock.now(), dst)?
-                .expect("peeked SRQ slot vanished");
-            clock.merge(h.timestamp);
-            self.charge_chunk_read(
+            let charge = self.charge_for(sender);
+            Self::accept_cell(
+                &mut self.partial_rx[sender],
+                &mut self.pool,
+                self.cell_payload,
+                &h,
+                &charge,
                 clock,
-                h.chunk_len as usize + CELL_HEADER_SIZE,
-                h.total_len as usize,
-                sender,
-            );
-            let a = asm.as_mut().expect("assembler present");
-            a.commit_chunk(h.chunk_len as usize, clock.now());
-            if a.is_complete() {
-                let mut msg = asm.take().expect("assembler present").finish();
-                msg.arrival = clock.now();
-                TransportCounters::bump(&self.stats.msgs_received, 1);
-                TransportCounters::bump(&self.stats.bytes_received, msg.data.len() as u64);
-                return Ok(Some(msg));
+                |now, dst| srq.try_dequeue_into(now, dst),
+            )?;
+            if self.partial_rx[sender]
+                .as_ref()
+                .is_some_and(|p| p.asm.is_complete())
+            {
+                let done = self.partial_rx[sender]
+                    .take()
+                    .expect("complete assembly present");
+                return Ok(Some(self.finish_partial(done, clock)));
             }
-            self.partial_rx[sender] = asm;
         }
     }
 
@@ -729,10 +886,14 @@ impl CxlTransport {
 
     /// Drop `sender` from the pending set once its ring holds nothing and no
     /// reassembly is in flight. Safe because senders ring the doorbell after
-    /// every chunk: new data always re-flags them.
-    fn lazy_retire(&mut self, sender: Rank, queue: &SpscQueue) -> Result<()> {
-        if self.partial_rx[sender].is_none() && !queue.has_message()? {
-            self.lazy().pending.remove(&sender);
+    /// every cell: new data always re-flags them.
+    fn lazy_retire(&mut self, sender: Rank) -> Result<()> {
+        if self.partial_rx[sender].is_some() {
+            return Ok(());
+        }
+        let table = self.conn.lazy();
+        if !table.rx_peer(sender)?.queue.has_message()? {
+            table.pending.remove(&sender);
         }
         Ok(())
     }
@@ -768,15 +929,14 @@ impl CxlTransport {
         tag: Option<Tag>,
     ) -> Result<Option<(Status, Vec<u8>)>> {
         for &sender in senders {
-            let queue = self.lazy().rx_queue(sender)?;
-            while let Some(msg) = self.pump_queue(clock, sender, &queue)? {
+            while let Some(msg) = self.pump_queue(clock, sender)? {
                 if msg.matches(ctx, src, tag) {
                     clock.advance(self.cost.mpi_overhead());
                     return Ok(Some((msg.status, msg.data)));
                 }
                 self.unexpected.push(msg);
             }
-            self.lazy_retire(sender, &queue)?;
+            self.lazy_retire(sender)?;
         }
         Ok(None)
     }
@@ -802,16 +962,30 @@ impl CxlTransport {
     /// the unexpected queue (returning its staging buffer to the pool), then
     /// peeks the candidate rings — a matching message at a ring head streams
     /// straight into `buf` without touching the heap.
+    ///
+    /// Without a buffer (`None`) this is the probe: the same search in the
+    /// same order, but the match is only reported — a staged message stays
+    /// (or lands) on the unexpected queue, a message at a ring head stays
+    /// there — and nothing is charged for it.
     fn try_match_once_into(
         &mut self,
         clock: &mut SimClock,
         ctx: CtxId,
         src: Option<Rank>,
         tag: Option<Tag>,
-        buf: &mut [u8],
+        mut buf: Option<&mut [u8]>,
     ) -> Result<Option<Status>> {
-        if let Some(m) = self.unexpected.take_match(ctx, src, tag) {
-            return self.deliver_staged(clock, m, buf).map(Some);
+        match buf.as_deref_mut() {
+            Some(buf) => {
+                if let Some(m) = self.unexpected.take_match(ctx, src, tag) {
+                    return self.deliver_staged(clock, m, buf).map(Some);
+                }
+            }
+            None => {
+                if let Some(m) = self.unexpected.probe(ctx, src, tag) {
+                    return Ok(Some(m.status));
+                }
+            }
         }
         if self.is_lazy() {
             return self.lazy_match_once_into(clock, ctx, src, tag, buf);
@@ -819,9 +993,9 @@ impl CxlTransport {
         let (start, count) = self.poll_plan(src);
         for i in 0..count {
             let sender = (start + i) % self.ranks;
-            let queue = self.eager_rx_queue(sender);
-            if let Some(status) = self.match_ring_into(clock, sender, &queue, ctx, src, tag, buf)? {
-                return Ok(Some(status));
+            let found = self.match_ring_into(clock, sender, ctx, src, tag, buf.as_deref_mut())?;
+            if found.is_some() {
+                return Ok(found);
             }
         }
         Ok(None)
@@ -833,12 +1007,12 @@ impl CxlTransport {
         ctx: CtxId,
         src: Option<Rank>,
         tag: Option<Tag>,
-        buf: &mut [u8],
+        buf: Option<&mut [u8]>,
     ) -> Result<Option<Status>> {
         self.lazy_collect()?;
         while let Some(msg) = self.pump_srq(clock)? {
             if msg.matches(ctx, src, tag) {
-                return self.deliver_staged(clock, msg, buf).map(Some);
+                return self.settle_staged(clock, msg, buf).map(Some);
             }
             self.unexpected.push(msg);
         }
@@ -856,42 +1030,41 @@ impl CxlTransport {
         ctx: CtxId,
         src: Option<Rank>,
         tag: Option<Tag>,
-        buf: &mut [u8],
+        mut buf: Option<&mut [u8]>,
     ) -> Result<Option<Status>> {
         for &sender in senders {
-            let queue = self.lazy().rx_queue(sender)?;
-            if let Some(status) = self.match_ring_into(clock, sender, &queue, ctx, src, tag, buf)? {
-                return Ok(Some(status));
+            let found = self.match_ring_into(clock, sender, ctx, src, tag, buf.as_deref_mut())?;
+            if found.is_some() {
+                return Ok(found);
             }
-            self.lazy_retire(sender, &queue)?;
+            self.lazy_retire(sender)?;
         }
         Ok(None)
     }
 
     /// Probe one sender ring for a receive into a caller buffer: a matching
     /// message at the ring head streams straight into `buf` with no staging
-    /// copy; anything else is pumped toward the unexpected queue. Returns
-    /// `None` when the ring has nothing further for this receive.
-    #[allow(clippy::too_many_arguments)]
+    /// copy (or, probing, is reported and left there); anything else is
+    /// pumped toward the unexpected queue. Returns `None` when the ring has
+    /// nothing further for this receive.
     fn match_ring_into(
         &mut self,
         clock: &mut SimClock,
         sender: Rank,
-        queue: &SpscQueue,
         ctx: CtxId,
         src: Option<Rank>,
         tag: Option<Tag>,
-        buf: &mut [u8],
+        buf: Option<&mut [u8]>,
     ) -> Result<Option<Status>> {
         loop {
-            // Finish any in-flight partial reassembly first: its chunks own
-            // the ring head, so nothing newer from this sender can be
+            // Finish any in-flight partial reassembly first: it owns the ring
+            // head (or the lane), so nothing newer from this sender can be
             // examined until it completes.
             if self.partial_rx[sender].is_some() {
-                match self.pump_queue(clock, sender, queue)? {
+                match self.pump_queue(clock, sender)? {
                     Some(msg) => {
                         if msg.matches(ctx, src, tag) {
-                            return self.deliver_staged(clock, msg, buf).map(Some);
+                            return self.settle_staged(clock, msg, buf).map(Some);
                         }
                         self.unexpected.push(msg);
                         continue;
@@ -900,13 +1073,13 @@ impl CxlTransport {
                     None => return Ok(None),
                 }
             }
-            let Some(first) = queue.peek_header()? else {
+            let Some(first) = self.conn.rx_peer(sender)?.queue.peek_header()? else {
                 return Ok(None);
             };
             if !Self::header_matches(&first, ctx, src, tag) {
                 // Not ours: pump it toward the unexpected queue without
                 // blocking if it is still being published.
-                match self.pump_queue(clock, sender, queue)? {
+                match self.pump_queue(clock, sender)? {
                     Some(msg) => {
                         self.unexpected.push(msg);
                         continue;
@@ -915,17 +1088,19 @@ impl CxlTransport {
                 }
             }
             let total = first.total_len as usize;
+            let Some(buf) = buf else {
+                return Ok(Some(Status::new(first.src, first.tag, total)));
+            };
             if total > buf.len() {
                 // MPI truncation: the message is consumed (into staging,
                 // recycled immediately) and the receive errors. Blocking
                 // for the remainder is fine — the sender of a matching
                 // partial message is committed and actively publishing.
-                let poison = self.poison.clone();
                 let mut backoff = SpinWait::new();
                 let msg = loop {
-                    match self.pump_queue(clock, sender, queue)? {
+                    match self.pump_queue(clock, sender)? {
                         Some(msg) => break msg,
-                        None => backoff.wait(&poison)?,
+                        None => backoff.wait(&self.poison)?,
                     }
                 };
                 self.pool.put(msg.data);
@@ -935,14 +1110,33 @@ impl CxlTransport {
                     buffer_len: buf.len(),
                 });
             }
-            // Direct path: chunks land in the caller's buffer, with no
-            // staging copy. Waits for the remainder of a matching message
-            // mid-publication — safe for the same reason.
-            self.drain_chunks_into(clock, queue, &first, buf)?;
+            // Direct path: chunks or lane segments land in the caller's
+            // buffer, with no staging copy. Waits for the remainder of a
+            // matching message mid-publication — safe for the same reason.
+            self.drain_message_into(clock, sender, &first, buf)?;
             TransportCounters::bump(&self.stats.msgs_received, 1);
             TransportCounters::bump(&self.stats.bytes_received, total as u64);
             clock.advance(self.cost.mpi_overhead());
             return Ok(Some(Status::new(first.src, first.tag, total)));
+        }
+    }
+
+    /// A freshly pumped message matched: deliver it into the caller's buffer,
+    /// or — probing — report it and stage it. Everything staged before it
+    /// failed the same selectors, so it is their first match on the queue.
+    fn settle_staged(
+        &mut self,
+        clock: &mut SimClock,
+        m: PendingMessage,
+        buf: Option<&mut [u8]>,
+    ) -> Result<Status> {
+        match buf {
+            Some(buf) => self.deliver_staged(clock, m, buf),
+            None => {
+                let status = m.status;
+                self.unexpected.push(m);
+                Ok(status)
+            }
         }
     }
 
@@ -971,11 +1165,25 @@ impl CxlTransport {
     // Lazy-mode send internals
     // ------------------------------------------------------------------
 
-    /// Blocking send over the lazy connection state. Promoted pairs use
-    /// their dedicated ring and ring the receiver's doorbell after every
-    /// chunk (the receiver's drain depends on seeing the bit); cold pairs
-    /// publish through the receiver's shared receive queue, which the
-    /// receiver probes unconditionally — no doorbell.
+    /// The route decision of a lazy send, made once at message entry: opens
+    /// (and opportunistically promotes) the pair, then says whether a message
+    /// of `total` bytes goes rendezvous — longer than one cell, on a promoted
+    /// pair that has (or now gets) a lane — or as cells.
+    fn lazy_route(&mut self, clock: &mut SimClock, dst: Rank, total: usize) -> Result<bool> {
+        let nt = self.cost.nt_access();
+        let large = total > self.cell_payload;
+        let table = self.conn.lazy();
+        table.prepare_send(dst, clock, nt)?;
+        Ok(large && table.ensure_lane(dst, clock, nt))
+    }
+
+    /// Blocking send over the lazy connection state. A message longer than
+    /// one cell on a promoted pair with a lane goes rendezvous. Otherwise
+    /// promoted pairs chunk it through their dedicated ring, ringing the
+    /// receiver's doorbell after every chunk (the receiver's drain depends on
+    /// seeing the bit); cold pairs publish through the receiver's shared
+    /// receive queue, which the receiver probes unconditionally — no
+    /// doorbell.
     fn send_lazy(
         &mut self,
         clock: &mut SimClock,
@@ -984,29 +1192,39 @@ impl CxlTransport {
         tag: Tag,
         data: &[u8],
     ) -> Result<()> {
+        let nt = self.cost.nt_access();
+        let total = data.len();
+        if self.lazy_route(clock, dst, total)? {
+            // The resumable rendezvous send, driven to completion. While the
+            // lane is full this rank keeps its own inbound side drained, so
+            // two ranks streaming at each other both move.
+            let mut cursor = 0usize;
+            let mut backoff = SpinWait::new();
+            while !self.try_send_rendezvous(clock, dst, ctx, tag, data, &mut cursor)? {
+                if self.lazy_poll_incoming(clock)? == 0 {
+                    backoff.wait(&self.poison)?;
+                } else {
+                    backoff.reset();
+                }
+            }
+            return Ok(());
+        }
         // Fault injection fires at message entry, before any chunk is
         // published: peers never observe a half-written message.
         if let Some(f) = self.fault.as_mut() {
             f.on_send()?;
         }
         clock.advance(self.cost.mpi_overhead());
-        let nt = self.cost.nt_access();
-        let (db, srq, qp) = {
-            let t = self.lazy();
-            t.prepare_send(dst, clock, nt)?;
-            let peer = t.peer(dst).expect("peer just prepared");
-            (peer.db.clone(), peer.srq.clone(), peer.qp.clone())
-        };
-        let total = data.len();
+        let charge = self.charge_for(dst);
+        let peer = self.conn.lazy().peer(dst).expect("peer just routed");
         let mut offset = 0usize;
-        let mut scratch = std::mem::take(&mut self.tx_scratch);
         let mut last_ticket = None;
         loop {
             let chunk_end = (offset + self.cell_payload).min(total);
             let chunk = &data[offset..chunk_end];
             // Charge the publish cost first, then stamp the cell with the
             // time at which the data is actually visible.
-            self.charge_chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total, dst);
+            charge.chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total);
             let header = CellHeader {
                 src: self.rank,
                 ctx,
@@ -1017,10 +1235,10 @@ impl CxlTransport {
                 timestamp: clock.now(),
             };
             let mut backoff = SpinWait::new();
-            match &qp {
+            match &peer.qp {
                 Some(queue) => loop {
-                    if queue.try_enqueue_with_scratch(&header, chunk, &mut scratch)? {
-                        db.ring(self.rank)?;
+                    if queue.try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)? {
+                        peer.db.ring(self.rank)?;
                         TransportCounters::bump(&self.stats.doorbell_rings, 1);
                         clock.advance(2.0 * nt);
                         break;
@@ -1029,13 +1247,13 @@ impl CxlTransport {
                     // timestamp so our clock reflects the wait, then retry.
                     clock.merge(queue.head_timestamp()?);
                     clock.advance(nt);
-                    if let Err(e) = backoff.wait(&self.poison) {
-                        self.tx_scratch = scratch;
-                        return Err(e);
-                    }
+                    backoff.wait(&self.poison)?;
                 },
                 None => loop {
-                    match srq.try_enqueue_with_scratch(&header, chunk, &mut scratch)? {
+                    match peer
+                        .srq
+                        .try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)?
+                    {
                         Some(ticket) => {
                             last_ticket = Some(ticket);
                             // The ticket claim is one RMW round-trip.
@@ -1043,12 +1261,9 @@ impl CxlTransport {
                             break;
                         }
                         None => {
-                            clock.merge(srq.head_timestamp()?);
+                            clock.merge(peer.srq.head_timestamp()?);
                             clock.advance(nt);
-                            if let Err(e) = backoff.wait(&self.poison) {
-                                self.tx_scratch = scratch;
-                                return Err(e);
-                            }
+                            backoff.wait(&self.poison)?;
                         }
                     }
                 },
@@ -1058,25 +1273,114 @@ impl CxlTransport {
                 break;
             }
         }
-        self.tx_scratch = scratch;
-        self.lazy().note_sent(dst, last_ticket);
-        TransportCounters::bump(&self.stats.msgs_sent, 1);
-        TransportCounters::bump(&self.stats.bytes_sent, total as u64);
+        self.finish_chunked_send(dst, total, last_ticket);
         Ok(())
     }
 
-    /// Exactly-once fault injection for the lazy progress path: arm a key on
-    /// the first attempt that passed flow control, keep it armed across the
-    /// SRQ's rare claim-race retreats, clear it at message completion.
-    fn fire_send_fault_once(&mut self, dst: Rank, ctx: CtxId, tag: Tag) -> Result<()> {
-        let key = (dst, ctx, tag);
-        if let Some(fault) = self.fault.as_mut() {
-            if !self.fault_armed.contains(&key) {
-                fault.on_send()?;
-                self.fault_armed.insert(key);
-            }
+    /// Completion bookkeeping of a chunked lazy send: promotion counters,
+    /// message counters, and — when a message longer than one cell had to
+    /// chunk through a promoted pair — the rendezvous fallback count.
+    fn finish_chunked_send(&mut self, dst: Rank, total: usize, srq_ticket: Option<u64>) {
+        self.conn.lazy().note_sent(dst, srq_ticket);
+        TransportCounters::bump(&self.stats.msgs_sent, 1);
+        TransportCounters::bump(&self.stats.bytes_sent, total as u64);
+        if total > self.cell_payload && srq_ticket.is_none() {
+            TransportCounters::bump(&self.stats.rdv_fallbacks, 1);
         }
-        Ok(())
+    }
+
+    /// Nonblocking incremental rendezvous send toward a promoted peer with a
+    /// lane. `cursor` counts what is already out: `0` nothing, `1` the
+    /// request-to-send, `1 + k` the first `k` segments.
+    ///
+    /// The request-to-send is an ordinary header-only cell — so matching,
+    /// non-overtaking order and the doorbell are the ring's — and message
+    /// entry (fault hook, software overhead) happens right before it, once
+    /// the ring has room. Each segment then streams into the lane with
+    /// non-temporal stores. A full lane hands control back **without touching
+    /// the clock**: the wait for a slow receiver is charged once, when the
+    /// slot is finally reused, by merging the timestamp the receiver freed it
+    /// at — so the virtual time of a large message does not depend on how
+    /// often the host scheduler let this rank retry.
+    fn try_send_rendezvous(
+        &mut self,
+        clock: &mut SimClock,
+        dst: Rank,
+        ctx: CtxId,
+        tag: Tag,
+        data: &[u8],
+        cursor: &mut usize,
+    ) -> Result<bool> {
+        let nt = self.cost.nt_access();
+        let total = data.len();
+        let charge = self.charge_for(dst);
+        if *cursor == 0 {
+            let peer = self.conn.lazy().peer(dst).expect("peer prepared");
+            let queue = peer.qp.as_ref().expect("a lane implies a promoted pair");
+            if !queue.has_space()? {
+                clock.merge(queue.head_timestamp()?);
+                clock.advance(nt);
+                return Ok(false);
+            }
+            // Single producer per queue pair: the space cannot vanish, so the
+            // hook fires exactly once per message and nothing is visible yet.
+            if let Some(f) = self.fault.as_mut() {
+                f.on_send()?;
+            }
+            clock.advance(self.cost.mpi_overhead());
+            charge.chunk_write(clock, CELL_HEADER_SIZE, total);
+            let rts = CellHeader {
+                src: self.rank,
+                ctx,
+                tag,
+                total_len: total as u64,
+                chunk_offset: 0,
+                chunk_len: 0,
+                timestamp: clock.now(),
+            };
+            let enqueued = queue.try_enqueue_with_scratch(&rts, &[], &mut self.tx_scratch)?;
+            debug_assert!(enqueued, "ring filled despite has_space");
+            peer.db.ring(self.rank)?;
+            TransportCounters::bump(&self.stats.doorbell_rings, 1);
+            clock.advance(2.0 * nt);
+            *cursor = 1;
+        }
+        let lane = self
+            .conn
+            .lazy()
+            .tx_lane(dst)
+            .expect("rendezvous send without a lane");
+        let segment = lane.segment_bytes();
+        let mut offset = (*cursor - 1) * segment;
+        while offset < total {
+            let Some(freed_at) = lane.slot_freed_at()? else {
+                return Ok(false);
+            };
+            // Segment entry (slot claimable, nothing written): the
+            // fault-injection point for a death mid-stream.
+            if let Some(f) = self.fault.as_mut() {
+                f.on_publish()?;
+            }
+            if freed_at > clock.now() {
+                TransportCounters::bump(&self.stats.rdv_stalls, 1);
+            }
+            clock.merge(freed_at);
+            let end = (offset + segment).min(total);
+            // A reused slot costs a look at its ack line besides the flag.
+            let reused = lane.seq() >= lane.slots() as u64;
+            let ctl_lines = if reused { 2.0 } else { 1.0 };
+            charge.segment_publish(clock, end - offset, total, ctl_lines);
+            lane.publish(&data[offset..end], clock.now())?;
+            TransportCounters::bump(&self.stats.rdv_segments, 1);
+            offset = end;
+            *cursor += 1;
+        }
+        self.conn.lazy().note_sent(dst, None);
+        TransportCounters::bump(&self.stats.msgs_sent, 1);
+        TransportCounters::bump(&self.stats.bytes_sent, total as u64);
+        TransportCounters::bump(&self.stats.rdv_msgs, 1);
+        TransportCounters::bump(&self.stats.rdv_bytes, total as u64);
+        Ok(true)
     }
 
     /// Nonblocking incremental send over the lazy connection state. Mirrors
@@ -1093,84 +1397,79 @@ impl CxlTransport {
     ) -> Result<bool> {
         let nt = self.cost.nt_access();
         let total = data.len();
-        let total_chunks = total.div_ceil(self.cell_payload).max(1);
-        if *cursor == 0 {
-            // Message entry: route decision (idempotent across re-entries —
-            // nothing has been enqueued yet, so switching to a freshly
-            // promoted queue pair between attempts is safe).
-            self.lazy().prepare_send(dst, clock, nt)?;
-        }
-        let (db, srq, qp) = {
-            let peer = self
-                .lazy()
-                .peer(dst)
-                .expect("peer prepared at message entry");
-            (peer.db.clone(), peer.srq.clone(), peer.qp.clone())
+        let rendezvous = if *cursor == 0 {
+            // Message entry (idempotent across re-entries — nothing has been
+            // enqueued yet, so switching to a freshly promoted queue pair
+            // between attempts is safe).
+            self.lazy_route(clock, dst, total)?
+        } else {
+            // Mid-message the route is settled: a lane is only ever created
+            // at the entry of a large message to this peer, and the progress
+            // engine never starts one while another is mid-flight to it.
+            total > self.cell_payload && self.conn.lazy().tx_lane(dst).is_some()
         };
-        let mut scratch = std::mem::take(&mut self.tx_scratch);
+        if rendezvous {
+            return self.try_send_rendezvous(clock, dst, ctx, tag, data, cursor);
+        }
+        let charge = self.charge_for(dst);
+        let total_chunks = total.div_ceil(self.cell_payload).max(1);
+        let peer = self
+            .conn
+            .lazy()
+            .peer(dst)
+            .expect("peer prepared at message entry");
         let mut last_ticket = None;
         while *cursor < total_chunks {
             let offset = *cursor * self.cell_payload;
             let chunk_end = (offset + self.cell_payload).min(total);
             let chunk = &data[offset..chunk_end];
-            match &qp {
+            let full_until = match &peer.qp {
+                Some(queue) if !queue.has_space()? => Some(queue.head_timestamp()?),
+                None if !peer.srq.has_space()? => Some(peer.srq.head_timestamp()?),
+                _ => None,
+            };
+            if let Some(head_ts) = full_until {
+                clock.merge(head_ts);
+                clock.advance(nt);
+                return Ok(false);
+            }
+            if *cursor == 0 {
+                // Exactly-once fault injection: arm a key on the first
+                // attempt that passed flow control, keep it armed across the
+                // SRQ's rare claim-race retreats, clear it at completion.
+                if let Some(fault) = self.fault.as_mut() {
+                    if self.fault_armed.insert((dst, ctx, tag)) {
+                        fault.on_send()?;
+                    }
+                }
+                clock.advance(self.cost.mpi_overhead());
+            }
+            charge.chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total);
+            let header = CellHeader {
+                src: self.rank,
+                ctx,
+                tag,
+                total_len: total as u64,
+                chunk_offset: offset as u64,
+                chunk_len: chunk.len() as u32,
+                timestamp: clock.now(),
+            };
+            match &peer.qp {
                 Some(queue) => {
-                    if !queue.has_space()? {
-                        clock.merge(queue.head_timestamp()?);
-                        clock.advance(nt);
-                        self.tx_scratch = scratch;
-                        return Ok(false);
-                    }
-                    if *cursor == 0 {
-                        if let Err(e) = self.fire_send_fault_once(dst, ctx, tag) {
-                            self.tx_scratch = scratch;
-                            return Err(e);
-                        }
-                        clock.advance(self.cost.mpi_overhead());
-                    }
-                    self.charge_chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total, dst);
-                    let header = CellHeader {
-                        src: self.rank,
-                        ctx,
-                        tag,
-                        total_len: total as u64,
-                        chunk_offset: offset as u64,
-                        chunk_len: chunk.len() as u32,
-                        timestamp: clock.now(),
-                    };
                     // Single producer per queue pair: `has_space` cannot be
                     // invalidated between the check and this enqueue.
-                    let enqueued = queue.try_enqueue_with_scratch(&header, chunk, &mut scratch)?;
+                    let enqueued =
+                        queue.try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)?;
                     debug_assert!(enqueued, "ring filled despite has_space");
-                    db.ring(self.rank)?;
+                    peer.db.ring(self.rank)?;
                     TransportCounters::bump(&self.stats.doorbell_rings, 1);
                     clock.advance(2.0 * nt);
                 }
                 None => {
-                    if !srq.has_space()? {
-                        clock.merge(srq.head_timestamp()?);
-                        clock.advance(nt);
-                        self.tx_scratch = scratch;
-                        return Ok(false);
-                    }
-                    if *cursor == 0 {
-                        if let Err(e) = self.fire_send_fault_once(dst, ctx, tag) {
-                            self.tx_scratch = scratch;
-                            return Err(e);
-                        }
-                        clock.advance(self.cost.mpi_overhead());
-                    }
-                    self.charge_chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total, dst);
-                    let header = CellHeader {
-                        src: self.rank,
-                        ctx,
-                        tag,
-                        total_len: total as u64,
-                        chunk_offset: offset as u64,
-                        chunk_len: chunk.len() as u32,
-                        timestamp: clock.now(),
-                    };
-                    match srq.try_enqueue_with_scratch(&header, chunk, &mut scratch)? {
+                    match peer
+                        .srq
+                        .try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)?
+                    {
                         Some(ticket) => {
                             last_ticket = Some(ticket);
                             clock.advance(nt);
@@ -1180,9 +1479,8 @@ impl CxlTransport {
                             // flow-control check: retreat as a plain "full".
                             // The re-entry re-charges a little virtual time —
                             // accepted noise on a rare race.
-                            clock.merge(srq.head_timestamp()?);
+                            clock.merge(peer.srq.head_timestamp()?);
                             clock.advance(nt);
-                            self.tx_scratch = scratch;
                             return Ok(false);
                         }
                     }
@@ -1190,13 +1488,10 @@ impl CxlTransport {
             }
             *cursor += 1;
         }
-        self.tx_scratch = scratch;
         if self.fault.is_some() {
             self.fault_armed.remove(&(dst, ctx, tag));
         }
-        self.lazy().note_sent(dst, last_ticket);
-        TransportCounters::bump(&self.stats.msgs_sent, 1);
-        TransportCounters::bump(&self.stats.bytes_sent, total as u64);
+        self.finish_chunked_send(dst, total, last_ticket);
         Ok(true)
     }
 
@@ -1223,12 +1518,11 @@ impl CxlTransport {
         moved: &mut usize,
     ) -> Result<()> {
         for &sender in senders {
-            let queue = self.lazy().rx_queue(sender)?;
-            while let Some(msg) = self.pump_queue(clock, sender, &queue)? {
+            while let Some(msg) = self.pump_queue(clock, sender)? {
                 self.unexpected.push(msg);
                 *moved += 1;
             }
-            self.lazy_retire(sender, &queue)?;
+            self.lazy_retire(sender)?;
         }
         Ok(())
     }
@@ -1261,7 +1555,11 @@ impl Transport for CxlTransport {
             f.on_send()?;
         }
         clock.advance(self.cost.mpi_overhead());
-        let queue = self.eager_tx_queue(dst);
+        let charge = self.charge_for(dst);
+        let ConnState::Eager { tx, .. } = &self.conn else {
+            unreachable!("lazy sends return above");
+        };
+        let queue = &tx[dst];
         let total = data.len();
         let mut offset = 0usize;
         let mut scratch = std::mem::take(&mut self.tx_scratch);
@@ -1270,7 +1568,7 @@ impl Transport for CxlTransport {
             let chunk = &data[offset..chunk_end];
             // Charge the publish cost first, then stamp the cell with the time
             // at which the data is actually visible.
-            self.charge_chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total, dst);
+            charge.chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total);
             let header = CellHeader {
                 src: self.rank,
                 ctx,
@@ -1337,7 +1635,7 @@ impl Transport for CxlTransport {
         }
         let mut backoff = SpinWait::new();
         loop {
-            if let Some(status) = self.try_match_once_into(clock, ctx, src, tag, buf)? {
+            if let Some(status) = self.try_match_once_into(clock, ctx, src, tag, Some(buf))? {
                 return Ok(status);
             }
             backoff.wait(&self.poison)?;
@@ -1357,6 +1655,19 @@ impl Transport for CxlTransport {
         self.try_match_once(clock, ctx, src, tag)
     }
 
+    fn iprobe(
+        &mut self,
+        clock: &mut SimClock,
+        ctx: CtxId,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+    ) -> Result<Option<Status>> {
+        if let Some(s) = src {
+            self.check_rank(s)?;
+        }
+        self.try_match_once_into(clock, ctx, src, tag, None)
+    }
+
     fn try_recv_into(
         &mut self,
         clock: &mut SimClock,
@@ -1368,7 +1679,7 @@ impl Transport for CxlTransport {
         if let Some(s) = src {
             self.check_rank(s)?;
         }
-        self.try_match_once_into(clock, ctx, src, tag, buf)
+        self.try_match_once_into(clock, ctx, src, tag, Some(buf))
     }
 
     fn try_send_progress(
@@ -1388,7 +1699,11 @@ impl Transport for CxlTransport {
         // The cursor counts chunks already enqueued (a zero-length message is
         // one header-only chunk).
         let total_chunks = total.div_ceil(self.cell_payload).max(1);
-        let queue = self.eager_tx_queue(dst);
+        let charge = self.charge_for(dst);
+        let ConnState::Eager { tx, .. } = &self.conn else {
+            unreachable!("lazy sends return above");
+        };
+        let queue = &tx[dst];
         let mut scratch = std::mem::take(&mut self.tx_scratch);
         while *cursor < total_chunks {
             let offset = *cursor * self.cell_payload;
@@ -1419,7 +1734,7 @@ impl Transport for CxlTransport {
             }
             // Charge the publish cost first, then stamp the cell with the
             // time at which the data is actually visible.
-            self.charge_chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total, dst);
+            charge.chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total);
             let header = CellHeader {
                 src: self.rank,
                 ctx,
@@ -1454,7 +1769,7 @@ impl Transport for CxlTransport {
             .map(|m| (m.status.source, m.ctx, m.status.tag, m.data.len()))
             .collect();
         let conn = match &self.conn {
-            ConnState::Eager(_) => "eager".to_string(),
+            ConnState::Eager { .. } => "eager".to_string(),
             ConnState::Lazy(t) => t.debug_state(),
         };
         format!(
@@ -1467,7 +1782,7 @@ impl Transport for CxlTransport {
         // Drain every incoming ring into the pool-backed unexpected queue:
         // each cell freed returns ring space to the sender, so a peer
         // blocked on ring-full flow control can finish its send while this
-        // rank is otherwise busy. `pump_ring` accepts partial messages
+        // rank is otherwise busy. `pump_queue` accepts partial messages
         // incrementally and never blocks — essential, because the sender of
         // a half-published message may itself be spinning in its own
         // send-commit loop waiting for the cells this drain frees.
@@ -1479,7 +1794,7 @@ impl Transport for CxlTransport {
             if sender == self.rank {
                 continue;
             }
-            while let Some(msg) = self.pump_ring(clock, sender)? {
+            while let Some(msg) = self.pump_queue(clock, sender)? {
                 self.unexpected.push(msg);
                 moved += 1;
             }

@@ -100,7 +100,8 @@ impl FaultInjector {
         self.check("send", self.sends, wanted)
     }
 
-    /// Entry hook of a data-plane slot publish (`dp_expose`).
+    /// Entry hook of a slot publish: a data-plane expose (`dp_expose`) or one
+    /// segment of a rendezvous message streaming into its lane.
     pub fn on_publish(&mut self) -> Result<()> {
         self.publishes += 1;
         let wanted = match self.trigger {
@@ -157,9 +158,26 @@ pub struct TransportStats {
     /// Receive-side per-sender ring probes. An idle rank must keep this flat
     /// regardless of world size — the doorbell regression tests assert on it.
     pub ring_probes: u64,
-    /// Doorbell rings performed on the send side (one per chunk enqueued into
-    /// a dedicated queue pair).
+    /// Doorbell rings performed on the send side (one per cell enqueued into
+    /// a dedicated queue pair: every chunk of a chunked message, only the
+    /// request-to-send of a rendezvous).
     pub doorbell_rings: u64,
+    /// Messages sent rendezvous: one request-to-send cell through the queue
+    /// pair, the payload streamed through the pair's lane. Each is also
+    /// counted once in `msgs_sent` (and its payload once in `bytes_sent`).
+    pub rdv_msgs: u64,
+    /// Payload bytes sent rendezvous.
+    pub rdv_bytes: u64,
+    /// Lane segments published (a rendezvous message of `n` bytes is
+    /// `⌈n / cell_size⌉` of them; they ring no doorbell).
+    pub rdv_segments: u64,
+    /// Lane segments whose slot the receiver freed later, in virtual time,
+    /// than the sender was ready to reuse it — the lane was full and the
+    /// sender's clock jumped to the ack.
+    pub rdv_stalls: u64,
+    /// Messages longer than one cell that were chunked through a promoted
+    /// queue pair because the pair's lane could not be created.
+    pub rdv_fallbacks: u64,
 }
 
 /// The live, shared form of [`TransportStats`]: relaxed atomics bumped on the
@@ -200,6 +218,16 @@ pub struct TransportCounters {
     pub ring_probes: AtomicU64,
     /// Doorbell rings performed on the send side.
     pub doorbell_rings: AtomicU64,
+    /// Messages sent rendezvous.
+    pub rdv_msgs: AtomicU64,
+    /// Payload bytes sent rendezvous.
+    pub rdv_bytes: AtomicU64,
+    /// Lane segments published.
+    pub rdv_segments: AtomicU64,
+    /// Lane segments that waited (in virtual time) for their slot's ack.
+    pub rdv_stalls: AtomicU64,
+    /// Large messages chunked through a promoted pair that has no lane.
+    pub rdv_fallbacks: AtomicU64,
 }
 
 impl TransportCounters {
@@ -228,6 +256,11 @@ impl TransportCounters {
             srq_msgs: self.srq_msgs.load(Ordering::Relaxed),
             ring_probes: self.ring_probes.load(Ordering::Relaxed),
             doorbell_rings: self.doorbell_rings.load(Ordering::Relaxed),
+            rdv_msgs: self.rdv_msgs.load(Ordering::Relaxed),
+            rdv_bytes: self.rdv_bytes.load(Ordering::Relaxed),
+            rdv_segments: self.rdv_segments.load(Ordering::Relaxed),
+            rdv_stalls: self.rdv_stalls.load(Ordering::Relaxed),
+            rdv_fallbacks: self.rdv_fallbacks.load(Ordering::Relaxed),
         }
     }
 }
@@ -343,6 +376,21 @@ pub trait Transport: Send {
         src: Option<Rank>,
         tag: Option<Tag>,
     ) -> Result<Option<(Status, Vec<u8>)>>;
+
+    /// Non-destructive probe (`MPI_Iprobe`): the status of the message the
+    /// next `try_recv_*` with these selectors would deliver, or `None` when
+    /// no such message has arrived. Runs the receive's own search — staging
+    /// whatever it has to move out of the way — but never blocks, consumes or
+    /// charges for the match, and a message seen here is the first match of
+    /// its own `(source, tag)` too. The request sweeps use it to keep MPI's
+    /// non-overtaking rule between receives whose selectors overlap.
+    fn iprobe(
+        &mut self,
+        clock: &mut SimClock,
+        ctx: CtxId,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+    ) -> Result<Option<Status>>;
 
     /// Barrier across every rank in the universe.
     fn barrier(&mut self, clock: &mut SimClock) -> Result<()>;

@@ -389,6 +389,24 @@ impl Transport for TcpTransport {
         )))
     }
 
+    fn iprobe(
+        &mut self,
+        _clock: &mut SimClock,
+        ctx: CtxId,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+    ) -> Result<Option<Status>> {
+        if let Some(s) = src {
+            self.check_rank(s)?;
+        }
+        let found = self.endpoint.peek_match(|m| {
+            wire_ctx(m.tag) == ctx
+                && source_matches(src, m.src)
+                && tag_matches(tag, wire_user_tag(m.tag))
+        });
+        Ok(found.map(|m| Status::new(m.src, wire_user_tag(m.tag), m.len())))
+    }
+
     fn try_recv_into(
         &mut self,
         clock: &mut SimClock,

@@ -24,10 +24,12 @@
 //! one extent. `open`/`lookup` stay lock-free: slot bodies are published
 //! before the `used` flag is raised.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::alloc::{AllocStats, ShmAllocator};
-use crate::coherence::CxlView;
+use crate::coherence::{CxlView, FenceKind};
 use crate::error::ShmError;
 use crate::layout::{header_fields, ArenaLayout, ARENA_MAGIC, ARENA_VERSION};
 use crate::multilevel_hash::{HashConfig, MultiLevelHash, ObjectMeta};
@@ -88,7 +90,9 @@ impl Default for ArenaConfig {
 /// accessors for data that must be visible across hosts.
 #[derive(Clone)]
 pub struct ShmObject {
-    name: String,
+    /// Shared, so cloning a handle (the transports keep one per queue) never
+    /// touches the heap.
+    name: Arc<str>,
     /// Absolute device offset of the first payload byte.
     offset: u64,
     size: u64,
@@ -135,7 +139,7 @@ impl ShmObject {
 
     fn check(&self, at: u64, len: usize) -> Result<()> {
         if !self.open {
-            return Err(ShmError::StaleHandle(self.name.clone()));
+            return Err(ShmError::StaleHandle(self.name.to_string()));
         }
         if at.checked_add(len as u64).is_none_or(|end| end > self.size) {
             return Err(ShmError::OutOfBounds {
@@ -169,6 +173,22 @@ impl ShmObject {
     pub fn read_coherent_at(&self, at: u64, buf: &mut [u8]) -> Result<()> {
         self.check(at, buf.len())?;
         self.view.read_coherent((self.offset + at) as usize, buf)
+    }
+
+    /// Non-temporal store stream of raw bytes at an object-relative offset:
+    /// bypasses the host cache, so nothing is left to flush.
+    pub fn nt_store_at(&self, at: u64, data: &[u8]) -> Result<()> {
+        self.check(at, data.len())?;
+        self.view.nt_store((self.offset + at) as usize, data)
+    }
+
+    /// Load fence, then a non-temporal load of raw bytes at an
+    /// object-relative offset: reads the device, never a stale cached copy,
+    /// and leaves no line behind to invalidate later.
+    pub fn nt_load_fenced_at(&self, at: u64, buf: &mut [u8]) -> Result<()> {
+        self.check(at, buf.len())?;
+        self.view.fence(FenceKind::Lfence);
+        self.view.nt_load((self.offset + at) as usize, buf)
     }
 
     /// Non-temporal store of a `u64` flag at an object-relative offset.
@@ -440,7 +460,7 @@ impl CxlShmArena {
             Ok(offset)
         })?;
         Ok(ShmObject {
-            name: name.to_string(),
+            name: name.into(),
             offset,
             size: size as u64,
             view: self.view.clone(),
@@ -455,7 +475,7 @@ impl CxlShmArena {
             .lookup(name)?
             .ok_or_else(|| ShmError::ObjectNotFound(name.to_string()))?;
         Ok(ShmObject {
-            name: meta.name,
+            name: meta.name.into(),
             offset: meta.offset,
             size: meta.size,
             view: self.view.clone(),
@@ -505,7 +525,7 @@ impl CxlShmArena {
     /// `cxl_shm_destroy`. The handle becomes stale.
     pub fn destroy(&self, obj: &mut ShmObject) -> Result<()> {
         if !obj.open {
-            return Err(ShmError::StaleHandle(obj.name.clone()));
+            return Err(ShmError::StaleHandle(obj.name.to_string()));
         }
         self.with_directory_lock(|| {
             let meta = self.hash.remove(&obj.name)?;

@@ -243,7 +243,8 @@ impl SharedSegment {
 /// the CXL pooled memory.
 #[derive(Debug, Clone)]
 pub struct DaxDevice {
-    name: String,
+    /// Shared: every [`crate::CxlView`] clone carries the device handle.
+    name: Arc<str>,
     segment: Arc<SharedSegment>,
     alignment: usize,
 }
@@ -261,7 +262,7 @@ impl DaxDevice {
             return Err(ShmError::InvalidDeviceSize { size, alignment });
         }
         Ok(DaxDevice {
-            name: name.into(),
+            name: name.into().into(),
             segment: Arc::new(SharedSegment::new(size)),
             alignment,
         })

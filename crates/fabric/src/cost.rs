@@ -161,10 +161,13 @@ impl CxlCostModel {
     /// cache entirely, so under software coherence there is nothing to flush —
     /// the stream runs at the measured one-sided RMA bandwidth instead of
     /// paying a `clflush(opt)` per written line. This is the publish the
-    /// single-copy data plane uses (a write-once region read by other hosts);
-    /// the SPSC ring keeps the cached-write-then-flush protocol because its
-    /// cells are reread and rewritten in place. Under hardware coherence
-    /// (`Cached`) plain stores are strictly better, so delegate.
+    /// single-copy data plane uses (a write-once region read by other hosts)
+    /// and, second, the publish of every segment a rendezvous p2p message
+    /// streams through its pair's lane (`cmpi-core`'s `transport::conn::Lane`,
+    /// which executes exactly this: NT stores, then the flag). The SPSC ring
+    /// keeps the cached-write-then-flush protocol because its cells are
+    /// reread and rewritten in place. Under hardware coherence (`Cached`)
+    /// plain stores are strictly better, so delegate.
     pub fn streamed_publish(&self, bytes: usize, mode: CoherenceMode) -> SimNs {
         match mode {
             CoherenceMode::Uncacheable => self.uncacheable_access(bytes),
@@ -179,7 +182,10 @@ impl CxlCostModel {
     /// charged on top, because the data plane's slot rotation guarantees the
     /// reader last touched these lines ≥ `slots` collectives ago and its
     /// write-allocate copies have long been evicted). Counterpart of
-    /// [`Self::streamed_publish`] on the read side.
+    /// [`Self::streamed_publish`] on the read side, and likewise charged for
+    /// every lane segment a rendezvous receiver pulls — there the argument is
+    /// simpler still: the lane is written and read with non-temporal accesses
+    /// only, so neither host ever holds a cached copy of its lines.
     pub fn streamed_read(&self, bytes: usize, mode: CoherenceMode) -> SimNs {
         match mode {
             CoherenceMode::Uncacheable => self.uncacheable_access(bytes),

@@ -311,6 +311,14 @@ impl TcpEndpoint {
         }
     }
 
+    /// Non-destructive look at the message [`TcpEndpoint::try_recv_match`]
+    /// would return for `pred`: takes delivery of everything queued (arrival
+    /// order is kept in the stash), then finds the first match.
+    pub fn peek_match(&mut self, mut pred: impl FnMut(&NetMessage) -> bool) -> Option<&NetMessage> {
+        self.drain();
+        self.stash.iter().find(|m| pred(m))
+    }
+
     /// Number of messages waiting (stashed + queued).
     pub fn pending(&self) -> usize {
         self.stash.len() + self.rx.len()
