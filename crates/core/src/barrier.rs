@@ -10,16 +10,20 @@
 //! needed), and then spin-waits until every other rank's published sequence
 //! number is at least as large as its own.
 //!
-//! Each slot also carries the publisher's virtual-clock timestamp; a waiting
-//! rank merges the maximum of the timestamps it observed, so the barrier's
-//! exit time is the latest arrival — exactly the semantics of a barrier.
+//! Each slot also carries the publisher's virtual-clock timestamp (two of
+//! them, alternating with the parity of the sequence number, so entering the
+//! next barrier early cannot overwrite the stamp a slow rank has yet to
+//! read); a waiting rank merges the maximum of the timestamps it observed, so
+//! the barrier's exit time is the latest arrival — exactly the semantics of a
+//! barrier.
 //!
 //! The [`SeqBarrier`] array is provisioned for the *world* (and per window for
-//! fences). Sub-communicators produced by `comm_split`/`comm_dup` instead use
-//! [`group_barrier`] — a dissemination barrier over the communicator's own
-//! point-to-point path, which needs no pre-provisioned shared state, works for
-//! any rank subset, and inherits the context-id isolation of the
-//! communicator's tag space.
+//! fences). Communicators produced by `comm_split`/`comm_dup` barrier on the
+//! flag lines of their own shared window when they have one (see
+//! [`crate::dataplane`]); [`group_barrier`] is the fallback without a window —
+//! a dissemination barrier over the communicator's own point-to-point path,
+//! which needs no pre-provisioned shared state, works for any rank subset, and
+//! inherits the context-id isolation of the communicator's tag space.
 
 use cmpi_fabric::SimClock;
 use cxl_shm::ShmObject;
@@ -56,7 +60,7 @@ pub fn group_barrier(
     hier: Option<&HostHierarchy>,
     seq: u32,
 ) -> Result<&'static str> {
-    let plan = std::sync::Arc::new(build_barrier(view, tuning, hier));
+    let plan = std::sync::Arc::new(build_barrier(view, tuning, hier, None));
     let mut exec = crate::progress::Execution::new(std::sync::Arc::clone(&plan), seq);
     exec.run(t, clock, &mut [])?;
     Ok(plan.label)
@@ -111,12 +115,22 @@ impl SeqBarrier {
             let slot = self.base + r as u64 * BARRIER_SLOT_STRIDE;
             self.obj.nt_store_u64_at(slot, 0)?;
             self.obj.nt_store_u64_at(slot + 8, 0)?;
+            self.obj.nt_store_u64_at(slot + 16, 0)?;
         }
         Ok(())
     }
 
     fn slot(&self, rank: Rank) -> u64 {
         self.base + rank as u64 * BARRIER_SLOT_STRIDE
+    }
+
+    /// Offset, within a slot, of the timestamp of barrier entry number `seq`.
+    /// Two stamps alternate: a peer that has left this barrier may enter the
+    /// next one (never the one after) before a slow rank reads its slot, and
+    /// must not replace the stamp that rank is about to merge with a later
+    /// one — the rank's virtual clock would depend on who ran first.
+    fn stamp_off(seq: u64) -> u64 {
+        8 + 8 * (seq & 1)
     }
 
     /// Current private sequence number (equals the number of completed
@@ -132,8 +146,9 @@ impl SeqBarrier {
         self.seq += 1;
         let my_slot = self.slot(self.rank);
         // Publish sequence number and timestamp (single writer per slot).
+        let stamp = Self::stamp_off(self.seq);
         self.obj
-            .nt_store_u64_at(my_slot + 8, clock.now().to_bits())?;
+            .nt_store_u64_at(my_slot + stamp, clock.now().to_bits())?;
         self.obj.nt_store_u64_at(my_slot, self.seq)?;
 
         // Wait for everyone else and merge their timestamps.
@@ -147,7 +162,7 @@ impl SeqBarrier {
             loop {
                 let their_seq = self.obj.nt_load_u64_at(slot)?;
                 if their_seq >= self.seq {
-                    let ts = f64::from_bits(self.obj.nt_load_u64_at(slot + 8)?);
+                    let ts = f64::from_bits(self.obj.nt_load_u64_at(slot + stamp)?);
                     if ts > latest {
                         latest = ts;
                     }

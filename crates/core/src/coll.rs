@@ -70,9 +70,9 @@ use std::sync::Arc;
 
 use cmpi_fabric::SimClock;
 
-use crate::config::{CollTuning, HierarchyMode};
+use crate::config::{CollTuning, DataPlaneMode, HierarchyMode};
 use crate::dataplane::{
-    allreduce_shm_shared_bytes, build_allgather_shm, build_allreduce_shm, build_alltoall_shm,
+    build_allgather_shm, build_allreduce_shm, build_alltoall_shm, build_barrier_shm,
     build_bcast_shm, build_reduce_shm, dp_selected,
 };
 use crate::error::MpiError;
@@ -390,17 +390,25 @@ fn push_barrier_ops(plan: &mut Plan<'_, '_>) {
     }
 }
 
-/// Compile the barrier plan: a flat dissemination barrier, or — when the
-/// hierarchy is selected (shape gates only; barriers carry no payload) — the
-/// two-level composition: members report to their host leader, the leaders
-/// run a dissemination barrier among themselves (the only cross-host tokens),
-/// and each leader releases its host. Backs [`crate::comm::Comm::ibarrier`],
-/// `barrier_init` and the blocking sub-communicator barrier.
+/// Compile the barrier plan: the zero-byte exchange on the flag lines of the
+/// communicator's shared window when `dp` offers one (a barrier moves no
+/// bytes, so there is no payload for the hierarchy to save: the window wins
+/// whenever it exists and [`DataPlaneMode::Ring`] is not forced); otherwise
+/// a flat dissemination barrier, or — when the hierarchy is selected (shape
+/// gates only) — the two-level composition: members report to their host
+/// leader, the leaders run a dissemination barrier among themselves (the only
+/// cross-host tokens), and each leader releases its host. Backs
+/// [`crate::comm::Comm::ibarrier`], `barrier_init` and the blocking barrier
+/// of every communicator but the world's.
 pub fn build_barrier(
     view: &CommView<'_>,
     tuning: &CollTuning,
     hier: Option<&HostHierarchy>,
+    dp: Option<DpWindow>,
 ) -> CollPlan {
+    if view.size() > 1 && dp.is_some() && tuning.data_plane != DataPlaneMode::Ring {
+        return build_barrier_shm(view);
+    }
     if view.size() > 1 && hier_selected(tuning, hier, 0, 0) {
         return build_barrier_hier(view, hier.expect("selected hierarchy exists"));
     }
@@ -1505,17 +1513,8 @@ pub fn build_allreduce<T: Reducible>(
         let plan = Plan::new(view, 6);
         return plan.finish(fold, Loc::Buf, (0, total), (0, total), 0, "allreduce/local");
     }
-    if dp_selected(
-        tuning,
-        hier,
-        dp,
-        total,
-        tuning.hier_min_payload_bytes,
-        allreduce_shm_shared_bytes(count, n, elem),
-    )
-    .is_some()
-    {
-        return build_allreduce_shm::<T>(view, count, op);
+    if let Some(plan) = build_allreduce_shm::<T>(view, tuning, hier, dp, count, op) {
+        return plan;
     }
     // Auto steps aside where the flat algorithm is already topology-optimal:
     // if the placement makes the flat top-level exchange same-host on every

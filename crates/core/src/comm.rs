@@ -1131,12 +1131,14 @@ impl Comm {
     ///    next-context-id proposal — the agreement's epoch snapshot also
     ///    fixes the dead set, so every survivor derives the *same* shrunk
     ///    group without a second round,
-    /// 4. write off the dead members' pending data-plane acknowledgements on
-    ///    the old context (a dead reader must never wedge slot rotation),
-    /// 5. provision the survivor communicator: parent-relative rank order,
+    /// 4. provision the survivor communicator: parent-relative rank order,
     ///    fresh context id, eagerly created shared window, freshly derived
     ///    host hierarchy (leaders whose host lost its leader are re-elected
     ///    on first collective), inheriting the parent's error handler.
+    ///
+    /// The old context's shared window needs no repair: a member recorded
+    /// dead counts as done wherever a survivor's expose consults completion
+    /// lines, so a dead reader cannot wedge slot rotation there.
     ///
     /// Deaths during the shrink are tolerated by the agreement; deaths after
     /// its epoch snapshot surface as [`MpiError::ProcFailed`] on the *new*
@@ -1160,14 +1162,6 @@ impl Comm {
             MpiError::InvalidCommunicator("shrink called by a rank recorded dead".into())
         })?;
         self.shared.ctl().next_ctx = new_ctx + 1;
-        {
-            let io = &mut *self.shared.io();
-            for w in &dead {
-                if let Some(idx) = self.group.local_rank_of(*w) {
-                    io.transport.dp_write_off(&mut io.clock, self.ctx, idx)?;
-                }
-            }
-        }
         let handler = self.errhandler();
         let shard = self.shared.shard(new_ctx, group.size());
         shard.lock().unwrap_or_else(|e| e.into_inner()).errhandler = handler;
@@ -1188,22 +1182,27 @@ impl Comm {
     // Two-sided
     // ------------------------------------------------------------------
 
-    /// Blocking send of `data` to local rank `dst` with `tag` (user tags must
-    /// stay below [`crate::types::COLL_TAG_BASE`]).
-    pub fn send(&mut self, dst: Rank, tag: Tag, data: &[u8]) -> Result<()> {
-        Self::check_user_tag(tag)?;
-        let dst = self.world_of(dst)?;
-        // A send to a recorded-dead rank fails immediately (ULFM
-        // `MPI_ERR_PROC_FAILED` on point-to-point) instead of filling a ring
-        // nobody will ever drain.
+    /// A send to a recorded-dead rank fails immediately (ULFM
+    /// `MPI_ERR_PROC_FAILED` on point-to-point) instead of filling a ring
+    /// nobody will ever drain. `dst` is a world rank.
+    fn check_peer_alive(&self, dst: Rank, what: &str) -> Result<()> {
         let poison = &self.shared.poison;
         if poison.ft_active() && poison.is_dead(dst) {
             return Err(self.map_ft_err(MpiError::ProcFailed {
                 ctx: self.ctx,
                 dead: vec![dst],
-                detail: format!("send targets world rank {dst}, which is recorded dead"),
+                detail: format!("{what} targets world rank {dst}, which is recorded dead"),
             }));
         }
+        Ok(())
+    }
+
+    /// Blocking send of `data` to local rank `dst` with `tag` (user tags must
+    /// stay below [`crate::types::COLL_TAG_BASE`]).
+    pub fn send(&mut self, dst: Rank, tag: Tag, data: &[u8]) -> Result<()> {
+        Self::check_user_tag(tag)?;
+        let dst = self.world_of(dst)?;
+        self.check_peer_alive(dst, "send")?;
         let sent = {
             let io = &mut *self.shared.io();
             io.transport.send(&mut io.clock, dst, self.ctx, tag, data)
@@ -1951,7 +1950,13 @@ impl Comm {
             .map(Some)
     }
 
-    /// Combined send + receive (deadlock-safe pairwise exchange).
+    /// Combined send + receive (deadlock-safe pairwise exchange), full duplex:
+    /// both partners send first, so the exchange costs one one-way latency,
+    /// not two. What makes that safe is how the send waits: while the
+    /// destination ring (or lane) is full it keeps this rank's own arrivals
+    /// drained — exactly what a plan's `Send` op does — so two ranks whose
+    /// messages exceed the queue capacity unblock each other instead of
+    /// wedging, which two plain [`Comm::send`] calls would.
     pub fn sendrecv(
         &mut self,
         dst: Rank,
@@ -1960,14 +1965,32 @@ impl Comm {
         src: Rank,
         recv_tag: Tag,
     ) -> Result<(Status, Vec<u8>)> {
-        if self.rank <= dst {
-            self.send(dst, send_tag, data)?;
-            self.recv_owned(Some(src), Some(recv_tag))
-        } else {
-            let received = self.recv_owned(Some(src), Some(recv_tag))?;
-            self.send(dst, send_tag, data)?;
-            Ok(received)
+        Self::check_user_tag(send_tag)?;
+        let dst = self.world_of(dst)?;
+        self.check_peer_alive(dst, "sendrecv")?;
+        let mut cursor = 0usize;
+        let mut backoff = SpinWait::new();
+        loop {
+            // One attempt per io-lock hold, like every blocking wait here.
+            let attempt = {
+                let io = &mut *self.shared.io();
+                let (t, clock) = (io.transport.as_mut(), &mut io.clock);
+                match t.try_send_progress(clock, dst, self.ctx, send_tag, data, &mut cursor) {
+                    Ok(true) => Ok(None),
+                    Ok(false) => t.poll_incoming(clock).map(Some),
+                    Err(e) => Err(e),
+                }
+            };
+            match attempt.map_err(|e| self.map_ft_err(e))? {
+                None => break,
+                // Ring full and nothing of ours to drain: the peer is behind.
+                Some(0) => backoff
+                    .wait(&self.shared.poison)
+                    .map_err(|e| self.map_ft_err(e))?,
+                Some(_) => backoff.reset(),
+            }
         }
+        self.recv_owned(Some(src), Some(recv_tag))
     }
 
     /// Blocking typed send: `values`' bytes travel as-is through the
@@ -2005,11 +2028,14 @@ impl Comm {
     }
 
     /// Barrier across all ranks of the communicator. The world communicator
-    /// (and any same-group duplicate) uses the transport's sequence-number
-    /// barrier — a shared flag array no message-passing scheme beats;
-    /// sub-communicators run a dissemination barrier over their own
-    /// point-to-point path, composed hierarchically (per-host fan-in, leader
-    /// dissemination, per-host fan-out) when the topology gates select it.
+    /// uses the transport's sequence-number barrier — one flag array for the
+    /// whole universe. Every other communicator (same-group duplicates of
+    /// world included) runs the cached barrier plan: with a shared window, a
+    /// zero-byte exchange on its flag lines — one line stored, one loaded per
+    /// peer; without one (TCP, a forced ring, a group too large for a
+    /// window), a dissemination barrier over the point-to-point path,
+    /// composed hierarchically (per-host fan-in, leader dissemination,
+    /// per-host fan-out) when the topology gates select it.
     pub fn barrier(&mut self) -> Result<()> {
         self.ft_precheck()?;
         // The transport's sequence barrier is a single rank-wide rendezvous
@@ -2031,8 +2057,8 @@ impl Comm {
         } else {
             let view = self.view();
             let plan = self
-                .cached_plan(PlanKey::shaped(PlanOp::Barrier, 0), |tuning, hier, _| {
-                    coll::build_barrier(&view, tuning, hier)
+                .cached_plan(PlanKey::shaped(PlanOp::Barrier, 0), |tuning, hier, dp| {
+                    coll::build_barrier(&view, tuning, hier, dp)
                 })?;
             let seq = self.next_seq();
             let mut exec = Execution::new(Arc::clone(&plan), seq);
@@ -2067,6 +2093,15 @@ impl Comm {
     // weak-progress caveat of an engine without a progress thread; see the
     // README's request-mixing rules).
 
+    /// A collective that reads data-plane exposures was started without being
+    /// run at once: tell the transport before anything started later can
+    /// complete, so this rank's completion line cannot pass it by.
+    fn announce_reads(&self, reads_data_plane: bool, seq: u32) {
+        if reads_data_plane {
+            self.shared.io().transport.dp_begin(self.ctx, seq);
+        }
+    }
+
     /// Account and package a cached collective plan as a pending request:
     /// draws the next sequence number and binds the plan to a fresh
     /// execution.
@@ -2081,6 +2116,7 @@ impl Comm {
         self.note_coll(op, payload_bytes);
         self.note_algo(plan.label, payload_bytes);
         ProgressCounters::add(&self.shared.counters.colls_started, 1);
+        self.announce_reads(plan.reads_data_plane, seq);
         let request = Request::coll_pending(
             self.ctx,
             CollState::new(Execution::new(plan, seq), buf, self.rank),
@@ -2096,13 +2132,13 @@ impl Comm {
     }
 
     /// Nonblocking barrier (`MPI_Ibarrier`): completes once every rank of the
-    /// communicator has entered it. Runs the dissemination-token plan on
-    /// every communicator (world included) — hierarchical when the topology
-    /// gates select it — so it can overlap with compute.
+    /// communicator has entered it. Runs the barrier plan (see
+    /// [`Comm::barrier`]) on every communicator, world included, so it can
+    /// overlap with compute.
     pub fn ibarrier(&mut self) -> Result<Request> {
         let view = self.view();
-        let plan = self.cached_plan(PlanKey::shaped(PlanOp::Barrier, 0), |tuning, hier, _| {
-            coll::build_barrier(&view, tuning, hier)
+        let plan = self.cached_plan(PlanKey::shaped(PlanOp::Barrier, 0), |tuning, hier, dp| {
+            coll::build_barrier(&view, tuning, hier, dp)
         })?;
         Ok(self.start_coll(plan, Vec::new(), CollOp::Barrier, 0))
     }
@@ -2382,18 +2418,20 @@ impl Comm {
         op: CollOp,
         payload_bytes: u64,
     ) -> Request {
-        Request::coll_persistent(
-            self.ctx,
-            CollState::new(Execution::new(plan, 0), buf, self.rank),
-            PersistentMeta { op, payload_bytes },
-        )
+        let meta = PersistentMeta {
+            op,
+            payload_bytes,
+            reads_data_plane: plan.reads_data_plane,
+        };
+        let state = CollState::new(Execution::new(plan, 0), buf, self.rank);
+        Request::coll_persistent(self.ctx, state, meta)
     }
 
     /// Persistent barrier (`MPI_Barrier_init`).
     pub fn barrier_init(&mut self) -> Result<Request> {
         let view = self.view();
-        let plan = self.cached_plan(PlanKey::shaped(PlanOp::Barrier, 0), |tuning, hier, _| {
-            coll::build_barrier(&view, tuning, hier)
+        let plan = self.cached_plan(PlanKey::shaped(PlanOp::Barrier, 0), |tuning, hier, dp| {
+            coll::build_barrier(&view, tuning, hier, dp)
         })?;
         Ok(self.init_coll(plan, Vec::new(), CollOp::Barrier, 0))
     }
@@ -2680,6 +2718,7 @@ impl Comm {
         self.note_algo(algo, meta.payload_bytes);
         ProgressCounters::add(&self.shared.counters.colls_started, 1);
         ProgressCounters::add(&self.shared.counters.persistent_starts, 1);
+        self.announce_reads(meta.reads_data_plane, seq);
         request.activate(seq);
         // Hand the re-armed cell back to the background engine (no-op in
         // Polling mode): completed cells were pruned from its queue.

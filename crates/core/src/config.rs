@@ -185,8 +185,9 @@ pub enum DataPlaneMode {
 }
 
 /// Default [`CollTuning::dp_max_group`]: communicators above this size skip
-/// shared-window creation (the window is O(group) per rank and every reader
-/// scans every writer's slots, which stops paying off well before 1024 ranks).
+/// shared-window creation (the window's data slots are O(group) per rank and
+/// every reader loads every writer's flag line, which stops paying off well
+/// before 1024 ranks).
 pub const DP_MAX_GROUP_DEFAULT: usize = 64;
 
 /// Message-size thresholds steering the size-adaptive collective algorithms
@@ -373,8 +374,9 @@ impl ProgressTuning {
 /// 1-indexed and per victim rank, over the instrumented transport operations:
 /// point-to-point sends (blocking or progress-driven), slot publishes (a
 /// data-plane `dp_expose`, or one segment of a rendezvous p2p message
-/// entering its lane), and data-plane acknowledgements (the ack half of
-/// `dp_pull`). The fault fires at *operation entry*, before any bytes of that
+/// entering its lane), and data-plane acknowledgements (the completion-line
+/// store after a reader's last `dp_pull` of a collective). The fault fires at
+/// *operation entry*, before any bytes of that
 /// operation are written — so a send that dies leaves nothing visible, and a
 /// rendezvous stream that dies at a segment leaves a receiver waiting on a
 /// sender it then observes as failed.
@@ -385,7 +387,8 @@ pub enum FaultTrigger {
     /// Kill the victim as it enters its n-th slot publish (data-plane expose
     /// or rendezvous lane segment).
     NthPublish(u64),
-    /// Kill the victim as it enters its n-th data-plane acknowledgement.
+    /// Kill the victim as it enters its n-th data-plane acknowledgement: after
+    /// its last read of a collective, before its completion line is stored.
     NthAck(u64),
     /// Kill the victim at a pseudo-random operation: the k-th instrumented
     /// operation of any kind, with `k = 1 + lcg(seed) % max_ops`. Sweeping

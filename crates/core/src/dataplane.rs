@@ -8,21 +8,40 @@
 //! * the **data plane** built here — on a CXL transport, readers pull
 //!   payloads straight out of a writer's *exposed* buffer in a
 //!   per-communicator shared window (one coherent copy, OpenSHMEM
-//!   notified-put style), and completion is a flag cell, not a message.
+//!   notified-put style), and completion is a line in the window, not a
+//!   message.
 //!
 //! The window is a single arena object per communicator, created eagerly at
 //! communicator construction (creation is blocking and collective, which a
 //! nonblocking starter must never be) and carved into per-rank exposure
-//! slots by [`cxl_shm::SlotLayout`]. Consecutive collectives rotate through
-//! [`DP_SLOTS`] slots per rank (slot = sequence number mod slots), so a
-//! collective can start exposing while the acknowledgements of an earlier
-//! one are still in flight; a slot is only reused once every reader of its
-//! previous occupant has acked.
+//! slots by [`cxl_shm::SlotLayout`]. What a collective costs is the number of
+//! lines it stores and loads there, each one device round trip:
+//!
+//! * an **expose** stores one flag line per phase — and nothing else when the
+//!   payload is at most [`DP_INLINE_BYTES`] long, because it then rides in
+//!   the flag line itself; a longer payload is first streamed into the data
+//!   slot;
+//! * a **pull** loads the writer's flag line, which *is* the payload when it
+//!   was published inline, and otherwise goes on to read the data slot;
+//! * after its last read of a collective a reader stores its **completion
+//!   line** once — one line per rank, holding the sequence number through
+//!   which the rank has finished everything exposed to it, whoever wrote it
+//!   (the contiguous prefix: a collective completed out of order never
+//!   vouches for an earlier one still open);
+//! * consecutive collectives rotate through [`DP_SLOTS`] slots per rank
+//!   (slot = sequence number mod slots), so a writer exposes without asking
+//!   anybody. Only when the slot it wants is still held does it load its
+//!   readers' completion lines — `n − 1` loads that release every slot it
+//!   holds, i.e. once per [`DP_SLOTS`] collectives in a steady stream.
+//!
+//! An 8-byte allgather among `n` ranks is therefore `1 + (n − 1) + 1` lines
+//! per rank plus `(n − 1) / DP_SLOTS` amortised, where a message-based one
+//! pays per-message software overhead on top of several lines per hop.
 //!
 //! Plans built here use the data-plane op kinds of [`crate::progress`]
-//! (`ExposeRead`, `PullCopy`, `FoldInPlace`, `NotifyWait`) and flow through
-//! the same CollPlan/PlanCache/persistent machinery as ring plans — window
-//! setup is amortized across every start on the communicator, and blocking,
+//! (`ClaimSlot`, `ExposeRead`, `PullCopy`, `FoldInPlace`) and flow through the same
+//! CollPlan/PlanCache/persistent machinery as ring plans — window setup is
+//! amortized across every start on the communicator, and blocking,
 //! nonblocking and persistent starts execute byte-identical schedules.
 //!
 //! Selection is per plan-cache key, via `dp_selected`:
@@ -35,23 +54,27 @@
 //!   hierarchical ring composition does not select itself — the hierarchy's
 //!   per-host phases are exactly the traffic the shared window replaces, so
 //!   when the hierarchy wins (many hosts, cross-host bytes dominate) the
-//!   ring composite keeps the job.
+//!   ring composite keeps the job. A barrier moves no bytes, so it takes the
+//!   window whenever there is one.
 //!
 //! Payloads that do not fit a slot — and communicators whose window failed
 //! to allocate ([`crate::config::CollTuning::shm_arena_bytes`] exceeding the
 //! pool) — fall back to the ring path, never to an error.
 
+use cmpi_fabric::clock::SimNs;
+
 use crate::coll::{hier_selected, CommView};
 use crate::config::{CollTuning, DataPlaneMode};
 use crate::progress::{fold_bytes, CollPlan, FoldFn, Loc, SchedOp};
 use crate::topology::HostHierarchy;
-use crate::transport::DpWindow;
+use crate::transport::{DpReaders, DpSource, DpWindow, DP_INLINE_BYTES};
 use crate::types::{Rank, ReduceOp, Reducible};
 
 /// Exposure slots per rank in every data-plane window: how many consecutive
-/// collectives on one communicator can overlap their expose/ack lifecycles
-/// before a new expose must wait for the oldest slot to retire (the analog of
-/// the ring path's sequence-number tag window, at much smaller depth).
+/// collectives on one communicator a writer can expose before it must look at
+/// its readers' completion lines (the analog of the ring path's
+/// sequence-number tag window, at much smaller depth). Four done entries are
+/// exactly one completion line.
 pub const DP_SLOTS: usize = 4;
 
 /// Decide whether a collective of this shape runs on the data plane.
@@ -85,6 +108,149 @@ pub(crate) fn dp_selected(
     }
 }
 
+/// One region a writer publishes: the flag phase that gates it, where it sits
+/// in the writer's data slot, and how long it is. Every member computes the
+/// same value for a given writer, so the writer's expose and the readers'
+/// sources can never disagree about whether the bytes ride in the flag line.
+#[derive(Debug, Clone, Copy)]
+struct Exposure {
+    phase: u8,
+    region_off: usize,
+    len: usize,
+}
+
+impl Exposure {
+    /// Bytes `off..` of this exposure as published by group member
+    /// `writer_idx`.
+    fn source(&self, writer_idx: usize, off: usize) -> DpSource {
+        let inline = self.len <= DP_INLINE_BYTES;
+        DpSource {
+            writer_idx,
+            phase: self.phase,
+            off: if inline { off } else { self.region_off + off },
+            inline,
+            last: false,
+        }
+    }
+}
+
+/// The data-plane op list of one rank. Zero-length exposes and reads are
+/// never emitted — both sides of an empty region skip it, so a rank whose
+/// block of a short vector is empty costs nobody a device round trip — and
+/// the rank's last read is the one that stores its completion line.
+#[derive(Default)]
+struct DpOps(Vec<SchedOp>);
+
+impl DpOps {
+    fn expose(&mut self, e: Exposure, loc: Loc, start: usize, readers: DpReaders) {
+        if e.len > 0 {
+            self.0.push(SchedOp::ExposeRead {
+                phase: e.phase,
+                region_off: e.region_off,
+                loc,
+                start,
+                end: start + e.len,
+                readers,
+            });
+        }
+    }
+
+    fn pull(&mut self, src: DpSource, len: usize, dst_start: usize) {
+        if len > 0 {
+            self.0.push(SchedOp::PullCopy {
+                src,
+                len,
+                dst_loc: Loc::Buf,
+                dst_start,
+            });
+        }
+    }
+
+    /// Pull `len` bytes through `scratch[..len]` and fold them into
+    /// `buf[dst_start..]`.
+    fn fold(&mut self, src: DpSource, len: usize, dst_start: usize) {
+        if len > 0 {
+            self.0.push(SchedOp::FoldInPlace {
+                src,
+                len,
+                dst_loc: Loc::Buf,
+                dst_start,
+                stage_off: 0,
+            });
+        }
+    }
+
+    fn finish(mut self) -> Vec<SchedOp> {
+        let last_read = self.0.iter_mut().rev().find_map(|op| match op {
+            SchedOp::PullCopy { src, .. } | SchedOp::FoldInPlace { src, .. } => Some(src),
+            _ => None,
+        });
+        if let Some(src) = last_read {
+            src.last = true;
+        }
+        self.0
+    }
+}
+
+/// What one rank's clock advances by while it executes `ops` on window `w`,
+/// not counting time spent waiting for peers: every expose, every read and
+/// the completion line, priced with the terms the transport charges.
+/// `same_host(idx)` says whether group member `idx` shares the rank's host.
+fn serial_cost(ops: &[SchedOp], w: &DpWindow, same_host: impl Fn(usize) -> bool) -> SimNs {
+    ops.iter()
+        .map(|op| match *op {
+            SchedOp::ExposeRead { start, end, .. } => w.cost.expose(end - start),
+            SchedOp::PullCopy { src, len, .. } | SchedOp::FoldInPlace { src, len, .. } => {
+                let done = if src.last { w.cost.line() } else { 0.0 };
+                w.cost.pull(len, src.inline, same_host(src.writer_idx)) + done
+            }
+            _ => 0.0,
+        })
+        .sum()
+}
+
+/// Barrier as a zero-byte all-to-all exchange on the flag lines: every rank
+/// stores its arrival (an empty exposure — the sequence value and its stamp)
+/// and loads every peer's, `1 + (n − 1)` device round trips. Sequence values
+/// only grow, so a flag a later collective has already overwritten still says
+/// "arrived"; nothing is read out of the slot, so nobody stores a completion
+/// line and the slot is never held.
+pub(crate) fn build_barrier_shm(view: &CommView<'_>) -> CollPlan {
+    let arrival = Exposure {
+        phase: 0,
+        region_off: 0,
+        len: 0,
+    };
+    let mut ops = vec![SchedOp::ExposeRead {
+        phase: arrival.phase,
+        region_off: arrival.region_off,
+        loc: Loc::Buf,
+        start: 0,
+        end: 0,
+        readers: DpReaders::Others,
+    }];
+    ops.extend(
+        (0..view.size())
+            .filter(|&r| r != view.rank)
+            .map(|r| SchedOp::PullCopy {
+                src: arrival.source(r, 0),
+                len: 0,
+                dst_loc: Loc::Buf,
+                dst_start: 0,
+            }),
+    );
+    CollPlan::new(
+        ops,
+        view.ctx,
+        None,
+        Loc::Buf,
+        (0, 0),
+        (0, 0),
+        0,
+        "barrier/shm",
+    )
+}
+
 /// Payload size from which `build_bcast_shm` switches to the host-sliced
 /// scatter shape on multi-host communicators. Below it the pull is
 /// latency-bound and the extra re-exposure round only adds flag traffic;
@@ -96,10 +262,10 @@ pub const DP_BCAST_SCATTER_MIN_BYTES: usize = 64 * 1024;
 /// readers drain it depends on shape:
 ///
 /// * **Direct** (small payloads, or single-host groups): every other rank
-///   pulls the full payload straight into its own buffer (acking with the
-///   pull — its only read), and the root waits for the acks. One coherent
-///   publish serves all `n − 1` readers; the binomial tree's full-payload
-///   store-and-forward hops disappear entirely.
+///   pulls the full payload straight into its own buffer — its only read, so
+///   its completion line follows. One publish serves all `n − 1` readers
+///   (one flag line when the payload fits in it); the binomial tree's
+///   full-payload store-and-forward hops disappear entirely.
 /// * **Host-sliced scatter** (payloads ≥ [`DP_BCAST_SCATTER_MIN_BYTES`] on a
 ///   group spanning ≥ 2 hosts, when the topology structure is available):
 ///   the root's host-mates still pull the full payload — that read is served
@@ -119,104 +285,55 @@ pub(crate) fn build_bcast_shm(
     total: usize,
 ) -> CollPlan {
     let me = view.rank;
-    let n = view.size();
-    let mut ops = Vec::new();
+    let payload = Exposure {
+        phase: 0,
+        region_off: 0,
+        len: total,
+    };
+    let mut ops = DpOps::default();
     let scatter = hier.filter(|h| h.hosts_spanned() >= 2 && total >= DP_BCAST_SCATTER_MIN_BYTES);
     if me == root {
-        ops.push(SchedOp::ExposeRead {
+        ops.expose(payload, Loc::Buf, 0, DpReaders::Others);
+    } else if let Some(h) = scatter.filter(|h| !h.members(h.my_slot()).contains(&root)) {
+        // Remote host: pull my slice of the root's exposure, re-expose it (at
+        // its payload offset in my own region), then fill in the rest from my
+        // host-mates' re-exposures.
+        let cohort = h.members(h.my_slot());
+        let k = cohort.len();
+        let slice = |i: usize| Exposure {
             phase: 0,
-            region_off: 0,
-            loc: Loc::Buf,
-            start: 0,
-            end: total,
-        });
-        let readers: Vec<Rank> = (0..n).filter(|&r| r != root).collect();
-        for (i, &r) in readers.iter().enumerate() {
-            ops.push(SchedOp::NotifyWait {
-                reader_idx: r,
-                last: i + 1 == readers.len(),
+            region_off: block_off(i, total, k, 1),
+            len: block_off(i + 1, total, k, 1) - block_off(i, total, k, 1),
+        };
+        let j = cohort.iter().position(|&r| r == me).expect("me in cohort");
+        let mine = slice(j);
+        if k > 1 {
+            // Settle my slot while the root is still publishing.
+            ops.0.push(SchedOp::ClaimSlot {
+                readers: DpReaders::HostMates,
             });
         }
-    } else if let Some(h) = scatter {
-        let my_slot = (0..h.hosts_spanned())
-            .find(|&s| h.members(s).contains(&me))
-            .expect("every member has a host slot");
-        let cohort = h.members(my_slot);
-        if cohort.contains(&root) {
-            // The root's host-mates read the exposure out of the shared
-            // cache: slicing would only trade cache reads for flag traffic.
-            ops.push(SchedOp::PullCopy {
-                writer_idx: root,
-                phase: 0,
-                ack: true,
-                src_off: 0,
-                len: total,
-                dst_loc: Loc::Buf,
-                dst_start: 0,
-            });
-        } else {
-            // Remote host: pull my slice of the root's exposure, re-expose
-            // it (at its payload offset in my own region), then fill in the
-            // rest from my host-mates' re-exposures.
-            let k = cohort.len();
-            let j = cohort.iter().position(|&r| r == me).expect("me in cohort");
-            let slice = |i: usize| (block_off(i, total, k, 1), block_off(i + 1, total, k, 1));
-            let (my_off, my_end) = slice(j);
-            ops.push(SchedOp::PullCopy {
-                writer_idx: root,
-                phase: 0,
-                ack: true,
-                src_off: my_off,
-                len: my_end - my_off,
-                dst_loc: Loc::Buf,
-                dst_start: my_off,
-            });
-            if k > 1 {
-                ops.push(SchedOp::ExposeRead {
-                    phase: 0,
-                    region_off: my_off,
-                    loc: Loc::Buf,
-                    start: my_off,
-                    end: my_end,
-                });
-                for (i, &peer) in cohort.iter().enumerate() {
-                    if peer == me {
-                        continue;
-                    }
-                    let (off, end) = slice(i);
-                    ops.push(SchedOp::PullCopy {
-                        writer_idx: peer,
-                        phase: 0,
-                        ack: true,
-                        src_off: off,
-                        len: end - off,
-                        dst_loc: Loc::Buf,
-                        dst_start: off,
-                    });
-                }
-                let peers: Vec<Rank> = cohort.iter().copied().filter(|&r| r != me).collect();
-                for (i, &peer) in peers.iter().enumerate() {
-                    ops.push(SchedOp::NotifyWait {
-                        reader_idx: peer,
-                        last: i + 1 == peers.len(),
-                    });
-                }
+        ops.pull(
+            payload.source(root, mine.region_off),
+            mine.len,
+            mine.region_off,
+        );
+        if k > 1 {
+            ops.expose(mine, Loc::Buf, mine.region_off, DpReaders::HostMates);
+            for (i, &peer) in cohort.iter().enumerate().filter(|&(i, _)| i != j) {
+                let theirs = slice(i);
+                ops.pull(theirs.source(peer, 0), theirs.len, theirs.region_off);
             }
         }
     } else {
-        ops.push(SchedOp::PullCopy {
-            writer_idx: root,
-            phase: 0,
-            ack: true,
-            src_off: 0,
-            len: total,
-            dst_loc: Loc::Buf,
-            dst_start: 0,
-        });
+        // Direct — also the root's host-mates under the scatter shape: they
+        // read the exposure out of the shared cache, where slicing would only
+        // trade cache reads for flag traffic.
+        ops.pull(payload.source(root, 0), total, 0);
     }
     let input = if me == root { (0, total) } else { (0, 0) };
     CollPlan::new(
-        ops,
+        ops.finish(),
         view.ctx,
         None,
         Loc::Buf,
@@ -229,9 +346,9 @@ pub(crate) fn build_bcast_shm(
 
 /// Single-copy rooted reduce: every non-root exposes its full vector; the
 /// root pulls each one through a scratch staging block and folds it into its
-/// own buffer (acking each — one read per contributor), and each non-root
-/// waits for the root's ack. The root moves each vector across the fabric
-/// exactly once, with no intermediate partial-sum hops.
+/// own buffer, storing its completion line after the last contributor — the
+/// one reader every exposure has. The root moves each vector across the
+/// fabric exactly once, with no intermediate partial-sum hops.
 ///
 /// Slot footprint: `total` bytes (`count × sizeof(T)`).
 pub(crate) fn build_reduce_shm<T: Reducible>(
@@ -241,46 +358,29 @@ pub(crate) fn build_reduce_shm<T: Reducible>(
     op: ReduceOp,
 ) -> CollPlan {
     let me = view.rank;
-    let n = view.size();
     let total = count * std::mem::size_of::<T>();
-    let fold = Some((op, fold_bytes::<T> as FoldFn));
-    let mut ops = Vec::new();
-    let mut scratch_len = 0usize;
+    let vector = Exposure {
+        phase: 0,
+        region_off: 0,
+        len: total,
+    };
+    let mut ops = DpOps::default();
     if me == root {
-        scratch_len = total;
-        for r in 0..n {
-            if r == root {
-                continue;
-            }
-            ops.push(SchedOp::FoldInPlace {
-                writer_idx: r,
-                phase: 0,
-                ack: true,
-                src_off: 0,
-                len: total,
-                dst_loc: Loc::Buf,
-                dst_start: 0,
-                stage_off: 0,
-            });
+        for r in (0..view.size()).filter(|&r| r != root) {
+            ops.fold(vector.source(r, 0), total, 0);
         }
     } else {
-        ops.push(SchedOp::ExposeRead {
-            phase: 0,
-            region_off: 0,
-            loc: Loc::Buf,
-            start: 0,
-            end: total,
-        });
-        ops.push(SchedOp::NotifyWait {
-            reader_idx: root,
-            last: true,
-        });
+        ops.expose(vector, Loc::Buf, 0, DpReaders::One(root));
     }
-    let result = if me == root { (0, total) } else { (0, 0) };
+    let (result, scratch_len) = if me == root {
+        ((0, total), total)
+    } else {
+        ((0, 0), 0)
+    };
     CollPlan::new(
-        ops,
+        ops.finish(),
         view.ctx,
-        fold,
+        Some((op, fold_bytes::<T> as FoldFn)),
         Loc::Buf,
         result,
         (0, total),
@@ -298,112 +398,151 @@ fn block_off(i: usize, count: usize, n: usize, elem: usize) -> usize {
     (i * base + i.min(rem)) * elem
 }
 
-/// Single-copy allreduce, reduce-scatter + allgather over the shared window:
+/// The two shapes of a single-copy allreduce, as `(ops, scratch bytes, slot
+/// footprint)` of rank `me`.
+///
+/// **Two phases** — reduce-scatter + allgather over the shared window:
 ///
 /// 1. every rank exposes its full input vector `A` at slot offset 0
 ///    (phase 0);
 /// 2. every rank pulls *its own block* of each peer's `A` and folds it in
 ///    place — after this, rank `i` holds the fully reduced block `i`;
 /// 3. every rank exposes its reduced block `B` at slot offset `total`
-///    (phase 1 — `A` and `B` are disjoint slot regions, so no
-///    write-after-read hazard with stragglers still reading `A`);
-/// 4. every rank pulls each peer's `B` into the right place (acking — the
-///    last read), then waits for all acks of its own slot.
+///    (phase 1 — `A` and `B` are disjoint slot regions and separate flag
+///    lines, so no write-after-read hazard with stragglers still reading `A`);
+/// 4. every rank pulls each peer's `B` into the right place.
 ///
-/// Each rank's vector crosses the fabric once in phase 2 (sliced across
-/// readers) and each reduced block once per reader in phase 4 — the
+/// Each rank's vector crosses the fabric once in step 2 (sliced across
+/// readers) and each reduced block once per reader in step 4 — the
 /// Rabenseifner traffic pattern, minus all intermediate copies, headers and
-/// per-message overhead.
-///
-/// Slot footprint: `total + max_block` bytes.
+/// per-message overhead. Slot footprint: `total + max_block` bytes.
+fn allreduce_two_phase(
+    me: usize,
+    n: usize,
+    count: usize,
+    elem: usize,
+) -> (Vec<SchedOp>, usize, usize) {
+    let total = count * elem;
+    let block = |r: usize| {
+        let off = block_off(r, count, n, elem);
+        (off, block_off(r + 1, count, n, elem) - off)
+    };
+    let (my_off, my_len) = block(me);
+    let vector = Exposure {
+        phase: 0,
+        region_off: 0,
+        len: total,
+    };
+    let reduced = |r: usize| Exposure {
+        phase: 1,
+        region_off: total,
+        len: block(r).1,
+    };
+    let mut ops = DpOps::default();
+    ops.expose(vector, Loc::Buf, 0, DpReaders::Others);
+    for r in (0..n).filter(|&r| r != me) {
+        ops.fold(vector.source(r, my_off), my_len, my_off);
+    }
+    ops.expose(reduced(me), Loc::Buf, my_off, DpReaders::Others);
+    for r in (0..n).filter(|&r| r != me) {
+        let (r_off, r_len) = block(r);
+        ops.pull(reduced(r).source(r, 0), r_len, r_off);
+    }
+    (ops.finish(), my_len, total + block(0).1)
+}
+
+/// **One phase**: every rank exposes its vector and folds every peer's
+/// exposure locally — one publish round instead of two dependent ones, at
+/// `n − 1` full-vector reads per rank, which is what a short vector wants.
+/// Every rank folds in group order (`v₀ ⊕ v₁ ⊕ … ⊕ vₙ₋₁`, its own vector
+/// taking its turn from a scratch copy), so all members compute the same
+/// bits whatever the reduction's associativity. Slot footprint: `total`.
+fn allreduce_one_phase(me: usize, n: usize, total: usize) -> (Vec<SchedOp>, usize, usize) {
+    let vector = Exposure {
+        phase: 0,
+        region_off: 0,
+        len: total,
+    };
+    let mut ops = DpOps::default();
+    ops.expose(vector, Loc::Buf, 0, DpReaders::Others);
+    if me != 0 {
+        ops.0.push(SchedOp::Copy {
+            dst_loc: Loc::Scratch,
+            dst_start: total,
+            src_loc: Loc::Buf,
+            src_start: 0,
+            len: total,
+        });
+        ops.pull(vector.source(0, 0), total, 0);
+    }
+    for r in 1..n {
+        if r == me {
+            ops.0.push(SchedOp::Fold {
+                dst_loc: Loc::Buf,
+                dst_start: 0,
+                src_loc: Loc::Scratch,
+                src_start: total,
+                len: total,
+            });
+        } else {
+            ops.fold(vector.source(r, 0), total, 0);
+        }
+    }
+    let scratch = if me == 0 { total } else { 2 * total };
+    (ops.finish(), scratch, total)
+}
+
+/// Single-copy allreduce, or `None` when it should run on the ring path. The
+/// shape is whichever of [`allreduce_one_phase`] / [`allreduce_two_phase`]
+/// costs a rank less serial time on window `dp` — both op lists are walked
+/// with the transport's own cost terms ([`serial_cost`]), as group member 0
+/// would run them, so every member reaches the same verdict and the
+/// crossover follows the cost model instead of a byte threshold. A tie goes
+/// to the single round. Only then is the chosen shape's footprint checked
+/// against the slot ([`dp_selected`]).
 pub(crate) fn build_allreduce_shm<T: Reducible>(
     view: &CommView<'_>,
+    tuning: &CollTuning,
+    hier: Option<&HostHierarchy>,
+    dp: Option<DpWindow>,
     count: usize,
     op: ReduceOp,
-) -> CollPlan {
-    let me = view.rank;
+) -> Option<CollPlan> {
+    let w = dp?;
     let n = view.size();
     let elem = std::mem::size_of::<T>();
     let total = count * elem;
-    let fold = Some((op, fold_bytes::<T> as FoldFn));
-    let my_off = block_off(me, count, n, elem);
-    let my_len = block_off(me + 1, count, n, elem) - my_off;
-    let mut ops = Vec::new();
-    ops.push(SchedOp::ExposeRead {
-        phase: 0,
-        region_off: 0,
-        loc: Loc::Buf,
-        start: 0,
-        end: total,
-    });
-    for r in 0..n {
-        if r == me {
-            continue;
-        }
-        ops.push(SchedOp::FoldInPlace {
-            writer_idx: r,
-            phase: 0,
-            ack: false,
-            src_off: my_off,
-            len: my_len,
-            dst_loc: Loc::Buf,
-            dst_start: my_off,
-            stage_off: 0,
-        });
-    }
-    ops.push(SchedOp::ExposeRead {
-        phase: 1,
-        region_off: total,
-        loc: Loc::Buf,
-        start: my_off,
-        end: my_off + my_len,
-    });
-    for r in 0..n {
-        if r == me {
-            continue;
-        }
-        let r_off = block_off(r, count, n, elem);
-        let r_len = block_off(r + 1, count, n, elem) - r_off;
-        ops.push(SchedOp::PullCopy {
-            writer_idx: r,
-            phase: 1,
-            ack: true,
-            src_off: total,
-            len: r_len,
-            dst_loc: Loc::Buf,
-            dst_start: r_off,
-        });
-    }
-    let readers: Vec<Rank> = (0..n).filter(|&r| r != me).collect();
-    for (i, &r) in readers.iter().enumerate() {
-        ops.push(SchedOp::NotifyWait {
-            reader_idx: r,
-            last: i + 1 == readers.len(),
-        });
-    }
-    CollPlan::new(
+    let same_host = |r: usize| hier.is_some_and(|h| h.slot_of(r) == h.slot_of(0));
+    let one_phase = serial_cost(&allreduce_one_phase(0, n, total).0, &w, same_host)
+        <= serial_cost(&allreduce_two_phase(0, n, count, elem).0, &w, same_host);
+    let (ops, scratch_len, footprint) = if one_phase {
+        allreduce_one_phase(view.rank, n, total)
+    } else {
+        allreduce_two_phase(view.rank, n, count, elem)
+    };
+    dp_selected(
+        tuning,
+        hier,
+        dp,
+        total,
+        tuning.hier_min_payload_bytes,
+        footprint,
+    )?;
+    Some(CollPlan::new(
         ops,
         view.ctx,
-        fold,
+        Some((op, fold_bytes::<T> as FoldFn)),
         Loc::Buf,
         (0, total),
         (0, total),
-        my_len,
+        scratch_len,
         "allreduce/shm",
-    )
+    ))
 }
 
-/// Slot footprint of [`build_allreduce_shm`] for a fit check: the full input
-/// vector plus the largest reduced block.
-pub(crate) fn allreduce_shm_shared_bytes(count: usize, n: usize, elem: usize) -> usize {
-    let max_block = block_off(1, count, n, elem);
-    count * elem + max_block
-}
-
-/// Single-copy allgather: every rank exposes its own block, pulls each
-/// peer's block directly into the right slice of its destination buffer
-/// (acking with the pull), and waits for the acks of its own slot. Every
-/// block crosses the fabric once per reader with no forwarding hops —
+/// Single-copy allgather: every rank exposes its own block and pulls each
+/// peer's block directly into the right slice of its destination buffer.
+/// Every block crosses the fabric once per reader with no forwarding hops —
 /// the ring's `n − 1` store-and-forward rounds collapse into one round of
 /// concurrent pulls.
 ///
@@ -411,37 +550,18 @@ pub(crate) fn allreduce_shm_shared_bytes(count: usize, n: usize, elem: usize) ->
 pub(crate) fn build_allgather_shm(view: &CommView<'_>, block: usize) -> CollPlan {
     let me = view.rank;
     let n = view.size();
-    let mut ops = Vec::new();
-    ops.push(SchedOp::ExposeRead {
+    let mine = Exposure {
         phase: 0,
         region_off: 0,
-        loc: Loc::Buf,
-        start: me * block,
-        end: (me + 1) * block,
-    });
-    for r in 0..n {
-        if r == me {
-            continue;
-        }
-        ops.push(SchedOp::PullCopy {
-            writer_idx: r,
-            phase: 0,
-            ack: true,
-            src_off: 0,
-            len: block,
-            dst_loc: Loc::Buf,
-            dst_start: r * block,
-        });
-    }
-    let readers: Vec<Rank> = (0..n).filter(|&r| r != me).collect();
-    for (i, &r) in readers.iter().enumerate() {
-        ops.push(SchedOp::NotifyWait {
-            reader_idx: r,
-            last: i + 1 == readers.len(),
-        });
+        len: block,
+    };
+    let mut ops = DpOps::default();
+    ops.expose(mine, Loc::Buf, me * block, DpReaders::Others);
+    for r in (0..n).filter(|&r| r != me) {
+        ops.pull(mine.source(r, 0), block, r * block);
     }
     CollPlan::new(
-        ops,
+        ops.finish(),
         view.ctx,
         None,
         Loc::Buf,
@@ -454,52 +574,32 @@ pub(crate) fn build_allgather_shm(view: &CommView<'_>, block: usize) -> CollPlan
 
 /// Single-copy alltoall: every rank exposes its **whole send image** once
 /// (n blocks, block `i` addressed to rank `i`), then pulls block `me` out of
-/// each peer's exposure directly into that peer's slice of its own buffer
-/// (acking with the pull — its only read of that exposure). Each block
-/// crosses the fabric exactly once, one-sided, with no intermediate
-/// store-and-forward hop; the pairwise path's n−1 two-sided messages per
-/// rank collapse into one exposure plus n−1 concurrent pulls. WAR safety
-/// needs no extra guard: the exposure publishes a *copy* into the window
-/// slot, so the local buffer is free to receive pulled blocks immediately,
-/// and slot reuse across consecutive collectives is gated by the existing
-/// slot acks.
+/// each peer's exposure directly into that peer's slice of its own buffer —
+/// its only read of that exposure. Each block crosses the fabric exactly
+/// once, one-sided, with no intermediate store-and-forward hop; the pairwise
+/// path's n−1 two-sided messages per rank collapse into one exposure plus
+/// n−1 concurrent pulls. WAR safety needs no extra guard: the exposure
+/// publishes a *copy* into the window, so the local buffer is free to receive
+/// pulled blocks immediately, and slot reuse across consecutive collectives
+/// is gated by the readers' completion lines.
 ///
 /// Slot footprint: `n × block` bytes (the full send image).
 pub(crate) fn build_alltoall_shm(view: &CommView<'_>, block: usize) -> CollPlan {
     let me = view.rank;
     let n = view.size();
     let total = n * block;
-    let mut ops = Vec::new();
-    ops.push(SchedOp::ExposeRead {
+    let image = Exposure {
         phase: 0,
         region_off: 0,
-        loc: Loc::Buf,
-        start: 0,
-        end: total,
-    });
-    for r in 0..n {
-        if r == me {
-            continue;
-        }
-        ops.push(SchedOp::PullCopy {
-            writer_idx: r,
-            phase: 0,
-            ack: true,
-            src_off: me * block,
-            len: block,
-            dst_loc: Loc::Buf,
-            dst_start: r * block,
-        });
-    }
-    let readers: Vec<Rank> = (0..n).filter(|&r| r != me).collect();
-    for (i, &r) in readers.iter().enumerate() {
-        ops.push(SchedOp::NotifyWait {
-            reader_idx: r,
-            last: i + 1 == readers.len(),
-        });
+        len: total,
+    };
+    let mut ops = DpOps::default();
+    ops.expose(image, Loc::Buf, 0, DpReaders::Others);
+    for r in (0..n).filter(|&r| r != me) {
+        ops.pull(image.source(r, me * block), block, r * block);
     }
     CollPlan::new(
-        ops,
+        ops.finish(),
         view.ctx,
         None,
         Loc::Buf,
@@ -514,6 +614,9 @@ pub(crate) fn build_alltoall_shm(view: &CommView<'_>, block: usize) -> CollPlan 
 mod tests {
     use super::*;
     use crate::group::Group;
+    use crate::transport::DpCost;
+    use cmpi_fabric::cost::CoherenceMode;
+    use cmpi_fabric::{CxlContentionModel, CxlCostModel};
 
     fn view_of(group: &Group, rank: Rank) -> CommView<'_> {
         CommView {
@@ -523,12 +626,38 @@ mod tests {
         }
     }
 
+    fn window(slot_bytes: usize) -> DpWindow {
+        DpWindow {
+            slot_bytes,
+            slots: DP_SLOTS,
+            cost: DpCost {
+                cost: CxlCostModel::default(),
+                contention: CxlContentionModel::default(),
+                mode: CoherenceMode::FlushClflushopt,
+                pairs: 4,
+            },
+        }
+    }
+
+    /// `(exposes, reads, reads that store the completion line)` of a plan.
+    fn shape(plan: &CollPlan) -> (usize, usize, usize) {
+        let mut counts = (0, 0, 0);
+        for op in &plan.ops {
+            match op {
+                SchedOp::ExposeRead { .. } => counts.0 += 1,
+                SchedOp::PullCopy { src, .. } | SchedOp::FoldInPlace { src, .. } => {
+                    counts.1 += 1;
+                    counts.2 += usize::from(src.last);
+                }
+                _ => {}
+            }
+        }
+        counts
+    }
+
     #[test]
     fn dp_selection_gates() {
-        let w = Some(DpWindow {
-            slot_bytes: 1024,
-            slots: DP_SLOTS,
-        });
+        let w = Some(window(1024));
         let mut t = CollTuning::default();
         // No window → never.
         assert!(dp_selected(&t, None, None, 64, 0, 64).is_none());
@@ -547,15 +676,48 @@ mod tests {
     fn bcast_plan_shape() {
         let group = Group::from_world_ranks(vec![0, 1, 2, 3]).unwrap();
         let root_plan = build_bcast_shm(&view_of(&group, 1), None, 1, 256);
-        // Root: one expose + three notify-waits.
-        assert_eq!(root_plan.len(), 4);
+        // Root: one expose, nothing to wait for.
+        assert_eq!(shape(&root_plan), (1, 0, 0));
         assert_eq!(root_plan.label, "bcast/shm");
         assert_eq!(root_plan.input_len(), 256);
         let leaf_plan = build_bcast_shm(&view_of(&group, 3), None, 1, 256);
-        // Non-root: a single acking pull.
-        assert_eq!(leaf_plan.len(), 1);
+        // Non-root: a single pull, which is also its last read.
+        assert_eq!(shape(&leaf_plan), (0, 1, 1));
         assert_eq!(leaf_plan.input_len(), 0);
         assert_eq!(leaf_plan.result_len(), 256);
+        // A zero-byte broadcast moves nothing and touches no line.
+        assert!(build_bcast_shm(&view_of(&group, 1), None, 1, 0).is_empty());
+        assert!(build_bcast_shm(&view_of(&group, 3), None, 1, 0).is_empty());
+    }
+
+    #[test]
+    fn sources_know_whether_the_payload_rides_in_the_flag_line() {
+        let group = Group::from_world_ranks(vec![0, 1, 2]).unwrap();
+        for (bytes, inline) in [(8, true), (48, true), (49, false), (1024, false)] {
+            let leaf = build_bcast_shm(&view_of(&group, 2), None, 0, bytes);
+            let SchedOp::PullCopy { src, len, .. } = leaf.ops[0] else {
+                panic!("leaf plan starts with {:?}", leaf.ops[0]);
+            };
+            assert_eq!((src.inline, src.off, len), (inline, 0, bytes));
+        }
+        // An alltoall reader takes its own block out of the middle of the
+        // peer's image — line-relative when the image is inline.
+        let plan = build_alltoall_shm(&view_of(&group, 1), 16);
+        let SchedOp::PullCopy { src, len, .. } = plan.ops[1] else {
+            panic!("expected a pull, got {:?}", plan.ops[1]);
+        };
+        assert_eq!((src.inline, src.off, len), (true, 16, 16));
+    }
+
+    #[test]
+    fn barrier_is_one_store_and_a_load_per_peer() {
+        let group = Group::from_world_ranks(vec![3, 5, 6, 9, 11]).unwrap();
+        let plan = build_barrier_shm(&view_of(&group, 2));
+        // Nobody stores a completion line for a barrier.
+        assert_eq!(shape(&plan), (1, 4, 0));
+        assert_eq!(plan.label, "barrier/shm");
+        let w = window(1024);
+        assert_eq!(serial_cost(&plan.ops, &w, |_| false), 5.0 * w.cost.line());
     }
 
     #[test]
@@ -569,25 +731,32 @@ mod tests {
             let h = HostHierarchy::derive(&group, &topo, rank);
             build_bcast_shm(&view_of(&group, rank), Some(&h), 0, total)
         };
-        // Root: one expose + five notify-waits (every reader acks its pull
-        // of the root's exposure exactly once, sliced or not).
-        assert_eq!(plan_of(0).len(), 6);
+        // Root: one expose for every reader, sliced or not.
+        assert_eq!(shape(&plan_of(0)), (1, 0, 0));
         // Root's host-mate: one full-payload cache-served pull, no slicing.
-        assert_eq!(plan_of(1).len(), 1);
-        // Remote-host member: pull own slice + re-expose + pull 2 peer
-        // slices + 2 notify-waits.
+        assert_eq!(shape(&plan_of(1)), (0, 1, 1));
+        // Remote-host member: claim its slot, pull own slice, re-expose it to
+        // its host-mates, pull their 2 slices.
         let remote = plan_of(4);
-        assert_eq!(remote.len(), 6);
+        assert_eq!(shape(&remote), (1, 3, 1));
+        assert!(matches!(remote.ops[0], SchedOp::ClaimSlot { .. }));
+        assert!(matches!(
+            remote.ops[2],
+            SchedOp::ExposeRead {
+                readers: DpReaders::HostMates,
+                ..
+            }
+        ));
         assert_eq!(remote.label, "bcast/shm");
         assert_eq!(remote.result_len(), total);
         // Below the cutoff (or on one host) the direct shape is kept.
         let h = HostHierarchy::derive(&group, &topo, 4);
         let small = build_bcast_shm(&view_of(&group, 4), Some(&h), 0, 256);
-        assert_eq!(small.len(), 1);
+        assert_eq!(shape(&small), (0, 1, 1));
         let one_host = HostTopology::blocked(6, 1).unwrap();
         let h1 = HostHierarchy::derive(&group, &one_host, 4);
         let flat = build_bcast_shm(&view_of(&group, 4), Some(&h1), 0, total);
-        assert_eq!(flat.len(), 1);
+        assert_eq!(shape(&flat), (0, 1, 1));
     }
 
     #[test]
@@ -596,22 +765,66 @@ mod tests {
         let elem = 8;
         let offs: Vec<usize> = (0..=4).map(|i| block_off(i, 10, 4, elem)).collect();
         assert_eq!(offs, vec![0, 24, 48, 64, 80]);
-        assert_eq!(allreduce_shm_shared_bytes(10, 4, elem), 80 + 24);
-        let group = Group::from_world_ranks(vec![0, 1, 2, 3]).unwrap();
-        let plan = build_allreduce_shm::<u64>(&view_of(&group, 2), 10, ReduceOp::Sum);
-        // 2 exposes + 3 folds + 3 pulls + 3 notify-waits.
-        assert_eq!(plan.len(), 11);
-        assert_eq!(plan.label, "allreduce/shm");
-        // Scratch stages one own-block fold at a time.
-        assert_eq!(plan.scratch_len(), 16);
+        let (ops, scratch, footprint) = allreduce_two_phase(2, 4, 10, elem);
+        // 2 exposes + 3 folds + 3 pulls; scratch stages one own-block fold at
+        // a time; the slot holds the vector plus the largest reduced block.
+        assert_eq!(ops.len(), 8);
+        assert_eq!((scratch, footprint), (16, 80 + 24));
+    }
+
+    #[test]
+    fn short_vectors_emit_no_zero_length_ops() {
+        // 2 elements over 5 ranks: ranks 2..5 own nothing. They fold nothing,
+        // re-expose nothing, and nobody pulls their (empty) block.
+        let (owner, ..) = allreduce_two_phase(1, 5, 2, 8);
+        let (idle, ..) = allreduce_two_phase(3, 5, 2, 8);
+        // Owner: expose A, 4 folds, expose B, pull rank 0's block.
+        assert_eq!(owner.len(), 7);
+        // Idle: expose A, pull the two reduced blocks.
+        assert_eq!(idle.len(), 3);
+        for ops in [&owner, &idle] {
+            assert!(ops.iter().all(|op| match *op {
+                SchedOp::ExposeRead { start, end, .. } => end > start,
+                SchedOp::PullCopy { len, .. } | SchedOp::FoldInPlace { len, .. } => len > 0,
+                _ => true,
+            }));
+        }
+    }
+
+    #[test]
+    fn allreduce_shape_follows_the_cost_model() {
+        let group = Group::world(8);
+        let t = CollTuning::default();
+        let w = Some(window(512 * 1024));
+        let plan = |rank, count| {
+            build_allreduce_shm::<f64>(&view_of(&group, rank), &t, None, w, count, ReduceOp::Sum)
+                .expect("fits the slot")
+        };
+        // One f64: one expose, seven whole-vector folds — on every rank.
+        for rank in [0, 5] {
+            assert_eq!(shape(&plan(rank, 1)), (1, 7, 1));
+        }
+        // 1 KiB still folds whole vectors; 64 KiB scatters the reduction.
+        assert_eq!(shape(&plan(3, 128)), (1, 7, 1));
+        assert_eq!(shape(&plan(3, 8192)), (2, 14, 1));
+        // Rank 0 folds in place; the others stage their own vector too.
+        assert_eq!(plan(0, 128).scratch_len(), 1024);
+        assert_eq!(plan(3, 128).scratch_len(), 2048);
+        // The shape is chosen before the fit check: a vector whose cheaper
+        // (two-phase) shape overflows the slot goes to the ring path even
+        // though the one-phase footprint would fit.
+        let tight = Some(window(64 * 1024));
+        let view = view_of(&group, 0);
+        assert!(build_allreduce_shm::<f64>(&view, &t, None, tight, 8192, ReduceOp::Sum).is_none());
     }
 
     #[test]
     fn allgather_plan_shape() {
         let group = Group::from_world_ranks(vec![4, 5, 6]).unwrap();
         let plan = build_allgather_shm(&view_of(&group, 0), 128);
-        // 1 expose + 2 pulls + 2 notify-waits.
-        assert_eq!(plan.len(), 5);
+        // 1 expose + 2 pulls, the second of which ends the collective.
+        assert_eq!(shape(&plan), (1, 2, 1));
+        assert_eq!(plan.len(), 3);
         assert_eq!(plan.result_len(), 3 * 128);
         assert_eq!(plan.input_len(), 128);
     }

@@ -4,8 +4,8 @@
 //! [`CollPlan`] — an **immutable**, buffer-agnostic, sequence-agnostic list of
 //! point-to-point operations (`SchedOp::Send` / `SchedOp::Recv`), local
 //! data movements (`SchedOp::Fold` / `SchedOp::Copy`) and shared-window
-//! data-plane operations (`SchedOp::ExposeRead` / `SchedOp::PullCopy` /
-//! `SchedOp::FoldInPlace` / `SchedOp::NotifyWait`) over two byte arenas:
+//! data-plane operations (`SchedOp::ClaimSlot` / `SchedOp::ExposeRead` /
+//! `SchedOp::PullCopy` / `SchedOp::FoldInPlace`) over two byte arenas:
 //! the *primary* buffer (the user's payload) and a *scratch* buffer (algorithm
 //! temporaries). Ops carry **tag offsets** (kind × step within the collective
 //! tag layout), not wire tags: the per-start collective sequence number is
@@ -58,7 +58,7 @@ use cmpi_fabric::SimClock;
 
 use crate::coll::bind_coll_tag;
 use crate::error::MpiError;
-use crate::transport::Transport;
+use crate::transport::{DpReaders, DpSource, Transport};
 use crate::types::{CtxId, Rank, ReduceOp, Status, Tag, COLL_TAG_BASE};
 use crate::Result;
 
@@ -134,10 +134,19 @@ pub(crate) enum SchedOp {
         /// Byte length of both ranges.
         len: usize,
     },
-    /// Data plane: publish `loc[start..end]` at `region_off` within this
-    /// rank's exposure slot for the execution's live sequence number, then
-    /// raise the slot's `phase` flag. Pending (does not advance) while the
-    /// slot is still held by an unretired earlier collective.
+    /// Data plane: claim this rank's slot for the execution's live sequence
+    /// number ahead of the `ExposeRead` that fills it, so a plan that must
+    /// read before it can expose waits for the slot while it waits for the
+    /// read anyway. Pending while an earlier collective holds the slot.
+    ClaimSlot {
+        /// Who will read the exposure.
+        readers: DpReaders,
+    },
+    /// Data plane: publish `loc[start..end]` for the execution's live sequence
+    /// number — in the flag line of its slot when it fits there, else at
+    /// `region_off` within this rank's data slot — and raise the slot's
+    /// `phase` flag. Pending (does not advance) while the slot is still held
+    /// by an earlier collective some reader has not finished with.
     ExposeRead {
         /// Publish phase within the collective (flag cell selector).
         phase: u8,
@@ -149,20 +158,16 @@ pub(crate) enum SchedOp {
         start: usize,
         /// Byte range end.
         end: usize,
+        /// Who reads the exposure (whose completion lines gate slot reuse).
+        readers: DpReaders,
     },
-    /// Data plane: copy `len` bytes from `src_off` within group-member
-    /// `writer_idx`'s exposed slot into `dst_loc[dst_start..]` once that
-    /// slot's `phase` flag is up (pending until then). With `ack`, also
-    /// acknowledge the writer — this was the reader's last read of the slot.
+    /// Data plane: copy `len` bytes from the exposure `src` names into
+    /// `dst_loc[dst_start..]` once its flag is up (pending until then). With
+    /// `src.last`, also store this rank's completion line — this was its
+    /// last read of the collective.
     PullCopy {
-        /// Writer's index within the communicator group.
-        writer_idx: usize,
-        /// Publish phase whose flag gates the read.
-        phase: u8,
-        /// Whether to store the reader's ack after the copy.
-        ack: bool,
-        /// Byte offset of the source region within the writer's slot.
-        src_off: usize,
+        /// The exposure and the region of it to read.
+        src: DpSource,
         /// Byte length to pull.
         len: usize,
         /// Destination arena.
@@ -174,14 +179,8 @@ pub(crate) enum SchedOp {
     /// into the destination using the plan's reduction, staging them through
     /// `scratch[stage_off..stage_off + len]`.
     FoldInPlace {
-        /// Writer's index within the communicator group.
-        writer_idx: usize,
-        /// Publish phase whose flag gates the read.
-        phase: u8,
-        /// Whether to store the reader's ack after the read.
-        ack: bool,
-        /// Byte offset of the source region within the writer's slot.
-        src_off: usize,
+        /// The exposure and the region of it to read.
+        src: DpSource,
         /// Byte length to pull and fold.
         len: usize,
         /// Destination arena.
@@ -190,15 +189,6 @@ pub(crate) enum SchedOp {
         dst_start: usize,
         /// Staging offset in scratch for the pulled bytes.
         stage_off: usize,
-    },
-    /// Data plane: wait (pending until observed) for group-member
-    /// `reader_idx`'s ack of this rank's exposed slot; with `last`, the ack
-    /// retires the slot for reuse by a later collective.
-    NotifyWait {
-        /// Reader's index within the communicator group.
-        reader_idx: usize,
-        /// Whether this is the final ack the writer waits for.
-        last: bool,
     },
 }
 
@@ -267,6 +257,10 @@ pub struct CollPlan {
     /// restored afterwards, so the contention model sees the reduced crowd
     /// without disturbing unrelated traffic.
     pub(crate) pairs_hint: Option<usize>,
+    /// Whether this rank reads data-plane exposures in the plan — a start
+    /// that does not run at once then announces the collective to the
+    /// transport ([`Transport::dp_begin`]).
+    pub(crate) reads_data_plane: bool,
     /// Label of the algorithm this plan implements (surfaced in
     /// `RankReport::coll_algos`).
     pub label: &'static str,
@@ -285,6 +279,12 @@ impl CollPlan {
         scratch_len: usize,
         label: &'static str,
     ) -> Self {
+        let reads_data_plane = ops.iter().any(|op| {
+            matches!(
+                op,
+                SchedOp::PullCopy { src, .. } | SchedOp::FoldInPlace { src, .. } if src.last
+            )
+        });
         CollPlan {
             ops,
             ctx,
@@ -294,6 +294,7 @@ impl CollPlan {
             input_range,
             scratch_len,
             pairs_hint: None,
+            reads_data_plane,
             label,
         }
     }
@@ -336,6 +337,48 @@ impl CollPlan {
     }
 }
 
+/// Scratch bytes an execution keeps inline: enough for the temporaries of any
+/// collective whose payload rides in a flag line (two vectors of
+/// [`crate::transport::DP_INLINE_BYTES`]), so starting one allocates nothing.
+const INLINE_SCRATCH: usize = 128;
+
+/// An execution's scratch arena: inline when small, on the heap otherwise.
+#[derive(Debug)]
+enum Scratch {
+    Inline([u8; INLINE_SCRATCH], usize),
+    Heap(Vec<u8>),
+}
+
+impl Scratch {
+    fn zeroed(len: usize) -> Self {
+        if len <= INLINE_SCRATCH {
+            Scratch::Inline([0; INLINE_SCRATCH], len)
+        } else {
+            Scratch::Heap(vec![0; len])
+        }
+    }
+}
+
+impl std::ops::Deref for Scratch {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Scratch::Inline(bytes, len) => &bytes[..*len],
+            Scratch::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Scratch {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        match self {
+            Scratch::Inline(bytes, len) => &mut bytes[..*len],
+            Scratch::Heap(bytes) => bytes,
+        }
+    }
+}
+
 /// The lightweight per-start state of one collective: a shared handle to the
 /// immutable [`CollPlan`], the op cursor, the live sequence number (salted
 /// into every wire tag at op execution) and the owned scratch arena. Binding
@@ -354,13 +397,13 @@ pub struct Execution {
     seq: u32,
     /// Scratch arena (kept across restarts, so persistent re-starts allocate
     /// nothing).
-    scratch: Vec<u8>,
+    scratch: Scratch,
 }
 
 impl Execution {
     /// Bind `plan` to a fresh execution under sequence number `seq`.
     pub fn new(plan: Arc<CollPlan>, seq: u32) -> Self {
-        let scratch = vec![0u8; plan.scratch_len];
+        let scratch = Scratch::zeroed(plan.scratch_len);
         Execution {
             plan,
             pos: 0,
@@ -563,15 +606,25 @@ impl Execution {
                         d.copy_from_slice(s);
                     }
                 }
+                SchedOp::ClaimSlot { readers } => {
+                    if !t.dp_claim(clock, ctx, self.seq, readers)? {
+                        // Slot still held by an earlier collective: pending.
+                        return Ok(StepOutcome {
+                            done: false,
+                            ops: completed,
+                        });
+                    }
+                }
                 SchedOp::ExposeRead {
                     phase,
                     region_off,
                     loc,
                     start,
                     end,
+                    readers,
                 } => {
                     let data: &[u8] = &arena(loc, buf, &mut self.scratch)[start..end];
-                    if !t.dp_expose(clock, ctx, self.seq, phase, region_off, data)? {
+                    if !t.dp_expose(clock, ctx, self.seq, phase, region_off, data, readers)? {
                         // Slot still held by an earlier collective: pending.
                         return Ok(StepOutcome {
                             done: false,
@@ -580,17 +633,14 @@ impl Execution {
                     }
                 }
                 SchedOp::PullCopy {
-                    writer_idx,
-                    phase,
-                    ack,
-                    src_off,
+                    src,
                     len,
                     dst_loc,
                     dst_start,
                 } => {
                     let dst =
                         &mut arena(dst_loc, buf, &mut self.scratch)[dst_start..dst_start + len];
-                    if !t.dp_pull(clock, ctx, self.seq, writer_idx, phase, src_off, dst, ack)? {
+                    if !t.dp_pull(clock, ctx, self.seq, src, dst)? {
                         // Writer's flag not up yet: pending.
                         return Ok(StepOutcome {
                             done: false,
@@ -599,10 +649,7 @@ impl Execution {
                     }
                 }
                 SchedOp::FoldInPlace {
-                    writer_idx,
-                    phase,
-                    ack,
-                    src_off,
+                    src,
                     len,
                     dst_loc,
                     dst_start,
@@ -615,9 +662,7 @@ impl Execution {
                     })?;
                     {
                         let stage = &mut self.scratch[stage_off..stage_off + len];
-                        if !t
-                            .dp_pull(clock, ctx, self.seq, writer_idx, phase, src_off, stage, ack)?
-                        {
+                        if !t.dp_pull(clock, ctx, self.seq, src, stage)? {
                             return Ok(StepOutcome {
                                 done: false,
                                 ops: completed,
@@ -634,15 +679,6 @@ impl Execution {
                             let d = &mut buf[dst_start..dst_start + len];
                             f(op_kind, d, &self.scratch[stage_off..stage_off + len]);
                         }
-                    }
-                }
-                SchedOp::NotifyWait { reader_idx, last } => {
-                    if !t.dp_wait_ack(clock, ctx, self.seq, reader_idx, last)? {
-                        // Reader has not acked yet: pending.
-                        return Ok(StepOutcome {
-                            done: false,
-                            ops: completed,
-                        });
                     }
                 }
             }

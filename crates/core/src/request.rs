@@ -115,6 +115,9 @@ pub(crate) struct PersistentMeta {
     pub op: crate::comm::CollOp,
     /// Payload bytes this rank contributes per start.
     pub payload_bytes: u64,
+    /// The plan reads data-plane exposures: every start announces itself to
+    /// the transport.
+    pub reads_data_plane: bool,
 }
 
 impl Request {

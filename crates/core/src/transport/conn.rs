@@ -56,7 +56,7 @@ use crate::config::CxlShmTransportConfig;
 use crate::error::MpiError;
 use crate::queue::{CellHeader, QueueGeometry, SpscQueue, CELL_HEADER_SIZE};
 use crate::spin::PoisonFlag;
-use crate::transport::cxl::{open_poisoned, spin_flag};
+use crate::transport::cxl::{open_poisoned, spin_flag, store_stamped};
 use crate::types::Rank;
 use crate::Result;
 
@@ -449,11 +449,11 @@ impl SrqConsumer {
 /// The two ends never share a counter. Each counts the segments it has
 /// published (sender) or pulled (receiver) since the lane was created;
 /// segment `k` lives in slot `k % slots`, its flag cell holds `k + 1` once
-/// the data is up, and the receiver stores `k + 1` into the slot's ack cell
-/// once it has copied the data out — which is what lets the sender reuse the
-/// slot for segment `k + slots`. Every cell pairs its value with the writer's
-/// virtual time, so whoever had to wait merges exactly the timestamp it
-/// waited for. Messages follow each other through the lane in the order
+/// the data is up, and the receiver — the window's one reader — stores `k + 1`
+/// into the slot's done entry (the lane's per-slot ack) once it has copied the
+/// data out, which is what lets the sender reuse the slot for segment
+/// `k + slots`. Every cell pairs its value with the writer's virtual time, so
+/// whoever had to wait merges exactly the timestamp it waited for. Messages follow each other through the lane in the order
 /// their request-to-send cells went through the queue pair.
 #[derive(Debug)]
 pub struct Lane {
@@ -464,7 +464,7 @@ pub struct Lane {
 
 impl Lane {
     fn layout(geometry: QueueGeometry) -> Result<SlotLayout> {
-        let layout = SlotLayout::new(1, geometry.cells, geometry.cell_payload);
+        let layout = SlotLayout::single_reader(geometry.cells, geometry.cell_payload);
         if layout.slot_bytes() == 0 {
             return Err(MpiError::Transport(format!(
                 "cell_size {} is below one cache line: no room for a lane slot",
@@ -490,7 +490,7 @@ impl Lane {
         let obj = arena.create(&lane_name(dst, src), Self::required_bytes(geometry)?)?;
         for slot in 0..layout.slots() {
             obj.nt_store_u64_at(layout.flag_off(0, slot, 0) as u64, 0)?;
-            obj.nt_store_u64_at(layout.ack_off(0, 0, slot) as u64, 0)?;
+            obj.nt_store_u64_at(layout.done_off(0, slot) as u64, 0)?;
         }
         obj.nt_store_u64_at(layout.total_len() as u64, CONN_READY_MAGIC)?;
         Ok(Lane {
@@ -548,13 +548,6 @@ impl Lane {
         Ok(Some(f64::from_bits(ts)))
     }
 
-    fn set_cell(&self, off: usize, value: u64, ts: f64) -> Result<()> {
-        self.obj
-            .nt_store_u64_at((off + SLOT_CELL_TS_OFF) as u64, ts.to_bits())?;
-        self.obj.nt_store_u64_at(off as u64, value)?;
-        Ok(())
-    }
-
     /// Sender: the virtual time at which the next segment's slot became
     /// writable — `0.0` on the first lap, the receiver's ack timestamp after
     /// — or `None` while the receiver has not yet acked the slot's occupant.
@@ -563,7 +556,7 @@ impl Lane {
         if self.seq < slots {
             return Ok(Some(0.0));
         }
-        self.cell(self.layout.ack_off(0, 0, self.slot()), self.seq - slots + 1)
+        self.cell(self.layout.done_off(0, self.slot()), self.seq - slots + 1)
     }
 
     /// Sender: stream `data` (at most one segment) into the next slot with
@@ -574,7 +567,12 @@ impl Lane {
         let slot = self.slot();
         self.obj
             .nt_store_at(self.layout.data_off(0, slot) as u64, data)?;
-        self.set_cell(self.layout.flag_off(0, slot, 0), self.seq + 1, ts)?;
+        store_stamped(
+            &self.obj,
+            self.layout.flag_off(0, slot, 0),
+            self.seq + 1,
+            ts,
+        )?;
         self.seq += 1;
         Ok(())
     }
@@ -598,18 +596,23 @@ impl Lane {
 
     /// Receiver: hand the segment just read back to the sender, stamped `ts`.
     pub fn ack(&mut self, ts: f64) -> Result<()> {
-        self.set_cell(self.layout.ack_off(0, 0, self.slot()), self.seq + 1, ts)?;
+        store_stamped(
+            &self.obj,
+            self.layout.done_off(0, self.slot()),
+            self.seq + 1,
+            ts,
+        )?;
         self.seq += 1;
         Ok(())
     }
 
     /// Sender: published segments the receiver has not acked yet
-    /// (diagnostics; reads up to `slots` ack cells).
+    /// (diagnostics; reads up to `slots` done entries).
     pub fn in_flight(&self) -> Result<usize> {
         let slots = self.layout.slots() as u64;
         let mut n = 0;
         for k in self.seq.saturating_sub(slots)..self.seq {
-            let ack = self.layout.ack_off(0, 0, (k % slots) as usize);
+            let ack = self.layout.done_off(0, (k % slots) as usize);
             if self.obj.nt_load_u64_at(ack as u64)? < k + 1 {
                 n += 1;
             }

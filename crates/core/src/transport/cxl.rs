@@ -29,7 +29,7 @@ use std::sync::Arc;
 use cmpi_fabric::clock::{transfer_ns, SimNs};
 use cmpi_fabric::cost::CoherenceMode;
 use cmpi_fabric::{CxlContentionModel, CxlCostModel, SimClock};
-use cxl_shm::slots::SLOT_CELL_TS_OFF;
+use cxl_shm::slots::{SLOT_CELL_DATA_OFF, SLOT_CELL_TS_OFF};
 use cxl_shm::{CxlShmArena, ShmObject, SlotLayout};
 
 use crate::barrier::SeqBarrier;
@@ -42,8 +42,8 @@ use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{PoisonFlag, SpinWait};
 use crate::transport::conn::{ConnTable, Lane, RxPeer};
 use crate::transport::{
-    no_data_plane, DataPlaneStats, DpWindow, FaultInjector, Transport, TransportCounters,
-    TransportStats, WinId,
+    no_data_plane, DataPlaneStats, DpCost, DpReaders, DpSource, DpWindow, FaultInjector, Transport,
+    TransportCounters, TransportStats, WinId, DP_INLINE_BYTES,
 };
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
@@ -121,12 +121,142 @@ struct DpState {
     group: Vec<Rank>,
     /// This rank's index within `group`.
     my_idx: usize,
-    /// Which collective sequence number currently owns each of this rank's
-    /// slots. A slot is claimed by the first expose of a collective and
-    /// retired by the last ack wait; an expose that maps to a slot still
-    /// owned by an *earlier* collective reports "busy" (pending) instead of
-    /// overwriting data a slow reader may not have pulled yet.
-    in_use: Vec<Option<u32>>,
+    /// Per slot of this rank: the collective whose exposure occupies it and
+    /// who reads it. Claimed by the collective's first non-empty expose (or an
+    /// explicit claim ahead of it) and released — together with every other
+    /// earlier occupant — by the completion-line sweep of a later expose that
+    /// finds its own slot held; until then an expose that maps to a held slot
+    /// reports "busy" instead of overwriting data (or an inline payload) a
+    /// slow reader may not have pulled yet.
+    held: Vec<Option<(u32, DpReaders)>>,
+    /// The done-through value each peer's completion line showed when this
+    /// rank last loaded it: a peer already seen done with everything held is
+    /// not loaded again while another is still awaited.
+    seen_done: Vec<u64>,
+    /// Nonblocking and persistent collectives this rank has started
+    /// ([`Transport::dp_begin`]) and not finished reading.
+    reading: Vec<u32>,
+    /// Highest sequence number this rank ever set out to read, plus one.
+    read_top: u64,
+    /// The value this rank's completion line holds: every exposure of every
+    /// collective with a smaller sequence number has been read for the last
+    /// time. It is the contiguous prefix of what this rank finished, so
+    /// collectives completed out of order never claim an earlier one done.
+    done_through: u64,
+}
+
+impl DpState {
+    /// Whether group member `peer` reads an exposure published for `readers`.
+    fn reads(&self, readers: DpReaders, peer: usize, host_of: &[usize]) -> bool {
+        match readers {
+            DpReaders::Others => true,
+            DpReaders::One(idx) => peer == idx,
+            DpReaders::HostMates => host_of[self.group[peer]] == host_of[self.group[self.my_idx]],
+        }
+    }
+
+    /// Note that this rank will read exposures of collective `seq`.
+    fn begin_reading(&mut self, seq: u32) {
+        if !self.reading.contains(&seq) {
+            self.reading.push(seq);
+            self.read_top = self.read_top.max(u64::from(seq) + 1);
+        }
+    }
+
+    /// This rank has read collective `seq` for the last time: the new
+    /// done-through value if that moved the prefix, `None` if an earlier
+    /// collective is still being read (the line already says all it can).
+    fn finish_reading(&mut self, seq: u32) -> Option<u64> {
+        // A blocking collective was never announced: nothing of this rank
+        // could have finished while it ran.
+        self.begin_reading(seq);
+        self.reading.retain(|&open| open != seq);
+        let through = self
+            .reading
+            .iter()
+            .min()
+            .map_or(self.read_top, |&s| u64::from(s));
+        (through > self.done_through).then(|| {
+            self.done_through = through;
+            through
+        })
+    }
+}
+
+/// Store `(value, ts)` into a flag cell or done entry at `off`: the stamp
+/// first, so whoever loads the value finds the stamp that belongs to it.
+pub(crate) fn store_stamped(obj: &ShmObject, off: usize, value: u64, ts: f64) -> Result<()> {
+    obj.nt_store_u64_at((off + SLOT_CELL_TS_OFF) as u64, ts.to_bits())?;
+    obj.nt_store_u64_at(off as u64, value)?;
+    Ok(())
+}
+
+/// A writer about to expose collective `seq` found the slot it wants still
+/// held: release **every** slot an earlier collective holds, once every
+/// reader of every such occupant shows done through it. Each awaited peer's
+/// completion line is loaded once — its one value covers all of this writer's
+/// slots, so a load per peer retires up to `slots` collectives — and charged
+/// `line` when (and only when) it shows everything this writer waits for; a
+/// load that does not is a failed poll: free, and forgotten. Waiting for all
+/// earlier occupants rather than just the wanted slot's is what keeps the
+/// number of charged loads, and the stamps merged, independent of how far the
+/// host scheduler let each reader run ahead; never waiting for a *later* one
+/// (an `i*` collective driven out of order) keeps every wait pointing at a
+/// strictly earlier collective. A peer recorded dead counts as done.
+fn release_held(
+    state: &mut DpState,
+    seq: u32,
+    host_of: &[usize],
+    poison: &PoisonFlag,
+    stats: &mut DataPlaneStats,
+    clock: &mut SimClock,
+    line: SimNs,
+) -> Result<bool> {
+    let earlier = |occupant: u32| (seq.wrapping_sub(occupant) as i32) > 0;
+    for peer in 0..state.group.len() {
+        if peer == state.my_idx {
+            continue;
+        }
+        // The done-through value this peer owes: past the newest earlier
+        // occupant it reads (0: it reads none).
+        let owed = state
+            .held
+            .iter()
+            .flatten()
+            .filter(|&&(occupant, readers)| {
+                earlier(occupant) && state.reads(readers, peer, host_of)
+            })
+            .map(|&(occupant, _)| u64::from(occupant) + 1)
+            .max()
+            .unwrap_or(0);
+        if state.seen_done[peer] >= owed
+            || (poison.ft_active() && poison.is_dead(state.group[peer]))
+        {
+            continue;
+        }
+        let at = state.layout.done_off(peer, 0);
+        let through = state.obj.nt_load_u64_at(at as u64)?;
+        if through < owed {
+            return Ok(false);
+        }
+        // A stamp belongs to the value beside it: where the peer has already
+        // moved past what is awaited here (it finished a later collective
+        // without needing this rank), the stamp of the store that satisfied
+        // this wait is gone, and the later one says nothing about it.
+        if through == owed {
+            let ts = state.obj.nt_load_u64_at((at + SLOT_CELL_TS_OFF) as u64)?;
+            clock.merge(f64::from_bits(ts));
+        }
+        clock.advance(line);
+        stats.notify_waits += 1;
+        state.seen_done[peer] = through;
+    }
+    for held in &mut state.held {
+        if matches!(held, Some((occupant, _)) if earlier(*occupant)) {
+            *held = None;
+        }
+    }
+    Ok(true)
 }
 
 struct WindowState {
@@ -292,6 +422,18 @@ fn pull_segment(
     Ok(true)
 }
 
+/// A probe found the destination ring (or shared receive queue) full: merge
+/// the time the receiver published with its last dequeue, and charge the probe
+/// itself — once per blocked enqueue (`charged` lives as long as the enqueue
+/// stays blocked), so virtual time does not count how often the host
+/// scheduler let the sender retry.
+fn charge_full_probe(clock: &mut SimClock, charged: &mut bool, head_ts: f64, nt: SimNs) {
+    clock.merge(head_ts);
+    if !std::mem::replace(charged, true) {
+        clock.advance(nt);
+    }
+}
+
 /// The CXL SHM transport (cMPI proper).
 pub struct CxlTransport {
     rank: Rank,
@@ -335,6 +477,10 @@ pub struct CxlTransport {
     /// in-flight messages with an identical triple share one arming, an
     /// accepted imprecision on an already-rare race.
     fault_armed: BTreeSet<(Rank, CtxId, Tag)>,
+    /// Per destination: the progress-driven enqueue at the head of its ring
+    /// is blocked and its full-ring probe has been charged (see
+    /// [`charge_full_probe`]); cleared by the enqueue that gets through.
+    tx_blocked: Vec<bool>,
     /// Scratch for snapshots of the pending-sender set (keeps the lazy poll
     /// path allocation-free in steady state).
     pending_scan: Vec<Rank>,
@@ -487,6 +633,7 @@ impl CxlTransport {
             poison,
             fault: None,
             fault_armed: BTreeSet::new(),
+            tx_blocked: vec![false; ranks],
             pending_scan: Vec::new(),
             tx_scratch: Vec::new(),
             pool: BufferPool::new(),
@@ -550,6 +697,41 @@ impl CxlTransport {
             .contention
             .throttle(self.active_pairs, bytes, ideal, false);
         clock.advance(self.cost.mpi_overhead() + t);
+    }
+
+    /// The cost terms of data-plane operations, as charged right now.
+    fn dp_cost(&self) -> DpCost {
+        DpCost {
+            cost: self.cost,
+            contention: self.contention,
+            mode: self.coherence,
+            pairs: self.active_pairs,
+        }
+    }
+
+    /// Whether this rank's slot for collective `seq` on `ctx` is writable:
+    /// free, already claimed by `seq`, or released just now (see
+    /// [`release_held`]). `false` while some reader has not finished with an
+    /// earlier occupant — the caller reports busy and the progress engine
+    /// retries.
+    fn dp_free_slot(&mut self, clock: &mut SimClock, ctx: CtxId, seq: u32) -> Result<bool> {
+        let line = self.cost.nt_access();
+        let Some(Some(state)) = self.dp.get_mut(&ctx) else {
+            return no_data_plane();
+        };
+        let slot = seq as usize % state.layout.slots();
+        Ok(
+            !matches!(state.held[slot], Some((owner, _)) if owner != seq)
+                || release_held(
+                    state,
+                    seq,
+                    &self.host_of,
+                    &self.poison,
+                    &mut self.dp_stats,
+                    clock,
+                    line,
+                )?,
+        )
     }
 
     fn window(&self, win: WinId) -> Result<&WindowState> {
@@ -1235,6 +1417,7 @@ impl CxlTransport {
                 timestamp: clock.now(),
             };
             let mut backoff = SpinWait::new();
+            let mut probed = false;
             match &peer.qp {
                 Some(queue) => loop {
                     if queue.try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)? {
@@ -1245,8 +1428,7 @@ impl CxlTransport {
                     }
                     // Ring full: the receiver is behind. Merge its published
                     // timestamp so our clock reflects the wait, then retry.
-                    clock.merge(queue.head_timestamp()?);
-                    clock.advance(nt);
+                    charge_full_probe(clock, &mut probed, queue.head_timestamp()?, nt);
                     backoff.wait(&self.poison)?;
                 },
                 None => loop {
@@ -1261,8 +1443,7 @@ impl CxlTransport {
                             break;
                         }
                         None => {
-                            clock.merge(peer.srq.head_timestamp()?);
-                            clock.advance(nt);
+                            charge_full_probe(clock, &mut probed, peer.srq.head_timestamp()?, nt);
                             backoff.wait(&self.poison)?;
                         }
                     }
@@ -1318,10 +1499,11 @@ impl CxlTransport {
             let peer = self.conn.lazy().peer(dst).expect("peer prepared");
             let queue = peer.qp.as_ref().expect("a lane implies a promoted pair");
             if !queue.has_space()? {
-                clock.merge(queue.head_timestamp()?);
-                clock.advance(nt);
+                let head_ts = queue.head_timestamp()?;
+                charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
                 return Ok(false);
             }
+            self.tx_blocked[dst] = false;
             // Single producer per queue pair: the space cannot vanish, so the
             // hook fires exactly once per message and nothing is visible yet.
             if let Some(f) = self.fault.as_mut() {
@@ -1429,10 +1611,10 @@ impl CxlTransport {
                 _ => None,
             };
             if let Some(head_ts) = full_until {
-                clock.merge(head_ts);
-                clock.advance(nt);
+                charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
                 return Ok(false);
             }
+            self.tx_blocked[dst] = false;
             if *cursor == 0 {
                 // Exactly-once fault injection: arm a key on the first
                 // attempt that passed flow control, keep it armed across the
@@ -1477,10 +1659,8 @@ impl CxlTransport {
                         None => {
                             // A racing producer took the last slot after the
                             // flow-control check: retreat as a plain "full".
-                            // The re-entry re-charges a little virtual time —
-                            // accepted noise on a rare race.
-                            clock.merge(peer.srq.head_timestamp()?);
-                            clock.advance(nt);
+                            let head_ts = peer.srq.head_timestamp()?;
+                            charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
                             return Ok(false);
                         }
                     }
@@ -1579,14 +1759,15 @@ impl Transport for CxlTransport {
                 timestamp: clock.now(),
             };
             let mut backoff = SpinWait::new();
+            let mut probed = false;
             loop {
                 if queue.try_enqueue_with_scratch(&header, chunk, &mut scratch)? {
                     break;
                 }
                 // Ring full: the receiver is behind. Merge its published
                 // timestamp so our clock reflects the wait, then retry.
-                clock.merge(queue.head_timestamp()?);
-                clock.advance(self.cost.nt_access());
+                let nt = self.cost.nt_access();
+                charge_full_probe(clock, &mut probed, queue.head_timestamp()?, nt);
                 if let Err(e) = backoff.wait(&self.poison) {
                     self.tx_scratch = scratch;
                     return Err(e);
@@ -1714,11 +1895,12 @@ impl Transport for CxlTransport {
                 // timestamp so our clock reflects the stall, then hand
                 // control back instead of spinning — the caller drains its
                 // own inbound rings and retries.
-                clock.merge(queue.head_timestamp()?);
-                clock.advance(self.cost.nt_access());
+                let (head_ts, nt) = (queue.head_timestamp()?, self.cost.nt_access());
+                charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
                 self.tx_scratch = scratch;
                 return Ok(false);
             }
+            self.tx_blocked[dst] = false;
             if *cursor == 0 {
                 // Message entry (first chunk about to be published): the
                 // fault-injection point. Firing here — after the flow-control
@@ -2101,11 +2283,8 @@ impl Transport for CxlTransport {
         arena_bytes: usize,
         slots: usize,
     ) -> Result<Option<DpWindow>> {
-        if let Some(entry) = self.dp.get(&ctx) {
-            return Ok(entry.as_ref().map(|s| DpWindow {
-                slot_bytes: s.layout.slot_bytes(),
-                slots: s.layout.slots(),
-            }));
+        if self.dp.contains_key(&ctx) {
+            return Ok(self.dp_window(ctx));
         }
         let Some(my_idx) = group.iter().position(|&r| r == self.rank) else {
             return Ok(None);
@@ -2136,15 +2315,13 @@ impl Transport for CxlTransport {
                             .coherent_write(layout.control_len(), self.coherence)
                             + 2.0 * nt,
                     );
-                    status.nt_store_u64_at(SLOT_CELL_TS_OFF as u64, clock.now().to_bits())?;
-                    status.nt_store_u64_at(0, DP_WINDOW_OK)?;
+                    store_stamped(&status, 0, DP_WINDOW_OK, clock.now())?;
                     Some(obj)
                 }
                 Err(_) => {
                     // Pool exhausted: announce the failure and run ring-only.
                     clock.advance(2.0 * nt);
-                    status.nt_store_u64_at(SLOT_CELL_TS_OFF as u64, clock.now().to_bits())?;
-                    status.nt_store_u64_at(0, DP_WINDOW_FAIL)?;
+                    store_stamped(&status, 0, DP_WINDOW_FAIL, clock.now())?;
                     None
                 }
             }
@@ -2172,29 +2349,46 @@ impl Transport for CxlTransport {
                         layout,
                         group: group.to_vec(),
                         my_idx,
-                        in_use: vec![None; layout.slots()],
+                        held: vec![None; layout.slots()],
+                        seen_done: vec![0; group.len()],
+                        reading: Vec::new(),
+                        read_top: 0,
+                        done_through: 0,
                     }),
                 );
-                Ok(Some(DpWindow {
-                    slot_bytes: layout.slot_bytes(),
-                    slots: layout.slots(),
-                }))
             }
             None => {
                 self.dp_stats.window_failures += 1;
                 self.dp.insert(ctx, None);
-                Ok(None)
             }
         }
+        Ok(self.dp_window(ctx))
     }
 
     fn dp_window(&self, ctx: CtxId) -> Option<DpWindow> {
-        self.dp.get(&ctx).and_then(|entry| {
-            entry.as_ref().map(|s| DpWindow {
-                slot_bytes: s.layout.slot_bytes(),
-                slots: s.layout.slots(),
-            })
+        let layout = self.dp.get(&ctx)?.as_ref()?.layout;
+        Some(DpWindow {
+            slot_bytes: layout.slot_bytes(),
+            slots: layout.slots(),
+            cost: self.dp_cost(),
         })
+    }
+
+    fn dp_claim(
+        &mut self,
+        clock: &mut SimClock,
+        ctx: CtxId,
+        seq: u32,
+        readers: DpReaders,
+    ) -> Result<bool> {
+        if !self.dp_free_slot(clock, ctx, seq)? {
+            return Ok(false);
+        }
+        let state = self.dp.get_mut(&ctx).and_then(Option::as_mut);
+        let state = state.expect("data-plane window vanished between two lookups");
+        let slot = seq as usize % state.layout.slots();
+        state.held[slot] = Some((seq, readers));
+        Ok(true)
     }
 
     fn dp_expose(
@@ -2205,42 +2399,57 @@ impl Transport for CxlTransport {
         phase: u8,
         region_off: usize,
         data: &[u8],
+        readers: DpReaders,
     ) -> Result<bool> {
-        let nt = self.cost.nt_access();
-        let publish = self.cost.streamed_publish(data.len(), self.coherence);
-        let Some(Some(state)) = self.dp.get_mut(&ctx) else {
-            return no_data_plane();
+        // An empty exposure is only its sequence value: it must not overwrite
+        // a held flag line, but has nothing to hold itself.
+        let writable = if data.is_empty() {
+            self.dp_free_slot(clock, ctx, seq)?
+        } else {
+            self.dp_claim(clock, ctx, seq, readers)?
         };
-        let slot = seq as usize % state.layout.slots();
-        if matches!(state.in_use[slot], Some(owner) if owner != seq) {
-            // The slot still belongs to an unretired earlier collective whose
-            // readers may not have pulled yet: report busy, the progress
-            // engine retries after pumping acks.
+        if !writable {
             return Ok(false);
         }
-        // Publish entry (slot claimable, nothing written yet): the
+        let cost = self.dp_cost();
+        let state = self.dp.get_mut(&ctx).and_then(Option::as_mut);
+        let state = state.expect("data-plane window vanished between two lookups");
+        let slot = seq as usize % state.layout.slots();
+        // Publish entry (slot claimed, nothing written yet): the
         // fault-injection point for data-plane publishes.
         if let Some(f) = self.fault.as_mut() {
             f.on_publish()?;
         }
-        state.in_use[slot] = Some(seq);
-        debug_assert!(region_off + data.len() <= state.layout.slot_bytes());
-        let off = state.layout.data_off(state.my_idx, slot) + region_off;
-        state.obj.write_flush_at(off as u64, data)?;
-        // One streamed publish (NT store stream + fence, no per-line flush)
-        // for *all* readers, then the flag cell — whose value and timestamp
-        // words share a cache line and go out as a single 16-byte NT store:
-        // this is the whole point of the single-copy path — no per-chunk
-        // headers, no per-message software overhead.
-        clock.advance(publish + nt);
-        let f = state.layout.flag_off(state.my_idx, slot, phase as usize);
-        state
-            .obj
-            .nt_store_u64_at((f + SLOT_CELL_TS_OFF) as u64, clock.now().to_bits())?;
-        state.obj.nt_store_u64_at(f as u64, u64::from(seq) + 1)?;
+        let flag = state.layout.flag_off(state.my_idx, slot, phase as usize);
+        let inline = data.len() <= DP_INLINE_BYTES;
+        if !inline {
+            debug_assert!(region_off + data.len() <= state.layout.slot_bytes());
+            let off = state.layout.data_off(state.my_idx, slot) + region_off;
+            state.obj.nt_store_at(off as u64, data)?;
+        }
+        // Not inline: one streamed publish (NT store stream + fence — the
+        // stores bypass the cache, so there is no line to flush) for *all*
+        // readers, then the flag line. Inline: the flag line is the publish.
+        // Either way the line — value, stamp and what payload it carries —
+        // goes out as a single NT store: this is the whole point of the
+        // single-copy path — no per-chunk headers, no per-message software
+        // overhead.
+        clock.advance(cost.expose(data.len()));
+        if inline && !data.is_empty() {
+            state
+                .obj
+                .nt_store_at((flag + SLOT_CELL_DATA_OFF) as u64, data)?;
+        }
+        store_stamped(&state.obj, flag, u64::from(seq) + 1, clock.now())?;
         self.dp_stats.expose_ops += 1;
         self.dp_stats.bytes_exposed += data.len() as u64;
         Ok(true)
+    }
+
+    fn dp_begin(&mut self, ctx: CtxId, seq: u32) {
+        if let Some(Some(state)) = self.dp.get_mut(&ctx) {
+            state.begin_reading(seq);
+        }
     }
 
     fn dp_pull(
@@ -2248,130 +2457,54 @@ impl Transport for CxlTransport {
         clock: &mut SimClock,
         ctx: CtxId,
         seq: u32,
-        writer_idx: usize,
-        phase: u8,
-        src_off: usize,
+        src: DpSource,
         buf: &mut [u8],
-        ack: bool,
     ) -> Result<bool> {
-        let (obj, layout, writer, my_idx) = {
-            let Some(Some(state)) = self.dp.get(&ctx) else {
-                return no_data_plane();
-            };
-            (
-                state.obj.clone(),
-                state.layout,
-                state.group[writer_idx],
-                state.my_idx,
-            )
+        let cost = self.dp_cost();
+        let Some(Some(state)) = self.dp.get_mut(&ctx) else {
+            return no_data_plane();
         };
+        let (obj, layout) = (&state.obj, &state.layout);
         let slot = seq as usize % layout.slots();
-        let f = layout.flag_off(writer_idx, slot, phase as usize);
-        if obj.nt_load_u64_at(f as u64)? < u64::from(seq) + 1 {
+        let flag = layout.flag_off(src.writer_idx, slot, src.phase as usize);
+        if obj.nt_load_u64_at(flag as u64)? < u64::from(seq) + 1 {
             // Flag not up yet: a failed poll costs nothing (same as the PSCW
             // spin idiom — the flag line lives in this rank's cache).
             return Ok(false);
         }
         clock.merge(f64::from_bits(
-            obj.nt_load_u64_at((f + SLOT_CELL_TS_OFF) as u64)?,
+            obj.nt_load_u64_at((flag + SLOT_CELL_TS_OFF) as u64)?,
         ));
-        let src = layout.data_off(writer_idx, slot) + src_off;
-        debug_assert!(src_off + buf.len() <= layout.slot_bytes());
-        obj.read_coherent_at(src as u64, buf)?;
-        // Flag value + timestamp live in one cache line: one NT load. The
-        // payload fetch itself is a streamed read — the slot rotation means
-        // this rank's write-allocate copies of these lines were evicted
-        // `slots` collectives ago, so no per-line invalidation applies.
-        let nt = self.cost.nt_access();
-        if self.same_host(writer) {
-            clock.advance(self.cost.coherent_read(buf.len(), CoherenceMode::Cached) + nt);
+        if src.inline {
+            // The payload came with the flag line: nothing else to fetch.
+            debug_assert!(src.off + buf.len() <= DP_INLINE_BYTES);
+            obj.nt_load_at((flag + SLOT_CELL_DATA_OFF + src.off) as u64, buf)?;
         } else {
-            // One-sided cap: a pull is a single device transaction per byte
-            // (the ring's two-copies-per-hop load factor does not apply).
-            let ideal = self.cost.streamed_read(buf.len(), self.coherence) + nt;
-            let cap = self
-                .contention
-                .aggregate_cap_gbps(self.active_pairs, buf.len(), false);
-            let floor =
-                cmpi_fabric::clock::transfer_ns(buf.len(), cap / self.active_pairs.max(1) as f64);
-            clock.advance(ideal.max(floor));
+            // A streamed read: load fence, then NT loads straight from the
+            // device — the slot was written with NT stores, so neither host
+            // holds a cached copy of its lines, and none is left behind.
+            debug_assert!(src.off + buf.len() <= layout.slot_bytes());
+            let at = layout.data_off(src.writer_idx, slot) + src.off;
+            obj.nt_load_fenced_at(at as u64, buf)?;
         }
-        if ack {
-            // Ack entry: killing here is the classic reader-death wedge — the
-            // writer's slot would wait on this ack forever if shrink's
-            // `dp_write_off` did not retire it.
+        let same_host = self.host_of[state.group[src.writer_idx]] == self.host_of[self.rank];
+        clock.advance(cost.pull(buf.len(), src.inline, same_host));
+        if src.last {
+            // Completion entry: killing here is the classic reader-death
+            // wedge — every writer's slot would wait on this line forever if
+            // a recorded-dead rank did not count as done.
             if let Some(f) = self.fault.as_mut() {
                 f.on_ack()?;
             }
-            let a = layout.ack_off(writer_idx, my_idx, slot);
-            obj.nt_store_u64_at((a + SLOT_CELL_TS_OFF) as u64, clock.now().to_bits())?;
-            obj.nt_store_u64_at(a as u64, u64::from(seq) + 1)?;
-            clock.advance(nt);
+            if let Some(through) = state.finish_reading(seq) {
+                let done = state.layout.done_off(state.my_idx, 0);
+                store_stamped(&state.obj, done, through, clock.now())?;
+                clock.advance(cost.line());
+            }
         }
         self.dp_stats.pull_ops += 1;
         self.dp_stats.bytes_pulled += buf.len() as u64;
         Ok(true)
-    }
-
-    fn dp_wait_ack(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        seq: u32,
-        reader_idx: usize,
-        last: bool,
-    ) -> Result<bool> {
-        let nt = self.cost.nt_access();
-        let Some(Some(state)) = self.dp.get_mut(&ctx) else {
-            return no_data_plane();
-        };
-        let slot = seq as usize % state.layout.slots();
-        let a = state.layout.ack_off(state.my_idx, reader_idx, slot);
-        if state.obj.nt_load_u64_at(a as u64)? < u64::from(seq) + 1 {
-            return Ok(false);
-        }
-        clock.merge(f64::from_bits(
-            state.obj.nt_load_u64_at((a + SLOT_CELL_TS_OFF) as u64)?,
-        ));
-        // Ack value + timestamp share a line: a single NT load.
-        clock.advance(nt);
-        if last {
-            // Every reader has promised it is done with this slot's data:
-            // retire it so a later collective can claim it.
-            state.in_use[slot] = None;
-        }
-        self.dp_stats.notify_waits += 1;
-        Ok(true)
-    }
-
-    fn dp_write_off(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        dead_reader_idx: usize,
-    ) -> Result<()> {
-        let nt = self.cost.nt_access();
-        let Some(Some(state)) = self.dp.get_mut(&ctx) else {
-            return Ok(());
-        };
-        if dead_reader_idx >= state.group.len() || dead_reader_idx == state.my_idx {
-            return Ok(());
-        }
-        for (slot, owner) in state.in_use.iter().enumerate() {
-            let Some(seq) = owner else { continue };
-            // Store the exact ack value the dead reader would have written
-            // (`seq + 1`, not a sentinel — a larger value would falsely
-            // satisfy a future owner of the slot after sequence wraparound),
-            // so the writer's pending `dp_wait_ack` completes and the slot
-            // rotation unwedges.
-            let a = state.layout.ack_off(state.my_idx, dead_reader_idx, slot);
-            state
-                .obj
-                .nt_store_u64_at((a + SLOT_CELL_TS_OFF) as u64, clock.now().to_bits())?;
-            state.obj.nt_store_u64_at(a as u64, u64::from(*seq) + 1)?;
-            clock.advance(nt);
-        }
-        Ok(())
     }
 
     fn set_fault_injector(&mut self, injector: FaultInjector) {

@@ -17,7 +17,10 @@ pub mod tcp;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cmpi_fabric::SimClock;
+use cmpi_fabric::clock::{transfer_ns, SimNs};
+use cmpi_fabric::cost::CoherenceMode;
+use cmpi_fabric::{CxlContentionModel, CxlCostModel, SimClock};
+use cxl_shm::slots::SLOT_CELL_INLINE;
 use serde::{Deserialize, Serialize};
 
 use crate::config::FaultTrigger;
@@ -111,7 +114,9 @@ impl FaultInjector {
         self.check("publish", self.publishes, wanted)
     }
 
-    /// Entry hook of a data-plane acknowledgement (the ack half of `dp_pull`).
+    /// Entry hook of a data-plane acknowledgement: the completion-line store
+    /// that ends a reader's part in a collective (the `last` half of
+    /// `dp_pull`).
     pub fn on_ack(&mut self) -> Result<()> {
         self.acks += 1;
         let wanted = match self.trigger {
@@ -265,16 +270,105 @@ impl TransportCounters {
     }
 }
 
-/// Geometry of a communicator's shared exposure window, as reported by
-/// [`Transport::dp_window`]: what the collective builders need to decide
-/// whether a payload fits the single-copy data plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Largest exposure that rides in its slot's flag line instead of the data
+/// slot: publishing it is one line store, reading it one line load.
+pub const DP_INLINE_BYTES: usize = SLOT_CELL_INLINE;
+
+/// What one data-plane operation costs on the virtual clock. The CXL
+/// transport charges every expose, pull and completion line through this one
+/// value, and hands a copy to the plan builders (in [`DpWindow`]) so that
+/// choosing between two plan shapes means walking their op lists with the very
+/// terms the execution will be charged.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DpCost {
+    /// The device cost model.
+    pub cost: CxlCostModel,
+    /// The concurrent-transfer bandwidth model.
+    pub contention: CxlContentionModel,
+    /// Coherence mode toward another host (same-host reads are `Cached`).
+    pub mode: CoherenceMode,
+    /// Concurrently active communication pairs (the contention crowd).
+    pub pairs: usize,
+}
+
+impl DpCost {
+    /// One control line stored or loaded: a flag line with or without an
+    /// inline payload, a completion line.
+    pub fn line(&self) -> SimNs {
+        self.cost.nt_access()
+    }
+
+    /// Publish `bytes` and raise the flag: one line when the payload rides in
+    /// it, otherwise a streamed publish into the data slot plus the flag line.
+    pub fn expose(&self, bytes: usize) -> SimNs {
+        if bytes <= DP_INLINE_BYTES {
+            self.line()
+        } else {
+            self.cost.streamed_publish(bytes, self.mode) + self.line()
+        }
+    }
+
+    /// Read `bytes` of an exposure whose flag is up: the flag line alone when
+    /// the exposure is `inline`; otherwise the flag line plus the payload
+    /// fetch — out of the shared cache from a `same_host` writer, a streamed
+    /// read held to this reader's share of the one-sided device cap from
+    /// another host.
+    pub fn pull(&self, bytes: usize, inline: bool, same_host: bool) -> SimNs {
+        if inline {
+            return self.line();
+        }
+        if same_host {
+            return self.cost.coherent_read(bytes, CoherenceMode::Cached) + self.line();
+        }
+        let ideal = self.cost.streamed_read(bytes, self.mode) + self.line();
+        let cap = self.contention.aggregate_cap_gbps(self.pairs, bytes, false);
+        ideal.max(transfer_ns(bytes, cap / self.pairs.max(1) as f64))
+    }
+}
+
+/// Geometry and cost terms of a communicator's shared exposure window, as
+/// reported by [`Transport::dp_window`]: what the collective builders need to
+/// decide whether a payload fits the single-copy data plane and which plan
+/// shape is cheaper on it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpWindow {
     /// Usable bytes in one exposure slot (a collective whose shared footprint
     /// exceeds this falls back to the ring path).
     pub slot_bytes: usize,
     /// Exposure slots per rank (consecutive collectives rotate through them).
     pub slots: usize,
+    /// What the transport charges for data-plane operations on this window.
+    pub cost: DpCost,
+}
+
+/// Which group members read an exposure — the ranks whose completion lines
+/// the writer consults before it reuses the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DpReaders {
+    /// Every other member of the group.
+    Others,
+    /// One member (group index): the root of a rooted reduce.
+    One(usize),
+    /// The other members on this rank's host.
+    HostMates,
+}
+
+/// Where a data-plane read finds its bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DpSource {
+    /// Writer's index within the communicator group.
+    pub writer_idx: usize,
+    /// Publish phase whose flag gates the read.
+    pub phase: u8,
+    /// Byte offset of the source region: within the writer's data slot, or —
+    /// for an `inline` exposure — within the flag line's payload.
+    pub off: usize,
+    /// The exposure is at most [`DP_INLINE_BYTES`] long and rides in the
+    /// writer's flag line.
+    pub inline: bool,
+    /// This is the reader's last read of the collective: afterwards it stores
+    /// its completion line.
+    pub last: bool,
 }
 
 /// Counters for the shared-window single-copy data plane, surfaced in
@@ -302,7 +396,8 @@ pub struct DataPlaneStats {
     pub expose_ops: u64,
     /// Pull operations (reader copied from a peer's exposed slot).
     pub pull_ops: u64,
-    /// Notify waits completed (writer observed a reader's ack).
+    /// Completion lines loaded: a writer about to reuse a slot observed that
+    /// a reader is done with the slot's earlier occupants.
     pub notify_waits: u64,
     /// Bytes published into window slots.
     pub bytes_exposed: u64,
@@ -595,10 +690,11 @@ pub trait Transport: Send {
     //
     // The CXL transport exposes a per-communicator slotted window in the
     // shared pool (see `cxl-shm`'s `slots` module) so collectives can move
-    // payloads with one coherent copy and flag-based completion instead of
-    // two ring copies plus per-chunk headers. Transports without shared
-    // memory keep the defaults: no window is ever offered, so plans never
-    // contain data-plane ops and the erroring op defaults are unreachable.
+    // payloads with one coherent copy — none at all when the payload fits the
+    // flag line — and flag-based completion instead of two ring copies plus
+    // per-chunk headers. Transports without shared memory keep the defaults:
+    // no window is ever offered, so plans never contain data-plane ops and
+    // the erroring op defaults are unreachable.
 
     /// Collectively establish the exposure window for communicator `ctx`
     /// over `group` (world ranks, group order), with `arena_bytes` of data
@@ -623,10 +719,31 @@ pub trait Transport: Send {
         None
     }
 
-    /// Publish `data` at `region_off` within this rank's slot for collective
-    /// `seq`, then raise the slot's `phase` flag. Returns `false` — without
-    /// blocking — while the slot is still held by an unretired earlier
-    /// collective.
+    /// Claim this rank's slot for collective `seq` ahead of the expose that
+    /// will fill it — what [`Transport::dp_expose`] does first, made available
+    /// on its own so a plan whose expose depends on a read (a re-exposed
+    /// broadcast slice) can settle the slot while it would otherwise idle.
+    /// Returns `false` — without blocking — while an earlier collective still
+    /// holds the slot.
+    fn dp_claim(
+        &mut self,
+        _clock: &mut SimClock,
+        _ctx: CtxId,
+        _seq: u32,
+        _readers: DpReaders,
+    ) -> Result<bool> {
+        no_data_plane()
+    }
+
+    /// Publish `data` for collective `seq` and raise the `phase` flag of its
+    /// slot (`seq` mod slots): in the flag line itself when `data` is at most
+    /// [`DP_INLINE_BYTES`] long, else at `region_off` within this rank's data
+    /// slot. `readers` names who will read it; the slot stays held until
+    /// their completion lines show they are done. Returns `false` — without
+    /// blocking — while an earlier collective still holds the slot. An empty
+    /// `data` publishes only the sequence value (a barrier's arrival): there
+    /// is nothing a late reader could lose, so it holds nothing.
+    #[allow(clippy::too_many_arguments)]
     fn dp_expose(
         &mut self,
         _clock: &mut SimClock,
@@ -635,57 +752,34 @@ pub trait Transport: Send {
         _phase: u8,
         _region_off: usize,
         _data: &[u8],
+        _readers: DpReaders,
     ) -> Result<bool> {
         no_data_plane()
     }
 
-    /// Copy `buf.len()` bytes from `src_off` within group-member
-    /// `writer_idx`'s slot for collective `seq`, once that slot's `phase`
-    /// flag is up (returns `false` without blocking until then). With `ack`,
-    /// also stores this rank's ack for the writer — the reader's promise
-    /// that this was its last read from that slot.
-    #[allow(clippy::too_many_arguments)]
+    /// Announce that this rank has started collective `seq` on `ctx` and will
+    /// read exposures of it. Blocking collectives need no announcement (their
+    /// first [`Transport::dp_pull`] comes before anything later can finish);
+    /// a nonblocking or persistent start must make one, because until that
+    /// collective completes, a later one finishing first may not report the
+    /// rank done *through* it.
+    fn dp_begin(&mut self, _ctx: CtxId, _seq: u32) {}
+
+    /// Copy `buf.len()` bytes of collective `seq` from the exposure `src`
+    /// names, once its flag is up (returns `false` without blocking until
+    /// then). With `src.last`, this rank will not read any exposure of `seq`
+    /// again: it stores its completion line — the sequence number through
+    /// which it has finished *every* collective it started reading — unless
+    /// an earlier one is still open, whose completion will then cover both.
     fn dp_pull(
         &mut self,
         _clock: &mut SimClock,
         _ctx: CtxId,
         _seq: u32,
-        _writer_idx: usize,
-        _phase: u8,
-        _src_off: usize,
+        _src: DpSource,
         _buf: &mut [u8],
-        _ack: bool,
     ) -> Result<bool> {
         no_data_plane()
-    }
-
-    /// Wait (non-blockingly: `false` = not yet) for group-member
-    /// `reader_idx`'s ack of this rank's slot for collective `seq`. With
-    /// `last`, the ack retires the slot for reuse by a later collective.
-    fn dp_wait_ack(
-        &mut self,
-        _clock: &mut SimClock,
-        _ctx: CtxId,
-        _seq: u32,
-        _reader_idx: usize,
-        _last: bool,
-    ) -> Result<bool> {
-        no_data_plane()
-    }
-
-    /// Write off a dead group member's pending data-plane acknowledgements on
-    /// `ctx`: for every slot this rank still holds exposed, store the ack the
-    /// dead reader (`dead_reader_idx`, group index) will never send, so slot
-    /// rotation can never wedge behind a corpse. Called by `Comm::shrink` on
-    /// the revoked communicator. The default is a no-op for transports without
-    /// a data plane.
-    fn dp_write_off(
-        &mut self,
-        _clock: &mut SimClock,
-        _ctx: CtxId,
-        _dead_reader_idx: usize,
-    ) -> Result<()> {
-        Ok(())
     }
 
     /// Arm fault injection on this rank's transport (see [`FaultInjector`]).

@@ -182,6 +182,13 @@ impl ShmObject {
         self.view.nt_store((self.offset + at) as usize, data)
     }
 
+    /// Non-temporal load of raw bytes at an object-relative offset (a control
+    /// line: a flag cell with its inline payload, a done cell).
+    pub fn nt_load_at(&self, at: u64, buf: &mut [u8]) -> Result<()> {
+        self.check(at, buf.len())?;
+        self.view.nt_load((self.offset + at) as usize, buf)
+    }
+
     /// Load fence, then a non-temporal load of raw bytes at an
     /// object-relative offset: reads the device, never a stale cached copy,
     /// and leaves no line behind to invalidate later.

@@ -1,60 +1,95 @@
 //! Offset arithmetic for a slotted exposure window shared by a rank group.
 //!
 //! The collective data plane (`cmpi-core`'s `dataplane` module) allocates one
-//! arena object per communicator and carves it into a fixed grid:
+//! arena object per communicator and carves it into a fixed grid; a
+//! rendezvous lane (`cmpi-core`'s `transport::conn::Lane`) is the same grid
+//! with one writer and one reader:
 //!
 //! ```text
-//! ┌ control ──────────────────────────────┬ data ──────────────────────────┐
-//! │ flag cells        │ ack cells         │ writer 0 slots │ writer 1 … │ … │
-//! │ (writer,slot,cell)│ (writer,reader,   │ slot 0 │ slot 1 │ …              │
-//! │                   │  slot)            │                                  │
-//! └───────────────────┴───────────────────┴──────────────────────────────────┘
+//! ┌ control ──────────────────────────────────────┬ data ─────────────────────┐
+//! │ flag cells            │ done cells            │ writer 0 slots │ writer 1 … │
+//! │ (writer, slot, phase) │ one per reader:       │ slot 0 │ slot 1 │ …         │
+//! │ value│stamp│48 B inline│ (value, stamp) entries│                           │
+//! └───────────────────────┴───────────────────────┴───────────────────────────┘
 //! ```
 //!
 //! * **Flag cells** are the notified-RMA publish flags: a writer exposes data
-//!   in its slot, then non-temporally stores the collective's sequence number
-//!   into the slot's flag cell; readers spin on the flag with non-temporal
-//!   loads. Two cells per slot cover two publish phases within one collective
-//!   (allreduce exposes the full input vector first and the reduced block
-//!   second).
-//! * **Ack cells** close the loop: a reader stores the sequence number into
-//!   its `(writer, reader, slot)` cell after its *last* read from that
-//!   writer, and the writer spins on them before retiring the slot.
+//!   in its slot, then non-temporally stores the occupant's sequence number
+//!   into the slot's flag cell; readers poll the flag with non-temporal
+//!   loads. A payload of at most [`SLOT_CELL_INLINE`] bytes needs no data
+//!   slot at all: it rides in the flag cell behind the value and timestamp
+//!   words, so publishing it is one line store and reading it one line load.
+//!   Two cells per slot cover two publish phases within one collective
+//!   (a large allreduce exposes the full input vector first and the reduced
+//!   block second).
+//! * **Done cells** close the loop, one per *reader*, so the control region
+//!   is linear in the group size. In a group window ([`SlotLayout::new`]) a
+//!   reader's cell is one `(value, timestamp)` entry — its completion line:
+//!   the reader stores there, once per collective, the sequence number
+//!   through which it has finished reading *everything* exposed to it,
+//!   whoever wrote it, and one load of that line tells a writer about all of
+//!   its slots at once. The single reader of a lane
+//!   ([`SlotLayout::single_reader`]) hands slots back one by one and keeps an
+//!   entry per slot, each with the stamp of exactly that hand-back.
 //!
-//! Every cell is one cache line so a non-temporal store to one flag never
-//! shares a line with another rank's cell, and each cell pairs the `u64`
-//! value with a `u64` virtual-time timestamp (the writer's clock at publish,
-//! merged by whoever observes the flag — the same idiom as the PSCW
-//! synchronization flags in `cmpi-core`).
+//! Flag cells are one cache line each and done cells a whole number of lines,
+//! so a non-temporal store never shares a line with a cell another rank
+//! writes. Every value is paired with a `u64` virtual-time timestamp (the
+//! writer's clock at the store, merged by whoever observes the value — the
+//! same idiom as the PSCW synchronization flags in `cmpi-core`); the
+//! timestamp is stored before the value and loaded after it, so an observer
+//! never pairs a new value with an old stamp.
 
-/// Bytes per synchronization cell (one cache line).
+/// Bytes per flag cell (one cache line).
 pub const SLOT_CELL_SIZE: usize = 64;
 
-/// Byte offset of the timestamp word within a cell (the value word is at 0).
+/// Byte offset of the timestamp word within a flag cell or done entry (the
+/// value word is at 0).
 pub const SLOT_CELL_TS_OFF: usize = 8;
+
+/// Byte offset of the inline payload within a flag cell.
+pub const SLOT_CELL_DATA_OFF: usize = 16;
+
+/// Largest payload that rides in the flag cell itself.
+pub const SLOT_CELL_INLINE: usize = SLOT_CELL_SIZE - SLOT_CELL_DATA_OFF;
+
+/// Bytes per `(value, timestamp)` entry of a done cell.
+pub const SLOT_DONE_ENTRY: usize = 16;
 
 /// Publish phases (flag cells) available per slot.
 pub const SLOT_PHASES: usize = 2;
 
-/// The fixed grid of one communicator's exposure window: offsets of every
-/// flag cell, ack cell and data slot, derived from the group size, the slot
-/// count and the per-slot capacity.
+/// The fixed grid of one exposure window: offsets of every flag cell, done
+/// entry and data slot, derived from the group size, the slot count and the
+/// per-slot capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotLayout {
     ranks: usize,
     slots: usize,
     slot_bytes: usize,
+    done_entries: usize,
 }
 
 impl SlotLayout {
-    /// Lay out a window for `ranks` writers with `slots` slots per writer of
-    /// `slot_bytes` bytes each. `slot_bytes` is rounded down to cache-line
-    /// alignment so data slots never share a line with each other.
+    /// Lay out a group window: `ranks` members, each a writer with `slots`
+    /// slots of `slot_bytes` bytes and a reader with one done entry (its
+    /// completion line). `slot_bytes` is rounded down to cache-line alignment
+    /// so data slots never share a line with each other.
     pub fn new(ranks: usize, slots: usize, slot_bytes: usize) -> Self {
         SlotLayout {
             ranks,
             slots,
             slot_bytes: slot_bytes & !(SLOT_CELL_SIZE - 1),
+            done_entries: 1,
+        }
+    }
+
+    /// Lay out a window with one writer and one reader (both index 0), the
+    /// reader keeping a done entry per slot.
+    pub fn single_reader(slots: usize, slot_bytes: usize) -> Self {
+        SlotLayout {
+            done_entries: slots,
+            ..Self::new(1, slots, slot_bytes)
         }
     }
 
@@ -79,21 +114,30 @@ impl SlotLayout {
         ((writer * self.slots + slot) * SLOT_PHASES + phase) * SLOT_CELL_SIZE
     }
 
-    fn acks_base(&self) -> usize {
+    fn done_base(&self) -> usize {
         self.ranks * self.slots * SLOT_PHASES * SLOT_CELL_SIZE
     }
 
-    /// Offset of the ack cell `reader` stores into after its last read from
-    /// `writer`'s `slot`.
-    pub fn ack_off(&self, writer: usize, reader: usize, slot: usize) -> usize {
-        debug_assert!(writer < self.ranks && reader < self.ranks && slot < self.slots);
-        self.acks_base() + ((writer * self.ranks + reader) * self.slots + slot) * SLOT_CELL_SIZE
+    /// Done entries per reader: one (a completion line) in a group window, one
+    /// per slot in a single-reader window.
+    pub fn done_entries(&self) -> usize {
+        self.done_entries
     }
 
-    /// Length of the control region (all flag + ack cells); the writer zeroes
-    /// `0..control_len()` before publishing the window.
+    fn done_cell_len(&self) -> usize {
+        (self.done_entries * SLOT_DONE_ENTRY).next_multiple_of(SLOT_CELL_SIZE)
+    }
+
+    /// Offset of `reader`'s done entry number `entry`.
+    pub fn done_off(&self, reader: usize, entry: usize) -> usize {
+        debug_assert!(reader < self.ranks && entry < self.done_entries);
+        self.done_base() + reader * self.done_cell_len() + entry * SLOT_DONE_ENTRY
+    }
+
+    /// Length of the control region (all flag + done cells); the creator
+    /// zeroes `0..control_len()` before publishing the window.
     pub fn control_len(&self) -> usize {
-        self.acks_base() + self.ranks * self.ranks * self.slots * SLOT_CELL_SIZE
+        self.done_base() + self.ranks * self.done_cell_len()
     }
 
     /// Offset of `writer`'s data `slot`.
@@ -120,26 +164,82 @@ mod tests {
         assert_eq!(l.slot_bytes(), 1024);
     }
 
-    #[test]
-    fn cells_are_disjoint_and_line_aligned() {
-        let l = SlotLayout::new(3, 2, 256);
-        let mut offsets = Vec::new();
-        for w in 0..3 {
-            for s in 0..2 {
+    /// Every control cell of `l` as `(offset, len, owner)`: flag cells (owned
+    /// by their writer), then each reader's done entries.
+    fn control_cells(l: &SlotLayout) -> Vec<(usize, usize, String)> {
+        let mut cells = Vec::new();
+        for r in 0..l.ranks() {
+            for s in 0..l.slots() {
                 for p in 0..SLOT_PHASES {
-                    offsets.push(l.flag_off(w, s, p));
-                }
-                for r in 0..3 {
-                    offsets.push(l.ack_off(w, r, s));
+                    cells.push((l.flag_off(r, s, p), SLOT_CELL_SIZE, format!("writer {r}")));
                 }
             }
+            for e in 0..l.done_entries() {
+                cells.push((l.done_off(r, e), SLOT_DONE_ENTRY, format!("reader {r}")));
+            }
         }
-        for &o in &offsets {
-            assert_eq!(o % SLOT_CELL_SIZE, 0);
-            assert!(o + SLOT_CELL_SIZE <= l.control_len());
+        cells
+    }
+
+    fn layouts() -> Vec<SlotLayout> {
+        vec![
+            SlotLayout::new(3, 2, 256),
+            SlotLayout::new(5, 4, 256),
+            SlotLayout::new(64, 4, 256),
+            // The lane's geometries: a done cell of one line, of two.
+            SlotLayout::single_reader(4, 1024),
+            SlotLayout::single_reader(8, 64 * 1024),
+        ]
+    }
+
+    #[test]
+    fn no_cell_overlaps_another() {
+        for l in layouts() {
+            let mut cells = control_cells(&l);
+            cells.sort_unstable();
+            for pair in cells.windows(2) {
+                let ((a, a_len, _), (b, ..)) = (&pair[0], &pair[1]);
+                assert!(a + a_len <= *b, "cells at {a}+{a_len} and {b} overlap");
+            }
+            let (last, last_len, _) = cells.last().unwrap();
+            assert!(last + last_len <= l.control_len());
+            assert_eq!(l.data_off(0, 0), l.control_len());
+            assert_eq!(l.control_len() % SLOT_CELL_SIZE, 0);
         }
-        let unique: std::collections::BTreeSet<_> = offsets.iter().collect();
-        assert_eq!(unique.len(), offsets.len(), "cells overlap");
+    }
+
+    #[test]
+    fn no_two_owners_store_into_one_line() {
+        // A writer stores its flag cells, a reader its done entries: a line
+        // must have a single owner (a rank's two roles count as two — its
+        // flags and its completion line are polled by different peers).
+        for l in layouts() {
+            let mut owner = std::collections::BTreeMap::new();
+            for (off, _, who) in control_cells(&l) {
+                let line = off / SLOT_CELL_SIZE;
+                assert_eq!(owner.entry(line).or_insert_with(|| who.clone()), &who);
+            }
+        }
+    }
+
+    #[test]
+    fn inline_payload_fills_the_flag_cell() {
+        assert_eq!(SLOT_CELL_INLINE, 48);
+        assert_eq!(SLOT_CELL_TS_OFF + 8, SLOT_CELL_DATA_OFF);
+        assert_eq!(SLOT_CELL_DATA_OFF + SLOT_CELL_INLINE, SLOT_CELL_SIZE);
+    }
+
+    #[test]
+    fn control_region_is_linear_in_the_group_size() {
+        let len = |ranks| SlotLayout::new(ranks, 4, 4096).control_len();
+        // One completion line and `slots × phases` flag lines per rank.
+        let per_rank = (4 * SLOT_PHASES + 1) * SLOT_CELL_SIZE;
+        for ranks in [1, 2, 8, 64, 1024] {
+            assert_eq!(len(ranks), ranks * per_rank);
+        }
+        // The (writer, reader, slot) ack matrix this replaces took
+        // 64 × 64 × 4 lines (1 MiB) at 64 ranks on top of the flags.
+        assert!(len(64) <= 40 * 1024, "{} bytes", len(64));
     }
 
     #[test]

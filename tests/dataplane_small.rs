@@ -1,0 +1,438 @@
+//! Small collectives on the shared-window data plane: payloads that ride in
+//! the flag line, the one-completion-line-per-rank slot protocol, and the
+//! zero-byte barrier exchange — checked byte for byte against the ring path,
+//! under stragglers and out-of-order completion, for repeatable virtual
+//! clocks, and against a budget of device round trips.
+
+use std::time::Duration;
+
+use cmpi::fabric::CxlCostModel;
+use cmpi::mpi::dataplane::DP_SLOTS;
+use cmpi::mpi::{CollTuning, Comm, ProgressMode, ReduceOp, Request, Universe, UniverseConfig};
+
+mod common;
+use common::{force_ring, force_shm, matrix_hosts, with_window_headroom};
+
+/// The payload sizes that straddle the flag line's 48-byte inline capacity.
+const SIZES: [usize; 6] = [0, 8, 48, 49, 64, 1024];
+
+fn config(n: usize, hosts: usize, tuning: CollTuning) -> UniverseConfig {
+    let config = UniverseConfig::cxl_small(n).with_hosts(hosts);
+    with_window_headroom(config, 64 * 1024 * 1024).with_coll_tuning(tuning)
+}
+
+/// Byte `i` of what `rank` contributes to collective number `round`.
+fn byte(rank: usize, round: usize, i: usize) -> u8 {
+    (rank * 37 + round * 11 + i * 5 + 1) as u8
+}
+
+fn payload(rank: usize, round: usize, len: usize) -> Vec<u8> {
+    (0..len).map(|i| byte(rank, round, i)).collect()
+}
+
+/// Wait for a collective request and append its result bytes to `out`.
+fn finish(comm: &mut Comm, mut req: Request, out: &mut Vec<u8>) -> cmpi::mpi::Result<()> {
+    comm.wait(&mut req)?;
+    out.extend(req.take_values::<u8>()?);
+    Ok(())
+}
+
+/// Start a persistent request twice — the second time on a rewritten input,
+/// where this rank contributes one — and append both results to `out`.
+fn restart(
+    comm: &mut Comm,
+    mut req: Request,
+    second_input: Option<&[u8]>,
+    out: &mut Vec<u8>,
+) -> cmpi::mpi::Result<()> {
+    for start in 0..2 {
+        if let (1, Some(input)) = (start, second_input) {
+            req.write_input(input)?;
+        }
+        comm.start(&mut req)?;
+        comm.wait(&mut req)?;
+        out.extend(req.read_result::<u8>()?);
+    }
+    req.release()
+}
+
+/// Barrier, bcast, allreduce, allgather and alltoall at `bytes` (per rank,
+/// and per peer for alltoall) through the blocking, `i*` and persistent
+/// forms; every result byte this rank saw, in call order.
+fn drive(comm: &mut Comm, bytes: usize) -> cmpi::mpi::Result<(Vec<u8>, Vec<String>)> {
+    let (n, me) = (comm.size(), comm.rank());
+    let mut out = Vec::new();
+    let mut labels = Vec::new();
+    let mut round = 0;
+    let mut next_round = || {
+        round += 1;
+        round
+    };
+
+    comm.barrier()?;
+    labels.push(comm.last_coll_algorithm().to_string());
+    let mut b = comm.ibarrier()?;
+    comm.wait(&mut b)?;
+    let mut b = comm.barrier_init()?;
+    for _ in 0..2 {
+        comm.start(&mut b)?;
+        comm.wait(&mut b)?;
+    }
+    b.release()?;
+
+    // Broadcast, the root rotating with the round.
+    let r = next_round();
+    let root = r % n;
+    let mut buf = payload(root, r, bytes);
+    if me != root {
+        buf.fill(0);
+    }
+    comm.bcast_into(root, &mut buf)?;
+    labels.push(comm.last_coll_algorithm().to_string());
+    out.extend(&buf);
+    let r = next_round();
+    let root = r % n;
+    let req = comm.ibcast_into(root, &payload(root, r, bytes))?;
+    finish(comm, req, &mut out)?;
+    let r = next_round();
+    let root = r % n;
+    let req = comm.bcast_init(root, &payload(root, r, bytes))?;
+    // Only the root contributes to a broadcast.
+    let second = payload(root, r + 100, bytes);
+    restart(comm, req, (me == root).then_some(&second[..]), &mut out)?;
+
+    // Allreduce (wrapping byte sums: exact on every path).
+    let r = next_round();
+    let mut v = payload(me, r, bytes);
+    comm.allreduce(&mut v, ReduceOp::Sum)?;
+    labels.push(comm.last_coll_algorithm().to_string());
+    out.extend(&v);
+    let r = next_round();
+    let req = comm.iallreduce(&payload(me, r, bytes), ReduceOp::Sum)?;
+    finish(comm, req, &mut out)?;
+    let r = next_round();
+    let req = comm.allreduce_init(&payload(me, r, bytes), ReduceOp::Max)?;
+    restart(comm, req, Some(&payload(me, r + 100, bytes)), &mut out)?;
+
+    // Allgather.
+    let r = next_round();
+    let mut all = vec![0u8; n * bytes];
+    comm.allgather_into(&payload(me, r, bytes), &mut all)?;
+    labels.push(comm.last_coll_algorithm().to_string());
+    out.extend(&all);
+    let r = next_round();
+    let req = comm.iallgather_into(&payload(me, r, bytes))?;
+    finish(comm, req, &mut out)?;
+    let r = next_round();
+    let req = comm.allgather_init(&payload(me, r, bytes))?;
+    restart(comm, req, Some(&payload(me, r + 100, bytes)), &mut out)?;
+
+    // Alltoall: `bytes` per peer.
+    let r = next_round();
+    let mut recv = vec![0u8; n * bytes];
+    comm.alltoall(&payload(me, r, n * bytes), &mut recv)?;
+    labels.push(comm.last_coll_algorithm().to_string());
+    out.extend(&recv);
+    let r = next_round();
+    let req = comm.ialltoall(&payload(me, r, n * bytes))?;
+    finish(comm, req, &mut out)?;
+    let r = next_round();
+    let req = comm.alltoall_init(&payload(me, r, n * bytes))?;
+    restart(comm, req, Some(&payload(me, r + 100, n * bytes)), &mut out)?;
+
+    Ok((out, labels))
+}
+
+#[test]
+fn inline_and_slot_payloads_match_the_ring_path_byte_for_byte() {
+    for n in [2usize, 3, 5, 8] {
+        let run = |tuning: CollTuning| {
+            Universe::run(config(n, matrix_hosts(), tuning), |world: &mut Comm| {
+                // A duplicate: the world communicator's blocking barrier is
+                // the transport's own.
+                let mut comm = world.comm_dup()?;
+                SIZES
+                    .iter()
+                    .map(|&bytes| drive(&mut comm, bytes))
+                    .collect::<cmpi::mpi::Result<Vec<_>>>()
+            })
+            .unwrap_or_else(|e| panic!("n={n}: {e}"))
+        };
+        let (shm, ring) = (run(force_shm()), run(force_ring()));
+        for (rank, ((shm, _), (ring, _))) in shm.iter().zip(&ring).enumerate() {
+            for (i, &bytes) in SIZES.iter().enumerate() {
+                let ((got, labels), (want, ring_labels)) = (&shm[i], &ring[i]);
+                assert_eq!(got, want, "n={n} rank {rank} at {bytes} B");
+                assert!(!want.is_empty() || bytes == 0);
+                // (A zero-byte alltoall is a no-op before any path is chosen.)
+                assert!(
+                    labels
+                        .iter()
+                        .all(|l| l.ends_with("/shm") || (bytes == 0 && l == "alltoall/local")),
+                    "n={n} {bytes} B ran {labels:?}"
+                );
+                assert!(
+                    ring_labels.iter().all(|l| !l.ends_with("/shm")),
+                    "n={n} {bytes} B ran {ring_labels:?} on the forced ring"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn one_phase_allreduce_gives_every_rank_the_same_bits() {
+    // Values whose sum depends on the order of the additions: every rank
+    // folds in group order, so all of them must still agree to the last bit.
+    let results = Universe::run(
+        config(5, matrix_hosts(), force_shm()),
+        |world: &mut Comm| {
+            let mut comm = world.comm_dup()?;
+            let me = comm.rank() as f64;
+            let mut v = [1e16 * (me - 2.0), 0.1 * (me + 1.0), 1.0 / (me + 3.0)];
+            comm.allreduce(&mut v, ReduceOp::Sum)?;
+            assert_eq!(comm.last_coll_algorithm(), "allreduce/shm");
+            Ok(v.map(f64::to_bits))
+        },
+    )
+    .unwrap();
+    for (bits, _) in &results {
+        assert_eq!(bits, &results[0].0);
+    }
+}
+
+#[test]
+fn a_straggler_holds_slots_until_its_completion_line() {
+    // More back-to-back broadcasts than a writer has slots, one rank reading
+    // late: the root must wait for the straggler's completion line before it
+    // reuses a slot (or a flag line carrying an inline payload), never
+    // overwrite. First a fixed root, which can run a full window ahead, then
+    // rotating roots.
+    const ROUNDS: usize = 3 * (DP_SLOTS + 2);
+    for bytes in [48usize, 1024] {
+        let results = Universe::run(config(5, matrix_hosts(), force_shm()), move |world| {
+            let mut comm = world.comm_dup()?;
+            let (n, me) = (comm.size(), comm.rank());
+            let before = comm.data_plane_stats();
+            for round in 0..ROUNDS {
+                let root = if round < DP_SLOTS + 2 { 0 } else { round % n };
+                if me == n - 1 && round % (DP_SLOTS + 2) == 0 {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                let mut buf = payload(root, round, bytes);
+                if me != root {
+                    buf.fill(0);
+                }
+                comm.bcast_into(root, &mut buf)?;
+                assert_eq!(
+                    buf,
+                    payload(root, round, bytes),
+                    "round {round} on rank {me}"
+                );
+            }
+            let after = comm.data_plane_stats();
+            Ok(after.notify_waits - before.notify_waits)
+        })
+        .unwrap();
+        // Rank 0 exposed DP_SLOTS + 2 times in a row: it had to consult the
+        // readers' completion lines at least once.
+        assert!(results[0].0 > 0, "{bytes} B: root never loaded a line");
+    }
+}
+
+#[test]
+fn four_outstanding_collectives_complete_in_reverse_order() {
+    let results = Universe::run(
+        config(5, matrix_hosts(), force_shm()),
+        |world: &mut Comm| {
+            let mut comm = world.comm_dup()?;
+            let (n, me) = (comm.size(), comm.rank());
+            let mut out = Vec::new();
+            // Twice over, so the second window reuses every slot of the first.
+            for window in 0..2 {
+                let r = 10 * window;
+                let mut reqs = [
+                    comm.iallgather_into(&payload(me, r, 8))?,
+                    comm.iallreduce(&payload(me, r + 1, 48), ReduceOp::Sum)?,
+                    comm.ibcast_into(3, &payload(3, r + 2, 64))?,
+                    comm.ialltoall(&payload(me, r + 3, n * 8))?,
+                ];
+                assert_eq!(reqs.len(), DP_SLOTS);
+                let mut results = vec![Vec::new(); DP_SLOTS];
+                for i in (0..DP_SLOTS).rev() {
+                    comm.wait(&mut reqs[i])?;
+                    results[i] = reqs[i].take_values::<u8>()?;
+                }
+                let gathered: Vec<u8> = (0..n).flat_map(|s| payload(s, r, 8)).collect();
+                assert_eq!(results[0], gathered);
+                let summed: Vec<u8> = (0..48)
+                    .map(|i| (0..n).fold(0u8, |a, s| a.wrapping_add(byte(s, r + 1, i))))
+                    .collect();
+                assert_eq!(results[1], summed);
+                assert_eq!(results[2], payload(3, r + 2, 64));
+                let exchanged: Vec<u8> = (0..n)
+                    .flat_map(|s| (0..8).map(move |i| byte(s, r + 3, me * 8 + i)))
+                    .collect();
+                assert_eq!(results[3], exchanged);
+                out.extend(results.concat());
+            }
+            Ok(out.len())
+        },
+    )
+    .unwrap();
+    assert!(results.iter().all(|(len, _)| *len > 0));
+}
+
+/// Poll `req` alone (a `test` drives nothing else) until it completes.
+fn test_until_done(comm: &mut Comm, req: &mut Request) -> cmpi::mpi::Result<()> {
+    while comm.test(req)?.is_none() {
+        std::thread::yield_now();
+    }
+    Ok(())
+}
+
+#[test]
+fn finishing_a_later_collective_does_not_report_an_earlier_one_done() {
+    // Rank 2 completes broadcast #4 (from rank 1) while broadcast #0 (from
+    // rank 0, same slot) has not even been exposed. Its completion line must
+    // stay short of #0 — the contiguous prefix — so rank 1 may not reuse the
+    // slot for broadcast #8 yet: rank 2 only knows the slot number, and would
+    // otherwise have vouched for an exposure it never read.
+    assert_eq!(DP_SLOTS, 4, "the script below counts slots");
+    let config = config(3, matrix_hosts(), force_shm()).with_progress_mode(ProgressMode::Polling);
+    Universe::run(config, |world: &mut Comm| {
+        let mut comm = world.comm_dup()?;
+        let me = comm.rank();
+        let mut b0 = comm.ibcast_into(0, &payload(0, 0, 8))?; // #0, nobody drives it yet
+        for _ in 1..DP_SLOTS {
+            comm.barrier()?; // #1..#3 hold nothing
+        }
+        let mut b4 = comm.ibcast_into(1, &payload(1, 4, 8))?;
+        test_until_done(&mut comm, &mut b4)?;
+        assert_eq!(b4.take_values::<u8>()?, payload(1, 4, 8));
+        for _ in 1..DP_SLOTS {
+            comm.barrier()?; // #5..#7
+        }
+        let mut b8 = comm.ibcast_into(1, &payload(1, 8, 8))?;
+        if me == 1 {
+            // Rank 0 read #4, rank 2 read #4 — but rank 2 still owes #0.
+            for _ in 0..2000 {
+                assert!(
+                    comm.test(&mut b8)?.is_none(),
+                    "slot reused behind rank 2's back"
+                );
+                std::thread::yield_now();
+            }
+        }
+        world.barrier()?;
+        comm.wait(&mut b0)?;
+        assert_eq!(b0.take_values::<u8>()?, payload(0, 0, 8));
+        comm.wait(&mut b8)?;
+        assert_eq!(b8.take_values::<u8>()?, payload(1, 8, 8));
+        Ok(())
+    })
+    .unwrap();
+}
+
+/// A scripted mix of small collectives on a duplicate communicator; what
+/// every rank's virtual clock advanced by. All ranks set out from the same
+/// virtual instant: creating the duplicate agrees on a context id over
+/// point-to-point messages, which leaves the ranks' clocks skewed against
+/// each other by an amount that is not repeatable.
+fn scripted_clocks(n: usize, hosts: usize) -> Vec<f64> {
+    const START_NS: f64 = 1e7;
+    Universe::run(config(n, hosts, force_shm()), |world: &mut Comm| {
+        let mut comm = world.comm_dup()?;
+        world.advance_clock(START_NS - world.clock_ns());
+        let start = world.clock_ns();
+        let (n, me) = (comm.size(), comm.rank());
+        let mut persistent = comm.allreduce_init(&[me as f64; 128], ReduceOp::Sum)?;
+        for round in 0..3 * DP_SLOTS + 1 {
+            comm.barrier()?;
+            let mut small = payload(round % n, round, 8);
+            comm.bcast_into(round % n, &mut small)?;
+            let mut v = [me as f64 + round as f64];
+            comm.allreduce(&mut v, ReduceOp::Sum)?;
+            let mut all = vec![0u8; n * 48];
+            comm.allgather_into(&payload(me, round, 48), &mut all)?;
+            let mut recv = vec![0u8; n * 8];
+            comm.alltoall(&payload(me, round, n * 8), &mut recv)?;
+            let mut kib = vec![me as u64; 128];
+            comm.allreduce(&mut kib, ReduceOp::Max)?;
+            comm.start(&mut persistent)?;
+            comm.wait(&mut persistent)?;
+        }
+        persistent.release()?;
+        Ok(world.clock_ns() - start)
+    })
+    .unwrap()
+    .into_iter()
+    .map(|(elapsed, _)| elapsed)
+    .collect()
+}
+
+#[test]
+fn virtual_clocks_repeat_exactly() {
+    let first = scripted_clocks(8, 2);
+    for run in 1..4 {
+        let again = scripted_clocks(8, 2);
+        // To a millionth of a nanosecond: the two clock readings being
+        // subtracted sit at a run-dependent offset.
+        assert!(
+            first.iter().zip(&again).all(|(a, b)| (a - b).abs() < 1e-6),
+            "run {run} diverged: {first:?} vs {again:?}"
+        );
+    }
+}
+
+#[test]
+fn an_allgather_costs_its_budget_of_round_trips() {
+    // 8 B allgather among 8 ranks: one expose line, seven pull lines and one
+    // completion store per rank, plus at most seven completion-line loads per
+    // DP_SLOTS collectives — and each of those lines is one non-temporal
+    // access on the virtual clock, inline or not, same host or not.
+    const COLLS: u64 = 4 * DP_SLOTS as u64;
+    let line = CxlCostModel::default().nt_access();
+    let results = Universe::run(config(8, 2, force_shm()), move |world: &mut Comm| {
+        let mut comm = world.comm_dup()?;
+        let n = comm.size();
+        let mut all = vec![0u8; n * 8];
+        // Warm the plan cache, and leave every slot held as a long run would.
+        for _ in 0..DP_SLOTS {
+            comm.allgather_into(&[7u8; 8], &mut all)?;
+        }
+        comm.barrier()?;
+        let (before, start) = (comm.data_plane_stats(), world.clock_ns());
+        for _ in 0..COLLS {
+            comm.allgather_into(&[7u8; 8], &mut all)?;
+        }
+        let (after, end) = (comm.data_plane_stats(), world.clock_ns());
+        Ok((
+            after.expose_ops - before.expose_ops,
+            after.pull_ops - before.pull_ops,
+            after.notify_waits - before.notify_waits,
+            end - start,
+        ))
+    })
+    .unwrap();
+    for (rank, ((exposes, pulls, line_loads, virt_ns), _)) in results.iter().enumerate() {
+        assert_eq!((*exposes, *pulls), (COLLS, 7 * COLLS), "rank {rank}");
+        assert!(
+            *line_loads <= 7 * COLLS / DP_SLOTS as u64,
+            "rank {rank}: {line_loads}"
+        );
+        // 1 + 7 + 1 lines per collective, plus the loads counted above: no
+        // line may go uncharged. Waiting for peers can only add to it.
+        let lines = (9 * COLLS + line_loads) as f64;
+        assert!(
+            *virt_ns >= lines * line - 1e-6,
+            "rank {rank}: {virt_ns} ns for {lines} lines of {line} ns"
+        );
+        // And nothing but those lines (and a rank's wait for the slowest
+        // peer, a few lines at most) is charged either.
+        assert!(
+            *virt_ns <= (lines + 16.0) * line,
+            "rank {rank}: {virt_ns} ns for {lines} lines of {line} ns"
+        );
+    }
+}

@@ -12,6 +12,7 @@
 mod common;
 
 use cmpi::fabric::cost::TcpNic;
+use cmpi::mpi::dataplane::DP_SLOTS;
 use cmpi::mpi::{
     Comm, DataPlaneMode, ErrHandler, FaultPlan, FaultTrigger, FtOutcome, HierarchyMode, MpiError,
     ReduceOp, Universe, UniverseConfig,
@@ -115,6 +116,15 @@ fn run_round(comm: &mut Comm, round: usize) -> cmpi::mpi::Result<u64> {
 /// round is redone on the new one. Returns the rank's accumulated checksum
 /// and its final membership.
 fn ulfm_body(comm: &mut Comm, rounds: usize) -> cmpi::mpi::Result<(u64, Vec<usize>)> {
+    ulfm_loop(comm, rounds, run_round)
+}
+
+/// [`ulfm_body`] over an arbitrary verified round.
+fn ulfm_loop(
+    comm: &mut Comm,
+    rounds: usize,
+    run_round: impl Fn(&mut Comm, usize) -> cmpi::mpi::Result<u64>,
+) -> cmpi::mpi::Result<(u64, Vec<usize>)> {
     comm.set_errhandler(ErrHandler::ErrorsReturn);
     let mut acc = 0u64;
     let mut round = 0usize;
@@ -156,9 +166,19 @@ fn ulfm_body(comm: &mut Comm, rounds: usize) -> cmpi::mpi::Result<(u64, Vec<usiz
 /// checksum, and every survivor's final membership is exactly the survivor
 /// set.
 fn run_case(config: UniverseConfig, victims: &[usize], label: &str) {
+    run_case_with(config, victims, label, |comm| ulfm_body(comm, ROUNDS));
+}
+
+/// [`run_case`] over an arbitrary survivor loop.
+fn run_case_with(
+    config: UniverseConfig,
+    victims: &[usize],
+    label: &str,
+    body: impl Fn(&mut Comm) -> cmpi::mpi::Result<(u64, Vec<usize>)> + Send + Sync + 'static,
+) {
     let ranks = config.ranks;
-    let outcomes = Universe::run_ft(config, |comm| ulfm_body(comm, ROUNDS))
-        .unwrap_or_else(|e| panic!("{label}: universe failed: {e}"));
+    let outcomes =
+        Universe::run_ft(config, body).unwrap_or_else(|e| panic!("{label}: universe failed: {e}"));
     assert_eq!(outcomes.len(), ranks, "{label}: outcome per rank");
     let survivors: Vec<usize> = (0..ranks).filter(|r| !victims.contains(r)).collect();
     let mut accs = Vec::new();
@@ -256,8 +276,8 @@ fn ring_collectives_survive_random_kills_cxl() {
 #[test]
 fn shm_data_plane_survives_publish_and_ack_kills() {
     // Forced shared-window data plane: kills land inside dp_expose (publish)
-    // and dp_pull (ack), exercising the dead-reader write-off that keeps slot
-    // rotation from wedging.
+    // and at dp_pull's completion-line store (ack); a writer waiting on a
+    // dead reader's line must fail over, not wedge.
     let mut seed = lcg(base_seed() ^ 0xD1);
     for (i, n) in [3usize, 5, 6, 7].into_iter().enumerate() {
         seed = lcg(seed);
@@ -275,6 +295,45 @@ fn shm_data_plane_survives_publish_and_ack_kills() {
             config,
             &[victim],
             &format!("cxl/shm n={n} kill={trigger:?}"),
+        );
+    }
+}
+
+#[test]
+fn reader_death_before_its_completion_line_frees_a_writer_running_ahead() {
+    // A broadcast root exposes without waiting for anybody until it runs out
+    // of slots. The victim pulls the first broadcast and dies at the store
+    // of its completion line, so when the root comes round to the slot
+    // again — DP_SLOTS collectives ahead of the corpse — the line it needs
+    // will never be written: the root must observe the death there (or count
+    // the dead reader as done) and the survivors recover.
+    for victim in [1usize, 3] {
+        let config =
+            cxl(4, 1, DataPlaneMode::Shm, HierarchyMode::Off).with_faults(vec![FaultPlan {
+                victim,
+                trigger: FaultTrigger::NthAck(1),
+            }]);
+        run_case_with(
+            config,
+            &[victim],
+            &format!("cxl/shm root runs ahead of dead reader {victim}"),
+            |comm| {
+                ulfm_loop(comm, 3, |comm, round| {
+                    let mut acc = 0u64;
+                    for i in 0..DP_SLOTS + 2 {
+                        let seed = (round * 100 + i) as u64 + comm.size() as u64;
+                        // 3 words ride in the flag line, 9 in the data slot.
+                        let mut buf = vec![0u64; if i % 2 == 0 { 3 } else { 9 }];
+                        if comm.rank() == 0 {
+                            buf.fill(seed);
+                        }
+                        comm.bcast_into(0, &mut buf)?;
+                        assert!(buf.iter().all(|&w| w == seed), "bcast {i} of round {round}");
+                        acc = acc.wrapping_mul(31).wrapping_add(seed);
+                    }
+                    Ok(acc)
+                })
+            },
         );
     }
 }

@@ -471,6 +471,42 @@ fn no_room_for_a_lane_falls_back_to_chunks_byte_identically() {
 }
 
 #[test]
+fn sendrecv_costs_one_latency_not_two() {
+    // Both sides send first: a halo exchange is one one-way latency. (That
+    // it cannot deadlock on messages larger than the ring or the lane is what
+    // the ring of `digest_script` and the exchanges below run into.)
+    let reports = Universe::run(lazy(2), |comm: &mut Comm| {
+        let (me, peer) = (comm.rank(), 1 - comm.rank());
+        promote(comm, 0, 1)?;
+        let mut buf = [0u8; 256];
+        let start = comm.clock_ns();
+        for _ in 0..4 {
+            if me == 0 {
+                comm.send(1, 1, &buf)?;
+                comm.recv(Some(1), Some(1), &mut buf)?;
+            } else {
+                comm.recv(Some(0), Some(1), &mut buf)?;
+                comm.send(0, 1, &buf)?;
+            }
+        }
+        let one_way = (comm.clock_ns() - start) / 8.0;
+        let start = comm.clock_ns();
+        for _ in 0..4 {
+            let (st, got) = comm.sendrecv(peer, 2, &[7u8; 256], peer, 2)?;
+            assert_eq!((st.len, got), (256, vec![7u8; 256]));
+        }
+        Ok((one_way, (comm.clock_ns() - start) / 4.0))
+    })
+    .unwrap();
+    for (rank, ((one_way, exchange), _)) in reports.iter().enumerate() {
+        assert!(
+            *exchange < 1.25 * one_way,
+            "rank {rank}: exchange {exchange} ns against {one_way} ns one way"
+        );
+    }
+}
+
+#[test]
 fn pairwise_exchange_on_eight_ranks() {
     let config = UniverseConfig::cxl_small(8).with_hosts(matrix_hosts());
     let reports = Universe::run(config, |comm: &mut Comm| {
