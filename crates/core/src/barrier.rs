@@ -20,51 +20,18 @@
 //! The [`SeqBarrier`] array is provisioned for the *world* (and per window for
 //! fences). Communicators produced by `comm_split`/`comm_dup` barrier on the
 //! flag lines of their own shared window when they have one (see
-//! [`crate::dataplane`]); [`group_barrier`] is the fallback without a window —
-//! a dissemination barrier over the communicator's own point-to-point path,
-//! which needs no pre-provisioned shared state, works for any rank subset, and
-//! inherits the context-id isolation of the communicator's tag space.
+//! [`crate::dataplane`]); the fallback without a window is the dissemination
+//! barrier plan of [`crate::coll::build_barrier`] over the communicator's own
+//! point-to-point path, which needs no pre-provisioned shared state, works for
+//! any rank subset, and inherits the context-id isolation of the
+//! communicator's tag space.
 
 use cmpi_fabric::SimClock;
 use cxl_shm::ShmObject;
 
-use crate::coll::{build_barrier, CommView};
-use crate::config::CollTuning;
 use crate::spin::{PoisonFlag, SpinWait};
-use crate::topology::HostHierarchy;
-use crate::transport::Transport;
 use crate::types::Rank;
 use crate::Result;
-
-/// Dissemination barrier across an arbitrary communicator group, built on the
-/// communicator's point-to-point path.
-///
-/// In round `k` (of `⌈log2 n⌉`), local rank `i` sends a zero-byte token to
-/// `(i + 2^k) mod n` and waits for the token from `(i - 2^k) mod n`. After the
-/// last round every rank transitively depends on every other rank's arrival,
-/// and the virtual clocks have merged accordingly through the receives. When
-/// the topology gates select the hierarchical composition the token pattern
-/// becomes per-host fan-in → leader dissemination → per-host fan-out, with
-/// the same transitive-dependency (and clock-merge) guarantee.
-///
-/// The barrier is compiled to the same immutable plan that backs
-/// [`crate::comm::Comm::ibarrier`] and run to completion, so the blocking and
-/// nonblocking barriers execute identical token exchanges. `seq` is the
-/// communicator's collective sequence number, salted into the token tags at
-/// bind time. Returns the label of the composition used.
-pub fn group_barrier(
-    t: &mut dyn Transport,
-    clock: &mut SimClock,
-    view: &CommView<'_>,
-    tuning: &CollTuning,
-    hier: Option<&HostHierarchy>,
-    seq: u32,
-) -> Result<&'static str> {
-    let plan = std::sync::Arc::new(build_barrier(view, tuning, hier, None));
-    let mut exec = crate::progress::Execution::new(std::sync::Arc::clone(&plan), seq);
-    exec.run(t, clock, &mut [])?;
-    Ok(plan.label)
-}
 
 /// Stride of one rank's slot (sequence number + timestamp on their own cache
 /// line to avoid false sharing between ranks).

@@ -1,7 +1,5 @@
 //! Configuration of a cMPI universe: rank count, host topology and transport.
 
-use serde::{Deserialize, Serialize};
-
 use cmpi_fabric::cost::{CoherenceMode, TcpNic};
 use cmpi_fabric::params;
 
@@ -10,7 +8,7 @@ use crate::topology::HostTopology;
 use crate::Result;
 
 /// How the CXL transport provisions its per-pair connection state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConnMode {
     /// Lazy sparse connections (the default): each rank owns a doorbell and a
     /// shared receive queue; dedicated SPSC queue pairs are carved out of the
@@ -28,7 +26,7 @@ pub enum ConnMode {
 }
 
 /// Configuration of the CXL SHM transport (cMPI proper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CxlShmTransportConfig {
     /// Capacity of one message cell's payload, bytes (Figure 9 sweeps this;
     /// MPICH defaults to 16 KB, cMPI settles on 64 KB).
@@ -127,7 +125,7 @@ impl CxlShmTransportConfig {
 }
 
 /// Configuration of the TCP baseline transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpTransportConfig {
     /// Which NIC the baseline runs on.
     pub nic: TcpNic,
@@ -151,10 +149,12 @@ impl TcpTransportConfig {
 
 /// Whether the collectives may compose the two-level (per-host local phase +
 /// cross-host leader phase) hierarchical algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HierarchyMode {
-    /// Pick hierarchical vs flat per call from the topology shape and payload
-    /// gates below (the default).
+    /// Pick hierarchical vs flat per call: every spanned host must hold at
+    /// least two of the communicator's ranks (a lone rank gets no local-phase
+    /// benefit) and the payload must reach the operation's `hier_*_min_bytes`
+    /// cutoff in [`CollTuning`] (the default).
     Auto,
     /// Never compose hierarchically — restores the flat-only behavior exactly.
     Off,
@@ -168,7 +168,7 @@ pub enum HierarchyMode {
 /// Whether the collectives may run over the shared-window single-copy data
 /// plane (a per-communicator exposure arena in the CXL pool; see `dataplane`)
 /// instead of the per-pair SPSC ring queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataPlaneMode {
     /// Use the shared window whenever the transport provides one, the payload
     /// fits a window slot, and the hierarchy gates did not already pick a
@@ -184,18 +184,12 @@ pub enum DataPlaneMode {
     Shm,
 }
 
-/// Default [`CollTuning::dp_max_group`]: communicators above this size skip
-/// shared-window creation (the window's data slots are O(group) per rank and
-/// every reader loads every writer's flag line, which stops paying off well
-/// before 1024 ranks).
-pub const DP_MAX_GROUP_DEFAULT: usize = 64;
-
 /// Message-size thresholds steering the size-adaptive collective algorithms
-/// (see `coll`), plus the topology gates steering the hierarchical (two-level,
+/// (see `coll`), plus the payload gates steering the hierarchical (two-level,
 /// per-host) compositions. Defaults follow the MPICH-style switchover points,
 /// scaled to the cell geometry of the CXL transport; the bench harness sweeps
 /// across them so every branch shows up in `BENCH_collectives.json`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollTuning {
     /// Broadcast switches from the binomial tree to scatter + ring-allgather
     /// (van de Geijn) at and above this many payload bytes.
@@ -221,13 +215,6 @@ pub struct CollTuning {
     pub alltoall_bruck_max_bytes: usize,
     /// Whether topology-aware hierarchical compositions may be selected.
     pub hierarchy: HierarchyMode,
-    /// `Auto` only goes hierarchical when the communicator spans at least
-    /// this many hosts (< 2 never composes — there is nothing to split).
-    pub hier_min_hosts: usize,
-    /// `Auto` only goes hierarchical when every spanned host holds at least
-    /// this many of the communicator's ranks (a host with a lone rank gets no
-    /// local-phase benefit).
-    pub hier_min_ranks_per_host: usize,
     /// `Auto` only goes hierarchical for payloads of at least this many bytes
     /// (the local phases add hops that only pay off once the cross-host
     /// bandwidth term dominates; barriers carry no payload and are gated on
@@ -263,11 +250,6 @@ pub struct CollTuning {
     /// pool too small to hold the whole window (every rank's share) fails
     /// window creation gracefully — the communicator then runs ring-only.
     pub shm_arena_bytes: usize,
-    /// Largest communicator (in ranks) for which a shared-window data plane
-    /// is created at all. Bigger groups memoize "no window" and run ring-only,
-    /// keeping per-rank data-plane state off the O(n) growth path at scale.
-    /// `0` disables the gate (any size may try to create a window).
-    pub dp_max_group: usize,
 }
 
 impl Default for CollTuning {
@@ -279,22 +261,19 @@ impl Default for CollTuning {
             reduce_scatter_direct_min_bytes: 16 * 1024,
             alltoall_bruck_max_bytes: 16 * 1024,
             hierarchy: HierarchyMode::Auto,
-            hier_min_hosts: 2,
-            hier_min_ranks_per_host: 2,
             hier_min_payload_bytes: 512 * 1024,
             hier_allgather_min_bytes: 4 * 1024 * 1024,
             hier_alltoall_min_bytes: 4 * 1024 * 1024,
             plan_cache_entries: 64,
             data_plane: DataPlaneMode::Auto,
             shm_arena_bytes: 2 * 1024 * 1024,
-            dp_max_group: DP_MAX_GROUP_DEFAULT,
         }
     }
 }
 
 /// Who drives outstanding nonblocking/persistent operations between the
 /// caller's own `test`/`wait` polls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgressMode {
     /// Weak progress (the default): operations advance only while some caller
     /// is inside `test`/`wait`/`progress` — the original single-threaded
@@ -332,30 +311,11 @@ impl ProgressMode {
 
 /// Tuning of the progress engine driving nonblocking collectives (see
 /// `progress`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProgressTuning {
-    /// Maximum schedule ops a single nonblocking `test`-family poll may
-    /// execute before returning control to the caller (`0` = unlimited).
-    /// Bounds the latency one poll can inject into user compute when a burst
-    /// of messages arrives at once; blocking waits ignore it.
-    pub max_ops_per_poll: usize,
-    /// Whether [`crate::comm::Comm::progress`] drains arrived messages off
-    /// the transport into local staging (keeps senders from stalling on ring
-    /// flow control while this rank computes).
-    pub drain_on_progress: bool,
     /// Whether a background progress thread drives outstanding operations
     /// (see [`ProgressMode`]).
     pub mode: ProgressMode,
-}
-
-impl Default for ProgressTuning {
-    fn default() -> Self {
-        ProgressTuning {
-            max_ops_per_poll: 0,
-            drain_on_progress: true,
-            mode: ProgressMode::default(),
-        }
-    }
 }
 
 impl ProgressTuning {
@@ -365,7 +325,6 @@ impl ProgressTuning {
     pub fn env_default() -> Self {
         ProgressTuning {
             mode: ProgressMode::from_env().unwrap_or_default(),
-            ..Default::default()
         }
     }
 }
@@ -380,7 +339,7 @@ impl ProgressTuning {
 /// operation are written — so a send that dies leaves nothing visible, and a
 /// rendezvous stream that dies at a segment leaves a receiver waiting on a
 /// sender it then observes as failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTrigger {
     /// Kill the victim as it enters its n-th send (1-indexed).
     NthSend(u64),
@@ -409,7 +368,7 @@ pub enum FaultTrigger {
 /// victim thread as [`crate::error::MpiError::RankKilled`], is recorded in the
 /// universe failure state, and survivors observe it as
 /// [`crate::error::MpiError::ProcFailed`] per their error handlers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// World rank to kill.
     pub victim: usize,
@@ -418,7 +377,7 @@ pub struct FaultPlan {
 }
 
 /// Which transport a universe uses for inter-node communication.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TransportConfig {
     /// cMPI: CXL memory sharing.
     CxlShm(CxlShmTransportConfig),
@@ -440,7 +399,7 @@ impl TransportConfig {
 }
 
 /// How ranks are mapped onto the simulated hosts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum HostPlacement {
     /// Balanced contiguous blocks (the usual `mpirun` placement; default).
     #[default]
@@ -454,7 +413,7 @@ pub enum HostPlacement {
 }
 
 /// Full configuration of a universe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UniverseConfig {
     /// Number of MPI ranks.
     pub ranks: usize,
@@ -682,8 +641,6 @@ mod tests {
     fn hierarchy_defaults_are_gated() {
         let t = CollTuning::default();
         assert_eq!(t.hierarchy, HierarchyMode::Auto);
-        assert_eq!(t.hier_min_hosts, 2);
-        assert_eq!(t.hier_min_ranks_per_host, 2);
         assert_eq!(t.hier_min_payload_bytes, 512 * 1024);
         // The plan cache is on by default.
         assert!(t.plan_cache_entries > 0);

@@ -6,10 +6,8 @@
 //! contiguous runs of fixed-size elements and strided vectors (the layout the
 //! halo-exchange example uses for column boundaries), plus pack/unpack.
 
-use serde::{Deserialize, Serialize};
-
 /// Element kinds with a fixed byte width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElemKind {
     /// 8-bit unsigned integer.
     U8,
@@ -36,7 +34,7 @@ impl ElemKind {
 /// A datatype: either a contiguous run of elements or a strided vector of
 /// fixed-length blocks (`count` blocks of `block_len` elements separated by
 /// `stride` elements).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Datatype {
     /// `count` contiguous elements.
     Contiguous {

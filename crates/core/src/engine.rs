@@ -45,7 +45,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::comm::RankShared;
-use crate::progress::{CollState, ProgressCounters};
+use crate::progress::{CollPlan, CollState, ProgressCounters};
 use crate::spin::WaitCell;
 use crate::types::{CtxId, Status};
 use crate::Result;
@@ -88,15 +88,15 @@ pub struct OpCell {
     waker: Mutex<Option<std::task::Waker>>,
     /// Context id of the owning communicator (sanity checks in debug builds).
     ctx: CtxId,
-    /// Label of the collective algorithm the cell executes (cached out of
-    /// the plan so introspection never takes the slot lock).
-    algo: &'static str,
+    /// The plan the cell executes (a second handle beside the execution's,
+    /// so a start and introspection never take the slot lock).
+    plan: Arc<CollPlan>,
 }
 
 impl OpCell {
     /// Wrap a bound collective state for communicator `ctx`.
     pub(crate) fn new(ctx: CtxId, state: CollState) -> Arc<Self> {
-        let algo = state.exec.plan().label;
+        let plan = Arc::clone(state.exec.plan());
         Arc::new(OpCell {
             slot: Mutex::new(OpSlot {
                 state: Some(Box::new(state)),
@@ -107,7 +107,7 @@ impl OpCell {
             waiter: WaitCell::new(),
             waker: Mutex::new(None),
             ctx,
-            algo,
+            plan,
         })
     }
 
@@ -122,9 +122,9 @@ impl OpCell {
         self.ctx
     }
 
-    /// Cached algorithm label of the underlying plan.
-    pub(crate) fn algorithm(&self) -> &'static str {
-        self.algo
+    /// The plan the cell executes.
+    pub(crate) fn plan(&self) -> &CollPlan {
+        &self.plan
     }
 
     /// Lock the slot (blocking — caller side).
@@ -441,7 +441,7 @@ fn engine_drive(rank: &RankShared, cell: &OpCell, into: &AtomicU64) -> usize {
     };
     let step = {
         let io = &mut *rank.io();
-        state.progress(io.transport.as_mut(), &mut io.clock, 0)
+        state.progress(io.transport.as_mut(), &mut io.clock)
     };
     match step {
         Ok(step) => {

@@ -28,18 +28,20 @@
 //! Collectives are **datatype-generic and zero-copy**: `allreduce<T>`,
 //! `bcast_into<T>`, `gather_into<T>`, `allgather_into<T>`, `scatter_from<T>`
 //! move [`pod::Pod`] buffers (`f64`, `i32`, ... slices) through the byte
-//! transports without per-element encoding. The pre-redesign byte-vector
-//! collectives (`bcast(&mut Vec<u8>)`, `reduce_f64`, `gather -> Vec<Vec<u8>>`,
-//! ...) survive as deprecated shims on `Comm`.
+//! transports without per-element encoding. Each collective is defined once
+//! and offered in three forms — blocking, nonblocking `i*`, persistent
+//! `*_init` — that bind the same cached plan.
 //!
 //! ## Architecture
 //!
 //! * [`runtime`] — the [`runtime::Universe`] spawns one OS thread per MPI rank,
 //!   assigns ranks to simulated hosts, builds the selected transport and hands
 //!   each rank its world [`comm::Comm`].
-//! * [`comm`] — the communicator layer: rank translation, context-id
-//!   allocation, request completion, typed collectives, per-communicator
-//!   collective counters (surfaced in [`runtime::RankReport`]).
+//! * [`comm`] — the communicator layer, one file per concern: the handle,
+//!   rank translation and context-id allocation (`comm/mod.rs`), two-sided
+//!   communication and request completion (`p2p.rs`), the typed collectives
+//!   and their per-communicator counters (`collectives.rs`), ULFM-style
+//!   recovery (`ft.rs`) and the RMA window API (`rma.rs`).
 //! * [`group`] — ordered rank subsets with world↔local translation.
 //! * [`transport`] — the [`transport::Transport`] trait and its two
 //!   implementations: [`transport::cxl::CxlTransport`] (message-queue matrix,

@@ -132,13 +132,12 @@ impl PlanKey {
         op: PlanOp,
         root: Option<Rank>,
         count: usize,
-        elem_bytes: usize,
         red: ReduceOp,
     ) -> Self {
         PlanKey {
             op,
             root,
-            bytes: count * elem_bytes,
+            bytes: count * std::mem::size_of::<T>(),
             count,
             elem: Some(TypeId::of::<T>()),
             red: Some(red),
@@ -281,9 +280,9 @@ mod tests {
         let k1 = PlanKey::rooted(PlanOp::Bcast, 0, 64);
         let k2 = PlanKey::rooted(PlanOp::Bcast, 1, 64); // different root
         let k3 = PlanKey::rooted(PlanOp::Bcast, 0, 128); // different size
-        let k4 = PlanKey::reduction::<u64>(PlanOp::Allreduce, None, 8, 8, ReduceOp::Sum);
-        let k5 = PlanKey::reduction::<f64>(PlanOp::Allreduce, None, 8, 8, ReduceOp::Sum); // type
-        let k6 = PlanKey::reduction::<u64>(PlanOp::Allreduce, None, 8, 8, ReduceOp::Max); // op
+        let k4 = PlanKey::reduction::<u64>(PlanOp::Allreduce, None, 8, ReduceOp::Sum);
+        let k5 = PlanKey::reduction::<f64>(PlanOp::Allreduce, None, 8, ReduceOp::Sum); // type
+        let k6 = PlanKey::reduction::<u64>(PlanOp::Allreduce, None, 8, ReduceOp::Max); // op
         let k7 = PlanKey::irregular(PlanOp::Alltoallv, vec![1, 2, 0, 2, 1, 0], 8);
         let k8 = PlanKey::irregular(PlanOp::Alltoallv, vec![1, 2, 0, 2, 0, 1], 8); // counts
         let k9 = PlanKey::irregular(PlanOp::Alltoallv, vec![1, 2, 0, 2, 1, 0], 4); // elem size

@@ -24,10 +24,11 @@
 //!
 //! An execution can be driven two ways:
 //!
-//! * **to completion** ([`Execution::run`]) — the blocking collective API is
-//!   bind-plan-then-run, so blocking, nonblocking and persistent collectives
-//!   execute byte-identical plans and cannot diverge;
-//! * **incrementally** ([`Execution::progress`]) — each call executes ops
+//! * **to completion** — the blocking collective API binds the plan over the
+//!   caller's buffer and loops on [`Execution::progress`] until it is done,
+//!   so blocking, nonblocking and persistent collectives execute
+//!   byte-identical plans and cannot diverge;
+//! * **incrementally** — each [`Execution::progress`] call executes ops
 //!   until one cannot complete (a `SchedOp::Recv` whose message has not
 //!   arrived, probed through the transports' non-blocking `try_recv_into`
 //!   path) and then returns. This is what `Comm::test`/`Comm::wait` (and the
@@ -58,6 +59,7 @@ use cmpi_fabric::SimClock;
 
 use crate::coll::bind_coll_tag;
 use crate::error::MpiError;
+use crate::plan::PlanOp;
 use crate::transport::{DpReaders, DpSource, Transport};
 use crate::types::{CtxId, Rank, ReduceOp, Status, Tag, COLL_TAG_BASE};
 use crate::Result;
@@ -236,6 +238,11 @@ pub struct StepOutcome {
 #[derive(Debug)]
 pub struct CollPlan {
     pub(crate) ops: Vec<SchedOp>,
+    /// Which collective the plan implements, for the per-communicator
+    /// counters. The builders share op emitters across collectives (a naive
+    /// reduce-scatter runs allreduce rounds), so the communicator's plan
+    /// lookup names it ([`CollPlan::for_op`]).
+    pub(crate) op: PlanOp,
     /// Context id the collective runs under.
     ctx: CtxId,
     /// Reduction applied by `Fold` ops, if any.
@@ -287,6 +294,8 @@ impl CollPlan {
         });
         CollPlan {
             ops,
+            // Until the communicator's plan lookup names it (`for_op`).
+            op: PlanOp::Barrier,
             ctx,
             fold,
             result_loc,
@@ -304,6 +313,28 @@ impl CollPlan {
     pub(crate) fn with_pairs_hint(mut self, pairs: usize) -> Self {
         self.pairs_hint = Some(pairs);
         self
+    }
+
+    /// Name the collective the plan implements (see [`CollPlan::op`]).
+    pub(crate) fn for_op(mut self, op: PlanOp) -> Self {
+        self.op = op;
+        self
+    }
+
+    /// A zeroed primary buffer for an owned (nonblocking or persistent)
+    /// start, with this rank's contribution in place: it covers the
+    /// contribution region and, when the result lands in the primary arena,
+    /// the result region. A role that reads less than the caller passes (a
+    /// broadcast's non-root reads nothing) takes the prefix it reads.
+    pub(crate) fn image(&self, contribution: &[u8]) -> Vec<u8> {
+        let (lo, hi) = self.input_range;
+        let len = match self.result_loc {
+            Loc::Buf => hi.max(self.result_range.1),
+            Loc::Scratch => hi,
+        };
+        let mut buf = vec![0u8; len];
+        buf[lo..hi].copy_from_slice(&contribution[..hi - lo]);
+        buf
     }
 
     /// Context id the plan's traffic runs under.
@@ -414,7 +445,7 @@ impl Execution {
     }
 
     /// The plan this execution runs.
-    pub fn plan(&self) -> &CollPlan {
+    pub fn plan(&self) -> &Arc<CollPlan> {
         &self.plan
     }
 
@@ -438,10 +469,9 @@ impl Execution {
         self.pos >= self.plan.ops.len()
     }
 
-    /// Execute ops in order until one cannot complete, the execution
-    /// finishes, or `budget` ops have run (`budget == 0` means unlimited).
-    /// Returns whether the execution completed and how many ops this call
-    /// executed.
+    /// Execute ops in order until one cannot complete or the execution
+    /// finishes. Returns whether the execution completed and how many ops
+    /// this call executed.
     ///
     /// Nothing in here blocks on a peer: `Recv` ops probe via the
     /// transports' non-blocking `try_recv_into`, and `Send` ops advance via
@@ -456,16 +486,15 @@ impl Execution {
         t: &mut dyn Transport,
         clock: &mut SimClock,
         buf: &mut [u8],
-        budget: usize,
     ) -> Result<StepOutcome> {
         // Plans with a better crowd estimate than the transport's standing
         // hint (hierarchical composites) scope it to their own execution.
         match self.plan.pairs_hint {
-            None => self.progress_inner(t, clock, buf, budget),
+            None => self.progress_inner(t, clock, buf),
             Some(pairs) => {
                 let saved = t.concurrency_hint();
                 t.set_concurrency_hint(pairs);
-                let out = self.progress_inner(t, clock, buf, budget);
+                let out = self.progress_inner(t, clock, buf);
                 t.set_concurrency_hint(saved);
                 out
             }
@@ -477,16 +506,11 @@ impl Execution {
         t: &mut dyn Transport,
         clock: &mut SimClock,
         buf: &mut [u8],
-        budget: usize,
     ) -> Result<StepOutcome> {
-        let budget = if budget == 0 { usize::MAX } else { budget };
         let plan = Arc::clone(&self.plan);
         let ctx = plan.ctx;
         let mut completed = 0usize;
-        while completed < budget {
-            let Some(op) = plan.ops.get(self.pos) else {
-                break;
-            };
+        while let Some(op) = plan.ops.get(self.pos) {
             match *op {
                 SchedOp::Send {
                     peer,
@@ -691,29 +715,6 @@ impl Execution {
         })
     }
 
-    /// Drive the execution to completion with tiered backoff between pending
-    /// probes — the blocking execution mode backing the blocking collective
-    /// API. Aborts with [`MpiError::PeerDead`] if the universe is poisoned.
-    pub fn run(
-        &mut self,
-        t: &mut dyn Transport,
-        clock: &mut SimClock,
-        buf: &mut [u8],
-    ) -> Result<()> {
-        let poison = t.poison().clone();
-        let mut backoff = crate::spin::SpinWait::new();
-        loop {
-            let step = self.progress(t, clock, buf, 0)?;
-            if step.done {
-                return Ok(());
-            }
-            if step.ops > 0 {
-                backoff.reset();
-            }
-            backoff.wait(&poison)?;
-        }
-    }
-
     /// Execute a plan that consists solely of `Send` ops reading from the
     /// primary arena, against an *immutable* buffer. Used by blocking
     /// collectives on their pure-sender roles (gather non-root, scatter root),
@@ -832,13 +833,8 @@ impl CollState {
     }
 
     /// One incremental progress attempt (see [`Execution::progress`]).
-    pub fn progress(
-        &mut self,
-        t: &mut dyn Transport,
-        clock: &mut SimClock,
-        budget: usize,
-    ) -> Result<StepOutcome> {
-        self.exec.progress(t, clock, &mut self.buf, budget)
+    pub fn progress(&mut self, t: &mut dyn Transport, clock: &mut SimClock) -> Result<StepOutcome> {
+        self.exec.progress(t, clock, &mut self.buf)
     }
 
     /// Completion status of a finished execution (without consuming the

@@ -84,9 +84,9 @@ pub struct Request {
     /// background progress engine (Thread mode). Persistent requests keep it
     /// across completions.
     pub(crate) coll: Option<Arc<OpCell>>,
-    /// Start-time accounting of a persistent collective (`Some` marks the
-    /// request as persistent).
-    pub(crate) persistent: Option<PersistentMeta>,
+    /// `Some` marks a persistent collective: the payload bytes this rank
+    /// contributes, accounted at every start.
+    pub(crate) persistent: Option<u64>,
     status: Option<Status>,
     data: Option<Vec<u8>>,
 }
@@ -106,18 +106,6 @@ pub(crate) enum Contention {
     /// it must look at the concrete message ([`Request::earlier_claims`])
     /// before taking it.
     Overlapping,
-}
-
-/// What `Comm::start` must account each time a persistent request starts.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PersistentMeta {
-    /// The collective operation (for the per-communicator counters).
-    pub op: crate::comm::CollOp,
-    /// Payload bytes this rank contributes per start.
-    pub payload_bytes: u64,
-    /// The plan reads data-plane exposures: every start announces itself to
-    /// the transport.
-    pub reads_data_plane: bool,
 }
 
 impl Request {
@@ -179,29 +167,13 @@ impl Request {
         }
     }
 
-    /// A pending nonblocking collective on communicator `ctx`: `state` holds
-    /// the compiled schedule and its owned buffers; `wait`/`test`-family
-    /// calls on the owning communicator advance it via the progress engine.
-    pub fn coll_pending(ctx: CtxId, state: CollState) -> Self {
-        Request {
-            state: RequestState::RecvPending,
-            ctx,
-            src: None,
-            tag: None,
-            post_seq: 0,
-            buffer: None,
-            coll: Some(OpCell::new(ctx, state)),
-            persistent: None,
-            status: None,
-            data: None,
-        }
-    }
-
-    /// An **inactive persistent** collective on communicator `ctx` (the
-    /// `MPI_Bcast_init`-family result): `state` holds the cached plan bound
-    /// to an idle execution plus the owned buffers; `Comm::start` activates
-    /// it, and completion leaves it restartable instead of consuming it.
-    pub(crate) fn coll_persistent(ctx: CtxId, state: CollState, meta: PersistentMeta) -> Self {
+    /// An **inactive** collective on communicator `ctx`: `state` holds the
+    /// cached plan bound to an idle execution plus the owned buffers, and
+    /// [`Request::activate`] starts it. With `persistent` (the
+    /// `MPI_Bcast_init`-family result; see the field) completion leaves it
+    /// restartable; without, it is a nonblocking collective the communicator
+    /// activates at once and completion consumes.
+    pub(crate) fn coll_inactive(ctx: CtxId, state: CollState, persistent: Option<u64>) -> Self {
         Request {
             state: RequestState::Inactive,
             ctx,
@@ -210,7 +182,7 @@ impl Request {
             post_seq: 0,
             buffer: None,
             coll: Some(OpCell::new(ctx, state)),
-            persistent: Some(meta),
+            persistent,
             status: None,
             data: None,
         }
@@ -286,19 +258,18 @@ impl Request {
     /// p2p requests or after completion; persistent requests keep it for
     /// life).
     pub fn coll_algorithm(&self) -> Option<&'static str> {
-        self.coll.as_ref().map(|c| c.algorithm())
+        self.coll.as_ref().map(|c| c.plan().label)
     }
 
-    /// Activate (or re-activate) a persistent request under a fresh
-    /// collective sequence number (comm-internal; [`crate::comm::Comm::start`]
-    /// is the public entry).
+    /// Activate a collective request — a fresh one, or a completed
+    /// persistent one again — under a fresh collective sequence number
+    /// (comm-internal; [`crate::comm::Comm::start`] is the public entry).
     pub(crate) fn activate(&mut self, seq: u32) {
-        debug_assert!(self.persistent.is_some());
-        let cell = self.coll.as_ref().expect("persistent request has state");
+        let cell = self.coll.as_ref().expect("collective request has state");
         let mut slot = cell.lock();
         slot.state
             .as_mut()
-            .expect("persistent state survives completion")
+            .expect("an activatable request keeps its state")
             .exec
             .restart(seq);
         cell.rearm(&mut slot);

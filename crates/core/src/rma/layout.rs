@@ -1,12 +1,10 @@
 //! On-device layout of an RMA window object.
 
-use serde::{Deserialize, Serialize};
-
 use crate::barrier::{SeqBarrier, BARRIER_SLOT_STRIDE};
 use crate::types::Rank;
 
 /// Byte layout of one window object shared by `ranks` ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowLayout {
     /// Number of ranks sharing the window.
     pub ranks: usize,

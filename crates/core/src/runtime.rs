@@ -730,51 +730,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn legacy_byte_collective_shims_still_work() {
-        let config = UniverseConfig::cxl_small(4);
-        Universe::run(config, |comm| {
-            let n = comm.size();
-            let me = comm.rank();
-            // Byte bcast grows non-root buffers (the legacy semantics).
-            let mut data = if me == 1 { vec![42u8; 64] } else { Vec::new() };
-            comm.bcast(1, &mut data)?;
-            assert_eq!(data, vec![42u8; 64]);
-            // Variable-length gather / allgather / scatter.
-            let gathered = comm.gather(2, &vec![me as u8; me + 1])?;
-            if me == 2 {
-                let g = gathered.unwrap();
-                for (r, buf) in g.iter().enumerate() {
-                    assert_eq!(*buf, vec![r as u8; r + 1]);
-                }
-            }
-            let all = comm.allgather(&[me as u8])?;
-            for (r, buf) in all.iter().enumerate() {
-                assert_eq!(*buf, vec![r as u8]);
-            }
-            let chunks: Option<Vec<Vec<u8>>> = if me == 0 {
-                Some((0..n).map(|r| vec![r as u8; 2]).collect())
-            } else {
-                None
-            };
-            let mine = comm.scatter(0, chunks.as_deref())?;
-            assert_eq!(mine, vec![me as u8; 2]);
-            // The _f64 reduction shims.
-            let mut values = vec![me as f64];
-            comm.allreduce_f64(&mut values, ReduceOp::Sum)?;
-            assert_eq!(values[0], (0..n).map(|r| r as f64).sum::<f64>());
-            let reduced = comm.reduce_f64(0, &[me as f64 + 1.0], ReduceOp::Max)?;
-            if me == 0 {
-                assert_eq!(reduced.unwrap(), vec![n as f64]);
-            }
-            let rs = comm.reduce_scatter_f64(&vec![1.0; n], ReduceOp::Sum)?;
-            assert_eq!(rs, vec![n as f64]);
-            Ok(())
-        })
-        .unwrap();
-    }
-
-    #[test]
     fn one_sided_pscw_put_get() {
         for config in configs(2) {
             let label = config.transport.label();

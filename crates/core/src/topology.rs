@@ -7,14 +7,12 @@
 //! [`cxl_shm::HostCache`]), while ranks on different hosts only share the CXL
 //! memory and must use software coherence.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MpiError;
 use crate::types::Rank;
 use crate::Result;
 
 /// Mapping from ranks to hosts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostTopology {
     host_of: Vec<usize>,
     hosts: usize,

@@ -30,7 +30,7 @@ use cmpi_fabric::clock::{transfer_ns, SimNs};
 use cmpi_fabric::cost::CoherenceMode;
 use cmpi_fabric::{CxlContentionModel, CxlCostModel, SimClock};
 use cxl_shm::slots::{SLOT_CELL_DATA_OFF, SLOT_CELL_TS_OFF};
-use cxl_shm::{CxlShmArena, ShmObject, SlotLayout};
+use cxl_shm::{CxlShmArena, ShmObject, SlotLayout, CACHE_LINE_SIZE};
 
 use crate::barrier::SeqBarrier;
 use crate::config::{ConnMode, CxlShmTransportConfig};
@@ -2050,7 +2050,21 @@ impl Transport for CxlTransport {
         let state = self.window(win)?;
         Self::check_window_access(state, offset, data.len())?;
         let addr = state.layout.data_offset(target) + offset as u64;
-        state.obj.write_flush_at(addr, data)?;
+        // Only whole cache lines go through the cached write + flush. A cached
+        // write of part of a line fills the rest from the device, and the
+        // whole-line flush then writes this host's stale copy of those bytes
+        // back over what another host put there in the same epoch; the bytes
+        // of a partial head or tail line bypass the cache instead.
+        let to_line = addr.next_multiple_of(CACHE_LINE_SIZE as u64) - addr;
+        let (head, rest) = data.split_at(data.len().min(to_line as usize));
+        let (body, tail) = rest.split_at(rest.len() / CACHE_LINE_SIZE * CACHE_LINE_SIZE);
+        state.obj.nt_store_at(addr, head)?;
+        if !body.is_empty() {
+            state.obj.write_flush_at(addr + head.len() as u64, body)?;
+        }
+        state
+            .obj
+            .nt_store_at(addr + (head.len() + body.len()) as u64, tail)?;
         self.charge_rma(clock, data.len(), true);
         TransportCounters::bump(&self.stats.puts, 1);
         TransportCounters::bump(&self.stats.rma_bytes_written, data.len() as u64);

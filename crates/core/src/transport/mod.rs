@@ -21,7 +21,6 @@ use cmpi_fabric::clock::{transfer_ns, SimNs};
 use cmpi_fabric::cost::CoherenceMode;
 use cmpi_fabric::{CxlContentionModel, CxlCostModel, SimClock};
 use cxl_shm::slots::SLOT_CELL_INLINE;
-use serde::{Deserialize, Serialize};
 
 use crate::config::FaultTrigger;
 use crate::error::MpiError;
@@ -128,7 +127,7 @@ impl FaultInjector {
 }
 
 /// Operation counters maintained by every transport.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TransportStats {
     /// Two-sided messages sent.
     pub msgs_sent: u64,
@@ -375,7 +374,7 @@ pub struct DpSource {
 /// [`crate::runtime::RankReport::data_plane`]. The transport maintains the
 /// window and per-op counters; the communicator layer adds the per-path
 /// collective split (how many collectives ran single-copy vs ring).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DataPlaneStats {
     /// Exposure windows created (once per communicator, amortized over every
     /// collective start on it).

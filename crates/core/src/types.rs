@@ -1,8 +1,6 @@
 //! Fundamental MPI-like types: ranks, tags, context ids, status, reduction
 //! operators.
 
-use serde::{Deserialize, Serialize};
-
 use crate::pod::Pod;
 
 /// Rank index within a communicator (the paper uses "MPI process" and "rank"
@@ -41,7 +39,7 @@ pub const COLL_TAG_BASE: Tag = 0x4000_0000;
 /// Completion information returned by receive and wait operations
 /// (the equivalent of `MPI_Status`). The `source` is expressed in the ranks of
 /// the communicator the operation ran on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Status {
     /// Rank the message came from.
     pub source: Rank,
@@ -59,7 +57,7 @@ impl Status {
 }
 
 /// Reduction operators supported by the collectives and `accumulate`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceOp {
     /// Element-wise sum.
     Sum,

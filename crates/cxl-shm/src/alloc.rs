@@ -19,8 +19,6 @@
 //! (`create`/`destroy`); callers using the allocator directly must provide
 //! equivalent mutual exclusion.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CACHE_LINE_SIZE;
 use crate::coherence::CxlView;
 use crate::error::ShmError;
@@ -33,7 +31,7 @@ const STATE_NFREE: usize = 8;
 const STATE_EXTENTS: usize = 16;
 
 /// Summary of allocator occupancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocStats {
     /// Bytes handed out and not yet freed.
     pub used_bytes: u64,

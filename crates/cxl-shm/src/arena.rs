@@ -26,8 +26,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::alloc::{AllocStats, ShmAllocator};
 use crate::coherence::{CxlView, FenceKind};
 use crate::error::ShmError;
@@ -36,7 +34,7 @@ use crate::multilevel_hash::{HashConfig, MultiLevelHash, ObjectMeta};
 use crate::Result;
 
 /// Arena configuration: hash shape and free-list capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaConfig {
     /// Multi-level hash configuration for the metadata region.
     pub hash: HashConfig,

@@ -15,8 +15,6 @@
 //! page (4 KiB) aligned and every metadata slot is cache-line aligned, which
 //! keeps flushes cheap and allows non-temporal accesses to individual fields.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ShmError;
 use crate::multilevel_hash::{HashConfig, SLOT_SIZE};
 use crate::Result;
@@ -68,7 +66,7 @@ fn align_up(value: usize, align: usize) -> usize {
 }
 
 /// Fully resolved arena layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaLayout {
     /// Total device size in bytes.
     pub device_size: usize,

@@ -18,8 +18,6 @@
 //! (`write_flush` / `read_coherent`) so that a slot created by one host is
 //! observable by every other host.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coherence::CxlView;
 use crate::error::ShmError;
 use crate::Result;
@@ -41,7 +39,7 @@ const SLOT_OFFSET: usize = 80;
 const SLOT_OBJ_SIZE: usize = 88;
 
 /// Metadata describing one shared-memory object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectMeta {
     /// Object name (hash key).
     pub name: String,
@@ -54,7 +52,7 @@ pub struct ObjectMeta {
 /// Configuration of the multi-level hash: number of levels and the slot count
 /// cap of the first level. Each level's actual size is the largest prime not
 /// exceeding the previous level's size (strictly decreasing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashConfig {
     /// Number of levels (≥ 1).
     pub levels: usize,

@@ -9,13 +9,11 @@
 //! threads, and yields end-to-end latencies that respect the happens-before
 //! edges of the protocol.
 
-use serde::{Deserialize, Serialize};
-
 /// Simulated time in nanoseconds.
 pub type SimNs = f64;
 
 /// A per-rank virtual clock.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimClock {
     now: SimNs,
 }

@@ -16,13 +16,11 @@
 //! 3. A load factor for two-sided traffic, whose send+receive copies double
 //!    the pressure on the platform (Section 4.2: two-sided peak ≈30% lower).
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::{transfer_ns, SimNs};
 use crate::params;
 
 /// Contention model parameters (all tunable; defaults from [`params`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CxlContentionModel {
     /// Aggregate device bandwidth for one-sided traffic at the knee, GB/s.
     pub device_peak_gbps: f64,

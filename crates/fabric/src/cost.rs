@@ -7,13 +7,11 @@
 //! small-message latency, the 160/55 µs TCP MPI latencies) then emerge from the
 //! composition performed by the MPI transports.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::{transfer_ns, SimNs};
 use crate::params;
 
 /// Coherence mode for CXL SHM accesses (Section 3.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoherenceMode {
     /// Write-back cacheable mapping, no software coherence (only safe for data
     /// private to one host).
@@ -40,7 +38,7 @@ impl CoherenceMode {
 }
 
 /// Cost model for CPU-mediated access to the CXL shared memory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CxlCostModel {
     /// Base latency of an 8-byte cached access to CXL memory, ns.
     pub cached_access_ns: f64,
@@ -244,7 +242,7 @@ impl CxlCostModel {
 }
 
 /// Which NIC the TCP baseline runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TcpNic {
     /// Standard Ethernet NIC ("TCP over Ethernet").
     StandardEthernet,
@@ -253,7 +251,7 @@ pub enum TcpNic {
 }
 
 /// Cost model for the TCP baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpCostModel {
     /// Which NIC this models.
     pub nic: TcpNic,

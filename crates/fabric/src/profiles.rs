@@ -1,12 +1,10 @@
 //! The eight interconnect cases compared in Section 2.2 (Table 1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::params;
 
 /// Identifier for each interconnect/protocol combination evaluated by the
 /// paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterconnectKind {
     /// Case 1: CPU-attached main memory (intra-node reference point).
     MainMemory,
@@ -43,7 +41,7 @@ impl InterconnectKind {
 }
 
 /// Latency/bandwidth profile of one interconnect (the Table 1 row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterconnectProfile {
     /// Which case this is.
     pub kind: InterconnectKind,

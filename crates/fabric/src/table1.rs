@@ -7,13 +7,11 @@
 //! from the anchor constants, so the test below double-checks that the
 //! mechanistic model actually lands on the anchored values.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::{CoherenceMode, CxlCostModel};
 use crate::profiles::{InterconnectKind, InterconnectProfile};
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Interconnect case.
     pub kind: InterconnectKind,

@@ -17,11 +17,9 @@
 //! a core dependency. All arithmetic is `u128` so the flat side can be
 //! evaluated well past the point where it stops being allocatable.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-object device byte costs of the connection state, matching what the
 /// transport's sizing paths charge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnCosts {
     /// Raw bytes of one SPSC ring queue (control block + cells).
     pub queue_bytes: u128,
@@ -37,7 +35,7 @@ pub struct ConnCosts {
 
 /// One analytic point: connection-object counts and pool bytes for both
 /// formatting disciplines at a given world size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnScalingPoint {
     /// World size.
     pub ranks: u128,

@@ -5,12 +5,10 @@
 //! not from raw NIC numbers: these are the values an application actually
 //! observes through the MPI library.
 
-use serde::{Deserialize, Serialize};
-
 use cmpi_fabric::params;
 
 /// Which transport the cluster uses for inter-node communication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransportClass {
     /// cMPI over CXL memory sharing.
     CxlShm,
@@ -41,7 +39,7 @@ impl TransportClass {
 }
 
 /// Network parameters used by the fluid simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkParams {
     /// Inter-node small-message MPI latency, nanoseconds.
     pub inter_latency_ns: f64,

@@ -1,13 +1,11 @@
 //! The strong-scaling study driver (Figure 10).
 
-use serde::{Deserialize, Serialize};
-
 use crate::apps::ProxyApp;
 use crate::network::{NetworkParams, TransportClass};
 use crate::sim::{SimOutcome, Simulator};
 
 /// One data point of the scaling study: application × transport × node count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingPoint {
     /// Application name.
     pub app: String,

@@ -1,11 +1,9 @@
 //! The superstep simulator with fluid NIC-bandwidth sharing.
 
-use serde::{Deserialize, Serialize};
-
 use crate::network::NetworkParams;
 
 /// One point-to-point message of a superstep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
     /// Sending rank.
     pub src: usize,
@@ -16,7 +14,7 @@ pub struct Message {
 }
 
 /// One superstep: per-rank compute followed by a message exchange.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Superstep {
     /// Compute time per rank, nanoseconds (identical on every rank; the app
     /// proxies model load imbalance by inflating this value).
@@ -66,7 +64,7 @@ impl Superstep {
 }
 
 /// Result of simulating an application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOutcome {
     /// Total simulated execution time, seconds.
     pub total_s: f64,

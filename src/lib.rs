@@ -13,7 +13,7 @@
 //!   proxies.
 //! * [`omb`] — OSU-Micro-Benchmark-style workload kernels.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the full system inventory.
+//! See `README.md` for a quickstart and the full system inventory.
 
 pub use cmpi_core as mpi;
 pub use cmpi_fabric as fabric;

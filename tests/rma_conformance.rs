@@ -7,7 +7,7 @@
 //! `InvalidCommunicator` rejection).
 
 use cmpi::mpi::pod::{bytes_to_f64, f64_to_bytes};
-use cmpi::mpi::{Comm, MpiError, ReduceOp, Universe};
+use cmpi::mpi::{Comm, MpiError, ReduceOp, Universe, UniverseConfig};
 
 mod common;
 use common::configs;
@@ -52,6 +52,41 @@ fn fence_epochs_order_puts_gets_and_local_access() {
         })
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     }
+}
+
+#[test]
+fn adjacent_sub_line_puts_from_two_hosts_all_land() {
+    // Four ranks on two hosts each put one 8-byte word into the same cache
+    // line of rank 0's window inside one fence epoch. A put that went through
+    // a cached write + whole-line flush would write its host's stale copy of
+    // the neighbouring words back over what the other host had just put.
+    // Always two hosts, whatever `CMPI_HOSTS` says: one host has one cache.
+    let config = UniverseConfig::cxl_small(4).with_hosts(2);
+    Universe::run(config, |comm: &mut Comm| {
+        let n = comm.size();
+        let me = comm.rank();
+        let win = comm.win_allocate(64)?;
+        comm.win_fence(win)?;
+        for epoch in 0..256u64 {
+            let word = |r: usize| (epoch << 8 | r as u64).to_le_bytes();
+            comm.put(win, 0, 8 * me, &word(me))?;
+            comm.win_fence(win)?;
+            if me == 0 {
+                let mut line = [0u8; 64];
+                comm.win_read_local(win, 0, &mut line)?;
+                for r in 0..n {
+                    assert_eq!(
+                        line[8 * r..8 * r + 8],
+                        word(r),
+                        "epoch {epoch}: rank {r}'s word was overwritten"
+                    );
+                }
+            }
+            comm.win_fence(win)?;
+        }
+        comm.win_free(win)
+    })
+    .unwrap();
 }
 
 #[test]
