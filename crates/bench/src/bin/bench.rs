@@ -8,9 +8,8 @@
 //! (schema v10) for the perf trajectory (`BENCH_*.json` files are diffed
 //! PR-over-PR). The `rendezvous` section streams the same 128 KiB – 4 MiB
 //! messages between two ranks chunked through cells (`ConnMode::Eager`, the
-//! paper's protocol) and as a request-to-send plus lane stream (the lazy
-//! default, pair promoted and lane created before the clock starts), in
-//! virtual GB/s and wall MiB/s. The `hierarchy` section records, per
+//! paper's protocol) and through a promoted pair's stream (the lazy default,
+//! pair promoted before the clock starts), in virtual GB/s and wall MiB/s. The `hierarchy` section records, per
 //! (op, layout, size), the
 //! same collective with the two-level composition forced off and forced on,
 //! plus the speedup — the acceptance surface for the topology-aware
@@ -91,7 +90,7 @@ struct RendezvousRow {
     size: usize,
     bandwidth_gbps: f64,
     wall_bandwidth_mib_s: f64,
-    /// Messages the sender put through the lane (0 proves the chunked path).
+    /// Multi-segment messages the sender streamed (0 proves the chunked path).
     rdv_msgs: u64,
 }
 
@@ -409,6 +408,8 @@ fn scaling_rows(points: &[(usize, usize)], size: usize) -> Vec<ScalingRow> {
         eprintln!("scaling sweep n={ranks} hosts={hosts} ...");
         // Sizing at default geometry, cross-checked against the analytic model.
         let costs = ConnCosts {
+            // A stream of the lazy table takes exactly a ring's bytes at the
+            // default 8 cells, so one figure serves both disciplines.
             queue_bytes: default_geometry.queue_bytes() as u128,
             obj_slack: OBJ_SLACK as u128,
             doorbell_bytes: (Doorbell::required_bytes(ranks, default_config.doorbell_stride)
@@ -516,10 +517,9 @@ fn p2p_latency(config: UniverseConfig, size: usize, iters: usize) -> f64 {
 
 /// Streaming bandwidth: rank 0 sends `iters` messages of `size` bytes, rank 1
 /// receives into a preallocated buffer. Returns (virtual GB/s, wall MiB/s)
-/// measured at the receiver, and the sender's rendezvous message count. The
+/// measured at the receiver, and the sender's streamed-message count. The
 /// clock starts after `warmup` untimed, individually acknowledged messages of
-/// the same size (past the promotion threshold they promote a lazy pair and
-/// create its lane).
+/// the same size (past the promotion threshold they promote a lazy pair).
 fn streamed_bandwidth(
     config: UniverseConfig,
     size: usize,
@@ -976,7 +976,7 @@ fn main() {
         });
     }
 
-    // Chunked cells vs request-to-send + lane on the same streamed transfer.
+    // Chunked cells vs a promoted pair's stream on the same one-way transfer.
     let rdv_sizes: Vec<usize> = if smoke() {
         vec![128 * 1024]
     } else {
@@ -989,7 +989,7 @@ fn main() {
                 "eager-chunked",
                 UniverseConfig::cxl(2).with_conn_mode(ConnMode::Eager),
             ),
-            ("lazy-lane", UniverseConfig::cxl(2)),
+            ("lazy-stream", UniverseConfig::cxl(2)),
         ] {
             eprintln!("rendezvous {path} {size} B ...");
             let iters = (bw_iters * bw_size / size).clamp(4, 64);

@@ -1,14 +1,14 @@
 //! Figure 7: bandwidth of two-sided MPI communication (send/recv, 64 KB
 //! message cells), three transports × {2..32} processes × 1 B–4 MB messages.
 //!
-//! The CXL-SHM panel pins `ConnMode::Eager`: the paper's protocol chunks
-//! every message through 64 KB cells of the full queue matrix, and that is
-//! the curve Figure 7 reports. A fourth panel shows what this repository's
-//! default does instead — lazy connections, and messages above one cell sent
-//! as a request-to-send plus a lane stream.
+//! The CXL-SHM panel runs on [`cmpi_bench::paper_panel`]'s `ConnMode::Eager` oracle: the
+//! paper's protocol chunks every message through 64 KB cells of the full
+//! queue matrix, and that is the curve Figure 7 reports. A fourth panel shows
+//! what this repository's default does instead — lazy connections, every
+//! message of a promoted pair through its stamped stream.
 
-use cmpi_bench::{print_panel, sweep_processes, sweep_sizes, transports};
-use cmpi_core::{ConnMode, UniverseConfig};
+use cmpi_bench::{paper_panel, print_panel, sweep_processes, sweep_sizes, transports};
+use cmpi_core::UniverseConfig;
 use cmpi_omb::two_sided_bandwidth;
 
 fn panel(label: &str, config_for: impl Fn(usize) -> UniverseConfig) {
@@ -28,16 +28,10 @@ fn panel(label: &str, config_for: impl Fn(usize) -> UniverseConfig) {
 fn main() {
     println!("Figure 7: Bandwidth of two-sided MPI communication (aggregate MB/s)\n");
     for (label, _) in transports(2) {
-        panel(label, |p| {
-            let (_, config) = transports(p)
-                .into_iter()
-                .find(|(l, _)| *l == label)
-                .expect("label comes from the same list");
-            config.with_conn_mode(ConnMode::Eager)
-        });
+        panel(label, |p| paper_panel(label, p));
     }
     panel(
-        "CXL-SHM, lazy + rendezvous (not in the paper)",
+        "CXL-SHM, lazy + streams (not in the paper)",
         UniverseConfig::cxl,
     );
 }

@@ -1,13 +1,13 @@
 //! Figure 9: bandwidth of two-sided communication over CXL SHM with various
 //! message-cell sizes (16/32/64/128 KB) and 16/32 processes (Section 4.3).
 //!
-//! Pinned to `ConnMode::Eager`, the paper's chunked-cell protocol: the
-//! cell-size effect the figure studies only exists where every message is
-//! chunked through cells (the lazy default streams anything above one cell
-//! through a lane, where the cell size only sets the segment size).
+//! Runs on [`cmpi_bench::paper_cxl`] (`ConnMode::Eager`), the paper's chunked-cell
+//! protocol: the cell-size effect the figure studies only exists where every
+//! message is chunked through cells (on the lazy default's streams the cell
+//! size only sets the segment size).
 
-use cmpi_bench::{fig9_processes, print_panel, sweep_sizes};
-use cmpi_core::{ConnMode, CxlShmTransportConfig, TransportConfig, UniverseConfig};
+use cmpi_bench::{fig9_processes, paper_cxl, print_panel, sweep_sizes};
+use cmpi_core::TransportConfig;
 use cmpi_omb::two_sided_bandwidth;
 
 fn main() {
@@ -20,17 +20,10 @@ fn main() {
         for &size in &sizes {
             let mut values = Vec::new();
             for &p in &procs {
-                let config = UniverseConfig {
-                    ranks: p,
-                    hosts: 2,
-                    placement: Default::default(),
-                    transport: TransportConfig::CxlShm(
-                        CxlShmTransportConfig::with_cell_size(cell).with_conn_mode(ConnMode::Eager),
-                    ),
-                    coll: Default::default(),
-                    progress: Default::default(),
-                    faults: Vec::new(),
-                };
+                let mut config = paper_cxl(p);
+                if let TransportConfig::CxlShm(c) = &mut config.transport {
+                    c.cell_size = cell;
+                }
                 let point = two_sided_bandwidth(config, size).expect("benchmark run");
                 values.push(point.bandwidth_mbps);
             }

@@ -1,7 +1,12 @@
 //! The headline speedup ratios of the abstract and Section 4.2: cMPI vs TCP
 //! over Ethernet (up to 49× latency / 72× bandwidth) and vs TCP over the
 //! SmartNIC (up to 48× latency / 3.7× bandwidth for small messages).
+//!
+//! The CXL side is [`cmpi_bench::paper_cxl`] — the paper's protocol (`ConnMode::Eager`) —
+//! so the ratios are the reproduction's; one extra line gives the two-sided
+//! latency of this repository's default path for comparison.
 
+use cmpi_bench::paper_cxl;
 use cmpi_core::UniverseConfig;
 use cmpi_fabric::cost::TcpNic;
 use cmpi_omb::{
@@ -14,7 +19,7 @@ fn main() {
     let bw_size = 16 * 1024; // the paper's small-message bandwidth sweet spot
     let procs = 8usize;
 
-    let cxl = |ranks: usize| UniverseConfig::cxl(ranks);
+    let cxl = paper_cxl;
     let eth = |ranks: usize| UniverseConfig::tcp(ranks, TcpNic::StandardEthernet);
     let mlx = |ranks: usize| UniverseConfig::tcp(ranks, TcpNic::MellanoxCx6Dx);
 
@@ -38,6 +43,11 @@ fn main() {
         "  -> cMPI is {:.1}x faster than TCP/Ethernet, {:.1}x faster than TCP/Mellanox (paper: up to 13.7x / 9.6x)",
         eth_2s_lat / cxl_2s_lat,
         mlx_2s_lat / cxl_2s_lat
+    );
+    let lazy_8b = two_sided_latency(UniverseConfig::cxl(2), 8).unwrap();
+    println!(
+        "  beyond the paper: the library default (lazy connections, streams) takes {:.3} us at 8 B",
+        lazy_8b.latency_us
     );
 
     // Bandwidth ratios at the small-message sweet spot (16 KB).

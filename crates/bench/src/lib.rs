@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use cmpi_core::UniverseConfig;
+use cmpi_core::{ConnMode, UniverseConfig};
 use cmpi_fabric::cost::TcpNic;
 
 /// Message sizes to sweep (bytes). Reduced grid unless `CMPI_FULL=1`.
@@ -53,6 +53,29 @@ pub fn full_mode() -> bool {
     std::env::var("CMPI_FULL").is_ok_and(|v| v == "1")
 }
 
+/// Panel label of the CXL entry of [`transports`].
+pub const CXL_LABEL: &str = "CXL-SHM";
+
+/// cMPI as the paper built it: `UniverseConfig::cxl` pinned to
+/// `ConnMode::Eager`, the queue matrix of SPSC cell rings of Section 3.3.
+/// Everything that reproduces a two-sided number of the paper (Figures 7, 8
+/// and 9, the two-sided headline ratios) runs on this oracle, so the library's
+/// default path (lazy connections, a stamped stream per promoted pair) can
+/// move without the reproduction moving with it.
+pub fn paper_cxl(ranks: usize) -> UniverseConfig {
+    UniverseConfig::cxl(ranks).with_conn_mode(ConnMode::Eager)
+}
+
+/// The configuration of panel `label` of a two-sided figure at `ranks` ranks:
+/// the entry of [`transports`], with the CXL panel on [`paper_cxl`].
+pub fn paper_panel(label: &str, ranks: usize) -> UniverseConfig {
+    if label == CXL_LABEL {
+        return paper_cxl(ranks);
+    }
+    let found = transports(ranks).into_iter().find(|(l, _)| *l == label);
+    found.expect("label comes from `transports`").1
+}
+
 /// The three transports compared in Figures 5–8, in plotting order.
 pub fn transports(ranks: usize) -> Vec<(&'static str, UniverseConfig)> {
     vec![
@@ -60,7 +83,7 @@ pub fn transports(ranks: usize) -> Vec<(&'static str, UniverseConfig)> {
             "TCP over Ethernet",
             UniverseConfig::tcp(ranks, TcpNic::StandardEthernet),
         ),
-        ("CXL-SHM", UniverseConfig::cxl(ranks)),
+        (CXL_LABEL, UniverseConfig::cxl(ranks)),
         (
             "TCP over Mellanox (CX-6 Dx)",
             UniverseConfig::tcp(ranks, TcpNic::MellanoxCx6Dx),

@@ -1,4 +1,9 @@
-//! SPSC message-cell ring queues in CXL shared memory (Section 3.3).
+//! SPSC message-cell ring queues in CXL shared memory (Section 3.3): the ring
+//! of `ConnMode::Eager`, and the cell format ([`CellHeader`] + payload) that
+//! ring shares with the lazy mode's shared receive queue. A *promoted* lazy
+//! pair uses neither — it rides a `transport::conn::Stream` — so this module
+//! is the paper's two-sided protocol, kept whole as the oracle the default
+//! path is compared against.
 //!
 //! cMPI replaces the per-host MPSC/MPMC receive queue of traditional MPI
 //! shared-memory channels with a **matrix of single-producer single-consumer
@@ -66,14 +71,6 @@ pub struct CellHeader {
 }
 
 impl CellHeader {
-    /// Whether this cell is a rendezvous request-to-send: a header-only cell
-    /// announcing a message longer than one cell, whose payload follows
-    /// through the pair's lane instead of the ring. Recognised structurally —
-    /// a chunked message never carries an empty chunk unless it is empty.
-    pub fn is_rts(&self, cell_payload: usize) -> bool {
-        self.chunk_len == 0 && self.total_len > cell_payload as u64
-    }
-
     /// Bytes `36..40` of the encoding are reserved padding: `chunk_len` is a
     /// `u32` and `timestamp` is 8-byte aligned at offset 40. Kept explicit so
     /// nothing ever reads or writes them by accident.

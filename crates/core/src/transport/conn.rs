@@ -6,63 +6,65 @@
 //! the simulated universe well short of 1024 ranks. This module replaces the
 //! matrix with per-rank sparse state, established on first use:
 //!
-//! * a **doorbell** per receiver — a two-level atomic bitmap (summary word +
-//!   one word per group of 64 senders) that a sender rings after every chunk
-//!   it enqueues into a dedicated queue pair, so the receiver's poll visits
-//!   exactly the rings that have data (one non-temporal load when idle);
+//! * a **doorbell** per receiver — an atomic bitmap (one word per group of 64
+//!   senders, plus a summary word once there is more than one group) that a
+//!   sender rings once per message it puts on a promoted pair, so the
+//!   receiver's poll visits exactly the senders that have data (one
+//!   non-temporal load when idle);
 //! * a **shared receive queue** (SRQ) per receiver — a multi-producer ticket
-//!   ring carrying all traffic from peers that have not (yet) been promoted
-//!   to a dedicated queue pair, so a pair that exchanges two messages never
-//!   pays for a private ring;
-//! * **dedicated queue pairs** (the same SPSC cells as the eager matrix),
-//!   created by the sender once a pair crosses
+//!   ring of message cells ([`crate::queue::CellHeader`] + payload) carrying
+//!   all traffic from peers that have not (yet) been promoted, so a pair that
+//!   exchanges two messages never pays for a private object;
+//! * one **message stream** per promoted pair and direction ([`Stream`]),
+//!   created by the sender once the pair crosses
 //!   [`crate::config::CxlShmTransportConfig::promotion_threshold`] messages
 //!   and bounded per rank by
 //!   [`crate::config::CxlShmTransportConfig::qp_budget`] — per-rank transport
-//!   memory is O(active peers), never O(n);
-//! * a **rendezvous lane** per promoted pair and direction ([`Lane`]), created
-//!   by the sender on the pair's first message longer than one cell: the
-//!   message's header travels the queue pair as a request-to-send and its
-//!   payload streams through the lane's slots, so a large message costs one
-//!   ring cell instead of one per `cell_size` bytes.
+//!   memory is O(active peers), never O(n). Every message of the pair rides
+//!   it: the frame and a payload of at most [`STREAM_INLINE`] bytes in one flag
+//!   line, a payload up to one slot as one non-temporal stream plus the flag
+//!   line, anything longer as further frame-less segments. There are no
+//!   head/tail words: each flag line carries its own sequence stamp, and the
+//!   reader hands slots back through stamped done entries, half a lap at a
+//!   time.
 //!
 //! ### The atomics deviation
 //!
 //! The paper's platform has no cross-host atomic read-modify-writes, which is
-//! why the *data path* (queue pairs, barriers, RMA flags) uses only SPSC
-//! loads and stores. The doorbell bitmap and the SRQ ticket counter are the
-//! deliberate exception: they model the back-invalidate atomics of CXL 3.0
-//! devices (`cxl_shm::SharedSegment::fetch_or_u64` documents this), carry no
-//! payload bytes, and are the only multi-writer words in the system.
+//! why the *data path* (streams, the eager rings, barriers, RMA flags) uses
+//! only single-writer loads and stores. The doorbell bitmap and the SRQ ticket
+//! counter are the deliberate exception: they model the back-invalidate
+//! atomics of CXL 3.0 devices (`cxl_shm::SharedSegment::fetch_or_u64`
+//! documents this), carry no payload bytes, and are the only multi-writer
+//! words in the system.
 //!
 //! ### Ordering across promotion
 //!
 //! A sender funnels its first messages through the peer's SRQ. Promotion to a
-//! dedicated queue pair is **opportunistic**: it only happens at a message
-//! entry where the receiver has already consumed every SRQ ticket this sender
-//! published (`head > last_ticket`). The switch therefore never lets a
-//! queue-pair message overtake an SRQ message from the same sender — MPI's
-//! non-overtaking guarantee holds without sequence numbers, and no send path
-//! ever blocks waiting for the drain (it just stays on the SRQ one more
-//! message).
+//! stream is **opportunistic**: it only happens at a message entry where the
+//! receiver has already consumed every SRQ ticket this sender published
+//! (`head > last_ticket`). The switch therefore never lets a stream message
+//! overtake an SRQ message from the same sender — MPI's non-overtaking
+//! guarantee holds without sequence numbers, and no send path ever blocks
+//! waiting for the drain (it just stays on the SRQ one more message).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use cmpi_fabric::SimClock;
-use cxl_shm::slots::SLOT_CELL_TS_OFF;
+use cxl_shm::slots::{SLOT_CELL_DATA_OFF, SLOT_CELL_INLINE, SLOT_CELL_TS_OFF};
 use cxl_shm::{CxlShmArena, ShmObject, SlotLayout};
 
 use crate::config::CxlShmTransportConfig;
 use crate::error::MpiError;
-use crate::queue::{CellHeader, QueueGeometry, SpscQueue, CELL_HEADER_SIZE};
+use crate::queue::{CellHeader, QueueGeometry, CELL_HEADER_SIZE};
 use crate::spin::PoisonFlag;
 use crate::transport::cxl::{open_poisoned, spin_flag, store_stamped};
-use crate::types::Rank;
+use crate::types::{CtxId, Rank, Tag};
 use crate::Result;
 
 /// Ready magic published at the tail of every lazily created connection
-/// object (doorbell, SRQ, queue pair) once it is formatted, so an opener
-/// racing the creator never observes stale bytes from recycled pool memory.
+/// object (doorbell, SRQ, stream) once it is formatted, so an opener racing
+/// the creator never observes stale bytes from recycled pool memory.
 const CONN_READY_MAGIC: u64 = 0x434f_4e4e_5f52_4459; // "CONN_RDY"
 
 /// Per-object sizing slack accounted when provisioning the device: the ready
@@ -87,30 +89,25 @@ pub fn srq_name(rank: Rank) -> String {
     format!("cmpi/srq_{rank}")
 }
 
-/// Name of the dedicated queue pair carrying `src → dst` traffic (created and
-/// produced by `src`, consumed by `dst`).
+/// Name of the stream carrying the promoted pair's `src → dst` traffic
+/// (created and written by `src`, read by `dst`).
 pub fn qp_name(dst: Rank, src: Rank) -> String {
     format!("cmpi/qp_{dst}_{src}")
-}
-
-/// Name of the rendezvous lane carrying `src → dst` large-message payloads
-/// (created and written by `src`, read by `dst`).
-pub fn lane_name(dst: Rank, src: Rank) -> String {
-    format!("cmpi/lane_{dst}_{src}")
 }
 
 // ---------------------------------------------------------------------------
 // Doorbell
 // ---------------------------------------------------------------------------
 
-/// A receiver's two-level active-sender bitmap.
+/// A receiver's active-sender bitmap.
 ///
-/// Word 0 is the summary: bit `g` means group word `g` may hold rung bits.
 /// Group word `g` (at `stride × (1 + g)`) holds one bit per sender in
-/// `[64g, 64g + 64)`. Senders ring with `fetch_or` group-then-summary; the
-/// receiver collects with `swap` summary-then-groups, so a ring can be
-/// observed twice (benign spurious wakeup) but never lost. With a 64-bit
-/// summary the scheme addresses up to 4096 ranks.
+/// `[64g, 64g + 64)`. A world of at most 64 ranks is one group: senders
+/// `fetch_or` that word and the receiver loads and swaps it. Larger worlds
+/// add word 0 as a summary — bit `g` means group word `g` may hold rung
+/// bits — rung group-then-summary and collected summary-then-groups, so a
+/// ring can be observed twice (benign spurious wakeup) but never lost. With
+/// a 64-bit summary the scheme addresses up to 4096 ranks.
 #[derive(Debug, Clone)]
 pub struct Doorbell {
     obj: ShmObject,
@@ -172,26 +169,40 @@ impl Doorbell {
         self.stride * (1 + g as u64)
     }
 
-    /// Sender side: mark `sender` as having unconsumed data. Group bit first,
-    /// then the summary bit — the collect order (summary swap, then group
-    /// swaps) makes that publication order lost-wakeup free.
-    pub fn ring(&self, sender: Rank) -> Result<()> {
+    /// Sender side: mark `sender` as having unconsumed data; returns how many
+    /// words that took. Group bit first, then (past one group) the summary
+    /// bit — the collect order (summary swap, then group swaps) makes that
+    /// publication order lost-wakeup free.
+    pub fn ring(&self, sender: Rank) -> Result<usize> {
         let g = sender / 64;
         debug_assert!(g < self.groups);
         self.obj
             .nt_fetch_or_u64_at(self.group_off(g), 1u64 << (sender % 64))?;
+        if self.groups == 1 {
+            return Ok(1);
+        }
         self.obj.nt_fetch_or_u64_at(0, 1u64 << (g % 64))?;
-        Ok(())
+        Ok(2)
     }
 
     /// Receiver side: drain every rung sender bit into `pending`. Costs a
     /// single non-temporal load when idle, regardless of world size — the
     /// property the scaling regression tests assert on.
     pub fn collect_into(&self, pending: &mut BTreeSet<Rank>) -> Result<usize> {
-        if self.obj.nt_load_u64_at(0)? == 0 {
+        // One group: its word is the whole bitmap, and stands in for the
+        // summary (bit 0 set iff anything is rung).
+        let top = if self.groups == 1 {
+            self.group_off(0)
+        } else {
+            0
+        };
+        if self.obj.nt_load_u64_at(top)? == 0 {
             return Ok(0);
         }
-        let mut summary = self.obj.nt_swap_u64_at(0, 0)?;
+        let mut summary = match self.groups {
+            1 => 1,
+            _ => self.obj.nt_swap_u64_at(0, 0)?,
+        };
         let mut found = 0;
         while summary != 0 {
             let g = summary.trailing_zeros() as usize;
@@ -438,70 +449,101 @@ impl SrqConsumer {
 }
 
 // ---------------------------------------------------------------------------
-// Rendezvous lane
+// Message stream
 // ---------------------------------------------------------------------------
 
-/// One end of a per-pair, per-direction rendezvous lane: a single-writer
+/// Bytes of a message frame in its first segment's flag line: `ctx`, `tag`,
+/// `total_len` (the source is the pair).
+const FRAME_BYTES: usize = 16;
+
+/// Largest payload that rides in the flag line beside its frame: such a
+/// message is one line store on the sender and one line load on the receiver.
+pub const STREAM_INLINE: usize = SLOT_CELL_INLINE - FRAME_BYTES;
+
+/// One end of a promoted pair's per-direction message stream: a single-writer
 /// [`SlotLayout`] window with the ring's geometry (`cells` slots of
-/// `cell_payload` bytes), through which the payload of a message longer than
-/// one cell streams segment by segment.
+/// `cell_payload` bytes) that carries every message of the pair, in order.
 ///
 /// The two ends never share a counter. Each counts the segments it has
-/// published (sender) or pulled (receiver) since the lane was created;
-/// segment `k` lives in slot `k % slots`, its flag cell holds `k + 1` once
-/// the data is up, and the receiver — the window's one reader — stores `k + 1`
-/// into the slot's done entry (the lane's per-slot ack) once it has copied the
-/// data out, which is what lets the sender reuse the slot for segment
-/// `k + slots`. Every cell pairs its value with the writer's virtual time, so
-/// whoever had to wait merges exactly the timestamp it waited for. Messages follow each other through the lane in the order
-/// their request-to-send cells went through the queue pair.
+/// published (writer) or consumed (reader) since the stream was created;
+/// segment `k` lives in slot `k % slots` and its flag line holds `k + 1` once
+/// it is up. A message's first segment carries the frame in the flag line's
+/// inline area — with the whole payload beside it when that is at most
+/// [`STREAM_INLINE`] bytes, else with up to one slot of payload in the data
+/// slot — and a longer message continues in frame-less segments: single
+/// writer, FIFO, so the reader always knows which kind comes next. Slots are
+/// handed back [`Stream::batch`] at a time: consuming the last segment of a
+/// batch stores `k + 1` into that slot's done entry, and the writer looks at a
+/// done entry only when it has used up the slots it knows free — it then waits
+/// for exactly the entry that frees the next batch. Every cell pairs its value
+/// with the storing side's virtual time, so whoever had to wait merges exactly
+/// the stamp it waited for, once, however often the host let it retry.
 #[derive(Debug)]
-pub struct Lane {
+pub struct Stream {
     obj: ShmObject,
     layout: SlotLayout,
+    /// The writing rank (the source of every message peeked here).
+    src: Rank,
+    /// Segments this end has published (writer) or consumed (reader).
     seq: u64,
+    /// Writer: slots known free without looking at a done entry.
+    credits: u64,
+    /// Reader: the message whose first segment is consumed and whose rest is
+    /// still to come — `(ctx, tag, total_len, received)`.
+    open: Option<(CtxId, Tag, usize, usize)>,
 }
 
-impl Lane {
-    fn layout(geometry: QueueGeometry) -> Result<SlotLayout> {
-        let layout = SlotLayout::single_reader(geometry.cells, geometry.cell_payload);
-        if layout.slot_bytes() == 0 {
-            return Err(MpiError::Transport(format!(
-                "cell_size {} is below one cache line: no room for a lane slot",
-                geometry.cell_payload
-            )));
-        }
-        Ok(layout)
+impl Stream {
+    fn layout(geometry: QueueGeometry) -> SlotLayout {
+        SlotLayout::single_reader(geometry.cells, geometry.cell_payload)
     }
 
-    /// Pool bytes one lane occupies (slots, control lines, ready flag).
+    /// Pool bytes one stream occupies, before the ready flag line that
+    /// [`OBJ_SLACK`] accounts for. At the default 8 cells this is exactly the
+    /// SPSC ring of the same geometry: a flag line per slot where the ring
+    /// has a cell header, done entries where it has head and tail.
     pub fn required_bytes(geometry: QueueGeometry) -> Result<usize> {
-        Ok(Self::layout(geometry)?.total_len() + 64)
+        geometry.checked_queue_bytes()?; // validates the cell arithmetic
+        Ok(Self::layout(geometry).total_len())
     }
 
-    /// Create, format and publish the `src → dst` lane (sender side).
+    fn attach(obj: ShmObject, layout: SlotLayout, src: Rank) -> Self {
+        Stream {
+            obj,
+            layout,
+            src,
+            seq: 0,
+            credits: layout.slots() as u64,
+            open: None,
+        }
+    }
+
+    /// Create, format and publish the `src → dst` stream (writer side).
     pub fn create(
         arena: &CxlShmArena,
         dst: Rank,
         src: Rank,
         geometry: QueueGeometry,
     ) -> Result<Self> {
-        let layout = Self::layout(geometry)?;
-        let obj = arena.create(&lane_name(dst, src), Self::required_bytes(geometry)?)?;
+        let layout = Self::layout(geometry);
+        if layout.slot_bytes() == 0 {
+            return Err(MpiError::Transport(format!(
+                "cell_size {} is below one cache line: no room for a stream slot",
+                geometry.cell_payload
+            )));
+        }
+        let obj = arena.create(&qp_name(dst, src), layout.total_len() + 64)?;
         for slot in 0..layout.slots() {
             obj.nt_store_u64_at(layout.flag_off(0, slot, 0) as u64, 0)?;
             obj.nt_store_u64_at(layout.done_off(0, slot) as u64, 0)?;
         }
         obj.nt_store_u64_at(layout.total_len() as u64, CONN_READY_MAGIC)?;
-        Ok(Lane {
-            obj,
-            layout,
-            seq: 0,
-        })
+        Ok(Self::attach(obj, layout, src))
     }
 
-    /// Open the `src → me` lane (receiver side). The sender creates the lane
-    /// before it enqueues its first request-to-send, so this never waits long.
+    /// Open the `src → me` stream (reader side). A doorbell bit is only ever
+    /// rung after the sender created, formatted and wrote the stream, so this
+    /// never waits long.
     pub fn open(
         arena: &CxlShmArena,
         me: Rank,
@@ -509,16 +551,12 @@ impl Lane {
         geometry: QueueGeometry,
         poison: &PoisonFlag,
     ) -> Result<Self> {
-        let layout = Self::layout(geometry)?;
-        let obj = open_poisoned(arena, &lane_name(me, src), poison)?;
+        let layout = Self::layout(geometry);
+        let obj = open_poisoned(arena, &qp_name(me, src), poison)?;
         spin_flag(&obj, layout.total_len() as u64, poison, |v| {
             v == CONN_READY_MAGIC
         })?;
-        Ok(Lane {
-            obj,
-            layout,
-            seq: 0,
-        })
+        Ok(Self::attach(obj, layout, src))
     }
 
     /// Payload bytes one segment carries (all but a message's last).
@@ -526,20 +564,31 @@ impl Lane {
         self.layout.slot_bytes()
     }
 
-    /// Slots in the lane (segments that can be in flight at once).
+    /// Slots in the stream (segments that can be in flight at once).
     pub fn slots(&self) -> usize {
         self.layout.slots()
     }
 
-    /// Segments this end has published (sender) or pulled (receiver).
+    /// Segments this end has published (writer) or consumed (reader).
     pub fn seq(&self) -> u64 {
         self.seq
+    }
+
+    /// Segments handed back together: half a lap, so the writer fills one
+    /// half while the reader drains the other (a lap of odd length is handed
+    /// back slot by slot).
+    pub fn batch(&self) -> u64 {
+        match self.layout.slots() as u64 {
+            slots if slots % 2 == 0 => slots / 2,
+            _ => 1,
+        }
     }
 
     fn slot(&self) -> usize {
         (self.seq % self.layout.slots() as u64) as usize
     }
 
+    /// The stamp beside the cell at `off`, once its value reached `at_least`.
     fn cell(&self, off: usize, at_least: u64) -> Result<Option<f64>> {
         if self.obj.nt_load_u64_at(off as u64)? < at_least {
             return Ok(None);
@@ -548,76 +597,154 @@ impl Lane {
         Ok(Some(f64::from_bits(ts)))
     }
 
-    /// Sender: the virtual time at which the next segment's slot became
-    /// writable — `0.0` on the first lap, the receiver's ack timestamp after
-    /// — or `None` while the receiver has not yet acked the slot's occupant.
-    pub fn slot_freed_at(&self) -> Result<Option<f64>> {
-        let slots = self.layout.slots() as u64;
-        if self.seq < slots {
-            return Ok(Some(0.0));
+    /// Writer: make sure the next segment has a slot. `Some(None)`: one is
+    /// known free, no device access made. `Some(Some(ts))`: the writer had
+    /// lapped, loaded the done entry that frees the next batch and found it
+    /// stored at `ts` — the caller merges and pays for that one line. `None`:
+    /// the reader has not handed the batch back yet; nothing to charge.
+    pub fn reserve(&mut self) -> Result<Option<Option<f64>>> {
+        if self.credits > 0 {
+            return Ok(Some(None));
         }
-        self.cell(self.layout.done_off(0, self.slot()), self.seq - slots + 1)
+        // Out of credits exactly one lap ahead of the last batch credited:
+        // segment `seq` reuses the slot of `seq - slots`, the first of the
+        // batch whose last hand-back stores `through`. That entry is not
+        // stored again before this writer publishes past it, so the stamp
+        // read here is the stamp of that very store.
+        let slots = self.layout.slots() as u64;
+        let through = self.seq - slots + self.batch();
+        let entry = self.layout.done_off(0, ((through - 1) % slots) as usize);
+        let freed = self.cell(entry, through)?;
+        if freed.is_some() {
+            self.credits = self.batch();
+        }
+        Ok(freed.map(Some))
     }
 
-    /// Sender: stream `data` (at most one segment) into the next slot with
-    /// non-temporal stores, then raise its flag stamped `ts`. The caller must
-    /// have seen [`Lane::slot_freed_at`] return `Some`.
-    pub fn publish(&mut self, data: &[u8], ts: f64) -> Result<()> {
-        debug_assert!(data.len() <= self.layout.slot_bytes());
+    /// Writer: publish the next segment, stamped `ts` — with `frame`
+    /// (`ctx`, `tag`, `total_len`) when it opens a message, whose payload then
+    /// rides in the flag line if it fits; any other payload streams into the
+    /// data slot with non-temporal stores before the flag goes up. The caller
+    /// must have seen [`Stream::reserve`] return `Some`.
+    pub fn publish(
+        &mut self,
+        frame: Option<(CtxId, Tag, usize)>,
+        data: &[u8],
+        ts: f64,
+    ) -> Result<()> {
+        debug_assert!(self.credits > 0 && data.len() <= self.layout.slot_bytes());
         let slot = self.slot();
-        self.obj
-            .nt_store_at(self.layout.data_off(0, slot) as u64, data)?;
-        store_stamped(
-            &self.obj,
-            self.layout.flag_off(0, slot, 0),
-            self.seq + 1,
-            ts,
-        )?;
-        self.seq += 1;
-        Ok(())
-    }
-
-    /// Receiver: the sender's publish timestamp of the next segment, or
-    /// `None` while it is not up yet.
-    pub fn segment_ready_at(&self) -> Result<Option<f64>> {
-        self.cell(self.layout.flag_off(0, self.slot(), 0), self.seq + 1)
-    }
-
-    /// Receiver: copy the next segment's first `dst.len()` bytes out (load
-    /// fence + non-temporal loads). The caller must have seen
-    /// [`Lane::segment_ready_at`] return `Some`, and follows up with
-    /// [`Lane::ack`] once the copy is charged to its clock.
-    pub fn read(&self, dst: &mut [u8]) -> Result<()> {
-        debug_assert!(dst.len() <= self.layout.slot_bytes());
-        self.obj
-            .nt_load_fenced_at(self.layout.data_off(0, self.slot()) as u64, dst)?;
-        Ok(())
-    }
-
-    /// Receiver: hand the segment just read back to the sender, stamped `ts`.
-    pub fn ack(&mut self, ts: f64) -> Result<()> {
-        store_stamped(
-            &self.obj,
-            self.layout.done_off(0, self.slot()),
-            self.seq + 1,
-            ts,
-        )?;
-        self.seq += 1;
-        Ok(())
-    }
-
-    /// Sender: published segments the receiver has not acked yet
-    /// (diagnostics; reads up to `slots` done entries).
-    pub fn in_flight(&self) -> Result<usize> {
-        let slots = self.layout.slots() as u64;
-        let mut n = 0;
-        for k in self.seq.saturating_sub(slots)..self.seq {
-            let ack = self.layout.done_off(0, (k % slots) as usize);
-            if self.obj.nt_load_u64_at(ack as u64)? < k + 1 {
-                n += 1;
+        let flag = self.layout.flag_off(0, slot, 0);
+        let inline = frame.is_some_and(|(.., total)| total <= STREAM_INLINE);
+        if let Some((ctx, tag, total)) = frame {
+            let mut line = [0u8; SLOT_CELL_INLINE];
+            line[0..4].copy_from_slice(&ctx.to_le_bytes());
+            line[4..8].copy_from_slice(&tag.to_le_bytes());
+            line[8..16].copy_from_slice(&(total as u64).to_le_bytes());
+            let mut end = FRAME_BYTES;
+            if inline {
+                end += data.len();
+                line[FRAME_BYTES..end].copy_from_slice(data);
             }
+            self.obj
+                .nt_store_at((flag + SLOT_CELL_DATA_OFF) as u64, &line[..end])?;
         }
-        Ok(n)
+        if !inline {
+            self.obj
+                .nt_store_at(self.layout.data_off(0, slot) as u64, data)?;
+        }
+        store_stamped(&self.obj, flag, self.seq + 1, ts)?;
+        self.seq += 1;
+        self.credits -= 1;
+        Ok(())
+    }
+
+    /// Reader: whether the next segment is up.
+    pub fn has_segment(&self) -> Result<bool> {
+        let flag = self.layout.flag_off(0, self.slot(), 0);
+        Ok(self.obj.nt_load_u64_at(flag as u64)? > self.seq)
+    }
+
+    /// Reader: the next segment as a cell header — which message it belongs
+    /// to, where in it the segment goes, and the writer's publish stamp — or
+    /// `None` while it is not up. Consumes nothing.
+    pub fn peek_header(&self) -> Result<Option<CellHeader>> {
+        let flag = self.layout.flag_off(0, self.slot(), 0);
+        let Some(timestamp) = self.cell(flag, self.seq + 1)? else {
+            return Ok(None);
+        };
+        let (ctx, tag, total, received) = match self.open {
+            Some(open) => open,
+            None => {
+                let mut frame = [0u8; FRAME_BYTES];
+                self.obj
+                    .nt_load_at((flag + SLOT_CELL_DATA_OFF) as u64, &mut frame)?;
+                let word = |at: usize| frame[at..at + 4].try_into().expect("4-byte field");
+                let total = u64::from_le_bytes(frame[8..16].try_into().expect("8-byte field"));
+                (
+                    CtxId::from_le_bytes(word(0)),
+                    Tag::from_le_bytes(word(4)),
+                    total as usize,
+                    0,
+                )
+            }
+        };
+        Ok(Some(CellHeader {
+            src: self.src,
+            ctx,
+            tag,
+            total_len: total as u64,
+            chunk_offset: received as u64,
+            chunk_len: (total - received).min(self.layout.slot_bytes()) as u32,
+            timestamp,
+        }))
+    }
+
+    /// Reader: whether the segment `h` (just peeked) carries its payload in
+    /// the flag line.
+    pub fn is_inline(&self, h: &CellHeader) -> bool {
+        self.open.is_none() && h.total_len as usize <= STREAM_INLINE
+    }
+
+    /// Reader: whether consuming the next segment ends a batch, i.e. whether
+    /// [`Stream::release`] will store a done entry.
+    pub fn ends_batch(&self) -> bool {
+        (self.seq + 1).is_multiple_of(self.batch())
+    }
+
+    /// Reader: copy the payload of the segment `h` (just peeked) into
+    /// `dst[..h.chunk_len]`: out of the flag line, or — load fence, then
+    /// non-temporal loads — out of the data slot.
+    pub fn read(&self, h: &CellHeader, dst: &mut [u8]) -> Result<()> {
+        let slot = self.slot();
+        let dst = &mut dst[..h.chunk_len as usize];
+        if self.is_inline(h) {
+            let at = self.layout.flag_off(0, slot, 0) + SLOT_CELL_DATA_OFF + FRAME_BYTES;
+            self.obj.nt_load_at(at as u64, dst)?;
+        } else {
+            self.obj
+                .nt_load_fenced_at(self.layout.data_off(0, slot) as u64, dst)?;
+        }
+        Ok(())
+    }
+
+    /// Reader: done with the segment `h` (just read): move on, remember a
+    /// message that continues, and — at the end of a batch — hand the batch's
+    /// slots back, stamped `ts`.
+    pub fn release(&mut self, h: &CellHeader, ts: f64) -> Result<()> {
+        if self.ends_batch() {
+            let done = self.layout.done_off(0, self.slot());
+            store_stamped(&self.obj, done, self.seq + 1, ts)?;
+        }
+        self.seq += 1;
+        let received = (h.chunk_offset + u64::from(h.chunk_len)) as usize;
+        self.open = (received < h.total_len as usize).then_some((
+            h.ctx,
+            h.tag,
+            h.total_len as usize,
+            received,
+        ));
+        Ok(())
     }
 }
 
@@ -628,13 +755,13 @@ impl Lane {
 /// Send-side state toward one peer.
 #[derive(Debug)]
 pub struct TxPeer {
-    /// The peer's doorbell (rung after every queue-pair chunk).
+    /// The peer's doorbell (rung once per message put on the stream).
     pub db: Doorbell,
     /// Producer handle on the peer's SRQ (the cold path).
     pub srq: SrqProducer,
-    /// Dedicated queue pair once the pair is promoted.
-    pub qp: Option<SpscQueue>,
-    /// Queue-pair creation failed (pool exhausted): stay on the SRQ forever —
+    /// The pair's stream once it is promoted.
+    pub stream: Option<Stream>,
+    /// Stream creation failed (pool exhausted): stay on the SRQ forever —
     /// correctness never depends on a successful promotion.
     pub srq_sticky: bool,
     /// Messages sent to this peer (drives promotion).
@@ -642,38 +769,24 @@ pub struct TxPeer {
     /// Last SRQ ticket published to this peer, if any — promotion waits
     /// (opportunistically) until the peer consumed past it.
     pub last_ticket: Option<u64>,
-    /// Rendezvous lane toward this peer, created on the pair's first message
-    /// longer than one cell once the pair is promoted.
-    pub lane: Option<Lane>,
-    /// Lane creation failed (pool exhausted): large messages toward this
-    /// peer stay chunked through the queue pair forever.
-    pub lane_sticky: bool,
-}
-
-/// Receive-side state from one sender: its dedicated ring and, once that
-/// sender's first request-to-send arrived, the lane its payloads stream
-/// through (opened by the transport, which owns the arena handle).
-#[derive(Debug)]
-pub struct RxPeer {
-    /// The dedicated ring carrying `sender → self` cells.
-    pub queue: SpscQueue,
-    /// The `sender → self` rendezvous lane, if one was opened.
-    pub lane: Option<Lane>,
 }
 
 /// Counters the transport folds into [`crate::transport::TransportStats`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ConnCounters {
-    /// Queue pairs this rank established as a sender.
+    /// Streams this rank established as a sender.
     pub qps_established: u64,
-    /// Queue pairs this rank opened as a receiver on doorbell discovery.
+    /// Streams this rank opened as a receiver on doorbell discovery.
     pub qps_opened: u64,
     /// Messages this rank pushed through peers' SRQs.
     pub srq_msgs: u64,
+    /// Promotions that found no pool room for a stream: the pair stays on the
+    /// SRQ for good.
+    pub stream_alloc_failures: u64,
 }
 
 /// One rank's lazy sparse connection state: its own doorbell + SRQ, sparse
-/// per-peer send state, sparse per-sender receive rings, and the pending set
+/// per-peer send state, sparse per-sender receive streams, and the pending set
 /// the doorbell drains into.
 #[derive(Debug)]
 pub struct ConnTable {
@@ -690,16 +803,14 @@ pub struct ConnTable {
     /// This rank's own SRQ (consumer side).
     pub my_srq: SrqConsumer,
     tx: BTreeMap<Rank, TxPeer>,
-    rx: BTreeMap<Rank, RxPeer>,
-    /// Senders whose dedicated rings may hold data. Survives early returns
-    /// (e.g. truncation errors) — a bit once collected is only dropped after
-    /// its ring drained empty.
+    rx: BTreeMap<Rank, Stream>,
+    /// Senders whose streams may hold data. Survives early returns (e.g.
+    /// truncation errors) — a bit once collected is only dropped after its
+    /// stream drained empty.
     pub pending: BTreeSet<Rank>,
     /// Running totals folded into the transport stats.
     pub counters: ConnCounters,
     qps_created: usize,
-    /// Lanes this rank may still create (see [`ConnTable::lane_budget`]).
-    lanes_left: usize,
     poison: PoisonFlag,
 }
 
@@ -712,9 +823,9 @@ impl ConnTable {
 
     /// Device bytes the lazy connection state of a whole universe may demand:
     /// per rank one doorbell, one SRQ, and up to the effective QP budget of
-    /// dedicated queues. Checked arithmetic with actionable errors — this is
-    /// the lazy counterpart of [`crate::queue::QueueMatrix::required_bytes`],
-    /// and it is linear in `ranks` instead of quadratic.
+    /// streams. Checked arithmetic with actionable errors — this is the lazy
+    /// counterpart of [`crate::queue::QueueMatrix::required_bytes`], and it
+    /// is linear in `ranks` instead of quadratic.
     pub fn required_device_bytes(
         ranks: usize,
         geometry: QueueGeometry,
@@ -722,7 +833,7 @@ impl ConnTable {
     ) -> Result<usize> {
         let db = Doorbell::required_bytes(ranks, config.doorbell_stride)? + OBJ_SLACK;
         let srq = srq_required_bytes(geometry, config.srq_cells)? + OBJ_SLACK;
-        let qp = geometry.checked_queue_bytes()? + OBJ_SLACK;
+        let qp = Stream::required_bytes(geometry)? + OBJ_SLACK;
         let budget = Self::effective_qp_budget(ranks, config.qp_budget);
         qp.checked_mul(budget)
             .and_then(|pool| pool.checked_add(db))
@@ -739,33 +850,9 @@ impl ConnTable {
     }
 
     /// How many named objects the lazy state may create, for sizing the
-    /// arena's hash directory.
+    /// arena's hash directory: per rank a doorbell, an SRQ and its streams.
     pub fn object_count_hint(ranks: usize, config: &CxlShmTransportConfig) -> usize {
-        let geometry = QueueGeometry {
-            cell_payload: config.cell_size,
-            cells: config.cells_per_queue,
-        };
-        let qps = Self::effective_qp_budget(ranks, config.qp_budget);
-        // Only promoted pairs get lanes, and only within the lane budget.
-        let lanes = qps.min(Self::lane_budget(ranks, geometry, config));
-        // Per rank: doorbell, SRQ, queue pairs, lanes.
-        ranks * (2 + qps + lanes)
-    }
-
-    /// How many rendezvous lanes one rank may create. Lanes come out of the
-    /// `window_headroom` that RMA and data-plane windows are provisioned
-    /// from, so all ranks' lanes together are held to half of it — each rank
-    /// gets an equal share, fixed up front: which pairs stream and which keep
-    /// chunking then depends on the rank's own send order only, never on a
-    /// race for the pool. A share below one lane means no lanes at all
-    /// (raise `window_headroom` to get them at that scale).
-    pub fn lane_budget(
-        ranks: usize,
-        geometry: QueueGeometry,
-        config: &CxlShmTransportConfig,
-    ) -> usize {
-        let share = config.window_headroom / 2 / ranks.max(1);
-        Lane::required_bytes(geometry).map_or(0, |lane| share / lane)
+        ranks * (2 + Self::effective_qp_budget(ranks, config.qp_budget))
     }
 
     /// Create this rank's own doorbell + SRQ and an empty table. Peer state
@@ -796,16 +883,15 @@ impl ConnTable {
             pending: BTreeSet::new(),
             counters: ConnCounters::default(),
             qps_created: 0,
-            lanes_left: Self::lane_budget(ranks, geometry, config),
             poison,
         })
     }
 
-    /// Established connection endpoints on this rank (send-side queue pairs +
-    /// receive-side rings) — the quantity the scaling tests assert stays far
+    /// Established connection endpoints on this rank (streams it writes +
+    /// streams it reads) — the quantity the scaling tests assert stays far
     /// below `ranks²`.
     pub fn qp_count(&self) -> usize {
-        self.tx.values().filter(|p| p.qp.is_some()).count() + self.rx.len()
+        self.tx.values().filter(|p| p.stream.is_some()).count() + self.rx.len()
     }
 
     /// Send-side state toward `dst`, opening the peer's doorbell and SRQ on
@@ -831,108 +917,70 @@ impl ConnTable {
                 TxPeer {
                     db,
                     srq,
-                    qp: None,
+                    stream: None,
                     srq_sticky: false,
                     msgs: 0,
                     last_ticket: None,
-                    lane: None,
-                    lane_sticky: false,
                 },
             );
         }
         Ok(self.tx.get_mut(&dst).expect("peer just ensured"))
     }
 
-    /// Read-only peer state (must have been ensured by a prior
-    /// [`ConnTable::peer_mut`]).
-    pub fn peer(&self, dst: Rank) -> Option<&TxPeer> {
-        self.tx.get(&dst)
-    }
-
-    /// Message-entry bookkeeping toward `dst`: ensures the peer is open and
-    /// opportunistically promotes the pair to a dedicated queue pair.
-    /// **Idempotent** — the progress engine may re-enter a message's first
-    /// chunk many times. Promotion requires the completed-message count to
-    /// reach the threshold, a free slot in the budget, and — when SRQ tickets
-    /// were published — that the receiver has consumed past the last one (the
-    /// ordering barrier); otherwise the message simply stays on the SRQ and
-    /// promotion retries at the next message. Never blocks. Charges the
-    /// queue-pair format cost to `clock` when promotion happens.
-    pub fn prepare_send(&mut self, dst: Rank, clock: &mut SimClock, nt: f64) -> Result<()> {
-        let rank = self.rank;
+    /// Message-entry bookkeeping toward `dst`: ensures the peer is open,
+    /// opportunistically promotes the pair to a stream, and returns its send
+    /// state. **Idempotent** — the progress engine may re-enter a message's
+    /// first chunk many times. Promotion requires the completed-message count
+    /// to reach the threshold, a free slot in the budget, and — when SRQ
+    /// tickets were published — that the receiver has consumed past the last
+    /// one (the ordering barrier); otherwise the message simply stays on the
+    /// SRQ and promotion retries at the next message. Never blocks. Charges
+    /// the stream's format (a flag and a done store per slot, the ready flag)
+    /// to `clock` when promotion happens.
+    pub fn prepare_send(
+        &mut self,
+        dst: Rank,
+        clock: &mut SimClock,
+        nt: f64,
+    ) -> Result<&mut TxPeer> {
         let budget_left = self.qps_created < self.qp_budget;
-        let threshold = self.promotion_threshold;
-        let geometry = self.geometry;
         self.peer_mut(dst)?;
-        let (arena, peer) = (
-            &self.arena,
-            self.tx.get_mut(&dst).expect("peer just ensured"),
-        );
-        if peer.qp.is_some() || peer.srq_sticky || !budget_left || peer.msgs < threshold {
-            return Ok(());
+        let peer = self.tx.get_mut(&dst).expect("peer just ensured");
+        if peer.stream.is_some()
+            || peer.srq_sticky
+            || !budget_left
+            || peer.msgs < self.promotion_threshold
+        {
+            return Ok(peer);
         }
         if let Some(t) = peer.last_ticket {
             if peer.srq.head()? <= t {
-                return Ok(()); // receiver not caught up yet — stay on the SRQ
+                return Ok(peer); // receiver not caught up yet — stay on the SRQ
             }
         }
-        let bytes = geometry.checked_queue_bytes()?;
-        match arena.create(&qp_name(dst, rank), bytes + 64) {
+        match Stream::create(&self.arena, dst, self.rank, self.geometry) {
             Err(_) => {
-                // Pool exhausted: this pair runs on the SRQ forever. The
-                // budget math provisions the full pool, so this is only
-                // reachable when windows or user objects ate the headroom —
-                // a graceful degradation, not an error.
+                // Pool exhausted (or a cell below one line): this pair runs
+                // on the SRQ forever. The budget math provisions the full
+                // pool, so this is only reachable when windows or user
+                // objects ate it — a degradation, and counted as one.
                 peer.srq_sticky = true;
+                self.counters.stream_alloc_failures += 1;
             }
-            Ok(obj) => {
-                let qp = SpscQueue::new(obj.clone(), 0, geometry);
-                qp.format()?;
-                obj.nt_store_u64_at(bytes as u64, CONN_READY_MAGIC)?;
-                clock.advance(5.0 * nt);
-                peer.qp = Some(qp);
+            Ok(stream) => {
+                clock.advance((2 * stream.slots() + 1) as f64 * nt);
+                peer.stream = Some(stream);
                 self.qps_created += 1;
                 self.counters.qps_established += 1;
             }
         }
-        Ok(())
+        Ok(peer)
     }
 
-    /// Whether a message longer than one cell toward `dst` may stream through
-    /// the pair's rendezvous lane, creating the lane on the pair's first such
-    /// message — out of the pool headroom, within this rank's
-    /// [`ConnTable::lane_budget`], with the same create-or-stick idiom as
-    /// promotion: a spent budget or a failed creation is never an error, the
-    /// pair just keeps chunking large messages through its ring.
-    /// Only promoted pairs get a lane; call at message entry, after
-    /// [`ConnTable::prepare_send`]. Charges the lane format to `clock`.
-    pub fn ensure_lane(&mut self, dst: Rank, clock: &mut SimClock, nt: f64) -> bool {
-        let Some(peer) = self.tx.get_mut(&dst) else {
-            return false;
-        };
-        if peer.qp.is_none() {
-            return false;
-        }
-        if peer.lane.is_none() && !peer.lane_sticky {
-            let created = (self.lanes_left > 0)
-                .then(|| Lane::create(&self.arena, dst, self.rank, self.geometry).ok())
-                .flatten();
-            match created {
-                Some(lane) => {
-                    // One flag and one ack line per slot, plus the ready flag.
-                    clock.advance((2 * lane.slots() + 1) as f64 * nt);
-                    peer.lane = Some(lane);
-                    self.lanes_left -= 1;
-                }
-                None => peer.lane_sticky = true,
-            }
-        }
-        peer.lane.is_some()
-    }
-
-    /// The lane toward `dst`, if one exists.
-    pub fn tx_lane(&mut self, dst: Rank) -> Option<&mut Lane> {
-        self.tx.get_mut(&dst).and_then(|p| p.lane.as_mut())
+    /// Read-only peer state (must have been ensured by a prior
+    /// [`ConnTable::peer_mut`]).
+    pub fn peer(&self, dst: Rank) -> Option<&TxPeer> {
+        self.tx.get(&dst)
     }
 
     /// Message-completion bookkeeping: bump the completed count that drives
@@ -948,7 +996,7 @@ impl ConnTable {
         }
     }
 
-    /// Whether a dedicated receive ring from `sender` is already open.
+    /// Whether the stream from `sender` is already open.
     pub fn rx_contains(&self, sender: Rank) -> bool {
         self.rx.contains_key(&sender)
     }
@@ -958,32 +1006,24 @@ impl ConnTable {
     pub fn debug_state(&self) -> String {
         use std::fmt::Write as _;
         let mut s = format!(
-            "srq_head={:?} pending={:?} lanes_left={} rx=[",
+            "srq_head={:?} pending={:?} rx=[",
             self.my_srq.head(),
             self.pending,
-            self.lanes_left,
         );
-        for (src, p) in &self.rx {
-            let _ = write!(
-                s,
-                "{src}:(lane_pulled={:?}) ",
-                p.lane.as_ref().map(Lane::seq)
-            );
+        for (src, stream) in &self.rx {
+            let _ = write!(s, "{src}:(consumed={}) ", stream.seq());
         }
         s.push_str("] tx=[");
         for (dst, p) in &self.tx {
-            let lane = match &p.lane {
-                Some(l) => format!("published={} in_flight={:?}", l.seq(), l.in_flight()),
-                None if p.lane_sticky => "sticky-fallback".to_string(),
+            let stream = match &p.stream {
+                Some(st) => format!("published={} credits={}", st.seq(), st.credits),
+                None if p.srq_sticky => "none-srq-for-good".to_string(),
                 None => "none".to_string(),
             };
             let _ = write!(
                 s,
-                "{dst}:(msgs={} qp={} sticky={} last_ticket={:?} lane={lane}) ",
-                p.msgs,
-                p.qp.is_some(),
-                p.srq_sticky,
-                p.last_ticket,
+                "{dst}:(msgs={} last_ticket={:?} stream={stream}) ",
+                p.msgs, p.last_ticket,
             );
         }
         s.push(']');
@@ -997,16 +1037,11 @@ impl ConnTable {
         self.my_db.collect_into(&mut self.pending)
     }
 
-    /// Receive-side state from `sender`, its dedicated ring opened on first
-    /// doorbell discovery. A doorbell bit is only ever rung after the sender
-    /// created, formatted and filled the ring, so the open never waits long.
-    pub fn rx_peer(&mut self, sender: Rank) -> Result<&mut RxPeer> {
+    /// The stream from `sender`, opened on first doorbell discovery.
+    pub fn rx_stream(&mut self, sender: Rank) -> Result<&mut Stream> {
         if !self.rx.contains_key(&sender) {
-            let bytes = self.geometry.checked_queue_bytes()?;
-            let obj = open_poisoned(&self.arena, &qp_name(self.rank, sender), &self.poison)?;
-            spin_flag(&obj, bytes as u64, &self.poison, |v| v == CONN_READY_MAGIC)?;
-            let queue = SpscQueue::new(obj, 0, self.geometry);
-            self.rx.insert(sender, RxPeer { queue, lane: None });
+            let stream = Stream::open(&self.arena, self.rank, sender, self.geometry, &self.poison)?;
+            self.rx.insert(sender, stream);
             self.counters.qps_opened += 1;
         }
         Ok(self.rx.get_mut(&sender).expect("rx just ensured"))
@@ -1184,22 +1219,22 @@ mod tests {
         let _t2 = ConnTable::new(2, 3, a.clone(), g, &config, poison.clone()).unwrap();
         let mut t1 = ConnTable::new(1, 3, b, g, &config, poison.clone()).unwrap();
         let mut clock = SimClock::new();
-        // Two completed messages stay under the threshold: no QP.
+        // Two completed messages stay under the threshold: no stream.
         for _ in 0..2 {
             t1.prepare_send(0, &mut clock, 1.0).unwrap();
             t1.note_sent(0, None);
         }
-        assert!(t1.peer(0).unwrap().qp.is_none());
+        assert!(t1.peer(0).unwrap().stream.is_none());
         // Third message crosses it (no SRQ tickets pending → no barrier).
         t1.prepare_send(0, &mut clock, 1.0).unwrap();
-        assert!(t1.peer(0).unwrap().qp.is_some());
+        assert!(t1.peer(0).unwrap().stream.is_some());
         assert_eq!(t1.counters.qps_established, 1);
         // The budget of 1 is spent: rank 2 never promotes.
         for _ in 0..5 {
             t1.prepare_send(2, &mut clock, 1.0).unwrap();
             t1.note_sent(2, None);
         }
-        assert!(t1.peer(2).unwrap().qp.is_none());
+        assert!(t1.peer(2).unwrap().stream.is_none());
         assert_eq!(t1.qp_count(), 1);
         drop(t0);
     }
@@ -1237,136 +1272,191 @@ mod tests {
         // Threshold 0 would promote immediately — but the receiver has not
         // consumed the ticket, so the pair stays on the SRQ.
         t1.prepare_send(0, &mut clock, 1.0).unwrap();
-        assert!(t1.peer(0).unwrap().qp.is_none());
+        assert!(t1.peer(0).unwrap().stream.is_none());
         // Receiver drains; the next message promotes.
         let mut buf = [0u8; 8];
         t0.my_srq.try_dequeue_into(5.0, &mut buf).unwrap().unwrap();
         t1.prepare_send(0, &mut clock, 1.0).unwrap();
-        assert!(t1.peer(0).unwrap().qp.is_some());
+        assert!(t1.peer(0).unwrap().stream.is_some());
+    }
+
+    /// Publish one whole message through `tx` the way the transport does.
+    fn send_all(tx: &mut Stream, ctx: CtxId, tag: Tag, data: &[u8], ts: f64) {
+        let mut segments = data.chunks(tx.segment_bytes());
+        let first = segments.next().unwrap_or(&[]);
+        assert!(tx.reserve().unwrap().is_some());
+        tx.publish(Some((ctx, tag, data.len())), first, ts).unwrap();
+        for segment in segments {
+            assert!(tx.reserve().unwrap().is_some());
+            tx.publish(None, segment, ts).unwrap();
+        }
+    }
+
+    /// Consume the next segment of `rx` into `buf` at its offset.
+    fn pull(rx: &mut Stream, buf: &mut [u8], ts: f64) -> CellHeader {
+        let h = rx.peek_header().unwrap().expect("a segment is up");
+        rx.read(&h, &mut buf[h.chunk_offset as usize..]).unwrap();
+        rx.release(&h, ts).unwrap();
+        h
     }
 
     #[test]
-    fn lane_streams_in_order_and_recycles_slots_on_ack() {
+    fn stream_frames_every_message_shape_in_order() {
         let g = QueueGeometry {
             cell_payload: 128,
-            cells: 2,
+            cells: 4,
         };
         let (a, b) = two_arenas(1 << 20);
         let poison = PoisonFlag::new();
-        let mut tx = Lane::create(&a, 0, 1, g).unwrap();
-        let mut rx = Lane::open(&b, 0, 1, g, &poison).unwrap();
-        assert_eq!((tx.segment_bytes(), tx.slots()), (128, 2));
-        assert!(rx.segment_ready_at().unwrap().is_none());
-        // First lap: both slots are free from the start.
-        for k in 0..2u8 {
-            assert_eq!(tx.slot_freed_at().unwrap(), Some(0.0));
-            tx.publish(&[k; 100], 10.0 + k as f64).unwrap();
+        let mut tx = Stream::create(&a, 0, 1, g).unwrap();
+        let mut rx = Stream::open(&b, 0, 1, g, &poison).unwrap();
+        assert_eq!((tx.segment_bytes(), tx.slots(), tx.batch()), (128, 4, 2));
+        assert!(rx.peek_header().unwrap().is_none() && !rx.has_segment().unwrap());
+        let mut buf = [0u8; 300];
+        // Empty, inline, the first size past inline, one slot, several.
+        for (i, len) in [0usize, 1, 32, 33, 128, 129, 300].into_iter().enumerate() {
+            let data: Vec<u8> = (0..len).map(|b| (b * 7 + i) as u8).collect();
+            // At most three segments: they fit the four slots unread.
+            send_all(&mut tx, 7, -3, &data, 10.0 + i as f64);
+            let mut received = 0;
+            loop {
+                let before = rx.peek_header().unwrap().unwrap();
+                assert_eq!(rx.is_inline(&before), len <= STREAM_INLINE, "{len} B");
+                let h = pull(&mut rx, &mut buf, 20.0);
+                assert_eq!((h.src, h.ctx, h.tag, h.total_len), (1, 7, -3, len as u64));
+                assert_eq!(
+                    (h.chunk_offset as usize, h.timestamp),
+                    (received, 10.0 + i as f64)
+                );
+                received += h.chunk_len as usize;
+                if received == len {
+                    break;
+                }
+            }
+            assert_eq!(buf[..len], data[..], "{len} B");
+            assert!(rx.peek_header().unwrap().is_none());
         }
-        assert!(tx.slot_freed_at().unwrap().is_none(), "lane full");
-        assert_eq!(tx.in_flight().unwrap(), 2);
-        // The receiver pulls in order; each ack frees exactly one slot.
-        let mut buf = [0u8; 100];
-        assert_eq!(rx.segment_ready_at().unwrap(), Some(10.0));
-        rx.read(&mut buf).unwrap();
-        assert_eq!(buf, [0u8; 100]);
-        rx.ack(20.0).unwrap();
-        assert_eq!(tx.slot_freed_at().unwrap(), Some(20.0));
-        assert_eq!(tx.in_flight().unwrap(), 1);
-        tx.publish(&[2; 7], 30.0).unwrap();
-        assert!(tx.slot_freed_at().unwrap().is_none());
-        assert_eq!(rx.segment_ready_at().unwrap(), Some(11.0));
-        rx.read(&mut buf).unwrap();
-        assert_eq!(buf, [1u8; 100]);
-        rx.ack(21.0).unwrap();
-        // Second lap of slot 0: a short segment over the longer old one.
-        assert_eq!(rx.segment_ready_at().unwrap(), Some(30.0));
-        rx.read(&mut buf[..7]).unwrap();
-        assert_eq!(buf[..7], [2u8; 7]);
-        rx.ack(31.0).unwrap();
-        assert!(rx.segment_ready_at().unwrap().is_none());
-        assert_eq!((tx.seq(), rx.seq(), tx.in_flight().unwrap()), (3, 3, 0));
+        assert_eq!(tx.seq(), rx.seq());
         // A cell below one cache line leaves no room for a slot.
         let tiny = QueueGeometry {
             cell_payload: 32,
             cells: 2,
         };
-        assert!(Lane::create(&a, 2, 3, tiny).is_err());
+        assert!(Stream::create(&a, 2, 3, tiny).is_err());
     }
 
     #[test]
-    fn conn_table_creates_one_lane_per_promoted_pair_or_sticks() {
-        // 2 × 1 MiB cells: a queue pair and a lane take ≈ 2 MiB each. The
-        // 5 MiB device holds both tables' SRQs (1 MiB each) and the queue
-        // pair, but not the lane on top.
+    fn stream_hands_slots_back_half_a_lap_at_a_time() {
+        let g = QueueGeometry {
+            cell_payload: 64,
+            cells: 4,
+        };
+        let (a, b) = two_arenas(1 << 20);
+        let mut tx = Stream::create(&a, 0, 1, g).unwrap();
+        let mut rx = Stream::open(&b, 0, 1, g, &PoisonFlag::new()).unwrap();
+        let mut buf = [0u8; 8];
+        // The first lap needs no done entry at all.
+        for k in 0..4u8 {
+            assert_eq!(tx.reserve().unwrap(), Some(None));
+            tx.publish(Some((0, 1, 8)), &[k; 8], k as f64).unwrap();
+        }
+        assert_eq!(tx.reserve().unwrap(), None, "lapped, nothing handed back");
+        // One segment consumed is not a batch: the writer still waits.
+        assert!(!rx.ends_batch());
+        pull(&mut rx, &mut buf, 100.0);
+        assert_eq!(tx.reserve().unwrap(), None);
+        // The second ends the batch; its stamp is the one the writer merges,
+        // once, and it buys two slots.
+        assert!(rx.ends_batch());
+        pull(&mut rx, &mut buf, 101.0);
+        assert_eq!(tx.reserve().unwrap(), Some(Some(101.0)));
+        assert_eq!(
+            tx.reserve().unwrap(),
+            Some(None),
+            "asking again costs nothing"
+        );
+        for k in 4..6u8 {
+            assert_eq!(tx.reserve().unwrap(), Some(None));
+            tx.publish(Some((0, 1, 8)), &[k; 8], k as f64).unwrap();
+        }
+        assert_eq!(tx.reserve().unwrap(), None);
+        // Several laps on, contents and order hold.
+        for k in 2..40u8 {
+            let h = pull(&mut rx, &mut buf, 200.0 + k as f64);
+            assert_eq!((buf, h.timestamp), ([k; 8], k as f64));
+            while tx.seq() < 40 && tx.reserve().unwrap().is_some() {
+                let next = tx.seq() as u8;
+                tx.publish(Some((0, 1, 8)), &[next; 8], next as f64)
+                    .unwrap();
+            }
+        }
+        assert_eq!((tx.seq(), rx.seq()), (40, 40));
+    }
+
+    #[test]
+    fn no_pool_room_for_a_stream_pins_the_pair_to_the_srq_and_is_counted() {
+        // 2 × 1 MiB cells: a stream takes ≈ 2 MiB, each table's SRQ 1 MiB;
+        // the smaller device (4 MiB) has room for the SRQs alone.
         let g = QueueGeometry {
             cell_payload: 1 << 20,
             cells: 2,
         };
-        let roomy = CxlShmTransportConfig {
+        let config = CxlShmTransportConfig {
             cell_size: g.cell_payload,
             cells_per_queue: g.cells,
             qp_budget: 1,
             promotion_threshold: 0,
             srq_cells: 1,
-            window_headroom: 16 << 20,
             ..CxlShmTransportConfig::small()
         };
-        assert_eq!(ConnTable::lane_budget(2, g, &roomy), 1);
-        // Half of an 8 MiB headroom, shared by two ranks, is just short of one
-        // lane each: the budget, not the pool, says no.
-        let tight = CxlShmTransportConfig {
-            window_headroom: 8 << 20,
-            ..roomy.clone()
-        };
-        assert_eq!(ConnTable::lane_budget(2, g, &tight), 0);
-        // The default geometry and headroom: the numbers the README quotes.
+        let poison = PoisonFlag::new();
+        let mut clock = SimClock::new();
+        for (device_slack, expect_stream) in [(0usize, false), (4 << 20, true)] {
+            let (a, b) = two_arenas(device_slack);
+            let _t0 = ConnTable::new(0, 2, a, g, &config, poison.clone()).unwrap();
+            let mut t1 = ConnTable::new(1, 2, b, g, &config, poison.clone()).unwrap();
+            let before = clock.now();
+            let promoted = t1.prepare_send(0, &mut clock, 1.0).unwrap();
+            assert_eq!(promoted.stream.is_some(), expect_stream);
+            assert_eq!(promoted.srq_sticky, !expect_stream);
+            let format_cost = clock.now() - before;
+            // Asking again neither retries nor charges.
+            t1.prepare_send(0, &mut clock, 1.0).unwrap();
+            assert_eq!(clock.now() - before, format_cost);
+            let (counters, state) = (t1.counters, t1.debug_state());
+            if expect_stream {
+                assert_eq!(format_cost, (2 * g.cells + 1) as f64);
+                assert_eq!(
+                    (counters.qps_established, counters.stream_alloc_failures),
+                    (1, 0)
+                );
+                assert!(state.contains("stream=published=0 credits=2"), "{state}");
+            } else {
+                assert_eq!(format_cost, 0.0);
+                assert_eq!(
+                    (counters.qps_established, counters.stream_alloc_failures),
+                    (0, 1)
+                );
+                assert!(state.contains("stream=none-srq-for-good"), "{state}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_takes_the_pool_bytes_of_the_ring_it_replaces() {
+        // The default geometry: what `e2e` reports as `pool_bytes_n*`.
         let stock = CxlShmTransportConfig::default();
-        let stock_g = QueueGeometry {
+        let g = QueueGeometry {
             cell_payload: stock.cell_size,
             cells: stock.cells_per_queue,
         };
-        let per_rank = |ranks| ConnTable::lane_budget(ranks, stock_g, &stock);
-        assert_eq!((per_rank(2), per_rank(8), per_rank(64)), (15, 3, 0));
-        let poison = PoisonFlag::new();
-        let mut clock = SimClock::new();
-        for (device_slack, config, expect_lane) in [
-            (1usize << 20, &roomy, false),
-            (4 << 20, &roomy, true),
-            (4 << 20, &tight, false),
-        ] {
-            let (a, b) = two_arenas(device_slack);
-            let _t0 = ConnTable::new(0, 2, a, g, config, poison.clone()).unwrap();
-            let mut t1 = ConnTable::new(1, 2, b, g, config, poison.clone()).unwrap();
-            // No lane before the pair is promoted.
-            t1.peer_mut(0).unwrap();
-            assert!(!t1.ensure_lane(0, &mut clock, 1.0));
-            assert!(
-                t1.debug_state().contains("lane=none"),
-                "{}",
-                t1.debug_state()
-            );
-            t1.prepare_send(0, &mut clock, 1.0).unwrap();
-            assert!(t1.peer(0).unwrap().qp.is_some());
-            // Asking twice creates (or fails) once.
-            let before = clock.now();
-            assert_eq!(t1.ensure_lane(0, &mut clock, 1.0), expect_lane);
-            let format_cost = clock.now() - before;
-            assert_eq!(t1.ensure_lane(0, &mut clock, 1.0), expect_lane);
-            assert_eq!(clock.now() - before, format_cost, "second call is free");
-            assert_eq!(t1.tx_lane(0).is_some(), expect_lane);
-            let state = t1.debug_state();
-            if expect_lane {
-                assert_eq!(format_cost, (2 * g.cells + 1) as f64);
-                assert!(
-                    state.contains("lane=published=0 in_flight=Ok(0)"),
-                    "{state}"
-                );
-            } else {
-                assert_eq!(format_cost, 0.0);
-                assert!(t1.peer(0).unwrap().lane_sticky);
-                assert!(state.contains("lane=sticky-fallback"), "{state}");
-            }
-        }
+        assert_eq!(Stream::required_bytes(g).unwrap(), g.queue_bytes());
+        // Fewer cells: fewer done entries than the ring's two control lines.
+        let small = QueueGeometry {
+            cell_payload: 1024,
+            cells: 4,
+        };
+        assert!(Stream::required_bytes(small).unwrap() < small.queue_bytes());
     }
 
     #[test]

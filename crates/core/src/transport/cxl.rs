@@ -2,24 +2,26 @@
 //!
 //! Everything that crosses ranks lives in CXL shared memory:
 //!
-//! * two-sided messages travel through SPSC message-cell rings
-//!   ([`crate::queue`]): in **eager** mode the full ranks×ranks
-//!   [`QueueMatrix`] is formatted up front, in **lazy** mode (the default)
-//!   per-pair rings are established on first use behind the doorbell/SRQ
-//!   connection table of [`super::conn`], so per-rank state is O(active
-//!   peers) and an idle poll costs O(1) instead of a ranks-wide sweep. A
-//!   message of at most one cell is one eager cell; a longer one on a
-//!   promoted lazy pair is a **rendezvous**: one header-only request-to-send
-//!   cell through the ring, the payload streamed through the pair's
-//!   [`Lane`]. Eager mode, unpromoted pairs and pairs whose lane could not
-//!   be created chunk long messages through cells, as the paper does;
+//! * two-sided messages travel per pair and direction. In **eager** mode —
+//!   the paper's protocol, kept as its oracle — that is the SPSC message-cell
+//!   ring of [`crate::queue`] in the full ranks×ranks [`QueueMatrix`],
+//!   formatted up front: every message is chunked through cells written
+//!   cached and flushed, behind head/tail words. In **lazy** mode (the
+//!   default) pairs start on the receiver's shared receive queue and, past
+//!   the promotion threshold, get one [`Stream`] behind the doorbell of
+//!   [`super::conn`], so per-rank state is O(active peers) and an idle poll
+//!   costs O(1) instead of a ranks-wide sweep. Every message of a promoted
+//!   pair rides its stream: frame and a payload of at most
+//!   [`STREAM_INLINE`] bytes in one stamped flag line, anything longer
+//!   streamed into the slots with non-temporal stores. The receive path is
+//!   one body over a private `Ring` enum, whichever of the three it drains;
 //! * RMA windows, their PSCW flags, bakery locks and fence barrier live in a
 //!   per-window SHM object ([`crate::rma`]);
 //! * the global barrier is the sequence-number barrier of [`crate::barrier`].
 //!
-//! Payload data is published with the software-coherence protocol
-//! (write + flush + fence / fence + flush + read); flags and queue indices use
-//! non-temporal accesses. Costs are charged to the per-rank virtual clock from
+//! Cell and window payloads are published with the software-coherence protocol
+//! (write + flush + fence / fence + flush + read); flags, queue indices and
+//! everything a stream or an exposure slot carries use non-temporal accesses. Costs are charged to the per-rank virtual clock from
 //! the [`CxlCostModel`], with the [`CxlContentionModel`] throttling concurrent
 //! large transfers the way the paper's memory-hierarchy contention does.
 
@@ -40,7 +42,7 @@ use crate::queue::{CellHeader, QueueGeometry, QueueMatrix, SpscQueue, CELL_HEADE
 use crate::rma::layout::WINDOW_READY_MAGIC;
 use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{PoisonFlag, SpinWait};
-use crate::transport::conn::{ConnTable, Lane, RxPeer};
+use crate::transport::conn::{ConnTable, SrqConsumer, Stream, STREAM_INLINE};
 use crate::transport::{
     no_data_plane, DataPlaneStats, DpCost, DpReaders, DpSource, DpWindow, FaultInjector, Transport,
     TransportCounters, TransportStats, WinId, DP_INLINE_BYTES,
@@ -277,25 +279,32 @@ enum ConnState {
     /// The seed design: the full ranks×ranks queue matrix, formatted at
     /// universe construction, of which this rank holds its send column and
     /// its receive row. Kept as the flat baseline the scaling sweeps compare
-    /// against, and as the paper's chunked-cell protocol: it never sends a
-    /// rendezvous, so its receive lanes stay `None`.
+    /// against, and as the paper's chunked-cell protocol.
     Eager {
         /// Ring toward each destination rank.
         tx: Vec<SpscQueue>,
         /// Ring from each source rank.
-        rx: Vec<RxPeer>,
+        rx: Vec<SpscQueue>,
     },
-    /// Sparse mode: per-rank doorbell + shared receive queue, with dedicated
-    /// queue pairs established on first use ([`super::conn`]).
+    /// Sparse mode: per-rank doorbell + shared receive queue, with one stream
+    /// per promoted pair established on first use ([`super::conn`]).
     Lazy(Box<ConnTable>),
 }
 
 impl ConnState {
-    /// Receive-side state from `sender` (opened on first use in lazy mode).
-    fn rx_peer(&mut self, sender: Rank) -> Result<&mut RxPeer> {
+    /// The ring from `sender` (its stream opened on first use in lazy mode).
+    fn rx_ring(&mut self, sender: Rank) -> Result<Ring<'_>> {
         match self {
-            ConnState::Eager { rx, .. } => Ok(&mut rx[sender]),
-            ConnState::Lazy(t) => t.rx_peer(sender),
+            ConnState::Eager { rx, .. } => Ok(Ring::Cells(&rx[sender])),
+            ConnState::Lazy(t) => t.rx_stream(sender).map(Ring::Stream),
+        }
+    }
+
+    /// The eager ring toward `dst` (panics in lazy mode).
+    fn eager_tx(&self, dst: Rank) -> &SpscQueue {
+        match self {
+            ConnState::Eager { tx, .. } => &tx[dst],
+            ConnState::Lazy(_) => unreachable!("eager helper called on lazy transport"),
         }
     }
 
@@ -308,13 +317,55 @@ impl ConnState {
     }
 }
 
-/// A reassembly in flight from one sender.
-struct PartialRx {
-    asm: ChunkAssembler,
-    /// The payload streams through the pair's lane: the message's
-    /// request-to-send cell is already off the ring, whose head belongs to the
-    /// *next* message and must not be touched until this one is whole.
-    via_lane: bool,
+/// What the receive path drains, one message source at a time: it peeks the
+/// header of the next cell or segment, consumes it into a slice, and the ring
+/// names the charge.
+enum Ring<'a> {
+    /// An eager pair's SPSC ring.
+    Cells(&'a SpscQueue),
+    /// This rank's shared receive queue.
+    Srq(&'a SrqConsumer),
+    /// A promoted lazy pair's stream.
+    Stream(&'a mut Stream),
+}
+
+impl Ring<'_> {
+    /// The header of the next cell or segment, if one is up. Free.
+    fn peek_header(&self) -> Result<Option<CellHeader>> {
+        match self {
+            Ring::Cells(queue) => queue.peek_header(),
+            Ring::Srq(srq) => srq.peek_header(),
+            Ring::Stream(stream) => stream.peek_header(),
+        }
+    }
+
+    /// Consume the cell or segment `h` (just peeked) into `dst[..h.chunk_len]`:
+    /// merge its publish stamp, charge the read, free the cell or slot.
+    fn consume(
+        &mut self,
+        h: &CellHeader,
+        charge: &Charge,
+        clock: &mut SimClock,
+        dst: &mut [u8],
+    ) -> Result<()> {
+        let (len, total) = (h.chunk_len as usize, h.total_len as usize);
+        let cell = match self {
+            Ring::Cells(queue) => queue.try_dequeue_into(clock.now(), dst)?,
+            Ring::Srq(srq) => srq.try_dequeue_into(clock.now(), dst)?,
+            Ring::Stream(stream) => {
+                clock.merge(h.timestamp);
+                stream.read(h, dst)?;
+                // The flag line, and the done entry that ends a batch.
+                let ctl_lines = if stream.ends_batch() { 2.0 } else { 1.0 };
+                charge.segment_pull(clock, len, total, stream.is_inline(h), ctl_lines);
+                return stream.release(h, clock.now());
+            }
+        };
+        debug_assert_eq!(cell.map(|c| c.chunk_offset), Some(h.chunk_offset));
+        clock.merge(h.timestamp);
+        charge.chunk_read(clock, len + CELL_HEADER_SIZE, total);
+        Ok(())
+    }
 }
 
 /// The cost terms of two-sided traffic with one peer, copied out of the
@@ -351,7 +402,8 @@ impl Charge {
         ideal.max(transfer_ns(bytes, cap / self.active_pairs.max(1) as f64))
     }
 
-    /// A cell publish: cached write + flush + fence, head/tail accesses.
+    /// A cell publish (eager rings, the SRQ): cached write + flush + fence,
+    /// head/tail accesses.
     fn chunk_write(&self, clock: &mut SimClock, bytes: usize, msg_bytes: usize) {
         let ideal = self.cost.coherent_write(bytes, self.mode) + 2.0 * self.cost.nt_access();
         clock.advance(self.throttled(ideal, bytes, msg_bytes));
@@ -363,63 +415,43 @@ impl Charge {
         clock.advance(self.throttled(ideal, bytes, msg_bytes));
     }
 
-    /// A lane segment publish: non-temporal store stream + fence, plus
-    /// `ctl_lines` control-line accesses (the flag store, and the ack load of
-    /// a reused slot).
+    /// A stream segment publish: `ctl_lines` control lines — the flag line,
+    /// and the done line the writer loads when it has lapped — plus, unless
+    /// the payload rides `inline` in the flag line, the non-temporal store
+    /// stream + fence into the data slot.
     fn segment_publish(
         &self,
         clock: &mut SimClock,
         bytes: usize,
         msg_bytes: usize,
+        inline: bool,
         ctl_lines: f64,
     ) {
-        let ideal =
-            self.cost.streamed_publish(bytes, self.mode) + ctl_lines * self.cost.nt_access();
+        let stream = match inline {
+            true => 0.0,
+            false => self.cost.streamed_publish(bytes, self.mode),
+        };
+        let ideal = stream + ctl_lines * self.cost.nt_access();
         clock.advance(self.throttled(ideal, bytes, msg_bytes));
     }
 
-    /// A lane segment pull: fence + streamed read, the flag load and the ack
-    /// store.
-    fn segment_pull(&self, clock: &mut SimClock, bytes: usize, msg_bytes: usize) {
-        let ideal = self.cost.streamed_read(bytes, self.mode) + 2.0 * self.cost.nt_access();
+    /// A stream segment pull; see [`Self::segment_publish`]. Its second
+    /// control line is the done entry stored at the end of a batch.
+    fn segment_pull(
+        &self,
+        clock: &mut SimClock,
+        bytes: usize,
+        msg_bytes: usize,
+        inline: bool,
+        ctl_lines: f64,
+    ) {
+        let stream = match inline {
+            true => 0.0,
+            false => self.cost.streamed_read(bytes, self.mode),
+        };
+        let ideal = stream + ctl_lines * self.cost.nt_access();
         clock.advance(self.throttled(ideal, bytes, msg_bytes));
     }
-}
-
-/// The `sender → me` lane of `peer`, opened on that sender's first
-/// request-to-send.
-fn rx_lane<'a>(
-    peer: &'a mut RxPeer,
-    arena: &CxlShmArena,
-    me: Rank,
-    sender: Rank,
-    poison: &PoisonFlag,
-) -> Result<&'a mut Lane> {
-    if peer.lane.is_none() {
-        let geometry = peer.queue.geometry();
-        peer.lane = Some(Lane::open(arena, me, sender, geometry, poison)?);
-    }
-    Ok(peer.lane.as_mut().expect("lane just ensured"))
-}
-
-/// Pull the next lane segment straight into `dst` if it is published: merge
-/// its publish time, charge the streamed read, hand the slot back. `false`
-/// (nothing touched, nothing charged) while the segment is not up.
-fn pull_segment(
-    lane: &mut Lane,
-    charge: &Charge,
-    clock: &mut SimClock,
-    msg_bytes: usize,
-    dst: &mut [u8],
-) -> Result<bool> {
-    let Some(published) = lane.segment_ready_at()? else {
-        return Ok(false);
-    };
-    clock.merge(published);
-    lane.read(dst)?;
-    charge.segment_pull(clock, dst.len(), msg_bytes);
-    lane.ack(clock.now())?;
-    Ok(true)
 }
 
 /// A probe found the destination ring (or shared receive queue) full: merge
@@ -443,11 +475,11 @@ pub struct CxlTransport {
     barrier: SeqBarrier,
     unexpected: UnexpectedQueue,
     /// One in-flight reassembly per sender ring: the progress engine's drain
-    /// path pulls whatever chunks (or lane segments) have arrived into these
+    /// path pulls whatever cells or stream segments have arrived into these
     /// without ever blocking for the rest of a message, so two ranks mid-send
     /// to each other can both keep pumping (a blocking drain here deadlocked
     /// them).
-    partial_rx: Vec<Option<PartialRx>>,
+    partial_rx: Vec<Option<ChunkAssembler>>,
     windows: Vec<Option<WindowState>>,
     /// Per-communicator data-plane windows. `Some(None)` memoizes a failed
     /// creation so the communicator never retries (ring-only forever).
@@ -526,7 +558,7 @@ impl CxlTransport {
 
     /// How many named SHM objects the runtime should size the arena directory
     /// for: its own bookkeeping plus, in lazy mode, every doorbell, SRQ,
-    /// budgeted queue pair and budgeted lane the connection tables may create.
+    /// and budgeted stream the connection tables may create.
     pub fn arena_object_hint(ranks: usize, config: &CxlShmTransportConfig) -> usize {
         let base = 256 + ranks * 8;
         match config.conn_mode {
@@ -591,12 +623,7 @@ impl CxlTransport {
                 let matrix = QueueMatrix::new(matrix_obj, ranks, geometry)?;
                 ConnState::Eager {
                     tx: (0..ranks).map(|dst| matrix.queue(dst, rank)).collect(),
-                    rx: (0..ranks)
-                        .map(|src| RxPeer {
-                            queue: matrix.queue(rank, src),
-                            lane: None,
-                        })
-                        .collect(),
+                    rx: (0..ranks).map(|src| matrix.queue(rank, src)).collect(),
                 }
             }
             ConnMode::Lazy => {
@@ -776,8 +803,8 @@ impl CxlTransport {
     // The receive path is allocation-free in steady state:
     //
     // * a receive posted into a caller buffer (`recv_into`, used by all typed
-    //   collectives) peeks the next cell header and, when it matches, dequeues
-    //   every chunk payload **directly into the caller's buffer** — no `Vec`
+    //   collectives) peeks the next header and, when it matches, consumes
+    //   every cell or segment **directly into the caller's buffer** — no `Vec`
     //   per chunk, no reassembly copy;
     // * messages that no receive asked for yet are reassembled into buffers
     //   recycled through the per-rank [`BufferPool`] staging arena and stashed
@@ -789,12 +816,11 @@ impl CxlTransport {
         h.ctx == ctx && source_matches(src, h.src) && tag_matches(tag, h.tag)
     }
 
-    /// Receive the message whose first cell header `first` was just peeked
-    /// at the head of `sender`'s ring straight into `dst` (which must hold
-    /// the whole message): either the remaining chunks at their offsets, or —
-    /// for a request-to-send — the lane's segments in order. Merges
-    /// timestamps, charges per-chunk / per-segment read costs, and waits for
-    /// the remainder of a message still being published.
+    /// Receive the message whose first header `first` was just peeked at the
+    /// head of `sender`'s ring straight into `dst` (which must hold the whole
+    /// message), cell by cell or segment by segment at their offsets. Merges
+    /// timestamps, charges each read, and waits for the remainder of a
+    /// message still being published.
     fn drain_message_into(
         &mut self,
         clock: &mut SimClock,
@@ -805,55 +831,24 @@ impl CxlTransport {
         let total = first.total_len as usize;
         debug_assert!(dst.len() >= total);
         let charge = self.charge_for(sender);
-        let peer = self.conn.rx_peer(sender)?;
+        let mut ring = self.conn.rx_ring(sender)?;
         let mut backoff = SpinWait::new();
-        if first.is_rts(self.cell_payload) {
-            let h = peer
-                .queue
-                .try_dequeue_into(clock.now(), &mut [])?
-                .expect("peeked cell vanished");
-            clock.merge(h.timestamp);
-            charge.chunk_read(clock, CELL_HEADER_SIZE, total);
-            let lane = rx_lane(peer, &self.arena, self.rank, sender, &self.poison)?;
-            let mut received = 0usize;
-            while received < total {
-                let end = (received + lane.segment_bytes()).min(total);
-                if pull_segment(lane, &charge, clock, total, &mut dst[received..end])? {
-                    received = end;
-                    backoff.reset();
-                } else {
-                    backoff.wait(&self.poison)?;
-                }
-            }
-            return Ok(());
-        }
-        let mut received = 0usize;
+        let (mut next, mut received) = (Some(*first), 0usize);
         loop {
-            // The next cell is guaranteed to belong to this message (the
+            // What follows is guaranteed to belong to this message (the
             // sender publishes a whole message before starting the next), but
             // the ring may momentarily be empty when the producer is behind.
-            let off = if received == 0 {
-                first.chunk_offset as usize
-            } else {
-                match peer.queue.peek_header()? {
-                    Some(h) => {
-                        debug_assert_eq!(h.src, first.src);
-                        debug_assert_eq!(h.ctx, first.ctx);
-                        h.chunk_offset as usize
-                    }
-                    None => {
-                        backoff.wait(&self.poison)?;
-                        continue;
-                    }
-                }
+            let peeked = match next.take() {
+                first @ Some(_) => first,
+                None => ring.peek_header()?,
             };
-            let Some(h) = peer.queue.try_dequeue_into(clock.now(), &mut dst[off..])? else {
+            let Some(h) = peeked else {
                 backoff.wait(&self.poison)?;
                 continue;
             };
+            debug_assert_eq!((h.src, h.ctx), (first.src, first.ctx));
+            ring.consume(&h, &charge, clock, &mut dst[h.chunk_offset as usize..])?;
             backoff.reset();
-            clock.merge(h.timestamp);
-            charge.chunk_read(clock, h.chunk_len as usize + CELL_HEADER_SIZE, total);
             received += h.chunk_len as usize;
             if received >= total {
                 return Ok(());
@@ -865,97 +860,58 @@ impl CxlTransport {
         matches!(self.conn, ConnState::Lazy(_))
     }
 
-    /// Fold one more cell (`h`, at the head of a ring or the SRQ) into the
+    /// Fold one more cell or segment (`h`, at the head of `ring`) into the
     /// reassembly in `part`, starting it from the staging pool when `h` opens
-    /// a message: `dequeue` consumes the cell into the slice it is handed.
+    /// a message; hands the assembly over once `h` completed it.
     fn accept_cell(
-        part: &mut Option<PartialRx>,
+        part: &mut Option<ChunkAssembler>,
         pool: &mut BufferPool,
-        cell_payload: usize,
+        ring: &mut Ring<'_>,
         h: &CellHeader,
         charge: &Charge,
         clock: &mut SimClock,
-        dequeue: impl FnOnce(f64, &mut [u8]) -> Result<Option<CellHeader>>,
-    ) -> Result<()> {
+    ) -> Result<Option<ChunkAssembler>> {
         // Chunks of one message are contiguous per sender, so a fresh
         // assembly always starts at a first-of-message header.
-        let p = part.get_or_insert_with(|| {
+        let asm = part.get_or_insert_with(|| {
             let total = h.total_len as usize;
-            PartialRx {
-                asm: ChunkAssembler::with_buffer(h.src, h.ctx, h.tag, total, pool.take(total)),
-                via_lane: h.is_rts(cell_payload),
-            }
+            ChunkAssembler::with_buffer(h.src, h.ctx, h.tag, total, pool.take(total))
         });
-        let dst = p
-            .asm
-            .chunk_target(h.chunk_offset as usize, h.chunk_len as usize);
-        let h = dequeue(clock.now(), dst)?.expect("peeked cell vanished");
-        clock.merge(h.timestamp);
-        charge.chunk_read(
-            clock,
-            h.chunk_len as usize + CELL_HEADER_SIZE,
-            h.total_len as usize,
-        );
-        p.asm.commit_chunk(h.chunk_len as usize, clock.now());
-        Ok(())
+        let dst = asm.chunk_target(h.chunk_offset as usize, h.chunk_len as usize);
+        ring.consume(h, charge, clock, dst)?;
+        asm.commit_chunk(h.chunk_len as usize, clock.now());
+        Ok(if asm.is_complete() { part.take() } else { None })
     }
 
     /// Finish a complete reassembly into a message and count it received.
-    fn finish_partial(&self, part: PartialRx, clock: &SimClock) -> PendingMessage {
-        let mut msg = part.asm.finish();
+    fn finish_partial(&self, asm: ChunkAssembler, clock: &SimClock) -> PendingMessage {
+        let mut msg = asm.finish();
         msg.arrival = clock.now();
         TransportCounters::bump(&self.stats.msgs_received, 1);
         TransportCounters::bump(&self.stats.bytes_received, msg.data.len() as u64);
         msg
     }
 
-    /// Pull everything currently available from `sender` — ring cells, and
-    /// the lane segments behind a request-to-send — into that sender's
-    /// persistent reassembly **without blocking**: a message mid-publication
-    /// is accepted incrementally (freeing ring cells and lane slots, which is
-    /// what keeps a sender blocked on flow control moving), and the assembly
-    /// resumes on the next call. Returns the reassembled message once its
-    /// last byte arrives, `None` when nothing further is available (empty,
-    /// or a partial message whose sender has not published more yet).
+    /// Pull everything currently available from `sender`'s ring into that
+    /// sender's persistent reassembly **without blocking**: a message
+    /// mid-publication is accepted incrementally (freeing ring cells and
+    /// stream slots, which is what keeps a sender blocked on flow control
+    /// moving), and the assembly resumes on the next call. Returns the
+    /// reassembled message once its last byte arrives, `None` when nothing
+    /// further is available (empty, or a partial message whose sender has
+    /// not published more yet).
     fn pump_queue(&mut self, clock: &mut SimClock, sender: Rank) -> Result<Option<PendingMessage>> {
         TransportCounters::bump(&self.stats.ring_probes, 1);
         let charge = self.charge_for(sender);
-        let peer = self.conn.rx_peer(sender)?;
-        let mut part = self.partial_rx[sender].take();
-        loop {
-            match part.as_mut() {
-                Some(p) if p.via_lane => {
-                    let lane = rx_lane(peer, &self.arena, self.rank, sender, &self.poison)?;
-                    let (total, off) = (p.asm.total_len(), p.asm.received());
-                    let len = lane.segment_bytes().min(total - off);
-                    let dst = p.asm.chunk_target(off, len);
-                    if !pull_segment(lane, &charge, clock, total, dst)? {
-                        break;
-                    }
-                    p.asm.commit_chunk(len, clock.now());
-                }
-                _ => {
-                    let Some(h) = peer.queue.peek_header()? else {
-                        break;
-                    };
-                    let queue = &peer.queue;
-                    Self::accept_cell(
-                        &mut part,
-                        &mut self.pool,
-                        self.cell_payload,
-                        &h,
-                        &charge,
-                        clock,
-                        |now, dst| queue.try_dequeue_into(now, dst),
-                    )?;
-                }
-            }
-            if part.as_ref().is_some_and(|p| p.asm.is_complete()) {
-                let done = part.take().expect("complete assembly present");
+        let mut ring = self.conn.rx_ring(sender)?;
+        let part = &mut self.partial_rx[sender];
+        while let Some(h) = ring.peek_header()? {
+            if let Some(done) =
+                Self::accept_cell(part, &mut self.pool, &mut ring, &h, &charge, clock)?
+            {
                 return Ok(Some(self.finish_partial(done, clock)));
             }
         }
-        self.partial_rx[sender] = part;
         Ok(None)
     }
 
@@ -993,20 +949,20 @@ impl CxlTransport {
     }
 
     // ------------------------------------------------------------------
-    // Lazy-mode receive internals (doorbell + SRQ + sparse rings)
+    // Lazy-mode receive internals (doorbell + SRQ + sparse streams)
     // ------------------------------------------------------------------
     //
     // The lazy receive side never sweeps `0..ranks`. It
     //
-    // 1. drains the doorbell summary into the pending-sender set (one
-    //    non-temporal load when idle, regardless of world size),
+    // 1. drains the doorbell into the pending-sender set (one non-temporal
+    //    load when idle, regardless of world size),
     // 2. pumps the shared receive queue, where not-yet-promoted senders
     //    publish whole messages (two non-temporal loads when idle),
-    // 3. pumps only the pending senders' dedicated rings, retiring a sender
-    //    from the set once its ring is drained and no reassembly is in flight
-    //    (senders re-ring the doorbell for every cell, so retirement never
-    //    loses a wakeup; lane segments ring nothing, which is why a sender
-    //    mid-rendezvous stays pending until its message is whole).
+    // 3. pumps only the pending senders' streams, retiring a sender from the
+    //    set once its stream is drained and no reassembly is in flight
+    //    (senders ring the doorbell for every message, so retirement never
+    //    loses a wakeup; the segments behind a message's first ring nothing,
+    //    which is why a sender mid-message stays pending until it is whole).
 
     /// Drain this rank's doorbell into the connection table's pending set.
     fn lazy_collect(&mut self) -> Result<()> {
@@ -1021,36 +977,21 @@ impl CxlTransport {
         let ConnState::Lazy(table) = &self.conn else {
             unreachable!("SRQ pump on eager transport");
         };
-        let srq = &table.my_srq;
-        loop {
-            let Some(h) = srq.peek_header()? else {
-                return Ok(None);
-            };
-            let sender = h.src;
-            let charge = self.charge_for(sender);
-            Self::accept_cell(
-                &mut self.partial_rx[sender],
-                &mut self.pool,
-                self.cell_payload,
-                &h,
-                &charge,
-                clock,
-                |now, dst| srq.try_dequeue_into(now, dst),
-            )?;
-            if self.partial_rx[sender]
-                .as_ref()
-                .is_some_and(|p| p.asm.is_complete())
+        let mut ring = Ring::Srq(&table.my_srq);
+        while let Some(h) = ring.peek_header()? {
+            let charge = self.charge_for(h.src);
+            let part = &mut self.partial_rx[h.src];
+            if let Some(done) =
+                Self::accept_cell(part, &mut self.pool, &mut ring, &h, &charge, clock)?
             {
-                let done = self.partial_rx[sender]
-                    .take()
-                    .expect("complete assembly present");
                 return Ok(Some(self.finish_partial(done, clock)));
             }
         }
+        Ok(None)
     }
 
     /// The senders a lazy receive should probe: the single requested source
-    /// when its ring is known or flagged, otherwise the whole pending set.
+    /// when its stream is known or flagged, otherwise the whole pending set.
     fn lazy_candidates(&self, src: Option<Rank>, out: &mut Vec<Rank>) {
         out.clear();
         let ConnState::Lazy(t) = &self.conn else {
@@ -1066,15 +1007,15 @@ impl CxlTransport {
         }
     }
 
-    /// Drop `sender` from the pending set once its ring holds nothing and no
-    /// reassembly is in flight. Safe because senders ring the doorbell after
-    /// every cell: new data always re-flags them.
+    /// Drop `sender` from the pending set once its stream holds nothing and
+    /// no reassembly is in flight. Safe because senders ring the doorbell
+    /// after every message's first segment: new data always re-flags them.
     fn lazy_retire(&mut self, sender: Rank) -> Result<()> {
         if self.partial_rx[sender].is_some() {
             return Ok(());
         }
         let table = self.conn.lazy();
-        if !table.rx_peer(sender)?.queue.has_message()? {
+        if !table.rx_stream(sender)?.has_segment()? {
             table.pending.remove(&sender);
         }
         Ok(())
@@ -1240,8 +1181,8 @@ impl CxlTransport {
     ) -> Result<Option<Status>> {
         loop {
             // Finish any in-flight partial reassembly first: it owns the ring
-            // head (or the lane), so nothing newer from this sender can be
-            // examined until it completes.
+            // head, so nothing newer from this sender can be examined until
+            // it completes.
             if self.partial_rx[sender].is_some() {
                 match self.pump_queue(clock, sender)? {
                     Some(msg) => {
@@ -1255,7 +1196,8 @@ impl CxlTransport {
                     None => return Ok(None),
                 }
             }
-            let Some(first) = self.conn.rx_peer(sender)?.queue.peek_header()? else {
+            TransportCounters::bump(&self.stats.ring_probes, 1);
+            let Some(first) = self.conn.rx_ring(sender)?.peek_header()? else {
                 return Ok(None);
             };
             if !Self::header_matches(&first, ctx, src, tag) {
@@ -1292,9 +1234,9 @@ impl CxlTransport {
                     buffer_len: buf.len(),
                 });
             }
-            // Direct path: chunks or lane segments land in the caller's
-            // buffer, with no staging copy. Waits for the remainder of a
-            // matching message mid-publication — safe for the same reason.
+            // Direct path: cells or segments land in the caller's buffer,
+            // with no staging copy. Waits for the remainder of a matching
+            // message mid-publication — safe for the same reason.
             self.drain_message_into(clock, sender, &first, buf)?;
             TransportCounters::bump(&self.stats.msgs_received, 1);
             TransportCounters::bump(&self.stats.bytes_received, total as u64);
@@ -1347,143 +1289,24 @@ impl CxlTransport {
     // Lazy-mode send internals
     // ------------------------------------------------------------------
 
-    /// The route decision of a lazy send, made once at message entry: opens
-    /// (and opportunistically promotes) the pair, then says whether a message
-    /// of `total` bytes goes rendezvous — longer than one cell, on a promoted
-    /// pair that has (or now gets) a lane — or as cells.
-    fn lazy_route(&mut self, clock: &mut SimClock, dst: Rank, total: usize) -> Result<bool> {
-        let nt = self.cost.nt_access();
-        let large = total > self.cell_payload;
-        let table = self.conn.lazy();
-        table.prepare_send(dst, clock, nt)?;
-        Ok(large && table.ensure_lane(dst, clock, nt))
-    }
-
-    /// Blocking send over the lazy connection state. A message longer than
-    /// one cell on a promoted pair with a lane goes rendezvous. Otherwise
-    /// promoted pairs chunk it through their dedicated ring, ringing the
-    /// receiver's doorbell after every chunk (the receiver's drain depends on
-    /// seeing the bit); cold pairs publish through the receiver's shared
-    /// receive queue, which the receiver probes unconditionally — no
-    /// doorbell.
-    fn send_lazy(
-        &mut self,
-        clock: &mut SimClock,
-        dst: Rank,
-        ctx: CtxId,
-        tag: Tag,
-        data: &[u8],
-    ) -> Result<()> {
-        let nt = self.cost.nt_access();
-        let total = data.len();
-        if self.lazy_route(clock, dst, total)? {
-            // The resumable rendezvous send, driven to completion. While the
-            // lane is full this rank keeps its own inbound side drained, so
-            // two ranks streaming at each other both move.
-            let mut cursor = 0usize;
-            let mut backoff = SpinWait::new();
-            while !self.try_send_rendezvous(clock, dst, ctx, tag, data, &mut cursor)? {
-                if self.lazy_poll_incoming(clock)? == 0 {
-                    backoff.wait(&self.poison)?;
-                } else {
-                    backoff.reset();
-                }
-            }
-            return Ok(());
-        }
-        // Fault injection fires at message entry, before any chunk is
-        // published: peers never observe a half-written message.
-        if let Some(f) = self.fault.as_mut() {
-            f.on_send()?;
-        }
-        clock.advance(self.cost.mpi_overhead());
-        let charge = self.charge_for(dst);
-        let peer = self.conn.lazy().peer(dst).expect("peer just routed");
-        let mut offset = 0usize;
-        let mut last_ticket = None;
-        loop {
-            let chunk_end = (offset + self.cell_payload).min(total);
-            let chunk = &data[offset..chunk_end];
-            // Charge the publish cost first, then stamp the cell with the
-            // time at which the data is actually visible.
-            charge.chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total);
-            let header = CellHeader {
-                src: self.rank,
-                ctx,
-                tag,
-                total_len: total as u64,
-                chunk_offset: offset as u64,
-                chunk_len: chunk.len() as u32,
-                timestamp: clock.now(),
-            };
-            let mut backoff = SpinWait::new();
-            let mut probed = false;
-            match &peer.qp {
-                Some(queue) => loop {
-                    if queue.try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)? {
-                        peer.db.ring(self.rank)?;
-                        TransportCounters::bump(&self.stats.doorbell_rings, 1);
-                        clock.advance(2.0 * nt);
-                        break;
-                    }
-                    // Ring full: the receiver is behind. Merge its published
-                    // timestamp so our clock reflects the wait, then retry.
-                    charge_full_probe(clock, &mut probed, queue.head_timestamp()?, nt);
-                    backoff.wait(&self.poison)?;
-                },
-                None => loop {
-                    match peer
-                        .srq
-                        .try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)?
-                    {
-                        Some(ticket) => {
-                            last_ticket = Some(ticket);
-                            // The ticket claim is one RMW round-trip.
-                            clock.advance(nt);
-                            break;
-                        }
-                        None => {
-                            charge_full_probe(clock, &mut probed, peer.srq.head_timestamp()?, nt);
-                            backoff.wait(&self.poison)?;
-                        }
-                    }
-                },
-            }
-            offset = chunk_end;
-            if offset >= total {
-                break;
-            }
-        }
-        self.finish_chunked_send(dst, total, last_ticket);
-        Ok(())
-    }
-
-    /// Completion bookkeeping of a chunked lazy send: promotion counters,
-    /// message counters, and — when a message longer than one cell had to
-    /// chunk through a promoted pair — the rendezvous fallback count.
-    fn finish_chunked_send(&mut self, dst: Rank, total: usize, srq_ticket: Option<u64>) {
-        self.conn.lazy().note_sent(dst, srq_ticket);
-        TransportCounters::bump(&self.stats.msgs_sent, 1);
-        TransportCounters::bump(&self.stats.bytes_sent, total as u64);
-        if total > self.cell_payload && srq_ticket.is_none() {
-            TransportCounters::bump(&self.stats.rdv_fallbacks, 1);
-        }
-    }
-
-    /// Nonblocking incremental rendezvous send toward a promoted peer with a
-    /// lane. `cursor` counts what is already out: `0` nothing, `1` the
-    /// request-to-send, `1 + k` the first `k` segments.
+    /// The one send body of lazy mode, nonblocking and resumable: the
+    /// progress engine calls it as is, the blocking [`Transport::send`] drives
+    /// it in a loop that keeps this rank's arrivals drained while it is
+    /// blocked. `cursor` counts what is already out — stream segments on a
+    /// promoted pair, SRQ cells on a cold one.
     ///
-    /// The request-to-send is an ordinary header-only cell — so matching,
-    /// non-overtaking order and the doorbell are the ring's — and message
-    /// entry (fault hook, software overhead) happens right before it, once
-    /// the ring has room. Each segment then streams into the lane with
-    /// non-temporal stores. A full lane hands control back **without touching
-    /// the clock**: the wait for a slow receiver is charged once, when the
-    /// slot is finally reused, by merging the timestamp the receiver freed it
-    /// at — so the virtual time of a large message does not depend on how
-    /// often the host scheduler let this rank retry.
-    fn try_send_rendezvous(
+    /// Message entry (`cursor == 0`; idempotent, nothing is out yet) opens
+    /// and opportunistically promotes the pair. On a promoted pair the whole
+    /// message rides the stream and rings the receiver's doorbell once, after
+    /// its first segment; the fault hook and the software overhead come right
+    /// before that segment, once a slot is in hand. A full stream hands
+    /// control back **without touching the clock**: the wait for a slow
+    /// receiver is charged once, when the slots are reused, by merging the
+    /// stamp the receiver handed them back at — so virtual time does not
+    /// depend on how often the host scheduler let this rank retry. A cold
+    /// pair publishes cells through the receiver's shared receive queue,
+    /// which the receiver probes unconditionally — no doorbell.
+    fn try_send_lazy(
         &mut self,
         clock: &mut SimClock,
         dst: Rank,
@@ -1495,187 +1318,126 @@ impl CxlTransport {
         let nt = self.cost.nt_access();
         let total = data.len();
         let charge = self.charge_for(dst);
-        if *cursor == 0 {
-            let peer = self.conn.lazy().peer(dst).expect("peer prepared");
-            let queue = peer.qp.as_ref().expect("a lane implies a promoted pair");
-            if !queue.has_space()? {
-                let head_ts = queue.head_timestamp()?;
-                charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
-                return Ok(false);
+        let table = self.conn.lazy();
+        let peer = match *cursor {
+            0 => table.prepare_send(dst, clock, nt)?,
+            // Mid-message the route is settled: a pair is only promoted at
+            // message entry, and nothing starts a message toward a peer
+            // while another is mid-flight to it.
+            _ => table.peer_mut(dst)?,
+        };
+        let srq_ticket = if let Some(stream) = peer.stream.as_mut() {
+            let segment = stream.segment_bytes();
+            let segments = total.div_ceil(segment).max(1);
+            let inline = total <= STREAM_INLINE;
+            while *cursor < segments {
+                let Some(lapped) = stream.reserve()? else {
+                    return Ok(false);
+                };
+                if *cursor == 0 {
+                    // Single writer: the slot cannot vanish, so the hook
+                    // fires exactly once per message, with nothing visible.
+                    if let Some(f) = self.fault.as_mut() {
+                        f.on_send()?;
+                    }
+                    clock.advance(self.cost.mpi_overhead());
+                }
+                if segments > 1 {
+                    // Segment entry (slot in hand, nothing written): the
+                    // fault-injection point for a death mid-stream.
+                    if let Some(f) = self.fault.as_mut() {
+                        f.on_publish()?;
+                    }
+                }
+                // The flag line; lapped, the done line that freed the slot.
+                let mut ctl_lines = 1.0;
+                if let Some(freed_at) = lapped {
+                    if freed_at > clock.now() {
+                        TransportCounters::bump(&self.stats.rdv_stalls, 1);
+                    }
+                    clock.merge(freed_at);
+                    ctl_lines = 2.0;
+                }
+                let part = &data[*cursor * segment..((*cursor + 1) * segment).min(total)];
+                charge.segment_publish(clock, part.len(), total, inline, ctl_lines);
+                let frame = (*cursor == 0).then_some((ctx, tag, total));
+                stream.publish(frame, part, clock.now())?;
+                if *cursor == 0 {
+                    let words = peer.db.ring(self.rank)?;
+                    TransportCounters::bump(&self.stats.doorbell_rings, 1);
+                    clock.advance(words as f64 * nt);
+                }
+                *cursor += 1;
             }
-            self.tx_blocked[dst] = false;
-            // Single producer per queue pair: the space cannot vanish, so the
-            // hook fires exactly once per message and nothing is visible yet.
-            if let Some(f) = self.fault.as_mut() {
-                f.on_send()?;
+            if segments > 1 {
+                TransportCounters::bump(&self.stats.rdv_msgs, 1);
+                TransportCounters::bump(&self.stats.rdv_bytes, total as u64);
+                TransportCounters::bump(&self.stats.rdv_segments, segments as u64);
             }
-            clock.advance(self.cost.mpi_overhead());
-            charge.chunk_write(clock, CELL_HEADER_SIZE, total);
-            let rts = CellHeader {
-                src: self.rank,
-                ctx,
-                tag,
-                total_len: total as u64,
-                chunk_offset: 0,
-                chunk_len: 0,
-                timestamp: clock.now(),
-            };
-            let enqueued = queue.try_enqueue_with_scratch(&rts, &[], &mut self.tx_scratch)?;
-            debug_assert!(enqueued, "ring filled despite has_space");
-            peer.db.ring(self.rank)?;
-            TransportCounters::bump(&self.stats.doorbell_rings, 1);
-            clock.advance(2.0 * nt);
-            *cursor = 1;
-        }
-        let lane = self
-            .conn
-            .lazy()
-            .tx_lane(dst)
-            .expect("rendezvous send without a lane");
-        let segment = lane.segment_bytes();
-        let mut offset = (*cursor - 1) * segment;
-        while offset < total {
-            let Some(freed_at) = lane.slot_freed_at()? else {
-                return Ok(false);
-            };
-            // Segment entry (slot claimable, nothing written): the
-            // fault-injection point for a death mid-stream.
-            if let Some(f) = self.fault.as_mut() {
-                f.on_publish()?;
+            None
+        } else {
+            let cells = total.div_ceil(self.cell_payload).max(1);
+            let mut ticket = None;
+            while *cursor < cells {
+                let offset = *cursor * self.cell_payload;
+                let chunk = &data[offset..(offset + self.cell_payload).min(total)];
+                if !peer.srq.has_space()? {
+                    let head_ts = peer.srq.head_timestamp()?;
+                    charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
+                    return Ok(false);
+                }
+                self.tx_blocked[dst] = false;
+                if *cursor == 0 {
+                    // Exactly-once fault injection: arm a key on the first
+                    // attempt that passed flow control, keep it armed across
+                    // the SRQ's rare claim-race retreats, clear it at
+                    // completion.
+                    if let Some(fault) = self.fault.as_mut() {
+                        if self.fault_armed.insert((dst, ctx, tag)) {
+                            fault.on_send()?;
+                        }
+                    }
+                    clock.advance(self.cost.mpi_overhead());
+                }
+                // Charge the publish cost first, then stamp the cell with
+                // the time at which the data is actually visible.
+                charge.chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total);
+                let header = CellHeader {
+                    src: self.rank,
+                    ctx,
+                    tag,
+                    total_len: total as u64,
+                    chunk_offset: offset as u64,
+                    chunk_len: chunk.len() as u32,
+                    timestamp: clock.now(),
+                };
+                let claimed =
+                    peer.srq
+                        .try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)?;
+                let Some(claimed) = claimed else {
+                    // A racing producer took the last slot after the
+                    // flow-control check: retreat as a plain "full".
+                    let head_ts = peer.srq.head_timestamp()?;
+                    charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
+                    return Ok(false);
+                };
+                // The ticket claim is one RMW round-trip.
+                clock.advance(nt);
+                ticket = Some(claimed);
+                *cursor += 1;
             }
-            if freed_at > clock.now() {
-                TransportCounters::bump(&self.stats.rdv_stalls, 1);
+            if self.fault.is_some() {
+                self.fault_armed.remove(&(dst, ctx, tag));
             }
-            clock.merge(freed_at);
-            let end = (offset + segment).min(total);
-            // A reused slot costs a look at its ack line besides the flag.
-            let reused = lane.seq() >= lane.slots() as u64;
-            let ctl_lines = if reused { 2.0 } else { 1.0 };
-            charge.segment_publish(clock, end - offset, total, ctl_lines);
-            lane.publish(&data[offset..end], clock.now())?;
-            TransportCounters::bump(&self.stats.rdv_segments, 1);
-            offset = end;
-            *cursor += 1;
-        }
-        self.conn.lazy().note_sent(dst, None);
+            ticket
+        };
+        table.note_sent(dst, srq_ticket);
         TransportCounters::bump(&self.stats.msgs_sent, 1);
         TransportCounters::bump(&self.stats.bytes_sent, total as u64);
-        TransportCounters::bump(&self.stats.rdv_msgs, 1);
-        TransportCounters::bump(&self.stats.rdv_bytes, total as u64);
         Ok(true)
     }
 
-    /// Nonblocking incremental send over the lazy connection state. Mirrors
-    /// the eager progress contract: enqueue whatever fits, hand control back
-    /// on flow control so the caller can drain its own inbound side.
-    fn try_send_progress_lazy(
-        &mut self,
-        clock: &mut SimClock,
-        dst: Rank,
-        ctx: CtxId,
-        tag: Tag,
-        data: &[u8],
-        cursor: &mut usize,
-    ) -> Result<bool> {
-        let nt = self.cost.nt_access();
-        let total = data.len();
-        let rendezvous = if *cursor == 0 {
-            // Message entry (idempotent across re-entries — nothing has been
-            // enqueued yet, so switching to a freshly promoted queue pair
-            // between attempts is safe).
-            self.lazy_route(clock, dst, total)?
-        } else {
-            // Mid-message the route is settled: a lane is only ever created
-            // at the entry of a large message to this peer, and the progress
-            // engine never starts one while another is mid-flight to it.
-            total > self.cell_payload && self.conn.lazy().tx_lane(dst).is_some()
-        };
-        if rendezvous {
-            return self.try_send_rendezvous(clock, dst, ctx, tag, data, cursor);
-        }
-        let charge = self.charge_for(dst);
-        let total_chunks = total.div_ceil(self.cell_payload).max(1);
-        let peer = self
-            .conn
-            .lazy()
-            .peer(dst)
-            .expect("peer prepared at message entry");
-        let mut last_ticket = None;
-        while *cursor < total_chunks {
-            let offset = *cursor * self.cell_payload;
-            let chunk_end = (offset + self.cell_payload).min(total);
-            let chunk = &data[offset..chunk_end];
-            let full_until = match &peer.qp {
-                Some(queue) if !queue.has_space()? => Some(queue.head_timestamp()?),
-                None if !peer.srq.has_space()? => Some(peer.srq.head_timestamp()?),
-                _ => None,
-            };
-            if let Some(head_ts) = full_until {
-                charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
-                return Ok(false);
-            }
-            self.tx_blocked[dst] = false;
-            if *cursor == 0 {
-                // Exactly-once fault injection: arm a key on the first
-                // attempt that passed flow control, keep it armed across the
-                // SRQ's rare claim-race retreats, clear it at completion.
-                if let Some(fault) = self.fault.as_mut() {
-                    if self.fault_armed.insert((dst, ctx, tag)) {
-                        fault.on_send()?;
-                    }
-                }
-                clock.advance(self.cost.mpi_overhead());
-            }
-            charge.chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total);
-            let header = CellHeader {
-                src: self.rank,
-                ctx,
-                tag,
-                total_len: total as u64,
-                chunk_offset: offset as u64,
-                chunk_len: chunk.len() as u32,
-                timestamp: clock.now(),
-            };
-            match &peer.qp {
-                Some(queue) => {
-                    // Single producer per queue pair: `has_space` cannot be
-                    // invalidated between the check and this enqueue.
-                    let enqueued =
-                        queue.try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)?;
-                    debug_assert!(enqueued, "ring filled despite has_space");
-                    peer.db.ring(self.rank)?;
-                    TransportCounters::bump(&self.stats.doorbell_rings, 1);
-                    clock.advance(2.0 * nt);
-                }
-                None => {
-                    match peer
-                        .srq
-                        .try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)?
-                    {
-                        Some(ticket) => {
-                            last_ticket = Some(ticket);
-                            clock.advance(nt);
-                        }
-                        None => {
-                            // A racing producer took the last slot after the
-                            // flow-control check: retreat as a plain "full".
-                            let head_ts = peer.srq.head_timestamp()?;
-                            charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
-                            return Ok(false);
-                        }
-                    }
-                }
-            }
-            *cursor += 1;
-        }
-        if self.fault.is_some() {
-            self.fault_armed.remove(&(dst, ctx, tag));
-        }
-        self.finish_chunked_send(dst, total, last_ticket);
-        Ok(true)
-    }
-
-    /// Lazy drain: doorbell collect, SRQ pump, then only the flagged rings.
+    /// Lazy drain: doorbell collect, SRQ pump, then only the flagged streams.
     fn lazy_poll_incoming(&mut self, clock: &mut SimClock) -> Result<usize> {
         let mut moved = 0usize;
         self.lazy_collect()?;
@@ -1706,6 +1468,17 @@ impl CxlTransport {
         }
         Ok(())
     }
+
+    /// A blocking send is held by flow control: keep this rank's own arrivals
+    /// drained (to staging) before backing off, so two ranks that each send
+    /// the other more than a ring or a stream holds both move.
+    fn drain_while_blocked(&mut self, clock: &mut SimClock, backoff: &mut SpinWait) -> Result<()> {
+        if self.poll_incoming(clock)? == 0 {
+            return backoff.wait(&self.poison);
+        }
+        backoff.reset();
+        Ok(())
+    }
 }
 
 impl Transport for CxlTransport {
@@ -1726,8 +1499,13 @@ impl Transport for CxlTransport {
         data: &[u8],
     ) -> Result<()> {
         self.check_rank(dst)?;
+        let mut backoff = SpinWait::new();
         if self.is_lazy() {
-            return self.send_lazy(clock, dst, ctx, tag, data);
+            let mut cursor = 0usize;
+            while !self.try_send_lazy(clock, dst, ctx, tag, data, &mut cursor)? {
+                self.drain_while_blocked(clock, &mut backoff)?;
+            }
+            return Ok(());
         }
         // Fault injection fires at message entry, before any chunk is
         // published: peers never observe a half-written message.
@@ -1736,10 +1514,6 @@ impl Transport for CxlTransport {
         }
         clock.advance(self.cost.mpi_overhead());
         let charge = self.charge_for(dst);
-        let ConnState::Eager { tx, .. } = &self.conn else {
-            unreachable!("lazy sends return above");
-        };
-        let queue = &tx[dst];
         let total = data.len();
         let mut offset = 0usize;
         let mut scratch = std::mem::take(&mut self.tx_scratch);
@@ -1758,17 +1532,18 @@ impl Transport for CxlTransport {
                 chunk_len: chunk.len() as u32,
                 timestamp: clock.now(),
             };
-            let mut backoff = SpinWait::new();
+            backoff.reset();
             let mut probed = false;
             loop {
+                let queue = self.conn.eager_tx(dst);
                 if queue.try_enqueue_with_scratch(&header, chunk, &mut scratch)? {
                     break;
                 }
                 // Ring full: the receiver is behind. Merge its published
                 // timestamp so our clock reflects the wait, then retry.
-                let nt = self.cost.nt_access();
-                charge_full_probe(clock, &mut probed, queue.head_timestamp()?, nt);
-                if let Err(e) = backoff.wait(&self.poison) {
+                let (head_ts, nt) = (queue.head_timestamp()?, self.cost.nt_access());
+                charge_full_probe(clock, &mut probed, head_ts, nt);
+                if let Err(e) = self.drain_while_blocked(clock, &mut backoff) {
                     self.tx_scratch = scratch;
                     return Err(e);
                 }
@@ -1874,17 +1649,14 @@ impl Transport for CxlTransport {
     ) -> Result<bool> {
         self.check_rank(dst)?;
         if self.is_lazy() {
-            return self.try_send_progress_lazy(clock, dst, ctx, tag, data, cursor);
+            return self.try_send_lazy(clock, dst, ctx, tag, data, cursor);
         }
         let total = data.len();
         // The cursor counts chunks already enqueued (a zero-length message is
         // one header-only chunk).
         let total_chunks = total.div_ceil(self.cell_payload).max(1);
         let charge = self.charge_for(dst);
-        let ConnState::Eager { tx, .. } = &self.conn else {
-            unreachable!("lazy sends return above");
-        };
-        let queue = &tx[dst];
+        let queue = self.conn.eager_tx(dst);
         let mut scratch = std::mem::take(&mut self.tx_scratch);
         while *cursor < total_chunks {
             let offset = *cursor * self.cell_payload;
@@ -2537,6 +2309,7 @@ impl Transport for CxlTransport {
             s.qps_established = t.counters.qps_established;
             s.qps_opened = t.counters.qps_opened;
             s.srq_msgs = t.counters.srq_msgs;
+            s.stream_alloc_failures = t.counters.stream_alloc_failures;
         }
         s
     }

@@ -3,9 +3,9 @@
 //!
 //! Two implementations exist, mirroring the paper's comparison:
 //!
-//! * [`cxl::CxlTransport`] — cMPI proper: the SPSC message-queue matrix, RMA
-//!   windows and synchronization flags all live in CXL shared memory and every
-//!   transfer is a CPU copy published with software cache coherence.
+//! * [`cxl::CxlTransport`] — cMPI proper: per-pair message rings or streams,
+//!   RMA windows and synchronization flags all live in CXL shared memory and
+//!   every transfer is a CPU copy published with software cache coherence.
 //! * [`tcp::TcpTransport`] — the baseline: MPI over TCP on a simulated NIC
 //!   (standard Ethernet or SmartNIC), with per-message software-stack costs and
 //!   NIC bandwidth sharing.
@@ -103,7 +103,7 @@ impl FaultInjector {
     }
 
     /// Entry hook of a slot publish: a data-plane expose (`dp_expose`) or one
-    /// segment of a rendezvous message streaming into its lane.
+    /// segment of a p2p message that streams through several slots.
     pub fn on_publish(&mut self) -> Result<()> {
         self.publishes += 1;
         let wanted = match self.trigger {
@@ -149,39 +149,37 @@ pub struct TransportStats {
     pub collectives: u64,
     /// Payload bytes contributed to collectives by this rank.
     pub collective_bytes: u64,
-    /// Lazy connections: dedicated queue pairs this rank established as a
-    /// sender (eager mode reports 0 — the matrix is not established, it just
+    /// Lazy connections: pairs this rank promoted to a stream as the sender
+    /// (eager mode reports 0 — the matrix is not established, it just
     /// exists).
     pub qps_established: u64,
-    /// Lazy connections: queue pairs this rank opened as a receiver after
+    /// Lazy connections: streams this rank opened as a receiver after
     /// doorbell discovery of a new sender.
     pub qps_opened: u64,
     /// Lazy connections: messages funnelled through a shared receive queue
     /// (the cold path before promotion / past the QP budget).
     pub srq_msgs: u64,
+    /// Lazy connections: promotions that found no pool room for a stream.
+    /// Such a pair stays on the shared receive queue for good — slower,
+    /// never wrong, and counted here instead of passing silently.
+    pub stream_alloc_failures: u64,
     /// Receive-side per-sender ring probes. An idle rank must keep this flat
     /// regardless of world size — the doorbell regression tests assert on it.
     pub ring_probes: u64,
-    /// Doorbell rings performed on the send side (one per cell enqueued into
-    /// a dedicated queue pair: every chunk of a chunked message, only the
-    /// request-to-send of a rendezvous).
+    /// Doorbell rings performed on the send side: one per message put on a
+    /// promoted pair's stream, whatever its length.
     pub doorbell_rings: u64,
-    /// Messages sent rendezvous: one request-to-send cell through the queue
-    /// pair, the payload streamed through the pair's lane. Each is also
+    /// Messages longer than one segment sent through a stream. Each is also
     /// counted once in `msgs_sent` (and its payload once in `bytes_sent`).
     pub rdv_msgs: u64,
-    /// Payload bytes sent rendezvous.
+    /// Payload bytes of those messages.
     pub rdv_bytes: u64,
-    /// Lane segments published (a rendezvous message of `n` bytes is
-    /// `⌈n / cell_size⌉` of them; they ring no doorbell).
+    /// Segments they were published in (`⌈n / cell_size⌉` for `n` bytes).
     pub rdv_segments: u64,
-    /// Lane segments whose slot the receiver freed later, in virtual time,
-    /// than the sender was ready to reuse it — the lane was full and the
-    /// sender's clock jumped to the ack.
+    /// Stream segments whose slot the receiver handed back later, in virtual
+    /// time, than the sender was ready to reuse it — the stream was full and
+    /// the sender's clock jumped to the hand-back.
     pub rdv_stalls: u64,
-    /// Messages longer than one cell that were chunked through a promoted
-    /// queue pair because the pair's lane could not be created.
-    pub rdv_fallbacks: u64,
 }
 
 /// The live, shared form of [`TransportStats`]: relaxed atomics bumped on the
@@ -212,26 +210,26 @@ pub struct TransportCounters {
     pub collectives: AtomicU64,
     /// Payload bytes contributed to collectives by this rank.
     pub collective_bytes: AtomicU64,
-    /// Lazy connections: dedicated queue pairs established as a sender.
+    /// Lazy connections: pairs promoted to a stream as the sender.
     pub qps_established: AtomicU64,
-    /// Lazy connections: queue pairs opened as a receiver.
+    /// Lazy connections: streams opened as a receiver.
     pub qps_opened: AtomicU64,
     /// Lazy connections: messages funnelled through a shared receive queue.
     pub srq_msgs: AtomicU64,
+    /// Lazy connections: promotions that found no pool room for a stream.
+    pub stream_alloc_failures: AtomicU64,
     /// Receive-side per-sender ring probes.
     pub ring_probes: AtomicU64,
     /// Doorbell rings performed on the send side.
     pub doorbell_rings: AtomicU64,
-    /// Messages sent rendezvous.
+    /// Messages longer than one segment sent through a stream.
     pub rdv_msgs: AtomicU64,
-    /// Payload bytes sent rendezvous.
+    /// Payload bytes of those messages.
     pub rdv_bytes: AtomicU64,
-    /// Lane segments published.
+    /// Segments they were published in.
     pub rdv_segments: AtomicU64,
-    /// Lane segments that waited (in virtual time) for their slot's ack.
+    /// Stream segments that waited (in virtual time) for their slot.
     pub rdv_stalls: AtomicU64,
-    /// Large messages chunked through a promoted pair that has no lane.
-    pub rdv_fallbacks: AtomicU64,
 }
 
 impl TransportCounters {
@@ -258,13 +256,13 @@ impl TransportCounters {
             qps_established: self.qps_established.load(Ordering::Relaxed),
             qps_opened: self.qps_opened.load(Ordering::Relaxed),
             srq_msgs: self.srq_msgs.load(Ordering::Relaxed),
+            stream_alloc_failures: self.stream_alloc_failures.load(Ordering::Relaxed),
             ring_probes: self.ring_probes.load(Ordering::Relaxed),
             doorbell_rings: self.doorbell_rings.load(Ordering::Relaxed),
             rdv_msgs: self.rdv_msgs.load(Ordering::Relaxed),
             rdv_bytes: self.rdv_bytes.load(Ordering::Relaxed),
             rdv_segments: self.rdv_segments.load(Ordering::Relaxed),
             rdv_stalls: self.rdv_stalls.load(Ordering::Relaxed),
-            rdv_fallbacks: self.rdv_fallbacks.load(Ordering::Relaxed),
         }
     }
 }
@@ -623,8 +621,8 @@ pub trait Transport: Send {
     /// semantics (error if the matched message is longer than the buffer).
     ///
     /// Transports override this with an allocation-free implementation (the
-    /// CXL transport streams chunk payloads straight from the ring cells into
-    /// `buf`); the default is a correct but copying fallback.
+    /// CXL transport copies cells and stream segments straight into `buf`);
+    /// the default is a correct but copying fallback.
     fn recv_into(
         &mut self,
         clock: &mut SimClock,
@@ -648,8 +646,8 @@ pub trait Transport: Send {
     /// transport-opaque resume state (start at 0 for a fresh message, pass
     /// the same variable back on re-entry). Returns `true` once the whole
     /// message has been handed off, `false` — without blocking — when
-    /// transport flow control (a full ring whose receiver has not drained)
-    /// stops the send partway. The progress engine uses this for schedule
+    /// transport flow control (a full ring or stream whose receiver has not
+    /// drained) stops the send partway. The progress engine uses this for schedule
     /// `Send` ops so that two ranks driving independent outstanding
     /// schedules can never wedge inside each other's blocking sends.
     ///

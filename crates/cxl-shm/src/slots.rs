@@ -1,9 +1,9 @@
 //! Offset arithmetic for a slotted exposure window shared by a rank group.
 //!
 //! The collective data plane (`cmpi-core`'s `dataplane` module) allocates one
-//! arena object per communicator and carves it into a fixed grid; a
-//! rendezvous lane (`cmpi-core`'s `transport::conn::Lane`) is the same grid
-//! with one writer and one reader:
+//! arena object per communicator and carves it into a fixed grid; the message
+//! stream of a promoted pair (`cmpi-core`'s `transport::conn::Stream`) is the
+//! same grid with one writer, one reader and one flag cell per slot:
 //!
 //! ```text
 //! ┌ control ──────────────────────────────────────┬ data ─────────────────────┐
@@ -19,18 +19,19 @@
 //!   loads. A payload of at most [`SLOT_CELL_INLINE`] bytes needs no data
 //!   slot at all: it rides in the flag cell behind the value and timestamp
 //!   words, so publishing it is one line store and reading it one line load.
-//!   Two cells per slot cover two publish phases within one collective
-//!   (a large allreduce exposes the full input vector first and the reduced
-//!   block second).
+//!   In a group window two cells per slot cover two publish phases within
+//!   one collective (a large allreduce exposes the full input vector first and
+//!   the reduced block second); a stream publishes each slot once per lap and
+//!   has one.
 //! * **Done cells** close the loop, one per *reader*, so the control region
 //!   is linear in the group size. In a group window ([`SlotLayout::new`]) a
 //!   reader's cell is one `(value, timestamp)` entry — its completion line:
 //!   the reader stores there, once per collective, the sequence number
 //!   through which it has finished reading *everything* exposed to it,
 //!   whoever wrote it, and one load of that line tells a writer about all of
-//!   its slots at once. The single reader of a lane
-//!   ([`SlotLayout::single_reader`]) hands slots back one by one and keeps an
-//!   entry per slot, each with the stamp of exactly that hand-back.
+//!   its slots at once. The single reader of a stream
+//!   ([`SlotLayout::single_reader`]) keeps an entry per slot, each with the
+//!   stamp of exactly the hand-back stored there.
 //!
 //! Flag cells are one cache line each and done cells a whole number of lines,
 //! so a non-temporal store never shares a line with a cell another rank
@@ -56,7 +57,7 @@ pub const SLOT_CELL_INLINE: usize = SLOT_CELL_SIZE - SLOT_CELL_DATA_OFF;
 /// Bytes per `(value, timestamp)` entry of a done cell.
 pub const SLOT_DONE_ENTRY: usize = 16;
 
-/// Publish phases (flag cells) available per slot.
+/// Publish phases (flag cells) per slot of a group window.
 pub const SLOT_PHASES: usize = 2;
 
 /// The fixed grid of one exposure window: offsets of every flag cell, done
@@ -67,6 +68,7 @@ pub struct SlotLayout {
     ranks: usize,
     slots: usize,
     slot_bytes: usize,
+    phases: usize,
     done_entries: usize,
 }
 
@@ -80,14 +82,16 @@ impl SlotLayout {
             ranks,
             slots,
             slot_bytes: slot_bytes & !(SLOT_CELL_SIZE - 1),
+            phases: SLOT_PHASES,
             done_entries: 1,
         }
     }
 
-    /// Lay out a window with one writer and one reader (both index 0), the
-    /// reader keeping a done entry per slot.
+    /// Lay out a window with one writer and one reader (both index 0): one
+    /// flag cell per slot, the reader keeping a done entry per slot.
     pub fn single_reader(slots: usize, slot_bytes: usize) -> Self {
         SlotLayout {
+            phases: 1,
             done_entries: slots,
             ..Self::new(1, slots, slot_bytes)
         }
@@ -108,14 +112,19 @@ impl SlotLayout {
         self.slot_bytes
     }
 
+    /// Flag cells per slot.
+    pub fn phases(&self) -> usize {
+        self.phases
+    }
+
     /// Offset of the publish-flag cell for `(writer, slot, phase)`.
     pub fn flag_off(&self, writer: usize, slot: usize, phase: usize) -> usize {
-        debug_assert!(writer < self.ranks && slot < self.slots && phase < SLOT_PHASES);
-        ((writer * self.slots + slot) * SLOT_PHASES + phase) * SLOT_CELL_SIZE
+        debug_assert!(writer < self.ranks && slot < self.slots && phase < self.phases);
+        ((writer * self.slots + slot) * self.phases + phase) * SLOT_CELL_SIZE
     }
 
     fn done_base(&self) -> usize {
-        self.ranks * self.slots * SLOT_PHASES * SLOT_CELL_SIZE
+        self.ranks * self.slots * self.phases * SLOT_CELL_SIZE
     }
 
     /// Done entries per reader: one (a completion line) in a group window, one
@@ -170,7 +179,7 @@ mod tests {
         let mut cells = Vec::new();
         for r in 0..l.ranks() {
             for s in 0..l.slots() {
-                for p in 0..SLOT_PHASES {
+                for p in 0..l.phases() {
                     cells.push((l.flag_off(r, s, p), SLOT_CELL_SIZE, format!("writer {r}")));
                 }
             }
@@ -186,7 +195,7 @@ mod tests {
             SlotLayout::new(3, 2, 256),
             SlotLayout::new(5, 4, 256),
             SlotLayout::new(64, 4, 256),
-            // The lane's geometries: a done cell of one line, of two.
+            // A stream's geometries: a done cell of one line, of two.
             SlotLayout::single_reader(4, 1024),
             SlotLayout::single_reader(8, 64 * 1024),
         ]

@@ -160,12 +160,15 @@ impl CxlCostModel {
     /// the stream runs at the measured one-sided RMA bandwidth instead of
     /// paying a `clflush(opt)` per written line. This is the publish the
     /// single-copy data plane uses (a write-once region read by other hosts)
-    /// and, second, the publish of every segment a rendezvous p2p message
-    /// streams through its pair's lane (`cmpi-core`'s `transport::conn::Lane`,
-    /// which executes exactly this: NT stores, then the flag). The SPSC ring
-    /// keeps the cached-write-then-flush protocol because its cells are
-    /// reread and rewritten in place. Under hardware coherence (`Cached`)
-    /// plain stores are strictly better, so delegate.
+    /// and the publish of every p2p segment that goes through a data slot of
+    /// a promoted pair's stream (`cmpi-core`'s `transport::conn::Stream`,
+    /// which executes exactly this: NT stores, then the flag line) — any
+    /// payload above the 32 B that ride in the flag line itself. The
+    /// cached-write-then-flush protocol of [`Self::coherent_write`] remains
+    /// the cost of a message *cell*: the SPSC rings of `ConnMode::Eager` (the
+    /// paper's protocol) and the shared receive queue, whose cells are reread
+    /// and rewritten in place. Under hardware coherence (`Cached`) plain
+    /// stores are strictly better, so delegate.
     pub fn streamed_publish(&self, bytes: usize, mode: CoherenceMode) -> SimNs {
         match mode {
             CoherenceMode::Uncacheable => self.uncacheable_access(bytes),
@@ -181,9 +184,10 @@ impl CxlCostModel {
     /// reader last touched these lines ≥ `slots` collectives ago and its
     /// write-allocate copies have long been evicted). Counterpart of
     /// [`Self::streamed_publish`] on the read side, and likewise charged for
-    /// every lane segment a rendezvous receiver pulls — there the argument is
-    /// simpler still: the lane is written and read with non-temporal accesses
-    /// only, so neither host ever holds a cached copy of its lines.
+    /// every stream segment a p2p receiver pulls out of a data slot — there
+    /// the argument is simpler still: a stream is written and read with
+    /// non-temporal accesses only, so neither host ever holds a cached copy
+    /// of its lines.
     pub fn streamed_read(&self, bytes: usize, mode: CoherenceMode) -> SimNs {
         match mode {
             CoherenceMode::Uncacheable => self.uncacheable_access(bytes),

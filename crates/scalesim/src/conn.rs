@@ -6,12 +6,13 @@
 //! (flat) universe formats the full `ranks × ranks` queue matrix at
 //! construction: pool state quadratic in the world size. A *lazy* (sparse)
 //! universe formats one doorbell and one shared receive queue per rank up
-//! front and promotes at most `min(budget, n-1)` queue-pairs per rank on
+//! front and promotes at most `min(budget, n-1)` pairs per rank to a stream on
 //! first use, so the pool reservation is linear in `n` for a fixed budget.
 //!
 //! The model is deliberately parameterized on per-object byte costs instead
 //! of importing them: the bench harness feeds the real transport's numbers
-//! (`QueueGeometry::queue_bytes`, doorbell/SRQ sizes, allocator slack) and
+//! (`QueueGeometry::queue_bytes` — which is also `Stream::required_bytes` at
+//! the default 8 cells — doorbell/SRQ sizes, allocator slack) and
 //! asserts the analytic totals match `QueueMatrix::required_bytes` and
 //! `ConnTable::required_device_bytes` exactly, while this crate stays free of
 //! a core dependency. All arithmetic is `u128` so the flat side can be
@@ -21,7 +22,9 @@
 /// transport's sizing paths charge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnCosts {
-    /// Raw bytes of one SPSC ring queue (control block + cells).
+    /// Raw bytes of one per-pair object: an SPSC ring queue of the eager
+    /// matrix (control block + cells), a stream of the lazy table (the same
+    /// size at the default geometry).
     pub queue_bytes: u128,
     /// Per-object allocator slack charged for each lazily created pool object
     /// (the eager matrix is one object, so its queues carry no slack).

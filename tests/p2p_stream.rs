@@ -1,15 +1,22 @@
-//! The rendezvous data path of the CXL transport: a message longer than one
-//! cell on a promoted lazy queue pair is one request-to-send cell through the
-//! ring plus a payload streamed through the pair's lane. The suite runs the
-//! small test geometry (1 KiB cells, 4 per ring, so a lane holds 4 KiB) and
-//! pins what the protocol must keep: MPI matching and ordering, bytes intact
-//! on the direct and the staged receive path, no hang on a dead sender, a
-//! byte-identical chunked fallback when no lane can be created, and virtual
-//! clocks that do not depend on host scheduling. It also holds the regression
-//! test for the non-overtaking rule of `wait_all`.
+//! The point-to-point data path of the CXL transport's default (lazy) mode: a
+//! promoted pair is one stamped stream per direction, and every message rides
+//! it — frame and a payload of at most 32 B in one flag line, up to one cell
+//! as one streamed slot, anything longer as further frame-less segments. The
+//! suite runs the small test geometry (1 KiB cells, 4 per stream, so a stream
+//! holds 4 KiB and hands slots back two at a time) and pins what the protocol
+//! must keep: MPI matching and ordering at every framing boundary, bytes
+//! intact on the direct and the staged receive path, blocked senders that keep
+//! draining their own arrivals, no hang on a dead sender, a byte-identical
+//! cold path when no stream can be created, counters that mean what they say,
+//! and virtual clocks that do not depend on host scheduling. `ConnMode::Eager`
+//! — the paper's chunked-cell protocol — is the oracle the bytes are compared
+//! against. It also holds the regression tests for the non-overtaking rule of
+//! `wait_all`.
 
 mod common;
 
+use cmpi::fabric::cost::TcpNic;
+use cmpi::mpi::transport::TransportStats;
 use cmpi::mpi::{
     Comm, ConnMode, ErrHandler, FaultPlan, FaultTrigger, FtOutcome, MpiError, ProgressMode,
     Request, Result, TransportConfig, Universe, UniverseConfig, ANY_SOURCE, ANY_TAG,
@@ -18,9 +25,24 @@ use common::{configs, force_ring, matrix_hosts};
 
 const CELL: usize = 1024;
 const CELLS: usize = 4;
-/// Bytes a lane holds before the sender must wait for the receiver.
+/// Bytes a stream holds before the sender must wait for the receiver.
 const CAPACITY: usize = CELL * CELLS;
-/// One cell, one byte more, a non-multiple, exactly the lane, several laps.
+/// Largest payload that rides in the flag line beside its frame.
+const INLINE: usize = 32;
+/// Every framing boundary: empty, inline up to its limit, the first sizes
+/// through a data slot, around one cell, a non-multiple of several.
+const FRAMINGS: [usize; 9] = [
+    0,
+    1,
+    INLINE,
+    INLINE + 1,
+    64,
+    CELL - 1,
+    CELL,
+    CELL + 1,
+    3 * CELL + 7,
+];
+/// One cell, one byte more, a non-multiple, exactly the stream, several laps.
 const SIZES: [usize; 5] = [CELL, CELL + 1, 3 * CELL + 17, CAPACITY, 4 * CAPACITY + 1];
 
 /// The lazy CXL transport with the small test geometry.
@@ -48,7 +70,7 @@ fn fold(digest: &mut u64, bytes: &[u8]) {
 }
 
 /// Small ping-pongs between `a` and `b`: past the promotion threshold in both
-/// directions, so the next message longer than a cell creates the lane.
+/// directions, so both streams exist afterwards.
 fn promote(comm: &mut Comm, a: usize, b: usize) -> Result<()> {
     let me = comm.rank();
     let mut byte = [0u8; 1];
@@ -64,81 +86,119 @@ fn promote(comm: &mut Comm, a: usize, b: usize) -> Result<()> {
     Ok(())
 }
 
-#[test]
-fn every_size_through_every_p2p_form() {
-    let config = lazy(2).with_coll_tuning(force_ring());
-    let reports = Universe::run(config, |comm: &mut Comm| {
+/// Every size in `sizes` through {`send`, `isend`} × {`recv`, `irecv_into`,
+/// `recv_owned`}, then `sendrecv`, then a persistent ring-path bcast (the
+/// progress engine's resumable send), directions alternating. Returns each
+/// rank's digest of everything it received, and its counters.
+fn every_form(config: UniverseConfig, sizes: &'static [usize]) -> Vec<(u64, TransportStats)> {
+    let config = config.with_coll_tuning(force_ring());
+    Universe::run(config, move |comm: &mut Comm| {
         let me = comm.rank();
         let peer = 1 - me;
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
         promote(comm, 0, 1)?;
-        for (k, &size) in SIZES.iter().enumerate() {
-            let stamp = k as u64;
-            let mut buf = vec![0u8; size];
-
-            // Blocking.
-            if me == 0 {
-                comm.send(1, 1, &payload(size, stamp))?;
-            } else {
-                let st = comm.recv(Some(0), Some(1), &mut buf)?;
-                assert_eq!((st.source, st.tag, st.len), (0, 1, size));
-                assert_eq!(buf, payload(size, stamp), "blocking, {size} B");
-            }
-
-            // isend + irecv_into, in the opposite direction.
-            if me == 1 {
-                let mut req = comm.isend(0, 2, &payload(size, stamp + 100))?;
-                comm.wait(&mut req)?;
-            } else {
-                let mut req = comm.irecv_into(Some(1), Some(2), vec![0u8; size])?;
-                comm.wait(&mut req)?;
-                assert_eq!(req.take_data()?, payload(size, stamp + 100), "i*, {size} B");
+        for (k, &size) in sizes.iter().enumerate() {
+            for form in 0..6u64 {
+                let (send_form, recv_form) = (form % 2, form / 2);
+                let stamp = k as u64 * 16 + form;
+                let (from, tag) = ((k + recv_form as usize) % 2, form as i32);
+                if me == from {
+                    let data = payload(size, stamp);
+                    match send_form {
+                        0 => comm.send(peer, tag, &data)?,
+                        _ => {
+                            let mut req = comm.isend(peer, tag, &data)?;
+                            comm.wait(&mut req)?;
+                        }
+                    }
+                    continue;
+                }
+                let got = match recv_form {
+                    0 => {
+                        let mut buf = vec![0u8; size];
+                        let st = comm.recv(Some(from), Some(tag), &mut buf)?;
+                        assert_eq!((st.source, st.tag, st.len), (from, tag, size));
+                        buf
+                    }
+                    1 => {
+                        let mut req = comm.irecv_into(Some(from), Some(tag), vec![0u8; size])?;
+                        comm.wait(&mut req)?;
+                        req.take_data()?
+                    }
+                    _ => {
+                        let (st, data) = comm.recv_owned(Some(from), Some(tag))?;
+                        assert_eq!(st.len, size);
+                        data
+                    }
+                };
+                assert_eq!(got, payload(size, stamp), "{size} B, form {form}");
+                fold(&mut digest, &got);
             }
 
             // sendrecv: both directions in one call.
-            let mine = payload(size, stamp + 200 + me as u64);
-            let (st, got) = comm.sendrecv(peer, 3, &mine, peer, 3)?;
+            let stamp = k as u64 * 16;
+            let mine = payload(size, stamp + 8 + me as u64);
+            let (st, got) = comm.sendrecv(peer, 7, &mine, peer, 7)?;
             assert_eq!(st.len, size);
-            assert_eq!(got, payload(size, stamp + 200 + peer as u64), "sendrecv");
+            assert_eq!(got, payload(size, stamp + 8 + peer as u64), "sendrecv");
+            fold(&mut digest, &got);
 
             // A persistent collective on the ring path drives the same
             // message through the progress engine's resumable send, twice.
-            let mut req = comm.bcast_init(1, &payload(size, stamp + 300))?;
+            let mut req = comm.bcast_init(1, &payload(size, stamp + 10))?;
             for _ in 0..2 {
                 comm.start(&mut req)?;
                 comm.wait(&mut req)?;
-                assert_eq!(
-                    req.read_result::<u8>()?,
-                    payload(size, stamp + 300),
-                    "bcast"
-                );
+                let got = req.read_result::<u8>()?;
+                assert_eq!(got, payload(size, stamp + 10), "bcast");
+                fold(&mut digest, &got);
             }
             req.release()?;
         }
-        Ok(comm.stats())
+        Ok((digest, comm.stats()))
     })
-    .unwrap();
-    // Everything above a cell went through the lane, as one message each.
-    for (stats, report) in &reports {
-        // Four sizes above a cell; rank 0 sends two of each, rank 1 four.
-        assert!(stats.rdv_msgs >= 2 * 4, "{stats:?}");
-        assert!(stats.rdv_bytes > stats.rdv_msgs * CELL as u64);
-        assert!(stats.rdv_segments > stats.rdv_msgs);
-        assert_eq!(stats.rdv_fallbacks, 0);
+    .unwrap()
+    .into_iter()
+    .map(|(out, report)| {
         assert_eq!(
-            report.stats.rdv_msgs, stats.rdv_msgs,
+            report.stats.rdv_msgs, out.1.rdv_msgs,
             "RankReport carries it"
         );
-    }
-    let sent: u64 = reports.iter().map(|(s, _)| s.msgs_sent).sum();
-    let received: u64 = reports.iter().map(|(s, _)| s.msgs_received).sum();
-    assert_eq!(
-        sent, received,
-        "a rendezvous message counts once on each side"
-    );
+        out
+    })
+    .collect()
 }
 
 #[test]
-fn one_doorbell_ring_per_rendezvous_message() {
+fn every_framing_through_every_p2p_form() {
+    let lazy_out = every_form(lazy(2), &FRAMINGS);
+    let eager_out = every_form(lazy(2).with_conn_mode(ConnMode::Eager), &FRAMINGS);
+    for ((l, stats), (e, _)) in lazy_out.iter().zip(&eager_out) {
+        assert_eq!(l, e, "same bytes as the chunked-cell oracle");
+        // Only 3·cell + 7 takes more than one segment; everything rode a
+        // stream, so nothing but `promote` touched the SRQ.
+        assert!(stats.rdv_msgs >= 3, "{stats:?}");
+        assert!(stats.rdv_segments >= 2 * stats.rdv_msgs);
+        assert_eq!((stats.srq_msgs, stats.stream_alloc_failures), (4, 0));
+    }
+}
+
+#[test]
+fn every_size_through_every_p2p_form() {
+    let reports = every_form(lazy(2), &SIZES);
+    for (_, stats) in &reports {
+        // Four sizes above a cell, each through at least three sends a rank.
+        assert!(stats.rdv_msgs >= 4 * 3, "{stats:?}");
+        assert!(stats.rdv_bytes > stats.rdv_msgs * CELL as u64);
+        assert!(stats.rdv_segments > stats.rdv_msgs);
+    }
+    let sent: u64 = reports.iter().map(|(_, s)| s.msgs_sent).sum();
+    let received: u64 = reports.iter().map(|(_, s)| s.msgs_received).sum();
+    assert_eq!(sent, received, "a message counts once on each side");
+}
+
+#[test]
+fn one_doorbell_ring_per_message_whatever_its_length() {
     Universe::run(lazy(2), |comm: &mut Comm| {
         promote(comm, 0, 1)?;
         let size = 4 * CAPACITY + 1;
@@ -193,24 +253,26 @@ fn a_slow_receiver_stalls_the_sender_in_virtual_time() {
 }
 
 #[test]
-fn wildcards_match_rendezvous_messages() {
+fn wildcards_match_every_framing() {
     Universe::run(lazy(3), |comm: &mut Comm| {
         promote(comm, 1, 0)?;
         promote(comm, 2, 0)?;
-        let size = 2 * CAPACITY + 3;
-        match comm.rank() {
-            0 => {
-                let mut seen = [false; 3];
-                for _ in 0..2 {
-                    let mut buf = vec![0u8; size];
-                    let st = comm.recv(ANY_SOURCE, ANY_TAG, &mut buf)?;
-                    assert_eq!(st.tag, 10 + st.source as i32);
-                    assert_eq!(buf, payload(size, st.source as u64));
-                    seen[st.source] = true;
+        for size in [0, INLINE, INLINE + 1, CELL, 2 * CAPACITY + 3] {
+            match comm.rank() {
+                0 => {
+                    let mut seen = [false; 3];
+                    for _ in 0..2 {
+                        let mut buf = vec![0u8; size];
+                        let st = comm.recv(ANY_SOURCE, ANY_TAG, &mut buf)?;
+                        assert_eq!((st.tag, st.len), (10 + st.source as i32, size));
+                        assert_eq!(buf, payload(size, st.source as u64));
+                        seen[st.source] = true;
+                    }
+                    assert_eq!(seen, [false, true, true]);
                 }
-                assert_eq!(seen, [false, true, true]);
+                me => comm.send(0, 10 + me as i32, &payload(size, me as u64))?,
             }
-            me => comm.send(0, 10 + me as i32, &payload(size, me as u64))?,
+            comm.barrier()?;
         }
         Ok(())
     })
@@ -218,17 +280,51 @@ fn wildcards_match_rendezvous_messages() {
 }
 
 #[test]
-fn unexpected_request_to_send_drains_to_staging() {
+fn iprobe_reports_the_stream_head_and_consumes_and_charges_nothing() {
+    Universe::run(lazy(2), |comm: &mut Comm| {
+        promote(comm, 0, 1)?;
+        for size in [8, CELL, CAPACITY + 9] {
+            if comm.rank() == 0 {
+                comm.send(1, 4, &payload(size, 4))?;
+            } else {
+                let before = comm.clock_ns();
+                let st = loop {
+                    if let Some(st) = comm.iprobe(ANY_SOURCE, ANY_TAG)? {
+                        break st;
+                    }
+                    std::thread::yield_now();
+                };
+                assert_eq!((st.source, st.tag, st.len), (0, 4, size));
+                assert_eq!(comm.iprobe(Some(0), Some(4))?, Some(st), "still there");
+                assert_eq!(comm.clock_ns(), before, "a probe is free");
+                // The receive sized by the probe gets that very message,
+                // and pays for it.
+                let mut buf = vec![0u8; st.len];
+                assert_eq!(comm.recv(Some(0), Some(4), &mut buf)?, st);
+                assert_eq!(buf, payload(size, 4));
+                assert!(comm.clock_ns() > before);
+                assert!(comm.iprobe(ANY_SOURCE, ANY_TAG)?.is_none(), "consumed once");
+            }
+            comm.barrier()?;
+        }
+        Ok(())
+    })
+    .unwrap();
+}
+
+#[test]
+fn unexpected_messages_drain_to_staging_before_their_receive_is_posted() {
     Universe::run(lazy(2), |comm: &mut Comm| {
         promote(comm, 0, 1)?;
         let (first, second) = (2 * CAPACITY + 5, CELL + 1);
         if comm.rank() == 0 {
-            // `first` fits no lane: the send cannot finish unless the
+            // `first` fits no stream: the send cannot finish unless the
             // receiver drains it while looking for `second`.
             comm.send(1, 1, &payload(first, 1))?;
             comm.send(1, 2, &payload(second, 2))?;
-            // One that fits: the send completes with no receive posted at
-            // all, and the 1-byte message behind it releases the receiver.
+            // One that fills the stream, its receive posted last: the 1-byte
+            // message behind it gets through because the receiver, looking
+            // for that one, drains this one to staging.
             comm.send(1, 3, &payload(CAPACITY, 3))?;
             comm.send(1, 4, &[1])?;
         } else {
@@ -275,6 +371,77 @@ fn small_large_small_on_one_selector_arrive_in_order() {
 }
 
 #[test]
+fn bursts_longer_than_the_stream_do_not_overtake_per_selector() {
+    const BURST: usize = 4 * CELLS + 3;
+    let len = |i: usize| [8, INLINE + 1, 0, 2 * CELL + 5][i % 4];
+    Universe::run(lazy(2), move |comm: &mut Comm| {
+        promote(comm, 0, 1)?;
+        for round in 0..3u64 {
+            let sender = round as usize % 2;
+            if comm.rank() == sender {
+                // Two interleaved selectors, far more in flight than slots.
+                let mut reqs: Vec<Request> = (0..BURST)
+                    .map(|i| {
+                        comm.isend(
+                            1 - sender,
+                            (i % 2) as i32,
+                            &payload(len(i), round * 64 + i as u64),
+                        )
+                    })
+                    .collect::<Result<_>>()?;
+                comm.wait_all(&mut reqs)?;
+            } else {
+                // Odd tags first: the even ones wait in staging meanwhile.
+                let mut buf = vec![0u8; 2 * CELL + 5];
+                for i in (1..BURST).step_by(2).chain((0..BURST).step_by(2)) {
+                    let st = comm.recv(Some(sender), Some((i % 2) as i32), &mut buf)?;
+                    assert_eq!(st.len, len(i), "round {round}, message {i}");
+                    assert_eq!(buf[..st.len], payload(len(i), round * 64 + i as u64));
+                }
+            }
+        }
+        Ok(())
+    })
+    .unwrap();
+}
+
+/// Finding 3 of the `e2e` audit: a blocked `send` must keep draining its own
+/// arrivals, or two ranks that each send more than the queues hold before
+/// their first receive wedge each other (this test hangs on the parent of the
+/// change that added it, on the lazy CXL transport).
+#[test]
+fn two_ranks_sending_past_the_queues_before_receiving_do_not_deadlock() {
+    let cxl = UniverseConfig::cxl_small(2).with_hosts(matrix_hosts());
+    for (label, config) in [
+        ("CXL lazy", cxl.clone()),
+        ("CXL eager", cxl.with_conn_mode(ConnMode::Eager)),
+        ("TCP", UniverseConfig::tcp(2, TcpNic::MellanoxCx6Dx)),
+    ] {
+        Universe::run(config, move |comm: &mut Comm| {
+            let (me, peer) = (comm.rank() as u64, 1 - comm.rank());
+            for i in 0..64u64 {
+                comm.send(peer, 1, &payload(8, me * 1000 + i))?;
+            }
+            for i in 0..4u64 {
+                comm.send(peer, 2, &payload(3 * CELL, me * 1000 + 64 + i))?;
+            }
+            let them = peer as u64 * 1000;
+            let mut buf = vec![0u8; 3 * CELL];
+            for i in 0..64u64 {
+                let st = comm.recv(Some(peer), Some(1), &mut buf)?;
+                assert_eq!(buf[..st.len], payload(8, them + i), "{label}: small {i}");
+            }
+            for i in 0..4u64 {
+                let st = comm.recv(Some(peer), Some(2), &mut buf)?;
+                assert_eq!(buf[..st.len], payload(3 * CELL, them + 64 + i), "{label}");
+            }
+            Ok(())
+        })
+        .unwrap();
+    }
+}
+
+#[test]
 fn large_messages_cross_in_both_directions() {
     Universe::run(lazy(2), |comm: &mut Comm| {
         promote(comm, 0, 1)?;
@@ -294,22 +461,23 @@ fn large_messages_cross_in_both_directions() {
 }
 
 #[test]
-fn duplicated_communicators_stay_isolated() {
+fn a_message_for_another_communicator_at_the_stream_head_is_staged() {
     Universe::run(lazy(2), |comm: &mut Comm| {
         promote(comm, 0, 1)?;
         let mut dup = comm.comm_dup()?;
-        let size = CAPACITY + 9;
-        if comm.rank() == 0 {
-            comm.send(1, 5, &payload(size, 1))?;
-            dup.send(1, 5, &payload(size, 2))?;
-        } else {
-            // Same source and tag: only the context tells them apart, and
-            // the world message is ahead in the ring.
-            let mut buf = vec![0u8; size];
-            dup.recv(Some(0), Some(5), &mut buf)?;
-            assert_eq!(buf, payload(size, 2));
-            comm.recv(Some(0), Some(5), &mut buf)?;
-            assert_eq!(buf, payload(size, 1));
+        for size in [INLINE, CELL, CAPACITY + 9] {
+            if comm.rank() == 0 {
+                comm.send(1, 5, &payload(size, 1))?;
+                dup.send(1, 5, &payload(size, 2))?;
+            } else {
+                // Same source and tag: only the context tells them apart,
+                // and the world message is ahead in the stream.
+                let mut buf = vec![0u8; size];
+                dup.recv(Some(0), Some(5), &mut buf)?;
+                assert_eq!(buf, payload(size, 2));
+                comm.recv(Some(0), Some(5), &mut buf)?;
+                assert_eq!(buf, payload(size, 1));
+            }
         }
         Ok(())
     })
@@ -320,22 +488,22 @@ fn duplicated_communicators_stay_isolated() {
 fn truncation_consumes_the_message_and_leaves_the_pair_usable() {
     Universe::run(lazy(2), |comm: &mut Comm| {
         promote(comm, 0, 1)?;
-        let size = 3 * CELL;
-        if comm.rank() == 0 {
-            comm.send(1, 1, &payload(size, 1))?;
-            comm.send(1, 1, &payload(size, 2))?;
-        } else {
-            let mut short = vec![0u8; CELL + 1];
-            match comm.recv(Some(0), Some(1), &mut short) {
-                Err(MpiError::Truncation {
-                    message_len,
-                    buffer_len,
-                }) => assert_eq!((message_len, buffer_len), (size, CELL + 1)),
-                other => panic!("expected truncation, got {other:?}"),
+        for (size, short) in [(INLINE, 8), (CELL, INLINE), (3 * CELL, CELL + 1)] {
+            if comm.rank() == 0 {
+                comm.send(1, 1, &payload(size, 1))?;
+                comm.send(1, 1, &payload(size, 2))?;
+            } else {
+                match comm.recv(Some(0), Some(1), &mut vec![0u8; short]) {
+                    Err(MpiError::Truncation {
+                        message_len,
+                        buffer_len,
+                    }) => assert_eq!((message_len, buffer_len), (size, short)),
+                    other => panic!("expected truncation, got {other:?}"),
+                }
+                let mut buf = vec![0u8; size];
+                comm.recv(Some(0), Some(1), &mut buf)?;
+                assert_eq!(buf, payload(size, 2), "the next message is whole");
             }
-            let mut buf = vec![0u8; size];
-            comm.recv(Some(0), Some(1), &mut buf)?;
-            assert_eq!(buf, payload(size, 2), "the next message is whole");
         }
         Ok(())
     })
@@ -370,8 +538,8 @@ fn receiver_survives(trigger: FaultTrigger) {
 }
 
 #[test]
-fn sender_death_at_the_request_to_send_or_mid_stream_fails_the_receiver() {
-    // `promote` is six sends; the seventh is the request-to-send.
+fn sender_death_at_message_entry_or_mid_stream_fails_the_receiver() {
+    // `promote` is six sends; the seventh is the large message's entry.
     receiver_survives(FaultTrigger::NthSend(7));
     // Sixteen segments: die entering the sixth, with five already published.
     receiver_survives(FaultTrigger::NthPublish(6));
@@ -379,7 +547,7 @@ fn sender_death_at_the_request_to_send_or_mid_stream_fails_the_receiver() {
 
 /// A script with large and small messages, wildcards and crossing traffic;
 /// returns each rank's digest of everything it received, and its counters.
-fn digest_script(config: UniverseConfig) -> Vec<(u64, cmpi::mpi::transport::TransportStats)> {
+fn digest_script(config: UniverseConfig) -> Vec<(u64, TransportStats)> {
     Universe::run(config, |comm: &mut Comm| {
         let (me, n) = (comm.rank(), comm.size());
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -418,63 +586,67 @@ fn eager_and_lazy_deliver_the_same_bytes() {
     let eager_out = digest_script(lazy(3).with_conn_mode(ConnMode::Eager));
     for (rank, (l, e)) in lazy_out.iter().zip(&eager_out).enumerate() {
         assert_eq!(l.0, e.0, "rank {rank} digest");
-        assert!(l.1.rdv_msgs > 0, "lazy took the lane: {:?}", l.1);
+        assert!(l.1.rdv_msgs > 0, "lazy streamed: {:?}", l.1);
         assert_eq!(e.1.rdv_msgs, 0, "eager is the chunked-cell oracle");
-        assert_eq!(e.1.rdv_fallbacks, 0);
+        assert_eq!((e.1.doorbell_rings, e.1.qps_established), (0, 0));
     }
 }
 
 #[test]
-fn no_room_for_a_lane_falls_back_to_chunks_byte_identically() {
-    // 64 KiB cells × 40 make a 2.5 MiB lane, more than the slack any pool
-    // rounding leaves once the headroom is zero: promotion still succeeds
-    // (queue pairs are provisioned, and with the data plane pinned to ring no
-    // exposure window competes for their space), lane creation cannot.
-    let geometry = |headroom: usize| {
+fn no_room_for_a_stream_stays_on_the_srq_byte_identically() {
+    // Streams are provisioned with the pool, so only something else eating
+    // their room can make a promotion fail: here an RMA window far past the
+    // (tiny) headroom, allocated before the pair's fifth message. 64 KiB
+    // cells × 8 make each stream 512 KiB; the window leaves less than that.
+    const WINDOW: [usize; 2] = [500 * 1024, 0];
+    let script = |hog: usize| {
         let mut config = UniverseConfig::cxl_small(2)
             .with_hosts(matrix_hosts())
             .with_coll_tuning(force_ring());
         if let TransportConfig::CxlShm(c) = &mut config.transport {
             c.cell_size = 64 * 1024;
-            c.cells_per_queue = 40;
+            c.cells_per_queue = 8;
             c.srq_cells = 4;
-            c.window_headroom = headroom;
+            c.window_headroom = 64 * 1024;
         }
-        config
+        Universe::run(config, move |comm: &mut Comm| {
+            let win = (hog > 0).then(|| comm.win_allocate(hog)).transpose()?;
+            promote(comm, 0, 1)?;
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for (k, size) in [64 * 1024 + 1, 200 * 1024, 8, 64 * 1024]
+                .into_iter()
+                .enumerate()
+            {
+                let peer = 1 - comm.rank();
+                let mine = payload(size, k as u64 * 2 + comm.rank() as u64);
+                let (_, got) = comm.sendrecv(peer, 1, &mine, peer, 1)?;
+                assert_eq!(got, payload(size, k as u64 * 2 + peer as u64));
+                fold(&mut digest, &got);
+            }
+            let stats = comm.stats();
+            if let Some(win) = win {
+                comm.win_free(win)?;
+            }
+            Ok((digest, stats))
+        })
+        .unwrap()
     };
-    let script = |comm: &mut Comm| {
-        promote(comm, 0, 1)?;
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        for (k, size) in [64 * 1024 + 1, 200 * 1024, 8, 64 * 1024]
-            .into_iter()
-            .enumerate()
-        {
-            let peer = 1 - comm.rank();
-            let mine = payload(size, k as u64 * 2 + comm.rank() as u64);
-            let (_, got) = comm.sendrecv(peer, 1, &mine, peer, 1)?;
-            assert_eq!(got, payload(size, k as u64 * 2 + peer as u64));
-            fold(&mut digest, &got);
-        }
-        Ok((digest, comm.stats()))
-    };
-    let tight = Universe::run(geometry(0), script).unwrap();
-    // Two ranks share half the headroom: 4 MiB each holds the one lane.
-    let roomy = Universe::run(geometry(16 << 20), script).unwrap();
+    let [tight, roomy] = WINDOW.map(script);
     for ((t, _), (r, _)) in tight.iter().zip(&roomy) {
         assert_eq!(t.0, r.0, "same bytes either way");
-        assert_eq!(t.1.rdv_msgs, 0, "{:?}", t.1);
-        assert_eq!(t.1.rdv_fallbacks, 2, "both large messages were counted");
-        assert_eq!(r.1.rdv_msgs, 2);
-        assert_eq!(r.1.rdv_fallbacks, 0);
-        assert_eq!(t.1.qps_established, 1, "the pair was promoted regardless");
+        // Refused once, at the first promotion attempt; never asked again.
+        assert_eq!((t.1.qps_established, t.1.stream_alloc_failures), (0, 1));
+        assert_eq!((t.1.srq_msgs, t.1.doorbell_rings), (t.1.msgs_sent, 0));
+        assert_eq!((r.1.qps_established, r.1.stream_alloc_failures), (1, 0));
+        assert_eq!((r.1.srq_msgs, r.1.rdv_msgs), (4, 2), "{:?}", r.1);
     }
 }
 
 #[test]
 fn sendrecv_costs_one_latency_not_two() {
     // Both sides send first: a halo exchange is one one-way latency. (That
-    // it cannot deadlock on messages larger than the ring or the lane is what
-    // the ring of `digest_script` and the exchanges below run into.)
+    // it cannot deadlock on messages larger than a stream holds is what the
+    // ring of `digest_script` and the exchanges below run into.)
     let reports = Universe::run(lazy(2), |comm: &mut Comm| {
         let (me, peer) = (comm.rank(), 1 - comm.rank());
         promote(comm, 0, 1)?;
@@ -526,43 +698,32 @@ fn pairwise_exchange_on_eight_ranks() {
     })
     .unwrap();
     for (stats, _) in reports {
-        assert_eq!(stats.qps_established, 7);
+        assert_eq!((stats.qps_established, stats.qps_opened), (7, 7));
+        assert_eq!(stats.stream_alloc_failures, 0);
+        // The first rounds rode the SRQ; the last streamed on every pair.
         assert!(stats.rdv_msgs >= 7, "{stats:?}");
-        assert_eq!(stats.rdv_fallbacks, 0, "1 MiB of headroom holds 56 lanes");
     }
 }
 
-/// Lanes come out of the headroom RMA and data-plane windows are provisioned
-/// from, so each rank's lane budget keeps all lanes together inside half of
-/// it: pairs past the budget chunk, and windows created after every pair has
-/// gone large still fit.
+/// Streams are provisioned where queue pairs were — in the pool's connection
+/// share, never in `window_headroom` — so with every pair of eight ranks
+/// promoted and gone large, windows that together take most of the headroom
+/// still fit.
 #[test]
-fn windows_still_fit_after_every_pair_went_large() {
-    use cmpi::mpi::queue::QueueGeometry;
-    use cmpi::mpi::transport::conn::ConnTable;
+fn streams_never_draw_on_the_window_headroom() {
     use cmpi::mpi::{CollTuning, DataPlaneMode, HierarchyMode, ReduceOp};
 
     const RANKS: usize = 8;
+    const HEADROOM: usize = 256 * 1024;
     let tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
         data_plane: DataPlaneMode::Shm,
         shm_arena_bytes: 4096,
         ..CollTuning::default()
     };
-    // 256 KiB of headroom: 128 KiB for 24 lanes (three a rank, 56 asked
-    // for), 128 KiB for two exposure windows and an RMA window of ≈ 40 KiB.
-    let config = common::with_window_headroom(UniverseConfig::cxl_small(RANKS), 256 * 1024)
+    let config = common::with_window_headroom(UniverseConfig::cxl_small(RANKS), HEADROOM)
         .with_hosts(matrix_hosts())
         .with_coll_tuning(tuning);
-    let TransportConfig::CxlShm(c) = &config.transport else {
-        unreachable!("cxl_small is a CXL config");
-    };
-    let geometry = QueueGeometry {
-        cell_payload: CELL,
-        cells: CELLS,
-    };
-    let budget = ConnTable::lane_budget(RANKS, geometry, c) as u64;
-    assert!((1..7).contains(&budget), "the test wants a binding budget");
     let reports = Universe::run(config, |comm: &mut Comm| {
         let me = comm.rank();
         for round in 0..7u64 {
@@ -576,13 +737,14 @@ fn windows_still_fit_after_every_pair_went_large() {
             }
         }
         let stats = comm.stats();
-        // A data-plane window and an RMA window, created now, both work.
+        // Two exposure windows (≈ 36 KiB each) and an RMA window of 20 KiB a
+        // rank, created now: 232 KiB and more of the 256 KiB, and all work.
         let mut dup = comm.comm_dup()?;
         let mut v = vec![1u64; 16];
         dup.allreduce(&mut v, ReduceOp::Sum)?;
         assert_eq!(v, [RANKS as u64; 16]);
         assert_eq!(dup.last_coll_algorithm(), "allreduce/shm");
-        let win = comm.win_allocate(4096)?;
+        let win = comm.win_allocate(20 * 1024)?;
         comm.win_fence(win)?;
         comm.put(win, (me + 1) % RANKS, 0, &[me as u8; 64])?;
         comm.win_fence(win)?;
@@ -594,11 +756,55 @@ fn windows_still_fit_after_every_pair_went_large() {
     })
     .unwrap();
     for (stats, report) in reports {
-        assert_eq!(stats.qps_established, 7);
-        assert_eq!(stats.rdv_msgs, budget, "{stats:?}");
-        assert_eq!(stats.rdv_fallbacks, 7 - budget, "{stats:?}");
+        assert_eq!((stats.qps_established, stats.stream_alloc_failures), (7, 0));
+        assert_eq!(stats.rdv_msgs, 7, "every pair streamed: {stats:?}");
         let dp = &report.data_plane;
         assert_eq!((dp.window_setups, dp.window_failures), (2, 0), "{dp:?}");
+    }
+}
+
+/// `TransportStats` after a plain 2-rank ping-pong: every counter `e2e` and
+/// the `scaling` rows read is driven, and means what its name says.
+#[test]
+fn counters_are_pinned_by_a_ping_pong() {
+    const N: u64 = 40;
+    let config = lazy(2);
+    let TransportConfig::CxlShm(c) = &config.transport else {
+        unreachable!("cxl_small is a CXL config");
+    };
+    let threshold = c.promotion_threshold;
+    assert!((1..N).contains(&threshold));
+    let reports = Universe::run(config, |comm: &mut Comm| {
+        let (me, peer) = (comm.rank(), 1 - comm.rank());
+        let mut buf = [0u8; 8];
+        for i in 0..N {
+            if me == 0 {
+                comm.send(peer, 1, &payload(8, i))?;
+            }
+            comm.recv(Some(peer), Some(1), &mut buf)?;
+            if me == 1 {
+                comm.send(peer, 1, &payload(8, i))?;
+            }
+        }
+        Ok(comm.stats())
+    })
+    .unwrap();
+    for (rank, (stats, report)) in reports.into_iter().enumerate() {
+        assert_eq!(stats, report.stats, "RankReport carries the same snapshot");
+        assert_eq!(
+            (stats.msgs_sent, stats.msgs_received),
+            (N, N),
+            "rank {rank}"
+        );
+        assert_eq!((stats.bytes_sent, stats.bytes_received), (8 * N, 8 * N));
+        // The first `threshold` messages ride the SRQ; the pair is promoted
+        // at the entry of the next, once, in each direction; every message
+        // after that is one stream segment and one doorbell ring.
+        assert_eq!(stats.srq_msgs, threshold, "rank {rank}: {stats:?}");
+        assert_eq!((stats.qps_established, stats.qps_opened), (1, 1));
+        assert_eq!(stats.doorbell_rings, N - threshold);
+        assert!(stats.ring_probes >= N - threshold, "{stats:?}");
+        assert_eq!((stats.stream_alloc_failures, stats.rdv_msgs), (0, 0));
     }
 }
 
@@ -649,17 +855,46 @@ fn stream_script_clocks() -> Vec<f64> {
     .collect()
 }
 
+/// The `burst16_8B` script of the benchmark at the test geometry: sixteen
+/// 8 B `isend`s in flight at once into a four-slot stream, directions
+/// alternating. Returns every rank's final virtual clock.
+fn burst_script_clocks() -> Vec<f64> {
+    Universe::run(lazy(2), |comm: &mut Comm| {
+        promote(comm, 0, 1)?;
+        for round in 0..8u64 {
+            let sender = round as usize % 2;
+            let mut reqs: Vec<Request> = (0..16u64)
+                .map(|i| match comm.rank() == sender {
+                    true => comm.isend(1 - sender, 2, &payload(8, round * 16 + i)),
+                    false => comm.irecv_into(Some(sender), Some(2), vec![0u8; 8]),
+                })
+                .collect::<Result<_>>()?;
+            comm.wait_all(&mut reqs)?;
+        }
+        Ok(())
+    })
+    .unwrap()
+    .into_iter()
+    .map(|(_, report)| report.clock_ns)
+    .collect()
+}
+
 #[test]
-fn large_message_virtual_time_is_deterministic() {
-    let first = stream_script_clocks();
-    for run in 1..4 {
-        let again = stream_script_clocks();
-        for (rank, (a, b)) in first.iter().zip(&again).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "run {run}, rank {rank}: {a} vs {b}"
-            );
+fn burst_and_stream_virtual_time_is_deterministic() {
+    // A stall is charged from the stamp of the hand-back that ended it, never
+    // per retry: however the host schedules the two rank threads, the clocks
+    // come out the same to the bit.
+    for script in [burst_script_clocks, stream_script_clocks] {
+        let first = script();
+        for launch in 1..20 {
+            let again = script();
+            for (rank, (a, b)) in first.iter().zip(&again).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "launch {launch}, rank {rank}: {a} vs {b}"
+                );
+            }
         }
     }
 }
