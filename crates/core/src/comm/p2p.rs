@@ -11,6 +11,7 @@ use crate::pod::{bytes_of, vec_from_bytes, Pod};
 use crate::progress::ProgressCounters;
 use crate::request::{Contention, Request, RequestState};
 use crate::spin::SpinWait;
+use crate::transport::RecvDest;
 use crate::types::{Rank, Status, Tag};
 use crate::Result;
 
@@ -70,59 +71,80 @@ impl Comm {
     }
 
     /// Blocking send of `data` to local rank `dst` with `tag` (user tags must
-    /// stay below [`crate::types::COLL_TAG_BASE`]).
+    /// stay below [`crate::types::COLL_TAG_BASE`]). Runs the transports' one
+    /// blocked-send loop under one io-lock hold: from its first segment to
+    /// its last a message has the pair's queue to itself, and while flow
+    /// control holds it the loop keeps this rank's own arrivals drained.
     pub fn send(&mut self, dst: Rank, tag: Tag, data: &[u8]) -> Result<()> {
         Self::check_user_tag(tag)?;
         let dst = self.world_of(dst)?;
         self.check_peer_alive(dst, "send")?;
         let sent = {
             let io = &mut *self.shared.io();
-            io.transport.send(&mut io.clock, dst, self.ctx, tag, data)
+            io.transport
+                .send(&mut io.clock, dst, self.ctx, tag, data, &mut 0)
         };
         sent.map_err(|e| self.map_ft_err(e))
     }
 
-    /// Blocking receive into `buf`; returns the completion status. Waits with
-    /// a lock-per-attempt loop (one `try_recv_into` per io-lock hold), so
-    /// other threads of this rank keep progressing between attempts.
-    pub fn recv(&mut self, src: Option<Rank>, tag: Option<Tag>, buf: &mut [u8]) -> Result<Status> {
-        Self::check_user_tag_sel(tag)?;
-        let src = src.map(|s| self.world_of(s)).transpose()?;
+    /// One receive attempt — one io-lock hold — for the next message matching
+    /// `(src, tag)` (`src` a world rank): its status, in this communicator's
+    /// ranks, once it has gone to `dest`.
+    fn try_recv_once(
+        &self,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+        dest: RecvDest<'_>,
+    ) -> Result<Option<Status>> {
+        let found = {
+            let io = &mut *self.shared.io();
+            io.transport
+                .try_recv(&mut io.clock, self.ctx, src, tag, dest)?
+        };
+        found.map(|status| self.localize(status)).transpose()
+    }
+
+    /// The one blocked-receive loop: an attempt per io-lock hold, so other
+    /// threads of this rank keep progressing between attempts; a receive
+    /// stalled on its sender drives the rank's outstanding collectives
+    /// meanwhile, and backs off, poison-aware, when that moved nothing.
+    fn recv_blocking(
+        &self,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+        mut dest: RecvDest<'_>,
+    ) -> Result<Status> {
         let mut backoff = SpinWait::new();
         loop {
-            let found = {
-                let io = &mut *self.shared.io();
-                io.transport
-                    .try_recv_into(&mut io.clock, self.ctx, src, tag, buf)
-            };
-            match found.map_err(|e| self.map_ft_err(e))? {
-                Some(status) => return self.localize(status),
-                None => backoff
-                    .wait(&self.shared.poison)
-                    .map_err(|e| self.map_ft_err(e))?,
+            if let Some(status) = self.try_recv_once(src, tag, dest.reborrow())? {
+                return Ok(status);
             }
+            let driven = self.shared.engine.poll_siblings(&self.shared, None);
+            if driven.is_some_and(|ops| ops > 0) {
+                backoff.reset();
+            }
+            backoff.wait(&self.shared.poison)?;
         }
     }
 
-    /// Blocking receive returning an owned payload (lock-per-attempt, as
-    /// [`Comm::recv`]).
+    /// Blocking receive into `buf`; returns the completion status. A matched
+    /// message longer than `buf` is consumed and fails with truncation.
+    pub fn recv(&mut self, src: Option<Rank>, tag: Option<Tag>, buf: &mut [u8]) -> Result<Status> {
+        Self::check_user_tag_sel(tag)?;
+        let src = src.map(|s| self.world_of(s)).transpose()?;
+        self.recv_blocking(src, tag, RecvDest::Slice(buf))
+            .map_err(|e| self.map_ft_err(e))
+    }
+
+    /// Blocking receive returning an owned payload.
     pub fn recv_owned(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Result<(Status, Vec<u8>)> {
         Self::check_user_tag_sel(tag)?;
         let src = src.map(|s| self.world_of(s)).transpose()?;
-        let mut backoff = SpinWait::new();
-        loop {
-            let found = {
-                let io = &mut *self.shared.io();
-                io.transport
-                    .try_recv_owned(&mut io.clock, self.ctx, src, tag)
-            };
-            match found.map_err(|e| self.map_ft_err(e))? {
-                Some((status, data)) => return Ok((self.localize(status)?, data)),
-                None => backoff
-                    .wait(&self.shared.poison)
-                    .map_err(|e| self.map_ft_err(e))?,
-            }
-        }
+        let mut data = Vec::new();
+        let status = self
+            .recv_blocking(src, tag, RecvDest::Vec(&mut data))
+            .map_err(|e| self.map_ft_err(e))?;
+        Ok((status, data))
     }
 
     /// Non-blocking receive attempt returning an owned payload.
@@ -133,15 +155,9 @@ impl Comm {
     ) -> Result<Option<(Status, Vec<u8>)>> {
         Self::check_user_tag_sel(tag)?;
         let src = src.map(|s| self.world_of(s)).transpose()?;
-        let found = {
-            let io = &mut *self.shared.io();
-            io.transport
-                .try_recv_owned(&mut io.clock, self.ctx, src, tag)?
-        };
-        match found {
-            Some((status, data)) => Ok(Some((self.localize(status)?, data))),
-            None => Ok(None),
-        }
+        let mut data = Vec::new();
+        let found = self.try_recv_once(src, tag, RecvDest::Vec(&mut data))?;
+        Ok(found.map(|status| (status, data)))
     }
 
     /// Non-blocking probe (`MPI_Iprobe`): the status of the message a receive
@@ -150,11 +166,7 @@ impl Comm {
     pub fn iprobe(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Result<Option<Status>> {
         Self::check_user_tag_sel(tag)?;
         let src = src.map(|s| self.world_of(s)).transpose()?;
-        let found = {
-            let io = &mut *self.shared.io();
-            io.transport.iprobe(&mut io.clock, self.ctx, src, tag)?
-        };
-        found.map(|status| self.localize(status)).transpose()
+        self.try_recv_once(src, tag, RecvDest::Probe)
     }
 
     /// Non-blocking send (eager: completes immediately once enqueued).
@@ -182,9 +194,9 @@ impl Comm {
     }
 
     /// Non-blocking receive into a caller-owned buffer: completion writes the
-    /// payload into `buf` through the transports' allocation-free
-    /// `recv_into` path (the buffer also bounds the acceptable message size —
-    /// a longer matched message fails the completion with truncation).
+    /// payload into `buf`, allocation-free (the buffer also bounds the
+    /// acceptable message size — a longer matched message fails the
+    /// completion with truncation).
     /// [`Request::take_data`] returns the same allocation, truncated to the
     /// received length, so receive loops can recycle one buffer indefinitely.
     pub fn irecv_into(
@@ -278,13 +290,14 @@ impl Comm {
                     // buffers: the request stays restartable, and the result
                     // is read in place via `Request::read_result`.
                     drop(slot);
-                    request.fulfill_in_place(status);
+                    request.fulfill(status);
                     Ok((Some(status), ops))
                 } else {
                     let state = slot.state.take().expect("one-shot result not yet consumed");
                     drop(slot);
                     let (status, data) = state.finish();
-                    request.fulfill(status, data);
+                    request.data = data;
+                    request.fulfill(status);
                     // Drop the cell: the request is spent (algorithm label
                     // cleared, engine queue prunes the inactive cell).
                     request.coll = None;
@@ -338,55 +351,23 @@ impl Comm {
         tag: Option<Tag>,
     ) -> Result<Option<Status>> {
         self.check_request_ctx(request)?;
-        if request.is_buffered() {
-            let mut buf = request.take_buffer().expect("buffered request has buffer");
-            let found = {
-                let io = &mut *self.shared.io();
-                io.transport
-                    .try_recv_into(&mut io.clock, self.ctx, src, tag, &mut buf)
-            };
-            return match found {
-                Ok(Some(status)) => {
-                    let status = self.localize(status)?;
-                    request.fulfill_buffered(status, buf);
-                    Ok(Some(status))
-                }
-                Ok(None) => {
-                    if let Some(e) = self.dead_source_err(src) {
-                        request.mark_failed();
-                        return Err(e);
-                    }
-                    // Not matched yet: re-arm the request with its buffer.
-                    request.return_buffer(buf);
-                    Ok(None)
-                }
-                Err(e) => {
-                    // The matched message was consumed and the posted buffer
-                    // dropped (e.g. truncation): the request is spent, and
-                    // retrying must report StaleRequest rather than silently
-                    // taking the unbuffered path.
+        match self.try_recv_once(src, tag, request.dest()) {
+            Ok(Some(status)) => {
+                request.fulfill(status);
+                Ok(Some(status))
+            }
+            Ok(None) => match self.dead_source_err(src) {
+                Some(e) => {
                     request.mark_failed();
                     Err(e)
                 }
-            };
-        }
-        let found = {
-            let io = &mut *self.shared.io();
-            io.transport
-                .try_recv_owned(&mut io.clock, self.ctx, src, tag)?
-        };
-        match found {
-            Some((status, data)) => {
-                let status = self.localize(status)?;
-                request.fulfill(status, data);
-                Ok(Some(status))
-            }
-            None => {
-                if let Some(e) = self.dead_source_err(src) {
-                    request.mark_failed();
-                    return Err(e);
-                }
-                Ok(None)
+                None => Ok(None),
+            },
+            Err(e) => {
+                // A matched message may have been consumed (truncation): the
+                // request is spent, and retrying must report StaleRequest.
+                request.mark_failed();
+                Err(e)
             }
         }
     }
@@ -433,7 +414,8 @@ impl Comm {
         self.check_request_ctx(&requests[i])?;
         let next = {
             let io = &mut *self.shared.io();
-            io.transport.iprobe(&mut io.clock, self.ctx, src, tag)?
+            io.transport
+                .try_recv(&mut io.clock, self.ctx, src, tag, RecvDest::Probe)?
         };
         match next {
             // Nothing to take — and nothing may be taken: a message arriving
@@ -476,81 +458,20 @@ impl Comm {
                     }
                     return self.wait_polling(request);
                 }
-                if request.is_buffered() {
-                    // Lock-per-attempt wait on the buffered receive.
-                    let mut buf = request.take_buffer().expect("buffered request has buffer");
-                    let mut backoff = SpinWait::new();
-                    let status = loop {
-                        let found = {
-                            let io = &mut *self.shared.io();
-                            io.transport.try_recv_into(
-                                &mut io.clock,
-                                self.ctx,
-                                request.src,
-                                request.tag,
-                                &mut buf,
-                            )
-                        };
-                        // An error here consumed the message and dropped the
-                        // posted buffer: spend the request so a retry reports
-                        // StaleRequest instead of blocking in the wrong path.
-                        match found.and_then(|s| s.map(|s| self.localize(s)).transpose()) {
-                            Ok(Some(s)) => break s,
-                            Ok(None) => {
-                                // Stalled on the sender: opportunistically
-                                // drive outstanding collectives meanwhile.
-                                if let Some(ops) =
-                                    self.shared.engine.poll_siblings(&self.shared, None)
-                                {
-                                    if ops > 0 {
-                                        backoff.reset();
-                                    }
-                                }
-                                if let Err(e) = backoff.wait(&self.shared.poison) {
-                                    request.mark_failed();
-                                    return Err(self.map_ft_err(e));
-                                }
-                            }
-                            Err(e) => {
-                                request.mark_failed();
-                                return Err(self.map_ft_err(e));
-                            }
-                        }
-                    };
-                    request.fulfill_buffered(status, buf);
-                    return Ok(status);
-                }
-                let mut backoff = SpinWait::new();
-                let (status, data) = loop {
-                    let found = {
-                        let io = &mut *self.shared.io();
-                        io.transport.try_recv_owned(
-                            &mut io.clock,
-                            self.ctx,
-                            request.src,
-                            request.tag,
-                        )
-                    };
-                    match found.map_err(|e| self.map_ft_err(e))? {
-                        Some(found) => break found,
-                        None => {
-                            // Stalled on the sender: opportunistically drive
-                            // outstanding collectives meanwhile.
-                            if let Some(ops) = self.shared.engine.poll_siblings(&self.shared, None)
-                            {
-                                if ops > 0 {
-                                    backoff.reset();
-                                }
-                            }
-                            backoff
-                                .wait(&self.shared.poison)
-                                .map_err(|e| self.map_ft_err(e))?;
-                        }
+                let (src, tag) = (request.src, request.tag);
+                match self.recv_blocking(src, tag, request.dest()) {
+                    Ok(status) => {
+                        request.fulfill(status);
+                        Ok(status)
                     }
-                };
-                let status = self.localize(status)?;
-                request.fulfill(status, data);
-                Ok(status)
+                    Err(e) => {
+                        // A matched message may have been consumed
+                        // (truncation): spend the request so a retry reports
+                        // StaleRequest.
+                        request.mark_failed();
+                        Err(self.map_ft_err(e))
+                    }
+                }
             }
         }
     }
@@ -819,11 +740,11 @@ impl Comm {
 
     /// Combined send + receive (deadlock-safe pairwise exchange), full duplex:
     /// both partners send first, so the exchange costs one one-way latency,
-    /// not two. What makes that safe is how the send waits: while the
-    /// destination ring (or lane) is full it keeps this rank's own arrivals
-    /// drained — exactly what a plan's `Send` op does — so two ranks whose
-    /// messages exceed the queue capacity unblock each other instead of
-    /// wedging, which two plain [`Comm::send`] calls would.
+    /// not two. What makes that safe is the blocked-send loop every
+    /// [`Comm::send`] runs: while the destination ring (or stream) is full it
+    /// keeps this rank's own arrivals drained — exactly what a plan's `Send`
+    /// op does — so two ranks whose messages exceed the queue capacity
+    /// unblock each other instead of wedging.
     pub fn sendrecv(
         &mut self,
         dst: Rank,
@@ -832,31 +753,7 @@ impl Comm {
         src: Rank,
         recv_tag: Tag,
     ) -> Result<(Status, Vec<u8>)> {
-        Self::check_user_tag(send_tag)?;
-        let dst = self.world_of(dst)?;
-        self.check_peer_alive(dst, "sendrecv")?;
-        let mut cursor = 0usize;
-        let mut backoff = SpinWait::new();
-        loop {
-            // One attempt per io-lock hold, like every blocking wait here.
-            let attempt = {
-                let io = &mut *self.shared.io();
-                let (t, clock) = (io.transport.as_mut(), &mut io.clock);
-                match t.try_send_progress(clock, dst, self.ctx, send_tag, data, &mut cursor) {
-                    Ok(true) => Ok(None),
-                    Ok(false) => t.poll_incoming(clock).map(Some),
-                    Err(e) => Err(e),
-                }
-            };
-            match attempt.map_err(|e| self.map_ft_err(e))? {
-                None => break,
-                // Ring full and nothing of ours to drain: the peer is behind.
-                Some(0) => backoff
-                    .wait(&self.shared.poison)
-                    .map_err(|e| self.map_ft_err(e))?,
-                Some(_) => backoff.reset(),
-            }
-        }
+        self.send(dst, send_tag, data)?;
         self.recv_owned(Some(src), Some(recv_tag))
     }
 

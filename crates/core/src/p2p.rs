@@ -71,11 +71,6 @@ impl UnexpectedQueue {
         self.messages.is_empty()
     }
 
-    /// Iterate the stashed messages (diagnostics).
-    pub fn iter(&self) -> impl Iterator<Item = &PendingMessage> {
-        self.messages.iter()
-    }
-
     /// Stash a message that no receive has matched yet.
     pub fn push(&mut self, msg: PendingMessage) {
         self.messages.push(msg);
@@ -114,8 +109,8 @@ impl UnexpectedQueue {
 /// Receives that stash a message (no matching receive posted yet) need owned
 /// storage; allocating it fresh per message put a `Vec` allocation plus a
 /// zeroing pass on the hot path. The pool recycles those buffers: when a
-/// stashed message is later consumed by a `recv_into`, its storage comes back
-/// here and the next unexpected message reuses it.
+/// stashed message is later consumed by a receive into a caller's slice, its
+/// storage comes back here and the next unexpected message reuses it.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<u8>>,

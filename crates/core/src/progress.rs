@@ -30,10 +30,10 @@
 //!   byte-identical plans and cannot diverge;
 //! * **incrementally** — each [`Execution::progress`] call executes ops
 //!   until one cannot complete (a `SchedOp::Recv` whose message has not
-//!   arrived, probed through the transports' non-blocking `try_recv_into`
-//!   path) and then returns. This is what `Comm::test`/`Comm::wait` (and the
-//!   `*_any`/`*_all` combinators) call on a collective request, giving
-//!   MPI-3-style compute/communication overlap.
+//!   arrived, probed through [`Transport::try_recv`]) and then returns. This
+//!   is what `Comm::test`/`Comm::wait` (and the `*_any`/`*_all` combinators)
+//!   call on a collective request, giving MPI-3-style compute/communication
+//!   overlap.
 //!
 //! Who makes progress: in the default [`crate::config::ProgressMode::Polling`]
 //! mode, the rank that holds the request, whenever it calls `test`/`wait`-
@@ -43,14 +43,15 @@
 //! background progress thread (see `crate::engine`) that drives every
 //! outstanding execution, so requests complete while the caller computes.
 //! A `Send` op advances through the transports' nonblocking
-//! [`Transport::try_send_progress`] path; while it waits (for ring space or
-//! a missing message) the engine drains fully-arrived traffic off the wire
+//! [`Transport::try_send`]; while it waits (for ring space or a missing
+//! message) the engine drains fully-arrived traffic off the wire
 //! ([`Transport::poll_incoming`]), so peers blocked on flow control keep
 //! moving and concurrent independent executions stay deadlock-free. One
 //! commitment rule: once the first chunk of a multi-chunk message is in a
-//! destination ring, the op finishes the message before control returns
-//! (the SPSC rings require one whole message per sender at a time) — the
-//! same liveness class as the blocking sends the schedules replaced.
+//! destination ring, the op finishes the message — in the transports' one
+//! blocked-send loop, [`Transport::send`] — before control returns (the pair's
+//! queue carries one whole message per sender at a time): the same liveness
+//! class as the blocking sends the schedules replaced.
 
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -60,7 +61,7 @@ use cmpi_fabric::SimClock;
 use crate::coll::bind_coll_tag;
 use crate::error::MpiError;
 use crate::plan::PlanOp;
-use crate::transport::{DpReaders, DpSource, Transport};
+use crate::transport::{DpReaders, DpSource, RecvDest, Transport};
 use crate::types::{CtxId, Rank, ReduceOp, Status, Tag, COLL_TAG_BASE};
 use crate::Result;
 
@@ -473,10 +474,10 @@ impl Execution {
     /// finishes. Returns whether the execution completed and how many ops
     /// this call executed.
     ///
-    /// Nothing in here blocks on a peer: `Recv` ops probe via the
-    /// transports' non-blocking `try_recv_into`, and `Send` ops advance via
-    /// [`Transport::try_send_progress`] (resuming a partially-sent chunked
-    /// message across calls). Whenever the current op cannot complete, the
+    /// Nothing in here blocks on a peer that has not committed: `Recv` ops
+    /// probe via [`Transport::try_recv`], and `Send` ops advance via
+    /// [`Transport::try_send`] (a message that flow control stops partway is
+    /// finished by the blocked-send loop, [`Transport::send`]). Whenever the current op cannot complete, the
     /// engine drains fully-arrived messages off the wire
     /// ([`Transport::poll_incoming`]) and retries — freeing ring cells keeps
     /// peers' sends moving, which makes concurrent independent executions
@@ -521,40 +522,30 @@ impl Execution {
                 } => {
                     let tag = bind_coll_tag(tag_off, self.seq);
                     let data: &[u8] = &arena(loc, buf, &mut self.scratch)[start..end];
-                    let mut backoff = crate::spin::SpinWait::new();
-                    let poison = t.poison().clone();
-                    loop {
-                        if t.try_send_progress(clock, peer, ctx, tag, data, &mut self.send_cursor)?
-                        {
-                            break;
-                        }
+                    while !t.try_send(clock, peer, ctx, tag, data, &mut self.send_cursor)? {
                         // Destination ring full. Drain our own inbound rings
                         // (unblocking the peers that must drain ours) before
                         // deciding how to wait.
                         let drained = t.poll_incoming(clock)?;
-                        if self.send_cursor == 0 {
-                            // Nothing committed yet: the op can be deferred
-                            // freely. Retry only if the drain made progress.
-                            if drained == 0 {
-                                return Ok(StepOutcome {
-                                    done: false,
-                                    ops: completed,
-                                });
-                            }
-                            continue;
+                        if self.send_cursor > 0 {
+                            // Mid-message: chunks already sit in the
+                            // destination ring, and the ring's contiguity
+                            // invariant (a whole message per sender before
+                            // the next begins) forbids handing control back —
+                            // another send to the same peer would interleave
+                            // chunks and corrupt reassembly. Finish it in the
+                            // blocked-send loop; same liveness class as the
+                            // blocking sends these plans replaced.
+                            t.send(clock, peer, ctx, tag, data, &mut self.send_cursor)?;
+                            break;
                         }
-                        // Mid-message: chunks already sit in the destination
-                        // ring, and the ring's contiguity invariant (a whole
-                        // message per sender before the next begins) forbids
-                        // handing control back — another send to the same
-                        // peer would interleave chunks and corrupt
-                        // reassembly. Spin (poison-aware, still draining)
-                        // until the receiver frees cells; same liveness class
-                        // as the blocking sends these plans replaced.
+                        // Nothing committed yet: the op can be deferred
+                        // freely. Retry only if the drain made progress.
                         if drained == 0 {
-                            backoff.wait(&poison)?;
-                        } else {
-                            backoff.reset();
+                            return Ok(StepOutcome {
+                                done: false,
+                                ops: completed,
+                            });
                         }
                     }
                     self.send_cursor = 0;
@@ -568,7 +559,7 @@ impl Execution {
                 } => {
                     let tag = bind_coll_tag(tag_off, self.seq);
                     let dst = &mut arena(loc, buf, &mut self.scratch)[start..end];
-                    match t.try_recv_into(clock, ctx, Some(peer), Some(tag), dst)? {
+                    match t.try_recv(clock, ctx, Some(peer), Some(tag), RecvDest::Slice(dst))? {
                         Some(status) => {
                             if status.len != end - start {
                                 return Err(MpiError::InvalidCollective(format!(
@@ -737,7 +728,7 @@ impl Execution {
                     end,
                 } => {
                     let tag = bind_coll_tag(tag_off, self.seq);
-                    t.send(clock, peer, plan.ctx, tag, &buf[start..end])?
+                    t.send(clock, peer, plan.ctx, tag, &buf[start..end], &mut 0)?
                 }
                 ref other => {
                     return Err(MpiError::InvalidCollective(format!(

@@ -39,6 +39,7 @@ use crate::engine::OpCell;
 use crate::error::MpiError;
 use crate::pod::{vec_from_bytes, Pod};
 use crate::progress::CollState;
+use crate::transport::RecvDest;
 use crate::types::{source_matches, tag_matches, CtxId, Rank, Status, Tag};
 use crate::Result;
 
@@ -74,10 +75,11 @@ pub struct Request {
     /// Position of a receive in its rank's post order (see
     /// [`Request::earlier_claims`]); `0` for everything else.
     pub(crate) post_seq: u64,
-    /// Caller-owned receive buffer of a buffered receive (`irecv_into`):
-    /// completion writes the payload here through the transports'
-    /// allocation-free `recv_into` path instead of allocating a fresh `Vec`.
-    pub(crate) buffer: Option<Vec<u8>>,
+    /// The posted destination bounds the message (`irecv_into`): completion
+    /// writes the payload into `data` as posted, allocation-free, and a
+    /// longer message fails it with truncation. Otherwise (`irecv`) the
+    /// transport sizes `data` to the message.
+    bounded: bool,
     /// Operation cell of a nonblocking collective (`i*` operations): the
     /// bound execution plus its owned buffers behind the cell's slot lock,
     /// advanced by `wait`/`test`-family calls (Polling mode) or the
@@ -88,7 +90,9 @@ pub struct Request {
     /// contributes, accounted at every start.
     pub(crate) persistent: Option<u64>,
     status: Option<Status>,
-    data: Option<Vec<u8>>,
+    /// A pending receive's posted destination ([`Request::dest`]); a complete
+    /// request's payload, until [`Request::take_data`] moves it out.
+    pub(crate) data: Vec<u8>,
 }
 
 /// How a pending receive stands against the earlier-posted, still-pending
@@ -117,28 +121,21 @@ impl Request {
             src: None,
             tag: None,
             post_seq: 0,
-            buffer: None,
+            bounded: false,
             coll: None,
             persistent: None,
             status: Some(status),
-            data: None,
+            data: Vec::new(),
         }
     }
 
     /// A pending receive request on communicator `ctx` with the given
-    /// selectors (`src` is a world rank).
+    /// selectors (`src` is a world rank), its payload delivered in a vector
+    /// sized to the message.
     pub fn recv_pending(ctx: CtxId, src: Option<Rank>, tag: Option<Tag>) -> Self {
         Request {
-            state: RequestState::RecvPending,
-            ctx,
-            src,
-            tag,
-            post_seq: 0,
-            buffer: None,
-            coll: None,
-            persistent: None,
-            status: None,
-            data: None,
+            bounded: false,
+            ..Self::recv_pending_into(ctx, src, tag, Vec::new())
         }
     }
 
@@ -159,11 +156,11 @@ impl Request {
             src,
             tag,
             post_seq: 0,
-            buffer: Some(buf),
+            bounded: true,
             coll: None,
             persistent: None,
             status: None,
-            data: None,
+            data: buf,
         }
     }
 
@@ -180,11 +177,11 @@ impl Request {
             src: None,
             tag: None,
             post_seq: 0,
-            buffer: None,
+            bounded: false,
             coll: Some(OpCell::new(ctx, state)),
             persistent,
             status: None,
-            data: None,
+            data: Vec::new(),
         }
     }
 
@@ -277,16 +274,6 @@ impl Request {
         self.status = None;
     }
 
-    /// Complete a persistent collective *in place*: record the status but
-    /// keep the execution state and buffers so the request can be started
-    /// again (comm-internal).
-    pub(crate) fn fulfill_in_place(&mut self, status: Status) {
-        debug_assert_eq!(self.state, RequestState::RecvPending);
-        debug_assert!(self.persistent.is_some());
-        self.state = RequestState::RecvComplete;
-        self.status = Some(status);
-    }
-
     /// Overwrite the bound contribution region of a persistent request's
     /// buffer before the next `start` (the MPI idiom of rewriting the send
     /// buffer between starts of a persistent collective). The value length
@@ -331,31 +318,18 @@ impl Request {
 
     /// Whether this is a buffered receive (posted with a caller buffer).
     pub fn is_buffered(&self) -> bool {
-        self.buffer.is_some()
+        self.bounded
     }
 
-    /// Take the posted buffer out of a pending buffered receive so it can be
-    /// handed to the transport's `recv_into` (comm-internal).
-    pub(crate) fn take_buffer(&mut self) -> Option<Vec<u8>> {
-        self.buffer.take()
-    }
-
-    /// Hand the posted buffer back after an attempt that matched nothing: the
-    /// request stays pending exactly as it was posted (comm-internal).
-    pub(crate) fn return_buffer(&mut self, buf: Vec<u8>) {
+    /// Where a pending receive's message goes — what the communicator hands
+    /// the transport on every completion attempt: the posted buffer as a
+    /// bounded slice, or as a vector for the transport to size.
+    pub(crate) fn dest(&mut self) -> RecvDest<'_> {
         debug_assert_eq!(self.state, RequestState::RecvPending);
-        self.buffer = Some(buf);
-    }
-
-    /// Complete a buffered receive: `buf` is the posted buffer now holding
-    /// `status.len` payload bytes at the front; it is truncated to that length
-    /// and delivered through [`Request::take_data`] (comm-internal).
-    pub(crate) fn fulfill_buffered(&mut self, status: Status, mut buf: Vec<u8>) {
-        debug_assert_eq!(self.state, RequestState::RecvPending);
-        buf.truncate(status.len);
-        self.state = RequestState::RecvComplete;
-        self.status = Some(status);
-        self.data = Some(buf);
+        match self.bounded {
+            true => RecvDest::Slice(&mut self.data),
+            false => RecvDest::Vec(&mut self.data),
+        }
     }
 
     /// Current state.
@@ -388,22 +362,25 @@ impl Request {
     /// silently falling into a different completion path.
     pub(crate) fn mark_failed(&mut self) {
         self.state = RequestState::Consumed;
-        self.buffer = None;
         if let Some(cell) = self.coll.take() {
             // Withdraw the op from the background engine so it stops being
             // driven (and its cell can be dropped from the queue).
             cell.cancel();
         }
         self.persistent = None;
-        self.data = None;
+        self.data = Vec::new();
     }
 
-    /// Mark a pending receive as complete with the matched message.
-    pub(crate) fn fulfill(&mut self, status: Status, data: Vec<u8>) {
+    /// Mark a pending request complete. Its payload is `status.len` bytes at
+    /// the front of `data`: a receive's arrived in the posted destination, a
+    /// one-shot collective's result is moved there by the communicator; a
+    /// persistent collective keeps its result in its own buffers (the
+    /// request stays restartable) and leaves `data` empty.
+    pub(crate) fn fulfill(&mut self, status: Status) {
         debug_assert_eq!(self.state, RequestState::RecvPending);
+        self.data.truncate(status.len);
         self.state = RequestState::RecvComplete;
         self.status = Some(status);
-        self.data = Some(data);
     }
 
     /// Take the received payload out of a completed receive request.
@@ -421,7 +398,7 @@ impl Request {
         match self.state {
             RequestState::RecvComplete => {
                 self.state = RequestState::Consumed;
-                self.data.take().ok_or(MpiError::StaleRequest)
+                Ok(std::mem::take(&mut self.data))
             }
             _ => Err(MpiError::StaleRequest),
         }
@@ -441,7 +418,7 @@ impl Request {
         match self.state {
             RequestState::SendComplete | RequestState::RecvComplete | RequestState::Inactive => {
                 self.state = RequestState::Consumed;
-                self.data = None;
+                self.data = Vec::new();
                 if let Some(cell) = self.coll.take() {
                     cell.cancel();
                 }
@@ -483,7 +460,11 @@ mod tests {
         assert!(!r.is_complete());
         assert!(r.status().is_none());
         assert!(r.take_data().is_err());
-        r.fulfill(Status::new(2, 7, 3), vec![1, 2, 3]);
+        let RecvDest::Vec(out) = r.dest() else {
+            panic!("an unbuffered receive posts a vector");
+        };
+        *out = vec![1, 2, 3];
+        r.fulfill(Status::new(2, 7, 3));
         assert!(r.is_complete());
         assert_eq!(r.state(), RequestState::RecvComplete);
         assert_eq!(r.take_data().unwrap(), vec![1, 2, 3]);
@@ -502,11 +483,12 @@ mod tests {
         let mut r = Request::recv_pending_into(1, Some(0), Some(4), vec![0u8; 64]);
         assert!(r.is_buffered());
         assert!(!r.is_complete());
-        let mut buf = r.take_buffer().unwrap();
-        assert!(!r.is_buffered());
+        let RecvDest::Slice(buf) = r.dest() else {
+            panic!("a buffered receive posts a bounded slice");
+        };
         let ptr = buf.as_ptr();
         buf[..3].copy_from_slice(&[7, 8, 9]);
-        r.fulfill_buffered(Status::new(0, 4, 3), buf);
+        r.fulfill(Status::new(0, 4, 3));
         assert!(r.is_complete());
         let data = r.take_data().unwrap();
         // Same allocation, truncated to the received length.

@@ -238,7 +238,7 @@ impl PoisonFlag {
     /// Error out if the universe is hard-poisoned (the unrecoverable check).
     /// Recovery-path waits (agreement, shrink) use this instead of
     /// [`PoisonFlag::check`] so freshly recorded deaths don't abort recovery.
-    pub fn check_legacy(&self) -> Result<()> {
+    fn check_legacy(&self) -> Result<()> {
         if !self.is_poisoned() {
             return Ok(());
         }

@@ -14,7 +14,9 @@
 //!   pair rides its stream: frame and a payload of at most
 //!   [`STREAM_INLINE`] bytes in one stamped flag line, anything longer
 //!   streamed into the slots with non-temporal stores. The receive path is
-//!   one body over a private `Ring` enum, whichever of the three it drains;
+//!   one body over a private `Ring` enum, whichever of the three it drains,
+//!   and cells — eager ring or shared receive queue — are published by one
+//!   loop over its send-side mirror;
 //! * RMA windows, their PSCW flags, bakery locks and fence barrier live in a
 //!   per-window SHM object ([`crate::rma`]);
 //! * the global barrier is the sequence-number barrier of [`crate::barrier`].
@@ -42,10 +44,10 @@ use crate::queue::{CellHeader, QueueGeometry, QueueMatrix, SpscQueue, CELL_HEADE
 use crate::rma::layout::WINDOW_READY_MAGIC;
 use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{PoisonFlag, SpinWait};
-use crate::transport::conn::{ConnTable, SrqConsumer, Stream, STREAM_INLINE};
+use crate::transport::conn::{ConnTable, SrqConsumer, SrqProducer, Stream, STREAM_INLINE};
 use crate::transport::{
-    no_data_plane, DataPlaneStats, DpCost, DpReaders, DpSource, DpWindow, FaultInjector, Transport,
-    TransportCounters, TransportStats, WinId, DP_INLINE_BYTES,
+    no_data_plane, DataPlaneStats, DpCost, DpReaders, DpSource, DpWindow, FaultInjector, RecvDest,
+    Transport, TransportCounters, TransportStats, WinId, DP_INLINE_BYTES,
 };
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
@@ -300,14 +302,6 @@ impl ConnState {
         }
     }
 
-    /// The eager ring toward `dst` (panics in lazy mode).
-    fn eager_tx(&self, dst: Rank) -> &SpscQueue {
-        match self {
-            ConnState::Eager { tx, .. } => &tx[dst],
-            ConnState::Lazy(_) => unreachable!("eager helper called on lazy transport"),
-        }
-    }
-
     /// The lazy connection table (panics in eager mode).
     fn lazy(&mut self) -> &mut ConnTable {
         match self {
@@ -365,6 +359,35 @@ impl Ring<'_> {
         clock.merge(h.timestamp);
         charge.chunk_read(clock, len + CELL_HEADER_SIZE, total);
         Ok(())
+    }
+}
+
+/// What the send path publishes cells into — the send-side mirror of [`Ring`].
+/// (A promoted pair's stream takes segments, not cells, and has its own body.)
+#[derive(Clone, Copy)]
+enum TxRing<'a> {
+    /// An eager pair's SPSC ring.
+    Cells(&'a SpscQueue),
+    /// A cold lazy peer's shared receive queue.
+    Srq(&'a SrqProducer),
+}
+
+impl TxRing<'_> {
+    /// Whether a cell is free. Final on a ring, which has one producer; on
+    /// the shared receive queue another producer may still take it first.
+    fn has_space(&self) -> Result<bool> {
+        match self {
+            TxRing::Cells(queue) => queue.has_space(),
+            TxRing::Srq(srq) => srq.has_space(),
+        }
+    }
+
+    /// The time the receiver published with its last dequeue.
+    fn head_timestamp(&self) -> Result<f64> {
+        match self {
+            TxRing::Cells(queue) => queue.head_timestamp(),
+            TxRing::Srq(srq) => srq.head_timestamp(),
+        }
     }
 }
 
@@ -501,17 +524,16 @@ pub struct CxlTransport {
     poison: PoisonFlag,
     /// Fault injection armed on this rank (fault-tolerance testing only).
     fault: Option<FaultInjector>,
-    /// Progress-engine messages whose fault-injection hook already fired
-    /// (lazy mode): the SRQ's multi-producer ticket claim can lose the last
-    /// slot to a racing producer *after* the flow-control check, sending the
-    /// engine back to chunk 0 — this set keeps `on_send` one-per-message
-    /// across such re-entries. Keyed by `(dst, ctx, tag)`; concurrent
+    /// Cell-path messages whose fault-injection hook already fired: the SRQ's
+    /// multi-producer ticket claim can lose the last slot to a racing producer
+    /// *after* the flow-control check, sending the send back to chunk 0 — this
+    /// set keeps `on_send` one-per-message across such re-entries. Keyed by `(dst, ctx, tag)`; concurrent
     /// in-flight messages with an identical triple share one arming, an
     /// accepted imprecision on an already-rare race.
     fault_armed: BTreeSet<(Rank, CtxId, Tag)>,
-    /// Per destination: the progress-driven enqueue at the head of its ring
-    /// is blocked and its full-ring probe has been charged (see
-    /// [`charge_full_probe`]); cleared by the enqueue that gets through.
+    /// Per destination: the enqueue at the head of its ring is blocked and its
+    /// full-ring probe has been charged (see [`charge_full_probe`]); cleared
+    /// by the enqueue that gets through.
     tx_blocked: Vec<bool>,
     /// Scratch for snapshots of the pending-sender set (keeps the lazy poll
     /// path allocation-free in steady state).
@@ -667,27 +689,6 @@ impl CxlTransport {
         })
     }
 
-    /// Established connection endpoints on this rank in lazy mode (send-side
-    /// queue pairs plus opened receive rings), `None` in eager mode where the
-    /// matrix always holds `ranks²` queues. The scaling tests assert this
-    /// stays far below `ranks²`.
-    pub fn queue_pair_endpoints(&self) -> Option<usize> {
-        match &self.conn {
-            ConnState::Lazy(t) => Some(t.qp_count()),
-            ConnState::Eager { .. } => None,
-        }
-    }
-
-    /// Change the coherence mode on the data path (used by ablation benches).
-    pub fn set_coherence(&mut self, mode: CoherenceMode) {
-        self.coherence = mode;
-    }
-
-    /// The cost model in use (exposed for benchmarks).
-    pub fn cost_model(&self) -> &CxlCostModel {
-        &self.cost
-    }
-
     // ------------------------------------------------------------------
     // Cost accounting helpers
     // ------------------------------------------------------------------
@@ -802,14 +803,15 @@ impl CxlTransport {
     //
     // The receive path is allocation-free in steady state:
     //
-    // * a receive posted into a caller buffer (`recv_into`, used by all typed
-    //   collectives) peeks the next header and, when it matches, consumes
-    //   every cell or segment **directly into the caller's buffer** — no `Vec`
-    //   per chunk, no reassembly copy;
+    // * a receive peeks the next header and, when it matches, consumes every
+    //   cell or segment **directly into its destination** ([`RecvDest`]: the
+    //   caller's slice, as all typed collectives post, or a buffer out of the
+    //   staging arena for an owned payload) — no `Vec` per chunk, no
+    //   reassembly copy;
     // * messages that no receive asked for yet are reassembled into buffers
     //   recycled through the per-rank [`BufferPool`] staging arena and stashed
-    //   on the unexpected queue; consuming them via `recv_into` returns the
-    //   buffer to the pool.
+    //   on the unexpected queue; a slice receive that consumes one returns the
+    //   buffer to the pool, an owned receive takes the buffer itself.
 
     /// Whether a cell header satisfies a receive's `(ctx, src, tag)` selectors.
     fn header_matches(h: &CellHeader, ctx: CtxId, src: Option<Rank>, tag: Option<Tag>) -> bool {
@@ -915,39 +917,6 @@ impl CxlTransport {
         Ok(None)
     }
 
-    /// One matching attempt: search the unexpected queue, then poll the
-    /// relevant incoming queues once. `ctx` scopes the match to one
-    /// communicator; messages from other communicators found along the way are
-    /// stashed unexpected.
-    fn try_match_once(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<Option<(Status, Vec<u8>)>> {
-        if let Some(m) = self.unexpected.take_match(ctx, src, tag) {
-            clock.merge(m.arrival);
-            clock.advance(self.cost.mpi_overhead());
-            return Ok(Some((m.status, m.data)));
-        }
-        if self.is_lazy() {
-            return self.lazy_match_once(clock, ctx, src, tag);
-        }
-        let (start, count) = self.poll_plan(src);
-        for i in 0..count {
-            let sender = (start + i) % self.ranks;
-            while let Some(msg) = self.pump_queue(clock, sender)? {
-                if msg.matches(ctx, src, tag) {
-                    clock.advance(self.cost.mpi_overhead());
-                    return Ok(Some((msg.status, msg.data)));
-                }
-                self.unexpected.push(msg);
-            }
-        }
-        Ok(None)
-    }
-
     // ------------------------------------------------------------------
     // Lazy-mode receive internals (doorbell + SRQ + sparse streams)
     // ------------------------------------------------------------------
@@ -1021,49 +990,6 @@ impl CxlTransport {
         Ok(())
     }
 
-    fn lazy_match_once(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<Option<(Status, Vec<u8>)>> {
-        self.lazy_collect()?;
-        while let Some(msg) = self.pump_srq(clock)? {
-            if msg.matches(ctx, src, tag) {
-                clock.advance(self.cost.mpi_overhead());
-                return Ok(Some((msg.status, msg.data)));
-            }
-            self.unexpected.push(msg);
-        }
-        let mut scan = std::mem::take(&mut self.pending_scan);
-        self.lazy_candidates(src, &mut scan);
-        let res = self.match_rings_owned(clock, &scan, ctx, src, tag);
-        self.pending_scan = scan;
-        res
-    }
-
-    fn match_rings_owned(
-        &mut self,
-        clock: &mut SimClock,
-        senders: &[Rank],
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<Option<(Status, Vec<u8>)>> {
-        for &sender in senders {
-            while let Some(msg) = self.pump_queue(clock, sender)? {
-                if msg.matches(ctx, src, tag) {
-                    clock.advance(self.cost.mpi_overhead());
-                    return Ok(Some((msg.status, msg.data)));
-                }
-                self.unexpected.push(msg);
-            }
-            self.lazy_retire(sender)?;
-        }
-        Ok(None)
-    }
-
     /// The ring-poll plan of a receive with source selector `src`:
     /// `(start, count)` such that the candidate senders are
     /// `(start + i) % ranks` for `i in 0..count` — a single ring for a
@@ -1081,82 +1007,39 @@ impl CxlTransport {
         }
     }
 
-    /// One matching attempt for a receive **into a caller buffer**: searches
-    /// the unexpected queue (returning its staging buffer to the pool), then
-    /// peeks the candidate rings — a matching message at a ring head streams
-    /// straight into `buf` without touching the heap.
-    ///
-    /// Without a buffer (`None`) this is the probe: the same search in the
-    /// same order, but the match is only reported — a staged message stays
-    /// (or lands) on the unexpected queue, a message at a ring head stays
-    /// there — and nothing is charged for it.
-    fn try_match_once_into(
+    fn try_match_lazy(
         &mut self,
         clock: &mut SimClock,
         ctx: CtxId,
         src: Option<Rank>,
         tag: Option<Tag>,
-        mut buf: Option<&mut [u8]>,
-    ) -> Result<Option<Status>> {
-        match buf.as_deref_mut() {
-            Some(buf) => {
-                if let Some(m) = self.unexpected.take_match(ctx, src, tag) {
-                    return self.deliver_staged(clock, m, buf).map(Some);
-                }
-            }
-            None => {
-                if let Some(m) = self.unexpected.probe(ctx, src, tag) {
-                    return Ok(Some(m.status));
-                }
-            }
-        }
-        if self.is_lazy() {
-            return self.lazy_match_once_into(clock, ctx, src, tag, buf);
-        }
-        let (start, count) = self.poll_plan(src);
-        for i in 0..count {
-            let sender = (start + i) % self.ranks;
-            let found = self.match_ring_into(clock, sender, ctx, src, tag, buf.as_deref_mut())?;
-            if found.is_some() {
-                return Ok(found);
-            }
-        }
-        Ok(None)
-    }
-
-    fn lazy_match_once_into(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        buf: Option<&mut [u8]>,
+        dest: RecvDest<'_>,
     ) -> Result<Option<Status>> {
         self.lazy_collect()?;
         while let Some(msg) = self.pump_srq(clock)? {
             if msg.matches(ctx, src, tag) {
-                return self.settle_staged(clock, msg, buf).map(Some);
+                return self.settle_staged(clock, msg, dest).map(Some);
             }
             self.unexpected.push(msg);
         }
         let mut scan = std::mem::take(&mut self.pending_scan);
         self.lazy_candidates(src, &mut scan);
-        let res = self.match_rings_into(clock, &scan, ctx, src, tag, buf);
+        let res = self.match_rings(clock, &scan, ctx, src, tag, dest);
         self.pending_scan = scan;
         res
     }
 
-    fn match_rings_into(
+    fn match_rings(
         &mut self,
         clock: &mut SimClock,
         senders: &[Rank],
         ctx: CtxId,
         src: Option<Rank>,
         tag: Option<Tag>,
-        mut buf: Option<&mut [u8]>,
+        mut dest: RecvDest<'_>,
     ) -> Result<Option<Status>> {
         for &sender in senders {
-            let found = self.match_ring_into(clock, sender, ctx, src, tag, buf.as_deref_mut())?;
+            let found = self.match_ring(clock, sender, ctx, src, tag, dest.reborrow())?;
             if found.is_some() {
                 return Ok(found);
             }
@@ -1165,19 +1048,18 @@ impl CxlTransport {
         Ok(None)
     }
 
-    /// Probe one sender ring for a receive into a caller buffer: a matching
-    /// message at the ring head streams straight into `buf` with no staging
-    /// copy (or, probing, is reported and left there); anything else is
-    /// pumped toward the unexpected queue. Returns `None` when the ring has
-    /// nothing further for this receive.
-    fn match_ring_into(
+    /// Probe one sender ring: a matching message at the ring head streams
+    /// straight into `dest` with no staging copy (or, probing, is reported
+    /// and left there); anything else is pumped toward the unexpected queue.
+    /// Returns `None` when the ring has nothing further for this receive.
+    fn match_ring(
         &mut self,
         clock: &mut SimClock,
         sender: Rank,
         ctx: CtxId,
         src: Option<Rank>,
         tag: Option<Tag>,
-        buf: Option<&mut [u8]>,
+        dest: RecvDest<'_>,
     ) -> Result<Option<Status>> {
         loop {
             // Finish any in-flight partial reassembly first: it owns the ring
@@ -1187,7 +1069,7 @@ impl CxlTransport {
                 match self.pump_queue(clock, sender)? {
                     Some(msg) => {
                         if msg.matches(ctx, src, tag) {
-                            return self.settle_staged(clock, msg, buf).map(Some);
+                            return self.settle_staged(clock, msg, dest).map(Some);
                         }
                         self.unexpected.push(msg);
                         continue;
@@ -1212,101 +1094,144 @@ impl CxlTransport {
                 }
             }
             let total = first.total_len as usize;
-            let Some(buf) = buf else {
-                return Ok(Some(Status::new(first.src, first.tag, total)));
+            let status = Status::new(first.src, first.tag, total);
+            let buf = match dest {
+                RecvDest::Probe => return Ok(Some(status)),
+                RecvDest::Slice(buf) if total > buf.len() => {
+                    // MPI truncation: the message is consumed (into staging,
+                    // recycled immediately) and the receive errors. Blocking
+                    // for the remainder is fine — the sender of a matching
+                    // partial message is committed and actively publishing.
+                    let mut backoff = SpinWait::new();
+                    let msg = loop {
+                        match self.pump_queue(clock, sender)? {
+                            Some(msg) => break msg,
+                            None => backoff.wait(&self.poison)?,
+                        }
+                    };
+                    self.pool.put(msg.data);
+                    clock.advance(self.cost.mpi_overhead());
+                    return Err(MpiError::Truncation {
+                        message_len: total,
+                        buffer_len: buf.len(),
+                    });
+                }
+                RecvDest::Slice(buf) => buf,
+                RecvDest::Vec(out) => {
+                    *out = self.pool.take(total);
+                    &mut out[..]
+                }
             };
-            if total > buf.len() {
-                // MPI truncation: the message is consumed (into staging,
-                // recycled immediately) and the receive errors. Blocking
-                // for the remainder is fine — the sender of a matching
-                // partial message is committed and actively publishing.
-                let mut backoff = SpinWait::new();
-                let msg = loop {
-                    match self.pump_queue(clock, sender)? {
-                        Some(msg) => break msg,
-                        None => backoff.wait(&self.poison)?,
-                    }
-                };
-                self.pool.put(msg.data);
-                clock.advance(self.cost.mpi_overhead());
-                return Err(MpiError::Truncation {
-                    message_len: total,
-                    buffer_len: buf.len(),
-                });
-            }
-            // Direct path: cells or segments land in the caller's buffer,
-            // with no staging copy. Waits for the remainder of a matching
-            // message mid-publication — safe for the same reason.
+            // Direct path: cells or segments land in the destination, with
+            // no staging copy. Waits for the remainder of a matching message
+            // mid-publication — safe for the same reason.
             self.drain_message_into(clock, sender, &first, buf)?;
             TransportCounters::bump(&self.stats.msgs_received, 1);
             TransportCounters::bump(&self.stats.bytes_received, total as u64);
             clock.advance(self.cost.mpi_overhead());
-            return Ok(Some(Status::new(first.src, first.tag, total)));
+            return Ok(Some(status));
         }
     }
 
-    /// A freshly pumped message matched: deliver it into the caller's buffer,
-    /// or — probing — report it and stage it. Everything staged before it
+    /// A staged message — unexpected, or freshly pumped — matched: hand it to
+    /// `dest`. A slice takes a copy and the staging storage goes back to the
+    /// pool; a vector takes the storage itself. Probing (a freshly pumped
+    /// message only), it is reported and staged: everything staged before it
     /// failed the same selectors, so it is their first match on the queue.
     fn settle_staged(
         &mut self,
         clock: &mut SimClock,
         m: PendingMessage,
-        buf: Option<&mut [u8]>,
+        dest: RecvDest<'_>,
     ) -> Result<Status> {
-        match buf {
-            Some(buf) => self.deliver_staged(clock, m, buf),
-            None => {
-                let status = m.status;
+        let (status, arrival) = (m.status, m.arrival);
+        let delivered = match dest {
+            RecvDest::Probe => {
                 self.unexpected.push(m);
-                Ok(status)
+                return Ok(status);
             }
-        }
-    }
-
-    /// Deliver a staged (unexpected or freshly pumped) message into the
-    /// caller's buffer, recycling its staging storage through the pool.
-    fn deliver_staged(
-        &mut self,
-        clock: &mut SimClock,
-        m: PendingMessage,
-        buf: &mut [u8],
-    ) -> Result<Status> {
-        clock.merge(m.arrival);
-        clock.advance(self.cost.mpi_overhead());
-        if m.data.len() > buf.len() {
-            return Err(MpiError::Truncation {
+            RecvDest::Slice(buf) if m.data.len() > buf.len() => Err(MpiError::Truncation {
                 message_len: m.data.len(),
                 buffer_len: buf.len(),
-            });
-        }
-        buf[..m.data.len()].copy_from_slice(&m.data);
-        self.pool.put(m.data);
-        Ok(m.status)
+            }),
+            RecvDest::Slice(buf) => {
+                buf[..m.data.len()].copy_from_slice(&m.data);
+                self.pool.put(m.data);
+                Ok(status)
+            }
+            RecvDest::Vec(out) => {
+                *out = m.data;
+                Ok(status)
+            }
+        };
+        clock.merge(arrival);
+        clock.advance(self.cost.mpi_overhead());
+        delivered
     }
 
-    // ------------------------------------------------------------------
-    // Lazy-mode send internals
-    // ------------------------------------------------------------------
+    /// Lazy drain: doorbell collect, SRQ pump, then only the flagged streams.
+    fn lazy_poll_incoming(&mut self, clock: &mut SimClock) -> Result<usize> {
+        let mut moved = 0usize;
+        self.lazy_collect()?;
+        while let Some(msg) = self.pump_srq(clock)? {
+            self.unexpected.push(msg);
+            moved += 1;
+        }
+        let mut scan = std::mem::take(&mut self.pending_scan);
+        self.lazy_candidates(None, &mut scan);
+        let res = self.drain_pending_rings(clock, &scan, &mut moved);
+        self.pending_scan = scan;
+        res?;
+        Ok(moved)
+    }
 
-    /// The one send body of lazy mode, nonblocking and resumable: the
-    /// progress engine calls it as is, the blocking [`Transport::send`] drives
-    /// it in a loop that keeps this rank's arrivals drained while it is
-    /// blocked. `cursor` counts what is already out — stream segments on a
-    /// promoted pair, SRQ cells on a cold one.
+    fn drain_pending_rings(
+        &mut self,
+        clock: &mut SimClock,
+        senders: &[Rank],
+        moved: &mut usize,
+    ) -> Result<()> {
+        for &sender in senders {
+            while let Some(msg) = self.pump_queue(clock, sender)? {
+                self.unexpected.push(msg);
+                *moved += 1;
+            }
+            self.lazy_retire(sender)?;
+        }
+        Ok(())
+    }
+}
+
+impl Transport for CxlTransport {
+    fn rank(&self) -> Rank {
+        self.rank
+    }
+
+    fn size(&self) -> usize {
+        self.ranks
+    }
+
+    /// One send body, nonblocking and resumable, whichever way the pair is
+    /// connected: the progress engine calls it as is, the blocking
+    /// [`Transport::send`] drives it in a loop that keeps this rank's arrivals
+    /// drained while it is blocked. `cursor` counts what is already out —
+    /// stream segments on a promoted pair, cells on an eager ring or a cold
+    /// pair's shared receive queue.
     ///
-    /// Message entry (`cursor == 0`; idempotent, nothing is out yet) opens
-    /// and opportunistically promotes the pair. On a promoted pair the whole
-    /// message rides the stream and rings the receiver's doorbell once, after
-    /// its first segment; the fault hook and the software overhead come right
-    /// before that segment, once a slot is in hand. A full stream hands
-    /// control back **without touching the clock**: the wait for a slow
-    /// receiver is charged once, when the slots are reused, by merging the
-    /// stamp the receiver handed them back at — so virtual time does not
-    /// depend on how often the host scheduler let this rank retry. A cold
-    /// pair publishes cells through the receiver's shared receive queue,
-    /// which the receiver probes unconditionally — no doorbell.
-    fn try_send_lazy(
+    /// In lazy mode, message entry (`cursor == 0`; idempotent, nothing is out
+    /// yet) opens and opportunistically promotes the pair. On a promoted pair
+    /// the whole message rides the stream and rings the receiver's doorbell
+    /// once, after its first segment; the fault hook and the software
+    /// overhead come right before that segment, once a slot is in hand. A
+    /// full stream hands control back **without touching the clock**: the
+    /// wait for a slow receiver is charged once, when the slots are reused,
+    /// by merging the stamp the receiver handed them back at — so virtual
+    /// time does not depend on how often the host scheduler let this rank
+    /// retry. A cold pair publishes cells through the receiver's shared
+    /// receive queue, which the receiver probes unconditionally — no
+    /// doorbell — and an eager pair through its ring: the paper's protocol,
+    /// one loop for both.
+    fn try_send(
         &mut self,
         clock: &mut SimClock,
         dst: Rank,
@@ -1315,18 +1240,27 @@ impl CxlTransport {
         data: &[u8],
         cursor: &mut usize,
     ) -> Result<bool> {
+        self.check_rank(dst)?;
         let nt = self.cost.nt_access();
         let total = data.len();
         let charge = self.charge_for(dst);
-        let table = self.conn.lazy();
-        let peer = match *cursor {
-            0 => table.prepare_send(dst, clock, nt)?,
-            // Mid-message the route is settled: a pair is only promoted at
-            // message entry, and nothing starts a message toward a peer
-            // while another is mid-flight to it.
-            _ => table.peer_mut(dst)?,
-        };
-        let srq_ticket = if let Some(stream) = peer.stream.as_mut() {
+        // A promoted lazy pair sends through its stream, right here; an eager
+        // pair and a cold lazy pair give the cell loop below their ring.
+        let ring = 'route: {
+            let table = match &mut self.conn {
+                ConnState::Eager { tx, .. } => break 'route TxRing::Cells(&tx[dst]),
+                ConnState::Lazy(table) => table,
+            };
+            let peer = match *cursor {
+                0 => table.prepare_send(dst, clock, nt)?,
+                // Mid-message the route is settled: a pair is only promoted
+                // at message entry, and nothing starts a message toward a
+                // peer while another is mid-flight to it.
+                _ => table.peer_mut(dst)?,
+            };
+            let Some(stream) = peer.stream.as_mut() else {
+                break 'route TxRing::Srq(&peer.srq);
+            };
             let segment = stream.segment_bytes();
             let segments = total.div_ceil(segment).max(1);
             let inline = total <= STREAM_INLINE;
@@ -1374,314 +1308,33 @@ impl CxlTransport {
                 TransportCounters::bump(&self.stats.rdv_bytes, total as u64);
                 TransportCounters::bump(&self.stats.rdv_segments, segments as u64);
             }
-            None
-        } else {
-            let cells = total.div_ceil(self.cell_payload).max(1);
-            let mut ticket = None;
-            while *cursor < cells {
-                let offset = *cursor * self.cell_payload;
-                let chunk = &data[offset..(offset + self.cell_payload).min(total)];
-                if !peer.srq.has_space()? {
-                    let head_ts = peer.srq.head_timestamp()?;
-                    charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
-                    return Ok(false);
-                }
-                self.tx_blocked[dst] = false;
-                if *cursor == 0 {
-                    // Exactly-once fault injection: arm a key on the first
-                    // attempt that passed flow control, keep it armed across
-                    // the SRQ's rare claim-race retreats, clear it at
-                    // completion.
-                    if let Some(fault) = self.fault.as_mut() {
-                        if self.fault_armed.insert((dst, ctx, tag)) {
-                            fault.on_send()?;
-                        }
-                    }
-                    clock.advance(self.cost.mpi_overhead());
-                }
-                // Charge the publish cost first, then stamp the cell with
-                // the time at which the data is actually visible.
-                charge.chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total);
-                let header = CellHeader {
-                    src: self.rank,
-                    ctx,
-                    tag,
-                    total_len: total as u64,
-                    chunk_offset: offset as u64,
-                    chunk_len: chunk.len() as u32,
-                    timestamp: clock.now(),
-                };
-                let claimed =
-                    peer.srq
-                        .try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)?;
-                let Some(claimed) = claimed else {
-                    // A racing producer took the last slot after the
-                    // flow-control check: retreat as a plain "full".
-                    let head_ts = peer.srq.head_timestamp()?;
-                    charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
-                    return Ok(false);
-                };
-                // The ticket claim is one RMW round-trip.
-                clock.advance(nt);
-                ticket = Some(claimed);
-                *cursor += 1;
-            }
-            if self.fault.is_some() {
-                self.fault_armed.remove(&(dst, ctx, tag));
-            }
-            ticket
+            table.note_sent(dst, None);
+            TransportCounters::bump(&self.stats.msgs_sent, 1);
+            TransportCounters::bump(&self.stats.bytes_sent, total as u64);
+            return Ok(true);
         };
-        table.note_sent(dst, srq_ticket);
-        TransportCounters::bump(&self.stats.msgs_sent, 1);
-        TransportCounters::bump(&self.stats.bytes_sent, total as u64);
-        Ok(true)
-    }
-
-    /// Lazy drain: doorbell collect, SRQ pump, then only the flagged streams.
-    fn lazy_poll_incoming(&mut self, clock: &mut SimClock) -> Result<usize> {
-        let mut moved = 0usize;
-        self.lazy_collect()?;
-        while let Some(msg) = self.pump_srq(clock)? {
-            self.unexpected.push(msg);
-            moved += 1;
-        }
-        let mut scan = std::mem::take(&mut self.pending_scan);
-        self.lazy_candidates(None, &mut scan);
-        let res = self.drain_pending_rings(clock, &scan, &mut moved);
-        self.pending_scan = scan;
-        res?;
-        Ok(moved)
-    }
-
-    fn drain_pending_rings(
-        &mut self,
-        clock: &mut SimClock,
-        senders: &[Rank],
-        moved: &mut usize,
-    ) -> Result<()> {
-        for &sender in senders {
-            while let Some(msg) = self.pump_queue(clock, sender)? {
-                self.unexpected.push(msg);
-                *moved += 1;
-            }
-            self.lazy_retire(sender)?;
-        }
-        Ok(())
-    }
-
-    /// A blocking send is held by flow control: keep this rank's own arrivals
-    /// drained (to staging) before backing off, so two ranks that each send
-    /// the other more than a ring or a stream holds both move.
-    fn drain_while_blocked(&mut self, clock: &mut SimClock, backoff: &mut SpinWait) -> Result<()> {
-        if self.poll_incoming(clock)? == 0 {
-            return backoff.wait(&self.poison);
-        }
-        backoff.reset();
-        Ok(())
-    }
-}
-
-impl Transport for CxlTransport {
-    fn rank(&self) -> Rank {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.ranks
-    }
-
-    fn send(
-        &mut self,
-        clock: &mut SimClock,
-        dst: Rank,
-        ctx: CtxId,
-        tag: Tag,
-        data: &[u8],
-    ) -> Result<()> {
-        self.check_rank(dst)?;
-        let mut backoff = SpinWait::new();
-        if self.is_lazy() {
-            let mut cursor = 0usize;
-            while !self.try_send_lazy(clock, dst, ctx, tag, data, &mut cursor)? {
-                self.drain_while_blocked(clock, &mut backoff)?;
-            }
-            return Ok(());
-        }
-        // Fault injection fires at message entry, before any chunk is
-        // published: peers never observe a half-written message.
-        if let Some(f) = self.fault.as_mut() {
-            f.on_send()?;
-        }
-        clock.advance(self.cost.mpi_overhead());
-        let charge = self.charge_for(dst);
-        let total = data.len();
-        let mut offset = 0usize;
-        let mut scratch = std::mem::take(&mut self.tx_scratch);
-        loop {
-            let chunk_end = (offset + self.cell_payload).min(total);
-            let chunk = &data[offset..chunk_end];
-            // Charge the publish cost first, then stamp the cell with the time
-            // at which the data is actually visible.
-            charge.chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total);
-            let header = CellHeader {
-                src: self.rank,
-                ctx,
-                tag,
-                total_len: total as u64,
-                chunk_offset: offset as u64,
-                chunk_len: chunk.len() as u32,
-                timestamp: clock.now(),
-            };
-            backoff.reset();
-            let mut probed = false;
-            loop {
-                let queue = self.conn.eager_tx(dst);
-                if queue.try_enqueue_with_scratch(&header, chunk, &mut scratch)? {
-                    break;
-                }
-                // Ring full: the receiver is behind. Merge its published
-                // timestamp so our clock reflects the wait, then retry.
-                let (head_ts, nt) = (queue.head_timestamp()?, self.cost.nt_access());
-                charge_full_probe(clock, &mut probed, head_ts, nt);
-                if let Err(e) = self.drain_while_blocked(clock, &mut backoff) {
-                    self.tx_scratch = scratch;
-                    return Err(e);
-                }
-            }
-            offset = chunk_end;
-            if offset >= total {
-                break;
-            }
-        }
-        self.tx_scratch = scratch;
-        TransportCounters::bump(&self.stats.msgs_sent, 1);
-        TransportCounters::bump(&self.stats.bytes_sent, total as u64);
-        Ok(())
-    }
-
-    fn recv_owned(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<(Status, Vec<u8>)> {
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        let mut backoff = SpinWait::new();
-        loop {
-            if let Some(found) = self.try_match_once(clock, ctx, src, tag)? {
-                return Ok(found);
-            }
-            backoff.wait(&self.poison)?;
-        }
-    }
-
-    fn recv_into(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        buf: &mut [u8],
-    ) -> Result<Status> {
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        let mut backoff = SpinWait::new();
-        loop {
-            if let Some(status) = self.try_match_once_into(clock, ctx, src, tag, Some(buf))? {
-                return Ok(status);
-            }
-            backoff.wait(&self.poison)?;
-        }
-    }
-
-    fn try_recv_owned(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<Option<(Status, Vec<u8>)>> {
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        self.try_match_once(clock, ctx, src, tag)
-    }
-
-    fn iprobe(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<Option<Status>> {
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        self.try_match_once_into(clock, ctx, src, tag, None)
-    }
-
-    fn try_recv_into(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        buf: &mut [u8],
-    ) -> Result<Option<Status>> {
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        self.try_match_once_into(clock, ctx, src, tag, Some(buf))
-    }
-
-    fn try_send_progress(
-        &mut self,
-        clock: &mut SimClock,
-        dst: Rank,
-        ctx: CtxId,
-        tag: Tag,
-        data: &[u8],
-        cursor: &mut usize,
-    ) -> Result<bool> {
-        self.check_rank(dst)?;
-        if self.is_lazy() {
-            return self.try_send_lazy(clock, dst, ctx, tag, data, cursor);
-        }
-        let total = data.len();
-        // The cursor counts chunks already enqueued (a zero-length message is
-        // one header-only chunk).
-        let total_chunks = total.div_ceil(self.cell_payload).max(1);
-        let charge = self.charge_for(dst);
-        let queue = self.conn.eager_tx(dst);
-        let mut scratch = std::mem::take(&mut self.tx_scratch);
-        while *cursor < total_chunks {
+        let cells = total.div_ceil(self.cell_payload).max(1);
+        let mut srq_ticket = None;
+        while *cursor < cells {
             let offset = *cursor * self.cell_payload;
-            let chunk_end = (offset + self.cell_payload).min(total);
-            let chunk = &data[offset..chunk_end];
-            if !queue.has_space()? {
-                // Ring full: the receiver is behind. Merge its published
-                // timestamp so our clock reflects the stall, then hand
-                // control back instead of spinning — the caller drains its
-                // own inbound rings and retries.
-                let (head_ts, nt) = (queue.head_timestamp()?, self.cost.nt_access());
+            let chunk = &data[offset..(offset + self.cell_payload).min(total)];
+            if !ring.has_space()? {
+                // The receiver is behind: hand control back instead of
+                // spinning — the caller drains its own arrivals and retries.
+                let head_ts = ring.head_timestamp()?;
                 charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
-                self.tx_scratch = scratch;
                 return Ok(false);
             }
             self.tx_blocked[dst] = false;
             if *cursor == 0 {
-                // Message entry (first chunk about to be published): the
-                // fault-injection point. Firing here — after the flow-control
-                // check, before any bytes — keeps the count one-per-message
-                // and guarantees no partial message is ever visible.
-                if let Some(f) = self.fault.as_mut() {
-                    if let Err(e) = f.on_send() {
-                        self.tx_scratch = scratch;
-                        return Err(e);
+                // Message entry, past flow control and before any bytes: no
+                // partial message is ever visible. Exactly-once fault
+                // injection: arm a key on the first attempt that got here,
+                // keep it armed across the SRQ's rare claim-race retreats,
+                // clear it at completion.
+                if let Some(fault) = self.fault.as_mut() {
+                    if self.fault_armed.insert((dst, ctx, tag)) {
+                        fault.on_send()?;
                     }
                 }
                 clock.advance(self.cost.mpi_overhead());
@@ -1698,38 +1351,80 @@ impl Transport for CxlTransport {
                 chunk_len: chunk.len() as u32,
                 timestamp: clock.now(),
             };
-            // Single producer per (dst, src) ring: `has_space` cannot be
-            // invalidated between the check and this enqueue.
-            let enqueued = queue.try_enqueue_with_scratch(&header, chunk, &mut scratch)?;
-            debug_assert!(enqueued, "ring filled despite has_space");
+            match ring {
+                TxRing::Cells(queue) => {
+                    // Single producer: the space seen above is still there.
+                    let enqueued =
+                        queue.try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)?;
+                    debug_assert!(enqueued, "ring filled despite has_space");
+                }
+                TxRing::Srq(srq) => {
+                    let claimed =
+                        srq.try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)?;
+                    let Some(claimed) = claimed else {
+                        // A racing producer took the last slot after the
+                        // flow-control check: retreat as a plain "full".
+                        let head_ts = ring.head_timestamp()?;
+                        charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
+                        return Ok(false);
+                    };
+                    // The ticket claim is one RMW round-trip.
+                    clock.advance(nt);
+                    srq_ticket = Some(claimed);
+                }
+            }
             *cursor += 1;
         }
-        self.tx_scratch = scratch;
+        if self.fault.is_some() {
+            self.fault_armed.remove(&(dst, ctx, tag));
+        }
+        if let ConnState::Lazy(table) = &mut self.conn {
+            table.note_sent(dst, srq_ticket);
+        }
         TransportCounters::bump(&self.stats.msgs_sent, 1);
         TransportCounters::bump(&self.stats.bytes_sent, total as u64);
         Ok(true)
     }
 
-    fn debug_state(&self) -> String {
-        let partials: Vec<usize> = self
-            .partial_rx
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| a.as_ref().map(|_| i))
-            .collect();
-        let unexpected: Vec<(Rank, CtxId, Tag, usize)> = self
-            .unexpected
-            .iter()
-            .map(|m| (m.status.source, m.ctx, m.status.tag, m.data.len()))
-            .collect();
-        let conn = match &self.conn {
-            ConnState::Eager { .. } => "eager".to_string(),
-            ConnState::Lazy(t) => t.debug_state(),
-        };
-        format!(
-            "rank={} partials={partials:?} unexpected={unexpected:?} conn={conn}",
-            self.rank
-        )
+    /// One matching attempt: searches the unexpected queue, then peeks the
+    /// candidate rings — a matching message at a ring head streams straight
+    /// into `dest`. `ctx` scopes the match to one communicator; messages that
+    /// do not match are staged along the way.
+    ///
+    /// [`RecvDest::Probe`] runs the same search in the same order, but the
+    /// match is only reported — a staged message stays (or lands) on the
+    /// unexpected queue, a message at a ring head stays there — and nothing
+    /// is charged for it.
+    fn try_recv(
+        &mut self,
+        clock: &mut SimClock,
+        ctx: CtxId,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+        mut dest: RecvDest<'_>,
+    ) -> Result<Option<Status>> {
+        if let Some(s) = src {
+            self.check_rank(s)?;
+        }
+        if let RecvDest::Probe = dest {
+            if let Some(m) = self.unexpected.probe(ctx, src, tag) {
+                return Ok(Some(m.status));
+            }
+        } else if let Some(m) = self.unexpected.take_match(ctx, src, tag) {
+            return self.settle_staged(clock, m, dest).map(Some);
+        }
+        if self.is_lazy() {
+            return self.try_match_lazy(clock, ctx, src, tag, dest);
+        }
+        let (start, count) = self.poll_plan(src);
+        for i in 0..count {
+            let sender = (start + i) % self.ranks;
+            let found = self.match_ring(clock, sender, ctx, src, tag, dest.reborrow())?;
+            if found.is_some() {
+                return Ok(found);
+            }
+        }
+        Ok(None)
     }
 
     fn poll_incoming(&mut self, clock: &mut SimClock) -> Result<usize> {

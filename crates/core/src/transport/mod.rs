@@ -9,6 +9,29 @@
 //! * [`tcp::TcpTransport`] — the baseline: MPI over TCP on a simulated NIC
 //!   (standard Ethernet or SmartNIC), with per-message software-stack costs and
 //!   NIC bandwidth sharing.
+//!
+//! ### The point-to-point surface
+//!
+//! A transport implements three nonblocking primitives and nothing else of
+//! the two-sided path:
+//!
+//! * [`Transport::try_send`] — publish as much of a message as flow control
+//!   allows, resumable through a cursor;
+//! * [`Transport::try_recv`] — one matching attempt; where a match goes is the
+//!   [`RecvDest`] argument, the only thing in which `MPI_Iprobe`, a receive
+//!   into a caller's buffer and a receive that returns an owned payload
+//!   differ;
+//! * [`Transport::poll_incoming`] — move arrived messages to local staging, so
+//!   that peers blocked on this rank's queues keep moving.
+//!
+//! Everything that blocks is a loop over them. The blocked send is the one
+//! provided method, [`Transport::send`], which no transport overrides; the
+//! blocked receive lives with the communicator (`Comm`), because between two
+//! attempts it lets go of the rank's io lock. The send loop never does: from a
+//! message's first segment to its last the pair's queue belongs to that
+//! message (continuation segments carry no frame, and the receiver keeps one
+//! reassembly per sender), so whoever calls [`Transport::send`] holds the lock
+//! across the call, and a second thread's send to the same peer waits outside.
 
 pub mod conn;
 pub mod cxl;
@@ -24,7 +47,7 @@ use cxl_shm::slots::SLOT_CELL_INLINE;
 
 use crate::config::FaultTrigger;
 use crate::error::MpiError;
-use crate::spin::PoisonFlag;
+use crate::spin::{PoisonFlag, SpinWait};
 use crate::types::{CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
 
@@ -425,6 +448,39 @@ fn no_data_plane<T>() -> Result<T> {
     ))
 }
 
+/// Where [`Transport::try_recv`] puts the message it matches — the one thing
+/// in which the public receive forms differ.
+#[derive(Debug)]
+pub enum RecvDest<'a> {
+    /// Nowhere (`MPI_Iprobe`): the status of the message the next receive
+    /// with these selectors would deliver. Nothing is consumed and nothing
+    /// charged; a message seen here is the first match of its own
+    /// `(source, tag)` too, which is what lets the request sweeps keep MPI's
+    /// non-overtaking rule between receives whose selectors overlap.
+    Probe,
+    /// A caller's buffer, which bounds the message: a longer one is consumed
+    /// all the same and the receive fails with [`MpiError::Truncation`].
+    /// Allocation-free — the CXL transport copies cells and stream segments
+    /// straight into it.
+    Slice(&'a mut [u8]),
+    /// A vector the transport replaces with one that holds exactly the
+    /// message: the staging buffer itself when the message was unexpected, a
+    /// buffer of the transport's choosing filled off the wire otherwise.
+    Vec(&'a mut Vec<u8>),
+}
+
+impl RecvDest<'_> {
+    /// The same destination for one more attempt (`Option::as_deref_mut` for
+    /// this type).
+    pub(crate) fn reborrow(&mut self) -> RecvDest<'_> {
+        match self {
+            RecvDest::Probe => RecvDest::Probe,
+            RecvDest::Slice(buf) => RecvDest::Slice(buf),
+            RecvDest::Vec(out) => RecvDest::Vec(out),
+        }
+    }
+}
+
 /// A point-to-point + RMA transport bound to one rank.
 ///
 /// Every operation takes the rank's virtual clock and advances it by the
@@ -436,10 +492,57 @@ pub trait Transport: Send {
     /// Number of ranks in the universe.
     fn size(&self) -> usize;
 
-    /// Blocking standard-mode send (eager: completes locally once the message
-    /// is handed to the queue / NIC). `dst` is a world rank; `ctx` is the
-    /// communicator context id woven into the wire-level tag so that receives
-    /// posted on other communicators can never match this message.
+    /// Make nonblocking progress on sending `data` to `dst` (a world rank).
+    /// `ctx` is the communicator context id woven into the wire-level tag so
+    /// that receives posted on other communicators can never match this
+    /// message. `cursor` is the transport-opaque resume state: 0 for a fresh
+    /// message, the same variable passed back on re-entry. Returns `true`
+    /// once the whole message has been handed off (standard mode: it
+    /// completes locally, in the queue or the NIC), `false` — without
+    /// blocking — when flow control (a full ring or stream whose receiver has
+    /// not drained) stops it partway. While `cursor` is non-zero nothing else
+    /// may be sent to `dst`.
+    fn try_send(
+        &mut self,
+        clock: &mut SimClock,
+        dst: Rank,
+        ctx: CtxId,
+        tag: Tag,
+        data: &[u8],
+        cursor: &mut usize,
+    ) -> Result<bool>;
+
+    /// One matching attempt for the next message on communicator `ctx` that
+    /// satisfies the selectors (world source rank, tag): its status once it
+    /// has gone to `dest` (see [`RecvDest`] for what each destination
+    /// consumes and charges), `None` when no such message has arrived. The
+    /// search stages whatever it has to move out of the way, and never waits
+    /// for a message that has not started to arrive.
+    fn try_recv(
+        &mut self,
+        clock: &mut SimClock,
+        ctx: CtxId,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+        dest: RecvDest<'_>,
+    ) -> Result<Option<Status>>;
+
+    /// Move fully-arrived messages off the wire into local staging (the
+    /// unexpected-message queue / endpoint stash) without matching them
+    /// against any receive. Returns how many messages were moved. A rank that
+    /// is blocked in a send, deep in a plan or in user compute
+    /// (`Comm::progress`) calls it to free the flow-control resources its
+    /// peers' sends are waiting for — ring cells and stream slots on the CXL
+    /// transport.
+    fn poll_incoming(&mut self, clock: &mut SimClock) -> Result<usize>;
+
+    /// Blocking standard-mode send — the one blocked-send loop: attempt;
+    /// while flow control holds the message, keep this rank's own arrivals
+    /// drained (two ranks that each send the other more than a queue holds
+    /// both move); back off, poison-aware, only when nothing moved. Pass a
+    /// zero `cursor` for a fresh message, or the cursor of a message a
+    /// [`Transport::try_send`] left partly out. The caller holds the rank's
+    /// io lock across the call (see the module documentation).
     fn send(
         &mut self,
         clock: &mut SimClock,
@@ -447,42 +550,18 @@ pub trait Transport: Send {
         ctx: CtxId,
         tag: Tag,
         data: &[u8],
-    ) -> Result<()>;
-
-    /// Blocking receive of the next message on communicator `ctx` matching the
-    /// selectors (world source rank, tag), returning the payload in a freshly
-    /// allocated buffer.
-    fn recv_owned(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<(Status, Vec<u8>)>;
-
-    /// Non-blocking variant of [`Transport::recv_owned`].
-    fn try_recv_owned(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<Option<(Status, Vec<u8>)>>;
-
-    /// Non-destructive probe (`MPI_Iprobe`): the status of the message the
-    /// next `try_recv_*` with these selectors would deliver, or `None` when
-    /// no such message has arrived. Runs the receive's own search — staging
-    /// whatever it has to move out of the way — but never blocks, consumes or
-    /// charges for the match, and a message seen here is the first match of
-    /// its own `(source, tag)` too. The request sweeps use it to keep MPI's
-    /// non-overtaking rule between receives whose selectors overlap.
-    fn iprobe(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<Option<Status>>;
+        cursor: &mut usize,
+    ) -> Result<()> {
+        let mut backoff = SpinWait::new();
+        while !self.try_send(clock, dst, ctx, tag, data, cursor)? {
+            if self.poll_incoming(clock)? == 0 {
+                backoff.wait(self.poison())?;
+            } else {
+                backoff.reset();
+            }
+        }
+        Ok(())
+    }
 
     /// Barrier across every rank in the universe.
     fn barrier(&mut self, clock: &mut SimClock) -> Result<()>;
@@ -583,15 +662,6 @@ pub trait Transport: Send {
     /// holding the transport lock.
     fn stats_handle(&self) -> Arc<TransportCounters>;
 
-    /// Record one collective operation contributing `payload_bytes` from this
-    /// rank (bumped by the communicator layer, which is where collectives are
-    /// implemented).
-    fn record_collective(&self, payload_bytes: u64) {
-        let stats = self.stats_handle();
-        TransportCounters::bump(&stats.collectives, 1);
-        TransportCounters::bump(&stats.collective_bytes, payload_bytes);
-    }
-
     /// Hint: how many communication pairs are concurrently active (used by the
     /// CXL contention model; ignored by transports that do not need it).
     fn set_concurrency_hint(&mut self, _pairs: usize) {}
@@ -606,80 +676,10 @@ pub trait Transport: Send {
     /// Human-readable transport label (used in benchmark output).
     fn label(&self) -> &'static str;
 
-    /// One-line snapshot of internal progress state, embedded in stall panics
-    /// so a wedged universe reports *what* each side was waiting on.
-    fn debug_state(&self) -> String {
-        String::new()
-    }
-
     /// The universe's peer-death flag; spin loops above the transport (e.g.
     /// request combinators) thread it through their waits so they abort when
     /// a rank dies.
     fn poison(&self) -> &PoisonFlag;
-
-    /// Blocking receive into a caller-provided buffer, with MPI truncation
-    /// semantics (error if the matched message is longer than the buffer).
-    ///
-    /// Transports override this with an allocation-free implementation (the
-    /// CXL transport copies cells and stream segments straight into `buf`);
-    /// the default is a correct but copying fallback.
-    fn recv_into(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        buf: &mut [u8],
-    ) -> Result<Status> {
-        let (status, data) = self.recv_owned(clock, ctx, src, tag)?;
-        if data.len() > buf.len() {
-            return Err(crate::error::MpiError::Truncation {
-                message_len: data.len(),
-                buffer_len: buf.len(),
-            });
-        }
-        buf[..data.len()].copy_from_slice(&data);
-        Ok(status)
-    }
-
-    /// Make nonblocking progress on sending `data` to `dst`: `cursor` is the
-    /// transport-opaque resume state (start at 0 for a fresh message, pass
-    /// the same variable back on re-entry). Returns `true` once the whole
-    /// message has been handed off, `false` — without blocking — when
-    /// transport flow control (a full ring or stream whose receiver has not
-    /// drained) stops the send partway. The progress engine uses this for schedule
-    /// `Send` ops so that two ranks driving independent outstanding
-    /// schedules can never wedge inside each other's blocking sends.
-    ///
-    /// The default forwards to the blocking [`Transport::send`], which is
-    /// correct for transports whose sends never block on a peer (the TCP
-    /// fabric channel is unbounded).
-    fn try_send_progress(
-        &mut self,
-        clock: &mut SimClock,
-        dst: Rank,
-        ctx: CtxId,
-        tag: Tag,
-        data: &[u8],
-        cursor: &mut usize,
-    ) -> Result<bool> {
-        debug_assert_eq!(*cursor, 0, "default try_send_progress cannot resume");
-        self.send(clock, dst, ctx, tag, data)?;
-        *cursor = data.len();
-        Ok(true)
-    }
-
-    /// Opportunistically move fully-arrived messages off the wire into local
-    /// staging (the unexpected-message queue / endpoint stash) without
-    /// matching them against any receive. Returns how many messages were
-    /// moved. Called by the progress engine (`Comm::progress`) so that a rank
-    /// deep in user compute still frees transport flow-control resources —
-    /// ring cells on the CXL transport — letting its peers' sends complete.
-    /// The default is a no-op for transports without sender-visible flow
-    /// control.
-    fn poll_incoming(&mut self, _clock: &mut SimClock) -> Result<usize> {
-        Ok(0)
-    }
 
     // ------------------------------------------------------------------
     // Shared-window single-copy data plane
@@ -789,29 +789,6 @@ pub trait Transport: Send {
     /// communicator layer adds the per-path collective split on top).
     fn dp_stats(&self) -> DataPlaneStats {
         DataPlaneStats::default()
-    }
-
-    /// Non-blocking variant of [`Transport::recv_into`]: `Ok(None)` when no
-    /// matching message is currently available.
-    fn try_recv_into(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        buf: &mut [u8],
-    ) -> Result<Option<Status>> {
-        let Some((status, data)) = self.try_recv_owned(clock, ctx, src, tag)? else {
-            return Ok(None);
-        };
-        if data.len() > buf.len() {
-            return Err(crate::error::MpiError::Truncation {
-                message_len: data.len(),
-                buffer_len: buf.len(),
-            });
-        }
-        buf[..data.len()].copy_from_slice(&data);
-        Ok(Some(status))
     }
 }
 

@@ -25,13 +25,13 @@ use parking_lot::{Condvar, Mutex};
 
 use cmpi_fabric::cost::{CxlCostModel, TcpCostModel, TcpNic};
 use cmpi_fabric::SimClock;
-use cmpi_netsim::{TcpEndpoint, TcpFabric, TcpFabricConfig};
+use cmpi_netsim::{NetMessage, TcpEndpoint, TcpFabric, TcpFabricConfig};
 
 use crate::config::TcpTransportConfig;
 use crate::error::MpiError;
-use crate::spin::{PoisonFlag, SpinWait};
+use crate::spin::PoisonFlag;
 use crate::topology::HostTopology;
-use crate::transport::{FaultInjector, Transport, TransportCounters, WinId};
+use crate::transport::{FaultInjector, RecvDest, Transport, TransportCounters, WinId};
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
 
@@ -255,32 +255,6 @@ impl TcpTransport {
         }
         Ok(())
     }
-
-    /// Blocking matched receive as a poison-aware poll: `try_recv_match` plus
-    /// tiered backoff, so a dead peer aborts the wait with `PeerDead` instead
-    /// of blocking on the fabric channel forever.
-    fn recv_match_blocking(
-        &mut self,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<cmpi_netsim::NetMessage> {
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        let mut backoff = SpinWait::new();
-        loop {
-            let found = self.endpoint.try_recv_match(|m| {
-                wire_ctx(m.tag) == ctx
-                    && source_matches(src, m.src)
-                    && tag_matches(tag, wire_user_tag(m.tag))
-            });
-            match found {
-                Some(msg) => return Ok(msg),
-                None => backoff.wait(&self.poison)?,
-            }
-        }
-    }
 }
 
 impl Transport for TcpTransport {
@@ -292,14 +266,18 @@ impl Transport for TcpTransport {
         self.ranks
     }
 
-    fn send(
+    /// The fabric channel is unbounded, so a send never stalls on this
+    /// transport: one attempt hands the whole message to the NIC.
+    fn try_send(
         &mut self,
         clock: &mut SimClock,
         dst: Rank,
         ctx: CtxId,
         tag: Tag,
         data: &[u8],
-    ) -> Result<()> {
+        cursor: &mut usize,
+    ) -> Result<bool> {
+        debug_assert_eq!(*cursor, 0, "a TCP send is never left partly out");
         self.check_rank(dst)?;
         // Fault injection fires at message entry, before anything is handed
         // to the fabric: peers never observe a half-sent message.
@@ -315,132 +293,51 @@ impl Transport for TcpTransport {
         clock.merge(timing.sender_busy_until);
         TransportCounters::bump(&self.stats.msgs_sent, 1);
         TransportCounters::bump(&self.stats.bytes_sent, data.len() as u64);
-        Ok(())
+        Ok(true)
     }
 
-    fn recv_owned(
+    fn try_recv(
         &mut self,
         clock: &mut SimClock,
         ctx: CtxId,
         src: Option<Rank>,
         tag: Option<Tag>,
-    ) -> Result<(Status, Vec<u8>)> {
-        let msg = self.recv_match_blocking(ctx, src, tag)?;
+        dest: RecvDest<'_>,
+    ) -> Result<Option<Status>> {
+        if let Some(s) = src {
+            self.check_rank(s)?;
+        }
+        let wanted = |m: &NetMessage| {
+            wire_ctx(m.tag) == ctx
+                && source_matches(src, m.src)
+                && tag_matches(tag, wire_user_tag(m.tag))
+        };
+        let status = |m: &NetMessage| Status::new(m.src, wire_user_tag(m.tag), m.len());
+        if let RecvDest::Probe = dest {
+            return Ok(self.endpoint.peek_match(wanted).map(status));
+        }
+        let Some(msg) = self.endpoint.try_recv_match(wanted) else {
+            return Ok(None);
+        };
         clock.merge(msg.arrival);
         // Receive-side copy out of the NIC/MPI buffers into the user buffer.
         clock.advance(self.local.local_copy(msg.len()));
         TransportCounters::bump(&self.stats.msgs_received, 1);
         TransportCounters::bump(&self.stats.bytes_received, msg.len() as u64);
-        Ok((
-            Status::new(msg.src, wire_user_tag(msg.tag), msg.len()),
-            msg.payload.to_vec(),
-        ))
-    }
-
-    fn recv_into(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        buf: &mut [u8],
-    ) -> Result<Status> {
-        let msg = self.recv_match_blocking(ctx, src, tag)?;
-        clock.merge(msg.arrival);
-        clock.advance(self.local.local_copy(msg.len()));
-        TransportCounters::bump(&self.stats.msgs_received, 1);
-        TransportCounters::bump(&self.stats.bytes_received, msg.len() as u64);
-        if msg.len() > buf.len() {
-            return Err(MpiError::Truncation {
-                message_len: msg.len(),
-                buffer_len: buf.len(),
-            });
+        match dest {
+            RecvDest::Slice(buf) if msg.len() > buf.len() => {
+                return Err(MpiError::Truncation {
+                    message_len: msg.len(),
+                    buffer_len: buf.len(),
+                });
+            }
+            // Single copy: NIC payload (shared `Bytes`) straight into the
+            // caller's buffer.
+            RecvDest::Slice(buf) => buf[..msg.len()].copy_from_slice(&msg.payload),
+            RecvDest::Vec(out) => *out = msg.payload.to_vec(),
+            RecvDest::Probe => unreachable!("probes return above"),
         }
-        // Single copy: NIC payload (shared `Bytes`) straight into the caller's
-        // buffer, skipping the owned-`Vec` detour of `recv_owned`.
-        buf[..msg.len()].copy_from_slice(&msg.payload);
-        Ok(Status::new(msg.src, wire_user_tag(msg.tag), msg.len()))
-    }
-
-    fn try_recv_owned(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<Option<(Status, Vec<u8>)>> {
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        let Some(msg) = self.endpoint.try_recv_match(|m| {
-            wire_ctx(m.tag) == ctx
-                && source_matches(src, m.src)
-                && tag_matches(tag, wire_user_tag(m.tag))
-        }) else {
-            return Ok(None);
-        };
-        clock.merge(msg.arrival);
-        clock.advance(self.local.local_copy(msg.len()));
-        TransportCounters::bump(&self.stats.msgs_received, 1);
-        TransportCounters::bump(&self.stats.bytes_received, msg.len() as u64);
-        Ok(Some((
-            Status::new(msg.src, wire_user_tag(msg.tag), msg.len()),
-            msg.payload.to_vec(),
-        )))
-    }
-
-    fn iprobe(
-        &mut self,
-        _clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<Option<Status>> {
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        let found = self.endpoint.peek_match(|m| {
-            wire_ctx(m.tag) == ctx
-                && source_matches(src, m.src)
-                && tag_matches(tag, wire_user_tag(m.tag))
-        });
-        Ok(found.map(|m| Status::new(m.src, wire_user_tag(m.tag), m.len())))
-    }
-
-    fn try_recv_into(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        buf: &mut [u8],
-    ) -> Result<Option<Status>> {
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        let Some(msg) = self.endpoint.try_recv_match(|m| {
-            wire_ctx(m.tag) == ctx
-                && source_matches(src, m.src)
-                && tag_matches(tag, wire_user_tag(m.tag))
-        }) else {
-            return Ok(None);
-        };
-        clock.merge(msg.arrival);
-        clock.advance(self.local.local_copy(msg.len()));
-        TransportCounters::bump(&self.stats.msgs_received, 1);
-        TransportCounters::bump(&self.stats.bytes_received, msg.len() as u64);
-        if msg.len() > buf.len() {
-            return Err(MpiError::Truncation {
-                message_len: msg.len(),
-                buffer_len: buf.len(),
-            });
-        }
-        buf[..msg.len()].copy_from_slice(&msg.payload);
-        Ok(Some(Status::new(
-            msg.src,
-            wire_user_tag(msg.tag),
-            msg.len(),
-        )))
+        Ok(Some(status(&msg)))
     }
 
     fn poll_incoming(&mut self, _clock: &mut SimClock) -> Result<usize> {

@@ -1,10 +1,10 @@
 //! The simulated TCP fabric: endpoints, NIC sharing and message delivery.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use cmpi_fabric::cost::{TcpCostModel, TcpNic};
@@ -105,7 +105,7 @@ impl TcpFabric {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(Some(rx));
         }
@@ -319,9 +319,11 @@ impl TcpEndpoint {
         self.stash.iter().find(|m| pred(m))
     }
 
-    /// Number of messages waiting (stashed + queued).
-    pub fn pending(&self) -> usize {
-        self.stash.len() + self.rx.len()
+    /// Number of messages waiting: takes delivery of everything queued, then
+    /// counts the stash.
+    pub fn pending(&mut self) -> usize {
+        self.drain();
+        self.stash.len()
     }
 
     /// Move every message queued in the fabric channel into the endpoint's

@@ -5,7 +5,10 @@
 #![allow(dead_code)] // not every suite uses every helper
 
 use cmpi::fabric::cost::TcpNic;
-use cmpi::mpi::{CollTuning, DataPlaneMode, HierarchyMode, TransportConfig, UniverseConfig};
+use cmpi::mpi::{
+    CollTuning, Comm, ConnMode, DataPlaneMode, HierarchyMode, Result, TransportConfig,
+    UniverseConfig,
+};
 
 /// Host count of the test matrix: `CMPI_HOSTS` (the CI topology-matrix leg
 /// sets 1, 2 and 3), defaulting to the paper's two-host layout. Clamped to the
@@ -69,6 +72,43 @@ pub fn configs(ranks: usize) -> Vec<(&'static str, UniverseConfig)> {
             UniverseConfig::tcp(ranks, TcpNic::MellanoxCx6Dx).with_hosts(matrix_hosts()),
         ),
     ]
+}
+
+/// The four ways a message travels between two ranks, at the small test
+/// geometry (1 KiB cells, 4 per queue): a promoted lazy pair's stream (after
+/// [`promote`]), a cold lazy pair's shared receive queue (`promote` never
+/// promotes it), the eager ring, TCP.
+pub fn p2p_paths() -> [(&'static str, UniverseConfig); 4] {
+    let lazy = UniverseConfig::cxl_small(2).with_hosts(matrix_hosts());
+    let mut cold = lazy.clone();
+    if let TransportConfig::CxlShm(c) = &mut cold.transport {
+        c.promotion_threshold = u64::MAX;
+    }
+    let eager = lazy.clone().with_conn_mode(ConnMode::Eager);
+    let tcp = UniverseConfig::tcp(2, TcpNic::MellanoxCx6Dx).with_hosts(matrix_hosts());
+    [
+        ("lazy promoted", lazy),
+        ("lazy cold", cold),
+        ("eager", eager),
+        ("tcp", tcp),
+    ]
+}
+
+/// Small ping-pongs between `a` and `b`: past the default promotion threshold
+/// in both directions, so both streams exist afterwards.
+pub fn promote(comm: &mut Comm, a: usize, b: usize) -> Result<()> {
+    let me = comm.rank();
+    let mut byte = [0u8; 1];
+    for _ in 0..6 {
+        if me == a {
+            comm.send(b, 99, &[1])?;
+            comm.recv(Some(b), Some(99), &mut byte)?;
+        } else if me == b {
+            comm.recv(Some(a), Some(99), &mut byte)?;
+            comm.send(a, 99, &[1])?;
+        }
+    }
+    Ok(())
 }
 
 /// Thresholds that force the large-message flat algorithms at tiny sizes

@@ -489,7 +489,7 @@ fn concurrent_multichunk_collectives_keep_ring_contiguity() {
     // driven by alternating test polls with per-rank phase offsets. The
     // engine must finish a chunked send once its first chunk is committed,
     // otherwise the two schedules' chunks would interleave in one SPSC ring
-    // and corrupt reassembly (regression guard for the try_send_progress
+    // and corrupt reassembly (regression guard for the plan `Send` op's
     // commit rule).
     let config = UniverseConfig::cxl_small(4);
     Universe::run(config, |comm: &mut Comm| {

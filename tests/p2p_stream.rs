@@ -19,9 +19,9 @@ use cmpi::fabric::cost::TcpNic;
 use cmpi::mpi::transport::TransportStats;
 use cmpi::mpi::{
     Comm, ConnMode, ErrHandler, FaultPlan, FaultTrigger, FtOutcome, MpiError, ProgressMode,
-    Request, Result, TransportConfig, Universe, UniverseConfig, ANY_SOURCE, ANY_TAG,
+    Request, Result, Status, TransportConfig, Universe, UniverseConfig, ANY_SOURCE, ANY_TAG,
 };
-use common::{configs, force_ring, matrix_hosts};
+use common::{configs, force_ring, matrix_hosts, p2p_paths, promote};
 
 const CELL: usize = 1024;
 const CELLS: usize = 4;
@@ -55,6 +55,18 @@ fn lazy(ranks: usize) -> UniverseConfig {
     config
 }
 
+/// [`p2p_paths`], each with the framings whose virtual time does not depend on
+/// host scheduling there: the eager ring holds four cells, and the staged case
+/// of [`receiver_log`] needs one of them for the message behind.
+fn four_paths() -> [(&'static str, UniverseConfig, &'static [usize]); 4] {
+    p2p_paths().map(|(label, config)| {
+        let eager = matches!(&config.transport,
+            TransportConfig::CxlShm(c) if c.conn_mode == ConnMode::Eager);
+        let sizes: &[usize] = if eager { &FRAMINGS[..8] } else { &FRAMINGS };
+        (label, config, sizes)
+    })
+}
+
 /// Deterministic payload: every `(len, stamp)` pair is a different byte string.
 fn payload(len: usize, stamp: u64) -> Vec<u8> {
     (0..len as u64)
@@ -67,23 +79,6 @@ fn fold(digest: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *digest = (*digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
     }
-}
-
-/// Small ping-pongs between `a` and `b`: past the promotion threshold in both
-/// directions, so both streams exist afterwards.
-fn promote(comm: &mut Comm, a: usize, b: usize) -> Result<()> {
-    let me = comm.rank();
-    let mut byte = [0u8; 1];
-    for _ in 0..6 {
-        if me == a {
-            comm.send(b, 99, &[1])?;
-            comm.recv(Some(b), Some(99), &mut byte)?;
-        } else if me == b {
-            comm.recv(Some(a), Some(99), &mut byte)?;
-            comm.send(a, 99, &[1])?;
-        }
-    }
-    Ok(())
 }
 
 /// Every size in `sizes` through {`send`, `isend`} × {`recv`, `irecv_into`,
@@ -169,8 +164,85 @@ fn every_form(config: UniverseConfig, sizes: &'static [usize]) -> Vec<(u64, Tran
     .collect()
 }
 
+/// Rank 1's `(status, virtual clock)` after each receive of a fixed script in
+/// which every receive is taken by `recv_form` (0 `recv`, 1 `irecv_into` +
+/// `wait`, 2 `recv_owned`). Each size arrives three times: with nothing in the
+/// way (it is received straight off the wire), behind a later message the
+/// receiver asks for first (it is staged before its receive is posted), and
+/// after an `iprobe` has reported it.
+fn receiver_log(
+    config: UniverseConfig,
+    sizes: &'static [usize],
+    recv_form: usize,
+) -> Vec<(Status, u64)> {
+    let mut out = Universe::run(config, move |comm: &mut Comm| {
+        promote(comm, 0, 1)?;
+        let mut log = Vec::new();
+        let mut byte = [0u8; 1];
+        for (k, &size) in sizes.iter().enumerate() {
+            for case in 0..3 {
+                let stamp = (k * 4 + case) as u64;
+                if comm.rank() == 0 {
+                    comm.send(1, 1, &payload(size, stamp))?;
+                    if case == 1 {
+                        comm.send(1, 2, &[1])?;
+                    }
+                    comm.recv(Some(1), Some(3), &mut byte)?;
+                    continue;
+                }
+                if case == 1 {
+                    comm.recv(Some(0), Some(2), &mut byte)?;
+                }
+                if case == 2 {
+                    let probed = loop {
+                        match comm.iprobe(Some(0), Some(1))? {
+                            Some(st) => break st,
+                            None => std::thread::yield_now(),
+                        }
+                    };
+                    assert_eq!(probed, Status::new(0, 1, size));
+                }
+                let (st, got) = match recv_form {
+                    0 => {
+                        let mut buf = vec![0u8; size];
+                        (comm.recv(Some(0), Some(1), &mut buf)?, buf)
+                    }
+                    1 => {
+                        let mut req = comm.irecv_into(Some(0), Some(1), vec![0u8; size])?;
+                        (comm.wait(&mut req)?, req.take_data()?)
+                    }
+                    _ => comm.recv_owned(Some(0), Some(1))?,
+                };
+                assert_eq!(got, payload(size, stamp), "{size} B, case {case}");
+                log.push((st, comm.clock_ns().to_bits()));
+                comm.send(0, 3, &[1])?;
+            }
+        }
+        Ok(log)
+    })
+    .unwrap();
+    out.swap_remove(1).0
+}
+
+/// Which receive form takes a message changes where its bytes land and
+/// nothing else: same status, same virtual time to the bit.
+fn assert_receive_forms_agree(label: &str, config: &UniverseConfig, sizes: &'static [usize]) {
+    let by_slice = receiver_log(config.clone(), sizes, 0);
+    assert_eq!(by_slice.len(), 3 * sizes.len());
+    for (recv_form, name) in [(1, "irecv_into + wait"), (2, "recv_owned")] {
+        let other = receiver_log(config.clone(), sizes, recv_form);
+        for (i, (a, b)) in by_slice.iter().zip(&other).enumerate() {
+            let (size, case) = (sizes[i / 3], i % 3);
+            assert_eq!(a, b, "{label}, {size} B, case {case}: recv against {name}");
+        }
+    }
+}
+
 #[test]
 fn every_framing_through_every_p2p_form() {
+    for (label, config, sizes) in four_paths() {
+        assert_receive_forms_agree(label, &config, sizes);
+    }
     let lazy_out = every_form(lazy(2), &FRAMINGS);
     let eager_out = every_form(lazy(2).with_conn_mode(ConnMode::Eager), &FRAMINGS);
     for ((l, stats), (e, _)) in lazy_out.iter().zip(&eager_out) {
@@ -185,6 +257,7 @@ fn every_framing_through_every_p2p_form() {
 
 #[test]
 fn every_size_through_every_p2p_form() {
+    assert_receive_forms_agree("lazy promoted", &lazy(2), &SIZES);
     let reports = every_form(lazy(2), &SIZES);
     for (_, stats) in &reports {
         // Four sizes above a cell, each through at least three sends a rank.
@@ -486,28 +559,41 @@ fn a_message_for_another_communicator_at_the_stream_head_is_staged() {
 
 #[test]
 fn truncation_consumes_the_message_and_leaves_the_pair_usable() {
-    Universe::run(lazy(2), |comm: &mut Comm| {
-        promote(comm, 0, 1)?;
-        for (size, short) in [(INLINE, 8), (CELL, INLINE), (3 * CELL, CELL + 1)] {
-            if comm.rank() == 0 {
-                comm.send(1, 1, &payload(size, 1))?;
-                comm.send(1, 1, &payload(size, 2))?;
-            } else {
-                match comm.recv(Some(0), Some(1), &mut vec![0u8; short]) {
-                    Err(MpiError::Truncation {
+    for (label, config, _) in four_paths() {
+        Universe::run(config, move |comm: &mut Comm| {
+            promote(comm, 0, 1)?;
+            let cases = [(INLINE, 8), (CELL, INLINE), (3 * CELL, CELL + 1)];
+            // Both bounded forms: `recv`, then `irecv_into` + `wait`.
+            for ((size, short), posted) in cases.into_iter().zip([false, true, false]) {
+                if comm.rank() == 0 {
+                    comm.send(1, 1, &payload(size, 1))?;
+                    comm.send(1, 1, &payload(size, 2))?;
+                    continue;
+                }
+                let truncated = match posted {
+                    false => comm.recv(Some(0), Some(1), &mut vec![0u8; short]).err(),
+                    true => {
+                        let mut req = comm.irecv_into(Some(0), Some(1), vec![0u8; short])?;
+                        let failed = comm.wait(&mut req).err();
+                        assert!(matches!(comm.wait(&mut req), Err(MpiError::StaleRequest)));
+                        failed
+                    }
+                };
+                match truncated {
+                    Some(MpiError::Truncation {
                         message_len,
                         buffer_len,
-                    }) => assert_eq!((message_len, buffer_len), (size, short)),
-                    other => panic!("expected truncation, got {other:?}"),
+                    }) => assert_eq!((message_len, buffer_len), (size, short), "{label}"),
+                    other => panic!("{label}: expected truncation, got {other:?}"),
                 }
                 let mut buf = vec![0u8; size];
                 comm.recv(Some(0), Some(1), &mut buf)?;
-                assert_eq!(buf, payload(size, 2), "the next message is whole");
+                assert_eq!(buf, payload(size, 2), "{label}: the next message is whole");
             }
-        }
-        Ok(())
-    })
-    .unwrap();
+            Ok(())
+        })
+        .unwrap();
+    }
 }
 
 /// Rank 0 dies per `trigger` while rank 1 waits for its large message: the

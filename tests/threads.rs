@@ -7,18 +7,22 @@
 //! threads per rank, byte-checking every result, across n = 3, 5, 7 × both
 //! transports × both progress modes. Companion tests pin the Thread-mode
 //! contract (the background engine does the work; waits merely observe and
-//! are woken by a directed unpark) and the futures adapter
-//! (`CompletionFuture` / `block_on` / `join_all`).
+//! are woken by a directed unpark), the futures adapter
+//! (`CompletionFuture` / `block_on` / `join_all`), and the one thing threads
+//! of a rank do share — the pair's queue toward a peer: a message blocked
+//! half out keeps it until its last segment.
 
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cmpi::mpi::future::{block_on, join_all, CompletionFuture};
-use cmpi::mpi::{Comm, ProgressMode, ReduceOp, Universe, UniverseConfig};
+use cmpi::mpi::{Comm, ProgressMode, ReduceOp, TransportConfig, Universe, UniverseConfig};
 
 mod common;
-use common::configs;
+use common::{configs, p2p_paths, promote};
 
 /// Deterministic split-mix style generator (no external crates). Seeded
 /// identically on every rank, so all ranks of a communicator pick the same
@@ -247,6 +251,80 @@ fn futures_adapter_completes_requests_in_both_modes() {
             }
             assert_eq!(rx[0].take_values::<u64>()?, vec![rank_sum(7, n); 4]);
             assert_eq!(ry[0].take_values::<u64>()?, vec![rank_sum(9, n); 4]);
+            Ok(())
+        })
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
+}
+
+/// Spin until `flag` is up. The bound is only there so that a rank which
+/// died before raising it fails the test instead of hanging it.
+fn await_flag(flag: &AtomicBool) {
+    let started = Instant::now();
+    while !flag.load(Ordering::Acquire) {
+        assert!(started.elapsed() < Duration::from_secs(60), "flag never up");
+        std::thread::yield_now();
+    }
+}
+
+/// Continuation segments of a message carry no frame, and the receiver keeps
+/// one reassembly per sender: from a message's first segment to its last, the
+/// pair's queue belongs to that message. Thread A's `sendrecv` is eight times
+/// what the queue holds, so it blocks mid-message until rank 1 receives;
+/// thread B, on another communicator, sends to the same peer meanwhile. Rank 1
+/// holds off until A's first segment is up and B is on its way in, then
+/// receives both and compares every byte.
+#[test]
+fn a_send_from_another_thread_stays_out_of_a_sendrecv_blocked_mid_message() {
+    const CAPACITY: usize = 4 * 1024;
+    const LARGE: usize = 8 * CAPACITY;
+    const SMALLS: u8 = 16;
+    let pattern = |len: usize, stamp: u8| -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + i / 251) as u8 ^ stamp).collect()
+    };
+    for (label, config) in p2p_paths() {
+        if let TransportConfig::CxlShm(c) = &config.transport {
+            assert_eq!(c.cell_size * c.cells_per_queue, CAPACITY);
+        }
+        let a_is_out = Arc::new(AtomicBool::new(false));
+        let b_is_in = Arc::new(AtomicBool::new(false));
+        Universe::run(config, move |comm: &mut Comm| {
+            let (mut a, mut b) = (comm.comm_dup()?, comm.comm_dup()?);
+            promote(comm, 0, 1)?;
+            if comm.rank() == 0 {
+                let (a_is_out, b_is_in) = (&a_is_out, &b_is_in);
+                std::thread::scope(|s| {
+                    let large = s.spawn(move || a.sendrecv(1, 1, &pattern(LARGE, 0xA5), 1, 2));
+                    let smalls = s.spawn(move || {
+                        await_flag(a_is_out);
+                        b_is_in.store(true, Ordering::Release);
+                        (0..SMALLS).try_for_each(|i| b.send(1, 3, &pattern(64, i)))
+                    });
+                    let (_, reply) = large.join().expect("thread A panicked")?;
+                    assert_eq!(reply, [7u8; 8], "{label}");
+                    smalls.join().expect("thread B panicked")
+                })?;
+            } else {
+                // The head of A's message is up (a probe consumes nothing):
+                // A is blocked behind it. Let B in, then start receiving.
+                while a.iprobe(Some(0), Some(1))?.is_none() {
+                    std::thread::yield_now();
+                }
+                a_is_out.store(true, Ordering::Release);
+                await_flag(&b_is_in);
+                let (status, large) = a.recv_owned(Some(0), Some(1))?;
+                assert_eq!(status.len, LARGE, "{label}");
+                assert!(
+                    large == pattern(LARGE, 0xA5),
+                    "{label}: thread B's bytes inside thread A's message"
+                );
+                a.send(0, 2, &[7u8; 8])?;
+                let mut small = [0u8; 64];
+                for i in 0..SMALLS {
+                    b.recv(Some(0), Some(3), &mut small)?;
+                    assert_eq!(small[..], pattern(64, i), "{label}: small {i}");
+                }
+            }
             Ok(())
         })
         .unwrap_or_else(|e| panic!("{label}: {e}"));
