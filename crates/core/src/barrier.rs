@@ -10,12 +10,13 @@
 //! needed), and then spin-waits until every other rank's published sequence
 //! number is at least as large as its own.
 //!
-//! Each slot also carries the publisher's virtual-clock timestamp (two of
-//! them, alternating with the parity of the sequence number, so entering the
-//! next barrier early cannot overwrite the stamp a slow rank has yet to
-//! read); a waiting rank merges the maximum of the timestamps it observed, so
-//! the barrier's exit time is the latest arrival — exactly the semantics of a
-//! barrier.
+//! A slot is two `(sequence number, timestamp)` cells in one cache line — the
+//! stamped cell every flag in the pool is — used alternately by the parity of
+//! the sequence number, so entering the next barrier early cannot replace the
+//! stamp a slow rank has yet to read. Entering is one line store and, in the
+//! best case, one line load per peer, charged before the stamp is taken; a
+//! waiting rank merges the latest stamp it observed, so every rank leaves at
+//! the latest arrival — exactly the semantics of a barrier.
 //!
 //! The [`SeqBarrier`] array is provisioned for the *world* (and per window for
 //! fences). Communicators produced by `comm_split`/`comm_dup` barrier on the
@@ -26,16 +27,19 @@
 //! any rank subset, and inherits the context-id isolation of the
 //! communicator's tag space.
 
+use cmpi_fabric::clock::SimNs;
 use cmpi_fabric::SimClock;
+use cxl_shm::slots::SLOT_DONE_ENTRY;
 use cxl_shm::ShmObject;
 
 use crate::spin::{PoisonFlag, SpinWait};
+use crate::transport::cxl::{load_stamped, store_stamped};
 use crate::types::Rank;
 use crate::Result;
 
-/// Stride of one rank's slot (sequence number + timestamp on their own cache
-/// line to avoid false sharing between ranks).
-pub const BARRIER_SLOT_STRIDE: u64 = 128;
+/// Stride of one rank's slot (its two cells on their own cache line to avoid
+/// false sharing between ranks).
+const BARRIER_SLOT_STRIDE: u64 = 128;
 
 /// Per-rank handle to a barrier array stored in a CXL SHM object.
 #[derive(Debug)]
@@ -79,60 +83,46 @@ impl SeqBarrier {
     /// before any rank enters the barrier).
     pub fn format(&self) -> Result<()> {
         for r in 0..self.ranks {
-            let slot = self.base + r as u64 * BARRIER_SLOT_STRIDE;
-            self.obj.nt_store_u64_at(slot, 0)?;
-            self.obj.nt_store_u64_at(slot + 8, 0)?;
-            self.obj.nt_store_u64_at(slot + 16, 0)?;
+            self.obj
+                .nt_store_at(self.slot(r) as u64, &[0u8; 2 * SLOT_DONE_ENTRY])?;
         }
         Ok(())
     }
 
-    fn slot(&self, rank: Rank) -> u64 {
-        self.base + rank as u64 * BARRIER_SLOT_STRIDE
+    fn slot(&self, rank: Rank) -> usize {
+        (self.base + rank as u64 * BARRIER_SLOT_STRIDE) as usize
     }
 
-    /// Offset, within a slot, of the timestamp of barrier entry number `seq`.
-    /// Two stamps alternate: a peer that has left this barrier may enter the
-    /// next one (never the one after) before a slow rank reads its slot, and
-    /// must not replace the stamp that rank is about to merge with a later
-    /// one — the rank's virtual clock would depend on who ran first.
-    fn stamp_off(seq: u64) -> u64 {
-        8 + 8 * (seq & 1)
-    }
-
-    /// Current private sequence number (equals the number of completed
-    /// barrier entries).
-    pub fn sequence(&self) -> u64 {
-        self.seq
+    /// The cell of `rank`'s slot that barrier entry number `seq` uses. Two
+    /// alternate: a peer that has left this barrier may enter the next one
+    /// (never the one after) before a slow rank reads its slot, and must not
+    /// replace the stamp that rank is about to merge with a later one — the
+    /// rank's virtual clock would depend on who ran first.
+    fn cell(&self, rank: Rank, seq: u64) -> usize {
+        self.slot(rank) + SLOT_DONE_ENTRY * (seq & 1) as usize
     }
 
     /// Enter the barrier: publish the incremented sequence number and wait for
-    /// every other rank to reach it. `clock` is advanced by the publication
-    /// cost and merged with the latest peer timestamp observed.
-    pub fn enter(&mut self, clock: &mut SimClock) -> Result<()> {
+    /// every other rank to reach it. `clock` is advanced by one `line` access
+    /// for the publication and one per peer slot, then merged with the latest
+    /// peer timestamp observed.
+    pub fn enter(&mut self, clock: &mut SimClock, line: SimNs) -> Result<()> {
         self.seq += 1;
-        let my_slot = self.slot(self.rank);
-        // Publish sequence number and timestamp (single writer per slot).
-        let stamp = Self::stamp_off(self.seq);
-        self.obj
-            .nt_store_u64_at(my_slot + stamp, clock.now().to_bits())?;
-        self.obj.nt_store_u64_at(my_slot, self.seq)?;
+        clock.advance(self.ranks as f64 * line);
+        store_stamped(
+            &self.obj,
+            self.cell(self.rank, self.seq),
+            self.seq,
+            clock.now(),
+        )?;
 
         // Wait for everyone else and merge their timestamps.
         let mut latest = clock.now();
-        for r in 0..self.ranks {
-            if r == self.rank {
-                continue;
-            }
-            let slot = self.slot(r);
+        for r in (0..self.ranks).filter(|&r| r != self.rank) {
             let mut backoff = SpinWait::new();
             loop {
-                let their_seq = self.obj.nt_load_u64_at(slot)?;
-                if their_seq >= self.seq {
-                    let ts = f64::from_bits(self.obj.nt_load_u64_at(slot + stamp)?);
-                    if ts > latest {
-                        latest = ts;
-                    }
+                if let Some(ts) = load_stamped(&self.obj, self.cell(r, self.seq), self.seq)? {
+                    latest = latest.max(ts);
                     break;
                 }
                 if let Err(e) = backoff.wait(&self.poison) {
@@ -192,8 +182,8 @@ mod tests {
     fn single_rank_barrier_is_trivial() {
         let mut barriers = make_barriers(1);
         let mut clock = SimClock::new();
-        barriers[0].enter(&mut clock).unwrap();
-        assert_eq!(barriers[0].sequence(), 1);
+        barriers[0].enter(&mut clock, 0.0).unwrap();
+        assert_eq!(barriers[0].seq, 1);
     }
 
     #[test]
@@ -204,21 +194,19 @@ mod tests {
             .map(|mut b| {
                 std::thread::spawn(move || {
                     let mut clock = SimClock::starting_at((b.rank as f64) * 100.0);
-                    let mut order = Vec::new();
-                    for round in 0..10u64 {
-                        b.enter(&mut clock).unwrap();
-                        order.push(round);
+                    for _ in 0..10 {
+                        b.enter(&mut clock, 10.0).unwrap();
                     }
-                    (b.sequence(), clock.now(), order)
+                    (b.seq, clock.now())
                 })
             })
             .collect();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for (seq, now, order) in &results {
-            assert_eq!(*seq, 10);
-            assert_eq!(order.len(), 10);
-            // Clock must have merged up to at least the slowest starter (300).
-            assert!(*now >= 300.0);
+        for (seq, now) in handles.into_iter().map(|h| h.join().unwrap()) {
+            assert_eq!(seq, 10);
+            // Every rank leaves every barrier at the latest arrival plus one
+            // line store and three line loads, whoever ran first: the slowest
+            // starter (300) and ten entries of four accesses each.
+            assert_eq!(now, 300.0 + 10.0 * 4.0 * 10.0);
         }
     }
 
@@ -235,7 +223,7 @@ mod tests {
             poison.poison("rank 1 panicked");
         });
         let mut clock = SimClock::new();
-        let err = b0.enter(&mut clock).unwrap_err();
+        let err = b0.enter(&mut clock, 0.0).unwrap_err();
         assert!(matches!(err, MpiError::PeerDead(_)), "got {err:?}");
         t.join().unwrap();
     }
@@ -257,7 +245,7 @@ mod tests {
         let entered0 = Arc::clone(&entered);
         let t0 = std::thread::spawn(move || {
             let mut clock = SimClock::new();
-            b0.enter(&mut clock).unwrap();
+            b0.enter(&mut clock, 0.0).unwrap();
             assert!(
                 entered0.load(Ordering::SeqCst),
                 "rank 0 left the barrier before rank 1 entered"
@@ -268,7 +256,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(20));
             entered1.store(true, Ordering::SeqCst);
             let mut clock = SimClock::new();
-            b1.enter(&mut clock).unwrap();
+            b1.enter(&mut clock, 0.0).unwrap();
         });
         t0.join().unwrap();
         t1.join().unwrap();

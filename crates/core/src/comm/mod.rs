@@ -117,6 +117,9 @@ pub struct CommCollStats {
 pub(crate) struct RankIo {
     pub(crate) transport: Box<dyn Transport>,
     pub(crate) clock: SimClock,
+    /// The world ranks of a PSCW group, translated for the call in progress
+    /// (reused, so opening an epoch allocates nothing).
+    pub(crate) pscw_group: Vec<Rank>,
 }
 
 /// Cold per-rank control state: the context-id allocator and the
@@ -356,6 +359,7 @@ impl Comm {
             io: Mutex::new(RankIo {
                 transport,
                 clock: SimClock::new(),
+                pscw_group: Vec::new(),
             }),
             ctl: Mutex::new(RankCtl {
                 next_ctx: WORLD_CTX + 1,

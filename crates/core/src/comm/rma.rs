@@ -58,6 +58,9 @@ impl Comm {
     }
 
     /// One-sided accumulate into `target`'s window region (`MPI_Accumulate`).
+    /// Element-wise, not atomic: accumulates to different elements all land,
+    /// whatever cache lines they share; concurrent accumulates to the *same*
+    /// element need [`Comm::win_lock`] around them.
     pub fn accumulate(
         &mut self,
         win: WinId,
@@ -90,24 +93,27 @@ impl Comm {
 
     /// PSCW: expose this rank's window to `origins` (`MPI_Win_post`).
     pub fn win_post(&mut self, win: WinId, origins: &[Rank]) -> Result<()> {
-        let origins = origins
-            .iter()
-            .map(|&o| self.world_of(o))
-            .collect::<Result<Vec<_>>>()?;
-        let io = &mut *self.shared.io();
-        self.ensure_world_group(io.transport.size())?;
-        io.transport.post(&mut io.clock, win, &origins)
+        self.open_epoch(win, origins, false)
     }
 
     /// PSCW: start an access epoch to `targets` (`MPI_Win_start`).
     pub fn win_start(&mut self, win: WinId, targets: &[Rank]) -> Result<()> {
-        let targets = targets
-            .iter()
-            .map(|&t| self.world_of(t))
-            .collect::<Result<Vec<_>>>()?;
+        self.open_epoch(win, targets, true)
+    }
+
+    /// `post` (or, with `access`, `start`) toward the local ranks `group`.
+    fn open_epoch(&mut self, win: WinId, group: &[Rank], access: bool) -> Result<()> {
         let io = &mut *self.shared.io();
         self.ensure_world_group(io.transport.size())?;
-        io.transport.start(&mut io.clock, win, &targets)
+        io.pscw_group.clear();
+        for &local in group {
+            io.pscw_group.push(self.world_of(local)?);
+        }
+        if access {
+            io.transport.start(&mut io.clock, win, &io.pscw_group)
+        } else {
+            io.transport.post(&mut io.clock, win, &io.pscw_group)
+        }
     }
 
     /// PSCW: complete the access epoch (`MPI_Win_complete`).

@@ -7,25 +7,33 @@
 //! across nodes" (Section 1), so cMPI must make do with plain loads and
 //! stores. Lamport's bakery algorithm provides exactly that: mutual exclusion
 //! and FIFO fairness using only single-writer registers — each rank writes only
-//! its own `choosing` and `number` slots and reads everyone else's.
+//! its own slot, `choosing | number`, and reads everyone else's.
 //!
-//! All slot accesses use non-temporal loads/stores so they bypass the host
-//! caches (they are synchronization variables, the same treatment the paper
-//! gives queue head/tail pointers).
+//! Slots are 16 bytes, four to a cache line, a lock occupies whole lines, and
+//! every access is non-temporal and counted by the line. A rank never loads
+//! its own slot and scans the others by line: one load returns four ranks'
+//! `(choosing, number)`, the flag read before the ticket as Lamport's proof
+//! requires. An uncontended acquisition is two stores (doorway flag; ticket
+//! and cleared flag as one line, ticket first) and `2⌈n/4⌉` loads.
+//!
+//! A waiter re-polls a line until nobody in it is ahead, and every re-poll is
+//! reported: what a *contended* lock costs in virtual time still depends on
+//! how often the host let the waiter spin, and the release carries no
+//! timestamp. Stamping it would fix both and is ROADMAP item 5's.
 
-use cxl_shm::ShmObject;
+use cxl_shm::{ShmObject, CACHE_LINE_SIZE};
 
 use crate::spin::{PoisonFlag, SpinWait};
 use crate::types::Rank;
 use crate::Result;
 
-/// Per-rank slot stride: `choosing: u64 | number: u64`.
-const SLOT_STRIDE: u64 = 16;
+/// Per-rank slot: `choosing: u64 | number: u64`.
+const SLOT_BYTES: usize = 16;
+/// Slots one line load returns.
+const SLOTS_PER_LINE: usize = CACHE_LINE_SIZE / SLOT_BYTES;
 
-/// A bakery lock instance living at a fixed offset of an SHM object.
-///
-/// `ranks` slots follow the base offset; rank `r` may only call
-/// [`BakeryLock::lock`]/[`BakeryLock::unlock`] with its own rank id.
+/// A bakery lock at a fixed, line-aligned offset of an SHM object. Rank `r`
+/// may only call [`BakeryLock::lock`]/[`BakeryLock::unlock`] with its own id.
 #[derive(Debug, Clone)]
 pub struct BakeryLock {
     obj: ShmObject,
@@ -34,9 +42,10 @@ pub struct BakeryLock {
 }
 
 impl BakeryLock {
-    /// Bytes required for a lock shared by `ranks` ranks.
+    /// Bytes required for a lock shared by `ranks` ranks: whole lines (the
+    /// slots past `ranks` in the last one stay zero, which reads as idle).
     pub fn required_bytes(ranks: usize) -> usize {
-        ranks * SLOT_STRIDE as usize
+        ranks.div_ceil(SLOTS_PER_LINE) * CACHE_LINE_SIZE
     }
 
     /// Attach to the lock at `base` within `obj`.
@@ -44,76 +53,70 @@ impl BakeryLock {
         BakeryLock { obj, base, ranks }
     }
 
-    /// Zero every slot (done once by the rank that creates the object).
-    pub fn format(&self) -> Result<()> {
-        for r in 0..self.ranks {
-            self.obj
-                .nt_store_u64_at(self.base + r as u64 * SLOT_STRIDE, 0)?;
-            self.obj
-                .nt_store_u64_at(self.base + r as u64 * SLOT_STRIDE + 8, 0)?;
-        }
-        Ok(())
+    fn line_off(&self, line: usize) -> u64 {
+        self.base + (line * CACHE_LINE_SIZE) as u64
     }
 
-    fn choosing_off(&self, r: Rank) -> u64 {
-        self.base + r as u64 * SLOT_STRIDE
+    fn slot_off(&self, r: Rank) -> u64 {
+        self.base + (r * SLOT_BYTES) as u64
     }
 
-    fn number_off(&self, r: Rank) -> u64 {
-        self.base + r as u64 * SLOT_STRIDE + 8
+    /// One line load: `(rank, choosing, number)` of the four slots of `line`.
+    fn load_line(&self, line: usize) -> Result<impl Iterator<Item = (Rank, u64, u64)>> {
+        let mut bytes = [0u8; CACHE_LINE_SIZE];
+        self.obj.nt_load_at(self.line_off(line), &mut bytes)?;
+        let word = move |at: usize| {
+            u64::from_le_bytes(bytes[at..at + 8].try_into().expect("an 8-byte word"))
+        };
+        Ok((0..SLOTS_PER_LINE).map(move |i| {
+            let at = i * SLOT_BYTES;
+            (line * SLOTS_PER_LINE + i, word(at), word(at + 8))
+        }))
     }
 
-    /// Acquire the lock as rank `me`. Returns the number of remote slot reads
-    /// performed (used by the cost model to charge spin traffic). `poison` is
-    /// the universe's peer-death flag: a rank dying while holding (or queued
-    /// for) the lock aborts the wait with `PeerDead` instead of hanging.
+    /// Acquire the lock as rank `me`, which must not hold it. Returns the
+    /// device lines stored or loaded (what the cost model charges). A rank
+    /// dying while holding or queued for the lock raises `poison`, which
+    /// aborts the wait with `PeerDead` instead of hanging.
     pub fn lock(&self, me: Rank, poison: &PoisonFlag) -> Result<u64> {
-        let mut reads: u64 = 0;
-        // Doorway: pick a ticket one larger than every visible ticket.
-        self.obj.nt_store_u64_at(self.choosing_off(me), 1)?;
-        let mut max_number = 0u64;
-        for r in 0..self.ranks {
-            let n = self.obj.nt_load_u64_at(self.number_off(r))?;
-            reads += 1;
-            if n > max_number {
-                max_number = n;
+        let lines = self.ranks.div_ceil(SLOTS_PER_LINE);
+        // Doorway: pick a ticket one larger than every visible ticket (this
+        // rank's own is 0 — it does not hold the lock).
+        self.obj.nt_store_u64_at(self.slot_off(me), 1)?;
+        let mut ticket = 0u64;
+        for line in 0..lines {
+            for (r, _, number) in self.load_line(line)? {
+                if r != me {
+                    ticket = ticket.max(number);
+                }
             }
         }
-        let my_number = max_number + 1;
-        self.obj.nt_store_u64_at(self.number_off(me), my_number)?;
-        self.obj.nt_store_u64_at(self.choosing_off(me), 0)?;
+        ticket += 1;
+        // One line, ticket first: whoever sees the flag down sees the ticket.
+        self.obj.nt_store_u64_at(self.slot_off(me) + 8, ticket)?;
+        self.obj.nt_store_u64_at(self.slot_off(me), 0)?;
 
-        // Wait for every rank with a smaller (number, rank) pair.
-        for r in 0..self.ranks {
-            if r == me {
-                continue;
-            }
-            // Wait until rank r is out of its doorway.
+        // Wait until no rank of a line is in its doorway or precedes us.
+        let ahead = |(r, choosing, number): (Rank, u64, u64)| {
+            r != me && (choosing != 0 || (number != 0 && (number, r) < (ticket, me)))
+        };
+        let mut accesses = 2 + lines as u64;
+        for line in 0..lines {
             let mut backoff = SpinWait::new();
             loop {
-                reads += 1;
-                if self.obj.nt_load_u64_at(self.choosing_off(r))? == 0 {
-                    break;
-                }
-                backoff.wait(poison)?;
-            }
-            // Wait while r holds a ticket that precedes ours.
-            backoff.reset();
-            loop {
-                reads += 1;
-                let n = self.obj.nt_load_u64_at(self.number_off(r))?;
-                if n == 0 || (n, r) > (my_number, me) {
+                accesses += 1;
+                if !self.load_line(line)?.any(ahead) {
                     break;
                 }
                 backoff.wait(poison)?;
             }
         }
-        Ok(reads)
+        Ok(accesses)
     }
 
-    /// Release the lock as rank `me`.
+    /// Release the lock as rank `me`: one store.
     pub fn unlock(&self, me: Rank) -> Result<()> {
-        self.obj.nt_store_u64_at(self.number_off(me), 0)?;
+        self.obj.nt_store_u64_at(self.slot_off(me) + 8, 0)?;
         Ok(())
     }
 }
@@ -133,9 +136,8 @@ mod tests {
         let obj = root
             .create("lock", BakeryLock::required_bytes(ranks) + 64)
             .unwrap();
-        let lock0 = BakeryLock::new(obj, 0, ranks);
-        lock0.format().unwrap();
-        let mut locks = vec![lock0];
+        // A fresh device is all zeros: every slot idle.
+        let mut locks = vec![BakeryLock::new(obj, 0, ranks)];
         for r in 1..ranks {
             let arena = CxlShmArena::attach(CxlView::new(
                 dev.clone(),
@@ -157,16 +159,12 @@ mod tests {
         locks[0].unlock(0).unwrap();
     }
 
-    #[test]
-    fn mutual_exclusion_under_contention() {
-        // 4 ranks increment a shared non-atomic counter 200 times each under
-        // the bakery lock. Any mutual-exclusion violation loses increments.
-        let ranks = 4;
-        let iters = 200u64;
+    /// `ranks` ranks increment a shared non-atomic counter `iters` times each
+    /// under the bakery lock; any mutual-exclusion violation loses increments.
+    fn contend(ranks: usize, iters: u64) {
         let locks = make_locks(ranks);
         // The counter lives in the same object, after the lock slots.
         let counter_off = BakeryLock::required_bytes(ranks) as u64;
-
         let handles: Vec<_> = locks
             .into_iter()
             .enumerate()
@@ -188,10 +186,44 @@ mod tests {
     }
 
     #[test]
-    fn lock_reports_spin_reads() {
-        let locks = make_locks(2);
-        let reads = locks[0].lock(0, &PoisonFlag::new()).unwrap();
-        assert!(reads >= 2, "at least one pass over the other slots");
-        locks[0].unlock(0).unwrap();
+    fn mutual_exclusion_under_contention() {
+        contend(4, 200);
+    }
+
+    #[test]
+    fn mutual_exclusion_across_three_lines_of_slots() {
+        // Nine ranks: two full lines of slots and one holding a single slot.
+        assert_eq!(BakeryLock::required_bytes(9), 3 * CACHE_LINE_SIZE);
+        contend(9, 60);
+    }
+
+    #[test]
+    fn uncontended_lock_is_two_stores_and_two_scans_by_line() {
+        for (ranks, lines) in [(1, 4), (2, 4), (4, 4), (5, 6), (8, 6), (9, 8)] {
+            let locks = make_locks(ranks);
+            let me = ranks - 1;
+            let accesses = locks[me].lock(me, &PoisonFlag::new()).unwrap();
+            assert_eq!(accesses, lines, "{ranks} ranks");
+            locks[me].unlock(me).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_waiter_reports_every_repoll() {
+        // Rank 0 holds the lock until rank 1 has begun its third line load:
+        // the ticket scan and one poll that found rank 0 ahead are behind it,
+        // so it reports more than the four accesses of an uncontended lock.
+        let mut locks = make_locks(2);
+        let (l1, l0) = (locks.pop().unwrap(), locks.pop().unwrap());
+        l0.lock(0, &PoisonFlag::new()).unwrap();
+        let view = l1.obj.view().clone();
+        let loaded = move || view.counters().nt_bytes_read;
+        let before = loaded();
+        let waiter = std::thread::spawn(move || l1.lock(1, &PoisonFlag::new()).unwrap());
+        while loaded() < before + 3 * CACHE_LINE_SIZE as u64 {
+            std::thread::yield_now();
+        }
+        l0.unlock(0).unwrap();
+        assert!(waiter.join().unwrap() > 4);
     }
 }

@@ -1,6 +1,13 @@
-//! On-device layout of an RMA window object.
+//! On-device layout of an RMA window object. A PSCW cell is the
+//! `(value, stamp)` entry of `cxl_shm::slots`, holding the pair's epoch
+//! number; cells lie in rows by *reader*, so what a rank polls sits side by
+//! side. Bakery locks and fence slots occupy whole cache lines.
 
-use crate::barrier::{SeqBarrier, BARRIER_SLOT_STRIDE};
+use cxl_shm::slots::SLOT_DONE_ENTRY;
+use cxl_shm::CACHE_LINE_SIZE;
+
+use crate::barrier::SeqBarrier;
+use crate::rma::BakeryLock;
 use crate::types::Rank;
 
 /// Byte layout of one window object shared by `ranks` ranks.
@@ -20,7 +27,7 @@ impl WindowLayout {
     pub fn new(ranks: usize, size_per_rank: usize) -> Self {
         WindowLayout {
             ranks,
-            size_per_rank: size_per_rank.div_ceil(64).max(1) * 64,
+            size_per_rank: size_per_rank.div_ceil(CACHE_LINE_SIZE).max(1) * CACHE_LINE_SIZE,
         }
     }
 
@@ -29,53 +36,50 @@ impl WindowLayout {
         (r * self.size_per_rank) as u64
     }
 
-    /// Offset of the PSCW *post* flag set by `target` for `origin` to observe.
-    /// The slot holds `flag: u64 | timestamp: u64`.
-    pub fn post_flag_offset(&self, origin: Rank, target: Rank) -> u64 {
-        let base = (self.ranks * self.size_per_rank) as u64;
-        base + ((origin * self.ranks + target) * 16) as u64
+    /// Cell (`row`, `col`) of PSCW matrix `matrix` (0: post, 1: complete).
+    fn cell_offset(&self, matrix: usize, row: Rank, col: Rank) -> u64 {
+        let cell = (matrix * self.ranks + row) * self.ranks + col;
+        self.data_offset(self.ranks) + (cell * SLOT_DONE_ENTRY) as u64
     }
 
-    /// Offset of the PSCW *complete* flag set by `origin` for `target` to
-    /// observe. The slot holds `flag: u64 | timestamp: u64`.
+    /// Offset of the PSCW *post* cell `target` stores for `origin` to observe.
+    pub fn post_flag_offset(&self, origin: Rank, target: Rank) -> u64 {
+        self.cell_offset(0, origin, target)
+    }
+
+    /// Offset of the PSCW *complete* cell `origin` stores for `target` to
+    /// observe.
     pub fn complete_flag_offset(&self, target: Rank, origin: Rank) -> u64 {
-        let post_end =
-            (self.ranks * self.size_per_rank) as u64 + (self.ranks * self.ranks * 16) as u64;
-        post_end + ((target * self.ranks + origin) * 16) as u64
+        self.cell_offset(1, target, origin)
     }
 
     /// Base offset of the bakery lock protecting `target`'s window.
     pub fn lock_base(&self, target: Rank) -> u64 {
-        let complete_end =
-            (self.ranks * self.size_per_rank) as u64 + 2 * (self.ranks * self.ranks * 16) as u64;
-        complete_end + (target * self.ranks * 16) as u64
+        // Past both matrices, on the next line boundary.
+        let locks = self
+            .cell_offset(2, 0, 0)
+            .next_multiple_of(CACHE_LINE_SIZE as u64);
+        locks + (target * BakeryLock::required_bytes(self.ranks)) as u64
     }
 
     /// Base offset of the fence barrier array.
     pub fn fence_base(&self) -> u64 {
-        (self.ranks * self.size_per_rank) as u64
-            + 2 * (self.ranks * self.ranks * 16) as u64
-            + (self.ranks * self.ranks * 16) as u64
+        self.lock_base(self.ranks)
     }
 
     /// Offset of the ready flag raised by the allocating rank.
     pub fn ready_offset(&self) -> u64 {
-        self.fence_base() + (self.ranks as u64) * BARRIER_SLOT_STRIDE
+        self.fence_base() + SeqBarrier::required_bytes(self.ranks) as u64
     }
 
     /// Total bytes the window object occupies.
     pub fn total_bytes(&self) -> usize {
-        self.ready_offset() as usize + 64
+        self.ready_offset() as usize + CACHE_LINE_SIZE
     }
 
     /// Bytes of the synchronization region (everything after the data region).
     pub fn sync_bytes(&self) -> usize {
         self.total_bytes() - self.ranks * self.size_per_rank
-    }
-
-    /// Required bytes for the fence barrier array.
-    pub fn fence_bytes(&self) -> usize {
-        SeqBarrier::required_bytes(self.ranks)
     }
 }
 
@@ -117,7 +121,7 @@ mod tests {
         // Locks after completes, fence after locks, ready last.
         assert!(l.lock_base(0) > min_complete);
         assert!(l.fence_base() > l.lock_base(3));
-        assert!(l.ready_offset() >= l.fence_base() + l.fence_bytes() as u64);
+        assert!(l.ready_offset() >= l.fence_base() + SeqBarrier::required_bytes(4) as u64);
         assert_eq!(l.total_bytes() as u64, l.ready_offset() + 64);
     }
 
@@ -133,6 +137,43 @@ mod tests {
         }
         // 2 matrices of 25 slots each.
         assert_eq!(offsets.len(), 50);
+    }
+
+    #[test]
+    fn locks_and_fence_slots_own_their_cache_lines() {
+        // 3 and 5 ranks: the two flag matrices (288 B, 800 B) end off a line
+        // boundary and a lock's slots do not fill its last line.
+        for ranks in [2, 3, 5, 9] {
+            let l = WindowLayout::new(ranks, 256);
+            let matrices_end = l.complete_flag_offset(ranks - 1, ranks - 1) + 16;
+            assert!(l.lock_base(0) >= matrices_end && l.lock_base(0) < matrices_end + 64);
+            for t in 0..ranks {
+                assert_eq!(l.lock_base(t) % 64, 0, "{ranks} ranks, lock {t}");
+                let next = l.lock_base(t) + BakeryLock::required_bytes(ranks) as u64;
+                assert!(next >= l.lock_base(t) + 16 * ranks as u64);
+                assert_eq!(next, l.lock_base(t + 1));
+            }
+            assert_eq!(l.fence_base(), l.lock_base(ranks));
+        }
+    }
+
+    #[test]
+    fn a_readers_cells_are_contiguous() {
+        // Rows by reader: the posts an origin polls, and the completes a
+        // target polls, are adjacent 16-byte cells.
+        let l = WindowLayout::new(4, 64);
+        for reader in 0..4 {
+            for writer in 1..4 {
+                assert_eq!(
+                    l.post_flag_offset(reader, writer),
+                    l.post_flag_offset(reader, writer - 1) + 16
+                );
+                assert_eq!(
+                    l.complete_flag_offset(reader, writer),
+                    l.complete_flag_offset(reader, writer - 1) + 16
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! 1. every rank's window data region (so any rank can compute any other
 //!    rank's window address from the object base and the rank id, exactly as
 //!    `MPI_Win_allocate_shared` lays segments out on a single host);
-//! 2. the PSCW flag matrices (post flags set by targets, complete flags set by
-//!    origins), one flag + timestamp pair per (origin, target) pair;
+//! 2. the PSCW cell matrices (post cells stored by targets, complete cells
+//!    stored by origins), one `(epoch number, timestamp)` cell per (origin,
+//!    target) pair — written by one rank, never reset;
 //! 3. per-target Lamport-bakery locks for passive-target synchronization —
 //!    mutual exclusion from plain loads and stores only, since the CXL memory
 //!    offers no cross-host atomics;

@@ -51,14 +51,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cmpi_fabric::SimClock;
-use cxl_shm::slots::{SLOT_CELL_DATA_OFF, SLOT_CELL_INLINE, SLOT_CELL_TS_OFF};
+use cxl_shm::slots::{SLOT_CELL_DATA_OFF, SLOT_CELL_INLINE};
 use cxl_shm::{CxlShmArena, ShmObject, SlotLayout};
 
 use crate::config::CxlShmTransportConfig;
 use crate::error::MpiError;
 use crate::queue::{CellHeader, QueueGeometry, CELL_HEADER_SIZE};
 use crate::spin::PoisonFlag;
-use crate::transport::cxl::{open_poisoned, spin_flag, store_stamped};
+use crate::transport::cxl::{load_stamped, open_poisoned, spin_flag, store_stamped};
 use crate::types::{CtxId, Rank, Tag};
 use crate::Result;
 
@@ -588,15 +588,6 @@ impl Stream {
         (self.seq % self.layout.slots() as u64) as usize
     }
 
-    /// The stamp beside the cell at `off`, once its value reached `at_least`.
-    fn cell(&self, off: usize, at_least: u64) -> Result<Option<f64>> {
-        if self.obj.nt_load_u64_at(off as u64)? < at_least {
-            return Ok(None);
-        }
-        let ts = self.obj.nt_load_u64_at((off + SLOT_CELL_TS_OFF) as u64)?;
-        Ok(Some(f64::from_bits(ts)))
-    }
-
     /// Writer: make sure the next segment has a slot. `Some(None)`: one is
     /// known free, no device access made. `Some(Some(ts))`: the writer had
     /// lapped, loaded the done entry that frees the next batch and found it
@@ -614,7 +605,7 @@ impl Stream {
         let slots = self.layout.slots() as u64;
         let through = self.seq - slots + self.batch();
         let entry = self.layout.done_off(0, ((through - 1) % slots) as usize);
-        let freed = self.cell(entry, through)?;
+        let freed = load_stamped(&self.obj, entry, through)?;
         if freed.is_some() {
             self.credits = self.batch();
         }
@@ -670,7 +661,7 @@ impl Stream {
     /// `None` while it is not up. Consumes nothing.
     pub fn peek_header(&self) -> Result<Option<CellHeader>> {
         let flag = self.layout.flag_off(0, self.slot(), 0);
-        let Some(timestamp) = self.cell(flag, self.seq + 1)? else {
+        let Some(timestamp) = load_stamped(&self.obj, flag, self.seq + 1)? else {
             return Ok(None);
         };
         let (ctx, tag, total, received) = match self.open {

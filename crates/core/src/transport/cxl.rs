@@ -17,8 +17,9 @@
 //!   one body over a private `Ring` enum, whichever of the three it drains,
 //!   and cells — eager ring or shared receive queue — are published by one
 //!   loop over its send-side mirror;
-//! * RMA windows, their PSCW flags, bakery locks and fence barrier live in a
-//!   per-window SHM object ([`crate::rma`]);
+//! * RMA windows, their PSCW cells, bakery locks and fence barrier live in a
+//!   per-window SHM object ([`crate::rma`]); every synchronization word in it
+//!   has one writer and is never reset (see the window section below);
 //! * the global barrier is the sequence-number barrier of [`crate::barrier`].
 //!
 //! Cell and window payloads are published with the software-coherence protocol
@@ -28,6 +29,7 @@
 //! large transfers the way the paper's memory-hierarchy contention does.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use cmpi_fabric::clock::{transfer_ns, SimNs};
@@ -40,6 +42,7 @@ use crate::barrier::SeqBarrier;
 use crate::config::{ConnMode, CxlShmTransportConfig};
 use crate::error::MpiError;
 use crate::p2p::{BufferPool, ChunkAssembler, PendingMessage, UnexpectedQueue};
+use crate::pod::{bytes_of, bytes_of_mut};
 use crate::queue::{CellHeader, QueueGeometry, QueueMatrix, SpscQueue, CELL_HEADER_SIZE};
 use crate::rma::layout::WINDOW_READY_MAGIC;
 use crate::rma::{BakeryLock, WindowLayout};
@@ -187,12 +190,23 @@ impl DpState {
     }
 }
 
-/// Store `(value, ts)` into a flag cell or done entry at `off`: the stamp
-/// first, so whoever loads the value finds the stamp that belongs to it.
+/// Store `(value, ts)` into the cell at `off` — a flag cell, a done entry, a
+/// PSCW or barrier cell: the stamp first, so whoever loads the value finds the
+/// stamp that belongs to it. One line store to the cost model.
 pub(crate) fn store_stamped(obj: &ShmObject, off: usize, value: u64, ts: f64) -> Result<()> {
     obj.nt_store_u64_at((off + SLOT_CELL_TS_OFF) as u64, ts.to_bits())?;
     obj.nt_store_u64_at(off as u64, value)?;
     Ok(())
+}
+
+/// The stamp beside the cell at `off`, once its value reached `at_least`: one
+/// line load. `None` is a failed poll, which no caller charges.
+pub(crate) fn load_stamped(obj: &ShmObject, off: usize, at_least: u64) -> Result<Option<f64>> {
+    if obj.nt_load_u64_at(off as u64)? < at_least {
+        return Ok(None);
+    }
+    let ts = obj.nt_load_u64_at((off + SLOT_CELL_TS_OFF) as u64)?;
+    Ok(Some(f64::from_bits(ts)))
 }
 
 /// A writer about to expose collective `seq` found the slot it wants still
@@ -263,16 +277,75 @@ fn release_held(
     Ok(true)
 }
 
+/// One side of a window's PSCW state: as a target (`post`/`wait`) or as an
+/// origin (`start`/`complete`).
+#[derive(Default)]
+struct EpochSide {
+    /// Peers of the open epoch (empty: none is open).
+    group: Vec<Rank>,
+    /// Per peer ever named: epochs opened with it, the open one included.
+    epochs: BTreeMap<Rank, u64>,
+}
+
 struct WindowState {
     obj: ShmObject,
     layout: WindowLayout,
     fence_barrier: SeqBarrier,
-    /// Origins of the current exposure epoch (set by `post`).
-    exposure_group: Vec<Rank>,
-    /// Targets of the current access epoch (set by `start`).
-    access_group: Vec<Rank>,
+    /// Exposure side, access side.
+    pscw: [EpochSide; 2],
     /// Targets this rank currently holds a passive-target lock on.
     held_locks: Vec<Rank>,
+}
+
+impl WindowState {
+    /// The bakery lock protecting `target`'s window.
+    fn bakery(&self, target: Rank) -> BakeryLock {
+        let base = self.layout.lock_base(target);
+        BakeryLock::new(self.obj.clone(), base, self.layout.ranks)
+    }
+
+    /// Device offset of `len` bytes at `offset` of `rank`'s data region.
+    fn data_addr(&self, rank: Rank, offset: usize, len: usize) -> Result<u64> {
+        if offset + len > self.layout.size_per_rank {
+            return Err(MpiError::WindowOutOfBounds {
+                offset,
+                len,
+                window_len: self.layout.size_per_rank,
+            });
+        }
+        Ok(self.layout.data_offset(rank) + offset as u64)
+    }
+
+    /// Write `data` at `addr` of the data region (see [`line_parts`]).
+    fn store(&self, addr: u64, data: &[u8]) -> Result<()> {
+        for (at, part, whole) in line_parts(addr, data.len()) {
+            if whole {
+                self.obj.write_flush_at(at, &data[part])?;
+            } else {
+                self.obj.nt_store_at(at, &data[part])?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `len` bytes at device offset `addr` as `(offset, byte range, whole lines?)`
+/// parts: partial head line, whole lines, partial tail line. Only whole lines
+/// go through the cache: a cached write of part of a line fills the rest from
+/// the device, and the whole-line flush writes this host's stale copy of it
+/// back over what another host stored there in the same epoch.
+fn line_parts(addr: u64, len: usize) -> impl Iterator<Item = (u64, Range<usize>, bool)> {
+    let line = CACHE_LINE_SIZE;
+    let head = len.min((addr.next_multiple_of(line as u64) - addr) as usize);
+    let body_end = head + (len - head) / line * line;
+    [
+        (0..head, false),
+        (head..body_end, true),
+        (body_end..len, false),
+    ]
+    .into_iter()
+    .filter(|(part, _)| !part.is_empty())
+    .map(move |(part, whole)| (addr + part.start as u64, part, whole))
 }
 
 /// How per-pair connection state is materialized (the tentpole knob of the
@@ -540,6 +613,8 @@ pub struct CxlTransport {
     pending_scan: Vec<Rank>,
     /// Reusable header+payload staging for `try_enqueue_with_scratch`.
     tx_scratch: Vec<u8>,
+    /// Reusable element buffer of `accumulate`.
+    acc_scratch: Vec<f64>,
     /// Staging arena recycling the buffers of unexpected messages.
     pool: BufferPool,
 }
@@ -685,6 +760,7 @@ impl CxlTransport {
             tx_blocked: vec![false; ranks],
             pending_scan: Vec::new(),
             tx_scratch: Vec::new(),
+            acc_scratch: Vec::new(),
             pool: BufferPool::new(),
         })
     }
@@ -762,27 +838,72 @@ impl CxlTransport {
         )
     }
 
-    fn window(&self, win: WinId) -> Result<&WindowState> {
-        self.windows
-            .get(win)
-            .and_then(|w| w.as_ref())
-            .ok_or(MpiError::InvalidWindow(win))
-    }
-
-    fn window_mut(&mut self, win: WinId) -> Result<&mut WindowState> {
-        self.windows
+    /// Window `win`, borrowing only the window table: the caller keeps the
+    /// counters, the cost model and the poison flag beside it.
+    fn window_in(windows: &mut [Option<WindowState>], win: WinId) -> Result<&mut WindowState> {
+        windows
             .get_mut(win)
             .and_then(|w| w.as_mut())
             .ok_or(MpiError::InvalidWindow(win))
     }
 
-    fn check_window_access(state: &WindowState, offset: usize, len: usize) -> Result<()> {
-        if offset + len > state.layout.size_per_rank {
-            return Err(MpiError::WindowOutOfBounds {
-                offset,
-                len,
-                window_len: state.layout.size_per_rank,
-            });
+    /// The four PSCW calls: on the `access` side (`start`/`complete`) or the
+    /// exposure side (`post`/`wait`), `open` an epoch with these peers or
+    /// (`None`) close the open one. An epoch is announced by its number in
+    /// the pair's cell — by the target in `post`, by the origin in `complete`
+    /// — and the peer's `start`, or `wait`, waits for that number.
+    fn pscw(
+        &mut self,
+        clock: &mut SimClock,
+        win: WinId,
+        access: bool,
+        open: Option<&[Rank]>,
+    ) -> Result<()> {
+        for &peer in open.unwrap_or_default() {
+            self.check_rank(peer)?;
+        }
+        let (rank, nt) = (self.rank, self.cost.nt_access());
+        let state = Self::window_in(&mut self.windows, win)?;
+        let side = &mut state.pscw[usize::from(access)];
+        if open.is_some() != side.group.is_empty() {
+            let [closer, opener] = [["wait", "post"], ["complete", "start"]][usize::from(access)];
+            return Err(MpiError::InvalidSyncState(match open {
+                Some(_) => format!("{opener} called before the {closer} of the open epoch"),
+                None => format!("{closer} called without a matching {opener}"),
+            }));
+        }
+        side.group.extend_from_slice(open.unwrap_or_default());
+        let publishes = access != open.is_some();
+        for &peer in &side.group {
+            let epoch = side.epochs.entry(peer).or_default();
+            *epoch += u64::from(open.is_some());
+            let (reader, writer) = if publishes {
+                (peer, rank)
+            } else {
+                (rank, peer)
+            };
+            let cell = match open {
+                Some(_) => state.layout.post_flag_offset(reader, writer),
+                None => state.layout.complete_flag_offset(reader, writer),
+            } as usize;
+            if publishes {
+                clock.advance(nt);
+                store_stamped(&state.obj, cell, *epoch, clock.now())?;
+            } else {
+                let mut backoff = SpinWait::new();
+                let stamp = loop {
+                    match load_stamped(&state.obj, cell, *epoch)? {
+                        Some(stamp) => break stamp,
+                        None => backoff.wait(&self.poison)?,
+                    }
+                };
+                clock.merge(stamp);
+                clock.advance(nt);
+            }
+        }
+        TransportCounters::bump(&self.stats.rma_sync_lines, side.group.len() as u64);
+        if open.is_none() {
+            side.group.clear();
         }
         Ok(())
     }
@@ -1452,10 +1573,18 @@ impl Transport for CxlTransport {
     }
 
     fn barrier(&mut self, clock: &mut SimClock) -> Result<()> {
-        // Publish + one pass over every peer slot, at minimum.
-        clock.advance((2 + self.ranks.saturating_sub(1)) as f64 * self.cost.nt_access());
-        self.barrier.enter(clock)
+        self.barrier.enter(clock, self.cost.nt_access())
     }
+
+    // ------------------------------------------------------------------
+    // RMA windows
+    // ------------------------------------------------------------------
+    //
+    // Every synchronization word has one writer and is never reset (README,
+    // *One-sided communication*). A call costs one device line per peer: a
+    // store is charged, then stamped; a wait merges the stamp it waited for
+    // and pays for the load that found it, failed polls are free. Only a
+    // *contended* bakery lock charges its re-polls (ROADMAP item 5).
 
     fn win_allocate(&mut self, clock: &mut SimClock, size_per_rank: usize) -> Result<WinId> {
         let id = self.windows.len();
@@ -1466,10 +1595,10 @@ impl Transport for CxlTransport {
         let ready_value = WINDOW_READY_MAGIC ^ id as u64;
         let obj = if self.rank == 0 {
             let obj = self.arena.create(&name, layout.total_bytes())?;
-            // Zero the synchronization region (flags, locks, fence slots).
-            let sync_start = layout.post_flag_offset(0, 0);
-            let zeros = vec![0u8; layout.total_bytes() - sync_start as usize - 64];
-            obj.write_flush_at(sync_start, &zeros)?;
+            // Zero the synchronization region (cells, locks, fence slots):
+            // every pair of a new window starts at epoch 1.
+            let zeros = vec![0u8; layout.sync_bytes() - CACHE_LINE_SIZE];
+            obj.write_flush_at(layout.post_flag_offset(0, 0), &zeros)?;
             obj.nt_store_u64_at(layout.ready_offset(), ready_value)?;
             obj
         } else {
@@ -1486,8 +1615,7 @@ impl Transport for CxlTransport {
             obj,
             layout,
             fence_barrier,
-            exposure_group: Vec::new(),
-            access_group: Vec::new(),
+            pscw: Default::default(),
             held_locks: Vec::new(),
         }));
         // Window allocation is collective: synchronize before anyone uses it.
@@ -1496,7 +1624,7 @@ impl Transport for CxlTransport {
     }
 
     fn win_free(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
-        self.window(win)?;
+        Self::window_in(&mut self.windows, win)?;
         self.barrier(clock)?;
         if self.rank == 0 {
             self.arena.destroy_by_name(&format!("cmpi/win_{win}"))?;
@@ -1514,24 +1642,8 @@ impl Transport for CxlTransport {
         data: &[u8],
     ) -> Result<()> {
         self.check_rank(target)?;
-        let state = self.window(win)?;
-        Self::check_window_access(state, offset, data.len())?;
-        let addr = state.layout.data_offset(target) + offset as u64;
-        // Only whole cache lines go through the cached write + flush. A cached
-        // write of part of a line fills the rest from the device, and the
-        // whole-line flush then writes this host's stale copy of those bytes
-        // back over what another host put there in the same epoch; the bytes
-        // of a partial head or tail line bypass the cache instead.
-        let to_line = addr.next_multiple_of(CACHE_LINE_SIZE as u64) - addr;
-        let (head, rest) = data.split_at(data.len().min(to_line as usize));
-        let (body, tail) = rest.split_at(rest.len() / CACHE_LINE_SIZE * CACHE_LINE_SIZE);
-        state.obj.nt_store_at(addr, head)?;
-        if !body.is_empty() {
-            state.obj.write_flush_at(addr + head.len() as u64, body)?;
-        }
-        state
-            .obj
-            .nt_store_at(addr + (head.len() + body.len()) as u64, tail)?;
+        let state = Self::window_in(&mut self.windows, win)?;
+        state.store(state.data_addr(target, offset, data.len())?, data)?;
         self.charge_rma(clock, data.len(), true);
         TransportCounters::bump(&self.stats.puts, 1);
         TransportCounters::bump(&self.stats.rma_bytes_written, data.len() as u64);
@@ -1547,9 +1659,8 @@ impl Transport for CxlTransport {
         buf: &mut [u8],
     ) -> Result<()> {
         self.check_rank(target)?;
-        let state = self.window(win)?;
-        Self::check_window_access(state, offset, buf.len())?;
-        let addr = state.layout.data_offset(target) + offset as u64;
+        let state = Self::window_in(&mut self.windows, win)?;
+        let addr = state.data_addr(target, offset, buf.len())?;
         state.obj.read_coherent_at(addr, buf)?;
         self.charge_rma(clock, buf.len(), false);
         TransportCounters::bump(&self.stats.gets, 1);
@@ -1568,16 +1679,21 @@ impl Transport for CxlTransport {
     ) -> Result<()> {
         self.check_rank(target)?;
         let bytes = data.len() * 8;
-        let state = self.window(win)?;
-        Self::check_window_access(state, offset, bytes)?;
-        let addr = state.layout.data_offset(target) + offset as u64;
-        let mut current = vec![0u8; bytes];
-        state.obj.read_coherent_at(addr, &mut current)?;
-        let mut values = crate::pod::bytes_to_f64(&current);
-        op.fold_f64(&mut values, data);
-        state
-            .obj
-            .write_flush_at(addr, &crate::pod::f64_to_bytes(&values))?;
+        let state = Self::window_in(&mut self.windows, win)?;
+        let addr = state.data_addr(target, offset, bytes)?;
+        let values = &mut self.acc_scratch;
+        values.clear();
+        values.resize(data.len(), 0.0);
+        for (at, part, whole) in line_parts(addr, bytes) {
+            let part = &mut bytes_of_mut(values)[part];
+            if whole {
+                state.obj.read_coherent_at(at, part)?;
+            } else {
+                state.obj.nt_load_at(at, part)?;
+            }
+        }
+        op.fold_f64(values, data);
+        state.store(addr, bytes_of(values))?;
         self.charge_rma(clock, bytes, false);
         self.charge_rma(clock, bytes, true);
         TransportCounters::bump(&self.stats.rma_bytes_written, bytes as u64);
@@ -1591,10 +1707,8 @@ impl Transport for CxlTransport {
         offset: usize,
         buf: &mut [u8],
     ) -> Result<()> {
-        let rank = self.rank;
-        let state = self.window(win)?;
-        Self::check_window_access(state, offset, buf.len())?;
-        let addr = state.layout.data_offset(rank) + offset as u64;
+        let state = Self::window_in(&mut self.windows, win)?;
+        let addr = state.data_addr(self.rank, offset, buf.len())?;
         state.obj.read_coherent_at(addr, buf)?;
         self.charge_rma(clock, buf.len(), false);
         Ok(())
@@ -1607,149 +1721,63 @@ impl Transport for CxlTransport {
         offset: usize,
         data: &[u8],
     ) -> Result<()> {
-        let rank = self.rank;
-        let state = self.window(win)?;
-        Self::check_window_access(state, offset, data.len())?;
-        let addr = state.layout.data_offset(rank) + offset as u64;
+        let state = Self::window_in(&mut self.windows, win)?;
+        let addr = state.data_addr(self.rank, offset, data.len())?;
         state.obj.write_flush_at(addr, data)?;
         self.charge_rma(clock, data.len(), true);
         Ok(())
     }
 
     fn post(&mut self, clock: &mut SimClock, win: WinId, origins: &[Rank]) -> Result<()> {
-        for &o in origins {
-            self.check_rank(o)?;
-        }
-        let rank = self.rank;
-        let nt = self.cost.nt_access();
-        let state = self.window_mut(win)?;
-        if !state.exposure_group.is_empty() {
-            return Err(MpiError::InvalidSyncState(
-                "post called while an exposure epoch is already open".into(),
-            ));
-        }
-        for &origin in origins {
-            let off = state.layout.post_flag_offset(origin, rank);
-            state.obj.nt_store_u64_at(off + 8, clock.now().to_bits())?;
-            state.obj.nt_store_u64_at(off, 1)?;
-            clock.advance(2.0 * nt);
-        }
-        state.exposure_group = origins.to_vec();
-        Ok(())
+        self.pscw(clock, win, false, Some(origins))
     }
 
     fn start(&mut self, clock: &mut SimClock, win: WinId, targets: &[Rank]) -> Result<()> {
-        for &t in targets {
-            self.check_rank(t)?;
-        }
-        let rank = self.rank;
-        let nt = self.cost.nt_access();
-        let poison = self.poison.clone();
-        let state = self.window_mut(win)?;
-        if !state.access_group.is_empty() {
-            return Err(MpiError::InvalidSyncState(
-                "start called while an access epoch is already open".into(),
-            ));
-        }
-        for &target in targets {
-            let off = state.layout.post_flag_offset(rank, target);
-            spin_flag(&state.obj, off, &poison, |v| v == 1)?;
-            let ts = f64::from_bits(state.obj.nt_load_u64_at(off + 8)?);
-            clock.merge(ts);
-            // Reset the flag (the origin resets its own post flag).
-            state.obj.nt_store_u64_at(off, 0)?;
-            clock.advance(3.0 * nt);
-        }
-        state.access_group = targets.to_vec();
-        Ok(())
+        self.pscw(clock, win, true, Some(targets))
     }
 
     fn complete(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
-        let rank = self.rank;
-        let nt = self.cost.nt_access();
-        let state = self.window_mut(win)?;
-        if state.access_group.is_empty() {
-            return Err(MpiError::InvalidSyncState(
-                "complete called without a matching start".into(),
-            ));
-        }
-        let targets = std::mem::take(&mut state.access_group);
-        for target in targets {
-            let off = state.layout.complete_flag_offset(target, rank);
-            state.obj.nt_store_u64_at(off + 8, clock.now().to_bits())?;
-            state.obj.nt_store_u64_at(off, 1)?;
-            clock.advance(2.0 * nt);
-        }
-        Ok(())
+        self.pscw(clock, win, true, None)
     }
 
     fn wait(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
-        let rank = self.rank;
-        let nt = self.cost.nt_access();
-        let poison = self.poison.clone();
-        let state = self.window_mut(win)?;
-        if state.exposure_group.is_empty() {
-            return Err(MpiError::InvalidSyncState(
-                "wait called without a matching post".into(),
-            ));
-        }
-        let origins = std::mem::take(&mut state.exposure_group);
-        for origin in origins {
-            let off = state.layout.complete_flag_offset(rank, origin);
-            spin_flag(&state.obj, off, &poison, |v| v == 1)?;
-            let ts = f64::from_bits(state.obj.nt_load_u64_at(off + 8)?);
-            clock.merge(ts);
-            // Reset the flag (the target resets its own complete flag).
-            state.obj.nt_store_u64_at(off, 0)?;
-            clock.advance(3.0 * nt);
-        }
-        Ok(())
+        self.pscw(clock, win, false, None)
     }
 
     fn lock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<()> {
         self.check_rank(target)?;
-        let rank = self.rank;
-        let ranks = self.ranks;
-        let nt = self.cost.nt_access();
-        let poison = self.poison.clone();
-        let state = self.window_mut(win)?;
+        let state = Self::window_in(&mut self.windows, win)?;
         if state.held_locks.contains(&target) {
             return Err(MpiError::InvalidSyncState(format!(
                 "lock on target {target} already held"
             )));
         }
-        let lock = BakeryLock::new(state.obj.clone(), state.layout.lock_base(target), ranks);
-        let reads = lock.lock(rank, &poison)?;
-        // Doorway writes (3 stores) plus every remote read performed.
-        clock.advance((reads as f64 + 3.0) * nt);
+        let lines = state.bakery(target).lock(self.rank, &self.poison)?;
+        clock.advance(lines as f64 * self.cost.nt_access());
+        TransportCounters::bump(&self.stats.rma_sync_lines, lines);
         state.held_locks.push(target);
         Ok(())
     }
 
     fn unlock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<()> {
         self.check_rank(target)?;
-        let rank = self.rank;
-        let ranks = self.ranks;
-        let nt = self.cost.nt_access();
-        let state = self.window_mut(win)?;
+        let state = Self::window_in(&mut self.windows, win)?;
         let Some(pos) = state.held_locks.iter().position(|&t| t == target) else {
             return Err(MpiError::InvalidSyncState(format!(
                 "unlock on target {target} without a matching lock"
             )));
         };
-        let lock = BakeryLock::new(state.obj.clone(), state.layout.lock_base(target), ranks);
-        lock.unlock(rank)?;
-        clock.advance(nt);
+        state.bakery(target).unlock(self.rank)?;
+        clock.advance(self.cost.nt_access());
+        TransportCounters::bump(&self.stats.rma_sync_lines, 1);
         state.held_locks.remove(pos);
         Ok(())
     }
 
     fn fence(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
-        let ranks = self.ranks;
-        let nt = self.cost.nt_access();
-        let state = self.window_mut(win)?;
-        clock.advance((2 + ranks.saturating_sub(1)) as f64 * nt);
-        state.fence_barrier.enter(clock)
+        let state = Self::window_in(&mut self.windows, win)?;
+        TransportCounters::bump(&self.stats.rma_sync_lines, self.ranks as u64);
+        state.fence_barrier.enter(clock, self.cost.nt_access())
     }
 
     // ------------------------------------------------------------------
@@ -1948,14 +1976,12 @@ impl Transport for CxlTransport {
         let (obj, layout) = (&state.obj, &state.layout);
         let slot = seq as usize % layout.slots();
         let flag = layout.flag_off(src.writer_idx, slot, src.phase as usize);
-        if obj.nt_load_u64_at(flag as u64)? < u64::from(seq) + 1 {
+        let Some(ts) = load_stamped(obj, flag, u64::from(seq) + 1)? else {
             // Flag not up yet: a failed poll costs nothing (same as the PSCW
             // spin idiom — the flag line lives in this rank's cache).
             return Ok(false);
-        }
-        clock.merge(f64::from_bits(
-            obj.nt_load_u64_at((flag + SLOT_CELL_TS_OFF) as u64)?,
-        ));
+        };
+        clock.merge(ts);
         if src.inline {
             // The payload came with the flag line: nothing else to fetch.
             debug_assert!(src.off + buf.len() <= DP_INLINE_BYTES);

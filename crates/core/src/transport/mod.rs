@@ -203,6 +203,9 @@ pub struct TransportStats {
     /// time, than the sender was ready to reuse it — the stream was full and
     /// the sender's clock jumped to the hand-back.
     pub rdv_stalls: u64,
+    /// Device lines stored or loaded, and charged, by RMA synchronization:
+    /// `post`, `start`, `complete`, `wait`, `fence`, `lock`, `unlock`.
+    pub rma_sync_lines: u64,
 }
 
 /// The live, shared form of [`TransportStats`]: relaxed atomics bumped on the
@@ -253,6 +256,8 @@ pub struct TransportCounters {
     pub rdv_segments: AtomicU64,
     /// Stream segments that waited (in virtual time) for their slot.
     pub rdv_stalls: AtomicU64,
+    /// Device lines charged by RMA synchronization calls.
+    pub rma_sync_lines: AtomicU64,
 }
 
 impl TransportCounters {
@@ -286,6 +291,7 @@ impl TransportCounters {
             rdv_bytes: self.rdv_bytes.load(Ordering::Relaxed),
             rdv_segments: self.rdv_segments.load(Ordering::Relaxed),
             rdv_stalls: self.rdv_stalls.load(Ordering::Relaxed),
+            rma_sync_lines: self.rma_sync_lines.load(Ordering::Relaxed),
         }
     }
 }
@@ -598,7 +604,10 @@ pub trait Transport: Send {
     ) -> Result<()>;
 
     /// One-sided element-wise accumulate of `f64` values into `target`'s
-    /// window region.
+    /// window region. Not atomic: concurrent accumulates to *different*
+    /// elements all land, whatever cache lines they share; accumulates to the
+    /// same element from several origins in one epoch need the window lock
+    /// around them.
     fn accumulate(
         &mut self,
         clock: &mut SimClock,

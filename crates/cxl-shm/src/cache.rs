@@ -14,8 +14,6 @@
 //! approximate-LRU eviction policy; evicting a dirty line writes it back to the
 //! device segment, mirroring a write-back cache.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -25,39 +23,6 @@ use crate::Result;
 
 /// Cache line size in bytes (x86).
 pub const CACHE_LINE_SIZE: usize = 64;
-
-/// Hasher for line base addresses. Line bases are 64-aligned `u64`s on the
-/// hottest path of the whole simulation (every cached byte moves through the
-/// line map), and SipHash is needlessly expensive for them; a splitmix64-style
-/// finalizer gives full avalanche (the low bits a hash table indexes by are
-/// mixed from every input bit — a plain multiply would leave the 6 zero
-/// alignment bits dead) at a few arithmetic ops.
-#[derive(Default)]
-pub struct LineAddrHasher(u64);
-
-impl Hasher for LineAddrHasher {
-    fn write_u64(&mut self, value: u64) {
-        let mut z = value.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (unused by the u64 key map, kept correct anyway).
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word) ^ self.0);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type LineMap = HashMap<u64, Line, BuildHasherDefault<LineAddrHasher>>;
 
 /// Default cache capacity in lines (2 MiB, on the order of a per-core L2).
 pub const DEFAULT_CACHE_LINES: usize = 32 * 1024;
@@ -86,16 +51,190 @@ pub struct CacheStats {
     pub nt_load_bytes: u64,
 }
 
-#[derive(Clone)]
 struct Line {
-    data: [u8; CACHE_LINE_SIZE],
-    dirty: bool,
+    /// Base address of the line this slot holds.
+    base: u64,
     /// Logical access tick for approximate LRU.
     tick: u64,
+    dirty: bool,
+    data: [u8; CACHE_LINE_SIZE],
+}
+
+/// Lines per storage chunk (88 KiB: under the allocator's large-block
+/// threshold, so a chunk fits whatever hole an earlier universe left).
+const CHUNK_LINES: usize = 1024;
+
+/// The resident lines of one cache: a fixed open-addressing table of slot
+/// numbers over line storage that grows a chunk at a time and never moves.
+///
+/// Line bases are looked up on the hottest path of the whole simulation (every
+/// cached byte moves through here), and a cache has a fixed capacity, so the
+/// table is sized once for it: no rehash, and no allocation in the steady
+/// state beyond a chunk whenever the resident set reaches a new high. A map of
+/// whole lines that regrows by doubling is not an alternative: a default
+/// cache filling up goes 0.7 → 1.4 → 2.9 → 5.8 MB, every outgrown table stays
+/// in the heap of whichever rank thread filled it, and the resident set of a
+/// process that launches universes one after the other then depends on which
+/// allocator arena the next launch's rank threads inherit (the `e2e`
+/// benchmark's `peak_rss_mib` read 69.8 or 74.9 MiB on one commit).
+struct Lines {
+    /// `slot + 1` of a resident line at, or linearly probed on from, the
+    /// position its base hashes to; 0 = empty. A power of two ≥ twice the
+    /// cache's capacity long, so it never fills and probes stay short.
+    table: Vec<u32>,
+    /// Slot `s` is `chunks[s / CHUNK_LINES][s % CHUNK_LINES]`; slots are
+    /// handed out in order, so the host touches only storage that has held a
+    /// line.
+    chunks: Vec<Vec<Line>>,
+    /// Slots that hold no resident line, last freed first.
+    free: Vec<u32>,
+    len: usize,
+    /// Table position the next eviction sample starts at.
+    hand: usize,
+}
+
+impl Lines {
+    fn with_capacity(capacity: usize) -> Self {
+        assert!(
+            capacity < u32::MAX as usize / 2,
+            "cache of {capacity} lines"
+        );
+        Lines {
+            table: vec![0; (2 * capacity).next_power_of_two()],
+            chunks: Vec::with_capacity(capacity.div_ceil(CHUNK_LINES)),
+            free: Vec::with_capacity(capacity),
+            len: 0,
+            hand: 0,
+        }
+    }
+
+    /// Table position a line base hashes to. A splitmix64-style finalizer:
+    /// full avalanche at a few arithmetic ops (a plain multiply would leave
+    /// the 6 zero alignment bits of a base dead in the low bits indexed by).
+    fn home(&self, base: u64) -> usize {
+        let mut z = base.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as usize & (self.table.len() - 1)
+    }
+
+    fn next(&self, pos: usize) -> usize {
+        (pos + 1) & (self.table.len() - 1)
+    }
+
+    fn line(&self, slot: u32) -> &Line {
+        &self.chunks[slot as usize / CHUNK_LINES][slot as usize % CHUNK_LINES]
+    }
+
+    fn line_mut(&mut self, slot: u32) -> &mut Line {
+        &mut self.chunks[slot as usize / CHUNK_LINES][slot as usize % CHUNK_LINES]
+    }
+
+    /// `(table position, slot)` of the resident line at `base`.
+    fn find(&self, base: u64) -> Option<(usize, u32)> {
+        let mut pos = self.home(base);
+        loop {
+            let slot = self.table[pos].checked_sub(1)?;
+            if self.line(slot).base == base {
+                return Some((pos, slot));
+            }
+            pos = self.next(pos);
+        }
+    }
+
+    /// Make `line` resident; no line with its base is.
+    fn insert(&mut self, line: Line) -> &mut Line {
+        let mut pos = self.home(line.base);
+        while self.table[pos] != 0 {
+            pos = self.next(pos);
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                *self.line_mut(slot) = line;
+                slot
+            }
+            None => {
+                // Every slot handed out so far holds a resident line.
+                let slot = self.len;
+                if slot.is_multiple_of(CHUNK_LINES) {
+                    self.chunks.push(Vec::with_capacity(CHUNK_LINES));
+                }
+                self.chunks[slot / CHUNK_LINES].push(line);
+                slot as u32
+            }
+        };
+        self.table[pos] = slot + 1;
+        self.len += 1;
+        self.line_mut(slot)
+    }
+
+    /// Drop the line at `base`; what it held stays readable until the slot is
+    /// reused.
+    fn remove(&mut self, base: u64) -> Option<&Line> {
+        let (mut hole, slot) = self.find(base)?;
+        // Close the hole: move up every later line of the probe run that
+        // would otherwise be cut off from the position it hashes to.
+        let mask = self.table.len() - 1;
+        let mut pos = self.next(hole);
+        while let Some(other) = self.table[pos].checked_sub(1) {
+            let home = self.home(self.line(other).base);
+            if pos.wrapping_sub(home) & mask >= pos.wrapping_sub(hole) & mask {
+                self.table[hole] = other + 1;
+                hole = pos;
+            }
+            pos = self.next(pos);
+        }
+        self.table[hole] = 0;
+        self.free.push(slot);
+        self.len -= 1;
+        Some(self.line(slot))
+    }
+
+    /// Base of the least recently used among the next `sample` resident lines
+    /// in table order, starting where the previous call stopped: every
+    /// eviction looks at fresh candidates and scans a few table entries, where
+    /// sampling from the start of the table would empty its head and end up
+    /// walking the whole of it.
+    fn oldest_of_next(&mut self, sample: usize) -> Option<u64> {
+        let mut oldest: Option<&Line> = None;
+        let mut seen = 0;
+        let mut pos = self.hand;
+        for _ in 0..self.table.len() {
+            if seen == sample.min(self.len) {
+                break;
+            }
+            if let Some(slot) = self.table[pos].checked_sub(1) {
+                let line = self.line(slot);
+                if oldest.is_none_or(|o| line.tick < o.tick) {
+                    oldest = Some(line);
+                }
+                seen += 1;
+            }
+            pos = self.next(pos);
+        }
+        let base = oldest.map(|line| line.base);
+        self.hand = pos;
+        base
+    }
+
+    /// The resident lines, in table order.
+    fn iter(&self) -> impl Iterator<Item = &Line> {
+        self.table
+            .iter()
+            .filter_map(|entry| Some(self.line(entry.checked_sub(1)?)))
+    }
+
+    fn clear(&mut self) {
+        self.table.fill(0);
+        self.chunks.clear();
+        self.free.clear();
+        self.len = 0;
+        self.hand = 0;
+    }
 }
 
 struct CacheInner {
-    lines: LineMap,
+    lines: Lines,
     tick: u64,
     stats: CacheStats,
 }
@@ -113,7 +252,7 @@ impl std::fmt::Debug for HostCache {
         f.debug_struct("HostCache")
             .field("name", &self.name)
             .field("capacity_lines", &self.capacity_lines)
-            .field("resident_lines", &inner.lines.len())
+            .field("resident_lines", &inner.lines.len)
             .finish()
     }
 }
@@ -126,13 +265,14 @@ impl HostCache {
 
     /// Create a cache that can hold at most `capacity_lines` lines.
     pub fn with_capacity(name: impl Into<String>, capacity_lines: usize) -> Arc<Self> {
+        let capacity_lines = capacity_lines.max(1);
         Arc::new(HostCache {
             inner: Mutex::new(CacheInner {
-                lines: LineMap::default(),
+                lines: Lines::with_capacity(capacity_lines),
                 tick: 0,
                 stats: CacheStats::default(),
             }),
-            capacity_lines: capacity_lines.max(1),
+            capacity_lines,
             name: name.into(),
         })
     }
@@ -149,7 +289,7 @@ impl HostCache {
 
     /// Number of lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.inner.lock().lines.len()
+        self.inner.lock().lines.len
     }
 
     /// Snapshot of the cache counters.
@@ -169,74 +309,43 @@ impl HostCache {
     /// Evict one approximately-least-recently-used line, writing it back to the
     /// segment if dirty. Sampling a handful of entries keeps eviction O(1).
     fn evict_one(inner: &mut CacheInner, segment: &SharedSegment) -> Result<()> {
-        let victim = {
-            let mut best: Option<(u64, u64)> = None;
-            for (addr, line) in inner.lines.iter().take(16) {
-                match best {
-                    None => best = Some((*addr, line.tick)),
-                    Some((_, t)) if line.tick < t => best = Some((*addr, line.tick)),
-                    _ => {}
-                }
-            }
-            best.map(|(addr, _)| addr)
-        };
-        if let Some(addr) = victim {
-            if let Some(line) = inner.lines.remove(&addr) {
-                if line.dirty {
-                    segment.write_relaxed(addr as usize, &line.data)?;
-                    inner.stats.evictions += 1;
-                }
+        let victim = inner.lines.oldest_of_next(16);
+        if let Some(line) = victim.and_then(|base| inner.lines.remove(base)) {
+            if line.dirty {
+                segment.write_relaxed(line.base as usize, &line.data)?;
+                inner.stats.evictions += 1;
             }
         }
         Ok(())
     }
 
-    fn fill_line(
-        inner: &mut CacheInner,
+    /// Make room for, and allocate, the absent line at `base`. `fill` loads
+    /// it from the device; a line that is about to be fully overwritten needs
+    /// no fill (every byte is replaced by the caller), just capacity
+    /// maintenance.
+    fn alloc_line<'a>(
+        inner: &'a mut CacheInner,
         segment: &SharedSegment,
         base: u64,
         capacity: usize,
-    ) -> Result<()> {
-        while inner.lines.len() >= capacity {
+        fill: bool,
+    ) -> Result<&'a mut Line> {
+        while inner.lines.len >= capacity {
             Self::evict_one(inner, segment)?;
         }
         let mut data = [0u8; CACHE_LINE_SIZE];
-        let avail = segment.len().saturating_sub(base as usize);
-        let take = CACHE_LINE_SIZE.min(avail);
-        segment.read_relaxed(base as usize, &mut data[..take])?;
-        let tick = inner.tick;
-        inner.lines.insert(
-            base,
-            Line {
-                data,
-                dirty: false,
-                tick,
-            },
-        );
-        Ok(())
-    }
-
-    /// Allocate a line that is about to be fully overwritten: no device fill
-    /// (every byte is replaced by the caller), just capacity maintenance.
-    fn alloc_full_line(
-        inner: &mut CacheInner,
-        segment: &SharedSegment,
-        base: u64,
-        capacity: usize,
-    ) -> Result<()> {
-        while inner.lines.len() >= capacity {
-            Self::evict_one(inner, segment)?;
+        if fill {
+            let avail = segment.len().saturating_sub(base as usize);
+            let take = CACHE_LINE_SIZE.min(avail);
+            segment.read_relaxed(base as usize, &mut data[..take])?;
         }
         let tick = inner.tick;
-        inner.lines.insert(
+        Ok(inner.lines.insert(Line {
             base,
-            Line {
-                data: [0u8; CACHE_LINE_SIZE],
-                dirty: false,
-                tick,
-            },
-        );
-        Ok(())
+            tick,
+            dirty: false,
+            data,
+        }))
     }
 
     /// Cached read: lines are filled from the segment on a miss and served from
@@ -250,7 +359,8 @@ impl HostCache {
         if offset + buf.len() > segment.len() {
             return segment.read(offset, buf); // propagate the OutOfBounds error
         }
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
         let mut pos = 0usize;
@@ -259,13 +369,13 @@ impl HostCache {
             let base = Self::line_base(addr);
             let in_line = addr - base as usize;
             let take = (CACHE_LINE_SIZE - in_line).min(buf.len() - pos);
-            if !inner.lines.contains_key(&base) {
-                inner.stats.read_misses += 1;
-                Self::fill_line(&mut inner, segment, base, self.capacity_lines)?;
-            } else {
+            let line = if let Some((_, slot)) = inner.lines.find(base) {
                 inner.stats.read_hits += 1;
-            }
-            let line = inner.lines.get_mut(&base).expect("line just ensured");
+                inner.lines.line_mut(slot)
+            } else {
+                inner.stats.read_misses += 1;
+                Self::alloc_line(inner, segment, base, self.capacity_lines, true)?
+            };
             line.tick = tick;
             buf[pos..pos + take].copy_from_slice(&line.data[in_line..in_line + take]);
             pos += take;
@@ -283,7 +393,8 @@ impl HostCache {
         if offset + data.len() > segment.len() {
             return segment.write(offset, data); // propagate the OutOfBounds error
         }
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
         let mut pos = 0usize;
@@ -292,24 +403,30 @@ impl HostCache {
             let base = Self::line_base(addr);
             let in_line = addr - base as usize;
             let take = (CACHE_LINE_SIZE - in_line).min(data.len() - pos);
-            if !inner.lines.contains_key(&base) {
-                inner.stats.write_misses += 1;
-                if take == CACHE_LINE_SIZE {
-                    // Full-line overwrite: write-allocate without the device
-                    // fill — every byte of the line is replaced below.
-                    Self::alloc_full_line(&mut inner, segment, base, self.capacity_lines)?;
-                } else {
-                    Self::fill_line(&mut inner, segment, base, self.capacity_lines)?;
-                }
-            } else {
+            let line = if let Some((_, slot)) = inner.lines.find(base) {
                 inner.stats.write_hits += 1;
-            }
-            let line = inner.lines.get_mut(&base).expect("line just ensured");
+                inner.lines.line_mut(slot)
+            } else {
+                inner.stats.write_misses += 1;
+                // Full-line overwrite: write-allocate without the device fill.
+                let fill = take != CACHE_LINE_SIZE;
+                Self::alloc_line(inner, segment, base, self.capacity_lines, fill)?
+            };
             line.data[in_line..in_line + take].copy_from_slice(&data[pos..pos + take]);
             line.dirty = true;
             line.tick = tick;
             pos += take;
         }
+        Ok(())
+    }
+
+    /// Write `line` back if it is dirty and count it as flushed.
+    fn write_back(stats: &mut CacheStats, segment: &SharedSegment, line: &Line) -> Result<()> {
+        if line.dirty {
+            segment.write_relaxed(line.base as usize, &line.data)?;
+            stats.flush_writebacks += 1;
+        }
+        stats.flush_invalidations += 1;
         Ok(())
     }
 
@@ -323,18 +440,15 @@ impl HostCache {
         if len == 0 {
             return Ok(0);
         }
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let first = Self::line_base(offset);
         let last = Self::line_base(offset + len - 1);
         let mut flushed = 0u64;
         let mut base = first;
         while base <= last {
-            if let Some(line) = inner.lines.remove(&base) {
-                if line.dirty {
-                    segment.write_relaxed(base as usize, &line.data)?;
-                    inner.stats.flush_writebacks += 1;
-                }
-                inner.stats.flush_invalidations += 1;
+            if let Some(line) = inner.lines.remove(base) {
+                Self::write_back(&mut inner.stats, segment, line)?;
                 flushed += 1;
             }
             base += CACHE_LINE_SIZE as u64;
@@ -345,19 +459,13 @@ impl HostCache {
     /// Write back and invalidate every resident line (a whole-cache flush, used
     /// by tests and by `finalize`).
     pub fn flush_all(&self, segment: &SharedSegment) -> Result<u64> {
-        let mut inner = self.inner.lock();
-        let addrs: Vec<u64> = inner.lines.keys().copied().collect();
-        let mut flushed = 0u64;
-        for base in addrs {
-            if let Some(line) = inner.lines.remove(&base) {
-                if line.dirty {
-                    segment.write_relaxed(base as usize, &line.data)?;
-                    inner.stats.flush_writebacks += 1;
-                }
-                inner.stats.flush_invalidations += 1;
-                flushed += 1;
-            }
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let flushed = inner.lines.len as u64;
+        for line in inner.lines.iter() {
+            Self::write_back(&mut inner.stats, segment, line)?;
         }
+        inner.lines.clear();
         Ok(flushed)
     }
 
@@ -374,7 +482,7 @@ impl HostCache {
             let last = Self::line_base(offset + data.len() - 1);
             let mut base = first;
             while base <= last {
-                inner.lines.remove(&base);
+                inner.lines.remove(base);
                 base += CACHE_LINE_SIZE as u64;
             }
             inner.stats.nt_store_bytes += data.len() as u64;
@@ -389,7 +497,7 @@ impl HostCache {
     /// costs one 8-byte load plus one 8-byte store of non-temporal traffic.
     pub fn nt_rmw_prepare(&self, offset: usize) {
         let mut inner = self.inner.lock();
-        inner.lines.remove(&Self::line_base(offset));
+        inner.lines.remove(Self::line_base(offset));
         inner.stats.nt_store_bytes += 8;
         inner.stats.nt_load_bytes += 8;
     }
@@ -420,6 +528,43 @@ mod tests {
 
     fn seg(len: usize) -> SharedSegment {
         SharedSegment::new(len)
+    }
+
+    #[test]
+    fn line_table_agrees_with_a_reference_map_under_churn() {
+        // 48 lines in a 128-entry table, bases drawn from 96: probe runs
+        // form, wrap around the end of the table and are cut by removals.
+        let mut lines = Lines::with_capacity(48);
+        let mut reference = std::collections::HashMap::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let base = (x >> 20) % 96 * CACHE_LINE_SIZE as u64;
+            if reference.contains_key(&base) {
+                let line = lines.remove(base).expect("resident");
+                assert_eq!(Some(line.tick), reference.remove(&base));
+            } else if reference.len() < 48 {
+                assert!(lines.find(base).is_none());
+                lines.insert(Line {
+                    base,
+                    tick: step,
+                    dirty: false,
+                    data: [0; CACHE_LINE_SIZE],
+                });
+                reference.insert(base, step);
+            }
+            assert_eq!(lines.len, reference.len());
+            for (&base, &tick) in &reference {
+                let (_, slot) = lines.find(base).expect("resident");
+                assert_eq!(lines.line(slot).tick, tick);
+            }
+            assert_eq!(lines.iter().count(), reference.len());
+        }
+        // Storage never outgrew the most lines ever resident at once.
+        assert_eq!(lines.chunks.len(), 1);
+        assert!(lines.chunks[0].len() <= 48);
     }
 
     #[test]

@@ -36,10 +36,12 @@
 //! Flag cells are one cache line each and done cells a whole number of lines,
 //! so a non-temporal store never shares a line with a cell another rank
 //! writes. Every value is paired with a `u64` virtual-time timestamp (the
-//! writer's clock at the store, merged by whoever observes the value — the
-//! same idiom as the PSCW synchronization flags in `cmpi-core`); the
+//! writer's clock at the store, merged by whoever observes the value); the
 //! timestamp is stored before the value and loaded after it, so an observer
-//! never pairs a new value with an old stamp.
+//! never pairs a new value with an old stamp. The PSCW cells and fence slots
+//! of an RMA window in `cmpi-core` are this same `(value, timestamp)` entry,
+//! stored and loaded by the one pair of helpers these cells go through
+//! (`store_stamped` / `load_stamped`).
 
 /// Bytes per flag cell (one cache line).
 pub const SLOT_CELL_SIZE: usize = 64;

@@ -5,11 +5,15 @@
 //! what Figure 8 used to print. The library's default path (lazy connections,
 //! a stamped stream per promoted pair) is deliberately *not* held to these:
 //! it is allowed to be faster than the paper, the reproduction is not.
+//!
+//! The one-sided path has no oracle mode: its synchronization is pinned below
+//! as cost-model identities — device lines per call — and the distance to
+//! the paper's one-sided anchor that leaves is written down next to them.
 
 use cmpi::fabric::cost::{CoherenceMode, CxlCostModel, TcpNic};
 use cmpi::fabric::profiles::InterconnectKind;
 use cmpi::fabric::{params, table1};
-use cmpi::mpi::{ConnMode, UniverseConfig};
+use cmpi::mpi::{Comm, ConnMode, ReduceOp, Result, Universe, UniverseConfig};
 use cmpi::omb::two_sided_latency;
 
 /// cMPI as the paper built it (the bench bins' `paper_cxl`).
@@ -80,4 +84,102 @@ fn table1_model_rows_land_within_half_a_percent_of_the_paper() {
         let row = rows.iter().find(|r| r.kind == kind).expect("a CXL row");
         assert_within(&row.name, row.latency_ns, anchor, 0.005);
     }
+}
+
+/// Virtual nanoseconds one `step(comm, window)` takes on rank 0 of a default
+/// CXL universe in steady state: the mean of 64 iterations after 8 untimed
+/// ones (the first epochs wait for the slower rank's start-up).
+fn steady_ns(
+    ranks: usize,
+    step: impl Fn(&mut Comm, usize) -> Result<()> + Send + Sync + 'static,
+) -> f64 {
+    let results = Universe::run(UniverseConfig::cxl(ranks), move |comm: &mut Comm| {
+        let win = comm.win_allocate(4096)?;
+        comm.barrier()?;
+        let mut started = 0.0;
+        for i in 0..72 {
+            if i == 8 {
+                started = comm.clock_ns();
+            }
+            step(comm, win)?;
+        }
+        let per_step = (comm.clock_ns() - started) / 64.0;
+        comm.barrier()?;
+        comm.win_free(win)?;
+        Ok(per_step)
+    });
+    results.expect("one-sided kernel")[0].0
+}
+
+#[test]
+fn rma_synchronization_costs_one_device_line_per_peer_and_call() {
+    let cost = CxlCostModel::default();
+    let mode = CoherenceMode::FlushClflushopt;
+    let (nt, sw) = (cost.nt_access(), cost.mpi_overhead());
+
+    // A PSCW epoch around one 8 B put: post, start, complete and wait are one
+    // line each on the origin's critical path, in that order.
+    let put_epoch = steady_ns(2, |comm, win| {
+        if comm.rank() == 0 {
+            comm.win_start(win, &[1])?;
+            comm.put(win, 1, 0, &[7u8; 8])?;
+            comm.win_complete(win)
+        } else {
+            comm.win_post(win, &[0])?;
+            comm.win_wait(win)
+        }
+    });
+    let modelled = 4.0 * nt + cost.coherent_write(8, mode) + sw;
+    assert_within("PSCW 8 B put epoch", put_epoch, modelled, 0.002);
+    // Drift carried against the paper: its one-sided small-message latency
+    // is ≈ 12 µs (`params::CXL_MPI_SMALL_LATENCY_US`, Figure 6); this epoch
+    // is 5.60 µs (7.18 µs before the flags became epoch-numbered cells, when
+    // it was six lines and not four). The reproduction's one-sided path is
+    // faster than the paper's by construction and moved further away here;
+    // ROADMAP item 5 holds the drift, this test only says where it is.
+    assert!(put_epoch / 1e3 < params::CXL_MPI_SMALL_LATENCY_US);
+
+    // fence, get, fence: a fence at two ranks is one store and one load.
+    let get_epoch = steady_ns(2, |comm, win| {
+        comm.win_fence(win)?;
+        if comm.rank() == 0 {
+            comm.get(win, 1, 0, &mut [0u8; 4096])?;
+        }
+        comm.win_fence(win)
+    });
+    let modelled = 4.0 * nt + cost.coherent_read(4096, mode) + sw;
+    assert_within("fence, get 4 KiB, fence", get_epoch, modelled, 0.002);
+
+    // lock, accumulate, unlock: the uncontended bakery at two ranks is two
+    // stores and two line scans; the release is one store.
+    let locked_acc = |comm: &mut Comm, win| {
+        if comm.rank() == 0 {
+            comm.win_lock(win, 1)?;
+            comm.accumulate(win, 1, 0, &[1.0], ReduceOp::Sum)?;
+            comm.win_unlock(win, 1)?;
+        }
+        Ok(())
+    };
+    let modelled = 5.0 * nt + cost.coherent_read(8, mode) + cost.coherent_write(8, mode) + 2.0 * sw;
+    assert_within(
+        "lock, accumulate 8 B, unlock",
+        steady_ns(2, locked_acc),
+        modelled,
+        0.002,
+    );
+
+    // At eight ranks the slots fill two lines: 2 stores + 2 · ⌈8/4⌉ loads.
+    let lock_unlock = |comm: &mut Comm, win| {
+        if comm.rank() == 0 {
+            comm.win_lock(win, 1)?;
+            comm.win_unlock(win, 1)?;
+        }
+        Ok(())
+    };
+    assert_within(
+        "uncontended win_lock at 8 ranks (+ unlock)",
+        steady_ns(8, lock_unlock),
+        (6.0 + 1.0) * nt,
+        0.002,
+    );
 }
