@@ -62,15 +62,17 @@
 //! persistent forms; communicator construction builds its context-id
 //! agreement plans with the same builders, window-less and uncached.
 
+use std::ops::Range;
+
 use crate::config::{CollTuning, DataPlaneMode, HierarchyMode};
 use crate::dataplane::{
     build_allgather_shm, build_allreduce_shm, build_alltoall_shm, build_barrier_shm,
-    build_bcast_shm, build_reduce_shm, dp_selected,
+    build_bcast_shm, build_reduce_shm, dp_selected, exchange_stride, DpOps,
 };
 use crate::group::Group;
 use crate::progress::{fold_bytes, CollPlan, FoldFn, Loc, SchedOp};
 use crate::topology::HostHierarchy;
-use crate::transport::DpWindow;
+use crate::transport::{DpPiece, DpWindow};
 use crate::types::{CtxId, Rank, ReduceOp, Reducible, Tag, COLL_TAG_BASE};
 
 /// How many in-flight collective sequence numbers the tag encoding keeps
@@ -2119,72 +2121,132 @@ fn build_alltoall_hier(view: &CommView<'_>, hier: &HostHierarchy, block: usize) 
 /// followed by the receive image — reading only the former and writing only
 /// the latter, so no staging copy is needed (scratch-free).
 ///
-/// Irregular shapes stay on the flat pairwise schedule: per-peer sizes make
-/// Bruck's packed rounds, the shm block math and the hierarchical batches
-/// all irregular too, for no measured gain at the sizes that reach them.
+/// **Each pair picks its own path, from its own count.** On a window `dp`
+/// every writer's slot is cut into one region per reader
+/// (`dataplane::exchange_stride`); a segment that fits the region is stored at
+/// `reader × stride` — all of a rank's such segments in one gathered
+/// exposure, one streamed publish and one flag — and the reader pulls it from
+/// `(writer, me × stride)`: no message, no displacement table, nothing to
+/// agree on, because MPI already gave both ends the pair's count. A longer
+/// segment is known to be so by exactly the two ranks concerned and travels
+/// as a message between them in the same plan; with no window (TCP, a forced
+/// ring, a window the pool could not hold) or a stride of 0 that is every
+/// segment, and the plan is the flat pairwise exchange: at step `s` send to
+/// `me + s`, then receive from `me − s`. Send first on every rank — a plan
+/// `Send` that flow control stops drains this rank's arrivals while it
+/// waits, so two ranks that owe each other more than a queue holds both get
+/// through (see `Comm::sendrecv`).
+///
 /// **Empty segments are free**: a zero-count peer pair emits no op at all
-/// (nothing is sent, nothing is received, nothing is allocated), so sparse
-/// exchanges — the common shuffle case — cost only their non-empty edges.
+/// (nothing is sent, stored or read, and the writer's slot is not held for
+/// that peer), so sparse exchanges — the common shuffle case — cost only
+/// their non-empty edges.
 pub fn build_alltoallv(
     view: &CommView<'_>,
+    dp: Option<DpWindow>,
     send_counts: &[usize],
     recv_counts: &[usize],
     elem: usize,
     byte_variant: bool,
 ) -> CollPlan {
+    const LABELS: [[&str; 3]; 2] = [
+        [
+            "alltoallv/pairwise",
+            "alltoallv/shm",
+            "alltoallv/shm+pairwise",
+        ],
+        [
+            "alltoallw/pairwise",
+            "alltoallw/shm",
+            "alltoallw/shm+pairwise",
+        ],
+    ];
     let n = view.size();
     let me = view.rank;
     debug_assert_eq!(send_counts.len(), n);
     debug_assert_eq!(recv_counts.len(), n);
     let kind = if byte_variant { 12 } else { 11 };
-    let label = if byte_variant {
-        "alltoallw/pairwise"
-    } else {
-        "alltoallv/pairwise"
-    };
-    let mut soff = Vec::with_capacity(n + 1);
-    let mut acc = 0usize;
-    for &c in send_counts {
-        soff.push(acc);
-        acc += c * elem;
+    // Prefix sums over the send counts, then the receive counts: the receive
+    // image starts where the send image ends.
+    let mut off = Vec::with_capacity(2 * n + 1);
+    off.push(0);
+    for &c in send_counts.iter().chain(recv_counts) {
+        off.push(off[off.len() - 1] + c * elem);
     }
-    soff.push(acc);
-    let send_total = acc;
-    let mut roff = Vec::with_capacity(n + 1);
-    for &c in recv_counts {
-        roff.push(acc);
-        acc += c * elem;
+    // What peer `i` is sent, and where its segment lands.
+    let out = |i: usize| off[i]..off[i + 1];
+    let inc = |i: usize| off[n + i]..off[n + i + 1];
+    // The two ends of a pair ask these of the same length.
+    let stride = exchange_stride(dp, n);
+    let pulled = |seg: &Range<usize>| !seg.is_empty() && seg.len() <= stride;
+    let sent = |seg: &Range<usize>| seg.len() > stride;
+    let wire = |s: usize, peer: Rank| (view.world(peer), coll_tag_off(kind, s));
+
+    // At most a copy, an expose and one op to and one from every peer.
+    let mut ops = DpOps::with_capacity(2 * n, if stride > 0 { n - 1 } else { 0 });
+    if !out(me).is_empty() {
+        ops.list.push(SchedOp::Copy {
+            dst_loc: Loc::Buf,
+            dst_start: inc(me).start,
+            src_loc: Loc::Buf,
+            src_start: out(me).start,
+            len: out(me).len(),
+        });
     }
-    roff.push(acc);
-    let mut plan = Plan::new(view, kind);
-    // Self segment: one local copy, and only if it is non-empty.
-    let self_len = send_counts[me] * elem;
-    if self_len > 0 {
-        plan.copy(Loc::Buf, roff[me], Loc::Buf, soff[me], self_len);
-    }
+    ops.gather(
+        stride,
+        (0..n)
+            .filter(|&r| r != me && pulled(&out(r)))
+            .map(|r| DpPiece {
+                region_off: r * stride,
+                start: out(r).start,
+                end: out(r).end,
+            }),
+    );
     for s in 1..n {
         let dst = (me + s) % n;
-        let src = (me + n - s) % n;
-        let send_len = send_counts[dst] * elem;
-        let recv_len = recv_counts[src] * elem;
-        // Deadlock-safe ordering as in the regular pairwise exchange; a
-        // zero-length side disappears entirely rather than sending an empty
-        // message.
-        if me < dst {
-            if send_len > 0 {
-                plan.send(dst, s, Loc::Buf, soff[dst], soff[dst] + send_len);
-            }
-            if recv_len > 0 {
-                plan.recv(src, s, Loc::Buf, roff[src], roff[src] + recv_len);
-            }
-        } else {
-            if recv_len > 0 {
-                plan.recv(src, s, Loc::Buf, roff[src], roff[src] + recv_len);
-            }
-            if send_len > 0 {
-                plan.send(dst, s, Loc::Buf, soff[dst], soff[dst] + send_len);
-            }
+        if sent(&out(dst)) {
+            let (peer, tag_off) = wire(s, dst);
+            ops.list.push(SchedOp::Send {
+                peer,
+                tag_off,
+                loc: Loc::Buf,
+                start: out(dst).start,
+                end: out(dst).end,
+            });
         }
     }
-    plan.finish(None, Loc::Buf, (send_total, acc), (0, send_total), 0, label)
+    for w in (1..n).map(|s| (me + s) % n) {
+        if pulled(&inc(w)) {
+            ops.pull_gathered(stride, w, me, inc(w).len(), inc(w).start);
+        }
+    }
+    for s in 1..n {
+        // What `src` sent at its own step `s`.
+        let src = (me + n - s) % n;
+        if sent(&inc(src)) {
+            let (peer, tag_off) = wire(s, src);
+            ops.list.push(SchedOp::Recv {
+                peer,
+                tag_off,
+                loc: Loc::Buf,
+                start: inc(src).start,
+                end: inc(src).end,
+            });
+        }
+    }
+    let messages = ops
+        .list
+        .iter()
+        .any(|op| matches!(op, SchedOp::Send { .. } | SchedOp::Recv { .. }));
+    // No window: pairwise. A window: shm, and "+pairwise" where a pair fell back.
+    let path = usize::from(stride > 0) * (1 + usize::from(messages));
+    ops.into_plan(
+        view,
+        None,
+        (off[n], off[2 * n]),
+        (0, off[n]),
+        0,
+        LABELS[usize::from(byte_variant)][path],
+    )
 }

@@ -95,7 +95,7 @@ impl Comm {
     /// [`CollTuning::plan_cache_entries`].
     fn spec(
         &self,
-        key: PlanKey,
+        key: PlanKey<'_>,
         payload: usize,
         build: impl FnOnce(
             &CommView<'_>,
@@ -157,10 +157,11 @@ impl Comm {
         ctl.last_algo = algo;
         *ctl.algo_counts.entry(algo).or_insert(0) += 1;
         // Path accounting for the data-plane-eligible collective families:
-        // "<family>/shm" labels took the shared-window single-copy path,
-        // every other label of those families went through the ring
+        // "<family>/shm" labels took the shared-window single-copy path (an
+        // irregular exchange's "/shm+pairwise" for all but its oversize
+        // pairs), every other label of those families went through the ring
         // transport (the universal fallback).
-        if algo.ends_with("/shm") {
+        if algo.contains("/shm") {
             ctl.dp_paths.shm_colls += 1;
             ctl.dp_paths.shm_bytes += payload;
         } else if ["bcast/", "reduce/", "allreduce/", "allgather/", "alltoall/"]
@@ -838,7 +839,9 @@ impl Comm {
     /// The irregular exchanges are one definition: `op` is
     /// [`PlanOp::Alltoallv`] (counts in elements of `elem` bytes) or
     /// [`PlanOp::Alltoallw`] (counts in bytes, `elem == 1`). The plan runs
-    /// over the packed send image followed by the packed receive image.
+    /// over the packed send image followed by the packed receive image; the
+    /// cache is probed with the caller's count slices as they are, and only a
+    /// plan that enters it copies them.
     fn spec_irregular(
         &self,
         op: PlanOp,
@@ -873,14 +876,11 @@ impl Comm {
                 send_counts[self.rank], recv_counts[self.rank]
             )));
         }
-        let mut counts = Vec::with_capacity(2 * n);
-        counts.extend_from_slice(send_counts);
-        counts.extend_from_slice(recv_counts);
         self.spec(
-            PlanKey::irregular(op, counts, elem),
+            PlanKey::irregular(op, send_counts, recv_counts, elem),
             send_sum * elem,
-            |view, _, _, _| {
-                coll::build_alltoallv(view, send_counts, recv_counts, elem, byte_variant)
+            |view, _, _, dp| {
+                coll::build_alltoallv(view, dp, send_counts, recv_counts, elem, byte_variant)
             },
         )
     }
@@ -892,8 +892,12 @@ impl Comm {
     /// same way (`recv_counts[r]` elements from rank `r`). Counts must agree
     /// pairwise across ranks (`send_counts[d]` here = `recv_counts[me]`
     /// there), as in MPI. Empty segments are free: a zero-count pair sends
-    /// no message at all. Irregular shapes always run the flat pairwise
-    /// schedule.
+    /// no message and touches no line. On a communicator with a shared
+    /// window each non-empty segment is pulled straight out of the sender's
+    /// slot when it fits the reader's share of it (`slot / size` bytes) and
+    /// travels as a message between the two ranks otherwise; without a
+    /// window every segment is a message of the flat pairwise exchange (see
+    /// [`coll::build_alltoallv`]).
     pub fn alltoallv<T: Pod>(
         &mut self,
         send: &[T],

@@ -20,7 +20,11 @@
 //! * an **expose** stores one flag line per phase — and nothing else when the
 //!   payload is at most [`DP_INLINE_BYTES`] long, because it then rides in
 //!   the flag line itself; a longer payload is first streamed into the data
-//!   slot;
+//!   slot. What it publishes is a list of **pieces**, byte ranges of the
+//!   rank's buffer each with its place in the slot: one for every regular
+//!   collective, one per reader for the irregular exchange, whose segments
+//!   are *gathered* into a single exposure — one store stream, one fence,
+//!   one flag, whatever the number of pieces;
 //! * a **pull** loads the writer's flag line, which *is* the payload when it
 //!   was published inline, and otherwise goes on to read the data slot;
 //! * after its last read of a collective a reader stores its **completion
@@ -37,6 +41,18 @@
 //! An 8-byte allgather among `n` ranks is therefore `1 + (n − 1) + 1` lines
 //! per rank plus `(n − 1) / DP_SLOTS` amortised, where a message-based one
 //! pays per-message software overhead on top of several lines per hop.
+//!
+//! A slot is held for exactly the peers that read its occupant
+//! ([`DpReaders`]): a rank stores its completion line only for a collective it
+//! read something of, so a slot held for a peer that reads nothing would never
+//! come free. The irregular exchange (`alltoallv`/`alltoallw`,
+//! [`crate::coll::build_alltoallv`]) is where that bites — whom a rank sends
+//! anything is data — and where the placement has to be computable without a
+//! word exchanged: every slot is cut into one region per reader
+//! (`exchange_stride`), writer `w` stores its segment for `r` at
+//! `r × stride`, and `r` pulls as many bytes as MPI told it to expect from
+//! `(w, me × stride)`. A segment that does not fit the region travels as a
+//! message between the two ranks that know it does not, in the same plan.
 //!
 //! Plans built here use the data-plane op kinds of [`crate::progress`]
 //! (`ClaimSlot`, `ExposeRead`, `PullCopy`, `FoldInPlace`) and flow through the same
@@ -59,7 +75,10 @@
 //!
 //! Payloads that do not fit a slot — and communicators whose window failed
 //! to allocate ([`crate::config::CollTuning::shm_arena_bytes`] exceeding the
-//! pool) — fall back to the ring path, never to an error.
+//! pool) — fall back to the ring path, never to an error. The irregular
+//! exchange decides pair by pair instead: all it asks is whether there is a
+//! window ([`DataPlaneMode::Ring`] says no) and whether the pair's own
+//! segment fits its region.
 
 use cmpi_fabric::clock::SimNs;
 
@@ -67,7 +86,7 @@ use crate::coll::{hier_selected, CommView};
 use crate::config::{CollTuning, DataPlaneMode};
 use crate::progress::{fold_bytes, CollPlan, FoldFn, Loc, SchedOp};
 use crate::topology::HostHierarchy;
-use crate::transport::{DpReaders, DpSource, DpWindow, DP_INLINE_BYTES};
+use crate::transport::{DpPiece, DpReaders, DpSource, DpWindow, DP_INLINE_BYTES};
 use crate::types::{Rank, ReduceOp, Reducible};
 
 /// Exposure slots per rank in every data-plane window: how many consecutive
@@ -134,30 +153,109 @@ impl Exposure {
     }
 }
 
-/// The data-plane op list of one rank. Zero-length exposes and reads are
-/// never emitted — both sides of an empty region skip it, so a rank whose
-/// block of a short vector is empty costs nobody a device round trip — and
-/// the rank's last read is the one that stores its completion line.
+/// The data-plane op list of one rank, with the piece table its exposes
+/// index. Zero-length exposes and reads are never emitted — both sides of an
+/// empty region skip it, so a rank whose block of a short vector is empty
+/// costs nobody a device round trip — and the rank's last read so far is the
+/// one marked to store its completion line.
 #[derive(Default)]
-struct DpOps(Vec<SchedOp>);
+pub(crate) struct DpOps {
+    pub(crate) list: Vec<SchedOp>,
+    pieces: Vec<DpPiece>,
+    /// Index in `list` of the read that carries `last`.
+    last_read: Option<usize>,
+}
 
 impl DpOps {
-    fn expose(&mut self, e: Exposure, loc: Loc, start: usize, readers: DpReaders) {
-        if e.len > 0 {
-            self.0.push(SchedOp::ExposeRead {
-                phase: e.phase,
-                region_off: e.region_off,
+    /// Room for `ops` ops and `pieces` pieces, so that a builder that knows
+    /// its shape allocates each table once.
+    pub(crate) fn with_capacity(ops: usize, pieces: usize) -> Self {
+        DpOps {
+            list: Vec::with_capacity(ops),
+            pieces: Vec::with_capacity(pieces),
+            last_read: None,
+        }
+    }
+
+    /// Publish `pieces` of `loc` as one exposure — one streamed publish, one
+    /// flag — or nothing at all when there are none.
+    fn publish(
+        &mut self,
+        phase: u8,
+        inline: bool,
+        loc: Loc,
+        readers: DpReaders,
+        pieces: impl IntoIterator<Item = DpPiece>,
+    ) {
+        let lo = self.pieces.len();
+        self.pieces.extend(pieces);
+        if self.pieces.len() > lo {
+            self.list.push(SchedOp::ExposeRead {
+                phase,
+                inline,
                 loc,
-                start,
-                end: start + e.len,
+                pieces: (lo, self.pieces.len()),
                 readers,
             });
         }
     }
 
+    fn expose(&mut self, e: Exposure, loc: Loc, start: usize, readers: DpReaders) {
+        let piece = (e.len > 0).then_some(DpPiece {
+            region_off: e.region_off,
+            start,
+            end: start + e.len,
+        });
+        self.publish(e.phase, e.len <= DP_INLINE_BYTES, loc, readers, piece);
+    }
+
+    /// The irregular exchange's expose: `pieces` of the primary buffer, the
+    /// one for group member `r` at `r × stride` of the slot, read by `r`
+    /// alone. Never inline, however short: a reader knows the length of its
+    /// own piece, not whether the writer had others.
+    pub(crate) fn gather(&mut self, stride: usize, pieces: impl IntoIterator<Item = DpPiece>) {
+        let readers = DpReaders::PerPiece { stride };
+        self.publish(0, false, Loc::Buf, readers, pieces);
+    }
+
+    /// Member `writer_idx`'s piece of such an exposure for member `reader`:
+    /// `len` bytes into `buf[dst_start..]`.
+    pub(crate) fn pull_gathered(
+        &mut self,
+        stride: usize,
+        writer_idx: usize,
+        reader: usize,
+        len: usize,
+        dst_start: usize,
+    ) {
+        let src = DpSource {
+            writer_idx,
+            phase: 0,
+            off: reader * stride,
+            inline: false,
+            last: false,
+        };
+        self.pull(src, len, dst_start);
+    }
+
+    /// Append a read, which takes over `last` from the read before it.
+    fn read(&mut self, mut op: SchedOp) {
+        fn src_of(op: &mut SchedOp) -> &mut DpSource {
+            match op {
+                SchedOp::PullCopy { src, .. } | SchedOp::FoldInPlace { src, .. } => src,
+                other => unreachable!("{other:?} reads no exposure"),
+            }
+        }
+        if let Some(i) = self.last_read.replace(self.list.len()) {
+            src_of(&mut self.list[i]).last = false;
+        }
+        src_of(&mut op).last = true;
+        self.list.push(op);
+    }
+
     fn pull(&mut self, src: DpSource, len: usize, dst_start: usize) {
         if len > 0 {
-            self.0.push(SchedOp::PullCopy {
+            self.read(SchedOp::PullCopy {
                 src,
                 len,
                 dst_loc: Loc::Buf,
@@ -170,7 +268,7 @@ impl DpOps {
     /// `buf[dst_start..]`.
     fn fold(&mut self, src: DpSource, len: usize, dst_start: usize) {
         if len > 0 {
-            self.0.push(SchedOp::FoldInPlace {
+            self.read(SchedOp::FoldInPlace {
                 src,
                 len,
                 dst_loc: Loc::Buf,
@@ -180,26 +278,63 @@ impl DpOps {
         }
     }
 
-    fn finish(mut self) -> Vec<SchedOp> {
-        let last_read = self.0.iter_mut().rev().find_map(|op| match op {
-            SchedOp::PullCopy { src, .. } | SchedOp::FoldInPlace { src, .. } => Some(src),
-            _ => None,
-        });
-        if let Some(src) = last_read {
-            src.last = true;
-        }
-        self.0
+    /// The finished plan, its result in the primary buffer.
+    pub(crate) fn into_plan(
+        self,
+        view: &CommView<'_>,
+        fold: Option<(ReduceOp, FoldFn)>,
+        result: (usize, usize),
+        input: (usize, usize),
+        scratch_len: usize,
+        label: &'static str,
+    ) -> CollPlan {
+        CollPlan::new(
+            self.list,
+            view.ctx,
+            fold,
+            Loc::Buf,
+            result,
+            input,
+            scratch_len,
+            label,
+        )
+        .with_pieces(self.pieces)
     }
 }
 
-/// What one rank's clock advances by while it executes `ops` on window `w`,
-/// not counting time spent waiting for peers: every expose, every read and
-/// the completion line, priced with the terms the transport charges.
-/// `same_host(idx)` says whether group member `idx` shares the rank's host.
-fn serial_cost(ops: &[SchedOp], w: &DpWindow, same_host: impl Fn(usize) -> bool) -> SimNs {
+/// The per-reader stride of the irregular exchange on a window of
+/// `slot_bytes` per slot among `n` members: every writer's slot is cut into
+/// `n` equal regions, one per reader, each starting on a cache line — a
+/// placement both ends of a pair can compute without being told anything. 0
+/// when a region would not hold a line (huge groups, tiny slots) or there is
+/// no window: then no segment fits and the whole exchange stays on p2p.
+pub(crate) fn exchange_stride(dp: Option<DpWindow>, n: usize) -> usize {
+    dp.map_or(0, |w| {
+        (w.slot_bytes / n) & !(cxl_shm::slots::SLOT_CELL_SIZE - 1)
+    })
+}
+
+/// What one rank's clock advances by while it executes `ops` (whose exposes
+/// index `pieces`) on window `w`, not counting time spent waiting for peers:
+/// every expose, every read and the completion line, priced with the terms
+/// the transport charges. `same_host(idx)` says whether group member `idx`
+/// shares the rank's host.
+fn serial_cost(
+    ops: &[SchedOp],
+    pieces: &[DpPiece],
+    w: &DpWindow,
+    same_host: impl Fn(usize) -> bool,
+) -> SimNs {
     ops.iter()
         .map(|op| match *op {
-            SchedOp::ExposeRead { start, end, .. } => w.cost.expose(end - start),
+            SchedOp::ExposeRead {
+                inline,
+                pieces: (lo, hi),
+                ..
+            } => {
+                let bytes = pieces[lo..hi].iter().map(|p| p.end - p.start).sum();
+                w.cost.expose(bytes, inline)
+            }
             SchedOp::PullCopy { src, len, .. } | SchedOp::FoldInPlace { src, len, .. } => {
                 let done = if src.last { w.cost.line() } else { 0.0 };
                 w.cost.pull(len, src.inline, same_host(src.writer_idx)) + done
@@ -223,10 +358,9 @@ pub(crate) fn build_barrier_shm(view: &CommView<'_>) -> CollPlan {
     };
     let mut ops = vec![SchedOp::ExposeRead {
         phase: arrival.phase,
-        region_off: arrival.region_off,
+        inline: true,
         loc: Loc::Buf,
-        start: 0,
-        end: 0,
+        pieces: (0, 0),
         readers: DpReaders::Others,
     }];
     ops.extend(
@@ -309,7 +443,7 @@ pub(crate) fn build_bcast_shm(
         let mine = slice(j);
         if k > 1 {
             // Settle my slot while the root is still publishing.
-            ops.0.push(SchedOp::ClaimSlot {
+            ops.list.push(SchedOp::ClaimSlot {
                 readers: DpReaders::HostMates,
             });
         }
@@ -332,16 +466,7 @@ pub(crate) fn build_bcast_shm(
         ops.pull(payload.source(root, 0), total, 0);
     }
     let input = if me == root { (0, total) } else { (0, 0) };
-    CollPlan::new(
-        ops.finish(),
-        view.ctx,
-        None,
-        Loc::Buf,
-        (0, total),
-        input,
-        0,
-        "bcast/shm",
-    )
+    ops.into_plan(view, None, (0, total), input, 0, "bcast/shm")
 }
 
 /// Single-copy rooted reduce: every non-root exposes its full vector; the
@@ -377,16 +502,8 @@ pub(crate) fn build_reduce_shm<T: Reducible>(
     } else {
         ((0, 0), 0)
     };
-    CollPlan::new(
-        ops.finish(),
-        view.ctx,
-        Some((op, fold_bytes::<T> as FoldFn)),
-        Loc::Buf,
-        result,
-        (0, total),
-        scratch_len,
-        "reduce/shm",
-    )
+    let fold = Some((op, fold_bytes::<T> as FoldFn));
+    ops.into_plan(view, fold, result, (0, total), scratch_len, "reduce/shm")
 }
 
 /// Byte offset of rank `i`'s block in an `n`-way split of `count` elements of
@@ -416,12 +533,7 @@ fn block_off(i: usize, count: usize, n: usize, elem: usize) -> usize {
 /// readers) and each reduced block once per reader in step 4 — the
 /// Rabenseifner traffic pattern, minus all intermediate copies, headers and
 /// per-message overhead. Slot footprint: `total + max_block` bytes.
-fn allreduce_two_phase(
-    me: usize,
-    n: usize,
-    count: usize,
-    elem: usize,
-) -> (Vec<SchedOp>, usize, usize) {
+fn allreduce_two_phase(me: usize, n: usize, count: usize, elem: usize) -> (DpOps, usize, usize) {
     let total = count * elem;
     let block = |r: usize| {
         let off = block_off(r, count, n, elem);
@@ -448,7 +560,7 @@ fn allreduce_two_phase(
         let (r_off, r_len) = block(r);
         ops.pull(reduced(r).source(r, 0), r_len, r_off);
     }
-    (ops.finish(), my_len, total + block(0).1)
+    (ops, my_len, total + block(0).1)
 }
 
 /// **One phase**: every rank exposes its vector and folds every peer's
@@ -457,7 +569,7 @@ fn allreduce_two_phase(
 /// Every rank folds in group order (`v₀ ⊕ v₁ ⊕ … ⊕ vₙ₋₁`, its own vector
 /// taking its turn from a scratch copy), so all members compute the same
 /// bits whatever the reduction's associativity. Slot footprint: `total`.
-fn allreduce_one_phase(me: usize, n: usize, total: usize) -> (Vec<SchedOp>, usize, usize) {
+fn allreduce_one_phase(me: usize, n: usize, total: usize) -> (DpOps, usize, usize) {
     let vector = Exposure {
         phase: 0,
         region_off: 0,
@@ -466,7 +578,7 @@ fn allreduce_one_phase(me: usize, n: usize, total: usize) -> (Vec<SchedOp>, usiz
     let mut ops = DpOps::default();
     ops.expose(vector, Loc::Buf, 0, DpReaders::Others);
     if me != 0 {
-        ops.0.push(SchedOp::Copy {
+        ops.list.push(SchedOp::Copy {
             dst_loc: Loc::Scratch,
             dst_start: total,
             src_loc: Loc::Buf,
@@ -477,7 +589,7 @@ fn allreduce_one_phase(me: usize, n: usize, total: usize) -> (Vec<SchedOp>, usiz
     }
     for r in 1..n {
         if r == me {
-            ops.0.push(SchedOp::Fold {
+            ops.list.push(SchedOp::Fold {
                 dst_loc: Loc::Buf,
                 dst_start: 0,
                 src_loc: Loc::Scratch,
@@ -489,7 +601,7 @@ fn allreduce_one_phase(me: usize, n: usize, total: usize) -> (Vec<SchedOp>, usiz
         }
     }
     let scratch = if me == 0 { total } else { 2 * total };
-    (ops.finish(), scratch, total)
+    (ops, scratch, total)
 }
 
 /// Single-copy allreduce, or `None` when it should run on the ring path. The
@@ -513,8 +625,9 @@ pub(crate) fn build_allreduce_shm<T: Reducible>(
     let elem = std::mem::size_of::<T>();
     let total = count * elem;
     let same_host = |r: usize| hier.is_some_and(|h| h.slot_of(r) == h.slot_of(0));
-    let one_phase = serial_cost(&allreduce_one_phase(0, n, total).0, &w, same_host)
-        <= serial_cost(&allreduce_two_phase(0, n, count, elem).0, &w, same_host);
+    let cost = |shape: DpOps| serial_cost(&shape.list, &shape.pieces, &w, same_host);
+    let one_phase =
+        cost(allreduce_one_phase(0, n, total).0) <= cost(allreduce_two_phase(0, n, count, elem).0);
     let (ops, scratch_len, footprint) = if one_phase {
         allreduce_one_phase(view.rank, n, total)
     } else {
@@ -528,11 +641,10 @@ pub(crate) fn build_allreduce_shm<T: Reducible>(
         tuning.hier_min_payload_bytes,
         footprint,
     )?;
-    Some(CollPlan::new(
-        ops,
-        view.ctx,
-        Some((op, fold_bytes::<T> as FoldFn)),
-        Loc::Buf,
+    let fold = Some((op, fold_bytes::<T> as FoldFn));
+    Some(ops.into_plan(
+        view,
+        fold,
         (0, total),
         (0, total),
         scratch_len,
@@ -560,16 +672,8 @@ pub(crate) fn build_allgather_shm(view: &CommView<'_>, block: usize) -> CollPlan
     for r in (0..n).filter(|&r| r != me) {
         ops.pull(mine.source(r, 0), block, r * block);
     }
-    CollPlan::new(
-        ops.finish(),
-        view.ctx,
-        None,
-        Loc::Buf,
-        (0, n * block),
-        (me * block, (me + 1) * block),
-        0,
-        "allgather/shm",
-    )
+    let input = (me * block, (me + 1) * block);
+    ops.into_plan(view, None, (0, n * block), input, 0, "allgather/shm")
 }
 
 /// Single-copy alltoall: every rank exposes its **whole send image** once
@@ -598,16 +702,7 @@ pub(crate) fn build_alltoall_shm(view: &CommView<'_>, block: usize) -> CollPlan 
     for r in (0..n).filter(|&r| r != me) {
         ops.pull(image.source(r, me * block), block, r * block);
     }
-    CollPlan::new(
-        ops.finish(),
-        view.ctx,
-        None,
-        Loc::Buf,
-        (0, total),
-        (0, total),
-        0,
-        "alltoall/shm",
-    )
+    ops.into_plan(view, None, (0, total), (0, total), 0, "alltoall/shm")
 }
 
 #[cfg(test)]
@@ -717,7 +812,10 @@ mod tests {
         assert_eq!(shape(&plan), (1, 4, 0));
         assert_eq!(plan.label, "barrier/shm");
         let w = window(1024);
-        assert_eq!(serial_cost(&plan.ops, &w, |_| false), 5.0 * w.cost.line());
+        assert_eq!(
+            serial_cost(&plan.ops, &plan.pieces, &w, |_| false),
+            5.0 * w.cost.line()
+        );
     }
 
     #[test]
@@ -768,7 +866,7 @@ mod tests {
         let (ops, scratch, footprint) = allreduce_two_phase(2, 4, 10, elem);
         // 2 exposes + 3 folds + 3 pulls; scratch stages one own-block fold at
         // a time; the slot holds the vector plus the largest reduced block.
-        assert_eq!(ops.len(), 8);
+        assert_eq!(ops.list.len(), 8);
         assert_eq!((scratch, footprint), (16, 80 + 24));
     }
 
@@ -779,15 +877,18 @@ mod tests {
         let (owner, ..) = allreduce_two_phase(1, 5, 2, 8);
         let (idle, ..) = allreduce_two_phase(3, 5, 2, 8);
         // Owner: expose A, 4 folds, expose B, pull rank 0's block.
-        assert_eq!(owner.len(), 7);
+        assert_eq!(owner.list.len(), 7);
         // Idle: expose A, pull the two reduced blocks.
-        assert_eq!(idle.len(), 3);
+        assert_eq!(idle.list.len(), 3);
         for ops in [&owner, &idle] {
-            assert!(ops.iter().all(|op| match *op {
-                SchedOp::ExposeRead { start, end, .. } => end > start,
+            assert!(ops.list.iter().all(|op| match *op {
+                SchedOp::ExposeRead {
+                    pieces: (lo, hi), ..
+                } => hi > lo,
                 SchedOp::PullCopy { len, .. } | SchedOp::FoldInPlace { len, .. } => len > 0,
                 _ => true,
             }));
+            assert!(ops.pieces.iter().all(|p| p.end > p.start));
         }
     }
 
@@ -816,6 +917,136 @@ mod tests {
         let tight = Some(window(64 * 1024));
         let view = view_of(&group, 0);
         assert!(build_allreduce_shm::<f64>(&view, &t, None, tight, 8192, ReduceOp::Sum).is_none());
+    }
+
+    /// The irregular exchange among `n` ranks on 64 KiB slots, as `rank`
+    /// plans it, when `src` sends `bytes(src, dst)` to `dst`.
+    fn exchange_plan(n: usize, rank: Rank, bytes: impl Fn(usize, usize) -> usize) -> CollPlan {
+        let group = Group::world(n);
+        let send: Vec<usize> = (0..n).map(|d| bytes(rank, d)).collect();
+        let recv: Vec<usize> = (0..n).map(|s| bytes(s, rank)).collect();
+        let w = Some(window(64 * 1024));
+        crate::coll::build_alltoallv(&view_of(&group, rank), w, &send, &recv, 1, false)
+    }
+
+    #[test]
+    fn irregular_exchange_is_one_gather_at_a_fixed_stride_and_a_pull_per_peer() {
+        // 8 ranks on 64 KiB slots: a stride of 8 KiB.
+        let plan = exchange_plan(8, 3, |s, d| 100 * (s + 1) + d);
+        assert_eq!(plan.label, "alltoallv/shm");
+        // The self copy, one expose of seven pieces, seven pulls.
+        assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
+        assert!(matches!(
+            plan.ops[1],
+            SchedOp::ExposeRead {
+                inline: false,
+                pieces: (0, 7),
+                readers: DpReaders::PerPiece { stride: 8192 },
+                ..
+            }
+        ));
+        for (piece, r) in plan.pieces.iter().zip((0..8).filter(|&r| r != 3)) {
+            assert_eq!(piece.region_off, r * 8192);
+            assert_eq!(piece.end - piece.start, 400 + r);
+        }
+        // Every pull takes the reader's own region of the writer's slot, by
+        // the length MPI told the reader, starting with the next rank up.
+        let SchedOp::PullCopy { src, len, .. } = plan.ops[2] else {
+            panic!("expected a pull, got {:?}", plan.ops[2]);
+        };
+        assert_eq!(
+            (src.writer_idx, src.off, src.inline, len),
+            (4, 3 * 8192, false, 503)
+        );
+    }
+
+    #[test]
+    fn irregular_exchange_never_rides_the_flag_line_and_skips_empty_pairs() {
+        // Only 0 → 1, eight bytes: one piece and one reader on rank 0, one
+        // pull on rank 1, nothing at all on rank 2 — and not inline, short as
+        // it is: rank 1 cannot know that rank 0 sent nobody else anything.
+        let edge = |s: usize, d: usize| if (s, d) == (0, 1) { 8 } else { 0 };
+        let writer = exchange_plan(3, 0, edge);
+        assert_eq!((writer.len(), shape(&writer)), (1, (1, 0, 0)));
+        assert_eq!(writer.pieces.len(), 1);
+        assert_eq!(writer.pieces[0].region_off, 64 * 1024 / 3 / 64 * 64);
+        let reader = exchange_plan(3, 1, edge);
+        let SchedOp::PullCopy { src, len, .. } = reader.ops[0] else {
+            panic!("expected a pull, got {:?}", reader.ops[0]);
+        };
+        assert_eq!(
+            (reader.len(), src.inline, src.last, len),
+            (1, false, true, 8)
+        );
+        assert!(exchange_plan(3, 2, edge).is_empty());
+    }
+
+    #[test]
+    fn an_oversize_pair_falls_back_alone_and_no_window_means_all_of_them() {
+        // 9000 B > the 8 KiB stride between ranks 2 and 5 only.
+        let bytes = |s: usize, d: usize| match (s.min(d), s.max(d)) {
+            (2, 5) => 9000,
+            _ => 1000,
+        };
+        let plan = exchange_plan(8, 2, bytes);
+        assert_eq!(plan.label, "alltoallv/shm+pairwise");
+        assert_eq!(shape(&plan), (1, 6, 1));
+        let kinds: Vec<char> = plan
+            .ops
+            .iter()
+            .map(|op| match op {
+                SchedOp::Copy { .. } => 'c',
+                SchedOp::ExposeRead { .. } => 'e',
+                SchedOp::Send { .. } => 's',
+                SchedOp::PullCopy { .. } => 'p',
+                SchedOp::Recv { .. } => 'r',
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(kinds.iter().collect::<String>(), "cesppppppr");
+        assert_eq!(exchange_plan(8, 4, bytes).label, "alltoallv/shm");
+        // Without a window every pair is a message: send to me + s, then
+        // receive from me − s, on every rank.
+        let group = Group::world(4);
+        for rank in 0..4 {
+            let plan = crate::coll::build_alltoallv(
+                &view_of(&group, rank),
+                None,
+                &[8; 4],
+                &[8; 4],
+                1,
+                true,
+            );
+            assert_eq!(plan.label, "alltoallw/pairwise");
+            let peers: Vec<(bool, Rank)> = plan
+                .ops
+                .iter()
+                .filter_map(|op| match *op {
+                    SchedOp::Send { peer, .. } => Some((true, peer)),
+                    SchedOp::Recv { peer, .. } => Some((false, peer)),
+                    _ => None,
+                })
+                .collect();
+            let sends = (1..4).map(|s| (true, (rank + s) % 4));
+            let recvs = (1..4).map(|s| (false, (rank + 4 - s) % 4));
+            assert_eq!(peers, sends.chain(recvs).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn irregular_exchange_costs_one_publish_a_pull_per_peer_and_a_line() {
+        let n = 8;
+        let bytes = |s: usize, d: usize| 64 * (1 + (3 * s + d) % 5);
+        let w = window(64 * 1024);
+        let plan = exchange_plan(n, 1, bytes);
+        let cross: usize = (0..n).filter(|&d| d != 1).map(|d| bytes(1, d)).sum();
+        let publish = w.cost.cost.streamed_publish(cross, w.cost.mode) + w.cost.line();
+        let pulls: SimNs = (0..n)
+            .filter(|&s| s != 1)
+            .map(|s| w.cost.pull(bytes(s, 1), false, s < 4))
+            .sum();
+        let cost = serial_cost(&plan.ops, &plan.pieces, &w, |r| r < 4);
+        assert!((cost - (publish + pulls + w.cost.line())).abs() < 1e-9);
     }
 
     #[test]

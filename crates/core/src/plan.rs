@@ -27,6 +27,7 @@
 //! [`crate::runtime::RankReport::plan_cache`].
 
 use std::any::TypeId;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::progress::CollPlan;
@@ -69,7 +70,7 @@ pub(crate) enum PlanOp {
 /// are impossible by construction: every builder input that can vary between
 /// calls appears as a component.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PlanKey {
+pub(crate) struct PlanKey<'a> {
     /// The collective operation.
     pub op: PlanOp,
     /// Root rank of rooted operations (`usize::MAX` sentinel via `Option` for
@@ -87,14 +88,15 @@ pub(crate) struct PlanKey {
     /// Reduction operator.
     pub red: Option<ReduceOp>,
     /// Per-peer segment shape of an irregular exchange (`alltoallv`/`w`):
-    /// the send counts followed by the receive counts, in peer order. Exact
+    /// the send counts and the receive counts, in peer order. Exact
     /// equality — not a hash — keeps the "equal keys build byte-identical
     /// plans" invariant collision-free for irregular shapes. Empty for every
-    /// regular operation.
-    pub counts: Vec<usize>,
+    /// regular operation. A lookup borrows the caller's slices; only a key
+    /// that enters the cache owns copies ([`PlanKey::into_owned`]).
+    pub counts: [Cow<'a, [usize]>; 2],
 }
 
-impl PlanKey {
+impl<'a> PlanKey<'a> {
     /// Key of a payload-shaped, rootless, fold-free operation.
     pub fn shaped(op: PlanOp, bytes: usize) -> Self {
         PlanKey {
@@ -104,18 +106,31 @@ impl PlanKey {
             count: 0,
             elem: None,
             red: None,
-            counts: Vec::new(),
+            counts: [Cow::Borrowed(&[]), Cow::Borrowed(&[])],
         }
     }
 
-    /// Key of an irregular complete exchange: `counts` is the concatenation
-    /// of the caller's send and receive counts (elements for `alltoallv`,
-    /// bytes for `alltoallw`); `elem_bytes` separates equal-count exchanges
-    /// of differently sized element types.
-    pub fn irregular(op: PlanOp, counts: Vec<usize>, elem_bytes: usize) -> Self {
+    /// Key of an irregular complete exchange over the caller's send and
+    /// receive counts (elements for `alltoallv`, bytes for `alltoallw`);
+    /// `elem_bytes` separates equal-count exchanges of differently sized
+    /// element types.
+    pub fn irregular(op: PlanOp, send: &'a [usize], recv: &'a [usize], elem_bytes: usize) -> Self {
         PlanKey {
-            counts,
+            counts: [Cow::Borrowed(send), Cow::Borrowed(recv)],
             ..Self::shaped(op, elem_bytes)
+        }
+    }
+
+    /// The key with counts of its own, as the cache keeps it.
+    pub fn into_owned(self) -> PlanKey<'static> {
+        PlanKey {
+            op: self.op,
+            root: self.root,
+            bytes: self.bytes,
+            count: self.count,
+            elem: self.elem,
+            red: self.red,
+            counts: self.counts.map(|c| Cow::Owned(c.into_owned())),
         }
     }
 
@@ -141,7 +156,7 @@ impl PlanKey {
             count,
             elem: Some(TypeId::of::<T>()),
             red: Some(red),
-            counts: Vec::new(),
+            ..Self::shaped(op, 0)
         }
     }
 }
@@ -171,7 +186,7 @@ pub struct PlanCacheStats {
 #[derive(Debug, Default)]
 pub(crate) struct PlanCache {
     /// `(key, plan, last-use tick)` triples.
-    slots: Vec<(PlanKey, Arc<CollPlan>, u64)>,
+    slots: Vec<(PlanKey<'static>, Arc<CollPlan>, u64)>,
     /// Monotonic use counter backing the LRU order.
     tick: u64,
     /// Hits served by this cache.
@@ -189,7 +204,7 @@ impl PlanCache {
     /// miss on `None`. Split from [`PlanCache::insert`] so callers can defer
     /// miss-only work (hierarchy derivation, plan construction) until after a
     /// failed probe — the hit path is the hot path.
-    pub fn lookup(&mut self, key: &PlanKey) -> Option<Arc<CollPlan>> {
+    pub fn lookup(&mut self, key: &PlanKey<'_>) -> Option<Arc<CollPlan>> {
         self.tick += 1;
         if let Some(slot) = self.slots.iter_mut().find(|(k, _, _)| k == key) {
             slot.2 = self.tick;
@@ -204,7 +219,7 @@ impl PlanCache {
     /// `capacity` bound ([`crate::config::CollTuning::plan_cache_entries`]);
     /// `0` disables caching entirely (the plan is simply not retained — the
     /// bench harness uses this as its cold baseline).
-    pub fn insert(&mut self, key: PlanKey, plan: &Arc<CollPlan>, capacity: usize) {
+    pub fn insert(&mut self, key: PlanKey<'_>, plan: &Arc<CollPlan>, capacity: usize) {
         if capacity == 0 {
             return;
         }
@@ -219,7 +234,8 @@ impl PlanCache {
             self.slots.swap_remove(oldest);
             self.evictions += 1;
         }
-        self.slots.push((key, Arc::clone(plan), self.tick));
+        self.slots
+            .push((key.into_owned(), Arc::clone(plan), self.tick));
     }
 
     /// Plans currently resident.
@@ -252,7 +268,7 @@ mod tests {
     /// The lookup + insert composition every caller performs.
     fn get_or_build(
         cache: &mut PlanCache,
-        key: PlanKey,
+        key: PlanKey<'_>,
         capacity: usize,
         build: impl FnOnce() -> CollPlan,
     ) -> Arc<CollPlan> {
@@ -283,9 +299,9 @@ mod tests {
         let k4 = PlanKey::reduction::<u64>(PlanOp::Allreduce, None, 8, ReduceOp::Sum);
         let k5 = PlanKey::reduction::<f64>(PlanOp::Allreduce, None, 8, ReduceOp::Sum); // type
         let k6 = PlanKey::reduction::<u64>(PlanOp::Allreduce, None, 8, ReduceOp::Max); // op
-        let k7 = PlanKey::irregular(PlanOp::Alltoallv, vec![1, 2, 0, 2, 1, 0], 8);
-        let k8 = PlanKey::irregular(PlanOp::Alltoallv, vec![1, 2, 0, 2, 0, 1], 8); // counts
-        let k9 = PlanKey::irregular(PlanOp::Alltoallv, vec![1, 2, 0, 2, 1, 0], 4); // elem size
+        let k7 = PlanKey::irregular(PlanOp::Alltoallv, &[1, 2, 0], &[2, 1, 0], 8);
+        let k8 = PlanKey::irregular(PlanOp::Alltoallv, &[1, 2, 0], &[2, 0, 1], 8); // counts
+        let k9 = PlanKey::irregular(PlanOp::Alltoallv, &[1, 2, 0], &[2, 1, 0], 4); // elem size
         for k in [&k1, &k2, &k3, &k4, &k5, &k6, &k7, &k8, &k9] {
             get_or_build(&mut cache, (*k).clone(), 16, || plan("x"));
         }
@@ -297,7 +313,7 @@ mod tests {
     #[test]
     fn lru_evicts_the_least_recently_used() {
         let mut cache = PlanCache::default();
-        let keys: Vec<PlanKey> = (0..3)
+        let keys: Vec<PlanKey<'_>> = (0..3)
             .map(|i| PlanKey::shaped(PlanOp::Bcast, 64 * (i + 1)))
             .collect();
         get_or_build(&mut cache, keys[0].clone(), 2, || plan("0"));

@@ -18,9 +18,10 @@
 //! An [`Execution`] is the lightweight per-start state: a shared handle to the
 //! plan, the op cursor, the live sequence number and the owned scratch arena
 //! (reused across restarts of a persistent collective). Ops execute strictly
-//! in order, which preserves exactly the deadlock-safe orderings (lower rank
-//! sends first, rank 0 of a ring receives first) the straight-line algorithms
-//! used; op `i + 1` never starts before op `i` has completed.
+//! in order, which preserves exactly the orderings the builders chose (lower
+//! rank sends first, rank 0 of a ring receives first; the irregular exchange
+//! sends first everywhere and relies on a blocked `Send` draining arrivals);
+//! op `i + 1` never starts before op `i` has completed.
 //!
 //! An execution can be driven two ways:
 //!
@@ -61,7 +62,7 @@ use cmpi_fabric::SimClock;
 use crate::coll::bind_coll_tag;
 use crate::error::MpiError;
 use crate::plan::PlanOp;
-use crate::transport::{DpReaders, DpSource, RecvDest, Transport};
+use crate::transport::{DpPiece, DpReaders, DpSource, RecvDest, Transport};
 use crate::types::{CtxId, Rank, ReduceOp, Status, Tag, COLL_TAG_BASE};
 use crate::Result;
 
@@ -145,22 +146,22 @@ pub(crate) enum SchedOp {
         /// Who will read the exposure.
         readers: DpReaders,
     },
-    /// Data plane: publish `loc[start..end]` for the execution's live sequence
-    /// number — in the flag line of its slot when it fits there, else at
-    /// `region_off` within this rank's data slot — and raise the slot's
-    /// `phase` flag. Pending (does not advance) while the slot is still held
-    /// by an earlier collective some reader has not finished with.
+    /// Data plane: publish the plan's `pieces[lo..hi]` — byte ranges of `loc`,
+    /// each with its place in this rank's data slot — for the execution's
+    /// live sequence number, and raise the slot's `phase` flag once. One
+    /// piece for a regular collective (in the flag line itself when `inline`),
+    /// one per reader for the irregular exchange's gather; none for a
+    /// barrier's arrival. Pending (does not advance) while the slot is still
+    /// held by an earlier collective some reader has not finished with.
     ExposeRead {
         /// Publish phase within the collective (flag cell selector).
         phase: u8,
-        /// Byte offset of the published region within the slot.
-        region_off: usize,
+        /// The exposure is one piece that rides in the flag line.
+        inline: bool,
         /// Source arena.
         loc: Loc,
-        /// Byte range start.
-        start: usize,
-        /// Byte range end.
-        end: usize,
+        /// Range of the plan's piece table ([`CollPlan::pieces`]).
+        pieces: (usize, usize),
         /// Who reads the exposure (whose completion lines gate slot reuse).
         readers: DpReaders,
     },
@@ -239,6 +240,10 @@ pub struct StepOutcome {
 #[derive(Debug)]
 pub struct CollPlan {
     pub(crate) ops: Vec<SchedOp>,
+    /// What the plan's `ExposeRead` ops publish, each op a range of this
+    /// table: kept beside the op list so that an op stays a fixed-size value
+    /// and an execution hands the transport a borrowed slice.
+    pub(crate) pieces: Vec<DpPiece>,
     /// Which collective the plan implements, for the per-communicator
     /// counters. The builders share op emitters across collectives (a naive
     /// reduce-scatter runs allreduce rounds), so the communicator's plan
@@ -295,6 +300,7 @@ impl CollPlan {
         });
         CollPlan {
             ops,
+            pieces: Vec::new(),
             // Until the communicator's plan lookup names it (`for_op`).
             op: PlanOp::Barrier,
             ctx,
@@ -313,6 +319,12 @@ impl CollPlan {
     /// [`CollPlan::pairs_hint`]).
     pub(crate) fn with_pairs_hint(mut self, pairs: usize) -> Self {
         self.pairs_hint = Some(pairs);
+        self
+    }
+
+    /// Attach the piece table the plan's `ExposeRead` ops index.
+    pub(crate) fn with_pieces(mut self, pieces: Vec<DpPiece>) -> Self {
+        self.pieces = pieces;
         self
     }
 
@@ -632,14 +644,14 @@ impl Execution {
                 }
                 SchedOp::ExposeRead {
                     phase,
-                    region_off,
+                    inline,
                     loc,
-                    start,
-                    end,
+                    pieces: (lo, hi),
                     readers,
                 } => {
-                    let data: &[u8] = &arena(loc, buf, &mut self.scratch)[start..end];
-                    if !t.dp_expose(clock, ctx, self.seq, phase, region_off, data, readers)? {
+                    let from: &[u8] = arena(loc, buf, &mut self.scratch);
+                    let pieces = &plan.pieces[lo..hi];
+                    if !t.dp_expose(clock, ctx, self.seq, phase, inline, pieces, from, readers)? {
                         // Slot still held by an earlier collective: pending.
                         return Ok(StepOutcome {
                             done: false,

@@ -49,8 +49,8 @@ use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{PoisonFlag, SpinWait};
 use crate::transport::conn::{ConnTable, SrqConsumer, SrqProducer, Stream, STREAM_INLINE};
 use crate::transport::{
-    no_data_plane, DataPlaneStats, DpCost, DpReaders, DpSource, DpWindow, FaultInjector, RecvDest,
-    Transport, TransportCounters, TransportStats, WinId, DP_INLINE_BYTES,
+    no_data_plane, DataPlaneStats, DpCost, DpPiece, DpReaders, DpSource, DpWindow, FaultInjector,
+    RecvDest, Transport, TransportCounters, TransportStats, WinId, DP_INLINE_BYTES,
 };
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
@@ -128,14 +128,20 @@ struct DpState {
     group: Vec<Rank>,
     /// This rank's index within `group`.
     my_idx: usize,
-    /// Per slot of this rank: the collective whose exposure occupies it and
-    /// who reads it. Claimed by the collective's first non-empty expose (or an
-    /// explicit claim ahead of it) and released — together with every other
-    /// earlier occupant — by the completion-line sweep of a later expose that
-    /// finds its own slot held; until then an expose that maps to a held slot
+    /// Per slot of this rank: the collective whose exposure occupies it.
+    /// Claimed by the collective's first non-empty expose (or an explicit
+    /// claim ahead of it) and released — together with every other earlier
+    /// occupant — by the completion-line sweep of a later expose that finds
+    /// its own slot held; until then an expose that maps to a held slot
     /// reports "busy" instead of overwriting data (or an inline payload) a
     /// slow reader may not have pulled yet.
-    held: Vec<Option<(u32, DpReaders)>>,
+    held: Vec<Option<u32>>,
+    /// Who reads each slot's occupant: a bit per group member, `set_words`
+    /// words per slot — the exact set a [`DpReaders`] resolved to when the
+    /// slot was claimed. Exact matters: a member counted here that reads
+    /// nothing never moves its completion line for the occupant, and the slot
+    /// would stay held for good.
+    readers: Vec<u64>,
     /// The done-through value each peer's completion line showed when this
     /// rank last loaded it: a peer already seen done with everything held is
     /// not loaded again while another is still awaited.
@@ -153,13 +159,39 @@ struct DpState {
 }
 
 impl DpState {
-    /// Whether group member `peer` reads an exposure published for `readers`.
-    fn reads(&self, readers: DpReaders, peer: usize, host_of: &[usize]) -> bool {
+    /// Words of one slot's reader set.
+    fn set_words(&self) -> usize {
+        self.group.len().div_ceil(64)
+    }
+
+    /// Whether group member `peer` reads the occupant of `slot`.
+    fn reads(&self, slot: usize, peer: usize) -> bool {
+        self.readers[slot * self.set_words() + peer / 64] >> (peer % 64) & 1 == 1
+    }
+
+    /// Record `seq` as the occupant of its slot, read by exactly the members
+    /// `readers` names ([`DpReaders::PerPiece`]: the owners of `pieces`).
+    fn occupy(&mut self, seq: u32, readers: DpReaders, pieces: &[DpPiece], host_of: &[usize]) {
+        let slot = seq as usize % self.layout.slots();
+        let words = self.set_words();
+        let (group, me) = (&self.group, self.my_idx);
+        let set = &mut self.readers[slot * words..(slot + 1) * words];
+        set.fill(0);
+        let mut add = |peer: usize| set[peer / 64] |= 1 << (peer % 64);
         match readers {
-            DpReaders::Others => true,
-            DpReaders::One(idx) => peer == idx,
-            DpReaders::HostMates => host_of[self.group[peer]] == host_of[self.group[self.my_idx]],
+            // (Bits past the group's size are never asked about.)
+            DpReaders::Others => set.fill(!0),
+            DpReaders::One(idx) => add(idx),
+            DpReaders::HostMates => (0..group.len())
+                .filter(|&p| host_of[group[p]] == host_of[group[me]])
+                .for_each(add),
+            DpReaders::PerPiece { stride } => {
+                pieces.iter().map(|p| p.region_off / stride).for_each(add)
+            }
         }
+        // Whatever the name said, a rank does not wait for itself.
+        set[me / 64] &= !(1 << (me % 64));
+        self.held[slot] = Some(seq);
     }
 
     /// Note that this rank will read exposures of collective `seq`.
@@ -224,7 +256,6 @@ pub(crate) fn load_stamped(obj: &ShmObject, off: usize, at_least: u64) -> Result
 fn release_held(
     state: &mut DpState,
     seq: u32,
-    host_of: &[usize],
     poison: &PoisonFlag,
     stats: &mut DataPlaneStats,
     clock: &mut SimClock,
@@ -240,11 +271,9 @@ fn release_held(
         let owed = state
             .held
             .iter()
-            .flatten()
-            .filter(|&&(occupant, readers)| {
-                earlier(occupant) && state.reads(readers, peer, host_of)
-            })
-            .map(|&(occupant, _)| u64::from(occupant) + 1)
+            .enumerate()
+            .filter_map(|(slot, held)| held.filter(|&o| earlier(o) && state.reads(slot, peer)))
+            .map(|occupant| u64::from(occupant) + 1)
             .max()
             .unwrap_or(0);
         if state.seen_done[peer] >= owed
@@ -270,7 +299,7 @@ fn release_held(
         state.seen_done[peer] = through;
     }
     for held in &mut state.held {
-        if matches!(held, Some((occupant, _)) if earlier(*occupant)) {
+        if held.is_some_and(earlier) {
             *held = None;
         }
     }
@@ -824,18 +853,28 @@ impl CxlTransport {
             return no_data_plane();
         };
         let slot = seq as usize % state.layout.slots();
-        Ok(
-            !matches!(state.held[slot], Some((owner, _)) if owner != seq)
-                || release_held(
-                    state,
-                    seq,
-                    &self.host_of,
-                    &self.poison,
-                    &mut self.dp_stats,
-                    clock,
-                    line,
-                )?,
-        )
+        Ok(state.held[slot].is_none_or(|owner| owner == seq)
+            || release_held(state, seq, &self.poison, &mut self.dp_stats, clock, line)?)
+    }
+
+    /// [`Transport::dp_claim`], for an exposure of `pieces` (which a
+    /// [`DpReaders::PerPiece`] reader set is read off; a claim ahead of the
+    /// expose has none yet and names nobody until the expose repeats it).
+    fn dp_claim_for(
+        &mut self,
+        clock: &mut SimClock,
+        ctx: CtxId,
+        seq: u32,
+        readers: DpReaders,
+        pieces: &[DpPiece],
+    ) -> Result<bool> {
+        if !self.dp_free_slot(clock, ctx, seq)? {
+            return Ok(false);
+        }
+        let state = self.dp.get_mut(&ctx).and_then(Option::as_mut);
+        let state = state.expect("data-plane window vanished between two lookups");
+        state.occupy(seq, readers, pieces, &self.host_of);
+        Ok(true)
     }
 
     /// Window `win`, borrowing only the window table: the caller keeps the
@@ -1859,6 +1898,7 @@ impl Transport for CxlTransport {
                         group: group.to_vec(),
                         my_idx,
                         held: vec![None; layout.slots()],
+                        readers: vec![0; layout.slots() * group.len().div_ceil(64)],
                         seen_done: vec![0; group.len()],
                         reading: Vec::new(),
                         read_top: 0,
@@ -1890,14 +1930,7 @@ impl Transport for CxlTransport {
         seq: u32,
         readers: DpReaders,
     ) -> Result<bool> {
-        if !self.dp_free_slot(clock, ctx, seq)? {
-            return Ok(false);
-        }
-        let state = self.dp.get_mut(&ctx).and_then(Option::as_mut);
-        let state = state.expect("data-plane window vanished between two lookups");
-        let slot = seq as usize % state.layout.slots();
-        state.held[slot] = Some((seq, readers));
-        Ok(true)
+        self.dp_claim_for(clock, ctx, seq, readers, &[])
     }
 
     fn dp_expose(
@@ -1906,16 +1939,17 @@ impl Transport for CxlTransport {
         ctx: CtxId,
         seq: u32,
         phase: u8,
-        region_off: usize,
-        data: &[u8],
+        inline: bool,
+        pieces: &[DpPiece],
+        buf: &[u8],
         readers: DpReaders,
     ) -> Result<bool> {
         // An empty exposure is only its sequence value: it must not overwrite
         // a held flag line, but has nothing to hold itself.
-        let writable = if data.is_empty() {
+        let writable = if pieces.is_empty() {
             self.dp_free_slot(clock, ctx, seq)?
         } else {
-            self.dp_claim(clock, ctx, seq, readers)?
+            self.dp_claim_for(clock, ctx, seq, readers, pieces)?
         };
         if !writable {
             return Ok(false);
@@ -1925,33 +1959,38 @@ impl Transport for CxlTransport {
         let state = state.expect("data-plane window vanished between two lookups");
         let slot = seq as usize % state.layout.slots();
         // Publish entry (slot claimed, nothing written yet): the
-        // fault-injection point for data-plane publishes.
+        // fault-injection point for data-plane publishes — once per
+        // exposure, however many pieces it gathers.
         if let Some(f) = self.fault.as_mut() {
             f.on_publish()?;
         }
         let flag = state.layout.flag_off(state.my_idx, slot, phase as usize);
-        let inline = data.len() <= DP_INLINE_BYTES;
-        if !inline {
-            debug_assert!(region_off + data.len() <= state.layout.slot_bytes());
-            let off = state.layout.data_off(state.my_idx, slot) + region_off;
-            state.obj.nt_store_at(off as u64, data)?;
+        let (base, room) = if inline {
+            debug_assert!(pieces.len() <= 1);
+            (flag + SLOT_CELL_DATA_OFF, DP_INLINE_BYTES)
+        } else {
+            let slot_off = state.layout.data_off(state.my_idx, slot);
+            (slot_off, state.layout.slot_bytes())
+        };
+        let mut bytes = 0;
+        for piece in pieces {
+            let data = &buf[piece.start..piece.end];
+            let at = if inline { 0 } else { piece.region_off };
+            debug_assert!(at + data.len() <= room);
+            state.obj.nt_store_at((base + at) as u64, data)?;
+            bytes += data.len();
         }
-        // Not inline: one streamed publish (NT store stream + fence — the
-        // stores bypass the cache, so there is no line to flush) for *all*
-        // readers, then the flag line. Inline: the flag line is the publish.
-        // Either way the line — value, stamp and what payload it carries —
-        // goes out as a single NT store: this is the whole point of the
-        // single-copy path — no per-chunk headers, no per-message software
-        // overhead.
-        clock.advance(cost.expose(data.len()));
-        if inline && !data.is_empty() {
-            state
-                .obj
-                .nt_store_at((flag + SLOT_CELL_DATA_OFF) as u64, data)?;
-        }
+        // Not inline: one streamed publish (one NT store stream over every
+        // piece + one fence — the stores bypass the cache, so there is no
+        // line to flush) for *all* readers, then the flag line. Inline: the
+        // flag line is the publish. Either way the line — value, stamp and
+        // what payload it carries — goes out as a single NT store: this is
+        // the whole point of the single-copy path — no per-chunk headers, no
+        // per-message software overhead.
+        clock.advance(cost.expose(bytes, inline));
         store_stamped(&state.obj, flag, u64::from(seq) + 1, clock.now())?;
         self.dp_stats.expose_ops += 1;
-        self.dp_stats.bytes_exposed += data.len() as u64;
+        self.dp_stats.bytes_exposed += bytes as u64;
         Ok(true)
     }
 

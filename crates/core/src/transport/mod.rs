@@ -325,9 +325,10 @@ impl DpCost {
     }
 
     /// Publish `bytes` and raise the flag: one line when the payload rides in
-    /// it, otherwise a streamed publish into the data slot plus the flag line.
-    pub fn expose(&self, bytes: usize) -> SimNs {
-        if bytes <= DP_INLINE_BYTES {
+    /// it (`inline`), otherwise one streamed publish into the data slot —
+    /// however many pieces the bytes came in — plus the flag line.
+    pub fn expose(&self, bytes: usize, inline: bool) -> SimNs {
+        if inline {
             self.line()
         } else {
             self.cost.streamed_publish(bytes, self.mode) + self.line()
@@ -367,8 +368,26 @@ pub struct DpWindow {
     pub cost: DpCost,
 }
 
+/// One contiguous run of an exposure: bytes `start..end` of the exposing
+/// rank's buffer, published at `region_off` within its data slot. A regular
+/// collective exposes one piece; the irregular exchange gathers one per
+/// reader into a single exposure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DpPiece {
+    /// Byte offset of the piece within the slot.
+    pub region_off: usize,
+    /// Start of the piece in the exposing rank's buffer.
+    pub start: usize,
+    /// End of the piece in the exposing rank's buffer.
+    pub end: usize,
+}
+
 /// Which group members read an exposure — the ranks whose completion lines
-/// the writer consults before it reuses the slot.
+/// the writer consults before it reuses the slot, **and nobody else's**: a
+/// member named here that never reads never moves its completion line for
+/// this collective, and the writer would wait for it forever once the slot
+/// comes round again. The transport resolves the name into an exact member
+/// set when the slot is claimed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DpReaders {
     /// Every other member of the group.
@@ -377,6 +396,15 @@ pub enum DpReaders {
     One(usize),
     /// The other members on this rank's host.
     HostMates,
+    /// One reader per piece, at a fixed per-reader stride: the piece at
+    /// `region_off` is read by member `region_off / stride` and by no one
+    /// else (the irregular exchange — a member that is sent nothing gets no
+    /// piece and is not waited for). The set is whatever the pieces say, so
+    /// it is exact for groups of any size.
+    PerPiece {
+        /// Bytes of the slot set aside for each reader.
+        stride: usize,
+    },
 }
 
 /// Where a data-plane read finds its bytes.
@@ -418,7 +446,8 @@ pub struct DataPlaneStats {
     pub shm_bytes: u64,
     /// Payload bytes this rank contributed to ring-path eligible collectives.
     pub ring_bytes: u64,
-    /// Expose operations (buffer published into a window slot).
+    /// Expose operations (one per flag raised: a gathered exposure of many
+    /// pieces counts once).
     pub expose_ops: u64,
     /// Pull operations (reader copied from a peer's exposed slot).
     pub pull_ops: u64,
@@ -741,14 +770,21 @@ pub trait Transport: Send {
         no_data_plane()
     }
 
-    /// Publish `data` for collective `seq` and raise the `phase` flag of its
-    /// slot (`seq` mod slots): in the flag line itself when `data` is at most
-    /// [`DP_INLINE_BYTES`] long, else at `region_off` within this rank's data
-    /// slot. `readers` names who will read it; the slot stays held until
-    /// their completion lines show they are done. Returns `false` — without
-    /// blocking — while an earlier collective still holds the slot. An empty
-    /// `data` publishes only the sequence value (a barrier's arrival): there
-    /// is nothing a late reader could lose, so it holds nothing.
+    /// Publish `pieces` of `buf` for collective `seq` and raise the `phase`
+    /// flag of its slot (`seq` mod slots) — once, whatever the number of
+    /// pieces: they go out as one non-temporal store stream, each at its own
+    /// `region_off` within this rank's data slot, followed by one fence and
+    /// one flag line, charged as one streamed publish of their total. With
+    /// `inline`, the exposure is a single piece of at most
+    /// [`DP_INLINE_BYTES`] and rides in the flag line itself; the plan says
+    /// so, not the length, because the readers must know it too, and a reader
+    /// of a gathered exposure knows its own piece but not the writer's total.
+    /// `readers` names who will read it; the slot stays held until their
+    /// completion lines show they are done. Returns `false` — without
+    /// blocking — while an earlier collective still holds the slot. No
+    /// pieces at all (`inline`, trivially) publishes only the sequence value
+    /// (a barrier's arrival): there is nothing a late reader could lose, so
+    /// it holds nothing.
     #[allow(clippy::too_many_arguments)]
     fn dp_expose(
         &mut self,
@@ -756,8 +792,9 @@ pub trait Transport: Send {
         _ctx: CtxId,
         _seq: u32,
         _phase: u8,
-        _region_off: usize,
-        _data: &[u8],
+        _inline: bool,
+        _pieces: &[DpPiece],
+        _buf: &[u8],
         _readers: DpReaders,
     ) -> Result<bool> {
         no_data_plane()

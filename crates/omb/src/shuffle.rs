@@ -39,6 +39,10 @@ pub struct ShufflePoint {
     /// Algorithm label of the regular alltoall count exchange inside the
     /// workload (the size-adaptive selection under test).
     pub alltoall_algo: &'static str,
+    /// Algorithm label of the irregular shuffle itself, as rank 0 ran it
+    /// last: `alltoallv/shm` on a shared window, `alltoallv/pairwise`
+    /// without one.
+    pub shuffle_algo: &'static str,
 }
 
 /// SplitMix64: cheap deterministic per-rank data without an RNG dependency.
@@ -146,6 +150,7 @@ pub fn sample_sort_proxy(config: UniverseConfig, keys_per_rank: usize) -> Result
         let algo = comm.last_coll_algorithm();
         let recv_counts: Vec<usize> = recv_c.iter().map(|&c| c as usize).collect();
         let mut mine = comm.alltoallv(&keys, &send_counts, &recv_counts)?;
+        let shuffle_algo = comm.last_coll_algorithm();
         // Phase 5: final local sort.
         mine.sort_unstable();
         let elapsed = comm.clock_ns() - start;
@@ -172,17 +177,23 @@ pub fn sample_sort_proxy(config: UniverseConfig, keys_per_rank: usize) -> Result
                 hi_so_far = hi;
             }
         }
-        Ok((elapsed / 1000.0, (mine.len() * 8) as u64, algo))
+        Ok((
+            elapsed / 1000.0,
+            (mine.len() * 8) as u64,
+            algo,
+            shuffle_algo,
+        ))
     })?;
     let time_us = results.iter().map(|(r, _)| r.0).sum::<f64>() / results.len().max(1) as f64;
     let shuffled_bytes = results.iter().map(|(r, _)| r.1).sum();
-    let alltoall_algo = results.first().map(|(r, _)| r.2).unwrap_or("");
+    let (alltoall_algo, shuffle_algo) = results.first().map_or(("", ""), |(r, _)| (r.2, r.3));
     Ok(ShufflePoint {
         processes,
         elems_per_rank: keys_per_rank,
         shuffled_bytes,
         time_us,
         alltoall_algo,
+        shuffle_algo,
     })
 }
 
@@ -237,7 +248,7 @@ pub fn kmeans_proxy(
         let start = comm.clock_ns();
         comm.bcast_into(0, &mut centroids)?;
         let mut shuffled = 0u64;
-        let mut algo = "";
+        let (mut algo, mut shuffle_algo) = ("", "");
         for _ in 0..iters {
             // Assignment + partial sums: per-cluster coordinate sums
             // followed by per-cluster member counts, reduced in one call.
@@ -283,6 +294,7 @@ pub fn kmeans_proxy(
             algo = comm.last_coll_algorithm();
             let recv_counts: Vec<usize> = recv_c.iter().map(|&c| c as usize).collect();
             points = comm.alltoallv(&send, &send_counts, &recv_counts)?;
+            shuffle_algo = comm.last_coll_algorithm();
             shuffled += (points.len() * 8) as u64;
         }
         let elapsed = comm.clock_ns() - start;
@@ -294,17 +306,23 @@ pub fn kmeans_proxy(
             n * points_per_rank,
             "k-means reshuffle lost points"
         );
-        Ok((elapsed / 1000.0 / iters.max(1) as f64, shuffled, algo))
+        Ok((
+            elapsed / 1000.0 / iters.max(1) as f64,
+            shuffled,
+            algo,
+            shuffle_algo,
+        ))
     })?;
     let time_us = results.iter().map(|(r, _)| r.0).sum::<f64>() / results.len().max(1) as f64;
     let shuffled_bytes = results.iter().map(|(r, _)| r.1).sum();
-    let alltoall_algo = results.first().map(|(r, _)| r.2).unwrap_or("");
+    let (alltoall_algo, shuffle_algo) = results.first().map_or(("", ""), |(r, _)| (r.2, r.3));
     Ok(ShufflePoint {
         processes,
         elems_per_rank: points_per_rank,
         shuffled_bytes,
         time_us,
         alltoall_algo,
+        shuffle_algo,
     })
 }
 
@@ -349,6 +367,7 @@ mod tests {
                     "unexpected algo {:?}",
                     point.alltoall_algo
                 );
+                assert!(point.shuffle_algo.starts_with("alltoallv/"));
             }
         }
     }

@@ -33,11 +33,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let point = kmeans_proxy(config, points_per_rank, clusters, iterations)?;
         println!(
             "{label}: {iterations} alternating iterations over {} points × {} ranks: \
-             {:.1} µs/iter virtual, {} bytes reshuffled, count exchange ran {}",
+             {:.1} µs/iter virtual, {} bytes reshuffled by {}, count exchange ran {}",
             points_per_rank,
             point.processes,
             point.time_us,
             point.shuffled_bytes,
+            point.shuffle_algo,
             point.alltoall_algo,
         );
     }

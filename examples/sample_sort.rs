@@ -32,11 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let point = sample_sort_proxy(config, keys_per_rank)?;
         println!(
             "{label}: sorted {} keys across {} ranks in {:.1} µs virtual \
-             ({} bytes shuffled, count exchange ran {})",
+             ({} bytes shuffled by {}, count exchange ran {})",
             ranks * keys_per_rank,
             point.processes,
             point.time_us,
             point.shuffled_bytes,
+            point.shuffle_algo,
             point.alltoall_algo,
         );
     }

@@ -2,12 +2,15 @@
 //! the flag line, the one-completion-line-per-rank slot protocol, and the
 //! zero-byte barrier exchange — checked byte for byte against the ring path,
 //! under stragglers and out-of-order completion, for repeatable virtual
-//! clocks, and against a budget of device round trips.
+//! clocks, and against a budget of device round trips; and what an irregular
+//! exchange on the window costs, and that it costs the same in every launch.
 
 use std::time::Duration;
 
-use cmpi::fabric::CxlCostModel;
+use cmpi::fabric::cost::CoherenceMode;
+use cmpi::fabric::{CxlContentionModel, CxlCostModel};
 use cmpi::mpi::dataplane::DP_SLOTS;
+use cmpi::mpi::transport::DpCost;
 use cmpi::mpi::{CollTuning, Comm, ProgressMode, ReduceOp, Request, Universe, UniverseConfig};
 
 mod common;
@@ -434,5 +437,113 @@ fn an_allgather_costs_its_budget_of_round_trips() {
             *virt_ns <= (lines + 16.0) * line,
             "rank {rank}: {virt_ns} ns for {lines} lines of {line} ns"
         );
+    }
+}
+
+#[test]
+fn an_irregular_exchange_costs_one_publish_and_a_pull_per_peer() {
+    // 8 ranks on 2 hosts, 512 B to every peer: per call a rank's clock moves
+    // by one streamed publish of its seven segments and the flag line, seven
+    // pulls (three out of the shared cache, four off the device) and its
+    // completion line — plus the completion lines it loads, DP_SLOTS calls'
+    // worth at a time, before it reuses a slot. Nothing per message: there
+    // are none.
+    const COLLS: u64 = 4 * DP_SLOTS as u64;
+    const SEG: usize = 512;
+    let dp = DpCost {
+        cost: CxlCostModel::default(),
+        contention: CxlContentionModel::default(),
+        mode: CoherenceMode::FlushClflushopt,
+        pairs: 4,
+    };
+    let per_call = dp.cost.streamed_publish(7 * SEG, dp.mode)
+        + dp.line()
+        + 3.0 * dp.pull(SEG, false, true)
+        + 4.0 * dp.pull(SEG, false, false)
+        + dp.line();
+    let results = Universe::run(config(8, 2, force_shm()), move |world: &mut Comm| {
+        let mut comm = world.comm_dup()?;
+        let n = comm.size();
+        let (send, counts) = (vec![5u8; n * SEG], vec![SEG; n]);
+        for _ in 0..DP_SLOTS {
+            comm.alltoallv(&send, &counts, &counts)?;
+        }
+        assert_eq!(comm.last_coll_algorithm(), "alltoallv/shm");
+        comm.barrier()?;
+        let (before, sent, start) = (
+            comm.data_plane_stats(),
+            comm.stats().msgs_sent,
+            world.clock_ns(),
+        );
+        for _ in 0..COLLS {
+            comm.alltoallv(&send, &counts, &counts)?;
+        }
+        let after = comm.data_plane_stats();
+        assert_eq!(comm.stats().msgs_sent, sent);
+        assert_eq!(after.expose_ops - before.expose_ops, COLLS);
+        assert_eq!(
+            after.bytes_exposed - before.bytes_exposed,
+            COLLS * 7 * SEG as u64
+        );
+        assert_eq!(after.pull_ops - before.pull_ops, 7 * COLLS);
+        Ok((
+            after.notify_waits - before.notify_waits,
+            world.clock_ns() - start,
+        ))
+    })
+    .unwrap();
+    for (rank, ((line_loads, virt_ns), _)) in results.iter().enumerate() {
+        let planned = COLLS as f64 * per_call + *line_loads as f64 * dp.line();
+        assert!(
+            (virt_ns - planned).abs() <= 0.002 * planned,
+            "rank {rank}: {virt_ns} ns, planned {planned} ns"
+        );
+    }
+}
+
+/// A sample sort's communication — splitter samples, the counts, the keys,
+/// a certificate, the bucket bounds — with a different key distribution every
+/// round; every rank's clock at the end, all having set out from the same
+/// virtual instant (see [`scripted_clocks`]).
+fn sort_shaped_clocks() -> Vec<u64> {
+    const START_NS: f64 = 1e7;
+    Universe::run(config(8, 2, force_shm()), |world: &mut Comm| {
+        let mut comm = world.comm_dup()?;
+        world.advance_clock(START_NS - world.clock_ns());
+        let (n, me) = (comm.size(), comm.rank());
+        for round in 0..2 * DP_SLOTS + 1 {
+            let mut samples = vec![0u64; n * (n - 1)];
+            comm.allgather_into(&vec![me as u64; n - 1], &mut samples)?;
+            let to = |src: usize, dst: usize| 40 + (7 * src + 3 * dst + 5 * round) % 90;
+            let send_counts: Vec<usize> = (0..n).map(|d| to(me, d)).collect();
+            let counts: Vec<u64> = send_counts.iter().map(|&c| c as u64).collect();
+            let mut recv_counts = vec![0u64; n];
+            comm.alltoall(&counts, &mut recv_counts)?;
+            let recv_counts: Vec<usize> = recv_counts.iter().map(|&c| c as usize).collect();
+            let keys = vec![me as u64; send_counts.iter().sum()];
+            let mine = comm.alltoallv(&keys, &send_counts, &recv_counts)?;
+            assert_eq!(comm.last_coll_algorithm(), "alltoallv/shm");
+            let mut cert = [mine.len() as u64, keys.len() as u64];
+            comm.allreduce(&mut cert, ReduceOp::Sum)?;
+            assert_eq!(cert[0], cert[1]);
+            let mut bounds = vec![0u64; 2 * n];
+            comm.allgather_into(&[mine[0], mine[mine.len() - 1]], &mut bounds)?;
+        }
+        Ok(world.clock_ns().to_bits())
+    })
+    .unwrap()
+    .into_iter()
+    .map(|(clock, _)| clock)
+    .collect()
+}
+
+#[test]
+fn a_sort_shaped_script_ends_on_identical_clocks_in_every_launch() {
+    // With the keys travelling as messages the order of their arrival decided
+    // what each rank's clock merged, and no two launches agreed; pulled out of
+    // the window, every stamp a rank merges is one it asked for by name.
+    let first = sort_shaped_clocks();
+    for launch in 1..10 {
+        assert_eq!(sort_shaped_clocks(), first, "launch {launch}");
     }
 }
