@@ -2183,7 +2183,7 @@ pub fn build_alltoallv(
     let wire = |s: usize, peer: Rank| (view.world(peer), coll_tag_off(kind, s));
 
     // At most a copy, an expose and one op to and one from every peer.
-    let mut ops = DpOps::with_capacity(2 * n, if stride > 0 { n - 1 } else { 0 });
+    let mut ops = DpOps::with_capacity(me, 2 * n, if stride > 0 { n - 1 } else { 0 });
     if !out(me).is_empty() {
         ops.list.push(SchedOp::Copy {
             dst_loc: Loc::Buf,

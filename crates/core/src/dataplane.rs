@@ -15,7 +15,8 @@
 //! communicator construction (creation is blocking and collective, which a
 //! nonblocking starter must never be) and carved into per-rank exposure
 //! slots by [`cxl_shm::SlotLayout`]. What a collective costs is the number of
-//! lines it stores and loads there, each one device round trip:
+//! device transactions it makes there — a single line stored or loaded is one
+//! round trip, a run of consecutive lines one streamed read:
 //!
 //! * an **expose** stores one flag line per phase — and nothing else when the
 //!   payload is at most [`DP_INLINE_BYTES`] long, because it then rides in
@@ -25,22 +26,40 @@
 //!   collective, one per reader for the irregular exchange, whose segments
 //!   are *gathered* into a single exposure — one store stream, one fence,
 //!   one flag, whatever the number of pieces;
-//! * a **pull** loads the writer's flag line, which *is* the payload when it
-//!   was published inline, and otherwise goes on to read the data slot;
+//! * the flag lines of one `(slot, phase)` are a contiguous **row** in writer
+//!   order, and a rank acquires the inline exposures it reads in one phase
+//!   with a single **row read**: the plan names the range of writers whose
+//!   flag lines the phase's reads consume (`AwaitRow`), the transport waits
+//!   until every one of them is up, merges the latest stamp and charges one
+//!   streamed read of the span ([`crate::transport::DpCost::row`]; a row of
+//!   one line is exactly a line). The inline reads that follow take their
+//!   payloads out of those lines and cost nothing more;
+//! * a **pull** out of a data slot loads the writer's flag line by itself and
+//!   goes on to read the slot. These are deliberately not grouped into rows:
+//!   the data read dominates the line, and polling writer by writer is what
+//!   lets a reader drain early writers while a straggler still publishes —
+//!   grouping `k` of them can lose `k − 1` data reads of overlap under skew
+//!   to save `k − 1` line latencies, whereas waiting for all of an inline row
+//!   is at worst the difference between a row and a line (90 ns at 8 ranks)
+//!   behind the serial order, and is the one rule whose charge does not
+//!   depend on the host's schedule;
 //! * after its last read of a collective a reader stores its **completion
 //!   line** once — one line per rank, holding the sequence number through
 //!   which the rank has finished everything exposed to it, whoever wrote it
 //!   (the contiguous prefix: a collective completed out of order never
-//!   vouches for an earlier one still open);
+//!   vouches for an earlier one still open), with the stamps of its last
+//!   [`DP_SLOTS`] stores;
 //! * consecutive collectives rotate through [`DP_SLOTS`] slots per rank
 //!   (slot = sequence number mod slots), so a writer exposes without asking
-//!   anybody. Only when the slot it wants is still held does it load its
-//!   readers' completion lines — `n − 1` loads that release every slot it
-//!   holds, i.e. once per [`DP_SLOTS`] collectives in a steady stream.
+//!   anybody. Only when the slot it wants is still held does it read its
+//!   readers' completion lines — one row read, from the first awaited
+//!   reader's line to the last one's, that releases every slot it holds,
+//!   i.e. once per [`DP_SLOTS`] collectives in a steady stream.
 //!
-//! An 8-byte allgather among `n` ranks is therefore `1 + (n − 1) + 1` lines
-//! per rank plus `(n − 1) / DP_SLOTS` amortised, where a message-based one
-//! pays per-message software overhead on top of several lines per hop.
+//! An 8-byte allgather among `n` ranks is therefore a line, a row and a line
+//! per rank plus a quarter of a row amortised — three transactions whatever
+//! `n` is — and a barrier a line and a row, where a message-based one pays
+//! per-message software overhead on top of several lines per hop.
 //!
 //! A slot is held for exactly the peers that read its occupant
 //! ([`DpReaders`]): a rank stores its completion line only for a collective it
@@ -55,7 +74,7 @@
 //! message between the two ranks that know it does not, in the same plan.
 //!
 //! Plans built here use the data-plane op kinds of [`crate::progress`]
-//! (`ClaimSlot`, `ExposeRead`, `PullCopy`, `FoldInPlace`) and flow through the same
+//! (`ClaimSlot`, `ExposeRead`, `AwaitRow`, `PullCopy`, `FoldInPlace`) and flow through the same
 //! CollPlan/PlanCache/persistent machinery as ring plans — window setup is
 //! amortized across every start on the communicator, and blocking,
 //! nonblocking and persistent starts execute byte-identical schedules.
@@ -80,6 +99,8 @@
 //! window ([`DataPlaneMode::Ring`] says no) and whether the pair's own
 //! segment fits its region.
 
+use std::ops::Range;
+
 use cmpi_fabric::clock::SimNs;
 
 use crate::coll::{hier_selected, CommView};
@@ -92,8 +113,8 @@ use crate::types::{Rank, ReduceOp, Reducible};
 /// Exposure slots per rank in every data-plane window: how many consecutive
 /// collectives on one communicator a writer can expose before it must look at
 /// its readers' completion lines (the analog of the ring path's
-/// sequence-number tag window, at much smaller depth). Four done entries are
-/// exactly one completion line.
+/// sequence-number tag window, at much smaller depth). Four done entries —
+/// the stores a completion line remembers — are exactly one line.
 pub const DP_SLOTS: usize = 4;
 
 /// Decide whether a collective of this shape runs on the data plane.
@@ -157,23 +178,40 @@ impl Exposure {
 /// index. Zero-length exposes and reads are never emitted — both sides of an
 /// empty region skip it, so a rank whose block of a short vector is empty
 /// costs nobody a device round trip — and the rank's last read so far is the
-/// one marked to store its completion line.
-#[derive(Default)]
+/// one marked to store its completion line. Inline reads come in **runs**:
+/// consecutive reads of one phase, from consecutive writers, with nothing
+/// between them that could wait, opened by the one `AwaitRow` that acquires
+/// all their flag lines.
 pub(crate) struct DpOps {
     pub(crate) list: Vec<SchedOp>,
     pieces: Vec<DpPiece>,
+    /// The group member the ops are for: the one writer a row may span
+    /// without waiting for it.
+    me: usize,
     /// Index in `list` of the read that carries `last`.
     last_read: Option<usize>,
+    /// Index in `list` of the `AwaitRow` whose run the next inline read may
+    /// join. A publish, a claim or a read out of a data slot ends the run —
+    /// each may wait, and the row's lines are only good until then. (So would
+    /// a message: the one builder that emits any reads nothing inline.)
+    open_row: Option<usize>,
 }
 
 impl DpOps {
+    /// An empty list for group member `me`.
+    fn new(me: usize) -> Self {
+        Self::with_capacity(me, 0, 0)
+    }
+
     /// Room for `ops` ops and `pieces` pieces, so that a builder that knows
     /// its shape allocates each table once.
-    pub(crate) fn with_capacity(ops: usize, pieces: usize) -> Self {
+    pub(crate) fn with_capacity(me: usize, ops: usize, pieces: usize) -> Self {
         DpOps {
             list: Vec::with_capacity(ops),
             pieces: Vec::with_capacity(pieces),
+            me,
             last_read: None,
+            open_row: None,
         }
     }
 
@@ -190,6 +228,7 @@ impl DpOps {
         let lo = self.pieces.len();
         self.pieces.extend(pieces);
         if self.pieces.len() > lo {
+            self.open_row = None;
             self.list.push(SchedOp::ExposeRead {
                 phase,
                 inline,
@@ -238,13 +277,50 @@ impl DpOps {
         self.pull(src, len, dst_start);
     }
 
-    /// Append a read, which takes over `last` from the read before it.
+    /// Settle this rank's slot ahead of the expose that will fill it.
+    fn claim(&mut self, readers: DpReaders) {
+        self.open_row = None;
+        self.list.push(SchedOp::ClaimSlot { readers });
+    }
+
+    /// Acquire the `phase` flag lines of members `writers` in one row read —
+    /// for the inline reads that follow, or for their own sake (a barrier's
+    /// arrivals carry no payload to read).
+    fn await_row(&mut self, phase: u8, writers: Range<usize>) {
+        self.open_row = Some(self.list.len());
+        self.list.push(SchedOp::AwaitRow {
+            phase,
+            writers: (writers.start, writers.end),
+        });
+    }
+
+    /// Append a read, which takes over `last` from the read before it. An
+    /// inline read joins the open run if its flag line is the next one of the
+    /// run's row — or the next but this rank's own, which no row waits for —
+    /// and opens a run of its own otherwise.
     fn read(&mut self, mut op: SchedOp) {
         fn src_of(op: &mut SchedOp) -> &mut DpSource {
             match op {
                 SchedOp::PullCopy { src, .. } | SchedOp::FoldInPlace { src, .. } => src,
                 other => unreachable!("{other:?} reads no exposure"),
             }
+        }
+        let DpSource {
+            writer_idx: writer,
+            phase,
+            inline,
+            ..
+        } = *src_of(&mut op);
+        let me = self.me;
+        match self.open_row.map(|i| &mut self.list[i]) {
+            _ if !inline => self.open_row = None,
+            Some(SchedOp::AwaitRow {
+                phase: open,
+                writers: (_, end),
+            }) if *open == phase && (writer == *end || (*end == me && writer == me + 1)) => {
+                *end = writer + 1
+            }
+            _ => self.await_row(phase, writer..writer + 1),
         }
         if let Some(i) = self.last_read.replace(self.list.len()) {
             src_of(&mut self.list[i]).last = false;
@@ -316,9 +392,9 @@ pub(crate) fn exchange_stride(dp: Option<DpWindow>, n: usize) -> usize {
 
 /// What one rank's clock advances by while it executes `ops` (whose exposes
 /// index `pieces`) on window `w`, not counting time spent waiting for peers:
-/// every expose, every read and the completion line, priced with the terms
-/// the transport charges. `same_host(idx)` says whether group member `idx`
-/// shares the rank's host.
+/// every expose, every row, every read out of a data slot and the completion
+/// line, priced with the terms the transport charges. `same_host(idx)` says
+/// whether group member `idx` shares the rank's host.
 fn serial_cost(
     ops: &[SchedOp],
     pieces: &[DpPiece],
@@ -327,6 +403,9 @@ fn serial_cost(
 ) -> SimNs {
     ops.iter()
         .map(|op| match *op {
+            SchedOp::AwaitRow {
+                writers: (lo, hi), ..
+            } => w.cost.row(hi - lo),
             SchedOp::ExposeRead {
                 inline,
                 pieces: (lo, hi),
@@ -337,7 +416,13 @@ fn serial_cost(
             }
             SchedOp::PullCopy { src, len, .. } | SchedOp::FoldInPlace { src, len, .. } => {
                 let done = if src.last { w.cost.line() } else { 0.0 };
-                w.cost.pull(len, src.inline, same_host(src.writer_idx)) + done
+                // An inline payload came with its row.
+                let read = if src.inline {
+                    0.0
+                } else {
+                    w.cost.pull(len, same_host(src.writer_idx))
+                };
+                read + done
             }
             _ => 0.0,
         })
@@ -346,43 +431,23 @@ fn serial_cost(
 
 /// Barrier as a zero-byte all-to-all exchange on the flag lines: every rank
 /// stores its arrival (an empty exposure — the sequence value and its stamp)
-/// and loads every peer's, `1 + (n − 1)` device round trips. Sequence values
-/// only grow, so a flag a later collective has already overwritten still says
-/// "arrived"; nothing is read out of the slot, so nobody stores a completion
-/// line and the slot is never held.
+/// and acquires every peer's in one row read, a store and a row whatever the
+/// group size. Sequence values only grow, so a flag a later collective has
+/// already overwritten still says "arrived"; nothing is read out of the slot,
+/// so nobody stores a completion line and the slot is never held.
 pub(crate) fn build_barrier_shm(view: &CommView<'_>) -> CollPlan {
-    let arrival = Exposure {
+    let (me, n) = (view.rank, view.size());
+    let mut ops = DpOps::with_capacity(me, 2, 0);
+    ops.list.push(SchedOp::ExposeRead {
         phase: 0,
-        region_off: 0,
-        len: 0,
-    };
-    let mut ops = vec![SchedOp::ExposeRead {
-        phase: arrival.phase,
         inline: true,
         loc: Loc::Buf,
         pieces: (0, 0),
         readers: DpReaders::Others,
-    }];
-    ops.extend(
-        (0..view.size())
-            .filter(|&r| r != view.rank)
-            .map(|r| SchedOp::PullCopy {
-                src: arrival.source(r, 0),
-                len: 0,
-                dst_loc: Loc::Buf,
-                dst_start: 0,
-            }),
-    );
-    CollPlan::new(
-        ops,
-        view.ctx,
-        None,
-        Loc::Buf,
-        (0, 0),
-        (0, 0),
-        0,
-        "barrier/shm",
-    )
+    });
+    // From the first peer's line to the last one's.
+    ops.await_row(0, usize::from(me == 0)..n - usize::from(me == n - 1));
+    ops.into_plan(view, None, (0, 0), (0, 0), 0, "barrier/shm")
 }
 
 /// Payload size from which `build_bcast_shm` switches to the host-sliced
@@ -424,7 +489,7 @@ pub(crate) fn build_bcast_shm(
         region_off: 0,
         len: total,
     };
-    let mut ops = DpOps::default();
+    let mut ops = DpOps::new(me);
     let scatter = hier.filter(|h| h.hosts_spanned() >= 2 && total >= DP_BCAST_SCATTER_MIN_BYTES);
     if me == root {
         ops.expose(payload, Loc::Buf, 0, DpReaders::Others);
@@ -443,9 +508,7 @@ pub(crate) fn build_bcast_shm(
         let mine = slice(j);
         if k > 1 {
             // Settle my slot while the root is still publishing.
-            ops.list.push(SchedOp::ClaimSlot {
-                readers: DpReaders::HostMates,
-            });
+            ops.claim(DpReaders::HostMates);
         }
         ops.pull(
             payload.source(root, mine.region_off),
@@ -489,7 +552,7 @@ pub(crate) fn build_reduce_shm<T: Reducible>(
         region_off: 0,
         len: total,
     };
-    let mut ops = DpOps::default();
+    let mut ops = DpOps::new(me);
     if me == root {
         for r in (0..view.size()).filter(|&r| r != root) {
             ops.fold(vector.source(r, 0), total, 0);
@@ -550,7 +613,8 @@ fn allreduce_two_phase(me: usize, n: usize, count: usize, elem: usize) -> (DpOps
         region_off: total,
         len: block(r).1,
     };
-    let mut ops = DpOps::default();
+    // Two exposes, two rounds of reads and a row for each that rides inline.
+    let mut ops = DpOps::with_capacity(me, 2 * n + 2, 2);
     ops.expose(vector, Loc::Buf, 0, DpReaders::Others);
     for r in (0..n).filter(|&r| r != me) {
         ops.fold(vector.source(r, my_off), my_len, my_off);
@@ -575,7 +639,8 @@ fn allreduce_one_phase(me: usize, n: usize, total: usize) -> (DpOps, usize, usiz
         region_off: 0,
         len: total,
     };
-    let mut ops = DpOps::default();
+    // One expose, the own vector's copy and fold, a row, `n − 1` reads.
+    let mut ops = DpOps::with_capacity(me, n + 3, 1);
     ops.expose(vector, Loc::Buf, 0, DpReaders::Others);
     if me != 0 {
         ops.list.push(SchedOp::Copy {
@@ -667,7 +732,7 @@ pub(crate) fn build_allgather_shm(view: &CommView<'_>, block: usize) -> CollPlan
         region_off: 0,
         len: block,
     };
-    let mut ops = DpOps::default();
+    let mut ops = DpOps::new(me);
     ops.expose(mine, Loc::Buf, me * block, DpReaders::Others);
     for r in (0..n).filter(|&r| r != me) {
         ops.pull(mine.source(r, 0), block, r * block);
@@ -697,7 +762,7 @@ pub(crate) fn build_alltoall_shm(view: &CommView<'_>, block: usize) -> CollPlan 
         region_off: 0,
         len: total,
     };
-    let mut ops = DpOps::default();
+    let mut ops = DpOps::new(me);
     ops.expose(image, Loc::Buf, 0, DpReaders::Others);
     for r in (0..n).filter(|&r| r != me) {
         ops.pull(image.source(r, me * block), block, r * block);
@@ -790,32 +855,117 @@ mod tests {
         let group = Group::from_world_ranks(vec![0, 1, 2]).unwrap();
         for (bytes, inline) in [(8, true), (48, true), (49, false), (1024, false)] {
             let leaf = build_bcast_shm(&view_of(&group, 2), None, 0, bytes);
-            let SchedOp::PullCopy { src, len, .. } = leaf.ops[0] else {
-                panic!("leaf plan starts with {:?}", leaf.ops[0]);
+            let Some(&SchedOp::PullCopy { src, len, .. }) = leaf.ops.last() else {
+                panic!("leaf plan ends with {:?}", leaf.ops.last());
             };
             assert_eq!((src.inline, src.off, len), (inline, 0, bytes));
         }
         // An alltoall reader takes its own block out of the middle of the
         // peer's image — line-relative when the image is inline.
         let plan = build_alltoall_shm(&view_of(&group, 1), 16);
-        let SchedOp::PullCopy { src, len, .. } = plan.ops[1] else {
-            panic!("expected a pull, got {:?}", plan.ops[1]);
+        let SchedOp::PullCopy { src, len, .. } = plan.ops[2] else {
+            panic!("expected a pull, got {:?}", plan.ops[2]);
         };
         assert_eq!((src.inline, src.off, len), (true, 16, 16));
     }
 
+    /// The range of writers each `AwaitRow` of an op list spans.
+    fn rows(ops: &[SchedOp]) -> Vec<(usize, usize)> {
+        let span = |op: &SchedOp| match *op {
+            SchedOp::AwaitRow { writers, .. } => Some(writers),
+            _ => None,
+        };
+        ops.iter().filter_map(span).collect()
+    }
+
     #[test]
-    fn barrier_is_one_store_and_a_load_per_peer() {
+    fn barrier_is_one_store_and_one_row() {
         let group = Group::from_world_ranks(vec![3, 5, 6, 9, 11]).unwrap();
-        let plan = build_barrier_shm(&view_of(&group, 2));
-        // Nobody stores a completion line for a barrier.
-        assert_eq!(shape(&plan), (1, 4, 0));
-        assert_eq!(plan.label, "barrier/shm");
         let w = window(1024);
-        assert_eq!(
-            serial_cost(&plan.ops, &plan.pieces, &w, |_| false),
-            5.0 * w.cost.line()
-        );
+        // A member in the middle spans the whole row, one at an end a line
+        // less; nobody reads anything or stores a completion line.
+        for (rank, row) in [(0, (1, 5)), (2, (0, 5)), (4, (0, 4))] {
+            let plan = build_barrier_shm(&view_of(&group, rank));
+            assert_eq!((plan.len(), shape(&plan)), (2, (1, 0, 0)));
+            assert_eq!(rows(&plan.ops), [row]);
+            assert_eq!(plan.label, "barrier/shm");
+            assert_eq!(
+                serial_cost(&plan.ops, &plan.pieces, &w, |_| false),
+                w.cost.line() + w.cost.row(row.1 - row.0)
+            );
+        }
+    }
+
+    #[test]
+    fn a_row_of_one_line_is_a_line_and_longer_ones_stream() {
+        let cost = window(1024).cost;
+        assert_eq!(cost.row(1), cost.line());
+        // Eight lines: what a 512 B pull pays for its payload, where eight
+        // loads paid eight device round trips.
+        let streamed = cost.cost.streamed_read(512, cost.mode);
+        assert_eq!(cost.row(8), streamed);
+        assert!(cost.row(8) < 1.2 * cost.line());
+        assert!((2..64).all(|k| cost.row(k) <= cost.row(k + 1)));
+    }
+
+    #[test]
+    fn inline_reads_of_one_phase_share_one_row() {
+        let group = Group::world(8);
+        // Allgather of a flag-line payload: every peer's line in one row,
+        // then seven reads that wait for nothing.
+        let plan = build_allgather_shm(&view_of(&group, 3), 8);
+        assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
+        assert!(matches!(plan.ops[1], SchedOp::AwaitRow { phase: 0, .. }));
+        assert_eq!(rows(&plan.ops), [(0, 8)]);
+        // The row of a rank at either end stops short of its own line.
+        for (rank, row) in [(0, (1, 8)), (7, (0, 7))] {
+            assert_eq!(
+                rows(&build_allgather_shm(&view_of(&group, rank), 8).ops),
+                [row]
+            );
+        }
+        // A broadcast leaf's row is the root's line alone.
+        let leaf = build_bcast_shm(&view_of(&group, 5), None, 2, 48);
+        assert_eq!(rows(&leaf.ops), [(2, 3)]);
+        // Reads out of data slots keep their own flag loads: no row at all.
+        assert!(rows(&build_allgather_shm(&view_of(&group, 3), 64).ops).is_empty());
+        // The one-phase allreduce's local copy and fold sit inside the run.
+        let t = CollTuning::default();
+        let w = Some(window(4096));
+        let plan = build_allreduce_shm::<u64>(&view_of(&group, 3), &t, None, w, 1, ReduceOp::Sum)
+            .expect("fits the slot");
+        assert_eq!(rows(&plan.ops), [(0, 8)]);
+    }
+
+    #[test]
+    fn a_row_spans_this_ranks_own_line_and_no_other_gap() {
+        let src = |writer_idx| DpSource {
+            writer_idx,
+            phase: 0,
+            off: 0,
+            inline: true,
+            last: false,
+        };
+        // Member 3 reads 1, 2, 4 and 6: its own line is bridged, member 5's —
+        // whose flag nobody promised — is not, and costs a second row.
+        let mut ops = DpOps::new(3);
+        for writer in [1, 2, 4, 6] {
+            ops.pull(src(writer), 8, 8 * writer);
+        }
+        assert_eq!(rows(&ops.list), [(1, 5), (6, 7)]);
+        assert_eq!(ops.list.len(), 6);
+    }
+
+    #[test]
+    fn a_two_phase_allreduce_rows_only_the_blocks_that_ride_inline() {
+        // 55 u64 over 8 ranks: seven blocks of 7 elements (56 B, in the data
+        // slot) and one of 6 (48 B, in rank 7's flag line). Phase 0 reads data
+        // slots only; phase 1's one inline block gets a row of one line.
+        let (ops, ..) = allreduce_two_phase(2, 8, 55, 8);
+        assert_eq!(rows(&ops.list), [(7, 8)]);
+        // ... and it comes after every read that could wait.
+        let at = ops.list.len() - 2;
+        assert!(matches!(ops.list[at], SchedOp::AwaitRow { phase: 1, .. }));
     }
 
     #[test]
@@ -864,9 +1014,10 @@ mod tests {
         let offs: Vec<usize> = (0..=4).map(|i| block_off(i, 10, 4, elem)).collect();
         assert_eq!(offs, vec![0, 24, 48, 64, 80]);
         let (ops, scratch, footprint) = allreduce_two_phase(2, 4, 10, elem);
-        // 2 exposes + 3 folds + 3 pulls; scratch stages one own-block fold at
-        // a time; the slot holds the vector plus the largest reduced block.
-        assert_eq!(ops.list.len(), 8);
+        // 2 exposes + 3 folds + the row of reduced blocks (16 and 24 B ride
+        // inline) + 3 pulls; scratch stages one own-block fold at a time; the
+        // slot holds the vector plus the largest reduced block.
+        assert_eq!(ops.list.len(), 9);
         assert_eq!((scratch, footprint), (16, 80 + 24));
     }
 
@@ -876,10 +1027,13 @@ mod tests {
         // re-expose nothing, and nobody pulls their (empty) block.
         let (owner, ..) = allreduce_two_phase(1, 5, 2, 8);
         let (idle, ..) = allreduce_two_phase(3, 5, 2, 8);
-        // Owner: expose A, 4 folds, expose B, pull rank 0's block.
-        assert_eq!(owner.list.len(), 7);
-        // Idle: expose A, pull the two reduced blocks.
-        assert_eq!(idle.list.len(), 3);
+        // Owner: expose A, a row and 4 folds, expose B, a row of one line and
+        // the pull of rank 0's block.
+        assert_eq!(owner.list.len(), 9);
+        assert_eq!(rows(&owner.list), [(0, 5), (0, 1)]);
+        // Idle: expose A, one row, the pulls of the two reduced blocks.
+        assert_eq!(idle.list.len(), 4);
+        assert_eq!(rows(&idle.list), [(0, 2)]);
         for ops in [&owner, &idle] {
             assert!(ops.list.iter().all(|op| match *op {
                 SchedOp::ExposeRead {
@@ -1043,7 +1197,7 @@ mod tests {
         let publish = w.cost.cost.streamed_publish(cross, w.cost.mode) + w.cost.line();
         let pulls: SimNs = (0..n)
             .filter(|&s| s != 1)
-            .map(|s| w.cost.pull(bytes(s, 1), false, s < 4))
+            .map(|s| w.cost.pull(bytes(s, 1), s < 4))
             .sum();
         let cost = serial_cost(&plan.ops, &plan.pieces, &w, |r| r < 4);
         assert!((cost - (publish + pulls + w.cost.line())).abs() < 1e-9);

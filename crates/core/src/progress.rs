@@ -5,7 +5,8 @@
 //! point-to-point operations (`SchedOp::Send` / `SchedOp::Recv`), local
 //! data movements (`SchedOp::Fold` / `SchedOp::Copy`) and shared-window
 //! data-plane operations (`SchedOp::ClaimSlot` / `SchedOp::ExposeRead` /
-//! `SchedOp::PullCopy` / `SchedOp::FoldInPlace`) over two byte arenas:
+//! `SchedOp::AwaitRow` / `SchedOp::PullCopy` / `SchedOp::FoldInPlace`) over
+//! two byte arenas:
 //! the *primary* buffer (the user's payload) and a *scratch* buffer (algorithm
 //! temporaries). Ops carry **tag offsets** (kind × step within the collective
 //! tag layout), not wire tags: the per-start collective sequence number is
@@ -165,10 +166,22 @@ pub(crate) enum SchedOp {
         /// Who reads the exposure (whose completion lines gate slot reuse).
         readers: DpReaders,
     },
+    /// Data plane: acquire the `phase` flag lines of group members
+    /// `lo..hi` — this rank, if it lies between them, excepted: the writers
+    /// whose inline exposures the reads that follow consume — in one row
+    /// read. Pending until every one of them is up.
+    AwaitRow {
+        /// Publish phase within the collective (flag cell selector).
+        phase: u8,
+        /// The awaited writers, a range of group indices.
+        writers: (usize, usize),
+    },
     /// Data plane: copy `len` bytes from the exposure `src` names into
-    /// `dst_loc[dst_start..]` once its flag is up (pending until then). With
-    /// `src.last`, also store this rank's completion line — this was its
-    /// last read of the collective.
+    /// `dst_loc[dst_start..]`: out of the writer's data slot once its flag is
+    /// up (pending until then), or — `src.inline` — out of the flag line the
+    /// `AwaitRow` before it acquired (never pending). With `src.last`, also
+    /// store this rank's completion line — this was its last read of the
+    /// collective.
     PullCopy {
         /// The exposure and the region of it to read.
         src: DpSource,
@@ -653,6 +666,18 @@ impl Execution {
                     let pieces = &plan.pieces[lo..hi];
                     if !t.dp_expose(clock, ctx, self.seq, phase, inline, pieces, from, readers)? {
                         // Slot still held by an earlier collective: pending.
+                        return Ok(StepOutcome {
+                            done: false,
+                            ops: completed,
+                        });
+                    }
+                }
+                SchedOp::AwaitRow {
+                    phase,
+                    writers: (lo, hi),
+                } => {
+                    if !t.dp_await_row(clock, ctx, self.seq, phase, lo..hi)? {
+                        // Some awaited flag not up yet: pending.
                         return Ok(StepOutcome {
                             done: false,
                             ops: completed,

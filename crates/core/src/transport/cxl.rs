@@ -35,7 +35,7 @@ use std::sync::Arc;
 use cmpi_fabric::clock::{transfer_ns, SimNs};
 use cmpi_fabric::cost::CoherenceMode;
 use cmpi_fabric::{CxlContentionModel, CxlCostModel, SimClock};
-use cxl_shm::slots::{SLOT_CELL_DATA_OFF, SLOT_CELL_TS_OFF};
+use cxl_shm::slots::{SLOT_CELL_DATA_OFF, SLOT_CELL_SIZE, SLOT_CELL_TS_OFF, SLOT_DONE_ENTRY};
 use cxl_shm::{CxlShmArena, ShmObject, SlotLayout, CACHE_LINE_SIZE};
 
 use crate::barrier::SeqBarrier;
@@ -142,10 +142,6 @@ struct DpState {
     /// nothing never moves its completion line for the occupant, and the slot
     /// would stay held for good.
     readers: Vec<u64>,
-    /// The done-through value each peer's completion line showed when this
-    /// rank last loaded it: a peer already seen done with everything held is
-    /// not loaded again while another is still awaited.
-    seen_done: Vec<u64>,
     /// Nonblocking and persistent collectives this rank has started
     /// ([`Transport::dp_begin`]) and not finished reading.
     reading: Vec<u32>,
@@ -156,7 +152,33 @@ struct DpState {
     /// time. It is the contiguous prefix of what this rank finished, so
     /// collectives completed out of order never claim an earlier one done.
     done_through: u64,
+    /// Stores this rank has made to its completion line, which keeps the
+    /// last `done_entries` of them: the next goes to entry `done_stores` mod
+    /// that.
+    done_stores: usize,
+    /// The control lines of this rank's latest span read, one line per group
+    /// member at most: a run of flag lines ([`Transport::dp_await_row`]) or
+    /// of completion lines ([`release_held`]).
+    row: Vec<u8>,
+    /// Which flag lines `row` holds, while it holds any the inline reads of a
+    /// run may still take their payloads from.
+    row_of: Option<RowTag>,
 }
+
+/// Which flag lines a [`DpState::row`] holds: those `writers` (a range of
+/// group indices) raised in `phase` of collective `seq`.
+#[derive(Clone, Copy)]
+struct RowTag {
+    seq: u32,
+    phase: u8,
+    writers: (usize, usize),
+}
+
+/// What a span read leaves — in debug builds — in the value word of its own
+/// copy of every flag line it checked: an inline read asserts that it takes
+/// its payload from a line so marked, never from one that merely lay inside
+/// the span.
+const ROW_CHECKED: u64 = u64::MAX;
 
 impl DpState {
     /// Words of one slot's reader set.
@@ -192,6 +214,18 @@ impl DpState {
         // Whatever the name said, a rank does not wait for itself.
         set[me / 64] &= !(1 << (me % 64));
         self.held[slot] = Some(seq);
+    }
+
+    /// This rank's copy of the flag line `writer` raised in `phase` of
+    /// collective `seq`, if its latest span read acquired it.
+    fn row_line(&self, seq: u32, phase: u8, writer: usize) -> Option<&[u8]> {
+        let (first, end) = self
+            .row_of
+            .filter(|row| (row.seq, row.phase) == (seq, phase))?
+            .writers;
+        (first..end)
+            .contains(&writer)
+            .then(|| &self.row[(writer - first) * SLOT_CELL_SIZE..][..SLOT_CELL_SIZE])
     }
 
     /// Note that this rank will read exposures of collective `seq`.
@@ -243,60 +277,73 @@ pub(crate) fn load_stamped(obj: &ShmObject, off: usize, at_least: u64) -> Result
 
 /// A writer about to expose collective `seq` found the slot it wants still
 /// held: release **every** slot an earlier collective holds, once every
-/// reader of every such occupant shows done through it. Each awaited peer's
-/// completion line is loaded once — its one value covers all of this writer's
-/// slots, so a load per peer retires up to `slots` collectives — and charged
-/// `line` when (and only when) it shows everything this writer waits for; a
-/// load that does not is a failed poll: free, and forgotten. Waiting for all
-/// earlier occupants rather than just the wanted slot's is what keeps the
-/// number of charged loads, and the stamps merged, independent of how far the
-/// host scheduler let each reader run ahead; never waiting for a *later* one
-/// (an `i*` collective driven out of order) keeps every wait pointing at a
-/// strictly earlier collective. A peer recorded dead counts as done.
+/// reader of every such occupant shows done through it. The awaited peers'
+/// completion lines — one value each covers all of this writer's slots, so a
+/// line per peer retires up to `slots` collectives — are loaded in one span
+/// read, from the first awaited peer's line to the last one's, and charged
+/// once ([`DpCost::row`]) when (and only when) every one of them shows what
+/// it owes; a read that does not is a failed poll: free, and forgotten. From
+/// each line the stamp of the *first* store that reached what is owed is
+/// merged — the line keeps the peer's last `slots` stores, so a peer that ran
+/// ahead has not overwritten it. Waiting for all earlier occupants rather
+/// than just the wanted slot's — and for every one of their readers, whatever
+/// an earlier sweep happened to see of it — is what keeps the charge, and the
+/// stamps merged, independent of how far the host scheduler let each reader
+/// run ahead; never waiting for a *later* one (an `i*` collective driven out
+/// of order) keeps every wait pointing at a strictly earlier collective. A
+/// peer recorded dead counts as done.
 fn release_held(
     state: &mut DpState,
     seq: u32,
     poison: &PoisonFlag,
     stats: &mut DataPlaneStats,
     clock: &mut SimClock,
-    line: SimNs,
+    cost: &DpCost,
 ) -> Result<bool> {
     let earlier = |occupant: u32| (seq.wrapping_sub(occupant) as i32) > 0;
-    for peer in 0..state.group.len() {
-        if peer == state.my_idx {
-            continue;
+    // The done-through value `peer` owes: past the newest earlier occupant it
+    // reads — 0 if it reads none, or is dead.
+    let owes = |state: &DpState, peer: usize| {
+        if peer == state.my_idx || (poison.ft_active() && poison.is_dead(state.group[peer])) {
+            return 0;
         }
-        // The done-through value this peer owes: past the newest earlier
-        // occupant it reads (0: it reads none).
-        let owed = state
+        state
             .held
             .iter()
             .enumerate()
             .filter_map(|(slot, held)| held.filter(|&o| earlier(o) && state.reads(slot, peer)))
             .map(|occupant| u64::from(occupant) + 1)
             .max()
-            .unwrap_or(0);
-        if state.seen_done[peer] >= owed
-            || (poison.ft_active() && poison.is_dead(state.group[peer]))
-        {
-            continue;
+            .unwrap_or(0)
+    };
+    let mut awaited = (0..state.group.len()).filter(|&p| owes(state, p) > 0);
+    if let Some(first) = awaited.next() {
+        let last = awaited.next_back().unwrap_or(first);
+        let lines = last - first + 1;
+        // The span read takes the row buffer over from whatever flag lines
+        // it held.
+        state.row_of = None;
+        let at = state.layout.done_off(first, 0) as u64;
+        let span = &mut state.row[..lines * SLOT_CELL_SIZE];
+        state.obj.nt_load_at(at, span)?;
+        let entries = state.layout.done_entries();
+        let mut stamp = f64::NEG_INFINITY;
+        let mut shown = 0;
+        for peer in first..=last {
+            let owed = owes(state, peer);
+            if owed > 0 {
+                let line = &state.row[(peer - first) * SLOT_CELL_SIZE..];
+                let Some(ts) = reached(line, entries, owed) else {
+                    return Ok(false);
+                };
+                stamp = stamp.max(ts);
+                shown += 1;
+            }
         }
-        let at = state.layout.done_off(peer, 0);
-        let through = state.obj.nt_load_u64_at(at as u64)?;
-        if through < owed {
-            return Ok(false);
-        }
-        // A stamp belongs to the value beside it: where the peer has already
-        // moved past what is awaited here (it finished a later collective
-        // without needing this rank), the stamp of the store that satisfied
-        // this wait is gone, and the later one says nothing about it.
-        if through == owed {
-            let ts = state.obj.nt_load_u64_at((at + SLOT_CELL_TS_OFF) as u64)?;
-            clock.merge(f64::from_bits(ts));
-        }
-        clock.advance(line);
-        stats.notify_waits += 1;
-        state.seen_done[peer] = through;
+        clock.merge(stamp);
+        clock.advance(cost.row(lines));
+        stats.notify_waits += shown;
+        stats.row_reads += 1;
     }
     for held in &mut state.held {
         if held.is_some_and(earlier) {
@@ -304,6 +351,25 @@ fn release_held(
         }
     }
     Ok(true)
+}
+
+/// What a loaded completion line of `entries` stores says to a writer that
+/// is owed `owed`: the stamp of the store that first reached it — the
+/// smallest value at or past it. `None` while no store has.
+fn reached(line: &[u8], entries: usize, owed: u64) -> Option<f64> {
+    (0..entries)
+        .map(|e| {
+            let word = |off: usize| read_u64(line, e * SLOT_DONE_ENTRY + off);
+            (word(0), word(SLOT_CELL_TS_OFF))
+        })
+        .filter(|&(value, _)| value >= owed)
+        .min_by_key(|&(value, _)| value)
+        .map(|(_, ts)| f64::from_bits(ts))
+}
+
+/// The little-endian `u64` at `off` of a loaded control line.
+fn read_u64(line: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(line[off..off + 8].try_into().expect("eight bytes"))
 }
 
 /// One side of a window's PSCW state: as a target (`post`/`wait`) or as an
@@ -848,13 +914,13 @@ impl CxlTransport {
     /// earlier occupant — the caller reports busy and the progress engine
     /// retries.
     fn dp_free_slot(&mut self, clock: &mut SimClock, ctx: CtxId, seq: u32) -> Result<bool> {
-        let line = self.cost.nt_access();
+        let cost = self.dp_cost();
         let Some(Some(state)) = self.dp.get_mut(&ctx) else {
             return no_data_plane();
         };
         let slot = seq as usize % state.layout.slots();
         Ok(state.held[slot].is_none_or(|owner| owner == seq)
-            || release_held(state, seq, &self.poison, &mut self.dp_stats, clock, line)?)
+            || release_held(state, seq, &self.poison, &mut self.dp_stats, clock, &cost)?)
     }
 
     /// [`Transport::dp_claim`], for an exposure of `pieces` (which a
@@ -1899,10 +1965,12 @@ impl Transport for CxlTransport {
                         my_idx,
                         held: vec![None; layout.slots()],
                         readers: vec![0; layout.slots() * group.len().div_ceil(64)],
-                        seen_done: vec![0; group.len()],
                         reading: Vec::new(),
                         read_top: 0,
                         done_through: 0,
+                        done_stores: 0,
+                        row: vec![0; group.len() * SLOT_CELL_SIZE],
+                        row_of: None,
                     }),
                 );
             }
@@ -2000,6 +2068,55 @@ impl Transport for CxlTransport {
         }
     }
 
+    fn dp_await_row(
+        &mut self,
+        clock: &mut SimClock,
+        ctx: CtxId,
+        seq: u32,
+        phase: u8,
+        writers: Range<usize>,
+    ) -> Result<bool> {
+        let cost = self.dp_cost();
+        let Some(Some(state)) = self.dp.get_mut(&ctx) else {
+            return no_data_plane();
+        };
+        debug_assert!(!writers.is_empty(), "a row of no lines");
+        let (first, lines) = (writers.start, writers.len());
+        let slot = seq as usize % state.layout.slots();
+        // One load of the span, in ascending word order: every line's value
+        // comes in before its stamp and payload, so a value that is up vouches
+        // for both (the writer stored them in the opposite order).
+        state.row_of = None;
+        let at = state.layout.flag_off(first, slot, phase as usize) as u64;
+        let span = &mut state.row[..lines * SLOT_CELL_SIZE];
+        state.obj.nt_load_at(at, span)?;
+        let mut stamp = f64::NEG_INFINITY;
+        let mut awaited = 0;
+        for writer in writers.clone().filter(|&w| w != state.my_idx) {
+            let line = &mut span[(writer - first) * SLOT_CELL_SIZE..];
+            if read_u64(line, 0) <= u64::from(seq) {
+                // A flag not up yet: a failed poll costs nothing, however
+                // many of the others are (same as the PSCW spin idiom).
+                return Ok(false);
+            }
+            stamp = stamp.max(f64::from_bits(read_u64(line, SLOT_CELL_TS_OFF)));
+            if cfg!(debug_assertions) {
+                line[..8].copy_from_slice(&ROW_CHECKED.to_le_bytes());
+            }
+            awaited += 1;
+        }
+        clock.merge(stamp);
+        clock.advance(cost.row(lines));
+        state.row_of = Some(RowTag {
+            seq,
+            phase,
+            writers: (writers.start, writers.end),
+        });
+        self.dp_stats.pull_ops += awaited;
+        self.dp_stats.row_reads += 1;
+        Ok(true)
+    }
+
     fn dp_pull(
         &mut self,
         clock: &mut SimClock,
@@ -2014,27 +2131,41 @@ impl Transport for CxlTransport {
         };
         let (obj, layout) = (&state.obj, &state.layout);
         let slot = seq as usize % layout.slots();
-        let flag = layout.flag_off(src.writer_idx, slot, src.phase as usize);
-        let Some(ts) = load_stamped(obj, flag, u64::from(seq) + 1)? else {
-            // Flag not up yet: a failed poll costs nothing (same as the PSCW
-            // spin idiom — the flag line lives in this rank's cache).
-            return Ok(false);
-        };
-        clock.merge(ts);
         if src.inline {
-            // The payload came with the flag line: nothing else to fetch.
+            // The payload came with the row: nothing to wait for, nothing
+            // else to fetch, nothing more to charge.
             debug_assert!(src.off + buf.len() <= DP_INLINE_BYTES);
-            obj.nt_load_at((flag + SLOT_CELL_DATA_OFF + src.off) as u64, buf)?;
+            let Some(line) = state.row_line(seq, src.phase, src.writer_idx) else {
+                return Err(MpiError::Transport(format!(
+                    "inline read of collective {seq}, phase {}, writer {} without its row",
+                    src.phase, src.writer_idx
+                )));
+            };
+            debug_assert_eq!(
+                read_u64(line, 0),
+                ROW_CHECKED,
+                "inline payload of writer {} taken from a line the span read did not check",
+                src.writer_idx
+            );
+            buf.copy_from_slice(&line[SLOT_CELL_DATA_OFF + src.off..][..buf.len()]);
         } else {
+            let flag = layout.flag_off(src.writer_idx, slot, src.phase as usize);
+            let Some(ts) = load_stamped(obj, flag, u64::from(seq) + 1)? else {
+                // Flag not up yet: a failed poll costs nothing (same as the
+                // PSCW spin idiom — the flag line lives in this rank's cache).
+                return Ok(false);
+            };
+            clock.merge(ts);
             // A streamed read: load fence, then NT loads straight from the
             // device — the slot was written with NT stores, so neither host
             // holds a cached copy of its lines, and none is left behind.
             debug_assert!(src.off + buf.len() <= layout.slot_bytes());
             let at = layout.data_off(src.writer_idx, slot) + src.off;
             obj.nt_load_fenced_at(at as u64, buf)?;
+            let same_host = self.host_of[state.group[src.writer_idx]] == self.host_of[self.rank];
+            clock.advance(cost.pull(buf.len(), same_host));
+            self.dp_stats.pull_ops += 1;
         }
-        let same_host = self.host_of[state.group[src.writer_idx]] == self.host_of[self.rank];
-        clock.advance(cost.pull(buf.len(), src.inline, same_host));
         if src.last {
             // Completion entry: killing here is the classic reader-death
             // wedge — every writer's slot would wait on this line forever if
@@ -2043,12 +2174,13 @@ impl Transport for CxlTransport {
                 f.on_ack()?;
             }
             if let Some(through) = state.finish_reading(seq) {
-                let done = state.layout.done_off(state.my_idx, 0);
+                let entry = state.done_stores % state.layout.done_entries();
+                state.done_stores += 1;
+                let done = state.layout.done_off(state.my_idx, entry);
                 store_stamped(&state.obj, done, through, clock.now())?;
                 clock.advance(cost.line());
             }
         }
-        self.dp_stats.pull_ops += 1;
         self.dp_stats.bytes_pulled += buf.len() as u64;
         Ok(true)
     }
@@ -2092,5 +2224,31 @@ impl Transport for CxlTransport {
 
     fn poison(&self) -> &PoisonFlag {
         &self.poison
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_completion_line_keeps_the_stamp_of_the_store_that_first_reached_what_is_owed() {
+        // A reader's last four stores — through 3, 5, 6 and 9, the newest
+        // wrapped onto entry 0 — at stamps ten times their values.
+        let mut line = [0u8; SLOT_CELL_SIZE];
+        for (entry, value) in [9u64, 3, 5, 6].into_iter().enumerate() {
+            let at = entry * SLOT_DONE_ENTRY;
+            line[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let ts = (10.0 * value as f64).to_bits();
+            line[at + SLOT_CELL_TS_OFF..at + SLOT_DONE_ENTRY].copy_from_slice(&ts.to_le_bytes());
+        }
+        // Owed 4: the store through 5 ended that wait, however far the reader
+        // has run ahead since.
+        assert_eq!(reached(&line, 4, 4), Some(50.0));
+        assert_eq!(reached(&line, 4, 3), Some(30.0));
+        assert_eq!(reached(&line, 4, 9), Some(90.0));
+        assert_eq!(reached(&line, 4, 10), None);
+        // A line nobody has stored to shows nothing.
+        assert_eq!(reached(&[0; SLOT_CELL_SIZE], 4, 1), None);
     }
 }

@@ -37,13 +37,14 @@ pub mod conn;
 pub mod cxl;
 pub mod tcp;
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cmpi_fabric::clock::{transfer_ns, SimNs};
 use cmpi_fabric::cost::CoherenceMode;
 use cmpi_fabric::{CxlContentionModel, CxlCostModel, SimClock};
-use cxl_shm::slots::SLOT_CELL_INLINE;
+use cxl_shm::slots::{SLOT_CELL_INLINE, SLOT_CELL_SIZE};
 
 use crate::config::FaultTrigger;
 use crate::error::MpiError;
@@ -297,7 +298,8 @@ impl TransportCounters {
 }
 
 /// Largest exposure that rides in its slot's flag line instead of the data
-/// slot: publishing it is one line store, reading it one line load.
+/// slot: publishing it is one line store, and it reaches a reader with the
+/// row of flag lines the reader acquires anyway.
 pub const DP_INLINE_BYTES: usize = SLOT_CELL_INLINE;
 
 /// What one data-plane operation costs on the virtual clock. The CXL
@@ -335,21 +337,39 @@ impl DpCost {
         }
     }
 
-    /// Read `bytes` of an exposure whose flag is up: the flag line alone when
-    /// the exposure is `inline`; otherwise the flag line plus the payload
-    /// fetch — out of the shared cache from a `same_host` writer, a streamed
-    /// read held to this reader's share of the one-sided device cap from
-    /// another host.
-    pub fn pull(&self, bytes: usize, inline: bool, same_host: bool) -> SimNs {
-        if inline {
+    /// Acquire `lines` consecutive control lines — the flag lines of one
+    /// `(slot, phase)` row from the first to the last awaited writer, or the
+    /// completion lines from the first to the last awaited reader — in one
+    /// read: a single line is [`Self::line`]; more are one streamed read of
+    /// their bytes, held to this reader's share of the one-sided device cap
+    /// like any other pull off the device.
+    pub fn row(&self, lines: usize) -> SimNs {
+        if lines <= 1 {
             return self.line();
         }
+        let bytes = lines * SLOT_CELL_SIZE;
+        let ideal = self.cost.streamed_read(bytes, self.mode);
+        ideal.max(self.fair_share(bytes))
+    }
+
+    /// Read `bytes` of a slot exposure whose flag is up: the flag line plus
+    /// the payload fetch — out of the shared cache from a `same_host` writer,
+    /// a streamed read held to this reader's share of the one-sided device
+    /// cap from another host. (An exposure that rides in its flag line is not
+    /// pulled: it comes with the row, [`Self::row`].)
+    pub fn pull(&self, bytes: usize, same_host: bool) -> SimNs {
         if same_host {
             return self.cost.coherent_read(bytes, CoherenceMode::Cached) + self.line();
         }
         let ideal = self.cost.streamed_read(bytes, self.mode) + self.line();
+        ideal.max(self.fair_share(bytes))
+    }
+
+    /// What `bytes` off the device take at this reader's share of the
+    /// one-sided cap.
+    fn fair_share(&self, bytes: usize) -> SimNs {
         let cap = self.contention.aggregate_cap_gbps(self.pairs, bytes, false);
-        ideal.max(transfer_ns(bytes, cap / self.pairs.max(1) as f64))
+        transfer_ns(bytes, cap / self.pairs.max(1) as f64)
     }
 }
 
@@ -449,11 +469,16 @@ pub struct DataPlaneStats {
     /// Expose operations (one per flag raised: a gathered exposure of many
     /// pieces counts once).
     pub expose_ops: u64,
-    /// Pull operations (reader copied from a peer's exposed slot).
+    /// Exposures read: flag lines a row read acquired (each with whatever
+    /// payload rides in it) plus pulls out of peers' data slots.
     pub pull_ops: u64,
-    /// Completion lines loaded: a writer about to reuse a slot observed that
+    /// Completion lines acquired: a writer about to reuse a slot observed that
     /// a reader is done with the slot's earlier occupants.
     pub notify_waits: u64,
+    /// Row reads issued and charged — one per phase in which a rank reads
+    /// inline exposures, one per completion sweep — however many flag or
+    /// completion lines each acquired.
+    pub row_reads: u64,
     /// Bytes published into window slots.
     pub bytes_exposed: u64,
     /// Bytes pulled out of peers' window slots.
@@ -472,6 +497,7 @@ impl DataPlaneStats {
         self.expose_ops += other.expose_ops;
         self.pull_ops += other.pull_ops;
         self.notify_waits += other.notify_waits;
+        self.row_reads += other.row_reads;
         self.bytes_exposed += other.bytes_exposed;
         self.bytes_pulled += other.bytes_pulled;
     }
@@ -808,12 +834,35 @@ pub trait Transport: Send {
     /// rank done *through* it.
     fn dp_begin(&mut self, _ctx: CtxId, _seq: u32) {}
 
+    /// Acquire, in one read, the `phase` flag lines of collective `seq`
+    /// raised by group members `writers` — this rank, if it lies between
+    /// them, excepted: that span of the slot's flag row. Returns `false`
+    /// without blocking — and without charge — until every one of them is
+    /// up; then the latest of their stamps is merged and the read charged
+    /// once ([`DpCost::row`]), however many polls it took. The lines stay
+    /// with the transport until its next data-plane call that can wait: the
+    /// inline reads of the run ([`Transport::dp_pull`] with `src.inline`)
+    /// take their payloads out of them.
+    fn dp_await_row(
+        &mut self,
+        _clock: &mut SimClock,
+        _ctx: CtxId,
+        _seq: u32,
+        _phase: u8,
+        _writers: Range<usize>,
+    ) -> Result<bool> {
+        no_data_plane()
+    }
+
     /// Copy `buf.len()` bytes of collective `seq` from the exposure `src`
-    /// names, once its flag is up (returns `false` without blocking until
-    /// then). With `src.last`, this rank will not read any exposure of `seq`
-    /// again: it stores its completion line — the sequence number through
-    /// which it has finished *every* collective it started reading — unless
-    /// an earlier one is still open, whose completion will then cover both.
+    /// names. An exposure in a data slot is read once its flag is up (returns
+    /// `false` without blocking until then); an `inline` one came with the
+    /// row this rank has just acquired ([`Transport::dp_await_row`]), costs
+    /// nothing more and is never pending. With `src.last`, this rank will not
+    /// read any exposure of `seq` again: it stores its completion line — the
+    /// sequence number through which it has finished *every* collective it
+    /// started reading — unless an earlier one is still open, whose
+    /// completion will then cover both.
     fn dp_pull(
         &mut self,
         _clock: &mut SimClock,

@@ -7,9 +7,10 @@
 //!
 //! ```text
 //! ┌ control ──────────────────────────────────────┬ data ─────────────────────┐
-//! │ flag cells            │ done cells            │ writer 0 slots │ writer 1 … │
-//! │ (writer, slot, phase) │ one per reader:       │ slot 0 │ slot 1 │ …         │
-//! │ value│stamp│48 B inline│ (value, stamp) entries│                           │
+//! │ flag cells, slot-major│ done cells            │ writer 0 slots │ writer 1 … │
+//! │ (slot, phase) rows of │ one per reader:       │ slot 0 │ slot 1 │ …         │
+//! │ one cell per writer:  │ (value, stamp) entries│                           │
+//! │ value│stamp│48 B inline│                      │                           │
 //! └───────────────────────┴───────────────────────┴───────────────────────────┘
 //! ```
 //!
@@ -22,16 +23,23 @@
 //!   In a group window two cells per slot cover two publish phases within
 //!   one collective (a large allreduce exposes the full input vector first and
 //!   the reduced block second); a stream publishes each slot once per lap and
-//!   has one.
+//!   has one. The cells are laid out **slot-major**: the cells all writers
+//!   raise in one `(slot, phase)` — what a rank of a flat collective reads in
+//!   one phase — are a contiguous *row* in writer order, so a reader acquires
+//!   them with one streamed read from the first to the last writer it waits
+//!   for instead of a device round trip per writer.
 //! * **Done cells** close the loop, one per *reader*, so the control region
 //!   is linear in the group size. In a group window ([`SlotLayout::new`]) a
-//!   reader's cell is one `(value, timestamp)` entry — its completion line:
-//!   the reader stores there, once per collective, the sequence number
-//!   through which it has finished reading *everything* exposed to it,
-//!   whoever wrote it, and one load of that line tells a writer about all of
-//!   its slots at once. The single reader of a stream
-//!   ([`SlotLayout::single_reader`]) keeps an entry per slot, each with the
-//!   stamp of exactly the hand-back stored there.
+//!   reader's cell is its completion line: the reader stores there, once per
+//!   collective, the sequence number through which it has finished reading
+//!   *everything* exposed to it, whoever wrote it, and one load of that line
+//!   tells a writer about all of its slots at once. The line keeps the
+//!   `(value, timestamp)` entries of the reader's last `slots` stores, so a
+//!   writer finds the stamp of the store that first reached what it waits for
+//!   even after the reader has moved on; the readers' lines are contiguous in
+//!   reader order, one streamed read for a writer that waits for several. The
+//!   single reader of a stream ([`SlotLayout::single_reader`]) keeps an entry
+//!   per slot, each with the stamp of exactly the hand-back stored there.
 //!
 //! Flag cells are one cache line each and done cells a whole number of lines,
 //! so a non-temporal store never shares a line with a cell another rank
@@ -76,16 +84,17 @@ pub struct SlotLayout {
 
 impl SlotLayout {
     /// Lay out a group window: `ranks` members, each a writer with `slots`
-    /// slots of `slot_bytes` bytes and a reader with one done entry (its
-    /// completion line). `slot_bytes` is rounded down to cache-line alignment
-    /// so data slots never share a line with each other.
+    /// slots of `slot_bytes` bytes and a reader with `slots` done entries (its
+    /// completion line: the last `slots` stores). `slot_bytes` is rounded down
+    /// to cache-line alignment so data slots never share a line with each
+    /// other.
     pub fn new(ranks: usize, slots: usize, slot_bytes: usize) -> Self {
         SlotLayout {
             ranks,
             slots,
             slot_bytes: slot_bytes & !(SLOT_CELL_SIZE - 1),
             phases: SLOT_PHASES,
-            done_entries: 1,
+            done_entries: slots,
         }
     }
 
@@ -119,18 +128,21 @@ impl SlotLayout {
         self.phases
     }
 
-    /// Offset of the publish-flag cell for `(writer, slot, phase)`.
+    /// Offset of the publish-flag cell for `(writer, slot, phase)`:
+    /// slot-major, so the cells of one `(slot, phase)` are consecutive lines
+    /// in writer order.
     pub fn flag_off(&self, writer: usize, slot: usize, phase: usize) -> usize {
         debug_assert!(writer < self.ranks && slot < self.slots && phase < self.phases);
-        ((writer * self.slots + slot) * self.phases + phase) * SLOT_CELL_SIZE
+        ((slot * self.phases + phase) * self.ranks + writer) * SLOT_CELL_SIZE
     }
 
     fn done_base(&self) -> usize {
         self.ranks * self.slots * self.phases * SLOT_CELL_SIZE
     }
 
-    /// Done entries per reader: one (a completion line) in a group window, one
-    /// per slot in a single-reader window.
+    /// Done entries per reader, one per slot: the last `slots` stores of a
+    /// completion line in a group window, a hand-back per slot in a
+    /// single-reader window.
     pub fn done_entries(&self) -> usize {
         self.done_entries
     }
@@ -229,6 +241,26 @@ mod tests {
             for (off, _, who) in control_cells(&l) {
                 let line = off / SLOT_CELL_SIZE;
                 assert_eq!(owner.entry(line).or_insert_with(|| who.clone()), &who);
+            }
+        }
+    }
+
+    #[test]
+    fn the_flag_cells_of_one_slot_and_phase_are_a_row_in_writer_order() {
+        for l in layouts() {
+            for s in 0..l.slots() {
+                for p in 0..l.phases() {
+                    for w in 1..l.ranks() {
+                        assert_eq!(
+                            l.flag_off(w, s, p),
+                            l.flag_off(w - 1, s, p) + SLOT_CELL_SIZE
+                        );
+                    }
+                }
+            }
+            // And so are the readers' completion lines of a group window.
+            for r in 1..l.ranks() {
+                assert_eq!(l.done_off(r, 0), l.done_off(r - 1, 0) + SLOT_CELL_SIZE);
             }
         }
     }

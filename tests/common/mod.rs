@@ -4,9 +4,12 @@
 
 #![allow(dead_code)] // not every suite uses every helper
 
-use cmpi::fabric::cost::TcpNic;
+use cmpi::fabric::cost::{CoherenceMode, TcpNic};
+use cmpi::fabric::{CxlContentionModel, CxlCostModel};
+use cmpi::mpi::dataplane::DP_SLOTS;
+use cmpi::mpi::transport::{DataPlaneStats, DpCost};
 use cmpi::mpi::{
-    CollTuning, Comm, ConnMode, DataPlaneMode, HierarchyMode, Result, TransportConfig,
+    CollTuning, Comm, ConnMode, DataPlaneMode, HierarchyMode, Result, TransportConfig, Universe,
     UniverseConfig,
 };
 
@@ -191,4 +194,43 @@ pub fn force_ring() -> CollTuning {
         data_plane: DataPlaneMode::Ring,
         ..CollTuning::default()
     }
+}
+
+/// The data-plane cost terms of a default CXL universe in which `pairs`
+/// communication pairs are active at once (half the ranks).
+pub fn dp_cost(pairs: usize) -> DpCost {
+    DpCost {
+        cost: CxlCostModel::default(),
+        contention: CxlContentionModel::default(),
+        mode: CoherenceMode::FlushClflushopt,
+        pairs,
+    }
+}
+
+/// `colls` back-to-back calls of `step` on a duplicate of the world
+/// communicator, in steady state: per rank, the data-plane counters before
+/// and after them and the virtual nanoseconds they took. A barrier and
+/// `DP_SLOTS` untimed calls come first — every slot is held, as in a long
+/// run, and the first timed call is the one that has to sweep.
+pub fn steady_colls(
+    config: UniverseConfig,
+    colls: usize,
+    step: impl Fn(&mut Comm) -> Result<()> + Send + Sync + 'static,
+) -> Vec<(DataPlaneStats, DataPlaneStats, f64)> {
+    Universe::run(config, move |world: &mut Comm| {
+        let mut comm = world.comm_dup()?;
+        comm.barrier()?;
+        for _ in 0..DP_SLOTS {
+            step(&mut comm)?;
+        }
+        let (before, start) = (comm.data_plane_stats(), world.clock_ns());
+        for _ in 0..colls {
+            step(&mut comm)?;
+        }
+        Ok((before, comm.data_plane_stats(), world.clock_ns() - start))
+    })
+    .expect("steady collectives")
+    .into_iter()
+    .map(|(result, _)| result)
+    .collect()
 }

@@ -7,14 +7,12 @@
 
 use std::time::Duration;
 
-use cmpi::fabric::cost::CoherenceMode;
-use cmpi::fabric::{CxlContentionModel, CxlCostModel};
 use cmpi::mpi::dataplane::DP_SLOTS;
-use cmpi::mpi::transport::DpCost;
+use cmpi::mpi::transport::DataPlaneStats;
 use cmpi::mpi::{CollTuning, Comm, ProgressMode, ReduceOp, Request, Universe, UniverseConfig};
 
 mod common;
-use common::{force_ring, force_shm, matrix_hosts, with_window_headroom};
+use common::{dp_cost, force_ring, force_shm, matrix_hosts, steady_colls, with_window_headroom};
 
 /// The payload sizes that straddle the flag line's 48-byte inline capacity.
 const SIZES: [usize; 6] = [0, 8, 48, 49, 64, 1024];
@@ -337,6 +335,91 @@ fn finishing_a_later_collective_does_not_report_an_earlier_one_done() {
     .unwrap();
 }
 
+#[test]
+fn a_straggler_costs_its_readers_one_row_not_a_line_per_peer() {
+    // Eight ranks leave the same virtual instant for one 8 B allgather, rank
+    // 5 a virtual millisecond (and 20 ms of wall time) late. Whoever waits
+    // for all of a row is released by its last flag: every rank must end at
+    // the straggler's stamp plus one row and its completion line — where a
+    // load per peer ended it seven lines later — with the ring path's bytes.
+    const START_NS: f64 = 1e7;
+    const LATE_NS: f64 = 1e6;
+    let run = |tuning: CollTuning| {
+        Universe::run(config(8, 2, tuning), |world: &mut Comm| {
+            let mut comm = world.comm_dup()?;
+            let me = comm.rank();
+            world.advance_clock(START_NS - world.clock_ns());
+            if me == 5 {
+                std::thread::sleep(Duration::from_millis(20));
+                world.advance_clock(LATE_NS);
+            }
+            let mut all = vec![0u8; 8 * 8];
+            comm.allgather_into(&payload(me, 0, 8), &mut all)?;
+            Ok((all, world.clock_ns()))
+        })
+        .unwrap()
+    };
+    let (shm, ring) = (run(force_shm()), run(force_ring()));
+    let dp = dp_cost(4);
+    let stamp = START_NS + LATE_NS + dp.line();
+    for (rank, (((bytes, end), report), ((ring_bytes, _), _))) in shm.iter().zip(&ring).enumerate()
+    {
+        assert_eq!(bytes, ring_bytes, "rank {rank}");
+        // Ranks 0 and 7 span seven lines, the others — their own in the
+        // middle — eight.
+        let span = if rank == 0 || rank == 7 { 7 } else { 8 };
+        let planned = stamp + dp.row(span) + dp.line();
+        assert!(
+            (end - planned).abs() < 1e-3,
+            "rank {rank} ended at {end}, straggler's stamp + row is {planned}"
+        );
+        assert_eq!(report.data_plane.row_reads, 1, "rank {rank}");
+    }
+}
+
+#[test]
+fn two_outstanding_rows_are_polled_in_turn_and_charged_once_each() {
+    // An iallgather and an iallreduce, both riding in flag lines, polled
+    // alternately — the later one first — while rank 0, a line of both rows
+    // on every other rank, starts late: the two executions' failed polls
+    // interleave on one transport, and each row is still read into the clock
+    // exactly once, with its own collective's payloads.
+    let config = config(5, matrix_hosts(), force_shm()).with_progress_mode(ProgressMode::Polling);
+    let results = Universe::run(config, |world: &mut Comm| {
+        let mut comm = world.comm_dup()?;
+        let (n, me) = (comm.size(), comm.rank());
+        let before = comm.data_plane_stats();
+        if me == 0 {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let mut gather = comm.iallgather_into(&payload(me, 1, 8))?;
+        let mut reduce = comm.iallreduce(&payload(me, 2, 8), ReduceOp::Sum)?;
+        let mut gather_done = false;
+        while comm.test(&mut reduce)?.is_none() {
+            gather_done = gather_done || comm.test(&mut gather)?.is_some();
+            std::thread::yield_now();
+        }
+        let summed: Vec<u8> = (0..8)
+            .map(|i| (0..n).fold(0u8, |a, s| a.wrapping_add(byte(s, 2, i))))
+            .collect();
+        assert_eq!(reduce.take_values::<u8>()?, summed);
+        if !gather_done {
+            comm.wait(&mut gather)?;
+        }
+        let gathered: Vec<u8> = (0..n).flat_map(|s| payload(s, 1, 8)).collect();
+        assert_eq!(gather.take_values::<u8>()?, gathered);
+        let after = comm.data_plane_stats();
+        Ok((
+            after.row_reads - before.row_reads,
+            after.pull_ops - before.pull_ops,
+        ))
+    })
+    .unwrap();
+    for (rank, (moved, _)) in results.iter().enumerate() {
+        assert_eq!(*moved, (2, 2 * 4), "rank {rank}");
+    }
+}
+
 /// A scripted mix of small collectives on a duplicate communicator; what
 /// every rank's virtual clock advanced by. All ranks set out from the same
 /// virtual instant: creating the duplicate agrees on a context id over
@@ -388,56 +471,71 @@ fn virtual_clocks_repeat_exactly() {
     }
 }
 
-#[test]
-fn an_allgather_costs_its_budget_of_round_trips() {
-    // 8 B allgather among 8 ranks: one expose line, seven pull lines and one
-    // completion store per rank, plus at most seven completion-line loads per
-    // DP_SLOTS collectives — and each of those lines is one non-temporal
-    // access on the virtual clock, inline or not, same host or not.
-    const COLLS: u64 = 4 * DP_SLOTS as u64;
-    let line = CxlCostModel::default().nt_access();
-    let results = Universe::run(config(8, 2, force_shm()), move |world: &mut Comm| {
-        let mut comm = world.comm_dup()?;
-        let n = comm.size();
-        let mut all = vec![0u8; n * 8];
-        // Warm the plan cache, and leave every slot held as a long run would.
-        for _ in 0..DP_SLOTS {
-            comm.allgather_into(&[7u8; 8], &mut all)?;
-        }
-        comm.barrier()?;
-        let (before, start) = (comm.data_plane_stats(), world.clock_ns());
-        for _ in 0..COLLS {
-            comm.allgather_into(&[7u8; 8], &mut all)?;
-        }
-        let (after, end) = (comm.data_plane_stats(), world.clock_ns());
-        Ok((
-            after.expose_ops - before.expose_ops,
-            after.pull_ops - before.pull_ops,
-            after.notify_waits - before.notify_waits,
-            end - start,
-        ))
-    })
-    .unwrap();
-    for (rank, ((exposes, pulls, line_loads, virt_ns), _)) in results.iter().enumerate() {
-        assert_eq!((*exposes, *pulls), (COLLS, 7 * COLLS), "rank {rank}");
-        assert!(
-            *line_loads <= 7 * COLLS / DP_SLOTS as u64,
-            "rank {rank}: {line_loads}"
+/// Collectives timed by the three cost identities below, and how many of
+/// them share one completion sweep.
+const COLLS: u64 = 4 * DP_SLOTS as u64;
+const SWEEPS: u64 = COLLS / DP_SLOTS as u64;
+
+/// Check `COLLS` steady-state calls of `step` among 8 ranks on 2 hosts
+/// against `per_call` virtual nanoseconds plus `sweeps` completion sweeps, as
+/// an equality on every rank: a line that goes uncharged fails it, and so
+/// does a row charged per poll. Every rank reads its seven peers' exposures
+/// per call.
+fn assert_costs(
+    what: &str,
+    step: impl Fn(&mut Comm) -> cmpi::mpi::Result<()> + Send + Sync + 'static,
+    per_call: f64,
+    sweeps: u64,
+) {
+    // A rank in the middle of the group spans the whole row of eight lines,
+    // and the ranks at its ends, whose own spans are a line shorter, wait for
+    // it in every call.
+    let row = dp_cost(4).row(8);
+    let planned = COLLS as f64 * per_call + sweeps as f64 * row;
+    let results = steady_colls(config(8, 2, force_shm()), COLLS as usize, step);
+    for (rank, (before, after, virt_ns)) in results.iter().enumerate() {
+        let moved = |counter: fn(&DataPlaneStats) -> u64| counter(after) - counter(before);
+        assert_eq!(moved(|s| s.expose_ops), COLLS, "{what}, rank {rank}");
+        assert_eq!(moved(|s| s.pull_ops), 7 * COLLS, "{what}, rank {rank}");
+        assert_eq!(moved(|s| s.notify_waits), 7 * sweeps, "{what}, rank {rank}");
+        // One row per call for the peers' flag lines, one per sweep.
+        assert_eq!(
+            moved(|s| s.row_reads),
+            COLLS + sweeps,
+            "{what}, rank {rank}"
         );
-        // 1 + 7 + 1 lines per collective, plus the loads counted above: no
-        // line may go uncharged. Waiting for peers can only add to it.
-        let lines = (9 * COLLS + line_loads) as f64;
         assert!(
-            *virt_ns >= lines * line - 1e-6,
-            "rank {rank}: {virt_ns} ns for {lines} lines of {line} ns"
-        );
-        // And nothing but those lines (and a rank's wait for the slowest
-        // peer, a few lines at most) is charged either.
-        assert!(
-            *virt_ns <= (lines + 16.0) * line,
-            "rank {rank}: {virt_ns} ns for {lines} lines of {line} ns"
+            (virt_ns - planned).abs() <= 0.002 * planned,
+            "{what}, rank {rank}: {virt_ns} ns, planned {planned} ns"
         );
     }
+}
+
+#[test]
+fn a_barrier_costs_one_store_and_one_row() {
+    // Nothing is read out of a slot, so nothing is held and nobody sweeps.
+    let dp = dp_cost(4);
+    assert_costs("barrier", Comm::barrier, dp.line() + dp.row(8), 0);
+}
+
+#[test]
+fn an_allgather_costs_its_budget_of_round_trips() {
+    // 8 B allgather among 8 ranks: one flag line stored, the seven peers'
+    // lines — payloads and all — acquired in one row, the completion line
+    // stored; and one more row, of completion lines, per DP_SLOTS calls.
+    let dp = dp_cost(4);
+    let step = |comm: &mut Comm| comm.allgather_into(&[7u8; 8], &mut [0u8; 64]);
+    let per_call = dp.line() + dp.row(8) + dp.line();
+    assert_costs("8 B allgather", step, per_call, SWEEPS);
+}
+
+#[test]
+fn a_small_allreduce_costs_what_the_allgather_does() {
+    // One expose, one row, seven folds out of it, one completion line.
+    let dp = dp_cost(4);
+    let step = |comm: &mut Comm| comm.allreduce(&mut [3u64], ReduceOp::Sum);
+    let per_call = dp.line() + dp.row(8) + dp.line();
+    assert_costs("8 B allreduce", step, per_call, SWEEPS);
 }
 
 #[test]
@@ -445,21 +543,15 @@ fn an_irregular_exchange_costs_one_publish_and_a_pull_per_peer() {
     // 8 ranks on 2 hosts, 512 B to every peer: per call a rank's clock moves
     // by one streamed publish of its seven segments and the flag line, seven
     // pulls (three out of the shared cache, four off the device) and its
-    // completion line — plus the completion lines it loads, DP_SLOTS calls'
-    // worth at a time, before it reuses a slot. Nothing per message: there
-    // are none.
-    const COLLS: u64 = 4 * DP_SLOTS as u64;
+    // completion line — plus the row of completion lines it loads, DP_SLOTS
+    // calls' worth at a time, before it reuses a slot. Nothing per message:
+    // there are none.
     const SEG: usize = 512;
-    let dp = DpCost {
-        cost: CxlCostModel::default(),
-        contention: CxlContentionModel::default(),
-        mode: CoherenceMode::FlushClflushopt,
-        pairs: 4,
-    };
+    let dp = dp_cost(4);
     let per_call = dp.cost.streamed_publish(7 * SEG, dp.mode)
         + dp.line()
-        + 3.0 * dp.pull(SEG, false, true)
-        + 4.0 * dp.pull(SEG, false, false)
+        + 3.0 * dp.pull(SEG, true)
+        + 4.0 * dp.pull(SEG, false)
         + dp.line();
     let results = Universe::run(config(8, 2, force_shm()), move |world: &mut Comm| {
         let mut comm = world.comm_dup()?;
@@ -486,14 +578,20 @@ fn an_irregular_exchange_costs_one_publish_and_a_pull_per_peer() {
             COLLS * 7 * SEG as u64
         );
         assert_eq!(after.pull_ops - before.pull_ops, 7 * COLLS);
-        Ok((
-            after.notify_waits - before.notify_waits,
-            world.clock_ns() - start,
-        ))
+        assert_eq!(
+            after.bytes_pulled - before.bytes_pulled,
+            COLLS * 7 * SEG as u64
+        );
+        // Nothing rides inline: the only rows are the sweeps'.
+        assert_eq!(
+            7 * (after.row_reads - before.row_reads),
+            after.notify_waits - before.notify_waits
+        );
+        Ok((after.row_reads - before.row_reads, world.clock_ns() - start))
     })
     .unwrap();
-    for (rank, ((line_loads, virt_ns), _)) in results.iter().enumerate() {
-        let planned = COLLS as f64 * per_call + *line_loads as f64 * dp.line();
+    for (rank, ((sweeps, virt_ns), _)) in results.iter().enumerate() {
+        let planned = COLLS as f64 * per_call + *sweeps as f64 * dp.row(8);
         assert!(
             (virt_ns - planned).abs() <= 0.002 * planned,
             "rank {rank}: {virt_ns} ns, planned {planned} ns"

@@ -300,6 +300,54 @@ fn shm_data_plane_survives_publish_and_ack_kills() {
 }
 
 #[test]
+fn a_writer_dead_before_its_flag_fails_a_row_as_it_fails_one_line() {
+    // The victim dies at the publish of its first exposure, so its flag never
+    // rises. A broadcast leaf awaits that one line; every member of an
+    // allgather awaits it among the others of its row. Either wait must end
+    // in `ProcFailed` naming the victim — and the row, which wants all of its
+    // lines or none, without having read anything into the clock.
+    let n = 5;
+    let victim = 1 + (lcg(base_seed() ^ 0xA11) >> 33) as usize % (n - 1);
+    for row in [false, true] {
+        let config =
+            cxl(n, 1, DataPlaneMode::Shm, HierarchyMode::Off).with_faults(vec![FaultPlan {
+                victim,
+                trigger: FaultTrigger::NthPublish(1),
+            }]);
+        let outcomes = Universe::run_ft(config, move |comm| {
+            comm.set_errhandler(ErrHandler::ErrorsReturn);
+            let before = comm.data_plane_stats();
+            let result = if row {
+                comm.allgather_into(&[comm.rank() as u64], &mut vec![0u64; n])
+            } else {
+                comm.bcast_into(victim, &mut [7u64])
+            };
+            if comm.rank() == victim {
+                return result; // killed at its publish
+            }
+            let Err(MpiError::ProcFailed { dead, .. }) = result else {
+                panic!("rank {} (row: {row}) got {result:?}", comm.rank());
+            };
+            assert_eq!(dead, vec![victim]);
+            let after = comm.data_plane_stats();
+            assert_eq!(
+                (after.row_reads, after.pull_ops),
+                (before.row_reads, before.pull_ops)
+            );
+            Ok(())
+        })
+        .unwrap();
+        for (rank, outcome) in outcomes.iter().enumerate() {
+            assert_eq!(
+                outcome.is_killed(),
+                rank == victim,
+                "row: {row}, rank {rank}"
+            );
+        }
+    }
+}
+
+#[test]
 fn reader_death_before_its_completion_line_frees_a_writer_running_ahead() {
     // A broadcast root exposes without waiting for anybody until it runs out
     // of slots. The victim pulls the first broadcast and dies at the store

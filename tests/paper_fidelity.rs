@@ -9,12 +9,18 @@
 //! The one-sided path has no oracle mode: its synchronization is pinned below
 //! as cost-model identities — device lines per call — and the distance to
 //! the paper's one-sided anchor that leaves is written down next to them.
+//! The small flat collectives of the shared-window data plane, an extension
+//! with no counterpart in the paper, are pinned the same way: a store, a row
+//! and a line.
 
 use cmpi::fabric::cost::{CoherenceMode, CxlCostModel, TcpNic};
 use cmpi::fabric::profiles::InterconnectKind;
 use cmpi::fabric::{params, table1};
+use cmpi::mpi::dataplane::DP_SLOTS;
 use cmpi::mpi::{Comm, ConnMode, ReduceOp, Result, Universe, UniverseConfig};
 use cmpi::omb::two_sided_latency;
+
+mod common;
 
 /// cMPI as the paper built it (the bench bins' `paper_cxl`).
 fn paper_cxl(ranks: usize) -> UniverseConfig {
@@ -182,4 +188,44 @@ fn rma_synchronization_costs_one_device_line_per_peer_and_call() {
         (6.0 + 1.0) * nt,
         0.002,
     );
+}
+
+#[test]
+fn small_flat_collectives_cost_a_store_a_row_and_a_line() {
+    // The library default at 8 ranks on 2 hosts, 16 calls in steady state:
+    // what a rank stores is a line, and what it reads of its seven peers is
+    // one streamed read of the row their flag lines form — 879.5 ns for the
+    // eight lines a rank in the middle of the group spans, which the ranks at
+    // the ends wait for — where a load per peer was seven times 790 ns. An
+    // 8 B payload rides in those lines; reading one costs the completion line
+    // a writer's sweep then finds, one more row per `DP_SLOTS` collectives.
+    const COLLS: usize = 4 * DP_SLOTS;
+    let dp = common::dp_cost(4);
+    let (line, row) = (dp.line(), dp.row(8));
+    assert_within("a row of eight lines", row, 879.5, 0.001);
+    let steady = |step: fn(&mut Comm) -> Result<()>| {
+        common::steady_colls(UniverseConfig::cxl(8).with_hosts(2), COLLS, step)
+    };
+    let sweeps = (COLLS / DP_SLOTS) as f64 * row;
+    let barrier = steady(Comm::barrier);
+    let allgather = steady(|comm| comm.allgather_into(&[7u8; 8], &mut [0u8; 64]));
+    let allreduce = steady(|comm| comm.allreduce(&mut [3u64], ReduceOp::Sum));
+    for rank in 0..8 {
+        let calls = COLLS as f64;
+        for (what, virt_ns, planned) in [
+            ("barrier", barrier[rank].2, calls * (line + row)),
+            (
+                "8 B allgather",
+                allgather[rank].2,
+                calls * (line + row + line) + sweeps,
+            ),
+            (
+                "8 B allreduce",
+                allreduce[rank].2,
+                calls * (line + row + line) + sweeps,
+            ),
+        ] {
+            assert_within(&format!("{what}, rank {rank}"), virt_ns, planned, 0.002);
+        }
+    }
 }
