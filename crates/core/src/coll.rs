@@ -2127,12 +2127,15 @@ fn build_alltoall_hier(view: &CommView<'_>, hier: &HostHierarchy, block: usize) 
 /// `reader × stride` — all of a rank's such segments in one gathered
 /// exposure, one streamed publish and one flag — and the reader pulls it from
 /// `(writer, me × stride)`: no message, no displacement table, nothing to
-/// agree on, because MPI already gave both ends the pair's count. A longer
-/// segment is known to be so by exactly the two ranks concerned and travels
-/// as a message between them in the same plan; with no window (TCP, a forced
-/// ring, a window the pool could not hold) or a stride of 0 that is every
-/// segment, and the plan is the flat pairwise exchange: at step `s` send to
-/// `me + s`, then receive from `me − s`. Send first on every rank — a plan
+/// agree on, because MPI already gave both ends the pair's count. The pulls
+/// go in writer order, so a dense exchange reads all its peers in one run —
+/// one row of flag lines, one gathered read — and a peer with nothing to
+/// pull splits it in two rather than have anyone wait for a flag that may
+/// never be raised. A longer segment is known to be so by exactly the two
+/// ranks concerned and travels as a message between them in the same plan;
+/// with no window (TCP, a forced ring, a window the pool could not hold) or a
+/// stride of 0 that is every segment, and the plan is the flat pairwise
+/// exchange: at step `s` send to `me + s`, then receive from `me − s`. Send first on every rank — a plan
 /// `Send` that flow control stops drains this rank's arrivals while it
 /// waits, so two ranks that owe each other more than a queue holds both get
 /// through (see `Comm::sendrecv`).
@@ -2182,8 +2185,9 @@ pub fn build_alltoallv(
     let sent = |seg: &Range<usize>| seg.len() > stride;
     let wire = |s: usize, peer: Rank| (view.world(peer), coll_tag_off(kind, s));
 
-    // At most a copy, an expose and one op to and one from every peer.
-    let mut ops = DpOps::with_capacity(me, 2 * n, if stride > 0 { n - 1 } else { 0 });
+    // A copy, an expose and one op to and one from every peer at most, and a
+    // row per run of pulls: room for any exchange that is not mostly holes.
+    let mut ops = DpOps::with_capacity(me, 2 * n + 1, if stride > 0 { n - 1 } else { 0 });
     if !out(me).is_empty() {
         ops.list.push(SchedOp::Copy {
             dst_loc: Loc::Buf,
@@ -2207,7 +2211,7 @@ pub fn build_alltoallv(
         let dst = (me + s) % n;
         if sent(&out(dst)) {
             let (peer, tag_off) = wire(s, dst);
-            ops.list.push(SchedOp::Send {
+            ops.message(SchedOp::Send {
                 peer,
                 tag_off,
                 loc: Loc::Buf,
@@ -2216,7 +2220,9 @@ pub fn build_alltoallv(
             });
         }
     }
-    for w in (1..n).map(|s| (me + s) % n) {
+    // In writer order: one run, one row, unless a pair with nothing to pull —
+    // empty, or oversize — splits it.
+    for w in (0..n).filter(|&w| w != me) {
         if pulled(&inc(w)) {
             ops.pull_gathered(stride, w, me, inc(w).len(), inc(w).start);
         }
@@ -2226,7 +2232,7 @@ pub fn build_alltoallv(
         let src = (me + n - s) % n;
         if sent(&inc(src)) {
             let (peer, tag_off) = wire(s, src);
-            ops.list.push(SchedOp::Recv {
+            ops.message(SchedOp::Recv {
                 peer,
                 tag_off,
                 loc: Loc::Buf,

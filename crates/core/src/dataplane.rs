@@ -27,22 +27,26 @@
 //!   are *gathered* into a single exposure — one store stream, one fence,
 //!   one flag, whatever the number of pieces;
 //! * the flag lines of one `(slot, phase)` are a contiguous **row** in writer
-//!   order, and a rank acquires the inline exposures it reads in one phase
-//!   with a single **row read**: the plan names the range of writers whose
-//!   flag lines the phase's reads consume (`AwaitRow`), the transport waits
-//!   until every one of them is up, merges the latest stamp and charges one
-//!   streamed read of the span ([`crate::transport::DpCost::row`]; a row of
-//!   one line is exactly a line). The inline reads that follow take their
-//!   payloads out of those lines and cost nothing more;
-//! * a **pull** out of a data slot loads the writer's flag line by itself and
-//!   goes on to read the slot. These are deliberately not grouped into rows:
-//!   the data read dominates the line, and polling writer by writer is what
-//!   lets a reader drain early writers while a straggler still publishes —
-//!   grouping `k` of them can lose `k − 1` data reads of overlap under skew
-//!   to save `k − 1` line latencies, whereas waiting for all of an inline row
-//!   is at worst the difference between a row and a line (90 ns at 8 ranks)
-//!   behind the serial order, and is the one rule whose charge does not
-//!   depend on the host's schedule;
+//!   order, and a rank reads its peers in **runs**: the exposures it reads in
+//!   one phase, inline or out of data slots, are acquired with a single **row
+//!   read** — the plan names the range of writers whose flag lines the run's
+//!   reads consume (`AwaitRow`), the transport waits until every one of them
+//!   is up, merges the latest stamp and charges one streamed read of the span
+//!   ([`crate::transport::DpCost::row`]; a row of one line is exactly a
+//!   line). Nothing after the row waits. An inline read takes its payload out
+//!   of its writer's line and costs nothing more;
+//! * the reads of a run out of data slots are one **gathered read**
+//!   ([`crate::transport::DpCost::gather`]): their line fills do not depend
+//!   on one another, so the run pays one load fence and one device latency,
+//!   then every piece's bytes at its own bandwidth, a cross-host piece held
+//!   to its own fair share of the device. A run of one piece — a broadcast
+//!   leaf's, any read between two ranks — costs what a pull that loaded its
+//!   flag line by itself did; a run of `k` saves `k − 1` flag lines and
+//!   `k − 1` latencies. What is given up for that is draining early writers
+//!   while a straggler still publishes: under skew a reader ends at the
+//!   straggler's stamp plus the row and the whole gathered read, at worst the
+//!   early pieces' read time later than a reader that polled writer by
+//!   writer, and by an amount that does not depend on the host's schedule;
 //! * after its last read of a collective a reader stores its **completion
 //!   line** once — one line per rank, holding the sequence number through
 //!   which the rank has finished everything exposed to it, whoever wrote it
@@ -58,8 +62,9 @@
 //!
 //! An 8-byte allgather among `n` ranks is therefore a line, a row and a line
 //! per rank plus a quarter of a row amortised — three transactions whatever
-//! `n` is — and a barrier a line and a row, where a message-based one pays
-//! per-message software overhead on top of several lines per hop.
+//! `n` is — a 1 KiB one the same and one gathered read, and a barrier a line
+//! and a row, where a message-based one pays per-message software overhead on
+//! top of several lines per hop.
 //!
 //! A slot is held for exactly the peers that read its occupant
 //! ([`DpReaders`]): a rank stores its completion line only for a collective it
@@ -107,7 +112,7 @@ use crate::coll::{hier_selected, CommView};
 use crate::config::{CollTuning, DataPlaneMode};
 use crate::progress::{fold_bytes, CollPlan, FoldFn, Loc, SchedOp};
 use crate::topology::HostHierarchy;
-use crate::transport::{DpPiece, DpReaders, DpSource, DpWindow, DP_INLINE_BYTES};
+use crate::transport::{DpGather, DpPiece, DpReaders, DpSource, DpWindow, DP_INLINE_BYTES};
 use crate::types::{Rank, ReduceOp, Reducible};
 
 /// Exposure slots per rank in every data-plane window: how many consecutive
@@ -178,10 +183,10 @@ impl Exposure {
 /// index. Zero-length exposes and reads are never emitted — both sides of an
 /// empty region skip it, so a rank whose block of a short vector is empty
 /// costs nobody a device round trip — and the rank's last read so far is the
-/// one marked to store its completion line. Inline reads come in **runs**:
+/// one marked to store its completion line. Reads come in **runs**:
 /// consecutive reads of one phase, from consecutive writers, with nothing
 /// between them that could wait, opened by the one `AwaitRow` that acquires
-/// all their flag lines.
+/// all their flag lines — the only way a rank reads a peer.
 pub(crate) struct DpOps {
     pub(crate) list: Vec<SchedOp>,
     pieces: Vec<DpPiece>,
@@ -190,10 +195,9 @@ pub(crate) struct DpOps {
     me: usize,
     /// Index in `list` of the read that carries `last`.
     last_read: Option<usize>,
-    /// Index in `list` of the `AwaitRow` whose run the next inline read may
-    /// join. A publish, a claim or a read out of a data slot ends the run —
-    /// each may wait, and the row's lines are only good until then. (So would
-    /// a message: the one builder that emits any reads nothing inline.)
+    /// Index in `list` of the `AwaitRow` whose run the next read may join. A
+    /// publish, a claim or a message ends the run — each may wait, and the
+    /// row's lines are only good until then.
     open_row: Option<usize>,
 }
 
@@ -283,9 +287,15 @@ impl DpOps {
         self.list.push(SchedOp::ClaimSlot { readers });
     }
 
+    /// A `Send` or `Recv` of the one exchange that mixes messages with reads.
+    pub(crate) fn message(&mut self, op: SchedOp) {
+        self.open_row = None;
+        self.list.push(op);
+    }
+
     /// Acquire the `phase` flag lines of members `writers` in one row read —
-    /// for the inline reads that follow, or for their own sake (a barrier's
-    /// arrivals carry no payload to read).
+    /// for the reads that follow, or for their own sake (a barrier's arrivals
+    /// carry no payload to read).
     fn await_row(&mut self, phase: u8, writers: Range<usize>) {
         self.open_row = Some(self.list.len());
         self.list.push(SchedOp::AwaitRow {
@@ -294,10 +304,11 @@ impl DpOps {
         });
     }
 
-    /// Append a read, which takes over `last` from the read before it. An
-    /// inline read joins the open run if its flag line is the next one of the
-    /// run's row — or the next but this rank's own, which no row waits for —
-    /// and opens a run of its own otherwise.
+    /// Append a read, which takes over `last` from the read before it. It
+    /// joins the open run if its flag line is the next one of the run's row —
+    /// or the next but this rank's own, which no row waits for — and opens a
+    /// run of its own otherwise: a row never spans a peer that is not read,
+    /// whose flag nobody promised.
     fn read(&mut self, mut op: SchedOp) {
         fn src_of(op: &mut SchedOp) -> &mut DpSource {
             match op {
@@ -308,12 +319,10 @@ impl DpOps {
         let DpSource {
             writer_idx: writer,
             phase,
-            inline,
             ..
         } = *src_of(&mut op);
         let me = self.me;
         match self.open_row.map(|i| &mut self.list[i]) {
-            _ if !inline => self.open_row = None,
             Some(SchedOp::AwaitRow {
                 phase: open,
                 writers: (_, end),
@@ -392,7 +401,7 @@ pub(crate) fn exchange_stride(dp: Option<DpWindow>, n: usize) -> usize {
 
 /// What one rank's clock advances by while it executes `ops` (whose exposes
 /// index `pieces`) on window `w`, not counting time spent waiting for peers:
-/// every expose, every row, every read out of a data slot and the completion
+/// every expose, every row, every run's gathered read and the completion
 /// line, priced with the terms the transport charges. `same_host(idx)` says
 /// whether group member `idx` shares the rank's host.
 fn serial_cost(
@@ -401,11 +410,15 @@ fn serial_cost(
     w: &DpWindow,
     same_host: impl Fn(usize) -> bool,
 ) -> SimNs {
+    let mut run = DpGather::default();
     ops.iter()
         .map(|op| match *op {
             SchedOp::AwaitRow {
                 writers: (lo, hi), ..
-            } => w.cost.row(hi - lo),
+            } => {
+                run = w.cost.run(hi - lo);
+                w.cost.row(hi - lo)
+            }
             SchedOp::ExposeRead {
                 inline,
                 pieces: (lo, hi),
@@ -420,7 +433,8 @@ fn serial_cost(
                 let read = if src.inline {
                     0.0
                 } else {
-                    w.cost.pull(len, same_host(src.writer_idx))
+                    w.cost
+                        .gather_piece(&mut run, len, same_host(src.writer_idx))
                 };
                 read + done
             }
@@ -613,7 +627,7 @@ fn allreduce_two_phase(me: usize, n: usize, count: usize, elem: usize) -> (DpOps
         region_off: total,
         len: block(r).1,
     };
-    // Two exposes, two rounds of reads and a row for each that rides inline.
+    // Two exposes, two rows, two rounds of reads.
     let mut ops = DpOps::with_capacity(me, 2 * n + 2, 2);
     ops.expose(vector, Loc::Buf, 0, DpReaders::Others);
     for r in (0..n).filter(|&r| r != me) {
@@ -908,8 +922,106 @@ mod tests {
         assert!((2..64).all(|k| cost.row(k) <= cost.row(k + 1)));
     }
 
+    /// What a pull that loaded its writer's flag line by itself was charged
+    /// before reads came in runs.
+    fn pulled_singly(cost: &DpCost, bytes: usize, same_host: bool) -> SimNs {
+        if same_host {
+            return cost.cost.coherent_read(bytes, CoherenceMode::Cached) + cost.line();
+        }
+        let ideal = cost.cost.streamed_read(bytes, cost.mode) + cost.line();
+        ideal.max(cost.fair_share(bytes))
+    }
+
+    /// The cost terms of `pairs` active pairs under coherence `mode`.
+    fn cost_of(pairs: usize, mode: CoherenceMode) -> DpCost {
+        DpCost {
+            pairs,
+            mode,
+            ..window(1024).cost
+        }
+    }
+
+    const MODES: [CoherenceMode; 4] = [
+        CoherenceMode::FlushClflushopt,
+        CoherenceMode::FlushClflush,
+        CoherenceMode::Cached,
+        CoherenceMode::Uncacheable,
+    ];
+
     #[test]
-    fn inline_reads_of_one_phase_share_one_row() {
+    fn a_gather_of_one_piece_is_the_old_pull_less_its_line() {
+        // Latency-bound and floor-bound, out of the cache and off the device,
+        // alone on the device and in a crowd: a run of one piece — a broadcast
+        // leaf's, every read between two ranks — moves no clock.
+        for (pairs, mode) in [1, 2, 4, 16]
+            .into_iter()
+            .flat_map(|p| MODES.map(|m| (p, m)))
+        {
+            let cost = cost_of(pairs, mode);
+            for bytes in [8, 64, 1024, 64 * 1024, 1 << 20] {
+                for same_host in [true, false] {
+                    let run = cost.row(1) + cost.gather(1, [(bytes, same_host)]);
+                    let pull = pulled_singly(&cost, bytes, same_host);
+                    assert!(
+                        (run - pull).abs() < 1e-9 * pull,
+                        "{pairs} pairs, {mode:?}, {bytes} B, same host {same_host}: {run} vs {pull}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_gather_never_costs_more_than_its_pieces_pulled_singly() {
+        // Same-host and cross-host pieces in every proportion and both
+        // orders, behind a row that spans this rank's own line too.
+        for (pairs, mode) in [1, 4, 16].into_iter().flat_map(|p| MODES.map(|m| (p, m))) {
+            let cost = cost_of(pairs, mode);
+            for bytes in [8, 1024, 64 * 1024] {
+                // (An uncacheable row past the 2 KiB cliff is another matter:
+                // every word of it is a transaction of its own.)
+                let wide = (mode != CoherenceMode::Uncacheable).then_some((0, 63));
+                let mixes = [(0, 2), (1, 1), (2, 0), (3, 4), (0, 7), (7, 0)];
+                for (near, far) in mixes.into_iter().chain(wide) {
+                    let pieces = || {
+                        let near = std::iter::repeat_n((bytes, true), near);
+                        near.chain(std::iter::repeat_n((bytes / 2 + 4, false), far))
+                    };
+                    let lines = near + far + 1;
+                    let run = cost.row(lines) + cost.gather(lines, pieces());
+                    let singly: SimNs = pieces().map(|(b, s)| pulled_singly(&cost, b, s)).sum();
+                    assert!(
+                        run <= singly * (1.0 + 1e-12),
+                        "{pairs} pairs, {mode:?}, {near}+{far} × {bytes} B: {run} > {singly}"
+                    );
+                    // ... nor less than its cross-host bytes take at this
+                    // reader's share of the device.
+                    let floors: SimNs = pieces()
+                        .filter(|&(_, same_host)| !same_host)
+                        .map(|(b, _)| cost.fair_share(b))
+                        .sum();
+                    assert!(run >= floors * (1.0 - 1e-12), "{run} < {floors}");
+                    // The order of the pieces is not part of the price.
+                    let reversed: Vec<_> = pieces().collect();
+                    let back = cost.gather(lines, reversed.into_iter().rev());
+                    assert!((back - cost.gather(lines, pieces())).abs() < 1e-6);
+                }
+            }
+        }
+        // Eight ranks on two hosts at 1 KiB: what is saved is six flag lines
+        // less the row's streaming, and six fences and latencies.
+        let cost = cost_of(4, CoherenceMode::FlushClflushopt);
+        let pieces = [(1024, true); 3].into_iter().chain([(1024, false); 4]);
+        let singly: SimNs = pieces
+            .clone()
+            .map(|(b, s)| pulled_singly(&cost, b, s))
+            .sum();
+        let run = cost.row(8) + cost.gather(8, pieces);
+        assert!(run < singly - 6.0 * cost.line(), "{run} vs {singly}");
+    }
+
+    #[test]
+    fn reads_of_one_phase_share_one_row() {
         let group = Group::world(8);
         // Allgather of a flag-line payload: every peer's line in one row,
         // then seven reads that wait for nothing.
@@ -927,8 +1039,12 @@ mod tests {
         // A broadcast leaf's row is the root's line alone.
         let leaf = build_bcast_shm(&view_of(&group, 5), None, 2, 48);
         assert_eq!(rows(&leaf.ops), [(2, 3)]);
-        // Reads out of data slots keep their own flag loads: no row at all.
-        assert!(rows(&build_allgather_shm(&view_of(&group, 3), 64).ops).is_empty());
+        // Reads out of data slots come in the same runs.
+        let plan = build_allgather_shm(&view_of(&group, 3), 64);
+        assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
+        assert_eq!(rows(&plan.ops), [(0, 8)]);
+        let leaf = build_bcast_shm(&view_of(&group, 5), None, 2, 64 * 1024);
+        assert_eq!(rows(&leaf.ops), [(2, 3)]);
         // The one-phase allreduce's local copy and fold sit inside the run.
         let t = CollTuning::default();
         let w = Some(window(4096));
@@ -939,33 +1055,87 @@ mod tests {
 
     #[test]
     fn a_row_spans_this_ranks_own_line_and_no_other_gap() {
+        // Member 3 reads 1, 2, 4 and 6: its own line is bridged, member 5's —
+        // whose flag nobody promised — is not, and costs a second row; in the
+        // flag line or in the slot, the payloads make no difference.
+        for inline in [[true; 4], [false; 4], [true, false, false, true]] {
+            let mut ops = DpOps::new(3);
+            for (writer, inline) in [1, 2, 4, 6].into_iter().zip(inline) {
+                let src = DpSource {
+                    writer_idx: writer,
+                    phase: 0,
+                    off: 0,
+                    inline,
+                    last: false,
+                };
+                ops.pull(src, 8, 8 * writer);
+            }
+            assert_eq!(rows(&ops.list), [(1, 5), (6, 7)]);
+            assert_eq!(ops.list.len(), 6);
+        }
+    }
+
+    #[test]
+    fn whatever_can_wait_ends_the_run() {
         let src = |writer_idx| DpSource {
             writer_idx,
             phase: 0,
             off: 0,
-            inline: true,
+            inline: false,
             last: false,
         };
-        // Member 3 reads 1, 2, 4 and 6: its own line is bridged, member 5's —
-        // whose flag nobody promised — is not, and costs a second row.
-        let mut ops = DpOps::new(3);
-        for writer in [1, 2, 4, 6] {
-            ops.pull(src(writer), 8, 8 * writer);
-        }
-        assert_eq!(rows(&ops.list), [(1, 5), (6, 7)]);
-        assert_eq!(ops.list.len(), 6);
+        let send = SchedOp::Send {
+            peer: 1,
+            tag_off: 0,
+            loc: Loc::Buf,
+            start: 0,
+            end: 8,
+        };
+        // A message between two reads of consecutive writers: by the time it
+        // is through, another collective may have taken the row buffer.
+        let mut ops = DpOps::new(0);
+        ops.pull(src(1), 64, 0);
+        ops.message(send);
+        ops.pull(src(2), 64, 64);
+        assert_eq!(rows(&ops.list), [(1, 2), (2, 3)]);
+        // So may a claim; a local copy may not, and does not.
+        let mut ops = DpOps::new(0);
+        ops.pull(src(1), 64, 0);
+        ops.list.push(SchedOp::Copy {
+            dst_loc: Loc::Scratch,
+            dst_start: 0,
+            src_loc: Loc::Buf,
+            src_start: 0,
+            len: 64,
+        });
+        ops.pull(src(2), 64, 64);
+        ops.claim(DpReaders::Others);
+        ops.pull(src(3), 64, 128);
+        assert_eq!(rows(&ops.list), [(1, 3), (3, 4)]);
     }
 
     #[test]
-    fn a_two_phase_allreduce_rows_only_the_blocks_that_ride_inline() {
+    fn a_two_phase_allreduce_reads_each_phase_in_one_run() {
         // 55 u64 over 8 ranks: seven blocks of 7 elements (56 B, in the data
         // slot) and one of 6 (48 B, in rank 7's flag line). Phase 0 reads data
-        // slots only; phase 1's one inline block gets a row of one line.
+        // slots only, phase 1 seven slots and a flag line: a row each.
         let (ops, ..) = allreduce_two_phase(2, 8, 55, 8);
-        assert_eq!(rows(&ops.list), [(7, 8)]);
-        // ... and it comes after every read that could wait.
-        let at = ops.list.len() - 2;
-        assert!(matches!(ops.list[at], SchedOp::AwaitRow { phase: 1, .. }));
+        assert_eq!(rows(&ops.list), [(0, 8), (0, 8)]);
+        let phases: Vec<u8> = ops
+            .list
+            .iter()
+            .filter_map(|op| match *op {
+                SchedOp::AwaitRow { phase, .. } => Some(phase),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(phases, [0, 1]);
+        // Each row directly follows its phase's expose: nothing else waits.
+        assert!(matches!(ops.list[0], SchedOp::ExposeRead { phase: 0, .. }));
+        assert!(matches!(ops.list[1], SchedOp::AwaitRow { phase: 0, .. }));
+        assert!(matches!(ops.list[9], SchedOp::ExposeRead { phase: 1, .. }));
+        assert!(matches!(ops.list[10], SchedOp::AwaitRow { phase: 1, .. }));
+        assert_eq!(ops.list.len(), 18);
     }
 
     #[test]
@@ -989,12 +1159,14 @@ mod tests {
         assert_eq!(shape(&remote), (1, 3, 1));
         assert!(matches!(remote.ops[0], SchedOp::ClaimSlot { .. }));
         assert!(matches!(
-            remote.ops[2],
+            remote.ops[3],
             SchedOp::ExposeRead {
                 readers: DpReaders::HostMates,
                 ..
             }
         ));
+        // A run of one piece off the root, a run of two off the host-mates.
+        assert_eq!(rows(&remote.ops), [(0, 1), (3, 6)]);
         assert_eq!(remote.label, "bcast/shm");
         assert_eq!(remote.result_len(), total);
         // Below the cutoff (or on one host) the direct shape is kept.
@@ -1014,10 +1186,10 @@ mod tests {
         let offs: Vec<usize> = (0..=4).map(|i| block_off(i, 10, 4, elem)).collect();
         assert_eq!(offs, vec![0, 24, 48, 64, 80]);
         let (ops, scratch, footprint) = allreduce_two_phase(2, 4, 10, elem);
-        // 2 exposes + 3 folds + the row of reduced blocks (16 and 24 B ride
-        // inline) + 3 pulls; scratch stages one own-block fold at a time; the
-        // slot holds the vector plus the largest reduced block.
-        assert_eq!(ops.list.len(), 9);
+        // 2 exposes, each followed by a row and 3 reads (the reduced blocks,
+        // 16 and 24 B, ride inline); scratch stages one own-block fold at a
+        // time; the slot holds the vector plus the largest reduced block.
+        assert_eq!(ops.list.len(), 10);
         assert_eq!((scratch, footprint), (16, 80 + 24));
     }
 
@@ -1088,8 +1260,9 @@ mod tests {
         // 8 ranks on 64 KiB slots: a stride of 8 KiB.
         let plan = exchange_plan(8, 3, |s, d| 100 * (s + 1) + d);
         assert_eq!(plan.label, "alltoallv/shm");
-        // The self copy, one expose of seven pieces, seven pulls.
-        assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
+        // The self copy, one expose of seven pieces, one row, seven pulls.
+        assert_eq!((plan.len(), shape(&plan)), (10, (1, 7, 1)));
+        assert_eq!(rows(&plan.ops), [(0, 8)]);
         assert!(matches!(
             plan.ops[1],
             SchedOp::ExposeRead {
@@ -1104,14 +1277,17 @@ mod tests {
             assert_eq!(piece.end - piece.start, 400 + r);
         }
         // Every pull takes the reader's own region of the writer's slot, by
-        // the length MPI told the reader, starting with the next rank up.
-        let SchedOp::PullCopy { src, len, .. } = plan.ops[2] else {
-            panic!("expected a pull, got {:?}", plan.ops[2]);
+        // the length MPI told the reader, in writer order.
+        let SchedOp::PullCopy { src, len, .. } = plan.ops[3] else {
+            panic!("expected a pull, got {:?}", plan.ops[3]);
         };
         assert_eq!(
             (src.writer_idx, src.off, src.inline, len),
-            (4, 3 * 8192, false, 503)
+            (0, 3 * 8192, false, 103)
         );
+        // Rank 0's run starts past its own line, rank 7's stops short of it.
+        assert_eq!(rows(&exchange_plan(8, 0, |_, _| 64).ops), [(1, 8)]);
+        assert_eq!(rows(&exchange_plan(8, 7, |_, _| 64).ops), [(0, 7)]);
     }
 
     #[test]
@@ -1125,14 +1301,32 @@ mod tests {
         assert_eq!(writer.pieces.len(), 1);
         assert_eq!(writer.pieces[0].region_off, 64 * 1024 / 3 / 64 * 64);
         let reader = exchange_plan(3, 1, edge);
-        let SchedOp::PullCopy { src, len, .. } = reader.ops[0] else {
-            panic!("expected a pull, got {:?}", reader.ops[0]);
+        let SchedOp::PullCopy { src, len, .. } = reader.ops[1] else {
+            panic!("expected a pull, got {:?}", reader.ops[1]);
         };
         assert_eq!(
             (reader.len(), src.inline, src.last, len),
-            (1, false, true, 8)
+            (2, false, true, 8)
         );
+        assert_eq!(rows(&reader.ops), [(0, 1)]);
         assert!(exchange_plan(3, 2, edge).is_empty());
+    }
+
+    #[test]
+    fn an_empty_pair_is_a_hole_and_costs_a_second_row() {
+        // Rank 5 sends rank 2 nothing — and, for all rank 2 knows, nobody
+        // else either, so that its flag may never go up: rank 2 reads 0, 1, 3
+        // and 4 behind one row (its own line bridged), 6 and 7 behind another.
+        let hole = |s: usize, d: usize| if (s, d) == (5, 2) { 0 } else { 256 };
+        let plan = exchange_plan(8, 2, hole);
+        assert_eq!(shape(&plan), (1, 6, 1));
+        assert_eq!(rows(&plan.ops), [(0, 5), (6, 8)]);
+        // Everybody else reads rank 5 in the one run of a dense exchange.
+        for rank in [0, 4, 6] {
+            let plan = exchange_plan(8, rank, hole);
+            assert_eq!(shape(&plan), (1, 7, 1));
+            assert_eq!(rows(&plan.ops).len(), 1);
+        }
     }
 
     #[test]
@@ -1152,12 +1346,15 @@ mod tests {
                 SchedOp::Copy { .. } => 'c',
                 SchedOp::ExposeRead { .. } => 'e',
                 SchedOp::Send { .. } => 's',
+                SchedOp::AwaitRow { .. } => 'a',
                 SchedOp::PullCopy { .. } => 'p',
                 SchedOp::Recv { .. } => 'r',
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(kinds.iter().collect::<String>(), "cesppppppr");
+        // The oversize pair is a hole between the pulls: two runs.
+        assert_eq!(kinds.iter().collect::<String>(), "cesappppappr");
+        assert_eq!(rows(&plan.ops), [(0, 5), (6, 8)]);
         assert_eq!(exchange_plan(8, 4, bytes).label, "alltoallv/shm");
         // Without a window every pair is a message: send to me + s, then
         // receive from me − s, on every rank.
@@ -1188,28 +1385,26 @@ mod tests {
     }
 
     #[test]
-    fn irregular_exchange_costs_one_publish_a_pull_per_peer_and_a_line() {
+    fn irregular_exchange_costs_one_publish_a_row_a_gathered_read_and_a_line() {
         let n = 8;
         let bytes = |s: usize, d: usize| 64 * (1 + (3 * s + d) % 5);
         let w = window(64 * 1024);
         let plan = exchange_plan(n, 1, bytes);
         let cross: usize = (0..n).filter(|&d| d != 1).map(|d| bytes(1, d)).sum();
         let publish = w.cost.cost.streamed_publish(cross, w.cost.mode) + w.cost.line();
-        let pulls: SimNs = (0..n)
-            .filter(|&s| s != 1)
-            .map(|s| w.cost.pull(bytes(s, 1), s < 4))
-            .sum();
+        let pieces = (0..n).filter(|&s| s != 1).map(|s| (bytes(s, 1), s < 4));
+        let reads = w.cost.row(n) + w.cost.gather(n, pieces);
         let cost = serial_cost(&plan.ops, &plan.pieces, &w, |r| r < 4);
-        assert!((cost - (publish + pulls + w.cost.line())).abs() < 1e-9);
+        assert!((cost - (publish + reads + w.cost.line())).abs() < 1e-9);
     }
 
     #[test]
     fn allgather_plan_shape() {
         let group = Group::from_world_ranks(vec![4, 5, 6]).unwrap();
         let plan = build_allgather_shm(&view_of(&group, 0), 128);
-        // 1 expose + 2 pulls, the second of which ends the collective.
+        // 1 expose, a row, 2 pulls, the second of which ends the collective.
         assert_eq!(shape(&plan), (1, 2, 1));
-        assert_eq!(plan.len(), 3);
+        assert_eq!(plan.len(), 4);
         assert_eq!(plan.result_len(), 3 * 128);
         assert_eq!(plan.input_len(), 128);
     }

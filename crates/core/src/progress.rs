@@ -168,8 +168,8 @@ pub(crate) enum SchedOp {
     },
     /// Data plane: acquire the `phase` flag lines of group members
     /// `lo..hi` — this rank, if it lies between them, excepted: the writers
-    /// whose inline exposures the reads that follow consume — in one row
-    /// read. Pending until every one of them is up.
+    /// whose exposures the reads that follow consume — in one row read.
+    /// Pending until every one of them is up; the only op of a run that waits.
     AwaitRow {
         /// Publish phase within the collective (flag cell selector).
         phase: u8,
@@ -177,11 +177,10 @@ pub(crate) enum SchedOp {
         writers: (usize, usize),
     },
     /// Data plane: copy `len` bytes from the exposure `src` names into
-    /// `dst_loc[dst_start..]`: out of the writer's data slot once its flag is
-    /// up (pending until then), or — `src.inline` — out of the flag line the
-    /// `AwaitRow` before it acquired (never pending). With `src.last`, also
-    /// store this rank's completion line — this was its last read of the
-    /// collective.
+    /// `dst_loc[dst_start..]`: out of the flag line the `AwaitRow` before it
+    /// acquired (`src.inline`), or out of the writer's data slot, which that
+    /// line vouches for. Never pending. With `src.last`, also store this
+    /// rank's completion line — this was its last read of the collective.
     PullCopy {
         /// The exposure and the region of it to read.
         src: DpSource,
@@ -692,13 +691,7 @@ impl Execution {
                 } => {
                     let dst =
                         &mut arena(dst_loc, buf, &mut self.scratch)[dst_start..dst_start + len];
-                    if !t.dp_pull(clock, ctx, self.seq, src, dst)? {
-                        // Writer's flag not up yet: pending.
-                        return Ok(StepOutcome {
-                            done: false,
-                            ops: completed,
-                        });
-                    }
+                    t.dp_pull(clock, ctx, self.seq, src, dst)?;
                 }
                 SchedOp::FoldInPlace {
                     src,
@@ -712,15 +705,8 @@ impl Execution {
                             "plan contains FoldInPlace ops but no reduction".into(),
                         )
                     })?;
-                    {
-                        let stage = &mut self.scratch[stage_off..stage_off + len];
-                        if !t.dp_pull(clock, ctx, self.seq, src, stage)? {
-                            return Ok(StepOutcome {
-                                done: false,
-                                ops: completed,
-                            });
-                        }
-                    }
+                    let stage = &mut self.scratch[stage_off..stage_off + len];
+                    t.dp_pull(clock, ctx, self.seq, src, stage)?;
                     match dst_loc {
                         Loc::Scratch => {
                             let (d, s) =

@@ -49,8 +49,8 @@ use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{PoisonFlag, SpinWait};
 use crate::transport::conn::{ConnTable, SrqConsumer, SrqProducer, Stream, STREAM_INLINE};
 use crate::transport::{
-    no_data_plane, DataPlaneStats, DpCost, DpPiece, DpReaders, DpSource, DpWindow, FaultInjector,
-    RecvDest, Transport, TransportCounters, TransportStats, WinId, DP_INLINE_BYTES,
+    no_data_plane, DataPlaneStats, DpCost, DpGather, DpPiece, DpReaders, DpSource, DpWindow,
+    FaultInjector, RecvDest, Transport, TransportCounters, TransportStats, WinId, DP_INLINE_BYTES,
 };
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
@@ -160,9 +160,11 @@ struct DpState {
     /// member at most: a run of flag lines ([`Transport::dp_await_row`]) or
     /// of completion lines ([`release_held`]).
     row: Vec<u8>,
-    /// Which flag lines `row` holds, while it holds any the inline reads of a
-    /// run may still take their payloads from.
+    /// Which flag lines `row` holds, while it holds any the reads of a run
+    /// may still answer to.
     row_of: Option<RowTag>,
+    /// Where that run's gathered read stands.
+    run: DpGather,
 }
 
 /// Which flag lines a [`DpState::row`] holds: those `writers` (a range of
@@ -175,9 +177,10 @@ struct RowTag {
 }
 
 /// What a span read leaves — in debug builds — in the value word of its own
-/// copy of every flag line it checked: an inline read asserts that it takes
-/// its payload from a line so marked, never from one that merely lay inside
-/// the span.
+/// copy of every flag line it checked: every read of the run asserts that its
+/// writer's line is so marked — that it saw the flag up before it took a byte
+/// of the payload, in the line or in the slot — never one that merely lay
+/// inside the span.
 const ROW_CHECKED: u64 = u64::MAX;
 
 impl DpState {
@@ -1971,6 +1974,7 @@ impl Transport for CxlTransport {
                         done_stores: 0,
                         row: vec![0; group.len() * SLOT_CELL_SIZE],
                         row_of: None,
+                        run: DpGather::default(),
                     }),
                 );
             }
@@ -2112,6 +2116,7 @@ impl Transport for CxlTransport {
             phase,
             writers: (writers.start, writers.end),
         });
+        state.run = cost.run(lines);
         self.dp_stats.pull_ops += awaited;
         self.dp_stats.row_reads += 1;
         Ok(true)
@@ -2124,47 +2129,41 @@ impl Transport for CxlTransport {
         seq: u32,
         src: DpSource,
         buf: &mut [u8],
-    ) -> Result<bool> {
+    ) -> Result<()> {
         let cost = self.dp_cost();
         let Some(Some(state)) = self.dp.get_mut(&ctx) else {
             return no_data_plane();
         };
-        let (obj, layout) = (&state.obj, &state.layout);
-        let slot = seq as usize % layout.slots();
+        let Some(line) = state.row_line(seq, src.phase, src.writer_idx) else {
+            return Err(MpiError::Transport(format!(
+                "read of collective {seq}, phase {}, writer {} without its row",
+                src.phase, src.writer_idx
+            )));
+        };
+        debug_assert_eq!(
+            read_u64(line, 0),
+            ROW_CHECKED,
+            "exposure of writer {} read behind a line the span read did not check",
+            src.writer_idx
+        );
         if src.inline {
-            // The payload came with the row: nothing to wait for, nothing
-            // else to fetch, nothing more to charge.
+            // The payload came with the row: nothing else to fetch, nothing
+            // more to charge.
             debug_assert!(src.off + buf.len() <= DP_INLINE_BYTES);
-            let Some(line) = state.row_line(seq, src.phase, src.writer_idx) else {
-                return Err(MpiError::Transport(format!(
-                    "inline read of collective {seq}, phase {}, writer {} without its row",
-                    src.phase, src.writer_idx
-                )));
-            };
-            debug_assert_eq!(
-                read_u64(line, 0),
-                ROW_CHECKED,
-                "inline payload of writer {} taken from a line the span read did not check",
-                src.writer_idx
-            );
             buf.copy_from_slice(&line[SLOT_CELL_DATA_OFF + src.off..][..buf.len()]);
         } else {
-            let flag = layout.flag_off(src.writer_idx, slot, src.phase as usize);
-            let Some(ts) = load_stamped(obj, flag, u64::from(seq) + 1)? else {
-                // Flag not up yet: a failed poll costs nothing (same as the
-                // PSCW spin idiom — the flag line lives in this rank's cache).
-                return Ok(false);
-            };
-            clock.merge(ts);
             // A streamed read: load fence, then NT loads straight from the
             // device — the slot was written with NT stores, so neither host
-            // holds a cached copy of its lines, and none is left behind.
+            // holds a cached copy of its lines, and none is left behind. The
+            // fence is the run's: the slots of one run are written by
+            // different ranks and no load of one depends on another's.
+            let layout = &state.layout;
             debug_assert!(src.off + buf.len() <= layout.slot_bytes());
+            let slot = seq as usize % layout.slots();
             let at = layout.data_off(src.writer_idx, slot) + src.off;
-            obj.nt_load_fenced_at(at as u64, buf)?;
+            state.obj.nt_load_fenced_at(at as u64, buf)?;
             let same_host = self.host_of[state.group[src.writer_idx]] == self.host_of[self.rank];
-            clock.advance(cost.pull(buf.len(), same_host));
-            self.dp_stats.pull_ops += 1;
+            clock.advance(cost.gather_piece(&mut state.run, buf.len(), same_host));
         }
         if src.last {
             // Completion entry: killing here is the classic reader-death
@@ -2182,7 +2181,7 @@ impl Transport for CxlTransport {
             }
         }
         self.dp_stats.bytes_pulled += buf.len() as u64;
-        Ok(true)
+        Ok(())
     }
 
     fn set_fault_injector(&mut self, injector: FaultInjector) {

@@ -303,10 +303,10 @@ impl TransportCounters {
 pub const DP_INLINE_BYTES: usize = SLOT_CELL_INLINE;
 
 /// What one data-plane operation costs on the virtual clock. The CXL
-/// transport charges every expose, pull and completion line through this one
-/// value, and hands a copy to the plan builders (in [`DpWindow`]) so that
-/// choosing between two plan shapes means walking their op lists with the very
-/// terms the execution will be charged.
+/// transport charges every expose, row, gathered read and completion line
+/// through this one value, and hands a copy to the plan builders (in
+/// [`DpWindow`]) so that choosing between two plan shapes means walking their
+/// op lists with the very terms the execution will be charged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpCost {
     /// The device cost model.
@@ -352,25 +352,81 @@ impl DpCost {
         ideal.max(self.fair_share(bytes))
     }
 
-    /// Read `bytes` of a slot exposure whose flag is up: the flag line plus
-    /// the payload fetch — out of the shared cache from a `same_host` writer,
-    /// a streamed read held to this reader's share of the one-sided device
-    /// cap from another host. (An exposure that rides in its flag line is not
-    /// pulled: it comes with the row, [`Self::row`].)
-    pub fn pull(&self, bytes: usize, same_host: bool) -> SimNs {
-        if same_host {
-            return self.cost.coherent_read(bytes, CoherenceMode::Cached) + self.line();
+    /// The gathered read of a run that has read nothing yet, opened by a row
+    /// of `lines` flag lines ([`Self::row`]): so far the run has paid that row
+    /// and moved no payload byte.
+    pub fn run(&self, lines: usize) -> DpGather {
+        DpGather {
+            lead: 0.0,
+            ahead: self.row(lines),
         }
-        let ideal = self.cost.streamed_read(bytes, self.mode) + self.line();
-        ideal.max(self.fair_share(bytes))
+    }
+
+    /// Read one more piece of `run` — `bytes` of a slot exposure whose flag
+    /// line the run's row acquired — and return what it adds to the run's one
+    /// **gathered read**. The line fills of all the pieces are independent of
+    /// one another, so the load fence and the device latency are paid once, by
+    /// the first piece; every piece pays its bytes — a copy out of the shared
+    /// cache from a `same_host` writer, a one-sided stream off the device from
+    /// another host. A cross-host piece is also held to this reader's share of
+    /// the one-sided device cap, each to its own; what the run has paid ahead
+    /// of its bytes (the row, the fence, the latency) passes under the floors
+    /// that bind, once, the way a single pull's line and latency passed under
+    /// its floor — so the run as a whole, row included, never takes less than
+    /// its cross-host pieces take at that share.
+    pub fn gather_piece(&self, run: &mut DpGather, bytes: usize, same_host: bool) -> SimNs {
+        let read = |bytes| match same_host {
+            true => self.cost.coherent_read(bytes, CoherenceMode::Cached),
+            false => self.cost.streamed_read(bytes, self.mode),
+        };
+        // What a read pays before its first byte, and for its bytes.
+        let lead = read(0);
+        let stream = read(bytes) - lead;
+        let due = (lead - run.lead).max(0.0);
+        run.lead += due;
+        run.ahead += due;
+        let mut ns = due + stream;
+        if !same_host {
+            let held = (self.fair_share(bytes) - stream).max(0.0);
+            let under = held.min(run.ahead);
+            run.ahead -= under;
+            ns += held - under;
+        }
+        ns
+    }
+
+    /// The gathered read of a whole run behind a row of `lines`: its pieces,
+    /// as `(bytes, same_host)`, read one after another
+    /// ([`Self::gather_piece`]). Whatever their order it comes to one fence,
+    /// one latency and every piece's bytes, plus what the cross-host floors
+    /// add beyond the row, fence and latency they cover. A run of one piece
+    /// costs, with its row of one line, what a pull that loaded its own flag
+    /// line cost; a longer one never more than its pieces pulled singly.
+    pub fn gather(&self, lines: usize, pieces: impl IntoIterator<Item = (usize, bool)>) -> SimNs {
+        let mut run = self.run(lines);
+        pieces
+            .into_iter()
+            .map(|(bytes, same_host)| self.gather_piece(&mut run, bytes, same_host))
+            .sum()
     }
 
     /// What `bytes` off the device take at this reader's share of the
     /// one-sided cap.
-    fn fair_share(&self, bytes: usize) -> SimNs {
+    pub(crate) fn fair_share(&self, bytes: usize) -> SimNs {
         let cap = self.contention.aggregate_cap_gbps(self.pairs, bytes, false);
         transfer_ns(bytes, cap / self.pairs.max(1) as f64)
     }
+}
+
+/// Where a run's gathered read stands ([`DpCost::run`],
+/// [`DpCost::gather_piece`]): the transport keeps one from the row that opens
+/// a run to the run's last read, the plan builders walk one over an op list.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+pub struct DpGather {
+    /// What the run has paid of the load fence and the device latency.
+    lead: SimNs,
+    /// What the run has paid ahead of its bytes that no floor has covered yet.
+    ahead: SimNs,
 }
 
 /// Geometry and cost terms of a communicator's shared exposure window, as
@@ -469,15 +525,15 @@ pub struct DataPlaneStats {
     /// Expose operations (one per flag raised: a gathered exposure of many
     /// pieces counts once).
     pub expose_ops: u64,
-    /// Exposures read: flag lines a row read acquired (each with whatever
-    /// payload rides in it) plus pulls out of peers' data slots.
+    /// Exposures read: flag lines a row read acquired, each with the payload
+    /// that rides in it or ahead of the read out of its writer's data slot.
     pub pull_ops: u64,
     /// Completion lines acquired: a writer about to reuse a slot observed that
     /// a reader is done with the slot's earlier occupants.
     pub notify_waits: u64,
-    /// Row reads issued and charged — one per phase in which a rank reads
-    /// inline exposures, one per completion sweep — however many flag or
-    /// completion lines each acquired.
+    /// Row reads issued and charged — one per run of reads (a phase of a
+    /// collective, unless a peer it skips splits it), one per completion
+    /// sweep — however many flag or completion lines each acquired.
     pub row_reads: u64,
     /// Bytes published into window slots.
     pub bytes_exposed: u64,
@@ -840,9 +896,10 @@ pub trait Transport: Send {
     /// without blocking — and without charge — until every one of them is
     /// up; then the latest of their stamps is merged and the read charged
     /// once ([`DpCost::row`]), however many polls it took. The lines stay
-    /// with the transport until its next data-plane call that can wait: the
-    /// inline reads of the run ([`Transport::dp_pull`] with `src.inline`)
-    /// take their payloads out of them.
+    /// with the transport until its next data-plane call that can wait, and
+    /// every read of the run ([`Transport::dp_pull`]) answers to them: an
+    /// inline one takes its payload out of its writer's line, one out of a
+    /// data slot takes the line as the proof that the slot is published.
     fn dp_await_row(
         &mut self,
         _clock: &mut SimClock,
@@ -855,10 +912,12 @@ pub trait Transport: Send {
     }
 
     /// Copy `buf.len()` bytes of collective `seq` from the exposure `src`
-    /// names. An exposure in a data slot is read once its flag is up (returns
-    /// `false` without blocking until then); an `inline` one came with the
-    /// row this rank has just acquired ([`Transport::dp_await_row`]), costs
-    /// nothing more and is never pending. With `src.last`, this rank will not
+    /// names, whose flag line the row this rank has just acquired
+    /// ([`Transport::dp_await_row`]) must hold — the read never waits, and
+    /// without that line it is a [`MpiError::Transport`] error. An `inline`
+    /// exposure came with the row and costs nothing more; one in a data slot
+    /// is the next piece of the run's gathered read
+    /// ([`DpCost::gather_piece`]). With `src.last`, this rank will not
     /// read any exposure of `seq` again: it stores its completion line — the
     /// sequence number through which it has finished *every* collective it
     /// started reading — unless an earlier one is still open, whose
@@ -870,7 +929,7 @@ pub trait Transport: Send {
         _seq: u32,
         _src: DpSource,
         _buf: &mut [u8],
-    ) -> Result<bool> {
+    ) -> Result<()> {
         no_data_plane()
     }
 

@@ -207,6 +207,15 @@ pub fn dp_cost(pairs: usize) -> DpCost {
     }
 }
 
+/// What rank `me` of 8 on 2 hosts reads in one run when every peer exposes
+/// `bytes`, as [`DpCost::gather`] takes it: three pieces out of the shared
+/// cache, four off the device.
+pub fn peers_pieces(me: usize, bytes: usize) -> impl Iterator<Item = (usize, bool)> {
+    (0..8)
+        .filter(move |&w| w != me)
+        .map(move |w| (bytes, w / 4 == me / 4))
+}
+
 /// `colls` back-to-back calls of `step` on a duplicate of the world
 /// communicator, in steady state: per rank, the data-plane counters before
 /// and after them and the virtual nanoseconds they took. A barrier and

@@ -2,8 +2,9 @@
 //! the flag line, the one-completion-line-per-rank slot protocol, and the
 //! zero-byte barrier exchange — checked byte for byte against the ring path,
 //! under stragglers and out-of-order completion, for repeatable virtual
-//! clocks, and against a budget of device round trips; and what an irregular
-//! exchange on the window costs, and that it costs the same in every launch.
+//! clocks, and against a budget of device round trips; what a run of reads out
+//! of data slots costs, under skew too; and what an irregular exchange on the
+//! window costs, and that it costs the same in every launch.
 
 use std::time::Duration;
 
@@ -12,7 +13,9 @@ use cmpi::mpi::transport::DataPlaneStats;
 use cmpi::mpi::{CollTuning, Comm, ProgressMode, ReduceOp, Request, Universe, UniverseConfig};
 
 mod common;
-use common::{dp_cost, force_ring, force_shm, matrix_hosts, steady_colls, with_window_headroom};
+use common::{
+    dp_cost, force_ring, force_shm, matrix_hosts, peers_pieces, steady_colls, with_window_headroom,
+};
 
 /// The payload sizes that straddle the flag line's 48-byte inline capacity.
 const SIZES: [usize; 6] = [0, 8, 48, 49, 64, 1024];
@@ -335,17 +338,15 @@ fn finishing_a_later_collective_does_not_report_an_earlier_one_done() {
     .unwrap();
 }
 
-#[test]
-fn a_straggler_costs_its_readers_one_row_not_a_line_per_peer() {
-    // Eight ranks leave the same virtual instant for one 8 B allgather, rank
-    // 5 a virtual millisecond (and 20 ms of wall time) late. Whoever waits
-    // for all of a row is released by its last flag: every rank must end at
-    // the straggler's stamp plus one row and its completion line — where a
-    // load per peer ended it seven lines later — with the ring path's bytes.
+/// One allgather of `block` bytes per rank among 8 ranks on 2 hosts that all
+/// leave the same virtual instant, rank 5 a virtual millisecond (and 20 ms of
+/// wall time) late, with the ring path's bytes: per rank, how long after the
+/// straggler's flag went up its clock stopped, and its data-plane counters.
+fn after_a_stragglers_flag(block: usize) -> Vec<(f64, DataPlaneStats)> {
     const START_NS: f64 = 1e7;
     const LATE_NS: f64 = 1e6;
-    let run = |tuning: CollTuning| {
-        Universe::run(config(8, 2, tuning), |world: &mut Comm| {
+    let run = move |tuning: CollTuning| {
+        Universe::run(config(8, 2, tuning), move |world: &mut Comm| {
             let mut comm = world.comm_dup()?;
             let me = comm.rank();
             world.advance_clock(START_NS - world.clock_ns());
@@ -353,27 +354,47 @@ fn a_straggler_costs_its_readers_one_row_not_a_line_per_peer() {
                 std::thread::sleep(Duration::from_millis(20));
                 world.advance_clock(LATE_NS);
             }
-            let mut all = vec![0u8; 8 * 8];
-            comm.allgather_into(&payload(me, 0, 8), &mut all)?;
+            let mut all = vec![0u8; 8 * block];
+            comm.allgather_into(&payload(me, 0, block), &mut all)?;
             Ok((all, world.clock_ns()))
         })
         .unwrap()
     };
     let (shm, ring) = (run(force_shm()), run(force_ring()));
+    let stamp = START_NS + LATE_NS + dp_cost(4).expose(block, block <= 48);
+    shm.iter()
+        .zip(&ring)
+        .map(|(((bytes, end), report), ((ring_bytes, _), _))| {
+            assert!(bytes == ring_bytes);
+            (end - stamp, report.data_plane)
+        })
+        .collect()
+}
+
+/// The flag lines rank `me` of 8 spans when it reads every peer: ranks 0 and
+/// 7 seven, the others — their own in the middle — eight.
+fn span_of(me: usize) -> usize {
+    if me == 0 || me == 7 {
+        7
+    } else {
+        8
+    }
+}
+
+#[test]
+fn a_straggler_costs_its_readers_one_row_not_a_line_per_peer() {
+    // An 8 B allgather. Whoever waits for all of a row is released by its
+    // last flag: every rank must end at the straggler's stamp plus one row
+    // and its completion line — where a load per peer ended it seven lines
+    // later.
     let dp = dp_cost(4);
-    let stamp = START_NS + LATE_NS + dp.line();
-    for (rank, (((bytes, end), report), ((ring_bytes, _), _))) in shm.iter().zip(&ring).enumerate()
-    {
-        assert_eq!(bytes, ring_bytes, "rank {rank}");
-        // Ranks 0 and 7 span seven lines, the others — their own in the
-        // middle — eight.
-        let span = if rank == 0 || rank == 7 { 7 } else { 8 };
-        let planned = stamp + dp.row(span) + dp.line();
+    for (rank, (after, stats)) in after_a_stragglers_flag(8).iter().enumerate() {
+        let planned = dp.row(span_of(rank)) + dp.line();
         assert!(
-            (end - planned).abs() < 1e-3,
-            "rank {rank} ended at {end}, straggler's stamp + row is {planned}"
+            (after - planned).abs() < 1e-3,
+            "rank {rank} ended {after} ns after the straggler's stamp, a row and a line are {planned}"
         );
-        assert_eq!(report.data_plane.row_reads, 1, "rank {rank}");
+        assert_eq!(stats.row_reads, 1, "rank {rank}");
     }
 }
 
@@ -417,6 +438,84 @@ fn two_outstanding_rows_are_polled_in_turn_and_charged_once_each() {
     .unwrap();
     for (rank, (moved, _)) in results.iter().enumerate() {
         assert_eq!(*moved, (2, 2 * 4), "rank {rank}");
+    }
+}
+
+#[test]
+fn a_straggler_costs_its_readers_one_row_and_one_gather() {
+    // The 64 KiB form of the straggler test: the blocks sit in data slots,
+    // and a reader that has seen six flags up still reads nothing until the
+    // seventh is. What all-or-nothing costs under skew is therefore an
+    // identity, not a surprise: every rank ends at the straggler's stamp plus
+    // the row, the whole gathered read and its completion line.
+    const BLOCK: usize = 64 * 1024;
+    let dp = dp_cost(4);
+    for (rank, (after, stats)) in after_a_stragglers_flag(BLOCK).iter().enumerate() {
+        let span = span_of(rank);
+        let planned = dp.row(span) + dp.gather(span, peers_pieces(rank, BLOCK)) + dp.line();
+        assert!(
+            (after - planned).abs() < 1e-3,
+            "rank {rank} ended {after} ns after the straggler's stamp, row + gather + line are {planned}"
+        );
+        assert_eq!((stats.row_reads, stats.pull_ops), (1, 7), "rank {rank}");
+        assert_eq!(stats.bytes_pulled, 7 * BLOCK as u64, "rank {rank}");
+    }
+}
+
+#[test]
+fn two_outstanding_slot_runs_are_polled_in_turn_and_charged_once_each() {
+    // An iallgather and an ialltoall at 1 KiB — blocks and images in data
+    // slots — polled alternately, the later one first, while rank 0 starts a
+    // virtual millisecond (and 20 ms of polls) late. Each run's row is read
+    // into the clock once, a failed poll charges nothing, and each run reads
+    // its own collective's slots.
+    const START_NS: f64 = 1e7;
+    const LATE_NS: f64 = 1e6;
+    const BLOCK: usize = 1024;
+    let config = config(5, matrix_hosts(), force_shm()).with_progress_mode(ProgressMode::Polling);
+    let results = Universe::run(config, |world: &mut Comm| {
+        let mut comm = world.comm_dup()?;
+        let (n, me) = (comm.size(), comm.rank());
+        world.advance_clock(START_NS - world.clock_ns());
+        let before = comm.data_plane_stats();
+        if me == 0 {
+            std::thread::sleep(Duration::from_millis(20));
+            world.advance_clock(LATE_NS);
+        }
+        let mut gather = comm.iallgather_into(&payload(me, 1, BLOCK))?;
+        let mut exchange = comm.ialltoall(&payload(me, 2, n * BLOCK))?;
+        let mut gather_done = false;
+        while comm.test(&mut exchange)?.is_none() {
+            gather_done = gather_done || comm.test(&mut gather)?.is_some();
+            std::thread::yield_now();
+        }
+        let exchanged: Vec<u8> = (0..n)
+            .flat_map(|s| (0..BLOCK).map(move |i| byte(s, 2, me * BLOCK + i)))
+            .collect();
+        assert!(exchange.take_values::<u8>()? == exchanged);
+        if !gather_done {
+            comm.wait(&mut gather)?;
+        }
+        let gathered: Vec<u8> = (0..n).flat_map(|s| payload(s, 1, BLOCK)).collect();
+        assert!(gather.take_values::<u8>()? == gathered);
+        let after = comm.data_plane_stats();
+        Ok((
+            after.row_reads - before.row_reads,
+            after.pull_ops - before.pull_ops,
+            after.bytes_pulled - before.bytes_pulled,
+            world.clock_ns() - START_NS,
+        ))
+    })
+    .unwrap();
+    for (rank, ((rows, pulls, bytes, elapsed), _)) in results.iter().enumerate() {
+        assert_eq!((*rows, *pulls), (2, 2 * 4), "rank {rank}");
+        assert_eq!(*bytes, 2 * 4 * BLOCK as u64, "rank {rank}");
+        // Two publishes, two rows, two gathered reads and two lines come to
+        // under 20 µs; one row charged per poll, to 20 ms of them.
+        assert!(
+            *elapsed < LATE_NS + 20_000.0,
+            "rank {rank} was charged {elapsed} ns"
+        );
     }
 }
 
@@ -539,19 +638,44 @@ fn a_small_allreduce_costs_what_the_allgather_does() {
 }
 
 #[test]
+fn an_alltoall_costs_a_publish_a_row_and_one_gathered_read() {
+    // 8 B blocks among 8 ranks: the 64 B image is past what rides in a flag
+    // line, so it is streamed into the slot and the flag raised; the seven
+    // peers' flag lines come in one row, the seven blocks — three out of the
+    // shared cache, four off the device — in one gathered read; then the
+    // completion line. Seven flag lines and seven latencies it is not.
+    let dp = dp_cost(4);
+    let step = |comm: &mut Comm| comm.alltoall(&[9u8; 64], &mut [0u8; 64]);
+    let per_call = dp.expose(64, false) + dp.row(8) + dp.gather(8, peers_pieces(3, 8)) + dp.line();
+    assert_costs("8 B alltoall", step, per_call, SWEEPS);
+}
+
+#[test]
+#[allow(non_snake_case)]
+fn a_1KiB_allreduce_costs_a_publish_a_row_and_one_gathered_read() {
+    // 128 u64: every rank exposes its vector and folds its seven peers'
+    // whole vectors, staged one at a time, out of one run.
+    let dp = dp_cost(4);
+    let step = |comm: &mut Comm| comm.allreduce(&mut [5u64; 128], ReduceOp::Sum);
+    let per_call =
+        dp.expose(1024, false) + dp.row(8) + dp.gather(8, peers_pieces(3, 1024)) + dp.line();
+    assert_costs("1 KiB allreduce", step, per_call, SWEEPS);
+}
+
+#[test]
 fn an_irregular_exchange_costs_one_publish_and_a_pull_per_peer() {
     // 8 ranks on 2 hosts, 512 B to every peer: per call a rank's clock moves
-    // by one streamed publish of its seven segments and the flag line, seven
-    // pulls (three out of the shared cache, four off the device) and its
-    // completion line — plus the row of completion lines it loads, DP_SLOTS
-    // calls' worth at a time, before it reuses a slot. Nothing per message:
-    // there are none.
+    // by one streamed publish of its seven segments and the flag line, the
+    // row of its peers' flag lines, one gathered read of their seven segments
+    // (three out of the shared cache, four off the device) and its completion
+    // line — plus the row of completion lines it loads, DP_SLOTS calls' worth
+    // at a time, before it reuses a slot. Nothing per message: there are none.
     const SEG: usize = 512;
     let dp = dp_cost(4);
     let per_call = dp.cost.streamed_publish(7 * SEG, dp.mode)
         + dp.line()
-        + 3.0 * dp.pull(SEG, true)
-        + 4.0 * dp.pull(SEG, false)
+        + dp.row(8)
+        + dp.gather(8, peers_pieces(3, SEG))
         + dp.line();
     let results = Universe::run(config(8, 2, force_shm()), move |world: &mut Comm| {
         let mut comm = world.comm_dup()?;
@@ -582,12 +706,10 @@ fn an_irregular_exchange_costs_one_publish_and_a_pull_per_peer() {
             after.bytes_pulled - before.bytes_pulled,
             COLLS * 7 * SEG as u64
         );
-        // Nothing rides inline: the only rows are the sweeps'.
-        assert_eq!(
-            7 * (after.row_reads - before.row_reads),
-            after.notify_waits - before.notify_waits
-        );
-        Ok((after.row_reads - before.row_reads, world.clock_ns() - start))
+        // One row per call for the peers' flag lines, the rest the sweeps'.
+        let sweeps = after.row_reads - before.row_reads - COLLS;
+        assert_eq!(7 * sweeps, after.notify_waits - before.notify_waits);
+        Ok((sweeps, world.clock_ns() - start))
     })
     .unwrap();
     for (rank, ((sweeps, virt_ns), _)) in results.iter().enumerate() {

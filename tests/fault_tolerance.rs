@@ -348,6 +348,65 @@ fn a_writer_dead_before_its_flag_fails_a_row_as_it_fails_one_line() {
 }
 
 #[test]
+fn a_writer_dead_before_its_flag_fails_a_slot_run_as_it_fails_a_row() {
+    // The same death with the payloads in data slots: a 64 KiB allgather and
+    // an irregular exchange read every peer behind one row, and a reader that
+    // has seen four flags of five up has still read no slot. The run must end
+    // in `ProcFailed` naming the victim on every member, with no row charged
+    // and not a byte pulled.
+    let n = 6;
+    let victim = 1 + (lcg(base_seed() ^ 0x5107) >> 33) as usize % (n - 1);
+    for irregular in [false, true] {
+        let config =
+            cxl(n, 1, DataPlaneMode::Shm, HierarchyMode::Off).with_faults(vec![FaultPlan {
+                victim,
+                trigger: FaultTrigger::NthPublish(1),
+            }]);
+        let outcomes = Universe::run_ft(config, move |comm| {
+            comm.set_errhandler(ErrHandler::ErrorsReturn);
+            let before = comm.data_plane_stats();
+            if comm.rank() == victim {
+                // Let the others get as far as their row first.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            let result = if irregular {
+                let counts: Vec<usize> = (0..n).map(|peer| 100 + peer).collect();
+                let mine = vec![100 + comm.rank(); n];
+                let send = vec![comm.rank() as u64; counts.iter().sum()];
+                comm.alltoallv(&send, &counts, &mine).map(drop)
+            } else {
+                let block = vec![comm.rank() as u8; 64 * 1024];
+                comm.allgather_into(&block, &mut vec![0u8; n * 64 * 1024])
+            };
+            if comm.rank() == victim {
+                return result; // killed at its publish
+            }
+            let Err(MpiError::ProcFailed { dead, .. }) = result else {
+                panic!(
+                    "rank {} (irregular: {irregular}) got {result:?}",
+                    comm.rank()
+                );
+            };
+            assert_eq!(dead, vec![victim]);
+            let after = comm.data_plane_stats();
+            assert_eq!(
+                (after.row_reads, after.pull_ops, after.bytes_pulled),
+                (before.row_reads, before.pull_ops, before.bytes_pulled)
+            );
+            Ok(())
+        })
+        .unwrap();
+        for (rank, outcome) in outcomes.iter().enumerate() {
+            assert_eq!(
+                outcome.is_killed(),
+                rank == victim,
+                "irregular: {irregular}, rank {rank}"
+            );
+        }
+    }
+}
+
+#[test]
 fn reader_death_before_its_completion_line_frees_a_writer_running_ahead() {
     // A broadcast root exposes without waiting for anybody until it runs out
     // of slots. The victim pulls the first broadcast and dies at the store

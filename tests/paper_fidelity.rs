@@ -229,3 +229,29 @@ fn small_flat_collectives_cost_a_store_a_row_and_a_line() {
         }
     }
 }
+
+#[test]
+fn an_8_byte_alltoall_reads_seven_slots_in_one_row_and_one_gathered_read() {
+    // Same universe, 8 B to every peer: the 64 B image is past the 48 B that
+    // ride in a flag line, so every block is read out of a data slot. A flag
+    // load and a fenced read per peer made that seven times 1.61 µs; behind
+    // the one row the seven reads are one gathered read — one fence, one
+    // device latency, 56 bytes — and the call 4.11 µs where it was 13.68.
+    const COLLS: usize = 4 * DP_SLOTS;
+    let dp = common::dp_cost(4);
+    let reads = dp.row(8) + dp.gather(8, common::peers_pieces(3, 8));
+    let per_call = dp.expose(64, false) + reads + dp.line();
+    assert_within("an 8 B alltoall among 8 ranks", per_call, 4112.98, 0.001);
+    let sweeps = (COLLS / DP_SLOTS) as f64 * dp.row(8);
+    let step = |comm: &mut Comm| comm.alltoall(&[9u8; 64], &mut [0u8; 64]);
+    let runs = common::steady_colls(UniverseConfig::cxl(8).with_hosts(2), COLLS, step);
+    for (rank, (before, after, virt_ns)) in runs.iter().enumerate() {
+        let planned = COLLS as f64 * per_call + sweeps;
+        assert_within(&format!("rank {rank}"), *virt_ns, planned, 0.002);
+        assert_eq!(after.pull_ops - before.pull_ops, 7 * COLLS as u64);
+        assert_eq!(
+            after.row_reads - before.row_reads,
+            (COLLS + COLLS / DP_SLOTS) as u64
+        );
+    }
+}
