@@ -412,9 +412,8 @@ fn scaling_rows(points: &[(usize, usize)], size: usize) -> Vec<ScalingRow> {
             // default 8 cells, so one figure serves both disciplines.
             queue_bytes: default_geometry.queue_bytes() as u128,
             obj_slack: OBJ_SLACK as u128,
-            doorbell_bytes: (Doorbell::required_bytes(ranks, default_config.doorbell_stride)
-                .expect("doorbell sizing")
-                + OBJ_SLACK) as u128,
+            doorbell_bytes: (Doorbell::required_bytes(ranks).expect("doorbell sizing") + OBJ_SLACK)
+                as u128,
             srq_bytes: (srq_required_bytes(default_geometry, default_config.srq_cells)
                 .expect("srq sizing")
                 + OBJ_SLACK) as u128,

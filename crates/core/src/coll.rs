@@ -31,9 +31,13 @@
 //! per-communicator plan cache ([`crate::plan`]) and re-run by every later
 //! start of the same shape — the blocking entry points, the nonblocking `i*`
 //! starters and the MPI-4-style persistent `*_init` requests all execute the
-//! same plans and cannot diverge. Plans preserve the deadlock-safe op
-//! orderings of the original straight-line loops (lower rank sends first;
-//! rank 0 of a ring receives first).
+//! same plans and cannot diverge. Plans keep the op orderings of the original
+//! straight-line loops (lower rank sends first; rank 0 of a ring receives
+//! first) for **determinism, not liveness**: a stopped plan `Send` drains
+//! arrivals, so sending first everywhere completes too, but partners then
+//! drain each other's longer-than-a-stream-lap messages from inside blocked
+//! sends, charged as the host schedules them (the 2-rank 1 MiB allreduce
+//! turns from one exact virtual time into a spread).
 //!
 //! Concurrent collectives on one communicator are kept apart by a
 //! **collective sequence number** salted into every internal tag at bind
@@ -296,10 +300,13 @@ impl<'v, 'g> Plan<'v, 'g> {
         });
     }
 
-    /// Pairwise exchange with the deadlock-safe ordering of the straight-line
-    /// algorithms: the lower local rank sends first, the higher receives
-    /// first, so the exchange cannot wedge even when both payloads exceed a
-    /// transport queue's total capacity.
+    /// Pairwise exchange in the order of the straight-line algorithms: the
+    /// lower local rank sends first, the higher receives first. Not for
+    /// liveness — a stopped plan `Send` drains arrivals, so both sending first
+    /// completes as well — but so that the two messages never cross: neither
+    /// partner drains the other's from inside a blocked send, where the charge
+    /// would depend on the host's schedule once both payloads exceed a stream
+    /// lap (see the module documentation).
     #[allow(clippy::too_many_arguments)]
     fn exchange(
         &mut self,
@@ -682,7 +689,8 @@ fn push_bcast_scatter_allgather(plan: &mut Plan<'_, '_>, root: Rank, total: usiz
     }
 
     // Ring allgather over virtual ranks with the (possibly uneven) block
-    // sizes. Virtual rank 0 receives before sending to break the cycle.
+    // sizes. Virtual rank 0 receives before sending: determinism, not
+    // liveness (see `Plan::exchange`).
     let right = to_local((vrank + 1) % n);
     let left = to_local((vrank + n - 1) % n);
     for step in 0..n - 1 {
@@ -883,8 +891,8 @@ fn build_allgather_hier(
             }
         }
         ops.append(&mut plan.ops);
-        // Leader ring over whole-host batches (slot 0 receives first to break
-        // the cycle, mirroring the flat ring).
+        // Leader ring over whole-host batches (slot 0 receives first, as in
+        // the flat ring: determinism, not liveness).
         {
             let leaders: &Group = hier.leader_group();
             let lview = CommView {
@@ -970,8 +978,8 @@ fn build_allgather_ring(view: &CommView<'_>, block: usize) -> CollPlan {
         let recv_origin = (me + n - step - 1) % n;
         let send = (send_origin * block, (send_origin + 1) * block);
         let recv = (recv_origin * block, (recv_origin + 1) * block);
-        // Rank 0 receives before sending so the ring can never deadlock even
-        // when a block exceeds a queue's total capacity.
+        // Rank 0 receives before sending: an order kept for determinism, not
+        // liveness — either order completes (see `Plan::exchange`).
         if me == 0 {
             plan.recv(left, step, Loc::Buf, recv.0, recv.1);
             plan.send(right, step, Loc::Buf, send.0, send.1);
@@ -1010,8 +1018,8 @@ fn build_allgather_bruck(view: &CommView<'_>, block: usize) -> CollPlan {
         let dst = (me + n - have) % n;
         let src = (me + have) % n;
         let tag_step = 64 + step;
-        // Deadlock-safe ordering: the lower local rank of the (dst, src) pair
-        // this rank participates in sends first.
+        // Ordered for determinism, not liveness (see `Plan::exchange`): the
+        // lower local rank of the (dst, src) pair this rank is in sends first.
         if me < dst {
             plan.send(dst, tag_step, Loc::Scratch, 0, count * block);
             plan.recv(
@@ -1638,9 +1646,9 @@ fn build_reduce_scatter_pairwise<T: Reducible>(
     for s in 1..n {
         let dst = (me + s) % n;
         let src = (me + n - s) % n;
-        // Deadlock-safe ordering: the lower rank of each (sender, receiver)
-        // edge sends first; every communication cycle contains a wrap-around
-        // edge whose sender receives first, so no cyclic wait can form.
+        // The lower rank of each (sender, receiver) edge sends first, so the
+        // sender of every cycle's wrap-around edge receives first: an order
+        // kept for determinism, not liveness (see `Plan::exchange`).
         if me < dst {
             plan.send(dst, s, Loc::Buf, dst * block_b, (dst + 1) * block_b);
             plan.recv(src, s, Loc::Scratch, 0, block_b);
@@ -1669,8 +1677,8 @@ fn build_reduce_scatter_pairwise<T: Reducible>(
 /// In round `k` (distance `d = 2ᵏ`) each rank ships its running partial to
 /// rank `me + d` and folds the partial arriving from `me − d` — after
 /// ⌈log₂ n⌉ rounds rank `r` holds `x₀ ⊕ … ⊕ x_r`. The communication pattern
-/// is a DAG per round (edges point upward only), so no deadlock ordering is
-/// needed. Always flat: prefix order is rank order, which a host hierarchy
+/// is a DAG per round (edges point upward only): no two of a round's messages
+/// cross, so no send/receive ordering is needed. Always flat: prefix order is rank order, which a host hierarchy
 /// cannot exploit without reordering ranks.
 pub fn build_scan<T: Reducible>(view: &CommView<'_>, count: usize, op: ReduceOp) -> CollPlan {
     let n = view.size();
@@ -1828,9 +1836,9 @@ fn build_alltoall_pairwise(view: &CommView<'_>, block: usize) -> CollPlan {
     for s in 1..n {
         let dst = (me + s) % n;
         let src = (me + n - s) % n;
-        // Deadlock-safe ordering: the lower rank of each (sender, receiver)
-        // edge sends first; every communication cycle contains a wrap-around
-        // edge whose sender receives first, so no cyclic wait can form.
+        // The lower rank of each (sender, receiver) edge sends first, so the
+        // sender of every cycle's wrap-around edge receives first: an order
+        // kept for determinism, not liveness (see `Plan::exchange`).
         if me < dst {
             plan.send(dst, s, Loc::Scratch, dst * block, (dst + 1) * block);
             plan.recv(src, s, Loc::Buf, src * block, (src + 1) * block);
@@ -1904,7 +1912,7 @@ fn build_alltoall_bruck(view: &CommView<'_>, block: usize) -> CollPlan {
                 block,
             );
         }
-        // Deadlock-safe ordering, as in the Bruck allgather.
+        // Ordered as in the Bruck allgather: determinism, not liveness.
         if me < dst {
             plan.send(dst, tag_step, Loc::Scratch, pack_off, pack_off + batch);
             plan.recv(src, tag_step, Loc::Scratch, unpack_off, unpack_off + batch);
@@ -2024,8 +2032,8 @@ fn build_alltoall_hier(view: &CommView<'_>, hier: &HostHierarchy, block: usize) 
                         );
                     }
                 }
-                // Deadlock-safe ordering over the shifted pairs, as in the
-                // pairwise reduce-scatter.
+                // Ordered over the shifted pairs as in the pairwise
+                // reduce-scatter: determinism, not liveness.
                 if mine < dst_slot {
                     lplan.send(dst_slot, step, Loc::Scratch, pack_off, pack_off + out_batch);
                     lplan.recv(

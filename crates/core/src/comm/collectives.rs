@@ -46,11 +46,11 @@ use crate::config::{CollTuning, DataPlaneMode};
 use crate::error::MpiError;
 use crate::plan::{PlanKey, PlanOp};
 use crate::pod::{bytes_of, bytes_of_mut, vec_from_bytes, Pod};
-use crate::progress::{CollPlan, CollState, Execution, ProgressCounters};
+use crate::progress::{CollPlan, CollState, Execution};
 use crate::request::{Request, RequestState};
 use crate::spin::SpinWait;
 use crate::topology::HostHierarchy;
-use crate::transport::{DpWindow, TransportCounters};
+use crate::transport::DpWindow;
 use crate::types::{Rank, ReduceOp, Reducible, WORLD_CTX};
 use crate::Result;
 
@@ -112,7 +112,8 @@ impl Comm {
         // data-plane decision: the window is created (or definitively absent)
         // at communicator construction, so its availability is fixed for the
         // communicator's lifetime and safe to bake into cached plans.
-        if let Some(plan) = self.shard().plans.lookup(&key) {
+        let stats = &self.shared.counters.plan_cache;
+        if let Some(plan) = self.shard().plans.lookup(&key, stats) {
             return Ok(Spec { plan, payload });
         }
         let hier = self.hier_for_coll();
@@ -125,16 +126,17 @@ impl Comm {
         let plan = Arc::new(build(&self.view(), &tuning, hier.as_deref(), dp).for_op(key.op));
         self.shard()
             .plans
-            .insert(key, &plan, tuning.plan_cache_entries);
+            .insert(key, &plan, tuning.plan_cache_entries, stats);
         Ok(Spec { plan, payload })
     }
 
-    /// Record a started collective: transport counters (atomics), this
+    /// Record a started collective: the rank's counter block, this
     /// communicator's op counters (shard lock), the chosen algorithm (ctl
     /// lock). Takes no io lock.
     fn account(&self, op: PlanOp, algo: &'static str, payload: u64) {
-        TransportCounters::bump(&self.shared.tstats.collectives, 1);
-        TransportCounters::bump(&self.shared.tstats.collective_bytes, payload);
+        let transport = &self.shared.counters.transport;
+        transport.collectives.add(1);
+        transport.collective_bytes.add(payload);
         {
             let entry = &mut self.shard().stats;
             entry.payload_bytes += payload;
@@ -156,20 +158,21 @@ impl Comm {
         let ctl = &mut *self.shared.ctl();
         ctl.last_algo = algo;
         *ctl.algo_counts.entry(algo).or_insert(0) += 1;
-        // Path accounting for the data-plane-eligible collective families:
-        // "<family>/shm" labels took the shared-window single-copy path (an
-        // irregular exchange's "/shm+pairwise" for all but its oversize
-        // pairs), every other label of those families went through the ring
-        // transport (the universal fallback).
-        if algo.contains("/shm") {
-            ctl.dp_paths.shm_colls += 1;
-            ctl.dp_paths.shm_bytes += payload;
-        } else if ["bcast/", "reduce/", "allreduce/", "allgather/", "alltoall/"]
-            .iter()
-            .any(|p| algo.starts_with(p))
-        {
-            ctl.dp_paths.ring_colls += 1;
-            ctl.dp_paths.ring_bytes += payload;
+    }
+
+    /// [`Comm::account`] for a started plan, plus the path it took: a plan
+    /// with data-plane ops ran on the shared window; any other plan of a kind
+    /// that has a window builder (all kinds but five) ran on the ring path.
+    fn account_plan(&self, plan: &CollPlan, payload: u64) {
+        use PlanOp::{Exscan, Gather, ReduceScatter, Scan, Scatter};
+        self.account(plan.op, plan.label, payload);
+        let dp = &self.shared.counters.data_plane;
+        if plan.on_window {
+            dp.shm_colls.add(1);
+            dp.shm_bytes.add(payload);
+        } else if !matches!(plan.op, Gather | Scatter | ReduceScatter | Scan | Exscan) {
+            dp.ring_colls.add(1);
+            dp.ring_bytes.add(payload);
         }
     }
 
@@ -201,7 +204,7 @@ impl Comm {
                     .map_err(|e| self.map_ft_err(e))?;
             }
         }
-        self.account(spec.plan.op, spec.plan.label, spec.payload);
+        self.account_plan(&spec.plan, spec.payload);
         Ok(exec)
     }
 
@@ -218,7 +221,7 @@ impl Comm {
             exec.run_send_only(io.transport.as_mut(), &mut io.clock, payload)
         };
         sent.map_err(|e| self.map_ft_err(e))?;
-        self.account(spec.plan.op, spec.plan.label, spec.payload);
+        self.account_plan(&spec.plan, spec.payload);
         Ok(())
     }
 
@@ -249,8 +252,8 @@ impl Comm {
         let cell = Arc::clone(request.coll.as_ref().expect("collective request has cell"));
         let plan = cell.plan();
         let seq = self.shard().next_coll_seq();
-        self.account(plan.op, plan.label, payload);
-        ProgressCounters::add(&self.shared.counters.colls_started, 1);
+        self.account_plan(plan, payload);
+        self.shared.counters.progress.colls_started.add(1);
         if plan.reads_data_plane {
             // A collective that reads data-plane exposures is started without
             // being run at once: tell the transport before anything started
@@ -292,7 +295,7 @@ impl Comm {
                 return Err(MpiError::StaleRequest)
             }
         }
-        ProgressCounters::add(&self.shared.counters.persistent_starts, 1);
+        self.shared.counters.progress.persistent_starts.add(1);
         self.activate(request, payload);
         Ok(())
     }

@@ -183,7 +183,9 @@ impl Comm {
     /// their own recovery can force re-planning after membership or topology
     /// changes.
     pub fn invalidate_plans(&mut self) -> usize {
-        self.shard().plans.invalidate()
+        self.shard()
+            .plans
+            .invalidate(&self.shared.counters.plan_cache)
     }
 
     /// Fault-tolerant agreement (`MPI_Comm_agree`): returns the bitwise AND

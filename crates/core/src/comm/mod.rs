@@ -44,16 +44,17 @@ use cmpi_fabric::SimClock;
 
 use crate::coll::{self, CommView};
 use crate::config::{CollTuning, DataPlaneMode, ProgressMode, ProgressTuning};
+use crate::counters::RankCounters;
 use crate::dataplane::DP_SLOTS;
 use crate::engine::ProgressEngine;
 use crate::error::MpiError;
 use crate::group::Group;
 use crate::plan::{PlanCache, PlanCacheStats, PlanOp};
 use crate::pod::bytes_of_mut;
-use crate::progress::{CollPlan, ProgressCounters, ProgressStats};
+use crate::progress::{CollPlan, ProgressStats};
 use crate::spin::PoisonFlag;
 use crate::topology::{HostHierarchy, HostTopology};
-use crate::transport::{DataPlaneStats, Transport, TransportCounters, TransportStats};
+use crate::transport::{DataPlaneStats, Transport, TransportStats};
 use crate::types::{CtxId, Rank, ReduceOp, Status, WORLD_CTX};
 use crate::Result;
 
@@ -132,11 +133,6 @@ struct RankCtl {
     last_algo: &'static str,
     /// How often each collective algorithm was chosen by this rank.
     algo_counts: BTreeMap<&'static str, u64>,
-    /// Which data-plane path (shared-window single-copy vs ring) the
-    /// data-plane-eligible collectives took, with payload bytes per path.
-    /// Merged with the transport's window counters in
-    /// [`Comm::data_plane_stats`].
-    dp_paths: DataPlaneStats,
 }
 
 /// The per-communicator progress state, sharded out of the rank-global locks
@@ -205,12 +201,9 @@ pub(crate) struct RankShared {
     ctl: Mutex<RankCtl>,
     /// Registry of every live communicator shard, for rank-level reporting.
     shards: Mutex<BTreeMap<CtxId, Arc<Mutex<CommShard>>>>,
-    /// Progress-engine counters (polls, ops serviced, overlap split) —
-    /// relaxed atomics, no lock.
-    pub(crate) counters: ProgressCounters,
-    /// The transport's live operation counters (shared atomics), so stats
-    /// reads and collective accounting skip the io lock.
-    tstats: Arc<TransportCounters>,
+    /// The rank's counter block, shared with the transport: bumped and read
+    /// without any lock.
+    pub(crate) counters: Arc<RankCounters>,
     /// Universe failure state (cloned from the transport at construction).
     pub(crate) poison: PoisonFlag,
     /// Post order of this rank's nonblocking receives (one sequence for the
@@ -250,38 +243,6 @@ impl RankShared {
         )
     }
 
-    /// Per-communicator collective counters across every live shard.
-    pub(crate) fn coll_stats_snapshot(&self) -> Vec<CommCollStats> {
-        let shards = self.shards.lock().unwrap_or_else(|e| e.into_inner());
-        shards
-            .values()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).stats)
-            .collect()
-    }
-
-    pub(crate) fn algo_counts_snapshot(&self) -> Vec<(String, u64)> {
-        self.ctl()
-            .algo_counts
-            .iter()
-            .map(|(k, v)| (k.to_string(), *v))
-            .collect()
-    }
-
-    /// Aggregate plan-cache counters across every communicator of the rank.
-    pub(crate) fn plan_cache_stats_snapshot(&self) -> PlanCacheStats {
-        let mut s = PlanCacheStats::default();
-        let shards = self.shards.lock().unwrap_or_else(|e| e.into_inner());
-        for shard in shards.values() {
-            let cache = &shard.lock().unwrap_or_else(|e| e.into_inner()).plans;
-            s.hits += cache.hits;
-            s.misses += cache.misses;
-            s.evictions += cache.evictions;
-            s.invalidations += cache.invalidations;
-            s.entries += cache.len();
-        }
-        s
-    }
-
     /// Eagerly create (or open) the shared-window data plane for `ctx` over
     /// `group` (world ranks, communicator order). Collective over the
     /// group's members — called at communicator construction so no
@@ -299,21 +260,6 @@ impl RankShared {
         io.transport
             .dp_ensure(&mut io.clock, ctx, group, arena_bytes, DP_SLOTS)?;
         Ok(())
-    }
-
-    /// Merged data-plane counters: the transport's window/op counters plus
-    /// this rank's per-path collective accounting.
-    pub(crate) fn data_plane_stats_snapshot(&self) -> DataPlaneStats {
-        let mut s = self.io().transport.dp_stats();
-        s.merge(&self.ctl().dp_paths);
-        s
-    }
-
-    /// Transport operation counters (lock-free snapshot of the shared
-    /// atomics, merged with the transport's single-writer lazy-connection
-    /// counters which require the io lock).
-    pub(crate) fn transport_stats(&self) -> TransportStats {
-        self.io().transport.stats()
     }
 }
 
@@ -341,12 +287,14 @@ pub struct Comm {
 }
 
 impl Comm {
-    /// Build the world communicator for one rank (runtime-internal).
+    /// Build the world communicator for one rank (runtime-internal), over
+    /// `transport` and the rank's counter block it counts into.
     /// Collective: when the data plane is enabled this eagerly creates the
     /// world communicator's shared exposure window, so every member must
     /// construct its world communicator.
     pub(crate) fn world(
         transport: Box<dyn Transport>,
+        counters: Arc<RankCounters>,
         topology: HostTopology,
         tuning: CollTuning,
         progress_cfg: ProgressTuning,
@@ -354,7 +302,6 @@ impl Comm {
         let n = transport.size();
         let rank = transport.rank();
         let poison = transport.poison().clone();
-        let tstats = transport.stats_handle();
         let shared = Arc::new(RankShared {
             io: Mutex::new(RankIo {
                 transport,
@@ -365,11 +312,9 @@ impl Comm {
                 next_ctx: WORLD_CTX + 1,
                 last_algo: "none",
                 algo_counts: BTreeMap::new(),
-                dp_paths: DataPlaneStats::default(),
             }),
             shards: Mutex::new(BTreeMap::new()),
-            counters: ProgressCounters::default(),
-            tstats,
+            counters,
             post_seq: AtomicU64::new(0),
             poison,
             topology,
@@ -437,25 +382,38 @@ impl Comm {
     }
 
     /// Aggregate plan-cache counters of this rank (hits, misses, evictions,
-    /// resident plans — across all communicators sharing the rank state; also
-    /// surfaced in [`crate::runtime::RankReport::plan_cache`]).
+    /// invalidations — across all communicators sharing the rank state; also
+    /// surfaced in [`crate::runtime::RankReport::plan_cache`]): a snapshot of
+    /// the counter block's plan-cache section, plus the plans resident in
+    /// every communicator's cache (which takes each cache's shard lock).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.shared.plan_cache_stats_snapshot()
+        let mut stats = self.shared.counters.plan_cache.snapshot();
+        let shards = self.shared.shards.lock().unwrap_or_else(|e| e.into_inner());
+        stats.entries = shards
+            .values()
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).plans.len())
+            .sum();
+        stats
     }
 
     /// Data-plane counters of this rank (across all communicators sharing
     /// the rank state): shared-window setups and failures, single-copy
     /// expose/pull/notify operations, and the shm-vs-ring path split of the
-    /// data-plane-eligible collectives. Also surfaced in
-    /// [`crate::runtime::RankReport::data_plane`].
+    /// collectives of the kinds that have a window builder — one snapshot of
+    /// the counter block's data-plane section, taken without a lock. Also
+    /// surfaced in [`crate::runtime::RankReport::data_plane`].
     pub fn data_plane_stats(&self) -> DataPlaneStats {
-        self.shared.data_plane_stats_snapshot()
+        self.shared.counters.data_plane.snapshot()
     }
 
     /// Snapshot of the per-communicator collective counters accumulated by
     /// this rank so far (across *all* communicators sharing the rank state).
     pub(crate) fn coll_stats_snapshot(&self) -> Vec<CommCollStats> {
-        self.shared.coll_stats_snapshot()
+        let shards = self.shared.shards.lock().unwrap_or_else(|e| e.into_inner());
+        shards
+            .values()
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).stats)
+            .collect()
     }
 
     /// Label of the algorithm chosen by the most recent collective executed by
@@ -468,7 +426,11 @@ impl Comm {
     /// Snapshot of how often each collective algorithm was chosen by this rank
     /// (surfaced in [`crate::runtime::RankReport::coll_algos`]).
     pub(crate) fn algo_counts_snapshot(&self) -> Vec<(String, u64)> {
-        self.shared.algo_counts_snapshot()
+        let ctl = self.shared.ctl();
+        ctl.algo_counts
+            .iter()
+            .map(|(k, v)| (k.to_string(), *v))
+            .collect()
     }
 
     fn view(&self) -> CommView<'_> {
@@ -586,9 +548,10 @@ impl Comm {
     }
 
     /// Transport operation counters (shared by every communicator of the
-    /// rank).
+    /// rank): a snapshot of the counter block's transport section, taken
+    /// without a lock.
     pub fn stats(&self) -> TransportStats {
-        self.shared.transport_stats()
+        self.shared.counters.transport.snapshot()
     }
 
     /// Tell the contention / NIC-sharing models how many communication pairs
@@ -728,9 +691,38 @@ impl Comm {
     }
 
     /// Snapshot of the progress-engine counters accumulated by this rank
-    /// (shared across all communicators of the rank; also surfaced in
-    /// [`crate::runtime::RankReport::progress`]).
+    /// (shared across all communicators of the rank, taken without a lock;
+    /// also surfaced in [`crate::runtime::RankReport::progress`]).
     pub fn progress_stats(&self) -> ProgressStats {
-        self.shared.counters.snapshot()
+        self.shared.counters.progress.snapshot()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Universe, UniverseConfig};
+
+    /// Every snapshot reads the counter block alone: taken while this thread
+    /// holds the rank's ctl and io locks — which a snapshot that took either
+    /// would wait on forever — they all return.
+    #[test]
+    fn snapshots_take_no_lock() {
+        Universe::run(UniverseConfig::cxl_small(2), |comm| {
+            let ctl = comm.shared.ctl();
+            let io = comm.shared.io();
+            let stats = comm.stats();
+            let dp = comm.data_plane_stats();
+            let progress = comm.progress_stats();
+            let plans = comm.plan_cache_stats();
+            drop((io, ctl));
+            // The init barrier; the world's window attempt (the small pool
+            // cannot hold it); nothing nonblocking, nothing cached yet.
+            assert_eq!(stats.collectives, 1);
+            assert_eq!(dp.window_setups + dp.window_failures, 1);
+            assert_eq!(progress.colls_started, 0);
+            assert_eq!((plans.misses, plans.entries), (0, 0));
+            Ok(())
+        })
+        .unwrap();
     }
 }

@@ -8,7 +8,6 @@ use std::sync::Arc;
 use super::Comm;
 use crate::error::MpiError;
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
-use crate::progress::ProgressCounters;
 use crate::request::{Contention, Request, RequestState};
 use crate::spin::SpinWait;
 use crate::transport::RecvDest;
@@ -236,11 +235,11 @@ impl Comm {
         self.check_request_ctx(request)?;
         let cell = Arc::clone(request.coll.as_ref().expect("collective request has cell"));
         debug_assert_eq!(cell.ctx(), request.ctx, "cell/request context mismatch");
-        let counters = &self.shared.counters;
+        let counters = &self.shared.counters.progress;
         if during_wait {
-            ProgressCounters::add(&counters.wait_polls, 1);
+            counters.wait_polls.add(1);
         } else {
-            ProgressCounters::add(&counters.test_polls, 1);
+            counters.test_polls.add(1);
         }
         let mut slot = cell.lock();
         let mut ops = 0usize;
@@ -265,14 +264,14 @@ impl Comm {
             };
             ops = step.ops;
             if during_wait {
-                ProgressCounters::add(&counters.ops_in_wait, ops as u64);
+                counters.ops_in_wait.add(ops as u64);
             } else {
-                ProgressCounters::add(&counters.ops_in_test, ops as u64);
+                counters.ops_in_test.add(ops as u64);
             }
             if !step.done {
                 return Ok((None, ops));
             }
-            ProgressCounters::add(&counters.colls_completed, 1);
+            counters.colls_completed.add(1);
             let status = state.completion_status();
             cell.complete(&mut slot, Ok(status));
         }
@@ -555,14 +554,14 @@ impl Comm {
         // Idempotent: `start`/`start_coll` already enqueued the cell; this
         // covers requests created before the engine started.
         self.shared.engine.enqueue(Arc::clone(&cell));
-        let counters = &self.shared.counters;
+        let counters = &self.shared.counters.progress;
         let mut backoff = SpinWait::new();
         cell.waiter().register();
         let waited = loop {
             if cell.is_done() {
                 break Ok(());
             }
-            ProgressCounters::add(&counters.wait_polls, 1);
+            counters.wait_polls.add(1);
             if let Err(e) = backoff.wait_registered(&self.shared.poison) {
                 break Err(e);
             }
@@ -799,13 +798,13 @@ impl Comm {
     /// operations; `test`-family calls on the requests themselves remain the
     /// way to *complete* them.
     pub fn progress(&mut self) -> Result<usize> {
-        let counters = &self.shared.counters;
-        ProgressCounters::add(&counters.transport_drains, 1);
+        let counters = &self.shared.counters.progress;
+        counters.transport_drains.add(1);
         let moved = {
             let io = &mut *self.shared.io();
             io.transport.poll_incoming(&mut io.clock)?
         };
-        ProgressCounters::add(&counters.drained_messages, moved as u64);
+        counters.drained_messages.add(moved as u64);
         Ok(moved)
     }
 }

@@ -54,10 +54,6 @@ pub struct CxlShmTransportConfig {
     /// Lazy mode: cells in each rank's shared receive queue ring (the
     /// multi-producer cold path; same cell payload as the queue pairs).
     pub srq_cells: usize,
-    /// Lazy mode: byte stride between doorbell bitmap words. `8` packs the
-    /// words densely; the default `64` gives each 64-sender group word its own
-    /// cache line so senders in different groups never contend on a line.
-    pub doorbell_stride: usize,
 }
 
 impl Default for CxlShmTransportConfig {
@@ -72,7 +68,6 @@ impl Default for CxlShmTransportConfig {
             qp_budget: 64,
             promotion_threshold: 4,
             srq_cells: 32,
-            doorbell_stride: 64,
         }
     }
 }
@@ -108,17 +103,10 @@ impl CxlShmTransportConfig {
                 "cell_size and cells_per_queue must be non-zero".into(),
             ));
         }
-        if self.conn_mode == ConnMode::Lazy {
-            if self.srq_cells == 0 {
-                return Err(MpiError::InvalidConfig(
-                    "srq_cells must be non-zero in lazy connection mode".into(),
-                ));
-            }
-            if self.doorbell_stride < 8 || !self.doorbell_stride.is_multiple_of(8) {
-                return Err(MpiError::InvalidConfig(
-                    "doorbell_stride must be a multiple of 8 (≥ 8)".into(),
-                ));
-            }
+        if self.conn_mode == ConnMode::Lazy && self.srq_cells == 0 {
+            return Err(MpiError::InvalidConfig(
+                "srq_cells must be non-zero in lazy connection mode".into(),
+            ));
         }
         Ok(())
     }
@@ -656,7 +644,6 @@ mod tests {
         assert_eq!(c.conn_mode, ConnMode::Lazy);
         assert!(c.qp_budget > 0);
         assert!(c.srq_cells > 0);
-        assert_eq!(c.doorbell_stride, 64);
         let cfg = UniverseConfig::cxl_small(4).with_conn_mode(ConnMode::Eager);
         match cfg.transport {
             TransportConfig::CxlShm(ref c) => assert_eq!(c.conn_mode, ConnMode::Eager),
@@ -666,11 +653,6 @@ mod tests {
         let mut cfg = UniverseConfig::cxl_small(4);
         if let TransportConfig::CxlShm(ref mut c) = cfg.transport {
             c.srq_cells = 0;
-        }
-        assert!(cfg.topology().is_err());
-        let mut cfg = UniverseConfig::cxl_small(4);
-        if let TransportConfig::CxlShm(ref mut c) = cfg.transport {
-            c.doorbell_stride = 12;
         }
         assert!(cfg.topology().is_err());
     }

@@ -39,13 +39,14 @@
 //! `try_lock` first and the io lock strictly inside it, the same order every
 //! caller uses, so the two sides cannot deadlock.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::comm::RankShared;
-use crate::progress::{CollPlan, CollState, ProgressCounters};
+use crate::counters::Counter;
+use crate::progress::{CollPlan, CollState};
 use crate::spin::WaitCell;
 use crate::types::{CtxId, Status};
 use crate::Result;
@@ -324,7 +325,7 @@ impl ProgressEngine {
             if own.is_some_and(|o| std::ptr::eq(o, cell.as_ref())) {
                 continue;
             }
-            ops += engine_drive(rank, &cell, &rank.counters.ops_in_wait);
+            ops += engine_drive(rank, &cell, &rank.counters.progress.ops_in_wait);
         }
         ops
     }
@@ -409,7 +410,7 @@ fn engine_main(shared: Weak<RankShared>) {
         }
         let mut ops = 0usize;
         for cell in &cells {
-            ops += engine_drive(&rank, cell, &rank.counters.ops_in_thread);
+            ops += engine_drive(&rank, cell, &rank.counters.progress.ops_in_thread);
         }
         if ops == 0 {
             // Everything outstanding is stalled on remote peers; yield so
@@ -424,7 +425,7 @@ fn engine_main(shared: Weak<RankShared>) {
 /// `ops_in_wait` from a polling waiter's sibling sweep). Returns the ops
 /// serviced (0 when the caller holds the slot, the cell is already terminal,
 /// or no progress was possible).
-fn engine_drive(rank: &RankShared, cell: &OpCell, into: &AtomicU64) -> usize {
+fn engine_drive(rank: &RankShared, cell: &OpCell, into: &Counter) -> usize {
     if cell.is_done() || !cell.active.load(Ordering::Acquire) {
         return 0;
     }
@@ -445,10 +446,10 @@ fn engine_drive(rank: &RankShared, cell: &OpCell, into: &AtomicU64) -> usize {
     };
     match step {
         Ok(step) => {
-            ProgressCounters::add(into, step.ops as u64);
+            into.add(step.ops as u64);
             if step.done {
                 let status = state.completion_status();
-                ProgressCounters::add(&rank.counters.colls_completed, 1);
+                rank.counters.progress.colls_completed.add(1);
                 cell.complete(&mut slot, Ok(status));
             }
             step.ops

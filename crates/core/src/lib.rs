@@ -98,6 +98,8 @@
 //!   wraps request sets as a `Future`, and [`future::block_on`] /
 //!   [`future::join_all`] give a dependency-free executor for overlap-heavy
 //!   code.
+//! * [`counters`] — the rank's counter block: every statistic declared once,
+//!   bumped through one shared handle and read without a lock.
 //! * [`datatype`], [`pod`] — datatype descriptions (contiguous/vector layouts
 //!   with pack/unpack) and the [`pod::Pod`] zero-copy byte views the typed
 //!   collectives are built on.
@@ -114,6 +116,7 @@ pub mod barrier;
 pub mod coll;
 pub mod comm;
 pub mod config;
+pub mod counters;
 pub mod dataplane;
 pub mod datatype;
 pub mod engine;

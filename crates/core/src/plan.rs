@@ -23,13 +23,16 @@
 //! communicator's shared data-plane window (created eagerly at communicator
 //! construction, or never) — are fixed per communicator for the lifetime of
 //! the universe, so they need no key component.
-//! Hit/miss/eviction counters are surfaced in
-//! [`crate::runtime::RankReport::plan_cache`].
+//!
+//! Every cache counts into the plan-cache section of the rank's
+//! [`crate::counters::RankCounters`], declared here: the rank-wide figures
+//! are one snapshot, and only the resident `entries` are summed over caches.
 
 use std::any::TypeId;
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use crate::counters::counter_section;
 use crate::progress::CollPlan;
 use crate::types::{Rank, ReduceOp};
 
@@ -161,22 +164,27 @@ impl<'a> PlanKey<'a> {
     }
 }
 
-/// Aggregated plan-cache counters of one rank (all communicators), surfaced
-/// in [`crate::runtime::RankReport::plan_cache`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Collective calls served by a cached plan (planning skipped).
-    pub hits: u64,
-    /// Collective calls that had to build (first call of a shape, or a
-    /// rebuilt eviction victim).
-    pub misses: u64,
-    /// Plans evicted by the LRU bound.
-    pub evictions: u64,
-    /// Plans dropped by explicit invalidation (`Comm::invalidate_plans`, e.g.
-    /// after a revoke/shrink made the cached schedules unusable).
-    pub invalidations: u64,
-    /// Plans currently resident.
-    pub entries: usize,
+counter_section! {
+    /// Aggregated plan-cache counters of one rank (all communicators),
+    /// surfaced by `Comm::plan_cache_stats` and in
+    /// [`crate::runtime::RankReport::plan_cache`].
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    PlanCacheStats / PlanCacheSection {
+        /// Collective calls served by a cached plan (planning skipped).
+        hits,
+        /// Collective calls that had to build (first call of a shape, or a
+        /// rebuilt eviction victim).
+        misses,
+        /// Plans evicted by the LRU bound.
+        evictions,
+        /// Plans dropped by explicit invalidation (`Comm::invalidate_plans`,
+        /// e.g. after a revoke/shrink made the cached schedules unusable).
+        invalidations,
+    }
+    state {
+        /// Plans currently resident.
+        entries: usize,
+    }
 }
 
 /// One communicator's LRU-bounded plan cache. Lookup is a linear scan — the
@@ -189,14 +197,6 @@ pub(crate) struct PlanCache {
     slots: Vec<(PlanKey<'static>, Arc<CollPlan>, u64)>,
     /// Monotonic use counter backing the LRU order.
     tick: u64,
-    /// Hits served by this cache.
-    pub hits: u64,
-    /// Misses (builds) through this cache.
-    pub misses: u64,
-    /// LRU evictions performed.
-    pub evictions: u64,
-    /// Plans dropped by explicit invalidation.
-    pub invalidations: u64,
 }
 
 impl PlanCache {
@@ -204,14 +204,14 @@ impl PlanCache {
     /// miss on `None`. Split from [`PlanCache::insert`] so callers can defer
     /// miss-only work (hierarchy derivation, plan construction) until after a
     /// failed probe — the hit path is the hot path.
-    pub fn lookup(&mut self, key: &PlanKey<'_>) -> Option<Arc<CollPlan>> {
+    pub fn lookup(&mut self, key: &PlanKey<'_>, stats: &PlanCacheSection) -> Option<Arc<CollPlan>> {
         self.tick += 1;
         if let Some(slot) = self.slots.iter_mut().find(|(k, _, _)| k == key) {
             slot.2 = self.tick;
-            self.hits += 1;
+            stats.hits.add(1);
             return Some(Arc::clone(&slot.1));
         }
-        self.misses += 1;
+        stats.misses.add(1);
         None
     }
 
@@ -219,7 +219,13 @@ impl PlanCache {
     /// `capacity` bound ([`crate::config::CollTuning::plan_cache_entries`]);
     /// `0` disables caching entirely (the plan is simply not retained — the
     /// bench harness uses this as its cold baseline).
-    pub fn insert(&mut self, key: PlanKey<'_>, plan: &Arc<CollPlan>, capacity: usize) {
+    pub fn insert(
+        &mut self,
+        key: PlanKey<'_>,
+        plan: &Arc<CollPlan>,
+        capacity: usize,
+        stats: &PlanCacheSection,
+    ) {
         if capacity == 0 {
             return;
         }
@@ -232,7 +238,7 @@ impl PlanCache {
                 .map(|(i, _)| i)
                 .expect("non-empty cache at capacity");
             self.slots.swap_remove(oldest);
-            self.evictions += 1;
+            stats.evictions.add(1);
         }
         self.slots
             .push((key.into_owned(), Arc::clone(plan), self.tick));
@@ -248,10 +254,10 @@ impl PlanCache {
     /// the dropped plans as invalidations — distinct from LRU evictions — and
     /// returns how many were dropped. The hit/miss history survives, so
     /// [`PlanCacheStats`] still reflects the communicator's whole lifetime.
-    pub fn invalidate(&mut self) -> usize {
+    pub fn invalidate(&mut self, stats: &PlanCacheSection) -> usize {
         let dropped = self.slots.len();
         self.slots.clear();
-        self.invalidations += dropped as u64;
+        stats.invalidations.add(dropped as u64);
         dropped
     }
 }
@@ -265,34 +271,41 @@ mod tests {
         CollPlan::new(Vec::new(), 0, None, Loc::Buf, (0, 0), (0, 0), 0, label)
     }
 
+    /// A cache with the section it counts into.
+    #[derive(Default)]
+    struct Counted {
+        cache: PlanCache,
+        stats: PlanCacheSection,
+    }
+
     /// The lookup + insert composition every caller performs.
     fn get_or_build(
-        cache: &mut PlanCache,
+        c: &mut Counted,
         key: PlanKey<'_>,
         capacity: usize,
         build: impl FnOnce() -> CollPlan,
     ) -> Arc<CollPlan> {
-        if let Some(plan) = cache.lookup(&key) {
+        if let Some(plan) = c.cache.lookup(&key, &c.stats) {
             return plan;
         }
         let plan = Arc::new(build());
-        cache.insert(key, &plan, capacity);
+        c.cache.insert(key, &plan, capacity, &c.stats);
         plan
     }
 
     #[test]
     fn hit_returns_the_same_plan() {
-        let mut cache = PlanCache::default();
+        let mut cache = Counted::default();
         let key = PlanKey::shaped(PlanOp::Bcast, 64);
         let a = get_or_build(&mut cache, key.clone(), 4, || plan("a"));
         let b = get_or_build(&mut cache, key, 4, || unreachable!("must hit"));
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((cache.hits, cache.misses), (1, 1));
+        assert_eq!((cache.stats.hits.get(), cache.stats.misses.get()), (1, 1));
     }
 
     #[test]
     fn distinct_keys_never_collide() {
-        let mut cache = PlanCache::default();
+        let mut cache = Counted::default();
         let k1 = PlanKey::rooted(PlanOp::Bcast, 0, 64);
         let k2 = PlanKey::rooted(PlanOp::Bcast, 1, 64); // different root
         let k3 = PlanKey::rooted(PlanOp::Bcast, 0, 128); // different size
@@ -305,14 +318,14 @@ mod tests {
         for k in [&k1, &k2, &k3, &k4, &k5, &k6, &k7, &k8, &k9] {
             get_or_build(&mut cache, (*k).clone(), 16, || plan("x"));
         }
-        assert_eq!(cache.len(), 9);
-        assert_eq!(cache.misses, 9);
-        assert_eq!(cache.hits, 0);
+        assert_eq!(cache.cache.len(), 9);
+        assert_eq!(cache.stats.misses.get(), 9);
+        assert_eq!(cache.stats.hits.get(), 0);
     }
 
     #[test]
     fn lru_evicts_the_least_recently_used() {
-        let mut cache = PlanCache::default();
+        let mut cache = Counted::default();
         let keys: Vec<PlanKey<'_>> = (0..3)
             .map(|i| PlanKey::shaped(PlanOp::Bcast, 64 * (i + 1)))
             .collect();
@@ -321,22 +334,22 @@ mod tests {
         // Touch key 0 so key 1 becomes the LRU victim.
         get_or_build(&mut cache, keys[0].clone(), 2, || unreachable!());
         get_or_build(&mut cache, keys[2].clone(), 2, || plan("2"));
-        assert_eq!(cache.evictions, 1);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats.evictions.get(), 1);
+        assert_eq!(cache.cache.len(), 2);
         // Key 0 survived; key 1 was evicted and must rebuild.
         get_or_build(&mut cache, keys[0].clone(), 2, || unreachable!());
         get_or_build(&mut cache, keys[1].clone(), 2, || plan("1 again"));
-        assert_eq!(cache.misses, 4);
+        assert_eq!(cache.stats.misses.get(), 4);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let mut cache = PlanCache::default();
+        let mut cache = Counted::default();
         let key = PlanKey::shaped(PlanOp::Barrier, 0);
         get_or_build(&mut cache, key.clone(), 0, || plan("a"));
         get_or_build(&mut cache, key, 0, || plan("b"));
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.misses, 2);
-        assert_eq!(cache.hits, 0);
+        assert_eq!(cache.cache.len(), 0);
+        assert_eq!(cache.stats.misses.get(), 2);
+        assert_eq!(cache.stats.hits.get(), 0);
     }
 }

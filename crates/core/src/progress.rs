@@ -54,13 +54,19 @@
 //! blocked-send loop, [`Transport::send`] — before control returns (the pair's
 //! queue carries one whole message per sender at a time): the same liveness
 //! class as the blocking sends the schedules replaced.
+//!
+//! Who made which progress is counted in the progress section of the rank's
+//! [`crate::counters::RankCounters`], declared here ([`ProgressSection`]):
+//! collective starts, `test`/`wait`-family polls and the engine thread bump it
+//! directly, and `Comm::progress_stats` reads it, without a lock, as a
+//! [`ProgressStats`].
 
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use cmpi_fabric::SimClock;
 
 use crate::coll::bind_coll_tag;
+use crate::counters::counter_section;
 use crate::error::MpiError;
 use crate::plan::PlanOp;
 use crate::transport::{DpPiece, DpReaders, DpSource, RecvDest, Transport};
@@ -286,6 +292,11 @@ pub struct CollPlan {
     /// that does not run at once then announces the collective to the
     /// transport ([`Transport::dp_begin`]).
     pub(crate) reads_data_plane: bool,
+    /// Whether the plan has any data-plane op: a start then counts as a
+    /// collective on the shared window
+    /// ([`crate::transport::DataPlaneStats::shm_colls`]), one without as a
+    /// ring-path one.
+    pub(crate) on_window: bool,
     /// Label of the algorithm this plan implements (surfaced in
     /// `RankReport::coll_algos`).
     pub label: &'static str,
@@ -310,6 +321,15 @@ impl CollPlan {
                 SchedOp::PullCopy { src, .. } | SchedOp::FoldInPlace { src, .. } if src.last
             )
         });
+        let on_window = ops.iter().any(|op| {
+            !matches!(
+                op,
+                SchedOp::Send { .. }
+                    | SchedOp::Recv { .. }
+                    | SchedOp::Fold { .. }
+                    | SchedOp::Copy { .. }
+            )
+        });
         CollPlan {
             ops,
             pieces: Vec::new(),
@@ -323,6 +343,7 @@ impl CollPlan {
             scratch_len,
             pairs_hint: None,
             reads_data_plane,
+            on_window,
             label,
         }
     }
@@ -896,78 +917,41 @@ impl CollState {
     }
 }
 
-/// Per-rank progress-engine counters, surfaced in
-/// [`crate::runtime::RankReport::progress`]. The split between `*_in_test`
-/// and `*_in_wait` is the overlap metric: ops serviced by `test`-family calls
-/// ran during user compute, ops serviced inside a terminal `wait` did not.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ProgressStats {
-    /// Nonblocking collectives started (`i*` calls and persistent starts).
-    pub colls_started: u64,
-    /// Nonblocking collectives completed.
-    pub colls_completed: u64,
-    /// Persistent-request starts (`start`/`startall`), a subset of
-    /// `colls_started`.
-    pub persistent_starts: u64,
-    /// Progress polls from `test`/`test_any`/`test_all` (user-compute
-    /// context).
-    pub test_polls: u64,
-    /// Progress polls from inside blocking `wait`/`wait_any`.
-    pub wait_polls: u64,
-    /// Schedule ops serviced during `test`-family polls — progress made
-    /// *during user compute*, the overlap figure of merit.
-    pub ops_in_test: u64,
-    /// Schedule ops serviced inside blocking waits.
-    pub ops_in_wait: u64,
-    /// Schedule ops serviced by the background progress thread
-    /// ([`crate::config::ProgressMode::Thread`]) — like `ops_in_test`, these
-    /// ran during user compute, so they count toward the overlap figure of
-    /// merit. Always 0 in `Polling` mode.
-    pub ops_in_thread: u64,
-    /// Explicit [`crate::comm::Comm::progress`] calls.
-    pub transport_drains: u64,
-    /// Messages moved off the wire into local staging by those calls.
-    pub drained_messages: u64,
-}
-
-/// The live, shared form of [`ProgressStats`]: relaxed atomics bumped on the
-/// hot path (a counter bump is never a synchronization point — the data it
-/// describes is published by the transport locks), snapshotted into the plain
-/// struct by [`ProgressCounters::snapshot`] for reporting.
-#[derive(Debug, Default)]
-pub(crate) struct ProgressCounters {
-    pub(crate) colls_started: AtomicU64,
-    pub(crate) colls_completed: AtomicU64,
-    pub(crate) persistent_starts: AtomicU64,
-    pub(crate) test_polls: AtomicU64,
-    pub(crate) wait_polls: AtomicU64,
-    pub(crate) ops_in_test: AtomicU64,
-    pub(crate) ops_in_wait: AtomicU64,
-    pub(crate) ops_in_thread: AtomicU64,
-    pub(crate) transport_drains: AtomicU64,
-    pub(crate) drained_messages: AtomicU64,
-}
-
-impl ProgressCounters {
-    /// Relaxed increment helper: `add(&self.ops_in_test, n)`.
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, AtomicOrdering::Relaxed);
-    }
-
-    /// Snapshot the counters into the reporting struct.
-    pub(crate) fn snapshot(&self) -> ProgressStats {
-        ProgressStats {
-            colls_started: self.colls_started.load(AtomicOrdering::Relaxed),
-            colls_completed: self.colls_completed.load(AtomicOrdering::Relaxed),
-            persistent_starts: self.persistent_starts.load(AtomicOrdering::Relaxed),
-            test_polls: self.test_polls.load(AtomicOrdering::Relaxed),
-            wait_polls: self.wait_polls.load(AtomicOrdering::Relaxed),
-            ops_in_test: self.ops_in_test.load(AtomicOrdering::Relaxed),
-            ops_in_wait: self.ops_in_wait.load(AtomicOrdering::Relaxed),
-            ops_in_thread: self.ops_in_thread.load(AtomicOrdering::Relaxed),
-            transport_drains: self.transport_drains.load(AtomicOrdering::Relaxed),
-            drained_messages: self.drained_messages.load(AtomicOrdering::Relaxed),
-        }
+counter_section! {
+    /// Per-rank progress-engine counters, surfaced by `Comm::progress_stats`
+    /// and in [`crate::runtime::RankReport::progress`]. The split between
+    /// `*_in_test` and `*_in_wait` is the overlap metric: ops serviced by
+    /// `test`-family calls ran during user compute, ops serviced inside a
+    /// terminal `wait` did not.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    ProgressStats / ProgressSection {
+        /// Nonblocking collectives started (`i*` calls and persistent
+        /// starts).
+        colls_started,
+        /// Nonblocking collectives completed.
+        colls_completed,
+        /// Persistent-request starts (`start`/`startall`), a subset of
+        /// `colls_started`.
+        persistent_starts,
+        /// Progress polls from `test`/`test_any`/`test_all` (user-compute
+        /// context).
+        test_polls,
+        /// Progress polls from inside blocking `wait`/`wait_any`.
+        wait_polls,
+        /// Schedule ops serviced during `test`-family polls — progress made
+        /// *during user compute*, the overlap figure of merit.
+        ops_in_test,
+        /// Schedule ops serviced inside blocking waits.
+        ops_in_wait,
+        /// Schedule ops serviced by the background progress thread
+        /// ([`crate::config::ProgressMode::Thread`]) — like `ops_in_test`,
+        /// these ran during user compute, so they count toward the overlap
+        /// figure of merit. Always 0 in `Polling` mode.
+        ops_in_thread,
+        /// Explicit [`crate::comm::Comm::progress`] calls.
+        transport_drains,
+        /// Messages moved off the wire into local staging by those calls.
+        drained_messages,
     }
 }
 

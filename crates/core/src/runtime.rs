@@ -14,6 +14,7 @@ use cxl_shm::{ArenaConfig, ArenaLayout, CxlShmArena, CxlView, DaxDevice, HostCac
 
 use crate::comm::{Comm, CommCollStats};
 use crate::config::{ProgressTuning, TransportConfig, UniverseConfig};
+use crate::counters::RankCounters;
 use crate::error::MpiError;
 use crate::plan::PlanCacheStats;
 use crate::progress::ProgressStats;
@@ -78,8 +79,9 @@ pub struct RankReport {
     pub plan_cache: PlanCacheStats,
     /// Shared-window data-plane counters: window setups/failures, single-copy
     /// expose/pull/notify operations and bytes, plus the shm-vs-ring path
-    /// split of the data-plane-eligible collectives (bcast, reduce,
-    /// allreduce, allgather).
+    /// split of the collectives of the kinds that have a window builder
+    /// (barrier, bcast, reduce, allreduce, allgather, alltoall, alltoallv,
+    /// alltoallw).
     pub data_plane: DataPlaneStats,
 }
 
@@ -248,6 +250,7 @@ impl Universe {
                             rank,
                             armed: true,
                         };
+                        let counters = Arc::new(RankCounters::default());
                         let mut transport = CxlTransport::new(
                             rank,
                             ranks,
@@ -255,6 +258,7 @@ impl Universe {
                             &cxl_config,
                             &topology,
                             poison.for_rank(),
+                            Arc::clone(&counters),
                         )?;
                         if let Some(trigger) = fault_trigger {
                             transport.set_fault_injector(FaultInjector::new(trigger));
@@ -262,6 +266,7 @@ impl Universe {
                         Self::finish_rank(
                             Self::run_rank(
                                 Box::new(transport),
+                                counters,
                                 topology,
                                 tuning,
                                 progress_cfg,
@@ -293,6 +298,7 @@ impl Universe {
                             rank,
                             armed: true,
                         };
+                        let counters = Arc::new(RankCounters::default());
                         let mut transport = TcpTransport::new(
                             rank,
                             ranks,
@@ -300,6 +306,7 @@ impl Universe {
                             shared,
                             &tcp_config,
                             poison.for_rank(),
+                            Arc::clone(&counters),
                         )?;
                         if let Some(trigger) = fault_trigger {
                             transport.set_fault_injector(FaultInjector::new(trigger));
@@ -307,6 +314,7 @@ impl Universe {
                         Self::finish_rank(
                             Self::run_rank(
                                 Box::new(transport),
+                                counters,
                                 topology,
                                 tuning,
                                 progress_cfg,
@@ -406,13 +414,14 @@ impl Universe {
 
     fn run_rank<T>(
         transport: Box<dyn Transport>,
+        counters: Arc<RankCounters>,
         topology: HostTopology,
         tuning: crate::config::CollTuning,
         progress_cfg: ProgressTuning,
         rank: Rank,
         body: RankBody<T>,
     ) -> Result<(T, RankReport)> {
-        let mut comm = Comm::world(transport, topology, tuning, progress_cfg)?;
+        let mut comm = Comm::world(transport, counters, topology, tuning, progress_cfg)?;
         // Every rank enters an initialization barrier before user code runs,
         // mirroring the end of MPI_Init.
         comm.barrier()?;

@@ -49,12 +49,14 @@
 //! waiting for the drain (it just stays on the SRQ one more message).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use cmpi_fabric::SimClock;
 use cxl_shm::slots::{SLOT_CELL_DATA_OFF, SLOT_CELL_INLINE};
 use cxl_shm::{CxlShmArena, ShmObject, SlotLayout};
 
 use crate::config::CxlShmTransportConfig;
+use crate::counters::RankCounters;
 use crate::error::MpiError;
 use crate::queue::{CellHeader, QueueGeometry, CELL_HEADER_SIZE};
 use crate::spin::PoisonFlag;
@@ -99,10 +101,15 @@ pub fn qp_name(dst: Rank, src: Rank) -> String {
 // Doorbell
 // ---------------------------------------------------------------------------
 
+/// Byte stride between doorbell bitmap words: each 64-sender group word sits
+/// on its own cache line, so senders in different groups never contend on a
+/// line.
+pub const DOORBELL_STRIDE: usize = 64;
+
 /// A receiver's active-sender bitmap.
 ///
-/// Group word `g` (at `stride × (1 + g)`) holds one bit per sender in
-/// `[64g, 64g + 64)`. A world of at most 64 ranks is one group: senders
+/// Group word `g` (at `DOORBELL_STRIDE × (1 + g)`) holds one bit per sender
+/// in `[64g, 64g + 64)`. A world of at most 64 ranks is one group: senders
 /// `fetch_or` that word and the receiver loads and swaps it. Larger worlds
 /// add word 0 as a summary — bit `g` means group word `g` may hold rung
 /// bits — rung group-then-summary and collected summary-then-groups, so a
@@ -111,32 +118,28 @@ pub fn qp_name(dst: Rank, src: Rank) -> String {
 #[derive(Debug, Clone)]
 pub struct Doorbell {
     obj: ShmObject,
-    stride: u64,
     groups: usize,
 }
 
 impl Doorbell {
-    /// Bytes of the bitmap itself (summary + group words at `stride`), with
-    /// the rank ceiling enforced.
-    pub fn required_bytes(ranks: usize, stride: usize) -> Result<usize> {
+    /// Bytes of the bitmap itself (summary + group words at
+    /// [`DOORBELL_STRIDE`]), with the rank ceiling enforced.
+    pub fn required_bytes(ranks: usize) -> Result<usize> {
         let groups = ranks.div_ceil(64);
         if groups > 64 {
             return Err(MpiError::Transport(format!(
                 "doorbell bitmap addresses at most 4096 ranks, got {ranks}"
             )));
         }
-        stride
-            .checked_mul(1 + groups)
-            .ok_or_else(|| MpiError::Transport("doorbell_stride overflows".into()))
+        Ok(DOORBELL_STRIDE * (1 + groups))
     }
 
     /// Create, format and publish rank `owner`'s doorbell.
-    pub fn create(arena: &CxlShmArena, owner: Rank, ranks: usize, stride: usize) -> Result<Self> {
-        let bytes = Self::required_bytes(ranks, stride)?;
+    pub fn create(arena: &CxlShmArena, owner: Rank, ranks: usize) -> Result<Self> {
+        let bytes = Self::required_bytes(ranks)?;
         let obj = arena.create(&db_name(owner), bytes + 64)?;
         let db = Doorbell {
             obj,
-            stride: stride as u64,
             groups: ranks.div_ceil(64),
         };
         db.obj.nt_store_u64_at(0, 0)?;
@@ -152,21 +155,19 @@ impl Doorbell {
         arena: &CxlShmArena,
         owner: Rank,
         ranks: usize,
-        stride: usize,
         poison: &PoisonFlag,
     ) -> Result<Self> {
-        let bytes = Self::required_bytes(ranks, stride)?;
+        let bytes = Self::required_bytes(ranks)?;
         let obj = open_poisoned(arena, &db_name(owner), poison)?;
         spin_flag(&obj, bytes as u64, poison, |v| v == CONN_READY_MAGIC)?;
         Ok(Doorbell {
             obj,
-            stride: stride as u64,
             groups: ranks.div_ceil(64),
         })
     }
 
     fn group_off(&self, g: usize) -> u64 {
-        self.stride * (1 + g as u64)
+        (DOORBELL_STRIDE * (1 + g)) as u64
     }
 
     /// Sender side: mark `sender` as having unconsumed data; returns how many
@@ -762,20 +763,6 @@ pub struct TxPeer {
     pub last_ticket: Option<u64>,
 }
 
-/// Counters the transport folds into [`crate::transport::TransportStats`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ConnCounters {
-    /// Streams this rank established as a sender.
-    pub qps_established: u64,
-    /// Streams this rank opened as a receiver on doorbell discovery.
-    pub qps_opened: u64,
-    /// Messages this rank pushed through peers' SRQs.
-    pub srq_msgs: u64,
-    /// Promotions that found no pool room for a stream: the pair stays on the
-    /// SRQ for good.
-    pub stream_alloc_failures: u64,
-}
-
 /// One rank's lazy sparse connection state: its own doorbell + SRQ, sparse
 /// per-peer send state, sparse per-sender receive streams, and the pending set
 /// the doorbell drains into.
@@ -788,7 +775,6 @@ pub struct ConnTable {
     qp_budget: usize,
     promotion_threshold: u64,
     srq_cells: usize,
-    doorbell_stride: usize,
     /// This rank's own doorbell (collected on every poll).
     my_db: Doorbell,
     /// This rank's own SRQ (consumer side).
@@ -799,8 +785,9 @@ pub struct ConnTable {
     /// truncation errors) — a bit once collected is only dropped after its
     /// stream drained empty.
     pub pending: BTreeSet<Rank>,
-    /// Running totals folded into the transport stats.
-    pub counters: ConnCounters,
+    /// The rank's counter block: promotions, stream opens and SRQ messages
+    /// land in its transport section.
+    counters: Arc<RankCounters>,
     qps_created: usize,
     poison: PoisonFlag,
 }
@@ -822,7 +809,7 @@ impl ConnTable {
         geometry: QueueGeometry,
         config: &CxlShmTransportConfig,
     ) -> Result<usize> {
-        let db = Doorbell::required_bytes(ranks, config.doorbell_stride)? + OBJ_SLACK;
+        let db = Doorbell::required_bytes(ranks)? + OBJ_SLACK;
         let srq = srq_required_bytes(geometry, config.srq_cells)? + OBJ_SLACK;
         let qp = Stream::required_bytes(geometry)? + OBJ_SLACK;
         let budget = Self::effective_qp_budget(ranks, config.qp_budget);
@@ -855,8 +842,9 @@ impl ConnTable {
         geometry: QueueGeometry,
         config: &CxlShmTransportConfig,
         poison: PoisonFlag,
+        counters: Arc<RankCounters>,
     ) -> Result<Self> {
-        let my_db = Doorbell::create(&arena, rank, ranks, config.doorbell_stride)?;
+        let my_db = Doorbell::create(&arena, rank, ranks)?;
         let my_srq = SrqConsumer::create(&arena, rank, geometry, config.srq_cells)?;
         Ok(ConnTable {
             rank,
@@ -866,13 +854,12 @@ impl ConnTable {
             qp_budget: Self::effective_qp_budget(ranks, config.qp_budget),
             promotion_threshold: config.promotion_threshold,
             srq_cells: config.srq_cells,
-            doorbell_stride: config.doorbell_stride,
             my_db,
             my_srq,
             tx: BTreeMap::new(),
             rx: BTreeMap::new(),
             pending: BTreeSet::new(),
-            counters: ConnCounters::default(),
+            counters,
             qps_created: 0,
             poison,
         })
@@ -882,13 +869,7 @@ impl ConnTable {
     /// first use.
     pub fn peer_mut(&mut self, dst: Rank) -> Result<&mut TxPeer> {
         if !self.tx.contains_key(&dst) {
-            let db = Doorbell::open(
-                &self.arena,
-                dst,
-                self.ranks,
-                self.doorbell_stride,
-                &self.poison,
-            )?;
+            let db = Doorbell::open(&self.arena, dst, self.ranks, &self.poison)?;
             let srq = SrqProducer::open(
                 &self.arena,
                 dst,
@@ -949,13 +930,13 @@ impl ConnTable {
                 // pool, so this is only reachable when windows or user
                 // objects ate it — a degradation, and counted as one.
                 peer.srq_sticky = true;
-                self.counters.stream_alloc_failures += 1;
+                self.counters.transport.stream_alloc_failures.add(1);
             }
             Ok(stream) => {
                 clock.advance((2 * stream.slots() + 1) as f64 * nt);
                 peer.stream = Some(stream);
                 self.qps_created += 1;
-                self.counters.qps_established += 1;
+                self.counters.transport.qps_established.add(1);
             }
         }
         Ok(peer)
@@ -975,7 +956,7 @@ impl ConnTable {
             peer.msgs += 1;
             if let Some(t) = srq_ticket {
                 peer.last_ticket = Some(t);
-                self.counters.srq_msgs += 1;
+                self.counters.transport.srq_msgs.add(1);
             }
         }
     }
@@ -997,7 +978,7 @@ impl ConnTable {
         if !self.rx.contains_key(&sender) {
             let stream = Stream::open(&self.arena, self.rank, sender, self.geometry, &self.poison)?;
             self.rx.insert(sender, stream);
-            self.counters.qps_opened += 1;
+            self.counters.transport.qps_opened.add(1);
         }
         Ok(self.rx.get_mut(&sender).expect("rx just ensured"))
     }
@@ -1040,8 +1021,8 @@ mod tests {
     fn doorbell_ring_collect_roundtrip() {
         let (a, b) = two_arenas(1 << 20);
         let poison = PoisonFlag::new();
-        let db = Doorbell::create(&a, 0, 200, 64).unwrap();
-        let remote = Doorbell::open(&b, 0, 200, 64, &poison).unwrap();
+        let db = Doorbell::create(&a, 0, 200).unwrap();
+        let remote = Doorbell::open(&b, 0, 200, &poison).unwrap();
         let mut pending = BTreeSet::new();
         assert_eq!(db.collect_into(&mut pending).unwrap(), 0);
         remote.ring(3).unwrap();
@@ -1063,9 +1044,9 @@ mod tests {
         let mut costs = Vec::new();
         for ranks in [8usize, 256, 4096] {
             let (a, b) = two_arenas(1 << 20);
-            let db = Doorbell::create(&a, 0, ranks, 64).unwrap();
+            let db = Doorbell::create(&a, 0, ranks).unwrap();
             // Touch the opener side so both views are live.
-            Doorbell::open(&b, 0, ranks, 64, &poison).unwrap();
+            Doorbell::open(&b, 0, ranks, &poison).unwrap();
             let before = db.obj.view().counters().nt_bytes_read;
             let mut pending = BTreeSet::new();
             db.collect_into(&mut pending).unwrap();
@@ -1079,8 +1060,8 @@ mod tests {
 
     #[test]
     fn doorbell_rejects_past_4096_ranks() {
-        assert!(Doorbell::required_bytes(4096, 64).is_ok());
-        assert!(Doorbell::required_bytes(4097, 64).is_err());
+        assert!(Doorbell::required_bytes(4096).is_ok());
+        assert!(Doorbell::required_bytes(4097).is_err());
     }
 
     #[test]
@@ -1170,9 +1151,11 @@ mod tests {
             ..CxlShmTransportConfig::small()
         };
         // Rank 1 (on arena b) sends to ranks 0 and 2; their tables live on a.
-        let t0 = ConnTable::new(0, 3, a.clone(), g, &config, poison.clone()).unwrap();
-        let _t2 = ConnTable::new(2, 3, a.clone(), g, &config, poison.clone()).unwrap();
-        let mut t1 = ConnTable::new(1, 3, b, g, &config, poison.clone()).unwrap();
+        let t0 =
+            ConnTable::new(0, 3, a.clone(), g, &config, poison.clone(), Arc::default()).unwrap();
+        let _t2 =
+            ConnTable::new(2, 3, a.clone(), g, &config, poison.clone(), Arc::default()).unwrap();
+        let mut t1 = ConnTable::new(1, 3, b, g, &config, poison.clone(), Arc::default()).unwrap();
         let mut clock = SimClock::new();
         // Two completed messages stay under the threshold: no stream.
         for _ in 0..2 {
@@ -1183,14 +1166,14 @@ mod tests {
         // Third message crosses it (no SRQ tickets pending → no barrier).
         t1.prepare_send(0, &mut clock, 1.0).unwrap();
         assert!(t1.peer(0).unwrap().stream.is_some());
-        assert_eq!(t1.counters.qps_established, 1);
+        assert_eq!(t1.counters.transport.qps_established.get(), 1);
         // The budget of 1 is spent: rank 2 never promotes.
         for _ in 0..5 {
             t1.prepare_send(2, &mut clock, 1.0).unwrap();
             t1.note_sent(2, None);
         }
         assert!(t1.peer(2).unwrap().stream.is_none());
-        assert_eq!(t1.counters.qps_established, 1);
+        assert_eq!(t1.counters.transport.qps_established.get(), 1);
         drop(t0);
     }
 
@@ -1210,8 +1193,8 @@ mod tests {
             srq_cells: 4,
             ..CxlShmTransportConfig::small()
         };
-        let t0 = ConnTable::new(0, 2, a, g, &config, poison.clone()).unwrap();
-        let mut t1 = ConnTable::new(1, 2, b, g, &config, poison).unwrap();
+        let t0 = ConnTable::new(0, 2, a, g, &config, poison.clone(), Arc::default()).unwrap();
+        let mut t1 = ConnTable::new(1, 2, b, g, &config, poison, Arc::default()).unwrap();
         let mut clock = SimClock::new();
         let mut scratch = Vec::new();
         // Simulate an un-drained SRQ message: publish a ticket by hand.
@@ -1368,8 +1351,9 @@ mod tests {
         let mut clock = SimClock::new();
         for (device_slack, expect_stream) in [(0usize, false), (4 << 20, true)] {
             let (a, b) = two_arenas(device_slack);
-            let _t0 = ConnTable::new(0, 2, a, g, &config, poison.clone()).unwrap();
-            let mut t1 = ConnTable::new(1, 2, b, g, &config, poison.clone()).unwrap();
+            let _t0 = ConnTable::new(0, 2, a, g, &config, poison.clone(), Arc::default()).unwrap();
+            let mut t1 =
+                ConnTable::new(1, 2, b, g, &config, poison.clone(), Arc::default()).unwrap();
             let before = clock.now();
             let promoted = t1.prepare_send(0, &mut clock, 1.0).unwrap();
             assert_eq!(promoted.stream.is_some(), expect_stream);
@@ -1378,7 +1362,7 @@ mod tests {
             // Asking again neither retries nor charges.
             t1.prepare_send(0, &mut clock, 1.0).unwrap();
             assert_eq!(clock.now() - before, format_cost);
-            let counters = t1.counters;
+            let counters = t1.counters.transport.snapshot();
             if expect_stream {
                 assert_eq!(format_cost, (2 * g.cells + 1) as f64);
                 assert_eq!(
@@ -1432,8 +1416,8 @@ mod tests {
         // grows one group word per 64 ranks, the only superlinear term (the
         // eager matrix is quadratic in whole queues). Subtracting that term
         // restores exact 16× scaling.
-        let db64 = Doorbell::required_bytes(64, config.doorbell_stride).unwrap();
-        let db1024 = Doorbell::required_bytes(1024, config.doorbell_stride).unwrap();
+        let db64 = Doorbell::required_bytes(64).unwrap();
+        let db1024 = Doorbell::required_bytes(1024).unwrap();
         assert_eq!(n1024 - 1024 * (db1024 - db64), 16 * n64);
         assert!(db1024 - db64 < 16 * 1024, "doorbell term stays tiny");
         // The n=1024 lazy footprint fits comfortably under the eager cap that

@@ -40,6 +40,7 @@ use cxl_shm::{CxlShmArena, ShmObject, SlotLayout, CACHE_LINE_SIZE};
 
 use crate::barrier::SeqBarrier;
 use crate::config::{ConnMode, CxlShmTransportConfig};
+use crate::counters::RankCounters;
 use crate::error::MpiError;
 use crate::p2p::{BufferPool, ChunkAssembler, PendingMessage, UnexpectedQueue};
 use crate::pod::{bytes_of, bytes_of_mut};
@@ -49,8 +50,8 @@ use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{PoisonFlag, SpinWait};
 use crate::transport::conn::{ConnTable, SrqConsumer, SrqProducer, Stream, STREAM_INLINE};
 use crate::transport::{
-    no_data_plane, DataPlaneStats, DpCost, DpGather, DpPiece, DpReaders, DpSource, DpWindow,
-    FaultInjector, RecvDest, Transport, TransportCounters, TransportStats, WinId, DP_INLINE_BYTES,
+    no_data_plane, DataPlaneSection, DpCost, DpGather, DpPiece, DpReaders, DpSource, DpWindow,
+    FaultInjector, RecvDest, Transport, WinId, DP_INLINE_BYTES,
 };
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
@@ -299,7 +300,7 @@ fn release_held(
     state: &mut DpState,
     seq: u32,
     poison: &PoisonFlag,
-    stats: &mut DataPlaneStats,
+    stats: &DataPlaneSection,
     clock: &mut SimClock,
     cost: &DpCost,
 ) -> Result<bool> {
@@ -345,8 +346,8 @@ fn release_held(
         }
         clock.merge(stamp);
         clock.advance(cost.row(lines));
-        stats.notify_waits += shown;
-        stats.row_reads += 1;
+        stats.notify_waits.add(shown);
+        stats.row_reads.add(1);
     }
     for held in &mut state.held {
         if held.is_some_and(earlier) {
@@ -678,7 +679,6 @@ pub struct CxlTransport {
     /// Per-communicator data-plane windows. `Some(None)` memoizes a failed
     /// creation so the communicator never retries (ring-only forever).
     dp: BTreeMap<CtxId, Option<DpState>>,
-    dp_stats: DataPlaneStats,
     cost: CxlCostModel,
     contention: CxlContentionModel,
     coherence: CoherenceMode,
@@ -688,7 +688,9 @@ pub struct CxlTransport {
     /// shared cache hierarchy, not the device DIMMs).
     host_of: Vec<usize>,
     active_pairs: usize,
-    stats: Arc<TransportCounters>,
+    /// The rank's counter block (shared with the connection table and the
+    /// communicator layer).
+    counters: Arc<RankCounters>,
     cell_payload: usize,
     poll_cursor: usize,
     /// Universe peer-death flag: every blocking wait checks it.
@@ -767,7 +769,8 @@ impl CxlTransport {
     /// flags — mirroring the root-creates-then-broadcasts flow of the paper.
     /// `poison` is the universe's peer-death flag, raised by the runtime when
     /// any rank exits abnormally; every blocking wait in this transport checks
-    /// it and fails with [`MpiError::PeerDead`].
+    /// it and fails with [`MpiError::PeerDead`]. The transport counts into
+    /// `counters`, the rank's counter block.
     pub fn new(
         rank: Rank,
         ranks: usize,
@@ -775,6 +778,7 @@ impl CxlTransport {
         config: &CxlShmTransportConfig,
         topology: &crate::topology::HostTopology,
         poison: PoisonFlag,
+        counters: Arc<RankCounters>,
     ) -> Result<Self> {
         let geometry = QueueGeometry {
             cell_payload: config.cell_size,
@@ -825,8 +829,15 @@ impl CxlTransport {
                 // Every rank creates only its own doorbell + SRQ; peer state
                 // is opened on first use. No cross-rank wait here beyond the
                 // barrier above.
-                let table =
-                    ConnTable::new(rank, ranks, arena.clone(), geometry, config, poison.clone())?;
+                let table = ConnTable::new(
+                    rank,
+                    ranks,
+                    arena.clone(),
+                    geometry,
+                    config,
+                    poison.clone(),
+                    Arc::clone(&counters),
+                )?;
                 ConnState::Lazy(Box::new(table))
             }
         };
@@ -843,13 +854,12 @@ impl CxlTransport {
             partial_rx: (0..ranks).map(|_| None).collect(),
             windows: Vec::new(),
             dp: BTreeMap::new(),
-            dp_stats: DataPlaneStats::default(),
             cost: CxlCostModel::default(),
             contention: CxlContentionModel::default(),
             coherence: config.coherence,
             host_of: topology.mapping().to_vec(),
             active_pairs: (ranks / 2).max(1),
-            stats: Arc::new(TransportCounters::default()),
+            counters,
             cell_payload: config.cell_size,
             poll_cursor: 0,
             poison,
@@ -922,8 +932,9 @@ impl CxlTransport {
             return no_data_plane();
         };
         let slot = seq as usize % state.layout.slots();
+        let stats = &self.counters.data_plane;
         Ok(state.held[slot].is_none_or(|owner| owner == seq)
-            || release_held(state, seq, &self.poison, &mut self.dp_stats, clock, &cost)?)
+            || release_held(state, seq, &self.poison, stats, clock, &cost)?)
     }
 
     /// [`Transport::dp_claim`], for an exposure of `pieces` (which a
@@ -1009,7 +1020,10 @@ impl CxlTransport {
                 clock.advance(nt);
             }
         }
-        TransportCounters::bump(&self.stats.rma_sync_lines, side.group.len() as u64);
+        self.counters
+            .transport
+            .rma_sync_lines
+            .add(side.group.len() as u64);
         if open.is_none() {
             side.group.clear();
         }
@@ -1118,8 +1132,11 @@ impl CxlTransport {
     fn finish_partial(&self, asm: ChunkAssembler, clock: &SimClock) -> PendingMessage {
         let mut msg = asm.finish();
         msg.arrival = clock.now();
-        TransportCounters::bump(&self.stats.msgs_received, 1);
-        TransportCounters::bump(&self.stats.bytes_received, msg.data.len() as u64);
+        self.counters.transport.msgs_received.add(1);
+        self.counters
+            .transport
+            .bytes_received
+            .add(msg.data.len() as u64);
         msg
     }
 
@@ -1132,7 +1149,7 @@ impl CxlTransport {
     /// further is available (empty, or a partial message whose sender has
     /// not published more yet).
     fn pump_queue(&mut self, clock: &mut SimClock, sender: Rank) -> Result<Option<PendingMessage>> {
-        TransportCounters::bump(&self.stats.ring_probes, 1);
+        self.counters.transport.ring_probes.add(1);
         let charge = self.charge_for(sender);
         let mut ring = self.conn.rx_ring(sender)?;
         let part = &mut self.partial_rx[sender];
@@ -1307,7 +1324,7 @@ impl CxlTransport {
                     None => return Ok(None),
                 }
             }
-            TransportCounters::bump(&self.stats.ring_probes, 1);
+            self.counters.transport.ring_probes.add(1);
             let Some(first) = self.conn.rx_ring(sender)?.peek_header()? else {
                 return Ok(None);
             };
@@ -1355,8 +1372,8 @@ impl CxlTransport {
             // no staging copy. Waits for the remainder of a matching message
             // mid-publication — safe for the same reason.
             self.drain_message_into(clock, sender, &first, buf)?;
-            TransportCounters::bump(&self.stats.msgs_received, 1);
-            TransportCounters::bump(&self.stats.bytes_received, total as u64);
+            self.counters.transport.msgs_received.add(1);
+            self.counters.transport.bytes_received.add(total as u64);
             clock.advance(self.cost.mpi_overhead());
             return Ok(Some(status));
         }
@@ -1516,7 +1533,7 @@ impl Transport for CxlTransport {
                 let mut ctl_lines = 1.0;
                 if let Some(freed_at) = lapped {
                     if freed_at > clock.now() {
-                        TransportCounters::bump(&self.stats.rdv_stalls, 1);
+                        self.counters.transport.rdv_stalls.add(1);
                     }
                     clock.merge(freed_at);
                     ctl_lines = 2.0;
@@ -1527,19 +1544,19 @@ impl Transport for CxlTransport {
                 stream.publish(frame, part, clock.now())?;
                 if *cursor == 0 {
                     let words = peer.db.ring(self.rank)?;
-                    TransportCounters::bump(&self.stats.doorbell_rings, 1);
+                    self.counters.transport.doorbell_rings.add(1);
                     clock.advance(words as f64 * nt);
                 }
                 *cursor += 1;
             }
             if segments > 1 {
-                TransportCounters::bump(&self.stats.rdv_msgs, 1);
-                TransportCounters::bump(&self.stats.rdv_bytes, total as u64);
-                TransportCounters::bump(&self.stats.rdv_segments, segments as u64);
+                self.counters.transport.rdv_msgs.add(1);
+                self.counters.transport.rdv_bytes.add(total as u64);
+                self.counters.transport.rdv_segments.add(segments as u64);
             }
             table.note_sent(dst, None);
-            TransportCounters::bump(&self.stats.msgs_sent, 1);
-            TransportCounters::bump(&self.stats.bytes_sent, total as u64);
+            self.counters.transport.msgs_sent.add(1);
+            self.counters.transport.bytes_sent.add(total as u64);
             return Ok(true);
         };
         let cells = total.div_ceil(self.cell_payload).max(1);
@@ -1610,8 +1627,8 @@ impl Transport for CxlTransport {
         if let ConnState::Lazy(table) = &mut self.conn {
             table.note_sent(dst, srq_ticket);
         }
-        TransportCounters::bump(&self.stats.msgs_sent, 1);
-        TransportCounters::bump(&self.stats.bytes_sent, total as u64);
+        self.counters.transport.msgs_sent.add(1);
+        self.counters.transport.bytes_sent.add(total as u64);
         Ok(true)
     }
 
@@ -1753,8 +1770,11 @@ impl Transport for CxlTransport {
         let state = Self::window_in(&mut self.windows, win)?;
         state.store(state.data_addr(target, offset, data.len())?, data)?;
         self.charge_rma(clock, data.len(), true);
-        TransportCounters::bump(&self.stats.puts, 1);
-        TransportCounters::bump(&self.stats.rma_bytes_written, data.len() as u64);
+        self.counters.transport.puts.add(1);
+        self.counters
+            .transport
+            .rma_bytes_written
+            .add(data.len() as u64);
         Ok(())
     }
 
@@ -1771,8 +1791,8 @@ impl Transport for CxlTransport {
         let addr = state.data_addr(target, offset, buf.len())?;
         state.obj.read_coherent_at(addr, buf)?;
         self.charge_rma(clock, buf.len(), false);
-        TransportCounters::bump(&self.stats.gets, 1);
-        TransportCounters::bump(&self.stats.rma_bytes_read, buf.len() as u64);
+        self.counters.transport.gets.add(1);
+        self.counters.transport.rma_bytes_read.add(buf.len() as u64);
         Ok(())
     }
 
@@ -1804,7 +1824,7 @@ impl Transport for CxlTransport {
         state.store(addr, bytes_of(values))?;
         self.charge_rma(clock, bytes, false);
         self.charge_rma(clock, bytes, true);
-        TransportCounters::bump(&self.stats.rma_bytes_written, bytes as u64);
+        self.counters.transport.rma_bytes_written.add(bytes as u64);
         Ok(())
     }
 
@@ -1862,7 +1882,7 @@ impl Transport for CxlTransport {
         }
         let lines = state.bakery(target).lock(self.rank, &self.poison)?;
         clock.advance(lines as f64 * self.cost.nt_access());
-        TransportCounters::bump(&self.stats.rma_sync_lines, lines);
+        self.counters.transport.rma_sync_lines.add(lines);
         state.held_locks.push(target);
         Ok(())
     }
@@ -1877,14 +1897,17 @@ impl Transport for CxlTransport {
         };
         state.bakery(target).unlock(self.rank)?;
         clock.advance(self.cost.nt_access());
-        TransportCounters::bump(&self.stats.rma_sync_lines, 1);
+        self.counters.transport.rma_sync_lines.add(1);
         state.held_locks.remove(pos);
         Ok(())
     }
 
     fn fence(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
         let state = Self::window_in(&mut self.windows, win)?;
-        TransportCounters::bump(&self.stats.rma_sync_lines, self.ranks as u64);
+        self.counters
+            .transport
+            .rma_sync_lines
+            .add(self.ranks as u64);
         state.fence_barrier.enter(clock, self.cost.nt_access())
     }
 
@@ -1958,7 +1981,7 @@ impl Transport for CxlTransport {
         };
         match state {
             Some(obj) => {
-                self.dp_stats.window_setups += 1;
+                self.counters.data_plane.window_setups.add(1);
                 self.dp.insert(
                     ctx,
                     Some(DpState {
@@ -1979,7 +2002,7 @@ impl Transport for CxlTransport {
                 );
             }
             None => {
-                self.dp_stats.window_failures += 1;
+                self.counters.data_plane.window_failures.add(1);
                 self.dp.insert(ctx, None);
             }
         }
@@ -2061,8 +2084,8 @@ impl Transport for CxlTransport {
         // per-message software overhead.
         clock.advance(cost.expose(bytes, inline));
         store_stamped(&state.obj, flag, u64::from(seq) + 1, clock.now())?;
-        self.dp_stats.expose_ops += 1;
-        self.dp_stats.bytes_exposed += bytes as u64;
+        self.counters.data_plane.expose_ops.add(1);
+        self.counters.data_plane.bytes_exposed.add(bytes as u64);
         Ok(true)
     }
 
@@ -2117,8 +2140,8 @@ impl Transport for CxlTransport {
             writers: (writers.start, writers.end),
         });
         state.run = cost.run(lines);
-        self.dp_stats.pull_ops += awaited;
-        self.dp_stats.row_reads += 1;
+        self.counters.data_plane.pull_ops.add(awaited);
+        self.counters.data_plane.row_reads.add(1);
         Ok(true)
     }
 
@@ -2180,33 +2203,12 @@ impl Transport for CxlTransport {
                 clock.advance(cost.line());
             }
         }
-        self.dp_stats.bytes_pulled += buf.len() as u64;
+        self.counters.data_plane.bytes_pulled.add(buf.len() as u64);
         Ok(())
     }
 
     fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.fault = Some(injector);
-    }
-
-    fn dp_stats(&self) -> DataPlaneStats {
-        self.dp_stats
-    }
-
-    fn stats(&self) -> TransportStats {
-        // The lazy connection table keeps its own (single-writer) counters;
-        // fold them into the shared snapshot.
-        let mut s = self.stats.snapshot();
-        if let ConnState::Lazy(t) = &self.conn {
-            s.qps_established = t.counters.qps_established;
-            s.qps_opened = t.counters.qps_opened;
-            s.srq_msgs = t.counters.srq_msgs;
-            s.stream_alloc_failures = t.counters.stream_alloc_failures;
-        }
-        s
-    }
-
-    fn stats_handle(&self) -> Arc<TransportCounters> {
-        Arc::clone(&self.stats)
     }
 
     fn set_concurrency_hint(&mut self, pairs: usize) {

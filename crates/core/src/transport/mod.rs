@@ -32,14 +32,17 @@
 //! message (continuation segments carry no frame, and the receiver keeps one
 //! reassembly per sender), so whoever calls [`Transport::send`] holds the lock
 //! across the call, and a second thread's send to the same peer waits outside.
+//!
+//! A transport keeps no counters and the trait has no stats method: the
+//! constructor takes the rank's [`crate::counters::RankCounters`], into whose
+//! two sections declared here — [`TransportStats`], [`DataPlaneStats`] — the
+//! transport counts directly.
 
 pub mod conn;
 pub mod cxl;
 pub mod tcp;
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use cmpi_fabric::clock::{transfer_ns, SimNs};
 use cmpi_fabric::cost::CoherenceMode;
@@ -47,6 +50,7 @@ use cmpi_fabric::{CxlContentionModel, CxlCostModel, SimClock};
 use cxl_shm::slots::{SLOT_CELL_INLINE, SLOT_CELL_SIZE};
 
 use crate::config::FaultTrigger;
+use crate::counters::counter_section;
 use crate::error::MpiError;
 use crate::spin::{PoisonFlag, SpinWait};
 use crate::types::{CtxId, Rank, ReduceOp, Status, Tag};
@@ -150,150 +154,67 @@ impl FaultInjector {
     }
 }
 
-/// Operation counters maintained by every transport.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Two-sided messages sent.
-    pub msgs_sent: u64,
-    /// Two-sided payload bytes sent.
-    pub bytes_sent: u64,
-    /// Two-sided messages received.
-    pub msgs_received: u64,
-    /// Two-sided payload bytes received.
-    pub bytes_received: u64,
-    /// One-sided put operations issued.
-    pub puts: u64,
-    /// One-sided get operations issued.
-    pub gets: u64,
-    /// Bytes written by put/accumulate.
-    pub rma_bytes_written: u64,
-    /// Bytes read by get.
-    pub rma_bytes_read: u64,
-    /// Collective operations executed through this rank (all communicators).
-    pub collectives: u64,
-    /// Payload bytes contributed to collectives by this rank.
-    pub collective_bytes: u64,
-    /// Lazy connections: pairs this rank promoted to a stream as the sender
-    /// (eager mode reports 0 — the matrix is not established, it just
-    /// exists).
-    pub qps_established: u64,
-    /// Lazy connections: streams this rank opened as a receiver after
-    /// doorbell discovery of a new sender.
-    pub qps_opened: u64,
-    /// Lazy connections: messages funnelled through a shared receive queue
-    /// (the cold path before promotion / past the QP budget).
-    pub srq_msgs: u64,
-    /// Lazy connections: promotions that found no pool room for a stream.
-    /// Such a pair stays on the shared receive queue for good — slower,
-    /// never wrong, and counted here instead of passing silently.
-    pub stream_alloc_failures: u64,
-    /// Receive-side per-sender ring probes. An idle rank must keep this flat
-    /// regardless of world size — the doorbell regression tests assert on it.
-    pub ring_probes: u64,
-    /// Doorbell rings performed on the send side: one per message put on a
-    /// promoted pair's stream, whatever its length.
-    pub doorbell_rings: u64,
-    /// Messages longer than one segment sent through a stream. Each is also
-    /// counted once in `msgs_sent` (and its payload once in `bytes_sent`).
-    pub rdv_msgs: u64,
-    /// Payload bytes of those messages.
-    pub rdv_bytes: u64,
-    /// Segments they were published in (`⌈n / cell_size⌉` for `n` bytes).
-    pub rdv_segments: u64,
-    /// Stream segments whose slot the receiver handed back later, in virtual
-    /// time, than the sender was ready to reuse it — the stream was full and
-    /// the sender's clock jumped to the hand-back.
-    pub rdv_stalls: u64,
-    /// Device lines stored or loaded, and charged, by RMA synchronization:
-    /// `post`, `start`, `complete`, `wait`, `fence`, `lock`, `unlock`.
-    pub rma_sync_lines: u64,
-}
-
-/// The live, shared form of [`TransportStats`]: relaxed atomics bumped on the
-/// message hot path, shared (`Arc`) between the transport and the
-/// communicator layer so `Comm::stats` and the collective-accounting bumps
-/// never take the transport lock. Relaxed ordering is sufficient — counters
-/// are pure telemetry; nothing synchronizes through them (the data they
-/// describe is published by the transport's own synchronization).
-#[derive(Debug, Default)]
-pub struct TransportCounters {
-    /// Two-sided messages sent.
-    pub msgs_sent: AtomicU64,
-    /// Two-sided payload bytes sent.
-    pub bytes_sent: AtomicU64,
-    /// Two-sided messages received.
-    pub msgs_received: AtomicU64,
-    /// Two-sided payload bytes received.
-    pub bytes_received: AtomicU64,
-    /// One-sided put operations issued.
-    pub puts: AtomicU64,
-    /// One-sided get operations issued.
-    pub gets: AtomicU64,
-    /// Bytes written by put/accumulate.
-    pub rma_bytes_written: AtomicU64,
-    /// Bytes read by get.
-    pub rma_bytes_read: AtomicU64,
-    /// Collective operations executed through this rank.
-    pub collectives: AtomicU64,
-    /// Payload bytes contributed to collectives by this rank.
-    pub collective_bytes: AtomicU64,
-    /// Lazy connections: pairs promoted to a stream as the sender.
-    pub qps_established: AtomicU64,
-    /// Lazy connections: streams opened as a receiver.
-    pub qps_opened: AtomicU64,
-    /// Lazy connections: messages funnelled through a shared receive queue.
-    pub srq_msgs: AtomicU64,
-    /// Lazy connections: promotions that found no pool room for a stream.
-    pub stream_alloc_failures: AtomicU64,
-    /// Receive-side per-sender ring probes.
-    pub ring_probes: AtomicU64,
-    /// Doorbell rings performed on the send side.
-    pub doorbell_rings: AtomicU64,
-    /// Messages longer than one segment sent through a stream.
-    pub rdv_msgs: AtomicU64,
-    /// Payload bytes of those messages.
-    pub rdv_bytes: AtomicU64,
-    /// Segments they were published in.
-    pub rdv_segments: AtomicU64,
-    /// Stream segments that waited (in virtual time) for their slot.
-    pub rdv_stalls: AtomicU64,
-    /// Device lines charged by RMA synchronization calls.
-    pub rma_sync_lines: AtomicU64,
-}
-
-impl TransportCounters {
-    /// Relaxed increment helper: `counters.add(&counters.msgs_sent, 1)` reads
-    /// poorly — call as `TransportCounters::bump(&self.stats.msgs_sent, 1)`.
-    #[inline]
-    pub fn bump(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Snapshot the counters into the plain reporting struct.
-    pub fn snapshot(&self) -> TransportStats {
-        TransportStats {
-            msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            msgs_received: self.msgs_received.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            gets: self.gets.load(Ordering::Relaxed),
-            rma_bytes_written: self.rma_bytes_written.load(Ordering::Relaxed),
-            rma_bytes_read: self.rma_bytes_read.load(Ordering::Relaxed),
-            collectives: self.collectives.load(Ordering::Relaxed),
-            collective_bytes: self.collective_bytes.load(Ordering::Relaxed),
-            qps_established: self.qps_established.load(Ordering::Relaxed),
-            qps_opened: self.qps_opened.load(Ordering::Relaxed),
-            srq_msgs: self.srq_msgs.load(Ordering::Relaxed),
-            stream_alloc_failures: self.stream_alloc_failures.load(Ordering::Relaxed),
-            ring_probes: self.ring_probes.load(Ordering::Relaxed),
-            doorbell_rings: self.doorbell_rings.load(Ordering::Relaxed),
-            rdv_msgs: self.rdv_msgs.load(Ordering::Relaxed),
-            rdv_bytes: self.rdv_bytes.load(Ordering::Relaxed),
-            rdv_segments: self.rdv_segments.load(Ordering::Relaxed),
-            rdv_stalls: self.rdv_stalls.load(Ordering::Relaxed),
-            rma_sync_lines: self.rma_sync_lines.load(Ordering::Relaxed),
-        }
+counter_section! {
+    /// Operation counters of one rank's transport traffic, surfaced by
+    /// `Comm::stats` and in [`crate::runtime::RankReport::stats`].
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    TransportStats / TransportSection {
+        /// Two-sided messages sent.
+        msgs_sent,
+        /// Two-sided payload bytes sent.
+        bytes_sent,
+        /// Two-sided messages received.
+        msgs_received,
+        /// Two-sided payload bytes received.
+        bytes_received,
+        /// One-sided put operations issued.
+        puts,
+        /// One-sided get operations issued.
+        gets,
+        /// Bytes written by put/accumulate.
+        rma_bytes_written,
+        /// Bytes read by get.
+        rma_bytes_read,
+        /// Collective operations executed through this rank (any communicator).
+        collectives,
+        /// Payload bytes contributed to collectives by this rank.
+        collective_bytes,
+        /// Lazy connections: pairs this rank promoted to a stream as the
+        /// sender (eager mode reports 0 — the matrix is not established, it
+        /// just exists).
+        qps_established,
+        /// Lazy connections: streams this rank opened as a receiver after
+        /// doorbell discovery of a new sender.
+        qps_opened,
+        /// Lazy connections: messages funnelled through a shared receive
+        /// queue (the cold path before promotion / past the QP budget).
+        srq_msgs,
+        /// Lazy connections: promotions that found no pool room for a
+        /// stream. Such a pair stays on the shared receive queue for good —
+        /// slower, never wrong, and counted here instead of passing silently.
+        stream_alloc_failures,
+        /// Receive-side per-sender ring probes. An idle rank must keep this
+        /// flat regardless of world size — the doorbell regression tests
+        /// assert on it.
+        ring_probes,
+        /// Doorbell rings performed on the send side: one per message put on
+        /// a promoted pair's stream, whatever its length.
+        doorbell_rings,
+        /// Messages longer than one segment sent through a stream. Each is
+        /// also counted once in `msgs_sent` (and its payload once in
+        /// `bytes_sent`).
+        rdv_msgs,
+        /// Payload bytes of those messages.
+        rdv_bytes,
+        /// Segments they were published in: `⌈n / cell_size⌉` for `n` bytes.
+        rdv_segments,
+        /// Stream segments whose slot the receiver handed back later, in
+        /// virtual time, than the sender was ready to reuse it — the stream
+        /// was full and the sender's clock jumped to the hand-back.
+        rdv_stalls,
+        /// Device lines stored or loaded, and charged, by RMA synchronization
+        /// (`post`, `start`, `complete`, `wait`, `fence`, `lock`, `unlock`).
+        rma_sync_lines,
     }
 }
 
@@ -501,61 +422,48 @@ pub struct DpSource {
     pub last: bool,
 }
 
-/// Counters for the shared-window single-copy data plane, surfaced in
-/// [`crate::runtime::RankReport::data_plane`]. The transport maintains the
-/// window and per-op counters; the communicator layer adds the per-path
-/// collective split (how many collectives ran single-copy vs ring).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct DataPlaneStats {
-    /// Exposure windows created (once per communicator, amortized over every
-    /// collective start on it).
-    pub window_setups: u64,
-    /// Window creations that failed gracefully (pool exhausted); the
-    /// communicator runs ring-only.
-    pub window_failures: u64,
-    /// Collectives that ran on the single-copy shared-window path.
-    pub shm_colls: u64,
-    /// Collectives of the data-plane-eligible kinds (bcast, reduce,
-    /// allreduce, allgather) that ran on the ring path instead.
-    pub ring_colls: u64,
-    /// Payload bytes this rank contributed to single-copy collectives.
-    pub shm_bytes: u64,
-    /// Payload bytes this rank contributed to ring-path eligible collectives.
-    pub ring_bytes: u64,
-    /// Expose operations (one per flag raised: a gathered exposure of many
-    /// pieces counts once).
-    pub expose_ops: u64,
-    /// Exposures read: flag lines a row read acquired, each with the payload
-    /// that rides in it or ahead of the read out of its writer's data slot.
-    pub pull_ops: u64,
-    /// Completion lines acquired: a writer about to reuse a slot observed that
-    /// a reader is done with the slot's earlier occupants.
-    pub notify_waits: u64,
-    /// Row reads issued and charged — one per run of reads (a phase of a
-    /// collective, unless a peer it skips splits it), one per completion
-    /// sweep — however many flag or completion lines each acquired.
-    pub row_reads: u64,
-    /// Bytes published into window slots.
-    pub bytes_exposed: u64,
-    /// Bytes pulled out of peers' window slots.
-    pub bytes_pulled: u64,
-}
-
-impl DataPlaneStats {
-    /// Fold another snapshot's counters into this one.
-    pub fn merge(&mut self, other: &DataPlaneStats) {
-        self.window_setups += other.window_setups;
-        self.window_failures += other.window_failures;
-        self.shm_colls += other.shm_colls;
-        self.ring_colls += other.ring_colls;
-        self.shm_bytes += other.shm_bytes;
-        self.ring_bytes += other.ring_bytes;
-        self.expose_ops += other.expose_ops;
-        self.pull_ops += other.pull_ops;
-        self.notify_waits += other.notify_waits;
-        self.row_reads += other.row_reads;
-        self.bytes_exposed += other.bytes_exposed;
-        self.bytes_pulled += other.bytes_pulled;
+counter_section! {
+    /// Counters of the shared-window single-copy data plane, surfaced in
+    /// [`crate::runtime::RankReport::data_plane`]: the windows and their
+    /// operations (counted by the CXL transport) and the path each collective
+    /// started took (counted by the communicator layer).
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    DataPlaneStats / DataPlaneSection {
+        /// Exposure windows created (once per communicator, amortized over
+        /// every collective start on it).
+        window_setups,
+        /// Window creations that failed gracefully (pool exhausted); the
+        /// communicator runs ring-only.
+        window_failures,
+        /// Collectives whose plan had data-plane ops (the shared window).
+        shm_colls,
+        /// Collectives of the kinds that have a window builder (barrier,
+        /// bcast, reduce, allreduce, allgather, alltoall, alltoallv,
+        /// alltoallw) whose plan had no data-plane op: they ran on the ring
+        /// path. The world's sequence barrier counts on neither path.
+        ring_colls,
+        /// Payload bytes this rank contributed to single-copy collectives.
+        shm_bytes,
+        /// Payload bytes this rank contributed to those ring-path ones.
+        ring_bytes,
+        /// Expose operations (one per flag raised: a gathered exposure of
+        /// many pieces counts once).
+        expose_ops,
+        /// Exposures read: flag lines a row read acquired, each with the
+        /// payload that rides in it or ahead of the read out of its writer's
+        /// data slot.
+        pull_ops,
+        /// Completion lines acquired: a writer about to reuse a slot
+        /// observed that a reader is done with the slot's earlier occupants.
+        notify_waits,
+        /// Row reads issued and charged — one per run of reads (a phase of a
+        /// collective, unless a peer it skips splits it), one per completion
+        /// sweep — however many flag or completion lines each acquired.
+        row_reads,
+        /// Bytes published into window slots.
+        bytes_exposed,
+        /// Bytes pulled out of peers' window slots.
+        bytes_pulled,
     }
 }
 
@@ -772,16 +680,6 @@ pub trait Transport: Send {
     // Introspection
     // ------------------------------------------------------------------
 
-    /// Operation counters (a snapshot of [`Transport::stats_handle`]).
-    fn stats(&self) -> TransportStats {
-        self.stats_handle().snapshot()
-    }
-
-    /// Shared handle onto the live operation counters, so the communicator
-    /// layer can read (and bump the collective counters of) the stats without
-    /// holding the transport lock.
-    fn stats_handle(&self) -> Arc<TransportCounters>;
-
     /// Hint: how many communication pairs are concurrently active (used by the
     /// CXL contention model; ignored by transports that do not need it).
     fn set_concurrency_hint(&mut self, _pairs: usize) {}
@@ -938,12 +836,6 @@ pub trait Transport: Send {
     /// is safe — the fault-tolerance tests only assert on transports that
     /// support injection (both bundled transports do).
     fn set_fault_injector(&mut self, _injector: FaultInjector) {}
-
-    /// Data-plane counters (window setups/failures and per-op traffic; the
-    /// communicator layer adds the per-path collective split on top).
-    fn dp_stats(&self) -> DataPlaneStats {
-        DataPlaneStats::default()
-    }
 }
 
 #[cfg(test)]

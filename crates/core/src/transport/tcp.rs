@@ -28,10 +28,11 @@ use cmpi_fabric::SimClock;
 use cmpi_netsim::{NetMessage, TcpEndpoint, TcpFabric, TcpFabricConfig};
 
 use crate::config::TcpTransportConfig;
+use crate::counters::RankCounters;
 use crate::error::MpiError;
 use crate::spin::PoisonFlag;
 use crate::topology::HostTopology;
-use crate::transport::{FaultInjector, RecvDest, Transport, TransportCounters, WinId};
+use crate::transport::{FaultInjector, RecvDest, Transport, WinId};
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
 
@@ -136,7 +137,8 @@ pub struct TcpTransport {
     local: CxlCostModel,
     shared: Arc<TcpSharedState>,
     windows: Vec<Option<TcpWindowState>>,
-    stats: Arc<TransportCounters>,
+    /// The rank's counter block (shared with the communicator layer).
+    counters: Arc<RankCounters>,
     barrier_seq: u64,
     label: &'static str,
     /// Universe peer-death flag: every blocking wait checks it.
@@ -168,7 +170,8 @@ impl TcpTransport {
     }
 
     /// Build the transport for one rank. `poison` is the universe's peer-death
-    /// flag; every blocking wait checks it and fails with `PeerDead`.
+    /// flag; every blocking wait checks it and fails with `PeerDead`. The
+    /// transport counts into `counters`, the rank's counter block.
     pub fn new(
         rank: Rank,
         ranks: usize,
@@ -176,6 +179,7 @@ impl TcpTransport {
         shared: Arc<TcpSharedState>,
         config: &TcpTransportConfig,
         poison: PoisonFlag,
+        counters: Arc<RankCounters>,
     ) -> Result<Self> {
         if rank >= fabric.endpoints() {
             return Err(MpiError::Transport(format!(
@@ -197,7 +201,7 @@ impl TcpTransport {
             local: CxlCostModel::default(),
             shared,
             windows: Vec::new(),
-            stats: Arc::new(TransportCounters::default()),
+            counters,
             barrier_seq: 0,
             label,
             poison,
@@ -291,8 +295,8 @@ impl Transport for TcpTransport {
             clock.now(),
         );
         clock.merge(timing.sender_busy_until);
-        TransportCounters::bump(&self.stats.msgs_sent, 1);
-        TransportCounters::bump(&self.stats.bytes_sent, data.len() as u64);
+        self.counters.transport.msgs_sent.add(1);
+        self.counters.transport.bytes_sent.add(data.len() as u64);
         Ok(true)
     }
 
@@ -322,8 +326,8 @@ impl Transport for TcpTransport {
         clock.merge(msg.arrival);
         // Receive-side copy out of the NIC/MPI buffers into the user buffer.
         clock.advance(self.local.local_copy(msg.len()));
-        TransportCounters::bump(&self.stats.msgs_received, 1);
-        TransportCounters::bump(&self.stats.bytes_received, msg.len() as u64);
+        self.counters.transport.msgs_received.add(1);
+        self.counters.transport.bytes_received.add(msg.len() as u64);
         match dest {
             RecvDest::Slice(buf) if msg.len() > buf.len() => {
                 return Err(MpiError::Truncation {
@@ -444,8 +448,11 @@ impl Transport for TcpTransport {
         // the closing synchronization observes it (complete carries it too).
         let _ = arrival;
         clock.merge(busy_until);
-        TransportCounters::bump(&self.stats.puts, 1);
-        TransportCounters::bump(&self.stats.rma_bytes_written, data.len() as u64);
+        self.counters.transport.puts.add(1);
+        self.counters
+            .transport
+            .rma_bytes_written
+            .add(data.len() as u64);
         Ok(())
     }
 
@@ -469,8 +476,8 @@ impl Transport for TcpTransport {
         let request = self.model.mpi_message_time(8, self.share());
         let response = self.model.mpi_message_time(buf.len(), self.share());
         clock.advance(request + response);
-        TransportCounters::bump(&self.stats.gets, 1);
-        TransportCounters::bump(&self.stats.rma_bytes_read, buf.len() as u64);
+        self.counters.transport.gets.add(1);
+        self.counters.transport.rma_bytes_read.add(buf.len() as u64);
         Ok(())
     }
 
@@ -496,7 +503,7 @@ impl Transport for TcpTransport {
             buf[base..base + bytes].copy_from_slice(&crate::pod::f64_to_bytes(&current));
         }
         clock.merge(busy_until);
-        TransportCounters::bump(&self.stats.rma_bytes_written, bytes as u64);
+        self.counters.transport.rma_bytes_written.add(bytes as u64);
         Ok(())
     }
 
@@ -720,10 +727,6 @@ impl Transport for TcpTransport {
             }
         }
         Ok(())
-    }
-
-    fn stats_handle(&self) -> Arc<TransportCounters> {
-        Arc::clone(&self.stats)
     }
 
     fn set_concurrency_hint(&mut self, pairs: usize) {

@@ -883,6 +883,40 @@ fn data_plane_oversize_payloads_fall_back_to_ring_mid_sweep() {
     }
 }
 
+/// Which path a collective took is read off its plan, not its label: every
+/// kind that has a window builder — the barrier and the irregular exchange
+/// included — counts on the ring path when its plan has no data-plane op and
+/// on the window when it has one.
+#[test]
+fn data_plane_path_split_counts_every_kind_with_a_window_builder() {
+    use common::{force_ring, force_shm, with_window_headroom};
+
+    // An `ibarrier`, an `alltoallv` and an `allreduce` on a duplicate of
+    // world: how many of them each path counted on this rank.
+    let script = |world: &mut Comm| {
+        let mut comm = world.comm_dup()?;
+        let before = comm.data_plane_stats();
+        let mut barrier = comm.ibarrier()?;
+        comm.wait(&mut barrier)?;
+        let counts = vec![2usize; comm.size()];
+        let send: Vec<u64> = (0..2 * comm.size() as u64).collect();
+        comm.alltoallv(&send, &counts, &counts)?;
+        comm.allreduce(&mut [1.0f64; 4], ReduceOp::Sum)?;
+        let after = comm.data_plane_stats();
+        Ok((
+            after.shm_colls - before.shm_colls,
+            after.ring_colls - before.ring_colls,
+        ))
+    };
+    for (tuning, expect) in [(force_ring(), (0, 3)), (force_shm(), (3, 0))] {
+        let config = with_window_headroom(UniverseConfig::cxl_small(4), 64 * 1024 * 1024)
+            .with_coll_tuning(tuning);
+        for (rank, (split, _)) in Universe::run(config, script).unwrap().iter().enumerate() {
+            assert_eq!(*split, expect, "rank {rank}: (shm, ring) colls");
+        }
+    }
+}
+
 /// When the pool cannot hold the window (stock `cxl_small` headroom is 1 MiB,
 /// the default per-rank arena is 2 MiB), creation fails gracefully: the
 /// failure is counted, every collective runs on the ring path, and nothing

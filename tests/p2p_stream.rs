@@ -19,9 +19,12 @@ use cmpi::fabric::cost::TcpNic;
 use cmpi::mpi::transport::TransportStats;
 use cmpi::mpi::{
     Comm, ConnMode, ErrHandler, FaultPlan, FaultTrigger, FtOutcome, MpiError, ProgressMode,
-    Request, Result, Status, TransportConfig, Universe, UniverseConfig, ANY_SOURCE, ANY_TAG,
+    ReduceOp, Request, Result, Status, TransportConfig, Universe, UniverseConfig, ANY_SOURCE,
+    ANY_TAG,
 };
-use common::{configs, force_ring, matrix_hosts, p2p_paths, promote};
+use common::{
+    configs, force_ring, force_shm, matrix_hosts, p2p_paths, promote, with_window_headroom,
+};
 
 const CELL: usize = 1024;
 const CELLS: usize = 4;
@@ -891,6 +894,76 @@ fn counters_are_pinned_by_a_ping_pong() {
         assert_eq!(stats.doorbell_rings, N - threshold);
         assert!(stats.ring_probes >= N - threshold, "{stats:?}");
         assert_eq!((stats.stream_alloc_failures, stats.rdv_msgs), (0, 0));
+    }
+}
+
+/// The data-plane, progress and plan-cache blocks after a fixed 2-rank
+/// script of 32 B allreduces on a windowed duplicate of world — two
+/// blocking, one nonblocking, two persistent starts, the plans invalidated
+/// once in between: every counter `e2e`'s per-layer rows read is driven, and
+/// each `Comm::*_stats` snapshot at the end of the body is the `RankReport`
+/// block.
+#[test]
+fn collective_counters_are_pinned_by_a_fixed_script() {
+    let config = with_window_headroom(lazy(2), 64 * 1024 * 1024).with_coll_tuning(force_shm());
+    let reports = Universe::run(config, |world: &mut Comm| {
+        let mut comm = world.comm_dup()?;
+        let mut v = [comm.rank() as u64 + 1; 4];
+        comm.allreduce(&mut v, ReduceOp::Sum)?;
+        comm.allreduce(&mut v, ReduceOp::Sum)?;
+        assert_eq!(comm.invalidate_plans(), 1);
+        let mut nonblocking = comm.iallreduce(&v, ReduceOp::Sum)?;
+        comm.wait(&mut nonblocking)?;
+        let mut persistent = comm.allreduce_init(&v, ReduceOp::Sum)?;
+        for _ in 0..2 {
+            comm.start(&mut persistent)?;
+            comm.wait(&mut persistent)?;
+        }
+        persistent.release()?;
+        Ok((
+            comm.stats(),
+            comm.data_plane_stats(),
+            comm.progress_stats(),
+            comm.plan_cache_stats(),
+        ))
+    })
+    .unwrap();
+    for (rank, ((stats, dp, progress, plans), report)) in reports.into_iter().enumerate() {
+        assert_eq!(
+            (stats, dp, progress, plans),
+            (
+                report.stats,
+                report.data_plane,
+                report.progress,
+                report.plan_cache
+            ),
+            "rank {rank}: RankReport carries the same snapshots"
+        );
+        // Two windows (world's, the duplicate's); five allreduces on the
+        // duplicate's, each one inline exposure and one row of one flag line
+        // read; the fifth reuses the first's slot, which costs one completion
+        // line read in one more row. The context agreement of `comm_dup` runs
+        // on the ring path.
+        assert_eq!((dp.window_setups, dp.window_failures), (2, 0), "{dp:?}");
+        assert_eq!((dp.shm_colls, dp.ring_colls), (5, 1), "{dp:?}");
+        assert_eq!((dp.expose_ops, dp.pull_ops), (5, 5), "{dp:?}");
+        assert_eq!((dp.row_reads, dp.notify_waits), (6, 1), "{dp:?}");
+        // One nonblocking start and two persistent ones, each waited for.
+        assert_eq!(
+            (
+                progress.colls_started,
+                progress.colls_completed,
+                progress.persistent_starts
+            ),
+            (3, 3, 2),
+            "{progress:?}"
+        );
+        // Built, reused, dropped, rebuilt, reused.
+        assert_eq!(
+            (plans.hits, plans.misses, plans.invalidations, plans.entries),
+            (2, 2, 1, 1),
+            "{plans:?}"
+        );
     }
 }
 
