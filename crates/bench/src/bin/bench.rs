@@ -842,6 +842,18 @@ fn plan_build_rows(iters: usize) -> Vec<PlanBuildRow> {
     rows
 }
 
+/// How [`repeated_collective`] starts each iteration's collective.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum StartPath {
+    /// A one-shot start that must plan: the communicator's cached plans are
+    /// dropped before every start (outside the timed section).
+    Cold,
+    /// A one-shot start served by the plan cache.
+    Cached,
+    /// `Comm::start` of one persistent request.
+    Persistent,
+}
+
 /// Run `iters` repeated collectives under one start path and measure, on
 /// rank 0, the wall ns spent *inside the start call* per iteration — the
 /// nonblocking starter (`iallreduce`/`ibcast_into`) for one-shot modes, or
@@ -855,7 +867,7 @@ fn repeated_collective(
     op: &'static str,
     size: usize,
     iters: usize,
-    persistent: bool,
+    path: StartPath,
 ) -> (f64, f64, f64) {
     let results = cmpi_core::Universe::run(config, move |comm: &mut Comm| {
         let elems = (size / 8).max(1);
@@ -864,7 +876,7 @@ fn repeated_collective(
         let vstart = comm.clock_ns();
         let wstart = Instant::now();
         let mut start_ns = 0u128;
-        if persistent {
+        if path == StartPath::Persistent {
             let mut req = match op {
                 "allreduce" => comm.allreduce_init(&values, ReduceOp::Sum)?,
                 "bcast" => comm.bcast_init(0, &values)?,
@@ -879,6 +891,9 @@ fn repeated_collective(
             req.release()?;
         } else {
             for _ in 0..iters {
+                if path == StartPath::Cold {
+                    comm.invalidate_plans();
+                }
                 let t = Instant::now();
                 let mut req = match op {
                     "allreduce" => comm.iallreduce(&values, ReduceOp::Sum)?,
@@ -905,21 +920,11 @@ fn persistent_rows(sizes: &[usize], ranks: usize, iters: usize) -> Vec<Persisten
     for (label, config) in transports(ranks) {
         for &size in sizes {
             eprintln!("persistent sweep {label} {size} B ...");
-            let cold_tuning = CollTuning {
-                plan_cache_entries: 0,
-                ..CollTuning::default()
-            };
             for op in ["allreduce", "bcast"] {
-                let (cold, _, virt) = repeated_collective(
-                    config.clone().with_coll_tuning(cold_tuning),
-                    op,
-                    size,
-                    iters,
-                    false,
-                );
-                let (cached, total_wall, _) =
-                    repeated_collective(config.clone(), op, size, iters, false);
-                let (persistent, _, _) = repeated_collective(config.clone(), op, size, iters, true);
+                let run = |path| repeated_collective(config.clone(), op, size, iters, path);
+                let (cold, _, virt) = run(StartPath::Cold);
+                let (cached, total_wall, _) = run(StartPath::Cached);
+                let (persistent, _, _) = run(StartPath::Persistent);
                 rows.push(PersistentRow {
                     op,
                     transport: label,

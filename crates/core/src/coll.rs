@@ -20,6 +20,12 @@
 //! | gather / scatter | linear | linear |
 //! | reduce | binomial tree | binomial tree |
 //! | scan / exscan | recursive doubling (Hillis–Steele) | recursive doubling |
+//! | alltoall | Bruck (⌈log₂ n⌉ packed rounds) | pairwise exchange (n−1 shifted rounds) |
+//!
+//! Beside the flat algorithms, barrier, bcast, allgather, reduce, allreduce
+//! and alltoall have two more paths — the communicator's shared window
+//! ([`crate::dataplane`]) and a two-level host composition — and one function
+//! chooses among the three for every plan (`select_path`).
 //!
 //! Every algorithm is expressed as a *builder* that compiles the rounds of
 //! sends, receives, folds and copies this rank must execute into an immutable
@@ -70,8 +76,8 @@ use std::ops::Range;
 
 use crate::config::{CollTuning, DataPlaneMode, HierarchyMode};
 use crate::dataplane::{
-    build_allgather_shm, build_allreduce_shm, build_alltoall_shm, build_barrier_shm,
-    build_bcast_shm, build_reduce_shm, dp_selected, exchange_stride, DpOps,
+    allreduce_shm_shape, build_allgather_shm, build_allreduce_shm, build_alltoall_shm,
+    build_barrier_shm, build_bcast_shm, build_reduce_shm, exchange_stride, DpOps,
 };
 use crate::group::Group;
 use crate::progress::{fold_bytes, CollPlan, FoldFn, Loc, SchedOp};
@@ -140,52 +146,85 @@ fn prev_power_of_two(n: usize) -> usize {
 }
 
 // ----------------------------------------------------------------------
-// Hierarchical (two-level) composition
+// Path selection
 // ----------------------------------------------------------------------
-//
-// When a communicator spans several hosts, barrier / bcast / reduce /
-// allreduce / allgather can be composed as *host-hierarchical* schedules: a
-// same-host phase (hardware-coherent, cheap), a cross-host phase among one
-// leader per host (the only traffic that pays software-coherence and
-// device-contention costs), and a same-host fan-out. Each phase's ops are
-// emitted over the corresponding sub-group view from
-// [`crate::topology::HostHierarchy`] but run under the *parent*
-// communicator's context id and collective sequence number; the step bases
-// below keep the phases' internal tags disjoint.
 
-/// Step-base of the cross-host leader phase.
-const PHASE_LEADER: usize = 0x400;
-/// Step-base of the same-host fan-out phase.
-const PHASE_FANOUT: usize = 0x800;
-/// Step-base of root hand-off hops (a non-leader root shipping its payload to
-/// or receiving the result from its host leader).
-const PHASE_ROOT_HOP: usize = 0xC00;
+/// `Auto`'s payload cutoff for the two-level bcast, reduce and allreduce: the
+/// local phases add hops that only pay off once the cross-host bandwidth term
+/// dominates.
+const HIER_MIN_PAYLOAD_BYTES: usize = 512 * 1024;
+/// Allgather's cutoff, on the *total* result size (`ranks × block`). The
+/// two-level allgather moves every byte through an extra local gather and a
+/// full-buffer fan-out, so its crossover sits far above the reductions' — the
+/// bench sweep measured it losing at a 512 KiB total and winning at 8 MiB.
+const HIER_ALLGATHER_MIN_BYTES: usize = 4 * 1024 * 1024;
+/// Alltoall's cutoff, on the total per-rank exchange volume (`ranks ×
+/// block`): the leaders funnel every byte through three full copies, which
+/// only pays once the cross-host message count, not the bytes, is the
+/// bottleneck.
+const HIER_ALLTOALL_MIN_BYTES: usize = 4 * 1024 * 1024;
 
-/// Whether the hierarchical composition should be used for this call.
-/// `min_payload_bytes` is the calling operation's own cutoff (the general
-/// `hier_min_payload_bytes`, allgather's larger `hier_allgather_min_bytes`,
-/// or 0 for the payload-free barrier, which is gated on shape alone).
-/// Deterministic across ranks: every input is identical group-wide.
-pub(crate) fn hier_selected(
+/// The way a collective runs, chosen once per plan by [`select_path`].
+enum Path<'h> {
+    /// The single-copy shape on the communicator's shared window.
+    Window,
+    /// The two-level composition over this hierarchy (see [`TwoLevel`]).
+    TwoLevel(&'h HostHierarchy),
+    /// The flat point-to-point algorithm.
+    Flat,
+}
+
+/// The path of a collective among `n` ranks that moves `payload` bytes and
+/// needs `footprint` bytes of its writer's window slot; `hier_min` is the
+/// payload from which `Auto` composes it in two levels — `None` for the
+/// barrier, which moves no bytes: its hierarchy is gated on shape alone, and
+/// there is no payload for it to save on the window.
+///
+/// * **Window** when `dp` offers one whose slot holds `footprint`, unless
+///   [`DataPlaneMode::Ring`] forbids it or — under `Auto` — the two-level
+///   composition selects itself: its per-host phases are exactly the traffic
+///   the window replaces, so where it wins it keeps the job. `Shm` overrides
+///   the hierarchy.
+/// * **Two-level** on ≥ 2 spanned hosts: always under
+///   [`HierarchyMode::Force`]; under `Auto` when every spanned host holds at
+///   least two of the ranks (a lone rank gets no local-phase benefit) and the
+///   payload reaches `hier_min`.
+/// * **Flat** otherwise, and always for a single rank.
+///
+/// Deterministic group-wide: every input is identical on every member.
+fn select_path<'h>(
+    n: usize,
     tuning: &CollTuning,
-    hier: Option<&HostHierarchy>,
-    payload_bytes: usize,
-    min_payload_bytes: usize,
-) -> bool {
-    /// `Auto` needs every spanned host to hold this many of the
-    /// communicator's ranks: a host with a lone rank gets no local-phase
-    /// benefit.
+    hier: Option<&'h HostHierarchy>,
+    dp: Option<DpWindow>,
+    payload: usize,
+    footprint: usize,
+    hier_min: Option<usize>,
+) -> Path<'h> {
     const MIN_RANKS_PER_HOST: usize = 2;
-    let Some(h) = hier else { return false };
-    if h.hosts_spanned() < 2 {
-        return false;
+    if n < 2 {
+        return Path::Flat;
     }
-    match tuning.hierarchy {
-        HierarchyMode::Off => false,
-        HierarchyMode::Force => true,
-        HierarchyMode::Auto => {
-            h.min_ranks_per_host() >= MIN_RANKS_PER_HOST && payload_bytes >= min_payload_bytes
-        }
+    let two_level = hier.filter(|h| {
+        h.hosts_spanned() >= 2
+            && match tuning.hierarchy {
+                HierarchyMode::Off => false,
+                HierarchyMode::Force => true,
+                HierarchyMode::Auto => {
+                    h.min_ranks_per_host() >= MIN_RANKS_PER_HOST && payload >= hier_min.unwrap_or(0)
+                }
+            }
+    });
+    let window = dp.is_some_and(|w| footprint <= w.slot_bytes)
+        && match tuning.data_plane {
+            DataPlaneMode::Ring => false,
+            DataPlaneMode::Shm => true,
+            DataPlaneMode::Auto => two_level.is_none() || hier_min.is_none(),
+        };
+    if window {
+        Path::Window
+    } else {
+        two_level.map_or(Path::Flat, Path::TwoLevel)
     }
 }
 
@@ -212,13 +251,6 @@ fn flat_allreduce_top_exchange_stays_local(hier: &HostHierarchy, n: usize) -> bo
     (0..pow2).all(|r| hier.slot_of(map.local(r)) == hier.slot_of(map.local(r ^ bit)))
 }
 
-/// Concurrent cross-host pair estimate of a hierarchical schedule: only the
-/// leader phase crosses hosts, one leader per host. Fed to the transports'
-/// contention models through the schedule's pairs hint.
-fn hier_pairs_hint(hier: &HostHierarchy) -> usize {
-    (hier.hosts_spanned() / 2).max(1)
-}
-
 // ----------------------------------------------------------------------
 // Schedule plan builder
 // ----------------------------------------------------------------------
@@ -238,14 +270,10 @@ struct Plan<'v, 'g> {
 
 impl<'v, 'g> Plan<'v, 'g> {
     fn new(view: &'v CommView<'g>, kind: i32) -> Self {
-        Self::with_base(view, kind, 0)
-    }
-
-    fn with_base(view: &'v CommView<'g>, kind: i32, step_base: usize) -> Self {
         Plan {
             view,
             kind,
-            step_base,
+            step_base: 0,
             ops: Vec::new(),
         }
     }
@@ -352,6 +380,145 @@ impl<'v, 'g> Plan<'v, 'g> {
 }
 
 // ----------------------------------------------------------------------
+// Two-level composition
+// ----------------------------------------------------------------------
+//
+// When a communicator spans several hosts, barrier / bcast / reduce /
+// allreduce / allgather / alltoall can be composed as *host-hierarchical*
+// schedules: a same-host phase (hardware-coherent, cheap), a cross-host phase
+// among one leader per host (the only traffic that pays software-coherence and
+// device-contention costs), and a same-host fan-out. Each phase's ops are
+// emitted over one of [`HostHierarchy`]'s views but run under the *parent*
+// communicator's context id and collective sequence number; the step bases
+// below keep the phases' internal tags disjoint.
+
+/// Step-base of the cross-host leader phase.
+const PHASE_LEADER: usize = 0x400;
+/// Step-base of the same-host fan-out phase.
+const PHASE_FANOUT: usize = 0x800;
+/// Step-base of root hand-off hops (a non-leader root shipping its payload to
+/// or receiving the result from its host leader).
+const PHASE_ROOT_HOP: usize = 0xC00;
+
+/// The group one phase of a two-level composite runs over.
+#[derive(Clone, Copy)]
+enum Level {
+    /// The whole communicator (root hand-off hops).
+    Parent,
+    /// This rank's host, its leader at local rank 0.
+    Host,
+    /// One leader per host, in host-slot order; the other ranks skip the phase.
+    Leaders,
+}
+
+/// A two-level composite under construction: phases appended in order, each
+/// over its [`Level`]'s view and at its own step base, finished into one plan
+/// that tells the contention model only the leaders cross hosts.
+struct TwoLevel<'a, 'g> {
+    view: &'a CommView<'g>,
+    hier: &'a HostHierarchy,
+    kind: i32,
+    ops: Vec<SchedOp>,
+}
+
+impl<'a, 'g> TwoLevel<'a, 'g> {
+    fn new(view: &'a CommView<'g>, hier: &'a HostHierarchy, kind: i32) -> Self {
+        TwoLevel {
+            view,
+            hier,
+            kind,
+            ops: Vec::new(),
+        }
+    }
+
+    /// Append what `emit` pushes over `level`'s view at `step_base`.
+    fn phase(&mut self, level: Level, step_base: usize, emit: impl FnOnce(&mut Plan<'_, '_>)) {
+        let (h, ctx) = (self.hier, self.view.ctx);
+        let view = match level {
+            Level::Parent => *self.view,
+            Level::Host => CommView {
+                group: h.local_group(),
+                ctx,
+                rank: h.my_local_rank(),
+            },
+            Level::Leaders if h.is_leader() => CommView {
+                group: h.leader_group(),
+                ctx,
+                rank: h.my_slot(),
+            },
+            Level::Leaders => return,
+        };
+        self.phase_over(&view, step_base, emit);
+    }
+
+    /// Append what `emit` pushes over `view`, a group of the communicator's
+    /// members, at `step_base`.
+    fn phase_over(
+        &mut self,
+        view: &CommView<'_>,
+        step_base: usize,
+        emit: impl FnOnce(&mut Plan<'_, '_>),
+    ) {
+        let mut plan = Plan {
+            view,
+            kind: self.kind,
+            step_base,
+            ops: std::mem::take(&mut self.ops),
+        };
+        emit(&mut plan);
+        self.ops = plan.ops;
+    }
+
+    /// The plan, its result in the primary buffer. Only the leader phase
+    /// crosses hosts, one leader per host: that is the concurrent pair count
+    /// the contention model is given.
+    fn finish(
+        self,
+        fold: Option<(ReduceOp, FoldFn)>,
+        result_range: (usize, usize),
+        input_range: (usize, usize),
+        scratch_len: usize,
+        label: &'static str,
+    ) -> CollPlan {
+        let pairs = (self.hier.hosts_spanned() / 2).max(1);
+        CollPlan::new(
+            self.ops,
+            self.view.ctx,
+            fold,
+            Loc::Buf,
+            result_range,
+            input_range,
+            scratch_len,
+            label,
+        )
+        .with_pairs_hint(pairs)
+    }
+}
+
+/// The `total`-byte primary buffer from `from` to `to`, one message —
+/// nothing when they are one rank.
+fn push_hop(plan: &mut Plan<'_, '_>, from: Rank, to: Rank, total: usize) {
+    let me = plan.view.rank;
+    if from != to && me == from {
+        plan.send(to, 0, Loc::Buf, 0, total);
+    } else if from != to && me == to {
+        plan.recv(from, 0, Loc::Buf, 0, total);
+    }
+}
+
+/// Zero-byte tokens between a host's leader (local rank 0) and each other
+/// member: in to the leader, or out from it.
+fn push_host_tokens(plan: &mut Plan<'_, '_>, inward: bool) {
+    let n = plan.view.size();
+    match (plan.view.rank, inward) {
+        (0, true) => (1..n).for_each(|m| plan.recv(m, 0, Loc::Buf, 0, 0)),
+        (0, false) => (1..n).for_each(|m| plan.send(m, 0, Loc::Buf, 0, 0)),
+        (_, true) => plan.send(0, 0, Loc::Buf, 0, 0),
+        (_, false) => plan.recv(0, 0, Loc::Buf, 0, 0),
+    }
+}
+
+// ----------------------------------------------------------------------
 // Barrier
 // ----------------------------------------------------------------------
 
@@ -373,85 +540,35 @@ fn push_barrier_ops(plan: &mut Plan<'_, '_>) {
     }
 }
 
-/// Compile the barrier plan: the zero-byte exchange on the flag lines of the
-/// communicator's shared window when `dp` offers one (a barrier moves no
-/// bytes, so there is no payload for the hierarchy to save: the window wins
-/// whenever it exists and [`DataPlaneMode::Ring`] is not forced); otherwise
-/// a flat dissemination barrier, or — when the hierarchy is selected (shape
-/// gates only) — the two-level composition: members report to their host
-/// leader, the leaders run a dissemination barrier among themselves (the only
-/// cross-host tokens), and each leader releases its host. Backs
-/// [`crate::comm::Comm::ibarrier`], `barrier_init` and the blocking barrier
-/// of every communicator but the world's.
+/// Compile the barrier plan on the path `select_path` chooses — the window
+/// whenever there is one (a barrier moves no bytes, so there is nothing for
+/// the hierarchy to save): the zero-byte exchange on the window's flag lines.
+/// Otherwise a flat dissemination barrier, or the two-level composition:
+/// members report to their host leader, the leaders run a dissemination
+/// barrier among themselves (the only cross-host tokens), and each leader
+/// releases its host. Backs [`crate::comm::Comm::ibarrier`], `barrier_init`
+/// and the blocking barrier of every communicator but the world's.
 pub fn build_barrier(
     view: &CommView<'_>,
     tuning: &CollTuning,
     hier: Option<&HostHierarchy>,
     dp: Option<DpWindow>,
 ) -> CollPlan {
-    if view.size() > 1 && dp.is_some() && tuning.data_plane != DataPlaneMode::Ring {
-        return build_barrier_shm(view);
-    }
-    if view.size() > 1 && hier_selected(tuning, hier, 0, 0) {
-        return build_barrier_hier(view, hier.expect("selected hierarchy exists"));
-    }
-    let mut plan = Plan::new(view, 0);
-    push_barrier_ops(&mut plan);
-    plan.finish(None, Loc::Buf, (0, 0), (0, 0), 0, "barrier/dissemination")
-}
-
-/// Two-level barrier: linear fan-in to the host leader, leader dissemination,
-/// linear fan-out — the only cross-host tokens are the leaders'.
-fn build_barrier_hier(view: &CommView<'_>, hier: &HostHierarchy) -> CollPlan {
-    let slot = hier.my_slot();
-    let mut ops = Vec::new();
-    // Fan-in: every member reports to its host leader.
-    {
-        let mut plan = Plan::new(view, 0);
-        if hier.is_leader() {
-            for &m in &hier.members(slot)[1..] {
-                plan.recv(m, 0, Loc::Buf, 0, 0);
-            }
-        } else {
-            plan.send(hier.leader_of(slot), 0, Loc::Buf, 0, 0);
+    match select_path(view.size(), tuning, hier, dp, 0, 0, None) {
+        Path::Window => build_barrier_shm(view),
+        Path::TwoLevel(h) => {
+            let mut c = TwoLevel::new(view, h, 0);
+            c.phase(Level::Host, 0, |p| push_host_tokens(p, true));
+            c.phase(Level::Leaders, PHASE_LEADER, push_barrier_ops);
+            c.phase(Level::Host, PHASE_FANOUT, |p| push_host_tokens(p, false));
+            c.finish(None, (0, 0), (0, 0), 0, "barrier/hier")
         }
-        ops.append(&mut plan.ops);
-    }
-    // Leader dissemination: the cross-host tokens.
-    if hier.is_leader() {
-        let leaders: &Group = hier.leader_group();
-        let lview = CommView {
-            group: leaders,
-            ctx: view.ctx,
-            rank: slot,
-        };
-        let mut plan = Plan::with_base(&lview, 0, PHASE_LEADER);
-        push_barrier_ops(&mut plan);
-        ops.append(&mut plan.ops);
-    }
-    // Fan-out: leaders release their hosts.
-    {
-        let mut plan = Plan::with_base(view, 0, PHASE_FANOUT);
-        if hier.is_leader() {
-            for &m in &hier.members(slot)[1..] {
-                plan.send(m, 0, Loc::Buf, 0, 0);
-            }
-        } else {
-            plan.recv(hier.leader_of(slot), 0, Loc::Buf, 0, 0);
+        Path::Flat => {
+            let mut plan = Plan::new(view, 0);
+            push_barrier_ops(&mut plan);
+            plan.finish(None, Loc::Buf, (0, 0), (0, 0), 0, "barrier/dissemination")
         }
-        ops.append(&mut plan.ops);
     }
-    CollPlan::new(
-        ops,
-        view.ctx,
-        None,
-        Loc::Buf,
-        (0, 0),
-        (0, 0),
-        0,
-        "barrier/hier",
-    )
-    .with_pairs_hint(hier_pairs_hint(hier))
 }
 
 // ----------------------------------------------------------------------
@@ -478,30 +595,23 @@ fn bcast_flat_label(n: usize, total: usize, tuning: &CollTuning) -> &'static str
 
 /// Emit the size-adaptive broadcast ops (binomial tree below the
 /// scatter-allgather threshold, van de Geijn above) into `plan`, over the
-/// plan's view. Returns the flat algorithm label.
-fn push_bcast_ops(
-    plan: &mut Plan<'_, '_>,
-    tuning: &CollTuning,
-    root: Rank,
-    total: usize,
-) -> &'static str {
+/// plan's view.
+fn push_bcast_ops(plan: &mut Plan<'_, '_>, tuning: &CollTuning, root: Rank, total: usize) {
     let n = plan.view.size();
-    if n > 1 {
-        if bcast_uses_scatter_allgather(n, total, tuning) {
-            push_bcast_scatter_allgather(plan, root, total);
-        } else {
-            push_bcast_binomial(plan, root, total);
-        }
+    if bcast_uses_scatter_allgather(n, total, tuning) {
+        push_bcast_scatter_allgather(plan, root, total);
+    } else if n > 1 {
+        push_bcast_binomial(plan, root, total);
     }
-    bcast_flat_label(n, total, tuning)
 }
 
 /// Compile the broadcast of `total` bytes from `root` into a plan over the
-/// primary buffer: the single-copy data plane when `dp` offers a window the
-/// payload fits (see [`crate::dataplane`]), otherwise the flat size-adaptive
-/// algorithm, or — when the hierarchy is selected — the two-level composition
-/// (root hop to its host leader, leader broadcast across hosts, per-host
-/// fan-out).
+/// primary buffer, on the path `select_path` chooses: the single-copy
+/// window shape ([`crate::dataplane`]); the two-level composition — a
+/// non-leader root hands the payload to its host leader, the leaders run the
+/// size-adaptive flat broadcast among themselves (the only cross-host bytes),
+/// and every leader broadcasts to its own host; or the flat size-adaptive
+/// algorithm.
 pub fn build_bcast(
     view: &CommView<'_>,
     tuning: &CollTuning,
@@ -510,37 +620,62 @@ pub fn build_bcast(
     root: Rank,
     total: usize,
 ) -> CollPlan {
-    let n = view.size();
-    if n > 1
-        && dp_selected(
-            tuning,
-            hier,
-            dp,
-            total,
-            tuning.hier_min_payload_bytes,
-            total,
-        )
-        .is_some()
-    {
-        return build_bcast_shm(view, hier, root, total);
+    let (n, me) = (view.size(), view.rank);
+    let input = if me == root { (0, total) } else { (0, 0) };
+    let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
+    match select_path(n, tuning, hier, dp, total, total, hier_min) {
+        Path::Window => build_bcast_shm(view, hier, root, total),
+        Path::TwoLevel(h) => {
+            let root_slot = h.slot_of(root);
+            let root_leader = h.leader_of(root_slot);
+            let mut c = TwoLevel::new(view, h, 1);
+            c.phase(Level::Parent, PHASE_ROOT_HOP, |p| {
+                push_hop(p, root, root_leader, total)
+            });
+            c.phase(Level::Leaders, PHASE_LEADER, |p| {
+                push_bcast_ops(p, tuning, root_slot, total)
+            });
+            // Each host fans out from its leader — except the host of a
+            // non-leader root, where root and leader both hold the payload
+            // already: the other members fan out from the root there, the
+            // leader left out, so that hop and fan-out are an exact spanning
+            // tree with no redundant delivery.
+            if h.my_slot() != root_slot || root == root_leader {
+                c.phase(Level::Host, PHASE_FANOUT, |p| {
+                    push_bcast_ops(p, tuning, 0, total)
+                });
+            } else if me != root_leader {
+                let rest = Group::from_world_ranks(h.local_group().world_ranks()[1..].to_vec())
+                    .expect("a non-leader root implies further members");
+                let rest_view = CommView {
+                    group: &rest,
+                    ctx: view.ctx,
+                    rank: h.my_local_rank() - 1,
+                };
+                let members = h.members(root_slot);
+                let root_pos = members
+                    .iter()
+                    .position(|&m| m == root)
+                    .expect("root on its host")
+                    - 1;
+                c.phase_over(&rest_view, PHASE_FANOUT, |p| {
+                    push_bcast_ops(p, tuning, root_pos, total)
+                });
+            }
+            let label = if bcast_uses_scatter_allgather(h.hosts_spanned(), total, tuning) {
+                "bcast/hier+scatter-allgather"
+            } else {
+                "bcast/hier+binomial"
+            };
+            c.finish(None, (0, total), input, 0, label)
+        }
+        Path::Flat => {
+            let mut plan = Plan::new(view, 1);
+            push_bcast_ops(&mut plan, tuning, root, total);
+            let label = bcast_flat_label(n, total, tuning);
+            plan.finish(None, Loc::Buf, (0, total), input, 0, label)
+        }
     }
-    if n > 1 && hier_selected(tuning, hier, total, tuning.hier_min_payload_bytes) {
-        return build_bcast_hier(
-            view,
-            hier.expect("selected hierarchy exists"),
-            tuning,
-            root,
-            total,
-        );
-    }
-    let input = if view.rank == root {
-        (0, total)
-    } else {
-        (0, 0)
-    };
-    let mut plan = Plan::new(view, 1);
-    let label = push_bcast_ops(&mut plan, tuning, root, total);
-    plan.finish(None, Loc::Buf, (0, total), input, 0, label)
 }
 
 /// Binomial-tree broadcast (latency-optimal: ⌈log₂ n⌉ rounds, but every hop
@@ -565,91 +700,6 @@ fn push_bcast_binomial(plan: &mut Plan<'_, '_>, root: Rank, total: usize) {
         plan.send(child, 0, Loc::Buf, 0, total);
         bit <<= 1;
     }
-}
-
-/// Two-level broadcast: a non-leader root first hands the payload to its host
-/// leader; the leaders then run the size-adaptive flat broadcast among
-/// themselves (the only cross-host bytes); finally every leader broadcasts to
-/// its own host. Label: `bcast/hier+<leader-phase algorithm>`.
-fn build_bcast_hier(
-    view: &CommView<'_>,
-    hier: &HostHierarchy,
-    tuning: &CollTuning,
-    root: Rank,
-    total: usize,
-) -> CollPlan {
-    let me = view.rank;
-    let root_slot = hier.slot_of(root);
-    let root_leader = hier.leader_of(root_slot);
-    let mut ops = Vec::new();
-    // Root hop: the payload reaches root's host leader.
-    if root != root_leader && (me == root || me == root_leader) {
-        let mut plan = Plan::with_base(view, 1, PHASE_ROOT_HOP);
-        if me == root {
-            plan.send(root_leader, 0, Loc::Buf, 0, total);
-        } else {
-            plan.recv(root, 0, Loc::Buf, 0, total);
-        }
-        ops.append(&mut plan.ops);
-    }
-    // Leader phase, rooted at root's host slot.
-    let leaders: &Group = hier.leader_group();
-    if hier.is_leader() {
-        let lview = CommView {
-            group: leaders,
-            ctx: view.ctx,
-            rank: hier.my_slot(),
-        };
-        let mut plan = Plan::with_base(&lview, 1, PHASE_LEADER);
-        push_bcast_ops(&mut plan, tuning, root_slot, total);
-        ops.append(&mut plan.ops);
-    }
-    // Fan-out within each host, rooted at the leader (local rank 0) — except
-    // on the host of a non-leader root, where *both* the root and its leader
-    // already hold the payload: there the remaining members fan out from the
-    // root with the leader excluded entirely, so the root-hop plus fan-out
-    // form an exact spanning tree with no redundant delivery.
-    let local: &Group = hier.local_group();
-    if local.size() > 1 {
-        if hier.my_slot() == root_slot && root != root_leader {
-            if me != root_leader {
-                // The leader is always local rank 0 of its host group.
-                let reduced = Group::from_world_ranks(local.world_ranks()[1..].to_vec())
-                    .expect("a non-leader root implies further members");
-                let root_pos = hier
-                    .members(root_slot)
-                    .iter()
-                    .position(|&m| m == root)
-                    .expect("root lives on its own slot")
-                    - 1;
-                let fview = CommView {
-                    group: &reduced,
-                    ctx: view.ctx,
-                    rank: hier.my_local_rank() - 1,
-                };
-                let mut plan = Plan::with_base(&fview, 1, PHASE_FANOUT);
-                push_bcast_ops(&mut plan, tuning, root_pos, total);
-                ops.append(&mut plan.ops);
-            }
-        } else {
-            let fview = CommView {
-                group: local,
-                ctx: view.ctx,
-                rank: hier.my_local_rank(),
-            };
-            let mut plan = Plan::with_base(&fview, 1, PHASE_FANOUT);
-            push_bcast_ops(&mut plan, tuning, 0, total);
-            ops.append(&mut plan.ops);
-        }
-    }
-    let label = if bcast_uses_scatter_allgather(leaders.size(), total, tuning) {
-        "bcast/hier+scatter-allgather"
-    } else {
-        "bcast/hier+binomial"
-    };
-    let input = if me == root { (0, total) } else { (0, 0) };
-    CollPlan::new(ops, view.ctx, None, Loc::Buf, (0, total), input, 0, label)
-        .with_pairs_hint(hier_pairs_hint(hier))
 }
 
 /// Van de Geijn large-message broadcast: the payload is split into `n`
@@ -689,45 +739,8 @@ fn push_bcast_scatter_allgather(plan: &mut Plan<'_, '_>, root: Rank, total: usiz
     }
 
     // Ring allgather over virtual ranks with the (possibly uneven) block
-    // sizes. Virtual rank 0 receives before sending: determinism, not
-    // liveness (see `Plan::exchange`).
-    let right = to_local((vrank + 1) % n);
-    let left = to_local((vrank + n - 1) % n);
-    for step in 0..n - 1 {
-        let send_origin = (vrank + n - step) % n;
-        let recv_origin = (vrank + n - step - 1) % n;
-        if vrank == 0 {
-            plan.recv(
-                left,
-                2 + step,
-                Loc::Buf,
-                off(recv_origin),
-                off(recv_origin + 1),
-            );
-            plan.send(
-                right,
-                2 + step,
-                Loc::Buf,
-                off(send_origin),
-                off(send_origin + 1),
-            );
-        } else {
-            plan.send(
-                right,
-                2 + step,
-                Loc::Buf,
-                off(send_origin),
-                off(send_origin + 1),
-            );
-            plan.recv(
-                left,
-                2 + step,
-                Loc::Buf,
-                off(recv_origin),
-                off(recv_origin + 1),
-            );
-        }
-    }
+    // sizes.
+    push_ring(plan, Loc::Buf, 2, vrank, to_local, off);
 }
 
 // ----------------------------------------------------------------------
@@ -798,13 +811,49 @@ pub fn build_scatter(view: &CommView<'_>, root: Rank, block: usize) -> CollPlan 
 // Allgather
 // ----------------------------------------------------------------------
 
+/// Ring allgather of `n` blocks, block `i` at `off(i)..off(i + 1)` of `loc`
+/// (uneven sizes are fine: every op carries its own byte range): `n − 1`
+/// neighbour exchanges, the `s`-th at step `step0 + s`, over *virtual* ranks
+/// — this rank is `vrank`, and `to_local` maps a virtual rank to a rank of
+/// the plan's view. Virtual rank 0 receives before sending: an order kept for
+/// determinism, not liveness (see `Plan::exchange`).
+fn push_ring(
+    plan: &mut Plan<'_, '_>,
+    loc: Loc,
+    step0: usize,
+    vrank: usize,
+    to_local: impl Fn(usize) -> Rank,
+    off: impl Fn(usize) -> usize,
+) {
+    let n = plan.view.size();
+    let right = to_local((vrank + 1) % n);
+    let left = to_local((vrank + n - 1) % n);
+    for step in 0..n - 1 {
+        let (out, inc) = ((vrank + n - step) % n, (vrank + n - step - 1) % n);
+        let step = step0 + step;
+        if vrank == 0 {
+            plan.recv(left, step, loc, off(inc), off(inc + 1));
+            plan.send(right, step, loc, off(out), off(out + 1));
+        } else {
+            plan.send(right, step, loc, off(out), off(out + 1));
+            plan.recv(left, step, loc, off(inc), off(inc + 1));
+        }
+    }
+}
+
 /// Compile the size-adaptive allgather of `block`-byte contributions into a
 /// plan over the `n × block` primary buffer (own block pre-placed at this
-/// rank's slot by the caller): the single-copy data plane when `dp` offers a
-/// window the block fits, otherwise Bruck below the threshold, ring above —
-/// or, when the hierarchy is selected, the two-level composition (local
-/// gather to the host leader, leader ring of whole-host batches, local
-/// fan-out).
+/// rank's slot by the caller), on the path `select_path` chooses: the
+/// single-copy window shape; the two-level composition; or Bruck below the
+/// threshold, ring above.
+///
+/// Two levels: members ship their block to the host leader, which stages its
+/// host's blocks contiguously in scratch (`slot_off[s]` marks host `s`'s
+/// batch); the leaders run a ring of whole-host batches and scatter them into
+/// the parent-rank-indexed primary buffer (correct for *any* rank→host
+/// permutation); finally each leader broadcasts the assembled buffer to its
+/// host. Only the leader ring crosses hosts, and it moves each byte across the
+/// device once per host instead of once per rank.
 pub fn build_allgather(
     view: &CommView<'_>,
     tuning: &CollTuning,
@@ -812,190 +861,65 @@ pub fn build_allgather(
     dp: Option<DpWindow>,
     block: usize,
 ) -> CollPlan {
-    let n = view.size();
-    let me = view.rank;
+    let (n, me) = (view.size(), view.rank);
+    let total = n * block;
     let input = (me * block, (me + 1) * block);
     if n == 1 {
         let plan = Plan::new(view, 4);
         return plan.finish(None, Loc::Buf, (0, block), input, 0, "allgather/local");
     }
-    if dp_selected(
-        tuning,
-        hier,
-        dp,
-        n * block,
-        tuning.hier_allgather_min_bytes,
-        block,
-    )
-    .is_some()
-    {
-        return build_allgather_shm(view, block);
-    }
-    if hier_selected(tuning, hier, n * block, tuning.hier_allgather_min_bytes) {
-        return build_allgather_hier(
-            view,
-            hier.expect("selected hierarchy exists"),
-            tuning,
-            block,
-        );
-    }
-    if n > 2 && block <= tuning.allgather_bruck_max_bytes {
-        build_allgather_bruck(view, block)
-    } else {
-        build_allgather_ring(view, block)
-    }
-}
-
-/// Two-level allgather. Members ship their block to the host leader, which
-/// stages its host's blocks contiguously in scratch (`slot_off[s]` marks host
-/// `s`'s batch); the leaders then run a ring exchange of whole-host batches —
-/// uneven sizes are fine because every op carries explicit byte ranges — and
-/// scatter the batches back into the parent-rank-indexed primary buffer
-/// (correct for *any* rank→host permutation); finally each leader broadcasts
-/// the assembled buffer to its host. Only the leader ring crosses hosts, and
-/// it moves each byte across the device once per host instead of once per
-/// rank.
-fn build_allgather_hier(
-    view: &CommView<'_>,
-    hier: &HostHierarchy,
-    tuning: &CollTuning,
-    block: usize,
-) -> CollPlan {
-    let n = view.size();
-    let me = view.rank;
-    let slots = hier.hosts_spanned();
-    let my_slot = hier.my_slot();
-    let total = n * block;
-    // Host batch offsets within the scratch staging arena.
-    let mut slot_off = Vec::with_capacity(slots + 1);
-    let mut acc = 0usize;
-    for s in 0..slots {
-        slot_off.push(acc);
-        acc += hier.count(s) * block;
-    }
-    slot_off.push(acc);
-    debug_assert_eq!(acc, total);
-
-    let mut ops = Vec::new();
-    let mut scratch_len = 0usize;
-    if hier.is_leader() {
-        scratch_len = total;
-        // Local gather: every member's block lands in my host's batch.
-        let mut plan = Plan::new(view, 4);
-        for (j, &m) in hier.members(my_slot).iter().enumerate() {
-            let dst = slot_off[my_slot] + j * block;
-            if m == me {
-                plan.copy(Loc::Scratch, dst, Loc::Buf, me * block, block);
-            } else {
-                plan.recv(m, 0, Loc::Scratch, dst, dst + block);
+    let hier_min = Some(HIER_ALLGATHER_MIN_BYTES);
+    match select_path(n, tuning, hier, dp, total, block, hier_min) {
+        Path::Window => build_allgather_shm(view, block),
+        Path::TwoLevel(h) => {
+            let slots = h.hosts_spanned();
+            let mut slot_off = vec![0; slots + 1];
+            for s in 0..slots {
+                slot_off[s + 1] = slot_off[s] + h.count(s) * block;
             }
-        }
-        ops.append(&mut plan.ops);
-        // Leader ring over whole-host batches (slot 0 receives first, as in
-        // the flat ring: determinism, not liveness).
-        {
-            let leaders: &Group = hier.leader_group();
-            let lview = CommView {
-                group: leaders,
-                ctx: view.ctx,
-                rank: my_slot,
-            };
-            let mut lplan = Plan::with_base(&lview, 4, PHASE_LEADER);
-            let right = (my_slot + 1) % slots;
-            let left = (my_slot + slots - 1) % slots;
-            for step in 0..slots - 1 {
-                let send_origin = (my_slot + slots - step) % slots;
-                let recv_origin = (my_slot + slots - step - 1) % slots;
-                let send = (slot_off[send_origin], slot_off[send_origin + 1]);
-                let recv = (slot_off[recv_origin], slot_off[recv_origin + 1]);
-                if my_slot == 0 {
-                    lplan.recv(left, step, Loc::Scratch, recv.0, recv.1);
-                    lplan.send(right, step, Loc::Scratch, send.0, send.1);
+            let batch = slot_off[h.my_slot()];
+            let mut c = TwoLevel::new(view, h, 4);
+            // Every member's block lands in its host's batch on the leader.
+            c.phase(Level::Host, 0, |p| {
+                if p.view.rank > 0 {
+                    p.send(0, 0, Loc::Buf, input.0, input.1);
                 } else {
-                    lplan.send(right, step, Loc::Scratch, send.0, send.1);
-                    lplan.recv(left, step, Loc::Scratch, recv.0, recv.1);
+                    p.copy(Loc::Scratch, batch, Loc::Buf, input.0, block);
+                    for j in 1..p.view.size() {
+                        let dst = batch + j * block;
+                        p.recv(j, 0, Loc::Scratch, dst, dst + block);
+                    }
                 }
-            }
-            ops.append(&mut lplan.ops);
-        }
-        // Scatter the staged batches into the parent-rank-indexed buffer.
-        let mut unpack = Plan::with_base(view, 4, PHASE_LEADER);
-        for (s, &off) in slot_off[..slots].iter().enumerate() {
-            for (j, &m) in hier.members(s).iter().enumerate() {
-                if m == me {
-                    continue; // own block never left the primary buffer
+            });
+            // The leaders' ring of batches; then every block but the
+            // leader's own goes to its member's place in the primary buffer.
+            c.phase(Level::Leaders, PHASE_LEADER, |p| {
+                let slot = p.view.rank;
+                push_ring(p, Loc::Scratch, 0, slot, |s| s, |s| slot_off[s]);
+                for (s, &off) in slot_off[..slots].iter().enumerate() {
+                    for (j, &m) in h.members(s).iter().enumerate() {
+                        if m != me {
+                            p.copy(Loc::Buf, m * block, Loc::Scratch, off + j * block, block);
+                        }
+                    }
                 }
-                unpack.copy(Loc::Buf, m * block, Loc::Scratch, off + j * block, block);
-            }
+            });
+            c.phase(Level::Host, PHASE_FANOUT, |p| {
+                push_bcast_ops(p, tuning, 0, total)
+            });
+            let scratch_len = if h.is_leader() { total } else { 0 };
+            c.finish(None, (0, total), input, scratch_len, "allgather/hier+ring")
         }
-        ops.append(&mut unpack.ops);
-    } else {
-        let mut plan = Plan::new(view, 4);
-        plan.send(
-            hier.leader_of(my_slot),
-            0,
-            Loc::Buf,
-            me * block,
-            (me + 1) * block,
-        );
-        ops.append(&mut plan.ops);
-    }
-    // Fan-out: leaders broadcast the assembled buffer to their hosts.
-    let local: &Group = hier.local_group();
-    if local.size() > 1 {
-        let fview = CommView {
-            group: local,
-            ctx: view.ctx,
-            rank: hier.my_local_rank(),
-        };
-        let mut plan = Plan::with_base(&fview, 4, PHASE_FANOUT);
-        push_bcast_ops(&mut plan, tuning, 0, total);
-        ops.append(&mut plan.ops);
-    }
-    CollPlan::new(
-        ops,
-        view.ctx,
-        None,
-        Loc::Buf,
-        (0, total),
-        (me * block, (me + 1) * block),
-        scratch_len,
-        "allgather/hier+ring",
-    )
-    .with_pairs_hint(hier_pairs_hint(hier))
-}
-
-/// Ring allgather: n−1 neighbour exchanges, each of one block. Blocks travel
-/// directly between the primary-buffer slots with no intermediate copies.
-fn build_allgather_ring(view: &CommView<'_>, block: usize) -> CollPlan {
-    let n = view.size();
-    let me = view.rank;
-    let right = (me + 1) % n;
-    let left = (me + n - 1) % n;
-    let mut plan = Plan::new(view, 4);
-    for step in 0..n - 1 {
-        let send_origin = (me + n - step) % n;
-        let recv_origin = (me + n - step - 1) % n;
-        let send = (send_origin * block, (send_origin + 1) * block);
-        let recv = (recv_origin * block, (recv_origin + 1) * block);
-        // Rank 0 receives before sending: an order kept for determinism, not
-        // liveness — either order completes (see `Plan::exchange`).
-        if me == 0 {
-            plan.recv(left, step, Loc::Buf, recv.0, recv.1);
-            plan.send(right, step, Loc::Buf, send.0, send.1);
-        } else {
-            plan.send(right, step, Loc::Buf, send.0, send.1);
-            plan.recv(left, step, Loc::Buf, recv.0, recv.1);
+        Path::Flat if n > 2 && block <= tuning.allgather_bruck_max_bytes => {
+            build_allgather_bruck(view, block)
+        }
+        Path::Flat => {
+            // Blocks travel directly between the primary-buffer slots.
+            let mut plan = Plan::new(view, 4);
+            push_ring(&mut plan, Loc::Buf, 0, me, |r| r, |i| i * block);
+            plan.finish(None, Loc::Buf, (0, total), input, 0, "allgather/ring")
         }
     }
-    plan.finish(
-        None,
-        Loc::Buf,
-        (0, n * block),
-        (me * block, (me + 1) * block),
-        0,
-        "allgather/ring",
-    )
 }
 
 /// Bruck allgather: ⌈log₂ n⌉ rounds of doubling block batches, then one local
@@ -1084,13 +1008,13 @@ fn push_reduce_ops(plan: &mut Plan<'_, '_>, root: Rank, total: usize) {
     }
 }
 
-/// Compile the rooted reduce of `count` elements of `T` into a plan over
-/// the in-place value vector: the single-copy data plane when `dp` offers a
-/// window the vector fits, otherwise a flat binomial tree, or — when the
-/// hierarchy is selected — the two-level composition (per-host binomial
-/// reduce to the leader, leader binomial reduce across hosts rooted at
-/// root's host, and a final hand-off to a non-leader root). The result range
-/// selects the full vector on the root and is empty elsewhere.
+/// Compile the rooted reduce of `count` elements of `T` into a plan over the
+/// in-place value vector, on the path `select_path` chooses: the
+/// single-copy window shape; the two-level composition — per-host binomial
+/// reduce to the leader, leader binomial reduce across hosts rooted at root's
+/// host (the only partials that cross hosts), and a final hand-off to a
+/// non-leader root; or a flat binomial tree. The result range selects the
+/// full vector on the root and is empty elsewhere.
 pub fn build_reduce<T: Reducible>(
     view: &CommView<'_>,
     tuning: &CollTuning,
@@ -1100,97 +1024,34 @@ pub fn build_reduce<T: Reducible>(
     count: usize,
     op: ReduceOp,
 ) -> CollPlan {
-    let n = view.size();
-    let me = view.rank;
     let total = count * std::mem::size_of::<T>();
     let fold = Some((op, fold_bytes::<T> as FoldFn));
-    let result = if me == root { (0, total) } else { (0, 0) };
-    if n > 1
-        && dp_selected(
-            tuning,
-            hier,
-            dp,
-            total,
-            tuning.hier_min_payload_bytes,
-            total,
-        )
-        .is_some()
-    {
-        return build_reduce_shm::<T>(view, root, count, op);
-    }
-    if n > 1 && hier_selected(tuning, hier, total, tuning.hier_min_payload_bytes) {
-        return build_reduce_hier(
-            view,
-            hier.expect("selected hierarchy exists"),
-            root,
-            total,
-            fold,
-        );
-    }
-    let mut plan = Plan::new(view, 5);
-    push_reduce_ops(&mut plan, root, total);
-    plan.finish(fold, Loc::Buf, result, (0, total), total, "reduce/binomial")
-}
-
-/// Two-level rooted reduce; see [`build_reduce`]. Only the leader-phase
-/// partials cross hosts.
-fn build_reduce_hier(
-    view: &CommView<'_>,
-    hier: &HostHierarchy,
-    root: Rank,
-    total: usize,
-    fold: Option<(ReduceOp, FoldFn)>,
-) -> CollPlan {
-    let me = view.rank;
-    let root_slot = hier.slot_of(root);
-    let root_leader = hier.leader_of(root_slot);
-    let mut ops = Vec::new();
-    // Per-host reduce to the leader (local rank 0).
-    let local: &Group = hier.local_group();
-    if local.size() > 1 {
-        let lview = CommView {
-            group: local,
-            ctx: view.ctx,
-            rank: hier.my_local_rank(),
-        };
-        let mut plan = Plan::new(&lview, 5);
-        push_reduce_ops(&mut plan, 0, total);
-        ops.append(&mut plan.ops);
-    }
-    // Leader reduce across hosts, rooted at root's host slot.
-    if hier.is_leader() {
-        let leaders: &Group = hier.leader_group();
-        let lview = CommView {
-            group: leaders,
-            ctx: view.ctx,
-            rank: hier.my_slot(),
-        };
-        let mut plan = Plan::with_base(&lview, 5, PHASE_LEADER);
-        push_reduce_ops(&mut plan, root_slot, total);
-        ops.append(&mut plan.ops);
-    }
-    // Hand the finished vector to a non-leader root.
-    if root != root_leader && (me == root || me == root_leader) {
-        let mut plan = Plan::with_base(view, 5, PHASE_ROOT_HOP);
-        if me == root_leader {
-            plan.send(root, 0, Loc::Buf, 0, total);
-        } else {
-            plan.recv(root_leader, 0, Loc::Buf, 0, total);
+    let result = if view.rank == root {
+        (0, total)
+    } else {
+        (0, 0)
+    };
+    let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
+    match select_path(view.size(), tuning, hier, dp, total, total, hier_min) {
+        Path::Window => build_reduce_shm::<T>(view, root, count, op),
+        Path::TwoLevel(h) => {
+            let root_slot = h.slot_of(root);
+            let mut c = TwoLevel::new(view, h, 5);
+            c.phase(Level::Host, 0, |p| push_reduce_ops(p, 0, total));
+            c.phase(Level::Leaders, PHASE_LEADER, |p| {
+                push_reduce_ops(p, root_slot, total)
+            });
+            c.phase(Level::Parent, PHASE_ROOT_HOP, |p| {
+                push_hop(p, h.leader_of(root_slot), root, total)
+            });
+            c.finish(fold, result, (0, total), total, "reduce/hier+binomial")
         }
-        ops.append(&mut plan.ops);
+        Path::Flat => {
+            let mut plan = Plan::new(view, 5);
+            push_reduce_ops(&mut plan, root, total);
+            plan.finish(fold, Loc::Buf, result, (0, total), total, "reduce/binomial")
+        }
     }
-    let result = if me == root { (0, total) } else { (0, 0) };
-    CollPlan::new(
-        ops,
-        view.ctx,
-        fold,
-        Loc::Buf,
-        result,
-        (0, total),
-        total,
-        "reduce/hier+binomial",
-    )
-    .with_pairs_hint(hier_pairs_hint(hier))
 }
 
 /// This rank's place in the power-of-two core left by fold elimination, plus
@@ -1225,30 +1086,51 @@ fn allreduce_uses_rabenseifner(n: usize, total: usize, count: usize, tuning: &Co
     total >= tuning.allreduce_rabenseifner_min_bytes && count >= prev_power_of_two(n)
 }
 
-/// The flat allreduce algorithm label for `n` ranks reducing `count` elements
-/// of `total` bytes — deterministic on every rank, so composite labels agree
-/// group-wide even on ranks that skip the leader phase.
-fn allreduce_flat_label(n: usize, total: usize, count: usize, tuning: &CollTuning) -> &'static str {
-    if n == 1 {
-        return "allreduce/local";
-    }
+/// The allreduce algorithm label for `n` ranks — the leaders, when
+/// `two_level` — reducing `count` elements of `total` bytes: deterministic on
+/// every rank, so composite labels agree group-wide even on ranks that skip
+/// the leader phase.
+fn allreduce_label(
+    n: usize,
+    total: usize,
+    count: usize,
+    tuning: &CollTuning,
+    two_level: bool,
+) -> &'static str {
+    const LABELS: [[&str; 4]; 2] = [
+        [
+            "allreduce/recursive-doubling",
+            "allreduce/recursive-doubling+fold",
+            "allreduce/rabenseifner",
+            "allreduce/rabenseifner+fold",
+        ],
+        [
+            "allreduce/hier+recursive-doubling",
+            "allreduce/hier+recursive-doubling+fold",
+            "allreduce/hier+rabenseifner",
+            "allreduce/hier+rabenseifner+fold",
+        ],
+    ];
     let large = allreduce_uses_rabenseifner(n, total, count, tuning);
-    match (large, !n.is_power_of_two()) {
-        (false, false) => "allreduce/recursive-doubling",
-        (false, true) => "allreduce/recursive-doubling+fold",
-        (true, false) => "allreduce/rabenseifner",
-        (true, true) => "allreduce/rabenseifner+fold",
-    }
+    LABELS[usize::from(two_level)][2 * usize::from(large) + usize::from(!n.is_power_of_two())]
 }
 
-/// Compile the size-adaptive allreduce of `count` elements of `T` into a
-/// schedule: recursive doubling below the Rabenseifner threshold,
-/// Rabenseifner (recursive-halving reduce-scatter + recursive-doubling
-/// allgather) above, with power-of-two fold elimination for non-power-of-two
-/// rank counts — or, when the hierarchy is selected, the two-level
-/// composition (per-host reduce to the leader, the same size-adaptive flat
-/// allreduce among the leaders only, per-host broadcast of the result). The
-/// primary buffer is the in-place value vector.
+/// Compile the size-adaptive allreduce of `count` elements of `T` into a plan
+/// over the in-place value vector, on the path `select_path` chooses:
+///
+/// * the single-copy window shape that costs a rank least
+///   ([`crate::dataplane`]), its footprint the one checked against the slot;
+/// * the two-level composition — per-host reduce to the leader, the same
+///   size-adaptive flat allreduce among the leaders only (so a large leader
+///   payload still gets the bandwidth-optimal variant; only that phase
+///   crosses hosts), per-host broadcast of the result. `Auto` steps aside
+///   where the flat algorithm is already topology-optimal: when the
+///   placement makes its top-level exchange same-host on every rank (e.g.
+///   round-robin over two hosts), composing would only add cross-host bytes;
+/// * the flat algorithm: recursive doubling below the Rabenseifner threshold,
+///   Rabenseifner (recursive-halving reduce-scatter + recursive-doubling
+///   allgather) above, with power-of-two fold elimination for
+///   non-power-of-two rank counts.
 pub fn build_allreduce<T: Reducible>(
     view: &CommView<'_>,
     tuning: &CollTuning,
@@ -1265,113 +1147,50 @@ pub fn build_allreduce<T: Reducible>(
         let plan = Plan::new(view, 6);
         return plan.finish(fold, Loc::Buf, (0, total), (0, total), 0, "allreduce/local");
     }
-    if let Some(plan) = build_allreduce_shm::<T>(view, tuning, hier, dp, count, op) {
-        return plan;
-    }
-    // Auto steps aside where the flat algorithm is already topology-optimal:
-    // if the placement makes the flat top-level exchange same-host on every
-    // rank (e.g. round-robin over two hosts), composing hierarchically would
-    // only add cross-host bytes.
-    let flat_already_local = tuning.hierarchy == HierarchyMode::Auto
-        && hier.is_some_and(|h| flat_allreduce_top_exchange_stays_local(h, n));
-    if hier_selected(tuning, hier, total, tuning.hier_min_payload_bytes) && !flat_already_local {
-        return build_allreduce_hier::<T>(
-            view,
-            hier.expect("selected hierarchy exists"),
-            tuning,
-            count,
-            op,
-        );
-    }
-    let mut plan = Plan::new(view, 6);
-    let label = push_allreduce_ops::<T>(&mut plan, tuning, count);
-    plan.finish(fold, Loc::Buf, (0, total), (0, total), total, label)
-}
-
-/// Two-level allreduce; see [`build_allreduce`]. The leader phase reuses the
-/// full size-adaptive flat machinery (recursive doubling / Rabenseifner with
-/// fold elimination) over the leader group, so large leader payloads still
-/// get the bandwidth-optimal variant; only that phase crosses hosts.
-fn build_allreduce_hier<T: Reducible>(
-    view: &CommView<'_>,
-    hier: &HostHierarchy,
-    tuning: &CollTuning,
-    count: usize,
-    op: ReduceOp,
-) -> CollPlan {
-    let elem = std::mem::size_of::<T>();
-    let total = count * elem;
-    let mut ops = Vec::new();
-    // Per-host reduce to the leader.
-    let local: &Group = hier.local_group();
-    if local.size() > 1 {
-        let lview = CommView {
-            group: local,
-            ctx: view.ctx,
-            rank: hier.my_local_rank(),
-        };
-        let mut plan = Plan::new(&lview, 5);
-        push_reduce_ops(&mut plan, 0, total);
-        ops.append(&mut plan.ops);
-    }
-    // Flat size-adaptive allreduce among the leaders.
-    let leaders: &Group = hier.leader_group();
-    if hier.is_leader() {
-        let lview = CommView {
-            group: leaders,
-            ctx: view.ctx,
-            rank: hier.my_slot(),
-        };
-        let mut plan = Plan::with_base(&lview, 6, PHASE_LEADER);
-        push_allreduce_ops::<T>(&mut plan, tuning, count);
-        ops.append(&mut plan.ops);
-    }
-    // Per-host broadcast of the finished vector.
-    if local.size() > 1 {
-        let fview = CommView {
-            group: local,
-            ctx: view.ctx,
-            rank: hier.my_local_rank(),
-        };
-        let mut plan = Plan::with_base(&fview, 6, PHASE_FANOUT);
-        push_bcast_ops(&mut plan, tuning, 0, total);
-        ops.append(&mut plan.ops);
-    }
-    let leader_n = leaders.size();
-    let label = match (
-        allreduce_uses_rabenseifner(leader_n, total, count, tuning),
-        !leader_n.is_power_of_two(),
+    let shape = dp.map(|w| allreduce_shm_shape(n, count, elem, hier, &w));
+    let footprint = shape.map_or(0, |(_, bytes)| bytes);
+    let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
+    match (
+        select_path(n, tuning, hier, dp, total, footprint, hier_min),
+        shape,
     ) {
-        (false, false) => "allreduce/hier+recursive-doubling",
-        (false, true) => "allreduce/hier+recursive-doubling+fold",
-        (true, false) => "allreduce/hier+rabenseifner",
-        (true, true) => "allreduce/hier+rabenseifner+fold",
-    };
-    CollPlan::new(
-        ops,
-        view.ctx,
-        Some((op, fold_bytes::<T> as FoldFn)),
-        Loc::Buf,
-        (0, total),
-        (0, total),
-        total,
-        label,
-    )
-    .with_pairs_hint(hier_pairs_hint(hier))
+        (Path::Window, Some((shape, _))) => build_allreduce_shm::<T>(view, shape, count, op),
+        (Path::TwoLevel(h), _)
+            if tuning.hierarchy != HierarchyMode::Auto
+                || !flat_allreduce_top_exchange_stays_local(h, n) =>
+        {
+            let mut c = TwoLevel::new(view, h, 6);
+            c.phase(Level::Host, 0, |p| {
+                // On the rooted reduce's tags.
+                p.kind = 5;
+                push_reduce_ops(p, 0, total)
+            });
+            c.phase(Level::Leaders, PHASE_LEADER, |p| {
+                push_allreduce_ops::<T>(p, tuning, count)
+            });
+            c.phase(Level::Host, PHASE_FANOUT, |p| {
+                push_bcast_ops(p, tuning, 0, total)
+            });
+            let label = allreduce_label(h.hosts_spanned(), total, count, tuning, true);
+            c.finish(fold, (0, total), (0, total), total, label)
+        }
+        _ => {
+            let mut plan = Plan::new(view, 6);
+            push_allreduce_ops::<T>(&mut plan, tuning, count);
+            let label = allreduce_label(n, total, count, tuning, false);
+            plan.finish(fold, Loc::Buf, (0, total), (0, total), total, label)
+        }
+    }
 }
 
 /// Emit the allreduce op sequence into `plan` (shared by [`build_allreduce`]
 /// and the naive reduce-scatter, which is allreduce + block selection and
-/// therefore reuses the same wire traffic). Returns the algorithm label.
+/// therefore reuses the same wire traffic).
 ///
 /// Tags use kind 6 regardless of the caller's plan kind, mirroring the
 /// straight-line implementation where naive reduce-scatter delegated to
 /// `allreduce` and inherited its tags.
-fn push_allreduce_ops<T: Reducible>(
-    plan: &mut Plan<'_, '_>,
-    tuning: &CollTuning,
-    count: usize,
-) -> &'static str {
+fn push_allreduce_ops<T: Reducible>(plan: &mut Plan<'_, '_>, tuning: &CollTuning, count: usize) {
     let view = plan.view;
     let n = view.size();
     let me = view.rank;
@@ -1381,8 +1200,6 @@ fn push_allreduce_ops<T: Reducible>(
     plan.kind = 6;
     let pow2 = prev_power_of_two(n);
     let excess = n - pow2;
-    // Rabenseifner only pays off when every core rank still owns a
-    // non-trivial region after log₂(pow2) halvings.
     let large = allreduce_uses_rabenseifner(n, total, count, tuning);
 
     // Fold pre-phase (non-power-of-two): among the first 2·excess ranks, each
@@ -1422,7 +1239,6 @@ fn push_allreduce_ops<T: Reducible>(
         }
     }
     plan.kind = kind_before;
-    allreduce_flat_label(n, total, count, tuning)
 }
 
 /// Recursive-doubling allreduce over the power-of-two core: log₂(pow2)
@@ -1778,11 +1594,10 @@ pub fn build_exscan<T: Reducible>(view: &CommView<'_>, count: usize, op: ReduceO
 /// Compile the complete exchange of equal `block`-byte per-peer payloads,
 /// **in place** over the primary buffer: on entry block `i` holds the data
 /// this rank sends to local rank `i`, on completion block `i` holds the
-/// data local rank `i` sent here. Selection mirrors the other size-adaptive
-/// families and is deterministic group-wide: the data plane first (total
-/// exchange volume fits a window slot), then the host hierarchy, then Bruck
-/// below [`CollTuning::alltoall_bruck_max_bytes`] per block, pairwise
-/// exchange above.
+/// data local rank `i` sent here. The path is `select_path`'s — the window
+/// when the whole exchange image fits a slot, then the host hierarchy — and
+/// the flat exchange is Bruck below
+/// [`CollTuning::alltoall_bruck_max_bytes`] per block, pairwise above.
 pub fn build_alltoall(
     view: &CommView<'_>,
     tuning: &CollTuning,
@@ -1798,25 +1613,14 @@ pub fn build_alltoall(
         let plan = Plan::new(view, 10);
         return plan.finish(None, Loc::Buf, (0, total), (0, total), 0, "alltoall/local");
     }
-    if dp_selected(
-        tuning,
-        hier,
-        dp,
-        total,
-        tuning.hier_alltoall_min_bytes,
-        total,
-    )
-    .is_some()
-    {
-        return build_alltoall_shm(view, block);
-    }
-    if hier_selected(tuning, hier, total, tuning.hier_alltoall_min_bytes) {
-        return build_alltoall_hier(view, hier.expect("selected hierarchy exists"), block);
-    }
-    if n > 2 && block <= tuning.alltoall_bruck_max_bytes {
-        build_alltoall_bruck(view, block)
-    } else {
-        build_alltoall_pairwise(view, block)
+    let hier_min = Some(HIER_ALLTOALL_MIN_BYTES);
+    match select_path(n, tuning, hier, dp, total, total, hier_min) {
+        Path::Window => build_alltoall_shm(view, block),
+        Path::TwoLevel(h) => build_alltoall_hier(view, h, block),
+        Path::Flat if n > 2 && block <= tuning.alltoall_bruck_max_bytes => {
+            build_alltoall_bruck(view, block)
+        }
+        Path::Flat => build_alltoall_pairwise(view, block),
     }
 }
 
@@ -1958,168 +1762,106 @@ fn build_alltoall_bruck(view: &CommView<'_>, block: usize) -> CollPlan {
 /// host's members addressed to any of host `s`'s members — and finally each
 /// leader assembles and fans out every member's receive image. Cross-host
 /// message count drops from `ranks²` to `hosts²` (each batch is one
-/// message), at the price of three extra full copies, so the `Auto` gate
-/// ([`CollTuning::hier_alltoall_min_bytes`]) keeps it to the regime where
-/// per-message cost dominates.
+/// message), at the price of three extra full copies, so `Auto` keeps it to
+/// multi-MiB exchanges, where per-message cost dominates.
 fn build_alltoall_hier(view: &CommView<'_>, hier: &HostHierarchy, block: usize) -> CollPlan {
-    let n = view.size();
-    let me = view.rank;
+    let (n, me) = (view.size(), view.rank);
     let total = n * block;
     let slots = hier.hosts_spanned();
     let mine = hier.my_slot();
-    let mut ops = Vec::new();
-    let mut scratch_len = 0usize;
-    if hier.is_leader() {
-        let members = hier.members(mine);
-        let k = members.len();
-        // Scratch layout: the member send images ("gather area", k × total),
-        // then one received-batch area per remote host, then the reusable
-        // batch pack area, then the reusable fan-out pack area. Both pack
-        // areas survive reuse across sends because a Send op completes (all
-        // bytes copied out) before the plan cursor advances.
-        let gather_off = 0usize;
-        let mut exch_off = vec![0usize; slots];
-        let mut acc = k * total;
-        let mut max_batch = 0usize;
-        for (s, off) in exch_off.iter_mut().enumerate() {
-            if s == mine {
-                continue;
-            }
-            *off = acc;
-            acc += hier.count(s) * k * block;
-            max_batch = max_batch.max(hier.count(s) * k * block);
-        }
-        let pack_off = acc;
-        let fan_off = pack_off + max_batch;
-        scratch_len = fan_off + total;
-
-        // Local gather: every member's full send image, own image copied.
-        let mut plan = Plan::new(view, 10);
-        for (j, &m) in members.iter().enumerate() {
-            let dst = gather_off + j * total;
-            if m == me {
-                plan.copy(Loc::Scratch, dst, Loc::Buf, 0, total);
-            } else {
-                plan.recv(m, 0, Loc::Scratch, dst, dst + total);
-            }
-        }
-        ops.append(&mut plan.ops);
-
-        // Leader pairwise exchange of host-pair batches. Batch layout (both
-        // directions, emitted by this same code on every leader): member
-        // index-major, destination index-minor.
-        {
-            let leaders: &Group = hier.leader_group();
-            let lview = CommView {
-                group: leaders,
-                ctx: view.ctx,
-                rank: mine,
-            };
-            let mut lplan = Plan::with_base(&lview, 10, PHASE_LEADER);
-            for step in 1..slots {
-                let dst_slot = (mine + step) % slots;
-                let src_slot = (mine + slots - step) % slots;
-                let out_batch: usize = k * hier.count(dst_slot) * block;
-                let in_batch: usize = hier.count(src_slot) * k * block;
-                for (j, _) in members.iter().enumerate() {
-                    for (i, &d) in hier.members(dst_slot).iter().enumerate() {
-                        lplan.copy(
-                            Loc::Scratch,
-                            pack_off + (j * hier.count(dst_slot) + i) * block,
-                            Loc::Scratch,
-                            gather_off + j * total + d * block,
-                            block,
-                        );
-                    }
-                }
-                // Ordered over the shifted pairs as in the pairwise
-                // reduce-scatter: determinism, not liveness.
-                if mine < dst_slot {
-                    lplan.send(dst_slot, step, Loc::Scratch, pack_off, pack_off + out_batch);
-                    lplan.recv(
-                        src_slot,
-                        step,
-                        Loc::Scratch,
-                        exch_off[src_slot],
-                        exch_off[src_slot] + in_batch,
-                    );
-                } else {
-                    lplan.recv(
-                        src_slot,
-                        step,
-                        Loc::Scratch,
-                        exch_off[src_slot],
-                        exch_off[src_slot] + in_batch,
-                    );
-                    lplan.send(dst_slot, step, Loc::Scratch, pack_off, pack_off + out_batch);
-                }
-            }
-            ops.append(&mut lplan.ops);
-        }
-
-        // Assembly + fan-out: member `d` (host-local index `i`)'s receive
-        // image holds, at block `p`, the block rank `p` sent to `d` — found
-        // in the gather area when `p` is a host-mate, in `p`'s host's
-        // received batch otherwise.
-        let mut fan = Plan::with_base(view, 10, PHASE_FANOUT);
-        let src_of = |p: usize, i: usize| -> (usize, usize) {
-            let s = hier.slot_of(p);
-            let j = hier
-                .members(s)
-                .iter()
-                .position(|&m| m == p)
-                .expect("rank in its own host slot");
-            if s == mine {
-                (gather_off + j * total, j) // offset of image; block below
-            } else {
-                (exch_off[s] + (j * k + i) * block, usize::MAX)
-            }
-        };
-        for (i, &d) in members.iter().enumerate() {
-            let assemble_at = if d == me { None } else { Some(fan_off) };
-            for p in 0..n {
-                let (src, local_j) = src_of(p, i);
-                let src = if local_j != usize::MAX {
-                    src + d * block // within a host-mate's send image
-                } else {
-                    src
-                };
-                match assemble_at {
-                    None => fan.copy(Loc::Buf, p * block, Loc::Scratch, src, block),
-                    Some(off) => fan.copy(Loc::Scratch, off + p * block, Loc::Scratch, src, block),
-                }
-            }
-            if let Some(off) = assemble_at {
-                fan.send(d, i, Loc::Scratch, off, off + total);
-            }
-        }
-        ops.append(&mut fan.ops);
-    } else {
-        // Non-leader: ship the send image up, receive the result image back.
-        let leader = hier.leader_of(mine);
-        let mut plan = Plan::new(view, 10);
-        plan.send(leader, 0, Loc::Buf, 0, total);
-        ops.append(&mut plan.ops);
-        let my_idx = hier
-            .members(mine)
-            .iter()
-            .position(|&m| m == me)
-            .expect("rank in its own host slot");
-        let mut fan = Plan::with_base(view, 10, PHASE_FANOUT);
-        fan.recv(leader, my_idx, Loc::Buf, 0, total);
-        ops.append(&mut fan.ops);
+    let members = hier.members(mine);
+    let k = members.len();
+    // The leader's scratch: the member send images (the gather area, k ×
+    // total), then one received-batch area per remote host, then the reusable
+    // batch pack area, then the reusable fan-out pack area. Both pack areas
+    // survive reuse across sends because a Send op completes (all bytes
+    // copied out) before the plan cursor advances.
+    let mut exch_off = vec![0usize; slots];
+    let mut acc = k * total;
+    let mut max_batch = 0usize;
+    for (s, off) in exch_off.iter_mut().enumerate().filter(|&(s, _)| s != mine) {
+        *off = acc;
+        acc += hier.count(s) * k * block;
+        max_batch = max_batch.max(hier.count(s) * k * block);
     }
-    CollPlan::new(
-        ops,
-        view.ctx,
+    let pack_off = acc;
+    let fan_off = pack_off + max_batch;
+    let mut c = TwoLevel::new(view, hier, 10);
+    // Local gather: every member's full send image, the leader's own copied.
+    c.phase(Level::Host, 0, |p| {
+        if p.view.rank > 0 {
+            p.send(0, 0, Loc::Buf, 0, total);
+        } else {
+            p.copy(Loc::Scratch, 0, Loc::Buf, 0, total);
+            for j in 1..k {
+                p.recv(j, 0, Loc::Scratch, j * total, (j + 1) * total);
+            }
+        }
+    });
+    // Leader pairwise exchange of host-pair batches. Batch layout (both
+    // directions, emitted by this same code on every leader): member
+    // index-major, destination index-minor.
+    c.phase(Level::Leaders, PHASE_LEADER, |p| {
+        for step in 1..slots {
+            let dst_slot = (mine + step) % slots;
+            let src_slot = (mine + slots - step) % slots;
+            let out = (pack_off, pack_off + k * hier.count(dst_slot) * block);
+            let inc = exch_off[src_slot];
+            let inc = (inc, inc + hier.count(src_slot) * k * block);
+            for j in 0..k {
+                for (i, &d) in hier.members(dst_slot).iter().enumerate() {
+                    let at = pack_off + (j * hier.count(dst_slot) + i) * block;
+                    p.copy(Loc::Scratch, at, Loc::Scratch, j * total + d * block, block);
+                }
+            }
+            // Ordered over the shifted pairs as in the pairwise
+            // reduce-scatter: determinism, not liveness.
+            if mine < dst_slot {
+                p.send(dst_slot, step, Loc::Scratch, out.0, out.1);
+                p.recv(src_slot, step, Loc::Scratch, inc.0, inc.1);
+            } else {
+                p.recv(src_slot, step, Loc::Scratch, inc.0, inc.1);
+                p.send(dst_slot, step, Loc::Scratch, out.0, out.1);
+            }
+        }
+    });
+    // Assembly + fan-out: member `d` (host-local index `i`)'s receive image
+    // holds, at block `q`, the block rank `q` sent to `d` — found in the
+    // gather area when `q` is a host-mate, in `q`'s host's received batch
+    // otherwise. The leader assembles its own image in place.
+    c.phase(Level::Host, PHASE_FANOUT, |p| {
+        if p.view.rank > 0 {
+            return p.recv(0, p.view.rank, Loc::Buf, 0, total);
+        }
+        for (i, &d) in members.iter().enumerate() {
+            for q in 0..n {
+                let s = hier.slot_of(q);
+                let on_host = hier.members(s).iter().position(|&m| m == q);
+                let j = on_host.expect("every rank is on its host");
+                let src = if s == mine {
+                    j * total + d * block
+                } else {
+                    exch_off[s] + (j * k + i) * block
+                };
+                if d == me {
+                    p.copy(Loc::Buf, q * block, Loc::Scratch, src, block);
+                } else {
+                    p.copy(Loc::Scratch, fan_off + q * block, Loc::Scratch, src, block);
+                }
+            }
+            if d != me {
+                p.send(i, i, Loc::Scratch, fan_off, fan_off + total);
+            }
+        }
+    });
+    let scratch_len = if hier.is_leader() { fan_off + total } else { 0 };
+    c.finish(
         None,
-        Loc::Buf,
         (0, total),
         (0, total),
         scratch_len,
         "alltoall/hier+pairwise",
     )
-    .with_pairs_hint(hier_pairs_hint(hier))
 }
 
 /// Compile the irregular complete exchange (`alltoallv`/`alltoallw`): peer

@@ -42,9 +42,9 @@ use std::sync::Arc;
 
 use super::Comm;
 use crate::coll::{self, CommView};
-use crate::config::{CollTuning, DataPlaneMode};
+use crate::config::CollTuning;
 use crate::error::MpiError;
-use crate::plan::{PlanKey, PlanOp};
+use crate::plan::{PlanKey, PlanOp, PLAN_CACHE_ENTRIES};
 use crate::pod::{bytes_of, bytes_of_mut, vec_from_bytes, Pod};
 use crate::progress::{CollPlan, CollState, Execution};
 use crate::request::{Request, RequestState};
@@ -92,7 +92,7 @@ impl Comm {
     /// persistent — resolves through here, so repeated shapes skip planning
     /// entirely (and every form inherits the [`Comm::ft_precheck`] failure
     /// gate); the cache is per context id and LRU-bounded by
-    /// [`CollTuning::plan_cache_entries`].
+    /// [`PLAN_CACHE_ENTRIES`].
     fn spec(
         &self,
         key: PlanKey<'_>,
@@ -117,16 +117,12 @@ impl Comm {
             return Ok(Spec { plan, payload });
         }
         let hier = self.hier_for_coll();
-        let tuning = self.shared.tuning;
-        let dp = if tuning.data_plane == DataPlaneMode::Ring {
-            None
-        } else {
-            self.shared.io().transport.dp_window(self.ctx)
-        };
-        let plan = Arc::new(build(&self.view(), &tuning, hier.as_deref(), dp).for_op(key.op));
+        let dp = self.shared.io().transport.dp_window(self.ctx);
+        let tuning = &self.shared.tuning;
+        let plan = Arc::new(build(&self.view(), tuning, hier.as_deref(), dp).for_op(key.op));
         self.shard()
             .plans
-            .insert(key, &plan, tuning.plan_cache_entries, stats);
+            .insert(key, &plan, PLAN_CACHE_ENTRIES, stats);
         Ok(Spec { plan, payload })
     }
 
@@ -321,11 +317,11 @@ impl Comm {
     /// uses the transport's sequence-number barrier — one flag array for the
     /// whole universe. Every other communicator (same-group duplicates of
     /// world included) runs the cached barrier plan: with a shared window, a
-    /// zero-byte exchange on its flag lines — one line stored, one loaded per
-    /// peer; without one (TCP, a forced ring, a window the pool could not
-    /// hold), a dissemination barrier over the point-to-point path, composed
-    /// hierarchically (per-host fan-in, leader dissemination, per-host
-    /// fan-out) when the hierarchy is selected.
+    /// zero-byte exchange on its flag lines — one line stored, one row of the
+    /// peers' lines read; without one (TCP, a forced ring, a window the pool
+    /// could not hold), a dissemination barrier over the point-to-point path,
+    /// composed hierarchically (per-host fan-in, leader dissemination,
+    /// per-host fan-out) when the hierarchy is selected.
     pub fn barrier(&mut self) -> Result<()> {
         // The transport's sequence barrier is a single rank-wide rendezvous
         // object: only the **world context** may use it. A same-group
@@ -799,7 +795,7 @@ impl Comm {
     /// rank `r`; `recv` (same shape) ends up with block `r` holding rank
     /// `r`'s contribution to this rank. Size-adaptive: the single-copy shm
     /// data plane when the exchange fits a window slot, the host-hierarchical
-    /// composition above [`crate::config::CollTuning::hier_alltoall_min_bytes`],
+    /// composition from a 4 MiB exchange image (under `HierarchyMode::Auto`),
     /// Bruck for blocks up to
     /// [`crate::config::CollTuning::alltoall_bruck_max_bytes`], pairwise
     /// exchange for the rest.

@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use cmpi_fabric::SimClock;
 
 use crate::coll::{self, CommView};
-use crate::config::{CollTuning, DataPlaneMode, ProgressMode, ProgressTuning};
+use crate::config::{CollTuning, DataPlaneMode, ProgressMode};
 use crate::counters::RankCounters;
 use crate::dataplane::DP_SLOTS;
 use crate::engine::ProgressEngine;
@@ -159,7 +159,7 @@ pub(crate) struct CommShard {
     stats: CommCollStats,
     /// Compiled plans of repeated collective shapes, so planning runs once
     /// per (communicator, shape) instead of once per call. LRU-bounded by
-    /// [`CollTuning::plan_cache_entries`].
+    /// [`crate::plan::PLAN_CACHE_ENTRIES`].
     plans: PlanCache,
     /// Process-failure error handler ([`ErrHandler::ErrorsAbort`] is the MPI
     /// default).
@@ -213,8 +213,9 @@ pub(crate) struct RankShared {
     pub(crate) topology: HostTopology,
     /// Collective algorithm switchover thresholds (from the universe config).
     pub(crate) tuning: CollTuning,
-    /// Progress-engine tuning (from the universe config).
-    pub(crate) progress_cfg: ProgressTuning,
+    /// Who drives outstanding nonblocking operations (from the universe
+    /// config).
+    pub(crate) progress: ProgressMode,
     /// The background progress engine (inert in [`ProgressMode::Polling`]).
     pub(crate) engine: ProgressEngine,
 }
@@ -297,7 +298,7 @@ impl Comm {
         counters: Arc<RankCounters>,
         topology: HostTopology,
         tuning: CollTuning,
-        progress_cfg: ProgressTuning,
+        progress: ProgressMode,
     ) -> Result<Self> {
         let n = transport.size();
         let rank = transport.rank();
@@ -319,10 +320,10 @@ impl Comm {
             poison,
             topology,
             tuning,
-            progress_cfg,
+            progress,
             engine: ProgressEngine::new(rank),
         });
-        if shared.progress_cfg.mode == ProgressMode::Thread {
+        if progress == ProgressMode::Thread {
             shared.engine.start(Arc::downgrade(&shared));
         }
         let group = Group::world(n);
@@ -370,7 +371,7 @@ impl Comm {
 
     /// The hierarchy handle the collective builders consult, or `None` when
     /// trivially impossible (singleton group). `HierarchyMode::Off` is gated
-    /// inside [`coll::hier_selected`], not here: the *derived structure* is
+    /// where the builders choose their path, not here: the *derived structure* is
     /// also what the data plane's topology-aware shapes slice payloads by,
     /// and those run under `Off` too. Derivation is pure, cached per
     /// communicator and miss-only (plan-cache hits never reach this).
@@ -496,7 +497,7 @@ impl Comm {
     /// The progress mode this rank runs under ([`ProgressMode::Thread`] means
     /// a background engine thread drives outstanding nonblocking operations).
     pub fn progress_mode(&self) -> ProgressMode {
-        self.shared.progress_cfg.mode
+        self.shared.progress
     }
 
     /// Whether the background progress engine thread is live for this rank

@@ -33,9 +33,6 @@ pub struct CxlShmTransportConfig {
     pub cell_size: usize,
     /// Number of cells per SPSC ring queue.
     pub cells_per_queue: usize,
-    /// Bytes of CXL device memory to provision. `None` sizes the device
-    /// automatically from the queue matrix and expected windows.
-    pub device_size: Option<usize>,
     /// Coherence mode used on the data path (the paper uses `clflushopt`).
     pub coherence: CoherenceMode,
     /// Extra device headroom reserved for RMA windows and user objects, bytes.
@@ -61,7 +58,6 @@ impl Default for CxlShmTransportConfig {
         CxlShmTransportConfig {
             cell_size: params::CMPI_CELL_SIZE,
             cells_per_queue: params::CELLS_PER_QUEUE,
-            device_size: None,
             coherence: CoherenceMode::FlushClflushopt,
             window_headroom: 32 * 1024 * 1024,
             conn_mode: ConnMode::default(),
@@ -141,8 +137,9 @@ impl TcpTransportConfig {
 pub enum HierarchyMode {
     /// Pick hierarchical vs flat per call: every spanned host must hold at
     /// least two of the communicator's ranks (a lone rank gets no local-phase
-    /// benefit) and the payload must reach the operation's `hier_*_min_bytes`
-    /// cutoff in [`CollTuning`] (the default).
+    /// benefit) and the payload must reach the operation's cutoff — 512 KiB
+    /// for bcast, reduce and allreduce, 4 MiB of result for allgather and
+    /// alltoall, none for the barrier (the default).
     Auto,
     /// Never compose hierarchically — restores the flat-only behavior exactly.
     Off,
@@ -172,11 +169,11 @@ pub enum DataPlaneMode {
     Shm,
 }
 
-/// Message-size thresholds steering the size-adaptive collective algorithms
-/// (see `coll`), plus the payload gates steering the hierarchical (two-level,
-/// per-host) compositions. Defaults follow the MPICH-style switchover points,
-/// scaled to the cell geometry of the CXL transport; the bench harness sweeps
-/// across them so every branch shows up in `BENCH_collectives.json`.
+/// Message-size thresholds steering the size-adaptive flat collective
+/// algorithms (see `coll`), and the modes choosing among the flat, two-level
+/// and shared-window paths. Defaults follow the MPICH-style switchover
+/// points, scaled to the cell geometry of the CXL transport; tests override
+/// them to force every branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollTuning {
     /// Broadcast switches from the binomial tree to scatter + ring-allgather
@@ -203,33 +200,8 @@ pub struct CollTuning {
     pub alltoall_bruck_max_bytes: usize,
     /// Whether topology-aware hierarchical compositions may be selected.
     pub hierarchy: HierarchyMode,
-    /// `Auto` only goes hierarchical for payloads of at least this many bytes
-    /// (the local phases add hops that only pay off once the cross-host
-    /// bandwidth term dominates; barriers carry no payload and are gated on
-    /// the shape criteria alone).
-    pub hier_min_payload_bytes: usize,
-    /// Allgather's own `Auto` payload cutoff, applied to the *total* result
-    /// size (`ranks × block`). The hierarchical allgather moves every byte
-    /// through an extra local gather + full-buffer fan-out, so its crossover
-    /// sits far above the reduction collectives' — the bench sweep measures
-    /// it losing at a 512 KiB total and winning at 8 MiB.
-    pub hier_allgather_min_bytes: usize,
-    /// Alltoall's own `Auto` payload cutoff, applied to the total per-rank
-    /// exchange volume (`ranks × block`). The hierarchical alltoall funnels
-    /// every byte through leader gather + cross-host exchange + fan-out —
-    /// three full copies — so like allgather it only pays once cross-host
-    /// message count (not bytes) is the bottleneck.
-    pub hier_alltoall_min_bytes: usize,
-    /// LRU bound of each communicator's collective **plan cache**: how many
-    /// compiled plans (op × root × shape × element type × reduction) are kept
-    /// so repeated collectives of the same shape skip planning entirely —
-    /// one-shot, nonblocking and persistent starts all hit it. `0` disables
-    /// caching (every call rebuilds its plan; the bench harness uses this as
-    /// the cold baseline). Hit/miss/eviction counters are surfaced in
-    /// [`crate::runtime::RankReport::plan_cache`].
-    pub plan_cache_entries: usize,
-    /// Whether bcast / reduce / allreduce / allgather may run over the
-    /// shared-window single-copy data plane instead of the ring queues.
+    /// Whether the collectives may run over the shared-window single-copy
+    /// data plane instead of the ring queues.
     pub data_plane: DataPlaneMode,
     /// Bytes of CXL pool memory each rank exposes in its communicator's
     /// shared window (split into [`crate::dataplane::DP_SLOTS`] slots so
@@ -249,10 +221,6 @@ impl Default for CollTuning {
             reduce_scatter_direct_min_bytes: 16 * 1024,
             alltoall_bruck_max_bytes: 16 * 1024,
             hierarchy: HierarchyMode::Auto,
-            hier_min_payload_bytes: 512 * 1024,
-            hier_allgather_min_bytes: 4 * 1024 * 1024,
-            hier_alltoall_min_bytes: 4 * 1024 * 1024,
-            plan_cache_entries: 64,
             data_plane: DataPlaneMode::Auto,
             shm_arena_bytes: 2 * 1024 * 1024,
         }
@@ -279,7 +247,9 @@ pub enum ProgressMode {
 impl ProgressMode {
     /// Read the mode from the `CMPI_PROGRESS` environment variable
     /// (`polling` or `thread`, case-insensitive). Unset or unrecognized
-    /// values yield `None`.
+    /// values yield `None`. The `UniverseConfig` constructors start from it,
+    /// so a test binary can be re-run under the thread-mode matrix without
+    /// code changes.
     pub fn from_env() -> Option<Self> {
         match std::env::var("CMPI_PROGRESS").ok()?.to_lowercase().as_str() {
             "polling" => Some(ProgressMode::Polling),
@@ -293,26 +263,6 @@ impl ProgressMode {
         match self {
             ProgressMode::Polling => "polling",
             ProgressMode::Thread => "thread",
-        }
-    }
-}
-
-/// Tuning of the progress engine driving nonblocking collectives (see
-/// `progress`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProgressTuning {
-    /// Whether a background progress thread drives outstanding operations
-    /// (see [`ProgressMode`]).
-    pub mode: ProgressMode,
-}
-
-impl ProgressTuning {
-    /// Default tuning with the progress mode taken from `CMPI_PROGRESS` when
-    /// set (what the `UniverseConfig` constructors use, so a test binary can
-    /// be re-run under the thread-mode matrix without code changes).
-    pub fn env_default() -> Self {
-        ProgressTuning {
-            mode: ProgressMode::from_env().unwrap_or_default(),
         }
     }
 }
@@ -414,8 +364,8 @@ pub struct UniverseConfig {
     pub transport: TransportConfig,
     /// Collective algorithm switchover thresholds.
     pub coll: CollTuning,
-    /// Progress-engine tuning for nonblocking collectives.
-    pub progress: ProgressTuning,
+    /// Who drives outstanding nonblocking operations (see [`ProgressMode`]).
+    pub progress: ProgressMode,
     /// Planned rank deaths for fault-tolerance testing (empty by default;
     /// only honoured under [`crate::runtime::Universe::run_ft`]).
     pub faults: Vec<FaultPlan>,
@@ -425,28 +375,18 @@ impl UniverseConfig {
     /// cMPI over CXL SHM with the default (paper) parameters, ranks split over
     /// two hosts as in the paper's evaluation.
     pub fn cxl(ranks: usize) -> Self {
-        UniverseConfig {
+        Self::over(
             ranks,
-            hosts: 2.min(ranks.max(1)),
-            placement: HostPlacement::Blocked,
-            transport: TransportConfig::CxlShm(CxlShmTransportConfig::default()),
-            coll: CollTuning::default(),
-            progress: ProgressTuning::env_default(),
-            faults: Vec::new(),
-        }
+            TransportConfig::CxlShm(CxlShmTransportConfig::default()),
+        )
     }
 
     /// Small-footprint cMPI configuration for tests.
     pub fn cxl_small(ranks: usize) -> Self {
-        UniverseConfig {
+        Self::over(
             ranks,
-            hosts: 2.min(ranks.max(1)),
-            placement: HostPlacement::Blocked,
-            transport: TransportConfig::CxlShm(CxlShmTransportConfig::small()),
-            coll: CollTuning::default(),
-            progress: ProgressTuning::env_default(),
-            faults: Vec::new(),
-        }
+            TransportConfig::CxlShm(CxlShmTransportConfig::small()),
+        )
     }
 
     /// Large-world cMPI configuration: lazy sparse connections with small
@@ -462,13 +402,19 @@ impl UniverseConfig {
 
     /// Baseline over TCP with the given NIC.
     pub fn tcp(ranks: usize, nic: TcpNic) -> Self {
+        Self::over(ranks, TransportConfig::Tcp(TcpTransportConfig { nic }))
+    }
+
+    /// `ranks` ranks over `transport`, split over two hosts, with default
+    /// collective tuning and the progress mode `CMPI_PROGRESS` names.
+    fn over(ranks: usize, transport: TransportConfig) -> Self {
         UniverseConfig {
             ranks,
             hosts: 2.min(ranks.max(1)),
             placement: HostPlacement::Blocked,
-            transport: TransportConfig::Tcp(TcpTransportConfig { nic }),
+            transport,
             coll: CollTuning::default(),
-            progress: ProgressTuning::env_default(),
+            progress: ProgressMode::from_env().unwrap_or_default(),
             faults: Vec::new(),
         }
     }
@@ -500,16 +446,9 @@ impl UniverseConfig {
         self
     }
 
-    /// Override the progress-engine tuning.
-    pub fn with_progress_tuning(mut self, progress: ProgressTuning) -> Self {
-        self.progress = progress;
-        self
-    }
-
-    /// Select the progress mode, keeping the rest of the progress tuning
-    /// (overrides whatever `CMPI_PROGRESS` chose).
+    /// Select the progress mode (overrides whatever `CMPI_PROGRESS` chose).
     pub fn with_progress_mode(mut self, mode: ProgressMode) -> Self {
-        self.progress.mode = mode;
+        self.progress = mode;
         self
     }
 
@@ -629,13 +568,9 @@ mod tests {
     fn hierarchy_defaults_are_gated() {
         let t = CollTuning::default();
         assert_eq!(t.hierarchy, HierarchyMode::Auto);
-        assert_eq!(t.hier_min_payload_bytes, 512 * 1024);
-        // The plan cache is on by default.
-        assert!(t.plan_cache_entries > 0);
-        // The alltoall crossovers sit where the bench sweep measured them:
-        // Bruck up to 16 KiB blocks, hierarchy only at multi-MiB volumes.
+        // The alltoall crossover sits where the bench sweep measured it:
+        // Bruck up to 16 KiB blocks.
         assert_eq!(t.alltoall_bruck_max_bytes, 16 * 1024);
-        assert_eq!(t.hier_alltoall_min_bytes, 4 * 1024 * 1024);
     }
 
     #[test]

@@ -84,32 +84,22 @@
 //! amortized across every start on the communicator, and blocking,
 //! nonblocking and persistent starts execute byte-identical schedules.
 //!
-//! Selection is per plan-cache key, via `dp_selected`:
-//!
-//! * [`DataPlaneMode::Ring`] never uses the window (and is the only choice
-//!   on transports without one, e.g. TCP);
-//! * [`DataPlaneMode::Shm`] uses it whenever the payload fits a slot, even
-//!   where the hierarchical composition would otherwise engage;
-//! * [`DataPlaneMode::Auto`] uses it when the payload fits *and* the
-//!   hierarchical ring composition does not select itself — the hierarchy's
-//!   per-host phases are exactly the traffic the shared window replaces, so
-//!   when the hierarchy wins (many hosts, cross-host bytes dominate) the
-//!   ring composite keeps the job. A barrier moves no bytes, so it takes the
-//!   window whenever there is one.
-//!
+//! Whether a collective runs here at all is decided per plan, in one place:
+//! `coll::select_path`, which weighs the window against the two-level host
+//! composition and the flat algorithms under
+//! [`crate::config::DataPlaneMode`] and [`crate::config::HierarchyMode`].
 //! Payloads that do not fit a slot — and communicators whose window failed
 //! to allocate ([`crate::config::CollTuning::shm_arena_bytes`] exceeding the
 //! pool) — fall back to the ring path, never to an error. The irregular
 //! exchange decides pair by pair instead: all it asks is whether there is a
-//! window ([`DataPlaneMode::Ring`] says no) and whether the pair's own
+//! window (`DataPlaneMode::Ring` creates none) and whether the pair's own
 //! segment fits its region.
 
 use std::ops::Range;
 
 use cmpi_fabric::clock::SimNs;
 
-use crate::coll::{hier_selected, CommView};
-use crate::config::{CollTuning, DataPlaneMode};
+use crate::coll::CommView;
 use crate::progress::{fold_bytes, CollPlan, FoldFn, Loc, SchedOp};
 use crate::topology::HostHierarchy;
 use crate::transport::{DpGather, DpPiece, DpReaders, DpSource, DpWindow, DP_INLINE_BYTES};
@@ -121,37 +111,6 @@ use crate::types::{Rank, ReduceOp, Reducible};
 /// sequence-number tag window, at much smaller depth). Four done entries —
 /// the stores a completion line remembers — are exactly one line.
 pub const DP_SLOTS: usize = 4;
-
-/// Decide whether a collective of this shape runs on the data plane.
-/// `payload_bytes`/`min_payload_bytes` are the same inputs the hierarchical
-/// gate uses; `shared_bytes` is the per-rank slot footprint the collective
-/// needs (its fit check). Deterministic group-wide: every input is identical
-/// on every member, so ranks can never disagree about the path.
-pub(crate) fn dp_selected(
-    tuning: &CollTuning,
-    hier: Option<&HostHierarchy>,
-    dp: Option<DpWindow>,
-    payload_bytes: usize,
-    min_payload_bytes: usize,
-    shared_bytes: usize,
-) -> Option<DpWindow> {
-    let w = dp?;
-    if shared_bytes > w.slot_bytes {
-        // Oversize payload: ring fallback, mid-sweep or otherwise.
-        return None;
-    }
-    match tuning.data_plane {
-        DataPlaneMode::Ring => None,
-        DataPlaneMode::Shm => Some(w),
-        DataPlaneMode::Auto => {
-            if hier_selected(tuning, hier, payload_bytes, min_payload_bytes) {
-                None
-            } else {
-                Some(w)
-            }
-        }
-    }
-}
 
 /// One region a writer publishes: the flag phase that gates it, where it sits
 /// in the writer's data slot, and how long it is. Every member computes the
@@ -592,9 +551,11 @@ fn block_off(i: usize, count: usize, n: usize, elem: usize) -> usize {
     (i * base + i.min(rem)) * elem
 }
 
-/// The two shapes of a single-copy allreduce, as `(ops, scratch bytes, slot
-/// footprint)` of rank `me`.
-///
+/// A shape of the single-copy allreduce: `(ops, scratch bytes, slot
+/// footprint)` of group member `me` of `n` reducing `count` elements of
+/// `elem` bytes — [`allreduce_one_phase`] or [`allreduce_two_phase`].
+pub(crate) type AllreduceShape = fn(usize, usize, usize, usize) -> (DpOps, usize, usize);
+
 /// **Two phases** — reduce-scatter + allgather over the shared window:
 ///
 /// 1. every rank exposes its full input vector `A` at slot offset 0
@@ -647,7 +608,8 @@ fn allreduce_two_phase(me: usize, n: usize, count: usize, elem: usize) -> (DpOps
 /// Every rank folds in group order (`v₀ ⊕ v₁ ⊕ … ⊕ vₙ₋₁`, its own vector
 /// taking its turn from a scratch copy), so all members compute the same
 /// bits whatever the reduction's associativity. Slot footprint: `total`.
-fn allreduce_one_phase(me: usize, n: usize, total: usize) -> (DpOps, usize, usize) {
+fn allreduce_one_phase(me: usize, n: usize, count: usize, elem: usize) -> (DpOps, usize, usize) {
+    let total = count * elem;
     let vector = Exposure {
         phase: 0,
         region_off: 0,
@@ -683,52 +645,50 @@ fn allreduce_one_phase(me: usize, n: usize, total: usize) -> (DpOps, usize, usiz
     (ops, scratch, total)
 }
 
-/// Single-copy allreduce, or `None` when it should run on the ring path. The
-/// shape is whichever of [`allreduce_one_phase`] / [`allreduce_two_phase`]
-/// costs a rank less serial time on window `dp` — both op lists are walked
-/// with the transport's own cost terms ([`serial_cost`]), as group member 0
-/// would run them, so every member reaches the same verdict and the
-/// crossover follows the cost model instead of a byte threshold. A tie goes
-/// to the single round. Only then is the chosen shape's footprint checked
-/// against the slot ([`dp_selected`]).
+/// The allreduce shape among `n` members reducing `count` elements of `elem`
+/// bytes that costs a rank less serial time on window `w`, and its slot
+/// footprint. Both op lists are walked with the transport's own cost terms
+/// ([`serial_cost`]), as group member 0 would run them, so every member
+/// reaches the same verdict and the crossover follows the cost model instead
+/// of a byte threshold. A tie goes to the single round. The footprint of the
+/// shape chosen is the one checked against the slot, by `coll::select_path`.
+pub(crate) fn allreduce_shm_shape(
+    n: usize,
+    count: usize,
+    elem: usize,
+    hier: Option<&HostHierarchy>,
+    w: &DpWindow,
+) -> (AllreduceShape, usize) {
+    let same_host = |r: usize| hier.is_some_and(|h| h.slot_of(r) == h.slot_of(0));
+    let cost = |ops: &DpOps| serial_cost(&ops.list, &ops.pieces, w, same_host);
+    let (one, _, one_bytes) = allreduce_one_phase(0, n, count, elem);
+    let (two, _, two_bytes) = allreduce_two_phase(0, n, count, elem);
+    if cost(&one) <= cost(&two) {
+        (allreduce_one_phase, one_bytes)
+    } else {
+        (allreduce_two_phase, two_bytes)
+    }
+}
+
+/// Single-copy allreduce of `count` elements of `T`, in `shape`.
 pub(crate) fn build_allreduce_shm<T: Reducible>(
     view: &CommView<'_>,
-    tuning: &CollTuning,
-    hier: Option<&HostHierarchy>,
-    dp: Option<DpWindow>,
+    shape: AllreduceShape,
     count: usize,
     op: ReduceOp,
-) -> Option<CollPlan> {
-    let w = dp?;
-    let n = view.size();
+) -> CollPlan {
     let elem = std::mem::size_of::<T>();
+    let (ops, scratch_len, _) = shape(view.rank, view.size(), count, elem);
     let total = count * elem;
-    let same_host = |r: usize| hier.is_some_and(|h| h.slot_of(r) == h.slot_of(0));
-    let cost = |shape: DpOps| serial_cost(&shape.list, &shape.pieces, &w, same_host);
-    let one_phase =
-        cost(allreduce_one_phase(0, n, total).0) <= cost(allreduce_two_phase(0, n, count, elem).0);
-    let (ops, scratch_len, footprint) = if one_phase {
-        allreduce_one_phase(view.rank, n, total)
-    } else {
-        allreduce_two_phase(view.rank, n, count, elem)
-    };
-    dp_selected(
-        tuning,
-        hier,
-        dp,
-        total,
-        tuning.hier_min_payload_bytes,
-        footprint,
-    )?;
     let fold = Some((op, fold_bytes::<T> as FoldFn));
-    Some(ops.into_plan(
+    ops.into_plan(
         view,
         fold,
         (0, total),
         (0, total),
         scratch_len,
         "allreduce/shm",
-    ))
+    )
 }
 
 /// Single-copy allgather: every rank exposes its own block and pulls each
@@ -787,6 +747,8 @@ pub(crate) fn build_alltoall_shm(view: &CommView<'_>, block: usize) -> CollPlan 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coll::build_allreduce;
+    use crate::config::CollTuning;
     use crate::group::Group;
     use crate::transport::DpCost;
     use cmpi_fabric::cost::CoherenceMode;
@@ -827,23 +789,6 @@ mod tests {
             }
         }
         counts
-    }
-
-    #[test]
-    fn dp_selection_gates() {
-        let w = Some(window(1024));
-        let mut t = CollTuning::default();
-        // No window → never.
-        assert!(dp_selected(&t, None, None, 64, 0, 64).is_none());
-        // Auto, fits, no hierarchy → selected.
-        assert!(dp_selected(&t, None, w, 64, 0, 64).is_some());
-        // Oversize slot footprint → ring fallback.
-        assert!(dp_selected(&t, None, w, 4096, 0, 4096).is_none());
-        // Forced ring → never, even when it fits.
-        t.data_plane = DataPlaneMode::Ring;
-        assert!(dp_selected(&t, None, w, 64, 0, 64).is_none());
-        t.data_plane = DataPlaneMode::Shm;
-        assert!(dp_selected(&t, None, w, 64, 0, 64).is_some());
     }
 
     #[test]
@@ -1048,8 +993,7 @@ mod tests {
         // The one-phase allreduce's local copy and fold sit inside the run.
         let t = CollTuning::default();
         let w = Some(window(4096));
-        let plan = build_allreduce_shm::<u64>(&view_of(&group, 3), &t, None, w, 1, ReduceOp::Sum)
-            .expect("fits the slot");
+        let plan = build_allreduce::<u64>(&view_of(&group, 3), &t, None, w, 1, ReduceOp::Sum);
         assert_eq!(rows(&plan.ops), [(0, 8)]);
     }
 
@@ -1224,8 +1168,10 @@ mod tests {
         let t = CollTuning::default();
         let w = Some(window(512 * 1024));
         let plan = |rank, count| {
-            build_allreduce_shm::<f64>(&view_of(&group, rank), &t, None, w, count, ReduceOp::Sum)
-                .expect("fits the slot")
+            let plan =
+                build_allreduce::<f64>(&view_of(&group, rank), &t, None, w, count, ReduceOp::Sum);
+            assert_eq!(plan.label, "allreduce/shm");
+            plan
         };
         // One f64: one expose, seven whole-vector folds — on every rank.
         for rank in [0, 5] {
@@ -1242,7 +1188,8 @@ mod tests {
         // though the one-phase footprint would fit.
         let tight = Some(window(64 * 1024));
         let view = view_of(&group, 0);
-        assert!(build_allreduce_shm::<f64>(&view, &t, None, tight, 8192, ReduceOp::Sum).is_none());
+        let ring = build_allreduce::<f64>(&view, &t, None, tight, 8192, ReduceOp::Sum);
+        assert_eq!(ring.label, "allreduce/rabenseifner");
     }
 
     /// The irregular exchange among `n` ranks on 64 KiB slots, as `rank`

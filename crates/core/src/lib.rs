@@ -44,9 +44,10 @@
 //!   recovery (`ft.rs`) and the RMA window API (`rma.rs`).
 //! * [`group`] — ordered rank subsets with world↔local translation.
 //! * [`transport`] — the [`transport::Transport`] trait and its two
-//!   implementations: [`transport::cxl::CxlTransport`] (message-queue matrix,
-//!   RMA windows and synchronization flags in CXL shared memory, software
-//!   cache coherence) and [`transport::tcp::TcpTransport`] (the MPICH-over-TCP
+//!   implementations: [`transport::cxl::CxlTransport`] (per-pair streams
+//!   promoted out of a shared receive queue — or the paper's eager cell-ring
+//!   matrix —, collective exposure windows, RMA windows and synchronization
+//!   flags in CXL shared memory, software cache coherence) and [`transport::tcp::TcpTransport`] (the MPICH-over-TCP
 //!   baseline on the simulated NIC fabric). Both encode the context id in
 //!   their wire-level tags.
 //! * [`queue`] — the SPSC message-cell ring queues that carry two-sided
@@ -57,17 +58,20 @@
 //!   operations (Section 3.4), plus the dissemination barrier that serves
 //!   arbitrary sub-communicator groups.
 //! * [`coll`] — size- and shape-adaptive collectives (barrier, broadcast,
-//!   allgather, allreduce, reduce, reduce-scatter, gather, scatter) layered on
-//!   point-to-point over a [`coll::CommView`], the paper's Section 3.6
-//!   extension. Algorithms switch MPICH-style on payload size (thresholds in
-//!   [`config::CollTuning`]) and the chosen algorithm is surfaced in
+//!   allgather, allreduce, reduce, reduce-scatter, gather, scatter, scan,
+//!   exscan, alltoall, alltoallv) layered on point-to-point over a
+//!   [`coll::CommView`], the paper's Section 3.6 extension. Algorithms switch
+//!   MPICH-style on payload size (thresholds in [`config::CollTuning`]), one
+//!   function per plan chooses among the flat, two-level and shared-window
+//!   paths, and the chosen algorithm is surfaced in
 //!   [`runtime::RankReport::coll_algos`].
 //! * [`dataplane`] — the shared-window single-copy collective data plane:
 //!   per-communicator exposure windows in the CXL pool, notified-RMA-style
-//!   flag completion, and the plan builders that let bcast / reduce /
-//!   allreduce / allgather move payloads with one coherent copy instead of
-//!   two ring copies (selected by [`config::CollTuning::data_plane`], with
-//!   the ring path as the universal fallback).
+//!   flag completion, and the plan builders that let barrier / bcast /
+//!   reduce / allreduce / allgather / alltoall move payloads with one
+//!   coherent copy instead of two ring copies (allowed by
+//!   [`config::CollTuning::data_plane`], with the ring path as the universal
+//!   fallback).
 //! * [`spin`] — the tiered [`spin::SpinWait`] backoff used by every blocking
 //!   wait, carrying the universe's [`spin::PoisonFlag`] so a dead rank aborts
 //!   the survivors with [`error::MpiError::PeerDead`] instead of hanging.
@@ -82,7 +86,7 @@
 //! * [`plan`] — the per-communicator LRU plan cache: repeated
 //!   collectives of one shape (one-shot *or* persistent) skip planning
 //!   entirely; hit/miss counters land in [`runtime::RankReport::plan_cache`]
-//!   and the bound is [`config::CollTuning::plan_cache_entries`].
+//!   and the bound is [`plan::PLAN_CACHE_ENTRIES`].
 //! * [`p2p`], [`request`] — context-scoped message matching, non-blocking
 //!   requests (`wait`/`test`/`wait_all`/`wait_any`/`test_any`/`test_all`,
 //!   unifying p2p receives and nonblocking collectives) and status.
@@ -139,8 +143,8 @@ pub mod types;
 pub use comm::{Comm, CommCollStats, ErrHandler, SplitType};
 pub use config::{
     CollTuning, ConnMode, CxlShmTransportConfig, DataPlaneMode, FaultPlan, FaultTrigger,
-    HierarchyMode, HostPlacement, ProgressMode, ProgressTuning, TcpTransportConfig,
-    TransportConfig, UniverseConfig,
+    HierarchyMode, HostPlacement, ProgressMode, TcpTransportConfig, TransportConfig,
+    UniverseConfig,
 };
 pub use error::MpiError;
 pub use future::{block_on, join_all, CompletionFuture};

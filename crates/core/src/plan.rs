@@ -14,8 +14,7 @@
 //!
 //! One `PlanCache` exists per communicator (keyed by context id in the rank
 //! core, so cached plans can never leak between communicators even when
-//! shapes agree), each LRU-bounded by
-//! [`crate::config::CollTuning::plan_cache_entries`]. The key captures
+//! shapes agree), each LRU-bounded by [`PLAN_CACHE_ENTRIES`]. The key captures
 //! everything a builder consults besides the communicator itself: the
 //! operation, the root, the payload shape (byte count + element count), the
 //! element type and the reduction operator. The remaining inputs —
@@ -164,6 +163,10 @@ impl<'a> PlanKey<'a> {
     }
 }
 
+/// How many compiled plans each communicator keeps, least recently used
+/// evicted first.
+pub const PLAN_CACHE_ENTRIES: usize = 64;
+
 counter_section! {
     /// Aggregated plan-cache counters of one rank (all communicators),
     /// surfaced by `Comm::plan_cache_stats` and in
@@ -216,9 +219,7 @@ impl PlanCache {
     }
 
     /// Cache a freshly built plan under `key`, evicting the LRU entry at the
-    /// `capacity` bound ([`crate::config::CollTuning::plan_cache_entries`]);
-    /// `0` disables caching entirely (the plan is simply not retained — the
-    /// bench harness uses this as its cold baseline).
+    /// `capacity` bound ([`PLAN_CACHE_ENTRIES`] outside tests).
     pub fn insert(
         &mut self,
         key: PlanKey<'_>,
@@ -226,9 +227,6 @@ impl PlanCache {
         capacity: usize,
         stats: &PlanCacheSection,
     ) {
-        if capacity == 0 {
-            return;
-        }
         if self.slots.len() >= capacity {
             let oldest = self
                 .slots
@@ -340,16 +338,5 @@ mod tests {
         get_or_build(&mut cache, keys[0].clone(), 2, || unreachable!());
         get_or_build(&mut cache, keys[1].clone(), 2, || plan("1 again"));
         assert_eq!(cache.stats.misses.get(), 4);
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let mut cache = Counted::default();
-        let key = PlanKey::shaped(PlanOp::Barrier, 0);
-        get_or_build(&mut cache, key.clone(), 0, || plan("a"));
-        get_or_build(&mut cache, key, 0, || plan("b"));
-        assert_eq!(cache.cache.len(), 0);
-        assert_eq!(cache.stats.misses.get(), 2);
-        assert_eq!(cache.stats.hits.get(), 0);
     }
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use cxl_shm::{ArenaConfig, ArenaLayout, CxlShmArena, CxlView, DaxDevice, HostCache};
 
 use crate::comm::{Comm, CommCollStats};
-use crate::config::{ProgressTuning, TransportConfig, UniverseConfig};
+use crate::config::{ProgressMode, TransportConfig, UniverseConfig};
 use crate::counters::RankCounters;
 use crate::error::MpiError;
 use crate::plan::PlanCacheStats;
@@ -205,7 +205,7 @@ impl Universe {
         let topology = self.config.topology()?;
         let ranks = topology.ranks();
         let tuning = self.config.coll;
-        let progress_cfg = self.config.progress;
+        let progress = self.config.progress;
         let body = Arc::new(body);
         // The universe's peer-death flag: cloned into every transport so every
         // blocking wait aborts with `PeerDead` once any rank dies.
@@ -269,7 +269,7 @@ impl Universe {
                                 counters,
                                 topology,
                                 tuning,
-                                progress_cfg,
+                                progress,
                                 rank,
                                 body,
                             ),
@@ -317,7 +317,7 @@ impl Universe {
                                 counters,
                                 topology,
                                 tuning,
-                                progress_cfg,
+                                progress,
                                 rank,
                                 body,
                             ),
@@ -398,12 +398,11 @@ impl Universe {
         let shared_bytes = CxlTransport::required_shared_bytes(ranks, cxl_config)?;
         let arena_config =
             ArenaConfig::for_objects(CxlTransport::arena_object_hint(ranks, cxl_config));
-        let min = ArenaLayout::min_device_size(
+        let size = ArenaLayout::min_device_size(
             arena_config.hash,
             arena_config.max_free_extents,
             shared_bytes,
         )?;
-        let size = cxl_config.device_size.unwrap_or(min).max(min);
         // Round up to the devdax 2 MB mapping alignment.
         let alignment = 2 * 1024 * 1024;
         let size = size.div_ceil(alignment) * alignment;
@@ -417,11 +416,11 @@ impl Universe {
         counters: Arc<RankCounters>,
         topology: HostTopology,
         tuning: crate::config::CollTuning,
-        progress_cfg: ProgressTuning,
+        progress: ProgressMode,
         rank: Rank,
         body: RankBody<T>,
     ) -> Result<(T, RankReport)> {
-        let mut comm = Comm::world(transport, counters, topology, tuning, progress_cfg)?;
+        let mut comm = Comm::world(transport, counters, topology, tuning, progress)?;
         // Every rank enters an initialization barrier before user code runs,
         // mirroring the end of MPI_Init.
         comm.barrier()?;

@@ -223,16 +223,16 @@ impl TcpTransport {
         1.0 / self.fabric.flows_per_nic() as f64
     }
 
-    /// Sender-side occupancy and arrival time of a one-sided data transfer of
-    /// `bytes` (same cost structure as a two-sided message).
-    fn rma_transfer_times(&self, now: f64, bytes: usize) -> (f64, f64) {
+    /// When the origin of a one-sided data transfer of `bytes` started at
+    /// `now` is free again: a two-sided message's cost less its wire latency.
+    /// The data lands that latency later. No arrival time is kept: every call
+    /// that closes the epoch (`complete`, `unlock`, `fence`) charges at least
+    /// one wire latency after the origin is free.
+    fn rma_busy_until(&self, now: f64, bytes: usize) -> f64 {
         let occupancy = (self.model.mpi_message_time(bytes, self.share())
             - self.model.base_latency_ns)
             .max(0.0);
-        (
-            now + occupancy,
-            now + occupancy + self.model.base_latency_ns,
-        )
+        now + occupancy
     }
 
     fn window(&self, win: WinId) -> Result<&TcpWindowState> {
@@ -436,7 +436,7 @@ impl Transport for TcpTransport {
         data: &[u8],
     ) -> Result<()> {
         self.check_rank(target)?;
-        let (busy_until, arrival) = self.rma_transfer_times(clock.now(), data.len());
+        let busy_until = self.rma_busy_until(clock.now(), data.len());
         let state = self.window(win)?;
         Self::check_window_access(state, offset, data.len())?;
         {
@@ -444,9 +444,6 @@ impl Transport for TcpTransport {
             let base = target * state.shared.size_per_rank + offset;
             buf[base..base + data.len()].copy_from_slice(data);
         }
-        // Record the data arrival time in the target's post slot timestamp so
-        // the closing synchronization observes it (complete carries it too).
-        let _ = arrival;
         clock.merge(busy_until);
         self.counters.transport.puts.add(1);
         self.counters
@@ -492,7 +489,7 @@ impl Transport for TcpTransport {
     ) -> Result<()> {
         self.check_rank(target)?;
         let bytes = data.len() * 8;
-        let (busy_until, _arrival) = self.rma_transfer_times(clock.now(), bytes);
+        let busy_until = self.rma_busy_until(clock.now(), bytes);
         let state = self.window(win)?;
         Self::check_window_access(state, offset, bytes)?;
         {

@@ -379,7 +379,7 @@ pub fn nonblocking_allreduce_overlap(
     compute_ns: f64,
 ) -> Result<OverlapPoint> {
     let processes = config.ranks;
-    let threaded = config.progress.mode == ProgressMode::Thread;
+    let threaded = config.progress == ProgressMode::Thread;
     let results = Universe::run(config, move |comm: &mut Comm| {
         let n = comm.size();
         comm.set_concurrency_hint((n / 2).max(1));

@@ -149,7 +149,7 @@ pub fn rpc_storm(
     think_us: u64,
 ) -> Result<RpcStormPoint> {
     let processes = config.ranks;
-    let mode = config.progress.mode;
+    let mode = config.progress;
     let results = Universe::run(config, move |comm: &mut Comm| {
         // Communicator construction is collective: derive the per-thread
         // communicators serially, in the same order on every rank.

@@ -465,7 +465,7 @@ fn forced_hierarchy_on_subset_of_hosts_subcommunicator() {
     }
 }
 
-/// Auto selection: with default tuning a large (≥ hier_min_payload_bytes)
+/// Auto selection: with default tuning a large (≥ the 512 KiB cutoff)
 /// collective on a multi-host layout composes hierarchically, a small one
 /// stays flat, and `HierarchyMode::Off` restores the flat algorithms at any
 /// size. Also pins the acceptance surface: `RankReport::coll_algos` shows the
