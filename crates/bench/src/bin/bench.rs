@@ -67,8 +67,8 @@ use cmpi_core::coll::{build_allreduce, build_bcast, CommView};
 use cmpi_core::queue::{QueueGeometry, QueueMatrix};
 use cmpi_core::transport::conn::{srq_required_bytes, ConnTable, Doorbell, OBJ_SLACK};
 use cmpi_core::{
-    CollTuning, Comm, ConnMode, DataPlaneMode, DataPlaneStats, ErrHandler, Execution, FaultPlan,
-    FaultTrigger, FtOutcome, Group, HierarchyMode, HostPlacement, MpiError, ProgressMode, ReduceOp,
+    CollTuning, Comm, ConnMode, DataPlaneStats, ErrHandler, Execution, FaultPlan, FaultTrigger,
+    FtOutcome, Group, HierarchyMode, HostPlacement, MpiError, ProgressMode, ReduceOp,
     TransportConfig, UniverseConfig,
 };
 use cmpi_fabric::cost::TcpNic;
@@ -252,15 +252,15 @@ fn fault_recovery_rows(rank_counts: &[usize], sizes: &[usize]) -> Vec<FaultRecov
                 eprintln!("fault recovery {label} n={ranks} {size} B ...");
                 let victim = ranks - 1;
                 // A ring allreduce costs the victim ~2(n-1) sends; land the
-                // kill inside roughly the fourth allreduce. Pin the ring
-                // data plane so the victim's traffic is sends on both
-                // transports (on the shm data plane payloads move as window
-                // publishes and the send counter would never fire).
+                // kill inside roughly the fourth allreduce. No window, so
+                // the victim's traffic is sends on both transports (on the
+                // shm data plane payloads move as window publishes and the
+                // send counter would never fire).
                 let kill_at = (3 * 2 * (ranks - 1) + 2) as u64;
                 let config = config
                     .clone()
                     .with_coll_tuning(CollTuning {
-                        data_plane: DataPlaneMode::Ring,
+                        shm_arena_bytes: 0,
                         ..CollTuning::default()
                     })
                     .with_faults(vec![FaultPlan {
@@ -611,20 +611,19 @@ fn collective_time(
     (time, algo, dp)
 }
 
-/// The ring-vs-shm data-plane sweep: the same CXL collective with the data
-/// plane pinned to the ring path vs forced onto the shared window (hierarchy
-/// off on both sides so the comparison isolates the payload path). The shm
-/// side gets a pool and per-rank arena large enough that even the 1 MiB
-/// payloads fit a window slot.
+/// The ring-vs-shm data-plane sweep: the same CXL collective on a
+/// communicator without a window (a zero arena) vs one with a window
+/// (hierarchy off on both sides so the comparison isolates the payload
+/// path). The shm side gets a pool and per-rank arena large enough that even
+/// the 1 MiB payloads fit a window slot.
 fn data_plane_rows(rank_counts: &[usize], sizes: &[usize], iters: usize) -> Vec<DataPlaneRow> {
     let ring_tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Ring,
+        shm_arena_bytes: 0,
         ..CollTuning::default()
     };
     let shm_tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Shm,
         // 8 MiB per rank → 2 MiB slots: headroom for the 1 MiB payloads
         // (allreduce needs the vector plus one reduced block per slot).
         shm_arena_bytes: 8 * 1024 * 1024,
@@ -694,18 +693,17 @@ fn alltoall_rows(rank_counts: &[usize], sizes: &[usize], iters: usize) -> Vec<Al
     let bruck_tuning = CollTuning {
         alltoall_bruck_max_bytes: usize::MAX,
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Ring,
+        shm_arena_bytes: 0,
         ..CollTuning::default()
     };
     let pairwise_tuning = CollTuning {
         alltoall_bruck_max_bytes: 0,
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Ring,
+        shm_arena_bytes: 0,
         ..CollTuning::default()
     };
     let shm_tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Shm,
         // 8 MiB per rank → 2 MiB slots: the whole 1 MiB exchange image fits.
         shm_arena_bytes: 8 * 1024 * 1024,
         ..CollTuning::default()
@@ -1039,17 +1037,17 @@ fn main() {
     // two_hosts rows at 1 MiB are the acceptance surface: the hierarchical
     // composition must beat the flat algorithm on the 2-host × 4-ranks-per-host
     // layout.
-    // Both sides pin the ring data plane: this sweep isolates the flat-vs-
+    // Neither side has a window: this sweep isolates the flat-vs-
     // hierarchical *composition*; the ring-vs-shm payload path has its own
     // sweep below.
     let flat_tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Ring,
+        shm_arena_bytes: 0,
         ..CollTuning::default()
     };
     let hier_tuning = CollTuning {
         hierarchy: HierarchyMode::Force,
-        data_plane: DataPlaneMode::Ring,
+        shm_arena_bytes: 0,
         ..CollTuning::default()
     };
     // (name, ranks, hosts, placement, also-on-tcp)

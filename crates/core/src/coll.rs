@@ -74,7 +74,7 @@
 
 use std::ops::Range;
 
-use crate::config::{CollTuning, DataPlaneMode, HierarchyMode};
+use crate::config::{CollTuning, HierarchyMode};
 use crate::dataplane::{
     allreduce_shm_shape, build_allgather_shm, build_allreduce_shm, build_alltoall_shm,
     build_barrier_shm, build_bcast_shm, build_reduce_shm, exchange_stride, DpOps,
@@ -180,11 +180,10 @@ enum Path<'h> {
 /// barrier, which moves no bytes: its hierarchy is gated on shape alone, and
 /// there is no payload for it to save on the window.
 ///
-/// * **Window** when `dp` offers one whose slot holds `footprint`, unless
-///   [`DataPlaneMode::Ring`] forbids it or — under `Auto` — the two-level
-///   composition selects itself: its per-host phases are exactly the traffic
-///   the window replaces, so where it wins it keeps the job. `Shm` overrides
-///   the hierarchy.
+/// * **Window** when `dp` offers one whose slot holds `footprint`, unless the
+///   two-level composition selects itself: its per-host phases are exactly
+///   the traffic the window replaces, so where it wins it keeps the job. The
+///   barrier takes the window whenever there is one.
 /// * **Two-level** on ≥ 2 spanned hosts: always under
 ///   [`HierarchyMode::Force`]; under `Auto` when every spanned host holds at
 ///   least two of the ranks (a lone rank gets no local-phase benefit) and the
@@ -216,11 +215,7 @@ fn select_path<'h>(
             }
     });
     let window = dp.is_some_and(|w| footprint <= w.slot_bytes)
-        && match tuning.data_plane {
-            DataPlaneMode::Ring => false,
-            DataPlaneMode::Shm => true,
-            DataPlaneMode::Auto => two_level.is_none() || hier_min.is_none(),
-        };
+        && (two_level.is_none() || hier_min.is_none());
     if window {
         Path::Window
     } else {
@@ -1883,7 +1878,7 @@ fn build_alltoall_hier(view: &CommView<'_>, hier: &HostHierarchy, block: usize) 
 /// pull splits it in two rather than have anyone wait for a flag that may
 /// never be raised. A longer segment is known to be so by exactly the two
 /// ranks concerned and travels as a message between them in the same plan;
-/// with no window (TCP, a forced ring, a window the pool could not hold) or a
+/// with no window (TCP, a zero arena, a window the pool could not hold) or a
 /// stride of 0 that is every segment, and the plan is the flat pairwise
 /// exchange: at step `s` send to `me + s`, then receive from `me − s`. Send first on every rank — a plan
 /// `Send` that flow control stops drains this rank's arrivals while it

@@ -318,7 +318,7 @@ impl Comm {
     /// whole universe. Every other communicator (same-group duplicates of
     /// world included) runs the cached barrier plan: with a shared window, a
     /// zero-byte exchange on its flag lines — one line stored, one row of the
-    /// peers' lines read; without one (TCP, a forced ring, a window the pool
+    /// peers' lines read; without one (TCP, a zero arena, a window the pool
     /// could not hold), a dissemination barrier over the point-to-point path,
     /// composed hierarchically (per-host fan-in, leader dissemination,
     /// per-host fan-out) when the hierarchy is selected.
@@ -375,7 +375,10 @@ impl Comm {
     }
 
     /// Broadcast the fixed-size buffer `buf` from `root`. Every rank must pass
-    /// a buffer of identical length. Size-adaptive: binomial tree for small
+    /// a buffer of identical length. On a communicator with a shared window
+    /// the payload is read single-copy out of the root's slot when it fits
+    /// one, unless the two-level host composition takes the broadcast;
+    /// otherwise it runs two-level or flat — binomial tree for small
     /// payloads, scatter + ring allgather above the configured threshold.
     /// Repeated shapes hit the communicator's plan cache and skip planning.
     pub fn bcast_into<T: Pod>(&mut self, root: Rank, buf: &mut [T]) -> Result<()> {
@@ -423,8 +426,8 @@ impl Comm {
         send: &[T],
         recv: Option<&mut [T]>,
     ) -> Result<()> {
-        let spec = self.spec_gather(root, size_of_val(send))?;
         if self.rank != root {
+            let spec = self.spec_gather(root, size_of_val(send))?;
             return self.run_coll_send_only(&spec, bytes_of(send));
         }
         let recv = recv.ok_or_else(|| {
@@ -436,6 +439,7 @@ impl Comm {
             self.size(),
             send.len(),
         )?;
+        let spec = self.spec_gather(root, size_of_val(send))?;
         recv[root * send.len()..(root + 1) * send.len()].copy_from_slice(send);
         self.run_coll(&spec, bytes_of_mut(recv)).map(drop)
     }
@@ -543,8 +547,11 @@ impl Comm {
     }
 
     /// Allgather equal-sized contributions into a flat buffer on every rank:
-    /// `recv.len()` must equal `size × send.len()`. Size-adaptive: Bruck for
-    /// small blocks, ring for large ones.
+    /// `recv.len()` must equal `size × send.len()`. On a communicator with a
+    /// shared window every block is read single-copy out of its writer's
+    /// slot when it fits one, unless the two-level host composition takes
+    /// the allgather; otherwise it runs two-level or flat — Bruck for small
+    /// blocks, ring for large ones.
     pub fn allgather_into<T: Pod>(&mut self, send: &[T], recv: &mut [T]) -> Result<()> {
         check_blocks(
             "allgather_into receive buffer",
@@ -587,9 +594,11 @@ impl Comm {
         )
     }
 
-    /// Reduce typed values to `root` (binomial tree; two-level across hosts
-    /// when the hierarchy is selected). Returns `Some(result)` on the root,
-    /// `None` elsewhere.
+    /// Reduce typed values to `root`. On a communicator with a shared window
+    /// the root folds its peers' contributions single-copy out of their slots
+    /// when the payload fits one, unless the two-level host composition takes
+    /// the reduction; otherwise it runs two-level across hosts or as a flat
+    /// binomial tree. Returns `Some(result)` on the root, `None` elsewhere.
     pub fn reduce<T: Reducible>(
         &mut self,
         root: Rank,
@@ -640,8 +649,11 @@ impl Comm {
         )
     }
 
-    /// Allreduce typed values in place. Size-adaptive: recursive doubling for
-    /// small payloads, Rabenseifner above the configured threshold, with
+    /// Allreduce typed values in place. On a communicator with a shared
+    /// window the vector is reduced single-copy through the slots when it
+    /// fits one, unless the two-level host composition takes the allreduce;
+    /// otherwise it runs two-level or flat — recursive doubling for small
+    /// payloads, Rabenseifner above the configured threshold, with
     /// power-of-two fold elimination for other rank counts.
     pub fn allreduce<T: Reducible>(&mut self, values: &mut [T], op: ReduceOp) -> Result<()> {
         let spec = self.spec_allreduce::<T>(values.len(), op)?;
@@ -800,7 +812,6 @@ impl Comm {
     /// [`crate::config::CollTuning::alltoall_bruck_max_bytes`], pairwise
     /// exchange for the rest.
     pub fn alltoall<T: Pod>(&mut self, send: &[T], recv: &mut [T]) -> Result<()> {
-        let spec = self.spec_alltoall(send)?;
         if recv.len() != send.len() {
             return Err(MpiError::InvalidCollective(format!(
                 "alltoall receive buffer has {} elements, the send buffer {}",
@@ -808,6 +819,7 @@ impl Comm {
                 send.len()
             )));
         }
+        let spec = self.spec_alltoall(send)?;
         // The plan runs in place: the buffer starts as the send image and
         // finishes as the receive image.
         recv.copy_from_slice(send);

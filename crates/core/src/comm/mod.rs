@@ -43,9 +43,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use cmpi_fabric::SimClock;
 
 use crate::coll::{self, CommView};
-use crate::config::{CollTuning, DataPlaneMode, ProgressMode};
+use crate::config::{CollTuning, ProgressMode};
 use crate::counters::RankCounters;
-use crate::dataplane::DP_SLOTS;
 use crate::engine::ProgressEngine;
 use crate::error::MpiError;
 use crate::group::Group;
@@ -247,19 +246,16 @@ impl RankShared {
     /// Eagerly create (or open) the shared-window data plane for `ctx` over
     /// `group` (world ranks, communicator order). Collective over the
     /// group's members — called at communicator construction so no
-    /// collective starter ever blocks on window creation. A no-op when the
-    /// data plane is configured off, the group is trivial, or the transport
-    /// has no shared pool; pool exhaustion is graceful (the communicator
-    /// simply stays on the ring path and the failure is counted in
-    /// [`DataPlaneStats::window_failures`]).
+    /// collective starter ever blocks on window creation. The transport
+    /// creates nothing for a trivial group, a zero (or sub-line) arena, or
+    /// when it has no shared pool; pool exhaustion is graceful (the
+    /// communicator simply stays on the ring path and the failure is counted
+    /// in [`DataPlaneStats::window_failures`]).
     fn ensure_data_plane(&self, ctx: CtxId, group: &[Rank]) -> Result<()> {
-        if self.tuning.data_plane == DataPlaneMode::Ring || group.len() < 2 {
-            return Ok(());
-        }
         let arena_bytes = self.tuning.shm_arena_bytes;
         let io = &mut *self.io();
         io.transport
-            .dp_ensure(&mut io.clock, ctx, group, arena_bytes, DP_SLOTS)?;
+            .dp_ensure(&mut io.clock, ctx, group, arena_bytes)?;
         Ok(())
     }
 }
@@ -290,7 +286,7 @@ pub struct Comm {
 impl Comm {
     /// Build the world communicator for one rank (runtime-internal), over
     /// `transport` and the rank's counter block it counts into.
-    /// Collective: when the data plane is enabled this eagerly creates the
+    /// Collective: with a non-zero `shm_arena_bytes` this eagerly creates the
     /// world communicator's shared exposure window, so every member must
     /// construct its world communicator.
     pub(crate) fn world(

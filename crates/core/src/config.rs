@@ -132,7 +132,10 @@ impl TcpTransportConfig {
 }
 
 /// Whether the collectives may compose the two-level (per-host local phase +
-/// cross-host leader phase) hierarchical algorithms.
+/// cross-host leader phase) hierarchical algorithms. A composition that
+/// selects itself also outranks the shared window, whose single copy replaces
+/// exactly its per-host phases; only the barrier, which moves no bytes, takes
+/// the window whenever there is one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HierarchyMode {
     /// Pick hierarchical vs flat per call: every spanned host must hold at
@@ -150,30 +153,12 @@ pub enum HierarchyMode {
     Force,
 }
 
-/// Whether the collectives may run over the shared-window single-copy data
-/// plane (a per-communicator exposure arena in the CXL pool; see `dataplane`)
-/// instead of the per-pair SPSC ring queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataPlaneMode {
-    /// Use the shared window whenever the transport provides one, the payload
-    /// fits a window slot, and the hierarchy gates did not already pick a
-    /// two-level composition (the default).
-    Auto,
-    /// Never use the shared window — every collective runs the ring path (the
-    /// only path available on TCP).
-    Ring,
-    /// Use the shared window whenever it exists and the payload fits,
-    /// overriding the hierarchy gates (the flat single-copy schedule replaces
-    /// the two-level composition). Payloads that do not fit a slot — and
-    /// communicators whose window creation failed — still fall back to ring.
-    Shm,
-}
-
 /// Message-size thresholds steering the size-adaptive flat collective
-/// algorithms (see `coll`), and the modes choosing among the flat, two-level
-/// and shared-window paths. Defaults follow the MPICH-style switchover
-/// points, scaled to the cell geometry of the CXL transport; tests override
-/// them to force every branch.
+/// algorithms (see `coll`), the hierarchy mode, and the size of the shared
+/// window — whose presence alone decides whether a collective may run
+/// single-copy. Defaults follow the MPICH-style switchover points, scaled to
+/// the cell geometry of the CXL transport; tests override them to force every
+/// branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollTuning {
     /// Broadcast switches from the binomial tree to scatter + ring-allgather
@@ -200,15 +185,17 @@ pub struct CollTuning {
     pub alltoall_bruck_max_bytes: usize,
     /// Whether topology-aware hierarchical compositions may be selected.
     pub hierarchy: HierarchyMode,
-    /// Whether the collectives may run over the shared-window single-copy
-    /// data plane instead of the ring queues.
-    pub data_plane: DataPlaneMode,
     /// Bytes of CXL pool memory each rank exposes in its communicator's
     /// shared window (split into [`crate::dataplane::DP_SLOTS`] slots so
     /// consecutive collectives pipeline without waiting on slot reuse). A
-    /// payload that does not fit one slot falls back to the ring path, and a
-    /// pool too small to hold the whole window (every rank's share) fails
-    /// window creation gracefully — the communicator then runs ring-only.
+    /// communicator that has a window runs a collective single-copy on it
+    /// whenever the payload fits one slot, unless the two-level composition
+    /// selects itself; a payload that does not fit falls back to the ring
+    /// path. `0` — or any arena too small to give each slot one cache line —
+    /// creates no window at all: every collective runs the ring path, as it
+    /// does on TCP. A pool too small to hold the whole window (every rank's
+    /// share) fails window creation gracefully — the communicator then runs
+    /// ring-only.
     pub shm_arena_bytes: usize,
 }
 
@@ -221,7 +208,6 @@ impl Default for CollTuning {
             reduce_scatter_direct_min_bytes: 16 * 1024,
             alltoall_bruck_max_bytes: 16 * 1024,
             hierarchy: HierarchyMode::Auto,
-            data_plane: DataPlaneMode::Auto,
             shm_arena_bytes: 2 * 1024 * 1024,
         }
     }
@@ -613,7 +599,6 @@ mod tests {
     #[test]
     fn data_plane_defaults() {
         let t = CollTuning::default();
-        assert_eq!(t.data_plane, DataPlaneMode::Auto);
         // Large enough for useful payloads, and deliberately larger than the
         // `cxl_small` window headroom so the small test config exercises the
         // graceful creation-failure → ring fallback path by default.

@@ -85,15 +85,15 @@
 //! nonblocking and persistent starts execute byte-identical schedules.
 //!
 //! Whether a collective runs here at all is decided per plan, in one place:
-//! `coll::select_path`, which weighs the window against the two-level host
-//! composition and the flat algorithms under
-//! [`crate::config::DataPlaneMode`] and [`crate::config::HierarchyMode`].
-//! Payloads that do not fit a slot — and communicators whose window failed
-//! to allocate ([`crate::config::CollTuning::shm_arena_bytes`] exceeding the
-//! pool) — fall back to the ring path, never to an error. The irregular
-//! exchange decides pair by pair instead: all it asks is whether there is a
-//! window (`DataPlaneMode::Ring` creates none) and whether the pair's own
-//! segment fits its region.
+//! `coll::select_path`. A communicator that has a window uses it whenever
+//! the payload fits a slot, unless the two-level host composition selects
+//! itself under [`crate::config::HierarchyMode`]; the barrier takes it
+//! whenever it exists. Payloads that do not fit a slot — and communicators
+//! without a window: a zero [`crate::config::CollTuning::shm_arena_bytes`]
+//! creates none, and one exceeding the pool fails to allocate — fall back to
+//! the ring path, never to an error. The irregular exchange decides pair by
+//! pair instead: all it asks is whether there is a window and whether the
+//! pair's own segment fits its region.
 
 use std::ops::Range;
 
@@ -765,7 +765,6 @@ mod tests {
     fn window(slot_bytes: usize) -> DpWindow {
         DpWindow {
             slot_bytes,
-            slots: DP_SLOTS,
             cost: DpCost {
                 cost: CxlCostModel::default(),
                 contention: CxlContentionModel::default(),

@@ -69,9 +69,9 @@
 //!   per-communicator exposure windows in the CXL pool, notified-RMA-style
 //!   flag completion, and the plan builders that let barrier / bcast /
 //!   reduce / allreduce / allgather / alltoall move payloads with one
-//!   coherent copy instead of two ring copies (allowed by
-//!   [`config::CollTuning::data_plane`], with the ring path as the universal
-//!   fallback).
+//!   coherent copy instead of two ring copies, on every communicator that
+//!   has a window (sized by [`config::CollTuning::shm_arena_bytes`]; zero
+//!   creates none), with the ring path as the universal fallback.
 //! * [`spin`] — the tiered [`spin::SpinWait`] backoff used by every blocking
 //!   wait, carrying the universe's [`spin::PoisonFlag`] so a dead rank aborts
 //!   the survivors with [`error::MpiError::PeerDead`] instead of hanging.
@@ -142,9 +142,8 @@ pub mod types;
 
 pub use comm::{Comm, CommCollStats, ErrHandler, SplitType};
 pub use config::{
-    CollTuning, ConnMode, CxlShmTransportConfig, DataPlaneMode, FaultPlan, FaultTrigger,
-    HierarchyMode, HostPlacement, ProgressMode, TcpTransportConfig, TransportConfig,
-    UniverseConfig,
+    CollTuning, ConnMode, CxlShmTransportConfig, FaultPlan, FaultTrigger, HierarchyMode,
+    HostPlacement, ProgressMode, TcpTransportConfig, TransportConfig, UniverseConfig,
 };
 pub use error::MpiError;
 pub use future::{block_on, join_all, CompletionFuture};

@@ -41,6 +41,7 @@ use cxl_shm::{CxlShmArena, ShmObject, SlotLayout, CACHE_LINE_SIZE};
 use crate::barrier::SeqBarrier;
 use crate::config::{ConnMode, CxlShmTransportConfig};
 use crate::counters::RankCounters;
+use crate::dataplane::DP_SLOTS;
 use crate::error::MpiError;
 use crate::p2p::{BufferPool, ChunkAssembler, PendingMessage, UnexpectedQueue};
 use crate::pod::{bytes_of, bytes_of_mut};
@@ -1921,7 +1922,6 @@ impl Transport for CxlTransport {
         ctx: CtxId,
         group: &[Rank],
         arena_bytes: usize,
-        slots: usize,
     ) -> Result<Option<DpWindow>> {
         if self.dp.contains_key(&ctx) {
             return Ok(self.dp_window(ctx));
@@ -1929,7 +1929,7 @@ impl Transport for CxlTransport {
         let Some(my_idx) = group.iter().position(|&r| r == self.rank) else {
             return Ok(None);
         };
-        let layout = SlotLayout::new(group.len(), slots, arena_bytes / slots.max(1));
+        let layout = SlotLayout::new(group.len(), DP_SLOTS, arena_bytes / DP_SLOTS);
         if group.len() < 2 || layout.slot_bytes() == 0 {
             self.dp.insert(ctx, None);
             return Ok(None);
@@ -2013,7 +2013,6 @@ impl Transport for CxlTransport {
         let layout = self.dp.get(&ctx)?.as_ref()?.layout;
         Some(DpWindow {
             slot_bytes: layout.slot_bytes(),
-            slots: layout.slots(),
             cost: self.dp_cost(),
         })
     }

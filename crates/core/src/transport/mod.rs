@@ -359,8 +359,6 @@ pub struct DpWindow {
     /// Usable bytes in one exposure slot (a collective whose shared footprint
     /// exceeds this falls back to the ring path).
     pub slot_bytes: usize,
-    /// Exposure slots per rank (consecutive collectives rotate through them).
-    pub slots: usize,
     /// What the transport charges for data-plane operations on this window.
     pub cost: DpCost,
 }
@@ -713,17 +711,19 @@ pub trait Transport: Send {
 
     /// Collectively establish the exposure window for communicator `ctx`
     /// over `group` (world ranks, group order), with `arena_bytes` of data
-    /// capacity per rank split into `slots` slots. Blocking and collective:
-    /// every member must call it at the same point (communicator creation).
-    /// Returns the window geometry, or `None` — permanently, memoized — when
-    /// the transport has no shared pool or creation failed gracefully.
+    /// capacity per rank split into [`crate::dataplane::DP_SLOTS`] slots.
+    /// Blocking and collective: every member must call it at the same point
+    /// (communicator creation). Returns the window geometry, or `None` —
+    /// permanently, memoized — when the transport has no shared pool, the
+    /// group has one member, the arena gives no slot a whole cache line (a
+    /// zero arena: nothing is created and nothing counted), or creation
+    /// failed gracefully.
     fn dp_ensure(
         &mut self,
         _clock: &mut SimClock,
         _ctx: CtxId,
         _group: &[Rank],
         _arena_bytes: usize,
-        _slots: usize,
     ) -> Result<Option<DpWindow>> {
         Ok(None)
     }

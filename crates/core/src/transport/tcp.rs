@@ -20,7 +20,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use cmpi_fabric::cost::{CxlCostModel, TcpCostModel, TcpNic};
@@ -288,12 +287,9 @@ impl Transport for TcpTransport {
         if let Some(f) = self.fault.as_mut() {
             f.on_send()?;
         }
-        let timing = self.endpoint.send(
-            dst,
-            wire_tag(ctx, tag),
-            Bytes::copy_from_slice(data),
-            clock.now(),
-        );
+        let timing = self
+            .endpoint
+            .send(dst, wire_tag(ctx, tag), data.into(), clock.now());
         clock.merge(timing.sender_busy_until);
         self.counters.transport.msgs_sent.add(1);
         self.counters.transport.bytes_sent.add(data.len() as u64);

@@ -87,7 +87,8 @@ impl NetworkParams {
     }
 
     /// The CXL parameters with the shared-window single-copy collective data
-    /// plane engaged (`CollTuning::data_plane` in the core library): readers
+    /// plane engaged (a non-zero `CollTuning::shm_arena_bytes` in the core
+    /// library): readers
     /// pull collective payloads straight out of writers' exposed window
     /// buffers, so the per-message MPI software overhead drops out of the
     /// latency on both sides of each hop, and the effective per-node

@@ -5,8 +5,9 @@
 //! `*_init` + `start` + `wait` triple must give byte-identical results, run
 //! the same algorithm and account the same per-communicator counters — and
 //! all three must reject the same malformed arguments before anything is
-//! sent. Runs under the `CMPI_HOSTS` and `CMPI_DATA_PLANE` matrices like the
-//! other suites.
+//! sent, and before a plan is looked up. Runs under the `CMPI_HOSTS` matrix
+//! and the `CMPI_DATA_PLANE` window matrix (no window, or a window of 64 KiB
+//! slots) like the other suites.
 
 use cmpi::mpi::pod::bytes_of;
 use cmpi::mpi::{Comm, CommCollStats, MpiError, ReduceOp, Request, Result, Universe};
@@ -473,5 +474,36 @@ fn every_form_rejects_the_same_malformed_arguments() {
             })
             .unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
         }
+    }
+}
+
+/// A receive buffer is checked before the plan is resolved: a rejected call
+/// counts no plan-cache miss and caches nothing.
+#[test]
+fn a_rejected_receive_buffer_resolves_no_plan() {
+    for (label, config) in configs(3) {
+        Universe::run(config, move |comm: &mut Comm| {
+            let n = comm.size();
+            let send = vec![0u64; n * BLOCK];
+            let mut short = vec![0u64; n * BLOCK - 1];
+            let before = comm.plan_cache_stats();
+            let mut results = vec![comm.alltoall(&send, &mut short)];
+            if comm.rank() == 0 {
+                results.push(comm.gather_into(0, &send[..BLOCK], Some(&mut short)));
+                results.push(comm.gather_into(0, &send[..BLOCK], None));
+            }
+            for result in results {
+                assert!(matches!(result, Err(MpiError::InvalidCollective(_))));
+            }
+            let after = comm.plan_cache_stats();
+            assert_eq!(
+                (after.misses, after.entries),
+                (before.misses, before.entries),
+                "{label} rank {}",
+                comm.rank()
+            );
+            Ok(())
+        })
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
     }
 }

@@ -472,13 +472,13 @@ fn forced_hierarchy_on_subset_of_hosts_subcommunicator() {
 /// composite labels.
 #[test]
 fn auto_selection_gates_on_payload_and_mode() {
-    use cmpi::mpi::{CollTuning, DataPlaneMode, HierarchyMode};
-    // This test isolates the *hierarchy* gates, so the data plane is pinned
-    // to ring throughout — `cxl(8)`'s full-size pool would otherwise hand
-    // the small flat collectives to the shared window (covered by the
-    // data-plane suites instead).
+    use cmpi::mpi::{CollTuning, HierarchyMode};
+    // This test isolates the *hierarchy* gates, so no communicator has a
+    // window — `cxl(8)`'s full-size pool would otherwise hand the small flat
+    // collectives to the shared window (covered by the data-plane suites
+    // instead).
     let ring = || CollTuning {
-        data_plane: DataPlaneMode::Ring,
+        shm_arena_bytes: 0,
         ..CollTuning::default()
     };
     // 8 ranks × 2 hosts, full-size cells so the 768 KiB payload stays fast.
@@ -636,12 +636,20 @@ fn scan_and_exscan_match_prefix_references_on_subcommunicators() {
 /// The shared-window data plane must be byte-equivalent to the ring path for
 /// every collective family it implements — on awkward rank counts, for
 /// blocking and nonblocking starts, with the hierarchy both off and forced.
-/// The ring legs are the references; the shm legs must also actually run on
-/// the window (data-plane labels, non-zero single-copy counters).
+/// The window-less runs are the references; the window runs must also take
+/// the path their tuning selects (labels, per-path counters).
 #[test]
 fn data_plane_matches_ring_byte_for_byte() {
-    use cmpi::mpi::{CollTuning, DataPlaneMode, HierarchyMode};
-    use common::{force_ring, force_shm, with_window_headroom, TEST_SHM_ARENA_BYTES};
+    use cmpi::mpi::CollTuning;
+    use common::{force_hier, force_ring, force_shm, with_window_headroom, TEST_SHM_ARENA_BYTES};
+
+    /// The path every family but the barrier takes in one run.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Path {
+        Flat,
+        TwoLevel,
+        Window,
+    }
 
     #[derive(Debug, PartialEq)]
     struct Outcome {
@@ -655,7 +663,10 @@ fn data_plane_matches_ring_byte_for_byte() {
     }
 
     for n in [3usize, 5, 6, 7] {
-        let run = |tuning: CollTuning, expect_shm: bool| -> Vec<Outcome> {
+        // `window` says whether the communicator has one: the barrier takes
+        // it whenever it does, whatever `path` the other families take.
+        let run = |tuning: CollTuning, path: Path| -> Vec<Outcome> {
+            let window = tuning.shm_arena_bytes > 0;
             let config =
                 with_window_headroom(UniverseConfig::cxl_small(n).with_hosts(2), 64 * 1024 * 1024)
                     .with_coll_tuning(tuning);
@@ -663,12 +674,21 @@ fn data_plane_matches_ring_byte_for_byte() {
                 let me = comm.rank();
                 let check = |comm: &Comm, family: &str| {
                     let algo = comm.last_coll_algorithm();
-                    assert_eq!(
-                        algo.ends_with("/shm"),
-                        expect_shm,
-                        "{family}: unexpected path {algo} (expect_shm={expect_shm})"
-                    );
+                    let took = if algo.ends_with("/shm") {
+                        Path::Window
+                    } else if algo.contains("/hier") {
+                        Path::TwoLevel
+                    } else {
+                        Path::Flat
+                    };
+                    assert_eq!(took, path, "{family}: unexpected path {algo}");
                 };
+                // World's blocking barrier is the transport's sequence
+                // barrier; the nonblocking one runs the barrier plan.
+                let mut req = comm.ibarrier()?;
+                comm.wait(&mut req)?;
+                let barrier = comm.last_coll_algorithm();
+                assert_eq!(barrier.ends_with("/shm"), window, "barrier took {barrier}");
                 // bcast from root 1: 3000 u64 = ~23 KiB, fits a 64 KiB slot.
                 let mut bc: Vec<u64> = if me == 1 {
                     (0..3000).map(|i| i * 7 + 13).collect()
@@ -708,14 +728,14 @@ fn data_plane_matches_ring_byte_for_byte() {
                 comm.wait(&mut req)?;
                 check(comm, "iallgather");
                 let iag = req.take_values::<u32>()?;
-                // The per-path byte counters agree with the expected path.
+                // The per-path counters agree: seven families and the
+                // barrier, on the window or on the ring.
                 let dp = comm.data_plane_stats();
-                if expect_shm {
-                    assert!(dp.shm_colls >= 7, "shm_colls={}", dp.shm_colls);
+                let on_window = (path == Path::Window) as u64 * 7 + window as u64;
+                assert_eq!(dp.shm_colls, on_window, "{dp:?}");
+                assert_eq!(dp.ring_colls, 8 - on_window, "{dp:?}");
+                if path == Path::Window {
                     assert!(dp.bytes_pulled > 0 && dp.expose_ops > 0, "{dp:?}");
-                } else {
-                    assert_eq!(dp.shm_colls, 0, "{dp:?}");
-                    assert!(dp.ring_colls >= 7, "ring_colls={}", dp.ring_colls);
                 }
                 Ok(Outcome {
                     bcast: bc,
@@ -727,34 +747,24 @@ fn data_plane_matches_ring_byte_for_byte() {
                     iallgather: iag,
                 })
             })
-            .unwrap_or_else(|e| panic!("n={n} expect_shm={expect_shm}: {e}"));
+            .unwrap_or_else(|e| panic!("n={n} {path:?} window={window}: {e}"));
             results.into_iter().map(|(o, _)| o).collect()
         };
 
-        let ring_flat = run(force_ring(), false);
-        let ring_hier = run(
-            CollTuning {
-                hierarchy: HierarchyMode::Force,
-                data_plane: DataPlaneMode::Ring,
-                ..CollTuning::default()
-            },
-            false,
-        );
-        let shm_flat = run(force_shm(), true);
-        // DataPlaneMode::Shm outranks even a forced hierarchy: the per-host
-        // phases are exactly the traffic the window replaces.
-        let shm_hier = run(
-            CollTuning {
-                hierarchy: HierarchyMode::Force,
-                data_plane: DataPlaneMode::Shm,
-                shm_arena_bytes: TEST_SHM_ARENA_BYTES,
-                ..CollTuning::default()
-            },
-            true,
-        );
+        let ring_flat = run(force_ring(), Path::Flat);
+        let ring_hier = run(force_hier(), Path::TwoLevel);
+        let shm_flat = run(force_shm(), Path::Window);
+        // A forced hierarchy keeps every family that moves bytes off a
+        // window the communicator has: its per-host phases are exactly the
+        // traffic the window replaces. The barrier still takes the window.
+        let hier_window = CollTuning {
+            shm_arena_bytes: TEST_SHM_ARENA_BYTES,
+            ..force_hier()
+        };
+        let shm_hier = run(hier_window, Path::TwoLevel);
         assert_eq!(ring_flat, ring_hier, "n={n}: hier ring diverged");
         assert_eq!(ring_flat, shm_flat, "n={n}: shm diverged from ring");
-        assert_eq!(ring_flat, shm_hier, "n={n}: shm-under-hier diverged");
+        assert_eq!(ring_flat, shm_hier, "n={n}: hier-with-a-window diverged");
     }
 }
 
@@ -766,7 +776,7 @@ fn data_plane_matches_ring_byte_for_byte() {
 /// starts, with restarts reusing the cached plan.
 #[test]
 fn data_plane_scatter_bcast_matches_ring_above_cutoff() {
-    use cmpi::mpi::{CollTuning, DataPlaneMode, HierarchyMode};
+    use cmpi::mpi::{CollTuning, HierarchyMode};
     use common::{force_ring, with_window_headroom};
 
     // 20_000 u64 = 160_000 B ≥ the 64 KiB scatter cutoff; a 2 MiB arena
@@ -774,7 +784,6 @@ fn data_plane_scatter_bcast_matches_ring_above_cutoff() {
     const ELEMS: u64 = 20_000;
     let shm = CollTuning {
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Shm,
         shm_arena_bytes: 2 * 1024 * 1024,
         ..CollTuning::default()
     };
@@ -842,14 +851,13 @@ fn data_plane_scatter_bcast_matches_ring_above_cutoff() {
 /// error — and both paths' work must land in the right counters.
 #[test]
 fn data_plane_oversize_payloads_fall_back_to_ring_mid_sweep() {
-    use cmpi::mpi::{CollTuning, DataPlaneMode, HierarchyMode};
+    use cmpi::mpi::{CollTuning, HierarchyMode};
     use common::with_window_headroom;
 
     // 4 KiB per-rank arena → 1 KiB slots: 64 u64 fit (512 B + 136 B block
     // footprint), 512 u64 (4 KiB) do not.
     let tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Shm,
         shm_arena_bytes: 4096,
         ..CollTuning::default()
     };
@@ -886,13 +894,15 @@ fn data_plane_oversize_payloads_fall_back_to_ring_mid_sweep() {
 /// Which path a collective took is read off its plan, not its label: every
 /// kind that has a window builder — the barrier and the irregular exchange
 /// included — counts on the ring path when its plan has no data-plane op and
-/// on the window when it has one.
+/// on the window when it has one. A zero arena creates no window at all:
+/// nothing is set up, so nothing fails either.
 #[test]
 fn data_plane_path_split_counts_every_kind_with_a_window_builder() {
     use common::{force_ring, force_shm, with_window_headroom};
 
     // An `ibarrier`, an `alltoallv` and an `allreduce` on a duplicate of
-    // world: how many of them each path counted on this rank.
+    // world: how many of them each path counted on this rank, and the rank's
+    // window setups and failures.
     let script = |world: &mut Comm| {
         let mut comm = world.comm_dup()?;
         let before = comm.data_plane_stats();
@@ -906,13 +916,19 @@ fn data_plane_path_split_counts_every_kind_with_a_window_builder() {
         Ok((
             after.shm_colls - before.shm_colls,
             after.ring_colls - before.ring_colls,
+            after.window_setups,
+            after.window_failures,
         ))
     };
-    for (tuning, expect) in [(force_ring(), (0, 3)), (force_shm(), (3, 0))] {
+    // World and its duplicate: two windows, or none.
+    for (tuning, expect) in [(force_ring(), (0, 3, 0, 0)), (force_shm(), (3, 0, 2, 0))] {
         let config = with_window_headroom(UniverseConfig::cxl_small(4), 64 * 1024 * 1024)
             .with_coll_tuning(tuning);
         for (rank, (split, _)) in Universe::run(config, script).unwrap().iter().enumerate() {
-            assert_eq!(*split, expect, "rank {rank}: (shm, ring) colls");
+            assert_eq!(
+                *split, expect,
+                "rank {rank}: (shm, ring) colls, window setups and failures"
+            );
         }
     }
 }
@@ -920,14 +936,13 @@ fn data_plane_path_split_counts_every_kind_with_a_window_builder() {
 /// When the pool cannot hold the window (stock `cxl_small` headroom is 1 MiB,
 /// the default per-rank arena is 2 MiB), creation fails gracefully: the
 /// failure is counted, every collective runs on the ring path, and nothing
-/// errors — even with the data plane forced on.
+/// errors.
 #[test]
 fn data_plane_window_creation_failure_falls_back_to_ring() {
-    use cmpi::mpi::{CollTuning, DataPlaneMode, HierarchyMode};
+    use cmpi::mpi::{CollTuning, HierarchyMode};
 
     let tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Shm,
         ..CollTuning::default()
     };
     let config = UniverseConfig::cxl_small(4).with_coll_tuning(tuning);

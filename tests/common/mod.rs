@@ -9,8 +9,7 @@ use cmpi::fabric::{CxlContentionModel, CxlCostModel};
 use cmpi::mpi::dataplane::DP_SLOTS;
 use cmpi::mpi::transport::{DataPlaneStats, DpCost};
 use cmpi::mpi::{
-    CollTuning, Comm, ConnMode, DataPlaneMode, HierarchyMode, Result, TransportConfig, Universe,
-    UniverseConfig,
+    CollTuning, Comm, ConnMode, HierarchyMode, Result, TransportConfig, Universe, UniverseConfig,
 };
 
 /// Host count of the test matrix: `CMPI_HOSTS` (the CI topology-matrix leg
@@ -24,16 +23,16 @@ pub fn matrix_hosts() -> usize {
         .unwrap_or(2)
 }
 
-/// Data-plane mode of the test matrix: `CMPI_DATA_PLANE` ∈ {`ring`, `shm`,
-/// `auto`} (the CI data-plane matrix leg). `None` when unset — the matrix
-/// then runs the stock `cxl_small` config, whose 1 MiB pool deliberately
-/// fails window creation so the default leg exercises the graceful
-/// fall-back-to-ring path.
-pub fn matrix_data_plane() -> Option<DataPlaneMode> {
+/// Per-rank window arena of the data-plane test matrix: `CMPI_DATA_PLANE` ∈
+/// {`ring`, `shm`} (the CI data-plane matrix leg) — `ring` is `0`, no window
+/// at all, and `shm` is [`TEST_SHM_ARENA_BYTES`]. `None` when unset — the
+/// matrix then runs the stock `cxl_small` config, whose 1 MiB pool
+/// deliberately fails window creation so the default leg exercises the
+/// graceful fall-back-to-ring path.
+pub fn matrix_data_plane() -> Option<usize> {
     match std::env::var("CMPI_DATA_PLANE").ok().as_deref() {
-        Some("ring") => Some(DataPlaneMode::Ring),
-        Some("shm") => Some(DataPlaneMode::Shm),
-        Some("auto") => Some(DataPlaneMode::Auto),
+        Some("ring") => Some(0),
+        Some("shm") => Some(TEST_SHM_ARENA_BYTES),
         _ => None,
     }
 }
@@ -57,14 +56,13 @@ pub fn with_window_headroom(mut config: UniverseConfig, headroom: usize) -> Univ
 /// Both transports at `ranks` ranks (small CXL cells so chunking is
 /// exercised, Mellanox for the faster TCP baseline), spread over the
 /// `CMPI_HOSTS` topology-matrix host count and running the `CMPI_DATA_PLANE`
-/// data-plane mode (the non-ring legs get a pool large enough to hold the
-/// per-communicator windows; TCP ignores the mode — it has no shared pool).
+/// arena (the `shm` leg gets a pool large enough to hold the
+/// per-communicator windows; TCP ignores the arena — it has no shared pool).
 pub fn configs(ranks: usize) -> Vec<(&'static str, UniverseConfig)> {
     let mut cxl = UniverseConfig::cxl_small(ranks).with_hosts(matrix_hosts());
-    if let Some(dp) = matrix_data_plane() {
-        cxl.coll.data_plane = dp;
-        if dp != DataPlaneMode::Ring {
-            cxl.coll.shm_arena_bytes = TEST_SHM_ARENA_BYTES;
+    if let Some(arena) = matrix_data_plane() {
+        cxl.coll.shm_arena_bytes = arena;
+        if arena > 0 {
             cxl = with_window_headroom(cxl, 64 * 1024 * 1024);
         }
     }
@@ -115,8 +113,8 @@ pub fn promote(comm: &mut Comm, a: usize, b: usize) -> Result<()> {
 }
 
 /// Thresholds that force the large-message flat algorithms at tiny sizes
-/// (hierarchy off and the data plane pinned to ring, so the flat ring branch
-/// under test is the one that runs).
+/// (hierarchy off and no window, so the flat ring branch under test is the
+/// one that runs).
 pub fn force_large() -> CollTuning {
     CollTuning {
         bcast_scatter_allgather_min_bytes: 1,
@@ -125,13 +123,12 @@ pub fn force_large() -> CollTuning {
         reduce_scatter_direct_min_bytes: 1,
         alltoall_bruck_max_bytes: 0,
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Ring,
-        ..CollTuning::default()
+        shm_arena_bytes: 0,
     }
 }
 
 /// Thresholds that force the small-message flat algorithms at any size
-/// (hierarchy off, data plane pinned to ring).
+/// (hierarchy off, no window).
 pub fn force_small() -> CollTuning {
     CollTuning {
         bcast_scatter_allgather_min_bytes: usize::MAX,
@@ -140,19 +137,19 @@ pub fn force_small() -> CollTuning {
         reduce_scatter_direct_min_bytes: usize::MAX,
         alltoall_bruck_max_bytes: usize::MAX,
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Ring,
-        ..CollTuning::default()
+        shm_arena_bytes: 0,
     }
 }
 
 /// Force the hierarchical compositions at any size and shape (on ≥ 2 spanned
 /// hosts; single-host communicators still run flat), with default flat
-/// thresholds inside the phases. Data plane pinned to ring so the composite
-/// ring labels stay deterministic under every `CMPI_DATA_PLANE` leg.
+/// thresholds inside the phases. No window, so the composite ring labels —
+/// the barrier's included — stay deterministic under every `CMPI_DATA_PLANE`
+/// leg.
 pub fn force_hier() -> CollTuning {
     CollTuning {
         hierarchy: HierarchyMode::Force,
-        data_plane: DataPlaneMode::Ring,
+        shm_arena_bytes: 0,
         ..CollTuning::default()
     }
 }
@@ -168,30 +165,30 @@ pub fn force_hier_large() -> CollTuning {
         reduce_scatter_direct_min_bytes: 1,
         alltoall_bruck_max_bytes: 0,
         hierarchy: HierarchyMode::Force,
-        data_plane: DataPlaneMode::Ring,
-        ..CollTuning::default()
+        shm_arena_bytes: 0,
     }
 }
 
-/// Force the shared-window single-copy data plane (hierarchy off; payloads
-/// that exceed one slot, and communicators whose window creation failed,
-/// still fall back to ring). Pair with [`with_window_headroom`] on
-/// `cxl_small` configs so the window can actually be created.
+/// Run the shared-window single-copy data plane: a window of
+/// [`TEST_SHM_ARENA_BYTES`], hierarchy off (payloads that exceed one slot,
+/// and communicators whose window creation failed, still fall back to ring).
+/// Pair with [`with_window_headroom`] on `cxl_small` configs so the window
+/// can actually be created.
 pub fn force_shm() -> CollTuning {
     CollTuning {
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Shm,
         shm_arena_bytes: TEST_SHM_ARENA_BYTES,
         ..CollTuning::default()
     }
 }
 
-/// Pin the flat ring path with default size thresholds: the baseline side of
-/// the shm ≡ ring byte-equivalence checks.
+/// Pin the flat ring path with default size thresholds — hierarchy off and
+/// a zero arena, so no window exists: the baseline side of the shm ≡ ring
+/// byte-equivalence checks.
 pub fn force_ring() -> CollTuning {
     CollTuning {
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Ring,
+        shm_arena_bytes: 0,
         ..CollTuning::default()
     }
 }

@@ -14,8 +14,8 @@ mod common;
 use cmpi::fabric::cost::TcpNic;
 use cmpi::mpi::dataplane::DP_SLOTS;
 use cmpi::mpi::{
-    Comm, DataPlaneMode, ErrHandler, FaultPlan, FaultTrigger, FtOutcome, HierarchyMode, MpiError,
-    ReduceOp, Universe, UniverseConfig,
+    Comm, ErrHandler, FaultPlan, FaultTrigger, FtOutcome, HierarchyMode, MpiError, ReduceOp,
+    Universe, UniverseConfig,
 };
 
 const ROUNDS: usize = 12;
@@ -221,14 +221,18 @@ fn run_case_with(
     }
 }
 
-fn cxl(n: usize, hosts: usize, dp: DataPlaneMode, hier: HierarchyMode) -> UniverseConfig {
+/// The window-less ring oracle: a zero arena creates no window.
+const RING: usize = 0;
+/// A shared window of 64 KiB slots.
+const SHM: usize = common::TEST_SHM_ARENA_BYTES;
+
+fn cxl(n: usize, hosts: usize, arena: usize, hier: HierarchyMode) -> UniverseConfig {
     let mut cfg = UniverseConfig::cxl_small(n).with_hosts(hosts);
-    cfg.coll.data_plane = dp;
+    cfg.coll.shm_arena_bytes = arena;
     cfg.coll.hierarchy = hier;
-    if dp == DataPlaneMode::Shm {
+    if arena > 0 {
         // cxl_small's pool deliberately cannot hold data-plane windows (it is
-        // the fall-back-to-ring fixture); give the Shm legs real windows.
-        cfg.coll.shm_arena_bytes = common::TEST_SHM_ARENA_BYTES;
+        // the fall-back-to-ring fixture); give the window legs real ones.
         cfg = common::with_window_headroom(cfg, 64 * 1024 * 1024);
     }
     cfg
@@ -245,7 +249,7 @@ fn no_fault_control_matches_plain_run() {
     // Without fault plans, run_ft must behave exactly like run: everyone
     // survives the ULFM loop with identical checksums and full membership.
     for config in [
-        cxl(5, 1, DataPlaneMode::Ring, HierarchyMode::Off),
+        cxl(5, 1, RING, HierarchyMode::Off),
         tcp(5, 1, HierarchyMode::Off),
     ] {
         run_case(config, &[], "control");
@@ -260,11 +264,10 @@ fn ring_collectives_survive_random_kills_cxl() {
         let victim = 1 + (seed >> 33) as usize % (n - 1);
         seed = lcg(seed);
         let kill = 1 + (seed >> 33) % 10;
-        let config =
-            cxl(n, 1, DataPlaneMode::Ring, HierarchyMode::Off).with_faults(vec![FaultPlan {
-                victim,
-                trigger: FaultTrigger::NthSend(kill),
-            }]);
+        let config = cxl(n, 1, RING, HierarchyMode::Off).with_faults(vec![FaultPlan {
+            victim,
+            trigger: FaultTrigger::NthSend(kill),
+        }]);
         run_case(
             config,
             &[victim],
@@ -289,8 +292,8 @@ fn shm_data_plane_survives_publish_and_ack_kills() {
         } else {
             FaultTrigger::NthAck(kill)
         };
-        let config = cxl(n, 1, DataPlaneMode::Shm, HierarchyMode::Off)
-            .with_faults(vec![FaultPlan { victim, trigger }]);
+        let config =
+            cxl(n, 1, SHM, HierarchyMode::Off).with_faults(vec![FaultPlan { victim, trigger }]);
         run_case(
             config,
             &[victim],
@@ -309,11 +312,10 @@ fn a_writer_dead_before_its_flag_fails_a_row_as_it_fails_one_line() {
     let n = 5;
     let victim = 1 + (lcg(base_seed() ^ 0xA11) >> 33) as usize % (n - 1);
     for row in [false, true] {
-        let config =
-            cxl(n, 1, DataPlaneMode::Shm, HierarchyMode::Off).with_faults(vec![FaultPlan {
-                victim,
-                trigger: FaultTrigger::NthPublish(1),
-            }]);
+        let config = cxl(n, 1, SHM, HierarchyMode::Off).with_faults(vec![FaultPlan {
+            victim,
+            trigger: FaultTrigger::NthPublish(1),
+        }]);
         let outcomes = Universe::run_ft(config, move |comm| {
             comm.set_errhandler(ErrHandler::ErrorsReturn);
             let before = comm.data_plane_stats();
@@ -357,11 +359,10 @@ fn a_writer_dead_before_its_flag_fails_a_slot_run_as_it_fails_a_row() {
     let n = 6;
     let victim = 1 + (lcg(base_seed() ^ 0x5107) >> 33) as usize % (n - 1);
     for irregular in [false, true] {
-        let config =
-            cxl(n, 1, DataPlaneMode::Shm, HierarchyMode::Off).with_faults(vec![FaultPlan {
-                victim,
-                trigger: FaultTrigger::NthPublish(1),
-            }]);
+        let config = cxl(n, 1, SHM, HierarchyMode::Off).with_faults(vec![FaultPlan {
+            victim,
+            trigger: FaultTrigger::NthPublish(1),
+        }]);
         let outcomes = Universe::run_ft(config, move |comm| {
             comm.set_errhandler(ErrHandler::ErrorsReturn);
             let before = comm.data_plane_stats();
@@ -415,11 +416,10 @@ fn reader_death_before_its_completion_line_frees_a_writer_running_ahead() {
     // will never be written: the root must observe the death there (or count
     // the dead reader as done) and the survivors recover.
     for victim in [1usize, 3] {
-        let config =
-            cxl(4, 1, DataPlaneMode::Shm, HierarchyMode::Off).with_faults(vec![FaultPlan {
-                victim,
-                trigger: FaultTrigger::NthAck(1),
-            }]);
+        let config = cxl(4, 1, SHM, HierarchyMode::Off).with_faults(vec![FaultPlan {
+            victim,
+            trigger: FaultTrigger::NthAck(1),
+        }]);
         run_case_with(
             config,
             &[victim],
@@ -470,11 +470,10 @@ fn host_leader_death_reelects_under_forced_hierarchy_cxl() {
     for n in [6usize, 7] {
         seed = lcg(seed);
         let kill = 1 + (seed >> 33) % 12;
-        let config =
-            cxl(n, 2, DataPlaneMode::Ring, HierarchyMode::Force).with_faults(vec![FaultPlan {
-                victim: 0,
-                trigger: FaultTrigger::NthSend(kill),
-            }]);
+        let config = cxl(n, 2, RING, HierarchyMode::Force).with_faults(vec![FaultPlan {
+            victim: 0,
+            trigger: FaultTrigger::NthSend(kill),
+        }]);
         run_case(
             config,
             &[0],
@@ -503,7 +502,7 @@ fn host_leader_death_reelects_under_forced_hierarchy_tcp() {
 
 #[test]
 fn two_sequential_victims_shrink_twice() {
-    let config = cxl(7, 1, DataPlaneMode::Ring, HierarchyMode::Off).with_faults(vec![
+    let config = cxl(7, 1, RING, HierarchyMode::Off).with_faults(vec![
         FaultPlan {
             victim: 2,
             trigger: FaultTrigger::NthSend(3),
@@ -522,12 +521,9 @@ fn seeded_random_op_kill_sweeps_the_schedule() {
     // so the death lands in different collectives (and different op kinds on
     // the shm data plane).
     let base = base_seed();
-    for (i, dp) in [DataPlaneMode::Ring, DataPlaneMode::Shm]
-        .into_iter()
-        .enumerate()
-    {
+    for (i, arena) in [RING, SHM].into_iter().enumerate() {
         let seed = lcg(base ^ (i as u64) << 7);
-        let config = cxl(5, 1, dp, HierarchyMode::Off).with_faults(vec![FaultPlan {
+        let config = cxl(5, 1, arena, HierarchyMode::Off).with_faults(vec![FaultPlan {
             victim: 3,
             // Keep the kill window inside the victim's op budget: rank 3 of 5
             // performs only ~10 ring sends across the 12 rounds, and far
@@ -536,7 +532,7 @@ fn seeded_random_op_kill_sweeps_the_schedule() {
             // the "victim actually died" assertion).
             trigger: FaultTrigger::SeededOp { seed, max_ops: 8 },
         }]);
-        run_case(config, &[3], &format!("cxl seeded dp={dp:?}"));
+        run_case(config, &[3], &format!("cxl seeded arena={arena}"));
     }
 }
 
@@ -549,7 +545,7 @@ fn errors_abort_default_poisons_the_universe() {
     // Without ErrorsReturn, a peer death is fatal for the whole universe
     // (MPI_ERRORS_ARE_FATAL): the survivors' collectives abort with PeerDead
     // and the run as a whole errors.
-    let config = cxl(3, 1, DataPlaneMode::Ring, HierarchyMode::Off).with_faults(vec![FaultPlan {
+    let config = cxl(3, 1, RING, HierarchyMode::Off).with_faults(vec![FaultPlan {
         victim: 1,
         trigger: FaultTrigger::NthSend(1),
     }]);
@@ -569,7 +565,7 @@ fn errors_abort_default_poisons_the_universe() {
 
 #[test]
 fn send_to_dead_rank_fails_immediately() {
-    let config = cxl(3, 1, DataPlaneMode::Ring, HierarchyMode::Off).with_faults(vec![FaultPlan {
+    let config = cxl(3, 1, RING, HierarchyMode::Off).with_faults(vec![FaultPlan {
         victim: 1,
         trigger: FaultTrigger::NthSend(1),
     }]);
@@ -603,7 +599,7 @@ fn send_to_dead_rank_fails_immediately() {
 
 #[test]
 fn wait_all_attributes_the_failed_request_and_spares_siblings() {
-    let config = cxl(3, 1, DataPlaneMode::Ring, HierarchyMode::Off).with_faults(vec![FaultPlan {
+    let config = cxl(3, 1, RING, HierarchyMode::Off).with_faults(vec![FaultPlan {
         victim: 2,
         trigger: FaultTrigger::NthSend(1),
     }]);
@@ -640,7 +636,7 @@ fn wait_all_attributes_the_failed_request_and_spares_siblings() {
 
 #[test]
 fn wait_any_and_test_all_attribute_the_failed_request() {
-    let config = cxl(3, 1, DataPlaneMode::Ring, HierarchyMode::Off).with_faults(vec![FaultPlan {
+    let config = cxl(3, 1, RING, HierarchyMode::Off).with_faults(vec![FaultPlan {
         victim: 2,
         trigger: FaultTrigger::NthSend(1),
     }]);
@@ -694,7 +690,7 @@ fn wait_any_and_test_all_attribute_the_failed_request() {
 
 #[test]
 fn failure_ack_restores_p2p_but_collectives_stay_failed() {
-    let config = cxl(3, 1, DataPlaneMode::Ring, HierarchyMode::Off).with_faults(vec![FaultPlan {
+    let config = cxl(3, 1, RING, HierarchyMode::Off).with_faults(vec![FaultPlan {
         victim: 2,
         trigger: FaultTrigger::NthSend(1),
     }]);
@@ -741,7 +737,7 @@ fn shrink_invalidates_plan_caches_and_counts_it() {
     // Satellite of the recovery path: shrinking must drop the communicator's
     // cached collective plans (their schedules embed the dead membership) and
     // the drops are observable in RankReport::plan_cache.
-    let config = cxl(4, 1, DataPlaneMode::Ring, HierarchyMode::Off).with_faults(vec![FaultPlan {
+    let config = cxl(4, 1, RING, HierarchyMode::Off).with_faults(vec![FaultPlan {
         victim: 3,
         trigger: FaultTrigger::NthSend(2),
     }]);

@@ -800,13 +800,12 @@ fn pairwise_exchange_on_eight_ranks() {
 /// still fit.
 #[test]
 fn streams_never_draw_on_the_window_headroom() {
-    use cmpi::mpi::{CollTuning, DataPlaneMode, HierarchyMode, ReduceOp};
+    use cmpi::mpi::{CollTuning, HierarchyMode, ReduceOp};
 
     const RANKS: usize = 8;
     const HEADROOM: usize = 256 * 1024;
     let tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
-        data_plane: DataPlaneMode::Shm,
         shm_arena_bytes: 4096,
         ..CollTuning::default()
     };

@@ -11,10 +11,8 @@ use cmpi::mpi::coll::{
 };
 use cmpi::mpi::transport::DpCost;
 use cmpi::mpi::{
-    CollPlan, CollTuning, DataPlaneMode, DpWindow, Group, HierarchyMode, HostHierarchy,
-    HostTopology, ReduceOp,
+    CollPlan, CollTuning, DpWindow, Group, HierarchyMode, HostHierarchy, HostTopology, ReduceOp,
 };
-use DataPlaneMode as D;
 use HierarchyMode as H;
 
 const KIB: usize = 1024;
@@ -43,10 +41,15 @@ const EIGHT: Shape = Shape {
     window: true,
 };
 
-fn tuning(hierarchy: HierarchyMode, data_plane: DataPlaneMode) -> CollTuning {
+/// `EIGHT` without its window.
+const NONE: Shape = Shape {
+    window: false,
+    ..EIGHT
+};
+
+fn tuning(hierarchy: HierarchyMode) -> CollTuning {
     CollTuning {
         hierarchy,
-        data_plane,
         ..CollTuning::default()
     }
 }
@@ -62,7 +65,6 @@ fn label(shape: Shape, tuning: CollTuning, build: &Build) -> &'static str {
     .unwrap();
     let window = shape.window.then_some(DpWindow {
         slot_bytes: SLOT,
-        slots: 4,
         cost: DpCost {
             cost: CxlCostModel::default(),
             contention: CxlContentionModel::default(),
@@ -111,56 +113,47 @@ fn allgather_with_a_large_result_and_a_block_that_fits() {
     // 8 × 512 KiB = 4 MiB: the block fits a slot and the result reaches the
     // allgather's cutoff, so Auto gives the job to the hierarchy.
     let cases = [
-        (SLOT, H::Auto, D::Auto, "allgather/hier+ring"),
-        (SLOT - 1, H::Auto, D::Auto, "allgather/shm"),
-        (SLOT, H::Auto, D::Shm, "allgather/shm"),
-        (SLOT, H::Off, D::Auto, "allgather/shm"),
-        (SLOT, H::Auto, D::Ring, "allgather/hier+ring"),
-        (SLOT + 1, H::Off, D::Shm, "allgather/ring"),
+        (SLOT, EIGHT, H::Auto, "allgather/hier+ring"),
+        (SLOT - 1, EIGHT, H::Auto, "allgather/shm"),
+        (SLOT, EIGHT, H::Off, "allgather/shm"),
+        (SLOT, EIGHT, H::Force, "allgather/hier+ring"),
+        (SLOT + 1, EIGHT, H::Off, "allgather/ring"),
+        // Without a window the hierarchy wins from the cutoff on, Bruck below.
+        (SLOT, NONE, H::Auto, "allgather/hier+ring"),
+        (4 * KIB, NONE, H::Auto, "allgather/bruck"),
     ];
-    for (block, h, d, want) in cases {
+    for (block, shape, h, want) in cases {
         assert_eq!(
-            label(EIGHT, tuning(h, d), &allgather(block)),
+            label(shape, tuning(h), &allgather(block)),
             want,
-            "{block} B, {h:?}/{d:?}"
+            "{block} B, {h:?}, window {}",
+            shape.window
         );
     }
-    // Without a window the hierarchy wins from the cutoff on, Bruck below.
-    let no_window = Shape {
-        window: false,
-        ..EIGHT
-    };
-    assert_eq!(
-        label(no_window, CollTuning::default(), &allgather(SLOT)),
-        "allgather/hier+ring"
-    );
-    assert_eq!(
-        label(no_window, CollTuning::default(), &allgather(4 * KIB)),
-        "allgather/bruck"
-    );
 }
 
 #[test]
 fn bcast_and_reduce_at_the_slot_size_which_is_also_the_hierarchy_cutoff() {
     let cases = [
-        (SLOT - 1, H::Auto, D::Auto, "shm", "shm"),
-        (SLOT, H::Auto, D::Auto, "hier+binomial", "hier+binomial"),
-        (SLOT + 1, H::Auto, D::Auto, "hier+binomial", "hier+binomial"),
-        (SLOT, H::Auto, D::Shm, "shm", "shm"),
-        (SLOT + 1, H::Auto, D::Shm, "hier+binomial", "hier+binomial"),
-        (SLOT, H::Off, D::Auto, "shm", "shm"),
-        (SLOT + 1, H::Off, D::Auto, "scatter-allgather", "binomial"),
+        (SLOT - 1, EIGHT, H::Auto, "shm", "shm"),
+        (SLOT, EIGHT, H::Auto, "hier+binomial", "hier+binomial"),
+        (SLOT + 1, EIGHT, H::Auto, "hier+binomial", "hier+binomial"),
+        (SLOT - 1, EIGHT, H::Force, "hier+binomial", "hier+binomial"),
+        (SLOT, EIGHT, H::Off, "shm", "shm"),
+        (SLOT + 1, EIGHT, H::Off, "scatter-allgather", "binomial"),
+        (SLOT - 1, NONE, H::Auto, "scatter-allgather", "binomial"),
+        (SLOT, NONE, H::Auto, "hier+binomial", "hier+binomial"),
     ];
-    for (total, h, d, bcast_algo, reduce_algo) in cases {
-        let t = tuning(h, d);
-        let what = format!("{total} B, {h:?}/{d:?}");
+    for (total, shape, h, bcast_algo, reduce_algo) in cases {
+        let t = tuning(h);
+        let what = format!("{total} B, {h:?}, window {}", shape.window);
         assert_eq!(
-            label(EIGHT, t, &bcast(total)),
+            label(shape, t, &bcast(total)),
             format!("bcast/{bcast_algo}"),
             "{what}"
         );
         assert_eq!(
-            label(EIGHT, t, &reduce(total)),
+            label(shape, t, &reduce(total)),
             format!("reduce/{reduce_algo}"),
             "{what}"
         );
@@ -169,22 +162,29 @@ fn bcast_and_reduce_at_the_slot_size_which_is_also_the_hierarchy_cutoff() {
 
 #[test]
 fn barrier_takes_the_window_whenever_there_is_one() {
-    let no_window = Shape {
-        window: false,
-        ..EIGHT
-    };
     let one_host = Shape { hosts: 1, ..EIGHT };
+    let one_host_none = Shape {
+        window: false,
+        ..one_host
+    };
     let cases = [
-        (EIGHT, H::Auto, D::Auto, "barrier/shm"),
-        (EIGHT, H::Force, D::Auto, "barrier/shm"),
-        (EIGHT, H::Auto, D::Ring, "barrier/hier"),
-        (no_window, H::Auto, D::Auto, "barrier/hier"),
-        (no_window, H::Off, D::Auto, "barrier/dissemination"),
-        (one_host, H::Force, D::Ring, "barrier/dissemination"),
-        (one_host, H::Auto, D::Auto, "barrier/shm"),
+        (EIGHT, H::Auto, "barrier/shm"),
+        (EIGHT, H::Force, "barrier/shm"),
+        (EIGHT, H::Off, "barrier/shm"),
+        (NONE, H::Auto, "barrier/hier"),
+        (NONE, H::Force, "barrier/hier"),
+        (NONE, H::Off, "barrier/dissemination"),
+        (one_host, H::Auto, "barrier/shm"),
+        (one_host_none, H::Force, "barrier/dissemination"),
     ];
-    for (shape, h, d, want) in cases {
-        assert_eq!(label(shape, tuning(h, d), &barrier()), want, "{h:?}/{d:?}");
+    for (shape, h, want) in cases {
+        assert_eq!(
+            label(shape, tuning(h), &barrier()),
+            want,
+            "{h:?}, {} host(s), window {}",
+            shape.hosts,
+            shape.window
+        );
     }
 }
 
@@ -201,9 +201,8 @@ fn round_robin_allreduce_stays_flat_where_its_top_exchange_is_same_host() {
         label(rr, CollTuning::default(), &allreduce(MIB)),
         "allreduce/rabenseifner"
     );
-    let forced = tuning(H::Force, D::Auto);
     assert_eq!(
-        label(rr, forced, &allreduce(MIB)),
+        label(rr, tuning(H::Force), &allreduce(MIB)),
         "allreduce/hier+rabenseifner"
     );
     // With a window a 1 MiB vector does not fit a slot: still flat. The same
@@ -226,49 +225,49 @@ fn round_robin_allreduce_stays_flat_where_its_top_exchange_is_same_host() {
 
 #[test]
 fn every_data_plane_and_hierarchy_mode() {
-    // A 512 KiB bcast, which fits a slot and reaches the hierarchy cutoff,
-    // and an 8-byte one, which reaches no cutoff.
+    // Every hierarchy mode, with a window and without. A 512 KiB bcast fits
+    // a slot and reaches the hierarchy cutoff; an 8-byte one reaches no
+    // cutoff.
     let cases = [
-        (H::Auto, D::Auto, "bcast/hier+binomial", "bcast/shm"),
-        (H::Auto, D::Ring, "bcast/hier+binomial", "bcast/binomial"),
-        (H::Auto, D::Shm, "bcast/shm", "bcast/shm"),
-        (H::Off, D::Auto, "bcast/shm", "bcast/shm"),
-        (H::Off, D::Ring, "bcast/scatter-allgather", "bcast/binomial"),
-        (H::Off, D::Shm, "bcast/shm", "bcast/shm"),
+        (H::Auto, EIGHT, "bcast/hier+binomial", "bcast/shm"),
+        (H::Auto, NONE, "bcast/hier+binomial", "bcast/binomial"),
+        (H::Off, EIGHT, "bcast/shm", "bcast/shm"),
+        (H::Off, NONE, "bcast/scatter-allgather", "bcast/binomial"),
         (
             H::Force,
-            D::Auto,
+            EIGHT,
             "bcast/hier+binomial",
             "bcast/hier+binomial",
         ),
-        (
-            H::Force,
-            D::Ring,
-            "bcast/hier+binomial",
-            "bcast/hier+binomial",
-        ),
-        (H::Force, D::Shm, "bcast/shm", "bcast/shm"),
+        (H::Force, NONE, "bcast/hier+binomial", "bcast/hier+binomial"),
     ];
-    for (h, d, large, small) in cases {
-        let t = tuning(h, d);
-        assert_eq!(label(EIGHT, t, &bcast(SLOT)), large, "{h:?}/{d:?}");
-        assert_eq!(label(EIGHT, t, &bcast(8)), small, "{h:?}/{d:?}");
+    for (h, shape, large, small) in cases {
+        let (t, window) = (tuning(h), shape.window);
+        assert_eq!(
+            label(shape, t, &bcast(SLOT)),
+            large,
+            "{h:?}, window {window}"
+        );
+        assert_eq!(label(shape, t, &bcast(8)), small, "{h:?}, window {window}");
     }
     // The alltoall's whole exchange image must fit: 8 × 64 KiB = 512 KiB
     // does, 8 × 64 KiB + 8 does not.
     let alltoall = |block: usize| -> Box<Build> {
         Box::new(move |v, t, h, dp| build_alltoall(v, t, h, dp, block))
     };
-    for (h, d, want) in [
-        (H::Auto, D::Auto, "alltoall/shm"),
-        (H::Auto, D::Ring, "alltoall/pairwise"),
-        (H::Force, D::Auto, "alltoall/hier+pairwise"),
-        (H::Force, D::Shm, "alltoall/shm"),
+    for (h, shape, want) in [
+        (H::Auto, EIGHT, "alltoall/shm"),
+        (H::Auto, NONE, "alltoall/pairwise"),
+        (H::Off, EIGHT, "alltoall/shm"),
+        (H::Off, NONE, "alltoall/pairwise"),
+        (H::Force, EIGHT, "alltoall/hier+pairwise"),
+        (H::Force, NONE, "alltoall/hier+pairwise"),
     ] {
         assert_eq!(
-            label(EIGHT, tuning(h, d), &alltoall(64 * KIB)),
+            label(shape, tuning(h), &alltoall(64 * KIB)),
             want,
-            "{h:?}/{d:?}"
+            "{h:?}, window {}",
+            shape.window
         );
     }
     assert_eq!(
