@@ -77,12 +77,12 @@ use std::ops::Range;
 use crate::config::{CollTuning, HierarchyMode};
 use crate::dataplane::{
     allreduce_shm_shape, build_allgather_shm, build_allreduce_shm, build_alltoall_shm,
-    build_barrier_shm, build_bcast_shm, build_reduce_shm, exchange_stride, DpOps,
+    build_barrier_shm, build_bcast_shm, build_reduce_shm, exchange_stride, footprint, DpOps,
 };
 use crate::group::Group;
 use crate::progress::{fold_bytes, CollPlan, FoldFn, Loc, SchedOp};
 use crate::topology::HostHierarchy;
-use crate::transport::{DpPiece, DpWindow};
+use crate::transport::DpWindow;
 use crate::types::{CtxId, Rank, ReduceOp, Reducible, Tag, COLL_TAG_BASE};
 
 /// How many in-flight collective sequence numbers the tag encoding keeps
@@ -167,7 +167,7 @@ const HIER_ALLTOALL_MIN_BYTES: usize = 4 * 1024 * 1024;
 /// The way a collective runs, chosen once per plan by [`select_path`].
 enum Path<'h> {
     /// The single-copy shape on the communicator's shared window.
-    Window,
+    Window(DpWindow),
     /// The two-level composition over this hierarchy (see [`TwoLevel`]).
     TwoLevel(&'h HostHierarchy),
     /// The flat point-to-point algorithm.
@@ -175,7 +175,8 @@ enum Path<'h> {
 }
 
 /// The path of a collective among `n` ranks that moves `payload` bytes and
-/// needs `footprint` bytes of its writer's window slot; `hier_min` is the
+/// needs `footprint` bytes of its writer's window slot — where its exposures
+/// end, stamped lines counted as lines; `hier_min` is the
 /// payload from which `Auto` composes it in two levels — `None` for the
 /// barrier, which moves no bytes: its hierarchy is gated on shape alone, and
 /// there is no payload for it to save on the window.
@@ -214,12 +215,10 @@ fn select_path<'h>(
                 }
             }
     });
-    let window = dp.is_some_and(|w| footprint <= w.slot_bytes)
-        && (two_level.is_none() || hier_min.is_none());
-    if window {
-        Path::Window
-    } else {
-        two_level.map_or(Path::Flat, Path::TwoLevel)
+    let window = dp.filter(|w| footprint <= w.slot_bytes);
+    match window {
+        Some(w) if two_level.is_none() || hier_min.is_none() => Path::Window(w),
+        _ => two_level.map_or(Path::Flat, Path::TwoLevel),
     }
 }
 
@@ -550,7 +549,7 @@ pub fn build_barrier(
     dp: Option<DpWindow>,
 ) -> CollPlan {
     match select_path(view.size(), tuning, hier, dp, 0, 0, None) {
-        Path::Window => build_barrier_shm(view),
+        Path::Window(_) => build_barrier_shm(view),
         Path::TwoLevel(h) => {
             let mut c = TwoLevel::new(view, h, 0);
             c.phase(Level::Host, 0, |p| push_host_tokens(p, true));
@@ -618,8 +617,8 @@ pub fn build_bcast(
     let (n, me) = (view.size(), view.rank);
     let input = if me == root { (0, total) } else { (0, 0) };
     let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
-    match select_path(n, tuning, hier, dp, total, total, hier_min) {
-        Path::Window => build_bcast_shm(view, hier, root, total),
+    match select_path(n, tuning, hier, dp, total, footprint(dp, total), hier_min) {
+        Path::Window(w) => build_bcast_shm(view, &w, hier, root, total),
         Path::TwoLevel(h) => {
             let root_slot = h.slot_of(root);
             let root_leader = h.leader_of(root_slot);
@@ -864,8 +863,8 @@ pub fn build_allgather(
         return plan.finish(None, Loc::Buf, (0, block), input, 0, "allgather/local");
     }
     let hier_min = Some(HIER_ALLGATHER_MIN_BYTES);
-    match select_path(n, tuning, hier, dp, total, block, hier_min) {
-        Path::Window => build_allgather_shm(view, block),
+    match select_path(n, tuning, hier, dp, total, footprint(dp, block), hier_min) {
+        Path::Window(w) => build_allgather_shm(view, &w, block),
         Path::TwoLevel(h) => {
             let slots = h.hosts_spanned();
             let mut slot_off = vec![0; slots + 1];
@@ -1027,8 +1026,9 @@ pub fn build_reduce<T: Reducible>(
         (0, 0)
     };
     let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
-    match select_path(view.size(), tuning, hier, dp, total, total, hier_min) {
-        Path::Window => build_reduce_shm::<T>(view, root, count, op),
+    let slot = footprint(dp, total);
+    match select_path(view.size(), tuning, hier, dp, total, slot, hier_min) {
+        Path::Window(w) => build_reduce_shm::<T>(view, &w, root, count, op),
         Path::TwoLevel(h) => {
             let root_slot = h.slot_of(root);
             let mut c = TwoLevel::new(view, h, 5);
@@ -1143,13 +1143,13 @@ pub fn build_allreduce<T: Reducible>(
         return plan.finish(fold, Loc::Buf, (0, total), (0, total), 0, "allreduce/local");
     }
     let shape = dp.map(|w| allreduce_shm_shape(n, count, elem, hier, &w));
-    let footprint = shape.map_or(0, |(_, bytes)| bytes);
+    let slot = shape.map_or(0, |(_, bytes)| bytes);
     let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
     match (
-        select_path(n, tuning, hier, dp, total, footprint, hier_min),
+        select_path(n, tuning, hier, dp, total, slot, hier_min),
         shape,
     ) {
-        (Path::Window, Some((shape, _))) => build_allreduce_shm::<T>(view, shape, count, op),
+        (Path::Window(w), Some((shape, _))) => build_allreduce_shm::<T>(view, &w, shape, count, op),
         (Path::TwoLevel(h), _)
             if tuning.hierarchy != HierarchyMode::Auto
                 || !flat_allreduce_top_exchange_stays_local(h, n) =>
@@ -1609,8 +1609,8 @@ pub fn build_alltoall(
         return plan.finish(None, Loc::Buf, (0, total), (0, total), 0, "alltoall/local");
     }
     let hier_min = Some(HIER_ALLTOALL_MIN_BYTES);
-    match select_path(n, tuning, hier, dp, total, total, hier_min) {
-        Path::Window => build_alltoall_shm(view, block),
+    match select_path(n, tuning, hier, dp, total, footprint(dp, total), hier_min) {
+        Path::Window(w) => build_alltoall_shm(view, &w, block),
         Path::TwoLevel(h) => build_alltoall_hier(view, h, block),
         Path::Flat if n > 2 && block <= tuning.alltoall_bruck_max_bytes => {
             build_alltoall_bruck(view, block)
@@ -1942,16 +1942,10 @@ pub fn build_alltoallv(
             len: out(me).len(),
         });
     }
-    ops.gather(
-        stride,
-        (0..n)
-            .filter(|&r| r != me && pulled(&out(r)))
-            .map(|r| DpPiece {
-                region_off: r * stride,
-                start: out(r).start,
-                end: out(r).end,
-            }),
-    );
+    if let Some(w) = &dp {
+        let segments = (0..n).filter(|&r| r != me && pulled(&out(r)));
+        ops.gather(w, stride, segments.map(|r| (r, out(r))));
+    }
     for s in 1..n {
         let dst = (me + s) % n;
         if sent(&out(dst)) {
@@ -1967,9 +1961,9 @@ pub fn build_alltoallv(
     }
     // In writer order: one run, one row, unless a pair with nothing to pull —
     // empty, or oversize — splits it.
-    for w in (0..n).filter(|&w| w != me) {
-        if pulled(&inc(w)) {
-            ops.pull_gathered(stride, w, me, inc(w).len(), inc(w).start);
+    if let Some(w) = &dp {
+        for writer in (0..n).filter(|&r| r != me && pulled(&inc(r))) {
+            ops.pull_gathered(w, stride, writer, me, inc(writer).len(), inc(writer).start);
         }
     }
     for s in 1..n {

@@ -16,37 +16,57 @@
 //! nonblocking starter must never be) and carved into per-rank exposure
 //! slots by [`cxl_shm::SlotLayout`]. What a collective costs is the number of
 //! device transactions it makes there — a single line stored or loaded is one
-//! round trip, a run of consecutive lines one streamed read:
+//! round trip, a run of consecutive lines one streamed read. An exposure
+//! takes one of two formats ([`DpFormat`]), chosen from its length and its
+//! room alone by one function that prices both ([`DpWindow::format`]), so
+//! the writer and every reader agree without a word exchanged:
 //!
-//! * an **expose** stores one flag line per phase — and nothing else when the
-//!   payload is at most [`DP_INLINE_BYTES`] long, because it then rides in
-//!   the flag line itself; a longer payload is first streamed into the data
-//!   slot. What it publishes is a list of **pieces**, byte ranges of the
-//!   rank's buffer each with its place in the slot: one for every regular
-//!   collective, one per reader for the irregular exchange, whose segments
-//!   are *gathered* into a single exposure — one store stream, one fence,
-//!   one flag, whatever the number of pieces;
+//! * **stamped lines** — every 64-byte line carries the exposure's sequence
+//!   word and 56 bytes of payload, the first line the writer's stamp and 48,
+//!   so the lines validate themselves, as a 64-byte direct store writes each
+//!   atomically. Publishing is one non-temporal store stream and one fence,
+//!   and no flag line; acquiring is the gathered read of the lines, all or
+//!   nothing on every line's word. An exposure of one line is the writer's
+//!   flag line itself and is read with the row (below) — the one-line case,
+//!   where a payload of at most 48 bytes always lands; longer ones sit at the
+//!   head of the exposure's region of the data slot;
+//! * **slot + flag** — the payload is streamed into the data slot, then the
+//!   flag line is stored; the reader's row acquires the flag, and the payload
+//!   follows in the gathered read. A few KiB up, the cross-host fair-share
+//!   floors of a run of many pieces bind, and a stamped exposure's eighth
+//!   more bytes cost more than the flag line and the row they save.
+//!
+//! The transactions, then:
+//!
+//! * an **expose** publishes a list of **pieces**, byte ranges of the rank's
+//!   buffer each with its place in the slot and its format: one for every
+//!   regular collective, one per reader for the irregular exchange, whose
+//!   segments are *gathered* into a single exposure — one store stream, one
+//!   fence, at most one flag line, whatever the number of pieces;
 //! * the flag lines of one `(slot, phase)` are a contiguous **row** in writer
 //!   order, and a rank reads its peers in **runs**: the exposures it reads in
-//!   one phase, inline or out of data slots, are acquired with a single **row
-//!   read** — the plan names the range of writers whose flag lines the run's
-//!   reads consume (`AwaitRow`), the transport waits until every one of them
-//!   is up, merges the latest stamp and charges one streamed read of the span
-//!   ([`crate::transport::DpCost::row`]; a row of one line is exactly a
-//!   line). Nothing after the row waits. An inline read takes its payload out
-//!   of its writer's line and costs nothing more;
-//! * the reads of a run out of data slots are one **gathered read**
+//!   one phase are acquired in one all-or-nothing step (`AwaitRow`) — the
+//!   flag lines the run's reads consume in one **row read** (the plan names
+//!   the range of writers; [`crate::transport::DpCost::row`], a row of one
+//!   line is exactly a line, a run of stamped exposures in data slots has
+//!   none), and the lines of every stamped exposure the run reads out of a
+//!   data slot. The transport waits until every one of them is up and merges
+//!   the latest stamp. Nothing after that waits. A read of the writer's flag
+//!   line takes its payload out of the line and costs nothing more;
+//! * the reads of a run out of data slots — payloads behind flag lines and
+//!   stamped lines alike — are one **gathered read**
 //!   ([`crate::transport::DpCost::gather`]): their line fills do not depend
 //!   on one another, so the run pays one load fence and one device latency,
 //!   then every piece's bytes at its own bandwidth, a cross-host piece held
-//!   to its own fair share of the device. A run of one piece — a broadcast
-//!   leaf's, any read between two ranks — costs what a pull that loaded its
-//!   flag line by itself did; a run of `k` saves `k − 1` flag lines and
-//!   `k − 1` latencies. What is given up for that is draining early writers
-//!   while a straggler still publishes: under skew a reader ends at the
-//!   straggler's stamp plus the row and the whole gathered read, at worst the
-//!   early pieces' read time later than a reader that polled writer by
-//!   writer, and by an amount that does not depend on the host's schedule;
+//!   to its own fair share of the device. A run of one piece behind a flag —
+//!   a broadcast leaf's, any read between two ranks — costs what a pull that
+//!   loaded its flag line by itself did; a run of `k` saves `k − 1` flag
+//!   lines and `k − 1` latencies, and a run of stamped lines the row besides.
+//!   What is given up for that is draining early writers while a straggler
+//!   still publishes: under skew a reader ends at the straggler's stamp plus
+//!   the row and the whole gathered read, at worst the early pieces' read
+//!   time later than a reader that polled writer by writer, and by an amount
+//!   that does not depend on the host's schedule;
 //! * after its last read of a collective a reader stores its **completion
 //!   line** once — one line per rank, holding the sequence number through
 //!   which the rank has finished everything exposed to it, whoever wrote it
@@ -62,9 +82,9 @@
 //!
 //! An 8-byte allgather among `n` ranks is therefore a line, a row and a line
 //! per rank plus a quarter of a row amortised — three transactions whatever
-//! `n` is — a 1 KiB one the same and one gathered read, and a barrier a line
-//! and a row, where a message-based one pays per-message software overhead on
-//! top of several lines per hop.
+//! `n` is — a 1 KiB one a stamped publish, one gathered read and a line, and
+//! a barrier a line and a row, where a message-based one pays per-message
+//! software overhead on top of several lines per hop.
 //!
 //! A slot is held for exactly the peers that read its occupant
 //! ([`DpReaders`]): a rank stores its completion line only for a collective it
@@ -75,12 +95,16 @@
 //! word exchanged: every slot is cut into one region per reader
 //! (`exchange_stride`), writer `w` stores its segment for `r` at
 //! `r × stride`, and `r` pulls as many bytes as MPI told it to expect from
-//! `(w, me × stride)`. A segment that does not fit the region travels as a
-//! message between the two ranks that know it does not, in the same plan.
+//! `(w, me × stride)`. Each segment takes the format its own length gets —
+//! the reader knows that length, and nothing else is needed — but never the
+//! flag line, which the segments of one exposure would have to share: a short
+//! one is stamped lines in its region. A segment that does not fit the region
+//! travels as a message between the two ranks that know it does not, in the
+//! same plan.
 //!
 //! Plans built here use the data-plane op kinds of [`crate::progress`]
-//! (`ClaimSlot`, `ExposeRead`, `AwaitRow`, `PullCopy`, `FoldInPlace`) and flow through the same
-//! CollPlan/PlanCache/persistent machinery as ring plans — window setup is
+//! (`ClaimSlot`, `ExposeRead`, `AwaitRow`, `PullCopy`, `FoldInPlace`) and
+//! flow through the same CollPlan/PlanCache/persistent machinery as ring plans — window setup is
 //! amortized across every start on the communicator, and blocking,
 //! nonblocking and persistent starts execute byte-identical schedules.
 //!
@@ -102,8 +126,9 @@ use cmpi_fabric::clock::SimNs;
 use crate::coll::CommView;
 use crate::progress::{fold_bytes, CollPlan, FoldFn, Loc, SchedOp};
 use crate::topology::HostHierarchy;
-use crate::transport::{DpGather, DpPiece, DpReaders, DpSource, DpWindow, DP_INLINE_BYTES};
+use crate::transport::{DpFormat, DpGather, DpPiece, DpReaders, DpSource, DpWindow};
 use crate::types::{Rank, ReduceOp, Reducible};
+use cxl_shm::slots::SLOT_CELL_SIZE;
 
 /// Exposure slots per rank in every data-plane window: how many consecutive
 /// collectives on one communicator a writer can expose before it must look at
@@ -112,30 +137,54 @@ use crate::types::{Rank, ReduceOp, Reducible};
 /// the stores a completion line remembers — are exactly one line.
 pub const DP_SLOTS: usize = 4;
 
-/// One region a writer publishes: the flag phase that gates it, where it sits
-/// in the writer's data slot, and how long it is. Every member computes the
-/// same value for a given writer, so the writer's expose and the readers'
-/// sources can never disagree about whether the bytes ride in the flag line.
+/// One region a writer publishes: its phase, where it sits in the writer's
+/// data slot, how long it is and — from those and the window alone — its
+/// format. Every member computes the same value for a given writer, so the
+/// writer's expose and the readers' sources can never disagree about where
+/// the bytes are or what vouches for them.
 #[derive(Debug, Clone, Copy)]
 struct Exposure {
     phase: u8,
     region_off: usize,
     len: usize,
+    format: DpFormat,
 }
 
 impl Exposure {
+    /// `len` bytes at `region_off` of the slot of window `w`, in `phase`.
+    fn new(w: &DpWindow, phase: u8, region_off: usize, len: usize) -> Self {
+        Exposure {
+            phase,
+            region_off,
+            len,
+            format: w.format(len, region_off..w.slot_bytes, true),
+        }
+    }
+
     /// Bytes `off..` of this exposure as published by group member
     /// `writer_idx`.
     fn source(&self, writer_idx: usize, off: usize) -> DpSource {
-        let inline = self.len <= DP_INLINE_BYTES;
         DpSource {
             writer_idx,
             phase: self.phase,
-            off: if inline { off } else { self.region_off + off },
-            inline,
+            region: self.region_off,
+            off,
+            format: self.format,
             last: false,
         }
     }
+
+    /// Where the exposure ends in the slot.
+    fn footprint(&self) -> usize {
+        self.region_off + self.format.footprint(self.len)
+    }
+}
+
+/// The slot footprint of a collective whose one exposure per writer is
+/// `len` bytes at the head of the slot of window `dp` — what
+/// `coll::select_path` checks against the slot; nothing without a window.
+pub(crate) fn footprint(dp: Option<DpWindow>, len: usize) -> usize {
+    dp.map_or(0, |w| Exposure::new(&w, 0, 0, len).footprint())
 }
 
 /// The data-plane op list of one rank, with the piece table its exposes
@@ -178,12 +227,11 @@ impl DpOps {
         }
     }
 
-    /// Publish `pieces` of `loc` as one exposure — one streamed publish, one
-    /// flag — or nothing at all when there are none.
+    /// Publish `pieces` of `loc` as one exposure — one streamed publish, at
+    /// most one flag line — or nothing at all when there are none.
     fn publish(
         &mut self,
         phase: u8,
-        inline: bool,
         loc: Loc,
         readers: DpReaders,
         pieces: impl IntoIterator<Item = DpPiece>,
@@ -194,7 +242,6 @@ impl DpOps {
             self.open_row = None;
             self.list.push(SchedOp::ExposeRead {
                 phase,
-                inline,
                 loc,
                 pieces: (lo, self.pieces.len()),
                 readers,
@@ -207,23 +254,36 @@ impl DpOps {
             region_off: e.region_off,
             start,
             end: start + e.len,
+            format: e.format,
         });
-        self.publish(e.phase, e.len <= DP_INLINE_BYTES, loc, readers, piece);
+        self.publish(e.phase, loc, readers, piece);
     }
 
-    /// The irregular exchange's expose: `pieces` of the primary buffer, the
-    /// one for group member `r` at `r × stride` of the slot, read by `r`
-    /// alone. Never inline, however short: a reader knows the length of its
-    /// own piece, not whether the writer had others.
-    pub(crate) fn gather(&mut self, stride: usize, pieces: impl IntoIterator<Item = DpPiece>) {
-        let readers = DpReaders::PerPiece { stride };
-        self.publish(0, false, Loc::Buf, readers, pieces);
+    /// The irregular exchange's expose on window `w`: `segments` of the
+    /// primary buffer, as `(reader, range)`, the one for group member `r` at
+    /// `r × stride` of the slot, read by `r` alone. Each piece takes the
+    /// format its own length gets in its region — the one thing its reader
+    /// knows — and never the flag line, which the pieces would have to share.
+    pub(crate) fn gather(
+        &mut self,
+        w: &DpWindow,
+        stride: usize,
+        segments: impl IntoIterator<Item = (usize, Range<usize>)>,
+    ) {
+        let pieces = segments.into_iter().map(|(r, seg)| DpPiece {
+            region_off: r * stride,
+            format: gathered_format(w, stride, r, seg.len()),
+            start: seg.start,
+            end: seg.end,
+        });
+        self.publish(0, Loc::Buf, DpReaders::PerPiece { stride }, pieces);
     }
 
     /// Member `writer_idx`'s piece of such an exposure for member `reader`:
     /// `len` bytes into `buf[dst_start..]`.
     pub(crate) fn pull_gathered(
         &mut self,
+        w: &DpWindow,
         stride: usize,
         writer_idx: usize,
         reader: usize,
@@ -233,8 +293,9 @@ impl DpOps {
         let src = DpSource {
             writer_idx,
             phase: 0,
-            off: reader * stride,
-            inline: false,
+            region: reader * stride,
+            off: 0,
+            format: gathered_format(w, stride, reader, len),
             last: false,
         };
         self.pull(src, len, dst_start);
@@ -252,9 +313,10 @@ impl DpOps {
         self.list.push(op);
     }
 
-    /// Acquire the `phase` flag lines of members `writers` in one row read —
-    /// for the reads that follow, or for their own sake (a barrier's arrivals
-    /// carry no payload to read).
+    /// Open a run: acquire the `phase` flag lines of members `writers` in one
+    /// row read — none, when the range is empty — for the reads that follow,
+    /// with the stamped lines those read, or for their own sake (a barrier's
+    /// arrivals carry no payload to read).
     fn await_row(&mut self, phase: u8, writers: Range<usize>) {
         self.open_row = Some(self.list.len());
         self.list.push(SchedOp::AwaitRow {
@@ -263,11 +325,13 @@ impl DpOps {
         });
     }
 
-    /// Append a read, which takes over `last` from the read before it. It
-    /// joins the open run if its flag line is the next one of the run's row —
-    /// or the next but this rank's own, which no row waits for — and opens a
-    /// run of its own otherwise: a row never spans a peer that is not read,
-    /// whose flag nobody promised.
+    /// Append a read, which takes over `last` from the read before it. A
+    /// read of stamped lines in a data slot needs no flag line and joins the
+    /// open run of its phase as it is. Any other read joins it if its flag
+    /// line is the next one of the run's row — the first, if the row has
+    /// none yet, or the next but this rank's own, which no row waits for —
+    /// and opens a run of its own otherwise: a row never spans a peer that is
+    /// not read, whose flag nobody promised.
     fn read(&mut self, mut op: SchedOp) {
         fn src_of(op: &mut SchedOp) -> &mut DpSource {
             match op {
@@ -278,17 +342,28 @@ impl DpOps {
         let DpSource {
             writer_idx: writer,
             phase,
+            format,
             ..
         } = *src_of(&mut op);
         let me = self.me;
+        let line = if format.in_row() {
+            writer..writer + 1
+        } else {
+            writer..writer
+        };
         match self.open_row.map(|i| &mut self.list[i]) {
             Some(SchedOp::AwaitRow {
                 phase: open,
-                writers: (_, end),
-            }) if *open == phase && (writer == *end || (*end == me && writer == me + 1)) => {
-                *end = writer + 1
-            }
-            _ => self.await_row(phase, writer..writer + 1),
+                writers: (start, end),
+            }) if *open == phase => match (line.is_empty(), start == end) {
+                (true, _) => {}
+                (false, true) => (*start, *end) = (writer, writer + 1),
+                (false, false) if writer == *end || (*end == me && writer == me + 1) => {
+                    *end = writer + 1
+                }
+                (false, false) => self.await_row(phase, line),
+            },
+            _ => self.await_row(phase, line),
         }
         if let Some(i) = self.last_read.replace(self.list.len()) {
             src_of(&mut self.list[i]).last = false;
@@ -346,6 +421,14 @@ impl DpOps {
     }
 }
 
+/// The format of the irregular-exchange piece of `len` bytes for `reader`
+/// on window `w` at the per-reader `stride` — which its writer and its
+/// reader, both knowing `len`, compute alike. A stamped piece must fit its
+/// region.
+fn gathered_format(w: &DpWindow, stride: usize, reader: usize, len: usize) -> DpFormat {
+    w.format(len, reader * stride..(reader + 1) * stride, false)
+}
+
 /// The per-reader stride of the irregular exchange on a window of
 /// `slot_bytes` per slot among `n` members: every writer's slot is cut into
 /// `n` equal regions, one per reader, each starting on a cache line — a
@@ -360,9 +443,10 @@ pub(crate) fn exchange_stride(dp: Option<DpWindow>, n: usize) -> usize {
 
 /// What one rank's clock advances by while it executes `ops` (whose exposes
 /// index `pieces`) on window `w`, not counting time spent waiting for peers:
-/// every expose, every row, every run's gathered read and the completion
-/// line, priced with the terms the transport charges. `same_host(idx)` says
-/// whether group member `idx` shares the rank's host.
+/// every expose, every row, every run's gathered read — of slots behind flag
+/// lines and of stamped lines — and the completion line, priced with the
+/// terms the transport charges. `same_host(idx)` says whether group member
+/// `idx` shares the rank's host.
 fn serial_cost(
     ops: &[SchedOp],
     pieces: &[DpPiece],
@@ -379,21 +463,16 @@ fn serial_cost(
                 w.cost.row(hi - lo)
             }
             SchedOp::ExposeRead {
-                inline,
-                pieces: (lo, hi),
-                ..
-            } => {
-                let bytes = pieces[lo..hi].iter().map(|p| p.end - p.start).sum();
-                w.cost.expose(bytes, inline)
-            }
+                pieces: (lo, hi), ..
+            } => w.cost.expose(&pieces[lo..hi]),
             SchedOp::PullCopy { src, len, .. } | SchedOp::FoldInPlace { src, len, .. } => {
                 let done = if src.last { w.cost.line() } else { 0.0 };
-                // An inline payload came with its row.
-                let read = if src.inline {
-                    0.0
-                } else {
-                    w.cost
-                        .gather_piece(&mut run, len, same_host(src.writer_idx))
+                // A payload in the writer's flag line came with its row.
+                let read = match src.slot_bytes(len) {
+                    0 => 0.0,
+                    bytes => w
+                        .cost
+                        .gather_piece(&mut run, bytes, same_host(src.writer_idx)),
                 };
                 read + done
             }
@@ -413,7 +492,6 @@ pub(crate) fn build_barrier_shm(view: &CommView<'_>) -> CollPlan {
     let mut ops = DpOps::with_capacity(me, 2, 0);
     ops.list.push(SchedOp::ExposeRead {
         phase: 0,
-        inline: true,
         loc: Loc::Buf,
         pieces: (0, 0),
         readers: DpReaders::Others,
@@ -436,7 +514,7 @@ pub const DP_BCAST_SCATTER_MIN_BYTES: usize = 64 * 1024;
 /// * **Direct** (small payloads, or single-host groups): every other rank
 ///   pulls the full payload straight into its own buffer — its only read, so
 ///   its completion line follows. One publish serves all `n − 1` readers
-///   (one flag line when the payload fits in it); the binomial tree's
+///   (one line when the payload fits in the flag line); the binomial tree's
 ///   full-payload store-and-forward hops disappear entirely.
 /// * **Host-sliced scatter** (payloads ≥ [`DP_BCAST_SCATTER_MIN_BYTES`] on a
 ///   group spanning ≥ 2 hosts, when the topology structure is available):
@@ -448,20 +526,18 @@ pub const DP_BCAST_SCATTER_MIN_BYTES: usize = 64 * 1024;
 ///   broadcast intra-host with cache-served pulls of their host-mates'
 ///   slices.
 ///
-/// Slot footprint: `total` bytes either way (a re-exposed slice lives at its
-/// payload offset within the member's own region).
+/// Slot footprint: the payload's either way (a re-exposed slice lives at its
+/// payload offset within the member's own region, and is stamped only where
+/// its lines fit the slot).
 pub(crate) fn build_bcast_shm(
     view: &CommView<'_>,
+    w: &DpWindow,
     hier: Option<&HostHierarchy>,
     root: Rank,
     total: usize,
 ) -> CollPlan {
     let me = view.rank;
-    let payload = Exposure {
-        phase: 0,
-        region_off: 0,
-        len: total,
-    };
+    let payload = Exposure::new(w, 0, 0, total);
     let mut ops = DpOps::new(me);
     let scatter = hier.filter(|h| h.hosts_spanned() >= 2 && total >= DP_BCAST_SCATTER_MIN_BYTES);
     if me == root {
@@ -472,10 +548,9 @@ pub(crate) fn build_bcast_shm(
         // host-mates' re-exposures.
         let cohort = h.members(h.my_slot());
         let k = cohort.len();
-        let slice = |i: usize| Exposure {
-            phase: 0,
-            region_off: block_off(i, total, k, 1),
-            len: block_off(i + 1, total, k, 1) - block_off(i, total, k, 1),
+        let slice = |i: usize| {
+            let off = block_off(i, total, k, 1);
+            Exposure::new(w, 0, off, block_off(i + 1, total, k, 1) - off)
         };
         let j = cohort.iter().position(|&r| r == me).expect("me in cohort");
         let mine = slice(j);
@@ -511,20 +586,17 @@ pub(crate) fn build_bcast_shm(
 /// one reader every exposure has. The root moves each vector across the
 /// fabric exactly once, with no intermediate partial-sum hops.
 ///
-/// Slot footprint: `total` bytes (`count × sizeof(T)`).
+/// Slot footprint: the vector's (`count × sizeof(T)` bytes).
 pub(crate) fn build_reduce_shm<T: Reducible>(
     view: &CommView<'_>,
+    w: &DpWindow,
     root: Rank,
     count: usize,
     op: ReduceOp,
 ) -> CollPlan {
     let me = view.rank;
     let total = count * std::mem::size_of::<T>();
-    let vector = Exposure {
-        phase: 0,
-        region_off: 0,
-        len: total,
-    };
+    let vector = Exposure::new(w, 0, 0, total);
     let mut ops = DpOps::new(me);
     if me == root {
         for r in (0..view.size()).filter(|&r| r != root) {
@@ -553,8 +625,9 @@ fn block_off(i: usize, count: usize, n: usize, elem: usize) -> usize {
 
 /// A shape of the single-copy allreduce: `(ops, scratch bytes, slot
 /// footprint)` of group member `me` of `n` reducing `count` elements of
-/// `elem` bytes — [`allreduce_one_phase`] or [`allreduce_two_phase`].
-pub(crate) type AllreduceShape = fn(usize, usize, usize, usize) -> (DpOps, usize, usize);
+/// `elem` bytes on a window — [`allreduce_one_phase`] or
+/// [`allreduce_two_phase`].
+pub(crate) type AllreduceShape = fn(&DpWindow, usize, usize, usize, usize) -> (DpOps, usize, usize);
 
 /// **Two phases** — reduce-scatter + allgather over the shared window:
 ///
@@ -562,32 +635,33 @@ pub(crate) type AllreduceShape = fn(usize, usize, usize, usize) -> (DpOps, usize
 ///    (phase 0);
 /// 2. every rank pulls *its own block* of each peer's `A` and folds it in
 ///    place — after this, rank `i` holds the fully reduced block `i`;
-/// 3. every rank exposes its reduced block `B` at slot offset `total`
-///    (phase 1 — `A` and `B` are disjoint slot regions and separate flag
-///    lines, so no write-after-read hazard with stragglers still reading `A`);
+/// 3. every rank exposes its reduced block `B` on the first line past `A`'s
+///    footprint (phase 1 — `A` and `B` are disjoint slot regions and
+///    separate flag lines, so no write-after-read hazard with stragglers
+///    still reading `A`);
 /// 4. every rank pulls each peer's `B` into the right place.
 ///
 /// Each rank's vector crosses the fabric once in step 2 (sliced across
 /// readers) and each reduced block once per reader in step 4 — the
 /// Rabenseifner traffic pattern, minus all intermediate copies, headers and
-/// per-message overhead. Slot footprint: `total + max_block` bytes.
-fn allreduce_two_phase(me: usize, n: usize, count: usize, elem: usize) -> (DpOps, usize, usize) {
+/// per-message overhead. Slot footprint: up to the end of the largest
+/// reduced block's.
+fn allreduce_two_phase(
+    w: &DpWindow,
+    me: usize,
+    n: usize,
+    count: usize,
+    elem: usize,
+) -> (DpOps, usize, usize) {
     let total = count * elem;
     let block = |r: usize| {
         let off = block_off(r, count, n, elem);
         (off, block_off(r + 1, count, n, elem) - off)
     };
     let (my_off, my_len) = block(me);
-    let vector = Exposure {
-        phase: 0,
-        region_off: 0,
-        len: total,
-    };
-    let reduced = |r: usize| Exposure {
-        phase: 1,
-        region_off: total,
-        len: block(r).1,
-    };
+    let vector = Exposure::new(w, 0, 0, total);
+    let region = vector.footprint().next_multiple_of(SLOT_CELL_SIZE);
+    let reduced = |r: usize| Exposure::new(w, 1, region, block(r).1);
     // Two exposes, two rows, two rounds of reads.
     let mut ops = DpOps::with_capacity(me, 2 * n + 2, 2);
     ops.expose(vector, Loc::Buf, 0, DpReaders::Others);
@@ -599,7 +673,8 @@ fn allreduce_two_phase(me: usize, n: usize, count: usize, elem: usize) -> (DpOps
         let (r_off, r_len) = block(r);
         ops.pull(reduced(r).source(r, 0), r_len, r_off);
     }
-    (ops, my_len, total + block(0).1)
+    let footprint = (0..n).map(|r| reduced(r).footprint()).max();
+    (ops, my_len, footprint.unwrap_or(region))
 }
 
 /// **One phase**: every rank exposes its vector and folds every peer's
@@ -607,14 +682,17 @@ fn allreduce_two_phase(me: usize, n: usize, count: usize, elem: usize) -> (DpOps
 /// `n − 1` full-vector reads per rank, which is what a short vector wants.
 /// Every rank folds in group order (`v₀ ⊕ v₁ ⊕ … ⊕ vₙ₋₁`, its own vector
 /// taking its turn from a scratch copy), so all members compute the same
-/// bits whatever the reduction's associativity. Slot footprint: `total`.
-fn allreduce_one_phase(me: usize, n: usize, count: usize, elem: usize) -> (DpOps, usize, usize) {
+/// bits whatever the reduction's associativity. Slot footprint: the
+/// vector's.
+fn allreduce_one_phase(
+    w: &DpWindow,
+    me: usize,
+    n: usize,
+    count: usize,
+    elem: usize,
+) -> (DpOps, usize, usize) {
     let total = count * elem;
-    let vector = Exposure {
-        phase: 0,
-        region_off: 0,
-        len: total,
-    };
+    let vector = Exposure::new(w, 0, 0, total);
     // One expose, the own vector's copy and fold, a row, `n − 1` reads.
     let mut ops = DpOps::with_capacity(me, n + 3, 1);
     ops.expose(vector, Loc::Buf, 0, DpReaders::Others);
@@ -642,15 +720,15 @@ fn allreduce_one_phase(me: usize, n: usize, count: usize, elem: usize) -> (DpOps
         }
     }
     let scratch = if me == 0 { total } else { 2 * total };
-    (ops, scratch, total)
+    (ops, scratch, vector.footprint())
 }
 
 /// The allreduce shape among `n` members reducing `count` elements of `elem`
 /// bytes that costs a rank less serial time on window `w`, and its slot
 /// footprint. Both op lists are walked with the transport's own cost terms
-/// ([`serial_cost`]), as group member 0 would run them, so every member
-/// reaches the same verdict and the crossover follows the cost model instead
-/// of a byte threshold. A tie goes to the single round. The footprint of the
+/// ([`serial_cost`]), as group member 0 would run them, priced with the
+/// window's member-invariant terms, so every member reaches the same verdict
+/// and the crossover follows the cost model instead of a byte threshold. A tie goes to the single round. The footprint of the
 /// shape chosen is the one checked against the slot, by `coll::select_path`.
 pub(crate) fn allreduce_shm_shape(
     n: usize,
@@ -661,8 +739,8 @@ pub(crate) fn allreduce_shm_shape(
 ) -> (AllreduceShape, usize) {
     let same_host = |r: usize| hier.is_some_and(|h| h.slot_of(r) == h.slot_of(0));
     let cost = |ops: &DpOps| serial_cost(&ops.list, &ops.pieces, w, same_host);
-    let (one, _, one_bytes) = allreduce_one_phase(0, n, count, elem);
-    let (two, _, two_bytes) = allreduce_two_phase(0, n, count, elem);
+    let (one, _, one_bytes) = allreduce_one_phase(w, 0, n, count, elem);
+    let (two, _, two_bytes) = allreduce_two_phase(w, 0, n, count, elem);
     if cost(&one) <= cost(&two) {
         (allreduce_one_phase, one_bytes)
     } else {
@@ -673,12 +751,13 @@ pub(crate) fn allreduce_shm_shape(
 /// Single-copy allreduce of `count` elements of `T`, in `shape`.
 pub(crate) fn build_allreduce_shm<T: Reducible>(
     view: &CommView<'_>,
+    w: &DpWindow,
     shape: AllreduceShape,
     count: usize,
     op: ReduceOp,
 ) -> CollPlan {
     let elem = std::mem::size_of::<T>();
-    let (ops, scratch_len, _) = shape(view.rank, view.size(), count, elem);
+    let (ops, scratch_len, _) = shape(w, view.rank, view.size(), count, elem);
     let total = count * elem;
     let fold = Some((op, fold_bytes::<T> as FoldFn));
     ops.into_plan(
@@ -697,15 +776,11 @@ pub(crate) fn build_allreduce_shm<T: Reducible>(
 /// the ring's `n − 1` store-and-forward rounds collapse into one round of
 /// concurrent pulls.
 ///
-/// Slot footprint: `block` bytes.
-pub(crate) fn build_allgather_shm(view: &CommView<'_>, block: usize) -> CollPlan {
+/// Slot footprint: the block's.
+pub(crate) fn build_allgather_shm(view: &CommView<'_>, w: &DpWindow, block: usize) -> CollPlan {
     let me = view.rank;
     let n = view.size();
-    let mine = Exposure {
-        phase: 0,
-        region_off: 0,
-        len: block,
-    };
+    let mine = Exposure::new(w, 0, 0, block);
     let mut ops = DpOps::new(me);
     ops.expose(mine, Loc::Buf, me * block, DpReaders::Others);
     for r in (0..n).filter(|&r| r != me) {
@@ -726,16 +801,12 @@ pub(crate) fn build_allgather_shm(view: &CommView<'_>, block: usize) -> CollPlan
 /// pulled blocks immediately, and slot reuse across consecutive collectives
 /// is gated by the readers' completion lines.
 ///
-/// Slot footprint: `n × block` bytes (the full send image).
-pub(crate) fn build_alltoall_shm(view: &CommView<'_>, block: usize) -> CollPlan {
+/// Slot footprint: the full send image's (`n × block` bytes).
+pub(crate) fn build_alltoall_shm(view: &CommView<'_>, w: &DpWindow, block: usize) -> CollPlan {
     let me = view.rank;
     let n = view.size();
     let total = n * block;
-    let image = Exposure {
-        phase: 0,
-        region_off: 0,
-        len: total,
-    };
+    let image = Exposure::new(w, 0, 0, total);
     let mut ops = DpOps::new(me);
     ops.expose(image, Loc::Buf, 0, DpReaders::Others);
     for r in (0..n).filter(|&r| r != me) {
@@ -753,6 +824,10 @@ mod tests {
     use crate::transport::DpCost;
     use cmpi_fabric::cost::CoherenceMode;
     use cmpi_fabric::{CxlContentionModel, CxlCostModel};
+    use cxl_shm::slots::stamped_lines;
+
+    const STAMPED: DpFormat = DpFormat::Stamped { in_row: false };
+    const INLINE: DpFormat = DpFormat::Stamped { in_row: true };
 
     fn view_of(group: &Group, rank: Rank) -> CommView<'_> {
         CommView {
@@ -762,9 +837,12 @@ mod tests {
         }
     }
 
-    fn window(slot_bytes: usize) -> DpWindow {
+    /// The window of a group of `ranks` with `slot_bytes` per slot, four
+    /// pairs in the crowd.
+    fn window(ranks: usize, slot_bytes: usize) -> DpWindow {
         DpWindow {
             slot_bytes,
+            ranks,
             cost: DpCost {
                 cost: CxlCostModel::default(),
                 contention: CxlContentionModel::default(),
@@ -793,38 +871,80 @@ mod tests {
     #[test]
     fn bcast_plan_shape() {
         let group = Group::from_world_ranks(vec![0, 1, 2, 3]).unwrap();
-        let root_plan = build_bcast_shm(&view_of(&group, 1), None, 1, 256);
+        let w = window(4, 64 * 1024);
+        let root_plan = build_bcast_shm(&view_of(&group, 1), &w, None, 1, 256);
         // Root: one expose, nothing to wait for.
         assert_eq!(shape(&root_plan), (1, 0, 0));
         assert_eq!(root_plan.label, "bcast/shm");
         assert_eq!(root_plan.input_len(), 256);
-        let leaf_plan = build_bcast_shm(&view_of(&group, 3), None, 1, 256);
+        let leaf_plan = build_bcast_shm(&view_of(&group, 3), &w, None, 1, 256);
         // Non-root: a single pull, which is also its last read.
         assert_eq!(shape(&leaf_plan), (0, 1, 1));
         assert_eq!(leaf_plan.input_len(), 0);
         assert_eq!(leaf_plan.result_len(), 256);
         // A zero-byte broadcast moves nothing and touches no line.
-        assert!(build_bcast_shm(&view_of(&group, 1), None, 1, 0).is_empty());
-        assert!(build_bcast_shm(&view_of(&group, 3), None, 1, 0).is_empty());
+        assert!(build_bcast_shm(&view_of(&group, 1), &w, None, 1, 0).is_empty());
+        assert!(build_bcast_shm(&view_of(&group, 3), &w, None, 1, 0).is_empty());
     }
 
     #[test]
-    fn sources_know_whether_the_payload_rides_in_the_flag_line() {
+    fn sources_know_the_format_their_length_gets() {
         let group = Group::from_world_ranks(vec![0, 1, 2]).unwrap();
-        for (bytes, inline) in [(8, true), (48, true), (49, false), (1024, false)] {
-            let leaf = build_bcast_shm(&view_of(&group, 2), None, 0, bytes);
+        let w = window(3, 64 * 1024);
+        let formats = [
+            (8, INLINE),
+            (48, INLINE),
+            (49, STAMPED),
+            (1024, STAMPED),
+            (16 * 1024, DpFormat::Slot),
+        ];
+        for (bytes, format) in formats {
+            let leaf = build_bcast_shm(&view_of(&group, 2), &w, None, 0, bytes);
             let Some(&SchedOp::PullCopy { src, len, .. }) = leaf.ops.last() else {
                 panic!("leaf plan ends with {:?}", leaf.ops.last());
             };
-            assert_eq!((src.inline, src.off, len), (inline, 0, bytes));
+            assert_eq!(
+                (src.format, src.region, src.off, len),
+                (format, 0, 0, bytes)
+            );
+            // The root publishes in the format its readers expect.
+            let root = build_bcast_shm(&view_of(&group, 0), &w, None, 0, bytes);
+            assert_eq!(root.pieces[0].format, format, "{bytes} B");
         }
         // An alltoall reader takes its own block out of the middle of the
-        // peer's image — line-relative when the image is inline.
-        let plan = build_alltoall_shm(&view_of(&group, 1), 16);
-        let SchedOp::PullCopy { src, len, .. } = plan.ops[2] else {
-            panic!("expected a pull, got {:?}", plan.ops[2]);
-        };
-        assert_eq!((src.inline, src.off, len), (true, 16, 16));
+        // peer's image — by its offset in the image, line or lines alike.
+        for (block, format) in [(16, INLINE), (32, STAMPED)] {
+            let plan = build_alltoall_shm(&view_of(&group, 1), &w, block);
+            let SchedOp::PullCopy { src, len, .. } = plan.ops[2] else {
+                panic!("expected a pull, got {:?}", plan.ops[2]);
+            };
+            assert_eq!((src.format, src.off, len), (format, block, block));
+        }
+    }
+
+    #[test]
+    fn the_format_follows_the_cost_model_and_the_room() {
+        let w = window(8, 64 * 1024);
+        // One line is the flag line, unless the line is shared; a few lines
+        // validate themselves; a payload whose floors bind goes behind a
+        // flag.
+        assert_eq!(w.format(48, 0..w.slot_bytes, true), INLINE);
+        assert_eq!(w.format(48, 0..w.slot_bytes, false), STAMPED);
+        assert_eq!(w.format(49, 0..w.slot_bytes, true), STAMPED);
+        assert_eq!(w.format(1024, 0..w.slot_bytes, true), STAMPED);
+        assert_eq!(w.format(8 * 1024, 0..w.slot_bytes, true), DpFormat::Slot);
+        // Lines that do not fit their region, or start inside a line, do not
+        // get it.
+        assert_eq!(w.format(100, 0..128, false), STAMPED);
+        assert_eq!(w.format(105, 0..128, false), DpFormat::Slot);
+        assert_eq!(w.format(100, 8..w.slot_bytes, true), DpFormat::Slot);
+        // Two ranks: the rule is one cross-host reader's read, whose row a
+        // floor does not hide — stamped lines go further.
+        let pair = window(2, 64 * 1024);
+        assert_eq!(pair.format(4 * 1024, 0..pair.slot_bytes, true), STAMPED);
+        // And a footprint counts lines.
+        assert_eq!(footprint(Some(w), 49), 2 * SLOT_CELL_SIZE);
+        assert_eq!(footprint(Some(w), 8 * 1024), 8 * 1024);
     }
 
     /// The range of writers each `AwaitRow` of an op list spans.
@@ -839,7 +959,7 @@ mod tests {
     #[test]
     fn barrier_is_one_store_and_one_row() {
         let group = Group::from_world_ranks(vec![3, 5, 6, 9, 11]).unwrap();
-        let w = window(1024);
+        let w = window(5, 1024);
         // A member in the middle spans the whole row, one at an end a line
         // less; nobody reads anything or stores a completion line.
         for (rank, row) in [(0, (1, 5)), (2, (0, 5)), (4, (0, 4))] {
@@ -856,8 +976,10 @@ mod tests {
 
     #[test]
     fn a_row_of_one_line_is_a_line_and_longer_ones_stream() {
-        let cost = window(1024).cost;
+        let cost = window(8, 1024).cost;
         assert_eq!(cost.row(1), cost.line());
+        // No lines: a run of stamped exposures has no row to pay.
+        assert_eq!(cost.row(0), 0.0);
         // Eight lines: what a 512 B pull pays for its payload, where eight
         // loads paid eight device round trips.
         let streamed = cost.cost.streamed_read(512, cost.mode);
@@ -881,7 +1003,7 @@ mod tests {
         DpCost {
             pairs,
             mode,
-            ..window(1024).cost
+            ..window(8, 1024).cost
         }
     }
 
@@ -967,33 +1089,49 @@ mod tests {
     #[test]
     fn reads_of_one_phase_share_one_row() {
         let group = Group::world(8);
+        let w = window(8, 64 * 1024);
         // Allgather of a flag-line payload: every peer's line in one row,
         // then seven reads that wait for nothing.
-        let plan = build_allgather_shm(&view_of(&group, 3), 8);
+        let plan = build_allgather_shm(&view_of(&group, 3), &w, 8);
         assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
         assert!(matches!(plan.ops[1], SchedOp::AwaitRow { phase: 0, .. }));
         assert_eq!(rows(&plan.ops), [(0, 8)]);
         // The row of a rank at either end stops short of its own line.
         for (rank, row) in [(0, (1, 8)), (7, (0, 7))] {
             assert_eq!(
-                rows(&build_allgather_shm(&view_of(&group, rank), 8).ops),
+                rows(&build_allgather_shm(&view_of(&group, rank), &w, 8).ops),
                 [row]
             );
         }
         // A broadcast leaf's row is the root's line alone.
-        let leaf = build_bcast_shm(&view_of(&group, 5), None, 2, 48);
+        let leaf = build_bcast_shm(&view_of(&group, 5), &w, None, 2, 48);
         assert_eq!(rows(&leaf.ops), [(2, 3)]);
         // Reads out of data slots come in the same runs.
-        let plan = build_allgather_shm(&view_of(&group, 3), 64);
+        let plan = build_allgather_shm(&view_of(&group, 3), &w, 16 * 1024);
         assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
         assert_eq!(rows(&plan.ops), [(0, 8)]);
-        let leaf = build_bcast_shm(&view_of(&group, 5), None, 2, 64 * 1024);
+        let leaf = build_bcast_shm(&view_of(&group, 5), &w, None, 2, 64 * 1024);
         assert_eq!(rows(&leaf.ops), [(2, 3)]);
+        // Stamped lines in data slots need no row: one run, no lines.
+        let plan = build_allgather_shm(&view_of(&group, 3), &w, 64);
+        assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
+        assert_eq!(rows(&plan.ops), [(0, 0)]);
         // The one-phase allreduce's local copy and fold sit inside the run.
         let t = CollTuning::default();
-        let w = Some(window(4096));
-        let plan = build_allreduce::<u64>(&view_of(&group, 3), &t, None, w, 1, ReduceOp::Sum);
+        let plan = build_allreduce::<u64>(&view_of(&group, 3), &t, None, Some(w), 1, ReduceOp::Sum);
         assert_eq!(rows(&plan.ops), [(0, 8)]);
+    }
+
+    /// A read by member 3 of `writer`'s 8 bytes in `format`.
+    fn src(writer: usize, format: DpFormat) -> DpSource {
+        DpSource {
+            writer_idx: writer,
+            phase: 0,
+            region: 0,
+            off: 0,
+            format,
+            last: false,
+        }
     }
 
     #[test]
@@ -1001,17 +1139,11 @@ mod tests {
         // Member 3 reads 1, 2, 4 and 6: its own line is bridged, member 5's —
         // whose flag nobody promised — is not, and costs a second row; in the
         // flag line or in the slot, the payloads make no difference.
-        for inline in [[true; 4], [false; 4], [true, false, false, true]] {
+        let slot = DpFormat::Slot;
+        for formats in [[INLINE; 4], [slot; 4], [INLINE, slot, slot, INLINE]] {
             let mut ops = DpOps::new(3);
-            for (writer, inline) in [1, 2, 4, 6].into_iter().zip(inline) {
-                let src = DpSource {
-                    writer_idx: writer,
-                    phase: 0,
-                    off: 0,
-                    inline,
-                    last: false,
-                };
-                ops.pull(src, 8, 8 * writer);
+            for (writer, format) in [1, 2, 4, 6].into_iter().zip(formats) {
+                ops.pull(src(writer, format), 8, 8 * writer);
             }
             assert_eq!(rows(&ops.list), [(1, 5), (6, 7)]);
             assert_eq!(ops.list.len(), 6);
@@ -1019,14 +1151,28 @@ mod tests {
     }
 
     #[test]
+    fn stamped_reads_need_no_row_and_join_the_run_of_their_phase() {
+        // Stamped lines in data slots from 1, 2, 4 and 6: no flag line to
+        // await, no gap to split on — one run, an empty row.
+        let mut ops = DpOps::new(3);
+        for writer in [1, 2, 4, 6] {
+            ops.pull(src(writer, STAMPED), 8, 8 * writer);
+        }
+        assert_eq!(rows(&ops.list), [(1, 1)]);
+        // A flag line after them is the row's first; one the row cannot
+        // reach opens a run of its own.
+        let mut ops = DpOps::new(3);
+        ops.pull(src(0, STAMPED), 8, 0);
+        ops.pull(src(1, DpFormat::Slot), 8, 8);
+        ops.pull(src(2, STAMPED), 8, 16);
+        ops.pull(src(4, INLINE), 8, 32);
+        ops.pull(src(6, INLINE), 8, 48);
+        assert_eq!(rows(&ops.list), [(1, 2), (4, 5), (6, 7)]);
+    }
+
+    #[test]
     fn whatever_can_wait_ends_the_run() {
-        let src = |writer_idx| DpSource {
-            writer_idx,
-            phase: 0,
-            off: 0,
-            inline: false,
-            last: false,
-        };
+        let src = |writer| src(writer, DpFormat::Slot);
         let send = SchedOp::Send {
             peer: 1,
             tag_off: 0,
@@ -1059,11 +1205,13 @@ mod tests {
 
     #[test]
     fn a_two_phase_allreduce_reads_each_phase_in_one_run() {
-        // 55 u64 over 8 ranks: seven blocks of 7 elements (56 B, in the data
-        // slot) and one of 6 (48 B, in rank 7's flag line). Phase 0 reads data
-        // slots only, phase 1 seven slots and a flag line: a row each.
-        let (ops, ..) = allreduce_two_phase(2, 8, 55, 8);
-        assert_eq!(rows(&ops.list), [(0, 8), (0, 8)]);
+        // 55 u64 over 8 ranks: the 440 B vectors are stamped lines in data
+        // slots, and so are seven reduced blocks of 7 elements (56 B, two
+        // lines); one of 6 (48 B) is rank 7's flag line. Phase 0 needs no
+        // row, phase 1 one of a line — a run each.
+        let w = window(8, 64 * 1024);
+        let (ops, ..) = allreduce_two_phase(&w, 2, 8, 55, 8);
+        assert_eq!(rows(&ops.list), [(0, 0), (7, 8)]);
         let phases: Vec<u8> = ops
             .list
             .iter()
@@ -1073,12 +1221,17 @@ mod tests {
             })
             .collect();
         assert_eq!(phases, [0, 1]);
-        // Each row directly follows its phase's expose: nothing else waits.
+        // Each run directly follows its phase's expose: nothing else waits.
         assert!(matches!(ops.list[0], SchedOp::ExposeRead { phase: 0, .. }));
         assert!(matches!(ops.list[1], SchedOp::AwaitRow { phase: 0, .. }));
         assert!(matches!(ops.list[9], SchedOp::ExposeRead { phase: 1, .. }));
         assert!(matches!(ops.list[10], SchedOp::AwaitRow { phase: 1, .. }));
         assert_eq!(ops.list.len(), 18);
+        // The reduced blocks start on the first line past the vector's.
+        assert_eq!(
+            ops.pieces[1].region_off,
+            stamped_lines(440) * SLOT_CELL_SIZE
+        );
     }
 
     #[test]
@@ -1087,10 +1240,11 @@ mod tests {
         // 6 ranks blocked over 2 hosts: {0,1,2} and {3,4,5}, root 0.
         let group = Group::world(6);
         let topo = HostTopology::blocked(6, 2).unwrap();
+        let w = window(6, 512 * 1024);
         let total = 2 * DP_BCAST_SCATTER_MIN_BYTES;
         let plan_of = |rank: Rank| {
             let h = HostHierarchy::derive(&group, &topo, rank);
-            build_bcast_shm(&view_of(&group, rank), Some(&h), 0, total)
+            build_bcast_shm(&view_of(&group, rank), &w, Some(&h), 0, total)
         };
         // Root: one expose for every reader, sliced or not.
         assert_eq!(shape(&plan_of(0)), (1, 0, 0));
@@ -1114,11 +1268,11 @@ mod tests {
         assert_eq!(remote.result_len(), total);
         // Below the cutoff (or on one host) the direct shape is kept.
         let h = HostHierarchy::derive(&group, &topo, 4);
-        let small = build_bcast_shm(&view_of(&group, 4), Some(&h), 0, 256);
+        let small = build_bcast_shm(&view_of(&group, 4), &w, Some(&h), 0, 256);
         assert_eq!(shape(&small), (0, 1, 1));
         let one_host = HostTopology::blocked(6, 1).unwrap();
         let h1 = HostHierarchy::derive(&group, &one_host, 4);
-        let flat = build_bcast_shm(&view_of(&group, 4), Some(&h1), 0, total);
+        let flat = build_bcast_shm(&view_of(&group, 4), &w, Some(&h1), 0, total);
         assert_eq!(shape(&flat), (0, 1, 1));
     }
 
@@ -1128,20 +1282,22 @@ mod tests {
         let elem = 8;
         let offs: Vec<usize> = (0..=4).map(|i| block_off(i, 10, 4, elem)).collect();
         assert_eq!(offs, vec![0, 24, 48, 64, 80]);
-        let (ops, scratch, footprint) = allreduce_two_phase(2, 4, 10, elem);
-        // 2 exposes, each followed by a row and 3 reads (the reduced blocks,
-        // 16 and 24 B, ride inline); scratch stages one own-block fold at a
-        // time; the slot holds the vector plus the largest reduced block.
+        let (ops, scratch, footprint) = allreduce_two_phase(&window(4, 4096), 2, 4, 10, elem);
+        // 2 exposes, each followed by a row and 3 reads (the 80 B vector in
+        // two stamped lines, the reduced blocks, 16 and 24 B, in flag lines);
+        // scratch stages one own-block fold at a time; the slot holds the
+        // vector's two lines and a line past them.
         assert_eq!(ops.list.len(), 10);
-        assert_eq!((scratch, footprint), (16, 80 + 24));
+        assert_eq!((scratch, footprint), (16, 3 * SLOT_CELL_SIZE));
     }
 
     #[test]
     fn short_vectors_emit_no_zero_length_ops() {
         // 2 elements over 5 ranks: ranks 2..5 own nothing. They fold nothing,
         // re-expose nothing, and nobody pulls their (empty) block.
-        let (owner, ..) = allreduce_two_phase(1, 5, 2, 8);
-        let (idle, ..) = allreduce_two_phase(3, 5, 2, 8);
+        let w = window(5, 4096);
+        let (owner, ..) = allreduce_two_phase(&w, 1, 5, 2, 8);
+        let (idle, ..) = allreduce_two_phase(&w, 3, 5, 2, 8);
         // Owner: expose A, a row and 4 folds, expose B, a row of one line and
         // the pull of rank 0's block.
         assert_eq!(owner.list.len(), 9);
@@ -1165,7 +1321,7 @@ mod tests {
     fn allreduce_shape_follows_the_cost_model() {
         let group = Group::world(8);
         let t = CollTuning::default();
-        let w = Some(window(512 * 1024));
+        let w = Some(window(8, 512 * 1024));
         let plan = |rank, count| {
             let plan =
                 build_allreduce::<f64>(&view_of(&group, rank), &t, None, w, count, ReduceOp::Sum);
@@ -1176,16 +1332,19 @@ mod tests {
         for rank in [0, 5] {
             assert_eq!(shape(&plan(rank, 1)), (1, 7, 1));
         }
-        // 1 KiB still folds whole vectors; 64 KiB scatters the reduction.
-        assert_eq!(shape(&plan(3, 128)), (1, 7, 1));
+        // 512 B still folds whole vectors; 64 KiB scatters the reduction —
+        // and so, its peers all priced as remote, does 1 KiB, whose vectors
+        // each reader would otherwise stream whole in stamped lines.
+        assert_eq!(shape(&plan(3, 64)), (1, 7, 1));
+        assert_eq!(shape(&plan(3, 128)), (2, 14, 1));
         assert_eq!(shape(&plan(3, 8192)), (2, 14, 1));
         // Rank 0 folds in place; the others stage their own vector too.
-        assert_eq!(plan(0, 128).scratch_len(), 1024);
-        assert_eq!(plan(3, 128).scratch_len(), 2048);
+        assert_eq!(plan(0, 64).scratch_len(), 512);
+        assert_eq!(plan(3, 64).scratch_len(), 1024);
         // The shape is chosen before the fit check: a vector whose cheaper
         // (two-phase) shape overflows the slot goes to the ring path even
         // though the one-phase footprint would fit.
-        let tight = Some(window(64 * 1024));
+        let tight = Some(window(8, 64 * 1024));
         let view = view_of(&group, 0);
         let ring = build_allreduce::<f64>(&view, &t, None, tight, 8192, ReduceOp::Sum);
         assert_eq!(ring.label, "allreduce/rabenseifner");
@@ -1197,7 +1356,7 @@ mod tests {
         let group = Group::world(n);
         let send: Vec<usize> = (0..n).map(|d| bytes(rank, d)).collect();
         let recv: Vec<usize> = (0..n).map(|s| bytes(s, rank)).collect();
-        let w = Some(window(64 * 1024));
+        let w = Some(window(n, 64 * 1024));
         crate::coll::build_alltoallv(&view_of(&group, rank), w, &send, &recv, 1, false)
     }
 
@@ -1206,13 +1365,11 @@ mod tests {
         // 8 ranks on 64 KiB slots: a stride of 8 KiB.
         let plan = exchange_plan(8, 3, |s, d| 100 * (s + 1) + d);
         assert_eq!(plan.label, "alltoallv/shm");
-        // The self copy, one expose of seven pieces, one row, seven pulls.
+        // The self copy, one expose of seven pieces, one run, seven pulls.
         assert_eq!((plan.len(), shape(&plan)), (10, (1, 7, 1)));
-        assert_eq!(rows(&plan.ops), [(0, 8)]);
         assert!(matches!(
             plan.ops[1],
             SchedOp::ExposeRead {
-                inline: false,
                 pieces: (0, 7),
                 readers: DpReaders::PerPiece { stride: 8192 },
                 ..
@@ -1221,40 +1378,51 @@ mod tests {
         for (piece, r) in plan.pieces.iter().zip((0..8).filter(|&r| r != 3)) {
             assert_eq!(piece.region_off, r * 8192);
             assert_eq!(piece.end - piece.start, 400 + r);
+            assert_eq!(piece.format, STAMPED);
         }
         // Every pull takes the reader's own region of the writer's slot, by
-        // the length MPI told the reader, in writer order.
+        // the length MPI told the reader, in writer order — stamped lines,
+        // so the run has no row.
+        assert_eq!(rows(&plan.ops), [(0, 0)]);
         let SchedOp::PullCopy { src, len, .. } = plan.ops[3] else {
             panic!("expected a pull, got {:?}", plan.ops[3]);
         };
         assert_eq!(
-            (src.writer_idx, src.off, src.inline, len),
-            (0, 3 * 8192, false, 103)
+            (src.writer_idx, src.region, src.off, src.format, len),
+            (0, 3 * 8192, 0, STAMPED, 103)
         );
-        // Rank 0's run starts past its own line, rank 7's stops short of it.
-        assert_eq!(rows(&exchange_plan(8, 0, |_, _| 64).ops), [(1, 8)]);
-        assert_eq!(rows(&exchange_plan(8, 7, |_, _| 64).ops), [(0, 7)]);
+        // Behind flag lines, rank 0's run starts past its own line and rank
+        // 7's stops short of it.
+        let big = |_: usize, _: usize| 4096;
+        assert_eq!(rows(&exchange_plan(8, 0, big).ops), [(1, 8)]);
+        assert_eq!(rows(&exchange_plan(8, 7, big).ops), [(0, 7)]);
+        assert!(exchange_plan(8, 0, big)
+            .pieces
+            .iter()
+            .all(|p| p.format == DpFormat::Slot));
     }
 
     #[test]
-    fn irregular_exchange_never_rides_the_flag_line_and_skips_empty_pairs() {
+    fn irregular_exchange_pieces_never_take_the_flag_line_and_skip_empty_pairs() {
         // Only 0 → 1, eight bytes: one piece and one reader on rank 0, one
-        // pull on rank 1, nothing at all on rank 2 — and not inline, short as
-        // it is: rank 1 cannot know that rank 0 sent nobody else anything.
+        // pull on rank 1, nothing at all on rank 2 — and stamped lines in the
+        // reader's region, not the flag line, short as it is: the pieces of a
+        // gathered exposure would all have to share it.
         let edge = |s: usize, d: usize| if (s, d) == (0, 1) { 8 } else { 0 };
         let writer = exchange_plan(3, 0, edge);
         assert_eq!((writer.len(), shape(&writer)), (1, (1, 0, 0)));
         assert_eq!(writer.pieces.len(), 1);
         assert_eq!(writer.pieces[0].region_off, 64 * 1024 / 3 / 64 * 64);
+        assert_eq!(writer.pieces[0].format, STAMPED);
         let reader = exchange_plan(3, 1, edge);
         let SchedOp::PullCopy { src, len, .. } = reader.ops[1] else {
             panic!("expected a pull, got {:?}", reader.ops[1]);
         };
         assert_eq!(
-            (reader.len(), src.inline, src.last, len),
-            (2, false, true, 8)
+            (reader.len(), src.format, src.last, len),
+            (2, STAMPED, true, 8)
         );
-        assert_eq!(rows(&reader.ops), [(0, 1)]);
+        assert_eq!(rows(&reader.ops), [(0, 0)]);
         assert!(exchange_plan(3, 2, edge).is_empty());
     }
 
@@ -1263,7 +1431,7 @@ mod tests {
         // Rank 5 sends rank 2 nothing — and, for all rank 2 knows, nobody
         // else either, so that its flag may never go up: rank 2 reads 0, 1, 3
         // and 4 behind one row (its own line bridged), 6 and 7 behind another.
-        let hole = |s: usize, d: usize| if (s, d) == (5, 2) { 0 } else { 256 };
+        let hole = |s: usize, d: usize| if (s, d) == (5, 2) { 0 } else { 4096 };
         let plan = exchange_plan(8, 2, hole);
         assert_eq!(shape(&plan), (1, 6, 1));
         assert_eq!(rows(&plan.ops), [(0, 5), (6, 8)]);
@@ -1273,6 +1441,9 @@ mod tests {
             assert_eq!(shape(&plan), (1, 7, 1));
             assert_eq!(rows(&plan.ops).len(), 1);
         }
+        // Stamped pieces await no flag: the hole splits nothing.
+        let small = |s: usize, d: usize| if (s, d) == (5, 2) { 0 } else { 256 };
+        assert_eq!(rows(&exchange_plan(8, 2, small).ops), [(0, 0)]);
     }
 
     #[test]
@@ -1280,7 +1451,7 @@ mod tests {
         // 9000 B > the 8 KiB stride between ranks 2 and 5 only.
         let bytes = |s: usize, d: usize| match (s.min(d), s.max(d)) {
             (2, 5) => 9000,
-            _ => 1000,
+            _ => 4000,
         };
         let plan = exchange_plan(8, 2, bytes);
         assert_eq!(plan.label, "alltoallv/shm+pairwise");
@@ -1331,24 +1502,41 @@ mod tests {
     }
 
     #[test]
-    fn irregular_exchange_costs_one_publish_a_row_a_gathered_read_and_a_line() {
+    fn irregular_exchange_costs_one_publish_one_gathered_read_and_a_line() {
         let n = 8;
-        let bytes = |s: usize, d: usize| 64 * (1 + (3 * s + d) % 5);
-        let w = window(64 * 1024);
-        let plan = exchange_plan(n, 1, bytes);
-        let cross: usize = (0..n).filter(|&d| d != 1).map(|d| bytes(1, d)).sum();
-        let publish = w.cost.cost.streamed_publish(cross, w.cost.mode) + w.cost.line();
-        let pieces = (0..n).filter(|&s| s != 1).map(|s| (bytes(s, 1), s < 4));
+        let w = window(n, 64 * 1024);
+        let same_host = |r: usize| r < 4;
+        // Short segments: stamped lines — one store stream, no flag line; one
+        // gathered read of the lines, no row.
+        let small = |s: usize, d: usize| 64 * (1 + (3 * s + d) % 5);
+        let lines = |len: usize| stamped_lines(len) * SLOT_CELL_SIZE;
+        let plan = exchange_plan(n, 1, small);
+        let cross: usize = (0..n).filter(|&d| d != 1).map(|d| lines(small(1, d))).sum();
+        let publish = w.cost.publish(cross, false);
+        let pieces = (0..n)
+            .filter(|&s| s != 1)
+            .map(|s| (lines(small(s, 1)), same_host(s)));
+        let reads = w.cost.gather(0, pieces);
+        let cost = serial_cost(&plan.ops, &plan.pieces, &w, same_host);
+        assert!((cost - (publish + reads + w.cost.line())).abs() < 1e-9);
+        // Long ones: the slots behind the flag lines, a row ahead of them.
+        let big = |s: usize, d: usize| 2048 * (1 + (3 * s + d) % 3);
+        let plan = exchange_plan(n, 1, big);
+        let cross: usize = (0..n).filter(|&d| d != 1).map(|d| big(1, d)).sum();
+        let publish = w.cost.publish(cross, true);
+        let pieces = (0..n)
+            .filter(|&s| s != 1)
+            .map(|s| (big(s, 1), same_host(s)));
         let reads = w.cost.row(n) + w.cost.gather(n, pieces);
-        let cost = serial_cost(&plan.ops, &plan.pieces, &w, |r| r < 4);
+        let cost = serial_cost(&plan.ops, &plan.pieces, &w, same_host);
         assert!((cost - (publish + reads + w.cost.line())).abs() < 1e-9);
     }
 
     #[test]
     fn allgather_plan_shape() {
         let group = Group::from_world_ranks(vec![4, 5, 6]).unwrap();
-        let plan = build_allgather_shm(&view_of(&group, 0), 128);
-        // 1 expose, a row, 2 pulls, the second of which ends the collective.
+        let plan = build_allgather_shm(&view_of(&group, 0), &window(3, 4096), 128);
+        // 1 expose, a run, 2 pulls, the second of which ends the collective.
         assert_eq!(shape(&plan), (1, 2, 1));
         assert_eq!(plan.len(), 4);
         assert_eq!(plan.result_len(), 3 * 128);

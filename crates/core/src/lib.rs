@@ -129,6 +129,8 @@ pub mod future;
 pub mod group;
 pub mod p2p;
 pub mod plan;
+#[cfg(test)]
+mod plan_check;
 pub mod pod;
 pub mod progress;
 pub mod queue;

@@ -154,17 +154,17 @@ pub(crate) enum SchedOp {
         readers: DpReaders,
     },
     /// Data plane: publish the plan's `pieces[lo..hi]` — byte ranges of `loc`,
-    /// each with its place in this rank's data slot — for the execution's
-    /// live sequence number, and raise the slot's `phase` flag once. One
-    /// piece for a regular collective (in the flag line itself when `inline`),
-    /// one per reader for the irregular exchange's gather; none for a
-    /// barrier's arrival. Pending (does not advance) while the slot is still
-    /// held by an earlier collective some reader has not finished with.
+    /// each with its place in this rank's data slot and its format — for the
+    /// execution's live sequence number, in one store stream, and raise the
+    /// slot's `phase` flag line once unless every piece is stamped lines that
+    /// validate themselves. One piece for a regular collective (the flag line
+    /// itself when it is one stamped line), one per reader for the irregular
+    /// exchange's gather; none for a barrier's arrival. Pending (does not
+    /// advance) while the slot is still held by an earlier collective some
+    /// reader has not finished with.
     ExposeRead {
         /// Publish phase within the collective (flag cell selector).
         phase: u8,
-        /// The exposure is one piece that rides in the flag line.
-        inline: bool,
         /// Source arena.
         loc: Loc,
         /// Range of the plan's piece table ([`CollPlan::pieces`]).
@@ -172,21 +172,25 @@ pub(crate) enum SchedOp {
         /// Who reads the exposure (whose completion lines gate slot reuse).
         readers: DpReaders,
     },
-    /// Data plane: acquire the `phase` flag lines of group members
-    /// `lo..hi` — this rank, if it lies between them, excepted: the writers
-    /// whose exposures the reads that follow consume — in one row read.
-    /// Pending until every one of them is up; the only op of a run that waits.
+    /// Data plane: open a **run** — acquire, all or nothing, what the reads
+    /// that follow it (up to the next op that can wait) consume: the `phase`
+    /// flag lines of group members `lo..hi` — this rank, if it lies between
+    /// them, excepted — in one row read, none if the range is empty, and the
+    /// lines of every stamped exposure they read out of a data slot. Pending
+    /// until every one of those lines is up; the only op of a run that waits.
     AwaitRow {
         /// Publish phase within the collective (flag cell selector).
         phase: u8,
-        /// The awaited writers, a range of group indices.
+        /// The writers whose flag lines are awaited, a range of group
+        /// indices.
         writers: (usize, usize),
     },
     /// Data plane: copy `len` bytes from the exposure `src` names into
-    /// `dst_loc[dst_start..]`: out of the flag line the `AwaitRow` before it
-    /// acquired (`src.inline`), or out of the writer's data slot, which that
-    /// line vouches for. Never pending. With `src.last`, also store this
-    /// rank's completion line — this was its last read of the collective.
+    /// `dst_loc[dst_start..]`: out of the stamped lines — a flag line or
+    /// lines of a data slot — the `AwaitRow` before it acquired, or out of
+    /// the writer's data slot, which that op's flag line vouches for. Never
+    /// pending. With `src.last`, also store this rank's completion line — this
+    /// was its last read of the collective.
     PullCopy {
         /// The exposure and the region of it to read.
         src: DpSource,
@@ -416,7 +420,8 @@ impl CollPlan {
 
 /// Scratch bytes an execution keeps inline: enough for the temporaries of any
 /// collective whose payload rides in a flag line (two vectors of
-/// [`crate::transport::DP_INLINE_BYTES`]), so starting one allocates nothing.
+/// [`cxl_shm::slots::SLOT_CELL_INLINE`] bytes), so starting one allocates
+/// nothing.
 const INLINE_SCRATCH: usize = 128;
 
 /// An execution's scratch arena: inline when small, on the heap otherwise.
@@ -677,14 +682,13 @@ impl Execution {
                 }
                 SchedOp::ExposeRead {
                     phase,
-                    inline,
                     loc,
                     pieces: (lo, hi),
                     readers,
                 } => {
                     let from: &[u8] = arena(loc, buf, &mut self.scratch);
                     let pieces = &plan.pieces[lo..hi];
-                    if !t.dp_expose(clock, ctx, self.seq, phase, inline, pieces, from, readers)? {
+                    if !t.dp_expose(clock, ctx, self.seq, phase, pieces, from, readers)? {
                         // Slot still held by an earlier collective: pending.
                         return Ok(StepOutcome {
                             done: false,
@@ -696,8 +700,18 @@ impl Execution {
                     phase,
                     writers: (lo, hi),
                 } => {
-                    if !t.dp_await_row(clock, ctx, self.seq, phase, lo..hi)? {
-                        // Some awaited flag not up yet: pending.
+                    // The run's reads: up to the next op that can wait.
+                    let mut reads = plan.ops[self.pos + 1..]
+                        .iter()
+                        .map_while(|op| match *op {
+                            SchedOp::PullCopy { src, len, .. }
+                            | SchedOp::FoldInPlace { src, len, .. } => Some(Some((src, len))),
+                            SchedOp::Copy { .. } | SchedOp::Fold { .. } => Some(None),
+                            _ => None,
+                        })
+                        .flatten();
+                    if !t.dp_await_row(clock, ctx, self.seq, phase, lo..hi, &mut reads)? {
+                        // Some awaited line not up yet: pending.
                         return Ok(StepOutcome {
                             done: false,
                             ops: completed,

@@ -35,7 +35,10 @@ use std::sync::Arc;
 use cmpi_fabric::clock::{transfer_ns, SimNs};
 use cmpi_fabric::cost::CoherenceMode;
 use cmpi_fabric::{CxlContentionModel, CxlCostModel, SimClock};
-use cxl_shm::slots::{SLOT_CELL_DATA_OFF, SLOT_CELL_SIZE, SLOT_CELL_TS_OFF, SLOT_DONE_ENTRY};
+use cxl_shm::slots::{
+    stamped_lines, stamped_pos, stamped_span, SLOT_CELL_DATA_OFF, SLOT_CELL_SIZE, SLOT_CELL_TS_OFF,
+    SLOT_DONE_ENTRY,
+};
 use cxl_shm::{CxlShmArena, ShmObject, SlotLayout, CACHE_LINE_SIZE};
 
 use crate::barrier::SeqBarrier;
@@ -51,8 +54,8 @@ use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{PoisonFlag, SpinWait};
 use crate::transport::conn::{ConnTable, SrqConsumer, SrqProducer, Stream, STREAM_INLINE};
 use crate::transport::{
-    no_data_plane, DataPlaneSection, DpCost, DpGather, DpPiece, DpReaders, DpSource, DpWindow,
-    FaultInjector, RecvDest, Transport, WinId, DP_INLINE_BYTES,
+    no_data_plane, raises_flag, DataPlaneSection, DpCost, DpFormat, DpGather, DpPiece, DpReaders,
+    DpSource, DpWindow, FaultInjector, RecvDest, Transport, WinId,
 };
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
@@ -163,8 +166,17 @@ struct DpState {
     /// of completion lines ([`release_held`]).
     row: Vec<u8>,
     /// Which flag lines `row` holds, while it holds any the reads of a run
-    /// may still answer to.
+    /// may still answer to — and which collective's run `lines` belongs to.
     row_of: Option<RowTag>,
+    /// The images ([`load_lines`]) of the run's reads of stamped exposures in
+    /// data slots, one after another in read order.
+    lines: Vec<u8>,
+    /// The read each image of `lines` is for, and where it lies there.
+    images: Vec<(DpSource, Range<usize>)>,
+    /// How many of `images` the run's reads have taken.
+    taken: usize,
+    /// Where this rank composes the stamped lines it stores.
+    stage: Vec<u8>,
     /// Where that run's gathered read stands.
     run: DpGather,
 }
@@ -178,11 +190,11 @@ struct RowTag {
     writers: (usize, usize),
 }
 
-/// What a span read leaves — in debug builds — in the value word of its own
-/// copy of every flag line it checked: every read of the run asserts that its
-/// writer's line is so marked — that it saw the flag up before it took a byte
-/// of the payload, in the line or in the slot — never one that merely lay
-/// inside the span.
+/// What a run's acquire leaves — in debug builds — in the first word of its
+/// own copy of every line it checked, flag line or stamped line: every read
+/// of the run copies only out of lines so marked ([`Awaited::checked`]) — it
+/// saw them up before it took a byte of the payload, in a line or in a slot —
+/// never out of one that merely lay inside a span.
 const ROW_CHECKED: u64 = u64::MAX;
 
 impl DpState {
@@ -221,16 +233,28 @@ impl DpState {
         self.held[slot] = Some(seq);
     }
 
-    /// This rank's copy of the flag line `writer` raised in `phase` of
-    /// collective `seq`, if its latest span read acquired it.
-    fn row_line(&self, seq: u32, phase: u8, writer: usize) -> Option<&[u8]> {
-        let (first, end) = self
+    /// This rank's copy of the lines read `src` consumes of collective
+    /// `seq`, if the run it acquired last holds them: the flag line `src`'s
+    /// writer raised, or — the next read of a stamped exposure in a data slot
+    /// — that read's image.
+    fn run_lines(&mut self, seq: u32, src: &DpSource, len: usize) -> Option<&mut [u8]> {
+        let row = self
             .row_of
-            .filter(|row| (row.seq, row.phase) == (seq, phase))?
-            .writers;
+            .filter(|row| (row.seq, row.phase) == (seq, src.phase))?;
+        if !src.format.in_row() {
+            let (read, image) = self.images.get(self.taken)?;
+            let same =
+                (read.writer_idx, read.region, read.off) == (src.writer_idx, src.region, src.off);
+            if !same || image.len() != src.slot_bytes(len) {
+                return None;
+            }
+            self.taken += 1;
+            return Some(&mut self.lines[image.clone()]);
+        }
+        let (first, end) = row.writers;
         (first..end)
-            .contains(&writer)
-            .then(|| &self.row[(writer - first) * SLOT_CELL_SIZE..][..SLOT_CELL_SIZE])
+            .contains(&src.writer_idx)
+            .then(|| &mut self.row[(src.writer_idx - first) * SLOT_CELL_SIZE..][..SLOT_CELL_SIZE])
     }
 
     /// Note that this rank will read exposures of collective `seq`.
@@ -278,6 +302,129 @@ pub(crate) fn load_stamped(obj: &ShmObject, off: usize, at_least: u64) -> Result
     }
     let ts = obj.nt_load_u64_at((off + SLOT_CELL_TS_OFF) as u64)?;
     Ok(Some(f64::from_bits(ts)))
+}
+
+/// Tag of the sequence word of a stamped line in a data slot. A slot's bytes
+/// are anybody's before its writer stores there — an earlier collective's
+/// payload, a freed RMA window's data — so a reader accepts exactly the word
+/// it awaits, and the tag keeps a stray payload word from being it.
+const DP_LINE_TAG: u64 = 0x5354_4d50 << 33;
+
+/// What a reader awaits in the first word of every line of a stamped
+/// exposure.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Awaited {
+    /// At least this sequence value: a flag line of the row, in the control
+    /// region the window's creator zeroed, whose values only grow (a
+    /// barrier's arrival may be overwritten by a later collective's).
+    AtLeast(u64),
+    /// Exactly this word: a line in a data slot.
+    Exactly(u64),
+}
+
+impl Awaited {
+    /// What a line of collective `seq` carries, stored and awaited alike: a
+    /// line of the flag row (`in_row`) or of a data slot.
+    fn line_of(seq: u32, in_row: bool) -> Self {
+        let value = u64::from(seq) + 1;
+        match in_row {
+            true => Awaited::AtLeast(value),
+            false => Awaited::Exactly(DP_LINE_TAG | value),
+        }
+    }
+
+    /// What a read of a run awaits in lines the run's acquire has already
+    /// checked: in debug builds the mark it left in each, so that a read out
+    /// of a line it did not check fails; in release builds what it checked.
+    fn checked(self) -> Self {
+        match cfg!(debug_assertions) {
+            true => Awaited::Exactly(ROW_CHECKED),
+            false => self,
+        }
+    }
+
+    fn word(self) -> u64 {
+        match self {
+            Awaited::AtLeast(word) | Awaited::Exactly(word) => word,
+        }
+    }
+
+    fn shown_by(self, word: u64) -> bool {
+        match self {
+            Awaited::AtLeast(value) => word >= value,
+            Awaited::Exactly(expected) => word == expected,
+        }
+    }
+}
+
+/// Store `payload` as the stamped lines at `off`, composed in `image`: the
+/// first line holds the stamp `ts` and [`cxl_shm::slots::SLOT_CELL_INLINE`]
+/// bytes, every further one [`cxl_shm::slots::SLOT_LINE_PAYLOAD`], and each
+/// line's first word is `word`. Every line goes out as one 64-byte direct
+/// store, its word landing after the rest of it, so that whoever loads the
+/// word finds what was stored beside it. With a payload of at most one line at a flag line's offset this
+/// is the flag line with what it carries; with none, the stamped value alone
+/// (a barrier's arrival).
+fn store_lines(
+    obj: &ShmObject,
+    off: usize,
+    word: u64,
+    ts: f64,
+    payload: &[u8],
+    image: &mut Vec<u8>,
+) -> Result<()> {
+    image.clear();
+    image.resize(stamped_lines(payload.len()) * SLOT_CELL_SIZE, 0);
+    for line in image.chunks_exact_mut(SLOT_CELL_SIZE) {
+        line[..8].copy_from_slice(&word.to_le_bytes());
+    }
+    image[SLOT_CELL_TS_OFF..SLOT_CELL_DATA_OFF].copy_from_slice(&ts.to_bits().to_le_bytes());
+    for (at, part) in image_parts(0, payload.len()) {
+        image[at..at + part.len()].copy_from_slice(&payload[part]);
+    }
+    Ok(obj.nt_store_lines_at(off as u64, image)?)
+}
+
+/// Where bytes `off..off + len` of a stamped exposure lie in an image of its
+/// first line followed by the lines that hold them ([`stamped_span`]): `(at,
+/// part)` for each run of them that shares a line, `part` relative to `off`.
+fn image_parts(off: usize, len: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let first = stamped_span(off, len).start;
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let (line, at) = stamped_pos(off + done);
+            let row = if line == 0 { 0 } else { line + 1 - first };
+            let take = (SLOT_CELL_SIZE - at).min(len - done);
+            done += take;
+            (row * SLOT_CELL_SIZE + at, done - take..done)
+        })
+    })
+}
+
+/// Check-and-copy, the reader's half of [`store_lines`]. `image` is this
+/// rank's copy of a stamped exposure's first line followed by the lines that
+/// hold bytes `off..off + out.len()` ([`stamped_span`]). Every line's word
+/// is checked before a byte is taken: unless each shows `awaited`, nothing is
+/// copied and `None` returned — a line behind, or one of another exposure,
+/// never reaches `out`. Otherwise the bytes are copied out and the first
+/// line's stamp returned; in debug builds every line checked is left marked
+/// [`ROW_CHECKED`].
+fn load_lines(image: &mut [u8], awaited: Awaited, off: usize, out: &mut [u8]) -> Option<f64> {
+    let lines = || image.chunks_exact(SLOT_CELL_SIZE);
+    if !lines().all(|line| awaited.shown_by(read_u64(line, 0))) {
+        return None;
+    }
+    let stamp = f64::from_bits(read_u64(image, SLOT_CELL_TS_OFF));
+    if cfg!(debug_assertions) {
+        for line in image.chunks_exact_mut(SLOT_CELL_SIZE) {
+            line[..8].copy_from_slice(&ROW_CHECKED.to_le_bytes());
+        }
+    }
+    for (at, part) in image_parts(off, out.len()) {
+        out[part.clone()].copy_from_slice(&image[at..at + part.len()]);
+    }
+    Some(stamp)
 }
 
 /// A writer about to expose collective `seq` found the slot it wants still
@@ -1997,6 +2144,10 @@ impl Transport for CxlTransport {
                         done_stores: 0,
                         row: vec![0; group.len() * SLOT_CELL_SIZE],
                         row_of: None,
+                        lines: Vec::new(),
+                        images: Vec::with_capacity(group.len()),
+                        taken: 0,
+                        stage: Vec::new(),
                         run: DpGather::default(),
                     }),
                 );
@@ -2011,9 +2162,17 @@ impl Transport for CxlTransport {
 
     fn dp_window(&self, ctx: CtxId) -> Option<DpWindow> {
         let layout = self.dp.get(&ctx)?.as_ref()?.layout;
+        // Plans are priced with the crowd every member assumes, not with this
+        // rank's live hint: two members that priced differently would build
+        // plans that do not fit together.
+        let cost = DpCost {
+            pairs: (self.ranks / 2).max(1),
+            ..self.dp_cost()
+        };
         Some(DpWindow {
             slot_bytes: layout.slot_bytes(),
-            cost: self.dp_cost(),
+            ranks: layout.ranks(),
+            cost,
         })
     }
 
@@ -2033,7 +2192,6 @@ impl Transport for CxlTransport {
         ctx: CtxId,
         seq: u32,
         phase: u8,
-        inline: bool,
         pieces: &[DpPiece],
         buf: &[u8],
         readers: DpReaders,
@@ -2058,31 +2216,42 @@ impl Transport for CxlTransport {
         if let Some(f) = self.fault.as_mut() {
             f.on_publish()?;
         }
-        let flag = state.layout.flag_off(state.my_idx, slot, phase as usize);
-        let (base, room) = if inline {
-            debug_assert!(pieces.len() <= 1);
-            (flag + SLOT_CELL_DATA_OFF, DP_INLINE_BYTES)
-        } else {
-            let slot_off = state.layout.data_off(state.my_idx, slot);
-            (slot_off, state.layout.slot_bytes())
-        };
+        // One streamed publish — one NT store stream over every byte the
+        // pieces put into the slot, one fence; the stores bypass the cache,
+        // so there is no line to flush — for *all* readers, then the flag
+        // line unless every piece validates itself. This is the whole point
+        // of the single-copy path: no per-chunk headers, no per-message
+        // software overhead.
+        clock.advance(cost.expose(pieces));
+        let ts = clock.now();
+        let slot_off = state.layout.data_off(state.my_idx, slot);
+        let mut in_flag: &[u8] = &[];
         let mut bytes = 0;
         for piece in pieces {
             let data = &buf[piece.start..piece.end];
-            let at = if inline { 0 } else { piece.region_off };
-            debug_assert!(at + data.len() <= room);
-            state.obj.nt_store_at((base + at) as u64, data)?;
+            let at = slot_off + piece.region_off;
+            debug_assert!(
+                piece.region_off + piece.format.footprint(data.len()) <= state.layout.slot_bytes()
+            );
+            match piece.format {
+                DpFormat::Stamped { in_row: true } => in_flag = data,
+                DpFormat::Stamped { in_row: false } => {
+                    let word = Awaited::line_of(seq, false).word();
+                    store_lines(&state.obj, at, word, ts, data, &mut state.stage)?;
+                }
+                DpFormat::Slot => state.obj.nt_store_at(at as u64, data)?,
+            }
             bytes += data.len();
         }
-        // Not inline: one streamed publish (one NT store stream over every
-        // piece + one fence — the stores bypass the cache, so there is no
-        // line to flush) for *all* readers, then the flag line. Inline: the
-        // flag line is the publish. Either way the line — value, stamp and
-        // what payload it carries — goes out as a single NT store: this is
-        // the whole point of the single-copy path — no per-chunk headers, no
-        // per-message software overhead.
-        clock.advance(cost.expose(bytes, inline));
-        store_stamped(&state.obj, flag, u64::from(seq) + 1, clock.now())?;
+        if raises_flag(pieces) {
+            let flag = state.layout.flag_off(state.my_idx, slot, phase as usize);
+            let word = Awaited::line_of(seq, true).word();
+            store_lines(&state.obj, flag, word, ts, in_flag, &mut state.stage)?;
+        }
+        let stamped = |p: &DpPiece| matches!(p.format, DpFormat::Stamped { .. });
+        if !pieces.is_empty() && pieces.iter().all(stamped) {
+            self.counters.data_plane.stamped_exposes.add(1);
+        }
         self.counters.data_plane.expose_ops.add(1);
         self.counters.data_plane.bytes_exposed.add(bytes as u64);
         Ok(true)
@@ -2101,35 +2270,66 @@ impl Transport for CxlTransport {
         seq: u32,
         phase: u8,
         writers: Range<usize>,
+        reads: &mut dyn Iterator<Item = (DpSource, usize)>,
     ) -> Result<bool> {
         let cost = self.dp_cost();
         let Some(Some(state)) = self.dp.get_mut(&ctx) else {
             return no_data_plane();
         };
-        debug_assert!(!writers.is_empty(), "a row of no lines");
         let (first, lines) = (writers.start, writers.len());
         let slot = seq as usize % state.layout.slots();
-        // One load of the span, in ascending word order: every line's value
-        // comes in before its stamp and payload, so a value that is up vouches
-        // for both (the writer stored them in the opposite order).
+        // Whatever the lines held, a poll starts from nothing.
         state.row_of = None;
-        let at = state.layout.flag_off(first, slot, phase as usize) as u64;
-        let span = &mut state.row[..lines * SLOT_CELL_SIZE];
-        state.obj.nt_load_at(at, span)?;
         let mut stamp = f64::NEG_INFINITY;
         let mut awaited = 0;
-        for writer in writers.clone().filter(|&w| w != state.my_idx) {
-            let line = &mut span[(writer - first) * SLOT_CELL_SIZE..];
-            if read_u64(line, 0) <= u64::from(seq) {
-                // A flag not up yet: a failed poll costs nothing, however
-                // many of the others are (same as the PSCW spin idiom).
+        if lines > 0 {
+            // One load of the span, in ascending word order: every line's
+            // value comes in before its stamp and payload, so a value that is
+            // up vouches for both (the writer stored them the other way
+            // round).
+            let at = state.layout.flag_off(first, slot, phase as usize) as u64;
+            let span = &mut state.row[..lines * SLOT_CELL_SIZE];
+            state.obj.nt_load_at(at, span)?;
+            let flag = Awaited::line_of(seq, true);
+            for writer in writers.clone().filter(|&w| w != state.my_idx) {
+                let line = &mut span[(writer - first) * SLOT_CELL_SIZE..][..SLOT_CELL_SIZE];
+                let Some(ts) = load_lines(line, flag, 0, &mut []) else {
+                    // A flag not up yet: a failed poll costs nothing, however
+                    // many of the others are (same as the PSCW spin idiom).
+                    return Ok(false);
+                };
+                stamp = stamp.max(ts);
+                awaited += 1;
+            }
+        }
+        // The lines of every stamped exposure the run reads out of a data
+        // slot, all or none of them: one image per read, its first line and
+        // the lines of its bytes.
+        state.lines.clear();
+        state.images.clear();
+        state.taken = 0;
+        for (src, len) in reads.filter(|(src, _)| !src.format.in_row()) {
+            let at = state.layout.data_off(src.writer_idx, slot) + src.region;
+            let lo = state.lines.len();
+            state.lines.resize(lo + src.slot_bytes(len), 0);
+            let image = &mut state.lines[lo..];
+            let (head, rest) = image.split_at_mut(SLOT_CELL_SIZE);
+            state.obj.nt_load_at(at as u64, head)?;
+            let awaited = Awaited::line_of(seq, false);
+            if !awaited.shown_by(read_u64(head, 0)) {
+                // Its writer has not stored the line yet: the others need
+                // not be loaded to fail this poll.
                 return Ok(false);
             }
-            stamp = stamp.max(f64::from_bits(read_u64(line, SLOT_CELL_TS_OFF)));
-            if cfg!(debug_assertions) {
-                line[..8].copy_from_slice(&ROW_CHECKED.to_le_bytes());
-            }
-            awaited += 1;
+            let span = stamped_span(src.off, len);
+            state
+                .obj
+                .nt_load_at((at + span.start * SLOT_CELL_SIZE) as u64, rest)?;
+            let Some(ts) = load_lines(image, awaited, 0, &mut []) else {
+                return Ok(false);
+            };
+            stamp = stamp.max(ts);
+            state.images.push((src, lo..state.lines.len()));
         }
         clock.merge(stamp);
         clock.advance(cost.row(lines));
@@ -2139,8 +2339,9 @@ impl Transport for CxlTransport {
             writers: (writers.start, writers.end),
         });
         state.run = cost.run(lines);
-        self.counters.data_plane.pull_ops.add(awaited);
-        self.counters.data_plane.row_reads.add(1);
+        let stats = &self.counters.data_plane;
+        stats.pull_ops.add(awaited + state.images.len() as u64);
+        stats.row_reads.add(u64::from(lines > 0));
         Ok(true)
     }
 
@@ -2156,36 +2357,41 @@ impl Transport for CxlTransport {
         let Some(Some(state)) = self.dp.get_mut(&ctx) else {
             return no_data_plane();
         };
-        let Some(line) = state.row_line(seq, src.phase, src.writer_idx) else {
-            return Err(MpiError::Transport(format!(
-                "read of collective {seq}, phase {}, writer {} without its row",
+        let missing = || {
+            MpiError::Transport(format!(
+                "read of collective {seq}, phase {}, writer {} without its run",
                 src.phase, src.writer_idx
-            )));
+            ))
         };
-        debug_assert_eq!(
-            read_u64(line, 0),
-            ROW_CHECKED,
-            "exposure of writer {} read behind a line the span read did not check",
-            src.writer_idx
-        );
-        if src.inline {
-            // The payload came with the row: nothing else to fetch, nothing
-            // more to charge.
-            debug_assert!(src.off + buf.len() <= DP_INLINE_BYTES);
-            buf.copy_from_slice(&line[SLOT_CELL_DATA_OFF + src.off..][..buf.len()]);
-        } else {
+        let awaited = Awaited::line_of(seq, src.format.in_row()).checked();
+        let lines = state.run_lines(seq, &src, buf.len()).ok_or_else(missing)?;
+        let payload: &mut [u8] = match src.format {
+            DpFormat::Slot => &mut [],
+            DpFormat::Stamped { .. } => &mut *buf,
+        };
+        if load_lines(lines, awaited, src.off, payload).is_none() {
+            return Err(MpiError::Transport(format!(
+                "read of collective {seq} out of writer {}'s lines that its run did not check",
+                src.writer_idx
+            )));
+        }
+        let from_slot = src.slot_bytes(buf.len());
+        if src.format == DpFormat::Slot {
             // A streamed read: load fence, then NT loads straight from the
             // device — the slot was written with NT stores, so neither host
-            // holds a cached copy of its lines, and none is left behind. The
-            // fence is the run's: the slots of one run are written by
-            // different ranks and no load of one depends on another's.
+            // holds a cached copy of its lines, and none is left behind.
             let layout = &state.layout;
-            debug_assert!(src.off + buf.len() <= layout.slot_bytes());
+            debug_assert!(src.region + src.off + buf.len() <= layout.slot_bytes());
             let slot = seq as usize % layout.slots();
-            let at = layout.data_off(src.writer_idx, slot) + src.off;
+            let at = layout.data_off(src.writer_idx, slot) + src.region + src.off;
             state.obj.nt_load_fenced_at(at as u64, buf)?;
+        }
+        if from_slot > 0 {
+            // The fence and the latency are the run's: the slots of one run
+            // are written by different ranks and no load of one depends on
+            // another's.
             let same_host = self.host_of[state.group[src.writer_idx]] == self.host_of[self.rank];
-            clock.advance(cost.gather_piece(&mut state.run, buf.len(), same_host));
+            clock.advance(cost.gather_piece(&mut state.run, from_slot, same_host));
         }
         if src.last {
             // Completion entry: killing here is the classic reader-death
@@ -2250,5 +2456,141 @@ mod tests {
         assert_eq!(reached(&line, 4, 10), None);
         // A line nobody has stored to shows nothing.
         assert_eq!(reached(&[0; SLOT_CELL_SIZE], 4, 1), None);
+    }
+
+    /// An object of `lines` lines in an arena of its own.
+    fn lines_object(lines: usize) -> ShmObject {
+        use cxl_shm::{ArenaConfig, CxlView, DaxDevice, HostCache};
+        let dev = DaxDevice::with_alignment("stamped-lines", 4 * 1024 * 1024, 4096).unwrap();
+        let view = CxlView::new(dev, HostCache::with_capacity("host", 1024));
+        let arena = CxlShmArena::init(view, ArenaConfig::small()).unwrap();
+        arena.create("lines", lines * SLOT_CELL_SIZE).unwrap()
+    }
+
+    /// A reader's image of bytes `off..off + len` of the stamped exposure at
+    /// the head of `obj`: its first line, then the lines of the range.
+    fn image_of(obj: &ShmObject, off: usize, len: usize) -> Vec<u8> {
+        let span = stamped_span(off, len);
+        let mut image = vec![0; (1 + span.len()) * SLOT_CELL_SIZE];
+        let (head, rest) = image.split_at_mut(SLOT_CELL_SIZE);
+        obj.nt_load_at(0, head).unwrap();
+        obj.nt_load_at((span.start * SLOT_CELL_SIZE) as u64, rest)
+            .unwrap();
+        image
+    }
+
+    const SEQ: u32 = 41;
+
+    fn payload(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
+    #[test]
+    fn stamped_lines_come_back_whole_from_any_range() {
+        let obj = lines_object(8);
+        let awaited = Awaited::line_of(SEQ, false);
+        let data = payload(300);
+        store_lines(&obj, 0, awaited.word(), 123.5, &data, &mut Vec::new()).unwrap();
+        // From the first line, across a line boundary, and — past the first
+        // line — still with the stamp the first line carries.
+        for (off, len) in [(0, 300), (0, 48), (40, 16), (200, 100), (299, 1)] {
+            let mut out = vec![0; len];
+            let stamp = load_lines(&mut image_of(&obj, off, len), awaited, off, &mut out);
+            assert_eq!(stamp, Some(123.5), "{off}+{len}");
+            assert_eq!(out, data[off..off + len], "{off}+{len}");
+        }
+    }
+
+    #[test]
+    fn an_exposure_with_one_line_behind_is_not_ready() {
+        let obj = lines_object(8);
+        let (old, new) = (
+            Awaited::line_of(SEQ - 4, false),
+            Awaited::line_of(SEQ, false),
+        );
+        store_lines(&obj, 0, old.word(), 1.0, &payload(300), &mut Vec::new()).unwrap();
+        store_lines(&obj, 0, new.word(), 2.0, &payload(250), &mut Vec::new()).unwrap();
+        // 250 bytes end in line 4; line 5 still carries the older exposure,
+        // which a read that reaches it must not take for this one.
+        let mut out = vec![0; 300];
+        assert_eq!(
+            load_lines(&mut image_of(&obj, 0, 300), new, 0, &mut out),
+            None
+        );
+        assert!(out.iter().all(|&b| b == 0));
+        assert_eq!(
+            load_lines(&mut image_of(&obj, 0, 250), new, 0, &mut out[..250]),
+            Some(2.0)
+        );
+        // Nor is a line that once held a payload word: only the word awaited
+        // will do in a data slot.
+        let stray = lines_object(2);
+        stray.nt_store_u64_at(0, u64::MAX - 1).unwrap();
+        stray.nt_store_u64_at(64, new.word() + 1).unwrap();
+        assert_eq!(
+            load_lines(&mut image_of(&stray, 0, 60), new, 0, &mut out[..60]),
+            None
+        );
+    }
+
+    #[test]
+    fn a_torn_exposure_never_reaches_the_callers_buffer() {
+        // The writer has stored lines 1 and 2 of three — payload and word —
+        // and not yet line 0: every byte a read would take is there, and the
+        // read takes none of them.
+        let obj = lines_object(4);
+        let awaited = Awaited::line_of(SEQ, false);
+        let data = payload(150);
+        store_lines(&obj, 0, awaited.word(), 9.0, &data, &mut Vec::new()).unwrap();
+        obj.nt_store_u64_at(0, 0).unwrap();
+        let mut out = vec![0xAA; 100];
+        assert_eq!(
+            load_lines(&mut image_of(&obj, 50, 100), awaited, 50, &mut out),
+            None
+        );
+        assert!(out.iter().all(|&b| b == 0xAA));
+    }
+
+    #[test]
+    fn a_flag_line_is_the_one_line_case() {
+        // The row's stamped line: up once its value reaches the collective's,
+        // even after a later one overwrote it — a barrier's arrival says
+        // "arrived" for good.
+        let obj = lines_object(1);
+        let awaited = Awaited::line_of(SEQ, true);
+        store_lines(&obj, 0, awaited.word(), 5.0, b"eight by", &mut Vec::new()).unwrap();
+        let mut out = [0; 8];
+        assert_eq!(
+            load_lines(&mut image_of(&obj, 0, 8), awaited, 0, &mut out),
+            Some(5.0)
+        );
+        assert_eq!(&out, b"eight by");
+        let later = Awaited::line_of(SEQ + 4, true).word();
+        store_lines(&obj, 0, later, 6.0, &[], &mut Vec::new()).unwrap();
+        assert!(load_lines(&mut image_of(&obj, 0, 0), awaited, 0, &mut []).is_some());
+        let ahead = Awaited::line_of(SEQ + 5, true);
+        assert!(load_lines(&mut image_of(&obj, 0, 0), ahead, 0, &mut []).is_none());
+    }
+
+    #[test]
+    fn a_read_takes_only_lines_its_run_checked() {
+        let obj = lines_object(4);
+        let awaited = Awaited::line_of(SEQ, false);
+        store_lines(&obj, 0, awaited.word(), 1.0, &payload(150), &mut Vec::new()).unwrap();
+        let mut image = image_of(&obj, 0, 150);
+        let mut out = vec![0; 150];
+        if cfg!(debug_assertions) {
+            // A copy the run's acquire did not check first fails.
+            assert_eq!(
+                load_lines(&mut image.clone(), awaited.checked(), 0, &mut out),
+                None
+            );
+        }
+        assert!(load_lines(&mut image, awaited, 0, &mut []).is_some());
+        assert_eq!(
+            load_lines(&mut image, awaited.checked(), 0, &mut out),
+            Some(1.0)
+        );
+        assert_eq!(out, payload(150));
     }
 }

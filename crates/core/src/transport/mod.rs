@@ -47,7 +47,7 @@ use std::ops::Range;
 use cmpi_fabric::clock::{transfer_ns, SimNs};
 use cmpi_fabric::cost::CoherenceMode;
 use cmpi_fabric::{CxlContentionModel, CxlCostModel, SimClock};
-use cxl_shm::slots::{SLOT_CELL_INLINE, SLOT_CELL_SIZE};
+use cxl_shm::slots::{stamped_lines, stamped_span, SLOT_CELL_SIZE};
 
 use crate::config::FaultTrigger;
 use crate::counters::counter_section;
@@ -218,16 +218,50 @@ counter_section! {
     }
 }
 
-/// Largest exposure that rides in its slot's flag line instead of the data
-/// slot: publishing it is one line store, and it reaches a reader with the
-/// row of flag lines the reader acquires anyway.
-pub const DP_INLINE_BYTES: usize = SLOT_CELL_INLINE;
+/// How an exposure sits in the window. Which one it gets is a function of its
+/// length and its room alone ([`DpWindow::format`]), so the writer and every
+/// reader agree on it without a word exchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DpFormat {
+    /// **Stamped lines**: every line carries the exposure's sequence word,
+    /// the first one the writer's stamp too, so the lines validate
+    /// themselves — one store stream to publish, one gathered read to
+    /// acquire, no flag line. `in_row`: the exposure is one line that *is*
+    /// the writer's flag line of the row (a payload of at most
+    /// [`cxl_shm::slots::SLOT_CELL_INLINE`] bytes, read with the row);
+    /// otherwise the lines sit at the head of the exposure's region of the
+    /// data slot.
+    Stamped {
+        /// The one line is the writer's flag line.
+        in_row: bool,
+    },
+    /// **Slot + flag**: the payload in the data slot, published by the flag
+    /// line that the reader's row acquires.
+    Slot,
+}
+
+impl DpFormat {
+    /// Whether a read of this format takes a line of the flag row.
+    pub fn in_row(self) -> bool {
+        self != DpFormat::Stamped { in_row: false }
+    }
+
+    /// Bytes of the data slot an exposure of `len` bytes takes in this
+    /// format: its lines when stamped, its payload otherwise.
+    pub fn footprint(self, len: usize) -> usize {
+        match self {
+            DpFormat::Stamped { .. } => stamped_lines(len) * SLOT_CELL_SIZE,
+            DpFormat::Slot => len,
+        }
+    }
+}
 
 /// What one data-plane operation costs on the virtual clock. The CXL
 /// transport charges every expose, row, gathered read and completion line
 /// through this one value, and hands a copy to the plan builders (in
-/// [`DpWindow`]) so that choosing between two plan shapes means walking their
-/// op lists with the very terms the execution will be charged.
+/// [`DpWindow`]) so that choosing between two plan shapes — or two formats of
+/// one exposure — means walking their op lists with the very terms the
+/// execution will be charged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpCost {
     /// The device cost model.
@@ -241,21 +275,33 @@ pub struct DpCost {
 }
 
 impl DpCost {
-    /// One control line stored or loaded: a flag line with or without an
-    /// inline payload, a completion line.
+    /// One control line stored or loaded: a flag line with or without the
+    /// one stamped line of payload it may carry, a completion line.
     pub fn line(&self) -> SimNs {
         self.cost.nt_access()
     }
 
-    /// Publish `bytes` and raise the flag: one line when the payload rides in
-    /// it (`inline`), otherwise one streamed publish into the data slot —
-    /// however many pieces the bytes came in — plus the flag line.
-    pub fn expose(&self, bytes: usize, inline: bool) -> SimNs {
-        if inline {
-            self.line()
-        } else {
-            self.cost.streamed_publish(bytes, self.mode) + self.line()
-        }
+    /// Publish an exposure: `streamed` bytes in one non-temporal store
+    /// stream and one fence — none when there are none — then, with `flag`,
+    /// the flag line. A stamped exposure of `k` lines in the slot is
+    /// `publish(64·k, false)`, one in the row `publish(0, true)` (a line), a
+    /// slot-and-flag one of `len` bytes `publish(len, true)`.
+    pub fn publish(&self, streamed: usize, flag: bool) -> SimNs {
+        let stream = match streamed {
+            0 => 0.0,
+            bytes => self.cost.streamed_publish(bytes, self.mode),
+        };
+        stream + if flag { self.line() } else { 0.0 }
+    }
+
+    /// Publish `pieces` as one exposure: every byte they put into the data
+    /// slot — stamped pieces as whole lines — in one store stream, however
+    /// many pieces there are, and the flag line unless every piece is
+    /// stamped in the slot (no pieces at all: the flag line alone, a
+    /// barrier's arrival).
+    pub fn expose(&self, pieces: &[DpPiece]) -> SimNs {
+        let streamed = pieces.iter().map(DpPiece::streamed).sum();
+        self.publish(streamed, raises_flag(pieces))
     }
 
     /// Acquire `lines` consecutive control lines — the flag lines of one
@@ -263,19 +309,24 @@ impl DpCost {
     /// completion lines from the first to the last awaited reader — in one
     /// read: a single line is [`Self::line`]; more are one streamed read of
     /// their bytes, held to this reader's share of the one-sided device cap
-    /// like any other pull off the device.
+    /// like any other pull off the device. No lines — a run whose reads are
+    /// all stamped in data slots — cost nothing.
     pub fn row(&self, lines: usize) -> SimNs {
-        if lines <= 1 {
-            return self.line();
+        match lines {
+            0 => 0.0,
+            1 => self.line(),
+            _ => {
+                let bytes = lines * SLOT_CELL_SIZE;
+                let ideal = self.cost.streamed_read(bytes, self.mode);
+                ideal.max(self.fair_share(bytes))
+            }
         }
-        let bytes = lines * SLOT_CELL_SIZE;
-        let ideal = self.cost.streamed_read(bytes, self.mode);
-        ideal.max(self.fair_share(bytes))
     }
 
     /// The gathered read of a run that has read nothing yet, opened by a row
     /// of `lines` flag lines ([`Self::row`]): so far the run has paid that row
-    /// and moved no payload byte.
+    /// and moved no payload byte. With no row ahead of it (`lines == 0`) the
+    /// gathered read is the run's acquire.
     pub fn run(&self, lines: usize) -> DpGather {
         DpGather {
             lead: 0.0,
@@ -283,10 +334,11 @@ impl DpCost {
         }
     }
 
-    /// Read one more piece of `run` — `bytes` of a slot exposure whose flag
-    /// line the run's row acquired — and return what it adds to the run's one
-    /// **gathered read**. The line fills of all the pieces are independent of
-    /// one another, so the load fence and the device latency are paid once, by
+    /// Read one more piece of `run` — `bytes` out of a data slot: a slot
+    /// exposure whose flag line the run's row acquired, or the lines of a
+    /// stamped one — and return what it adds to the run's one **gathered
+    /// read**. The line fills of all the pieces are independent of one
+    /// another, so the load fence and the device latency are paid once, by
     /// the first piece; every piece pays its bytes — a copy out of the shared
     /// cache from a `same_host` writer, a one-sided stream off the device from
     /// another host. A cross-host piece is also held to this reader's share of
@@ -296,24 +348,22 @@ impl DpCost {
     /// its floor — so the run as a whole, row included, never takes less than
     /// its cross-host pieces take at that share.
     pub fn gather_piece(&self, run: &mut DpGather, bytes: usize, same_host: bool) -> SimNs {
+        run.read(&self.piece(bytes, same_host))
+    }
+
+    /// The terms of one piece of a gathered read ([`Self::gather_piece`]).
+    fn piece(&self, bytes: usize, same_host: bool) -> DpPieceCost {
         let read = |bytes| match same_host {
             true => self.cost.coherent_read(bytes, CoherenceMode::Cached),
             false => self.cost.streamed_read(bytes, self.mode),
         };
-        // What a read pays before its first byte, and for its bytes.
         let lead = read(0);
         let stream = read(bytes) - lead;
-        let due = (lead - run.lead).max(0.0);
-        run.lead += due;
-        run.ahead += due;
-        let mut ns = due + stream;
-        if !same_host {
-            let held = (self.fair_share(bytes) - stream).max(0.0);
-            let under = held.min(run.ahead);
-            run.ahead -= under;
-            ns += held - under;
-        }
-        ns
+        let held = match same_host {
+            true => 0.0,
+            false => (self.fair_share(bytes) - stream).max(0.0),
+        };
+        DpPieceCost { lead, stream, held }
     }
 
     /// The gathered read of a whole run behind a row of `lines`: its pieces,
@@ -340,7 +390,7 @@ impl DpCost {
 }
 
 /// Where a run's gathered read stands ([`DpCost::run`],
-/// [`DpCost::gather_piece`]): the transport keeps one from the row that opens
+/// [`DpCost::gather_piece`]): the transport keeps one from the op that opens
 /// a run to the run's last read, the plan builders walk one over an op list.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct DpGather {
@@ -350,23 +400,101 @@ pub struct DpGather {
     ahead: SimNs,
 }
 
+/// One piece of a gathered read, priced on its own: what a read of it pays
+/// before its first byte, for its bytes, and — off another host's device —
+/// what its fair-share floor holds it beyond them.
+struct DpPieceCost {
+    lead: SimNs,
+    stream: SimNs,
+    held: SimNs,
+}
+
+impl DpGather {
+    /// Add `piece` to the run and return what it adds to the run's time: the
+    /// part of the fence and latency the run has not paid yet, its bytes, and
+    /// what of its floor the run's time ahead of its bytes does not cover.
+    fn read(&mut self, piece: &DpPieceCost) -> SimNs {
+        let due = (piece.lead - self.lead).max(0.0);
+        self.lead += due;
+        self.ahead += due;
+        let under = piece.held.min(self.ahead);
+        self.ahead -= under;
+        due + piece.stream + (piece.held - under)
+    }
+}
+
 /// Geometry and cost terms of a communicator's shared exposure window, as
 /// reported by [`Transport::dp_window`]: what the collective builders need to
-/// decide whether a payload fits the single-copy data plane and which plan
-/// shape is cheaper on it.
+/// decide whether a payload fits the single-copy data plane, which format
+/// each exposure takes and which plan shape is cheaper on it. The cost terms
+/// are the same on every member — the contention crowd is the one the
+/// transport assumes before any concurrency hint — because every member must
+/// build the same plan; what a rank is *charged* follows its live hint.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpWindow {
     /// Usable bytes in one exposure slot (a collective whose shared footprint
     /// exceeds this falls back to the ring path).
     pub slot_bytes: usize,
-    /// What the transport charges for data-plane operations on this window.
+    /// Members of the group the window serves.
+    pub ranks: usize,
+    /// The cost terms plans are priced with.
     pub cost: DpCost,
 }
 
+impl DpWindow {
+    /// The format of an exposure of `len` bytes that may take `region` of a
+    /// data slot; `own_line` says whether a stamped exposure of one line may be
+    /// the writer's flag line (a regular collective's — the pieces of a
+    /// gathered exposure share one). The cheaper of the two for the writer's
+    /// publish plus one reader's run over such an exposure from each of its
+    /// `ranks − 1` peers, every one on another host — with one peer, one
+    /// cross-host reader's read — priced as [`crate::dataplane`] walks a
+    /// plan:
+    ///
+    /// * stamped — [`DpCost::publish`] of its lines and no flag, and one
+    ///   gathered read of the runs' lines with no row ahead of it; in the
+    ///   row, a line and a row of the peers' lines;
+    /// * slot + flag — the publish and the flag line, the row of the peers'
+    ///   flag lines and a gathered read of their payloads behind it.
+    ///
+    /// The run, not the read alone, is what a reader of a regular collective
+    /// pays: its row passes under the cross-host floors that a read of many
+    /// pieces reaches, where a lone read's row does not. Stamped lines that
+    /// do not start on a line of the slot, or do not fit in `region`, are not
+    /// a candidate; a tie goes to them. Nothing here depends on the rank
+    /// asking: `len`, `region` and the window are the same on every member.
+    pub fn format(&self, len: usize, region: Range<usize>, own_line: bool) -> DpFormat {
+        let cost = &self.cost;
+        let peers = self.ranks.saturating_sub(1).max(1);
+        let bytes = stamped_lines(len) * SLOT_CELL_SIZE;
+        let in_row = own_line && bytes == SLOT_CELL_SIZE;
+        let fits =
+            region.start.is_multiple_of(SLOT_CELL_SIZE) && region.start + bytes <= region.end;
+        if !in_row && !fits {
+            return DpFormat::Slot;
+        }
+        // A run of `peers` such pieces: each priced once, read `peers` times.
+        let run = |lines, bytes| {
+            let (piece, mut run) = (cost.piece(bytes, false), cost.run(lines));
+            (0..peers).map(|_| run.read(&piece)).sum::<SimNs>()
+        };
+        let stamped = match in_row {
+            true => cost.publish(0, true) + cost.row(peers),
+            false => cost.publish(bytes, false) + run(0, bytes),
+        };
+        let slot = cost.publish(len, true) + cost.row(peers) + run(peers, len);
+        match stamped <= slot {
+            true => DpFormat::Stamped { in_row },
+            false => DpFormat::Slot,
+        }
+    }
+}
+
 /// One contiguous run of an exposure: bytes `start..end` of the exposing
-/// rank's buffer, published at `region_off` within its data slot. A regular
-/// collective exposes one piece; the irregular exchange gathers one per
-/// reader into a single exposure.
+/// rank's buffer, published at `region_off` within its data slot in
+/// `format`. A regular collective exposes one piece; the irregular exchange
+/// gathers one per reader into a single exposure, each in the format its own
+/// length gets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DpPiece {
     /// Byte offset of the piece within the slot.
@@ -375,6 +503,24 @@ pub struct DpPiece {
     pub start: usize,
     /// End of the piece in the exposing rank's buffer.
     pub end: usize,
+    /// How the piece is published.
+    pub format: DpFormat,
+}
+
+impl DpPiece {
+    /// Bytes the piece puts into the data slot's store stream.
+    fn streamed(&self) -> usize {
+        match self.format {
+            DpFormat::Stamped { in_row: true } => 0,
+            format => format.footprint(self.end - self.start),
+        }
+    }
+}
+
+/// Whether an exposure of `pieces` stores its writer's flag line: unless
+/// every piece is stamped lines in the data slot.
+pub(crate) fn raises_flag(pieces: &[DpPiece]) -> bool {
+    pieces.is_empty() || pieces.iter().any(|p| p.format.in_row())
 }
 
 /// Which group members read an exposure — the ranks whose completion lines
@@ -407,17 +553,34 @@ pub enum DpReaders {
 pub struct DpSource {
     /// Writer's index within the communicator group.
     pub writer_idx: usize,
-    /// Publish phase whose flag gates the read.
+    /// Publish phase of the exposure.
     pub phase: u8,
-    /// Byte offset of the source region: within the writer's data slot, or —
-    /// for an `inline` exposure — within the flag line's payload.
+    /// Where the exposure starts in the writer's data slot (unused when it is
+    /// the writer's flag line).
+    pub region: usize,
+    /// Byte offset of the read within the exposure.
     pub off: usize,
-    /// The exposure is at most [`DP_INLINE_BYTES`] long and rides in the
-    /// writer's flag line.
-    pub inline: bool,
+    /// The exposure's format.
+    pub format: DpFormat,
     /// This is the reader's last read of the collective: afterwards it stores
     /// its completion line.
     pub last: bool,
+}
+
+impl DpSource {
+    /// Bytes a read of `len` bytes here takes out of the writer's data slot
+    /// — one piece of its run's gathered read: the payload behind a flag
+    /// line; of a stamped exposure the first line (for the stamp) and the
+    /// lines that hold the bytes; none out of the writer's flag line.
+    pub fn slot_bytes(&self, len: usize) -> usize {
+        match self.format {
+            DpFormat::Slot => len,
+            DpFormat::Stamped { in_row: true } => 0,
+            DpFormat::Stamped { in_row: false } => {
+                (1 + stamped_span(self.off, len).len()) * SLOT_CELL_SIZE
+            }
+        }
+    }
 }
 
 counter_section! {
@@ -444,19 +607,27 @@ counter_section! {
         shm_bytes,
         /// Payload bytes this rank contributed to those ring-path ones.
         ring_bytes,
-        /// Expose operations (one per flag raised: a gathered exposure of
-        /// many pieces counts once).
+        /// Expose operations (one per publish: a gathered exposure of many
+        /// pieces counts once).
         expose_ops,
+        /// Those of them published as stamped lines and nothing else — no
+        /// flag line but the one stamped line that is it
+        /// ([`DpFormat::Stamped`]); the rest raised a flag line behind a data
+        /// slot, or (a barrier's arrival) carried nothing.
+        stamped_exposes,
         /// Exposures read: flag lines a row read acquired, each with the
-        /// payload that rides in it or ahead of the read out of its writer's
-        /// data slot.
+        /// stamped line it is or ahead of the read out of its writer's data
+        /// slot, and stamped exposures in data slots, acquired by their own
+        /// lines.
         pull_ops,
         /// Completion lines acquired: a writer about to reuse a slot
         /// observed that a reader is done with the slot's earlier occupants.
         notify_waits,
-        /// Row reads issued and charged — one per run of reads (a phase of a
-        /// collective, unless a peer it skips splits it), one per completion
-        /// sweep — however many flag or completion lines each acquired.
+        /// Row reads issued and charged — one per run of reads that takes
+        /// flag lines (a phase of a collective, unless a peer it skips splits
+        /// it; a run of stamped exposures in data slots has none), one per
+        /// completion sweep — however many flag or completion lines each
+        /// acquired.
         row_reads,
         /// Bytes published into window slots.
         bytes_exposed,
@@ -704,7 +875,7 @@ pub trait Transport: Send {
     // The CXL transport exposes a per-communicator slotted window in the
     // shared pool (see `cxl-shm`'s `slots` module) so collectives can move
     // payloads with one coherent copy — none at all when the payload fits the
-    // flag line — and flag-based completion instead of two ring copies plus
+    // flag line — and line-based completion instead of two ring copies plus
     // per-chunk headers. Transports without shared memory keep the defaults:
     // no window is ever offered, so plans never contain data-plane ops and
     // the erroring op defaults are unreachable.
@@ -750,21 +921,22 @@ pub trait Transport: Send {
         no_data_plane()
     }
 
-    /// Publish `pieces` of `buf` for collective `seq` and raise the `phase`
-    /// flag of its slot (`seq` mod slots) — once, whatever the number of
-    /// pieces: they go out as one non-temporal store stream, each at its own
-    /// `region_off` within this rank's data slot, followed by one fence and
-    /// one flag line, charged as one streamed publish of their total. With
-    /// `inline`, the exposure is a single piece of at most
-    /// [`DP_INLINE_BYTES`] and rides in the flag line itself; the plan says
-    /// so, not the length, because the readers must know it too, and a reader
-    /// of a gathered exposure knows its own piece but not the writer's total.
-    /// `readers` names who will read it; the slot stays held until their
-    /// completion lines show they are done. Returns `false` — without
-    /// blocking — while an earlier collective still holds the slot. No
-    /// pieces at all (`inline`, trivially) publishes only the sequence value
-    /// (a barrier's arrival): there is nothing a late reader could lose, so
-    /// it holds nothing.
+    /// Publish `pieces` of `buf` for collective `seq` in the `phase` of its
+    /// slot (`seq` mod slots) — once, whatever the number of pieces: every
+    /// byte they put into this rank's data slot, each piece at its own
+    /// `region_off` and in its own [`DpFormat`], goes out as one
+    /// non-temporal store stream and one fence ([`DpCost::expose`]). A
+    /// stamped piece is its lines, the sequence word in each, stored payload
+    /// first and word last; unless every piece is one, the `phase` flag line
+    /// follows — carrying the piece whose one stamped line it is, if any. The
+    /// format is the plan's, not the transport's, because the readers must
+    /// know it too, and a reader of a gathered exposure knows its own piece
+    /// but not the writer's others. `readers` names who will read it; the
+    /// slot stays held until their completion lines show they are done.
+    /// Returns `false` — without blocking — while an earlier collective
+    /// still holds the slot. No pieces at all publishes only the sequence
+    /// value (a barrier's arrival): there is nothing a late reader could
+    /// lose, so it holds nothing.
     #[allow(clippy::too_many_arguments)]
     fn dp_expose(
         &mut self,
@@ -772,7 +944,6 @@ pub trait Transport: Send {
         _ctx: CtxId,
         _seq: u32,
         _phase: u8,
-        _inline: bool,
         _pieces: &[DpPiece],
         _buf: &[u8],
         _readers: DpReaders,
@@ -788,16 +959,20 @@ pub trait Transport: Send {
     /// rank done *through* it.
     fn dp_begin(&mut self, _ctx: CtxId, _seq: u32) {}
 
-    /// Acquire, in one read, the `phase` flag lines of collective `seq`
-    /// raised by group members `writers` — this rank, if it lies between
-    /// them, excepted: that span of the slot's flag row. Returns `false`
-    /// without blocking — and without charge — until every one of them is
-    /// up; then the latest of their stamps is merged and the read charged
-    /// once ([`DpCost::row`]), however many polls it took. The lines stay
-    /// with the transport until its next data-plane call that can wait, and
-    /// every read of the run ([`Transport::dp_pull`]) answers to them: an
-    /// inline one takes its payload out of its writer's line, one out of a
-    /// data slot takes the line as the proof that the slot is published.
+    /// Acquire a **run**: everything the run's `reads` — `(source, bytes)`,
+    /// in the order they will be made — consume of collective `seq`, in one
+    /// all-or-nothing step. That is the `phase` flag lines raised by group
+    /// members `writers` — this rank, if it lies between them, excepted: that
+    /// span of the slot's flag row, none if the range is empty — and the
+    /// lines of every read of a stamped exposure in a data slot: its first
+    /// line and the ones that hold its bytes. Returns `false` without
+    /// blocking — and without charge — until every one of those lines shows
+    /// the collective's sequence value; then the latest of their stamps is
+    /// merged and the row charged once ([`DpCost::row`]), however many polls
+    /// it took. The lines stay with the transport until its next data-plane
+    /// call that can wait, and every read of the run ([`Transport::dp_pull`])
+    /// answers to them.
+    #[allow(clippy::too_many_arguments)]
     fn dp_await_row(
         &mut self,
         _clock: &mut SimClock,
@@ -805,21 +980,24 @@ pub trait Transport: Send {
         _seq: u32,
         _phase: u8,
         _writers: Range<usize>,
+        _reads: &mut dyn Iterator<Item = (DpSource, usize)>,
     ) -> Result<bool> {
         no_data_plane()
     }
 
     /// Copy `buf.len()` bytes of collective `seq` from the exposure `src`
-    /// names, whose flag line the row this rank has just acquired
+    /// names, whose lines the run this rank has just acquired
     /// ([`Transport::dp_await_row`]) must hold — the read never waits, and
-    /// without that line it is a [`MpiError::Transport`] error. An `inline`
-    /// exposure came with the row and costs nothing more; one in a data slot
-    /// is the next piece of the run's gathered read
-    /// ([`DpCost::gather_piece`]). With `src.last`, this rank will not
-    /// read any exposure of `seq` again: it stores its completion line — the
-    /// sequence number through which it has finished *every* collective it
-    /// started reading — unless an earlier one is still open, whose
-    /// completion will then cover both.
+    /// without them it is a [`MpiError::Transport`] error. A stamped
+    /// exposure's bytes come out of those lines: free when the line is the
+    /// writer's flag line, which came with the row, the next piece of the
+    /// run's gathered read ([`DpCost::gather_piece`]) when they are lines of
+    /// a data slot. A slot exposure takes its flag line as the proof that the
+    /// slot is published and is the next piece of that read too. With
+    /// `src.last`, this rank will not read any exposure of `seq` again: it
+    /// stores its completion line — the sequence number through which it has
+    /// finished *every* collective it started reading — unless an earlier
+    /// one is still open, whose completion will then cover both.
     fn dp_pull(
         &mut self,
         _clock: &mut SimClock,

@@ -180,6 +180,15 @@ impl ShmObject {
         self.view.nt_store((self.offset + at) as usize, data)
     }
 
+    /// Non-temporal store of whole lines at a line-aligned object-relative
+    /// offset, each as one 64-byte direct store (`MOVDIR64B`): the rest of the
+    /// line first, its first word last, so a reader that finds the word finds
+    /// the line it was stored with.
+    pub fn nt_store_lines_at(&self, at: u64, lines: &[u8]) -> Result<()> {
+        self.check(at, lines.len())?;
+        self.view.nt_store_lines((self.offset + at) as usize, lines)
+    }
+
     /// Non-temporal load of raw bytes at an object-relative offset (a control
     /// line: a flag cell with its inline payload, a done cell).
     pub fn nt_load_at(&self, at: u64, buf: &mut [u8]) -> Result<()> {

@@ -476,18 +476,38 @@ impl HostCache {
         if data.is_empty() {
             return Ok(());
         }
-        {
-            let mut inner = self.inner.lock();
-            let first = Self::line_base(offset);
-            let last = Self::line_base(offset + data.len() - 1);
-            let mut base = first;
-            while base <= last {
-                inner.lines.remove(base);
-                base += CACHE_LINE_SIZE as u64;
-            }
-            inner.stats.nt_store_bytes += data.len() as u64;
-        }
+        self.nt_store_bypass(offset, data.len());
         segment.write(offset, data)
+    }
+
+    /// Non-temporal store of whole lines, each as one 64-byte direct store
+    /// (see [`SharedSegment::write_lines`]); bypasses the cache like
+    /// [`HostCache::nt_store`].
+    pub fn nt_store_lines(
+        &self,
+        segment: &SharedSegment,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<()> {
+        self.nt_store_bypass(offset, data.len());
+        segment.write_lines(offset, data)
+    }
+
+    /// Drop any cached copy of the lines `len` bytes at `offset` cover — a
+    /// store about to go around the cache — and count the bytes.
+    fn nt_store_bypass(&self, offset: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let mut inner = self.inner.lock();
+        let first = Self::line_base(offset);
+        let last = Self::line_base(offset + len - 1);
+        let mut base = first;
+        while base <= last {
+            inner.lines.remove(base);
+            base += CACHE_LINE_SIZE as u64;
+        }
+        inner.stats.nt_store_bytes += len as u64;
     }
 
     /// Account a non-temporal atomic read-modify-write of the aligned word at

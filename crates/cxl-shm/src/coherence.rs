@@ -324,6 +324,15 @@ impl CxlView {
         self.cache.nt_store(&self.segment, offset, data)
     }
 
+    /// Non-temporal store of whole lines at a line-aligned offset, each as
+    /// one 64-byte direct store: its first word lands last.
+    pub fn nt_store_lines(&self, offset: usize, data: &[u8]) -> Result<()> {
+        self.counters
+            .nt_bytes_written
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        self.cache.nt_store_lines(&self.segment, offset, data)
+    }
+
     /// Non-temporal load of raw bytes.
     pub fn nt_load(&self, offset: usize, buf: &mut [u8]) -> Result<()> {
         self.counters

@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::cache::CACHE_LINE_SIZE;
 use crate::error::ShmError;
 use crate::Result;
 
@@ -126,6 +127,22 @@ impl SharedSegment {
     /// [`SharedSegment::read_relaxed`] for why this is sound).
     pub fn write_relaxed(&self, offset: usize, data: &[u8]) -> Result<()> {
         self.write_ordered(offset, data, Ordering::Relaxed)
+    }
+
+    /// Write whole cache lines at a line-aligned `offset`, each the way one
+    /// 64-byte direct store (`MOVDIR64B`) lands: the line's first word after
+    /// the rest of it, so that whoever loads that word loads the line it came
+    /// with. Lines are not ordered against each other.
+    pub fn write_lines(&self, offset: usize, data: &[u8]) -> Result<()> {
+        debug_assert!(offset.is_multiple_of(CACHE_LINE_SIZE));
+        debug_assert!(data.len().is_multiple_of(CACHE_LINE_SIZE));
+        self.check_bounds(offset, data.len())?;
+        for (k, line) in data.chunks(CACHE_LINE_SIZE).enumerate() {
+            let at = offset + k * CACHE_LINE_SIZE;
+            self.write_ordered(at + 8, &line[8..], Ordering::SeqCst)?;
+            self.write_ordered(at, &line[..8], Ordering::SeqCst)?;
+        }
+        Ok(())
     }
 
     fn write_ordered(&self, offset: usize, data: &[u8], order: Ordering) -> Result<()> {

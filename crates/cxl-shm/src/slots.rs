@@ -6,12 +6,12 @@
 //! same grid with one writer, one reader and one flag cell per slot:
 //!
 //! ```text
-//! ┌ control ──────────────────────────────────────┬ data ─────────────────────┐
-//! │ flag cells, slot-major│ done cells            │ writer 0 slots │ writer 1 … │
-//! │ (slot, phase) rows of │ one per reader:       │ slot 0 │ slot 1 │ …         │
-//! │ one cell per writer:  │ (value, stamp) entries│                           │
-//! │ value│stamp│48 B inline│                      │                           │
-//! └───────────────────────┴───────────────────────┴───────────────────────────┘
+//! ┌ control ──────────────────────────────────────┬ data ─────────────────────────┐
+//! │ flag cells, slot-major│ done cells            │ writer 0 slots │ writer 1 …   │
+//! │ (slot, phase) rows of │ one per reader:       │ slot 0 │ slot 1 │ …           │
+//! │ one cell per writer:  │ (value, stamp) entries│ a payload, or stamped lines:  │
+//! │ value│stamp│48 B      │                       │ value│stamp│48 B, value│56 B …│
+//! └───────────────────────┴───────────────────────┴───────────────────────────────┘
 //! ```
 //!
 //! * **Flag cells** are the notified-RMA publish flags: a writer exposes data
@@ -28,6 +28,14 @@
 //!   one phase — are a contiguous *row* in writer order, so a reader acquires
 //!   them with one streamed read from the first to the last writer it waits
 //!   for instead of a device round trip per writer.
+//! * **Stamped lines** carry a payload of a few lines with no flag at all:
+//!   every line begins with the exposure's value word, the first one with
+//!   the timestamp beside it and [`SLOT_CELL_INLINE`] bytes of payload, every
+//!   further one [`SLOT_LINE_PAYLOAD`] ([`stamped_lines`], [`stamped_pos`]).
+//!   A reader that finds the value in every line it needs — the first, for
+//!   the stamp, and those its bytes lie in ([`stamped_span`]) — has the
+//!   payload; a flag cell with its inline payload is the one-line case, and
+//!   longer ones sit at the head of their region of a data slot.
 //! * **Done cells** close the loop, one per *reader*, so the control region
 //!   is linear in the group size. In a group window ([`SlotLayout::new`]) a
 //!   reader's cell is its completion line: the reader stores there, once per
@@ -41,9 +49,9 @@
 //!   single reader of a stream ([`SlotLayout::single_reader`]) keeps an entry
 //!   per slot, each with the stamp of exactly the hand-back stored there.
 //!
-//! Flag cells are one cache line each and done cells a whole number of lines,
-//! so a non-temporal store never shares a line with a cell another rank
-//! writes. Every value is paired with a `u64` virtual-time timestamp (the
+//! Flag cells and stamped lines are one cache line each and done cells a
+//! whole number of lines, so a non-temporal store never shares a line with a
+//! cell another rank writes. Every value is paired with a `u64` virtual-time timestamp (the
 //! writer's clock at the store, merged by whoever observes the value); the
 //! timestamp is stored before the value and loaded after it, so an observer
 //! never pairs a new value with an old stamp. The PSCW cells and fence slots
@@ -61,8 +69,49 @@ pub const SLOT_CELL_TS_OFF: usize = 8;
 /// Byte offset of the inline payload within a flag cell.
 pub const SLOT_CELL_DATA_OFF: usize = 16;
 
-/// Largest payload that rides in the flag cell itself.
+/// Largest payload that rides in the flag cell itself — the first line of a
+/// stamped exposure.
 pub const SLOT_CELL_INLINE: usize = SLOT_CELL_SIZE - SLOT_CELL_DATA_OFF;
+
+/// Byte offset of the payload within every line of a stamped exposure but the
+/// first: only the sequence word precedes it.
+pub const SLOT_LINE_DATA_OFF: usize = 8;
+
+/// Payload bytes of every line of a stamped exposure but the first.
+pub const SLOT_LINE_PAYLOAD: usize = SLOT_CELL_SIZE - SLOT_LINE_DATA_OFF;
+
+/// Lines a stamped exposure of `len` bytes takes: [`SLOT_CELL_INLINE`] bytes
+/// in the first (beside the stamp), [`SLOT_LINE_PAYLOAD`] in each further one.
+/// An empty exposure is its first line alone.
+pub fn stamped_lines(len: usize) -> usize {
+    1 + len
+        .saturating_sub(SLOT_CELL_INLINE)
+        .div_ceil(SLOT_LINE_PAYLOAD)
+}
+
+/// Where payload byte `p` of a stamped exposure lies: `(line, offset within
+/// the line)`.
+pub fn stamped_pos(p: usize) -> (usize, usize) {
+    match p.checked_sub(SLOT_CELL_INLINE) {
+        None => (0, SLOT_CELL_DATA_OFF + p),
+        Some(q) => (
+            1 + q / SLOT_LINE_PAYLOAD,
+            SLOT_LINE_DATA_OFF + q % SLOT_LINE_PAYLOAD,
+        ),
+    }
+}
+
+/// The lines past the first that hold bytes `off..off + len` of a stamped
+/// exposure — empty when they all lie in the first line. A reader of the
+/// range loads the first line (it carries the stamp) and these.
+pub fn stamped_span(off: usize, len: usize) -> std::ops::Range<usize> {
+    let first = stamped_pos(off).0.max(1);
+    let end = match len {
+        0 => first,
+        _ => (stamped_pos(off + len - 1).0 + 1).max(first),
+    };
+    first..end
+}
 
 /// Bytes per `(value, timestamp)` entry of a done cell.
 pub const SLOT_DONE_ENTRY: usize = 16;
@@ -270,6 +319,35 @@ mod tests {
         assert_eq!(SLOT_CELL_INLINE, 48);
         assert_eq!(SLOT_CELL_TS_OFF + 8, SLOT_CELL_DATA_OFF);
         assert_eq!(SLOT_CELL_DATA_OFF + SLOT_CELL_INLINE, SLOT_CELL_SIZE);
+    }
+
+    #[test]
+    fn stamped_lines_carry_48_bytes_then_56_each() {
+        for (len, lines) in [
+            (0, 1),
+            (1, 1),
+            (48, 1),
+            (49, 2),
+            (104, 2),
+            (105, 3),
+            (1024, 19),
+        ] {
+            assert_eq!(stamped_lines(len), lines, "{len} B");
+        }
+        // Every byte has one place, in order, past the line's words.
+        let places: Vec<(usize, usize)> = (0..1024).map(stamped_pos).collect();
+        assert!(places.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(places[0], (0, SLOT_CELL_DATA_OFF));
+        assert_eq!(places[48], (1, SLOT_LINE_DATA_OFF));
+        assert_eq!(places[103], (1, SLOT_CELL_SIZE - 1));
+        assert_eq!(places[1023].0 + 1, stamped_lines(1024));
+        // A range in the first line needs no other; one past it needs the
+        // lines it touches, never the ones before it.
+        assert_eq!(stamped_span(0, 48), 1..1);
+        assert_eq!(stamped_span(40, 16), 1..2);
+        assert_eq!(stamped_span(56, 8), 1..2);
+        assert_eq!(stamped_span(200, 100), 3..6);
+        assert_eq!(stamped_span(200, 0), 3..3);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use cmpi::mpi::transport::{DataPlaneStats, DpCost};
 use cmpi::mpi::{
     CollTuning, Comm, ConnMode, HierarchyMode, Result, TransportConfig, Universe, UniverseConfig,
 };
+use cmpi::shm::slots::{stamped_lines, stamped_span, SLOT_CELL_SIZE};
 
 /// Host count of the test matrix: `CMPI_HOSTS` (the CI topology-matrix leg
 /// sets 1, 2 and 3), defaulting to the paper's two-host layout. Clamped to the
@@ -211,6 +212,17 @@ pub fn peers_pieces(me: usize, bytes: usize) -> impl Iterator<Item = (usize, boo
     (0..8)
         .filter(move |&w| w != me)
         .map(move |w| (bytes, w / 4 == me / 4))
+}
+
+/// Bytes a stamped exposure of `len` bytes takes: its lines.
+pub fn stamped(len: usize) -> usize {
+    stamped_lines(len) * SLOT_CELL_SIZE
+}
+
+/// Bytes a reader of bytes `off..off + len` of a stamped exposure loads: the
+/// first line, which carries the stamp, and the lines of the range.
+pub fn stamped_read(off: usize, len: usize) -> usize {
+    (1 + stamped_span(off, len).len()) * SLOT_CELL_SIZE
 }
 
 /// `colls` back-to-back calls of `step` on a duplicate of the world

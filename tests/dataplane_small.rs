@@ -1,10 +1,12 @@
 //! Small collectives on the shared-window data plane: payloads that ride in
-//! the flag line, the one-completion-line-per-rank slot protocol, and the
-//! zero-byte barrier exchange — checked byte for byte against the ring path,
-//! under stragglers and out-of-order completion, for repeatable virtual
-//! clocks, and against a budget of device round trips; what a run of reads out
-//! of data slots costs, under skew too; and what an irregular exchange on the
-//! window costs, and that it costs the same in every launch.
+//! the flag line or in stamped lines of their own, the
+//! one-completion-line-per-rank slot protocol, and the zero-byte barrier
+//! exchange — checked byte for byte against the ring path, under stragglers
+//! and out-of-order completion, for repeatable virtual clocks, and against a
+//! budget of device round trips; what a run of reads out of data slots costs,
+//! under skew too; what an irregular exchange on the window costs, and that it
+//! costs the same in every launch; and that ranks pricing their plans agree
+//! whatever crowd each was told to expect.
 
 use std::time::Duration;
 
@@ -14,11 +16,13 @@ use cmpi::mpi::{CollTuning, Comm, ProgressMode, ReduceOp, Request, Universe, Uni
 
 mod common;
 use common::{
-    dp_cost, force_ring, force_shm, matrix_hosts, peers_pieces, steady_colls, with_window_headroom,
+    dp_cost, force_ring, force_shm, matrix_hosts, peers_pieces, stamped, stamped_read,
+    steady_colls, with_window_headroom,
 };
 
-/// The payload sizes that straddle the flag line's 48-byte inline capacity.
-const SIZES: [usize; 6] = [0, 8, 48, 49, 64, 1024];
+/// The payload sizes that straddle the flag line's 48-byte capacity, the
+/// second stamped line's, and stamped lines against a data slot.
+const SIZES: [usize; 8] = [0, 8, 48, 49, 64, 105, 1024, 8 * 1024];
 
 fn config(n: usize, hosts: usize, tuning: CollTuning) -> UniverseConfig {
     let config = UniverseConfig::cxl_small(n).with_hosts(hosts);
@@ -361,7 +365,10 @@ fn after_a_stragglers_flag(block: usize) -> Vec<(f64, DataPlaneStats)> {
         .unwrap()
     };
     let (shm, ring) = (run(force_shm()), run(force_ring()));
-    let stamp = START_NS + LATE_NS + dp_cost(4).expose(block, block <= 48);
+    // (A block of a line rides in the flag line; the other sizes here go
+    // behind it.)
+    let streamed = if block <= 48 { 0 } else { block };
+    let stamp = START_NS + LATE_NS + dp_cost(4).publish(streamed, true);
     shm.iter()
         .zip(&ring)
         .map(|(((bytes, end), report), ((ring_bytes, _), _))| {
@@ -464,58 +471,65 @@ fn a_straggler_costs_its_readers_one_row_and_one_gather() {
 
 #[test]
 fn two_outstanding_slot_runs_are_polled_in_turn_and_charged_once_each() {
-    // An iallgather and an ialltoall at 1 KiB — blocks and images in data
-    // slots — polled alternately, the later one first, while rank 0 starts a
-    // virtual millisecond (and 20 ms of polls) late. Each run's row is read
-    // into the clock once, a failed poll charges nothing, and each run reads
-    // its own collective's slots.
+    // An iallgather and an ialltoall — blocks and images in data slots:
+    // stamped lines at 1 KiB, behind flag lines at 8 KiB — polled
+    // alternately, the later one first, while rank 0 starts a virtual
+    // millisecond (and 20 ms of polls) late. Each run is read into the clock
+    // once, a failed poll charges nothing, and each run reads its own
+    // collective's slots; only the runs behind flag lines have rows.
     const START_NS: f64 = 1e7;
     const LATE_NS: f64 = 1e6;
-    const BLOCK: usize = 1024;
-    let config = config(5, matrix_hosts(), force_shm()).with_progress_mode(ProgressMode::Polling);
-    let results = Universe::run(config, |world: &mut Comm| {
-        let mut comm = world.comm_dup()?;
-        let (n, me) = (comm.size(), comm.rank());
-        world.advance_clock(START_NS - world.clock_ns());
-        let before = comm.data_plane_stats();
-        if me == 0 {
-            std::thread::sleep(Duration::from_millis(20));
-            world.advance_clock(LATE_NS);
+    for (block, rows) in [(1024, 0), (8 * 1024, 2)] {
+        let config =
+            config(5, matrix_hosts(), force_shm()).with_progress_mode(ProgressMode::Polling);
+        let results = Universe::run(config, move |world: &mut Comm| {
+            let mut comm = world.comm_dup()?;
+            let (n, me) = (comm.size(), comm.rank());
+            world.advance_clock(START_NS - world.clock_ns());
+            let before = comm.data_plane_stats();
+            if me == 0 {
+                std::thread::sleep(Duration::from_millis(20));
+                world.advance_clock(LATE_NS);
+            }
+            let mut gather = comm.iallgather_into(&payload(me, 1, block))?;
+            let mut exchange = comm.ialltoall(&payload(me, 2, n * block))?;
+            let mut gather_done = false;
+            while comm.test(&mut exchange)?.is_none() {
+                gather_done = gather_done || comm.test(&mut gather)?.is_some();
+                std::thread::yield_now();
+            }
+            let exchanged: Vec<u8> = (0..n)
+                .flat_map(|s| (0..block).map(move |i| byte(s, 2, me * block + i)))
+                .collect();
+            assert!(exchange.take_values::<u8>()? == exchanged);
+            if !gather_done {
+                comm.wait(&mut gather)?;
+            }
+            let gathered: Vec<u8> = (0..n).flat_map(|s| payload(s, 1, block)).collect();
+            assert!(gather.take_values::<u8>()? == gathered);
+            let after = comm.data_plane_stats();
+            Ok((
+                after.row_reads - before.row_reads,
+                after.pull_ops - before.pull_ops,
+                after.bytes_pulled - before.bytes_pulled,
+                world.clock_ns() - START_NS,
+            ))
+        })
+        .unwrap();
+        for (rank, ((row_reads, pulls, bytes, elapsed), _)) in results.iter().enumerate() {
+            assert_eq!(
+                (*row_reads, *pulls),
+                (rows, 2 * 4),
+                "{block} B, rank {rank}"
+            );
+            assert_eq!(*bytes, 2 * 4 * block as u64, "{block} B, rank {rank}");
+            // Two publishes, two runs and two lines come to under 60 µs; one
+            // charged per poll, to 20 ms of them.
+            assert!(
+                *elapsed < LATE_NS + 60_000.0,
+                "{block} B, rank {rank} was charged {elapsed} ns"
+            );
         }
-        let mut gather = comm.iallgather_into(&payload(me, 1, BLOCK))?;
-        let mut exchange = comm.ialltoall(&payload(me, 2, n * BLOCK))?;
-        let mut gather_done = false;
-        while comm.test(&mut exchange)?.is_none() {
-            gather_done = gather_done || comm.test(&mut gather)?.is_some();
-            std::thread::yield_now();
-        }
-        let exchanged: Vec<u8> = (0..n)
-            .flat_map(|s| (0..BLOCK).map(move |i| byte(s, 2, me * BLOCK + i)))
-            .collect();
-        assert!(exchange.take_values::<u8>()? == exchanged);
-        if !gather_done {
-            comm.wait(&mut gather)?;
-        }
-        let gathered: Vec<u8> = (0..n).flat_map(|s| payload(s, 1, BLOCK)).collect();
-        assert!(gather.take_values::<u8>()? == gathered);
-        let after = comm.data_plane_stats();
-        Ok((
-            after.row_reads - before.row_reads,
-            after.pull_ops - before.pull_ops,
-            after.bytes_pulled - before.bytes_pulled,
-            world.clock_ns() - START_NS,
-        ))
-    })
-    .unwrap();
-    for (rank, ((rows, pulls, bytes, elapsed), _)) in results.iter().enumerate() {
-        assert_eq!((*rows, *pulls), (2, 2 * 4), "rank {rank}");
-        assert_eq!(*bytes, 2 * 4 * BLOCK as u64, "rank {rank}");
-        // Two publishes, two rows, two gathered reads and two lines come to
-        // under 20 µs; one row charged per poll, to 20 ms of them.
-        assert!(
-            *elapsed < LATE_NS + 20_000.0,
-            "rank {rank} was charged {elapsed} ns"
-        );
     }
 }
 
@@ -579,12 +593,14 @@ const SWEEPS: u64 = COLLS / DP_SLOTS as u64;
 /// against `per_call` virtual nanoseconds plus `sweeps` completion sweeps, as
 /// an equality on every rank: a line that goes uncharged fails it, and so
 /// does a row charged per poll. Every rank reads its seven peers' exposures
-/// per call.
+/// per call, behind `rows` rows — one, or none when they are stamped lines in
+/// data slots — and publishes `stamped` exposures as stamped lines.
 fn assert_costs(
     what: &str,
     step: impl Fn(&mut Comm) -> cmpi::mpi::Result<()> + Send + Sync + 'static,
     per_call: f64,
     sweeps: u64,
+    (rows, stamped): (u64, u64),
 ) {
     // A rank in the middle of the group spans the whole row of eight lines,
     // and the ranks at its ends, whose own spans are a line shorter, wait for
@@ -595,12 +611,17 @@ fn assert_costs(
     for (rank, (before, after, virt_ns)) in results.iter().enumerate() {
         let moved = |counter: fn(&DataPlaneStats) -> u64| counter(after) - counter(before);
         assert_eq!(moved(|s| s.expose_ops), COLLS, "{what}, rank {rank}");
+        assert_eq!(
+            moved(|s| s.stamped_exposes),
+            stamped * COLLS,
+            "{what}, rank {rank}"
+        );
         assert_eq!(moved(|s| s.pull_ops), 7 * COLLS, "{what}, rank {rank}");
         assert_eq!(moved(|s| s.notify_waits), 7 * sweeps, "{what}, rank {rank}");
-        // One row per call for the peers' flag lines, one per sweep.
+        // The runs' rows, and one per sweep.
         assert_eq!(
             moved(|s| s.row_reads),
-            COLLS + sweeps,
+            rows * COLLS + sweeps,
             "{what}, rank {rank}"
         );
         assert!(
@@ -614,18 +635,19 @@ fn assert_costs(
 fn a_barrier_costs_one_store_and_one_row() {
     // Nothing is read out of a slot, so nothing is held and nobody sweeps.
     let dp = dp_cost(4);
-    assert_costs("barrier", Comm::barrier, dp.line() + dp.row(8), 0);
+    assert_costs("barrier", Comm::barrier, dp.line() + dp.row(8), 0, (1, 0));
 }
 
 #[test]
 fn an_allgather_costs_its_budget_of_round_trips() {
-    // 8 B allgather among 8 ranks: one flag line stored, the seven peers'
-    // lines — payloads and all — acquired in one row, the completion line
-    // stored; and one more row, of completion lines, per DP_SLOTS calls.
+    // 8 B allgather among 8 ranks: one flag line stored — the exposure's one
+    // stamped line — the seven peers' lines, payloads and all, acquired in
+    // one row, the completion line stored; and one more row, of completion
+    // lines, per DP_SLOTS calls.
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allgather_into(&[7u8; 8], &mut [0u8; 64]);
     let per_call = dp.line() + dp.row(8) + dp.line();
-    assert_costs("8 B allgather", step, per_call, SWEEPS);
+    assert_costs("8 B allgather", step, per_call, SWEEPS, (1, 1));
 }
 
 #[test]
@@ -634,49 +656,64 @@ fn a_small_allreduce_costs_what_the_allgather_does() {
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allreduce(&mut [3u64], ReduceOp::Sum);
     let per_call = dp.line() + dp.row(8) + dp.line();
-    assert_costs("8 B allreduce", step, per_call, SWEEPS);
+    assert_costs("8 B allreduce", step, per_call, SWEEPS, (1, 1));
 }
 
 #[test]
-fn an_alltoall_costs_a_publish_a_row_and_one_gathered_read() {
-    // 8 B blocks among 8 ranks: the 64 B image is past what rides in a flag
-    // line, so it is streamed into the slot and the flag raised; the seven
-    // peers' flag lines come in one row, the seven blocks — three out of the
-    // shared cache, four off the device — in one gathered read; then the
-    // completion line. Seven flag lines and seven latencies it is not.
+fn a_56_byte_allgather_costs_a_stamped_publish_and_one_gathered_read() {
+    // Seven u64 each among 8 ranks: 56 B is past the flag line's 48, so each
+    // block is two stamped lines at the head of its writer's slot — one store
+    // stream of 128 B, no flag — and the seven peers' blocks are one gathered
+    // read, three out of the shared cache, four off the device, with no row
+    // ahead of it; then the completion line.
+    let dp = dp_cost(4);
+    let step = |comm: &mut Comm| comm.allgather_into(&[7u64; 7], &mut [0u64; 56]);
+    let lines = stamped(56);
+    let per_call = dp.publish(lines, false) + dp.gather(0, peers_pieces(3, lines)) + dp.line();
+    assert_costs("56 B allgather", step, per_call, SWEEPS, (0, 1));
+}
+
+#[test]
+fn an_alltoall_costs_a_stamped_publish_and_one_gathered_read() {
+    // 8 B blocks among 8 ranks: the 64 B image is two stamped lines, so it is
+    // published with one store stream and no flag line, and read with one
+    // gathered read of each peer's first line — and, for the ranks whose
+    // block lies past the first line's 48 B, its second: those set the pace.
+    // Then the completion line. A publish, a flag line, a row and a gathered
+    // read behind it it is not.
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.alltoall(&[9u8; 64], &mut [0u8; 64]);
-    let per_call = dp.expose(64, false) + dp.row(8) + dp.gather(8, peers_pieces(3, 8)) + dp.line();
-    assert_costs("8 B alltoall", step, per_call, SWEEPS);
+    let reads = dp.gather(0, peers_pieces(7, stamped_read(7 * 8, 8)));
+    let per_call = dp.publish(stamped(64), false) + reads + dp.line();
+    assert_costs("8 B alltoall", step, per_call, SWEEPS, (0, 1));
 }
 
 #[test]
 #[allow(non_snake_case)]
-fn a_1KiB_allreduce_costs_a_publish_a_row_and_one_gathered_read() {
-    // 128 u64: every rank exposes its vector and folds its seven peers'
-    // whole vectors, staged one at a time, out of one run.
+fn a_1KiB_allreduce_costs_a_stamped_publish_and_one_gathered_read() {
+    // 128 u64: every rank exposes its vector in nineteen stamped lines and
+    // folds its seven peers' whole vectors, staged one at a time, out of one
+    // gathered read of their lines — no flag line, no row.
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allreduce(&mut [5u64; 128], ReduceOp::Sum);
-    let per_call =
-        dp.expose(1024, false) + dp.row(8) + dp.gather(8, peers_pieces(3, 1024)) + dp.line();
-    assert_costs("1 KiB allreduce", step, per_call, SWEEPS);
+    let lines = stamped(1024);
+    let per_call = dp.publish(lines, false) + dp.gather(0, peers_pieces(3, lines)) + dp.line();
+    assert_costs("1 KiB allreduce", step, per_call, SWEEPS, (0, 1));
 }
 
 #[test]
-fn an_irregular_exchange_costs_one_publish_and_a_pull_per_peer() {
-    // 8 ranks on 2 hosts, 512 B to every peer: per call a rank's clock moves
-    // by one streamed publish of its seven segments and the flag line, the
-    // row of its peers' flag lines, one gathered read of their seven segments
-    // (three out of the shared cache, four off the device) and its completion
-    // line — plus the row of completion lines it loads, DP_SLOTS calls' worth
-    // at a time, before it reuses a slot. Nothing per message: there are none.
+fn an_irregular_exchange_costs_one_stamped_publish_and_one_gathered_read() {
+    // 8 ranks on 2 hosts, 512 B to every peer: each segment is ten stamped
+    // lines in its reader's region, so per call a rank's clock moves by one
+    // store stream of its seven segments' lines — no flag line — one gathered
+    // read of its peers' segments for it (three out of the shared cache, four
+    // off the device), no row ahead of it, and its completion line; plus the
+    // row of completion lines it loads, DP_SLOTS calls' worth at a time,
+    // before it reuses a slot. Nothing per message: there are none.
     const SEG: usize = 512;
     let dp = dp_cost(4);
-    let per_call = dp.cost.streamed_publish(7 * SEG, dp.mode)
-        + dp.line()
-        + dp.row(8)
-        + dp.gather(8, peers_pieces(3, SEG))
-        + dp.line();
+    let lines = stamped(SEG);
+    let per_call = dp.publish(7 * lines, false) + dp.gather(0, peers_pieces(3, lines)) + dp.line();
     let results = Universe::run(config(8, 2, force_shm()), move |world: &mut Comm| {
         let mut comm = world.comm_dup()?;
         let n = comm.size();
@@ -697,6 +734,7 @@ fn an_irregular_exchange_costs_one_publish_and_a_pull_per_peer() {
         let after = comm.data_plane_stats();
         assert_eq!(comm.stats().msgs_sent, sent);
         assert_eq!(after.expose_ops - before.expose_ops, COLLS);
+        assert_eq!(after.stamped_exposes - before.stamped_exposes, COLLS);
         assert_eq!(
             after.bytes_exposed - before.bytes_exposed,
             COLLS * 7 * SEG as u64
@@ -706,8 +744,8 @@ fn an_irregular_exchange_costs_one_publish_and_a_pull_per_peer() {
             after.bytes_pulled - before.bytes_pulled,
             COLLS * 7 * SEG as u64
         );
-        // One row per call for the peers' flag lines, the rest the sweeps'.
-        let sweeps = after.row_reads - before.row_reads - COLLS;
+        // No run has a row: every row is a sweep's.
+        let sweeps = after.row_reads - before.row_reads;
         assert_eq!(7 * sweeps, after.notify_waits - before.notify_waits);
         Ok((sweeps, world.clock_ns() - start))
     })
@@ -765,5 +803,34 @@ fn a_sort_shaped_script_ends_on_identical_clocks_in_every_launch() {
     let first = sort_shaped_clocks();
     for launch in 1..10 {
         assert_eq!(sort_shaped_clocks(), first, "launch {launch}");
+    }
+}
+
+#[test]
+fn ranks_hinting_different_crowds_still_build_one_plan() {
+    // Half the ranks expect a crowd of one pair, half of 64: that moves what
+    // each is charged, not what plan it builds. Around the one/two-phase
+    // crossover each of the two crowds would price its own shape — the
+    // members would expose and read different phases, and wedge.
+    const COUNTS: [usize; 5] = [16, 128, 337, 512, 1024];
+    let run = |tuning: CollTuning| {
+        Universe::run(config(8, 2, tuning), |world: &mut Comm| {
+            let mut comm = world.comm_dup()?;
+            let me = comm.rank();
+            comm.set_concurrency_hint(if me % 2 == 0 { 1 } else { 64 });
+            COUNTS
+                .iter()
+                .map(|&count| {
+                    let mut v: Vec<f64> = (0..count).map(|i| (me * count + i) as f64).collect();
+                    comm.allreduce(&mut v, ReduceOp::Sum)?;
+                    Ok(v)
+                })
+                .collect::<cmpi::mpi::Result<Vec<_>>>()
+        })
+        .unwrap()
+    };
+    let (shm, ring) = (run(force_shm()), run(force_ring()));
+    for (rank, ((got, _), (want, _))) in shm.iter().zip(&ring).enumerate() {
+        assert_eq!(got, want, "rank {rank}");
     }
 }

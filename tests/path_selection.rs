@@ -65,6 +65,7 @@ fn label(shape: Shape, tuning: CollTuning, build: &Build) -> &'static str {
     .unwrap();
     let window = shape.window.then_some(DpWindow {
         slot_bytes: SLOT,
+        ranks: shape.n,
         cost: DpCost {
             cost: CxlCostModel::default(),
             contention: CxlContentionModel::default(),
