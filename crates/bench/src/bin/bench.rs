@@ -18,11 +18,8 @@
 //! data plane side by side — with the `RankReport::data_plane` counters
 //! proving which path ran — the acceptance surface for the data-plane
 //! subsystem. The `alltoall` section records, per (ranks, size), the same
-//! complete exchange with the algorithm pinned to Bruck, pairwise and the
-//! single-copy shm data plane plus the Auto selection — the acceptance
-//! surface for the size-adaptive alltoall family (Bruck small, pairwise
-//! large, shm over both where the exchange fits a slot, Auto tracking the
-//! measured crossovers) — and the `shuffle_workloads` section records the
+//! complete exchange pinned to the single-copy shm data plane and under the
+//! Auto selection — and the `shuffle_workloads` section records the
 //! end-to-end scenario proxies built on it (distributed sample sort,
 //! k-means/MKKM alternating iteration) on both transports with the selected
 //! alltoall label. The `plan_build` section is the plan-build-vs-bind
@@ -620,14 +617,12 @@ fn data_plane_rows(rank_counts: &[usize], sizes: &[usize], iters: usize) -> Vec<
     let ring_tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
         shm_arena_bytes: 0,
-        ..CollTuning::default()
     };
     let shm_tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
         // 8 MiB per rank → 2 MiB slots: headroom for the 1 MiB payloads
         // (allreduce needs the vector plus one reduced block per slot).
         shm_arena_bytes: 8 * 1024 * 1024,
-        ..CollTuning::default()
     };
     let mut rows = Vec::new();
     for &ranks in rank_counts {
@@ -660,58 +655,26 @@ fn data_plane_rows(rank_counts: &[usize], sizes: &[usize], iters: usize) -> Vec<
 }
 
 /// One row of the size-adaptive alltoall sweep: the same complete exchange
-/// with the algorithm pinned to Bruck, pairwise, and the single-copy shm
-/// data plane, plus the Auto selection — the acceptance surface for the
-/// alltoall family (Bruck wins small, pairwise wins large, shm beats the
-/// ring-path algorithms when the exchange fits a window slot, and Auto
-/// tracks the measured crossovers).
+/// pinned to the single-copy shm data plane, and under the Auto selection.
 struct AlltoallRow {
     ranks: usize,
     /// Whole per-rank buffer, bytes (n equal blocks of `size / ranks`).
     size: usize,
-    bruck_ns: f64,
-    pairwise_ns: f64,
     shm_ns: f64,
     shm_algorithm: String,
     auto_ns: f64,
     auto_algorithm: String,
 }
 
-impl AlltoallRow {
-    /// Speedup of the shm data plane over the better ring-path algorithm.
-    fn shm_speedup(&self) -> f64 {
-        if self.shm_ns > 0.0 {
-            self.bruck_ns.min(self.pairwise_ns) / self.shm_ns
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The Bruck-vs-pairwise-vs-shm alltoall sweep on the CXL transport.
+/// The shm-vs-Auto alltoall sweep on the CXL transport.
 fn alltoall_rows(rank_counts: &[usize], sizes: &[usize], iters: usize) -> Vec<AlltoallRow> {
-    let bruck_tuning = CollTuning {
-        alltoall_bruck_max_bytes: usize::MAX,
-        hierarchy: HierarchyMode::Off,
-        shm_arena_bytes: 0,
-        ..CollTuning::default()
-    };
-    let pairwise_tuning = CollTuning {
-        alltoall_bruck_max_bytes: 0,
-        hierarchy: HierarchyMode::Off,
-        shm_arena_bytes: 0,
-        ..CollTuning::default()
-    };
     let shm_tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
         // 8 MiB per rank → 2 MiB slots: the whole 1 MiB exchange image fits.
         shm_arena_bytes: 8 * 1024 * 1024,
-        ..CollTuning::default()
     };
     let mut rows = Vec::new();
     for &ranks in rank_counts {
-        let bruck_config = UniverseConfig::cxl(ranks).with_coll_tuning(bruck_tuning);
-        let pairwise_config = UniverseConfig::cxl(ranks).with_coll_tuning(pairwise_tuning);
         let mut shm_config = UniverseConfig::cxl(ranks).with_coll_tuning(shm_tuning);
         if let TransportConfig::CxlShm(ref mut t) = shm_config.transport {
             t.window_headroom = 160 * 1024 * 1024;
@@ -723,9 +686,6 @@ fn alltoall_rows(rank_counts: &[usize], sizes: &[usize], iters: usize) -> Vec<Al
         }
         for &size in sizes {
             eprintln!("alltoall sweep n={ranks} {size} B ...");
-            let (bruck_ns, _, _) = collective_time(bruck_config.clone(), "alltoall", size, iters);
-            let (pairwise_ns, _, _) =
-                collective_time(pairwise_config.clone(), "alltoall", size, iters);
             let (shm_ns, shm_algorithm, _) =
                 collective_time(shm_config.clone(), "alltoall", size, iters);
             let (auto_ns, auto_algorithm, _) =
@@ -733,8 +693,6 @@ fn alltoall_rows(rank_counts: &[usize], sizes: &[usize], iters: usize) -> Vec<Al
             rows.push(AlltoallRow {
                 ranks,
                 size,
-                bruck_ns,
-                pairwise_ns,
                 shm_ns,
                 shm_algorithm,
                 auto_ns,
@@ -1043,12 +1001,10 @@ fn main() {
     let flat_tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
         shm_arena_bytes: 0,
-        ..CollTuning::default()
     };
     let hier_tuning = CollTuning {
         hierarchy: HierarchyMode::Force,
         shm_arena_bytes: 0,
-        ..CollTuning::default()
     };
     // (name, ranks, hosts, placement, also-on-tcp)
     let layouts: Vec<(&'static str, usize, usize, HostPlacement, bool)> = if smoke() {
@@ -1115,8 +1071,8 @@ fn main() {
     };
     let dp_rows = data_plane_rows(&dp_ranks, &dp_sizes, iters);
 
-    // The size-adaptive alltoall sweep (Bruck vs pairwise vs single-copy shm
-    // vs Auto) and the end-to-end shuffle workloads built on it.
+    // The alltoall sweep (single-copy shm vs Auto) and the end-to-end
+    // shuffle workloads built on it.
     let (a2a_ranks, a2a_sizes): (Vec<usize>, Vec<usize>) = if smoke() {
         (vec![2], vec![64, 4096])
     } else {
@@ -1453,14 +1409,11 @@ fn render_json(
     for (i, r) in alltoall.iter().enumerate() {
         let _ = writeln!(
             s,
-            "    {{\"transport\": \"CXL-SHM\", \"ranks\": {}, \"size_bytes\": {}, \"bruck_ns\": {:.1}, \"pairwise_ns\": {:.1}, \"shm_ns\": {:.1}, \"shm_algorithm\": \"{}\", \"shm_speedup\": {:.3}, \"auto_ns\": {:.1}, \"auto_algorithm\": \"{}\"}}{}",
+            "    {{\"transport\": \"CXL-SHM\", \"ranks\": {}, \"size_bytes\": {}, \"shm_ns\": {:.1}, \"shm_algorithm\": \"{}\", \"auto_ns\": {:.1}, \"auto_algorithm\": \"{}\"}}{}",
             r.ranks,
             r.size,
-            r.bruck_ns,
-            r.pairwise_ns,
             r.shm_ns,
             r.shm_algorithm,
-            r.shm_speedup(),
             r.auto_ns,
             r.auto_algorithm,
             if i + 1 < alltoall.len() { "," } else { "" }

@@ -7,7 +7,8 @@
 //! (recursive doubling, Bruck, binomial trees) and therefore benefit directly
 //! from the faster cMPI point-to-point path. This module provides that layer.
 //! Like MPICH, each operation picks its algorithm from the message size and
-//! the rank-count shape (thresholds live in [`CollTuning`]); the chosen
+//! the rank-count shape, at one fixed crossover per operation (the
+//! [`BCAST_SCATTER_ALLGATHER_MIN_BYTES`] family of constants); the chosen
 //! algorithm's label is returned to the caller and surfaced in
 //! [`crate::runtime::RankReport::coll_algos`]:
 //!
@@ -148,6 +149,30 @@ fn prev_power_of_two(n: usize) -> usize {
 // ----------------------------------------------------------------------
 // Path selection
 // ----------------------------------------------------------------------
+
+/// Broadcast switches from the binomial tree to scatter + ring allgather
+/// (van de Geijn) at and above this many payload bytes, on more than two
+/// ranks.
+pub const BCAST_SCATTER_ALLGATHER_MIN_BYTES: usize = 128 * 1024;
+/// Allreduce switches from recursive doubling to Rabenseifner
+/// (reduce-scatter + allgather) at and above this many payload bytes, once
+/// every rank of the power-of-two core owns at least one element.
+pub const ALLREDUCE_RABENSEIFNER_MIN_BYTES: usize = 16 * 1024;
+/// Allgather uses Bruck (⌈log₂ n⌉ rounds) for per-rank blocks up to this
+/// many bytes on more than two ranks, the bandwidth-optimal ring above.
+pub const ALLGATHER_BRUCK_MAX_BYTES: usize = 4 * 1024;
+/// Reduce-scatter switches from the naive allreduce + block selection to
+/// recursive halving (power-of-two) / pairwise exchange (other counts) at
+/// and above this many total payload bytes.
+pub const REDUCE_SCATTER_DIRECT_MIN_BYTES: usize = 16 * 1024;
+/// Alltoall uses Bruck (⌈log₂ n⌉ rounds of packed half-buffer exchanges) for
+/// per-peer blocks up to this many bytes on more than two ranks, the
+/// bandwidth-optimal pairwise exchange above. The `alltoall` sweep recorded
+/// in `BENCH_collectives.json` puts the crossover between 16 KiB and 32 KiB
+/// per block at n = 4–8: Bruck's round saving wins while per-message latency
+/// dominates, and its ~2× data-volume inflation loses once the wire term
+/// does.
+pub const ALLTOALL_BRUCK_MAX_BYTES: usize = 16 * 1024;
 
 /// `Auto`'s payload cutoff for the two-level bcast, reduce and allreduce: the
 /// local phases add hops that only pay off once the cross-host bandwidth term
@@ -572,15 +597,15 @@ pub fn build_barrier(
 /// The single predicate deciding binomial vs van de Geijn for `n` ranks at
 /// `total` bytes — shared by the op emission, the flat label and the
 /// composite label, so they can never disagree. Deterministic on every rank.
-fn bcast_uses_scatter_allgather(n: usize, total: usize, tuning: &CollTuning) -> bool {
-    n > 2 && total >= tuning.bcast_scatter_allgather_min_bytes
+fn bcast_uses_scatter_allgather(n: usize, total: usize) -> bool {
+    n > 2 && total >= BCAST_SCATTER_ALLGATHER_MIN_BYTES
 }
 
 /// The flat broadcast algorithm label for `n` ranks at `total` bytes.
-fn bcast_flat_label(n: usize, total: usize, tuning: &CollTuning) -> &'static str {
+fn bcast_flat_label(n: usize, total: usize) -> &'static str {
     if n == 1 {
         "bcast/local"
-    } else if bcast_uses_scatter_allgather(n, total, tuning) {
+    } else if bcast_uses_scatter_allgather(n, total) {
         "bcast/scatter-allgather"
     } else {
         "bcast/binomial"
@@ -590,9 +615,9 @@ fn bcast_flat_label(n: usize, total: usize, tuning: &CollTuning) -> &'static str
 /// Emit the size-adaptive broadcast ops (binomial tree below the
 /// scatter-allgather threshold, van de Geijn above) into `plan`, over the
 /// plan's view.
-fn push_bcast_ops(plan: &mut Plan<'_, '_>, tuning: &CollTuning, root: Rank, total: usize) {
+fn push_bcast_ops(plan: &mut Plan<'_, '_>, root: Rank, total: usize) {
     let n = plan.view.size();
-    if bcast_uses_scatter_allgather(n, total, tuning) {
+    if bcast_uses_scatter_allgather(n, total) {
         push_bcast_scatter_allgather(plan, root, total);
     } else if n > 1 {
         push_bcast_binomial(plan, root, total);
@@ -627,7 +652,7 @@ pub fn build_bcast(
                 push_hop(p, root, root_leader, total)
             });
             c.phase(Level::Leaders, PHASE_LEADER, |p| {
-                push_bcast_ops(p, tuning, root_slot, total)
+                push_bcast_ops(p, root_slot, total)
             });
             // Each host fans out from its leader — except the host of a
             // non-leader root, where root and leader both hold the payload
@@ -635,9 +660,7 @@ pub fn build_bcast(
             // leader left out, so that hop and fan-out are an exact spanning
             // tree with no redundant delivery.
             if h.my_slot() != root_slot || root == root_leader {
-                c.phase(Level::Host, PHASE_FANOUT, |p| {
-                    push_bcast_ops(p, tuning, 0, total)
-                });
+                c.phase(Level::Host, PHASE_FANOUT, |p| push_bcast_ops(p, 0, total));
             } else if me != root_leader {
                 let rest = Group::from_world_ranks(h.local_group().world_ranks()[1..].to_vec())
                     .expect("a non-leader root implies further members");
@@ -653,10 +676,10 @@ pub fn build_bcast(
                     .expect("root on its host")
                     - 1;
                 c.phase_over(&rest_view, PHASE_FANOUT, |p| {
-                    push_bcast_ops(p, tuning, root_pos, total)
+                    push_bcast_ops(p, root_pos, total)
                 });
             }
-            let label = if bcast_uses_scatter_allgather(h.hosts_spanned(), total, tuning) {
+            let label = if bcast_uses_scatter_allgather(h.hosts_spanned(), total) {
                 "bcast/hier+scatter-allgather"
             } else {
                 "bcast/hier+binomial"
@@ -665,8 +688,8 @@ pub fn build_bcast(
         }
         Path::Flat => {
             let mut plan = Plan::new(view, 1);
-            push_bcast_ops(&mut plan, tuning, root, total);
-            let label = bcast_flat_label(n, total, tuning);
+            push_bcast_ops(&mut plan, root, total);
+            let label = bcast_flat_label(n, total);
             plan.finish(None, Loc::Buf, (0, total), input, 0, label)
         }
     }
@@ -898,13 +921,11 @@ pub fn build_allgather(
                     }
                 }
             });
-            c.phase(Level::Host, PHASE_FANOUT, |p| {
-                push_bcast_ops(p, tuning, 0, total)
-            });
+            c.phase(Level::Host, PHASE_FANOUT, |p| push_bcast_ops(p, 0, total));
             let scratch_len = if h.is_leader() { total } else { 0 };
             c.finish(None, (0, total), input, scratch_len, "allgather/hier+ring")
         }
-        Path::Flat if n > 2 && block <= tuning.allgather_bruck_max_bytes => {
+        Path::Flat if n > 2 && block <= ALLGATHER_BRUCK_MAX_BYTES => {
             build_allgather_bruck(view, block)
         }
         Path::Flat => {
@@ -1077,21 +1098,15 @@ impl CoreMap {
 /// emission and both labels, so they can never disagree. Rabenseifner only
 /// pays off when every core rank still owns a non-trivial region after
 /// log₂(pow2) halvings.
-fn allreduce_uses_rabenseifner(n: usize, total: usize, count: usize, tuning: &CollTuning) -> bool {
-    total >= tuning.allreduce_rabenseifner_min_bytes && count >= prev_power_of_two(n)
+fn allreduce_uses_rabenseifner(n: usize, total: usize, count: usize) -> bool {
+    total >= ALLREDUCE_RABENSEIFNER_MIN_BYTES && count >= prev_power_of_two(n)
 }
 
 /// The allreduce algorithm label for `n` ranks — the leaders, when
 /// `two_level` — reducing `count` elements of `total` bytes: deterministic on
 /// every rank, so composite labels agree group-wide even on ranks that skip
 /// the leader phase.
-fn allreduce_label(
-    n: usize,
-    total: usize,
-    count: usize,
-    tuning: &CollTuning,
-    two_level: bool,
-) -> &'static str {
+fn allreduce_label(n: usize, total: usize, count: usize, two_level: bool) -> &'static str {
     const LABELS: [[&str; 4]; 2] = [
         [
             "allreduce/recursive-doubling",
@@ -1106,7 +1121,7 @@ fn allreduce_label(
             "allreduce/hier+rabenseifner+fold",
         ],
     ];
-    let large = allreduce_uses_rabenseifner(n, total, count, tuning);
+    let large = allreduce_uses_rabenseifner(n, total, count);
     LABELS[usize::from(two_level)][2 * usize::from(large) + usize::from(!n.is_power_of_two())]
 }
 
@@ -1161,18 +1176,16 @@ pub fn build_allreduce<T: Reducible>(
                 push_reduce_ops(p, 0, total)
             });
             c.phase(Level::Leaders, PHASE_LEADER, |p| {
-                push_allreduce_ops::<T>(p, tuning, count)
+                push_allreduce_ops::<T>(p, count)
             });
-            c.phase(Level::Host, PHASE_FANOUT, |p| {
-                push_bcast_ops(p, tuning, 0, total)
-            });
-            let label = allreduce_label(h.hosts_spanned(), total, count, tuning, true);
+            c.phase(Level::Host, PHASE_FANOUT, |p| push_bcast_ops(p, 0, total));
+            let label = allreduce_label(h.hosts_spanned(), total, count, true);
             c.finish(fold, (0, total), (0, total), total, label)
         }
         _ => {
             let mut plan = Plan::new(view, 6);
-            push_allreduce_ops::<T>(&mut plan, tuning, count);
-            let label = allreduce_label(n, total, count, tuning, false);
+            push_allreduce_ops::<T>(&mut plan, count);
+            let label = allreduce_label(n, total, count, false);
             plan.finish(fold, Loc::Buf, (0, total), (0, total), total, label)
         }
     }
@@ -1185,7 +1198,7 @@ pub fn build_allreduce<T: Reducible>(
 /// Tags use kind 6 regardless of the caller's plan kind, mirroring the
 /// straight-line implementation where naive reduce-scatter delegated to
 /// `allreduce` and inherited its tags.
-fn push_allreduce_ops<T: Reducible>(plan: &mut Plan<'_, '_>, tuning: &CollTuning, count: usize) {
+fn push_allreduce_ops<T: Reducible>(plan: &mut Plan<'_, '_>, count: usize) {
     let view = plan.view;
     let n = view.size();
     let me = view.rank;
@@ -1195,7 +1208,7 @@ fn push_allreduce_ops<T: Reducible>(plan: &mut Plan<'_, '_>, tuning: &CollTuning
     plan.kind = 6;
     let pow2 = prev_power_of_two(n);
     let excess = n - pow2;
-    let large = allreduce_uses_rabenseifner(n, total, count, tuning);
+    let large = allreduce_uses_rabenseifner(n, total, count);
 
     // Fold pre-phase (non-power-of-two): among the first 2·excess ranks, each
     // even rank sends its vector to the odd rank above it and drops out of
@@ -1336,12 +1349,11 @@ fn push_rabenseifner_core(plan: &mut Plan<'_, '_>, core: CoreMap, count: usize, 
 
 /// Compile the size-adaptive reduce-scatter of `count` elements of `T`: the
 /// naive allreduce + block selection for small payloads, recursive halving
-/// (power-of-two rank counts) or pairwise exchange (any rank count) above the
-/// threshold. The primary buffer is this rank's full input vector; the result
-/// range selects this rank's reduced block.
+/// (power-of-two rank counts) or pairwise exchange (any rank count) from
+/// [`REDUCE_SCATTER_DIRECT_MIN_BYTES`]. The primary buffer is this rank's full
+/// input vector; the result range selects this rank's reduced block.
 pub fn build_reduce_scatter<T: Reducible>(
     view: &CommView<'_>,
-    tuning: &CollTuning,
     count: usize,
     op: ReduceOp,
 ) -> CollPlan {
@@ -1363,7 +1375,7 @@ pub fn build_reduce_scatter<T: Reducible>(
             "reduce-scatter/local",
         );
     }
-    if total >= tuning.reduce_scatter_direct_min_bytes && block > 0 {
+    if total >= REDUCE_SCATTER_DIRECT_MIN_BYTES && block > 0 {
         if n.is_power_of_two() {
             return build_reduce_scatter_halving::<T>(view, count, op);
         }
@@ -1371,7 +1383,7 @@ pub fn build_reduce_scatter<T: Reducible>(
     }
     // Naive: the allreduce wire traffic, then select this rank's block.
     let mut plan = Plan::new(view, 7);
-    push_allreduce_ops::<T>(&mut plan, tuning, count);
+    push_allreduce_ops::<T>(&mut plan, count);
     plan.finish(
         fold,
         Loc::Buf,
@@ -1591,8 +1603,8 @@ pub fn build_exscan<T: Reducible>(view: &CommView<'_>, count: usize, op: ReduceO
 /// this rank sends to local rank `i`, on completion block `i` holds the
 /// data local rank `i` sent here. The path is `select_path`'s — the window
 /// when the whole exchange image fits a slot, then the host hierarchy — and
-/// the flat exchange is Bruck below
-/// [`CollTuning::alltoall_bruck_max_bytes`] per block, pairwise above.
+/// the flat exchange is Bruck up to [`ALLTOALL_BRUCK_MAX_BYTES`] per block,
+/// pairwise above.
 pub fn build_alltoall(
     view: &CommView<'_>,
     tuning: &CollTuning,
@@ -1612,7 +1624,7 @@ pub fn build_alltoall(
     match select_path(n, tuning, hier, dp, total, footprint(dp, total), hier_min) {
         Path::Window(w) => build_alltoall_shm(view, &w, block),
         Path::TwoLevel(h) => build_alltoall_hier(view, h, block),
-        Path::Flat if n > 2 && block <= tuning.alltoall_bruck_max_bytes => {
+        Path::Flat if n > 2 && block <= ALLTOALL_BRUCK_MAX_BYTES => {
             build_alltoall_bruck(view, block)
         }
         Path::Flat => build_alltoall_pairwise(view, block),

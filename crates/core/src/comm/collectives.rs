@@ -379,7 +379,8 @@ impl Comm {
     /// the payload is read single-copy out of the root's slot when it fits
     /// one, unless the two-level host composition takes the broadcast;
     /// otherwise it runs two-level or flat — binomial tree for small
-    /// payloads, scatter + ring allgather above the configured threshold.
+    /// payloads, scatter + ring allgather from
+    /// [`crate::coll::BCAST_SCATTER_ALLGATHER_MIN_BYTES`].
     /// Repeated shapes hit the communicator's plan cache and skip planning.
     pub fn bcast_into<T: Pod>(&mut self, root: Rank, buf: &mut [T]) -> Result<()> {
         let spec = self.spec_bcast(root, size_of_val(buf))?;
@@ -653,7 +654,7 @@ impl Comm {
     /// window the vector is reduced single-copy through the slots when it
     /// fits one, unless the two-level host composition takes the allreduce;
     /// otherwise it runs two-level or flat — recursive doubling for small
-    /// payloads, Rabenseifner above the configured threshold, with
+    /// payloads, Rabenseifner from `coll::ALLREDUCE_RABENSEIFNER_MIN_BYTES`, with
     /// power-of-two fold elimination for other rank counts.
     pub fn allreduce<T: Reducible>(&mut self, values: &mut [T], op: ReduceOp) -> Result<()> {
         let spec = self.spec_allreduce::<T>(values.len(), op)?;
@@ -685,13 +686,13 @@ impl Comm {
         self.spec(
             PlanKey::reduction::<T>(PlanOp::ReduceScatter, None, count, op),
             count * size_of::<T>(),
-            |view, tuning, _, _| coll::build_reduce_scatter::<T>(view, tuning, count, op),
+            |view, _, _, _| coll::build_reduce_scatter::<T>(view, count, op),
         )
     }
 
     /// Reduce-scatter typed values; returns this rank's block. Size-adaptive:
     /// naive allreduce + selection for small payloads, recursive halving /
-    /// pairwise exchange above the configured threshold. `values.len()` must
+    /// pairwise exchange from `coll::REDUCE_SCATTER_DIRECT_MIN_BYTES`. `values.len()` must
     /// be divisible by the rank count.
     pub fn reduce_scatter<T: Reducible>(&mut self, values: &[T], op: ReduceOp) -> Result<Vec<T>> {
         let spec = self.spec_reduce_scatter::<T>(values.len(), op)?;
@@ -808,9 +809,8 @@ impl Comm {
     /// `r`'s contribution to this rank. Size-adaptive: the single-copy shm
     /// data plane when the exchange fits a window slot, the host-hierarchical
     /// composition from a 4 MiB exchange image (under `HierarchyMode::Auto`),
-    /// Bruck for blocks up to
-    /// [`crate::config::CollTuning::alltoall_bruck_max_bytes`], pairwise
-    /// exchange for the rest.
+    /// Bruck for blocks up to [`crate::coll::ALLTOALL_BRUCK_MAX_BYTES`],
+    /// pairwise exchange for the rest.
     pub fn alltoall<T: Pod>(&mut self, send: &[T], recv: &mut [T]) -> Result<()> {
         if recv.len() != send.len() {
             return Err(MpiError::InvalidCollective(format!(

@@ -210,7 +210,8 @@ pub(crate) struct RankShared {
     /// `test_*` sweeps use it to keep MPI's non-overtaking rule.
     post_seq: AtomicU64,
     pub(crate) topology: HostTopology,
-    /// Collective algorithm switchover thresholds (from the universe config).
+    /// The collectives' hierarchy mode and window arena (from the universe
+    /// config).
     pub(crate) tuning: CollTuning,
     /// Who drives outstanding nonblocking operations (from the universe
     /// config).

@@ -153,36 +153,13 @@ pub enum HierarchyMode {
     Force,
 }
 
-/// Message-size thresholds steering the size-adaptive flat collective
-/// algorithms (see `coll`), the hierarchy mode, and the size of the shared
-/// window — whose presence alone decides whether a collective may run
-/// single-copy. Defaults follow the MPICH-style switchover points, scaled to
-/// the cell geometry of the CXL transport; tests override them to force every
-/// branch.
+/// What a universe's collectives may use beyond the flat algorithms: the
+/// two-level host compositions and the shared window, whose presence alone
+/// decides whether a collective may run single-copy. The flat algorithms
+/// themselves switch at fixed payload crossovers, MPICH-style — constants in
+/// `coll`, not settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollTuning {
-    /// Broadcast switches from the binomial tree to scatter + ring-allgather
-    /// (van de Geijn) at and above this many payload bytes.
-    pub bcast_scatter_allgather_min_bytes: usize,
-    /// Allreduce switches from recursive doubling to Rabenseifner
-    /// (reduce-scatter + allgather) at and above this many payload bytes.
-    pub allreduce_rabenseifner_min_bytes: usize,
-    /// Allgather uses the Bruck algorithm (log₂ n steps) for per-rank blocks
-    /// up to this many bytes, the bandwidth-optimal ring above.
-    pub allgather_bruck_max_bytes: usize,
-    /// Reduce-scatter switches from the naive allreduce + block selection to
-    /// recursive halving (power-of-two) / pairwise exchange (other counts) at
-    /// and above this many total payload bytes.
-    pub reduce_scatter_direct_min_bytes: usize,
-    /// Alltoall uses the Bruck algorithm (⌈log₂ n⌉ rounds of packed
-    /// half-buffer exchanges) for per-peer blocks up to this many bytes, the
-    /// bandwidth-optimal pairwise exchange above. The bench's `alltoall`
-    /// sweep puts the crossover between 16 KiB and 32 KiB per block at
-    /// n = 4–8 (Bruck still wins at 16 KiB blocks on every measured rank
-    /// count; pairwise wins at 32 KiB and above): Bruck's round saving wins
-    /// while per-message latency dominates, and its ~2× data-volume
-    /// inflation loses once the wire term does.
-    pub alltoall_bruck_max_bytes: usize,
     /// Whether topology-aware hierarchical compositions may be selected.
     pub hierarchy: HierarchyMode,
     /// Bytes of CXL pool memory each rank exposes in its communicator's
@@ -202,11 +179,6 @@ pub struct CollTuning {
 impl Default for CollTuning {
     fn default() -> Self {
         CollTuning {
-            bcast_scatter_allgather_min_bytes: 128 * 1024,
-            allreduce_rabenseifner_min_bytes: 16 * 1024,
-            allgather_bruck_max_bytes: 4 * 1024,
-            reduce_scatter_direct_min_bytes: 16 * 1024,
-            alltoall_bruck_max_bytes: 16 * 1024,
             hierarchy: HierarchyMode::Auto,
             shm_arena_bytes: 2 * 1024 * 1024,
         }
@@ -348,7 +320,7 @@ pub struct UniverseConfig {
     pub placement: HostPlacement,
     /// Transport selection.
     pub transport: TransportConfig,
-    /// Collective algorithm switchover thresholds.
+    /// The collectives' hierarchy mode and shared-window arena.
     pub coll: CollTuning,
     /// Who drives outstanding nonblocking operations (see [`ProgressMode`]).
     pub progress: ProgressMode,
@@ -417,7 +389,7 @@ impl UniverseConfig {
         self
     }
 
-    /// Override the collective algorithm thresholds.
+    /// Override the collectives' hierarchy mode and window arena.
     pub fn with_coll_tuning(mut self, coll: CollTuning) -> Self {
         self.coll = coll;
         self
@@ -552,11 +524,7 @@ mod tests {
 
     #[test]
     fn hierarchy_defaults_are_gated() {
-        let t = CollTuning::default();
-        assert_eq!(t.hierarchy, HierarchyMode::Auto);
-        // The alltoall crossover sits where the bench sweep measured it:
-        // Bruck up to 16 KiB blocks.
-        assert_eq!(t.alltoall_bruck_max_bytes, 16 * 1024);
+        assert_eq!(CollTuning::default().hierarchy, HierarchyMode::Auto);
     }
 
     #[test]

@@ -61,7 +61,7 @@
 //!   allgather, allreduce, reduce, reduce-scatter, gather, scatter, scan,
 //!   exscan, alltoall, alltoallv) layered on point-to-point over a
 //!   [`coll::CommView`], the paper's Section 3.6 extension. Algorithms switch
-//!   MPICH-style on payload size (thresholds in [`config::CollTuning`]), one
+//!   MPICH-style at one fixed payload crossover per operation, one
 //!   function per plan chooses among the flat, two-level and shared-window
 //!   paths, and the chosen algorithm is surfaced in
 //!   [`runtime::RankReport::coll_algos`].

@@ -553,7 +553,10 @@ impl WindowState {
 
     /// Device offset of `len` bytes at `offset` of `rank`'s data region.
     fn data_addr(&self, rank: Rank, offset: usize, len: usize) -> Result<u64> {
-        if offset + len > self.layout.size_per_rank {
+        if offset
+            .checked_add(len)
+            .is_none_or(|end| end > self.layout.size_per_rank)
+        {
             return Err(MpiError::WindowOutOfBounds {
                 offset,
                 len,
@@ -1998,8 +2001,7 @@ impl Transport for CxlTransport {
         data: &[u8],
     ) -> Result<()> {
         let state = Self::window_in(&mut self.windows, win)?;
-        let addr = state.data_addr(self.rank, offset, data.len())?;
-        state.obj.write_flush_at(addr, data)?;
+        state.store(state.data_addr(self.rank, offset, data.len())?, data)?;
         self.charge_rma(clock, data.len(), true);
         Ok(())
     }

@@ -249,7 +249,10 @@ impl TcpTransport {
     }
 
     fn check_window_access(state: &TcpWindowState, offset: usize, len: usize) -> Result<()> {
-        if offset + len > state.shared.size_per_rank {
+        if offset
+            .checked_add(len)
+            .is_none_or(|end| end > state.shared.size_per_rank)
+        {
             return Err(MpiError::WindowOutOfBounds {
                 offset,
                 len,

@@ -9,19 +9,19 @@
 //! and TCP.
 
 use cmpi::fabric::cost::TcpNic;
+use cmpi::mpi::coll::ALLTOALL_BRUCK_MAX_BYTES;
 use cmpi::mpi::dataplane::DP_SLOTS;
 use cmpi::mpi::{Comm, Request, Universe, UniverseConfig};
 
 mod common;
 use common::{
-    configs, force_hier, force_large, force_ring, force_shm, force_small, matrix_hosts,
-    with_window_headroom,
+    configs, force_hier, force_ring, force_shm, matrix_hosts, past, with_window_headroom,
 };
 
 /// The canonical per-element pattern of the block rank `s` sends to rank
 /// `d`: unique per (source, destination, element index).
 fn pattern(s: usize, d: usize, e: usize) -> i64 {
-    (s as i64) * 1_000_000 + (d as i64) * 1_000 + e as i64
+    (s as i64) * 1_000_000_000 + (d as i64) * 1_000_000 + e as i64
 }
 
 /// Naive alltoall reference over point-to-point nonblocking sends/receives:
@@ -101,16 +101,20 @@ fn drive_all_paths(comm: &mut Comm, send: &[i64], expect: &[i64]) -> cmpi::mpi::
 fn alltoall_matches_naive_reference_across_algorithms() {
     for n in [3usize, 5, 6, 7] {
         for (label, config) in configs(n) {
-            for (tuning, tuning_name) in [
-                (force_small(), "bruck"),
-                (force_large(), "pairwise"),
-                (force_hier(), "hier"),
+            // Blocks on each side of the Bruck crossover, then the hierarchy.
+            for (tuning, block, tuning_name) in [
+                (force_ring(), 5, "bruck"),
+                (
+                    force_ring(),
+                    past::<i64>(ALLTOALL_BRUCK_MAX_BYTES),
+                    "pairwise",
+                ),
+                (force_hier(), 5, "hier"),
             ] {
                 let config = config.clone().with_coll_tuning(tuning);
                 let results = Universe::run(config, move |comm: &mut Comm| {
                     let n = comm.size();
                     let me = comm.rank();
-                    let block = 5usize;
                     let send: Vec<i64> = (0..n * block)
                         .map(|i| pattern(me, i / block, i % block))
                         .collect();

@@ -1,52 +1,57 @@
 //! Size- and shape-adaptive collective algorithms, end-to-end.
 //!
 //! Non-power-of-two rank counts (3, 5, 6, 7) are cross-checked against naive
-//! references on both transports, and threshold overrides force every
-//! algorithm branch (binomial vs scatter-allgather bcast, Bruck vs ring
-//! allgather, recursive-doubling vs Rabenseifner allreduce, naive vs
-//! halving/pairwise reduce-scatter), asserting both the numeric results and
-//! the algorithm labels surfaced in `RankReport::coll_algos`.
+//! references on both transports, and payloads on each side of each flat
+//! crossover constant reach every algorithm branch (binomial vs
+//! scatter-allgather bcast, Bruck vs ring allgather, recursive-doubling vs
+//! Rabenseifner allreduce, naive vs halving/pairwise reduce-scatter),
+//! asserting both the numeric results and the algorithm labels surfaced in
+//! `RankReport::coll_algos`.
 
+use cmpi::mpi::coll::{
+    ALLGATHER_BRUCK_MAX_BYTES, ALLREDUCE_RABENSEIFNER_MIN_BYTES, BCAST_SCATTER_ALLGATHER_MIN_BYTES,
+    REDUCE_SCATTER_DIRECT_MIN_BYTES,
+};
 use cmpi::mpi::{Comm, ReduceOp, Universe, UniverseConfig};
 
 mod common;
-use common::{configs, force_large, force_small};
+use common::{configs, force_ring, past};
 
 #[test]
 fn non_power_of_two_allreduce_matches_naive_reference() {
+    // Small (recursive doubling + fold) and large (Rabenseifner + fold)
+    // paths. Non-power-of-two counts must use fold elimination, never the
+    // old reduce+bcast cliff.
+    let legs = [
+        (33, "allreduce/recursive-doubling+fold"),
+        (
+            past::<i64>(ALLREDUCE_RABENSEIFNER_MIN_BYTES),
+            "allreduce/rabenseifner+fold",
+        ),
+    ];
     for n in [3usize, 5, 6, 7] {
         for (label, config) in configs(n) {
-            // Small (recursive doubling + fold) and large (Rabenseifner +
-            // fold) paths, both with enough elements to split.
-            for tuning in [force_small(), force_large()] {
-                let config = config.clone().with_coll_tuning(tuning);
+            for (count, expect) in legs {
+                let config = config.clone().with_coll_tuning(force_ring());
                 let results = Universe::run(config, move |comm: &mut Comm| {
                     let me = comm.rank() as i64;
                     let n = comm.size() as i64;
                     // Sum: reference is n*(n-1)/2 + i for element i offsets.
-                    let mut values: Vec<i64> = (0..33).map(|i| me * 1000 + i).collect();
+                    let mut values: Vec<i64> = (0..count as i64).map(|i| me * 1000 + i).collect();
                     comm.allreduce(&mut values, ReduceOp::Sum)?;
                     let rank_sum: i64 = (0..n).sum::<i64>() * 1000;
                     for (i, v) in values.iter().enumerate() {
                         assert_eq!(*v, rank_sum + n * i as i64, "sum mismatch at {i}");
                     }
                     // Max cross-check.
-                    let mut m = vec![me; 17];
+                    let mut m = vec![me; count];
                     comm.allreduce(&mut m, ReduceOp::Max)?;
                     assert!(m.iter().all(|&v| v == n - 1));
                     Ok(comm.last_coll_algorithm().to_string())
                 })
                 .unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
                 for (algo, _) in &results {
-                    assert!(
-                        algo.starts_with("allreduce/"),
-                        "{label} n={n}: unexpected algo {algo}"
-                    );
-                    // Non-power-of-two counts must use fold elimination, never
-                    // the old reduce+bcast cliff.
-                    if !n.is_power_of_two() {
-                        assert!(algo.ends_with("+fold"), "{label} n={n}: {algo}");
-                    }
+                    assert_eq!(algo, expect, "{label} n={n}");
                 }
             }
         }
@@ -57,15 +62,18 @@ fn non_power_of_two_allreduce_matches_naive_reference() {
 fn non_power_of_two_reduce_scatter_matches_naive_reference() {
     for n in [3usize, 5, 6, 7] {
         for (label, config) in configs(n) {
-            for (tuning, expect) in [
-                (force_small(), "reduce-scatter/naive"),
-                (force_large(), "reduce-scatter/pairwise"),
+            // Blocks of a total below and just past the direct crossover.
+            for (block, expect) in [
+                (5, "reduce-scatter/naive"),
+                (
+                    past::<i64>(REDUCE_SCATTER_DIRECT_MIN_BYTES / n),
+                    "reduce-scatter/pairwise",
+                ),
             ] {
-                let config = config.clone().with_coll_tuning(tuning);
+                let config = config.clone().with_coll_tuning(force_ring());
                 Universe::run(config, move |comm: &mut Comm| {
                     let me = comm.rank() as i64;
                     let n = comm.size() as i64;
-                    let block = 5usize;
                     let values: Vec<i64> = (0..block * n as usize)
                         .map(|i| me * 100 + i as i64)
                         .collect();
@@ -87,16 +95,18 @@ fn non_power_of_two_reduce_scatter_matches_naive_reference() {
 
 #[test]
 fn power_of_two_reduce_scatter_uses_recursive_halving() {
+    // A total just past the direct crossover.
+    let block = past::<u64>(REDUCE_SCATTER_DIRECT_MIN_BYTES / 4);
     for (label, config) in configs(4) {
-        let config = config.with_coll_tuning(force_large());
-        Universe::run(config, |comm: &mut Comm| {
+        let config = config.with_coll_tuning(force_ring());
+        Universe::run(config, move |comm: &mut Comm| {
             let me = comm.rank() as u64;
             let n = comm.size() as u64;
-            let values: Vec<u64> = (0..4 * n).map(|i| me + i).collect();
+            let values: Vec<u64> = (0..block as u64 * n).map(|i| me + i).collect();
             let mine = comm.reduce_scatter(&values, ReduceOp::Sum)?;
             let rank_sum: u64 = (0..n).sum();
             for (j, v) in mine.iter().enumerate() {
-                let idx = comm.rank() * 4 + j;
+                let idx = comm.rank() * block + j;
                 assert_eq!(*v, rank_sum + n * idx as u64);
             }
             assert_eq!(
@@ -111,13 +121,16 @@ fn power_of_two_reduce_scatter_uses_recursive_halving() {
 
 #[test]
 fn bcast_scatter_allgather_matches_binomial() {
-    // Uneven payloads (not divisible by n) and every root, on 5 ranks.
+    // An uneven payload (not divisible by n) just past the crossover, and
+    // every root, on 5 ranks.
+    let total = past::<u8>(BCAST_SCATTER_ALLGATHER_MIN_BYTES);
+    assert_ne!(total % 5, 0);
     for (label, config) in configs(5) {
-        let config = config.with_coll_tuning(force_large());
-        Universe::run(config, |comm: &mut Comm| {
+        let config = config.with_coll_tuning(force_ring());
+        Universe::run(config, move |comm: &mut Comm| {
             let n = comm.size();
             for root in 0..n {
-                let mut data = vec![0u8; 1003]; // 1003 = 5 * 200 + 3
+                let mut data = vec![0u8; total];
                 if comm.rank() == root {
                     for (i, b) in data.iter_mut().enumerate() {
                         *b = ((i * 37 + root) % 251) as u8;
@@ -139,21 +152,21 @@ fn bcast_scatter_allgather_matches_binomial() {
 fn bruck_and_ring_allgather_agree() {
     for n in [3usize, 4, 6, 7] {
         for (label, config) in configs(n) {
-            for (tuning, expect) in [
-                (force_small(), "allgather/bruck"),
-                (force_large(), "allgather/ring"),
+            for (block, expect) in [
+                (3, "allgather/bruck"),
+                (past::<u32>(ALLGATHER_BRUCK_MAX_BYTES), "allgather/ring"),
             ] {
-                let config = config.clone().with_coll_tuning(tuning);
+                let config = config.clone().with_coll_tuning(force_ring());
                 Universe::run(config, move |comm: &mut Comm| {
                     let me = comm.rank();
                     let n = comm.size();
-                    let send: Vec<u32> = (0..3).map(|i| (me * 10 + i) as u32).collect();
-                    let mut recv = vec![0u32; 3 * n];
+                    let send: Vec<u32> = (0..block).map(|i| (me * 10 + i) as u32).collect();
+                    let mut recv = vec![0u32; block * n];
                     comm.allgather_into(&send, &mut recv)?;
                     assert_eq!(comm.last_coll_algorithm(), expect);
                     for r in 0..n {
-                        for i in 0..3 {
-                            assert_eq!(recv[r * 3 + i], (r * 10 + i) as u32);
+                        for i in 0..block {
+                            assert_eq!(recv[r * block + i], (r * 10 + i) as u32);
                         }
                     }
                     Ok(())
@@ -169,9 +182,10 @@ fn adaptive_collectives_work_on_sub_communicators() {
     // Sub-communicators have non-identity local→world rank maps (the odd half
     // of a parity split maps local 0,1,2 → world 1,3,5): every algorithm must
     // translate ranks through the group. Exercises the large branches with
-    // forced thresholds on 6 world ranks → two 3-rank halves.
+    // payloads just past their crossovers on 6 world ranks → two 3-rank
+    // halves.
     for (label, config) in configs(6) {
-        let config = config.with_coll_tuning(force_large());
+        let config = config.with_coll_tuning(force_ring());
         Universe::run(config, |comm: &mut Comm| {
             let me = comm.rank();
             let mut half = comm.comm_split((me % 2) as i32, me as i32)?.unwrap();
@@ -180,7 +194,7 @@ fn adaptive_collectives_work_on_sub_communicators() {
             assert_eq!(hn, 3);
             // bcast (scatter-allgather) from each root of the half.
             for root in 0..hn {
-                let mut data = vec![0u8; 301];
+                let mut data = vec![0u8; past::<u8>(BCAST_SCATTER_ALLGATHER_MIN_BYTES)];
                 if hme == root {
                     for (i, b) in data.iter_mut().enumerate() {
                         *b = ((i + root * 7) % 251) as u8;
@@ -194,22 +208,27 @@ fn adaptive_collectives_work_on_sub_communicators() {
             }
             // allreduce (rabenseifner+fold on n=3) and reduce-scatter
             // (pairwise) inside the half.
-            let mut v: Vec<i64> = (0..9).map(|i| (hme as i64 + 1) * 10 + i).collect();
+            let count = past::<i64>(ALLREDUCE_RABENSEIFNER_MIN_BYTES) as i64;
+            let mut v: Vec<i64> = (0..count).map(|i| (hme as i64 + 1) * 10 + i).collect();
             half.allreduce(&mut v, ReduceOp::Sum)?;
             assert_eq!(half.last_coll_algorithm(), "allreduce/rabenseifner+fold");
             for (i, x) in v.iter().enumerate() {
                 assert_eq!(*x, 60 + 3 * i as i64);
             }
-            let rs: Vec<i64> = vec![hme as i64; 3 * hn];
+            let block = past::<i64>(REDUCE_SCATTER_DIRECT_MIN_BYTES / hn);
+            let rs: Vec<i64> = vec![hme as i64; block * hn];
             let mine = half.reduce_scatter(&rs, ReduceOp::Sum)?;
             assert_eq!(half.last_coll_algorithm(), "reduce-scatter/pairwise");
             // Each element is 0 + 1 + 2 summed across the half.
-            assert_eq!(mine, vec![3; 3]);
+            assert_eq!(mine, vec![3; block]);
             // ring allgather inside the half.
-            let mut all = vec![0u16; hn];
-            half.allgather_into(&[hme as u16], &mut all)?;
+            let block = past::<u16>(ALLGATHER_BRUCK_MAX_BYTES);
+            let mut all = vec![0u16; block * hn];
+            half.allgather_into(&vec![hme as u16; block], &mut all)?;
             assert_eq!(half.last_coll_algorithm(), "allgather/ring");
-            assert_eq!(all, vec![0, 1, 2]);
+            for (r, got) in all.chunks(block).enumerate() {
+                assert!(got.iter().all(|&x| x == r as u16));
+            }
             comm.barrier()?;
             Ok(())
         })
@@ -290,13 +309,15 @@ fn large_message_sweep_forces_every_branch_with_default_thresholds() {
 
 use cmpi::fabric::cost::TcpNic;
 use cmpi::mpi::HostPlacement;
-use common::{force_hier, force_hier_large};
+use common::force_hier;
 
 /// Every hierarchical composition, forced on n = 3, 5, 6, 7 ranks over 1, 2
 /// and 3 hosts (blocked *and* permuted round-robin placements), on both
 /// transports, cross-checked byte-for-byte against arithmetic references —
 /// i.e. exactly what the flat algorithms produce. On a single host the
-/// hierarchy degenerates and the flat labels must reappear.
+/// hierarchy degenerates and the flat labels must reappear. Small payloads,
+/// then payloads just past the flat crossovers, so that the phases run
+/// Rabenseifner and van de Geijn.
 #[test]
 fn forced_hierarchy_matches_flat_reference_across_topologies() {
     for n in [3usize, 5, 6, 7] {
@@ -305,16 +326,20 @@ fn forced_hierarchy_matches_flat_reference_across_topologies() {
                 continue;
             }
             for placement in [HostPlacement::Blocked, HostPlacement::RoundRobin] {
+                // On one host the two placements are one topology.
+                if hosts == 1 && placement == HostPlacement::RoundRobin {
+                    continue;
+                }
                 for (label, base) in [
                     ("CXL-SHM", UniverseConfig::cxl_small(n)),
                     ("TCP", UniverseConfig::tcp(n, TcpNic::MellanoxCx6Dx)),
                 ] {
-                    for tuning in [force_hier(), force_hier_large()] {
+                    for large in [false, true] {
                         let config = base
                             .clone()
                             .with_hosts(hosts)
                             .with_placement(placement.clone())
-                            .with_coll_tuning(tuning);
+                            .with_coll_tuning(force_hier());
                         let hier_expected = hosts >= 2;
                         Universe::run(config, move |comm: &mut Comm| {
                             let me = comm.rank() as i64;
@@ -328,27 +353,53 @@ fn forced_hierarchy_matches_flat_reference_across_topologies() {
                             };
 
                             // allreduce (multi-chunk on the 1 KiB CXL cells).
-                            let mut v: Vec<i64> = (0..200).map(|i| me * 1000 + i).collect();
+                            let count = if large {
+                                past::<i64>(ALLREDUCE_RABENSEIFNER_MIN_BYTES)
+                            } else {
+                                200
+                            };
+                            let mut v: Vec<i64> =
+                                (0..count as i64).map(|i| me * 1000 + i).collect();
                             comm.allreduce(&mut v, ReduceOp::Sum)?;
                             let rank_sum: i64 = (0..n).sum::<i64>() * 1000;
                             for (i, x) in v.iter().enumerate() {
                                 assert_eq!(*x, rank_sum + n * i as i64, "allreduce elem {i}");
                             }
-                            check_label(comm.last_coll_algorithm(), "allreduce");
+                            let algo = comm.last_coll_algorithm();
+                            check_label(algo, "allreduce");
+                            assert_eq!(algo.contains("rabenseifner"), large, "{algo}");
 
-                            // bcast from every root.
+                            // bcast from every root, so every host slot leads
+                            // the leaders' phase and a non-leader root's host
+                            // fans out without its leader. Past the crossover,
+                            // van de Geijn runs where more than two take part
+                            // in a phase (or, on one host, in the flat
+                            // algorithm).
+                            let total = if large {
+                                past::<u8>(BCAST_SCATTER_ALLGATHER_MIN_BYTES)
+                            } else {
+                                301
+                            };
+                            // Root r sends `pattern[r..r + total]`.
+                            let pattern: Vec<u8> = (0..total + n as usize)
+                                .map(|i| (i * 37 % 251) as u8)
+                                .collect();
                             for root in 0..n as usize {
-                                let mut data = vec![0u8; 301];
-                                if comm.rank() == root {
-                                    for (i, b) in data.iter_mut().enumerate() {
-                                        *b = ((i * 37 + root) % 251) as u8;
-                                    }
-                                }
+                                let expect = &pattern[root..root + total];
+                                let mut data = if comm.rank() == root {
+                                    expect.to_vec()
+                                } else {
+                                    vec![0u8; total]
+                                };
                                 comm.bcast_into(root, &mut data)?;
-                                for (i, b) in data.iter().enumerate() {
-                                    assert_eq!(*b, ((i * 37 + root) % 251) as u8, "root {root}");
-                                }
-                                check_label(comm.last_coll_algorithm(), "bcast");
+                                assert!(data == expect, "root {root}");
+                                let algo = comm.last_coll_algorithm();
+                                check_label(algo, "bcast");
+                                assert_eq!(
+                                    algo.ends_with("scatter-allgather"),
+                                    large && hosts != 2,
+                                    "{algo}"
+                                );
                             }
 
                             // rooted reduce to every root.
@@ -366,16 +417,28 @@ fn forced_hierarchy_matches_flat_reference_across_topologies() {
                                 check_label(comm.last_coll_algorithm(), "reduce");
                             }
 
-                            // allgather.
-                            let send: Vec<u32> = (0..5).map(|i| (me * 100) as u32 + i).collect();
-                            let mut recv = vec![0u32; 5 * n as usize];
+                            // allgather. Past the crossover, blocks run the
+                            // ring, and the total is past the bcast's, so the
+                            // hierarchical fan-out runs van de Geijn too.
+                            let block = if large {
+                                past::<u32>(ALLGATHER_BRUCK_MAX_BYTES).max(past::<u32>(
+                                    BCAST_SCATTER_ALLGATHER_MIN_BYTES / n as usize,
+                                ))
+                            } else {
+                                5
+                            };
+                            let send: Vec<u32> =
+                                (0..block as u32).map(|i| (me * 100) as u32 + i).collect();
+                            let mut recv = vec![0u32; block * n as usize];
                             comm.allgather_into(&send, &mut recv)?;
                             for r in 0..n as usize {
-                                for i in 0..5u32 {
-                                    assert_eq!(recv[r * 5 + i as usize], (r * 100) as u32 + i);
+                                for i in 0..block {
+                                    assert_eq!(recv[r * block + i], (r * 100 + i) as u32);
                                 }
                             }
-                            check_label(comm.last_coll_algorithm(), "allgather");
+                            let algo = comm.last_coll_algorithm();
+                            check_label(algo, "allgather");
+                            assert_eq!(algo.ends_with("ring"), large || hier_expected, "{algo}");
 
                             // barrier: the world blocking barrier keeps the
                             // sequence fast path; ibarrier compiles the
@@ -785,7 +848,6 @@ fn data_plane_scatter_bcast_matches_ring_above_cutoff() {
     let shm = CollTuning {
         hierarchy: HierarchyMode::Off,
         shm_arena_bytes: 2 * 1024 * 1024,
-        ..CollTuning::default()
     };
 
     for n in [4usize, 5] {
@@ -859,7 +921,6 @@ fn data_plane_oversize_payloads_fall_back_to_ring_mid_sweep() {
     let tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
         shm_arena_bytes: 4096,
-        ..CollTuning::default()
     };
     let config = with_window_headroom(UniverseConfig::cxl_small(4), 64 * 1024 * 1024)
         .with_coll_tuning(tuning);

@@ -1,6 +1,7 @@
 //! Shared scaffolding for the integration-test suites: the two-transport
-//! configuration matrix and the tuning overrides that force every collective
-//! algorithm branch (flat, hierarchical, and data-plane).
+//! configuration matrix, the tunings that pin a collective path (flat,
+//! hierarchical, or data-plane), and the payload sizes that reach each flat
+//! algorithm across its crossover constant.
 
 #![allow(dead_code)] // not every suite uses every helper
 
@@ -113,58 +114,13 @@ pub fn promote(comm: &mut Comm, a: usize, b: usize) -> Result<()> {
     Ok(())
 }
 
-/// Thresholds that force the large-message flat algorithms at tiny sizes
-/// (hierarchy off and no window, so the flat ring branch under test is the
-/// one that runs).
-pub fn force_large() -> CollTuning {
-    CollTuning {
-        bcast_scatter_allgather_min_bytes: 1,
-        allreduce_rabenseifner_min_bytes: 1,
-        allgather_bruck_max_bytes: 0,
-        reduce_scatter_direct_min_bytes: 1,
-        alltoall_bruck_max_bytes: 0,
-        hierarchy: HierarchyMode::Off,
-        shm_arena_bytes: 0,
-    }
-}
-
-/// Thresholds that force the small-message flat algorithms at any size
-/// (hierarchy off, no window).
-pub fn force_small() -> CollTuning {
-    CollTuning {
-        bcast_scatter_allgather_min_bytes: usize::MAX,
-        allreduce_rabenseifner_min_bytes: usize::MAX,
-        allgather_bruck_max_bytes: usize::MAX,
-        reduce_scatter_direct_min_bytes: usize::MAX,
-        alltoall_bruck_max_bytes: usize::MAX,
-        hierarchy: HierarchyMode::Off,
-        shm_arena_bytes: 0,
-    }
-}
-
 /// Force the hierarchical compositions at any size and shape (on ≥ 2 spanned
-/// hosts; single-host communicators still run flat), with default flat
-/// thresholds inside the phases. No window, so the composite ring labels —
-/// the barrier's included — stay deterministic under every `CMPI_DATA_PLANE`
-/// leg.
+/// hosts; single-host communicators still run flat); inside the phases the
+/// flat algorithms switch at their usual crossovers. No window, so the
+/// composite ring labels — the barrier's included — stay deterministic under
+/// every `CMPI_DATA_PLANE` leg.
 pub fn force_hier() -> CollTuning {
     CollTuning {
-        hierarchy: HierarchyMode::Force,
-        shm_arena_bytes: 0,
-        ..CollTuning::default()
-    }
-}
-
-/// As [`force_hier`], but with the large-payload flat algorithms forced
-/// *inside* the hierarchical phases too (van de Geijn fan-out, Rabenseifner
-/// leader phase at tiny sizes).
-pub fn force_hier_large() -> CollTuning {
-    CollTuning {
-        bcast_scatter_allgather_min_bytes: 1,
-        allreduce_rabenseifner_min_bytes: 1,
-        allgather_bruck_max_bytes: 0,
-        reduce_scatter_direct_min_bytes: 1,
-        alltoall_bruck_max_bytes: 0,
         hierarchy: HierarchyMode::Force,
         shm_arena_bytes: 0,
     }
@@ -179,19 +135,24 @@ pub fn force_shm() -> CollTuning {
     CollTuning {
         hierarchy: HierarchyMode::Off,
         shm_arena_bytes: TEST_SHM_ARENA_BYTES,
-        ..CollTuning::default()
     }
 }
 
-/// Pin the flat ring path with default size thresholds — hierarchy off and
-/// a zero arena, so no window exists: the baseline side of the shm ≡ ring
-/// byte-equivalence checks.
+/// Pin the flat ring path — hierarchy off and a zero arena, so no window
+/// exists: the flat algorithms under test, and the baseline side of the
+/// shm ≡ ring byte-equivalence checks.
 pub fn force_ring() -> CollTuning {
     CollTuning {
         hierarchy: HierarchyMode::Off,
         shm_arena_bytes: 0,
-        ..CollTuning::default()
     }
+}
+
+/// Elements of `T` in the smallest payload past `bytes`. Past a flat
+/// crossover constant — a `*_MIN_BYTES` one, large from the constant on, or
+/// a `*_MAX_BYTES` one, small up to it — the large-payload algorithm runs.
+pub fn past<T>(bytes: usize) -> usize {
+    bytes / std::mem::size_of::<T>() + 1
 }
 
 /// The data-plane cost terms of a default CXL universe in which `pairs`

@@ -1,17 +1,34 @@
 //! Nonblocking collectives end-to-end: every `i*` operation must produce
 //! results byte-identical to its blocking counterpart (the two share one
 //! compiled schedule per algorithm, and this suite pins that equivalence on
-//! n = 3, 5, 6, 7 across both transports and both forced tuning extremes),
+//! n = 3, 5, 6, 7 across both transports, flat and two-level, with payloads
+//! on both sides of the flat crossovers),
 //! requests must complete under shuffled `wait_any`/`test_all` driving mixed
 //! with p2p traffic, and a rank death must abort parked collective and RMA
 //! waits with `PeerDead` instead of hanging (the PR 2 poison-flag guarantee,
 //! extended to the progress engine).
 
+use cmpi::mpi::coll::{
+    ALLGATHER_BRUCK_MAX_BYTES, ALLREDUCE_RABENSEIFNER_MIN_BYTES, BCAST_SCATTER_ALLGATHER_MIN_BYTES,
+    REDUCE_SCATTER_DIRECT_MIN_BYTES,
+};
 use cmpi::mpi::pod::bytes_of;
 use cmpi::mpi::{Comm, MpiError, ReduceOp, Request, Universe, UniverseConfig};
 
 mod common;
-use common::{configs, force_hier, force_hier_large, force_large, force_small};
+use common::{configs, force_hier, force_ring, past};
+
+/// Element counts just past the flat crossovers among `n` ranks: a `u64`
+/// bcast, an `i64` allreduce, a `u32` allgather block and an `i64`
+/// reduce-scatter block.
+fn past_crossovers(n: usize) -> [usize; 4] {
+    [
+        past::<u64>(BCAST_SCATTER_ALLGATHER_MIN_BYTES),
+        past::<i64>(ALLREDUCE_RABENSEIFNER_MIN_BYTES),
+        past::<u32>(ALLGATHER_BRUCK_MAX_BYTES),
+        past::<i64>(REDUCE_SCATTER_DIRECT_MIN_BYTES / n),
+    ]
+}
 
 /// Deterministic split-mix style generator (no external crates).
 struct Lcg(u64);
@@ -36,111 +53,120 @@ impl Lcg {
 
 #[test]
 fn every_i_collective_matches_blocking_counterpart() {
-    // The tuning extremes force every algorithm branch (binomial and
-    // scatter-allgather bcast, Bruck and ring allgather, recursive-doubling
-    // and Rabenseifner allreduce incl. the non-power-of-two fold phases,
-    // naive / recursive-halving / pairwise reduce-scatter), and the forced
-    // hierarchical tunings pin every i* composition against its blocking
-    // counterpart — which the adaptive suite separately pins against the
-    // flat reference.
+    // Payloads on both sides of the crossovers reach every algorithm branch
+    // (binomial and scatter-allgather bcast, Bruck and ring allgather,
+    // recursive-doubling and Rabenseifner allreduce incl. the
+    // non-power-of-two fold phases, naive / pairwise reduce-scatter), flat
+    // and inside the forced hierarchical compositions: every i* form is
+    // pinned against its blocking counterpart — which the adaptive suite
+    // separately pins against the flat reference.
     for n in [3usize, 5, 6, 7] {
         for (label, base) in configs(n) {
-            for tuning in [
-                force_small(),
-                force_large(),
-                force_hier(),
-                force_hier_large(),
-            ] {
-                let config = base.clone().with_coll_tuning(tuning);
-                Universe::run(config, move |comm: &mut Comm| {
-                    let me = comm.rank();
-                    let n = comm.size();
-
-                    // ibarrier completes on every rank.
-                    let mut req = comm.ibarrier()?;
-                    comm.wait(&mut req)?;
-
-                    // ibcast == bcast_into (root 1).
-                    let root_data: Vec<u64> = (0..9).map(|i| 1000 + i).collect();
-                    let mut blocking = if me == 1 {
-                        root_data.clone()
-                    } else {
-                        vec![0u64; 9]
-                    };
-                    comm.bcast_into(1, &mut blocking)?;
-                    let contrib = if me == 1 {
-                        root_data.clone()
-                    } else {
-                        vec![0u64; 9]
-                    };
-                    let mut req = comm.ibcast_into(1, &contrib)?;
-                    comm.wait(&mut req)?;
-                    assert_eq!(req.take_values::<u64>()?, blocking, "ibcast");
-
-                    // iallreduce == allreduce (33 elements exercise the
-                    // Rabenseifner split on every n here).
-                    let vals: Vec<i64> = (0..33).map(|i| me as i64 * 1000 + i).collect();
-                    let mut blocking = vals.clone();
-                    comm.allreduce(&mut blocking, ReduceOp::Sum)?;
-                    let mut req = comm.iallreduce(&vals, ReduceOp::Sum)?;
-                    comm.wait(&mut req)?;
-                    assert_eq!(req.take_values::<i64>()?, blocking, "iallreduce");
-
-                    // iallgather == allgather_into.
-                    let send: Vec<u32> = (0..3).map(|i| (me * 10 + i) as u32).collect();
-                    let mut blocking = vec![0u32; 3 * n];
-                    comm.allgather_into(&send, &mut blocking)?;
-                    let mut req = comm.iallgather_into(&send)?;
-                    comm.wait(&mut req)?;
-                    assert_eq!(req.take_values::<u32>()?, blocking, "iallgather");
-
-                    // ireduce_scatter == reduce_scatter (5 elements per rank).
-                    let rs: Vec<i64> = (0..5 * n).map(|i| me as i64 * 100 + i as i64).collect();
-                    let blocking = comm.reduce_scatter(&rs, ReduceOp::Sum)?;
-                    let mut req = comm.ireduce_scatter(&rs, ReduceOp::Sum)?;
-                    comm.wait(&mut req)?;
-                    assert_eq!(req.take_values::<i64>()?, blocking, "ireduce_scatter");
-
-                    // igather == gather_into (root 0; non-root yields empty).
-                    let gsend = [me as f64, me as f64 + 0.5];
-                    let mut blocking = vec![0.0f64; if me == 0 { 2 * n } else { 0 }];
-                    comm.gather_into(
-                        0,
-                        &gsend,
-                        if me == 0 {
-                            Some(&mut blocking[..])
-                        } else {
-                            None
-                        },
-                    )?;
-                    let mut req = comm.igather_into(0, &gsend)?;
-                    comm.wait(&mut req)?;
-                    let gathered = req.take_values::<f64>()?;
-                    if me == 0 {
-                        assert_eq!(gathered, blocking, "igather");
-                    } else {
-                        assert!(gathered.is_empty(), "igather non-root");
-                    }
-
-                    // iscatter == scatter_from (root 0).
-                    let chunks: Option<Vec<u32>> = if me == 0 {
-                        Some((0..2 * n as u32).collect())
-                    } else {
-                        None
-                    };
-                    let mut blocking = [0u32; 2];
-                    comm.scatter_from(0, chunks.as_deref(), &mut blocking)?;
-                    let mut req = comm.iscatter_from(0, chunks.as_deref(), 2)?;
-                    comm.wait(&mut req)?;
-                    assert_eq!(req.take_values::<u32>()?, blocking.to_vec(), "iscatter");
-
-                    comm.barrier()?;
-                    Ok(())
-                })
-                .unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
+            for (path, tuning) in [("ring", force_ring()), ("hier", force_hier())] {
+                for [bc, ar, ag, rs] in [[9, 33, 3, 5], past_crossovers(n)] {
+                    let config = base.clone().with_coll_tuning(tuning);
+                    Universe::run(config, move |comm: &mut Comm| {
+                        i_collectives_match_blocking(comm, bc, ar, ag, rs)
+                    })
+                    .unwrap_or_else(|e| panic!("{label} n={n} {path} {bc} u64 bcast: {e}"));
+                }
             }
         }
     }
+}
+
+/// Every i* collective against its blocking counterpart on `comm`: a bcast
+/// of `bc` `u64`, an allreduce of `ar` `i64`, an allgather of `ag` `u32` per
+/// rank and a reduce-scatter of `rs` `i64` per rank.
+fn i_collectives_match_blocking(
+    comm: &mut Comm,
+    bc: usize,
+    ar: usize,
+    ag: usize,
+    rs: usize,
+) -> Result<(), MpiError> {
+    let me = comm.rank();
+    let n = comm.size();
+
+    // ibarrier completes on every rank.
+    let mut req = comm.ibarrier()?;
+    comm.wait(&mut req)?;
+
+    // ibcast == bcast_into (root 1).
+    let root_data: Vec<u64> = (0..bc as u64).map(|i| 1000 + i).collect();
+    let mut blocking = if me == 1 {
+        root_data.clone()
+    } else {
+        vec![0u64; bc]
+    };
+    comm.bcast_into(1, &mut blocking)?;
+    let contrib = if me == 1 {
+        root_data.clone()
+    } else {
+        vec![0u64; bc]
+    };
+    let mut req = comm.ibcast_into(1, &contrib)?;
+    comm.wait(&mut req)?;
+    assert_eq!(req.take_values::<u64>()?, blocking, "ibcast");
+
+    // iallreduce == allreduce (both sizes have enough
+    // elements for the Rabenseifner split on every n here).
+    let vals: Vec<i64> = (0..ar as i64).map(|i| me as i64 * 1000 + i).collect();
+    let mut blocking = vals.clone();
+    comm.allreduce(&mut blocking, ReduceOp::Sum)?;
+    let mut req = comm.iallreduce(&vals, ReduceOp::Sum)?;
+    comm.wait(&mut req)?;
+    assert_eq!(req.take_values::<i64>()?, blocking, "iallreduce");
+
+    // iallgather == allgather_into.
+    let send: Vec<u32> = (0..ag).map(|i| (me * 10 + i) as u32).collect();
+    let mut blocking = vec![0u32; ag * n];
+    comm.allgather_into(&send, &mut blocking)?;
+    let mut req = comm.iallgather_into(&send)?;
+    comm.wait(&mut req)?;
+    assert_eq!(req.take_values::<u32>()?, blocking, "iallgather");
+
+    // ireduce_scatter == reduce_scatter.
+    let rs: Vec<i64> = (0..rs * n).map(|i| me as i64 * 100 + i as i64).collect();
+    let blocking = comm.reduce_scatter(&rs, ReduceOp::Sum)?;
+    let mut req = comm.ireduce_scatter(&rs, ReduceOp::Sum)?;
+    comm.wait(&mut req)?;
+    assert_eq!(req.take_values::<i64>()?, blocking, "ireduce_scatter");
+
+    // igather == gather_into (root 0; non-root yields empty).
+    let gsend = [me as f64, me as f64 + 0.5];
+    let mut blocking = vec![0.0f64; if me == 0 { 2 * n } else { 0 }];
+    comm.gather_into(
+        0,
+        &gsend,
+        if me == 0 {
+            Some(&mut blocking[..])
+        } else {
+            None
+        },
+    )?;
+    let mut req = comm.igather_into(0, &gsend)?;
+    comm.wait(&mut req)?;
+    let gathered = req.take_values::<f64>()?;
+    if me == 0 {
+        assert_eq!(gathered, blocking, "igather");
+    } else {
+        assert!(gathered.is_empty(), "igather non-root");
+    }
+
+    // iscatter == scatter_from (root 0).
+    let chunks: Option<Vec<u32>> = if me == 0 {
+        Some((0..2 * n as u32).collect())
+    } else {
+        None
+    };
+    let mut blocking = [0u32; 2];
+    comm.scatter_from(0, chunks.as_deref(), &mut blocking)?;
+    let mut req = comm.iscatter_from(0, chunks.as_deref(), 2)?;
+    comm.wait(&mut req)?;
+    assert_eq!(req.take_values::<u32>()?, blocking.to_vec(), "iscatter");
+
+    comm.barrier()
 }
 
 #[test]
@@ -235,10 +261,16 @@ fn random_interleavings_match_blocking_reference() {
     // must produce byte-identical results to the blocking reference, on
     // n = 3, 5, 7 and both transports. The op sequence is derived from a
     // shared seed (collective starts must agree across ranks); the
-    // *completion* order is derived from a rank-specific seed.
+    // *completion* order is derived from a rank-specific seed. Flat with
+    // small payloads and with payloads past the crossovers, and two-level.
     for n in [3usize, 5, 7] {
         for (label, base) in configs(n) {
-            for tuning in [force_small(), force_large(), force_hier()] {
+            let small = [2, 5, 2, 2];
+            for (tuning, [bc, ar, ag, rs]) in [
+                (force_ring(), small),
+                (force_ring(), past_crossovers(n)),
+                (force_hier(), small),
+            ] {
                 let config = base.clone().with_coll_tuning(tuning);
                 Universe::run(config, move |comm: &mut Comm| {
                     let me = comm.rank();
@@ -247,7 +279,7 @@ fn random_interleavings_match_blocking_reference() {
                     let mut local = Lcg::new((me as u64 + 1) * 0x5DEECE66D);
                     for round in 0..4u64 {
                         // --- Blocking references, computed up front. ---
-                        let count = 5 + shared.below(4) as usize;
+                        let count = ar + shared.below(4) as usize;
                         let ar_vals: Vec<i64> = (0..count)
                             .map(|i| me as i64 * 37 + i as i64 + round as i64)
                             .collect();
@@ -256,28 +288,27 @@ fn random_interleavings_match_blocking_reference() {
 
                         let second = shared.below(4);
                         let root = shared.below(n as u64) as usize;
-                        let block = 2 + shared.below(3) as usize;
+                        let extra = shared.below(3) as usize;
+                        let (bc, ag, rs) = (bc + extra, ag + extra, rs + extra);
                         // Inputs for the second collective (shared shape,
                         // rank-dependent contents).
-                        let bc_data: Vec<u64> =
-                            (0..block).map(|i| (round << 8) + i as u64).collect();
-                        let ag_send: Vec<u32> = (0..block)
+                        let bc_data: Vec<u64> = (0..bc).map(|i| (round << 8) + i as u64).collect();
+                        let ag_send: Vec<u32> = (0..ag)
                             .map(|i| (me * 100 + i) as u32 + round as u32)
                             .collect();
-                        let rs_vals: Vec<i64> =
-                            (0..block * n).map(|i| me as i64 + i as i64).collect();
+                        let rs_vals: Vec<i64> = (0..rs * n).map(|i| me as i64 + i as i64).collect();
                         let second_ref: Vec<u8> = match second {
                             0 => {
                                 let mut d = if me == root {
                                     bc_data.clone()
                                 } else {
-                                    vec![0u64; block]
+                                    vec![0u64; bc]
                                 };
                                 comm.bcast_into(root, &mut d)?;
                                 bytes_of(&d).to_vec()
                             }
                             1 => {
-                                let mut g = vec![0u32; block * n];
+                                let mut g = vec![0u32; ag * n];
                                 comm.allgather_into(&ag_send, &mut g)?;
                                 bytes_of(&g).to_vec()
                             }
@@ -306,7 +337,7 @@ fn random_interleavings_match_blocking_reference() {
                                 let contrib = if me == root {
                                     bc_data.clone()
                                 } else {
-                                    vec![0u64; block]
+                                    vec![0u64; bc]
                                 };
                                 comm.ibcast_into(root, &contrib)?
                             }

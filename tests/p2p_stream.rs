@@ -807,7 +807,6 @@ fn streams_never_draw_on_the_window_headroom() {
     let tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
         shm_arena_bytes: 4096,
-        ..CollTuning::default()
     };
     let config = common::with_window_headroom(UniverseConfig::cxl_small(RANKS), HEADROOM)
         .with_hosts(matrix_hosts())

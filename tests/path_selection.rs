@@ -1,17 +1,20 @@
 //! Which path a collective takes — the shared window, the two-level host
 //! composition or the flat algorithm — at the boundaries where two of them
-//! are eligible, read off the plans the builders produce for every rank. No
+//! are eligible, and which flat algorithm on each side of its crossover
+//! constant, read off the plans the builders produce for every rank. No
 //! universe is launched: a plan is a pure function of its inputs.
 
 use cmpi::fabric::cost::CoherenceMode;
 use cmpi::fabric::{CxlContentionModel, CxlCostModel};
 use cmpi::mpi::coll::{
     build_allgather, build_allreduce, build_alltoall, build_barrier, build_bcast, build_reduce,
-    CommView,
+    build_reduce_scatter, CommView, ALLGATHER_BRUCK_MAX_BYTES, ALLREDUCE_RABENSEIFNER_MIN_BYTES,
+    ALLTOALL_BRUCK_MAX_BYTES, BCAST_SCATTER_ALLGATHER_MIN_BYTES, REDUCE_SCATTER_DIRECT_MIN_BYTES,
 };
 use cmpi::mpi::transport::DpCost;
 use cmpi::mpi::{
-    CollPlan, CollTuning, DpWindow, Group, HierarchyMode, HostHierarchy, HostTopology, ReduceOp,
+    CollPlan, CollTuning, DpWindow, Group, HierarchyMode, HostHierarchy, HostTopology, Pod,
+    ReduceOp, Reducible,
 };
 use HierarchyMode as H;
 
@@ -98,7 +101,19 @@ fn reduce(total: usize) -> Box<Build> {
 }
 
 fn allreduce(total: usize) -> Box<Build> {
-    Box::new(move |v, t, h, dp| build_allreduce::<f64>(v, t, h, dp, total / 8, ReduceOp::Sum))
+    allreduce_of::<f64>(total / 8)
+}
+
+fn allreduce_of<T: Reducible>(count: usize) -> Box<Build> {
+    Box::new(move |v, t, h, dp| build_allreduce::<T>(v, t, h, dp, count, ReduceOp::Sum))
+}
+
+fn reduce_scatter(total: usize) -> Box<Build> {
+    Box::new(move |v, _, _, _| build_reduce_scatter::<u8>(v, total, ReduceOp::Sum))
+}
+
+fn alltoall(block: usize) -> Box<Build> {
+    Box::new(move |v, t, h, dp| build_alltoall(v, t, h, dp, block))
 }
 
 fn allgather(block: usize) -> Box<Build> {
@@ -253,9 +268,6 @@ fn every_data_plane_and_hierarchy_mode() {
     }
     // The alltoall's whole exchange image must fit: 8 × 64 KiB = 512 KiB
     // does, 8 × 64 KiB + 8 does not.
-    let alltoall = |block: usize| -> Box<Build> {
-        Box::new(move |v, t, h, dp| build_alltoall(v, t, h, dp, block))
-    };
     for (h, shape, want) in [
         (H::Auto, EIGHT, "alltoall/shm"),
         (H::Auto, NONE, "alltoall/pairwise"),
@@ -275,4 +287,86 @@ fn every_data_plane_and_hierarchy_mode() {
         label(EIGHT, CollTuning::default(), &alltoall(64 * KIB + 1)),
         "alltoall/pairwise"
     );
+}
+
+/// A 4 KiB element: four of them reach the Rabenseifner crossover and still
+/// leave half of an 8-rank core without one.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct Page([u64; 512]);
+
+// SAFETY: an array of `u64`: every bit pattern is a value, and there is no
+// padding.
+unsafe impl Pod for Page {}
+
+impl Reducible for Page {
+    fn combine(_: ReduceOp, a: Self, _: Self) -> Self {
+        a
+    }
+
+    fn identity(_: ReduceOp) -> Self {
+        Page([0; 512])
+    }
+}
+
+#[test]
+fn each_flat_algorithm_takes_over_at_its_crossover_constant() {
+    // Flat and window-less, so the constants alone decide: a byte below, at
+    // and a byte above each one.
+    let (bc, ag, ar) = (
+        BCAST_SCATTER_ALLGATHER_MIN_BYTES,
+        ALLGATHER_BRUCK_MAX_BYTES,
+        ALLREDUCE_RABENSEIFNER_MIN_BYTES,
+    );
+    let (rs, a2a) = (REDUCE_SCATTER_DIRECT_MIN_BYTES, ALLTOALL_BRUCK_MAX_BYTES);
+    let (two, six) = (Shape { n: 2, ..NONE }, Shape { n: 6, ..NONE });
+    let pages = ar / std::mem::size_of::<Page>();
+    let cases = [
+        (NONE, bcast(bc - 1), "bcast/binomial"),
+        (NONE, bcast(bc), "bcast/scatter-allgather"),
+        (NONE, bcast(bc + 1), "bcast/scatter-allgather"),
+        // Two ranks gain nothing from scattering.
+        (two, bcast(bc + 1), "bcast/binomial"),
+        // Per-rank blocks.
+        (NONE, allgather(ag - 1), "allgather/bruck"),
+        (NONE, allgather(ag), "allgather/bruck"),
+        (NONE, allgather(ag + 1), "allgather/ring"),
+        (
+            NONE,
+            allreduce_of::<u8>(ar - 1),
+            "allreduce/recursive-doubling",
+        ),
+        (NONE, allreduce_of::<u8>(ar), "allreduce/rabenseifner"),
+        (NONE, allreduce_of::<u8>(ar + 1), "allreduce/rabenseifner"),
+        // Past the bytes, but fewer elements than the 8-rank core.
+        (
+            NONE,
+            allreduce_of::<Page>(pages),
+            "allreduce/recursive-doubling",
+        ),
+        (
+            NONE,
+            allreduce_of::<Page>(2 * pages),
+            "allreduce/rabenseifner",
+        ),
+        // Whole blocks: the nearest totals that n divides.
+        (NONE, reduce_scatter(rs - 8), "reduce-scatter/naive"),
+        (NONE, reduce_scatter(rs), "reduce-scatter/recursive-halving"),
+        (
+            NONE,
+            reduce_scatter(rs + 8),
+            "reduce-scatter/recursive-halving",
+        ),
+        (six, reduce_scatter(rs - 4), "reduce-scatter/naive"),
+        (six, reduce_scatter(rs + 2), "reduce-scatter/pairwise"),
+        // Per-peer blocks.
+        (NONE, alltoall(a2a - 1), "alltoall/bruck"),
+        (NONE, alltoall(a2a), "alltoall/bruck"),
+        (NONE, alltoall(a2a + 1), "alltoall/pairwise"),
+    ];
+    for (row, (shape, build, want)) in cases.iter().enumerate() {
+        assert_eq!(label(*shape, tuning(H::Off), build), *want, "row {row}");
+    }
+    // The alltoall crossover sits where the bench's sweep measured it: Bruck
+    // still won at 16 KiB blocks on every rank count, pairwise from 32 KiB.
+    assert_eq!(a2a, 16 * KIB);
 }

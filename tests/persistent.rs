@@ -11,7 +11,7 @@
 use cmpi::mpi::{Comm, MpiError, ReduceOp, RequestState, Universe, UniverseConfig};
 
 mod common;
-use common::{configs, force_hier, force_small};
+use common::{configs, force_hier, force_ring};
 
 /// Deterministic per-(rank, iteration) input.
 fn seeded(me: usize, iter: i64, count: usize) -> Vec<i64> {
@@ -24,7 +24,7 @@ fn seeded(me: usize, iter: i64, count: usize) -> Vec<i64> {
 fn persistent_equals_blocking_equals_nonblocking_across_matrix() {
     for n in [3usize, 5, 6, 7] {
         for (label, config) in configs(n) {
-            for (tname, tuning) in [("flat", force_small()), ("hier", force_hier())] {
+            for (tname, tuning) in [("flat", force_ring()), ("hier", force_hier())] {
                 let config = config.clone().with_coll_tuning(tuning);
                 Universe::run(config, move |comm: &mut Comm| {
                     let n = comm.size();

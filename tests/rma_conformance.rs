@@ -9,6 +9,7 @@
 //! what the synchronization calls cost in device lines, and that a script of
 //! them ends on the same virtual clocks in every launch.
 
+use cmpi::fabric::cost::TcpNic;
 use cmpi::mpi::pod::{bytes_to_f64, f64_to_bytes};
 use cmpi::mpi::{Comm, MpiError, ReduceOp, Result, Universe, UniverseConfig};
 
@@ -591,6 +592,88 @@ fn sync_state_errors_are_rejected_on_both_transports() {
                 Err(MpiError::InvalidWindow(_))
             ));
             Ok(())
+        })
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
+}
+
+#[test]
+fn an_offset_whose_end_wraps_is_out_of_bounds() {
+    // `usize::MAX + len` wraps to a small end: an unchecked sum passes the
+    // bounds check and addresses the byte before rank 1's region — the last
+    // byte of rank 0's. Every access must be refused, and that byte kept.
+    for (label, config) in configs(2) {
+        Universe::run(config, move |comm: &mut Comm| {
+            let me = comm.rank();
+            let win = comm.win_allocate(64)?;
+            if me == 0 {
+                comm.win_write_local(win, 63, &[7])?;
+            }
+            comm.win_fence(win)?;
+            if me == 1 {
+                let refused = |what: &str, r: Result<()>| {
+                    assert!(
+                        matches!(r, Err(MpiError::WindowOutOfBounds { .. })),
+                        "{label}: {what} at usize::MAX returned {r:?}"
+                    );
+                };
+                let far = usize::MAX;
+                refused("put", comm.put(win, 1, far, &[1]));
+                refused("get", comm.get(win, 1, far, &mut [0]));
+                refused(
+                    "accumulate",
+                    comm.accumulate(win, 1, far, &[1.0], ReduceOp::Sum),
+                );
+                refused("win_read_local", comm.win_read_local(win, far, &mut [0]));
+                refused("win_write_local", comm.win_write_local(win, far, &[1]));
+            }
+            comm.win_fence(win)?;
+            if me == 0 {
+                let mut last = [0u8];
+                comm.win_read_local(win, 63, &mut last)?;
+                assert_eq!(last, [7], "{label}: rank 0's last byte was written");
+            }
+            comm.win_fence(win)?;
+            comm.win_free(win)
+        })
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
+}
+
+#[test]
+fn a_local_write_beside_a_cached_line_keeps_a_remote_put() {
+    // Rank 0's host caches a line of its window; rank 1, on the other host,
+    // puts into the first word of it; rank 0 then writes the second word
+    // locally. A local write that went through the cache would hit the stale
+    // line and flush all of it back, zeros over the put.
+    for (label, base) in [
+        ("CXL-SHM", UniverseConfig::cxl_small(2)),
+        ("TCP", UniverseConfig::tcp(2, TcpNic::MellanoxCx6Dx)),
+    ] {
+        Universe::run(base.with_hosts(2), move |comm: &mut Comm| {
+            let me = comm.rank();
+            let win = comm.win_allocate(64)?;
+            comm.win_fence(win)?;
+            if me == 0 {
+                comm.win_read_local(win, 0, &mut [0u8; 64])?;
+            }
+            comm.win_fence(win)?;
+            if me == 1 {
+                comm.put(win, 0, 0, &[1u8; 8])?;
+            }
+            comm.win_fence(win)?;
+            if me == 0 {
+                comm.win_write_local(win, 8, &[2u8; 8])?;
+            }
+            comm.win_fence(win)?;
+            if me == 1 {
+                let mut got = [0u8; 16];
+                comm.get(win, 0, 0, &mut got)?;
+                assert_eq!(got[..8], [1; 8], "{label}: the put was written over");
+                assert_eq!(got[8..], [2; 8], "{label}: the local write is missing");
+            }
+            comm.win_fence(win)?;
+            comm.win_free(win)
         })
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     }
