@@ -77,8 +77,9 @@ use std::ops::Range;
 
 use crate::config::{CollTuning, HierarchyMode};
 use crate::dataplane::{
-    allreduce_shm_shape, build_allgather_shm, build_allreduce_shm, build_alltoall_shm,
-    build_barrier_shm, build_bcast_shm, build_reduce_shm, exchange_stride, footprint, DpOps,
+    allgather_shape, allreduce_shm_shape, bcast_shape, build_allgather_shm, build_allreduce_shm,
+    build_alltoall_shm, build_barrier_shm, build_bcast_shm, build_reduce_shm, exchange_stride,
+    footprint, DpOps,
 };
 use crate::group::Group;
 use crate::progress::{fold_bytes, CollPlan, FoldFn, Loc, SchedOp};
@@ -641,10 +642,15 @@ pub fn build_bcast(
 ) -> CollPlan {
     let (n, me) = (view.size(), view.rank);
     let input = if me == root { (0, total) } else { (0, 0) };
+    let shape = dp.map(|w| bcast_shape(&w, hier, root, total));
+    let slot = shape.map_or(0, |(_, bytes)| bytes);
     let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
-    match select_path(n, tuning, hier, dp, total, footprint(dp, total), hier_min) {
-        Path::Window(w) => build_bcast_shm(view, &w, hier, root, total),
-        Path::TwoLevel(h) => {
+    match (
+        select_path(n, tuning, hier, dp, total, slot, hier_min),
+        shape,
+    ) {
+        (Path::Window(w), Some((shape, _))) => build_bcast_shm(view, &w, hier, shape, root, total),
+        (Path::TwoLevel(h), _) => {
             let root_slot = h.slot_of(root);
             let root_leader = h.leader_of(root_slot);
             let mut c = TwoLevel::new(view, h, 1);
@@ -686,7 +692,7 @@ pub fn build_bcast(
             };
             c.finish(None, (0, total), input, 0, label)
         }
-        Path::Flat => {
+        _ => {
             let mut plan = Plan::new(view, 1);
             push_bcast_ops(&mut plan, root, total);
             let label = bcast_flat_label(n, total);
@@ -885,10 +891,15 @@ pub fn build_allgather(
         let plan = Plan::new(view, 4);
         return plan.finish(None, Loc::Buf, (0, block), input, 0, "allgather/local");
     }
+    let shape = dp.map(|w| allgather_shape(&w, hier, n, block));
+    let slot = shape.map_or(0, |(_, bytes)| bytes);
     let hier_min = Some(HIER_ALLGATHER_MIN_BYTES);
-    match select_path(n, tuning, hier, dp, total, footprint(dp, block), hier_min) {
-        Path::Window(w) => build_allgather_shm(view, &w, block),
-        Path::TwoLevel(h) => {
+    match (
+        select_path(n, tuning, hier, dp, total, slot, hier_min),
+        shape,
+    ) {
+        (Path::Window(w), Some((shape, _))) => build_allgather_shm(view, &w, hier, shape, block),
+        (Path::TwoLevel(h), _) => {
             let slots = h.hosts_spanned();
             let mut slot_off = vec![0; slots + 1];
             for s in 0..slots {
@@ -925,10 +936,8 @@ pub fn build_allgather(
             let scratch_len = if h.is_leader() { total } else { 0 };
             c.finish(None, (0, total), input, scratch_len, "allgather/hier+ring")
         }
-        Path::Flat if n > 2 && block <= ALLGATHER_BRUCK_MAX_BYTES => {
-            build_allgather_bruck(view, block)
-        }
-        Path::Flat => {
+        _ if n > 2 && block <= ALLGATHER_BRUCK_MAX_BYTES => build_allgather_bruck(view, block),
+        _ => {
             // Blocks travel directly between the primary-buffer slots.
             let mut plan = Plan::new(view, 4);
             push_ring(&mut plan, Loc::Buf, 0, me, |r| r, |i| i * block);
@@ -1157,14 +1166,16 @@ pub fn build_allreduce<T: Reducible>(
         let plan = Plan::new(view, 6);
         return plan.finish(fold, Loc::Buf, (0, total), (0, total), 0, "allreduce/local");
     }
-    let shape = dp.map(|w| allreduce_shm_shape(n, count, elem, hier, &w));
+    let shape = dp.map(|w| allreduce_shm_shape(&w, hier, n, count, elem));
     let slot = shape.map_or(0, |(_, bytes)| bytes);
     let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
     match (
         select_path(n, tuning, hier, dp, total, slot, hier_min),
         shape,
     ) {
-        (Path::Window(w), Some((shape, _))) => build_allreduce_shm::<T>(view, &w, shape, count, op),
+        (Path::Window(w), Some((shape, _))) => {
+            build_allreduce_shm::<T>(view, &w, hier, shape, count, op)
+        }
         (Path::TwoLevel(h), _)
             if tuning.hierarchy != HierarchyMode::Auto
                 || !flat_allreduce_top_exchange_stays_local(h, n) =>

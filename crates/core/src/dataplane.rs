@@ -86,6 +86,30 @@
 //! a barrier a line and a row, where a message-based one pays per-message
 //! software overhead on top of several lines per hop.
 //!
+//! Broadcast, allgather and allreduce each have more than one **shape** on
+//! the window (`DpShape`). The **direct** one reads every byte straight out
+//! of the exposure of the member that has it; the allreduce also has a
+//! two-phase one (reduce-scatter, then allgather of the reduced blocks). On a
+//! group spanning two hosts or more, each also has a **host-sliced** one: a
+//! cross-host read is held to its fair share of the device, so what another
+//! host exposes crosses the device once per *receiving host*. One member of
+//! that host pulls each piece, re-exposes it, and its host-mates read it
+//! out of the shared cache — the relay step (`DpOps::relay`). The
+//! broadcast's remote members pull disjoint slices of the root's payload. The
+//! allgather's pull the other hosts' blocks, dealt out in turn (phase 0 own
+//! block, phase 1 relays). The allreduce folds a per-host reduce-scatter out
+//! of the cache, exposes its host's partial of its block, folds in the other
+//! hosts' partials of it (one cross-host read per host), and relays the
+//! reduced block (phases 0, 1 and 2). That is why a group window has
+//! [`cxl_shm::slots::SLOT_PHASES`] = 3 flag rows per slot. Which shape runs is
+//! not a byte threshold: `cheapest` walks each candidate's op list with
+//! `serial_cost` on the window's member-invariant cost terms, takes the
+//! slowest member when hosts are uneven, and sends a tie to the direct
+//! shape. At 8 ranks blocked on 2 hosts the model turns a broadcast at
+//! 15 592 B, an allgather at 3 946 B per block and an allreduce at 22 737 B
+//! per vector; one host, or one rank per host, never slices. The plan label
+//! says which shape ran: `…/shm` or `…/shm+hosts`.
+//!
 //! A slot is held for exactly the peers that read its occupant
 //! ([`DpReaders`]): a rank stores its completion line only for a collective it
 //! read something of, so a slot held for a peer that reads nothing would never
@@ -207,6 +231,9 @@ pub(crate) struct DpOps {
     /// publish, a claim or a message ends the run — each may wait, and the
     /// row's lines are only good until then.
     open_row: Option<usize>,
+    /// The phases (a bit each) in which every member raises its flag line,
+    /// so that a row may span members it does not read.
+    all_raise: u8,
 }
 
 impl DpOps {
@@ -224,7 +251,16 @@ impl DpOps {
             me,
             last_read: None,
             open_row: None,
+            all_raise: 0,
         }
+    }
+
+    /// Declare that every member of the group raises its `phase` flag line
+    /// in this collective: a run of that phase may then span members it does
+    /// not read, whose lines are sure to go up, instead of opening a run per
+    /// gap.
+    fn all_raise(&mut self, phase: u8) {
+        self.all_raise |= 1 << phase;
     }
 
     /// Publish `pieces` of `loc` as one exposure — one streamed publish, at
@@ -329,9 +365,10 @@ impl DpOps {
     /// read of stamped lines in a data slot needs no flag line and joins the
     /// open run of its phase as it is. Any other read joins it if its flag
     /// line is the next one of the run's row — the first, if the row has
-    /// none yet, or the next but this rank's own, which no row waits for —
-    /// and opens a run of its own otherwise: a row never spans a peer that is
-    /// not read, whose flag nobody promised.
+    /// none yet, or the next but this rank's own, which no row waits for, or
+    /// any later one in a phase where every member raises its line
+    /// ([`Self::all_raise`]) — and opens a run of its own otherwise: a row
+    /// never spans a peer that is not read, whose flag nobody promised.
     fn read(&mut self, mut op: SchedOp) {
         fn src_of(op: &mut SchedOp) -> &mut DpSource {
             match op {
@@ -346,6 +383,7 @@ impl DpOps {
             ..
         } = *src_of(&mut op);
         let me = self.me;
+        let spans = self.all_raise >> phase & 1 == 1;
         let line = if format.in_row() {
             writer..writer + 1
         } else {
@@ -358,7 +396,11 @@ impl DpOps {
             }) if *open == phase => match (line.is_empty(), start == end) {
                 (true, _) => {}
                 (false, true) => (*start, *end) = (writer, writer + 1),
-                (false, false) if writer == *end || (*end == me && writer == me + 1) => {
+                (false, false)
+                    if writer == *end
+                        || (*end == me && writer == me + 1)
+                        || (spans && writer > *end) =>
+                {
                     *end = writer + 1
                 }
                 (false, false) => self.await_row(phase, line),
@@ -397,6 +439,40 @@ impl DpOps {
         }
     }
 
+    /// The relay step of the host-sliced shapes, for member `j` of `cohort`
+    /// (the members of one host, in group order) once it holds what it
+    /// brought across: re-expose its pieces in `phase` for its host-mates,
+    /// then read each host-mate's pieces out of the shared cache into the
+    /// same place of the buffer. `pieces(i)` is what cohort member `i`
+    /// relays, every member computing the same list for it; a member alone
+    /// on its host has nobody to relay to.
+    fn relay<I: IntoIterator<Item = Relayed>>(
+        &mut self,
+        w: &DpWindow,
+        cohort: &[usize],
+        j: usize,
+        (phase, readers): (u8, DpReaders),
+        pieces: impl Fn(usize) -> I,
+    ) {
+        if cohort.len() < 2 {
+            return;
+        }
+        self.publish(phase, Loc::Buf, readers, relayed(w, pieces(j)));
+        for (i, &peer) in cohort.iter().enumerate().filter(|&(i, _)| i != j) {
+            for p in relayed(w, pieces(i)) {
+                let src = DpSource {
+                    writer_idx: peer,
+                    phase,
+                    region: p.region_off,
+                    off: 0,
+                    format: p.format,
+                    last: false,
+                };
+                self.pull(src, p.end - p.start, p.start);
+            }
+        }
+    }
+
     /// The finished plan, its result in the primary buffer.
     pub(crate) fn into_plan(
         self,
@@ -419,6 +495,32 @@ impl DpOps {
         )
         .with_pieces(self.pieces)
     }
+}
+
+/// A piece one member relays to its host-mates: `len` bytes at `start` of
+/// the buffer, re-exposed at `region` of its slot.
+#[derive(Debug, Clone, Copy)]
+struct Relayed {
+    start: usize,
+    len: usize,
+    region: usize,
+}
+
+/// The pieces of one member's relay exposure on window `w`, empty ones left
+/// out, each in the format its length and region get: a piece alone may be
+/// the flag line, several share it and may not.
+fn relayed(w: &DpWindow, relays: impl IntoIterator<Item = Relayed>) -> Vec<DpPiece> {
+    let relays: Vec<Relayed> = relays.into_iter().filter(|r| r.len > 0).collect();
+    let own_line = relays.len() == 1;
+    relays
+        .iter()
+        .map(|r| DpPiece {
+            region_off: r.region,
+            start: r.start,
+            end: r.start + r.len,
+            format: w.format(r.len, r.region..w.slot_bytes, own_line),
+        })
+        .collect()
 }
 
 /// The format of the irregular-exchange piece of `len` bytes for `reader`
@@ -481,6 +583,107 @@ fn serial_cost(
         .sum()
 }
 
+/// Which of its window shapes a collective takes: what [`cheapest`] picks
+/// by walking every candidate's op list with the transport's cost terms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DpShape {
+    /// Every reader reads what it needs straight out of its writers'
+    /// exposures; an allreduce folds every peer's whole vector
+    /// ([`allreduce_one_phase`]).
+    Direct,
+    /// Allreduce only: a reduce-scatter, then an allgather of the reduced
+    /// blocks ([`allreduce_two_phase`]).
+    TwoPhase,
+    /// **Host-sliced**: what another host exposes crosses the device once
+    /// per receiving host — one member pulls it, re-exposes it, and its
+    /// host-mates read it out of the shared cache ([`DpOps::relay`]).
+    Hosts,
+}
+
+impl DpShape {
+    /// The plan label of this shape: `hosts` for the host-sliced one,
+    /// `direct` for the others.
+    fn label(self, direct: &'static str, hosts: &'static str) -> &'static str {
+        match self {
+            DpShape::Hosts => hosts,
+            _ => direct,
+        }
+    }
+}
+
+/// One member's part of a window shape: its ops, the scratch bytes they
+/// need, and the shape's slot footprint — where the furthest exposure of any
+/// member ends, the same on every member.
+struct Built {
+    ops: DpOps,
+    scratch: usize,
+    footprint: usize,
+}
+
+/// The host structure of `hier` when it spans two hosts or more: the only
+/// one a host-sliced shape has anything to slice by.
+fn spread(hier: Option<&HostHierarchy>) -> Option<&HostHierarchy> {
+    hier.filter(|h| h.hosts_spanned() >= 2)
+}
+
+/// The members a shape is priced by. On two hosts or more, the first member
+/// of the first host of every size, `skip`'s host left out: hosts of one
+/// size run the same share of a shape, and a host's first member takes the
+/// largest (the extra element of an uneven split, the extra relayed block).
+/// Otherwise member 0.
+fn priced(hier: Option<&HostHierarchy>, skip: Option<usize>) -> Vec<usize> {
+    let Some(h) = spread(hier) else {
+        return vec![0];
+    };
+    let mut sizes = Vec::new();
+    let mut members = Vec::new();
+    for s in (0..h.hosts_spanned()).filter(|&s| Some(s) != skip) {
+        if !sizes.contains(&h.count(s)) {
+            sizes.push(h.count(s));
+            members.push(h.leader_of(s));
+        }
+    }
+    members
+}
+
+/// The cheapest of `shapes` on window `w` whose footprint fits a slot, and
+/// that footprint — or, when none fits, the first shape and its footprint,
+/// which sends the collective off the window. The host-sliced shape is a
+/// candidate only on two hosts or more. A shape costs what
+/// [`serial_cost`] walks out of `build(shape, m)` for the slowest of
+/// `members`, each reading its own host out of the shared cache. Nothing here
+/// depends on the member asking, so every member reaches the same verdict;
+/// a tie goes to the earlier shape, so the cost model, not a byte threshold,
+/// puts every crossover.
+fn cheapest(
+    w: &DpWindow,
+    hier: Option<&HostHierarchy>,
+    members: &[usize],
+    shapes: &[DpShape],
+    build: impl Fn(DpShape, usize) -> Built,
+) -> (DpShape, usize) {
+    let mut best: Option<(SimNs, DpShape, usize)> = None;
+    let mut first = None;
+    let sliced = spread(hier).is_some();
+    for &shape in shapes.iter().filter(|&&s| sliced || s != DpShape::Hosts) {
+        let (mut cost, mut footprint): (SimNs, usize) = (0.0, 0);
+        for &m in members {
+            let built = build(shape, m);
+            let same_host = |r: usize| hier.is_some_and(|h| h.slot_of(r) == h.slot_of(m));
+            let ops = &built.ops;
+            cost = cost.max(serial_cost(&ops.list, &ops.pieces, w, same_host));
+            footprint = built.footprint;
+        }
+        first.get_or_insert((shape, footprint));
+        if footprint <= w.slot_bytes && best.is_none_or(|(least, ..)| cost < least) {
+            best = Some((cost, shape, footprint));
+        }
+    }
+    best.map_or(first.expect("a shape to walk"), |(_, shape, footprint)| {
+        (shape, footprint)
+    })
+}
+
 /// Barrier as a zero-byte all-to-all exchange on the flag lines: every rank
 /// stores its arrival (an empty exposure — the sequence value and its stamp)
 /// and acquires every peer's in one row read, a store and a row whatever the
@@ -501,56 +704,83 @@ pub(crate) fn build_barrier_shm(view: &CommView<'_>) -> CollPlan {
     ops.into_plan(view, None, (0, 0), (0, 0), 0, "barrier/shm")
 }
 
-/// Payload size from which `build_bcast_shm` switches to the host-sliced
-/// scatter shape on multi-host communicators. Below it the pull is
-/// latency-bound and the extra re-exposure round only adds flag traffic;
-/// above it the cross-host pulls are bandwidth-floor-bound and slicing the
-/// exposure across each host's members divides the floored bytes per reader.
-pub const DP_BCAST_SCATTER_MIN_BYTES: usize = 64 * 1024;
-
-/// Single-copy broadcast. The root exposes the whole payload once; how the
-/// readers drain it depends on shape:
-///
-/// * **Direct** (small payloads, or single-host groups): every other rank
-///   pulls the full payload straight into its own buffer — its only read, so
-///   its completion line follows. One publish serves all `n − 1` readers
-///   (one line when the payload fits in the flag line); the binomial tree's
-///   full-payload store-and-forward hops disappear entirely.
-/// * **Host-sliced scatter** (payloads ≥ [`DP_BCAST_SCATTER_MIN_BYTES`] on a
-///   group spanning ≥ 2 hosts, when the topology structure is available):
-///   the root's host-mates still pull the full payload — that read is served
-///   by the shared hardware-coherent cache. Each *remote* host's members pull
-///   disjoint contiguous slices of the root's one exposure concurrently —
-///   the payload crosses the pooled device once per remote host, not once
-///   per remote reader — then re-expose their slice and complete the
-///   broadcast intra-host with cache-served pulls of their host-mates'
-///   slices.
-///
-/// Slot footprint: the payload's either way (a re-exposed slice lives at its
-/// payload offset within the member's own region, and is stamped only where
-/// its lines fit the slot).
-pub(crate) fn build_bcast_shm(
-    view: &CommView<'_>,
+/// The broadcast of `total` bytes from `root` on window `w` that costs its
+/// slowest reader least, and its slot footprint — the payload's either way.
+pub(crate) fn bcast_shape(
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     root: Rank,
     total: usize,
+) -> (DpShape, usize) {
+    // The root's host reads the root's exposure directly in either shape.
+    let mut members = priced(hier, spread(hier).map(|h| h.slot_of(root)));
+    members.push(root);
+    let shapes = [DpShape::Direct, DpShape::Hosts];
+    cheapest(w, hier, &members, &shapes, |shape, m| {
+        bcast_ops(w, hier, shape, m, root, total)
+    })
+}
+
+/// Single-copy broadcast. The root exposes the whole payload once; how the
+/// readers drain it depends on the shape:
+///
+/// * **Direct**: every other rank pulls the full payload straight into its
+///   own buffer — its only read, so its completion line follows. One publish
+///   serves all `n − 1` readers (one line when the payload fits in the flag
+///   line); the binomial tree's full-payload store-and-forward hops disappear
+///   entirely.
+/// * **Host-sliced**: the root's host-mates still pull the full payload —
+///   that read is served by the shared hardware-coherent cache. Each other
+///   host's members pull disjoint contiguous slices of the root's one
+///   exposure concurrently — the payload crosses the pooled device once per
+///   remote host, not once per remote reader — then relay their slice to
+///   their host-mates, re-exposed at its payload offset in their own slot.
+///
+/// Slot footprint: the payload's either way (a re-exposed slice is stamped
+/// only where its lines fit the slot).
+pub(crate) fn build_bcast_shm(
+    view: &CommView<'_>,
+    w: &DpWindow,
+    hier: Option<&HostHierarchy>,
+    shape: DpShape,
+    root: Rank,
+    total: usize,
 ) -> CollPlan {
-    let me = view.rank;
+    let built = bcast_ops(w, hier, shape, view.rank, root, total);
+    let input = if view.rank == root {
+        (0, total)
+    } else {
+        (0, 0)
+    };
+    let label = shape.label("bcast/shm", "bcast/shm+hosts");
+    built.ops.into_plan(view, None, (0, total), input, 0, label)
+}
+
+/// Member `me`'s part of the broadcast in `shape`.
+fn bcast_ops(
+    w: &DpWindow,
+    hier: Option<&HostHierarchy>,
+    shape: DpShape,
+    me: usize,
+    root: Rank,
+    total: usize,
+) -> Built {
     let payload = Exposure::new(w, 0, 0, total);
     let mut ops = DpOps::new(me);
-    let scatter = hier.filter(|h| h.hosts_spanned() >= 2 && total >= DP_BCAST_SCATTER_MIN_BYTES);
+    let hosts = spread(hier).filter(|_| shape == DpShape::Hosts);
     if me == root {
         ops.expose(payload, Loc::Buf, 0, DpReaders::Others);
-    } else if let Some(h) = scatter.filter(|h| !h.members(h.my_slot()).contains(&root)) {
-        // Remote host: pull my slice of the root's exposure, re-expose it (at
-        // its payload offset in my own region), then fill in the rest from my
-        // host-mates' re-exposures.
-        let cohort = h.members(h.my_slot());
+    } else if let Some(h) = hosts.filter(|h| h.slot_of(me) != h.slot_of(root)) {
+        // Another host: pull my slice of the root's exposure, then relay it.
+        let cohort = h.members(h.slot_of(me));
         let k = cohort.len();
         let slice = |i: usize| {
-            let off = block_off(i, total, k, 1);
-            Exposure::new(w, 0, off, block_off(i + 1, total, k, 1) - off)
+            let start = block_off(i, total, k, 1);
+            Relayed {
+                start,
+                len: block_off(i + 1, total, k, 1) - start,
+                region: start,
+            }
         };
         let j = cohort.iter().position(|&r| r == me).expect("me in cohort");
         let mine = slice(j);
@@ -558,26 +788,19 @@ pub(crate) fn build_bcast_shm(
             // Settle my slot while the root is still publishing.
             ops.claim(DpReaders::HostMates);
         }
-        ops.pull(
-            payload.source(root, mine.region_off),
-            mine.len,
-            mine.region_off,
-        );
-        if k > 1 {
-            ops.expose(mine, Loc::Buf, mine.region_off, DpReaders::HostMates);
-            for (i, &peer) in cohort.iter().enumerate().filter(|&(i, _)| i != j) {
-                let theirs = slice(i);
-                ops.pull(theirs.source(peer, 0), theirs.len, theirs.region_off);
-            }
-        }
+        ops.pull(payload.source(root, mine.start), mine.len, mine.start);
+        ops.relay(w, cohort, j, (0, DpReaders::HostMates), |i| [slice(i)]);
     } else {
-        // Direct — also the root's host-mates under the scatter shape: they
+        // Direct — also the root's host-mates in the host-sliced shape: they
         // read the exposure out of the shared cache, where slicing would only
         // trade cache reads for flag traffic.
         ops.pull(payload.source(root, 0), total, 0);
     }
-    let input = if me == root { (0, total) } else { (0, 0) };
-    ops.into_plan(view, None, (0, total), input, 0, "bcast/shm")
+    Built {
+        ops,
+        scratch: 0,
+        footprint: payload.footprint(),
+    }
 }
 
 /// Single-copy rooted reduce: every non-root exposes its full vector; the
@@ -623,12 +846,6 @@ fn block_off(i: usize, count: usize, n: usize, elem: usize) -> usize {
     (i * base + i.min(rem)) * elem
 }
 
-/// A shape of the single-copy allreduce: `(ops, scratch bytes, slot
-/// footprint)` of group member `me` of `n` reducing `count` elements of
-/// `elem` bytes on a window — [`allreduce_one_phase`] or
-/// [`allreduce_two_phase`].
-pub(crate) type AllreduceShape = fn(&DpWindow, usize, usize, usize, usize) -> (DpOps, usize, usize);
-
 /// **Two phases** — reduce-scatter + allgather over the shared window:
 ///
 /// 1. every rank exposes its full input vector `A` at slot offset 0
@@ -646,13 +863,7 @@ pub(crate) type AllreduceShape = fn(&DpWindow, usize, usize, usize, usize) -> (D
 /// Rabenseifner traffic pattern, minus all intermediate copies, headers and
 /// per-message overhead. Slot footprint: up to the end of the largest
 /// reduced block's.
-fn allreduce_two_phase(
-    w: &DpWindow,
-    me: usize,
-    n: usize,
-    count: usize,
-    elem: usize,
-) -> (DpOps, usize, usize) {
+fn allreduce_two_phase(w: &DpWindow, me: usize, n: usize, count: usize, elem: usize) -> Built {
     let total = count * elem;
     let block = |r: usize| {
         let off = block_off(r, count, n, elem);
@@ -674,7 +885,11 @@ fn allreduce_two_phase(
         ops.pull(reduced(r).source(r, 0), r_len, r_off);
     }
     let footprint = (0..n).map(|r| reduced(r).footprint()).max();
-    (ops, my_len, footprint.unwrap_or(region))
+    Built {
+        ops,
+        scratch: my_len,
+        footprint: footprint.unwrap_or(region),
+    }
 }
 
 /// **One phase**: every rank exposes its vector and folds every peer's
@@ -684,13 +899,7 @@ fn allreduce_two_phase(
 /// taking its turn from a scratch copy), so all members compute the same
 /// bits whatever the reduction's associativity. Slot footprint: the
 /// vector's.
-fn allreduce_one_phase(
-    w: &DpWindow,
-    me: usize,
-    n: usize,
-    count: usize,
-    elem: usize,
-) -> (DpOps, usize, usize) {
+fn allreduce_one_phase(w: &DpWindow, me: usize, n: usize, count: usize, elem: usize) -> Built {
     let total = count * elem;
     let vector = Exposure::new(w, 0, 0, total);
     // One expose, the own vector's copy and fold, a row, `n − 1` reads.
@@ -719,75 +928,287 @@ fn allreduce_one_phase(
             ops.fold(vector.source(r, 0), total, 0);
         }
     }
-    let scratch = if me == 0 { total } else { 2 * total };
-    (ops, scratch, vector.footprint())
+    Built {
+        ops,
+        scratch: if me == 0 { total } else { 2 * total },
+        footprint: vector.footprint(),
+    }
 }
 
-/// The allreduce shape among `n` members reducing `count` elements of `elem`
-/// bytes that costs a rank less serial time on window `w`, and its slot
-/// footprint. Both op lists are walked with the transport's own cost terms
-/// ([`serial_cost`]), as group member 0 would run them, priced with the
-/// window's member-invariant terms, so every member reaches the same verdict
-/// and the crossover follows the cost model instead of a byte threshold. A tie goes to the single round. The footprint of the
-/// shape chosen is the one checked against the slot, by `coll::select_path`.
-pub(crate) fn allreduce_shm_shape(
+/// **Host-sliced** — the per-host reduce-scatter and the relay, with one
+/// cross-host fold per member and remote host. Every host splits the vector
+/// into as many blocks as it has members, member `j` owning block `j`:
+///
+/// 1. on a host of two members or more, every rank exposes its full vector
+///    (phase 0) and folds its own block of each host-mate's out of the
+///    shared cache: it holds its host's **partial** of the block;
+/// 2. it exposes that partial (phase 1), and folds in, out of the device,
+///    the part of each other host's partials that covers its block — in
+///    host order, its own host's taking its turn from a scratch copy, so
+///    every host computes the same bits of every block (`p₀ ⊕ p₁ ⊕ …`)
+///    whatever the reduction's associativity;
+/// 3. it relays the reduced block to its host-mates (phase 2), and reads
+///    theirs.
+///
+/// Each rank's vector crosses the device once per other host, sliced across
+/// that host's members, where [`allreduce_two_phase`] sends each block
+/// across once per remote reader and each reduced block again. Slot
+/// footprint: the vector's, a partial's and a reduced block's, each on lines
+/// of its own.
+fn allreduce_hosts(w: &DpWindow, h: &HostHierarchy, me: usize, count: usize, elem: usize) -> Built {
+    let total = count * elem;
+    // Block `i` of host `t`'s split: what member `i` of host `t` reduces.
+    let block = |t: usize, i: usize| {
+        let k = h.count(t);
+        block_off(i, count, k, elem)..block_off(i + 1, count, k, elem)
+    };
+    let vector = Exposure::new(w, 0, 0, total);
+    let partial_at = vector.footprint().next_multiple_of(SLOT_CELL_SIZE);
+    let partial = |t: usize, i: usize| Exposure::new(w, 1, partial_at, block(t, i).len());
+    let reduced = |t: usize, i: usize| {
+        let at = partial(t, i).footprint().next_multiple_of(SLOT_CELL_SIZE);
+        Relayed {
+            start: block(t, i).start,
+            len: block(t, i).len(),
+            region: at,
+        }
+    };
+    let s = h.slot_of(me);
+    let cohort = h.members(s);
+    let j = cohort.iter().position(|&r| r == me).expect("me in cohort");
+    let mine = block(s, j);
+    let mut ops = DpOps::new(me);
+    let everywhere = |t: usize| h.count(t) >= 2;
+    if (0..h.hosts_spanned()).all(everywhere) && vector.format.in_row() {
+        ops.all_raise(0);
+    }
+    if cohort.len() > 1 {
+        ops.expose(vector, Loc::Buf, 0, DpReaders::Others);
+        for &peer in cohort.iter().filter(|&&r| r != me) {
+            ops.fold(vector.source(peer, mine.start), mine.len(), mine.start);
+        }
+    }
+    ops.expose(partial(s, j), Loc::Buf, mine.start, DpReaders::Others);
+    // My partial waits in scratch, past the staging area, for its turn.
+    let stash = mine.len();
+    if s > 0 && stash > 0 {
+        ops.list.push(SchedOp::Copy {
+            dst_loc: Loc::Scratch,
+            dst_start: stash,
+            src_loc: Loc::Buf,
+            src_start: mine.start,
+            len: stash,
+        });
+    }
+    for t in 0..h.hosts_spanned() {
+        if t == s {
+            if s > 0 && stash > 0 {
+                ops.list.push(SchedOp::Fold {
+                    dst_loc: Loc::Buf,
+                    dst_start: mine.start,
+                    src_loc: Loc::Scratch,
+                    src_start: stash,
+                    len: stash,
+                });
+            }
+            continue;
+        }
+        for (i, &peer) in h.members(t).iter().enumerate() {
+            let theirs = block(t, i);
+            let (lo, hi) = (theirs.start.max(mine.start), theirs.end.min(mine.end));
+            if lo < hi {
+                let src = partial(t, i).source(peer, lo - theirs.start);
+                if t == 0 {
+                    ops.pull(src, hi - lo, lo);
+                } else {
+                    ops.fold(src, hi - lo, lo);
+                }
+            }
+        }
+    }
+    ops.relay(w, cohort, j, (2, DpReaders::Others), |i| [reduced(s, i)]);
+    let footprint = (0..h.hosts_spanned())
+        .flat_map(|t| (0..h.count(t)).map(move |i| (t, i)))
+        .map(|(t, i)| {
+            let r = reduced(t, i);
+            r.region
+                + w.format(r.len, r.region..w.slot_bytes, true)
+                    .footprint(r.len)
+        })
+        .max();
+    Built {
+        ops,
+        scratch: if s > 0 { 2 * stash } else { stash },
+        footprint: footprint.unwrap_or(partial_at),
+    }
+}
+
+/// Member `me`'s part of the allreduce of `count` elements of `elem` bytes
+/// among `n` members in `shape`.
+fn allreduce_ops(
+    w: &DpWindow,
+    hier: Option<&HostHierarchy>,
+    shape: DpShape,
+    me: usize,
     n: usize,
     count: usize,
     elem: usize,
-    hier: Option<&HostHierarchy>,
-    w: &DpWindow,
-) -> (AllreduceShape, usize) {
-    let same_host = |r: usize| hier.is_some_and(|h| h.slot_of(r) == h.slot_of(0));
-    let cost = |ops: &DpOps| serial_cost(&ops.list, &ops.pieces, w, same_host);
-    let (one, _, one_bytes) = allreduce_one_phase(w, 0, n, count, elem);
-    let (two, _, two_bytes) = allreduce_two_phase(w, 0, n, count, elem);
-    if cost(&one) <= cost(&two) {
-        (allreduce_one_phase, one_bytes)
-    } else {
-        (allreduce_two_phase, two_bytes)
+) -> Built {
+    match (shape, spread(hier)) {
+        (DpShape::Hosts, Some(h)) => allreduce_hosts(w, h, me, count, elem),
+        (DpShape::TwoPhase, _) => allreduce_two_phase(w, me, n, count, elem),
+        _ => allreduce_one_phase(w, me, n, count, elem),
     }
+}
+
+/// The allreduce shape among `n` members reducing `count` elements of `elem`
+/// bytes that costs its slowest member least on window `w` — one phase, two
+/// phases or host-sliced ([`cheapest`]) — and its slot footprint, the one
+/// `coll::select_path` checks against the slot. A tie goes to the single
+/// round.
+pub(crate) fn allreduce_shm_shape(
+    w: &DpWindow,
+    hier: Option<&HostHierarchy>,
+    n: usize,
+    count: usize,
+    elem: usize,
+) -> (DpShape, usize) {
+    let shapes = [DpShape::Direct, DpShape::TwoPhase, DpShape::Hosts];
+    cheapest(w, hier, &priced(hier, None), &shapes, |shape, m| {
+        allreduce_ops(w, hier, shape, m, n, count, elem)
+    })
 }
 
 /// Single-copy allreduce of `count` elements of `T`, in `shape`.
 pub(crate) fn build_allreduce_shm<T: Reducible>(
     view: &CommView<'_>,
     w: &DpWindow,
-    shape: AllreduceShape,
+    hier: Option<&HostHierarchy>,
+    shape: DpShape,
     count: usize,
     op: ReduceOp,
 ) -> CollPlan {
     let elem = std::mem::size_of::<T>();
-    let (ops, scratch_len, _) = shape(w, view.rank, view.size(), count, elem);
+    let built = allreduce_ops(w, hier, shape, view.rank, view.size(), count, elem);
     let total = count * elem;
     let fold = Some((op, fold_bytes::<T> as FoldFn));
-    ops.into_plan(
-        view,
-        fold,
-        (0, total),
-        (0, total),
-        scratch_len,
-        "allreduce/shm",
-    )
+    let label = shape.label("allreduce/shm", "allreduce/shm+hosts");
+    built
+        .ops
+        .into_plan(view, fold, (0, total), (0, total), built.scratch, label)
 }
 
-/// Single-copy allgather: every rank exposes its own block and pulls each
-/// peer's block directly into the right slice of its destination buffer.
-/// Every block crosses the fabric once per reader with no forwarding hops —
-/// the ring's `n − 1` store-and-forward rounds collapse into one round of
-/// concurrent pulls.
+/// The allgather of `block` bytes per member among `n` on window `w` that
+/// costs its slowest member least — direct or host-sliced — and its slot
+/// footprint.
+pub(crate) fn allgather_shape(
+    w: &DpWindow,
+    hier: Option<&HostHierarchy>,
+    n: usize,
+    block: usize,
+) -> (DpShape, usize) {
+    let shapes = [DpShape::Direct, DpShape::Hosts];
+    cheapest(w, hier, &priced(hier, None), &shapes, |shape, m| {
+        allgather_ops(w, hier, shape, m, n, block)
+    })
+}
+
+/// Single-copy allgather: every rank exposes its own block (phase 0), then,
 ///
-/// Slot footprint: the block's.
-pub(crate) fn build_allgather_shm(view: &CommView<'_>, w: &DpWindow, block: usize) -> CollPlan {
-    let me = view.rank;
-    let n = view.size();
-    let mine = Exposure::new(w, 0, 0, block);
-    let mut ops = DpOps::new(me);
-    ops.expose(mine, Loc::Buf, me * block, DpReaders::Others);
-    for r in (0..n).filter(|&r| r != me) {
-        ops.pull(mine.source(r, 0), block, r * block);
-    }
+/// * **direct**, pulls each peer's block straight into the right slice of
+///   its destination buffer: every block crosses the fabric once per reader
+///   with no forwarding hops — the ring's `n − 1` store-and-forward rounds
+///   collapse into one round of concurrent pulls;
+/// * **host-sliced**, pulls its host-mates' blocks out of the shared cache
+///   and its share of the other hosts' — the `i`-th of them, in group order,
+///   crosses to a host of `k` members through member `i mod k` — and relays
+///   those to its host-mates (phase 1): every block crosses the device once
+///   per receiving host.
+///
+/// Slot footprint: the block's; host-sliced, the relayed blocks' after it,
+/// each on lines of its own.
+pub(crate) fn build_allgather_shm(
+    view: &CommView<'_>,
+    w: &DpWindow,
+    hier: Option<&HostHierarchy>,
+    shape: DpShape,
+    block: usize,
+) -> CollPlan {
+    let (me, n) = (view.rank, view.size());
+    let built = allgather_ops(w, hier, shape, me, n, block);
     let input = (me * block, (me + 1) * block);
-    ops.into_plan(view, None, (0, n * block), input, 0, "allgather/shm")
+    let label = shape.label("allgather/shm", "allgather/shm+hosts");
+    built
+        .ops
+        .into_plan(view, None, (0, n * block), input, 0, label)
+}
+
+/// Member `me`'s part of the allgather in `shape`.
+fn allgather_ops(
+    w: &DpWindow,
+    hier: Option<&HostHierarchy>,
+    shape: DpShape,
+    me: usize,
+    n: usize,
+    block: usize,
+) -> Built {
+    let own = Exposure::new(w, 0, 0, block);
+    let mut ops = DpOps::new(me);
+    ops.expose(own, Loc::Buf, me * block, DpReaders::Others);
+    let Some(h) = spread(hier).filter(|_| shape == DpShape::Hosts) else {
+        for r in (0..n).filter(|&r| r != me) {
+            ops.pull(own.source(r, 0), block, r * block);
+        }
+        return Built {
+            ops,
+            scratch: 0,
+            footprint: own.footprint(),
+        };
+    };
+    let base = own.footprint().next_multiple_of(SLOT_CELL_SIZE);
+    let stride = DpFormat::Stamped { in_row: false }.footprint(block);
+    // What member `i` of host `t` relays: the other hosts' blocks that cross
+    // to `t` through it.
+    let relays = |t: usize, i: usize| {
+        let k = h.count(t);
+        let others = (0..n).filter(move |&r| h.slot_of(r) != t);
+        others
+            .enumerate()
+            .skip(i)
+            .step_by(k)
+            .map(move |(x, r)| Relayed {
+                start: r * block,
+                len: block,
+                region: base + x / k * stride,
+            })
+    };
+    let s = h.slot_of(me);
+    let cohort = h.members(s);
+    let j = cohort.iter().position(|&r| r == me).expect("me in cohort");
+    if own.format.in_row() {
+        // Every member exposes its block in phase 0.
+        ops.all_raise(0);
+    }
+    let mut crossing = 0;
+    for r in (0..n).filter(|&r| r != me) {
+        let mine = h.slot_of(r) == s || {
+            crossing += 1;
+            (crossing - 1) % cohort.len() == j
+        };
+        if mine {
+            ops.pull(own.source(r, 0), block, r * block);
+        }
+    }
+    ops.relay(w, cohort, j, (1, DpReaders::Others), |i| relays(s, i));
+    let footprint = (0..h.hosts_spanned())
+        .flat_map(|t| relayed(w, relays(t, 0)))
+        .map(|p| p.region_off + p.format.footprint(p.end - p.start))
+        .fold(own.footprint(), usize::max);
+    Built {
+        ops,
+        scratch: 0,
+        footprint,
+    }
 }
 
 /// Single-copy alltoall: every rank exposes its **whole send image** once
@@ -872,19 +1293,19 @@ mod tests {
     fn bcast_plan_shape() {
         let group = Group::from_world_ranks(vec![0, 1, 2, 3]).unwrap();
         let w = window(4, 64 * 1024);
-        let root_plan = build_bcast_shm(&view_of(&group, 1), &w, None, 1, 256);
+        let root_plan = build_bcast_shm(&view_of(&group, 1), &w, None, DpShape::Direct, 1, 256);
         // Root: one expose, nothing to wait for.
         assert_eq!(shape(&root_plan), (1, 0, 0));
         assert_eq!(root_plan.label, "bcast/shm");
         assert_eq!(root_plan.input_len(), 256);
-        let leaf_plan = build_bcast_shm(&view_of(&group, 3), &w, None, 1, 256);
+        let leaf_plan = build_bcast_shm(&view_of(&group, 3), &w, None, DpShape::Direct, 1, 256);
         // Non-root: a single pull, which is also its last read.
         assert_eq!(shape(&leaf_plan), (0, 1, 1));
         assert_eq!(leaf_plan.input_len(), 0);
         assert_eq!(leaf_plan.result_len(), 256);
         // A zero-byte broadcast moves nothing and touches no line.
-        assert!(build_bcast_shm(&view_of(&group, 1), &w, None, 1, 0).is_empty());
-        assert!(build_bcast_shm(&view_of(&group, 3), &w, None, 1, 0).is_empty());
+        assert!(build_bcast_shm(&view_of(&group, 1), &w, None, DpShape::Direct, 1, 0).is_empty());
+        assert!(build_bcast_shm(&view_of(&group, 3), &w, None, DpShape::Direct, 1, 0).is_empty());
     }
 
     #[test]
@@ -899,7 +1320,7 @@ mod tests {
             (16 * 1024, DpFormat::Slot),
         ];
         for (bytes, format) in formats {
-            let leaf = build_bcast_shm(&view_of(&group, 2), &w, None, 0, bytes);
+            let leaf = build_bcast_shm(&view_of(&group, 2), &w, None, DpShape::Direct, 0, bytes);
             let Some(&SchedOp::PullCopy { src, len, .. }) = leaf.ops.last() else {
                 panic!("leaf plan ends with {:?}", leaf.ops.last());
             };
@@ -908,7 +1329,7 @@ mod tests {
                 (format, 0, 0, bytes)
             );
             // The root publishes in the format its readers expect.
-            let root = build_bcast_shm(&view_of(&group, 0), &w, None, 0, bytes);
+            let root = build_bcast_shm(&view_of(&group, 0), &w, None, DpShape::Direct, 0, bytes);
             assert_eq!(root.pieces[0].format, format, "{bytes} B");
         }
         // An alltoall reader takes its own block out of the middle of the
@@ -1092,28 +1513,30 @@ mod tests {
         let w = window(8, 64 * 1024);
         // Allgather of a flag-line payload: every peer's line in one row,
         // then seven reads that wait for nothing.
-        let plan = build_allgather_shm(&view_of(&group, 3), &w, 8);
+        let plan = build_allgather_shm(&view_of(&group, 3), &w, None, DpShape::Direct, 8);
         assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
         assert!(matches!(plan.ops[1], SchedOp::AwaitRow { phase: 0, .. }));
         assert_eq!(rows(&plan.ops), [(0, 8)]);
         // The row of a rank at either end stops short of its own line.
         for (rank, row) in [(0, (1, 8)), (7, (0, 7))] {
             assert_eq!(
-                rows(&build_allgather_shm(&view_of(&group, rank), &w, 8).ops),
+                rows(
+                    &build_allgather_shm(&view_of(&group, rank), &w, None, DpShape::Direct, 8).ops
+                ),
                 [row]
             );
         }
         // A broadcast leaf's row is the root's line alone.
-        let leaf = build_bcast_shm(&view_of(&group, 5), &w, None, 2, 48);
+        let leaf = build_bcast_shm(&view_of(&group, 5), &w, None, DpShape::Direct, 2, 48);
         assert_eq!(rows(&leaf.ops), [(2, 3)]);
         // Reads out of data slots come in the same runs.
-        let plan = build_allgather_shm(&view_of(&group, 3), &w, 16 * 1024);
+        let plan = build_allgather_shm(&view_of(&group, 3), &w, None, DpShape::Direct, 16 * 1024);
         assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
         assert_eq!(rows(&plan.ops), [(0, 8)]);
-        let leaf = build_bcast_shm(&view_of(&group, 5), &w, None, 2, 64 * 1024);
+        let leaf = build_bcast_shm(&view_of(&group, 5), &w, None, DpShape::Direct, 2, 64 * 1024);
         assert_eq!(rows(&leaf.ops), [(2, 3)]);
         // Stamped lines in data slots need no row: one run, no lines.
-        let plan = build_allgather_shm(&view_of(&group, 3), &w, 64);
+        let plan = build_allgather_shm(&view_of(&group, 3), &w, None, DpShape::Direct, 64);
         assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
         assert_eq!(rows(&plan.ops), [(0, 0)]);
         // The one-phase allreduce's local copy and fold sit inside the run.
@@ -1210,7 +1633,7 @@ mod tests {
         // lines); one of 6 (48 B) is rank 7's flag line. Phase 0 needs no
         // row, phase 1 one of a line — a run each.
         let w = window(8, 64 * 1024);
-        let (ops, ..) = allreduce_two_phase(&w, 2, 8, 55, 8);
+        let Built { ops, .. } = allreduce_two_phase(&w, 2, 8, 55, 8);
         assert_eq!(rows(&ops.list), [(0, 0), (7, 8)]);
         let phases: Vec<u8> = ops
             .list
@@ -1235,16 +1658,24 @@ mod tests {
     }
 
     #[test]
-    fn bcast_scatter_shape_slices_remote_hosts_only() {
+    fn host_sliced_bcast_slices_remote_hosts_only() {
         use crate::topology::{HostHierarchy, HostTopology};
         // 6 ranks blocked over 2 hosts: {0,1,2} and {3,4,5}, root 0.
         let group = Group::world(6);
         let topo = HostTopology::blocked(6, 2).unwrap();
         let w = window(6, 512 * 1024);
-        let total = 2 * DP_BCAST_SCATTER_MIN_BYTES;
+        let total = 128 * 1024;
+        let hier = |rank: Rank| HostHierarchy::derive(&group, &topo, rank);
         let plan_of = |rank: Rank| {
-            let h = HostHierarchy::derive(&group, &topo, rank);
-            build_bcast_shm(&view_of(&group, rank), &w, Some(&h), 0, total)
+            let h = hier(rank);
+            build_bcast_shm(
+                &view_of(&group, rank),
+                &w,
+                Some(&h),
+                DpShape::Hosts,
+                0,
+                total,
+            )
         };
         // Root: one expose for every reader, sliced or not.
         assert_eq!(shape(&plan_of(0)), (1, 0, 0));
@@ -1264,15 +1695,17 @@ mod tests {
         ));
         // A run of one piece off the root, a run of two off the host-mates.
         assert_eq!(rows(&remote.ops), [(0, 1), (3, 6)]);
-        assert_eq!(remote.label, "bcast/shm");
+        assert_eq!(remote.label, "bcast/shm+hosts");
         assert_eq!(remote.result_len(), total);
-        // Below the cutoff (or on one host) the direct shape is kept.
-        let h = HostHierarchy::derive(&group, &topo, 4);
-        let small = build_bcast_shm(&view_of(&group, 4), &w, Some(&h), 0, 256);
-        assert_eq!(shape(&small), (0, 1, 1));
+        // The walk keeps 256 B direct and slices 128 KiB.
+        let h = hier(4);
+        assert_eq!(bcast_shape(&w, Some(&h), 0, 256).0, DpShape::Direct);
+        assert_eq!(bcast_shape(&w, Some(&h), 0, total).0, DpShape::Hosts);
+        // On one host there is nothing to slice by.
         let one_host = HostTopology::blocked(6, 1).unwrap();
         let h1 = HostHierarchy::derive(&group, &one_host, 4);
-        let flat = build_bcast_shm(&view_of(&group, 4), &w, Some(&h1), 0, total);
+        assert_eq!(bcast_shape(&w, Some(&h1), 0, total).0, DpShape::Direct);
+        let flat = build_bcast_shm(&view_of(&group, 4), &w, Some(&h1), DpShape::Hosts, 0, total);
         assert_eq!(shape(&flat), (0, 1, 1));
     }
 
@@ -1282,7 +1715,11 @@ mod tests {
         let elem = 8;
         let offs: Vec<usize> = (0..=4).map(|i| block_off(i, 10, 4, elem)).collect();
         assert_eq!(offs, vec![0, 24, 48, 64, 80]);
-        let (ops, scratch, footprint) = allreduce_two_phase(&window(4, 4096), 2, 4, 10, elem);
+        let Built {
+            ops,
+            scratch,
+            footprint,
+        } = allreduce_two_phase(&window(4, 4096), 2, 4, 10, elem);
         // 2 exposes, each followed by a row and 3 reads (the 80 B vector in
         // two stamped lines, the reduced blocks, 16 and 24 B, in flag lines);
         // scratch stages one own-block fold at a time; the slot holds the
@@ -1296,8 +1733,8 @@ mod tests {
         // 2 elements over 5 ranks: ranks 2..5 own nothing. They fold nothing,
         // re-expose nothing, and nobody pulls their (empty) block.
         let w = window(5, 4096);
-        let (owner, ..) = allreduce_two_phase(&w, 1, 5, 2, 8);
-        let (idle, ..) = allreduce_two_phase(&w, 3, 5, 2, 8);
+        let owner = allreduce_two_phase(&w, 1, 5, 2, 8).ops;
+        let idle = allreduce_two_phase(&w, 3, 5, 2, 8).ops;
         // Owner: expose A, a row and 4 folds, expose B, a row of one line and
         // the pull of rank 0's block.
         assert_eq!(owner.list.len(), 9);
@@ -1341,12 +1778,14 @@ mod tests {
         // Rank 0 folds in place; the others stage their own vector too.
         assert_eq!(plan(0, 64).scratch_len(), 512);
         assert_eq!(plan(3, 64).scratch_len(), 1024);
-        // The shape is chosen before the fit check: a vector whose cheaper
-        // (two-phase) shape overflows the slot goes to the ring path even
-        // though the one-phase footprint would fit.
+        // The cheapest shape that fits the slot: a vector whose two-phase
+        // shape overflows it still folds whole vectors on the window, and one
+        // that no shape fits goes to the ring path.
         let tight = Some(window(8, 64 * 1024));
         let view = view_of(&group, 0);
-        let ring = build_allreduce::<f64>(&view, &t, None, tight, 8192, ReduceOp::Sum);
+        let fits = build_allreduce::<f64>(&view, &t, None, tight, 8192, ReduceOp::Sum);
+        assert_eq!((fits.label, shape(&fits)), ("allreduce/shm", (1, 7, 1)));
+        let ring = build_allreduce::<f64>(&view, &t, None, tight, 8193, ReduceOp::Sum);
         assert_eq!(ring.label, "allreduce/rabenseifner");
     }
 
@@ -1535,7 +1974,13 @@ mod tests {
     #[test]
     fn allgather_plan_shape() {
         let group = Group::from_world_ranks(vec![4, 5, 6]).unwrap();
-        let plan = build_allgather_shm(&view_of(&group, 0), &window(3, 4096), 128);
+        let plan = build_allgather_shm(
+            &view_of(&group, 0),
+            &window(3, 4096),
+            None,
+            DpShape::Direct,
+            128,
+        );
         // 1 expose, a run, 2 pulls, the second of which ends the collective.
         assert_eq!(shape(&plan), (1, 2, 1));
         assert_eq!(plan.len(), 4);

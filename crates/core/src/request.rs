@@ -258,6 +258,13 @@ impl Request {
         self.coll.as_ref().map(|c| c.plan().label)
     }
 
+    /// Whether a collective request's schedule has run to its end, by
+    /// whichever thread drove it — read off the request alone, with no MPI
+    /// call. `wait` or `test` still finalizes it.
+    pub fn coll_done(&self) -> bool {
+        self.coll.as_ref().is_some_and(|c| c.is_done())
+    }
+
     /// Activate a collective request — a fresh one, or a completed
     /// persistent one again — under a fresh collective sequence number
     /// (comm-internal; [`crate::comm::Comm::start`] is the public entry).

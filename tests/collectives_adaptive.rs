@@ -737,7 +737,7 @@ fn data_plane_matches_ring_byte_for_byte() {
                 let me = comm.rank();
                 let check = |comm: &Comm, family: &str| {
                     let algo = comm.last_coll_algorithm();
-                    let took = if algo.ends_with("/shm") {
+                    let took = if algo.contains("/shm") {
                         Path::Window
                     } else if algo.contains("/hier") {
                         Path::TwoLevel
@@ -831,19 +831,19 @@ fn data_plane_matches_ring_byte_for_byte() {
     }
 }
 
-/// Above `DP_BCAST_SCATTER_MIN_BYTES` (64 KiB) a multi-host bcast takes the
-/// host-sliced scatter shape: remote-host members pull disjoint slices of the
-/// root's exposure and re-expose them for their host-mates. The result must
-/// still be byte-identical to the ring reference — on two hosts (sliced) and
-/// on one host (degenerate direct shape) — for blocking and nonblocking
-/// starts, with restarts reusing the cached plan.
+/// Far past the cost walk's crossover a multi-host bcast takes the
+/// host-sliced shape: remote-host members pull disjoint slices of the root's
+/// exposure and re-expose them for their host-mates. The result must still be
+/// byte-identical to the ring reference — on two hosts (sliced) and on one
+/// host (direct: nothing to slice by) — for blocking and nonblocking starts,
+/// with restarts reusing the cached plan.
 #[test]
 fn data_plane_scatter_bcast_matches_ring_above_cutoff() {
     use cmpi::mpi::{CollTuning, HierarchyMode};
     use common::{force_ring, with_window_headroom};
 
-    // 20_000 u64 = 160_000 B ≥ the 64 KiB scatter cutoff; a 2 MiB arena
-    // gives 512 KiB slots, comfortably above payload + block footprint.
+    // 20_000 u64 = 160_000 B; a 2 MiB arena gives 512 KiB slots, comfortably
+    // above the payload's footprint.
     const ELEMS: u64 = 20_000;
     let shm = CollTuning {
         hierarchy: HierarchyMode::Off,
@@ -852,6 +852,11 @@ fn data_plane_scatter_bcast_matches_ring_above_cutoff() {
 
     for n in [4usize, 5] {
         for hosts in [1usize, 2] {
+            let sliced = if hosts > 1 {
+                "bcast/shm+hosts"
+            } else {
+                "bcast/shm"
+            };
             let run = |tuning: CollTuning, expect_shm: bool| -> Vec<(Vec<u64>, Vec<u64>)> {
                 let config = with_window_headroom(
                     UniverseConfig::cxl_small(n).with_hosts(hosts),
@@ -873,10 +878,13 @@ fn data_plane_scatter_bcast_matches_ring_above_cutoff() {
                         comm.bcast_into(0, &mut bc)?;
                         let algo = comm.last_coll_algorithm();
                         assert_eq!(
-                            algo.ends_with("/shm"),
+                            algo.contains("/shm"),
                             expect_shm,
                             "bcast round {round}: unexpected path {algo}"
                         );
+                        if expect_shm {
+                            assert_eq!(algo, sliced, "bcast round {round}");
+                        }
                         let contrib = if me == 0 {
                             payload(round * 97 + 41)
                         } else {
@@ -934,7 +942,7 @@ fn data_plane_oversize_payloads_fall_back_to_ring_mid_sweep() {
                 assert_eq!(algo, "allreduce/shm");
             } else {
                 assert!(
-                    algo.starts_with("allreduce/") && !algo.ends_with("/shm"),
+                    algo.starts_with("allreduce/") && !algo.contains("/shm"),
                     "oversize payload should ring-fall-back, got {algo}"
                 );
             }
@@ -1011,11 +1019,11 @@ fn data_plane_window_creation_failure_falls_back_to_ring() {
         let mut v = vec![comm.rank() as u64; 32];
         comm.allreduce(&mut v, ReduceOp::Sum)?;
         assert!(v.iter().all(|&x| x == 6));
-        assert!(!comm.last_coll_algorithm().ends_with("/shm"));
+        assert!(!comm.last_coll_algorithm().contains("/shm"));
         let mut b = vec![if comm.rank() == 0 { 7u8 } else { 0 }; 64];
         comm.bcast_into(0, &mut b)?;
         assert!(b.iter().all(|&x| x == 7));
-        assert!(!comm.last_coll_algorithm().ends_with("/shm"));
+        assert!(!comm.last_coll_algorithm().contains("/shm"));
         Ok(())
     })
     .unwrap();

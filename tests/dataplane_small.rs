@@ -176,11 +176,11 @@ fn inline_and_slot_payloads_match_the_ring_path_byte_for_byte() {
                 assert!(
                     labels
                         .iter()
-                        .all(|l| l.ends_with("/shm") || (bytes == 0 && l == "alltoall/local")),
+                        .all(|l| l.contains("/shm") || (bytes == 0 && l == "alltoall/local")),
                     "n={n} {bytes} B ran {labels:?}"
                 );
                 assert!(
-                    ring_labels.iter().all(|l| !l.ends_with("/shm")),
+                    ring_labels.iter().all(|l| !l.contains("/shm")),
                     "n={n} {bytes} B ran {ring_labels:?} on the forced ring"
                 );
             }
@@ -589,34 +589,72 @@ fn virtual_clocks_repeat_exactly() {
 const COLLS: u64 = 4 * DP_SLOTS as u64;
 const SWEEPS: u64 = COLLS / DP_SLOTS as u64;
 
-/// Check `COLLS` steady-state calls of `step` among 8 ranks on 2 hosts
-/// against `per_call` virtual nanoseconds plus `sweeps` completion sweeps, as
-/// an equality on every rank: a line that goes uncharged fails it, and so
-/// does a row charged per poll. Every rank reads its seven peers' exposures
-/// per call, behind `rows` rows — one, or none when they are stamped lines in
-/// data slots — and publishes `stamped` exposures as stamped lines.
+/// What one call does on every rank: the exposures it publishes, how many
+/// of them as stamped lines, the flag lines and stamped exposures its rows
+/// acquire (`DataPlaneStats::pull_ops`), rank by rank, and the rows ahead of
+/// its runs.
+#[derive(Debug, Clone, Copy)]
+struct PerCall {
+    exposes: u64,
+    stamped: u64,
+    pulls: [u64; 8],
+    rows: u64,
+}
+
+/// A flat collective's call: one exposure, `stamped` of them stamped lines,
+/// the seven peers' read behind `rows` rows — one, or none when they are
+/// stamped lines in data slots.
+const fn flat(rows: u64, stamped: u64) -> PerCall {
+    PerCall {
+        exposes: 1,
+        stamped,
+        pulls: [7; 8],
+        rows,
+    }
+}
+
+/// Check `COLLS` steady-state calls of `step` among 8 ranks on 2 hosts under
+/// `tuning` against `per_call` virtual nanoseconds plus `sweeps` completion
+/// sweeps, as an equality on every rank: a line that goes uncharged fails
+/// it, and so does a row charged per poll. Every rank's data-plane counters
+/// move by `counts` per call.
 fn assert_costs(
     what: &str,
+    tuning: CollTuning,
     step: impl Fn(&mut Comm) -> cmpi::mpi::Result<()> + Send + Sync + 'static,
     per_call: f64,
     sweeps: u64,
-    (rows, stamped): (u64, u64),
+    counts: PerCall,
 ) {
+    let PerCall {
+        exposes,
+        stamped,
+        pulls,
+        rows,
+    } = counts;
     // A rank in the middle of the group spans the whole row of eight lines,
     // and the ranks at its ends, whose own spans are a line shorter, wait for
     // it in every call.
     let row = dp_cost(4).row(8);
     let planned = COLLS as f64 * per_call + sweeps as f64 * row;
-    let results = steady_colls(config(8, 2, force_shm()), COLLS as usize, step);
+    let results = steady_colls(config(8, 2, tuning), COLLS as usize, step);
     for (rank, (before, after, virt_ns)) in results.iter().enumerate() {
         let moved = |counter: fn(&DataPlaneStats) -> u64| counter(after) - counter(before);
-        assert_eq!(moved(|s| s.expose_ops), COLLS, "{what}, rank {rank}");
+        assert_eq!(
+            moved(|s| s.expose_ops),
+            exposes * COLLS,
+            "{what}, rank {rank}"
+        );
         assert_eq!(
             moved(|s| s.stamped_exposes),
             stamped * COLLS,
             "{what}, rank {rank}"
         );
-        assert_eq!(moved(|s| s.pull_ops), 7 * COLLS, "{what}, rank {rank}");
+        assert_eq!(
+            moved(|s| s.pull_ops),
+            pulls[rank] * COLLS,
+            "{what}, rank {rank}"
+        );
         assert_eq!(moved(|s| s.notify_waits), 7 * sweeps, "{what}, rank {rank}");
         // The runs' rows, and one per sweep.
         assert_eq!(
@@ -635,7 +673,14 @@ fn assert_costs(
 fn a_barrier_costs_one_store_and_one_row() {
     // Nothing is read out of a slot, so nothing is held and nobody sweeps.
     let dp = dp_cost(4);
-    assert_costs("barrier", Comm::barrier, dp.line() + dp.row(8), 0, (1, 0));
+    assert_costs(
+        "barrier",
+        force_shm(),
+        Comm::barrier,
+        dp.line() + dp.row(8),
+        0,
+        flat(1, 0),
+    );
 }
 
 #[test]
@@ -647,7 +692,14 @@ fn an_allgather_costs_its_budget_of_round_trips() {
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allgather_into(&[7u8; 8], &mut [0u8; 64]);
     let per_call = dp.line() + dp.row(8) + dp.line();
-    assert_costs("8 B allgather", step, per_call, SWEEPS, (1, 1));
+    assert_costs(
+        "8 B allgather",
+        force_shm(),
+        step,
+        per_call,
+        SWEEPS,
+        flat(1, 1),
+    );
 }
 
 #[test]
@@ -656,7 +708,14 @@ fn a_small_allreduce_costs_what_the_allgather_does() {
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allreduce(&mut [3u64], ReduceOp::Sum);
     let per_call = dp.line() + dp.row(8) + dp.line();
-    assert_costs("8 B allreduce", step, per_call, SWEEPS, (1, 1));
+    assert_costs(
+        "8 B allreduce",
+        force_shm(),
+        step,
+        per_call,
+        SWEEPS,
+        flat(1, 1),
+    );
 }
 
 #[test]
@@ -670,7 +729,14 @@ fn a_56_byte_allgather_costs_a_stamped_publish_and_one_gathered_read() {
     let step = |comm: &mut Comm| comm.allgather_into(&[7u64; 7], &mut [0u64; 56]);
     let lines = stamped(56);
     let per_call = dp.publish(lines, false) + dp.gather(0, peers_pieces(3, lines)) + dp.line();
-    assert_costs("56 B allgather", step, per_call, SWEEPS, (0, 1));
+    assert_costs(
+        "56 B allgather",
+        force_shm(),
+        step,
+        per_call,
+        SWEEPS,
+        flat(0, 1),
+    );
 }
 
 #[test]
@@ -685,7 +751,14 @@ fn an_alltoall_costs_a_stamped_publish_and_one_gathered_read() {
     let step = |comm: &mut Comm| comm.alltoall(&[9u8; 64], &mut [0u8; 64]);
     let reads = dp.gather(0, peers_pieces(7, stamped_read(7 * 8, 8)));
     let per_call = dp.publish(stamped(64), false) + reads + dp.line();
-    assert_costs("8 B alltoall", step, per_call, SWEEPS, (0, 1));
+    assert_costs(
+        "8 B alltoall",
+        force_shm(),
+        step,
+        per_call,
+        SWEEPS,
+        flat(0, 1),
+    );
 }
 
 #[test]
@@ -698,7 +771,92 @@ fn a_1KiB_allreduce_costs_a_stamped_publish_and_one_gathered_read() {
     let step = |comm: &mut Comm| comm.allreduce(&mut [5u64; 128], ReduceOp::Sum);
     let lines = stamped(1024);
     let per_call = dp.publish(lines, false) + dp.gather(0, peers_pieces(3, lines)) + dp.line();
-    assert_costs("1 KiB allreduce", step, per_call, SWEEPS, (0, 1));
+    assert_costs(
+        "1 KiB allreduce",
+        force_shm(),
+        step,
+        per_call,
+        SWEEPS,
+        flat(0, 1),
+    );
+}
+
+/// The default window: 512 KiB slots, room for the host-sliced shapes of
+/// the 8-rank mix's payloads.
+fn roomy() -> CollTuning {
+    CollTuning {
+        hierarchy: cmpi::mpi::HierarchyMode::Off,
+        ..CollTuning::default()
+    }
+}
+
+#[test]
+#[allow(non_snake_case)]
+fn a_64KiB_allgather_crosses_each_host_once() {
+    // Host-sliced, 8 ranks blocked on 2 hosts: every rank publishes its
+    // block, then reads its three host-mates' out of the shared cache and
+    // the one block of the other host it relays off the device — one run,
+    // whose row spans from the first to the last member it reads (every
+    // member raises its phase-0 line); the slowest, a host's last member
+    // or the other host's first, spans all eight. It relays that block to
+    // its host-mates, and reads their three relays in a run behind a row of
+    // their lines, four for a member in the middle. Then its completion
+    // line. A row acquires the lines of the members it spans and does not
+    // read too: from the four a host's first member reads to the seven the
+    // last one's row spans.
+    const BLOCK: usize = 64 * 1024;
+    let dp = dp_cost(4);
+    let step = |comm: &mut Comm| comm.allgather_into(&[1u8; BLOCK], &mut vec![0u8; 8 * BLOCK]);
+    let phase0 = [(BLOCK, true); 3].into_iter().chain([(BLOCK, false)]);
+    let phase1 = [(BLOCK, true); 3];
+    let per_call = dp.publish(BLOCK, true)
+        + dp.row(8)
+        + dp.gather(8, phase0)
+        + dp.publish(BLOCK, true)
+        + dp.row(4)
+        + dp.gather(4, phase1)
+        + dp.line();
+    let counts = PerCall {
+        exposes: 2,
+        stamped: 0,
+        pulls: [7, 8, 9, 10, 10, 9, 8, 7],
+        rows: 2,
+    };
+    assert_costs("64 KiB allgather", roomy(), step, per_call, SWEEPS, counts);
+}
+
+#[test]
+#[allow(non_snake_case)]
+fn a_256KiB_allreduce_folds_one_block_off_the_other_host() {
+    // Host-sliced, 8 ranks blocked on 2 hosts, 64 KiB blocks: every rank
+    // publishes its vector and folds its block of its three host-mates'
+    // out of the shared cache, behind a row of their lines (four for a
+    // member in the middle, whose pace the others keep); publishes its
+    // host's partial of the block and takes the other host's partial of it
+    // off the device, the row one line; publishes the reduced block, and
+    // reads its host-mates' three out of the cache. Then its completion
+    // line.
+    const BLOCK: usize = 64 * 1024;
+    let dp = dp_cost(4);
+    let step = |comm: &mut Comm| comm.allreduce(&mut vec![3u64; 4 * BLOCK / 8], ReduceOp::Sum);
+    let cached = [(BLOCK, true); 3];
+    let per_call = dp.publish(4 * BLOCK, true)
+        + dp.row(4)
+        + dp.gather(4, cached)
+        + dp.publish(BLOCK, true)
+        + dp.row(1)
+        + dp.gather(1, [(BLOCK, false)])
+        + dp.publish(BLOCK, true)
+        + dp.row(4)
+        + dp.gather(4, cached)
+        + dp.line();
+    let counts = PerCall {
+        exposes: 3,
+        stamped: 0,
+        pulls: [7; 8],
+        rows: 3,
+    };
+    assert_costs("256 KiB allreduce", roomy(), step, per_call, SWEEPS, counts);
 }
 
 #[test]

@@ -445,6 +445,83 @@ fn reader_death_before_its_completion_line_frees_a_writer_running_ahead() {
     }
 }
 
+/// One verified round of the host-sliced collectives on a window of
+/// 512 KiB slots: a 64 KiB allgather, a 256 KiB allreduce, a 64 KiB bcast.
+fn host_sliced_round(comm: &mut Comm, round: usize) -> cmpi::mpi::Result<u64> {
+    const BLOCK: usize = 64 * 1024;
+    let members = comm.group().world_ranks().to_vec();
+    let (n, r) = (comm.size(), round as u64);
+    let me = comm.world_rank() as u64;
+    match round % 3 {
+        0 => {
+            let mut recv = vec![0u8; n * BLOCK];
+            comm.allgather_into(&[(me + r) as u8; BLOCK], &mut recv)?;
+            for (i, &m) in members.iter().enumerate() {
+                let block = &recv[i * BLOCK..(i + 1) * BLOCK];
+                assert!(
+                    block.iter().all(|&b| b == (m as u64 + r) as u8),
+                    "block {i}"
+                );
+            }
+            Ok(recv.iter().map(|&b| b as u64).sum())
+        }
+        1 => {
+            let mut v = vec![me + r; 4 * BLOCK / 8];
+            comm.allreduce(&mut v, ReduceOp::Sum)?;
+            let sum: u64 = members.iter().map(|&m| m as u64 + r).sum();
+            assert!(v.iter().all(|&x| x == sum), "allreduce, round {round}");
+            Ok(sum)
+        }
+        _ => {
+            let seed = r.wrapping_mul(0x9E37_79B9) + n as u64;
+            let mut buf = vec![if comm.rank() == 0 { seed } else { 0 }; BLOCK / 8];
+            comm.bcast_into(0, &mut buf)?;
+            assert!(buf.iter().all(|&x| x == seed), "bcast, round {round}");
+            Ok(seed)
+        }
+    }
+}
+
+#[test]
+fn a_relayer_dead_between_its_pull_and_its_re_expose_is_shrunk_away() {
+    // 8 ranks on 2 hosts, blocked: every member pulls one block (or its
+    // slice, or its block's partial) off the other host and relays it to
+    // its host-mates. The victim dies at the publish of that relay, after
+    // its cross-host read: its host-mates wait for a relay that never comes,
+    // the others for its own exposure's readers. Every survivor must get
+    // `ProcFailed`, shrink — to an uneven 4/3 split — and finish
+    // byte-identical. Publishes, in order: the allgather's block (1) and
+    // relay (2); the allreduce's vector (3), partial (4) and reduced block
+    // (5); a remote member's bcast relay (6).
+    let roomy = cmpi::mpi::CollTuning::default().shm_arena_bytes;
+    for (victim, kill) in [(5usize, 2u64), (2, 5), (6, 6)] {
+        let config = cxl(8, 2, roomy, HierarchyMode::Off).with_faults(vec![FaultPlan {
+            victim,
+            trigger: FaultTrigger::NthPublish(kill),
+        }]);
+        let label = format!("host-sliced relayer {victim} killed at publish #{kill}");
+        let outcomes = Universe::run_ft(config, |comm| ulfm_loop(comm, 6, host_sliced_round))
+            .unwrap_or_else(|e| panic!("{label}: universe failed: {e}"));
+        let FtOutcome::Killed { reason, .. } = &outcomes[victim] else {
+            panic!("{label}: the victim survived");
+        };
+        assert!(
+            reason.contains(&format!("publish #{kill} ")),
+            "{label}: {reason}"
+        );
+        let survivors: Vec<usize> = (0..8).filter(|&r| r != victim).collect();
+        let mut accs = Vec::new();
+        for (rank, outcome) in outcomes.iter().enumerate().filter(|&(r, _)| r != victim) {
+            let FtOutcome::Survived((acc, membership), _) = outcome else {
+                panic!("{label}: rank {rank} died");
+            };
+            assert_eq!(membership, &survivors, "{label}: rank {rank}");
+            accs.push(*acc);
+        }
+        assert!(accs.windows(2).all(|w| w[0] == w[1]), "{label}: {accs:?}");
+    }
+}
+
 #[test]
 fn ring_collectives_survive_random_kills_tcp() {
     let mut seed = lcg(base_seed() ^ 0x7C9);

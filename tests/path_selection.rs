@@ -1,7 +1,8 @@
 //! Which path a collective takes — the shared window, the two-level host
 //! composition or the flat algorithm — at the boundaries where two of them
-//! are eligible, and which flat algorithm on each side of its crossover
-//! constant, read off the plans the builders produce for every rank. No
+//! are eligible, which flat algorithm on each side of its crossover
+//! constant, and which window shape on each side of the cost walk's
+//! crossovers, read off the plans the builders produce for every rank. No
 //! universe is launched: a plan is a pure function of its inputs.
 
 use cmpi::fabric::cost::CoherenceMode;
@@ -151,11 +152,11 @@ fn allgather_with_a_large_result_and_a_block_that_fits() {
 #[test]
 fn bcast_and_reduce_at_the_slot_size_which_is_also_the_hierarchy_cutoff() {
     let cases = [
-        (SLOT - 1, EIGHT, H::Auto, "shm", "shm"),
+        (SLOT - 1, EIGHT, H::Auto, "shm+hosts", "shm"),
         (SLOT, EIGHT, H::Auto, "hier+binomial", "hier+binomial"),
         (SLOT + 1, EIGHT, H::Auto, "hier+binomial", "hier+binomial"),
         (SLOT - 1, EIGHT, H::Force, "hier+binomial", "hier+binomial"),
-        (SLOT, EIGHT, H::Off, "shm", "shm"),
+        (SLOT, EIGHT, H::Off, "shm+hosts", "shm"),
         (SLOT + 1, EIGHT, H::Off, "scatter-allgather", "binomial"),
         (SLOT - 1, NONE, H::Auto, "scatter-allgather", "binomial"),
         (SLOT, NONE, H::Auto, "hier+binomial", "hier+binomial"),
@@ -232,10 +233,10 @@ fn round_robin_allreduce_stays_flat_where_its_top_exchange_is_same_host() {
         label(EIGHT, CollTuning::default(), &allreduce(MIB)),
         "allreduce/hier+rabenseifner"
     );
-    // Below the cutoff the window takes it either way.
+    // Below the cutoff the window takes it either way, host-sliced.
     assert_eq!(
         label(rr_window, CollTuning::default(), &allreduce(256 * KIB)),
-        "allreduce/shm"
+        "allreduce/shm+hosts"
     );
 }
 
@@ -247,7 +248,7 @@ fn every_data_plane_and_hierarchy_mode() {
     let cases = [
         (H::Auto, EIGHT, "bcast/hier+binomial", "bcast/shm"),
         (H::Auto, NONE, "bcast/hier+binomial", "bcast/binomial"),
-        (H::Off, EIGHT, "bcast/shm", "bcast/shm"),
+        (H::Off, EIGHT, "bcast/shm+hosts", "bcast/shm"),
         (H::Off, NONE, "bcast/scatter-allgather", "bcast/binomial"),
         (
             H::Force,
@@ -369,4 +370,86 @@ fn each_flat_algorithm_takes_over_at_its_crossover_constant() {
     // The alltoall crossover sits where the bench's sweep measured it: Bruck
     // still won at 16 KiB blocks on every rank count, pairwise from 32 KiB.
     assert_eq!(a2a, 16 * KIB);
+}
+
+/// The window shapes of bcast, allgather and allreduce at 8 ranks on 2
+/// hosts: host-sliced from the byte where the cost walk prices it below the
+/// direct (or two-phase) shape, as the model puts it — these bytes are read
+/// off the model, not tuned — and direct a byte before.
+#[test]
+fn host_sliced_shapes_take_over_where_the_walk_prices_them_cheaper() {
+    let off = tuning(H::Off);
+    let rr = Shape {
+        round_robin: true,
+        ..EIGHT
+    };
+    let cases: [(Shape, &Build, &str); 12] = [
+        (EIGHT, &bcast(15_591), "bcast/shm"),
+        (EIGHT, &bcast(15_592), "bcast/shm+hosts"),
+        (EIGHT, &allgather(3_945), "allgather/shm"),
+        (EIGHT, &allgather(3_946), "allgather/shm+hosts"),
+        (EIGHT, &allreduce_of::<u8>(22_736), "allreduce/shm"),
+        (EIGHT, &allreduce_of::<u8>(22_737), "allreduce/shm+hosts"),
+        // Round-robin, a host's members are never neighbours in the group:
+        // its rows span more lines, and the crossovers sit further out.
+        (rr, &bcast(22_626), "bcast/shm"),
+        (rr, &bcast(22_627), "bcast/shm+hosts"),
+        (rr, &allgather(6_953), "allgather/shm"),
+        (rr, &allgather(6_954), "allgather/shm+hosts"),
+        (rr, &allreduce_of::<u8>(37_403), "allreduce/shm"),
+        (rr, &allreduce_of::<u8>(37_404), "allreduce/shm+hosts"),
+    ];
+    for (row, (shape, build, want)) in cases.into_iter().enumerate() {
+        assert_eq!(label(shape, off, build), want, "row {row}");
+    }
+    // The 8-rank payloads of the benchmark's mix: direct at 8 B, host-sliced
+    // at 64 KiB and 256 KiB.
+    for (build, want) in [
+        (bcast(8), "bcast/shm"),
+        (bcast(64 * KIB), "bcast/shm+hosts"),
+        (bcast(256 * KIB), "bcast/shm+hosts"),
+        (allgather(8), "allgather/shm"),
+        (allgather(64 * KIB), "allgather/shm+hosts"),
+        (allreduce(8), "allreduce/shm"),
+        (allreduce(64 * KIB), "allreduce/shm+hosts"),
+        (allreduce(256 * KIB), "allreduce/shm+hosts"),
+    ] {
+        assert_eq!(label(EIGHT, off, &build), want);
+    }
+}
+
+#[test]
+fn one_host_or_one_rank_per_host_never_slices() {
+    // Nothing to slice by on one host; with one rank per host the relay
+    // would only add a phase.
+    let one_host = Shape { hosts: 1, ..EIGHT };
+    let pair = Shape {
+        n: 2,
+        hosts: 2,
+        round_robin: false,
+        window: true,
+    };
+    let spread = Shape {
+        n: 4,
+        hosts: 4,
+        round_robin: true,
+        window: true,
+    };
+    for shape in [one_host, pair, spread] {
+        for bytes in [8, 4 * KIB, 64 * KIB, 256 * KIB] {
+            let what = format!("{} ranks on {} hosts, {bytes} B", shape.n, shape.hosts);
+            let off = tuning(H::Off);
+            assert_eq!(label(shape, off, &bcast(bytes)), "bcast/shm", "{what}");
+            assert_eq!(
+                label(shape, off, &allgather(bytes)),
+                "allgather/shm",
+                "{what}"
+            );
+            assert_eq!(
+                label(shape, off, &allreduce(bytes)),
+                "allreduce/shm",
+                "{what}"
+            );
+        }
+    }
 }
