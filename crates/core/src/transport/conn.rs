@@ -21,12 +21,15 @@
 //!   and bounded per rank by
 //!   [`crate::config::CxlShmTransportConfig::qp_budget`] — per-rank transport
 //!   memory is O(active peers), never O(n). Every message of the pair rides
-//!   it: the frame and a payload of at most [`STREAM_INLINE`] bytes in one flag
-//!   line, a payload up to one slot as one non-temporal stream plus the flag
-//!   line, anything longer as further frame-less segments. There are no
-//!   head/tail words: each flag line carries its own sequence stamp, and the
-//!   reader hands slots back through stamped done entries, half a lap at a
-//!   time.
+//!   it, in the format the window's pricing rule picks for its length: up to
+//!   the stream's stamped maximum, frame and payload as **stamped lines** —
+//!   the flag line and lines at the head of the data slot, each carrying the
+//!   segment's word, one store stream with no flag line behind it (32 bytes
+//!   or less: the flag line alone) — and beyond it a payload up to one slot
+//!   as one non-temporal stream plus the flag line, anything longer as
+//!   further frame-less segments. There are no head/tail words: each flag
+//!   line carries its own sequence stamp, and the reader hands slots back
+//!   through stamped done entries, half a lap at a time.
 //!
 //! ### The atomics deviation
 //!
@@ -52,7 +55,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use cmpi_fabric::SimClock;
-use cxl_shm::slots::{SLOT_CELL_DATA_OFF, SLOT_CELL_INLINE};
+use cxl_shm::slots::{
+    stamped_lines, SLOT_CELL_DATA_OFF, SLOT_CELL_INLINE, SLOT_CELL_SIZE, SLOT_LINE_PAYLOAD,
+};
 use cxl_shm::{CxlShmArena, ShmObject, SlotLayout};
 
 use crate::config::CxlShmTransportConfig;
@@ -60,7 +65,10 @@ use crate::counters::RankCounters;
 use crate::error::MpiError;
 use crate::queue::{CellHeader, QueueGeometry, CELL_HEADER_SIZE};
 use crate::spin::PoisonFlag;
-use crate::transport::cxl::{load_stamped, open_poisoned, spin_flag, store_stamped};
+use crate::transport::cxl::{
+    load_lines, load_stamped, open_poisoned, read_u64, spin_flag, store_stamped, LineWords,
+};
+use crate::transport::{cheaper_format, DpFormat, ExposurePrice};
 use crate::types::{CtxId, Rank, Tag};
 use crate::Result;
 
@@ -453,13 +461,48 @@ impl SrqConsumer {
 // Message stream
 // ---------------------------------------------------------------------------
 
-/// Bytes of a message frame in its first segment's flag line: `ctx`, `tag`,
-/// `total_len` (the source is the pair).
+/// Bytes of a message frame at the head of its first segment's payload area:
+/// `ctx`, `tag`, `total_len` (the source is the pair).
 const FRAME_BYTES: usize = 16;
 
-/// Largest payload that rides in the flag line beside its frame: such a
-/// message is one line store on the sender and one line load on the receiver.
-pub const STREAM_INLINE: usize = SLOT_CELL_INLINE - FRAME_BYTES;
+/// The bit of a frame's `total_len` word that says the message is stamped
+/// lines: the reader takes the format from the frame, not from a rule of its
+/// own.
+const FRAME_STAMPED: u64 = 1 << 63;
+
+/// A message's frame: `ctx`, `tag`, and `total_len` with [`FRAME_STAMPED`]
+/// set when the message is stamped lines.
+fn encode_frame(ctx: CtxId, tag: Tag, total: usize, stamped: bool) -> [u8; FRAME_BYTES] {
+    let mut frame = [0u8; FRAME_BYTES];
+    frame[0..4].copy_from_slice(&ctx.to_le_bytes());
+    frame[4..8].copy_from_slice(&tag.to_le_bytes());
+    let word = total as u64 | if stamped { FRAME_STAMPED } else { 0 };
+    frame[8..16].copy_from_slice(&word.to_le_bytes());
+    frame
+}
+
+/// The frame in `frame`: `(ctx, tag, total_len, stamped)`.
+fn decode_frame(frame: &[u8]) -> (CtxId, Tag, usize, bool) {
+    let word = |at: usize| frame[at..at + 4].try_into().expect("4-byte field");
+    let total = read_u64(frame, 8);
+    (
+        CtxId::from_le_bytes(word(0)),
+        Tag::from_le_bytes(word(4)),
+        (total & !FRAME_STAMPED) as usize,
+        total & FRAME_STAMPED != 0,
+    )
+}
+
+/// What the reader's last peek checked of the segment at the head.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Peeked {
+    /// Nothing: no peek has found it up since the last release.
+    Nothing,
+    /// Its flag line; the payload is in the data slot.
+    Flag,
+    /// Every one of the `k` stamped lines of a message.
+    Lines(usize),
+}
 
 /// One end of a promoted pair's per-direction message stream: a single-writer
 /// [`SlotLayout`] window with the ring's geometry (`cells` slots of
@@ -468,17 +511,27 @@ pub const STREAM_INLINE: usize = SLOT_CELL_INLINE - FRAME_BYTES;
 /// The two ends never share a counter. Each counts the segments it has
 /// published (writer) or consumed (reader) since the stream was created;
 /// segment `k` lives in slot `k % slots` and its flag line holds `k + 1` once
-/// it is up. A message's first segment carries the frame in the flag line's
-/// inline area — with the whole payload beside it when that is at most
-/// [`STREAM_INLINE`] bytes, else with up to one slot of payload in the data
-/// slot — and a longer message continues in frame-less segments: single
-/// writer, FIFO, so the reader always knows which kind comes next. Slots are
-/// handed back [`Stream::batch`] at a time: consuming the last segment of a
-/// batch stores `k + 1` into that slot's done entry, and the writer looks at a
-/// done entry only when it has used up the slots it knows free — it then waits
-/// for exactly the entry that frees the next batch. Every cell pairs its value
-/// with the storing side's virtual time, so whoever had to wait merges exactly
-/// the stamp it waited for, once, however often the host let it retry.
+/// it is up. A message takes one of the window's two formats
+/// ([`crate::transport::DpFormat`]), and says which in its frame:
+///
+/// * up to the stream's stamped maximum ([`Stream::stamped_max`]), frame and
+///   payload are **stamped lines** — the slot's flag line (value, stamp,
+///   frame, the first 32 bytes) and, at the head of the data slot, the lines
+///   of the rest, each beginning with the segment's word — published in one
+///   store stream with no flag line behind it. A message of at most 32 bytes
+///   is the flag line alone;
+/// * anything longer is **slot + flag**: up to one slot of payload streamed
+///   into the data slot, then the flag line with the frame, and a longer
+///   message continues in frame-less segments — single writer, FIFO, so the
+///   reader always knows which kind comes next.
+///
+/// Slots are handed back [`Stream::batch`] at a time: consuming the last
+/// segment of a batch stores `k + 1` into that slot's done entry, and the
+/// writer looks at a done entry only when it has used up the slots it knows
+/// free — it then waits for exactly the entry that frees the next batch. Every
+/// cell pairs its value with the storing side's virtual time, so whoever had
+/// to wait merges exactly the stamp it waited for, once, however often the
+/// host let it retry.
 #[derive(Debug)]
 pub struct Stream {
     obj: ShmObject,
@@ -492,6 +545,14 @@ pub struct Stream {
     /// Reader: the message whose first segment is consumed and whose rest is
     /// still to come — `(ctx, tag, total_len, received)`.
     open: Option<(CtxId, Tag, usize, usize)>,
+    /// The longest payload published as stamped lines, the same on both ends.
+    stamped_max: usize,
+    /// Writer: where it composes the stamped lines it stores. Reader: its
+    /// copy of the lines of the segment at the head, as its last peek loaded
+    /// them.
+    lines: Vec<u8>,
+    /// Reader: what its last peek checked of `lines`.
+    peeked: Peeked,
 }
 
 impl Stream {
@@ -508,7 +569,39 @@ impl Stream {
         Ok(Self::layout(geometry).total_len())
     }
 
-    fn attach(obj: ShmObject, layout: SlotLayout, src: Rank) -> Self {
+    /// The longest payload of one segment whose frame and bytes fit as
+    /// stamped lines into a flag line and a data slot of `slot_bytes` bytes.
+    fn stamped_room(slot_bytes: usize) -> usize {
+        let lines =
+            SLOT_CELL_INLINE - FRAME_BYTES + slot_bytes / SLOT_CELL_SIZE * SLOT_LINE_PAYLOAD;
+        lines.min(slot_bytes)
+    }
+
+    /// The longest payload a stream of `geometry` publishes as stamped lines
+    /// when a message of `len` bytes is priced `price(len)`: the longest that
+    /// fits one segment's flag line and data slot such that it and every
+    /// shorter payload are stamped by [`cheaper_format`] — the window's rule,
+    /// the frame counted in the lines and the flag line the one-line case, so
+    /// a frame and up to 32 bytes always are. Within one count of lines the
+    /// stamped lines cost the same and slot + flag costs more the longer the
+    /// payload, so the first length of each count decides. Each end evaluates
+    /// it once, when it attaches, with the terms the other end uses.
+    pub fn stamped_max<P: ExposurePrice>(
+        geometry: QueueGeometry,
+        price: impl Fn(usize) -> P,
+    ) -> usize {
+        let room = Self::stamped_room(Self::layout(geometry).slot_bytes());
+        let one_line = SLOT_CELL_INLINE - FRAME_BYTES;
+        (one_line + 1..=room)
+            .step_by(SLOT_LINE_PAYLOAD)
+            .find(|&len| {
+                let lines = stamped_lines(FRAME_BYTES + len);
+                cheaper_format(&price(len), len, lines, true) == DpFormat::Slot
+            })
+            .map_or(room, |len| len - 1)
+    }
+
+    fn attach(obj: ShmObject, layout: SlotLayout, src: Rank, stamped_max: usize) -> Self {
         Stream {
             obj,
             layout,
@@ -516,15 +609,21 @@ impl Stream {
             seq: 0,
             credits: layout.slots() as u64,
             open: None,
+            stamped_max: stamped_max.min(Self::stamped_room(layout.slot_bytes())),
+            lines: Vec::new(),
+            peeked: Peeked::Nothing,
         }
     }
 
-    /// Create, format and publish the `src → dst` stream (writer side).
+    /// Create, format and publish the `src → dst` stream (writer side),
+    /// which publishes payloads of up to `stamped_max` bytes — as many as fit
+    /// — as stamped lines.
     pub fn create(
         arena: &CxlShmArena,
         dst: Rank,
         src: Rank,
         geometry: QueueGeometry,
+        stamped_max: usize,
     ) -> Result<Self> {
         let layout = Self::layout(geometry);
         if layout.slot_bytes() == 0 {
@@ -539,17 +638,19 @@ impl Stream {
             obj.nt_store_u64_at(layout.done_off(0, slot) as u64, 0)?;
         }
         obj.nt_store_u64_at(layout.total_len() as u64, CONN_READY_MAGIC)?;
-        Ok(Self::attach(obj, layout, src))
+        Ok(Self::attach(obj, layout, src, stamped_max))
     }
 
-    /// Open the `src → me` stream (reader side). A doorbell bit is only ever
-    /// rung after the sender created, formatted and wrote the stream, so this
-    /// never waits long.
+    /// Open the `src → me` stream (reader side), whose writer publishes
+    /// payloads of up to `stamped_max` bytes as stamped lines. A doorbell bit
+    /// is only ever rung after the sender created, formatted and wrote the
+    /// stream, so this never waits long.
     pub fn open(
         arena: &CxlShmArena,
         me: Rank,
         src: Rank,
         geometry: QueueGeometry,
+        stamped_max: usize,
         poison: &PoisonFlag,
     ) -> Result<Self> {
         let layout = Self::layout(geometry);
@@ -557,7 +658,7 @@ impl Stream {
         spin_flag(&obj, layout.total_len() as u64, poison, |v| {
             v == CONN_READY_MAGIC
         })?;
-        Ok(Self::attach(obj, layout, src))
+        Ok(Self::attach(obj, layout, src, stamped_max))
     }
 
     /// Payload bytes one segment carries (all but a message's last).
@@ -573,6 +674,13 @@ impl Stream {
     /// Segments this end has published (writer) or consumed (reader).
     pub fn seq(&self) -> u64 {
         self.seq
+    }
+
+    /// The stamped lines a message of `len` bytes takes here, if it is
+    /// published as stamped lines — both ends agree on it, so a receive that
+    /// posts `len` bytes knows how many lines any message it can take spans.
+    pub fn stamped_lines(&self, len: usize) -> Option<usize> {
+        (len <= self.stamped_max).then(|| stamped_lines(FRAME_BYTES + len))
     }
 
     /// Segments handed back together: half a lap, so the writer fills one
@@ -614,10 +722,13 @@ impl Stream {
     }
 
     /// Writer: publish the next segment, stamped `ts` — with `frame`
-    /// (`ctx`, `tag`, `total_len`) when it opens a message, whose payload then
-    /// rides in the flag line if it fits; any other payload streams into the
-    /// data slot with non-temporal stores before the flag goes up. The caller
-    /// must have seen [`Stream::reserve`] return `Some`.
+    /// (`ctx`, `tag`, `total_len`) when it opens a message. A message of
+    /// [`Stream::stamped_lines`] goes out as those lines: the rest at the
+    /// head of the data slot, then the flag line, every line's word landing
+    /// after the rest of it. Any other segment streams its payload into the
+    /// data slot with non-temporal stores before the flag line goes up, the
+    /// frame in it when the segment opens a message. The caller must have
+    /// seen [`Stream::reserve`] return `Some`.
     pub fn publish(
         &mut self,
         frame: Option<(CtxId, Tag, usize)>,
@@ -627,31 +738,34 @@ impl Stream {
         debug_assert!(self.credits > 0 && data.len() <= self.layout.slot_bytes());
         let slot = self.slot();
         let flag = self.layout.flag_off(0, slot, 0);
-        let inline = frame.is_some_and(|(.., total)| total <= STREAM_INLINE);
-        if let Some((ctx, tag, total)) = frame {
-            let mut line = [0u8; SLOT_CELL_INLINE];
-            line[0..4].copy_from_slice(&ctx.to_le_bytes());
-            line[4..8].copy_from_slice(&tag.to_le_bytes());
-            line[8..16].copy_from_slice(&(total as u64).to_le_bytes());
-            let mut end = FRAME_BYTES;
-            if inline {
-                end += data.len();
-                line[FRAME_BYTES..end].copy_from_slice(data);
+        let data_off = self.layout.data_off(0, slot) as u64;
+        match frame {
+            Some((ctx, tag, total)) if self.stamped_lines(total).is_some() => {
+                let frame = encode_frame(ctx, tag, total, true);
+                let words = LineWords::stream(self.seq + 1);
+                words.compose(&mut self.lines, ts, &[&frame, data]);
+                let (head, rest) = self.lines.split_at(SLOT_CELL_SIZE);
+                if !rest.is_empty() {
+                    self.obj.nt_store_lines_at(data_off, rest)?;
+                }
+                self.obj.nt_store_lines_at(flag as u64, head)?;
             }
-            self.obj
-                .nt_store_at((flag + SLOT_CELL_DATA_OFF) as u64, &line[..end])?;
+            frame => {
+                if let Some((ctx, tag, total)) = frame {
+                    let frame = encode_frame(ctx, tag, total, false);
+                    self.obj
+                        .nt_store_at((flag + SLOT_CELL_DATA_OFF) as u64, &frame)?;
+                }
+                self.obj.nt_store_at(data_off, data)?;
+                store_stamped(&self.obj, flag, self.seq + 1, ts)?;
+            }
         }
-        if !inline {
-            self.obj
-                .nt_store_at(self.layout.data_off(0, slot) as u64, data)?;
-        }
-        store_stamped(&self.obj, flag, self.seq + 1, ts)?;
         self.seq += 1;
         self.credits -= 1;
         Ok(())
     }
 
-    /// Reader: whether the next segment is up.
+    /// Reader: whether the next segment's flag line is up.
     pub fn has_segment(&self) -> Result<bool> {
         let flag = self.layout.flag_off(0, self.slot(), 0);
         Ok(self.obj.nt_load_u64_at(flag as u64)? > self.seq)
@@ -659,28 +773,46 @@ impl Stream {
 
     /// Reader: the next segment as a cell header — which message it belongs
     /// to, where in it the segment goes, and the writer's publish stamp — or
-    /// `None` while it is not up. Consumes nothing.
-    pub fn peek_header(&self) -> Result<Option<CellHeader>> {
-        let flag = self.layout.flag_off(0, self.slot(), 0);
-        let Some(timestamp) = load_stamped(&self.obj, flag, self.seq + 1)? else {
+    /// `None` while it is not up. A stamped message is up once **every** line
+    /// it takes shows the segment's word: a line still left from an earlier
+    /// lap keeps the whole message out. Consumes nothing; what it loaded and
+    /// checked is what [`Stream::read`] then copies out of, or — the flag
+    /// line — what vouches for the data slot.
+    pub fn peek_header(&mut self) -> Result<Option<CellHeader>> {
+        self.peeked = Peeked::Nothing;
+        let slot = self.slot();
+        let value = self.seq + 1;
+        self.lines.resize(SLOT_CELL_SIZE, 0);
+        let flag = self.layout.flag_off(0, slot, 0) as u64;
+        self.obj.nt_load_at(flag, &mut self.lines)?;
+        if read_u64(&self.lines, 0) < value {
             return Ok(None);
-        };
-        let (ctx, tag, total, received) = match self.open {
-            Some(open) => open,
+        }
+        let (ctx, tag, total, received, lines) = match self.open {
+            Some((ctx, tag, total, received)) => (ctx, tag, total, received, None),
             None => {
-                let mut frame = [0u8; FRAME_BYTES];
-                self.obj
-                    .nt_load_at((flag + SLOT_CELL_DATA_OFF) as u64, &mut frame)?;
-                let word = |at: usize| frame[at..at + 4].try_into().expect("4-byte field");
-                let total = u64::from_le_bytes(frame[8..16].try_into().expect("8-byte field"));
-                (
-                    CtxId::from_le_bytes(word(0)),
-                    Tag::from_le_bytes(word(4)),
-                    total as usize,
-                    0,
-                )
+                let frame = &self.lines[SLOT_CELL_DATA_OFF..][..FRAME_BYTES];
+                let (ctx, tag, total, stamped) = decode_frame(frame);
+                if stamped && total > self.stamped_max {
+                    return Err(MpiError::Transport(format!(
+                        "corrupt stream frame: {total} bytes of stamped lines, at most {} fit",
+                        self.stamped_max
+                    )));
+                }
+                let lines = stamped.then(|| stamped_lines(FRAME_BYTES + total));
+                (ctx, tag, total, 0, lines)
             }
         };
+        if let Some(k) = lines.filter(|&k| k > 1) {
+            self.lines.resize(k * SLOT_CELL_SIZE, 0);
+            let at = self.layout.data_off(0, slot) as u64;
+            self.obj.nt_load_at(at, &mut self.lines[SLOT_CELL_SIZE..])?;
+        }
+        let words = LineWords::stream(value);
+        let Some(timestamp) = load_lines(&mut self.lines, words, 0, &mut []) else {
+            return Ok(None);
+        };
+        self.peeked = lines.map_or(Peeked::Flag, Peeked::Lines);
         Ok(Some(CellHeader {
             src: self.src,
             ctx,
@@ -692,10 +824,13 @@ impl Stream {
         }))
     }
 
-    /// Reader: whether the segment `h` (just peeked) carries its payload in
-    /// the flag line.
-    pub fn is_inline(&self, h: &CellHeader) -> bool {
-        self.open.is_none() && h.total_len as usize <= STREAM_INLINE
+    /// Reader: the stamped lines the message at the head takes, as the last
+    /// peek found them up — `None` when its payload is in the data slot.
+    pub fn head_lines(&self) -> Option<usize> {
+        match self.peeked {
+            Peeked::Lines(k) => Some(k),
+            _ => None,
+        }
     }
 
     /// Reader: whether consuming the next segment ends a batch, i.e. whether
@@ -705,17 +840,29 @@ impl Stream {
     }
 
     /// Reader: copy the payload of the segment `h` (just peeked) into
-    /// `dst[..h.chunk_len]`: out of the flag line, or — load fence, then
-    /// non-temporal loads — out of the data slot.
-    pub fn read(&self, h: &CellHeader, dst: &mut [u8]) -> Result<()> {
-        let slot = self.slot();
+    /// `dst[..h.chunk_len]` — out of the stamped lines the peek checked, or,
+    /// behind the flag line it checked, out of the data slot (load fence,
+    /// then non-temporal loads). A segment no peek found up is an error, and
+    /// in debug builds every line the bytes come out of, or the flag line
+    /// that vouches for the slot, must carry the mark that check left: the
+    /// stream's counterpart of a window run's checked lines.
+    pub fn read(&mut self, h: &CellHeader, dst: &mut [u8]) -> Result<()> {
         let dst = &mut dst[..h.chunk_len as usize];
-        if self.is_inline(h) {
-            let at = self.layout.flag_off(0, slot, 0) + SLOT_CELL_DATA_OFF + FRAME_BYTES;
-            self.obj.nt_load_at(at as u64, dst)?;
-        } else {
-            self.obj
-                .nt_load_fenced_at(self.layout.data_off(0, slot) as u64, dst)?;
+        let words = LineWords::stream(self.seq + 1).checked();
+        let checked = match self.peeked {
+            Peeked::Nothing => None,
+            Peeked::Lines(_) => load_lines(&mut self.lines, words, FRAME_BYTES, dst),
+            Peeked::Flag => load_lines(&mut self.lines[..SLOT_CELL_SIZE], words, 0, &mut []),
+        };
+        if checked.is_none() {
+            return Err(MpiError::Transport(format!(
+                "read of segment {} of the stream from rank {} out of lines no peek checked",
+                self.seq, self.src
+            )));
+        }
+        if self.peeked == Peeked::Flag {
+            let at = self.layout.data_off(0, self.slot()) as u64;
+            self.obj.nt_load_fenced_at(at, dst)?;
         }
         Ok(())
     }
@@ -729,6 +876,7 @@ impl Stream {
             store_stamped(&self.obj, done, self.seq + 1, ts)?;
         }
         self.seq += 1;
+        self.peeked = Peeked::Nothing;
         let received = (h.chunk_offset + u64::from(h.chunk_len)) as usize;
         self.open = (received < h.total_len as usize).then_some((
             h.ctx,
@@ -901,12 +1049,14 @@ impl ConnTable {
     /// one (the ordering barrier); otherwise the message simply stays on the
     /// SRQ and promotion retries at the next message. Never blocks. Charges
     /// the stream's format (a flag and a done store per slot, the ready flag)
-    /// to `clock` when promotion happens.
-    pub fn prepare_send(
+    /// to `clock` when promotion happens; `price` prices a message of a given
+    /// length to `dst` for the stream's format rule ([`Stream::stamped_max`]).
+    pub fn prepare_send<P: ExposurePrice>(
         &mut self,
         dst: Rank,
         clock: &mut SimClock,
         nt: f64,
+        price: impl Fn(usize) -> P,
     ) -> Result<&mut TxPeer> {
         let budget_left = self.qps_created < self.qp_budget;
         self.peer_mut(dst)?;
@@ -923,7 +1073,8 @@ impl ConnTable {
                 return Ok(peer); // receiver not caught up yet — stay on the SRQ
             }
         }
-        match Stream::create(&self.arena, dst, self.rank, self.geometry) {
+        let stamped_max = Stream::stamped_max(self.geometry, price);
+        match Stream::create(&self.arena, dst, self.rank, self.geometry, stamped_max) {
             Err(_) => {
                 // Pool exhausted (or a cell below one line): this pair runs
                 // on the SRQ forever. The budget math provisions the full
@@ -973,10 +1124,25 @@ impl ConnTable {
         self.my_db.collect_into(&mut self.pending)
     }
 
-    /// The stream from `sender`, opened on first doorbell discovery.
-    pub fn rx_stream(&mut self, sender: Rank) -> Result<&mut Stream> {
+    /// The stream from `sender`, opened on first doorbell discovery, its
+    /// format rule priced by `price` as the sender priced it
+    /// ([`ConnTable::prepare_send`]).
+    pub fn rx_stream<P: ExposurePrice>(
+        &mut self,
+        sender: Rank,
+        price: impl Fn(usize) -> P,
+    ) -> Result<&mut Stream> {
         if !self.rx.contains_key(&sender) {
-            let stream = Stream::open(&self.arena, self.rank, sender, self.geometry, &self.poison)?;
+            let stamped_max = Stream::stamped_max(self.geometry, price);
+            let (arena, geometry) = (&self.arena, self.geometry);
+            let stream = Stream::open(
+                arena,
+                self.rank,
+                sender,
+                geometry,
+                stamped_max,
+                &self.poison,
+            )?;
             self.rx.insert(sender, stream);
             self.counters.transport.qps_opened.add(1);
         }
@@ -1159,17 +1325,17 @@ mod tests {
         let mut clock = SimClock::new();
         // Two completed messages stay under the threshold: no stream.
         for _ in 0..2 {
-            t1.prepare_send(0, &mut clock, 1.0).unwrap();
+            t1.prepare_send(0, &mut clock, 1.0, free).unwrap();
             t1.note_sent(0, None);
         }
         assert!(t1.peer(0).unwrap().stream.is_none());
         // Third message crosses it (no SRQ tickets pending → no barrier).
-        t1.prepare_send(0, &mut clock, 1.0).unwrap();
+        t1.prepare_send(0, &mut clock, 1.0, free).unwrap();
         assert!(t1.peer(0).unwrap().stream.is_some());
         assert_eq!(t1.counters.transport.qps_established.get(), 1);
         // The budget of 1 is spent: rank 2 never promotes.
         for _ in 0..5 {
-            t1.prepare_send(2, &mut clock, 1.0).unwrap();
+            t1.prepare_send(2, &mut clock, 1.0, free).unwrap();
             t1.note_sent(2, None);
         }
         assert!(t1.peer(2).unwrap().stream.is_none());
@@ -1209,12 +1375,12 @@ mod tests {
         }
         // Threshold 0 would promote immediately — but the receiver has not
         // consumed the ticket, so the pair stays on the SRQ.
-        t1.prepare_send(0, &mut clock, 1.0).unwrap();
+        t1.prepare_send(0, &mut clock, 1.0, free).unwrap();
         assert!(t1.peer(0).unwrap().stream.is_none());
         // Receiver drains; the next message promotes.
         let mut buf = [0u8; 8];
         t0.my_srq.try_dequeue_into(5.0, &mut buf).unwrap().unwrap();
-        t1.prepare_send(0, &mut clock, 1.0).unwrap();
+        t1.prepare_send(0, &mut clock, 1.0, free).unwrap();
         assert!(t1.peer(0).unwrap().stream.is_some());
     }
 
@@ -1244,43 +1410,145 @@ mod tests {
             cell_payload: 128,
             cells: 4,
         };
-        let (a, b) = two_arenas(1 << 20);
-        let poison = PoisonFlag::new();
-        let mut tx = Stream::create(&a, 0, 1, g).unwrap();
-        let mut rx = Stream::open(&b, 0, 1, g, &poison).unwrap();
-        assert_eq!((tx.segment_bytes(), tx.slots(), tx.batch()), (128, 4, 2));
-        assert!(rx.peek_header().unwrap().is_none() && !rx.has_segment().unwrap());
-        let mut buf = [0u8; 300];
-        // Empty, inline, the first size past inline, one slot, several.
-        for (i, len) in [0usize, 1, 32, 33, 128, 129, 300].into_iter().enumerate() {
-            let data: Vec<u8> = (0..len).map(|b| (b * 7 + i) as u8).collect();
-            // At most three segments: they fit the four slots unread.
-            send_all(&mut tx, 7, -3, &data, 10.0 + i as f64);
-            let mut received = 0;
-            loop {
-                let before = rx.peek_header().unwrap().unwrap();
-                assert_eq!(rx.is_inline(&before), len <= STREAM_INLINE, "{len} B");
-                let h = pull(&mut rx, &mut buf, 20.0);
-                assert_eq!((h.src, h.ctx, h.tag, h.total_len), (1, 7, -3, len as u64));
-                assert_eq!(
-                    (h.chunk_offset as usize, h.timestamp),
-                    (received, 10.0 + i as f64)
-                );
-                received += h.chunk_len as usize;
-                if received == len {
-                    break;
+        // Stamped lines for one line only, and for every message they fit.
+        for (k, stamped_max) in [32, usize::MAX].into_iter().enumerate() {
+            let (a, b) = two_arenas(1 << 20);
+            let poison = PoisonFlag::new();
+            let mut tx = Stream::create(&a, 0, 1, g, stamped_max).unwrap();
+            let mut rx = Stream::open(&b, 0, 1, g, stamped_max, &poison).unwrap();
+            assert_eq!((tx.segment_bytes(), tx.slots(), tx.batch()), (128, 4, 2));
+            assert!(rx.peek_header().unwrap().is_none() && !rx.has_segment().unwrap());
+            let mut buf = [0u8; 300];
+            // Empty, one line, two lines, the most that fits, several slots.
+            for (i, len) in [0usize, 1, 32, 33, 88, 89, 128, 129, 300]
+                .into_iter()
+                .enumerate()
+            {
+                let data: Vec<u8> = (0..len).map(|b| (b * 7 + i + k) as u8).collect();
+                let lines = match (k, len) {
+                    (0, 0..=32) | (1, 0..=32) => Some(1),
+                    (1, 33..=88) => Some(2),
+                    (1, 89..=128) => Some(3),
+                    _ => None,
+                };
+                assert_eq!(tx.stamped_lines(len), lines, "{len} B");
+                // At most three segments: they fit the four slots unread.
+                send_all(&mut tx, 7, -3, &data, 10.0 + i as f64);
+                let mut received = 0;
+                loop {
+                    rx.peek_header().unwrap().unwrap();
+                    let head = rx.head_lines();
+                    assert_eq!(head, lines.filter(|_| received == 0), "{len} B");
+                    let h = pull(&mut rx, &mut buf, 20.0);
+                    assert_eq!((h.src, h.ctx, h.tag, h.total_len), (1, 7, -3, len as u64));
+                    assert_eq!(
+                        (h.chunk_offset as usize, h.timestamp),
+                        (received, 10.0 + i as f64)
+                    );
+                    received += h.chunk_len as usize;
+                    if received == len {
+                        break;
+                    }
                 }
+                assert_eq!(buf[..len], data[..], "{len} B");
+                assert!(rx.peek_header().unwrap().is_none());
             }
-            assert_eq!(buf[..len], data[..], "{len} B");
-            assert!(rx.peek_header().unwrap().is_none());
+            assert_eq!(tx.seq(), rx.seq());
+            // A cell below one cache line leaves no room for a slot.
+            let tiny = QueueGeometry {
+                cell_payload: 32,
+                cells: 2,
+            };
+            assert!(Stream::create(&a, 2, 3, tiny, stamped_max).is_err());
         }
-        assert_eq!(tx.seq(), rx.seq());
-        // A cell below one cache line leaves no room for a slot.
-        let tiny = QueueGeometry {
-            cell_payload: 32,
+    }
+
+    /// Prices under which stamped lines win wherever they fit.
+    fn free(_: usize) -> Linear {
+        Linear {
+            per_byte: 0.0,
+            line: 0.0,
+        }
+    }
+
+    /// Prices under which a message of `len` bytes is `per_byte` ns a byte
+    /// to publish and to read, plus a line of `line` ns for each flag line.
+    struct Linear {
+        per_byte: f64,
+        line: f64,
+    }
+
+    impl ExposurePrice for Linear {
+        fn publish(&self, streamed: usize, flag: bool) -> cmpi_fabric::clock::SimNs {
+            streamed as f64 * self.per_byte + f64::from(u8::from(flag)) * self.line
+        }
+
+        fn flag_line(&self) -> cmpi_fabric::clock::SimNs {
+            self.line
+        }
+
+        fn read(&self, behind_flag: bool, bytes: usize) -> cmpi_fabric::clock::SimNs {
+            self.publish(bytes, behind_flag)
+        }
+    }
+
+    #[test]
+    fn the_stamped_maximum_is_where_a_flag_line_stops_paying_for_the_line_words() {
+        let g = |cell_payload| QueueGeometry {
+            cell_payload,
+            cells: 4,
+        };
+        let price = |line| {
+            move |_| Linear {
+                per_byte: 1.0,
+                line,
+            }
+        };
+        // Free flag lines: slot + flag always wins past the flag line itself.
+        assert_eq!(Stream::stamped_max(g(1024), price(0.0)), 32);
+        // The shortest message of k ≥ 2 lines carries 8k + 79 bytes beyond
+        // its payload (line words, frame, padding), on each side; a flag line
+        // of 160 byte-times pays for them up to k = 10.
+        let max = Stream::stamped_max(g(1024), price(160.0));
+        assert_eq!(max, 32 + 9 * 56, "the last length before 11 lines");
+        // Dear flag lines: everything that fits, which a slot bounds.
+        assert_eq!(Stream::stamped_max(g(1024), price(1e9)), 32 + 16 * 56);
+        assert_eq!(Stream::stamped_max(g(128), price(1e9)), 128);
+    }
+
+    #[test]
+    fn a_torn_message_is_neither_peeked_nor_read() {
+        let g = QueueGeometry {
+            cell_payload: 256,
             cells: 2,
         };
-        assert!(Stream::create(&a, 2, 3, tiny).is_err());
+        let (a, b) = two_arenas(1 << 20);
+        let mut tx = Stream::create(&a, 0, 1, g, usize::MAX).unwrap();
+        let mut rx = Stream::open(&b, 0, 1, g, usize::MAX, &PoisonFlag::new()).unwrap();
+        let mut buf = [0u8; 200];
+        // A lap of four-line messages, read, then the next one into slot 0.
+        let data = |k: u8| [k; 200];
+        for k in 0..2 {
+            send_all(&mut tx, 0, 1, &data(k), 1.0);
+            pull(&mut rx, &mut buf, 2.0);
+        }
+        // Line 2 of slot 0 — the second in its data slot — keeps the
+        // previous lap's word.
+        let line = (rx.layout.data_off(0, 0) + SLOT_CELL_SIZE) as u64;
+        let stale = tx.obj.nt_load_u64_at(line).unwrap();
+        send_all(&mut tx, 0, 1, &data(2), 3.0);
+        let now = tx.obj.nt_load_u64_at(line).unwrap();
+        assert_ne!(now, stale);
+        tx.obj.nt_store_u64_at(line, stale).unwrap();
+        assert!(rx.has_segment().unwrap(), "its flag line is up");
+        assert_eq!(rx.peek_header().unwrap(), None, "but not the message");
+        let h = hdr(1, 200, 0, 200, 3.0);
+        assert!(rx.read(&h, &mut buf).is_err(), "no peek found it up");
+        assert_eq!(buf, data(1), "nothing was copied");
+        // Rewritten, the line lets the whole message through.
+        tx.obj.nt_store_u64_at(line, now).unwrap();
+        let h = pull(&mut rx, &mut buf, 4.0);
+        assert_eq!((h.total_len, h.timestamp, buf), (200, 3.0, data(2)));
     }
 
     #[test]
@@ -1290,8 +1558,8 @@ mod tests {
             cells: 4,
         };
         let (a, b) = two_arenas(1 << 20);
-        let mut tx = Stream::create(&a, 0, 1, g).unwrap();
-        let mut rx = Stream::open(&b, 0, 1, g, &PoisonFlag::new()).unwrap();
+        let mut tx = Stream::create(&a, 0, 1, g, usize::MAX).unwrap();
+        let mut rx = Stream::open(&b, 0, 1, g, usize::MAX, &PoisonFlag::new()).unwrap();
         let mut buf = [0u8; 8];
         // The first lap needs no done entry at all.
         for k in 0..4u8 {
@@ -1355,12 +1623,12 @@ mod tests {
             let mut t1 =
                 ConnTable::new(1, 2, b, g, &config, poison.clone(), Arc::default()).unwrap();
             let before = clock.now();
-            let promoted = t1.prepare_send(0, &mut clock, 1.0).unwrap();
+            let promoted = t1.prepare_send(0, &mut clock, 1.0, free).unwrap();
             assert_eq!(promoted.stream.is_some(), expect_stream);
             assert_eq!(promoted.srq_sticky, !expect_stream);
             let format_cost = clock.now() - before;
             // Asking again neither retries nor charges.
-            t1.prepare_send(0, &mut clock, 1.0).unwrap();
+            t1.prepare_send(0, &mut clock, 1.0, free).unwrap();
             assert_eq!(clock.now() - before, format_cost);
             let counters = t1.counters.transport.snapshot();
             if expect_stream {

@@ -11,9 +11,15 @@
 //!   the promotion threshold, get one [`Stream`] behind the doorbell of
 //!   [`super::conn`], so per-rank state is O(active peers) and an idle poll
 //!   costs O(1) instead of a ranks-wide sweep. Every message of a promoted
-//!   pair rides its stream: frame and a payload of at most
-//!   [`STREAM_INLINE`] bytes in one stamped flag line, anything longer
-//!   streamed into the slots with non-temporal stores. The receive path is
+//!   pair rides its stream, in one of the window's two formats, whichever
+//!   the one pricing rule ([`crate::transport::cheaper_format`]) finds
+//!   cheaper for its length: frame and payload as **stamped lines** — the
+//!   flag line, then lines at the head of the data slot, every one carrying
+//!   the segment's word, out in one store stream — or, longer, the payload
+//!   streamed into the slots with non-temporal stores behind a flag line. A
+//!   receive that names the sender and posts a buffer no longer than the
+//!   stream's stamped maximum takes the head with one gathered read; every
+//!   other read loads the flag line, then the rest. The receive path is
 //!   one body over a private `Ring` enum, whichever of the three it drains,
 //!   and cells — eager ring or shared receive queue — are published by one
 //!   loop over its send-side mirror;
@@ -52,10 +58,10 @@ use crate::queue::{CellHeader, QueueGeometry, QueueMatrix, SpscQueue, CELL_HEADE
 use crate::rma::layout::WINDOW_READY_MAGIC;
 use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{PoisonFlag, SpinWait};
-use crate::transport::conn::{ConnTable, SrqConsumer, SrqProducer, Stream, STREAM_INLINE};
+use crate::transport::conn::{ConnTable, SrqConsumer, SrqProducer, Stream};
 use crate::transport::{
     no_data_plane, raises_flag, DataPlaneSection, DpCost, DpFormat, DpGather, DpPiece, DpReaders,
-    DpSource, DpWindow, FaultInjector, RecvDest, Transport, WinId,
+    DpSource, DpWindow, ExposurePrice, FaultInjector, RecvDest, Transport, WinId,
 };
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
@@ -306,8 +312,8 @@ pub(crate) fn load_stamped(obj: &ShmObject, off: usize, at_least: u64) -> Result
 
 /// Tag of the sequence word of a stamped line in a data slot. A slot's bytes
 /// are anybody's before its writer stores there — an earlier collective's
-/// payload, a freed RMA window's data — so a reader accepts exactly the word
-/// it awaits, and the tag keeps a stray payload word from being it.
+/// payload or message, a freed RMA window's data — so a reader accepts exactly
+/// the word it awaits, and the tag keeps a stray payload word from being it.
 const DP_LINE_TAG: u64 = 0x5354_4d50 << 33;
 
 /// What a reader awaits in the first word of every line of a stamped
@@ -329,8 +335,13 @@ impl Awaited {
         let value = u64::from(seq) + 1;
         match in_row {
             true => Awaited::AtLeast(value),
-            false => Awaited::Exactly(DP_LINE_TAG | value),
+            false => Awaited::in_slot(value),
         }
+    }
+
+    /// What a stamped line of sequence value `value` carries in a data slot.
+    fn in_slot(value: u64) -> Self {
+        Awaited::Exactly(DP_LINE_TAG ^ value)
     }
 
     /// What a read of a run awaits in lines the run's acquire has already
@@ -357,39 +368,103 @@ impl Awaited {
     }
 }
 
-/// Store `payload` as the stamped lines at `off`, composed in `image`: the
-/// first line holds the stamp `ts` and [`cxl_shm::slots::SLOT_CELL_INLINE`]
-/// bytes, every further one [`cxl_shm::slots::SLOT_LINE_PAYLOAD`], and each
-/// line's first word is `word`. Every line goes out as one 64-byte direct
-/// store, its word landing after the rest of it, so that whoever loads the
-/// word finds what was stored beside it. With a payload of at most one line at a flag line's offset this
-/// is the flag line with what it carries; with none, the stamped value alone
-/// (a barrier's arrival).
+/// What the first word of each line of one stamped exposure carries: `head`
+/// in its first line, `rest` in every further one. An exposure of a window
+/// has one word in all of them; a stream message's first line is its
+/// segment's flag line, and its further ones lie in the data slot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LineWords {
+    head: Awaited,
+    rest: Awaited,
+}
+
+impl LineWords {
+    /// One word in every line.
+    fn all(awaited: Awaited) -> Self {
+        LineWords {
+            head: awaited,
+            rest: awaited,
+        }
+    }
+
+    /// The lines of a stream's segment `value` (its sequence number plus
+    /// one): the flag line, whose value only grows, then lines in the data
+    /// slot.
+    pub(crate) fn stream(value: u64) -> Self {
+        LineWords {
+            head: Awaited::AtLeast(value),
+            rest: Awaited::in_slot(value),
+        }
+    }
+
+    /// [`Awaited::checked`], for every line.
+    pub(crate) fn checked(self) -> Self {
+        LineWords {
+            head: self.head.checked(),
+            rest: self.rest.checked(),
+        }
+    }
+
+    /// What line `i` of the exposure carries.
+    fn line(&self, i: usize) -> Awaited {
+        match i {
+            0 => self.head,
+            _ => self.rest,
+        }
+    }
+
+    /// Compose in `image` the stamped lines of a payload that is `parts`, one
+    /// after another: the first line holds the stamp `ts` and
+    /// [`cxl_shm::slots::SLOT_CELL_INLINE`] bytes, every further one
+    /// [`cxl_shm::slots::SLOT_LINE_PAYLOAD`], and each line's first word is
+    /// what it carries.
+    pub(crate) fn compose(self, image: &mut Vec<u8>, ts: f64, parts: &[&[u8]]) {
+        let len = parts.iter().map(|part| part.len()).sum();
+        image.clear();
+        image.resize(stamped_lines(len) * SLOT_CELL_SIZE, 0);
+        for (i, line) in image.chunks_exact_mut(SLOT_CELL_SIZE).enumerate() {
+            line[..8].copy_from_slice(&self.line(i).word().to_le_bytes());
+        }
+        image[SLOT_CELL_TS_OFF..SLOT_CELL_DATA_OFF].copy_from_slice(&ts.to_bits().to_le_bytes());
+        let mut off = 0;
+        for bytes in parts {
+            for (at, part) in image_parts(1, off, bytes.len()) {
+                image[at..at + part.len()].copy_from_slice(&bytes[part]);
+            }
+            off += bytes.len();
+        }
+    }
+}
+
+/// Store `payload` as the stamped lines at `off`, every one carrying what
+/// `awaited` waits for, composed in `image` ([`LineWords::compose`]); each
+/// line goes out as one 64-byte direct store, its word landing after the rest
+/// of it, so that whoever loads the word finds what was stored beside it.
+/// With a payload of at most one line at a flag line's offset this is the
+/// flag line with what it carries; with none, the stamped value alone (a
+/// barrier's arrival).
 fn store_lines(
     obj: &ShmObject,
     off: usize,
-    word: u64,
+    awaited: Awaited,
     ts: f64,
     payload: &[u8],
     image: &mut Vec<u8>,
 ) -> Result<()> {
-    image.clear();
-    image.resize(stamped_lines(payload.len()) * SLOT_CELL_SIZE, 0);
-    for line in image.chunks_exact_mut(SLOT_CELL_SIZE) {
-        line[..8].copy_from_slice(&word.to_le_bytes());
-    }
-    image[SLOT_CELL_TS_OFF..SLOT_CELL_DATA_OFF].copy_from_slice(&ts.to_bits().to_le_bytes());
-    for (at, part) in image_parts(0, payload.len()) {
-        image[at..at + part.len()].copy_from_slice(&payload[part]);
-    }
+    LineWords::all(awaited).compose(image, ts, &[payload]);
     Ok(obj.nt_store_lines_at(off as u64, image)?)
 }
 
 /// Where bytes `off..off + len` of a stamped exposure lie in an image of its
-/// first line followed by the lines that hold them ([`stamped_span`]): `(at,
-/// part)` for each run of them that shares a line, `part` relative to `off`.
-fn image_parts(off: usize, len: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
-    let first = stamped_span(off, len).start;
+/// first line followed by its lines from line `first` on: `(at, part)` for
+/// each run of them that shares a line, `part` relative to `off`. A reader's
+/// image of the range starts at its [`stamped_span`]; a whole exposure's at
+/// line 1.
+fn image_parts(
+    first: usize,
+    off: usize,
+    len: usize,
+) -> impl Iterator<Item = (usize, Range<usize>)> {
     let mut done = 0;
     std::iter::from_fn(move || {
         (done < len).then(|| {
@@ -405,14 +480,19 @@ fn image_parts(off: usize, len: usize) -> impl Iterator<Item = (usize, Range<usi
 /// Check-and-copy, the reader's half of [`store_lines`]. `image` is this
 /// rank's copy of a stamped exposure's first line followed by the lines that
 /// hold bytes `off..off + out.len()` ([`stamped_span`]). Every line's word
-/// is checked before a byte is taken: unless each shows `awaited`, nothing is
-/// copied and `None` returned — a line behind, or one of another exposure,
-/// never reaches `out`. Otherwise the bytes are copied out and the first
-/// line's stamp returned; in debug builds every line checked is left marked
-/// [`ROW_CHECKED`].
-fn load_lines(image: &mut [u8], awaited: Awaited, off: usize, out: &mut [u8]) -> Option<f64> {
-    let lines = || image.chunks_exact(SLOT_CELL_SIZE);
-    if !lines().all(|line| awaited.shown_by(read_u64(line, 0))) {
+/// is checked before a byte is taken: unless each shows what `words` awaits
+/// in it, nothing is copied and `None` returned — a line behind, or one of
+/// another exposure, never reaches `out`. Otherwise the bytes are copied out
+/// and the first line's stamp returned; in debug builds every line checked is
+/// left marked [`ROW_CHECKED`].
+pub(crate) fn load_lines(
+    image: &mut [u8],
+    words: LineWords,
+    off: usize,
+    out: &mut [u8],
+) -> Option<f64> {
+    let mut lines = image.chunks_exact(SLOT_CELL_SIZE).enumerate();
+    if !lines.all(|(i, line)| words.line(i).shown_by(read_u64(line, 0))) {
         return None;
     }
     let stamp = f64::from_bits(read_u64(image, SLOT_CELL_TS_OFF));
@@ -421,7 +501,8 @@ fn load_lines(image: &mut [u8], awaited: Awaited, off: usize, out: &mut [u8]) ->
             line[..8].copy_from_slice(&ROW_CHECKED.to_le_bytes());
         }
     }
-    for (at, part) in image_parts(off, out.len()) {
+    let first = stamped_span(off, out.len()).start;
+    for (at, part) in image_parts(first, off, out.len()) {
         out[part.clone()].copy_from_slice(&image[at..at + part.len()]);
     }
     Some(stamp)
@@ -520,7 +601,7 @@ fn reached(line: &[u8], entries: usize, owed: u64) -> Option<f64> {
 }
 
 /// The little-endian `u64` at `off` of a loaded control line.
-fn read_u64(line: &[u8], off: usize) -> u64 {
+pub(crate) fn read_u64(line: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(line[off..off + 8].try_into().expect("eight bytes"))
 }
 
@@ -617,11 +698,16 @@ enum ConnState {
 }
 
 impl ConnState {
-    /// The ring from `sender` (its stream opened on first use in lazy mode).
-    fn rx_ring(&mut self, sender: Rank) -> Result<Ring<'_>> {
+    /// The ring from `sender` (its stream opened on first use in lazy mode,
+    /// its format rule priced by `price`).
+    fn rx_ring<P: ExposurePrice>(
+        &mut self,
+        sender: Rank,
+        price: impl Fn(usize) -> P,
+    ) -> Result<Ring<'_>> {
         match self {
             ConnState::Eager { rx, .. } => Ok(Ring::Cells(&rx[sender])),
-            ConnState::Lazy(t) => t.rx_stream(sender).map(Ring::Stream),
+            ConnState::Lazy(t) => t.rx_stream(sender, price).map(Ring::Stream),
         }
     }
 
@@ -647,8 +733,9 @@ enum Ring<'a> {
 }
 
 impl Ring<'_> {
-    /// The header of the next cell or segment, if one is up. Free.
-    fn peek_header(&self) -> Result<Option<CellHeader>> {
+    /// The header of the next cell or segment, if one is up (a stream's
+    /// message once every line it takes is). Free.
+    fn peek_header(&mut self) -> Result<Option<CellHeader>> {
         match self {
             Ring::Cells(queue) => queue.peek_header(),
             Ring::Srq(srq) => srq.peek_header(),
@@ -658,13 +745,20 @@ impl Ring<'_> {
 
     /// Consume the cell or segment `h` (just peeked) into `dst[..h.chunk_len]`:
     /// merge its publish stamp, charge the read, free the cell or slot.
+    /// `posted` is the length of the buffer a receive that names this ring's
+    /// sender posted for the message `h` opens: on a stream whose messages of
+    /// that length are stamped lines, the receive takes the head with one
+    /// gathered read of as many lines as such a message can take, whatever
+    /// this one takes — and says so by returning `true` when that was more
+    /// than one line. Any other read loads the flag line, then the rest.
     fn consume(
         &mut self,
         h: &CellHeader,
         charge: &Charge,
         clock: &mut SimClock,
         dst: &mut [u8],
-    ) -> Result<()> {
+        posted: Option<usize>,
+    ) -> Result<bool> {
         let (len, total) = (h.chunk_len as usize, h.total_len as usize);
         let cell = match self {
             Ring::Cells(queue) => queue.try_dequeue_into(clock.now(), dst)?,
@@ -672,16 +766,29 @@ impl Ring<'_> {
             Ring::Stream(stream) => {
                 clock.merge(h.timestamp);
                 stream.read(h, dst)?;
-                // The flag line, and the done entry that ends a batch.
-                let ctl_lines = if stream.ends_batch() { 2.0 } else { 1.0 };
-                charge.segment_pull(clock, len, total, stream.is_inline(h), ctl_lines);
-                return stream.release(h, clock.now());
+                let head = stream.head_lines();
+                let gathered = posted
+                    .and_then(|n| stream.stamped_lines(n))
+                    .filter(|_| head.is_some());
+                // What came off the device beside the done entry that ends a
+                // batch: one gathered read, the one line that is the whole
+                // message, or the flag line and then the rest.
+                let (streamed, lines) = match (gathered, head) {
+                    (Some(1), _) | (None, Some(1)) => (0, 1),
+                    (Some(k), _) => (k * SLOT_CELL_SIZE, 0),
+                    (None, Some(k)) => ((k - 1) * SLOT_CELL_SIZE, 1),
+                    (None, None) => (len, 1),
+                };
+                let lines = lines + usize::from(stream.ends_batch());
+                clock.advance(charge.segment_pull(streamed, total, lines));
+                stream.release(h, clock.now())?;
+                return Ok(gathered.is_some_and(|k| k > 1));
             }
         };
         debug_assert_eq!(cell.map(|c| c.chunk_offset), Some(h.chunk_offset));
         clock.merge(h.timestamp);
         charge.chunk_read(clock, len + CELL_HEADER_SIZE, total);
-        Ok(())
+        Ok(false)
     }
 }
 
@@ -761,42 +868,54 @@ impl Charge {
         clock.advance(self.throttled(ideal, bytes, msg_bytes));
     }
 
-    /// A stream segment publish: `ctl_lines` control lines — the flag line,
-    /// and the done line the writer loads when it has lapped — plus, unless
-    /// the payload rides `inline` in the flag line, the non-temporal store
-    /// stream + fence into the data slot.
-    fn segment_publish(
-        &self,
-        clock: &mut SimClock,
-        bytes: usize,
-        msg_bytes: usize,
-        inline: bool,
-        ctl_lines: f64,
-    ) {
-        let stream = match inline {
-            true => 0.0,
-            false => self.cost.streamed_publish(bytes, self.mode),
+    /// A stream segment publish: `streamed` bytes in one non-temporal store
+    /// stream + fence into the data slot — none when there are none — and
+    /// `lines` single control lines: the flag line unless the segment is
+    /// stamped lines in the slot, and the done line the writer loads when it
+    /// has lapped.
+    fn segment_publish(&self, streamed: usize, msg_bytes: usize, lines: usize) -> SimNs {
+        let stream = match streamed {
+            0 => 0.0,
+            bytes => self.cost.streamed_publish(bytes, self.mode),
         };
-        let ideal = stream + ctl_lines * self.cost.nt_access();
-        clock.advance(self.throttled(ideal, bytes, msg_bytes));
+        let ideal = stream + lines as f64 * self.cost.nt_access();
+        self.throttled(ideal, streamed, msg_bytes)
     }
 
-    /// A stream segment pull; see [`Self::segment_publish`]. Its second
-    /// control line is the done entry stored at the end of a batch.
-    fn segment_pull(
-        &self,
-        clock: &mut SimClock,
-        bytes: usize,
-        msg_bytes: usize,
-        inline: bool,
-        ctl_lines: f64,
-    ) {
-        let stream = match inline {
-            true => 0.0,
-            false => self.cost.streamed_read(bytes, self.mode),
+    /// A stream segment pull; see [`Self::segment_publish`]. Its control
+    /// lines are the flag line, unless one gathered read took the segment's
+    /// stamped lines, and the done entry stored at the end of a batch.
+    fn segment_pull(&self, streamed: usize, msg_bytes: usize, lines: usize) -> SimNs {
+        let stream = match streamed {
+            0 => 0.0,
+            bytes => self.cost.streamed_read(bytes, self.mode),
         };
-        let ideal = stream + ctl_lines * self.cost.nt_access();
-        clock.advance(self.throttled(ideal, bytes, msg_bytes));
+        let ideal = stream + lines as f64 * self.cost.nt_access();
+        self.throttled(ideal, streamed, msg_bytes)
+    }
+}
+
+/// A message of `msg` bytes on a promoted pair's stream, priced as the
+/// transport charges it (`charge`, at the universe's default crowd): what
+/// the stream's format choice compares ([`Stream::stamped_max`]).
+struct MessagePrice {
+    charge: Charge,
+    msg: usize,
+}
+
+impl ExposurePrice for MessagePrice {
+    fn publish(&self, streamed: usize, flag: bool) -> SimNs {
+        self.charge
+            .segment_publish(streamed, self.msg, usize::from(flag))
+    }
+
+    fn flag_line(&self) -> SimNs {
+        self.charge.segment_pull(0, self.msg, 1)
+    }
+
+    fn read(&self, behind_flag: bool, bytes: usize) -> SimNs {
+        self.charge
+            .segment_pull(bytes, self.msg, usize::from(behind_flag))
     }
 }
 
@@ -1034,6 +1153,23 @@ impl CxlTransport {
         self.host_of[peer] == self.host_of[self.rank]
     }
 
+    /// The contention crowd every rank assumes before any concurrency hint:
+    /// half the ranks.
+    fn default_pairs(&self) -> usize {
+        (self.ranks / 2).max(1)
+    }
+
+    /// What a message of a given length to or from `peer` costs, at the
+    /// default crowd rather than this rank's live hint: both ends of a stream
+    /// price its format alike.
+    fn message_price(&self, peer: Rank) -> impl Fn(usize) -> MessagePrice {
+        let charge = Charge {
+            active_pairs: self.default_pairs(),
+            ..self.charge_for(peer)
+        };
+        move |msg| MessagePrice { charge, msg }
+    }
+
     /// The cost terms of two-sided traffic with `peer`.
     fn charge_for(&self, peer: Rank) -> Charge {
         let same_host = self.same_host(peer);
@@ -1216,18 +1352,22 @@ impl CxlTransport {
     /// head of `sender`'s ring straight into `dst` (which must hold the whole
     /// message), cell by cell or segment by segment at their offsets. Merges
     /// timestamps, charges each read, and waits for the remainder of a
-    /// message still being published.
+    /// message still being published. `posted`: the receive named `sender`
+    /// and posted `dst` ([`Ring::consume`]).
     fn drain_message_into(
         &mut self,
         clock: &mut SimClock,
         sender: Rank,
         first: &CellHeader,
         dst: &mut [u8],
+        posted: bool,
     ) -> Result<()> {
         let total = first.total_len as usize;
         debug_assert!(dst.len() >= total);
         let charge = self.charge_for(sender);
-        let mut ring = self.conn.rx_ring(sender)?;
+        let price = self.message_price(sender);
+        let mut ring = self.conn.rx_ring(sender, price)?;
+        let mut posted = posted.then_some(dst.len());
         let mut backoff = SpinWait::new();
         let (mut next, mut received) = (Some(*first), 0usize);
         loop {
@@ -1243,7 +1383,10 @@ impl CxlTransport {
                 continue;
             };
             debug_assert_eq!((h.src, h.ctx), (first.src, first.ctx));
-            ring.consume(&h, &charge, clock, &mut dst[h.chunk_offset as usize..])?;
+            let dst = &mut dst[h.chunk_offset as usize..];
+            if ring.consume(&h, &charge, clock, dst, posted.take())? {
+                self.counters.transport.stamped_reads.add(1);
+            }
             backoff.reset();
             received += h.chunk_len as usize;
             if received >= total {
@@ -1274,7 +1417,7 @@ impl CxlTransport {
             ChunkAssembler::with_buffer(h.src, h.ctx, h.tag, total, pool.take(total))
         });
         let dst = asm.chunk_target(h.chunk_offset as usize, h.chunk_len as usize);
-        ring.consume(h, charge, clock, dst)?;
+        ring.consume(h, charge, clock, dst, None)?;
         asm.commit_chunk(h.chunk_len as usize, clock.now());
         Ok(if asm.is_complete() { part.take() } else { None })
     }
@@ -1302,7 +1445,8 @@ impl CxlTransport {
     fn pump_queue(&mut self, clock: &mut SimClock, sender: Rank) -> Result<Option<PendingMessage>> {
         self.counters.transport.ring_probes.add(1);
         let charge = self.charge_for(sender);
-        let mut ring = self.conn.rx_ring(sender)?;
+        let price = self.message_price(sender);
+        let mut ring = self.conn.rx_ring(sender, price)?;
         let part = &mut self.partial_rx[sender];
         while let Some(h) = ring.peek_header()? {
             if let Some(done) =
@@ -1380,8 +1524,9 @@ impl CxlTransport {
         if self.partial_rx[sender].is_some() {
             return Ok(());
         }
+        let price = self.message_price(sender);
         let table = self.conn.lazy();
-        if !table.rx_stream(sender)?.has_segment()? {
+        if !table.rx_stream(sender, price)?.has_segment()? {
             table.pending.remove(&sender);
         }
         Ok(())
@@ -1476,7 +1621,8 @@ impl CxlTransport {
                 }
             }
             self.counters.transport.ring_probes.add(1);
-            let Some(first) = self.conn.rx_ring(sender)?.peek_header()? else {
+            let price = self.message_price(sender);
+            let Some(first) = self.conn.rx_ring(sender, price)?.peek_header()? else {
                 return Ok(None);
             };
             if !Self::header_matches(&first, ctx, src, tag) {
@@ -1492,6 +1638,7 @@ impl CxlTransport {
             }
             let total = first.total_len as usize;
             let status = Status::new(first.src, first.tag, total);
+            let posted = matches!(dest, RecvDest::Slice(_)) && src.is_some();
             let buf = match dest {
                 RecvDest::Probe => return Ok(Some(status)),
                 RecvDest::Slice(buf) if total > buf.len() => {
@@ -1522,7 +1669,7 @@ impl CxlTransport {
             // Direct path: cells or segments land in the destination, with
             // no staging copy. Waits for the remainder of a matching message
             // mid-publication — safe for the same reason.
-            self.drain_message_into(clock, sender, &first, buf)?;
+            self.drain_message_into(clock, sender, &first, buf, posted)?;
             self.counters.transport.msgs_received.add(1);
             self.counters.transport.bytes_received.add(total as u64);
             clock.advance(self.cost.mpi_overhead());
@@ -1641,6 +1788,7 @@ impl Transport for CxlTransport {
         let nt = self.cost.nt_access();
         let total = data.len();
         let charge = self.charge_for(dst);
+        let price = self.message_price(dst);
         // A promoted lazy pair sends through its stream, right here; an eager
         // pair and a cold lazy pair give the cell loop below their ring.
         let ring = 'route: {
@@ -1649,7 +1797,7 @@ impl Transport for CxlTransport {
                 ConnState::Lazy(table) => table,
             };
             let peer = match *cursor {
-                0 => table.prepare_send(dst, clock, nt)?,
+                0 => table.prepare_send(dst, clock, nt, price)?,
                 // Mid-message the route is settled: a pair is only promoted
                 // at message entry, and nothing starts a message toward a
                 // peer while another is mid-flight to it.
@@ -1660,7 +1808,8 @@ impl Transport for CxlTransport {
             };
             let segment = stream.segment_bytes();
             let segments = total.div_ceil(segment).max(1);
-            let inline = total <= STREAM_INLINE;
+            // Stamped lines are never longer than one segment.
+            let stamped = stream.stamped_lines(total);
             while *cursor < segments {
                 let Some(lapped) = stream.reserve()? else {
                     return Ok(false);
@@ -1680,17 +1829,23 @@ impl Transport for CxlTransport {
                         f.on_publish()?;
                     }
                 }
-                // The flag line; lapped, the done line that freed the slot.
-                let mut ctl_lines = 1.0;
+                // Lapped: the done line that freed the slot.
                 if let Some(freed_at) = lapped {
                     if freed_at > clock.now() {
                         self.counters.transport.rdv_stalls.add(1);
                     }
                     clock.merge(freed_at);
-                    ctl_lines = 2.0;
                 }
                 let part = &data[*cursor * segment..((*cursor + 1) * segment).min(total)];
-                charge.segment_publish(clock, part.len(), total, inline, ctl_lines);
+                // The stamped lines in one store stream, or the one line that
+                // is the whole message; else the payload and the flag line.
+                let (streamed, lines) = match stamped {
+                    Some(1) => (0, 1),
+                    Some(k) => (k * SLOT_CELL_SIZE, 0),
+                    None => (part.len(), 1),
+                };
+                let lines = lines + usize::from(lapped.is_some());
+                clock.advance(charge.segment_publish(streamed, total, lines));
                 let frame = (*cursor == 0).then_some((ctx, tag, total));
                 stream.publish(frame, part, clock.now())?;
                 if *cursor == 0 {
@@ -1704,6 +1859,9 @@ impl Transport for CxlTransport {
                 self.counters.transport.rdv_msgs.add(1);
                 self.counters.transport.rdv_bytes.add(total as u64);
                 self.counters.transport.rdv_segments.add(segments as u64);
+            }
+            if stamped.is_some_and(|k| k > 1) {
+                self.counters.transport.stamped_msgs.add(1);
             }
             table.note_sent(dst, None);
             self.counters.transport.msgs_sent.add(1);
@@ -2168,7 +2326,7 @@ impl Transport for CxlTransport {
         // rank's live hint: two members that priced differently would build
         // plans that do not fit together.
         let cost = DpCost {
-            pairs: (self.ranks / 2).max(1),
+            pairs: self.default_pairs(),
             ..self.dp_cost()
         };
         Some(DpWindow {
@@ -2238,8 +2396,8 @@ impl Transport for CxlTransport {
             match piece.format {
                 DpFormat::Stamped { in_row: true } => in_flag = data,
                 DpFormat::Stamped { in_row: false } => {
-                    let word = Awaited::line_of(seq, false).word();
-                    store_lines(&state.obj, at, word, ts, data, &mut state.stage)?;
+                    let awaited = Awaited::line_of(seq, false);
+                    store_lines(&state.obj, at, awaited, ts, data, &mut state.stage)?;
                 }
                 DpFormat::Slot => state.obj.nt_store_at(at as u64, data)?,
             }
@@ -2247,8 +2405,8 @@ impl Transport for CxlTransport {
         }
         if raises_flag(pieces) {
             let flag = state.layout.flag_off(state.my_idx, slot, phase as usize);
-            let word = Awaited::line_of(seq, true).word();
-            store_lines(&state.obj, flag, word, ts, in_flag, &mut state.stage)?;
+            let awaited = Awaited::line_of(seq, true);
+            store_lines(&state.obj, flag, awaited, ts, in_flag, &mut state.stage)?;
         }
         let stamped = |p: &DpPiece| matches!(p.format, DpFormat::Stamped { .. });
         if !pieces.is_empty() && pieces.iter().all(stamped) {
@@ -2292,7 +2450,7 @@ impl Transport for CxlTransport {
             let at = state.layout.flag_off(first, slot, phase as usize) as u64;
             let span = &mut state.row[..lines * SLOT_CELL_SIZE];
             state.obj.nt_load_at(at, span)?;
-            let flag = Awaited::line_of(seq, true);
+            let flag = LineWords::all(Awaited::line_of(seq, true));
             for writer in writers.clone().filter(|&w| w != state.my_idx) {
                 let line = &mut span[(writer - first) * SLOT_CELL_SIZE..][..SLOT_CELL_SIZE];
                 let Some(ts) = load_lines(line, flag, 0, &mut []) else {
@@ -2327,7 +2485,7 @@ impl Transport for CxlTransport {
             state
                 .obj
                 .nt_load_at((at + span.start * SLOT_CELL_SIZE) as u64, rest)?;
-            let Some(ts) = load_lines(image, awaited, 0, &mut []) else {
+            let Some(ts) = load_lines(image, LineWords::all(awaited), 0, &mut []) else {
                 return Ok(false);
             };
             stamp = stamp.max(ts);
@@ -2365,7 +2523,7 @@ impl Transport for CxlTransport {
                 src.phase, src.writer_idx
             ))
         };
-        let awaited = Awaited::line_of(seq, src.format.in_row()).checked();
+        let awaited = LineWords::all(Awaited::line_of(seq, src.format.in_row())).checked();
         let lines = state.run_lines(seq, &src, buf.len()).ok_or_else(missing)?;
         let payload: &mut [u8] = match src.format {
             DpFormat::Slot => &mut [],
@@ -2492,12 +2650,17 @@ mod tests {
         let obj = lines_object(8);
         let awaited = Awaited::line_of(SEQ, false);
         let data = payload(300);
-        store_lines(&obj, 0, awaited.word(), 123.5, &data, &mut Vec::new()).unwrap();
+        store_lines(&obj, 0, awaited, 123.5, &data, &mut Vec::new()).unwrap();
         // From the first line, across a line boundary, and — past the first
         // line — still with the stamp the first line carries.
         for (off, len) in [(0, 300), (0, 48), (40, 16), (200, 100), (299, 1)] {
             let mut out = vec![0; len];
-            let stamp = load_lines(&mut image_of(&obj, off, len), awaited, off, &mut out);
+            let stamp = load_lines(
+                &mut image_of(&obj, off, len),
+                LineWords::all(awaited),
+                off,
+                &mut out,
+            );
             assert_eq!(stamp, Some(123.5), "{off}+{len}");
             assert_eq!(out, data[off..off + len], "{off}+{len}");
         }
@@ -2510,18 +2673,28 @@ mod tests {
             Awaited::line_of(SEQ - 4, false),
             Awaited::line_of(SEQ, false),
         );
-        store_lines(&obj, 0, old.word(), 1.0, &payload(300), &mut Vec::new()).unwrap();
-        store_lines(&obj, 0, new.word(), 2.0, &payload(250), &mut Vec::new()).unwrap();
+        store_lines(&obj, 0, old, 1.0, &payload(300), &mut Vec::new()).unwrap();
+        store_lines(&obj, 0, new, 2.0, &payload(250), &mut Vec::new()).unwrap();
         // 250 bytes end in line 4; line 5 still carries the older exposure,
         // which a read that reaches it must not take for this one.
         let mut out = vec![0; 300];
         assert_eq!(
-            load_lines(&mut image_of(&obj, 0, 300), new, 0, &mut out),
+            load_lines(
+                &mut image_of(&obj, 0, 300),
+                LineWords::all(new),
+                0,
+                &mut out
+            ),
             None
         );
         assert!(out.iter().all(|&b| b == 0));
         assert_eq!(
-            load_lines(&mut image_of(&obj, 0, 250), new, 0, &mut out[..250]),
+            load_lines(
+                &mut image_of(&obj, 0, 250),
+                LineWords::all(new),
+                0,
+                &mut out[..250]
+            ),
             Some(2.0)
         );
         // Nor is a line that once held a payload word: only the word awaited
@@ -2530,7 +2703,12 @@ mod tests {
         stray.nt_store_u64_at(0, u64::MAX - 1).unwrap();
         stray.nt_store_u64_at(64, new.word() + 1).unwrap();
         assert_eq!(
-            load_lines(&mut image_of(&stray, 0, 60), new, 0, &mut out[..60]),
+            load_lines(
+                &mut image_of(&stray, 0, 60),
+                LineWords::all(new),
+                0,
+                &mut out[..60]
+            ),
             None
         );
     }
@@ -2543,11 +2721,16 @@ mod tests {
         let obj = lines_object(4);
         let awaited = Awaited::line_of(SEQ, false);
         let data = payload(150);
-        store_lines(&obj, 0, awaited.word(), 9.0, &data, &mut Vec::new()).unwrap();
+        store_lines(&obj, 0, awaited, 9.0, &data, &mut Vec::new()).unwrap();
         obj.nt_store_u64_at(0, 0).unwrap();
         let mut out = vec![0xAA; 100];
         assert_eq!(
-            load_lines(&mut image_of(&obj, 50, 100), awaited, 50, &mut out),
+            load_lines(
+                &mut image_of(&obj, 50, 100),
+                LineWords::all(awaited),
+                50,
+                &mut out
+            ),
             None
         );
         assert!(out.iter().all(|&b| b == 0xAA));
@@ -2560,37 +2743,53 @@ mod tests {
         // "arrived" for good.
         let obj = lines_object(1);
         let awaited = Awaited::line_of(SEQ, true);
-        store_lines(&obj, 0, awaited.word(), 5.0, b"eight by", &mut Vec::new()).unwrap();
+        store_lines(&obj, 0, awaited, 5.0, b"eight by", &mut Vec::new()).unwrap();
         let mut out = [0; 8];
         assert_eq!(
-            load_lines(&mut image_of(&obj, 0, 8), awaited, 0, &mut out),
+            load_lines(
+                &mut image_of(&obj, 0, 8),
+                LineWords::all(awaited),
+                0,
+                &mut out
+            ),
             Some(5.0)
         );
         assert_eq!(&out, b"eight by");
-        let later = Awaited::line_of(SEQ + 4, true).word();
+        let later = Awaited::line_of(SEQ + 4, true);
         store_lines(&obj, 0, later, 6.0, &[], &mut Vec::new()).unwrap();
-        assert!(load_lines(&mut image_of(&obj, 0, 0), awaited, 0, &mut []).is_some());
+        assert!(load_lines(
+            &mut image_of(&obj, 0, 0),
+            LineWords::all(awaited),
+            0,
+            &mut []
+        )
+        .is_some());
         let ahead = Awaited::line_of(SEQ + 5, true);
-        assert!(load_lines(&mut image_of(&obj, 0, 0), ahead, 0, &mut []).is_none());
+        assert!(load_lines(&mut image_of(&obj, 0, 0), LineWords::all(ahead), 0, &mut []).is_none());
     }
 
     #[test]
     fn a_read_takes_only_lines_its_run_checked() {
         let obj = lines_object(4);
         let awaited = Awaited::line_of(SEQ, false);
-        store_lines(&obj, 0, awaited.word(), 1.0, &payload(150), &mut Vec::new()).unwrap();
+        store_lines(&obj, 0, awaited, 1.0, &payload(150), &mut Vec::new()).unwrap();
         let mut image = image_of(&obj, 0, 150);
         let mut out = vec![0; 150];
         if cfg!(debug_assertions) {
             // A copy the run's acquire did not check first fails.
             assert_eq!(
-                load_lines(&mut image.clone(), awaited.checked(), 0, &mut out),
+                load_lines(
+                    &mut image.clone(),
+                    LineWords::all(awaited.checked()),
+                    0,
+                    &mut out
+                ),
                 None
             );
         }
-        assert!(load_lines(&mut image, awaited, 0, &mut []).is_some());
+        assert!(load_lines(&mut image, LineWords::all(awaited), 0, &mut []).is_some());
         assert_eq!(
-            load_lines(&mut image, awaited.checked(), 0, &mut out),
+            load_lines(&mut image, LineWords::all(awaited.checked()), 0, &mut out),
             Some(1.0)
         );
         assert_eq!(out, payload(150));

@@ -208,6 +208,14 @@ counter_section! {
         rdv_bytes,
         /// Segments they were published in: `⌈n / cell_size⌉` for `n` bytes.
         rdv_segments,
+        /// Messages sent through a stream as more than one stamped line: one
+        /// store stream, no flag line behind it (a message of one line is
+        /// the flag line, as it always was).
+        stamped_msgs,
+        /// Posted receives that acquired their message with one gathered
+        /// read of more than one stamped line, instead of the flag line and
+        /// then the rest.
+        stamped_reads,
         /// Stream segments whose slot the receiver handed back later, in
         /// virtual time, than the sender was ready to reuse it — the stream
         /// was full and the sender's clock jumped to the hand-back.
@@ -220,7 +228,9 @@ counter_section! {
 
 /// How an exposure sits in the window. Which one it gets is a function of its
 /// length and its room alone ([`DpWindow::format`]), so the writer and every
-/// reader agree on it without a word exchanged.
+/// reader agree on it without a word exchanged. A promoted pair's message
+/// stream publishes in the same two formats, chosen by the same rule
+/// ([`cheaper_format`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DpFormat {
     /// **Stamped lines**: every line carries the exposure's sequence word,
@@ -238,6 +248,59 @@ pub enum DpFormat {
     /// **Slot + flag**: the payload in the data slot, published by the flag
     /// line that the reader's row acquires.
     Slot,
+}
+
+/// What an exposure costs its writer to publish and its readers to read,
+/// priced for one kind of place that holds exposures: a communicator's window,
+/// read by every other member ([`DpWindow::format`]), or a promoted pair's
+/// message stream, read by its one receiver (the CXL transport's charges).
+/// [`cheaper_format`] compares the two formats on it.
+pub trait ExposurePrice {
+    /// The writer's publish: `streamed` bytes in one non-temporal store
+    /// stream and one fence — none when there are none — then, with `flag`,
+    /// the flag line.
+    fn publish(&self, streamed: usize, flag: bool) -> SimNs;
+    /// The read of an exposure that is one stamped line, its writer's flag
+    /// line.
+    fn flag_line(&self) -> SimNs;
+    /// The read of `bytes` out of a data slot: stamped lines that vouch for
+    /// themselves, or — `behind_flag` — a payload behind the flag line(s) the
+    /// read acquires first.
+    fn read(&self, behind_flag: bool, bytes: usize) -> SimNs;
+}
+
+/// The format of an exposure of `len` bytes that takes `lines` stamped lines,
+/// the first of which may be its writer's flag line when `own_line`: the
+/// cheaper under `price` of
+///
+/// * stamped — in the flag line, a line published and a flag line read;
+///   otherwise the lines in one store stream and no flag, and one read of
+///   them;
+/// * slot + flag — `len` bytes streamed and the flag line, the flag line
+///   read and the payload behind it,
+///
+/// a tie going to stamped lines. This is the one pricing rule of both the
+/// group window ([`DpWindow::format`]) and a pair's stream; where the lines
+/// must go is the caller's to check.
+pub fn cheaper_format(
+    price: &impl ExposurePrice,
+    len: usize,
+    lines: usize,
+    own_line: bool,
+) -> DpFormat {
+    let in_row = own_line && lines == 1;
+    let stamped = match in_row {
+        true => price.publish(0, true) + price.flag_line(),
+        false => {
+            let bytes = lines * SLOT_CELL_SIZE;
+            price.publish(bytes, false) + price.read(false, bytes)
+        }
+    };
+    let slot = price.publish(len, true) + price.read(true, len);
+    match stamped <= slot {
+        true => DpFormat::Stamped { in_row },
+        false => DpFormat::Slot,
+    }
 }
 
 impl DpFormat {
@@ -445,7 +508,7 @@ impl DpWindow {
     /// The format of an exposure of `len` bytes that may take `region` of a
     /// data slot; `own_line` says whether a stamped exposure of one line may be
     /// the writer's flag line (a regular collective's — the pieces of a
-    /// gathered exposure share one). The cheaper of the two for the writer's
+    /// gathered exposure share one). [`cheaper_format`] for the writer's
     /// publish plus one reader's run over such an exposure from each of its
     /// `ranks − 1` peers, every one on another host — with one peer, one
     /// cross-host reader's read — priced as [`crate::dataplane`] walks a
@@ -461,32 +524,48 @@ impl DpWindow {
     /// pays: its row passes under the cross-host floors that a read of many
     /// pieces reaches, where a lone read's row does not. Stamped lines that
     /// do not start on a line of the slot, or do not fit in `region`, are not
-    /// a candidate; a tie goes to them. Nothing here depends on the rank
-    /// asking: `len`, `region` and the window are the same on every member.
+    /// a candidate. Nothing here depends on the rank asking: `len`, `region`
+    /// and the window are the same on every member.
     pub fn format(&self, len: usize, region: Range<usize>, own_line: bool) -> DpFormat {
-        let cost = &self.cost;
-        let peers = self.ranks.saturating_sub(1).max(1);
-        let bytes = stamped_lines(len) * SLOT_CELL_SIZE;
-        let in_row = own_line && bytes == SLOT_CELL_SIZE;
-        let fits =
-            region.start.is_multiple_of(SLOT_CELL_SIZE) && region.start + bytes <= region.end;
+        let lines = stamped_lines(len);
+        let in_row = own_line && lines == 1;
+        let fits = region.start.is_multiple_of(SLOT_CELL_SIZE)
+            && region.start + lines * SLOT_CELL_SIZE <= region.end;
         if !in_row && !fits {
             return DpFormat::Slot;
         }
-        // A run of `peers` such pieces: each priced once, read `peers` times.
-        let run = |lines, bytes| {
-            let (piece, mut run) = (cost.piece(bytes, false), cost.run(lines));
-            (0..peers).map(|_| run.read(&piece)).sum::<SimNs>()
+        let peers = self.ranks.saturating_sub(1).max(1);
+        let price = WindowPrice {
+            cost: &self.cost,
+            peers,
         };
-        let stamped = match in_row {
-            true => cost.publish(0, true) + cost.row(peers),
-            false => cost.publish(bytes, false) + run(0, bytes),
-        };
-        let slot = cost.publish(len, true) + cost.row(peers) + run(peers, len);
-        match stamped <= slot {
-            true => DpFormat::Stamped { in_row },
-            false => DpFormat::Slot,
-        }
+        cheaper_format(&price, len, lines, own_line)
+    }
+}
+
+/// An exposure of a window read by each of `peers` members on other hosts,
+/// every one in a run of such reads ([`DpWindow::format`]).
+struct WindowPrice<'a> {
+    cost: &'a DpCost,
+    peers: usize,
+}
+
+impl ExposurePrice for WindowPrice<'_> {
+    fn publish(&self, streamed: usize, flag: bool) -> SimNs {
+        self.cost.publish(streamed, flag)
+    }
+
+    fn flag_line(&self) -> SimNs {
+        self.cost.row(self.peers)
+    }
+
+    /// The row of the peers' flag lines, if the read is behind them, and a
+    /// run of `peers` pieces: each priced once, read `peers` times.
+    fn read(&self, behind_flag: bool, bytes: usize) -> SimNs {
+        let lines = if behind_flag { self.peers } else { 0 };
+        let (piece, mut run) = (self.cost.piece(bytes, false), self.cost.run(lines));
+        let run: SimNs = (0..self.peers).map(|_| run.read(&piece)).sum();
+        self.cost.row(lines) + run
     }
 }
 

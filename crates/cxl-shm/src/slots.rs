@@ -3,7 +3,8 @@
 //! The collective data plane (`cmpi-core`'s `dataplane` module) allocates one
 //! arena object per communicator and carves it into a fixed grid; the message
 //! stream of a promoted pair (`cmpi-core`'s `transport::conn::Stream`) is the
-//! same grid with one writer, one reader and one flag cell per slot:
+//! same grid with one writer, one reader and one flag cell per slot, and
+//! publishes in the same two formats, slot + flag and stamped lines:
 //!
 //! ```text
 //! ┌ control ──────────────────────────────────────┬ data ─────────────────────────┐
@@ -36,7 +37,11 @@
 //!   A reader that finds the value in every line it needs — the first, for
 //!   the stamp, and those its bytes lie in ([`stamped_span`]) — has the
 //!   payload; a flag cell with its inline payload is the one-line case, and
-//!   longer ones sit at the head of their region of a data slot.
+//!   longer ones sit at the head of their region of a data slot. A stream's
+//!   message splits them: its first line is the slot's flag cell (value,
+//!   stamp, the message's 16-byte frame and 32 bytes of payload) and the
+//!   further ones sit at the head of the slot, so one store stream publishes
+//!   it and no flag cell goes up after the data.
 //! * **Done cells** close the loop, one per *reader*, so the control region
 //!   is linear in the group size. In a group window ([`SlotLayout::new`]) a
 //!   reader's cell is its completion line: the reader stores there, once per

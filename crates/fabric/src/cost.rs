@@ -160,10 +160,12 @@ impl CxlCostModel {
     /// the stream runs at the measured one-sided RMA bandwidth instead of
     /// paying a `clflush(opt)` per written line. This is the publish the
     /// single-copy data plane uses (a write-once region read by other hosts)
-    /// and the publish of every p2p segment that goes through a data slot of
-    /// a promoted pair's stream (`cmpi-core`'s `transport::conn::Stream`,
-    /// which executes exactly this: NT stores, then the flag line) — any
-    /// payload above the 32 B that ride in the flag line itself. The
+    /// and the publish of every p2p message on a promoted pair's stream
+    /// (`cmpi-core`'s `transport::conn::Stream`) longer than the flag line
+    /// alone holds: a short one as its stamped lines — frame and payload,
+    /// with the sequence word in every line, in one NT store stream and no
+    /// flag line behind it — and a longer one as a segment through the data
+    /// slot, NT stores and then the flag line. The
     /// cached-write-then-flush protocol of [`Self::coherent_write`] remains
     /// the cost of a message *cell*: the SPSC rings of `ConnMode::Eager` (the
     /// paper's protocol) and the shared receive queue, whose cells are reread
@@ -184,10 +186,12 @@ impl CxlCostModel {
     /// reader last touched these lines ≥ `slots` collectives ago and its
     /// write-allocate copies have long been evicted). Counterpart of
     /// [`Self::streamed_publish`] on the read side, and likewise charged for
-    /// every stream segment a p2p receiver pulls out of a data slot — there
-    /// the argument is simpler still: a stream is written and read with
-    /// non-temporal accesses only, so neither host ever holds a cached copy
-    /// of its lines.
+    /// what a p2p receiver pulls off a stream beyond the flag line: a
+    /// message's stamped lines — all of them in one gathered read for a
+    /// receive that posted its buffer, those past the flag line otherwise —
+    /// or a segment out of the data slot. There the argument is simpler
+    /// still: a stream is written and read with non-temporal accesses only,
+    /// so neither host ever holds a cached copy of its lines.
     pub fn streamed_read(&self, bytes: usize, mode: CoherenceMode) -> SimNs {
         match mode {
             CoherenceMode::Uncacheable => self.uncacheable_access(bytes),

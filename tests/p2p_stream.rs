@@ -1,27 +1,33 @@
 //! The point-to-point data path of the CXL transport's default (lazy) mode: a
 //! promoted pair is one stamped stream per direction, and every message rides
-//! it — frame and a payload of at most 32 B in one flag line, up to one cell
-//! as one streamed slot, anything longer as further frame-less segments. The
-//! suite runs the small test geometry (1 KiB cells, 4 per stream, so a stream
-//! holds 4 KiB and hands slots back two at a time) and pins what the protocol
-//! must keep: MPI matching and ordering at every framing boundary, bytes
-//! intact on the direct and the staged receive path, blocked senders that keep
-//! draining their own arrivals, no hang on a dead sender, a byte-identical
-//! cold path when no stream can be created, counters that mean what they say,
-//! and virtual clocks that do not depend on host scheduling. `ConnMode::Eager`
-//! — the paper's chunked-cell protocol — is the oracle the bytes are compared
-//! against. It also holds the regression tests for the non-overtaking rule of
-//! `wait_all`.
+//! it — frame and payload as stamped lines (the flag line alone up to 32 B,
+//! then lines at the head of the data slot, up to the stream's stamped
+//! maximum), a longer one as one streamed slot behind its flag line, anything
+//! longer than a cell as further frame-less segments. The suite runs the small
+//! test geometry (1 KiB cells, 4 per stream, so a stream holds 4 KiB and hands
+//! slots back two at a time, and a message of up to 928 B is stamped lines)
+//! and pins what the protocol must keep: MPI matching and ordering at every
+//! framing boundary, bytes intact on the direct and the staged receive path,
+//! blocked senders that keep draining their own arrivals, no hang on a dead
+//! sender, a byte-identical cold path when no stream can be created, counters
+//! that mean what they say, and virtual clocks that do not depend on host
+//! scheduling. What a message costs is pinned at the default geometry as
+//! `CxlCostModel` sums, and where the stamped maximum lies as read off the
+//! model. `ConnMode::Eager` — the paper's chunked-cell protocol — is the
+//! oracle the bytes are compared against. It also holds the regression tests
+//! for the non-overtaking rule of `wait_all`.
 
 mod common;
 
-use cmpi::fabric::cost::TcpNic;
+use cmpi::fabric::cost::{CoherenceMode, TcpNic};
+use cmpi::fabric::CxlCostModel;
 use cmpi::mpi::transport::TransportStats;
 use cmpi::mpi::{
     Comm, ConnMode, ErrHandler, FaultPlan, FaultTrigger, FtOutcome, MpiError, ProgressMode,
     ReduceOp, Request, Result, Status, TransportConfig, Universe, UniverseConfig, ANY_SOURCE,
     ANY_TAG,
 };
+use cmpi::shm::slots::{stamped_lines, SLOT_CELL_SIZE};
 use common::{
     configs, force_ring, force_shm, matrix_hosts, p2p_paths, promote, with_window_headroom,
 };
@@ -32,14 +38,23 @@ const CELLS: usize = 4;
 const CAPACITY: usize = CELL * CELLS;
 /// Largest payload that rides in the flag line beside its frame.
 const INLINE: usize = 32;
-/// Every framing boundary: empty, inline up to its limit, the first sizes
-/// through a data slot, around one cell, a non-multiple of several.
-const FRAMINGS: [usize; 9] = [
+/// Largest payload sent as stamped lines at the test geometry: with the frame
+/// it fills the flag line and the sixteen lines of a 1 KiB data slot (the
+/// model would stamp far longer ones at two ranks).
+const STAMPED_MAX: usize = INLINE + 16 * 56;
+/// Every framing boundary: empty, the flag line alone up to its limit, one
+/// and two lines more, the most stamped lines and the first size behind a
+/// flag line, around one cell, a non-multiple of several.
+const FRAMINGS: [usize; 13] = [
     0,
     1,
     INLINE,
     INLINE + 1,
     64,
+    INLINE + 56,
+    INLINE + 57,
+    STAMPED_MAX,
+    STAMPED_MAX + 1,
     CELL - 1,
     CELL,
     CELL + 1,
@@ -65,7 +80,10 @@ fn four_paths() -> [(&'static str, UniverseConfig, &'static [usize]); 4] {
     p2p_paths().map(|(label, config)| {
         let eager = matches!(&config.transport,
             TransportConfig::CxlShm(c) if c.conn_mode == ConnMode::Eager);
-        let sizes: &[usize] = if eager { &FRAMINGS[..8] } else { &FRAMINGS };
+        let sizes: &[usize] = match eager {
+            true => &FRAMINGS[..FRAMINGS.len() - 1],
+            false => &FRAMINGS,
+        };
         (label, config, sizes)
     })
 }
@@ -229,14 +247,27 @@ fn receiver_log(
 
 /// Which receive form takes a message changes where its bytes land and
 /// nothing else: same status, same virtual time to the bit.
+/// The one exception is on a promoted stream: a receive that posts no buffer
+/// loads a message's flag line before the rest of its stamped lines, where a
+/// posted one takes them all in one gathered read, so there an owned receive
+/// is never earlier — and only later once a message of several lines came
+/// straight off the wire.
 fn assert_receive_forms_agree(label: &str, config: &UniverseConfig, sizes: &'static [usize]) {
     let by_slice = receiver_log(config.clone(), sizes, 0);
     assert_eq!(by_slice.len(), 3 * sizes.len());
-    for (recv_form, name) in [(1, "irecv_into + wait"), (2, "recv_owned")] {
-        let other = receiver_log(config.clone(), sizes, recv_form);
-        for (i, (a, b)) in by_slice.iter().zip(&other).enumerate() {
-            let (size, case) = (sizes[i / 3], i % 3);
-            assert_eq!(a, b, "{label}, {size} B, case {case}: recv against {name}");
+    let posted = receiver_log(config.clone(), sizes, 1);
+    assert_eq!(by_slice, posted, "{label}: recv against irecv_into + wait");
+    let owned = receiver_log(config.clone(), sizes, 2);
+    let mut gathered = false;
+    for (i, (a, b)) in by_slice.iter().zip(&owned).enumerate() {
+        let (size, case) = (sizes[i / 3], i % 3);
+        let what = format!("{label}, {size} B, case {case}: recv against recv_owned");
+        assert_eq!(a.0, b.0, "{what}");
+        gathered |=
+            label == "lazy promoted" && case != 1 && (INLINE + 1..=STAMPED_MAX).contains(&size);
+        match gathered {
+            false => assert_eq!(a.1, b.1, "{what}"),
+            true => assert!(f64::from_bits(a.1) < f64::from_bits(b.1), "{what}"),
         }
     }
 }
@@ -255,6 +286,10 @@ fn every_framing_through_every_p2p_form() {
         assert!(stats.rdv_msgs >= 3, "{stats:?}");
         assert!(stats.rdv_segments >= 2 * stats.rdv_msgs);
         assert_eq!((stats.srq_msgs, stats.stream_alloc_failures), (4, 0));
+        // Four sizes of several stamped lines, each sent through at least
+        // three forms a rank and taken by posted receives in some.
+        assert!(stats.stamped_msgs >= 4 * 3, "{stats:?}");
+        assert!(stats.stamped_reads > 0, "{stats:?}");
     }
 }
 
@@ -333,7 +368,7 @@ fn wildcards_match_every_framing() {
     Universe::run(lazy(3), |comm: &mut Comm| {
         promote(comm, 1, 0)?;
         promote(comm, 2, 0)?;
-        for size in [0, INLINE, INLINE + 1, CELL, 2 * CAPACITY + 3] {
+        for size in FRAMINGS.into_iter().chain([2 * CAPACITY + 3]) {
             match comm.rank() {
                 0 => {
                     let mut seen = [false; 3];
@@ -359,7 +394,7 @@ fn wildcards_match_every_framing() {
 fn iprobe_reports_the_stream_head_and_consumes_and_charges_nothing() {
     Universe::run(lazy(2), |comm: &mut Comm| {
         promote(comm, 0, 1)?;
-        for size in [8, CELL, CAPACITY + 9] {
+        for size in FRAMINGS.into_iter().chain([CAPACITY + 9]) {
             if comm.rank() == 0 {
                 comm.send(1, 4, &payload(size, 4))?;
             } else {
@@ -541,7 +576,7 @@ fn a_message_for_another_communicator_at_the_stream_head_is_staged() {
     Universe::run(lazy(2), |comm: &mut Comm| {
         promote(comm, 0, 1)?;
         let mut dup = comm.comm_dup()?;
-        for size in [INLINE, CELL, CAPACITY + 9] {
+        for size in FRAMINGS.into_iter().chain([CAPACITY + 9]) {
             if comm.rank() == 0 {
                 comm.send(1, 5, &payload(size, 1))?;
                 dup.send(1, 5, &payload(size, 2))?;
@@ -562,12 +597,18 @@ fn a_message_for_another_communicator_at_the_stream_head_is_staged() {
 
 #[test]
 fn truncation_consumes_the_message_and_leaves_the_pair_usable() {
-    for (label, config, _) in four_paths() {
+    for (label, config, sizes) in four_paths() {
         Universe::run(config, move |comm: &mut Comm| {
             promote(comm, 0, 1)?;
-            let cases = [(INLINE, 8), (CELL, INLINE), (3 * CELL, CELL + 1)];
-            // Both bounded forms: `recv`, then `irecv_into` + `wait`.
-            for ((size, short), posted) in cases.into_iter().zip([false, true, false]) {
+            // Every framing into a buffer one byte short — a posted one in
+            // turn into one of half the message — by both bounded forms,
+            // `recv` and `irecv_into` + `wait`.
+            let cases = sizes.iter().filter(|&&size| size > 0).enumerate();
+            for (i, &size) in cases {
+                let (short, posted) = match i % 2 {
+                    0 => (size - 1, false),
+                    _ => (size / 2, true),
+                };
                 if comm.rank() == 0 {
                     comm.send(1, 1, &payload(size, 1))?;
                     comm.send(1, 1, &payload(size, 2))?;
@@ -735,22 +776,28 @@ fn no_room_for_a_stream_stays_on_the_srq_byte_identically() {
 fn sendrecv_costs_one_latency_not_two() {
     // Both sides send first: a halo exchange is one one-way latency. (That
     // it cannot deadlock on messages larger than a stream holds is what the
-    // ring of `digest_script` and the exchanges below run into.)
+    // ring of `digest_script` and the exchanges below run into.) `sendrecv`
+    // receives owned, so the one-way latency it is held to is an owned
+    // receive's, which loads the flag line before the rest of the lines.
     let reports = Universe::run(lazy(2), |comm: &mut Comm| {
         let (me, peer) = (comm.rank(), 1 - comm.rank());
         promote(comm, 0, 1)?;
-        let mut buf = [0u8; 256];
+        let mut buf = vec![0u8; 256];
         let start = comm.clock_ns();
         for _ in 0..4 {
             if me == 0 {
                 comm.send(1, 1, &buf)?;
-                comm.recv(Some(1), Some(1), &mut buf)?;
+                buf = comm.recv_owned(Some(1), Some(1))?.1;
             } else {
-                comm.recv(Some(0), Some(1), &mut buf)?;
+                buf = comm.recv_owned(Some(0), Some(1))?.1;
                 comm.send(0, 1, &buf)?;
             }
         }
         let one_way = (comm.clock_ns() - start) / 8.0;
+        // The ping-pong leaves rank 1's clock behind rank 0's by about rank
+        // 0's last receive, which rank 1's first exchange would wait out:
+        // one untimed exchange lines the two up.
+        comm.sendrecv(peer, 2, &[7u8; 256], peer, 2)?;
         let start = comm.clock_ns();
         for _ in 0..4 {
             let (st, got) = comm.sendrecv(peer, 2, &[7u8; 256], peer, 2)?;
@@ -764,6 +811,126 @@ fn sendrecv_costs_one_latency_not_two() {
             *exchange < 1.25 * one_way,
             "rank {rank}: exchange {exchange} ns against {one_way} ns one way"
         );
+    }
+}
+
+/// Rank 0's virtual time per one-way message over a ping-pong of `size`
+/// bytes between two ranks on two hosts at the default geometry, every
+/// message taken by `recv` into a buffer of `posted` bytes or — `None` — by
+/// `recv_owned`.
+fn one_way_ns(size: usize, posted: Option<usize>) -> f64 {
+    const ROUND_TRIPS: usize = 16;
+    let config = UniverseConfig::cxl(2).with_hosts(2);
+    let reports = Universe::run(config, move |comm: &mut Comm| {
+        let (me, peer) = (comm.rank(), 1 - comm.rank());
+        promote(comm, 0, 1)?;
+        let data = payload(size, 1);
+        let mut buf = vec![0u8; posted.unwrap_or(0)];
+        let start = comm.clock_ns();
+        for _ in 0..ROUND_TRIPS {
+            if me == 0 {
+                comm.send(peer, 1, &data)?;
+            }
+            let got = match posted {
+                Some(_) => {
+                    let st = comm.recv(Some(peer), Some(1), &mut buf)?;
+                    buf[..st.len].to_vec()
+                }
+                None => comm.recv_owned(Some(peer), Some(1))?.1,
+            };
+            assert_eq!(got, data);
+            if me == 1 {
+                comm.send(peer, 1, &data)?;
+            }
+        }
+        Ok((comm.clock_ns() - start) / (2 * ROUND_TRIPS) as f64)
+    })
+    .unwrap();
+    reports[0].0
+}
+
+/// What a small message costs beyond an 8-byte one — which is the flag line
+/// alone on both sides — as `CxlCostModel` sums: the sender's store stream of
+/// its stamped lines in place of the flag line, and the receiver's read.
+#[test]
+fn a_stamped_message_costs_one_store_stream_and_one_read() {
+    let model = CxlCostModel::default();
+    let mode = CoherenceMode::FlushClflushopt;
+    let publish = |bytes| model.streamed_publish(bytes, mode);
+    let read = |bytes| model.streamed_read(bytes, mode);
+    let line = model.nt_access();
+    // The bytes of the stamped lines a message of `len` bytes takes.
+    let lines = |len: usize| stamped_lines(16 + len) * SLOT_CELL_SIZE;
+    let base = one_way_ns(8, Some(8));
+    let close = |what: &str, got: f64, want: f64| {
+        assert!(
+            (got - want).abs() < 1e-3,
+            "{what}: {got} ns, the model says {want} ns"
+        );
+    };
+    // A posted receive takes the lines in one gathered read (5 lines for
+    // 256 B, 74 for 4 KiB): one flag line saved on either side.
+    for size in [256, 4096] {
+        let want = publish(lines(size)) + read(lines(size)) - 2.0 * line;
+        close(
+            &format!("{size} B"),
+            one_way_ns(size, Some(size)) - base,
+            want,
+        );
+    }
+    // An owned receive loads the flag line, then the other four lines.
+    let want = publish(lines(256)) - line + read(lines(256) - SLOT_CELL_SIZE);
+    close("256 B owned", one_way_ns(256, None) - base, want);
+    // A receive that posts 4 KiB reads what a 4 KiB message takes, whatever
+    // arrives: the over-read is paid.
+    let want = publish(lines(256)) + read(lines(4096)) - 2.0 * line;
+    close("256 B into 4 KiB", one_way_ns(256, Some(4096)) - base, want);
+}
+
+/// The longest message a stream sends as stamped lines at the default
+/// geometry, pinned a byte either side as read off the model: a pair's own
+/// charges at the universe's default crowd (half the ranks) price it, so a
+/// cross-host pair's maximum falls as the crowd's fair-share floor rises,
+/// and a same-host pair — no flush, no floor — stamps all that fits in a
+/// 64 KiB slot.
+#[test]
+fn the_stamped_maximum_is_read_off_the_model() {
+    for (ranks, hosts, peer, max) in [
+        (2, 2, 1, 26_184),
+        (2, 1, 1, 57_376),
+        (8, 2, 4, 2_664),
+        (8, 2, 1, 57_376),
+    ] {
+        let config = UniverseConfig::cxl(ranks).with_hosts(hosts);
+        let reports = Universe::run(config, move |comm: &mut Comm| {
+            let me = comm.rank();
+            promote(comm, 0, peer)?;
+            let mut counts = Vec::new();
+            for size in [max, max + 1] {
+                let before = comm.stats();
+                if me == 0 {
+                    comm.send(peer, 1, &payload(size, 3))?;
+                } else if me == peer {
+                    let mut buf = vec![0u8; size];
+                    comm.recv(Some(0), Some(1), &mut buf)?;
+                    assert_eq!(buf, payload(size, 3));
+                }
+                let after = comm.stats();
+                counts.push((
+                    after.stamped_msgs - before.stamped_msgs,
+                    after.stamped_reads - before.stamped_reads,
+                ));
+            }
+            Ok(counts)
+        })
+        .unwrap();
+        let what = format!("{ranks} ranks on {hosts} hosts, 0 → {peer}");
+        assert_eq!(
+            reports[0].0,
+            [(1, 0), (0, 0)],
+            "{what}: sent at {max} B and past it"
+        );
+        assert_eq!(reports[peer].0, [(0, 1), (0, 0)], "{what}: taken");
     }
 }
 
@@ -863,35 +1030,57 @@ fn counters_are_pinned_by_a_ping_pong() {
     assert!((1..N).contains(&threshold));
     let reports = Universe::run(config, |comm: &mut Comm| {
         let (me, peer) = (comm.rank(), 1 - comm.rank());
-        let mut buf = [0u8; 8];
-        for i in 0..N {
-            if me == 0 {
-                comm.send(peer, 1, &payload(8, i))?;
+        let mut legs = Vec::new();
+        // An 8 B leg, then a 256 B one: five stamped lines each way.
+        for size in [8, 256] {
+            let mut buf = vec![0u8; size];
+            for i in 0..N {
+                if me == 0 {
+                    comm.send(peer, 1, &payload(size, i))?;
+                }
+                comm.recv(Some(peer), Some(1), &mut buf)?;
+                if me == 1 {
+                    comm.send(peer, 1, &payload(size, i))?;
+                }
             }
-            comm.recv(Some(peer), Some(1), &mut buf)?;
-            if me == 1 {
-                comm.send(peer, 1, &payload(8, i))?;
-            }
+            legs.push(comm.stats());
         }
-        Ok(comm.stats())
+        Ok(legs)
     })
     .unwrap();
-    for (rank, (stats, report)) in reports.into_iter().enumerate() {
+    for (rank, (legs, report)) in reports.into_iter().enumerate() {
+        let (small, stats) = (legs[0], legs[1]);
         assert_eq!(stats, report.stats, "RankReport carries the same snapshot");
         assert_eq!(
-            (stats.msgs_sent, stats.msgs_received),
+            (small.msgs_sent, small.msgs_received),
             (N, N),
             "rank {rank}"
         );
-        assert_eq!((stats.bytes_sent, stats.bytes_received), (8 * N, 8 * N));
+        assert_eq!((small.bytes_sent, small.bytes_received), (8 * N, 8 * N));
         // The first `threshold` messages ride the SRQ; the pair is promoted
         // at the entry of the next, once, in each direction; every message
         // after that is one stream segment and one doorbell ring.
-        assert_eq!(stats.srq_msgs, threshold, "rank {rank}: {stats:?}");
-        assert_eq!((stats.qps_established, stats.qps_opened), (1, 1));
-        assert_eq!(stats.doorbell_rings, N - threshold);
-        assert!(stats.ring_probes >= N - threshold, "{stats:?}");
-        assert_eq!((stats.stream_alloc_failures, stats.rdv_msgs), (0, 0));
+        assert_eq!(small.srq_msgs, threshold, "rank {rank}: {small:?}");
+        assert_eq!((small.qps_established, small.qps_opened), (1, 1));
+        assert_eq!(small.doorbell_rings, N - threshold);
+        assert!(small.ring_probes >= N - threshold, "{small:?}");
+        assert_eq!((small.stream_alloc_failures, small.rdv_msgs), (0, 0));
+        // 8 B is the flag line alone, sent and taken as one line.
+        assert_eq!((small.stamped_msgs, small.stamped_reads), (0, 0));
+        // Each 256 B message is five stamped lines, sent in one store stream
+        // and taken by the posted receive in one gathered read.
+        assert_eq!((stats.msgs_sent, stats.msgs_received), (2 * N, 2 * N));
+        assert_eq!(stats.bytes_sent, (8 + 256) * N);
+        assert_eq!(
+            (stats.srq_msgs, stats.doorbell_rings),
+            (threshold, 2 * N - threshold)
+        );
+        assert_eq!(
+            (stats.stamped_msgs, stats.stamped_reads),
+            (N, N),
+            "{stats:?}"
+        );
+        assert_eq!(stats.rdv_msgs, 0);
     }
 }
 
