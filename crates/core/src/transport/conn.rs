@@ -493,15 +493,33 @@ fn decode_frame(frame: &[u8]) -> (CtxId, Tag, usize, bool) {
     )
 }
 
-/// What the reader's last peek checked of the segment at the head.
+/// How the reader's last peek took the segment at the head off the device —
+/// what it checked, and what the receiver is charged for. Every peek starts
+/// with one gathered read of `guess` lines: the flag line and the `guess − 1`
+/// lines behind it at the head of the data slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Peeked {
-    /// Nothing: no peek has found it up since the last release.
-    Nothing,
-    /// Its flag line; the payload is in the data slot.
-    Flag,
-    /// Every one of the `k` stamped lines of a message.
-    Lines(usize),
+pub enum Took {
+    /// Every one of the `lines` stamped lines of a message: those past the
+    /// guess, if any, in a second read.
+    Lines {
+        /// The stamped lines the message takes.
+        lines: usize,
+        /// The lines of the gathered read.
+        guess: usize,
+    },
+    /// The flag line, which vouches for the payload in the data slot: that
+    /// is read behind it, whatever else the gathered read loaded.
+    Slot {
+        /// The lines of the gathered read.
+        guess: usize,
+    },
+}
+
+impl Took {
+    /// Whether the segment was stamped lines that the guess fell short of.
+    pub fn short(self) -> bool {
+        matches!(self, Took::Lines { lines, guess } if lines > guess)
+    }
 }
 
 /// One end of a promoted pair's per-direction message stream: a single-writer
@@ -524,6 +542,11 @@ enum Peeked {
 ///   into the data slot, then the flag line with the frame, and a longer
 ///   message continues in frame-less segments — single writer, FIFO, so the
 ///   reader always knows which kind comes next.
+///
+/// Every read of a segment begins with one gathered read of a guess of lines
+/// — the flag line and the lines behind it at the head of the data slot —
+/// and reads the rest only when the frame says the message takes more
+/// ([`Stream::peek_header`]).
 ///
 /// Slots are handed back [`Stream::batch`] at a time: consuming the last
 /// segment of a batch stores `k + 1` into that slot's done entry, and the
@@ -549,10 +572,15 @@ pub struct Stream {
     stamped_max: usize,
     /// Writer: where it composes the stamped lines it stores. Reader: its
     /// copy of the lines of the segment at the head, as its last peek loaded
-    /// them.
+    /// and checked them.
     lines: Vec<u8>,
-    /// Reader: what its last peek checked of `lines`.
-    peeked: Peeked,
+    /// Reader: how its last peek took the segment at the head, `None` when
+    /// no peek has found it up since the last release.
+    peeked: Option<Took>,
+    /// Reader: the stamped lines of the last message it delivered — one
+    /// after a message through the data slot, and before the first: how
+    /// many lines a receive that posts no buffer loads in its gathered read.
+    last_lines: usize,
 }
 
 impl Stream {
@@ -611,7 +639,8 @@ impl Stream {
             open: None,
             stamped_max: stamped_max.min(Self::stamped_room(layout.slot_bytes())),
             lines: Vec::new(),
-            peeked: Peeked::Nothing,
+            peeked: None,
+            last_lines: 1,
         }
     }
 
@@ -771,20 +800,48 @@ impl Stream {
         Ok(self.obj.nt_load_u64_at(flag as u64)? > self.seq)
     }
 
+    /// Load lines `from..to` of the segment at the head into `lines`: line 0
+    /// is the slot's flag line, the others lie at the head of its data slot.
+    fn load_head(&mut self, from: usize, to: usize) -> Result<()> {
+        let slot = self.slot();
+        self.lines.resize(to * SLOT_CELL_SIZE, 0);
+        if from == 0 {
+            let flag = self.layout.flag_off(0, slot, 0) as u64;
+            self.obj
+                .nt_load_at(flag, &mut self.lines[..SLOT_CELL_SIZE])?;
+        }
+        let first = from.max(1);
+        if to > first {
+            let at = self.layout.data_off(0, slot) + (first - 1) * SLOT_CELL_SIZE;
+            self.obj
+                .nt_load_at(at as u64, &mut self.lines[first * SLOT_CELL_SIZE..])?;
+        }
+        Ok(())
+    }
+
     /// Reader: the next segment as a cell header — which message it belongs
     /// to, where in it the segment goes, and the writer's publish stamp — or
-    /// `None` while it is not up. A stamped message is up once **every** line
-    /// it takes shows the segment's word: a line still left from an earlier
-    /// lap keeps the whole message out. Consumes nothing; what it loaded and
-    /// checked is what [`Stream::read`] then copies out of, or — the flag
+    /// `None` while it is not up. The peek loads a **guess** of lines in one
+    /// gathered read, and the rest of a stamped message only when the frame
+    /// says it takes more. A receive that posts a buffer of `posted` bytes
+    /// guesses the stamped lines of that length (the flag line when the
+    /// stream sends no message that long as stamped lines); any other read
+    /// guesses the lines of the last message this end delivered; the next
+    /// segment of a message is the flag line. A stamped message is up once
+    /// **every** line it takes shows the segment's word: a line still left
+    /// from an earlier lap keeps the whole message out, and lines loaded past
+    /// the message are dropped unchecked. Consumes nothing; what it loaded
+    /// and checked is what [`Stream::read`] then copies out of, or — the flag
     /// line — what vouches for the data slot.
-    pub fn peek_header(&mut self) -> Result<Option<CellHeader>> {
-        self.peeked = Peeked::Nothing;
-        let slot = self.slot();
+    pub fn peek_header(&mut self, posted: Option<usize>) -> Result<Option<CellHeader>> {
+        self.peeked = None;
+        let guess = match (self.open, posted) {
+            (Some(_), _) => 1,
+            (None, Some(len)) => self.stamped_lines(len).unwrap_or(1),
+            (None, None) => self.last_lines,
+        };
         let value = self.seq + 1;
-        self.lines.resize(SLOT_CELL_SIZE, 0);
-        let flag = self.layout.flag_off(0, slot, 0) as u64;
-        self.obj.nt_load_at(flag, &mut self.lines)?;
+        self.load_head(0, guess)?;
         if read_u64(&self.lines, 0) < value {
             return Ok(None);
         }
@@ -803,16 +860,19 @@ impl Stream {
                 (ctx, tag, total, 0, lines)
             }
         };
-        if let Some(k) = lines.filter(|&k| k > 1) {
-            self.lines.resize(k * SLOT_CELL_SIZE, 0);
-            let at = self.layout.data_off(0, slot) as u64;
-            self.obj.nt_load_at(at, &mut self.lines[SLOT_CELL_SIZE..])?;
+        let k = lines.unwrap_or(1);
+        if k > guess {
+            self.load_head(guess, k)?;
         }
+        self.lines.truncate(k * SLOT_CELL_SIZE);
         let words = LineWords::stream(value);
         let Some(timestamp) = load_lines(&mut self.lines, words, 0, &mut []) else {
             return Ok(None);
         };
-        self.peeked = lines.map_or(Peeked::Flag, Peeked::Lines);
+        self.peeked = Some(match lines {
+            Some(lines) => Took::Lines { lines, guess },
+            None => Took::Slot { guess },
+        });
         Ok(Some(CellHeader {
             src: self.src,
             ctx,
@@ -824,15 +884,6 @@ impl Stream {
         }))
     }
 
-    /// Reader: the stamped lines the message at the head takes, as the last
-    /// peek found them up — `None` when its payload is in the data slot.
-    pub fn head_lines(&self) -> Option<usize> {
-        match self.peeked {
-            Peeked::Lines(k) => Some(k),
-            _ => None,
-        }
-    }
-
     /// Reader: whether consuming the next segment ends a batch, i.e. whether
     /// [`Stream::release`] will store a done entry.
     pub fn ends_batch(&self) -> bool {
@@ -842,41 +893,48 @@ impl Stream {
     /// Reader: copy the payload of the segment `h` (just peeked) into
     /// `dst[..h.chunk_len]` — out of the stamped lines the peek checked, or,
     /// behind the flag line it checked, out of the data slot (load fence,
-    /// then non-temporal loads). A segment no peek found up is an error, and
-    /// in debug builds every line the bytes come out of, or the flag line
-    /// that vouches for the slot, must carry the mark that check left: the
-    /// stream's counterpart of a window run's checked lines.
-    pub fn read(&mut self, h: &CellHeader, dst: &mut [u8]) -> Result<()> {
+    /// then non-temporal loads) — and say how the peek took it. A segment no
+    /// peek found up is an error, and in debug builds every line the bytes
+    /// come out of, or the flag line that vouches for the slot, must carry
+    /// the mark that check left: the stream's counterpart of a window run's
+    /// checked lines.
+    pub fn read(&mut self, h: &CellHeader, dst: &mut [u8]) -> Result<Took> {
         let dst = &mut dst[..h.chunk_len as usize];
         let words = LineWords::stream(self.seq + 1).checked();
-        let checked = match self.peeked {
-            Peeked::Nothing => None,
-            Peeked::Lines(_) => load_lines(&mut self.lines, words, FRAME_BYTES, dst),
-            Peeked::Flag => load_lines(&mut self.lines[..SLOT_CELL_SIZE], words, 0, &mut []),
-        };
-        if checked.is_none() {
+        let checked = self.peeked.and_then(|took| match took {
+            Took::Lines { .. } => load_lines(&mut self.lines, words, FRAME_BYTES, dst),
+            Took::Slot { .. } => load_lines(&mut self.lines, words, 0, &mut []),
+        });
+        let (Some(took), Some(_)) = (self.peeked, checked) else {
             return Err(MpiError::Transport(format!(
                 "read of segment {} of the stream from rank {} out of lines no peek checked",
                 self.seq, self.src
             )));
-        }
-        if self.peeked == Peeked::Flag {
+        };
+        if let Took::Slot { .. } = took {
             let at = self.layout.data_off(0, self.slot()) as u64;
             self.obj.nt_load_fenced_at(at, dst)?;
         }
-        Ok(())
+        Ok(took)
     }
 
     /// Reader: done with the segment `h` (just read): move on, remember a
-    /// message that continues, and — at the end of a batch — hand the batch's
-    /// slots back, stamped `ts`.
+    /// message that continues — or, for one that opened here, the lines it
+    /// took — and, at the end of a batch, hand the batch's slots back,
+    /// stamped `ts`.
     pub fn release(&mut self, h: &CellHeader, ts: f64) -> Result<()> {
         if self.ends_batch() {
             let done = self.layout.done_off(0, self.slot());
             store_stamped(&self.obj, done, self.seq + 1, ts)?;
         }
         self.seq += 1;
-        self.peeked = Peeked::Nothing;
+        if h.chunk_offset == 0 {
+            self.last_lines = match self.peeked {
+                Some(Took::Lines { lines, .. }) => lines,
+                _ => 1,
+            };
+        }
+        self.peeked = None;
         let received = (h.chunk_offset + u64::from(h.chunk_len)) as usize;
         self.open = (received < h.total_len as usize).then_some((
             h.ctx,
@@ -1396,12 +1454,13 @@ mod tests {
         }
     }
 
-    /// Consume the next segment of `rx` into `buf` at its offset.
-    fn pull(rx: &mut Stream, buf: &mut [u8], ts: f64) -> CellHeader {
-        let h = rx.peek_header().unwrap().expect("a segment is up");
-        rx.read(&h, &mut buf[h.chunk_offset as usize..]).unwrap();
+    /// Consume the next segment of `rx` into `buf` at its offset, as a
+    /// receive that posts no buffer does.
+    fn pull(rx: &mut Stream, buf: &mut [u8], ts: f64) -> (CellHeader, Took) {
+        let h = rx.peek_header(None).unwrap().expect("a segment is up");
+        let took = rx.read(&h, &mut buf[h.chunk_offset as usize..]).unwrap();
         rx.release(&h, ts).unwrap();
-        h
+        (h, took)
     }
 
     #[test]
@@ -1417,8 +1476,10 @@ mod tests {
             let mut tx = Stream::create(&a, 0, 1, g, stamped_max).unwrap();
             let mut rx = Stream::open(&b, 0, 1, g, stamped_max, &poison).unwrap();
             assert_eq!((tx.segment_bytes(), tx.slots(), tx.batch()), (128, 4, 2));
-            assert!(rx.peek_header().unwrap().is_none() && !rx.has_segment().unwrap());
+            assert!(rx.peek_header(None).unwrap().is_none() && !rx.has_segment().unwrap());
             let mut buf = [0u8; 300];
+            // What the last message took: the guess of the next one's read.
+            let mut last = 1;
             // Empty, one line, two lines, the most that fits, several slots.
             for (i, len) in [0usize, 1, 32, 33, 88, 89, 128, 129, 300]
                 .into_iter()
@@ -1436,10 +1497,13 @@ mod tests {
                 send_all(&mut tx, 7, -3, &data, 10.0 + i as f64);
                 let mut received = 0;
                 loop {
-                    rx.peek_header().unwrap().unwrap();
-                    let head = rx.head_lines();
-                    assert_eq!(head, lines.filter(|_| received == 0), "{len} B");
-                    let h = pull(&mut rx, &mut buf, 20.0);
+                    let (h, took) = pull(&mut rx, &mut buf, 20.0);
+                    let guess = if received == 0 { last } else { 1 };
+                    let want = match lines.filter(|_| received == 0) {
+                        Some(lines) => Took::Lines { lines, guess },
+                        None => Took::Slot { guess },
+                    };
+                    assert_eq!(took, want, "{len} B");
                     assert_eq!((h.src, h.ctx, h.tag, h.total_len), (1, 7, -3, len as u64));
                     assert_eq!(
                         (h.chunk_offset as usize, h.timestamp),
@@ -1451,7 +1515,8 @@ mod tests {
                     }
                 }
                 assert_eq!(buf[..len], data[..], "{len} B");
-                assert!(rx.peek_header().unwrap().is_none());
+                assert!(rx.peek_header(None).unwrap().is_none());
+                last = lines.unwrap_or(1);
             }
             assert_eq!(tx.seq(), rx.seq());
             // A cell below one cache line leaves no room for a slot.
@@ -1541,14 +1606,77 @@ mod tests {
         assert_ne!(now, stale);
         tx.obj.nt_store_u64_at(line, stale).unwrap();
         assert!(rx.has_segment().unwrap(), "its flag line is up");
-        assert_eq!(rx.peek_header().unwrap(), None, "but not the message");
+        assert_eq!(rx.peek_header(None).unwrap(), None, "but not the message");
         let h = hdr(1, 200, 0, 200, 3.0);
         assert!(rx.read(&h, &mut buf).is_err(), "no peek found it up");
         assert_eq!(buf, data(1), "nothing was copied");
         // Rewritten, the line lets the whole message through.
         tx.obj.nt_store_u64_at(line, now).unwrap();
-        let h = pull(&mut rx, &mut buf, 4.0);
+        let (h, _) = pull(&mut rx, &mut buf, 4.0);
         assert_eq!((h.total_len, h.timestamp, buf), (200, 3.0, data(2)));
+    }
+
+    #[test]
+    fn a_guess_reads_no_stale_line_and_peeks_no_torn_message() {
+        let g = QueueGeometry {
+            cell_payload: 256,
+            cells: 2,
+        };
+        let (a, b) = two_arenas(1 << 20);
+        let mut tx = Stream::create(&a, 0, 1, g, usize::MAX).unwrap();
+        let mut rx = Stream::open(&b, 0, 1, g, usize::MAX, &PoisonFlag::new()).unwrap();
+        let mut buf = [0u8; 256];
+        // A lap of four-line messages: the next read guesses four lines.
+        for k in 0..2 {
+            send_all(&mut tx, 0, 1, &[k; 200], 1.0);
+            pull(&mut rx, &mut buf, 2.0);
+        }
+        // A two-line message into slot 0, whose data lines 2 and 3 still
+        // hold the last lap's words: the guess loads them and drops them.
+        let layout = rx.layout;
+        let line = |slot, i: usize| (layout.data_off(0, slot) + (i - 1) * SLOT_CELL_SIZE) as u64;
+        let stale = tx.obj.nt_load_u64_at(line(0, 2)).unwrap();
+        send_all(&mut tx, 0, 1, &[7; 40], 3.0);
+        assert_eq!(tx.obj.nt_load_u64_at(line(0, 2)).unwrap(), stale);
+        let h = rx
+            .peek_header(None)
+            .unwrap()
+            .expect("both of its lines are up");
+        assert_eq!(
+            rx.lines.len(),
+            2 * SLOT_CELL_SIZE,
+            "the stale lines are gone"
+        );
+        if cfg!(debug_assertions) {
+            for line in rx.lines.chunks_exact(SLOT_CELL_SIZE) {
+                assert_eq!(read_u64(line, 0), u64::MAX, "every line kept is checked");
+            }
+        }
+        buf.fill(0xee);
+        let took = rx.read(&h, &mut buf).unwrap();
+        assert_eq!(took, Took::Lines { lines: 2, guess: 4 });
+        assert!(!took.short());
+        assert_eq!((&buf[..40], &buf[40..]), (&[7; 40][..], &[0xee; 216][..]));
+        rx.release(&h, 4.0).unwrap();
+        // A four-line message into slot 1 whose last line keeps the last
+        // lap's word is not up under any guess: the flag line alone (a
+        // posted buffer the stream would not stamp), the last message's two
+        // lines, all four, and five.
+        let now_word = |tx: &Stream| tx.obj.nt_load_u64_at(line(1, 3)).unwrap();
+        let stale = now_word(&tx);
+        send_all(&mut tx, 0, 1, &[9; 200], 5.0);
+        let now = now_word(&tx);
+        tx.obj.nt_store_u64_at(line(1, 3), stale).unwrap();
+        for posted in [Some(1 << 10), None, Some(200), Some(256)] {
+            assert_eq!(rx.peek_header(posted).unwrap(), None, "{posted:?}");
+            assert!(rx.read(&h, &mut buf).is_err(), "no peek found it up");
+        }
+        // Rewritten, it is up; a guess of two reads the other two behind.
+        tx.obj.nt_store_u64_at(line(1, 3), now).unwrap();
+        let (h, took) = pull(&mut rx, &mut buf, 6.0);
+        assert_eq!((h.total_len, &buf[..200]), (200, &[9; 200][..]));
+        assert_eq!(took, Took::Lines { lines: 4, guess: 2 });
+        assert!(took.short());
     }
 
     #[test]
@@ -1588,7 +1716,7 @@ mod tests {
         assert_eq!(tx.reserve().unwrap(), None);
         // Several laps on, contents and order hold.
         for k in 2..40u8 {
-            let h = pull(&mut rx, &mut buf, 200.0 + k as f64);
+            let (h, _) = pull(&mut rx, &mut buf, 200.0 + k as f64);
             assert_eq!((buf, h.timestamp), ([k; 8], k as f64));
             while tx.seq() < 40 && tx.reserve().unwrap().is_some() {
                 let next = tx.seq() as u8;

@@ -16,10 +16,12 @@
 //!   cheaper for its length: frame and payload as **stamped lines** — the
 //!   flag line, then lines at the head of the data slot, every one carrying
 //!   the segment's word, out in one store stream — or, longer, the payload
-//!   streamed into the slots with non-temporal stores behind a flag line. A
-//!   receive that names the sender and posts a buffer no longer than the
-//!   stream's stamped maximum takes the head with one gathered read; every
-//!   other read loads the flag line, then the rest. The receive path is
+//!   streamed into the slots with non-temporal stores behind a flag line.
+//!   Every read of a stream begins with one gathered read of a guess of
+//!   lines — the flag line and those behind it — and reads the rest only
+//!   when the frame says the message takes more: a receive that names the
+//!   sender and posts a buffer guesses the stamped lines of its length, any
+//!   other read the lines of the stream's last message. The receive path is
 //!   one body over a private `Ring` enum, whichever of the three it drains,
 //!   and cells — eager ring or shared receive queue — are published by one
 //!   loop over its send-side mirror;
@@ -58,10 +60,10 @@ use crate::queue::{CellHeader, QueueGeometry, QueueMatrix, SpscQueue, CELL_HEADE
 use crate::rma::layout::WINDOW_READY_MAGIC;
 use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{PoisonFlag, SpinWait};
-use crate::transport::conn::{ConnTable, SrqConsumer, SrqProducer, Stream};
+use crate::transport::conn::{ConnTable, SrqConsumer, SrqProducer, Stream, Took};
 use crate::transport::{
     no_data_plane, raises_flag, DataPlaneSection, DpCost, DpFormat, DpGather, DpPiece, DpReaders,
-    DpSource, DpWindow, ExposurePrice, FaultInjector, RecvDest, Transport, WinId,
+    DpSource, DpWindow, ExposurePrice, FaultInjector, RecvDest, Transport, TransportSection, WinId,
 };
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
@@ -734,61 +736,64 @@ enum Ring<'a> {
 
 impl Ring<'_> {
     /// The header of the next cell or segment, if one is up (a stream's
-    /// message once every line it takes is). Free.
-    fn peek_header(&mut self) -> Result<Option<CellHeader>> {
+    /// message once every line it takes is). Free. `posted` is the length of
+    /// the buffer a receive that names this ring's sender posted: a stream
+    /// guesses the lines of its gathered read from it ([`Stream::peek_header`]).
+    fn peek_header(&mut self, posted: Option<usize>) -> Result<Option<CellHeader>> {
         match self {
             Ring::Cells(queue) => queue.peek_header(),
             Ring::Srq(srq) => srq.peek_header(),
-            Ring::Stream(stream) => stream.peek_header(),
+            Ring::Stream(stream) => stream.peek_header(posted),
         }
     }
 
     /// Consume the cell or segment `h` (just peeked) into `dst[..h.chunk_len]`:
-    /// merge its publish stamp, charge the read, free the cell or slot.
-    /// `posted` is the length of the buffer a receive that names this ring's
-    /// sender posted for the message `h` opens: on a stream whose messages of
-    /// that length are stamped lines, the receive takes the head with one
-    /// gathered read of as many lines as such a message can take, whatever
-    /// this one takes — and says so by returning `true` when that was more
-    /// than one line. Any other read loads the flag line, then the rest.
+    /// merge its publish stamp, charge the read, free the cell or slot. A
+    /// stream segment is charged as its peek took it: one gathered read of
+    /// the guess — the flag line alone when that is one line — and behind
+    /// it, when the message takes more, the rest of its stamped lines or its
+    /// payload out of the data slot; `stats` counts the gathered reads of
+    /// several lines and the guesses that fell short.
     fn consume(
         &mut self,
         h: &CellHeader,
         charge: &Charge,
         clock: &mut SimClock,
         dst: &mut [u8],
-        posted: Option<usize>,
-    ) -> Result<bool> {
+        stats: &TransportSection,
+    ) -> Result<()> {
         let (len, total) = (h.chunk_len as usize, h.total_len as usize);
         let cell = match self {
             Ring::Cells(queue) => queue.try_dequeue_into(clock.now(), dst)?,
             Ring::Srq(srq) => srq.try_dequeue_into(clock.now(), dst)?,
             Ring::Stream(stream) => {
                 clock.merge(h.timestamp);
-                stream.read(h, dst)?;
-                let head = stream.head_lines();
-                let gathered = posted
-                    .and_then(|n| stream.stamped_lines(n))
-                    .filter(|_| head.is_some());
+                let took = stream.read(h, dst)?;
                 // What came off the device beside the done entry that ends a
-                // batch: one gathered read, the one line that is the whole
-                // message, or the flag line and then the rest.
-                let (streamed, lines) = match (gathered, head) {
-                    (Some(1), _) | (None, Some(1)) => (0, 1),
-                    (Some(k), _) => (k * SLOT_CELL_SIZE, 0),
-                    (None, Some(k)) => ((k - 1) * SLOT_CELL_SIZE, 1),
-                    (None, None) => (len, 1),
+                // batch: the gathered read of the guess — the flag line alone
+                // when that is one line — and what was read behind it.
+                let (guess, behind) = match took {
+                    Took::Lines { lines, guess } => {
+                        (guess, lines.saturating_sub(guess) * SLOT_CELL_SIZE)
+                    }
+                    Took::Slot { guess } => (guess, len),
+                };
+                let (gathered, lines) = match guess {
+                    1 => (0, 1),
+                    guess => (guess * SLOT_CELL_SIZE, 0),
                 };
                 let lines = lines + usize::from(stream.ends_batch());
-                clock.advance(charge.segment_pull(streamed, total, lines));
+                clock.advance(charge.segment_pull([gathered, behind], total, lines));
                 stream.release(h, clock.now())?;
-                return Ok(gathered.is_some_and(|k| k > 1));
+                stats.stamped_reads.add(u64::from(guess > 1));
+                stats.short_guesses.add(u64::from(took.short()));
+                return Ok(());
             }
         };
         debug_assert_eq!(cell.map(|c| c.chunk_offset), Some(h.chunk_offset));
         clock.merge(h.timestamp);
         charge.chunk_read(clock, len + CELL_HEADER_SIZE, total);
-        Ok(false)
+        Ok(())
     }
 }
 
@@ -882,16 +887,21 @@ impl Charge {
         self.throttled(ideal, streamed, msg_bytes)
     }
 
-    /// A stream segment pull; see [`Self::segment_publish`]. Its control
-    /// lines are the flag line, unless one gathered read took the segment's
-    /// stamped lines, and the done entry stored at the end of a batch.
-    fn segment_pull(&self, streamed: usize, msg_bytes: usize, lines: usize) -> SimNs {
-        let stream = match streamed {
-            0 => 0.0,
-            bytes => self.cost.streamed_read(bytes, self.mode),
-        };
+    /// A stream segment pull; see [`Self::segment_publish`]. `reads` are up
+    /// to two fenced streamed reads — the gathered read of several lines and
+    /// what is read behind it — none where there are no bytes; `lines` are
+    /// single control lines: the flag line when it is read alone, and the
+    /// done entry stored at the end of a batch.
+    fn segment_pull(&self, reads: [usize; 2], msg_bytes: usize, lines: usize) -> SimNs {
+        let stream: SimNs = reads
+            .iter()
+            .map(|&bytes| match bytes {
+                0 => 0.0,
+                bytes => self.cost.streamed_read(bytes, self.mode),
+            })
+            .sum();
         let ideal = stream + lines as f64 * self.cost.nt_access();
-        self.throttled(ideal, streamed, msg_bytes)
+        self.throttled(ideal, reads.iter().sum(), msg_bytes)
     }
 }
 
@@ -910,12 +920,12 @@ impl ExposurePrice for MessagePrice {
     }
 
     fn flag_line(&self) -> SimNs {
-        self.charge.segment_pull(0, self.msg, 1)
+        self.charge.segment_pull([0, 0], self.msg, 1)
     }
 
     fn read(&self, behind_flag: bool, bytes: usize) -> SimNs {
         self.charge
-            .segment_pull(bytes, self.msg, usize::from(behind_flag))
+            .segment_pull([bytes, 0], self.msg, usize::from(behind_flag))
     }
 }
 
@@ -1352,22 +1362,20 @@ impl CxlTransport {
     /// head of `sender`'s ring straight into `dst` (which must hold the whole
     /// message), cell by cell or segment by segment at their offsets. Merges
     /// timestamps, charges each read, and waits for the remainder of a
-    /// message still being published. `posted`: the receive named `sender`
-    /// and posted `dst` ([`Ring::consume`]).
+    /// message still being published. Each segment is charged as its peek
+    /// took it ([`Ring::consume`]); the first was peeked by the caller.
     fn drain_message_into(
         &mut self,
         clock: &mut SimClock,
         sender: Rank,
         first: &CellHeader,
         dst: &mut [u8],
-        posted: bool,
     ) -> Result<()> {
         let total = first.total_len as usize;
         debug_assert!(dst.len() >= total);
         let charge = self.charge_for(sender);
         let price = self.message_price(sender);
         let mut ring = self.conn.rx_ring(sender, price)?;
-        let mut posted = posted.then_some(dst.len());
         let mut backoff = SpinWait::new();
         let (mut next, mut received) = (Some(*first), 0usize);
         loop {
@@ -1376,7 +1384,7 @@ impl CxlTransport {
             // the ring may momentarily be empty when the producer is behind.
             let peeked = match next.take() {
                 first @ Some(_) => first,
-                None => ring.peek_header()?,
+                None => ring.peek_header(None)?,
             };
             let Some(h) = peeked else {
                 backoff.wait(&self.poison)?;
@@ -1384,9 +1392,7 @@ impl CxlTransport {
             };
             debug_assert_eq!((h.src, h.ctx), (first.src, first.ctx));
             let dst = &mut dst[h.chunk_offset as usize..];
-            if ring.consume(&h, &charge, clock, dst, posted.take())? {
-                self.counters.transport.stamped_reads.add(1);
-            }
+            ring.consume(&h, &charge, clock, dst, &self.counters.transport)?;
             backoff.reset();
             received += h.chunk_len as usize;
             if received >= total {
@@ -1409,6 +1415,7 @@ impl CxlTransport {
         h: &CellHeader,
         charge: &Charge,
         clock: &mut SimClock,
+        stats: &TransportSection,
     ) -> Result<Option<ChunkAssembler>> {
         // Chunks of one message are contiguous per sender, so a fresh
         // assembly always starts at a first-of-message header.
@@ -1417,7 +1424,7 @@ impl CxlTransport {
             ChunkAssembler::with_buffer(h.src, h.ctx, h.tag, total, pool.take(total))
         });
         let dst = asm.chunk_target(h.chunk_offset as usize, h.chunk_len as usize);
-        ring.consume(h, charge, clock, dst, None)?;
+        ring.consume(h, charge, clock, dst, stats)?;
         asm.commit_chunk(h.chunk_len as usize, clock.now());
         Ok(if asm.is_complete() { part.take() } else { None })
     }
@@ -1448,9 +1455,10 @@ impl CxlTransport {
         let price = self.message_price(sender);
         let mut ring = self.conn.rx_ring(sender, price)?;
         let part = &mut self.partial_rx[sender];
-        while let Some(h) = ring.peek_header()? {
+        let stats = &self.counters.transport;
+        while let Some(h) = ring.peek_header(None)? {
             if let Some(done) =
-                Self::accept_cell(part, &mut self.pool, &mut ring, &h, &charge, clock)?
+                Self::accept_cell(part, &mut self.pool, &mut ring, &h, &charge, clock, stats)?
             {
                 return Ok(Some(self.finish_partial(done, clock)));
             }
@@ -1488,11 +1496,12 @@ impl CxlTransport {
             unreachable!("SRQ pump on eager transport");
         };
         let mut ring = Ring::Srq(&table.my_srq);
-        while let Some(h) = ring.peek_header()? {
+        let stats = &self.counters.transport;
+        while let Some(h) = ring.peek_header(None)? {
             let charge = self.charge_for(h.src);
             let part = &mut self.partial_rx[h.src];
             if let Some(done) =
-                Self::accept_cell(part, &mut self.pool, &mut ring, &h, &charge, clock)?
+                Self::accept_cell(part, &mut self.pool, &mut ring, &h, &charge, clock, stats)?
             {
                 return Ok(Some(self.finish_partial(done, clock)));
             }
@@ -1622,7 +1631,13 @@ impl CxlTransport {
             }
             self.counters.transport.ring_probes.add(1);
             let price = self.message_price(sender);
-            let Some(first) = self.conn.rx_ring(sender, price)?.peek_header()? else {
+            // A receive that names the sender and posts a buffer guesses the
+            // lines of the stream's gathered read from its length.
+            let posted = match (&dest, src) {
+                (RecvDest::Slice(buf), Some(_)) => Some(buf.len()),
+                _ => None,
+            };
+            let Some(first) = self.conn.rx_ring(sender, price)?.peek_header(posted)? else {
                 return Ok(None);
             };
             if !Self::header_matches(&first, ctx, src, tag) {
@@ -1638,7 +1653,6 @@ impl CxlTransport {
             }
             let total = first.total_len as usize;
             let status = Status::new(first.src, first.tag, total);
-            let posted = matches!(dest, RecvDest::Slice(_)) && src.is_some();
             let buf = match dest {
                 RecvDest::Probe => return Ok(Some(status)),
                 RecvDest::Slice(buf) if total > buf.len() => {
@@ -1669,7 +1683,7 @@ impl CxlTransport {
             // Direct path: cells or segments land in the destination, with
             // no staging copy. Waits for the remainder of a matching message
             // mid-publication — safe for the same reason.
-            self.drain_message_into(clock, sender, &first, buf, posted)?;
+            self.drain_message_into(clock, sender, &first, buf)?;
             self.counters.transport.msgs_received.add(1);
             self.counters.transport.bytes_received.add(total as u64);
             clock.advance(self.cost.mpi_overhead());
@@ -2018,7 +2032,8 @@ impl Transport for CxlTransport {
     // *One-sided communication*). A call costs one device line per peer: a
     // store is charged, then stamped; a wait merges the stamp it waited for
     // and pays for the load that found it, failed polls are free. Only a
-    // *contended* bakery lock charges its re-polls (ROADMAP item 5).
+    // *contended* bakery lock charges its re-polls (the ROADMAP item *The
+    // paper's figures from the library*).
 
     fn win_allocate(&mut self, clock: &mut SimClock, size_per_rank: usize) -> Result<WinId> {
         let id = self.windows.len();

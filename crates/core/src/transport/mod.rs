@@ -212,10 +212,15 @@ counter_section! {
         /// store stream, no flag line behind it (a message of one line is
         /// the flag line, as it always was).
         stamped_msgs,
-        /// Posted receives that acquired their message with one gathered
-        /// read of more than one stamped line, instead of the flag line and
-        /// then the rest.
+        /// Stream reads that began with one gathered read of more than one
+        /// line — the flag line and those behind it — whatever the receive
+        /// form: a receive that posts a buffer guesses the lines from its
+        /// length, any other from the stream's last message.
         stamped_reads,
+        /// Stream reads of stamped lines whose guess fell short: the message
+        /// took more lines than the gathered read loaded, and the rest took
+        /// a second read.
+        short_guesses,
         /// Stream segments whose slot the receiver handed back later, in
         /// virtual time, than the sender was ready to reuse it — the stream
         /// was full and the sender's clock jumped to the hand-back.

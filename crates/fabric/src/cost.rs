@@ -186,10 +186,11 @@ impl CxlCostModel {
     /// reader last touched these lines ≥ `slots` collectives ago and its
     /// write-allocate copies have long been evicted). Counterpart of
     /// [`Self::streamed_publish`] on the read side, and likewise charged for
-    /// what a p2p receiver pulls off a stream beyond the flag line: a
-    /// message's stamped lines — all of them in one gathered read for a
-    /// receive that posted its buffer, those past the flag line otherwise —
-    /// or a segment out of the data slot. There the argument is simpler
+    /// what a p2p receiver pulls off a stream: the one gathered read of the
+    /// lines it guesses a message takes — the flag line and those behind it;
+    /// a guess of the flag line alone is one line access instead — then,
+    /// when the message takes more, the rest of its stamped lines, or a
+    /// segment out of the data slot. There the argument is simpler
     /// still: a stream is written and read with non-temporal accesses only,
     /// so neither host ever holds a cached copy of its lines.
     pub fn streamed_read(&self, bytes: usize, mode: CoherenceMode) -> SimNs {

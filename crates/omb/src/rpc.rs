@@ -1,6 +1,7 @@
 //! RPC-storm serving kernel: many concurrent small operations per rank.
 //!
-//! The serving scenario behind ROADMAP item 5: every rank hosts `K`
+//! The serving scenario behind `rpc_storm` (the ROADMAP item *Cause-tagged
+//! virtual time*): every rank hosts `K`
 //! submitter threads (each on its own `comm_dup`'d communicator, the
 //! MPI_THREAD_MULTIPLE model), and every submitter keeps a window of `W`
 //! small **persistent allreduces** in flight, sliding the window until its

@@ -245,27 +245,40 @@ fn receiver_log(
     out.swap_remove(1).0
 }
 
+/// The stamped lines a message of `len` bytes takes on a stream at the test
+/// geometry — one when it goes through the data slot.
+fn lines_of(len: usize) -> usize {
+    match len {
+        0..=STAMPED_MAX => stamped_lines(16 + len),
+        _ => 1,
+    }
+}
+
 /// Which receive form takes a message changes where its bytes land and
 /// nothing else: same status, same virtual time to the bit.
-/// The one exception is on a promoted stream: a receive that posts no buffer
-/// loads a message's flag line before the rest of its stamped lines, where a
-/// posted one takes them all in one gathered read, so there an owned receive
-/// is never earlier — and only later once a message of several lines came
-/// straight off the wire.
+/// The one exception is on a promoted stream, whose reads begin with one
+/// gathered read of a guess of lines: a posted receive guesses the lines of
+/// its length, which is the message's here, and a receive that posts no
+/// buffer those of the stream's last message — the same in every form, so a
+/// staged message costs the same in all of them. An owned receive is never
+/// earlier, and it is later once it took a message straight off the wire
+/// with a guess that was not the message's.
 fn assert_receive_forms_agree(label: &str, config: &UniverseConfig, sizes: &'static [usize]) {
     let by_slice = receiver_log(config.clone(), sizes, 0);
     assert_eq!(by_slice.len(), 3 * sizes.len());
     let posted = receiver_log(config.clone(), sizes, 1);
     assert_eq!(by_slice, posted, "{label}: recv against irecv_into + wait");
     let owned = receiver_log(config.clone(), sizes, 2);
-    let mut gathered = false;
+    // What the stream's last message took: the one-line promotion messages,
+    // then each case's message, and case 1's one byte behind it.
+    let (mut last, mut later) = (1, false);
     for (i, (a, b)) in by_slice.iter().zip(&owned).enumerate() {
         let (size, case) = (sizes[i / 3], i % 3);
         let what = format!("{label}, {size} B, case {case}: recv against recv_owned");
         assert_eq!(a.0, b.0, "{what}");
-        gathered |=
-            label == "lazy promoted" && case != 1 && (INLINE + 1..=STAMPED_MAX).contains(&size);
-        match gathered {
+        later |= label == "lazy promoted" && case != 1 && last != lines_of(size);
+        last = if case == 1 { 1 } else { lines_of(size) };
+        match later {
             false => assert_eq!(a.1, b.1, "{what}"),
             true => assert!(f64::from_bits(a.1) < f64::from_bits(b.1), "{what}"),
         }
@@ -287,7 +300,7 @@ fn every_framing_through_every_p2p_form() {
         assert!(stats.rdv_segments >= 2 * stats.rdv_msgs);
         assert_eq!((stats.srq_msgs, stats.stream_alloc_failures), (4, 0));
         // Four sizes of several stamped lines, each sent through at least
-        // three forms a rank and taken by posted receives in some.
+        // three forms a rank, and taken in gathered reads of several lines.
         assert!(stats.stamped_msgs >= 4 * 3, "{stats:?}");
         assert!(stats.stamped_reads > 0, "{stats:?}");
     }
@@ -778,7 +791,8 @@ fn sendrecv_costs_one_latency_not_two() {
     // it cannot deadlock on messages larger than a stream holds is what the
     // ring of `digest_script` and the exchanges below run into.) `sendrecv`
     // receives owned, so the one-way latency it is held to is an owned
-    // receive's, which loads the flag line before the rest of the lines.
+    // receive's: behind a message as long, one gathered read of all its
+    // lines, as a posted receive takes it.
     let reports = Universe::run(lazy(2), |comm: &mut Comm| {
         let (me, peer) = (comm.rank(), 1 - comm.rank());
         promote(comm, 0, 1)?;
@@ -814,36 +828,67 @@ fn sendrecv_costs_one_latency_not_two() {
     }
 }
 
-/// Rank 0's virtual time per one-way message over a ping-pong of `size`
-/// bytes between two ranks on two hosts at the default geometry, every
-/// message taken by `recv` into a buffer of `posted` bytes or — `None` — by
-/// `recv_owned`.
-fn one_way_ns(size: usize, posted: Option<usize>) -> f64 {
-    const ROUND_TRIPS: usize = 16;
+/// How both ranks of [`one_way_ns`] take each message.
+#[derive(Clone, Copy)]
+enum Take {
+    /// `recv` into a buffer of this many bytes.
+    Posted(usize),
+    /// `recv_owned` naming the sender.
+    Owned,
+    /// `recv_owned` from any source.
+    AnySource,
+    /// `irecv` + `wait`.
+    Irecv,
+}
+
+/// Rank 0's virtual time per one-way message of `size` bytes between two
+/// ranks on two hosts at the default geometry, every message taken by
+/// `take`. With `behind: Some(b)` it is timed over round trips that each
+/// follow an untimed one of `b` bytes — the message whose lines a receive
+/// that posts no buffer guesses; with `None`, over the one round trip right
+/// after promotion, the first of streams that have carried one-line
+/// messages only.
+fn one_way_ns(behind: Option<usize>, size: usize, take: Take) -> f64 {
+    let round_trips = if behind.is_some() { 16 } else { 1 };
     let config = UniverseConfig::cxl(2).with_hosts(2);
     let reports = Universe::run(config, move |comm: &mut Comm| {
         let (me, peer) = (comm.rank(), 1 - comm.rank());
         promote(comm, 0, 1)?;
-        let data = payload(size, 1);
-        let mut buf = vec![0u8; posted.unwrap_or(0)];
-        let start = comm.clock_ns();
-        for _ in 0..ROUND_TRIPS {
+        let round_trip = |comm: &mut Comm, size: usize| -> Result<f64> {
+            let start = comm.clock_ns();
+            let data = payload(size, size as u64);
             if me == 0 {
                 comm.send(peer, 1, &data)?;
             }
-            let got = match posted {
-                Some(_) => {
+            let got = match take {
+                Take::Posted(len) => {
+                    let mut buf = vec![0u8; len];
                     let st = comm.recv(Some(peer), Some(1), &mut buf)?;
-                    buf[..st.len].to_vec()
+                    buf.truncate(st.len);
+                    buf
                 }
-                None => comm.recv_owned(Some(peer), Some(1))?.1,
+                Take::Owned => comm.recv_owned(Some(peer), Some(1))?.1,
+                Take::AnySource => comm.recv_owned(None, Some(1))?.1,
+                Take::Irecv => {
+                    let mut req = comm.irecv(Some(peer), Some(1))?;
+                    comm.wait(&mut req)?;
+                    req.take_data()?
+                }
             };
             assert_eq!(got, data);
             if me == 1 {
                 comm.send(peer, 1, &data)?;
             }
+            Ok(comm.clock_ns() - start)
+        };
+        let mut timed = 0.0;
+        for _ in 0..round_trips {
+            if let Some(b) = behind {
+                round_trip(comm, b)?;
+            }
+            timed += round_trip(comm, size)?;
         }
-        Ok((comm.clock_ns() - start) / (2 * ROUND_TRIPS) as f64)
+        Ok(timed / (2 * round_trips) as f64)
     })
     .unwrap();
     reports[0].0
@@ -851,7 +896,10 @@ fn one_way_ns(size: usize, posted: Option<usize>) -> f64 {
 
 /// What a small message costs beyond an 8-byte one — which is the flag line
 /// alone on both sides — as `CxlCostModel` sums: the sender's store stream of
-/// its stamped lines in place of the flag line, and the receiver's read.
+/// its stamped lines in place of the flag line, and the receiver's read. The
+/// read is one gathered read of a guess of lines and, when the message takes
+/// more, a second read of the rest: a receive that posts a buffer guesses the
+/// lines of its length, any other those of the stream's last message.
 #[test]
 fn a_stamped_message_costs_one_store_stream_and_one_read() {
     let model = CxlCostModel::default();
@@ -861,30 +909,51 @@ fn a_stamped_message_costs_one_store_stream_and_one_read() {
     let line = model.nt_access();
     // The bytes of the stamped lines a message of `len` bytes takes.
     let lines = |len: usize| stamped_lines(16 + len) * SLOT_CELL_SIZE;
-    let base = one_way_ns(8, Some(8));
+    let base = one_way_ns(Some(8), 8, Take::Posted(8));
     let close = |what: &str, got: f64, want: f64| {
         assert!(
             (got - want).abs() < 1e-3,
             "{what}: {got} ns, the model says {want} ns"
         );
     };
-    // A posted receive takes the lines in one gathered read (5 lines for
-    // 256 B, 74 for 4 KiB): one flag line saved on either side.
+    // One gathered read of every line (5 for 256 B, 74 for 4 KiB): one flag
+    // line saved on either side. A posted receive guesses its length; a
+    // receive that posts no buffer, in every form, the message before,
+    // which was as long.
     for size in [256, 4096] {
         let want = publish(lines(size)) + read(lines(size)) - 2.0 * line;
         close(
             &format!("{size} B"),
-            one_way_ns(size, Some(size)) - base,
+            one_way_ns(Some(size), size, Take::Posted(size)) - base,
             want,
         );
     }
-    // An owned receive loads the flag line, then the other four lines.
+    let want = publish(lines(256)) + read(lines(256)) - 2.0 * line;
+    for (what, take) in [
+        ("owned", Take::Owned),
+        ("from any source", Take::AnySource),
+        ("by irecv + wait", Take::Irecv),
+    ] {
+        let got = one_way_ns(Some(256), 256, take) - base;
+        close(&format!("256 B {what} behind 256 B"), got, want);
+    }
+    // The first message of a stream that carried one-line messages only
+    // guesses one line: the flag line, then the other four.
     let want = publish(lines(256)) - line + read(lines(256) - SLOT_CELL_SIZE);
-    close("256 B owned", one_way_ns(256, None) - base, want);
-    // A receive that posts 4 KiB reads what a 4 KiB message takes, whatever
-    // arrives: the over-read is paid.
+    let fresh = one_way_ns(None, 256, Take::Owned) - one_way_ns(None, 8, Take::Posted(8));
+    close("256 B owned, first", fresh, want);
+    // A longer message than the last reads the guess, then the rest.
+    let want =
+        publish(lines(4096)) + read(lines(256)) + read(lines(4096) - lines(256)) - 2.0 * line;
+    let got = one_way_ns(Some(256), 4096, Take::Owned) - base;
+    close("4 KiB owned behind 256 B", got, want);
+    // A shorter one, and a receive that posts 4 KiB, read what 4 KiB
+    // takes, whatever arrives: the over-read is paid.
     let want = publish(lines(256)) + read(lines(4096)) - 2.0 * line;
-    close("256 B into 4 KiB", one_way_ns(256, Some(4096)) - base, want);
+    let got = one_way_ns(Some(4096), 256, Take::Owned) - base;
+    close("256 B owned behind 4 KiB", got, want);
+    let got = one_way_ns(Some(256), 256, Take::Posted(4096)) - base;
+    close("256 B into 4 KiB", got, want);
 }
 
 /// The longest message a stream sends as stamped lines at the default
@@ -1045,12 +1114,21 @@ fn counters_are_pinned_by_a_ping_pong() {
             }
             legs.push(comm.stats());
         }
+        // A `sendrecv` leg of 512 B, ten stamped lines each way.
+        for i in 0..N {
+            let (_, got) = comm.sendrecv(peer, 2, &payload(512, i), peer, 2)?;
+            assert_eq!(got, payload(512, i));
+        }
+        legs.push(comm.stats());
         Ok(legs)
     })
     .unwrap();
     for (rank, (legs, report)) in reports.into_iter().enumerate() {
-        let (small, stats) = (legs[0], legs[1]);
-        assert_eq!(stats, report.stats, "RankReport carries the same snapshot");
+        let (small, stats, exchanged) = (legs[0], legs[1], legs[2]);
+        assert_eq!(
+            exchanged, report.stats,
+            "RankReport carries the same snapshot"
+        );
         assert_eq!(
             (small.msgs_sent, small.msgs_received),
             (N, N),
@@ -1066,9 +1144,13 @@ fn counters_are_pinned_by_a_ping_pong() {
         assert!(small.ring_probes >= N - threshold, "{small:?}");
         assert_eq!((small.stream_alloc_failures, small.rdv_msgs), (0, 0));
         // 8 B is the flag line alone, sent and taken as one line.
-        assert_eq!((small.stamped_msgs, small.stamped_reads), (0, 0));
+        assert_eq!(
+            (small.stamped_msgs, small.stamped_reads, small.short_guesses),
+            (0, 0, 0)
+        );
         // Each 256 B message is five stamped lines, sent in one store stream
-        // and taken by the posted receive in one gathered read.
+        // and taken by the posted receive in one gathered read of the five
+        // lines its buffer's length takes.
         assert_eq!((stats.msgs_sent, stats.msgs_received), (2 * N, 2 * N));
         assert_eq!(stats.bytes_sent, (8 + 256) * N);
         assert_eq!(
@@ -1076,11 +1158,29 @@ fn counters_are_pinned_by_a_ping_pong() {
             (threshold, 2 * N - threshold)
         );
         assert_eq!(
-            (stats.stamped_msgs, stats.stamped_reads),
-            (N, N),
+            (stats.stamped_msgs, stats.stamped_reads, stats.short_guesses),
+            (N, N, 0),
             "{stats:?}"
         );
         assert_eq!(stats.rdv_msgs, 0);
+        // `sendrecv` receives owned: each read guesses the lines of the
+        // message before. The first guesses the 256 B leg's five and reads
+        // the other five behind them; every other gathers all ten at once.
+        let leg = |f: fn(&TransportStats) -> u64| f(&exchanged) - f(&stats);
+        assert_eq!(
+            (leg(|s| s.msgs_sent), leg(|s| s.msgs_received)),
+            (N, N),
+            "rank {rank}"
+        );
+        assert_eq!(
+            (
+                leg(|s| s.stamped_msgs),
+                leg(|s| s.stamped_reads),
+                leg(|s| s.short_guesses)
+            ),
+            (N, N, 1),
+            "rank {rank}: {exchanged:?}"
+        );
     }
 }
 

@@ -1,6 +1,7 @@
-//! The paper's anchors as assertions — first cut of ROADMAP item 5. Every
-//! two-sided number here runs on `ConnMode::Eager`, the paper's message-cell
-//! protocol kept as the oracle, so a change to that path (or to the cost
+//! The paper's anchors as assertions — first cut of the ROADMAP item *The
+//! paper's figures from the library*. Every two-sided number here runs on
+//! `ConnMode::Eager`, the paper's message-cell protocol kept as the oracle,
+//! so a change to that path (or to the cost
 //! model under it) fails a test instead of relying on a reader's memory of
 //! what Figure 8 used to print. The library's default path (lazy connections,
 //! a stamped stream per promoted pair) is deliberately *not* held to these:
@@ -142,7 +143,8 @@ fn rma_synchronization_costs_one_device_line_per_peer_and_call() {
     // is 5.60 µs (7.18 µs before the flags became epoch-numbered cells, when
     // it was six lines and not four). The reproduction's one-sided path is
     // faster than the paper's by construction and moved further away here;
-    // ROADMAP item 5 holds the drift, this test only says where it is.
+    // the ROADMAP item *The paper's figures from the library* holds the
+    // drift, this test only says where it is.
     assert!(put_epoch / 1e3 < params::CXL_MPI_SMALL_LATENCY_US);
 
     // fence, get, fence: a fence at two ranks is one store and one load.

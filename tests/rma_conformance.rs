@@ -440,7 +440,8 @@ fn a_mixed_synchronization_script_ends_on_identical_clocks_in_every_launch() {
     // No RMA synchronization charge of an uncontended script depends on how
     // the host scheduled the two ranks: failed polls are free and every stamp
     // merged is the stamp of the store that satisfied the wait. (A contended
-    // `win_lock` is the exception — ROADMAP item 5 — so each rank locks the
+    // `win_lock` is the exception — see the ROADMAP item *The paper's
+    // figures from the library* — so each rank locks the
     // *other's* window here.)
     let launch = || {
         let config = UniverseConfig::cxl_small(2).with_hosts(matrix_hosts());
