@@ -32,7 +32,7 @@ use cmpi_fabric::SimClock;
 use cxl_shm::slots::SLOT_DONE_ENTRY;
 use cxl_shm::ShmObject;
 
-use crate::spin::{PoisonFlag, SpinWait};
+use crate::spin::{block_until, PoisonFlag, Polled, WaitSite};
 use crate::transport::cxl::{load_stamped, store_stamped};
 use crate::types::Rank;
 use crate::Result;
@@ -50,7 +50,8 @@ pub struct SeqBarrier {
     ranks: usize,
     /// This rank's private sequence number.
     seq: u64,
-    /// Universe poison flag; a peer death aborts the wait with `PeerDead`.
+    /// The rank's failure-state handle: hard poison aborts the wait with
+    /// `PeerDead`, a straggler recorded dead with `ProcFailed`.
     poison: PoisonFlag,
 }
 
@@ -60,23 +61,17 @@ impl SeqBarrier {
         ranks * BARRIER_SLOT_STRIDE as usize
     }
 
-    /// Attach rank `rank` to the barrier array at `base` within `obj`.
-    pub fn new(obj: ShmObject, base: u64, rank: Rank, ranks: usize) -> Self {
+    /// Attach rank `rank` to the barrier array at `base` within `obj`;
+    /// [`SeqBarrier::enter`] waits on `poison`.
+    pub fn new(obj: ShmObject, base: u64, rank: Rank, ranks: usize, poison: PoisonFlag) -> Self {
         SeqBarrier {
             obj,
             base,
             rank,
             ranks,
             seq: 0,
-            poison: PoisonFlag::new(),
+            poison,
         }
-    }
-
-    /// Attach the universe's poison flag so waits inside [`SeqBarrier::enter`]
-    /// abort when a peer dies (a fresh, never-raised flag is used otherwise).
-    pub fn with_poison(mut self, poison: PoisonFlag) -> Self {
-        self.poison = poison;
-        self
     }
 
     /// Zero every slot (called once by the rank that creates the object,
@@ -119,27 +114,21 @@ impl SeqBarrier {
         // Wait for everyone else and merge their timestamps.
         let mut latest = clock.now();
         for r in (0..self.ranks).filter(|&r| r != self.rank) {
-            let mut backoff = SpinWait::new();
-            loop {
-                if let Some(ts) = load_stamped(&self.obj, self.cell(r, self.seq), self.seq)? {
-                    latest = latest.max(ts);
-                    break;
+            // A recorded (survivable) death only dooms this wait if the
+            // straggler waited on is the dead rank — it will never publish.
+            // Faults fire at transfer operations, never inside a barrier
+            // wait, so a dead rank whose slot already reached `self.seq`
+            // genuinely passed this barrier and cannot block it; the wait
+            // goes on for the live stragglers so ranks that have not
+            // installed an error handler yet (e.g. the startup barrier) don't
+            // abort a completable barrier. Hard poison still aborts.
+            let ts = block_until(WaitSite::Barrier, &self.poison, || {
+                match load_stamped(&self.obj, self.cell(r, self.seq), self.seq)? {
+                    Some(ts) => Ok(Polled::Ready(ts)),
+                    None => self.poison.check_alive(r).map(|()| Polled::Idle),
                 }
-                if let Err(e) = backoff.wait(&self.poison) {
-                    // A recorded (survivable) death only dooms this wait if
-                    // the straggler we are spinning on is the dead rank — it
-                    // will never publish. Faults fire at transfer operations,
-                    // never inside a barrier wait, so a dead rank whose slot
-                    // already reached `self.seq` genuinely passed this
-                    // barrier and cannot block it; keep spinning for the live
-                    // stragglers so ranks that have not installed an error
-                    // handler yet (e.g. the startup barrier) don't abort a
-                    // completable barrier. Hard poison still aborts.
-                    if self.poison.is_poisoned() || self.poison.is_dead(r) {
-                        return Err(e);
-                    }
-                }
-            }
+            })?;
+            latest = latest.max(ts);
         }
         clock.merge(latest);
         Ok(())
@@ -161,7 +150,7 @@ mod tests {
         let obj = root_arena
             .create("barrier", SeqBarrier::required_bytes(ranks))
             .unwrap();
-        let root_barrier = SeqBarrier::new(obj, 0, 0, ranks);
+        let root_barrier = SeqBarrier::new(obj, 0, 0, ranks, PoisonFlag::new());
         root_barrier.format().unwrap();
         let mut barriers = vec![root_barrier];
         for r in 1..ranks {
@@ -173,7 +162,7 @@ mod tests {
             ))
             .unwrap();
             let obj = arena.open("barrier").unwrap();
-            barriers.push(SeqBarrier::new(obj, 0, r, ranks));
+            barriers.push(SeqBarrier::new(obj, 0, r, ranks, PoisonFlag::new()));
         }
         barriers
     }
@@ -215,7 +204,8 @@ mod tests {
         use crate::error::MpiError;
         let poison = PoisonFlag::new();
         let mut barriers = make_barriers(2);
-        let mut b0 = barriers.remove(0).with_poison(poison.clone());
+        let mut b0 = barriers.remove(0);
+        b0.poison = poison.clone();
         // Rank 1 never enters; poison the universe from "its" thread shortly
         // after rank 0 starts waiting.
         let t = std::thread::spawn(move || {
@@ -226,6 +216,53 @@ mod tests {
         let err = b0.enter(&mut clock, 0.0).unwrap_err();
         assert!(matches!(err, MpiError::PeerDead(_)), "got {err:?}");
         t.join().unwrap();
+    }
+
+    /// Ranks 0 and 2 of a 3-rank barrier whose rank 1 is recorded dead
+    /// (after it entered the barrier, or before): rank 0 enters, and rank 2
+    /// once rank 0 has waited for it, if it `arrives` at all.
+    #[allow(clippy::disallowed_methods)]
+    fn enter_beside_a_death(rank1_passed: bool, arrives: bool) -> Result<()> {
+        use crate::counters::RankCounters;
+        use std::sync::Arc;
+        let universe = PoisonFlag::new();
+        let counters = Arc::new(RankCounters::default());
+        let mut barriers = make_barriers(3);
+        let mut b2 = barriers.pop().unwrap();
+        let mut b1 = barriers.pop().unwrap();
+        let mut b0 = barriers.pop().unwrap();
+        b0.poison = universe.for_rank(&counters);
+        if rank1_passed {
+            // Publish rank 1's arrival without waiting for the others.
+            b1.seq += 1;
+            store_stamped(&b1.obj, b1.cell(1, b1.seq), b1.seq, 0.0)?;
+        }
+        universe.mark_dead(1, "killed at send #1");
+        let entered = std::thread::spawn(move || b0.enter(&mut SimClock::new(), 0.0));
+        if arrives {
+            while counters.waits.barrier.get() == 0 {
+                std::thread::yield_now();
+            }
+            b2.enter(&mut SimClock::new(), 0.0)?;
+        }
+        entered.join().unwrap()
+    }
+
+    #[test]
+    fn a_straggler_recorded_dead_fails_the_barrier() {
+        use crate::error::MpiError;
+        let err = enter_beside_a_death(false, false).unwrap_err();
+        assert!(
+            matches!(&err, MpiError::ProcFailed { dead, .. } if dead == &vec![1]),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn a_death_after_the_barrier_waits_out_the_live_straggler() {
+        // Rank 1 passed before it died, so rank 0 waits for rank 2 instead
+        // of failing, although its handle has not acknowledged the death.
+        enter_beside_a_death(true, true).unwrap();
     }
 
     #[test]

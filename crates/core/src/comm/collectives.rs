@@ -48,7 +48,7 @@ use crate::plan::{PlanKey, PlanOp, PLAN_CACHE_ENTRIES};
 use crate::pod::{bytes_of, bytes_of_mut, vec_from_bytes, Pod};
 use crate::progress::{CollPlan, CollState, Execution};
 use crate::request::{Request, RequestState};
-use crate::spin::SpinWait;
+use crate::spin::{block_until, Polled, WaitSite};
 use crate::topology::HostHierarchy;
 use crate::transport::DpWindow;
 use crate::types::{Rank, ReduceOp, Reducible, WORLD_CTX};
@@ -182,24 +182,18 @@ impl Comm {
     pub(super) fn run_coll(&self, spec: &Spec, buf: &mut [u8]) -> Result<Execution> {
         let seq = self.shard().next_coll_seq();
         let mut exec = Execution::new(Arc::clone(&spec.plan), seq);
-        let mut backoff = SpinWait::new();
-        loop {
+        block_until(WaitSite::Collective, &self.shared.poison, || {
             let step = {
                 let io = &mut *self.shared.io();
                 exec.progress(io.transport.as_mut(), &mut io.clock, buf)
-            };
-            let step = step.map_err(|e| self.map_ft_err(e))?;
-            if step.done {
-                break;
-            }
-            if step.ops > 0 {
-                backoff.reset();
-            } else {
-                backoff
-                    .wait(&self.shared.poison)
-                    .map_err(|e| self.map_ft_err(e))?;
-            }
-        }
+            }?;
+            Ok(match (step.done, step.ops) {
+                (true, _) => Polled::Ready(()),
+                (false, 0) => Polled::Idle,
+                (false, _) => Polled::Moved,
+            })
+        })
+        .map_err(|e| self.map_ft_err(e))?;
         self.account_plan(&spec.plan, spec.payload);
         Ok(exec)
     }

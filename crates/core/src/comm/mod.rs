@@ -51,7 +51,7 @@ use crate::group::Group;
 use crate::plan::{PlanCache, PlanCacheStats, PlanOp};
 use crate::pod::bytes_of_mut;
 use crate::progress::{CollPlan, ProgressStats};
-use crate::spin::PoisonFlag;
+use crate::spin::{PoisonFlag, WaitStats};
 use crate::topology::{HostHierarchy, HostTopology};
 use crate::transport::{DataPlaneStats, Transport, TransportStats};
 use crate::types::{CtxId, Rank, ReduceOp, Status, WORLD_CTX};
@@ -314,14 +314,14 @@ impl Comm {
             shards: Mutex::new(BTreeMap::new()),
             counters,
             post_seq: AtomicU64::new(0),
-            poison,
+            poison: poison.clone(),
             topology,
             tuning,
             progress,
             engine: ProgressEngine::new(rank),
         });
         if progress == ProgressMode::Thread {
-            shared.engine.start(Arc::downgrade(&shared));
+            shared.engine.start(Arc::downgrade(&shared), poison);
         }
         let group = Group::world(n);
         shared.ensure_data_plane(WORLD_CTX, group.world_ranks())?;
@@ -694,6 +694,12 @@ impl Comm {
     pub fn progress_stats(&self) -> ProgressStats {
         self.shared.counters.progress.snapshot()
     }
+
+    /// Snapshot of this rank's blocking calls that had to wait, per wait site
+    /// (across all communicators of the rank, taken without a lock).
+    pub fn wait_stats(&self) -> WaitStats {
+        self.shared.counters.waits.snapshot()
+    }
 }
 
 #[cfg(test)]
@@ -712,6 +718,7 @@ mod tests {
             let dp = comm.data_plane_stats();
             let progress = comm.progress_stats();
             let plans = comm.plan_cache_stats();
+            let waits = comm.wait_stats();
             drop((io, ctl));
             // The init barrier; the world's window attempt (the small pool
             // cannot hold it); nothing nonblocking, nothing cached yet.
@@ -719,6 +726,41 @@ mod tests {
             assert_eq!(dp.window_setups + dp.window_failures, 1);
             assert_eq!(progress.colls_started, 0);
             assert_eq!((plans.misses, plans.entries), (0, 0));
+            assert_eq!((waits.recv, waits.send), (0, 0));
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    /// A receive posted before its message is sent waits, and counts once
+    /// at the `recv` site however long it waits; a receive whose message is
+    /// already there does not count.
+    #[test]
+    #[allow(clippy::disallowed_methods)]
+    fn a_receive_that_waits_counts_once_at_its_site() {
+        Universe::run(UniverseConfig::cxl_small(2), |comm| {
+            let mut dup = comm.comm_dup()?;
+            let base = comm.wait_stats().recv;
+            if comm.rank() == 0 {
+                let waiter = std::thread::spawn(move || dup.recv_owned(Some(1), Some(1)));
+                // Rank 1 replies only once this rank's receive has waited.
+                while comm.wait_stats().recv == base {
+                    std::thread::yield_now();
+                }
+                comm.send(1, 0, b"go")?;
+                waiter.join().expect("receiving thread")?;
+                assert_eq!(comm.wait_stats().recv, base + 1);
+                comm.send(1, 2, b"sent before the barrier")?;
+            } else {
+                comm.recv_owned(Some(0), Some(0))?;
+                dup.send(0, 1, b"reply")?;
+            }
+            comm.barrier()?;
+            if comm.rank() == 1 {
+                let waited = comm.wait_stats().recv;
+                comm.recv_owned(Some(0), Some(2))?;
+                assert_eq!(comm.wait_stats().recv, waited);
+            }
             Ok(())
         })
         .unwrap();

@@ -9,7 +9,7 @@ use super::Comm;
 use crate::error::MpiError;
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
 use crate::request::{Contention, Request, RequestState};
-use crate::spin::SpinWait;
+use crate::spin::{block_until, Polled, WaitSite};
 use crate::transport::RecvDest;
 use crate::types::{Rank, Status, Tag};
 use crate::Result;
@@ -103,27 +103,26 @@ impl Comm {
         found.map(|status| self.localize(status)).transpose()
     }
 
-    /// The one blocked-receive loop: an attempt per io-lock hold, so other
+    /// The one blocked receive: an attempt per io-lock hold, so other
     /// threads of this rank keep progressing between attempts; a receive
     /// stalled on its sender drives the rank's outstanding collectives
-    /// meanwhile, and backs off, poison-aware, when that moved nothing.
+    /// meanwhile, and backs off (`block_until` at the `Recv` site, which
+    /// also fails it on a dead peer) when that moved nothing.
     fn recv_blocking(
         &self,
         src: Option<Rank>,
         tag: Option<Tag>,
         mut dest: RecvDest<'_>,
     ) -> Result<Status> {
-        let mut backoff = SpinWait::new();
-        loop {
+        block_until(WaitSite::Recv, &self.shared.poison, || {
             if let Some(status) = self.try_recv_once(src, tag, dest.reborrow())? {
-                return Ok(status);
+                return Ok(Polled::Ready(status));
             }
-            let driven = self.shared.engine.poll_siblings(&self.shared, None);
-            if driven.is_some_and(|ops| ops > 0) {
-                backoff.reset();
-            }
-            backoff.wait(&self.shared.poison)?;
-        }
+            Ok(match self.shared.engine.poll_siblings(&self.shared) {
+                0 => Polled::Idle,
+                _ => Polled::Moved,
+            })
+        })
     }
 
     /// Blocking receive into `buf`; returns the completion status. A matched
@@ -492,16 +491,16 @@ impl Comm {
         // Idempotent re-registration: covers requests started before a
         // registry prune dropped them (e.g. after an error elsewhere).
         self.shared.engine.enqueue(Arc::clone(&cell));
-        let mut backoff = SpinWait::new();
-        let out = loop {
+        let shared = Arc::clone(&self.shared);
+        let out = block_until(WaitSite::CollWait, &shared.poison, || {
             // Fast path: completion already published — by a sibling poller,
             // a prior test, or the p2p-wait sweep. One atomic load.
             if cell.is_done() {
-                match self.progress_coll(request, true) {
-                    Err(e) => break Err(e),
-                    Ok((Some(status), _)) => break Ok(status),
-                    Ok((None, _)) => continue,
-                }
+                return Ok(match self.progress_coll(request, true) {
+                    Err(e) => Polled::Ready(Err(e)),
+                    Ok((Some(status), _)) => Polled::Ready(Ok(status)),
+                    Ok((None, _)) => Polled::Moved,
+                });
             }
             if self.shared.engine.try_poller() {
                 // This thread is the rank's poller: drive its own schedule
@@ -510,33 +509,27 @@ impl Comm {
                 let own = self.progress_coll(request, true);
                 let sibling_ops = self.shared.engine.drive_siblings(&self.shared, Some(&cell));
                 self.shared.engine.release_poller();
-                match own {
-                    Err(e) => break Err(e),
-                    Ok((Some(status), _)) => break Ok(status),
-                    Ok((None, ops)) => {
-                        if ops + sibling_ops > 0 {
-                            backoff.reset();
-                        }
-                        if let Err(e) = backoff.wait(&self.shared.poison) {
-                            break Err(self.map_ft_err(e));
-                        }
-                    }
-                }
-            } else {
-                // Another thread of this rank holds the poller token: it
-                // drives this cell too and unparks us the moment completion
-                // is published. Register, re-check, park — no spinning, no
-                // io-lock contention; the park timeout is only a safety net
-                // against a poller that left without a hand-off. (Each wake
-                // drains the registration, so re-register every lap.)
-                cell.waiter().register();
-                if !cell.is_done() {
-                    if let Err(e) = SpinWait::park_registered(&self.shared.poison) {
-                        break Err(self.map_ft_err(e));
-                    }
-                }
+                return Ok(match own {
+                    Err(e) => Polled::Ready(Err(e)),
+                    Ok((Some(status), _)) => Polled::Ready(Ok(status)),
+                    Ok((None, ops)) if ops + sibling_ops > 0 => Polled::Moved,
+                    Ok((None, _)) => Polled::Idle,
+                });
             }
-        };
+            // Another thread of this rank holds the poller token: it drives
+            // this cell too and unparks us the moment completion is
+            // published. Register, re-check, park — no spinning, no io-lock
+            // contention; the park timeout is only a safety net against a
+            // poller that left without a hand-off. (Each wake drains the
+            // registration, so re-register every lap.)
+            cell.waiter().register();
+            Ok(if cell.is_done() {
+                Polled::Moved
+            } else {
+                Polled::Handed
+            })
+        })
+        .unwrap_or_else(|e| Err(self.map_ft_err(e)));
         cell.waiter().deregister();
         // This waiter leaving may leave the rank with no poller: wake one
         // still-pending sibling so it promptly takes over the token rather
@@ -555,17 +548,14 @@ impl Comm {
         // covers requests created before the engine started.
         self.shared.engine.enqueue(Arc::clone(&cell));
         let counters = &self.shared.counters.progress;
-        let mut backoff = SpinWait::new();
         cell.waiter().register();
-        let waited = loop {
+        let waited = block_until(WaitSite::EngineWait, &self.shared.poison, || {
             if cell.is_done() {
-                break Ok(());
+                return Ok(Polled::Ready(()));
             }
             counters.wait_polls.add(1);
-            if let Err(e) = backoff.wait_registered(&self.shared.poison) {
-                break Err(e);
-            }
-        };
+            Ok(Polled::Idle)
+        });
         cell.waiter().deregister();
         waited.map_err(|e| self.map_ft_err(e))
     }
@@ -588,46 +578,56 @@ impl Comm {
     /// deadlocking. Errors with [`MpiError::StaleRequest`] if any request was
     /// already consumed.
     pub fn wait_all(&mut self, requests: &mut [Request]) -> Result<Vec<Status>> {
-        let poison = self.shared.poison.clone();
-        let mut backoff = SpinWait::new();
+        let shared = Arc::clone(&self.shared);
         let ordered = Request::any_contention(requests);
-        loop {
-            let mut all_done = true;
-            let mut progressed = false;
-            for i in 0..requests.len() {
-                match requests[i].state() {
-                    RequestState::SendComplete | RequestState::RecvComplete => {}
-                    RequestState::Consumed | RequestState::Inactive => {
-                        return Err(MpiError::StaleRequest)
-                    }
-                    RequestState::RecvPending => {
-                        match self.try_complete_in(requests, i, true, ordered)? {
-                            Some(_) => progressed = true,
-                            None => all_done = false,
-                        }
-                    }
-                }
-            }
-            if all_done {
-                break;
-            }
-            if progressed {
-                backoff.reset();
-            }
-            if let Err(e) = backoff.wait(&poison) {
-                // The universe failure state fired mid-wait. Sweep once more
-                // so a request that can now be pinned on a specific dead
-                // source is reported with its index (and its siblings stay
-                // completable), falling back to the epoch-level error only
-                // when no single request is attributable.
-                self.attribute_failure(requests)?;
-                return Err(self.map_ft_err(e));
-            }
-        }
+        let swept = block_until(WaitSite::WaitAll, &shared.poison, || {
+            Ok(match self.sweep_all(requests, true, ordered) {
+                Err(e) => Polled::Ready(Err(e)),
+                Ok((true, _)) => Polled::Ready(Ok(())),
+                Ok((false, true)) => Polled::Moved,
+                Ok((false, false)) => Polled::Idle,
+            })
+        });
+        swept.unwrap_or_else(|e| {
+            // The universe failure state fired mid-wait. Sweep once more so a
+            // request that can now be pinned on a specific dead source is
+            // reported with its index (and its siblings stay completable),
+            // falling back to the epoch-level error only when no single
+            // request is attributable.
+            self.attribute_failure(requests)?;
+            Err(self.map_ft_err(e))
+        })?;
         requests
             .iter()
             .map(|r| r.status().ok_or(MpiError::StaleRequest))
             .collect()
+    }
+
+    /// One completion attempt on every pending request, for
+    /// [`Comm::wait_all`] and [`Comm::test_all`]: whether all are complete
+    /// now, and whether this sweep completed any.
+    fn sweep_all(
+        &mut self,
+        requests: &mut [Request],
+        during_wait: bool,
+        ordered: bool,
+    ) -> Result<(bool, bool)> {
+        let (mut all_done, mut progressed) = (true, false);
+        for i in 0..requests.len() {
+            match requests[i].state() {
+                RequestState::SendComplete | RequestState::RecvComplete => {}
+                RequestState::Consumed | RequestState::Inactive => {
+                    return Err(MpiError::StaleRequest)
+                }
+                RequestState::RecvPending => {
+                    match self.try_complete_in(requests, i, during_wait, ordered)? {
+                        Some(_) => progressed = true,
+                        None => all_done = false,
+                    }
+                }
+            }
+        }
+        Ok((all_done, progressed))
     }
 
     /// Post-failure attribution sweep shared by [`Comm::wait_all`] and
@@ -649,21 +649,20 @@ impl Comm {
     /// Errors with [`MpiError::StaleRequest`] if the slice is empty or every
     /// request has been consumed.
     pub fn wait_any(&mut self, requests: &mut [Request]) -> Result<(usize, Status)> {
-        let poison = self.shared.poison.clone();
-        let mut backoff = SpinWait::new();
+        let shared = Arc::clone(&self.shared);
         let ordered = Request::any_contention(requests);
-        loop {
-            match self.poll_any(requests, true, ordered)? {
-                PollAny::Ready(i, status) => return Ok((i, status)),
-                PollAny::Pending => {
-                    if let Err(e) = backoff.wait(&poison) {
-                        self.attribute_failure(requests)?;
-                        return Err(self.map_ft_err(e));
-                    }
-                }
-                PollAny::NoneActive => return Err(MpiError::StaleRequest),
-            }
-        }
+        let polled = block_until(WaitSite::WaitAny, &shared.poison, || {
+            Ok(match self.poll_any(requests, true, ordered) {
+                Err(e) => Polled::Ready(Err(e)),
+                Ok(PollAny::Ready(i, status)) => Polled::Ready(Ok((i, status))),
+                Ok(PollAny::Pending) => Polled::Idle,
+                Ok(PollAny::NoneActive) => Polled::Ready(Err(MpiError::StaleRequest)),
+            })
+        });
+        polled.unwrap_or_else(|e| {
+            self.attribute_failure(requests)?;
+            Err(self.map_ft_err(e))
+        })
     }
 
     /// Non-blocking [`Comm::wait_any`]: `Ok(None)` when no request is
@@ -712,22 +711,8 @@ impl Comm {
     /// `Ok(None)` if any request is still pending. Errors with
     /// [`MpiError::StaleRequest`] if any request was already consumed.
     pub fn test_all(&mut self, requests: &mut [Request]) -> Result<Option<Vec<Status>>> {
-        let mut all_complete = true;
         let ordered = Request::any_contention(requests);
-        for i in 0..requests.len() {
-            match requests[i].state() {
-                RequestState::SendComplete | RequestState::RecvComplete => {}
-                RequestState::Consumed | RequestState::Inactive => {
-                    return Err(MpiError::StaleRequest)
-                }
-                RequestState::RecvPending => {
-                    if self.try_complete_in(requests, i, false, ordered)?.is_none() {
-                        all_complete = false;
-                    }
-                }
-            }
-        }
-        if !all_complete {
+        if !self.sweep_all(requests, false, ordered)?.0 {
             return Ok(None);
         }
         requests

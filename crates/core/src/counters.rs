@@ -2,11 +2,12 @@
 //! rank, declared once.
 //!
 //! One [`RankCounters`] is created where the rank is launched and shared
-//! (`Arc`) by the transport, its lazy connection table and the communicator
-//! layer, which bump it directly. Each of its four sections is declared next
-//! to what it counts, by `counter_section!`, as one list of fields from which
-//! the public snapshot type (`TransportStats`, `DataPlaneStats`,
-//! `ProgressStats`, `PlanCacheStats`) and the live section are both emitted.
+//! (`Arc`) by the transport, its lazy connection table, the communicator
+//! layer and the rank's failure-state handle, which bump it directly. Each of
+//! its five sections is declared next to what it counts, by
+//! `counter_section!`, as one list of fields from which the public snapshot
+//! type (`TransportStats`, `DataPlaneStats`, `ProgressStats`,
+//! `PlanCacheStats`, `WaitStats`) and the live section are both emitted.
 //! Counters are relaxed atomics: nothing synchronizes through a count — the
 //! data it describes is published by the transport's own protocol — so a bump
 //! is one `fetch_add` and a snapshot is one load per field, under no lock.
@@ -15,6 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::plan::PlanCacheSection;
 use crate::progress::ProgressSection;
+use crate::spin::WaitSection;
 use crate::transport::{DataPlaneSection, TransportSection};
 
 /// One counter of the block: bumped and read through a shared reference.
@@ -46,6 +48,8 @@ pub struct RankCounters {
     pub progress: ProgressSection,
     /// The plan caches of all the rank's communicators.
     pub plan_cache: PlanCacheSection,
+    /// Blocking waits, per wait site.
+    pub waits: WaitSection,
 }
 
 /// Declare one section of [`RankCounters`]: the snapshot struct `Stats` (with

@@ -42,19 +42,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::comm::RankShared;
 use crate::counters::Counter;
 use crate::progress::{CollPlan, CollState};
-use crate::spin::WaitCell;
+use crate::spin::{block_until, PoisonFlag, Polled, WaitCell, WaitSite};
 use crate::types::{CtxId, Status};
 use crate::Result;
-
-/// How long the engine thread parks when it has nothing to drive. A directed
-/// unpark from [`ProgressEngine::enqueue`] ends the nap early; the timeout
-/// only bounds how long a lost wakeup (or a dropped universe) can linger.
-const ENGINE_PARK: Duration = Duration::from_millis(1);
 
 /// The state behind an [`OpCell`]'s slot lock: the resumable execution and,
 /// once terminal, the raw outcome.
@@ -238,10 +232,11 @@ impl ProgressEngine {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Spawn the engine thread. `shared` is held weakly: the thread exits on
-    /// its own once the rank's state is dropped, and parks (1 ms naps +
-    /// directed unparks) whenever the queue is empty.
-    pub(crate) fn start(&self, shared: Weak<RankShared>) {
+    /// Spawn the engine thread, waiting on the rank's `poison` handle.
+    /// `shared` is held weakly: the thread exits on its own once the rank's
+    /// state is dropped, and parks (1 ms naps + directed unparks) whenever
+    /// the queue is empty.
+    pub(crate) fn start(&self, shared: Weak<RankShared>, poison: PoisonFlag) {
         let mut st = self.state();
         if st.handle.is_some() {
             return;
@@ -250,7 +245,7 @@ impl ProgressEngine {
         let rank = self.rank;
         let handle = std::thread::Builder::new()
             .name(format!("cmpi-progress-{rank}"))
-            .spawn(move || engine_main(shared))
+            .spawn(move || engine_main(shared, poison))
             .expect("spawn progress engine thread");
         st.handle = Some(handle);
         self.running.store(true, Ordering::Release);
@@ -332,18 +327,15 @@ impl ProgressEngine {
 
     /// Opportunistic one-shot sweep for waits that have no operation cell of
     /// their own (blocking p2p receives): take the token if free, drive
-    /// everything outstanding, release. `None` when another thread is
-    /// already polling; `Some(0)` while the engine thread runs.
-    pub(crate) fn poll_siblings(&self, rank: &RankShared, own: Option<&OpCell>) -> Option<usize> {
-        if self.is_running() {
-            return Some(0);
+    /// everything outstanding, release. The ops serviced: none while another
+    /// thread is already polling or the engine thread runs.
+    pub(crate) fn poll_siblings(&self, rank: &RankShared) -> usize {
+        if self.is_running() || !self.try_poller() {
+            return 0;
         }
-        if !self.try_poller() {
-            return None;
-        }
-        let ops = self.drive_siblings(rank, own);
+        let ops = self.drive_siblings(rank, None);
         self.release_poller();
-        Some(ops)
+        ops
     }
 
     /// A polling waiter is leaving (its operation completed): wake one
@@ -391,33 +383,31 @@ impl ProgressEngine {
     }
 }
 
-/// The engine thread body: sweep the queue, drive each cell one bounded
-/// attempt, park when idle.
-fn engine_main(shared: Weak<RankShared>) {
-    loop {
-        let Some(rank) = shared.upgrade() else { return };
+/// The engine thread body, until the rank stops the engine or drops its
+/// state (or hard poison): sweep the queue, drive each cell one bounded
+/// attempt, and back off at the `Engine` wait site.
+fn engine_main(shared: Weak<RankShared>, poison: PoisonFlag) {
+    // The poll holds the rank only while it sweeps, never across a nap.
+    let _ = block_until(WaitSite::Engine, &poison, || {
+        let Some(rank) = shared.upgrade() else {
+            return Ok(Polled::Ready(()));
+        };
         if rank.engine.stop.load(Ordering::Acquire) {
-            return;
+            return Ok(Polled::Ready(()));
         }
         let cells = rank.engine.sweep();
         if cells.is_empty() {
-            // Nothing outstanding: nap until an enqueue rings the doorbell
-            // (the timeout only bounds lost-wakeup / teardown latency).
-            drop(cells);
-            drop(rank);
-            std::thread::park_timeout(ENGINE_PARK);
-            continue;
+            return Ok(Polled::Handed);
         }
         let mut ops = 0usize;
         for cell in &cells {
             ops += engine_drive(&rank, cell, &rank.counters.progress.ops_in_thread);
         }
-        if ops == 0 {
-            // Everything outstanding is stalled on remote peers; yield so
-            // the submitting threads (sharing these cores) run.
-            std::thread::yield_now();
-        }
-    }
+        Ok(match ops {
+            0 => Polled::Idle,
+            _ => Polled::Moved,
+        })
+    });
 }
 
 /// Drive one cell one bounded progress attempt under the io lock, crediting

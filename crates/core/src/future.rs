@@ -41,17 +41,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
-use std::time::Duration;
 
 use crate::comm::Comm;
 use crate::request::{Request, RequestState};
+use crate::spin::{block_until, unowned, Polled, WaitSite};
 use crate::types::Status;
 use crate::Result;
-
-/// How long [`block_on`] parks per pending poll when the future registered a
-/// real (engine-driven) waker. A completion wake ends the nap immediately;
-/// the timeout only bounds lost-wakeup latency.
-const EXECUTOR_PARK: Duration = Duration::from_micros(50);
 
 impl Comm {
     /// Poll one request for completion, futures-style.
@@ -173,9 +168,9 @@ impl Wake for ThreadWaker {
 /// for [`CompletionFuture`]s (and any other future).
 ///
 /// Pending polls park the thread (bounded 50 µs naps) until the waker fires;
-/// self-waking futures — Polling-mode requests — are re-polled immediately
-/// with a [`std::thread::yield_now`] in between so co-located ranks get CPU
-/// time.
+/// self-waking futures — Polling-mode requests — are re-polled after a
+/// scheduler yield, so co-located ranks get CPU time. The future carries its
+/// own failure checks: a request's poll fails on a dead peer.
 pub fn block_on<F: Future>(fut: F) -> F::Output {
     let waker_state = Arc::new(ThreadWaker {
         thread: std::thread::current(),
@@ -184,20 +179,15 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
     let waker = Waker::from(Arc::clone(&waker_state));
     let mut cx = Context::from_waker(&waker);
     let mut fut = Box::pin(fut);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(out) => return out,
-            Poll::Pending => {
-                if waker_state.woken.swap(false, Ordering::AcqRel) {
-                    // Self-woken (or completed concurrently): re-poll now,
-                    // but give sibling rank threads a scheduling slot first.
-                    std::thread::yield_now();
-                } else {
-                    std::thread::park_timeout(EXECUTOR_PARK);
-                }
-            }
-        }
-    }
+    let out = block_until(WaitSite::BlockOn, unowned(), || {
+        Ok(match fut.as_mut().poll(&mut cx) {
+            Poll::Ready(out) => Polled::Ready(out),
+            // Self-woken (or completed concurrently): re-poll soon.
+            Poll::Pending if waker_state.woken.swap(false, Ordering::AcqRel) => Polled::Idle,
+            Poll::Pending => Polled::Handed,
+        })
+    });
+    out.expect("a wait on no rank's failure state cannot fail")
 }
 
 /// Join a set of boxed futures, resolving to their outputs in order — the
@@ -309,7 +299,7 @@ mod tests {
         });
         let remote = Arc::clone(&gate);
         let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
+            std::thread::sleep(std::time::Duration::from_millis(5));
             remote.ready.store(true, Ordering::Release);
             if let Some(w) = remote.waker.lock().unwrap().take() {
                 w.wake();

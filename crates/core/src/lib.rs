@@ -72,8 +72,9 @@
 //!   coherent copy instead of two ring copies, on every communicator that
 //!   has a window (sized by [`config::CollTuning::shm_arena_bytes`]; zero
 //!   creates none), with the ring path as the universal fallback.
-//! * [`spin`] — the tiered [`spin::SpinWait`] backoff used by every blocking
-//!   wait, carrying the universe's [`spin::PoisonFlag`] so a dead rank aborts
+//! * [`spin`] — the one way to block: every wait in the runtime is a call to
+//!   `spin::block_until` with a named site, which holds the tiered backoff
+//!   and checks the universe's [`spin::PoisonFlag`], so a dead rank aborts
 //!   the survivors with [`error::MpiError::PeerDead`] instead of hanging.
 //! * [`progress`] — the progress engine: every collective algorithm compiles
 //!   to an immutable, buffer- and sequence-agnostic [`progress::CollPlan`] of
@@ -155,7 +156,7 @@ pub use pod::Pod;
 pub use progress::{CollPlan, Execution, ProgressStats};
 pub use request::{Request, RequestState};
 pub use runtime::{FtOutcome, RankReport, Universe};
-pub use spin::{PoisonFlag, SpinWait, WaitCell};
+pub use spin::{PoisonFlag, WaitCell, WaitStats};
 pub use topology::{HostHierarchy, HostTopology};
 pub use transport::{DataPlaneStats, DpWindow, FaultInjector};
 pub use types::{

@@ -24,7 +24,7 @@
 
 use cxl_shm::{ShmObject, CACHE_LINE_SIZE};
 
-use crate::spin::{PoisonFlag, SpinWait};
+use crate::spin::{block_until, PoisonFlag, WaitSite};
 use crate::types::Rank;
 use crate::Result;
 
@@ -103,14 +103,10 @@ impl BakeryLock {
         };
         let mut accesses = 2 + lines as u64;
         for line in 0..lines {
-            let mut backoff = SpinWait::new();
-            loop {
+            block_until(WaitSite::Bakery, poison, || {
                 accesses += 1;
-                if !self.load_line(line)?.any(ahead) {
-                    break;
-                }
-                backoff.wait(poison)?;
-            }
+                Ok((!self.load_line(line)?.any(ahead)).then_some(()).into())
+            })?;
         }
         Ok(accesses)
     }
@@ -210,6 +206,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn a_waiter_reports_every_repoll() {
         // Rank 0 holds the lock until rank 1 has begun its third line load:
         // the ticket scan and one poll that found rank 0 ahead are behind it,

@@ -257,7 +257,7 @@ impl Universe {
                             arena,
                             &cxl_config,
                             &topology,
-                            poison.for_rank(),
+                            poison.for_rank(&counters),
                             Arc::clone(&counters),
                         )?;
                         if let Some(trigger) = fault_trigger {
@@ -305,7 +305,7 @@ impl Universe {
                             fabric,
                             shared,
                             &tcp_config,
-                            poison.for_rank(),
+                            poison.for_rank(&counters),
                             Arc::clone(&counters),
                         )?;
                         if let Some(trigger) = fault_trigger {

@@ -1,59 +1,49 @@
-//! Tiered spin-waiting, the universe poison (peer-death) flag, and the
-//! fault-tolerance failure state.
+//! One way to block, and the universe's failure state.
 //!
-//! Every blocking wait in the runtime — the sequence-number barrier, the SPSC
-//! ring full/empty waits, receive matching, the bakery lock doorway, request
-//! combinators — used to be an ad-hoc `loop { spin_loop(); yield_now(); }`.
-//! Two problems:
+//! # Blocking
 //!
-//! 1. **Latency**: an unconditional `yield_now` on every iteration costs a
-//!    syscall right when the peer is nanoseconds away from publishing; pure
-//!    spinning, conversely, burns a core when the peer is milliseconds away.
-//!    [`SpinWait`] escalates through the classic tiers instead: a few raw
-//!    probes, then batches of `spin_loop` hints (pause instructions), then
-//!    scheduler yields, then short parked sleeps.
-//! 2. **Hangs**: a rank thread that dies mid-collective (panic, I/O error —
-//!    e.g. `println!` hitting a closed stdout pipe under `| head`) left every
-//!    surviving rank spinning forever. Every wait now threads a [`PoisonFlag`]
-//!    that the runtime raises when any rank exits abnormally; the next backoff
-//!    step observes it and fails the wait with [`MpiError::PeerDead`], so the
-//!    universe aborts fast instead of deadlocking.
+//! Every wait in the runtime is one call, `block_until(site, poison, poll)`.
+//! Each `poll` makes one attempt and reports *ready* with a value, *moved*
+//! (progress was made: the escalation restarts), *idle* (it goes one step
+//! further) or *handed* (a completer will unpark this thread: park at once).
+//! Only this function holds the backoff tiers (`spin_loop` hint batches,
+//! scheduler yields, parked sleeps — how far each runs is the site's), the
+//! directed-unpark park (see [`WaitCell`]), the restart on progress and the
+//! failure check made before every backoff step; and it counts, per site,
+//! the calls that had to wait ([`WaitStats`]).
+//!
+//! The sites: a blocking receive, a collective request's `wait` (polling or
+//! engine-driven), `wait_all`, `wait_any`, a blocking collective and send;
+//! the CXL transport's flags, PSCW epoch cell, and the rest of a drained or
+//! truncated message; the sequence barrier, the bakery lock's line scan, the
+//! agreement; the progress engine and [`crate::future::block_on`]; the TCP
+//! transport's barrier, window allocation, PSCW `start`/`wait`, lock, fence.
+//!
+//! The failure check has two strengths. By default it is
+//! [`PoisonFlag::check`]. The sites that must outlive a recorded death (the
+//! agreement, both barriers, the progress engine) check hard poison only; a
+//! barrier's poll fails by itself once a straggler it waits on is recorded
+//! dead, because that rank will never arrive.
 //!
 //! # Failure state (ULFM-style fault tolerance)
 //!
-//! The flag doubles as the universe's **failure state**: the shared cell that
-//! in hardware would live in the coherent CXL control plane. Two failure
-//! severities share it:
-//!
-//! - **Hard poison** ([`PoisonFlag::poison`]): a rank exited *abnormally*
-//!   (panic, unexpected error). Unrecoverable — every wait in the universe
-//!   fails with [`MpiError::PeerDead`] and the run aborts. This is the
-//!   pre-fault-tolerance behaviour and remains the default.
-//! - **Recorded death** ([`PoisonFlag::mark_dead`]): a rank was killed by
-//!   fault injection under [`crate::runtime::Universe::run_ft`]. The death
-//!   bumps a monotonically increasing **failure epoch** and records the world
-//!   rank in the dead set. Each rank holds a handle (via
-//!   [`PoisonFlag::for_rank`]) with a private *acknowledged-epoch* watermark:
-//!   a wait observing `epoch > acked` fails with [`MpiError::ProcFailed`],
-//!   which the communicator layer maps through the per-communicator error
-//!   handler. Acknowledging ([`PoisonFlag::ack_failures`], the
-//!   `MPI_Comm_failure_ack` idiom) advances the watermark so recovery code can
-//!   keep communicating among survivors.
-//!
-//! The failure state also hosts the **fault-tolerant agreement** cells used by
-//! `Comm::agree` and `Comm::shrink`: an epoch-keyed rendezvous where all
-//! survivors of the current epoch fold an AND-flag and a MAX-proposal. A death
-//! *during* agreement bumps the epoch, which atomically invalidates the
-//! in-flight rendezvous cell; survivors withdraw and re-agree among the new
-//! (smaller) survivor set. This mirrors ULFM's requirement that
-//! `MPI_Comm_agree` itself tolerate failures, using the coherent shared
-//! control plane instead of a message-based consensus tree.
+//! [`PoisonFlag`] is the shared cell that in hardware would live in the
+//! coherent CXL control plane. A rank that exits abnormally raises **hard
+//! poison** ([`PoisonFlag::poison`]): every wait fails with
+//! [`MpiError::PeerDead`] and the run aborts. A rank killed by fault
+//! injection under [`crate::runtime::Universe::run_ft`] is a **recorded
+//! death** ([`PoisonFlag::mark_dead`]): it bumps the failure epoch, and a
+//! rank's waits fail with [`MpiError::ProcFailed`] until it acknowledges the
+//! death ([`PoisonFlag::ack_failures`], `MPI_Comm_failure_ack`). The cell
+//! also hosts the failure-tolerant agreement of `Comm::agree` and
+//! `Comm::shrink` ([`PoisonFlag::agree`]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
+use crate::counters::{counter_section, Counter, RankCounters};
 use crate::error::MpiError;
 use crate::types::{CtxId, Rank};
 use crate::Result;
@@ -69,6 +59,9 @@ pub struct PoisonFlag {
     /// Plain `clone` shares it (handles within one rank agree on what has been
     /// acknowledged); [`PoisonFlag::for_rank`] makes a fresh one.
     acked: Arc<AtomicU64>,
+    /// The rank's counters, whose `waits` section every wait on this handle
+    /// bumps (none on the universe's own flag).
+    counters: Option<Arc<RankCounters>>,
 }
 
 /// One in-flight agreement rendezvous: survivors of a given failure epoch fold
@@ -111,12 +104,14 @@ impl PoisonFlag {
     }
 
     /// A handle onto the same universe failure state but with a fresh
-    /// (zero) acknowledged-epoch watermark. The runtime hands one to each
-    /// rank thread so failure acknowledgement is per rank, as in ULFM.
-    pub fn for_rank(&self) -> Self {
+    /// (zero) acknowledged-epoch watermark, counting the rank's waits into
+    /// `counters`. The runtime hands one to each rank thread so failure
+    /// acknowledgement is per rank, as in ULFM.
+    pub fn for_rank(&self, counters: &Arc<RankCounters>) -> Self {
         PoisonFlag {
             inner: Arc::clone(&self.inner),
             acked: Arc::new(AtomicU64::new(0)),
+            counters: Some(Arc::clone(counters)),
         }
     }
 
@@ -236,9 +231,9 @@ impl PoisonFlag {
     }
 
     /// Error out if the universe is hard-poisoned (the unrecoverable check).
-    /// Recovery-path waits (agreement, shrink) use this instead of
-    /// [`PoisonFlag::check`] so freshly recorded deaths don't abort recovery.
-    fn check_legacy(&self) -> Result<()> {
+    /// Waits that must outlive a recorded death (agreement, the barriers) use
+    /// this instead of [`PoisonFlag::check`].
+    fn check_hard(&self) -> Result<()> {
         if !self.is_poisoned() {
             return Ok(());
         }
@@ -259,25 +254,39 @@ impl PoisonFlag {
     /// In runs without fault injection the epoch stays 0 and this is exactly
     /// the pre-fault-tolerance check.
     pub fn check(&self) -> Result<()> {
-        self.check_legacy()?;
+        self.check_hard()?;
         if self.inner.epoch.load(Ordering::Acquire) > self.acked.load(Ordering::Acquire) {
-            let dead = self
-                .inner
-                .dead_ranks
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let detail = dead
-                .values()
-                .next()
-                .cloned()
-                .unwrap_or_else(|| "rank died".into());
-            return Err(MpiError::ProcFailed {
-                ctx: 0,
-                dead: dead.keys().copied().collect(),
-                detail,
-            });
+            return Err(self.proc_failed());
         }
         Ok(())
+    }
+
+    /// Error out if `rank` is recorded dead: a wait for it to arrive would
+    /// never end. One atomic load while nobody has died.
+    pub(crate) fn check_alive(&self, rank: Rank) -> Result<()> {
+        if self.epoch() > 0 && self.is_dead(rank) {
+            return Err(self.proc_failed());
+        }
+        Ok(())
+    }
+
+    /// [`MpiError::ProcFailed`] naming every recorded death.
+    fn proc_failed(&self) -> MpiError {
+        let dead = self
+            .inner
+            .dead_ranks
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let detail = dead
+            .values()
+            .next()
+            .cloned()
+            .unwrap_or_else(|| "rank died".into());
+        MpiError::ProcFailed {
+            ctx: 0,
+            dead: dead.keys().copied().collect(),
+            detail,
+        }
     }
 
     /// Fault-tolerant agreement among the survivors of `group` (world ranks):
@@ -294,7 +303,7 @@ impl PoisonFlag {
     /// second round.
     ///
     /// Resilient to deaths mid-agreement: a death bumps the epoch and removes
-    /// the in-flight cell (see [`PoisonFlag::mark_dead`]), so spinning
+    /// the in-flight cell (see [`PoisonFlag::mark_dead`]), so waiting
     /// participants observe the vanished cell and re-join under the new epoch
     /// with the smaller survivor set. Only hard poison aborts the wait.
     pub fn agree(
@@ -349,154 +358,221 @@ impl PoisonFlag {
                 }
                 (key, dead_members)
             };
-            // Spin until the cell completes (return) or vanishes (a death
-            // invalidated this epoch: retry). Hard poison still aborts.
-            let mut w = SpinWait::new();
-            loop {
-                {
-                    let cells = self
-                        .inner
-                        .agreements
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner());
-                    match cells.get(&key) {
-                        Some(cell) if cell.done => {
-                            return Ok((cell.and_val, cell.max_val, dead_members))
-                        }
-                        Some(_) => {}
-                        None => break, // epoch bumped; re-join at the new one
-                    }
-                }
-                self.check_legacy()?;
-                w.backoff();
+            // Wait until the cell completes or vanishes (a death invalidated
+            // this epoch: re-join at the new one).
+            let folded = block_until(WaitSite::Agree, self, || {
+                let cells = self
+                    .inner
+                    .agreements
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner());
+                Ok(match cells.get(&key) {
+                    Some(cell) if cell.done => Polled::Ready(Some((cell.and_val, cell.max_val))),
+                    Some(_) => Polled::Idle,
+                    None => Polled::Ready(None),
+                })
+            })?;
+            if let Some((and_val, max_val)) = folded {
+                return Ok((and_val, max_val, dead_members));
             }
         }
     }
 }
 
-/// Iterations spent issuing `spin_loop` hint batches before yielding
-/// (batch size doubles each iteration: 1, 2, 4, ... 2^SPIN_TIERS).
-const SPIN_TIERS: u32 = 6;
-/// Yield iterations before falling back to parked sleeps. Deliberately long:
-/// ring-full / ring-empty waits inside a chunked message last tens to hundreds
-/// of microseconds, and parking (≥ 50 µs granularity on Linux) right on that
-/// critical path inserts pipeline bubbles. Yields keep the waiter responsive
-/// for ~a millisecond; only genuinely long waits (barrier stragglers, receives
-/// with no sender) reach the parking tier.
-const YIELD_TIERS: u32 = 1024;
-/// Park duration once fully backed off. Short enough that message latency
-/// stays bounded, long enough that a stalled universe stops burning CPU.
-const PARK_MICROS: u64 = 50;
-/// Park duration for a waiter that registered a directed-unpark token with a
-/// [`WaitCell`]: the completer (e.g. the background progress thread) unparks
-/// it the instant the result is published, so the timeout is only a safety
-/// net (poison checks, races around registration) and can be far longer than
-/// the undirected 50 µs poll — the waiter burns no CPU while the engine
-/// works.
-const PARK_TOKEN_MICROS: u64 = 2000;
-/// Yield iterations of the registered-wait escalation. Much shorter than
-/// [`YIELD_TIERS`]: a registered waiter is not on the message critical path
-/// (the progress thread is), so it should reach the cheap parked tier fast
-/// instead of competing with the engine for cycles.
-const REGISTERED_YIELD_TIERS: u32 = 32;
+/// Declare the wait sites, each with its backoff tiers and failure check
+/// (`check_hard` where the wait must outlive a recorded death): the
+/// crate-private [`WaitSite`] and the `waits` counter section.
+macro_rules! wait_sites {
+    ($($(#[$doc:meta])* $site:ident => $field:ident, $tiers:ident, $check:ident;)*) => {
+        /// Where a thread blocks: one variant per `block_until` call site,
+        /// which chooses the backoff tiers and the failure check, and names
+        /// the count the wait goes into.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum WaitSite {
+            $($(#[$doc])* $site,)*
+        }
 
-/// Whether the host exposes a single logical CPU. On such machines the
-/// pause-hint spin tiers are pure waste: every event a wait can possibly be
-/// waiting for must be produced by *another thread that needs this same
-/// core*, so burning the quantum on `spin_loop` only delays the producer.
-/// The escalation skips straight to scheduler yields instead.
+        counter_section! {
+            /// Per wait site, the blocking calls that had to wait (whose first
+            /// poll was not ready), surfaced by `Comm::wait_stats`.
+            #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+            WaitStats / WaitSection {
+                $($(#[$doc])* $field,)*
+            }
+        }
+
+        impl WaitSite {
+            fn tiers(self) -> Tiers {
+                match self { $(WaitSite::$site => $tiers,)* }
+            }
+
+            fn check(self, poison: &PoisonFlag) -> Result<()> {
+                match self { $(WaitSite::$site => poison.$check(),)* }
+            }
+
+            fn counter(self, waits: &WaitSection) -> &Counter {
+                match self { $(WaitSite::$site => &waits.$field,)* }
+            }
+        }
+    };
+}
+
+wait_sites! {
+    /// A blocking receive (`recv`, `recv_owned`, a receive request's `wait`).
+    Recv => recv, BACKOFF, check;
+    /// A polling-mode `wait` on a collective request.
+    CollWait => coll_wait, BACKOFF, check;
+    /// A `wait` on a collective request the progress engine drives.
+    EngineWait => engine_wait, REGISTERED, check;
+    /// `Comm::wait_all`.
+    WaitAll => wait_all, BACKOFF, check;
+    /// `Comm::wait_any`.
+    WaitAny => wait_any, BACKOFF, check;
+    /// A blocking collective.
+    Collective => collective, BACKOFF, check;
+    /// A blocking send that flow control holds.
+    Send => send, BACKOFF, check;
+    /// A shared flag of the CXL transport (setup and window handshakes).
+    Flag => flag, BACKOFF, check;
+    /// A PSCW `start` or `wait` on the CXL transport, for the peer's epoch.
+    Pscw => pscw, BACKOFF, check;
+    /// The rest of a matched message its sender is still publishing.
+    Drain => drain, BACKOFF, check;
+    /// The rest of a message a receive truncates.
+    Truncation => truncation, BACKOFF, check;
+    /// The CXL sequence-number barrier.
+    Barrier => barrier, BACKOFF, check_hard;
+    /// A line scan of the bakery lock.
+    Bakery => bakery, BACKOFF, check;
+    /// The fault-tolerant agreement rendezvous.
+    Agree => agree, BACKOFF, check_hard;
+    /// The progress engine with nothing to drive, or everything stalled.
+    Engine => engine, ENGINE, check_hard;
+    /// `future::block_on`.
+    BlockOn => block_on, EXECUTOR, check;
+    /// The TCP transport's barrier.
+    TcpBarrier => tcp_barrier, BACKOFF, check_hard;
+    /// A window allocation on the TCP transport.
+    TcpWindow => tcp_window, BACKOFF, check;
+    /// A PSCW `start` on the TCP transport.
+    TcpStart => tcp_start, BACKOFF, check;
+    /// A PSCW `wait` on the TCP transport.
+    TcpWait => tcp_wait, BACKOFF, check;
+    /// A passive-target lock on the TCP transport.
+    TcpLock => tcp_lock, BACKOFF, check;
+    /// A fence on the TCP transport.
+    TcpFence => tcp_fence, BACKOFF, check;
+}
+
+/// What one poll of a [`block_until`] wait found.
+pub(crate) enum Polled<T> {
+    /// The wait is over.
+    Ready(T),
+    /// Progress was made: poll again at once, escalation restarted.
+    Moved,
+    /// Nothing happened: back off one step further.
+    Idle,
+    /// Nothing happened, and a completer will unpark this thread: park now.
+    Handed,
+}
+
+impl<T> From<Option<T>> for Polled<T> {
+    /// `Some` is ready, `None` idle.
+    fn from(found: Option<T>) -> Self {
+        found.map_or(Polled::Idle, Polled::Ready)
+    }
+}
+
+/// Block until `poll` reports [`Polled::Ready`], backing off as the site's
+/// tiers say while it does not, and failing with the site's failure check
+/// (see the module documentation). An error from `poll` ends the wait as it
+/// is; a caller that handles the failure check's error apart (attributes or
+/// maps it) returns its poll's errors as the ready value instead. A call
+/// whose first poll is not ready counts once in `site`'s waits.
+pub(crate) fn block_until<T>(
+    site: WaitSite,
+    poison: &PoisonFlag,
+    mut poll: impl FnMut() -> Result<Polled<T>>,
+) -> Result<T> {
+    let mut outcome = poll()?;
+    if !matches!(outcome, Polled::Ready(_)) {
+        if let Some(counters) = &poison.counters {
+            site.counter(&counters.waits).add(1);
+        }
+    }
+    let mut step = 0;
+    loop {
+        step = match outcome {
+            Polled::Ready(value) => return Ok(value),
+            Polled::Moved => 0,
+            Polled::Idle => back_off(site, poison, step, false)?,
+            Polled::Handed => back_off(site, poison, step, true)?,
+        };
+        outcome = poll()?;
+    }
+}
+
+/// How a site backs off: idle laps run `.0` batches of `spin_loop` hints
+/// (doubling: 1, 2, 4, ...), then `.1` scheduler yields, then parks of `.2`
+/// µs; a handed lap parks `.3` µs at once.
+type Tiers = (u32, u32, u64, u64);
+
+/// Most sites. Many yields, as a ring-full / ring-empty wait in a chunked
+/// message lasts tens to hundreds of µs and a park (≥ 50 µs on Linux) there
+/// is a bubble. A handed lap is registered with a [`WaitCell`] whose completer
+/// unparks it, so its 2 ms park is only a safety net.
+const BACKOFF: Tiers = (6, 1024, 50, 2000);
+/// A waiter registered with a [`WaitCell`] while the progress thread works:
+/// off the critical path, so it reaches the 2 ms safety-net park fast instead
+/// of competing with the engine for cycles.
+const REGISTERED: Tiers = (6, 32, 2000, 2000);
+/// The progress engine: a sweep that found everything stalled yields (so the
+/// threads that would unstall it run); one with nothing to drive naps until
+/// an enqueue unparks it, 1 ms at most.
+const ENGINE: Tiers = (0, u32::MAX, 1000, 1000);
+/// `block_on`: a self-woken future is polled again after a yield; any other
+/// naps until its waker fires, 50 µs at most.
+const EXECUTOR: Tiers = (0, u32::MAX, 50, 50);
+
+/// Whether the host has one logical CPU. There a wait's event comes from a
+/// thread that needs this very core, so the spin tiers yield instead.
 fn single_cpu() -> bool {
     static SINGLE: OnceLock<bool> = OnceLock::new();
     *SINGLE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() == 1))
 }
 
-/// Tiered backoff for one wait: spin → `spin_loop`-hint batches → `yield_now`
-/// → park-with-timeout. Create one per logical wait (or [`SpinWait::reset`]
-/// after progress) so the escalation restarts whenever the peer is making
-/// progress.
-#[derive(Debug, Default)]
-pub struct SpinWait {
-    step: u32,
+/// One unfinished lap of a [`block_until`] wait at escalation `step`: the
+/// site's failure check, then its tier for the step, or its `handed` park.
+/// Returns the next step. The one place a thread spins, yields or parks.
+#[allow(clippy::disallowed_methods)]
+fn back_off(site: WaitSite, poison: &PoisonFlag, step: u32, handed: bool) -> Result<u32> {
+    site.check(poison)?;
+    let (spins, yields, park, handed_park) = site.tiers();
+    if handed {
+        std::thread::park_timeout(Duration::from_micros(handed_park));
+        return Ok(step);
+    }
+    if step < spins {
+        if single_cpu() {
+            std::thread::yield_now();
+        } else {
+            for _ in 0..(1u32 << step) {
+                std::hint::spin_loop();
+            }
+        }
+    } else if step - spins < yields {
+        std::thread::yield_now();
+    } else {
+        std::thread::park_timeout(Duration::from_micros(park));
+    }
+    Ok(step.saturating_add(1))
 }
 
-impl SpinWait {
-    /// A wait at the start of its escalation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Restart the escalation (call after observing progress).
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
-    /// One backoff step. Checks `poison` first so a wait on a dead universe
-    /// errors with [`MpiError::PeerDead`] (or, under fault tolerance, an
-    /// unacknowledged death errors with [`MpiError::ProcFailed`]) instead of
-    /// blocking forever.
-    pub fn wait(&mut self, poison: &PoisonFlag) -> Result<()> {
-        poison.check()?;
-        self.backoff();
-        Ok(())
-    }
-
-    /// One backoff step for a waiter that registered itself with a
-    /// [`WaitCell`]: same poison check, but the escalation reaches the parked
-    /// tier quickly and parks *long* — the completer's directed unpark (not
-    /// the timeout) is what ends the sleep, so completion latency is the
-    /// unpark latency, not a backoff tier boundary.
-    pub fn wait_registered(&mut self, poison: &PoisonFlag) -> Result<()> {
-        poison.check()?;
-        if self.step < SPIN_TIERS {
-            if single_cpu() {
-                std::thread::yield_now();
-            } else {
-                for _ in 0..(1u32 << self.step) {
-                    std::hint::spin_loop();
-                }
-            }
-        } else if self.step < SPIN_TIERS + REGISTERED_YIELD_TIERS {
-            std::thread::yield_now();
-        } else {
-            std::thread::park_timeout(Duration::from_micros(PARK_TOKEN_MICROS));
-        }
-        self.step = self.step.saturating_add(1);
-        Ok(())
-    }
-
-    /// One parked step for a waiter that registered with a [`WaitCell`] and
-    /// *knows* a completer will unpark it (e.g. it lost the per-rank poller
-    /// token, so the active poller drives its operation too): poison check,
-    /// then park immediately with no spin/yield escalation — on an
-    /// oversubscribed host every yield only steals cycles from the thread
-    /// doing the work. The timeout is a lost-wakeup safety net.
-    pub fn park_registered(poison: &PoisonFlag) -> Result<()> {
-        poison.check()?;
-        std::thread::park_timeout(Duration::from_micros(PARK_TOKEN_MICROS));
-        Ok(())
-    }
-
-    /// The raw escalation step, with no failure check. Used by recovery-path
-    /// waits that layer their own (softer) checks on top.
-    fn backoff(&mut self) {
-        if self.step < SPIN_TIERS {
-            if single_cpu() {
-                std::thread::yield_now();
-            } else {
-                for _ in 0..(1u32 << self.step) {
-                    std::hint::spin_loop();
-                }
-            }
-        } else if self.step < SPIN_TIERS + YIELD_TIERS {
-            std::thread::yield_now();
-        } else {
-            // Nobody unparks us by token; the timeout bounds the sleep and the
-            // next poison check keeps peer-death detection prompt. Waits that
-            // *do* hold an unpark token use [`SpinWait::wait_registered`].
-            std::thread::park_timeout(Duration::from_micros(PARK_MICROS));
-        }
-        self.step = self.step.saturating_add(1);
-    }
+/// The failure state of waits that belong to no rank ([`crate::future::block_on`]'s
+/// executor): never raised.
+pub(crate) fn unowned() -> &'static PoisonFlag {
+    static UNOWNED: OnceLock<PoisonFlag> = OnceLock::new();
+    UNOWNED.get_or_init(PoisonFlag::new)
 }
 
 /// A directed-unpark slot: threads about to park on a condition register
@@ -560,15 +636,15 @@ mod tests {
     #[test]
     fn unpoisoned_wait_progresses_through_tiers() {
         let poison = PoisonFlag::new();
-        let mut w = SpinWait::new();
-        for _ in 0..(SPIN_TIERS + YIELD_TIERS + 3) {
-            w.wait(&poison).unwrap();
-        }
-        w.reset();
-        assert_eq!(w.step, 0);
+        let laps = BACKOFF.0 + BACKOFF.1 + 3;
+        let step = (0..laps).try_fold(0, |step, _| back_off(WaitSite::Recv, &poison, step, false));
+        assert_eq!(step.unwrap(), laps);
+        // A handed lap parks without moving the escalation.
+        assert_eq!(back_off(WaitSite::CollWait, &poison, 7, true).unwrap(), 7);
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn directed_unpark_beats_park_timeout() {
         // The waiter parks for up to 500 ms per iteration; the signaler
         // publishes after ~20 ms and wakes it by token. If the directed
@@ -600,15 +676,17 @@ mod tests {
     #[test]
     fn registered_wait_escalation_is_poison_aware() {
         let poison = PoisonFlag::new();
-        let mut w = SpinWait::new();
-        for _ in 0..(SPIN_TIERS + REGISTERED_YIELD_TIERS + 2) {
-            w.wait_registered(&poison).unwrap();
+        let laps = REGISTERED.0 + REGISTERED.1 + 2;
+        for step in 0..laps {
+            back_off(WaitSite::EngineWait, &poison, step, false).unwrap();
         }
         poison.poison("rank 0 panicked");
-        assert!(matches!(
-            w.wait_registered(&poison),
-            Err(MpiError::PeerDead(_))
-        ));
+        for handed in [false, true] {
+            assert!(matches!(
+                back_off(WaitSite::EngineWait, &poison, laps, handed),
+                Err(MpiError::PeerDead(_))
+            ));
+        }
     }
 
     #[test]
@@ -618,11 +696,90 @@ mod tests {
         poison.poison("rank 3 panicked");
         poison.poison("rank 1 panicked later");
         assert!(poison.is_poisoned());
-        let mut w = SpinWait::new();
-        match w.wait(&poison) {
+        match block_until(WaitSite::Recv, &poison, || Ok(Polled::<()>::Idle)) {
             Err(MpiError::PeerDead(reason)) => assert!(reason.contains("rank 3")),
             other => panic!("expected PeerDead, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_tolerating_site_escalates_past_a_recorded_death() {
+        // Under an unacknowledged death a barrier, the agreement and the
+        // engine keep waiting — and keep backing off while they do, instead
+        // of polling hot — where every other site fails.
+        let universe = PoisonFlag::new();
+        let rank = universe.for_rank(&Arc::default());
+        universe.mark_dead(3, "killed");
+        for site in [WaitSite::Barrier, WaitSite::TcpBarrier, WaitSite::Agree] {
+            for step in 0..BACKOFF.0 + 2 {
+                assert_eq!(
+                    back_off(site, &rank, step, false).unwrap(),
+                    step + 1,
+                    "{site:?}"
+                );
+            }
+        }
+        assert!(matches!(
+            back_off(WaitSite::Recv, &rank, 0, false),
+            Err(MpiError::ProcFailed { .. })
+        ));
+        assert!(rank.check_alive(2).is_ok());
+        assert!(matches!(
+            rank.check_alive(3),
+            Err(MpiError::ProcFailed { dead, .. }) if dead == vec![3]
+        ));
+    }
+
+    #[test]
+    fn waits_count_the_calls_whose_first_poll_was_not_ready() {
+        let counters = Arc::new(RankCounters::default());
+        let poison = PoisonFlag::new().for_rank(&counters);
+        let ready_after = |idle: usize, first: Polled<u32>| {
+            let (mut laps, mut first) = (0, Some(first));
+            move || {
+                laps += 1;
+                Ok(match first.take() {
+                    Some(first) => first,
+                    None if laps <= idle => Polled::Idle,
+                    None => Polled::Ready(7),
+                })
+            }
+        };
+        // Ready at once: no wait. Idle, moved or handed first: one wait per
+        // call, however many laps it took.
+        assert_eq!(
+            block_until(WaitSite::Recv, &poison, ready_after(0, Polled::Ready(1))).unwrap(),
+            1
+        );
+        for first in [Polled::Idle, Polled::Moved, Polled::Handed] {
+            assert_eq!(
+                block_until(WaitSite::Recv, &poison, ready_after(5, first)).unwrap(),
+                7
+            );
+        }
+        // A first poll that fails is no wait either.
+        assert!(
+            block_until(WaitSite::Recv, &poison, || Err::<Polled<()>, _>(
+                MpiError::StaleRequest
+            ))
+            .is_err()
+        );
+        let waits = counters.waits.snapshot();
+        assert_eq!(
+            waits,
+            WaitStats {
+                recv: 3,
+                ..WaitStats::default()
+            }
+        );
+        // The universe's own flag counts nowhere.
+        block_until(
+            WaitSite::Recv,
+            &PoisonFlag::new(),
+            ready_after(1, Polled::Idle),
+        )
+        .unwrap();
+        assert_eq!(counters.waits.snapshot(), waits);
     }
 
     #[test]
@@ -636,8 +793,8 @@ mod tests {
     #[test]
     fn recorded_death_raises_proc_failed_until_acked() {
         let universe = PoisonFlag::new();
-        let a = universe.for_rank();
-        let b = universe.for_rank();
+        let a = universe.for_rank(&Arc::default());
+        let b = universe.for_rank(&Arc::default());
         assert_eq!(a.epoch(), 0);
         assert!(a.check().is_ok());
 
@@ -676,8 +833,8 @@ mod tests {
     #[test]
     fn revocation_is_shared_and_per_ctx() {
         let universe = PoisonFlag::new();
-        let a = universe.for_rank();
-        let b = universe.for_rank();
+        let a = universe.for_rank(&Arc::default());
+        let b = universe.for_rank(&Arc::default());
         assert!(!a.is_revoked(7));
         b.revoke(7);
         assert!(a.is_revoked(7));
@@ -689,7 +846,7 @@ mod tests {
         let universe = PoisonFlag::new();
         let handles: Vec<_> = (0..4)
             .map(|r| {
-                let p = universe.for_rank();
+                let p = universe.for_rank(&Arc::default());
                 std::thread::spawn(move || {
                     let flag = if r == 2 { 0 } else { u64::MAX };
                     p.agree(5, 1, &[0, 1, 2, 3], flag, 100 + r as u64).unwrap()
@@ -712,11 +869,11 @@ mod tests {
         let universe = PoisonFlag::new();
         let survivors: Vec<_> = (0..2)
             .map(|r| {
-                let p = universe.for_rank();
+                let p = universe.for_rank(&Arc::default());
                 std::thread::spawn(move || p.agree(9, 1, &[0, 1, 2], u64::MAX, r as u64).unwrap())
             })
             .collect();
-        let victim = universe.for_rank();
+        let victim = universe.for_rank(&Arc::default());
         // Let the survivors join the 3-party cell first, then record the
         // death; their spin must escape to the 2-party retry.
         std::thread::sleep(std::time::Duration::from_millis(20));

@@ -59,7 +59,7 @@ use crate::pod::{bytes_of, bytes_of_mut};
 use crate::queue::{CellHeader, QueueGeometry, QueueMatrix, SpscQueue, CELL_HEADER_SIZE};
 use crate::rma::layout::WINDOW_READY_MAGIC;
 use crate::rma::{BakeryLock, WindowLayout};
-use crate::spin::{PoisonFlag, SpinWait};
+use crate::spin::{block_until, PoisonFlag, Polled, WaitSite};
 use crate::transport::conn::{ConnTable, SrqConsumer, SrqProducer, Stream, Took};
 use crate::transport::{
     no_data_plane, raises_flag, DataPlaneSection, DpCost, DpFormat, DpGather, DpPiece, DpReaders,
@@ -113,23 +113,18 @@ pub(crate) fn open_poisoned(
     }
 }
 
-/// Poll a non-temporal `u64` flag with tiered backoff until `pred` holds,
-/// aborting with `PeerDead` if the universe is poisoned. Replaces the
-/// unbounded `nt_spin_until_at` on every flag the transport waits on.
+/// Wait, with non-temporal loads, until the `u64` flag at `off` satisfies
+/// `pred` (the `Flag` wait site), failing on a dead peer.
 pub(crate) fn spin_flag(
     obj: &ShmObject,
     off: u64,
     poison: &PoisonFlag,
     pred: impl Fn(u64) -> bool,
 ) -> Result<u64> {
-    let mut backoff = SpinWait::new();
-    loop {
+    block_until(WaitSite::Flag, poison, || {
         let v = obj.nt_load_u64_at(off)?;
-        if pred(v) {
-            return Ok(v);
-        }
-        backoff.wait(poison)?;
-    }
+        Ok(pred(v).then_some(v).into())
+    })
 }
 
 /// One communicator's shared exposure window for the single-copy collective
@@ -1068,7 +1063,7 @@ impl CxlTransport {
 
         let barrier_obj = if rank == 0 {
             let barrier_obj = arena.create(BARRIER_OBJECT, barrier_bytes + 64)?;
-            let barrier = SeqBarrier::new(barrier_obj.clone(), 0, 0, ranks);
+            let barrier = SeqBarrier::new(barrier_obj.clone(), 0, 0, ranks, poison.clone());
             barrier.format()?;
             // Raise the ready flag only after formatting is complete.
             barrier_obj.nt_store_u64_at(barrier_bytes as u64, WINDOW_READY_MAGIC)?;
@@ -1122,7 +1117,7 @@ impl CxlTransport {
             }
         };
 
-        let barrier = SeqBarrier::new(barrier_obj, 0, rank, ranks).with_poison(poison.clone());
+        let barrier = SeqBarrier::new(barrier_obj, 0, rank, ranks, poison.clone());
 
         Ok(CxlTransport {
             rank,
@@ -1306,13 +1301,9 @@ impl CxlTransport {
                 clock.advance(nt);
                 store_stamped(&state.obj, cell, *epoch, clock.now())?;
             } else {
-                let mut backoff = SpinWait::new();
-                let stamp = loop {
-                    match load_stamped(&state.obj, cell, *epoch)? {
-                        Some(stamp) => break stamp,
-                        None => backoff.wait(&self.poison)?,
-                    }
-                };
+                let stamp = block_until(WaitSite::Pscw, &self.poison, || {
+                    Ok(load_stamped(&state.obj, cell, *epoch)?.into())
+                })?;
                 clock.merge(stamp);
                 clock.advance(nt);
             }
@@ -1376,9 +1367,8 @@ impl CxlTransport {
         let charge = self.charge_for(sender);
         let price = self.message_price(sender);
         let mut ring = self.conn.rx_ring(sender, price)?;
-        let mut backoff = SpinWait::new();
         let (mut next, mut received) = (Some(*first), 0usize);
-        loop {
+        block_until(WaitSite::Drain, &self.poison, || {
             // What follows is guaranteed to belong to this message (the
             // sender publishes a whole message before starting the next), but
             // the ring may momentarily be empty when the producer is behind.
@@ -1387,18 +1377,18 @@ impl CxlTransport {
                 None => ring.peek_header(None)?,
             };
             let Some(h) = peeked else {
-                backoff.wait(&self.poison)?;
-                continue;
+                return Ok(Polled::Idle);
             };
             debug_assert_eq!((h.src, h.ctx), (first.src, first.ctx));
             let dst = &mut dst[h.chunk_offset as usize..];
             ring.consume(&h, &charge, clock, dst, &self.counters.transport)?;
-            backoff.reset();
             received += h.chunk_len as usize;
-            if received >= total {
-                return Ok(());
-            }
-        }
+            Ok(if received >= total {
+                Polled::Ready(())
+            } else {
+                Polled::Moved
+            })
+        })
     }
 
     fn is_lazy(&self) -> bool {
@@ -1660,13 +1650,10 @@ impl CxlTransport {
                     // recycled immediately) and the receive errors. Blocking
                     // for the remainder is fine — the sender of a matching
                     // partial message is committed and actively publishing.
-                    let mut backoff = SpinWait::new();
-                    let msg = loop {
-                        match self.pump_queue(clock, sender)? {
-                            Some(msg) => break msg,
-                            None => backoff.wait(&self.poison)?,
-                        }
-                    };
+                    let poison = self.poison.clone();
+                    let msg = block_until(WaitSite::Truncation, &poison, || {
+                        Ok(self.pump_queue(clock, sender)?.into())
+                    })?;
                     self.pool.put(msg.data);
                     clock.advance(self.cost.mpi_overhead());
                     return Err(MpiError::Truncation {
@@ -2057,9 +2044,13 @@ impl Transport for CxlTransport {
             })?;
             obj
         };
-        let fence_barrier =
-            SeqBarrier::new(obj.clone(), layout.fence_base(), self.rank, self.ranks)
-                .with_poison(self.poison.clone());
+        let fence_barrier = SeqBarrier::new(
+            obj.clone(),
+            layout.fence_base(),
+            self.rank,
+            self.ranks,
+            self.poison.clone(),
+        );
         self.windows.push(Some(WindowState {
             obj,
             layout,

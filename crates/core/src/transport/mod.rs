@@ -52,7 +52,7 @@ use cxl_shm::slots::{stamped_lines, stamped_span, SLOT_CELL_SIZE};
 use crate::config::FaultTrigger;
 use crate::counters::counter_section;
 use crate::error::MpiError;
-use crate::spin::{PoisonFlag, SpinWait};
+use crate::spin::{block_until, PoisonFlag, Polled, WaitSite};
 use crate::types::{CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
 
@@ -814,10 +814,11 @@ pub trait Transport: Send {
     /// transport.
     fn poll_incoming(&mut self, clock: &mut SimClock) -> Result<usize>;
 
-    /// Blocking standard-mode send — the one blocked-send loop: attempt;
-    /// while flow control holds the message, keep this rank's own arrivals
-    /// drained (two ranks that each send the other more than a queue holds
-    /// both move); back off, poison-aware, only when nothing moved. Pass a
+    /// Blocking standard-mode send — the one blocked send: attempt; while
+    /// flow control holds the message, drain this rank's own arrivals (two
+    /// ranks that each send the other more than a queue holds both move) and
+    /// attempt again, backing off (`block_until` at the `Send` site, which
+    /// also fails the send on a dead peer) only when nothing moved. Pass a
     /// zero `cursor` for a fresh message, or the cursor of a message a
     /// [`Transport::try_send`] left partly out. The caller holds the rank's
     /// io lock across the call (see the module documentation).
@@ -830,15 +831,19 @@ pub trait Transport: Send {
         data: &[u8],
         cursor: &mut usize,
     ) -> Result<()> {
-        let mut backoff = SpinWait::new();
-        while !self.try_send(clock, dst, ctx, tag, data, cursor)? {
-            if self.poll_incoming(clock)? == 0 {
-                backoff.wait(self.poison())?;
-            } else {
-                backoff.reset();
-            }
+        if self.try_send(clock, dst, ctx, tag, data, cursor)? {
+            return Ok(());
         }
-        Ok(())
+        // The poll borrows the whole transport, so the wait checks a handle.
+        let poison = self.poison().clone();
+        block_until(WaitSite::Send, &poison, || {
+            let drained = self.poll_incoming(clock)?;
+            Ok(match self.try_send(clock, dst, ctx, tag, data, cursor)? {
+                true => Polled::Ready(()),
+                false if drained == 0 => Polled::Idle,
+                false => Polled::Moved,
+            })
+        })
     }
 
     /// Barrier across every rank in the universe.

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use cmpi_fabric::cost::{CxlCostModel, TcpCostModel, TcpNic};
 use cmpi_fabric::SimClock;
@@ -29,15 +29,11 @@ use cmpi_netsim::{NetMessage, TcpEndpoint, TcpFabric, TcpFabricConfig};
 use crate::config::TcpTransportConfig;
 use crate::counters::RankCounters;
 use crate::error::MpiError;
-use crate::spin::PoisonFlag;
+use crate::spin::{block_until, PoisonFlag, Polled, WaitSite};
 use crate::topology::HostTopology;
 use crate::transport::{FaultInjector, RecvDest, Transport, WinId};
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
-
-/// How long a condvar wait sleeps between poison checks. Notifications wake
-/// the waiter immediately; the timeout only bounds peer-death detection.
-const COND_WAIT: std::time::Duration = std::time::Duration::from_millis(2);
 
 /// Pack a communicator context id and a user tag into the fabric's 64-bit
 /// wire tag: context in the high 32 bits, tag (reinterpreted as `u32`) in the
@@ -57,6 +53,24 @@ fn wire_user_tag(wire: u64) -> Tag {
     (wire as u32) as Tag
 }
 
+/// Per rank, the `(sequence, stamp)` of its entries into a barrier or fence,
+/// one cell per parity of the sequence: a rank that has left entry `seq` may
+/// make entry `seq + 1` (never the one after) before a slow rank reads the
+/// stamps of `seq`, and must not replace the one it left there.
+type Arrivals = Vec<[(u64, f64); 2]>;
+
+/// Every rank's cell for entry `seq`.
+fn entries(arrivals: &Arrivals, seq: u64) -> impl Iterator<Item = (u64, f64)> + '_ {
+    arrivals.iter().map(move |cells| cells[(seq & 1) as usize])
+}
+
+/// The latest stamp of entry `seq` once every rank has made it.
+fn all_arrived(arrivals: &Arrivals, seq: u64) -> Option<f64> {
+    entries(arrivals, seq)
+        .all(|(s, _)| s >= seq)
+        .then(|| entries(arrivals, seq).map(|(_, t)| t).fold(0.0, f64::max))
+}
+
 /// One RMA window shared by every rank (the functional backing store).
 struct SharedWindow {
     size_per_rank: usize,
@@ -70,12 +84,8 @@ struct SharedWindow {
     complete_flags: Mutex<BTreeMap<(Rank, Rank), f64>>,
     /// Passive-target lock owner per target rank.
     lock_owner: Mutex<Vec<Option<Rank>>>,
-    /// Fence barrier sequence numbers and timestamps per rank.
-    fence_seq: Mutex<Vec<(u64, f64)>>,
-    post_cond: Condvar,
-    complete_cond: Condvar,
-    lock_cond: Condvar,
-    fence_cond: Condvar,
+    /// Fence entries per rank.
+    fence_seq: Mutex<Arrivals>,
 }
 
 impl SharedWindow {
@@ -87,11 +97,7 @@ impl SharedWindow {
             post_flags: Mutex::new(BTreeMap::new()),
             complete_flags: Mutex::new(BTreeMap::new()),
             lock_owner: Mutex::new(vec![None; ranks]),
-            fence_seq: Mutex::new(vec![(0, 0.0); ranks]),
-            post_cond: Condvar::new(),
-            complete_cond: Condvar::new(),
-            lock_cond: Condvar::new(),
-            fence_cond: Condvar::new(),
+            fence_seq: Mutex::new(vec![[(0, 0.0); 2]; ranks]),
         }
     }
 }
@@ -100,9 +106,7 @@ impl SharedWindow {
 /// global barrier). Created once by the runtime and cloned into each rank.
 pub struct TcpSharedState {
     windows: Mutex<Vec<Arc<SharedWindow>>>,
-    barrier_seq: Mutex<Vec<(u64, f64)>>,
-    barrier_cond: Condvar,
-    window_cond: Condvar,
+    barrier_seq: Mutex<Arrivals>,
 }
 
 impl TcpSharedState {
@@ -110,9 +114,7 @@ impl TcpSharedState {
     pub fn new(ranks: usize) -> Arc<Self> {
         Arc::new(TcpSharedState {
             windows: Mutex::new(Vec::new()),
-            barrier_seq: Mutex::new(vec![(0, 0.0); ranks]),
-            barrier_cond: Condvar::new(),
-            window_cond: Condvar::new(),
+            barrier_seq: Mutex::new(vec![[(0, 0.0); 2]; ranks]),
         })
     }
 }
@@ -241,8 +243,9 @@ impl TcpTransport {
             .ok_or(MpiError::InvalidWindow(win))
     }
 
-    fn window_mut(&mut self, win: WinId) -> Result<&mut TcpWindowState> {
-        self.windows
+    /// Window `win`, borrowing only the window table (not the poison flag).
+    fn window_in(table: &mut [Option<TcpWindowState>], win: WinId) -> Result<&mut TcpWindowState> {
+        table
             .get_mut(win)
             .and_then(|w| w.as_mut())
             .ok_or(MpiError::InvalidWindow(win))
@@ -358,51 +361,39 @@ impl Transport for TcpTransport {
         clock.advance(rounds * self.model.mpi_message_time(8, self.share()));
         self.barrier_seq += 1;
         let my_seq = self.barrier_seq;
-        {
-            let mut seqs = self.shared.barrier_seq.lock();
-            seqs[self.rank] = (my_seq, clock.now());
-            self.shared.barrier_cond.notify_all();
-            loop {
-                if seqs.iter().all(|&(s, _)| s >= my_seq) {
-                    let latest = seqs.iter().map(|&(_, t)| t).fold(0.0, f64::max);
-                    clock.merge(latest);
-                    break;
-                }
-                self.shared.barrier_cond.wait_for(&mut seqs, COND_WAIT);
-                if let Err(e) = self.poison.check() {
-                    // A recorded death only dooms the barrier if the dead rank
-                    // has not arrived yet (it never will). If every straggler
-                    // is alive — the victim passed this barrier before dying —
-                    // the barrier still completes; keep waiting so ranks that
-                    // have not installed an error handler yet (e.g. the
-                    // startup barrier) don't abort a completable barrier.
-                    let doomed = seqs
-                        .iter()
-                        .enumerate()
-                        .any(|(r, &(s, _))| s < my_seq && self.poison.is_dead(r));
-                    if doomed || self.poison.is_poisoned() {
-                        return Err(e);
-                    }
-                }
+        self.shared.barrier_seq.lock()[self.rank][(my_seq & 1) as usize] = (my_seq, clock.now());
+        // A recorded death only dooms the barrier if the dead rank has not
+        // arrived yet (it never will). If every straggler is alive — the
+        // victim passed this barrier before dying — the barrier still
+        // completes, so ranks that have not installed an error handler yet
+        // (e.g. the startup barrier) don't abort a completable barrier.
+        let latest = block_until(WaitSite::TcpBarrier, &self.poison, || {
+            let seqs = self.shared.barrier_seq.lock();
+            if let Some(latest) = all_arrived(&seqs, my_seq) {
+                return Ok(Polled::Ready(latest));
             }
-        }
+            for (r, _) in entries(&seqs, my_seq)
+                .enumerate()
+                .filter(|&(_, (s, _))| s < my_seq)
+            {
+                self.poison.check_alive(r)?;
+            }
+            Ok(Polled::Idle)
+        })?;
+        clock.merge(latest);
         Ok(())
     }
 
     fn win_allocate(&mut self, clock: &mut SimClock, size_per_rank: usize) -> Result<WinId> {
         let id = self.windows.len();
-        let shared_win = {
+        // The first rank to get here creates the window.
+        let shared_win = block_until(WaitSite::TcpWindow, &self.poison, || {
             let mut windows = self.shared.windows.lock();
             if windows.len() == id {
                 windows.push(Arc::new(SharedWindow::new(self.ranks, size_per_rank)));
-                self.shared.window_cond.notify_all();
             }
-            while windows.len() <= id {
-                self.shared.window_cond.wait_for(&mut windows, COND_WAIT);
-                self.poison.check()?;
-            }
-            Arc::clone(&windows[id])
-        };
+            Ok(windows.get(id).cloned().into())
+        })?;
         if shared_win.size_per_rank != size_per_rank || shared_win.ranks != self.ranks {
             return Err(MpiError::InvalidCollective(format!(
                 "win_allocate called with inconsistent sizes for window {id}"
@@ -547,7 +538,7 @@ impl Transport for TcpTransport {
         // The post notification is a small message to each origin.
         let notify = self.model.mpi_message_time(8, self.share());
         let base_latency = self.model.base_latency_ns;
-        let state = self.window_mut(win)?;
+        let state = Self::window_in(&mut self.windows, win)?;
         if !state.exposure_group.is_empty() {
             return Err(MpiError::InvalidSyncState(
                 "post called while an exposure epoch is already open".into(),
@@ -559,7 +550,6 @@ impl Transport for TcpTransport {
                 clock.advance(notify - base_latency);
                 flags.insert((origin, rank), clock.now() + base_latency);
             }
-            state.shared.post_cond.notify_all();
         }
         state.exposure_group = origins.to_vec();
         Ok(())
@@ -570,25 +560,22 @@ impl Transport for TcpTransport {
             self.check_rank(t)?;
         }
         let rank = self.rank;
-        let poison = self.poison.clone();
-        let state = self.window_mut(win)?;
+        let state = Self::window_in(&mut self.windows, win)?;
         if !state.access_group.is_empty() {
             return Err(MpiError::InvalidSyncState(
                 "start called while an access epoch is already open".into(),
             ));
         }
-        {
-            let mut flags = state.shared.post_flags.lock();
-            for &target in targets {
-                loop {
-                    if let Some(ts) = flags.remove(&(rank, target)) {
-                        clock.merge(ts);
-                        break;
-                    }
-                    state.shared.post_cond.wait_for(&mut flags, COND_WAIT);
-                    poison.check()?;
-                }
-            }
+        for &target in targets {
+            let posted = block_until(WaitSite::TcpStart, &self.poison, || {
+                Ok(state
+                    .shared
+                    .post_flags
+                    .lock()
+                    .remove(&(rank, target))
+                    .into())
+            })?;
+            clock.merge(posted);
         }
         state.access_group = targets.to_vec();
         Ok(())
@@ -600,7 +587,7 @@ impl Transport for TcpTransport {
         // anchored extra one-sided overhead (control messages + acks).
         let sync_extra = self.model.onesided_sync_extra();
         let base_latency = self.model.base_latency_ns;
-        let state = self.window_mut(win)?;
+        let state = Self::window_in(&mut self.windows, win)?;
         if state.access_group.is_empty() {
             return Err(MpiError::InvalidSyncState(
                 "complete called without a matching start".into(),
@@ -613,7 +600,6 @@ impl Transport for TcpTransport {
             for target in targets {
                 flags.insert((target, rank), clock.now() + base_latency);
             }
-            state.shared.complete_cond.notify_all();
         }
         Ok(())
     }
@@ -621,26 +607,22 @@ impl Transport for TcpTransport {
     fn wait(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
         let rank = self.rank;
         let sync_extra = self.model.onesided_sync_extra();
-        let poison = self.poison.clone();
-        let state = self.window_mut(win)?;
+        let state = Self::window_in(&mut self.windows, win)?;
         if state.exposure_group.is_empty() {
             return Err(MpiError::InvalidSyncState(
                 "wait called without a matching post".into(),
             ));
         }
-        let origins = std::mem::take(&mut state.exposure_group);
-        {
-            let mut flags = state.shared.complete_flags.lock();
-            for origin in origins {
-                loop {
-                    if let Some(ts) = flags.remove(&(rank, origin)) {
-                        clock.merge(ts);
-                        break;
-                    }
-                    state.shared.complete_cond.wait_for(&mut flags, COND_WAIT);
-                    poison.check()?;
-                }
-            }
+        for origin in std::mem::take(&mut state.exposure_group) {
+            let completed = block_until(WaitSite::TcpWait, &self.poison, || {
+                Ok(state
+                    .shared
+                    .complete_flags
+                    .lock()
+                    .remove(&(rank, origin))
+                    .into())
+            })?;
+            clock.merge(completed);
         }
         clock.advance(sync_extra);
         Ok(())
@@ -651,24 +633,20 @@ impl Transport for TcpTransport {
         let rank = self.rank;
         // Lock acquisition is a request/grant round trip over the network.
         let round_trip = 2.0 * self.model.base_latency_ns + self.model.mpi_per_msg_overhead_ns;
-        let poison = self.poison.clone();
-        let state = self.window_mut(win)?;
+        let state = Self::window_in(&mut self.windows, win)?;
         if state.held_locks.contains(&target) {
             return Err(MpiError::InvalidSyncState(format!(
                 "lock on target {target} already held"
             )));
         }
-        {
+        block_until(WaitSite::TcpLock, &self.poison, || {
             let mut owners = state.shared.lock_owner.lock();
-            loop {
-                if owners[target].is_none() {
-                    owners[target] = Some(rank);
-                    break;
-                }
-                state.shared.lock_cond.wait_for(&mut owners, COND_WAIT);
-                poison.check()?;
+            if owners[target].is_some() {
+                return Ok(Polled::Idle);
             }
-        }
+            owners[target] = Some(rank);
+            Ok(Polled::Ready(()))
+        })?;
         clock.advance(round_trip);
         state.held_locks.push(target);
         Ok(())
@@ -678,7 +656,7 @@ impl Transport for TcpTransport {
         self.check_rank(target)?;
         let rank = self.rank;
         let one_way = self.model.mpi_message_time(8, self.share());
-        let state = self.window_mut(win)?;
+        let state = Self::window_in(&mut self.windows, win)?;
         let Some(pos) = state.held_locks.iter().position(|&t| t == target) else {
             return Err(MpiError::InvalidSyncState(format!(
                 "unlock on target {target} without a matching lock"
@@ -693,7 +671,6 @@ impl Transport for TcpTransport {
                 )));
             }
             owners[target] = None;
-            state.shared.lock_cond.notify_all();
         }
         clock.advance(one_way);
         state.held_locks.remove(pos);
@@ -704,24 +681,14 @@ impl Transport for TcpTransport {
         let rank = self.rank;
         let rounds = (self.ranks.max(2) as f64).log2().ceil();
         clock.advance(rounds * self.model.mpi_message_time(8, self.share()));
-        let poison = self.poison.clone();
-        let state = self.window_mut(win)?;
+        let state = Self::window_in(&mut self.windows, win)?;
         state.fence_seq += 1;
         let my_seq = state.fence_seq;
-        {
-            let mut seqs = state.shared.fence_seq.lock();
-            seqs[rank] = (my_seq, clock.now());
-            state.shared.fence_cond.notify_all();
-            loop {
-                if seqs.iter().all(|&(s, _)| s >= my_seq) {
-                    let latest = seqs.iter().map(|&(_, t)| t).fold(0.0, f64::max);
-                    clock.merge(latest);
-                    break;
-                }
-                state.shared.fence_cond.wait_for(&mut seqs, COND_WAIT);
-                poison.check()?;
-            }
-        }
+        state.shared.fence_seq.lock()[rank][(my_seq & 1) as usize] = (my_seq, clock.now());
+        let latest = block_until(WaitSite::TcpFence, &self.poison, || {
+            Ok(all_arrived(&state.shared.fence_seq.lock(), my_seq).into())
+        })?;
+        clock.merge(latest);
         Ok(())
     }
 
@@ -745,5 +712,24 @@ impl Transport for TcpTransport {
 
     fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.fault = Some(injector);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_early_next_entry_keeps_the_stamp_a_slow_rank_reads() {
+        // Rank 0 left entry 1 (stamp 10) and made entry 2 (stamp 50) before
+        // rank 1 (stamp 30) read entry 1: entry 1 still leaves at 30.
+        let mut arrivals: Arrivals = vec![[(0, 0.0); 2]; 2];
+        arrivals[0] = [(2, 50.0), (1, 10.0)];
+        assert_eq!(all_arrived(&arrivals, 1), None);
+        arrivals[1][1] = (1, 30.0);
+        assert_eq!(all_arrived(&arrivals, 1), Some(30.0));
+        assert_eq!(all_arrived(&arrivals, 2), None);
+        arrivals[1][0] = (2, 40.0);
+        assert_eq!(all_arrived(&arrivals, 2), Some(50.0));
     }
 }

@@ -254,12 +254,6 @@ impl ShmObject {
             .nt_compare_exchange_u64((self.offset + at) as usize, current, new)
     }
 
-    /// Spin with non-temporal loads until the flag at `at` satisfies `pred`.
-    pub fn nt_spin_until_at(&self, at: u64, pred: impl FnMut(u64) -> bool) -> Result<u64> {
-        self.check(at, 8)?;
-        self.view.nt_spin_until((self.offset + at) as usize, pred)
-    }
-
     fn invalidate(&mut self) {
         self.open = false;
     }
@@ -826,8 +820,9 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
             obj_a.nt_store_u64_at(0, 42).unwrap();
         });
-        let v = obj_b.nt_spin_until_at(0, |v| v == 42).unwrap();
-        assert_eq!(v, 42);
+        while obj_b.nt_load_u64_at(0).unwrap() != 42 {
+            std::thread::yield_now();
+        }
         t.join().unwrap();
     }
 

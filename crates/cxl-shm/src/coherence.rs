@@ -397,20 +397,6 @@ impl CxlView {
         self.count_nt_rmw(offset);
         self.segment.compare_exchange_u64(offset, current, new)
     }
-
-    /// Spin until the `u64` at `offset` satisfies `pred`, using non-temporal
-    /// loads. Yields the observed value. This is the building block for the
-    /// flag-based synchronization in Section 3.4.
-    pub fn nt_spin_until(&self, offset: usize, mut pred: impl FnMut(u64) -> bool) -> Result<u64> {
-        loop {
-            let v = self.nt_load_u64(offset)?;
-            if pred(v) {
-                return Ok(v);
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -481,18 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn nt_spin_until_sees_update() {
-        let (a, b) = two_hosts();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            a.nt_store_u64(2048, 5).unwrap();
-        });
-        let v = b.nt_spin_until(2048, |v| v >= 5).unwrap();
-        assert_eq!(v, 5);
-        handle.join().unwrap();
-    }
-
-    #[test]
     fn notified_publish_orders_payload_before_flag() {
         // The data plane's expose/notify protocol: the writer publishes the
         // payload with `write_flush` (flush + sfence) *before* nt-storing the
@@ -526,7 +500,9 @@ mod tests {
             // coherent read must still see the old bytes.
             a.write(off, &payload).unwrap();
             a.nt_store_u64(FLAG, round + 1).unwrap();
-            b.nt_spin_until(FLAG, |v| v == round + 1).unwrap();
+            while b.nt_load_u64(FLAG).unwrap() != round + 1 {
+                std::thread::yield_now();
+            }
             let mut got = vec![0u8; len];
             b.read_coherent(off, &mut got).unwrap();
             assert_eq!(got, before, "round {round}: un-flushed publish leaked");
@@ -534,7 +510,9 @@ mod tests {
             // reader observes the flag, the coherent read is fresh.
             a.write_flush(off, &payload).unwrap();
             a.nt_store_u64(FLAG, round + 100).unwrap();
-            b.nt_spin_until(FLAG, |v| v == round + 100).unwrap();
+            while b.nt_load_u64(FLAG).unwrap() != round + 100 {
+                std::thread::yield_now();
+            }
             b.read_coherent(off, &mut got).unwrap();
             assert_eq!(got, payload, "round {round}: post-notify read stale");
         }
