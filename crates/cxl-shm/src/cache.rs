@@ -64,6 +64,12 @@ struct Line {
 /// threshold, so a chunk fits whatever hole an earlier universe left).
 const CHUNK_LINES: usize = 1024;
 
+/// Bytes of one occupancy page: 64 lines.
+const PAGE_SIZE: u64 = 64 * CACHE_LINE_SIZE as u64;
+
+/// Occupancy counters per cache (16 KiB): pages 16 MiB apart share one.
+const OCCUPANCY_COUNTERS: usize = 4096;
+
 /// The resident lines of one cache: a fixed open-addressing table of slot
 /// numbers over line storage that grows a chunk at a time and never moves.
 ///
@@ -88,11 +94,18 @@ struct Lines {
     chunks: Vec<Vec<Line>>,
     /// Slots that hold no resident line, last freed first.
     free: Vec<u32>,
+    /// Resident lines of the pages whose number is `i` modulo the length: a
+    /// zero proves a page holds no resident line, so a range operation skips
+    /// it instead of probing its 64 lines.
+    occupancy: Vec<u32>,
     len: usize,
     /// Table position the next eviction sample starts at.
     hand: usize,
 }
 
+// The table primitives are `#[inline(always)]`: left to the optimiser they
+// stay out of line, and a range operation calls them once per line (a 4 KiB
+// `read_coherent` took ~3 µs out of line and ~2 µs inlined).
 impl Lines {
     fn with_capacity(capacity: usize) -> Self {
         assert!(
@@ -103,6 +116,7 @@ impl Lines {
             table: vec![0; (2 * capacity).next_power_of_two()],
             chunks: Vec::with_capacity(capacity.div_ceil(CHUNK_LINES)),
             free: Vec::with_capacity(capacity),
+            occupancy: vec![0; OCCUPANCY_COUNTERS],
             len: 0,
             hand: 0,
         }
@@ -111,6 +125,7 @@ impl Lines {
     /// Table position a line base hashes to. A splitmix64-style finalizer:
     /// full avalanche at a few arithmetic ops (a plain multiply would leave
     /// the 6 zero alignment bits of a base dead in the low bits indexed by).
+    #[inline(always)]
     fn home(&self, base: u64) -> usize {
         let mut z = base.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -118,19 +133,29 @@ impl Lines {
         (z ^ (z >> 31)) as usize & (self.table.len() - 1)
     }
 
+    /// Occupancy counter of the page holding the line at `base`.
+    #[inline(always)]
+    fn counter(base: u64) -> usize {
+        (base / PAGE_SIZE) as usize % OCCUPANCY_COUNTERS
+    }
+
+    #[inline(always)]
     fn next(&self, pos: usize) -> usize {
         (pos + 1) & (self.table.len() - 1)
     }
 
+    #[inline(always)]
     fn line(&self, slot: u32) -> &Line {
         &self.chunks[slot as usize / CHUNK_LINES][slot as usize % CHUNK_LINES]
     }
 
+    #[inline(always)]
     fn line_mut(&mut self, slot: u32) -> &mut Line {
         &mut self.chunks[slot as usize / CHUNK_LINES][slot as usize % CHUNK_LINES]
     }
 
     /// `(table position, slot)` of the resident line at `base`.
+    #[inline(always)]
     fn find(&self, base: u64) -> Option<(usize, u32)> {
         let mut pos = self.home(base);
         loop {
@@ -143,8 +168,10 @@ impl Lines {
     }
 
     /// Make `line` resident; no line with its base is.
+    #[inline(always)]
     fn insert(&mut self, line: Line) -> &mut Line {
-        let mut pos = self.home(line.base);
+        let base = line.base;
+        let mut pos = self.home(base);
         while self.table[pos] != 0 {
             pos = self.next(pos);
         }
@@ -164,12 +191,14 @@ impl Lines {
             }
         };
         self.table[pos] = slot + 1;
+        self.occupancy[Self::counter(base)] += 1;
         self.len += 1;
         self.line_mut(slot)
     }
 
     /// Drop the line at `base`; what it held stays readable until the slot is
     /// reused.
+    #[inline(always)]
     fn remove(&mut self, base: u64) -> Option<&Line> {
         let (mut hole, slot) = self.find(base)?;
         // Close the hole: move up every later line of the probe run that
@@ -186,8 +215,47 @@ impl Lines {
         }
         self.table[hole] = 0;
         self.free.push(slot);
+        self.occupancy[Self::counter(base)] -= 1;
         self.len -= 1;
         Some(self.line(slot))
+    }
+
+    /// The first line base in `from..=last` whose page's occupancy counter
+    /// is not zero: the next one a range operation has to probe.
+    fn next_candidate(&self, mut from: u64, last: u64) -> Option<u64> {
+        while from <= last && self.len > 0 {
+            if self.occupancy[Self::counter(from)] != 0 {
+                return Some(from);
+            }
+            from = (from / PAGE_SIZE + 1) * PAGE_SIZE;
+        }
+        None
+    }
+
+    /// Remove the resident lines among those at bases `first..=last`, in
+    /// address order, handing each to `removed`.
+    fn remove_range(
+        &mut self,
+        first: u64,
+        last: u64,
+        mut removed: impl FnMut(&Line) -> Result<()>,
+    ) -> Result<()> {
+        let mut at = self.next_candidate(first, last);
+        while let Some(base) = at {
+            if let Some(line) = self.remove(base) {
+                removed(line)?;
+            }
+            at = self.next_candidate(base + CACHE_LINE_SIZE as u64, last);
+        }
+        Ok(())
+    }
+
+    /// Whether any line at bases `first..=last` is resident.
+    fn any_resident(&self, first: u64, last: u64) -> bool {
+        std::iter::successors(self.next_candidate(first, last), |&base| {
+            self.next_candidate(base + CACHE_LINE_SIZE as u64, last)
+        })
+        .any(|base| self.find(base).is_some())
     }
 
     /// Base of the least recently used among the next `sample` resident lines
@@ -228,6 +296,7 @@ impl Lines {
         self.table.fill(0);
         self.chunks.clear();
         self.free.clear();
+        self.occupancy.fill(0);
         self.len = 0;
         self.hand = 0;
     }
@@ -306,6 +375,11 @@ impl HostCache {
         (offset as u64 / CACHE_LINE_SIZE as u64) * CACHE_LINE_SIZE as u64
     }
 
+    /// Bases of the first and last line of a non-empty, bounds-checked range.
+    fn line_range(offset: usize, len: usize) -> (u64, u64) {
+        (Self::line_base(offset), Self::line_base(offset + len - 1))
+    }
+
     /// Evict one approximately-least-recently-used line, writing it back to the
     /// segment if dirty. Sampling a handful of entries keeps eviction O(1).
     fn evict_one(inner: &mut CacheInner, segment: &SharedSegment) -> Result<()> {
@@ -317,6 +391,19 @@ impl HostCache {
             }
         }
         Ok(())
+    }
+
+    /// How many lines `len` bytes at `offset` are, when they are whole lines,
+    /// none of them is resident and the cache has room for all of them — the
+    /// case in which the per-line paths allocate every line and evict none.
+    fn absent_with_room(&self, lines: &Lines, offset: usize, len: usize) -> Option<u64> {
+        if !offset.is_multiple_of(CACHE_LINE_SIZE) || !len.is_multiple_of(CACHE_LINE_SIZE) {
+            return None;
+        }
+        let count = len / CACHE_LINE_SIZE;
+        let (first, last) = Self::line_range(offset, len);
+        (lines.len + count <= self.capacity_lines && !lines.any_resident(first, last))
+            .then_some(count as u64)
     }
 
     /// Make room for, and allocate, the absent line at `base`. `fill` loads
@@ -337,7 +424,7 @@ impl HostCache {
         if fill {
             let avail = segment.len().saturating_sub(base as usize);
             let take = CACHE_LINE_SIZE.min(avail);
-            segment.read_relaxed(base as usize, &mut data[..take])?;
+            segment.read(base as usize, &mut data[..take])?;
         }
         let tick = inner.tick;
         Ok(inner.lines.insert(Line {
@@ -355,14 +442,27 @@ impl HostCache {
         if buf.is_empty() {
             return Ok(());
         }
-        // Bounds are enforced by the segment on fill; also check the full range.
-        if offset + buf.len() > segment.len() {
-            return segment.read(offset, buf); // propagate the OutOfBounds error
-        }
+        segment.check_bounds(offset, buf.len())?;
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
+        if let Some(lines) = self.absent_with_room(&inner.lines, offset, buf.len()) {
+            // The per-line path would fill each line from the device and
+            // insert it, in address order: one device read does the fills.
+            segment.read(offset, buf)?;
+            let (whole, _) = buf.as_chunks::<CACHE_LINE_SIZE>();
+            for (base, data) in (offset as u64..).step_by(CACHE_LINE_SIZE).zip(whole) {
+                inner.lines.insert(Line {
+                    base,
+                    tick,
+                    dirty: false,
+                    data: *data,
+                });
+            }
+            inner.stats.read_misses += lines;
+            return Ok(());
+        }
         let mut pos = 0usize;
         while pos < buf.len() {
             let addr = offset + pos;
@@ -390,9 +490,7 @@ impl HostCache {
         if data.is_empty() {
             return Ok(());
         }
-        if offset + data.len() > segment.len() {
-            return segment.write(offset, data); // propagate the OutOfBounds error
-        }
+        segment.check_bounds(offset, data.len())?;
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         inner.tick += 1;
@@ -437,23 +535,53 @@ impl HostCache {
     ///
     /// Returns the number of lines that were flushed.
     pub fn flush_range(&self, segment: &SharedSegment, offset: usize, len: usize) -> Result<u64> {
+        segment.check_bounds(offset, len)?;
         if len == 0 {
             return Ok(0);
         }
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let first = Self::line_base(offset);
-        let last = Self::line_base(offset + len - 1);
+        let (first, last) = Self::line_range(offset, len);
         let mut flushed = 0u64;
-        let mut base = first;
-        while base <= last {
-            if let Some(line) = inner.lines.remove(base) {
-                Self::write_back(&mut inner.stats, segment, line)?;
-                flushed += 1;
-            }
-            base += CACHE_LINE_SIZE as u64;
-        }
+        inner.lines.remove_range(first, last, |line| {
+            flushed += 1;
+            Self::write_back(&mut inner.stats, segment, line)
+        })?;
         Ok(flushed)
+    }
+
+    /// Cached write of `data`, then a flush of the lines it covers:
+    /// [`HostCache::write`] then [`HostCache::flush_range`].
+    ///
+    /// When `data` is whole lines, none of them resident, and the cache has
+    /// room for them all, that per-line path allocates each line without a
+    /// fill or an eviction, and the flush writes each back and drops it: the
+    /// cache is left as it was. Those lines go straight to the device then,
+    /// under one lock hold, counted as the per-line path counts them.
+    pub(crate) fn write_flush(
+        &self,
+        segment: &SharedSegment,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<()> {
+        segment.check_bounds(offset, data.len())?;
+        if data.is_empty() {
+            return Ok(());
+        }
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if let Some(lines) = self.absent_with_room(&inner.lines, offset, data.len()) {
+            inner.tick += 1;
+            segment.write_relaxed(offset, data)?;
+            inner.stats.write_misses += lines;
+            inner.stats.flush_writebacks += lines;
+            inner.stats.flush_invalidations += lines;
+            return Ok(());
+        }
+        drop(guard);
+        self.write(segment, offset, data)?;
+        self.flush_range(segment, offset, data.len())?;
+        Ok(())
     }
 
     /// Write back and invalidate every resident line (a whole-cache flush, used
@@ -476,7 +604,7 @@ impl HostCache {
         if data.is_empty() {
             return Ok(());
         }
-        self.nt_store_bypass(offset, data.len());
+        self.nt_store_bypass(segment, offset, data.len())?;
         segment.write(offset, data)
     }
 
@@ -489,25 +617,22 @@ impl HostCache {
         offset: usize,
         data: &[u8],
     ) -> Result<()> {
-        self.nt_store_bypass(offset, data.len());
+        self.nt_store_bypass(segment, offset, data.len())?;
         segment.write_lines(offset, data)
     }
 
     /// Drop any cached copy of the lines `len` bytes at `offset` cover — a
     /// store about to go around the cache — and count the bytes.
-    fn nt_store_bypass(&self, offset: usize, len: usize) {
+    fn nt_store_bypass(&self, segment: &SharedSegment, offset: usize, len: usize) -> Result<()> {
+        segment.check_bounds(offset, len)?;
         if len == 0 {
-            return;
+            return Ok(());
         }
         let mut inner = self.inner.lock();
-        let first = Self::line_base(offset);
-        let last = Self::line_base(offset + len - 1);
-        let mut base = first;
-        while base <= last {
-            inner.lines.remove(base);
-            base += CACHE_LINE_SIZE as u64;
-        }
+        let (first, last) = Self::line_range(offset, len);
+        inner.lines.remove_range(first, last, |_| Ok(()))?;
         inner.stats.nt_store_bytes += len as u64;
+        Ok(())
     }
 
     /// Account a non-temporal atomic read-modify-write of the aligned word at

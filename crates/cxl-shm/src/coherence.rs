@@ -35,7 +35,11 @@ pub enum FlushKind {
 }
 
 /// Memory fences tracked by the view; they only matter for the cost model and
-/// ordering statistics — the functional simulation is sequentially consistent.
+/// ordering statistics. Functionally the pool orders itself: every load and
+/// word RMW is `SeqCst`, and every non-temporal or uncacheable store either
+/// is `SeqCst` words or ends in a `SeqCst` fence; the cache's write-backs are
+/// `Relaxed`, published by a later such store (see [`SharedSegment`] for the
+/// contract).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FenceKind {
     /// Store fence (`sfence`).
@@ -117,14 +121,14 @@ impl CoherenceCounters {
     }
 }
 
-/// Number of cache lines touched by a byte range.
+/// Number of cache lines touched by a byte range. Defined for every `offset`
+/// and `len`: the sum `offset + len` is never formed.
 pub fn lines_spanned(offset: usize, len: usize) -> u64 {
-    if len == 0 {
+    let Some(last) = len.checked_sub(1) else {
         return 0;
-    }
-    let first = offset / CACHE_LINE_SIZE;
-    let last = (offset + len - 1) / CACHE_LINE_SIZE;
-    (last - first + 1) as u64
+    };
+    let spill = (offset % CACHE_LINE_SIZE + last % CACHE_LINE_SIZE) / CACHE_LINE_SIZE;
+    (last / CACHE_LINE_SIZE + spill + 1) as u64
 }
 
 /// Per-host view of a dax device ("the mmap of `/dev/daxX.Y`").
@@ -273,23 +277,24 @@ impl CxlView {
         if self.policy == CachePolicy::Uncacheable {
             return Ok(());
         }
-        let lines = lines_spanned(offset, len);
-        match kind {
-            FlushKind::Clflush => self
-                .counters
-                .clflush_lines
-                .fetch_add(lines, Ordering::Relaxed),
-            FlushKind::Clflushopt => self
-                .counters
-                .clflushopt_lines
-                .fetch_add(lines, Ordering::Relaxed),
-        };
+        self.count_flush(offset, len, kind);
         self.cache.flush_range(&self.segment, offset, len)?;
         Ok(())
     }
 
-    /// Execute a fence. Functionally a no-op (the simulation is sequentially
-    /// consistent); recorded for the cost model.
+    fn count_flush(&self, offset: usize, len: usize, kind: FlushKind) {
+        let lines = lines_spanned(offset, len);
+        let counter = match kind {
+            FlushKind::Clflush => &self.counters.clflush_lines,
+            FlushKind::Clflushopt => &self.counters.clflushopt_lines,
+        };
+        counter.fetch_add(lines, Ordering::Relaxed);
+    }
+
+    /// Execute a fence. Functionally a no-op — every non-temporal store is
+    /// already ordered before this host's later loads (`SeqCst` words, or
+    /// `Release` words and a `SeqCst` fence; see [`SharedSegment`]); recorded
+    /// for the cost model.
     pub fn fence(&self, _kind: FenceKind) {
         self.counters.fences.fetch_add(1, Ordering::Relaxed);
     }
@@ -297,8 +302,16 @@ impl CxlView {
     /// Coherent publish: write, flush the written lines, then `sfence` — the
     /// paper's "after every write" protocol.
     pub fn write_flush(&self, offset: usize, data: &[u8]) -> Result<()> {
-        self.write(offset, data)?;
-        self.flush(offset, data.len(), self.default_flush)?;
+        match self.policy {
+            CachePolicy::WriteBack => {
+                self.counters
+                    .bytes_written
+                    .fetch_add(data.len() as u64, Ordering::Relaxed);
+                self.cache.write_flush(&self.segment, offset, data)?;
+                self.count_flush(offset, data.len(), self.default_flush);
+            }
+            CachePolicy::Uncacheable => self.write(offset, data)?,
+        }
         self.fence(FenceKind::Sfence);
         Ok(())
     }
@@ -421,6 +434,30 @@ mod tests {
         assert_eq!(lines_spanned(63, 2), 2);
         assert_eq!(lines_spanned(64, 64), 1);
         assert_eq!(lines_spanned(10, 128), 3);
+        // No `offset + len` is formed, so none can overflow.
+        assert_eq!(lines_spanned(usize::MAX, 1), 1);
+        assert_eq!(lines_spanned(usize::MAX - 3, 8), 2);
+    }
+
+    #[test]
+    fn offsets_past_the_address_space_are_out_of_bounds() {
+        // `offset + len` overflows usize: every entry point must report it,
+        // not panic (debug) or wrap past its early check (release).
+        let (a, _b) = two_hosts();
+        let at = usize::MAX - 3;
+        let mut buf = [0u8; 64];
+        let oob = |r: Result<()>| matches!(r, Err(crate::ShmError::OutOfBounds { .. }));
+        assert!(oob(a.read(at, &mut buf[..8])));
+        assert!(oob(a.write(at, &buf[..8])));
+        assert!(oob(a.flush(at, 8, FlushKind::Clflushopt)));
+        assert!(oob(a.write_flush(at, &buf[..8])));
+        assert!(oob(a.read_coherent(at, &mut buf[..8])));
+        assert!(oob(a.nt_store(at, &buf[..8])));
+        assert!(oob(a.nt_store_lines(usize::MAX - 63, &buf)));
+        assert!(oob(a.nt_load(at, &mut buf[..8])));
+        // Nothing was cached or stored on the way to the error.
+        assert_eq!(a.cache().resident_lines(), 0);
+        assert_eq!(a.cache().stats().nt_store_bytes, 0);
     }
 
     #[test]

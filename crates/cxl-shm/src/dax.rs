@@ -19,7 +19,7 @@
 //! inter-host hardware coherence of the CXL platform.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -35,9 +35,21 @@ pub const DAX_ALIGNMENT: usize = 2 * 1024 * 1024;
 ///
 /// All simulated hosts reference the same `SharedSegment` through an
 /// [`Arc`]; loads and stores use atomic word operations so racing accesses are
-/// well-defined. Partial-word writes use a compare-exchange loop so two hosts
-/// writing disjoint byte ranges that share a word never lose each other's
-/// bytes.
+/// well-defined. The pool's ordering contract:
+///
+/// * `SeqCst`: every load, every word read-modify-write (`fetch_or_u64` & co.),
+///   every partial word (a compare-exchange merge, so two hosts writing
+///   disjoint bytes of one word never lose each other's bytes) and a
+///   [`SharedSegment::write`] of one whole word.
+/// * A [`SharedSegment::write`] or [`SharedSegment::write_lines`] of more
+///   whole words stores them as `Release` words, in address order, and ends
+///   with one `SeqCst` fence. A reader that loads word *k* of the run sees the
+///   words before it, and the writer's later loads are ordered after the whole
+///   call — what the stamped cells, the bakery doorway, `SeqBarrier` and the
+///   arena's directory lock rely on. This is how x86 non-temporal stores
+///   behave: weakly ordered among themselves, published by a fence.
+/// * [`SharedSegment::write_relaxed`] stores `Relaxed` words: the cache's
+///   write-backs, which a later flag store publishes.
 pub struct SharedSegment {
     words: Box<[AtomicU64]>,
     len: usize,
@@ -52,15 +64,16 @@ impl std::fmt::Debug for SharedSegment {
 }
 
 impl SharedSegment {
-    /// Create a zero-initialised segment of `len` bytes.
+    /// Create a zero-initialised segment of `len` bytes. The memory is
+    /// allocated zeroed in one call, so a page the run never touches is never
+    /// faulted in — as with a real dax mapping.
     pub fn new(len: usize) -> Self {
-        let n_words = len.div_ceil(8);
-        let mut words = Vec::with_capacity(n_words);
-        words.resize_with(n_words, || AtomicU64::new(0));
-        SharedSegment {
-            words: words.into_boxed_slice(),
-            len,
-        }
+        let words = Box::<[AtomicU64]>::new_zeroed_slice(len.div_ceil(8));
+        // SAFETY: `AtomicU64` has the size and bit validity of `u64`, so the
+        // all-zero bits of a zeroed allocation are a valid `AtomicU64`
+        // (holding 0) for every element.
+        let words = unsafe { words.assume_init() };
+        SharedSegment { words, len }
     }
 
     /// Capacity of the segment in bytes.
@@ -73,7 +86,9 @@ impl SharedSegment {
         self.len == 0
     }
 
-    fn check_bounds(&self, offset: usize, len: usize) -> Result<()> {
+    /// `OutOfBounds` unless `len` bytes at `offset` lie inside the segment;
+    /// an `offset + len` past `usize::MAX` is out of bounds too.
+    pub(crate) fn check_bounds(&self, offset: usize, len: usize) -> Result<()> {
         if offset.checked_add(len).is_none_or(|end| end > self.len) {
             return Err(ShmError::OutOfBounds {
                 offset,
@@ -84,47 +99,39 @@ impl SharedSegment {
         Ok(())
     }
 
-    /// Read `buf.len()` bytes starting at `offset`, with sequentially
-    /// consistent word loads (synchronization variables: flags, queue
-    /// pointers, lock slots).
+    /// Read `buf.len()` bytes starting at `offset`, with `SeqCst` word loads.
     pub fn read(&self, offset: usize, buf: &mut [u8]) -> Result<()> {
-        self.read_ordered(offset, buf, Ordering::SeqCst)
-    }
-
-    /// Read with relaxed word loads — the bulk-data path. Safe for payload
-    /// bytes because every cross-host publication is ordered by a `SeqCst`
-    /// flag store ([`SharedSegment::write`] of a queue tail, barrier slot,
-    /// ...) that the consumer loads before reading: the release/acquire edge
-    /// through the flag makes the relaxed payload stores visible, and the
-    /// relaxed loads are ~an order of magnitude cheaper per word.
-    pub fn read_relaxed(&self, offset: usize, buf: &mut [u8]) -> Result<()> {
-        self.read_ordered(offset, buf, Ordering::Relaxed)
-    }
-
-    fn read_ordered(&self, offset: usize, buf: &mut [u8], order: Ordering) -> Result<()> {
         self.check_bounds(offset, buf.len())?;
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let byte_addr = offset + pos;
-            let word_idx = byte_addr / 8;
-            let in_word = byte_addr % 8;
-            let take = (8 - in_word).min(buf.len() - pos);
-            let word = self.words[word_idx].load(order);
-            let bytes = word.to_le_bytes();
-            buf[pos..pos + take].copy_from_slice(&bytes[in_word..in_word + take]);
-            pos += take;
+        let load = |word: usize| self.words[word].load(Ordering::SeqCst).to_le_bytes();
+        let (mut word, in_word) = (offset / 8, offset % 8);
+        let mut rest = buf;
+        if in_word != 0 && !rest.is_empty() {
+            let (head, tail) = rest.split_at_mut((8 - in_word).min(rest.len()));
+            head.copy_from_slice(&load(word)[in_word..in_word + head.len()]);
+            rest = tail;
+            word += 1;
+        }
+        let (run, tail) = rest.as_chunks_mut::<8>();
+        for (bytes, w) in run.iter_mut().zip(&self.words[word..]) {
+            *bytes = w.load(Ordering::SeqCst).to_le_bytes();
+        }
+        if !tail.is_empty() {
+            tail.copy_from_slice(&load(word + run.len())[..tail.len()]);
         }
         Ok(())
     }
 
-    /// Write `data` starting at `offset`, with sequentially consistent word
-    /// stores (synchronization variables).
+    /// Write `data` starting at `offset`: a whole word is one `SeqCst` store,
+    /// a longer run `Release` words and a `SeqCst` fence (see
+    /// [`SharedSegment`] for the pairing), partial words `SeqCst` merges.
     pub fn write(&self, offset: usize, data: &[u8]) -> Result<()> {
         self.write_ordered(offset, data, Ordering::SeqCst)
     }
 
-    /// Write with relaxed word stores — the bulk-data path (see
-    /// [`SharedSegment::read_relaxed`] for why this is sound).
+    /// Write with `Relaxed` whole-word stores — the cache's write-back path.
+    /// Sound for those bytes because every cross-host publication is ordered
+    /// by a later [`SharedSegment::write`] of a flag that the consumer loads
+    /// before reading.
     pub fn write_relaxed(&self, offset: usize, data: &[u8]) -> Result<()> {
         self.write_ordered(offset, data, Ordering::Relaxed)
     }
@@ -132,46 +139,78 @@ impl SharedSegment {
     /// Write whole cache lines at a line-aligned `offset`, each the way one
     /// 64-byte direct store (`MOVDIR64B`) lands: the line's first word after
     /// the rest of it, so that whoever loads that word loads the line it came
-    /// with. Lines are not ordered against each other.
+    /// with. Every word is a `Release` store and one `SeqCst` fence ends the
+    /// call, as for a [`SharedSegment::write`] run.
     pub fn write_lines(&self, offset: usize, data: &[u8]) -> Result<()> {
-        debug_assert!(offset.is_multiple_of(CACHE_LINE_SIZE));
-        debug_assert!(data.len().is_multiple_of(CACHE_LINE_SIZE));
         self.check_bounds(offset, data.len())?;
-        for (k, line) in data.chunks(CACHE_LINE_SIZE).enumerate() {
-            let at = offset + k * CACHE_LINE_SIZE;
-            self.write_ordered(at + 8, &line[8..], Ordering::SeqCst)?;
-            self.write_ordered(at, &line[..8], Ordering::SeqCst)?;
+        if !offset.is_multiple_of(CACHE_LINE_SIZE) || !data.len().is_multiple_of(CACHE_LINE_SIZE) {
+            return Err(ShmError::Misaligned { offset });
         }
+        let words = &self.words[offset / 8..];
+        let (run, _) = data.as_chunks::<8>();
+        for (line, w) in run.chunks_exact(8).zip(words.chunks_exact(8)) {
+            Self::store_run(&w[1..], &line[1..], Ordering::Release);
+            // Release: a reader that loads this word sees the seven above.
+            w[0].store(u64::from_le_bytes(line[0]), Ordering::Release);
+        }
+        // Orders the lines before this caller's later loads (the StoreLoad
+        // edge a run of `SeqCst` stores gave).
+        fence(Ordering::SeqCst);
         Ok(())
     }
 
+    /// Store whole words; `order` is the ordering of each store.
+    fn store_run(words: &[AtomicU64], run: &[[u8; 8]], order: Ordering) {
+        for (bytes, w) in run.iter().zip(words) {
+            w.store(u64::from_le_bytes(*bytes), order);
+        }
+    }
+
+    /// Merge `bytes` into word `word` at byte `in_word`, with a `SeqCst`
+    /// compare-exchange loop so concurrent writers of neighbouring bytes in
+    /// the same word cannot lose updates.
+    fn merge(&self, word: usize, in_word: usize, bytes: &[u8]) {
+        self.words[word]
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |old| {
+                let mut merged = old.to_le_bytes();
+                merged[in_word..in_word + bytes.len()].copy_from_slice(bytes);
+                Some(u64::from_le_bytes(merged))
+            })
+            .expect("fetch_update closure never returns None");
+    }
+
+    /// A partial head word, a run of whole words and a partial tail word.
+    ///
+    /// Under `SeqCst` a run of two or more words is stored `Release`, in
+    /// address order, followed by one `fence(SeqCst)`:
+    /// * a reader that acquires word *k* of the run (every load is `SeqCst`)
+    ///   sees the head word and words < *k*, as a run of `SeqCst` stores gave;
+    /// * the trailing fence orders the whole call before the writer's later
+    ///   loads — the StoreLoad order the bakery doorway, `SeqBarrier` and the
+    ///   directory-lock unlock rely on across calls;
+    /// * `write_lines`' "first word lands last" does not rest on this: each
+    ///   line's first word is stored after the rest of the line.
+    ///
+    /// A run of one word stays one `SeqCst` store, which needs no fence.
     fn write_ordered(&self, offset: usize, data: &[u8], order: Ordering) -> Result<()> {
         self.check_bounds(offset, data.len())?;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let byte_addr = offset + pos;
-            let word_idx = byte_addr / 8;
-            let in_word = byte_addr % 8;
-            let take = (8 - in_word).min(data.len() - pos);
-            if in_word == 0 && take == 8 {
-                let mut bytes = [0u8; 8];
-                bytes.copy_from_slice(&data[pos..pos + 8]);
-                self.words[word_idx].store(u64::from_le_bytes(bytes), order);
-            } else {
-                // Partial word: merge with a CAS loop so concurrent writers of
-                // neighbouring bytes in the same word cannot lose updates.
-                // Always SeqCst: partial words are rare and correctness of the
-                // merge matters more than speed here.
-                let slice = &data[pos..pos + take];
-                self.words[word_idx]
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |old| {
-                        let mut bytes = old.to_le_bytes();
-                        bytes[in_word..in_word + take].copy_from_slice(slice);
-                        Some(u64::from_le_bytes(bytes))
-                    })
-                    .expect("fetch_update closure never returns None");
-            }
-            pos += take;
+        let (mut word, in_word) = (offset / 8, offset % 8);
+        let mut rest = data;
+        if in_word != 0 && !rest.is_empty() {
+            let (head, tail) = rest.split_at((8 - in_word).min(rest.len()));
+            self.merge(word, in_word, head);
+            rest = tail;
+            word += 1;
+        }
+        let (run, tail) = rest.as_chunks::<8>();
+        let fenced = order == Ordering::SeqCst && run.len() > 1;
+        let run_order = if fenced { Ordering::Release } else { order };
+        Self::store_run(&self.words[word..], run, run_order);
+        if !tail.is_empty() {
+            self.merge(word + run.len(), 0, tail);
+        }
+        if fenced {
+            fence(Ordering::SeqCst);
         }
         Ok(())
     }
@@ -428,6 +467,63 @@ mod tests {
         ));
         // Boundary access is fine.
         seg.write(8, &[1; 8]).unwrap();
+    }
+
+    #[test]
+    fn word_runs_agree_with_a_byte_model() {
+        // Every head / run / tail split a call can take: offsets across two
+        // words and more, lengths from empty to five words and a bit, against
+        // a plain byte vector; the bytes around each write keep their values.
+        let background = |len: usize, k: usize| -> Vec<u8> {
+            (0..len).map(|i| (i * 7 + k) as u8 | 0x80).collect()
+        };
+        const LEN: usize = 80;
+        for offset in 0..=17 {
+            for len in 0..=41 {
+                let data: Vec<u8> = (0..len).map(|i| (i * 13 + offset) as u8).collect();
+                for write in [SharedSegment::write, SharedSegment::write_relaxed] {
+                    let seg = SharedSegment::new(LEN);
+                    let mut out = vec![0xFFu8; LEN];
+                    seg.read(0, &mut out).unwrap();
+                    assert_eq!(out, [0; LEN], "a fresh segment reads zero");
+                    let mut model = background(LEN, offset + len);
+                    seg.write(0, &model).unwrap();
+                    write(&seg, offset, &data).unwrap();
+                    model[offset..offset + len].copy_from_slice(&data);
+                    seg.read(0, &mut out).unwrap();
+                    assert_eq!(out, model, "write of {len} at {offset}");
+                    for at in 0..=offset {
+                        let mut part = vec![0u8; len];
+                        seg.read(at, &mut part).unwrap();
+                        assert_eq!(part, model[at..at + len], "read of {len} at {at}");
+                    }
+                }
+            }
+        }
+        const LINES: usize = 4;
+        for at in 0..LINES {
+            for lines in 0..=LINES - at {
+                let seg = SharedSegment::new(LINES * CACHE_LINE_SIZE);
+                let mut model = background(LINES * CACHE_LINE_SIZE, at + lines);
+                seg.write(0, &model).unwrap();
+                let data: Vec<u8> = (0..lines * CACHE_LINE_SIZE)
+                    .map(|i| (i * 3 + at) as u8)
+                    .collect();
+                let offset = at * CACHE_LINE_SIZE;
+                seg.write_lines(offset, &data).unwrap();
+                model[offset..offset + data.len()].copy_from_slice(&data);
+                let mut out = vec![0u8; model.len()];
+                seg.read(0, &mut out).unwrap();
+                assert_eq!(out, model, "{lines} lines at line {at}");
+            }
+        }
+        let seg = SharedSegment::new(LINES * CACHE_LINE_SIZE);
+        for (offset, len) in [(8, CACHE_LINE_SIZE), (0, 8)] {
+            assert!(matches!(
+                seg.write_lines(offset, &vec![0; len]),
+                Err(ShmError::Misaligned { .. })
+            ));
+        }
     }
 
     #[test]
