@@ -103,9 +103,6 @@ struct Lines {
     hand: usize,
 }
 
-// The table primitives are `#[inline(always)]`: left to the optimiser they
-// stay out of line, and a range operation calls them once per line (a 4 KiB
-// `read_coherent` took ~3 µs out of line and ~2 µs inlined).
 impl Lines {
     fn with_capacity(capacity: usize) -> Self {
         assert!(
@@ -125,7 +122,6 @@ impl Lines {
     /// Table position a line base hashes to. A splitmix64-style finalizer:
     /// full avalanche at a few arithmetic ops (a plain multiply would leave
     /// the 6 zero alignment bits of a base dead in the low bits indexed by).
-    #[inline(always)]
     fn home(&self, base: u64) -> usize {
         let mut z = base.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -134,28 +130,23 @@ impl Lines {
     }
 
     /// Occupancy counter of the page holding the line at `base`.
-    #[inline(always)]
     fn counter(base: u64) -> usize {
         (base / PAGE_SIZE) as usize % OCCUPANCY_COUNTERS
     }
 
-    #[inline(always)]
     fn next(&self, pos: usize) -> usize {
         (pos + 1) & (self.table.len() - 1)
     }
 
-    #[inline(always)]
     fn line(&self, slot: u32) -> &Line {
         &self.chunks[slot as usize / CHUNK_LINES][slot as usize % CHUNK_LINES]
     }
 
-    #[inline(always)]
     fn line_mut(&mut self, slot: u32) -> &mut Line {
         &mut self.chunks[slot as usize / CHUNK_LINES][slot as usize % CHUNK_LINES]
     }
 
     /// `(table position, slot)` of the resident line at `base`.
-    #[inline(always)]
     fn find(&self, base: u64) -> Option<(usize, u32)> {
         let mut pos = self.home(base);
         loop {
@@ -168,7 +159,6 @@ impl Lines {
     }
 
     /// Make `line` resident; no line with its base is.
-    #[inline(always)]
     fn insert(&mut self, line: Line) -> &mut Line {
         let base = line.base;
         let mut pos = self.home(base);
@@ -198,7 +188,6 @@ impl Lines {
 
     /// Drop the line at `base`; what it held stays readable until the slot is
     /// reused.
-    #[inline(always)]
     fn remove(&mut self, base: u64) -> Option<&Line> {
         let (mut hole, slot) = self.find(base)?;
         // Close the hole: move up every later line of the probe run that
@@ -617,6 +606,7 @@ impl HostCache {
         offset: usize,
         data: &[u8],
     ) -> Result<()> {
+        segment.check_lines(offset, data.len())?;
         self.nt_store_bypass(segment, offset, data.len())?;
         segment.write_lines(offset, data)
     }
@@ -652,11 +642,9 @@ impl HostCache {
         if buf.is_empty() {
             return Ok(());
         }
-        {
-            let mut inner = self.inner.lock();
-            inner.stats.nt_load_bytes += buf.len() as u64;
-        }
-        segment.read(offset, buf)
+        segment.read(offset, buf)?;
+        self.inner.lock().stats.nt_load_bytes += buf.len() as u64;
+        Ok(())
     }
 
     /// Drop every resident line without writing anything back. Used by tests to

@@ -228,43 +228,35 @@ impl CxlView {
     /// straight to the device.
     pub fn write(&self, offset: usize, data: &[u8]) -> Result<()> {
         match self.policy {
-            CachePolicy::WriteBack => {
-                self.counters
-                    .bytes_written
-                    .fetch_add(data.len() as u64, Ordering::Relaxed);
-                self.cache.write(&self.segment, offset, data)
-            }
+            CachePolicy::WriteBack => self.cache.write(&self.segment, offset, data)?,
             CachePolicy::Uncacheable => {
+                self.segment.write(offset, data)?;
                 self.counters
                     .uncacheable_accesses
                     .fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_written
-                    .fetch_add(data.len() as u64, Ordering::Relaxed);
-                self.segment.write(offset, data)
             }
         }
+        self.counters
+            .bytes_written
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Plain load, symmetric to [`CxlView::write`].
     pub fn read(&self, offset: usize, buf: &mut [u8]) -> Result<()> {
         match self.policy {
-            CachePolicy::WriteBack => {
-                self.counters
-                    .bytes_read
-                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                self.cache.read(&self.segment, offset, buf)
-            }
+            CachePolicy::WriteBack => self.cache.read(&self.segment, offset, buf)?,
             CachePolicy::Uncacheable => {
+                self.segment.read(offset, buf)?;
                 self.counters
                     .uncacheable_accesses
                     .fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_read
-                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                self.segment.read(offset, buf)
             }
         }
+        self.counters
+            .bytes_read
+            .fetch_add(buf.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -277,8 +269,8 @@ impl CxlView {
         if self.policy == CachePolicy::Uncacheable {
             return Ok(());
         }
-        self.count_flush(offset, len, kind);
         self.cache.flush_range(&self.segment, offset, len)?;
+        self.count_flush(offset, len, kind);
         Ok(())
     }
 
@@ -304,10 +296,10 @@ impl CxlView {
     pub fn write_flush(&self, offset: usize, data: &[u8]) -> Result<()> {
         match self.policy {
             CachePolicy::WriteBack => {
+                self.cache.write_flush(&self.segment, offset, data)?;
                 self.counters
                     .bytes_written
                     .fetch_add(data.len() as u64, Ordering::Relaxed);
-                self.cache.write_flush(&self.segment, offset, data)?;
                 self.count_flush(offset, data.len(), self.default_flush);
             }
             CachePolicy::Uncacheable => self.write(offset, data)?,
@@ -319,6 +311,7 @@ impl CxlView {
     /// Coherent read: `lfence`, flush (to drop any stale/prefetched copy), then
     /// read — the paper's "before every read" protocol.
     pub fn read_coherent(&self, offset: usize, buf: &mut [u8]) -> Result<()> {
+        self.segment.check_bounds(offset, buf.len())?;
         self.fence(FenceKind::Lfence);
         self.flush(offset, buf.len(), self.default_flush)?;
         self.read(offset, buf)
@@ -331,27 +324,30 @@ impl CxlView {
     /// Non-temporal store of raw bytes: bypasses the cache and is immediately
     /// visible to every host.
     pub fn nt_store(&self, offset: usize, data: &[u8]) -> Result<()> {
+        self.cache.nt_store(&self.segment, offset, data)?;
         self.counters
             .nt_bytes_written
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.cache.nt_store(&self.segment, offset, data)
+        Ok(())
     }
 
     /// Non-temporal store of whole lines at a line-aligned offset, each as
     /// one 64-byte direct store: its first word lands last.
     pub fn nt_store_lines(&self, offset: usize, data: &[u8]) -> Result<()> {
+        self.cache.nt_store_lines(&self.segment, offset, data)?;
         self.counters
             .nt_bytes_written
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.cache.nt_store_lines(&self.segment, offset, data)
+        Ok(())
     }
 
     /// Non-temporal load of raw bytes.
     pub fn nt_load(&self, offset: usize, buf: &mut [u8]) -> Result<()> {
+        self.cache.nt_load(&self.segment, offset, buf)?;
         self.counters
             .nt_bytes_read
             .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        self.cache.nt_load(&self.segment, offset, buf)
+        Ok(())
     }
 
     /// Non-temporal store of a little-endian `u64` (flag / queue pointer).
@@ -366,12 +362,16 @@ impl CxlView {
         Ok(u64::from_le_bytes(buf))
     }
 
-    fn count_nt_rmw(&self, offset: usize) {
+    /// Check the word at `offset`, then count an RMW on it and drop its
+    /// cached line.
+    fn count_nt_rmw(&self, offset: usize) -> Result<()> {
+        self.segment.check_word(offset)?;
         self.counters
             .nt_bytes_written
             .fetch_add(8, Ordering::Relaxed);
         self.counters.nt_bytes_read.fetch_add(8, Ordering::Relaxed);
         self.cache.nt_rmw_prepare(offset);
+        Ok(())
     }
 
     /// Non-temporal atomic fetch-OR of a `u64` word (8-byte-aligned offset):
@@ -379,21 +379,21 @@ impl CxlView {
     /// previous value. Models a CXL 3.0 back-invalidate atomic; see
     /// [`crate::dax::SharedSegment::fetch_or_u64`] for the deviation note.
     pub fn nt_fetch_or_u64(&self, offset: usize, bits: u64) -> Result<u64> {
-        self.count_nt_rmw(offset);
+        self.count_nt_rmw(offset)?;
         self.segment.fetch_or_u64(offset, bits)
     }
 
     /// Non-temporal atomic exchange of a `u64` word (8-byte-aligned offset),
     /// returning the previous value.
     pub fn nt_swap_u64(&self, offset: usize, value: u64) -> Result<u64> {
-        self.count_nt_rmw(offset);
+        self.count_nt_rmw(offset)?;
         self.segment.swap_u64(offset, value)
     }
 
     /// Non-temporal atomic fetch-add of a `u64` word (8-byte-aligned offset),
     /// returning the previous value.
     pub fn nt_fetch_add_u64(&self, offset: usize, delta: u64) -> Result<u64> {
-        self.count_nt_rmw(offset);
+        self.count_nt_rmw(offset)?;
         self.segment.fetch_add_u64(offset, delta)
     }
 
@@ -407,7 +407,7 @@ impl CxlView {
         current: u64,
         new: u64,
     ) -> Result<std::result::Result<u64, u64>> {
-        self.count_nt_rmw(offset);
+        self.count_nt_rmw(offset)?;
         self.segment.compare_exchange_u64(offset, current, new)
     }
 }
@@ -415,7 +415,7 @@ impl CxlView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::HostCache;
+    use crate::cache::{CacheStats, HostCache};
     use crate::dax::DaxDevice;
 
     fn two_hosts() -> (CxlView, CxlView) {
@@ -455,9 +455,31 @@ mod tests {
         assert!(oob(a.nt_store(at, &buf[..8])));
         assert!(oob(a.nt_store_lines(usize::MAX - 63, &buf)));
         assert!(oob(a.nt_load(at, &mut buf[..8])));
-        // Nothing was cached or stored on the way to the error.
+        assert!(oob(a.nt_fetch_add_u64(at, 1).map(drop)));
+        // Nothing was cached, stored or counted on the way to the error.
         assert_eq!(a.cache().resident_lines(), 0);
-        assert_eq!(a.cache().stats().nt_store_bytes, 0);
+        assert_eq!(a.cache().stats(), CacheStats::default());
+        assert_eq!(a.counters(), CoherenceSnapshot::default());
+    }
+
+    #[test]
+    fn misaligned_stores_count_and_drop_nothing() {
+        let (a, _b) = two_hosts();
+        a.write(0, &[7u8; 64]).unwrap();
+        let (cache, counters) = (a.cache().stats(), a.counters());
+        // A line store that is not whole lines fails before the cached line it
+        // covers is dropped; so does a word RMW off its alignment.
+        assert_eq!(
+            a.nt_store_lines(8, &[0u8; 64]),
+            Err(crate::ShmError::NotWholeLines { offset: 8, len: 64 })
+        );
+        assert_eq!(
+            a.nt_fetch_or_u64(4, 1),
+            Err(crate::ShmError::Misaligned { offset: 4 })
+        );
+        assert_eq!(a.cache().resident_lines(), 1);
+        assert_eq!(a.cache().stats(), cache);
+        assert_eq!(a.counters(), counters);
     }
 
     #[test]

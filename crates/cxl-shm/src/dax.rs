@@ -99,6 +99,17 @@ impl SharedSegment {
         Ok(())
     }
 
+    /// [`SharedSegment::check_bounds`], then `NotWholeLines` unless `offset`
+    /// and `len` are whole cache lines: what [`SharedSegment::write_lines`]
+    /// accepts.
+    pub(crate) fn check_lines(&self, offset: usize, len: usize) -> Result<()> {
+        self.check_bounds(offset, len)?;
+        if !offset.is_multiple_of(CACHE_LINE_SIZE) || !len.is_multiple_of(CACHE_LINE_SIZE) {
+            return Err(ShmError::NotWholeLines { offset, len });
+        }
+        Ok(())
+    }
+
     /// Read `buf.len()` bytes starting at `offset`, with `SeqCst` word loads.
     pub fn read(&self, offset: usize, buf: &mut [u8]) -> Result<()> {
         self.check_bounds(offset, buf.len())?;
@@ -142,10 +153,7 @@ impl SharedSegment {
     /// with. Every word is a `Release` store and one `SeqCst` fence ends the
     /// call, as for a [`SharedSegment::write`] run.
     pub fn write_lines(&self, offset: usize, data: &[u8]) -> Result<()> {
-        self.check_bounds(offset, data.len())?;
-        if !offset.is_multiple_of(CACHE_LINE_SIZE) || !data.len().is_multiple_of(CACHE_LINE_SIZE) {
-            return Err(ShmError::Misaligned { offset });
-        }
+        self.check_lines(offset, data.len())?;
         let words = &self.words[offset / 8..];
         let (run, _) = data.as_chunks::<8>();
         for (line, w) in run.chunks_exact(8).zip(words.chunks_exact(8)) {
@@ -215,7 +223,9 @@ impl SharedSegment {
         Ok(())
     }
 
-    fn check_word(&self, offset: usize) -> Result<usize> {
+    /// The index of the word at `offset`: `OutOfBounds` or `Misaligned`
+    /// unless it is an aligned word inside the segment.
+    pub(crate) fn check_word(&self, offset: usize) -> Result<usize> {
         self.check_bounds(offset, 8)?;
         if !offset.is_multiple_of(8) {
             return Err(ShmError::Misaligned { offset });
@@ -519,10 +529,12 @@ mod tests {
         }
         let seg = SharedSegment::new(LINES * CACHE_LINE_SIZE);
         for (offset, len) in [(8, CACHE_LINE_SIZE), (0, 8)] {
-            assert!(matches!(
-                seg.write_lines(offset, &vec![0; len]),
-                Err(ShmError::Misaligned { .. })
-            ));
+            let err = seg.write_lines(offset, &vec![0; len]).unwrap_err();
+            assert_eq!(err, ShmError::NotWholeLines { offset, len });
+            assert_eq!(
+                err.to_string(),
+                format!("line store of {len} bytes at offset {offset} is not whole 64-byte lines")
+            );
         }
     }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::cache::CACHE_LINE_SIZE;
+
 /// Errors produced by the simulated dax device, the cache/coherence layer and
 /// the CXL SHM Arena.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,6 +61,14 @@ pub enum ShmError {
         /// Byte offset of the attempted access.
         offset: usize,
     },
+    /// A whole-line store did not cover whole cache lines: its offset or its
+    /// length is not a multiple of the line size.
+    NotWholeLines {
+        /// Byte offset of the attempted store.
+        offset: usize,
+        /// Length of the attempted store in bytes.
+        len: usize,
+    },
     /// An object handle was used after `close`/`destroy`.
     StaleHandle(String),
     /// The cross-host directory lock stayed held past the spin bound
@@ -108,6 +118,10 @@ impl fmt::Display for ShmError {
             ShmError::Misaligned { offset } => write!(
                 f,
                 "atomic word access at offset {offset} is not 8-byte aligned"
+            ),
+            ShmError::NotWholeLines { offset, len } => write!(
+                f,
+                "line store of {len} bytes at offset {offset} is not whole {CACHE_LINE_SIZE}-byte lines"
             ),
             ShmError::StaleHandle(name) => write!(f, "object handle '{name}' is stale"),
             ShmError::DirectoryLockTimeout => {
