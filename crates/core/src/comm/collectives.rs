@@ -38,15 +38,16 @@
 //! differs across ranks can deadlock (see the README's request-mixing rules).
 
 use std::mem::{size_of, size_of_val};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use super::Comm;
 use crate::coll::{self, CommView};
 use crate::config::CollTuning;
 use crate::error::MpiError;
+use crate::p2p::BufferPool;
 use crate::plan::{PlanKey, PlanOp, PLAN_CACHE_ENTRIES};
 use crate::pod::{bytes_of, bytes_of_mut, vec_from_bytes, Pod};
-use crate::progress::{CollPlan, CollState, Execution};
+use crate::progress::{CollPlan, CollState, Cursor, Execution};
 use crate::request::{Request, RequestState};
 use crate::spin::{block_until, Polled, WaitSite};
 use crate::topology::HostHierarchy;
@@ -80,6 +81,25 @@ fn check_divisible(what: &str, elems: usize, ranks: usize) -> Result<()> {
     Err(MpiError::InvalidCollective(format!(
         "{what} of {elems} elements not divisible by {ranks} ranks"
     )))
+}
+
+/// Execution arenas of dropped communicators, for the next communicator
+/// whose blocking run outgrows its own (a [`BufferPool`], so it keeps a
+/// handful). A program that creates communicators — or universes — over and
+/// over then reuses arena memory that is already mapped, instead of faulting
+/// fresh pages in for every one.
+static SPARE_ARENAS: Mutex<BufferPool> = Mutex::new(BufferPool::new());
+
+fn spare_arenas() -> MutexGuard<'static, BufferPool> {
+    // Every pool operation leaves it valid, so a panic elsewhere while it
+    // was held leaves nothing to repair.
+    SPARE_ARENAS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Hand the arena of a dropped communicator on to the next one that needs
+/// one.
+pub(super) fn retire_arena(arena: Vec<u8>) {
+    spare_arenas().put(arena);
 }
 
 impl Comm {
@@ -173,19 +193,70 @@ impl Comm {
     }
 
     /// Blocking form: bind `spec`'s plan to the caller's buffer in place and
-    /// drive it to completion with a **lock-per-attempt** loop — each
-    /// iteration takes the rank's io lock for one bounded progress attempt
-    /// and releases it before backing off, so concurrent threads of this rank
-    /// (and the background progress engine) interleave at attempt granularity
-    /// instead of serializing behind one blocked collective. Returns the
-    /// finished execution, which locates results left in scratch.
-    pub(super) fn run_coll(&self, spec: &Spec, buf: &mut [u8]) -> Result<Execution> {
+    /// drive it to completion over the communicator's arena as scratch
+    /// ([`Comm::drive_coll`]).
+    pub(super) fn run_coll(&mut self, spec: &Spec, buf: &mut [u8]) -> Result<()> {
+        let mut arena = self.lend_arena(spec.plan.scratch_len());
+        let out = self.drive_coll(spec, buf, &mut arena);
+        self.arena = arena;
+        out
+    }
+
+    /// Blocking form of a collective that runs over an image of its input
+    /// rather than the caller's buffer: stage the image ([`CollPlan::stage`])
+    /// at the head of the communicator's arena, run the plan over it with the
+    /// rest as scratch, and hand the result bytes to `read` — so the call
+    /// allocates only what `read` returns.
+    fn run_coll_staged<R>(
+        &mut self,
+        spec: &Spec,
+        contribution: &[u8],
+        read: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        let plan = &spec.plan;
+        let image = plan.image_len();
+        let mut arena = self.lend_arena(image + plan.scratch_len());
+        let (buf, scratch) = arena.split_at_mut(image);
+        plan.stage(contribution, buf);
+        let out = self
+            .drive_coll(spec, buf, scratch)
+            .map(|()| read(plan.result(buf, scratch)));
+        self.arena = arena;
+        out
+    }
+
+    /// Take the communicator's arena for one blocking run, at least `len`
+    /// bytes. Its contents never matter (plans write scratch before reading
+    /// it), so it is not zeroed between runs; one too small is traded for a
+    /// spare that fits ([`retire_arena`]), or grown. Debug builds fill it
+    /// with a non-zero pattern, so a plan that reads scratch first fails the
+    /// suites instead of passing on a lucky zero.
+    fn lend_arena(&mut self, len: usize) -> Vec<u8> {
+        let mut arena = std::mem::take(&mut self.arena);
+        if arena.len() < len {
+            let mut spares = spare_arenas();
+            spares.put(arena);
+            arena = spares.take(len);
+        }
+        if cfg!(debug_assertions) {
+            arena[..len].fill(0xA5);
+        }
+        arena
+    }
+
+    /// Drive `spec`'s plan to completion over `buf` and `scratch` with a
+    /// **lock-per-attempt** loop — each iteration takes the rank's io lock
+    /// for one bounded progress attempt and releases it before backing off,
+    /// so concurrent threads of this rank (and the background progress
+    /// engine) interleave at attempt granularity instead of serializing
+    /// behind one blocked collective.
+    fn drive_coll(&self, spec: &Spec, buf: &mut [u8], scratch: &mut [u8]) -> Result<()> {
         let seq = self.shard().next_coll_seq();
-        let mut exec = Execution::new(Arc::clone(&spec.plan), seq);
+        let mut cursor = Cursor::new(Arc::clone(&spec.plan), seq);
         block_until(WaitSite::Collective, &self.shared.poison, || {
             let step = {
                 let io = &mut *self.shared.io();
-                exec.progress(io.transport.as_mut(), &mut io.clock, buf)
+                cursor.progress(io.transport.as_mut(), &mut io.clock, buf, scratch)
             }?;
             Ok(match (step.done, step.ops) {
                 (true, _) => Polled::Ready(()),
@@ -195,20 +266,20 @@ impl Comm {
         })
         .map_err(|e| self.map_ft_err(e))?;
         self.account_plan(&spec.plan, spec.payload);
-        Ok(exec)
+        Ok(())
     }
 
     /// Blocking form of a pure-sender role (non-root contributor of a gather,
     /// root of a scatter), whose buffer is the caller's `&[T]`. Runs under
     /// one io-lock hold: the transports drain incoming traffic internally
     /// while flow-control spinning, so a send cannot deadlock against this
-    /// rank's own unconsumed messages.
+    /// rank's own unconsumed messages. Sends need no scratch.
     fn run_coll_send_only(&self, spec: &Spec, payload: &[u8]) -> Result<()> {
         let seq = self.shard().next_coll_seq();
-        let mut exec = Execution::new(Arc::clone(&spec.plan), seq);
+        let mut cursor = Cursor::new(Arc::clone(&spec.plan), seq);
         let sent = {
             let io = &mut *self.shared.io();
-            exec.run_send_only(io.transport.as_mut(), &mut io.clock, payload)
+            cursor.run_send_only(io.transport.as_mut(), &mut io.clock, payload)
         };
         sent.map_err(|e| self.map_ft_err(e))?;
         self.account_plan(&spec.plan, spec.payload);
@@ -324,7 +395,7 @@ impl Comm {
         // must not cross-match on one shared flag array.
         if self.ctx != WORLD_CTX {
             let spec = self.spec_barrier()?;
-            return self.run_coll(&spec, &mut []).map(drop);
+            return self.run_coll(&spec, &mut []);
         }
         self.ft_precheck()?;
         // Still draws a sequence number: every collective start on a context
@@ -378,7 +449,7 @@ impl Comm {
     /// Repeated shapes hit the communicator's plan cache and skip planning.
     pub fn bcast_into<T: Pod>(&mut self, root: Rank, buf: &mut [T]) -> Result<()> {
         let spec = self.spec_bcast(root, size_of_val(buf))?;
-        self.run_coll(&spec, bytes_of_mut(buf)).map(drop)
+        self.run_coll(&spec, bytes_of_mut(buf))
     }
 
     /// Nonblocking broadcast (`MPI_Ibcast`): the root contributes `buf`;
@@ -436,7 +507,7 @@ impl Comm {
         )?;
         let spec = self.spec_gather(root, size_of_val(send))?;
         recv[root * send.len()..(root + 1) * send.len()].copy_from_slice(send);
-        self.run_coll(&spec, bytes_of_mut(recv)).map(drop)
+        self.run_coll(&spec, bytes_of_mut(recv))
     }
 
     /// Nonblocking gather (`MPI_Igather`): on completion the root's request
@@ -498,7 +569,7 @@ impl Comm {
                 recv.copy_from_slice(&send[root * recv.len()..(root + 1) * recv.len()]);
                 Ok(())
             }
-            _ => self.run_coll(&spec, bytes_of_mut(recv)).map(drop),
+            _ => self.run_coll(&spec, bytes_of_mut(recv)),
         }
     }
 
@@ -556,7 +627,7 @@ impl Comm {
         )?;
         let spec = self.spec_allgather(size_of_val(send))?;
         recv[self.rank * send.len()..(self.rank + 1) * send.len()].copy_from_slice(send);
-        self.run_coll(&spec, bytes_of_mut(recv)).map(drop)
+        self.run_coll(&spec, bytes_of_mut(recv))
     }
 
     /// Nonblocking allgather (`MPI_Iallgather`): on completion every rank's
@@ -601,9 +672,10 @@ impl Comm {
         op: ReduceOp,
     ) -> Result<Option<Vec<T>>> {
         let spec = self.spec_reduce::<T>(root, values.len(), op)?;
-        let mut buf = bytes_of(values).to_vec();
-        let exec = self.run_coll(&spec, &mut buf)?;
-        Ok((self.rank == root).then(|| vec_from_bytes(exec.result_slice(&buf))))
+        let root = self.rank == root;
+        self.run_coll_staged(&spec, bytes_of(values), |result| {
+            root.then(|| vec_from_bytes(result))
+        })
     }
 
     /// Nonblocking rooted reduce (`MPI_Ireduce`): on completion the root's
@@ -652,7 +724,7 @@ impl Comm {
     /// power-of-two fold elimination for other rank counts.
     pub fn allreduce<T: Reducible>(&mut self, values: &mut [T], op: ReduceOp) -> Result<()> {
         let spec = self.spec_allreduce::<T>(values.len(), op)?;
-        self.run_coll(&spec, bytes_of_mut(values)).map(drop)
+        self.run_coll(&spec, bytes_of_mut(values))
     }
 
     /// Nonblocking allreduce (`MPI_Iallreduce`): on completion every rank's
@@ -690,9 +762,7 @@ impl Comm {
     /// be divisible by the rank count.
     pub fn reduce_scatter<T: Reducible>(&mut self, values: &[T], op: ReduceOp) -> Result<Vec<T>> {
         let spec = self.spec_reduce_scatter::<T>(values.len(), op)?;
-        let mut buf = bytes_of(values).to_vec();
-        let exec = self.run_coll(&spec, &mut buf)?;
-        Ok(vec_from_bytes(exec.result_slice(&buf)))
+        self.run_coll_staged(&spec, bytes_of(values), vec_from_bytes)
     }
 
     /// Nonblocking reduce-scatter (`MPI_Ireduce_scatter_block`): on completion
@@ -732,7 +802,7 @@ impl Comm {
     /// shapes hit the plan cache).
     pub fn scan<T: Reducible>(&mut self, values: &mut [T], op: ReduceOp) -> Result<()> {
         let spec = self.spec_scan::<T>(values.len(), op)?;
-        self.run_coll(&spec, bytes_of_mut(values)).map(drop)
+        self.run_coll(&spec, bytes_of_mut(values))
     }
 
     /// Nonblocking inclusive prefix reduction (`MPI_Iscan`): on completion
@@ -763,7 +833,7 @@ impl Comm {
     /// rank 0's buffer is left untouched (the MPI "undefined" slot).
     pub fn exscan<T: Reducible>(&mut self, values: &mut [T], op: ReduceOp) -> Result<()> {
         let spec = self.spec_exscan::<T>(values.len(), op)?;
-        self.run_coll(&spec, bytes_of_mut(values)).map(drop)
+        self.run_coll(&spec, bytes_of_mut(values))
     }
 
     /// Nonblocking exclusive prefix reduction (`MPI_Iexscan`): on completion
@@ -817,7 +887,7 @@ impl Comm {
         // The plan runs in place: the buffer starts as the send image and
         // finishes as the receive image.
         recv.copy_from_slice(send);
-        self.run_coll(&spec, bytes_of_mut(recv)).map(drop)
+        self.run_coll(&spec, bytes_of_mut(recv))
     }
 
     /// Nonblocking complete exchange (`MPI_Ialltoall`): `send` holds one
@@ -916,9 +986,7 @@ impl Comm {
             recv_counts,
             size_of::<T>(),
         )?;
-        let mut buf = spec.plan.image(bytes_of(send));
-        let exec = self.run_coll(&spec, &mut buf)?;
-        Ok(vec_from_bytes(exec.result_slice(&buf)))
+        self.run_coll_staged(&spec, bytes_of(send), vec_from_bytes)
     }
 
     /// Nonblocking irregular complete exchange (`MPI_Ialltoallv`, packed
@@ -971,9 +1039,7 @@ impl Comm {
     ) -> Result<Vec<u8>> {
         let spec =
             self.spec_irregular(PlanOp::Alltoallw, send.len(), send_counts, recv_counts, 1)?;
-        let mut buf = spec.plan.image(send);
-        let exec = self.run_coll(&spec, &mut buf)?;
-        Ok(exec.result_slice(&buf).to_vec())
+        self.run_coll_staged(&spec, send, <[u8]>::to_vec)
     }
 
     /// Nonblocking byte-granular irregular complete exchange

@@ -275,6 +275,7 @@ impl Comm {
             ctx: new_ctx,
             rank: my_local,
             hier: Mutex::new(None),
+            arena: Vec::new(),
         })
     }
 }

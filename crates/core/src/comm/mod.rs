@@ -282,6 +282,18 @@ pub struct Comm {
     /// never stale; communicators created by `comm_dup`/`comm_split` start
     /// with an empty cache and re-derive against their own group.
     hier: Mutex<Option<Arc<HostHierarchy>>>,
+    /// The blocking collectives' execution arena: lent to every blocking run
+    /// as its scratch (and, for the calls that stage an image of their input,
+    /// the image), grown to the largest run so far and kept, so a cache-hit
+    /// blocking collective allocates nothing. Handed on to a later
+    /// communicator when this one is dropped.
+    arena: Vec<u8>,
+}
+
+impl Drop for Comm {
+    fn drop(&mut self) {
+        collectives::retire_arena(std::mem::take(&mut self.arena));
+    }
 }
 
 impl Comm {
@@ -333,6 +345,7 @@ impl Comm {
             ctx: WORLD_CTX,
             rank,
             hier: Mutex::new(None),
+            arena: Vec::new(),
         })
     }
 
@@ -566,12 +579,12 @@ impl Comm {
     /// context-id agreement of communicator construction. It stays on the
     /// ring path (built with no window): the parent's cache would hand back
     /// a data-plane plan where the parent has a window, and these run once.
-    fn run_ring_only(&self, plan: CollPlan, op: PlanOp, buf: &mut [u8]) -> Result<()> {
+    fn run_ring_only(&mut self, plan: CollPlan, op: PlanOp, buf: &mut [u8]) -> Result<()> {
         let spec = Spec {
             payload: plan.input_len() as u64,
             plan: Arc::new(plan.for_op(op)),
         };
-        self.run_coll(&spec, buf).map(drop)
+        self.run_coll(&spec, buf)
     }
 
     /// Duplicate the communicator: same group, fresh context id. Collective
@@ -603,6 +616,7 @@ impl Comm {
             ctx: new_ctx,
             rank: self.rank,
             hier: Mutex::new(self.hier.lock().unwrap_or_else(|e| e.into_inner()).clone()),
+            arena: Vec::new(),
         })
     }
 
@@ -668,6 +682,7 @@ impl Comm {
             ctx: new_ctx,
             rank: my_local,
             hier: Mutex::new(None),
+            arena: Vec::new(),
         }))
     }
 

@@ -271,12 +271,15 @@ impl ProgressEngine {
         }
     }
 
-    /// One engine sweep's worth of work: prune dead cells, clone the rest.
-    fn sweep(&self) -> Vec<Arc<OpCell>> {
+    /// One engine sweep's worth of work: prune dead cells and refill `cells`
+    /// (the engine thread's own buffer, so a sweep allocates nothing once it
+    /// has held the largest queue) with the rest.
+    fn sweep(&self, cells: &mut Vec<Arc<OpCell>>) {
         let mut st = self.state();
         st.queue
             .retain(|c| c.active.load(Ordering::Acquire) && !c.is_done());
-        st.queue.clone()
+        cells.clear();
+        cells.extend(st.queue.iter().cloned());
     }
 
     /// Try to become the rank's single Polling-mode poller. Returns `false`
@@ -340,27 +343,30 @@ impl ProgressEngine {
 
     /// A polling waiter is leaving (its operation completed): wake one
     /// parked waiter of a still-pending cell so the poller role is promptly
-    /// re-filled instead of every sibling sleeping out its park timeout.
-    /// No-op in Thread mode (the engine drives; nobody polls).
+    /// re-filled instead of every sibling sleeping out its park timeout —
+    /// the first pending cell, other than `own`, that has one. No-op in
+    /// Thread mode (the engine drives; nobody polls). Allocation-free, like
+    /// [`ProgressEngine::drive_siblings`]: cells are visited by index under
+    /// brief registry locks.
     pub(crate) fn handoff(&self, own: &OpCell) {
         if self.is_running() {
             return;
         }
-        let pending: Vec<Arc<OpCell>> = {
-            let st = self.state();
-            st.queue
-                .iter()
-                .filter(|c| {
-                    !std::ptr::eq(own, c.as_ref())
-                        && c.active.load(Ordering::Acquire)
-                        && !c.is_done()
-                })
-                .cloned()
-                .collect()
-        };
-        for cell in pending {
-            if cell.waiter.wake_all() > 0 {
-                break;
+        let mut i = 0usize;
+        loop {
+            let cell = {
+                let st = self.state();
+                match st.queue.get(i) {
+                    Some(c) => Arc::clone(c),
+                    None => return,
+                }
+            };
+            i += 1;
+            let pending = !std::ptr::eq(own, cell.as_ref())
+                && cell.active.load(Ordering::Acquire)
+                && !cell.is_done();
+            if pending && cell.waiter.wake_all() > 0 {
+                return;
             }
         }
     }
@@ -388,6 +394,7 @@ impl ProgressEngine {
 /// attempt, and back off at the `Engine` wait site.
 fn engine_main(shared: Weak<RankShared>, poison: PoisonFlag) {
     // The poll holds the rank only while it sweeps, never across a nap.
+    let mut cells = Vec::new();
     let _ = block_until(WaitSite::Engine, &poison, || {
         let Some(rank) = shared.upgrade() else {
             return Ok(Polled::Ready(()));
@@ -395,7 +402,7 @@ fn engine_main(shared: Weak<RankShared>, poison: PoisonFlag) {
         if rank.engine.stop.load(Ordering::Acquire) {
             return Ok(Polled::Ready(()));
         }
-        let cells = rank.engine.sweep();
+        rank.engine.sweep(&mut cells);
         if cells.is_empty() {
             return Ok(Polled::Handed);
         }
@@ -403,6 +410,8 @@ fn engine_main(shared: Weak<RankShared>, poison: PoisonFlag) {
         for cell in &cells {
             ops += engine_drive(&rank, cell, &rank.counters.progress.ops_in_thread);
         }
+        // Hold no cell past the sweep that drove it.
+        cells.clear();
         Ok(match ops {
             0 => Polled::Idle,
             _ => Polled::Moved,
@@ -450,5 +459,58 @@ fn engine_drive(rank: &RankShared, cell: &OpCell, into: &Counter) -> usize {
             cell.complete(&mut slot, Err(e));
             0
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::progress::{CollPlan, Execution, Loc};
+
+    fn cell() -> Arc<OpCell> {
+        let plan = CollPlan::new(
+            Vec::new(),
+            0,
+            None,
+            Loc::Buf,
+            (0, 0),
+            (0, 0),
+            0,
+            "test/none",
+        );
+        OpCell::new(
+            0,
+            CollState::new(Execution::new(Arc::new(plan), 0), Vec::new(), 0),
+        )
+    }
+
+    /// A leaving waiter skips its own cell, done cells and inactive cells,
+    /// wakes the waiters of exactly the first other pending cell that has
+    /// any, and does nothing while the engine thread runs.
+    #[test]
+    fn handoff_wakes_the_first_pending_cell_with_a_waiter() {
+        let engine = ProgressEngine::new(0);
+        let [own, done, inactive, unwatched, first, second] = std::array::from_fn(|_| cell());
+        for c in [&own, &done, &inactive, &unwatched, &first, &second] {
+            engine.enqueue(Arc::clone(c));
+        }
+        // Flagged after enqueueing, which prunes done and inactive cells.
+        done.done.store(true, Ordering::Release);
+        inactive.active.store(false, Ordering::Release);
+        for c in [&own, &done, &inactive, &first, &second] {
+            c.waiter.register();
+        }
+
+        engine.running.store(true, Ordering::Release);
+        engine.handoff(&own);
+        engine.running.store(false, Ordering::Release);
+        engine.handoff(&own);
+
+        // What is left registered: one wake in all, and it went to `first`
+        // (had the running engine's hand-off woken `first`, the second
+        // hand-off would have woken `second`).
+        let left =
+            [&own, &done, &inactive, &unwatched, &first, &second].map(|c| c.waiter.wake_all());
+        assert_eq!(left, [1, 1, 1, 0, 0, 1]);
     }
 }

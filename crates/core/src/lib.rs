@@ -79,7 +79,8 @@
 //! * [`progress`] — the progress engine: every collective algorithm compiles
 //!   to an immutable, buffer- and sequence-agnostic [`progress::CollPlan`] of
 //!   sends/receives/folds, bound per start to a lightweight
-//!   [`progress::Execution`]; blocking collectives run it to completion, the
+//!   [`progress::Execution`]; blocking collectives run the same op cursor
+//!   to completion over their communicator's reusable arena, the
 //!   MPI-3-style nonblocking `i*` collectives (`ibarrier`, `ibcast_into`,
 //!   `iallreduce`, ...) advance it incrementally from `test`/`wait` for
 //!   compute/communication overlap, and the MPI-4-style persistent `*_init`

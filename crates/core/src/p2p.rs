@@ -122,8 +122,8 @@ const POOL_RETAIN: usize = 8;
 
 impl BufferPool {
     /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        BufferPool { free: Vec::new() }
     }
 
     /// Take a buffer resized to exactly `len` bytes, reusing pooled capacity

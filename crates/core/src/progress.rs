@@ -16,18 +16,20 @@
 //! number of times — the basis of the per-communicator plan cache
 //! ([`crate::plan`]) and the MPI-4-style persistent collectives.
 //!
-//! An [`Execution`] is the lightweight per-start state: a shared handle to the
-//! plan, the op cursor, the live sequence number and the owned scratch arena
-//! (reused across restarts of a persistent collective). Ops execute strictly
-//! in order, which preserves exactly the orderings the builders chose (lower
-//! rank sends first, rank 0 of a ring receives first; the irregular exchange
-//! sends first everywhere and relies on a blocked `Send` draining arrivals);
-//! op `i + 1` never starts before op `i` has completed.
+//! An [`Execution`] is the lightweight per-start state: a cursor (a shared
+//! handle to the plan, the op position and the live sequence number) and the
+//! owned scratch arena (reused across restarts of a persistent collective).
+//! A blocking collective runs a bare cursor over its communicator's reusable
+//! arena instead, so a cache-hit blocking call allocates nothing. Ops execute
+//! strictly in order, which preserves exactly the orderings the builders
+//! chose (lower rank sends first, rank 0 of a ring receives first; the
+//! irregular exchange sends first everywhere and relies on a blocked `Send`
+//! draining arrivals); op `i + 1` never starts before op `i` has completed.
 //!
 //! An execution can be driven two ways:
 //!
 //! * **to completion** — the blocking collective API binds the plan over the
-//!   caller's buffer and loops on [`Execution::progress`] until it is done,
+//!   caller's buffer and loops on the same progress step until it is done,
 //!   so blocking, nonblocking and persistent collectives execute
 //!   byte-identical plans and cannot diverge;
 //! * **incrementally** — each [`Execution::progress`] call executes ops
@@ -371,20 +373,42 @@ impl CollPlan {
         self
     }
 
-    /// A zeroed primary buffer for an owned (nonblocking or persistent)
-    /// start, with this rank's contribution in place: it covers the
-    /// contribution region and, when the result lands in the primary arena,
-    /// the result region. A role that reads less than the caller passes (a
+    /// Byte length of a primary buffer staged for this plan
+    /// ([`CollPlan::stage`]): it covers the contribution region and, when the
+    /// result lands in the primary arena, the result region.
+    pub(crate) fn image_len(&self) -> usize {
+        match self.result_loc {
+            Loc::Buf => self.input_range.1.max(self.result_range.1),
+            Loc::Scratch => self.input_range.1,
+        }
+    }
+
+    /// Stage this rank's contribution as the plan's primary buffer in `into`
+    /// ([`CollPlan::image_len`] bytes): the contribution in its region, zeros
+    /// everywhere else. A role that reads less than the caller passes (a
     /// broadcast's non-root reads nothing) takes the prefix it reads.
-    pub(crate) fn image(&self, contribution: &[u8]) -> Vec<u8> {
+    pub(crate) fn stage(&self, contribution: &[u8], into: &mut [u8]) {
         let (lo, hi) = self.input_range;
-        let len = match self.result_loc {
-            Loc::Buf => hi.max(self.result_range.1),
-            Loc::Scratch => hi,
-        };
-        let mut buf = vec![0u8; len];
-        buf[lo..hi].copy_from_slice(&contribution[..hi - lo]);
+        into[..lo].fill(0);
+        into[lo..hi].copy_from_slice(&contribution[..hi - lo]);
+        into[hi..].fill(0);
+    }
+
+    /// A staged primary buffer of its own for an owned (nonblocking or
+    /// persistent) start.
+    pub(crate) fn image(&self, contribution: &[u8]) -> Vec<u8> {
+        let mut buf = vec![0u8; self.image_len()];
+        self.stage(contribution, &mut buf);
         buf
+    }
+
+    /// The result bytes of a completed run over `buf` and `scratch`.
+    pub(crate) fn result<'a>(&self, buf: &'a [u8], scratch: &'a [u8]) -> &'a [u8] {
+        let (lo, hi) = self.result_range;
+        match self.result_loc {
+            Loc::Buf => &buf[lo..hi],
+            Loc::Scratch => &scratch[lo..hi],
+        }
     }
 
     /// Context id the plan's traffic runs under.
@@ -461,13 +485,14 @@ impl std::ops::DerefMut for Scratch {
     }
 }
 
-/// The lightweight per-start state of one collective: a shared handle to the
-/// immutable [`CollPlan`], the op cursor, the live sequence number (salted
-/// into every wire tag at op execution) and the owned scratch arena. Binding
-/// a cached plan to a fresh execution is what a persistent `start()` — and
-/// every cache-hit one-shot collective — does instead of re-planning.
+/// Where one start of a collective is in its plan: a shared handle to the
+/// immutable [`CollPlan`], the op cursor and the live sequence number (salted
+/// into every wire tag at op execution). It owns no memory: each progress
+/// call is handed the primary and scratch arenas it runs over, so a blocking
+/// collective runs over its communicator's reusable arena and an owned
+/// [`Execution`] over its own scratch.
 #[derive(Debug)]
-pub struct Execution {
+pub(crate) struct Cursor {
     plan: Arc<CollPlan>,
     /// Next op to execute.
     pos: usize,
@@ -477,75 +502,42 @@ pub struct Execution {
     send_cursor: usize,
     /// Live collective sequence number of this start.
     seq: u32,
-    /// Scratch arena (kept across restarts, so persistent re-starts allocate
-    /// nothing).
-    scratch: Scratch,
 }
 
-impl Execution {
-    /// Bind `plan` to a fresh execution under sequence number `seq`.
-    pub fn new(plan: Arc<CollPlan>, seq: u32) -> Self {
-        let scratch = Scratch::zeroed(plan.scratch_len);
-        Execution {
+impl Cursor {
+    /// Bind `plan` to a fresh start under sequence number `seq`.
+    pub(crate) fn new(plan: Arc<CollPlan>, seq: u32) -> Self {
+        Cursor {
             plan,
             pos: 0,
             send_cursor: 0,
             seq,
-            scratch,
         }
     }
 
-    /// The plan this execution runs.
-    pub fn plan(&self) -> &Arc<CollPlan> {
-        &self.plan
-    }
-
-    /// The live sequence number of this start.
-    pub fn seq(&self) -> u32 {
-        self.seq
-    }
-
-    /// Rewind for a new start under sequence number `seq` (persistent
-    /// collectives). The scratch arena is kept; plans write scratch before
-    /// reading it, so no re-zeroing is needed.
-    pub(crate) fn restart(&mut self, seq: u32) {
-        debug_assert_eq!(self.send_cursor, 0, "restart of a mid-send execution");
-        self.pos = 0;
-        self.send_cursor = 0;
-        self.seq = seq;
-    }
-
     /// Whether every op has executed.
-    pub fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.pos >= self.plan.ops.len()
     }
 
-    /// Execute ops in order until one cannot complete or the execution
-    /// finishes. Returns whether the execution completed and how many ops
-    /// this call executed.
-    ///
-    /// Nothing in here blocks on a peer that has not committed: `Recv` ops
-    /// probe via [`Transport::try_recv`], and `Send` ops advance via
-    /// [`Transport::try_send`] (a message that flow control stops partway is
-    /// finished by the blocked-send loop, [`Transport::send`]). Whenever the current op cannot complete, the
-    /// engine drains fully-arrived messages off the wire
-    /// ([`Transport::poll_incoming`]) and retries — freeing ring cells keeps
-    /// peers' sends moving, which makes concurrent independent executions
-    /// deadlock-free without any global op ordering across them.
-    pub fn progress(
+    /// [`Execution::progress`] over a `scratch` arena of at least the plan's
+    /// [`CollPlan::scratch_len`] bytes. Plans write scratch before reading
+    /// it, so the arena's contents on entry do not matter.
+    pub(crate) fn progress(
         &mut self,
         t: &mut dyn Transport,
         clock: &mut SimClock,
         buf: &mut [u8],
+        scratch: &mut [u8],
     ) -> Result<StepOutcome> {
         // Plans with a better crowd estimate than the transport's standing
         // hint (hierarchical composites) scope it to their own execution.
         match self.plan.pairs_hint {
-            None => self.progress_inner(t, clock, buf),
+            None => self.progress_inner(t, clock, buf, scratch),
             Some(pairs) => {
                 let saved = t.concurrency_hint();
                 t.set_concurrency_hint(pairs);
-                let out = self.progress_inner(t, clock, buf);
+                let out = self.progress_inner(t, clock, buf, scratch);
                 t.set_concurrency_hint(saved);
                 out
             }
@@ -557,6 +549,7 @@ impl Execution {
         t: &mut dyn Transport,
         clock: &mut SimClock,
         buf: &mut [u8],
+        scratch: &mut [u8],
     ) -> Result<StepOutcome> {
         let plan = Arc::clone(&self.plan);
         let ctx = plan.ctx;
@@ -571,7 +564,7 @@ impl Execution {
                     end,
                 } => {
                     let tag = bind_coll_tag(tag_off, self.seq);
-                    let data: &[u8] = &arena(loc, buf, &mut self.scratch)[start..end];
+                    let data: &[u8] = &arena(loc, buf, scratch)[start..end];
                     while !t.try_send(clock, peer, ctx, tag, data, &mut self.send_cursor)? {
                         // Destination ring full. Drain our own inbound rings
                         // (unblocking the peers that must drain ours) before
@@ -608,7 +601,7 @@ impl Execution {
                     end,
                 } => {
                     let tag = bind_coll_tag(tag_off, self.seq);
-                    let dst = &mut arena(loc, buf, &mut self.scratch)[start..end];
+                    let dst = &mut arena(loc, buf, scratch)[start..end];
                     match t.try_recv(clock, ctx, Some(peer), Some(tag), RecvDest::Slice(dst))? {
                         Some(status) => {
                             if status.len != end - start {
@@ -646,12 +639,11 @@ impl Execution {
                         )
                     })?;
                     if dst_loc == src_loc {
-                        let a = arena(dst_loc, buf, &mut self.scratch);
+                        let a = arena(dst_loc, buf, scratch);
                         let (d, s) = disjoint_mut(a, dst_start, src_start, len)?;
                         f(op_kind, d, s);
                     } else {
-                        let (d, s) =
-                            cross_arena(dst_loc, buf, &mut self.scratch, dst_start, src_start, len);
+                        let (d, s) = cross_arena(dst_loc, buf, scratch, dst_start, src_start, len);
                         f(op_kind, d, s);
                     }
                 }
@@ -663,11 +655,10 @@ impl Execution {
                     len,
                 } => {
                     if dst_loc == src_loc {
-                        arena(dst_loc, buf, &mut self.scratch)
+                        arena(dst_loc, buf, scratch)
                             .copy_within(src_start..src_start + len, dst_start);
                     } else {
-                        let (d, s) =
-                            cross_arena(dst_loc, buf, &mut self.scratch, dst_start, src_start, len);
+                        let (d, s) = cross_arena(dst_loc, buf, scratch, dst_start, src_start, len);
                         d.copy_from_slice(s);
                     }
                 }
@@ -686,7 +677,7 @@ impl Execution {
                     pieces: (lo, hi),
                     readers,
                 } => {
-                    let from: &[u8] = arena(loc, buf, &mut self.scratch);
+                    let from: &[u8] = arena(loc, buf, scratch);
                     let pieces = &plan.pieces[lo..hi];
                     if !t.dp_expose(clock, ctx, self.seq, phase, pieces, from, readers)? {
                         // Slot still held by an earlier collective: pending.
@@ -724,8 +715,7 @@ impl Execution {
                     dst_loc,
                     dst_start,
                 } => {
-                    let dst =
-                        &mut arena(dst_loc, buf, &mut self.scratch)[dst_start..dst_start + len];
+                    let dst = &mut arena(dst_loc, buf, scratch)[dst_start..dst_start + len];
                     t.dp_pull(clock, ctx, self.seq, src, dst)?;
                 }
                 SchedOp::FoldInPlace {
@@ -740,17 +730,16 @@ impl Execution {
                             "plan contains FoldInPlace ops but no reduction".into(),
                         )
                     })?;
-                    let stage = &mut self.scratch[stage_off..stage_off + len];
+                    let stage = &mut scratch[stage_off..stage_off + len];
                     t.dp_pull(clock, ctx, self.seq, src, stage)?;
                     match dst_loc {
                         Loc::Scratch => {
-                            let (d, s) =
-                                disjoint_mut(&mut self.scratch, dst_start, stage_off, len)?;
+                            let (d, s) = disjoint_mut(scratch, dst_start, stage_off, len)?;
                             f(op_kind, d, s);
                         }
                         Loc::Buf => {
                             let d = &mut buf[dst_start..dst_start + len];
-                            f(op_kind, d, &self.scratch[stage_off..stage_off + len]);
+                            f(op_kind, d, &scratch[stage_off..stage_off + len]);
                         }
                     }
                 }
@@ -798,14 +787,80 @@ impl Execution {
         }
         Ok(())
     }
+}
+
+/// The lightweight per-start state of one collective: a cursor into the
+/// immutable [`CollPlan`] plus the owned scratch arena. Binding a cached plan
+/// to a fresh execution is what a nonblocking start does instead of
+/// re-planning, and a persistent `start()` rewinds one without allocating.
+#[derive(Debug)]
+pub struct Execution {
+    cursor: Cursor,
+    /// Scratch arena (kept across restarts, so persistent re-starts allocate
+    /// nothing).
+    scratch: Scratch,
+}
+
+impl Execution {
+    /// Bind `plan` to a fresh execution under sequence number `seq`.
+    pub fn new(plan: Arc<CollPlan>, seq: u32) -> Self {
+        let scratch = Scratch::zeroed(plan.scratch_len);
+        Execution {
+            cursor: Cursor::new(plan, seq),
+            scratch,
+        }
+    }
+
+    /// The plan this execution runs.
+    pub fn plan(&self) -> &Arc<CollPlan> {
+        &self.cursor.plan
+    }
+
+    /// The live sequence number of this start.
+    pub fn seq(&self) -> u32 {
+        self.cursor.seq
+    }
+
+    /// Rewind for a new start under sequence number `seq` (persistent
+    /// collectives). The scratch arena is kept; plans write scratch before
+    /// reading it, so no re-zeroing is needed.
+    pub(crate) fn restart(&mut self, seq: u32) {
+        let cursor = &mut self.cursor;
+        debug_assert_eq!(cursor.send_cursor, 0, "restart of a mid-send execution");
+        cursor.pos = 0;
+        cursor.send_cursor = 0;
+        cursor.seq = seq;
+    }
+
+    /// Whether every op has executed.
+    pub fn is_complete(&self) -> bool {
+        self.cursor.is_complete()
+    }
+
+    /// Execute ops in order until one cannot complete or the execution
+    /// finishes. Returns whether the execution completed and how many ops
+    /// this call executed.
+    ///
+    /// Nothing in here blocks on a peer that has not committed: `Recv` ops
+    /// probe via [`Transport::try_recv`], and `Send` ops advance via
+    /// [`Transport::try_send`] (a message that flow control stops partway is
+    /// finished by the blocked-send loop, [`Transport::send`]). Whenever the current op cannot complete, the
+    /// engine drains fully-arrived messages off the wire
+    /// ([`Transport::poll_incoming`]) and retries — freeing ring cells keeps
+    /// peers' sends moving, which makes concurrent independent executions
+    /// deadlock-free without any global op ordering across them.
+    pub fn progress(
+        &mut self,
+        t: &mut dyn Transport,
+        clock: &mut SimClock,
+        buf: &mut [u8],
+    ) -> Result<StepOutcome> {
+        self.cursor.progress(t, clock, buf, &mut self.scratch)
+    }
 
     /// The result bytes of a completed execution over `buf`.
     pub(crate) fn result_slice<'a>(&'a self, buf: &'a [u8]) -> &'a [u8] {
-        let (lo, hi) = self.plan.result_range;
-        match self.plan.result_loc {
-            Loc::Buf => &buf[lo..hi],
-            Loc::Scratch => &self.scratch[lo..hi],
-        }
+        self.cursor.plan.result(buf, &self.scratch)
     }
 }
 

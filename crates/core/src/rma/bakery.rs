@@ -19,8 +19,9 @@
 //! A waiter re-polls a line until nobody in it is ahead, and every re-poll is
 //! reported: what a *contended* lock costs in virtual time still depends on
 //! how often the host let the waiter spin, and the release carries no
-//! timestamp. Stamping it would fix both, and is part of the ROADMAP item
-//! *The paper's figures from the library*.
+//! timestamp. Stamping it would fix both: the ROADMAP item *Fig 10 through
+//! `Comm`, the large-n cliff, and every curve gated* lists it as "a stamped
+//! bakery release".
 
 use cxl_shm::{ShmObject, CACHE_LINE_SIZE};
 

@@ -615,14 +615,12 @@ impl WaitCell {
     /// Unpark every registered waiter (and clear the list — waiters
     /// re-register if they go back to sleep). Returns how many threads were
     /// woken, so hand-off paths can stop after the first cell that actually
-    /// had a parked waiter.
+    /// had a parked waiter. The list is drained in place, keeping its
+    /// capacity, so a steady register / wake cycle allocates nothing.
     pub fn wake_all(&self) -> usize {
-        let drained: Vec<_> = {
-            let mut waiters = self.waiters.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *waiters)
-        };
-        let woken = drained.len();
-        for t in drained {
+        let mut waiters = self.waiters.lock().unwrap_or_else(|e| e.into_inner());
+        let woken = waiters.len();
+        for t in waiters.drain(..) {
             t.unpark();
         }
         woken

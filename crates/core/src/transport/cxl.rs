@@ -2019,8 +2019,9 @@ impl Transport for CxlTransport {
     // *One-sided communication*). A call costs one device line per peer: a
     // store is charged, then stamped; a wait merges the stamp it waited for
     // and pays for the load that found it, failed polls are free. Only a
-    // *contended* bakery lock charges its re-polls (the ROADMAP item *The
-    // paper's figures from the library*).
+    // *contended* bakery lock charges its re-polls ("a stamped bakery
+    // release" in the ROADMAP item *Fig 10 through `Comm`, the large-n cliff,
+    // and every curve gated*).
 
     fn win_allocate(&mut self, clock: &mut SimClock, size_per_rank: usize) -> Result<WinId> {
         let id = self.windows.len();

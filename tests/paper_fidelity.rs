@@ -1,5 +1,5 @@
 //! The paper's anchors as assertions — first cut of the ROADMAP item *The
-//! paper's figures from the library*. Every two-sided number here runs on
+//! headline ratios land on the paper*. Every two-sided number here runs on
 //! `ConnMode::Eager`, the paper's message-cell protocol kept as the oracle,
 //! so a change to that path (or to the cost
 //! model under it) fails a test instead of relying on a reader's memory of
@@ -143,7 +143,7 @@ fn rma_synchronization_costs_one_device_line_per_peer_and_call() {
     // is 5.60 µs (7.18 µs before the flags became epoch-numbered cells, when
     // it was six lines and not four). The reproduction's one-sided path is
     // faster than the paper's by construction and moved further away here;
-    // the ROADMAP item *The paper's figures from the library* holds the
+    // the ROADMAP item *The headline ratios land on the paper* holds the
     // drift, this test only says where it is.
     assert!(put_epoch / 1e3 < params::CXL_MPI_SMALL_LATENCY_US);
 

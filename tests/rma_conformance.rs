@@ -440,9 +440,9 @@ fn a_mixed_synchronization_script_ends_on_identical_clocks_in_every_launch() {
     // No RMA synchronization charge of an uncontended script depends on how
     // the host scheduled the two ranks: failed polls are free and every stamp
     // merged is the stamp of the store that satisfied the wait. (A contended
-    // `win_lock` is the exception — see the ROADMAP item *The paper's
-    // figures from the library* — so each rank locks the
-    // *other's* window here.)
+    // `win_lock` is the exception — see "a stamped bakery release" in the
+    // ROADMAP item *Fig 10 through `Comm`, the large-n cliff, and every curve
+    // gated* — so each rank locks the *other's* window here.)
     let launch = || {
         let config = UniverseConfig::cxl_small(2).with_hosts(matrix_hosts());
         Universe::run(config, |comm: &mut Comm| {
