@@ -79,7 +79,7 @@ use crate::config::{CollTuning, HierarchyMode};
 use crate::dataplane::{
     allgather_shape, allreduce_shm_shape, bcast_shape, build_allgather_shm, build_allreduce_shm,
     build_alltoall_shm, build_barrier_shm, build_bcast_shm, build_reduce_shm, exchange_stride,
-    footprint, DpOps,
+    DpOps,
 };
 use crate::group::Group;
 use crate::progress::{fold_bytes, CollPlan, FoldFn, Loc, SchedOp};
@@ -200,16 +200,15 @@ enum Path<'h> {
     Flat,
 }
 
-/// The path of a collective among `n` ranks that moves `payload` bytes and
-/// needs `footprint` bytes of its writer's window slot — where its exposures
-/// end, stamped lines counted as lines; `hier_min` is the
-/// payload from which `Auto` composes it in two levels — `None` for the
-/// barrier, which moves no bytes: its hierarchy is gated on shape alone, and
-/// there is no payload for it to save on the window.
+/// The path of a collective among `n` ranks that moves `payload` bytes;
+/// `hier_min` is the payload from which `Auto` composes it in two levels —
+/// `None` for the barrier, which moves no bytes: its hierarchy is gated on
+/// shape alone, and there is no payload for it to save on the window.
 ///
-/// * **Window** when `dp` offers one whose slot holds `footprint`, unless the
-///   two-level composition selects itself: its per-host phases are exactly
-///   the traffic the window replaces, so where it wins it keeps the job. The
+/// * **Window** when `dp` offers one, unless the two-level composition
+///   selects itself: its per-host phases are exactly the traffic the window
+///   replaces, so where it wins it keeps the job. A collective larger than a
+///   slot runs there in slot-sized segments ([`crate::dataplane`]). The
 ///   barrier takes the window whenever there is one.
 /// * **Two-level** on ≥ 2 spanned hosts: always under
 ///   [`HierarchyMode::Force`]; under `Auto` when every spanned host holds at
@@ -224,7 +223,6 @@ fn select_path<'h>(
     hier: Option<&'h HostHierarchy>,
     dp: Option<DpWindow>,
     payload: usize,
-    footprint: usize,
     hier_min: Option<usize>,
 ) -> Path<'h> {
     const MIN_RANKS_PER_HOST: usize = 2;
@@ -241,8 +239,7 @@ fn select_path<'h>(
                 }
             }
     });
-    let window = dp.filter(|w| footprint <= w.slot_bytes);
-    match window {
+    match dp {
         Some(w) if two_level.is_none() || hier_min.is_none() => Path::Window(w),
         _ => two_level.map_or(Path::Flat, Path::TwoLevel),
     }
@@ -574,7 +571,7 @@ pub fn build_barrier(
     hier: Option<&HostHierarchy>,
     dp: Option<DpWindow>,
 ) -> CollPlan {
-    match select_path(view.size(), tuning, hier, dp, 0, 0, None) {
+    match select_path(view.size(), tuning, hier, dp, 0, None) {
         Path::Window(_) => build_barrier_shm(view),
         Path::TwoLevel(h) => {
             let mut c = TwoLevel::new(view, h, 0);
@@ -642,14 +639,10 @@ pub fn build_bcast(
 ) -> CollPlan {
     let (n, me) = (view.size(), view.rank);
     let input = if me == root { (0, total) } else { (0, 0) };
-    let shape = dp.map(|w| bcast_shape(&w, hier, root, total));
-    let slot = shape.map_or(0, |(_, bytes)| bytes);
+    let shape = dp.and_then(|w| bcast_shape(&w, hier, root, total));
     let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
-    match (
-        select_path(n, tuning, hier, dp, total, slot, hier_min),
-        shape,
-    ) {
-        (Path::Window(w), Some((shape, _))) => build_bcast_shm(view, &w, hier, shape, root, total),
+    match (select_path(n, tuning, hier, dp, total, hier_min), shape) {
+        (Path::Window(w), Some(shape)) => build_bcast_shm(view, &w, hier, shape, root, total),
         (Path::TwoLevel(h), _) => {
             let root_slot = h.slot_of(root);
             let root_leader = h.leader_of(root_slot);
@@ -891,14 +884,10 @@ pub fn build_allgather(
         let plan = Plan::new(view, 4);
         return plan.finish(None, Loc::Buf, (0, block), input, 0, "allgather/local");
     }
-    let shape = dp.map(|w| allgather_shape(&w, hier, n, block));
-    let slot = shape.map_or(0, |(_, bytes)| bytes);
+    let shape = dp.and_then(|w| allgather_shape(&w, hier, n, block));
     let hier_min = Some(HIER_ALLGATHER_MIN_BYTES);
-    match (
-        select_path(n, tuning, hier, dp, total, slot, hier_min),
-        shape,
-    ) {
-        (Path::Window(w), Some((shape, _))) => build_allgather_shm(view, &w, hier, shape, block),
+    match (select_path(n, tuning, hier, dp, total, hier_min), shape) {
+        (Path::Window(w), Some(shape)) => build_allgather_shm(view, &w, hier, shape, block),
         (Path::TwoLevel(h), _) => {
             let slots = h.hosts_spanned();
             let mut slot_off = vec![0; slots + 1];
@@ -1056,9 +1045,13 @@ pub fn build_reduce<T: Reducible>(
         (0, 0)
     };
     let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
-    let slot = footprint(dp, total);
-    match select_path(view.size(), tuning, hier, dp, total, slot, hier_min) {
-        Path::Window(w) => build_reduce_shm::<T>(view, &w, root, count, op),
+    let path = select_path(view.size(), tuning, hier, dp, total, hier_min);
+    if let Path::Window(w) = path {
+        if let Some(plan) = build_reduce_shm::<T>(view, &w, root, count, op) {
+            return plan;
+        }
+    }
+    match path {
         Path::TwoLevel(h) => {
             let root_slot = h.slot_of(root);
             let mut c = TwoLevel::new(view, h, 5);
@@ -1071,7 +1064,7 @@ pub fn build_reduce<T: Reducible>(
             });
             c.finish(fold, result, (0, total), total, "reduce/hier+binomial")
         }
-        Path::Flat => {
+        _ => {
             let mut plan = Plan::new(view, 5);
             push_reduce_ops(&mut plan, root, total);
             plan.finish(fold, Loc::Buf, result, (0, total), total, "reduce/binomial")
@@ -1138,7 +1131,8 @@ fn allreduce_label(n: usize, total: usize, count: usize, two_level: bool) -> &'s
 /// over the in-place value vector, on the path `select_path` chooses:
 ///
 /// * the single-copy window shape that costs a rank least
-///   ([`crate::dataplane`]), its footprint the one checked against the slot;
+///   ([`crate::dataplane`]), in slot-sized segments where it does not fit
+///   one slot;
 /// * the two-level composition — per-host reduce to the leader, the same
 ///   size-adaptive flat allreduce among the leaders only (so a large leader
 ///   payload still gets the bandwidth-optimal variant; only that phase
@@ -1166,14 +1160,10 @@ pub fn build_allreduce<T: Reducible>(
         let plan = Plan::new(view, 6);
         return plan.finish(fold, Loc::Buf, (0, total), (0, total), 0, "allreduce/local");
     }
-    let shape = dp.map(|w| allreduce_shm_shape(&w, hier, n, count, elem));
-    let slot = shape.map_or(0, |(_, bytes)| bytes);
+    let shape = dp.and_then(|w| allreduce_shm_shape(&w, hier, n, count, elem));
     let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
-    match (
-        select_path(n, tuning, hier, dp, total, slot, hier_min),
-        shape,
-    ) {
-        (Path::Window(w), Some((shape, _))) => {
+    match (select_path(n, tuning, hier, dp, total, hier_min), shape) {
+        (Path::Window(w), Some(shape)) => {
             build_allreduce_shm::<T>(view, &w, hier, shape, count, op)
         }
         (Path::TwoLevel(h), _)
@@ -1612,8 +1602,9 @@ pub fn build_exscan<T: Reducible>(view: &CommView<'_>, count: usize, op: ReduceO
 /// Compile the complete exchange of equal `block`-byte per-peer payloads,
 /// **in place** over the primary buffer: on entry block `i` holds the data
 /// this rank sends to local rank `i`, on completion block `i` holds the
-/// data local rank `i` sent here. The path is `select_path`'s — the window
-/// when the whole exchange image fits a slot, then the host hierarchy — and
+/// data local rank `i` sent here. The path is `select_path`'s — the window,
+/// in segments of every block when the exchange image does not fit a slot,
+/// then the host hierarchy — and
 /// the flat exchange is Bruck up to [`ALLTOALL_BRUCK_MAX_BYTES`] per block,
 /// pairwise above.
 pub fn build_alltoall(
@@ -1632,13 +1623,16 @@ pub fn build_alltoall(
         return plan.finish(None, Loc::Buf, (0, total), (0, total), 0, "alltoall/local");
     }
     let hier_min = Some(HIER_ALLTOALL_MIN_BYTES);
-    match select_path(n, tuning, hier, dp, total, footprint(dp, total), hier_min) {
-        Path::Window(w) => build_alltoall_shm(view, &w, block),
-        Path::TwoLevel(h) => build_alltoall_hier(view, h, block),
-        Path::Flat if n > 2 && block <= ALLTOALL_BRUCK_MAX_BYTES => {
-            build_alltoall_bruck(view, block)
+    let path = select_path(n, tuning, hier, dp, total, hier_min);
+    if let Path::Window(w) = path {
+        if let Some(plan) = build_alltoall_shm(view, &w, block) {
+            return plan;
         }
-        Path::Flat => build_alltoall_pairwise(view, block),
+    }
+    match path {
+        Path::TwoLevel(h) => build_alltoall_hier(view, h, block),
+        _ if n > 2 && block <= ALLTOALL_BRUCK_MAX_BYTES => build_alltoall_bruck(view, block),
+        _ => build_alltoall_pairwise(view, block),
     }
 }
 

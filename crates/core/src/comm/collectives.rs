@@ -249,17 +249,24 @@ impl Comm {
     /// for one bounded progress attempt and releases it before backing off,
     /// so concurrent threads of this rank (and the background progress
     /// engine) interleave at attempt granularity instead of serializing
-    /// behind one blocked collective.
+    /// behind one blocked collective. An attempt that waits for a collective
+    /// this rank started earlier to expose in the window slot it wants
+    /// drives the rank's outstanding operations, as a blocked receive does:
+    /// nothing else would.
     fn drive_coll(&self, spec: &Spec, buf: &mut [u8], scratch: &mut [u8]) -> Result<()> {
-        let seq = self.shard().next_coll_seq();
+        let seq = self.shard().next_coll_seq(spec.plan.seqs);
         let mut cursor = Cursor::new(Arc::clone(&spec.plan), seq);
         block_until(WaitSite::Collective, &self.shared.poison, || {
-            let step = {
+            let (step, behind) = {
                 let io = &mut *self.shared.io();
-                cursor.progress(io.transport.as_mut(), &mut io.clock, buf, scratch)
-            }?;
+                let step = cursor.progress(io.transport.as_mut(), &mut io.clock, buf, scratch)?;
+                (step, io.transport.dp_behind(self.ctx))
+            };
             Ok(match (step.done, step.ops) {
                 (true, _) => Polled::Ready(()),
+                (false, 0) if behind && self.shared.engine.poll_siblings(&self.shared) > 0 => {
+                    Polled::Moved
+                }
                 (false, 0) => Polled::Idle,
                 (false, _) => Polled::Moved,
             })
@@ -275,7 +282,7 @@ impl Comm {
     /// while flow-control spinning, so a send cannot deadlock against this
     /// rank's own unconsumed messages. Sends need no scratch.
     fn run_coll_send_only(&self, spec: &Spec, payload: &[u8]) -> Result<()> {
-        let seq = self.shard().next_coll_seq();
+        let seq = self.shard().next_coll_seq(spec.plan.seqs);
         let mut cursor = Cursor::new(Arc::clone(&spec.plan), seq);
         let sent = {
             let io = &mut *self.shared.io();
@@ -307,20 +314,23 @@ impl Comm {
     }
 
     /// Activate an inactive (or completed persistent) collective request:
-    /// draw the next sequence number, account the start, rewind the bound
+    /// draw the plan's sequence numbers, account the start, rewind the bound
     /// execution and hand the cell to the rank's outstanding-op registry.
     fn activate(&self, request: &mut Request, payload: u64) {
         let cell = Arc::clone(request.coll.as_ref().expect("collective request has cell"));
         let plan = cell.plan();
-        let seq = self.shard().next_coll_seq();
+        let seq = self.shard().next_coll_seq(plan.seqs);
         self.account_plan(plan, payload);
         self.shared.counters.progress.colls_started.add(1);
-        if plan.reads_data_plane {
-            // A collective that reads data-plane exposures is started without
-            // being run at once: tell the transport before anything started
-            // later can complete, so this rank's completion line cannot pass
-            // it by.
-            self.shared.io().transport.dp_begin(self.ctx, seq);
+        if plan.on_window {
+            // A collective on the window is started without being run at
+            // once: tell the transport, segment by segment, before anything
+            // started later can run, so this rank's completion line cannot
+            // pass it by, nor a later exposure take a slot it will expose in.
+            let transport = &mut self.shared.io().transport;
+            for (seg, reads, writes) in plan.dp_roles() {
+                transport.dp_begin(self.ctx, seq.wrapping_add(seg), reads, writes);
+            }
         }
         request.activate(seq);
         // In Thread mode the background engine starts advancing the operation
@@ -401,7 +411,7 @@ impl Comm {
         // Still draws a sequence number: every collective start on a context
         // consumes one, so the counters agree across ranks no matter which
         // barrier implementation a communicator uses.
-        self.shard().next_coll_seq();
+        self.shard().next_coll_seq(1);
         let entered = {
             let io = &mut *self.shared.io();
             io.transport.barrier(&mut io.clock)
@@ -441,8 +451,9 @@ impl Comm {
 
     /// Broadcast the fixed-size buffer `buf` from `root`. Every rank must pass
     /// a buffer of identical length. On a communicator with a shared window
-    /// the payload is read single-copy out of the root's slot when it fits
-    /// one, unless the two-level host composition takes the broadcast;
+    /// the payload is read single-copy out of the root's slot — in slot-sized
+    /// segments when it does not fit one — unless the two-level host
+    /// composition takes the broadcast;
     /// otherwise it runs two-level or flat — binomial tree for small
     /// payloads, scatter + ring allgather from
     /// [`crate::coll::BCAST_SCATTER_ALLGATHER_MIN_BYTES`].
@@ -615,9 +626,9 @@ impl Comm {
     /// Allgather equal-sized contributions into a flat buffer on every rank:
     /// `recv.len()` must equal `size × send.len()`. On a communicator with a
     /// shared window every block is read single-copy out of its writer's
-    /// slot when it fits one, unless the two-level host composition takes
-    /// the allgather; otherwise it runs two-level or flat — Bruck for small
-    /// blocks, ring for large ones.
+    /// slot — in slot-sized segments when it does not fit one — unless the
+    /// two-level host composition takes the allgather; otherwise it runs
+    /// two-level or flat — Bruck for small blocks, ring for large ones.
     pub fn allgather_into<T: Pod>(&mut self, send: &[T], recv: &mut [T]) -> Result<()> {
         check_blocks(
             "allgather_into receive buffer",
@@ -662,9 +673,9 @@ impl Comm {
 
     /// Reduce typed values to `root`. On a communicator with a shared window
     /// the root folds its peers' contributions single-copy out of their slots
-    /// when the payload fits one, unless the two-level host composition takes
-    /// the reduction; otherwise it runs two-level across hosts or as a flat
-    /// binomial tree. Returns `Some(result)` on the root, `None` elsewhere.
+    /// — in slot-sized segments when the payload does not fit one — unless
+    /// the two-level host composition takes the reduction; otherwise it runs
+    /// two-level across hosts or as a flat binomial tree. Returns `Some(result)` on the root, `None` elsewhere.
     pub fn reduce<T: Reducible>(
         &mut self,
         root: Rank,
@@ -717,8 +728,9 @@ impl Comm {
     }
 
     /// Allreduce typed values in place. On a communicator with a shared
-    /// window the vector is reduced single-copy through the slots when it
-    /// fits one, unless the two-level host composition takes the allreduce;
+    /// window the vector is reduced single-copy through the slots — in
+    /// slot-sized segments when it does not fit one — unless the two-level
+    /// host composition takes the allreduce;
     /// otherwise it runs two-level or flat — recursive doubling for small
     /// payloads, Rabenseifner from `coll::ALLREDUCE_RABENSEIFNER_MIN_BYTES`, with
     /// power-of-two fold elimination for other rank counts.
@@ -871,8 +883,10 @@ impl Comm {
     /// holds `size × block_elems` elements with block `r` addressed to local
     /// rank `r`; `recv` (same shape) ends up with block `r` holding rank
     /// `r`'s contribution to this rank. Size-adaptive: the single-copy shm
-    /// data plane when the exchange fits a window slot, the host-hierarchical
-    /// composition from a 4 MiB exchange image (under `HierarchyMode::Auto`),
+    /// data plane on a communicator with a window (in segments of every block
+    /// when the exchange image does not fit a slot) unless the
+    /// host-hierarchical composition takes it from a 4 MiB exchange image
+    /// (under `HierarchyMode::Auto`); without a window that composition,
     /// Bruck for blocks up to [`crate::coll::ALLTOALL_BRUCK_MAX_BYTES`],
     /// pairwise exchange for the rest.
     pub fn alltoall<T: Pod>(&mut self, send: &[T], recv: &mut [T]) -> Result<()> {

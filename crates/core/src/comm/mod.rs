@@ -181,10 +181,12 @@ impl CommShard {
         }
     }
 
-    /// Draw the next collective sequence number.
-    fn next_coll_seq(&mut self) -> u32 {
+    /// Draw the next `count` collective sequence numbers (one start of a
+    /// plan of [`crate::progress::CollPlan::seqs`] segments) and return the
+    /// first.
+    fn next_coll_seq(&mut self, count: u32) -> u32 {
         let seq = self.coll_seq;
-        self.coll_seq = self.coll_seq.wrapping_add(1);
+        self.coll_seq = self.coll_seq.wrapping_add(count);
         seq
     }
 }

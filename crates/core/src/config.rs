@@ -35,7 +35,8 @@ pub struct CxlShmTransportConfig {
     pub cells_per_queue: usize,
     /// Coherence mode used on the data path (the paper uses `clflushopt`).
     pub coherence: CoherenceMode,
-    /// Extra device headroom reserved for RMA windows and user objects, bytes.
+    /// Extra device headroom reserved for RMA windows, the collectives'
+    /// shared windows and user objects, bytes.
     pub window_headroom: usize,
     /// Eager queue matrix vs lazy sparse connection table (see [`ConnMode`]).
     pub conn_mode: ConnMode,
@@ -166,13 +167,16 @@ pub struct CollTuning {
     /// shared window (split into [`crate::dataplane::DP_SLOTS`] slots so
     /// consecutive collectives pipeline without waiting on slot reuse). A
     /// communicator that has a window runs a collective single-copy on it
-    /// whenever the payload fits one slot, unless the two-level composition
-    /// selects itself; a payload that does not fit falls back to the ring
-    /// path. `0` — or any arena too small to give each slot one cache line —
-    /// creates no window at all: every collective runs the ring path, as it
-    /// does on TCP. A pool too small to hold the whole window (every rank's
-    /// share) fails window creation gracefully — the communicator then runs
-    /// ring-only.
+    /// unless the two-level composition selects itself; a payload larger
+    /// than one slot runs there as slot-sized segments, each a window round
+    /// of its own. `0` — or any arena too small to give each slot one cache
+    /// line — creates no window at all: every collective runs the ring path,
+    /// as it does on TCP. A window comes out of the pool's headroom
+    /// ([`CxlShmTransportConfig::window_headroom`] and whatever the pool's
+    /// rounding adds), never out of the room the connection state is sized
+    /// to need: one the headroom left by earlier windows cannot hold (every
+    /// rank's share) fails window creation gracefully — the communicator then
+    /// runs ring-only.
     pub shm_arena_bytes: usize,
 }
 

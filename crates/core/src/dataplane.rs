@@ -132,16 +132,29 @@
 //! amortized across every start on the communicator, and blocking,
 //! nonblocking and persistent starts execute byte-identical schedules.
 //!
+//! A collective whose shape does not fit one slot runs as **segments**: the
+//! same shape over consecutive sub-ranges — of the payload's bytes or the
+//! vector's elements; for an allgather or an alltoall the same sub-range of
+//! every member's block — each a complete window round on a sequence number
+//! of its own, so segment `i` of a start at `seq` takes slot
+//! `(seq + i) mod DP_SLOTS`. Nothing else paces them: a writer exposes
+//! segment `i + 1` while its readers still pull segment `i`, and the
+//! completion-row read of a slot it wants back is the flow control. The
+//! segment is the largest sub-range whose footprint fits a slot, and
+//! `cheapest` prices every shape in the fewest segments it fits in — one,
+//! the whole collective, wherever it fits — so a size that fits a slot keeps
+//! its plan.
+//!
 //! Whether a collective runs here at all is decided per plan, in one place:
-//! `coll::select_path`. A communicator that has a window uses it whenever
-//! the payload fits a slot, unless the two-level host composition selects
-//! itself under [`crate::config::HierarchyMode`]; the barrier takes it
-//! whenever it exists. Payloads that do not fit a slot — and communicators
-//! without a window: a zero [`crate::config::CollTuning::shm_arena_bytes`]
-//! creates none, and one exceeding the pool fails to allocate — fall back to
-//! the ring path, never to an error. The irregular exchange decides pair by
-//! pair instead: all it asks is whether there is a window and whether the
-//! pair's own segment fits its region.
+//! `coll::select_path`. A communicator that has a window uses it, unless the
+//! two-level host composition selects itself under
+//! [`crate::config::HierarchyMode`]; the barrier takes it whenever it exists.
+//! Communicators without a window — a zero
+//! [`crate::config::CollTuning::shm_arena_bytes`] creates none, and one whose
+//! window the pool's headroom cannot hold fails to create it — run the ring
+//! path, never an error. The irregular exchange decides pair by pair instead:
+//! all it asks is whether there is a window and whether the pair's own
+//! segment fits its region.
 
 use std::ops::Range;
 
@@ -204,27 +217,88 @@ impl Exposure {
     }
 }
 
-/// The slot footprint of a collective whose one exposure per writer is
-/// `len` bytes at the head of the slot of window `dp` — what
-/// `coll::select_path` checks against the slot; nothing without a window.
-pub(crate) fn footprint(dp: Option<DpWindow>, len: usize) -> usize {
-    dp.map_or(0, |w| Exposure::new(&w, 0, 0, len).footprint())
+/// How a collective of `units` units — bytes, or a reduction's elements — is
+/// cut into segments: `len` units each, the last one what is left.
+#[derive(Debug, Clone, Copy)]
+struct Segments {
+    units: usize,
+    len: usize,
+}
+
+impl Segments {
+    fn count(self) -> usize {
+        self.units.div_ceil(self.len)
+    }
+
+    /// The sub-range of every segment, in order.
+    fn ranges(self) -> impl Iterator<Item = Range<usize>> {
+        (0..self.count()).map(move |i| i * self.len..((i + 1) * self.len).min(self.units))
+    }
+}
+
+/// One segment's ops appended to a [`DpOps`] — the sub-range it covers
+/// given — and what it needs ([`Fit`]).
+type Emit<'a> = &'a dyn Fn(&mut DpOps, Range<usize>) -> Fit;
+
+/// The fewest segments the collective of `units` units whose one segment
+/// `emit` appends cuts into on window `w`, when the whole does not fit a
+/// slot: the largest sub-range that does (a footprint grows with its range,
+/// and is the same on every member: member 0's ops measure it). `None` when
+/// not even one unit fits.
+fn fit(w: &DpWindow, units: usize, emit: Emit<'_>) -> Option<Segments> {
+    let fits = |len| emit(&mut DpOps::new(0), 0..len).footprint <= w.slot_bytes;
+    if !fits(1) {
+        return None;
+    }
+    let (mut lo, mut hi) = (1, units);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if fits(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let segs = Segments { units, len: lo };
+    fits(units - (segs.count() - 1) * lo).then_some(segs)
+}
+
+/// Member `me`'s ops of the collective of `units` units whose one segment
+/// `emit` appends, on window `w`, and the scratch bytes the largest segment
+/// needs: the whole collective when it fits a slot, otherwise the segments
+/// [`fit`] cuts it into, each a window round of its own. `None` when not
+/// even one unit fits.
+fn segmented(w: &DpWindow, me: usize, units: usize, emit: Emit<'_>) -> Option<(DpOps, usize)> {
+    let mut ops = DpOps::new(me);
+    let whole = emit(&mut ops, 0..units);
+    if whole.footprint <= w.slot_bytes {
+        return Some((ops, whole.scratch));
+    }
+    let mut ops = DpOps::new(me);
+    let mut scratch = 0;
+    for (i, range) in fit(w, units, emit)?.ranges().enumerate() {
+        ops.segment(i as u32);
+        scratch = scratch.max(emit(&mut ops, range).scratch);
+    }
+    Some((ops, scratch))
 }
 
 /// The data-plane op list of one rank, with the piece table its exposes
 /// index. Zero-length exposes and reads are never emitted — both sides of an
 /// empty region skip it, so a rank whose block of a short vector is empty
-/// costs nobody a device round trip — and the rank's last read so far is the
-/// one marked to store its completion line. Reads come in **runs**:
-/// consecutive reads of one phase, from consecutive writers, with nothing
-/// between them that could wait, opened by the one `AwaitRow` that acquires
-/// all their flag lines — the only way a rank reads a peer.
+/// costs nobody a device round trip — and the rank's last read of each
+/// segment so far is the one marked to store its completion line. Reads come
+/// in **runs**: consecutive reads of one phase, from consecutive writers,
+/// with nothing between them that could wait, opened by the one `AwaitRow`
+/// that acquires all their flag lines — the only way a rank reads a peer.
 pub(crate) struct DpOps {
     pub(crate) list: Vec<SchedOp>,
     pieces: Vec<DpPiece>,
     /// The group member the ops are for: the one writer a row may span
     /// without waiting for it.
     me: usize,
+    /// The segment the ops appended now belong to.
+    seg: u32,
     /// Index in `list` of the read that carries `last`.
     last_read: Option<usize>,
     /// Index in `list` of the `AwaitRow` whose run the next read may join. A
@@ -249,14 +323,30 @@ impl DpOps {
             list: Vec::with_capacity(ops),
             pieces: Vec::with_capacity(pieces),
             me,
+            seg: 0,
             last_read: None,
             open_row: None,
             all_raise: 0,
         }
     }
 
+    /// Room for `ops` more ops and `pieces` more pieces.
+    fn reserve(&mut self, ops: usize, pieces: usize) {
+        self.list.reserve(ops);
+        self.pieces.reserve(pieces);
+    }
+
+    /// Append the ops of segment `seg` from here on: a window round of its
+    /// own, with its own runs, its own last read and its own flag lines.
+    fn segment(&mut self, seg: u32) {
+        self.seg = seg;
+        self.last_read = None;
+        self.open_row = None;
+        self.all_raise = 0;
+    }
+
     /// Declare that every member of the group raises its `phase` flag line
-    /// in this collective: a run of that phase may then span members it does
+    /// in this segment: a run of that phase may then span members it does
     /// not read, whose lines are sure to go up, instead of opening a run per
     /// gap.
     fn all_raise(&mut self, phase: u8) {
@@ -281,6 +371,7 @@ impl DpOps {
                 loc,
                 pieces: (lo, self.pieces.len()),
                 readers,
+                seg: self.seg,
             });
         }
     }
@@ -340,7 +431,10 @@ impl DpOps {
     /// Settle this rank's slot ahead of the expose that will fill it.
     fn claim(&mut self, readers: DpReaders) {
         self.open_row = None;
-        self.list.push(SchedOp::ClaimSlot { readers });
+        self.list.push(SchedOp::ClaimSlot {
+            readers,
+            seg: self.seg,
+        });
     }
 
     /// A `Send` or `Recv` of the one exchange that mixes messages with reads.
@@ -358,6 +452,7 @@ impl DpOps {
         self.list.push(SchedOp::AwaitRow {
             phase,
             writers: (writers.start, writers.end),
+            seg: self.seg,
         });
     }
 
@@ -393,6 +488,7 @@ impl DpOps {
             Some(SchedOp::AwaitRow {
                 phase: open,
                 writers: (start, end),
+                ..
             }) if *open == phase => match (line.is_empty(), start == end) {
                 (true, _) => {}
                 (false, true) => (*start, *end) = (writer, writer + 1),
@@ -418,6 +514,7 @@ impl DpOps {
         if len > 0 {
             self.read(SchedOp::PullCopy {
                 src,
+                seg: self.seg,
                 len,
                 dst_loc: Loc::Buf,
                 dst_start,
@@ -431,6 +528,7 @@ impl DpOps {
         if len > 0 {
             self.read(SchedOp::FoldInPlace {
                 src,
+                seg: self.seg,
                 len,
                 dst_loc: Loc::Buf,
                 dst_start,
@@ -493,7 +591,7 @@ impl DpOps {
             scratch_len,
             label,
         )
-        .with_pieces(self.pieces)
+        .with_pieces(self.pieces, self.seg + 1)
     }
 }
 
@@ -611,11 +709,11 @@ impl DpShape {
     }
 }
 
-/// One member's part of a window shape: its ops, the scratch bytes they
-/// need, and the shape's slot footprint — where the furthest exposure of any
+/// What one segment of a window shape needs: the scratch bytes one member's
+/// ops use, and the slot footprint — where the furthest exposure of any
 /// member ends, the same on every member.
-struct Built {
-    ops: DpOps,
+#[derive(Debug, Clone, Copy)]
+struct Fit {
     scratch: usize,
     footprint: usize,
 }
@@ -646,42 +744,64 @@ fn priced(hier: Option<&HostHierarchy>, skip: Option<usize>) -> Vec<usize> {
     members
 }
 
-/// The cheapest of `shapes` on window `w` whose footprint fits a slot, and
-/// that footprint — or, when none fits, the first shape and its footprint,
-/// which sends the collective off the window. The host-sliced shape is a
-/// candidate only on two hosts or more. A shape costs what
-/// [`serial_cost`] walks out of `build(shape, m)` for the slowest of
-/// `members`, each reading its own host out of the shared cache. Nothing here
-/// depends on the member asking, so every member reaches the same verdict;
-/// a tie goes to the earlier shape, so the cost model, not a byte threshold,
-/// puts every crossover.
+/// The cheapest of `shapes` on window `w` for a collective of `units`
+/// units, each shape priced in the fewest segments it fits a slot in
+/// ([`fit`]) — `None` when no shape fits even one unit. The host-sliced
+/// shape is a candidate only on two hosts or more. A shape costs what
+/// [`serial_cost`] walks out of its segments' ops, appended by
+/// `emit(ops, shape, range)`, for the slowest of `members`, each reading its
+/// own host out of the shared cache: segments of one length cost the same,
+/// so a member prices one full segment and the last. Nothing here depends on
+/// the member asking, so every member reaches the same verdict; a tie goes to
+/// the earlier shape, so the cost model, not a byte threshold, puts every
+/// crossover.
 fn cheapest(
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     members: &[usize],
     shapes: &[DpShape],
-    build: impl Fn(DpShape, usize) -> Built,
-) -> (DpShape, usize) {
-    let mut best: Option<(SimNs, DpShape, usize)> = None;
-    let mut first = None;
+    units: usize,
+    emit: impl Fn(&mut DpOps, DpShape, Range<usize>) -> Fit,
+) -> Option<DpShape> {
+    let mut best: Option<(SimNs, DpShape)> = None;
     let sliced = spread(hier).is_some();
-    for &shape in shapes.iter().filter(|&&s| sliced || s != DpShape::Hosts) {
-        let (mut cost, mut footprint): (SimNs, usize) = (0.0, 0);
+    'shapes: for &shape in shapes.iter().filter(|&&s| sliced || s != DpShape::Hosts) {
+        let emit = |ops: &mut DpOps, range: Range<usize>| emit(ops, shape, range);
+        // The segments, once a member's whole collective did not fit.
+        let mut segs: Option<Segments> = None;
+        let mut cost: SimNs = 0.0;
         for &m in members {
-            let built = build(shape, m);
             let same_host = |r: usize| hier.is_some_and(|h| h.slot_of(r) == h.slot_of(m));
-            let ops = &built.ops;
-            cost = cost.max(serial_cost(&ops.list, &ops.pieces, w, same_host));
-            footprint = built.footprint;
+            let price = |len: usize| {
+                let mut ops = DpOps::new(m);
+                let fit = emit(&mut ops, 0..len);
+                (serial_cost(&ops.list, &ops.pieces, w, same_host), fit)
+            };
+            let (whole, fits) = price(units);
+            if fits.footprint <= w.slot_bytes {
+                cost = cost.max(whole);
+                continue;
+            }
+            if segs.is_none() {
+                segs = fit(w, units, &emit);
+            }
+            let Some(segs) = segs else {
+                continue 'shapes;
+            };
+            let last = units - (segs.count() - 1) * segs.len;
+            let each = price(segs.len).0;
+            let tail = if last == segs.len {
+                each
+            } else {
+                price(last).0
+            };
+            cost = cost.max(each * (segs.count() - 1) as f64 + tail);
         }
-        first.get_or_insert((shape, footprint));
-        if footprint <= w.slot_bytes && best.is_none_or(|(least, ..)| cost < least) {
-            best = Some((cost, shape, footprint));
+        if best.is_none_or(|(least, _)| cost < least) {
+            best = Some((cost, shape));
         }
     }
-    best.map_or(first.expect("a shape to walk"), |(_, shape, footprint)| {
-        (shape, footprint)
-    })
+    best.map(|(_, shape)| shape)
 }
 
 /// Barrier as a zero-byte all-to-all exchange on the flag lines: every rank
@@ -698,6 +818,7 @@ pub(crate) fn build_barrier_shm(view: &CommView<'_>) -> CollPlan {
         loc: Loc::Buf,
         pieces: (0, 0),
         readers: DpReaders::Others,
+        seg: 0,
     });
     // From the first peer's line to the last one's.
     ops.await_row(0, usize::from(me == 0)..n - usize::from(me == n - 1));
@@ -705,19 +826,19 @@ pub(crate) fn build_barrier_shm(view: &CommView<'_>) -> CollPlan {
 }
 
 /// The broadcast of `total` bytes from `root` on window `w` that costs its
-/// slowest reader least, and its slot footprint — the payload's either way.
+/// slowest reader least ([`cheapest`]).
 pub(crate) fn bcast_shape(
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     root: Rank,
     total: usize,
-) -> (DpShape, usize) {
+) -> Option<DpShape> {
     // The root's host reads the root's exposure directly in either shape.
     let mut members = priced(hier, spread(hier).map(|h| h.slot_of(root)));
     members.push(root);
     let shapes = [DpShape::Direct, DpShape::Hosts];
-    cheapest(w, hier, &members, &shapes, |shape, m| {
-        bcast_ops(w, hier, shape, m, root, total)
+    cheapest(w, hier, &members, &shapes, total, |ops, shape, range| {
+        bcast_ops(ops, w, hier, shape, root, range)
     })
 }
 
@@ -737,7 +858,8 @@ pub(crate) fn bcast_shape(
 ///   their host-mates, re-exposed at its payload offset in their own slot.
 ///
 /// Slot footprint: the payload's either way (a re-exposed slice is stamped
-/// only where its lines fit the slot).
+/// only where its lines fit the slot); a payload that does not fit runs in
+/// segments of consecutive byte ranges.
 pub(crate) fn build_bcast_shm(
     view: &CommView<'_>,
     w: &DpWindow,
@@ -746,30 +868,32 @@ pub(crate) fn build_bcast_shm(
     root: Rank,
     total: usize,
 ) -> CollPlan {
-    let built = bcast_ops(w, hier, shape, view.rank, root, total);
+    let emit: Emit<'_> = &|ops, range| bcast_ops(ops, w, hier, shape, root, range);
+    let (ops, _) = segmented(w, view.rank, total, emit).expect("a broadcast shape that fits");
     let input = if view.rank == root {
         (0, total)
     } else {
         (0, 0)
     };
     let label = shape.label("bcast/shm", "bcast/shm+hosts");
-    built.ops.into_plan(view, None, (0, total), input, 0, label)
+    ops.into_plan(view, None, (0, total), input, 0, label)
 }
 
-/// Member `me`'s part of the broadcast in `shape`.
+/// Member `ops.me`'s part of the broadcast of bytes `seg` of the payload in
+/// `shape`.
 fn bcast_ops(
+    ops: &mut DpOps,
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     shape: DpShape,
-    me: usize,
     root: Rank,
-    total: usize,
-) -> Built {
+    seg: Range<usize>,
+) -> Fit {
+    let (me, at, total) = (ops.me, seg.start, seg.len());
     let payload = Exposure::new(w, 0, 0, total);
-    let mut ops = DpOps::new(me);
     let hosts = spread(hier).filter(|_| shape == DpShape::Hosts);
     if me == root {
-        ops.expose(payload, Loc::Buf, 0, DpReaders::Others);
+        ops.expose(payload, Loc::Buf, at, DpReaders::Others);
     } else if let Some(h) = hosts.filter(|h| h.slot_of(me) != h.slot_of(root)) {
         // Another host: pull my slice of the root's exposure, then relay it.
         let cohort = h.members(h.slot_of(me));
@@ -777,7 +901,7 @@ fn bcast_ops(
         let slice = |i: usize| {
             let start = block_off(i, total, k, 1);
             Relayed {
-                start,
+                start: at + start,
                 len: block_off(i + 1, total, k, 1) - start,
                 region: start,
             }
@@ -788,16 +912,15 @@ fn bcast_ops(
             // Settle my slot while the root is still publishing.
             ops.claim(DpReaders::HostMates);
         }
-        ops.pull(payload.source(root, mine.start), mine.len, mine.start);
+        ops.pull(payload.source(root, mine.region), mine.len, mine.start);
         ops.relay(w, cohort, j, (0, DpReaders::HostMates), |i| [slice(i)]);
     } else {
         // Direct — also the root's host-mates in the host-sliced shape: they
         // read the exposure out of the shared cache, where slicing would only
         // trade cache reads for flag traffic.
-        ops.pull(payload.source(root, 0), total, 0);
+        ops.pull(payload.source(root, 0), total, at);
     }
-    Built {
-        ops,
+    Fit {
         scratch: 0,
         footprint: payload.footprint(),
     }
@@ -807,34 +930,51 @@ fn bcast_ops(
 /// root pulls each one through a scratch staging block and folds it into its
 /// own buffer, storing its completion line after the last contributor — the
 /// one reader every exposure has. The root moves each vector across the
-/// fabric exactly once, with no intermediate partial-sum hops.
+/// fabric exactly once, with no intermediate partial-sum hops. `None` when
+/// not even one element fits a slot.
 ///
-/// Slot footprint: the vector's (`count × sizeof(T)` bytes).
+/// Slot footprint: the vector's (`count × sizeof(T)` bytes); a vector that
+/// does not fit runs in segments of consecutive elements.
 pub(crate) fn build_reduce_shm<T: Reducible>(
     view: &CommView<'_>,
     w: &DpWindow,
     root: Rank,
     count: usize,
     op: ReduceOp,
-) -> CollPlan {
-    let me = view.rank;
-    let total = count * std::mem::size_of::<T>();
+) -> Option<CollPlan> {
+    let (me, n) = (view.rank, view.size());
+    let elem = std::mem::size_of::<T>();
+    let emit: Emit<'_> = &|ops, range| reduce_ops(ops, w, n, root, elem, range);
+    let (ops, scratch_len) = segmented(w, me, count, emit)?;
+    let total = count * elem;
+    let result = if me == root { (0, total) } else { (0, 0) };
+    let fold = Some((op, fold_bytes::<T> as FoldFn));
+    Some(ops.into_plan(view, fold, result, (0, total), scratch_len, "reduce/shm"))
+}
+
+/// Member `ops.me`'s part of the reduce of elements `seg` of `elem` bytes
+/// among `n` members.
+fn reduce_ops(
+    ops: &mut DpOps,
+    w: &DpWindow,
+    n: usize,
+    root: Rank,
+    elem: usize,
+    seg: Range<usize>,
+) -> Fit {
+    let (at, total) = (seg.start * elem, seg.len() * elem);
     let vector = Exposure::new(w, 0, 0, total);
-    let mut ops = DpOps::new(me);
-    if me == root {
-        for r in (0..view.size()).filter(|&r| r != root) {
-            ops.fold(vector.source(r, 0), total, 0);
+    if ops.me == root {
+        for r in (0..n).filter(|&r| r != root) {
+            ops.fold(vector.source(r, 0), total, at);
         }
     } else {
-        ops.expose(vector, Loc::Buf, 0, DpReaders::One(root));
+        ops.expose(vector, Loc::Buf, at, DpReaders::One(root));
     }
-    let (result, scratch_len) = if me == root {
-        ((0, total), total)
-    } else {
-        ((0, 0), 0)
-    };
-    let fold = Some((op, fold_bytes::<T> as FoldFn));
-    ops.into_plan(view, fold, result, (0, total), scratch_len, "reduce/shm")
+    Fit {
+        scratch: if ops.me == root { total } else { 0 },
+        footprint: vector.footprint(),
+    }
 }
 
 /// Byte offset of rank `i`'s block in an `n`-way split of `count` elements of
@@ -861,9 +1001,16 @@ fn block_off(i: usize, count: usize, n: usize, elem: usize) -> usize {
 /// Each rank's vector crosses the fabric once in step 2 (sliced across
 /// readers) and each reduced block once per reader in step 4 — the
 /// Rabenseifner traffic pattern, minus all intermediate copies, headers and
-/// per-message overhead. Slot footprint: up to the end of the largest
-/// reduced block's.
-fn allreduce_two_phase(w: &DpWindow, me: usize, n: usize, count: usize, elem: usize) -> Built {
+/// per-message overhead. The vector is the `count` elements at byte `at` of
+/// the buffer. Slot footprint: up to the end of the largest reduced block's.
+fn allreduce_two_phase(
+    ops: &mut DpOps,
+    w: &DpWindow,
+    n: usize,
+    (count, elem): (usize, usize),
+    at: usize,
+) -> Fit {
+    let me = ops.me;
     let total = count * elem;
     let block = |r: usize| {
         let off = block_off(r, count, n, elem);
@@ -874,19 +1021,18 @@ fn allreduce_two_phase(w: &DpWindow, me: usize, n: usize, count: usize, elem: us
     let region = vector.footprint().next_multiple_of(SLOT_CELL_SIZE);
     let reduced = |r: usize| Exposure::new(w, 1, region, block(r).1);
     // Two exposes, two rows, two rounds of reads.
-    let mut ops = DpOps::with_capacity(me, 2 * n + 2, 2);
-    ops.expose(vector, Loc::Buf, 0, DpReaders::Others);
+    ops.reserve(2 * n + 2, 2);
+    ops.expose(vector, Loc::Buf, at, DpReaders::Others);
     for r in (0..n).filter(|&r| r != me) {
-        ops.fold(vector.source(r, my_off), my_len, my_off);
+        ops.fold(vector.source(r, my_off), my_len, at + my_off);
     }
-    ops.expose(reduced(me), Loc::Buf, my_off, DpReaders::Others);
+    ops.expose(reduced(me), Loc::Buf, at + my_off, DpReaders::Others);
     for r in (0..n).filter(|&r| r != me) {
         let (r_off, r_len) = block(r);
-        ops.pull(reduced(r).source(r, 0), r_len, r_off);
+        ops.pull(reduced(r).source(r, 0), r_len, at + r_off);
     }
     let footprint = (0..n).map(|r| reduced(r).footprint()).max();
-    Built {
-        ops,
+    Fit {
         scratch: my_len,
         footprint: footprint.unwrap_or(region),
     }
@@ -897,39 +1043,45 @@ fn allreduce_two_phase(w: &DpWindow, me: usize, n: usize, count: usize, elem: us
 /// `n − 1` full-vector reads per rank, which is what a short vector wants.
 /// Every rank folds in group order (`v₀ ⊕ v₁ ⊕ … ⊕ vₙ₋₁`, its own vector
 /// taking its turn from a scratch copy), so all members compute the same
-/// bits whatever the reduction's associativity. Slot footprint: the
-/// vector's.
-fn allreduce_one_phase(w: &DpWindow, me: usize, n: usize, count: usize, elem: usize) -> Built {
+/// bits whatever the reduction's associativity. The vector is the `count`
+/// elements at byte `at` of the buffer. Slot footprint: the vector's.
+fn allreduce_one_phase(
+    ops: &mut DpOps,
+    w: &DpWindow,
+    n: usize,
+    (count, elem): (usize, usize),
+    at: usize,
+) -> Fit {
+    let me = ops.me;
     let total = count * elem;
     let vector = Exposure::new(w, 0, 0, total);
     // One expose, the own vector's copy and fold, a row, `n − 1` reads.
-    let mut ops = DpOps::with_capacity(me, n + 3, 1);
-    ops.expose(vector, Loc::Buf, 0, DpReaders::Others);
+    ops.reserve(n + 3, 1);
+    ops.expose(vector, Loc::Buf, at, DpReaders::Others);
     if me != 0 {
         ops.list.push(SchedOp::Copy {
             dst_loc: Loc::Scratch,
             dst_start: total,
             src_loc: Loc::Buf,
-            src_start: 0,
+            src_start: at,
             len: total,
         });
-        ops.pull(vector.source(0, 0), total, 0);
+        ops.pull(vector.source(0, 0), total, at);
     }
     for r in 1..n {
         if r == me {
             ops.list.push(SchedOp::Fold {
                 dst_loc: Loc::Buf,
-                dst_start: 0,
+                dst_start: at,
                 src_loc: Loc::Scratch,
                 src_start: total,
                 len: total,
             });
         } else {
-            ops.fold(vector.source(r, 0), total, 0);
+            ops.fold(vector.source(r, 0), total, at);
         }
     }
-    Built {
-        ops,
+    Fit {
         scratch: if me == 0 { total } else { 2 * total },
         footprint: vector.footprint(),
     }
@@ -952,10 +1104,17 @@ fn allreduce_one_phase(w: &DpWindow, me: usize, n: usize, count: usize, elem: us
 ///
 /// Each rank's vector crosses the device once per other host, sliced across
 /// that host's members, where [`allreduce_two_phase`] sends each block
-/// across once per remote reader and each reduced block again. Slot
-/// footprint: the vector's, a partial's and a reduced block's, each on lines
-/// of its own.
-fn allreduce_hosts(w: &DpWindow, h: &HostHierarchy, me: usize, count: usize, elem: usize) -> Built {
+/// across once per remote reader and each reduced block again. The vector is
+/// the `count` elements at byte `at` of the buffer. Slot footprint: the
+/// vector's, a partial's and a reduced block's, each on lines of its own.
+fn allreduce_hosts(
+    ops: &mut DpOps,
+    w: &DpWindow,
+    h: &HostHierarchy,
+    (count, elem): (usize, usize),
+    at: usize,
+) -> Fit {
+    let me = ops.me;
     let total = count * elem;
     // Block `i` of host `t`'s split: what member `i` of host `t` reduces.
     let block = |t: usize, i: usize| {
@@ -966,29 +1125,28 @@ fn allreduce_hosts(w: &DpWindow, h: &HostHierarchy, me: usize, count: usize, ele
     let partial_at = vector.footprint().next_multiple_of(SLOT_CELL_SIZE);
     let partial = |t: usize, i: usize| Exposure::new(w, 1, partial_at, block(t, i).len());
     let reduced = |t: usize, i: usize| {
-        let at = partial(t, i).footprint().next_multiple_of(SLOT_CELL_SIZE);
+        let region = partial(t, i).footprint().next_multiple_of(SLOT_CELL_SIZE);
         Relayed {
-            start: block(t, i).start,
+            start: at + block(t, i).start,
             len: block(t, i).len(),
-            region: at,
+            region,
         }
     };
     let s = h.slot_of(me);
     let cohort = h.members(s);
     let j = cohort.iter().position(|&r| r == me).expect("me in cohort");
     let mine = block(s, j);
-    let mut ops = DpOps::new(me);
     let everywhere = |t: usize| h.count(t) >= 2;
     if (0..h.hosts_spanned()).all(everywhere) && vector.format.in_row() {
         ops.all_raise(0);
     }
     if cohort.len() > 1 {
-        ops.expose(vector, Loc::Buf, 0, DpReaders::Others);
+        ops.expose(vector, Loc::Buf, at, DpReaders::Others);
         for &peer in cohort.iter().filter(|&&r| r != me) {
-            ops.fold(vector.source(peer, mine.start), mine.len(), mine.start);
+            ops.fold(vector.source(peer, mine.start), mine.len(), at + mine.start);
         }
     }
-    ops.expose(partial(s, j), Loc::Buf, mine.start, DpReaders::Others);
+    ops.expose(partial(s, j), Loc::Buf, at + mine.start, DpReaders::Others);
     // My partial waits in scratch, past the staging area, for its turn.
     let stash = mine.len();
     if s > 0 && stash > 0 {
@@ -996,7 +1154,7 @@ fn allreduce_hosts(w: &DpWindow, h: &HostHierarchy, me: usize, count: usize, ele
             dst_loc: Loc::Scratch,
             dst_start: stash,
             src_loc: Loc::Buf,
-            src_start: mine.start,
+            src_start: at + mine.start,
             len: stash,
         });
     }
@@ -1005,7 +1163,7 @@ fn allreduce_hosts(w: &DpWindow, h: &HostHierarchy, me: usize, count: usize, ele
             if s > 0 && stash > 0 {
                 ops.list.push(SchedOp::Fold {
                     dst_loc: Loc::Buf,
-                    dst_start: mine.start,
+                    dst_start: at + mine.start,
                     src_loc: Loc::Scratch,
                     src_start: stash,
                     len: stash,
@@ -1019,9 +1177,9 @@ fn allreduce_hosts(w: &DpWindow, h: &HostHierarchy, me: usize, count: usize, ele
             if lo < hi {
                 let src = partial(t, i).source(peer, lo - theirs.start);
                 if t == 0 {
-                    ops.pull(src, hi - lo, lo);
+                    ops.pull(src, hi - lo, at + lo);
                 } else {
-                    ops.fold(src, hi - lo, lo);
+                    ops.fold(src, hi - lo, at + lo);
                 }
             }
         }
@@ -1036,50 +1194,49 @@ fn allreduce_hosts(w: &DpWindow, h: &HostHierarchy, me: usize, count: usize, ele
                     .footprint(r.len)
         })
         .max();
-    Built {
-        ops,
+    Fit {
         scratch: if s > 0 { 2 * stash } else { stash },
         footprint: footprint.unwrap_or(partial_at),
     }
 }
 
-/// Member `me`'s part of the allreduce of `count` elements of `elem` bytes
+/// Member `ops.me`'s part of the allreduce of elements `seg` of `elem` bytes
 /// among `n` members in `shape`.
 fn allreduce_ops(
+    ops: &mut DpOps,
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     shape: DpShape,
-    me: usize,
-    n: usize,
-    count: usize,
-    elem: usize,
-) -> Built {
+    (n, elem): (usize, usize),
+    seg: Range<usize>,
+) -> Fit {
+    let (vector, at) = ((seg.len(), elem), seg.start * elem);
     match (shape, spread(hier)) {
-        (DpShape::Hosts, Some(h)) => allreduce_hosts(w, h, me, count, elem),
-        (DpShape::TwoPhase, _) => allreduce_two_phase(w, me, n, count, elem),
-        _ => allreduce_one_phase(w, me, n, count, elem),
+        (DpShape::Hosts, Some(h)) => allreduce_hosts(ops, w, h, vector, at),
+        (DpShape::TwoPhase, _) => allreduce_two_phase(ops, w, n, vector, at),
+        _ => allreduce_one_phase(ops, w, n, vector, at),
     }
 }
 
 /// The allreduce shape among `n` members reducing `count` elements of `elem`
 /// bytes that costs its slowest member least on window `w` — one phase, two
-/// phases or host-sliced ([`cheapest`]) — and its slot footprint, the one
-/// `coll::select_path` checks against the slot. A tie goes to the single
-/// round.
+/// phases or host-sliced ([`cheapest`]). A tie goes to the single round.
 pub(crate) fn allreduce_shm_shape(
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     n: usize,
     count: usize,
     elem: usize,
-) -> (DpShape, usize) {
+) -> Option<DpShape> {
     let shapes = [DpShape::Direct, DpShape::TwoPhase, DpShape::Hosts];
-    cheapest(w, hier, &priced(hier, None), &shapes, |shape, m| {
-        allreduce_ops(w, hier, shape, m, n, count, elem)
+    let members = priced(hier, None);
+    cheapest(w, hier, &members, &shapes, count, |ops, shape, range| {
+        allreduce_ops(ops, w, hier, shape, (n, elem), range)
     })
 }
 
-/// Single-copy allreduce of `count` elements of `T`, in `shape`.
+/// Single-copy allreduce of `count` elements of `T`, in `shape` — in
+/// segments of consecutive elements when the shape does not fit a slot.
 pub(crate) fn build_allreduce_shm<T: Reducible>(
     view: &CommView<'_>,
     w: &DpWindow,
@@ -1089,27 +1246,28 @@ pub(crate) fn build_allreduce_shm<T: Reducible>(
     op: ReduceOp,
 ) -> CollPlan {
     let elem = std::mem::size_of::<T>();
-    let built = allreduce_ops(w, hier, shape, view.rank, view.size(), count, elem);
+    let vector = (view.size(), elem);
+    let emit: Emit<'_> = &|ops, range| allreduce_ops(ops, w, hier, shape, vector, range);
+    let segmented = segmented(w, view.rank, count, emit);
+    let (ops, scratch_len) = segmented.expect("an allreduce shape that fits");
     let total = count * elem;
     let fold = Some((op, fold_bytes::<T> as FoldFn));
     let label = shape.label("allreduce/shm", "allreduce/shm+hosts");
-    built
-        .ops
-        .into_plan(view, fold, (0, total), (0, total), built.scratch, label)
+    ops.into_plan(view, fold, (0, total), (0, total), scratch_len, label)
 }
 
 /// The allgather of `block` bytes per member among `n` on window `w` that
-/// costs its slowest member least — direct or host-sliced — and its slot
-/// footprint.
+/// costs its slowest member least — direct or host-sliced.
 pub(crate) fn allgather_shape(
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     n: usize,
     block: usize,
-) -> (DpShape, usize) {
+) -> Option<DpShape> {
     let shapes = [DpShape::Direct, DpShape::Hosts];
-    cheapest(w, hier, &priced(hier, None), &shapes, |shape, m| {
-        allgather_ops(w, hier, shape, m, n, block)
+    let members = priced(hier, None);
+    cheapest(w, hier, &members, &shapes, block, |ops, shape, range| {
+        allgather_ops(ops, w, hier, shape, (n, block), range)
     })
 }
 
@@ -1126,7 +1284,8 @@ pub(crate) fn allgather_shape(
 ///   per receiving host.
 ///
 /// Slot footprint: the block's; host-sliced, the relayed blocks' after it,
-/// each on lines of its own.
+/// each on lines of its own. Blocks that do not fit run in segments, each
+/// the same byte range of every block.
 pub(crate) fn build_allgather_shm(
     view: &CommView<'_>,
     w: &DpWindow,
@@ -1135,38 +1294,40 @@ pub(crate) fn build_allgather_shm(
     block: usize,
 ) -> CollPlan {
     let (me, n) = (view.rank, view.size());
-    let built = allgather_ops(w, hier, shape, me, n, block);
+    let emit: Emit<'_> = &|ops, range| allgather_ops(ops, w, hier, shape, (n, block), range);
+    let (ops, _) = segmented(w, me, block, emit).expect("an allgather shape that fits");
     let input = (me * block, (me + 1) * block);
     let label = shape.label("allgather/shm", "allgather/shm+hosts");
-    built
-        .ops
-        .into_plan(view, None, (0, n * block), input, 0, label)
+    ops.into_plan(view, None, (0, n * block), input, 0, label)
 }
 
-/// Member `me`'s part of the allgather in `shape`.
+/// Member `ops.me`'s part of the allgather, in `shape`, of bytes `seg` of
+/// every member's `block`-byte block among `n`.
 fn allgather_ops(
+    ops: &mut DpOps,
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     shape: DpShape,
-    me: usize,
-    n: usize,
-    block: usize,
-) -> Built {
-    let own = Exposure::new(w, 0, 0, block);
-    let mut ops = DpOps::new(me);
-    ops.expose(own, Loc::Buf, me * block, DpReaders::Others);
+    (n, block): (usize, usize),
+    seg: Range<usize>,
+) -> Fit {
+    let me = ops.me;
+    let len = seg.len();
+    // Where member `r`'s bytes of the segment go in every buffer.
+    let at = |r: usize| r * block + seg.start;
+    let own = Exposure::new(w, 0, 0, len);
+    ops.expose(own, Loc::Buf, at(me), DpReaders::Others);
     let Some(h) = spread(hier).filter(|_| shape == DpShape::Hosts) else {
         for r in (0..n).filter(|&r| r != me) {
-            ops.pull(own.source(r, 0), block, r * block);
+            ops.pull(own.source(r, 0), len, at(r));
         }
-        return Built {
-            ops,
+        return Fit {
             scratch: 0,
             footprint: own.footprint(),
         };
     };
     let base = own.footprint().next_multiple_of(SLOT_CELL_SIZE);
-    let stride = DpFormat::Stamped { in_row: false }.footprint(block);
+    let stride = DpFormat::Stamped { in_row: false }.footprint(len);
     // What member `i` of host `t` relays: the other hosts' blocks that cross
     // to `t` through it.
     let relays = |t: usize, i: usize| {
@@ -1177,8 +1338,8 @@ fn allgather_ops(
             .skip(i)
             .step_by(k)
             .map(move |(x, r)| Relayed {
-                start: r * block,
-                len: block,
+                start: at(r),
+                len,
                 region: base + x / k * stride,
             })
     };
@@ -1196,16 +1357,17 @@ fn allgather_ops(
             (crossing - 1) % cohort.len() == j
         };
         if mine {
-            ops.pull(own.source(r, 0), block, r * block);
+            ops.pull(own.source(r, 0), len, at(r));
         }
     }
     ops.relay(w, cohort, j, (1, DpReaders::Others), |i| relays(s, i));
+    // A member alone on its host relays nothing.
     let footprint = (0..h.hosts_spanned())
+        .filter(|&t| h.count(t) >= 2)
         .flat_map(|t| relayed(w, relays(t, 0)))
         .map(|p| p.region_off + p.format.footprint(p.end - p.start))
         .fold(own.footprint(), usize::max);
-    Built {
-        ops,
+    Fit {
         scratch: 0,
         footprint,
     }
@@ -1220,20 +1382,63 @@ fn allgather_ops(
 /// n−1 concurrent pulls. WAR safety needs no extra guard: the exposure
 /// publishes a *copy* into the window, so the local buffer is free to receive
 /// pulled blocks immediately, and slot reuse across consecutive collectives
-/// is gated by the readers' completion lines.
+/// is gated by the readers' completion lines. `None` when not even a byte
+/// of every block fits a slot.
 ///
-/// Slot footprint: the full send image's (`n × block` bytes).
-pub(crate) fn build_alltoall_shm(view: &CommView<'_>, w: &DpWindow, block: usize) -> CollPlan {
-    let me = view.rank;
+/// Slot footprint: the full send image's (`n × block` bytes). An image that
+/// does not fit runs in segments, each the same byte range of every block,
+/// packed into scratch and exposed as the image of the segment.
+pub(crate) fn build_alltoall_shm(
+    view: &CommView<'_>,
+    w: &DpWindow,
+    block: usize,
+) -> Option<CollPlan> {
     let n = view.size();
+    let emit: Emit<'_> = &|ops, range| alltoall_ops(ops, w, (n, block), range);
+    let (ops, scratch_len) = segmented(w, view.rank, block, emit)?;
     let total = n * block;
-    let image = Exposure::new(w, 0, 0, total);
-    let mut ops = DpOps::new(me);
-    ops.expose(image, Loc::Buf, 0, DpReaders::Others);
+    Some(ops.into_plan(
+        view,
+        None,
+        (0, total),
+        (0, total),
+        scratch_len,
+        "alltoall/shm",
+    ))
+}
+
+/// Member `ops.me`'s part of the alltoall of bytes `seg` of every
+/// `block`-byte block among `n` members.
+fn alltoall_ops(
+    ops: &mut DpOps,
+    w: &DpWindow,
+    (n, block): (usize, usize),
+    seg: Range<usize>,
+) -> Fit {
+    let (me, len) = (ops.me, seg.len());
+    let image = Exposure::new(w, 0, 0, n * len);
+    let loc = if len == block {
+        Loc::Buf
+    } else {
+        for r in 0..n {
+            ops.list.push(SchedOp::Copy {
+                dst_loc: Loc::Scratch,
+                dst_start: r * len,
+                src_loc: Loc::Buf,
+                src_start: r * block + seg.start,
+                len,
+            });
+        }
+        Loc::Scratch
+    };
+    ops.expose(image, loc, 0, DpReaders::Others);
     for r in (0..n).filter(|&r| r != me) {
-        ops.pull(image.source(r, me * block), block, r * block);
+        ops.pull(image.source(r, me * len), len, r * block + seg.start);
     }
-    ops.into_plan(view, None, (0, total), (0, total), 0, "alltoall/shm")
+    Fit {
+        scratch: if loc == Loc::Scratch { n * len } else { 0 },
+        footprint: image.footprint(),
+    }
 }
 
 #[cfg(test)]
@@ -1271,6 +1476,14 @@ mod tests {
                 pairs: 4,
             },
         }
+    }
+
+    /// Member `me`'s ops of the two-phase allreduce of `count` elements of
+    /// `elem` bytes among `n`, in one segment.
+    fn two_phase(w: &DpWindow, me: usize, n: usize, count: usize, elem: usize) -> (DpOps, Fit) {
+        let mut ops = DpOps::new(me);
+        let fit = allreduce_two_phase(&mut ops, w, n, (count, elem), 0);
+        (ops, fit)
     }
 
     /// `(exposes, reads, reads that store the completion line)` of a plan.
@@ -1335,7 +1548,7 @@ mod tests {
         // An alltoall reader takes its own block out of the middle of the
         // peer's image — by its offset in the image, line or lines alike.
         for (block, format) in [(16, INLINE), (32, STAMPED)] {
-            let plan = build_alltoall_shm(&view_of(&group, 1), &w, block);
+            let plan = build_alltoall_shm(&view_of(&group, 1), &w, block).unwrap();
             let SchedOp::PullCopy { src, len, .. } = plan.ops[2] else {
                 panic!("expected a pull, got {:?}", plan.ops[2]);
             };
@@ -1364,8 +1577,9 @@ mod tests {
         let pair = window(2, 64 * 1024);
         assert_eq!(pair.format(4 * 1024, 0..pair.slot_bytes, true), STAMPED);
         // And a footprint counts lines.
-        assert_eq!(footprint(Some(w), 49), 2 * SLOT_CELL_SIZE);
-        assert_eq!(footprint(Some(w), 8 * 1024), 8 * 1024);
+        let footprint = |len| Exposure::new(&w, 0, 0, len).footprint();
+        assert_eq!(footprint(49), 2 * SLOT_CELL_SIZE);
+        assert_eq!(footprint(8 * 1024), 8 * 1024);
     }
 
     /// The range of writers each `AwaitRow` of an op list spans.
@@ -1633,7 +1847,7 @@ mod tests {
         // lines); one of 6 (48 B) is rank 7's flag line. Phase 0 needs no
         // row, phase 1 one of a line — a run each.
         let w = window(8, 64 * 1024);
-        let Built { ops, .. } = allreduce_two_phase(&w, 2, 8, 55, 8);
+        let (ops, _) = two_phase(&w, 2, 8, 55, 8);
         assert_eq!(rows(&ops.list), [(0, 0), (7, 8)]);
         let phases: Vec<u8> = ops
             .list
@@ -1699,12 +1913,12 @@ mod tests {
         assert_eq!(remote.result_len(), total);
         // The walk keeps 256 B direct and slices 128 KiB.
         let h = hier(4);
-        assert_eq!(bcast_shape(&w, Some(&h), 0, 256).0, DpShape::Direct);
-        assert_eq!(bcast_shape(&w, Some(&h), 0, total).0, DpShape::Hosts);
+        assert_eq!(bcast_shape(&w, Some(&h), 0, 256), Some(DpShape::Direct));
+        assert_eq!(bcast_shape(&w, Some(&h), 0, total), Some(DpShape::Hosts));
         // On one host there is nothing to slice by.
         let one_host = HostTopology::blocked(6, 1).unwrap();
         let h1 = HostHierarchy::derive(&group, &one_host, 4);
-        assert_eq!(bcast_shape(&w, Some(&h1), 0, total).0, DpShape::Direct);
+        assert_eq!(bcast_shape(&w, Some(&h1), 0, total), Some(DpShape::Direct));
         let flat = build_bcast_shm(&view_of(&group, 4), &w, Some(&h1), DpShape::Hosts, 0, total);
         assert_eq!(shape(&flat), (0, 1, 1));
     }
@@ -1715,11 +1929,7 @@ mod tests {
         let elem = 8;
         let offs: Vec<usize> = (0..=4).map(|i| block_off(i, 10, 4, elem)).collect();
         assert_eq!(offs, vec![0, 24, 48, 64, 80]);
-        let Built {
-            ops,
-            scratch,
-            footprint,
-        } = allreduce_two_phase(&window(4, 4096), 2, 4, 10, elem);
+        let (ops, Fit { scratch, footprint }) = two_phase(&window(4, 4096), 2, 4, 10, elem);
         // 2 exposes, each followed by a row and 3 reads (the 80 B vector in
         // two stamped lines, the reduced blocks, 16 and 24 B, in flag lines);
         // scratch stages one own-block fold at a time; the slot holds the
@@ -1733,8 +1943,8 @@ mod tests {
         // 2 elements over 5 ranks: ranks 2..5 own nothing. They fold nothing,
         // re-expose nothing, and nobody pulls their (empty) block.
         let w = window(5, 4096);
-        let owner = allreduce_two_phase(&w, 1, 5, 2, 8).ops;
-        let idle = allreduce_two_phase(&w, 3, 5, 2, 8).ops;
+        let owner = two_phase(&w, 1, 5, 2, 8).0;
+        let idle = two_phase(&w, 3, 5, 2, 8).0;
         // Owner: expose A, a row and 4 folds, expose B, a row of one line and
         // the pull of rank 0's block.
         assert_eq!(owner.list.len(), 9);
@@ -1778,15 +1988,24 @@ mod tests {
         // Rank 0 folds in place; the others stage their own vector too.
         assert_eq!(plan(0, 64).scratch_len(), 512);
         assert_eq!(plan(3, 64).scratch_len(), 1024);
-        // The cheapest shape that fits the slot: a vector whose two-phase
-        // shape overflows it still folds whole vectors on the window, and one
-        // that no shape fits goes to the ring path.
+        // Each shape priced in the fewest segments it fits a slot in: on
+        // 64 KiB slots the two-phase shape holds 7280 f64 (the vector and
+        // an eighth of it, each on lines of its own) in one; 7281, and a
+        // whole slot's 8192, take two segments and still beat folding whole
+        // vectors; 20 000 take three.
         let tight = Some(window(8, 64 * 1024));
         let view = view_of(&group, 0);
-        let fits = build_allreduce::<f64>(&view, &t, None, tight, 8192, ReduceOp::Sum);
-        assert_eq!((fits.label, shape(&fits)), ("allreduce/shm", (1, 7, 1)));
-        let ring = build_allreduce::<f64>(&view, &t, None, tight, 8193, ReduceOp::Sum);
-        assert_eq!(ring.label, "allreduce/rabenseifner");
+        let segments = |count| {
+            let plan = build_allreduce::<f64>(&view, &t, None, tight, count, ReduceOp::Sum);
+            assert_eq!(plan.label, "allreduce/shm", "{count}");
+            (plan.seqs, shape(&plan))
+        };
+        assert_eq!(segments(7280), (1, (2, 14, 1)));
+        // One element left over: rank 0 owns it, folds it and reads nothing
+        // back in the second segment.
+        assert_eq!(segments(7281), (2, (4, 21, 2)));
+        assert_eq!(segments(8192), (2, (4, 28, 2)));
+        assert_eq!(segments(20_000), (3, (6, 42, 3)));
     }
 
     /// The irregular exchange among `n` ranks on 64 KiB slots, as `rank`

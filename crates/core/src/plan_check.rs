@@ -31,7 +31,8 @@ use crate::coll::{
 };
 use crate::config::{CollTuning, HierarchyMode};
 use crate::dataplane::{
-    build_allgather_shm, build_allreduce_shm, build_bcast_shm, DpShape, DP_SLOTS,
+    build_allgather_shm, build_allreduce_shm, build_alltoall_shm, build_bcast_shm,
+    build_reduce_shm, DpShape, DP_SLOTS,
 };
 use crate::group::Group;
 use crate::progress::{CollPlan, Loc, SchedOp};
@@ -42,38 +43,69 @@ use cmpi_fabric::cost::CoherenceMode;
 use cmpi_fabric::{CxlContentionModel, CxlCostModel};
 use cxl_shm::slots::SLOT_CELL_SIZE;
 
-/// One exposure a plan publishes: `(phase, region_off, len, format)`.
-type Published = (u8, usize, usize, DpFormat);
+/// One exposure a plan publishes: `(segment, phase, region_off, len,
+/// format)`.
+type Published = (u32, u8, usize, usize, DpFormat);
+
+/// The segment a data-plane op runs in, `None` for any other op.
+fn seg_of(op: &SchedOp) -> Option<u32> {
+    match *op {
+        SchedOp::ClaimSlot { seg, .. }
+        | SchedOp::ExposeRead { seg, .. }
+        | SchedOp::AwaitRow { seg, .. }
+        | SchedOp::PullCopy { seg, .. }
+        | SchedOp::FoldInPlace { seg, .. } => Some(seg),
+        _ => None,
+    }
+}
 
 /// Check the plans of one shape: `plans[i]` is member `i`'s. Panics naming
 /// `shape` and the member at the first disagreement.
 fn check(shape: &str, w: &DpWindow, plans: &[CollPlan]) {
-    // Per writer, what it publishes and the phases whose flag line it raises.
-    let mut raised = vec![0u8; plans.len()];
+    // Every member takes as many sequence numbers, and runs every op in one
+    // of them.
+    let seqs = plans.first().map_or(1, |p| p.seqs);
+    for (m, plan) in plans.iter().enumerate() {
+        assert_eq!(
+            plan.seqs, seqs,
+            "{shape}: member {m} takes {} sequence numbers, member 0 {seqs}",
+            plan.seqs
+        );
+        let past = plan.ops.iter().filter_map(seg_of).find(|&seg| seg >= seqs);
+        assert!(
+            past.is_none(),
+            "{shape}: member {m} runs segment {past:?} of {seqs}"
+        );
+    }
+    // Per writer and segment, the phases whose flag line it raises; per
+    // writer, what it publishes.
+    let mut raised: HashMap<(usize, u32), u8> = HashMap::new();
     let published: Vec<Vec<Published>> = plans
         .iter()
         .enumerate()
         .map(|(writer, plan)| {
             let mut out = Vec::new();
-            let mut phases = 0u8;
+            let mut phases: HashMap<u32, u8> = HashMap::new();
             for op in &plan.ops {
                 let SchedOp::ExposeRead {
                     phase,
                     pieces: (lo, hi),
                     readers,
+                    seg,
                     ..
                 } = *op
                 else {
                     continue;
                 };
+                let published = phases.entry(seg).or_default();
                 assert_eq!(
-                    phases >> phase & 1,
+                    *published >> phase & 1,
                     0,
-                    "{shape}: writer {writer} publishes phase {phase} twice"
+                    "{shape}: writer {writer} publishes phase {phase} of segment {seg} twice"
                 );
-                phases |= 1 << phase;
+                *published |= 1 << phase;
                 if raises_flag(&plan.pieces[lo..hi]) {
-                    raised[writer] |= 1 << phase;
+                    *raised.entry((writer, seg)).or_default() |= 1 << phase;
                 }
                 for p in &plan.pieces[lo..hi] {
                     let len = p.end - p.start;
@@ -90,7 +122,7 @@ fn check(shape: &str, w: &DpWindow, plans: &[CollPlan]) {
                     if p.format == (DpFormat::Stamped { in_row: false }) {
                         assert_eq!(p.region_off % SLOT_CELL_SIZE, 0, "{what}: off its line");
                     }
-                    out.push((phase, p.region_off, len, p.format));
+                    out.push((seg, phase, p.region_off, len, p.format));
                 }
             }
             out
@@ -101,29 +133,35 @@ fn check(shape: &str, w: &DpWindow, plans: &[CollPlan]) {
             if let SchedOp::AwaitRow {
                 phase,
                 writers: (lo, hi),
+                seg,
             } = *op
             {
                 for writer in (lo..hi).filter(|&w| w != reader) {
+                    let flags = raised.get(&(writer, seg)).copied().unwrap_or(0);
                     assert_eq!(
-                        raised[writer] >> phase & 1,
+                        flags >> phase & 1,
                         1,
-                        "{shape}: member {reader}'s row {lo}..{hi} of phase {phase} waits for \
-                         member {writer}'s flag line, which it never raises"
+                        "{shape}: member {reader}'s row {lo}..{hi} of phase {phase}, segment \
+                         {seg}, waits for member {writer}'s flag line, which it never raises"
                     );
                 }
             }
-            let (SchedOp::PullCopy { src, len, .. } | SchedOp::FoldInPlace { src, len, .. }) = *op
+            let (SchedOp::PullCopy { src, seg, len, .. }
+            | SchedOp::FoldInPlace { src, seg, len, .. }) = *op
             else {
                 continue;
             };
             let what = format!(
-                "{shape}: member {reader} reads {len} B at {}+{} of member {}, phase {}",
+                "{shape}: member {reader} reads {len} B at {}+{} of member {}, phase {}, \
+                 segment {seg}",
                 src.region, src.off, src.writer_idx, src.phase
             );
             let exposure = published[src.writer_idx]
                 .iter()
-                .find(|&&(phase, region, ..)| (phase, region) == (src.phase, src.region));
-            let Some(&(_, _, exposed, format)) = exposure else {
+                .find(|&&(s, phase, region, ..)| {
+                    (s, phase, region) == (seg, src.phase, src.region)
+                });
+            let Some(&(.., exposed, format)) = exposure else {
                 panic!("{what}: the writer publishes nothing there");
             };
             assert_eq!(format, src.format, "{what}: formats differ");
@@ -243,11 +281,12 @@ fn arena<'a>(loc: Loc, buf: &'a mut Sym, scratch: &'a mut Sym) -> &'a mut Sym {
 fn execute(shape: &str, plans: &[CollPlan], mut bufs: Vec<Sym>) -> Vec<Sym> {
     let n = plans.len();
     let mut scratch: Vec<Sym> = plans.iter().map(|p| Sym::new(p.scratch_len)).collect();
-    let mut exposed: HashMap<(usize, u8, usize), Sym> = HashMap::new();
-    let mut raised = vec![0u8; n];
+    let mut exposed: HashMap<(usize, u32, u8, usize), Sym> = HashMap::new();
+    let mut raised: HashMap<(usize, u32), u8> = HashMap::new();
     let mut pos = vec![0; n];
-    // The open run of each member: its phase and the writers of its row.
-    let mut runs: Vec<Option<(u8, Range<usize>)>> = vec![None; n];
+    // The open run of each member: its segment, its phase and the writers of
+    // its row.
+    let mut runs: Vec<Option<(u32, u8, Range<usize>)>> = vec![None; n];
     loop {
         let mut moved = false;
         for m in 0..n {
@@ -260,8 +299,11 @@ fn execute(shape: &str, plans: &[CollPlan], mut bufs: Vec<Sym>) -> Vec<Sym> {
                     SchedOp::AwaitRow {
                         phase,
                         writers: (lo, hi),
+                        seg,
                     } => {
-                        let flags = (lo..hi).all(|w| w == m || raised[w] >> phase & 1 == 1);
+                        let up =
+                            |w: usize| raised.get(&(w, seg)).is_some_and(|f| f >> phase & 1 == 1);
+                        let flags = (lo..hi).all(|w| w == m || up(w));
                         let lines = plan.ops[pos[m] + 1..]
                             .iter()
                             .map_while(|op| match *op {
@@ -273,17 +315,19 @@ fn execute(shape: &str, plans: &[CollPlan], mut bufs: Vec<Sym>) -> Vec<Sym> {
                             .flatten()
                             .filter(|src| !src.format.in_row())
                             .all(|src| {
-                                exposed.contains_key(&(src.writer_idx, src.phase, src.region))
+                                let key = (src.writer_idx, seg, src.phase, src.region);
+                                exposed.contains_key(&key)
                             });
                         if !(flags && lines) {
                             break;
                         }
-                        runs[m] = Some((phase, lo..hi));
+                        runs[m] = Some((seg, phase, lo..hi));
                     }
                     SchedOp::ExposeRead {
                         phase,
                         loc,
                         pieces: (lo, hi),
+                        seg,
                         ..
                     } => {
                         let pieces = &plan.pieces[lo..hi];
@@ -291,20 +335,21 @@ fn execute(shape: &str, plans: &[CollPlan], mut bufs: Vec<Sym>) -> Vec<Sym> {
                             let bytes = arena(loc, buf, scr).get(p.start..p.end);
                             let mut snapshot = Sym::new(p.end - p.start);
                             snapshot.set(0, &bytes);
-                            exposed.insert((m, phase, p.region_off), snapshot);
+                            exposed.insert((m, seg, phase, p.region_off), snapshot);
                         }
                         if raises_flag(pieces) {
-                            raised[m] |= 1 << phase;
+                            *raised.entry((m, seg)).or_default() |= 1 << phase;
                         }
                         runs[m] = None;
                     }
-                    SchedOp::PullCopy { src, len, .. } | SchedOp::FoldInPlace { src, len, .. } => {
-                        let covered = runs[m].as_ref().is_some_and(|(phase, row)| {
-                            *phase == src.phase
+                    SchedOp::PullCopy { src, seg, len, .. }
+                    | SchedOp::FoldInPlace { src, seg, len, .. } => {
+                        let covered = runs[m].as_ref().is_some_and(|(s, phase, row)| {
+                            (*s, *phase) == (seg, src.phase)
                                 && (!src.format.in_row() || row.contains(&src.writer_idx))
                         });
                         assert!(covered, "{}: a read its run does not cover", what());
-                        let key = (src.writer_idx, src.phase, src.region);
+                        let key = (src.writer_idx, seg, src.phase, src.region);
                         let Some(exposure) = exposed.get(&key) else {
                             panic!("{}: nothing was published there", what());
                         };
@@ -372,15 +417,22 @@ fn execute(shape: &str, plans: &[CollPlan], mut bufs: Vec<Sym>) -> Vec<Sym> {
     }
 }
 
-/// Assert that bytes `range` of member `m`'s `buf` hold, byte for byte, the
-/// same byte of the contributions of the members `want(i)` names for byte
-/// `i` — constant over each run of the buffer.
-fn expect(shape: &str, m: usize, buf: &Sym, range: Range<usize>, want: impl Fn(usize) -> u64) {
+/// Assert that bytes `range` of member `m`'s `buf` hold, byte for byte,
+/// what `want(i)` names for byte `i`: the members whose contributions it
+/// folds, and which byte of them it is — the same members over each run of
+/// the buffer, consecutive bytes of them.
+fn expect(
+    shape: &str,
+    m: usize,
+    buf: &Sym,
+    range: Range<usize>,
+    want: impl Fn(usize) -> (u64, usize),
+) {
     let mut at = range.start;
     for (len, val) in buf.get(range) {
-        let members = want(at);
+        let (members, origin) = want(at);
         assert!(
-            val == Some((members, at)) && want(at + len - 1) == members,
+            val == Some((members, origin)) && want(at + len - 1) == (members, origin + len - 1),
             "{shape}: member {m}'s bytes {at}..{} hold {val:?}, not members {members:#b}",
             at + len
         );
@@ -396,6 +448,7 @@ enum Expect {
     Allgather { block: usize },
     Allreduce { total: usize },
     Reduce { root: usize, total: usize },
+    Alltoall { block: usize },
 }
 
 impl Expect {
@@ -410,19 +463,26 @@ impl Expect {
             Expect::Allreduce { total } | Expect::Reduce { total, .. } => {
                 Sym::holding(total, m, 0..total)
             }
+            Expect::Alltoall { block } => Sym::holding(n * block, m, 0..n * block),
         };
         let bufs = execute(shape, plans, (0..n).map(input).collect());
         for (m, buf) in bufs.iter().enumerate() {
             match self {
-                Expect::Bcast { root, total } => expect(shape, m, buf, 0..total, |_| 1 << root),
-                Expect::Allgather { block } => {
-                    expect(shape, m, buf, 0..n * block, |i| 1 << (i / block))
+                Expect::Bcast { root, total } => {
+                    expect(shape, m, buf, 0..total, |i| (1 << root, i))
                 }
-                Expect::Allreduce { total } => expect(shape, m, buf, 0..total, |_| all),
+                Expect::Allgather { block } => {
+                    expect(shape, m, buf, 0..n * block, |i| (1 << (i / block), i))
+                }
+                Expect::Allreduce { total } => expect(shape, m, buf, 0..total, |i| (all, i)),
                 Expect::Reduce { root, total } if m == root => {
-                    expect(shape, m, buf, 0..total, |_| all)
+                    expect(shape, m, buf, 0..total, |i| (all, i))
                 }
                 Expect::Reduce { .. } => {}
+                // Block `r` holds member `r`'s block for `m`.
+                Expect::Alltoall { block } => expect(shape, m, buf, 0..n * block, |i| {
+                    (1 << (i / block), m * block + i % block)
+                }),
             }
         }
     }
@@ -445,7 +505,8 @@ fn window(n: usize, arena: usize) -> DpWindow {
 /// The lengths every builder is checked at on window `w`: empty, one byte,
 /// both sides of the flag line's 48 and of the second stamped line's 104,
 /// both sides of where stamped lines give way to a slot behind a flag line,
-/// a quarter of the slot and the slot itself.
+/// a quarter of the slot, the slot itself, and — in segments — a byte past
+/// it and two and a half slots.
 fn lengths(w: &DpWindow) -> Vec<usize> {
     let slot_from = (49..w.slot_bytes)
         .find(|&len| w.format(len, 0..w.slot_bytes, true) == DpFormat::Slot)
@@ -462,6 +523,8 @@ fn lengths(w: &DpWindow) -> Vec<usize> {
         slot_from,
         w.slot_bytes / 4,
         w.slot_bytes,
+        w.slot_bytes + 1,
+        5 * w.slot_bytes / 2,
     ]
 }
 
@@ -546,9 +609,13 @@ fn every_reader_expects_the_format_its_writer_publishes() {
                         Some(Expect::Allgather { block }),
                         &|v, h| build_allgather(v, t, Some(h), dp, len),
                     );
-                    run(format!("alltoall of {len} B"), None, &|v, h| {
-                        build_alltoall(v, t, Some(h), dp, len / n)
-                    });
+                    // An exchange image of at least `len` bytes.
+                    let block = len.div_ceil(n);
+                    run(
+                        format!("alltoall of {len} B"),
+                        Some(Expect::Alltoall { block }),
+                        &|v, h| build_alltoall(v, t, Some(h), dp, block),
+                    );
                     run(
                         format!("allreduce of {len} B"),
                         Some(Expect::Allreduce { total }),
@@ -622,6 +689,63 @@ fn every_window_shape_computes_its_collective() {
     }
 }
 
+#[test]
+fn every_window_shape_computes_its_collective_in_segments() {
+    // The same, every shape past one slot of a small window: a byte past it
+    // and two and a half slots, so that every segment's exposures land in
+    // their own slot of the rotation — and the rooted reduce and the
+    // alltoall besides.
+    let sum = ReduceOp::Sum;
+    let shapes = [DpShape::Direct, DpShape::TwoPhase, DpShape::Hosts];
+    for n in [2, 3, 5, 6, 7, 8, 33] {
+        let w = window(n, 16 * 1024);
+        for (layout, topology) in layouts(n) {
+            for len in [w.slot_bytes + 1, 5 * w.slot_bytes / 2] {
+                let (count, total) = (len / 8, len / 8 * 8);
+                let run = |what: String, result, build: Build<'_>| {
+                    let shape = format!("{what}, n = {n} {layout}");
+                    run(&shape, &w, &topology, Some(result), build);
+                };
+                let block = len.div_ceil(n);
+                run(
+                    format!("alltoall of {block} B blocks"),
+                    Expect::Alltoall { block },
+                    &|v, _| build_alltoall_shm(v, &w, block).expect("a byte of a block fits"),
+                );
+                for shape in shapes {
+                    run(
+                        format!("allreduce of {len} B, {shape:?}"),
+                        Expect::Allreduce { total },
+                        &|v, h| build_allreduce_shm::<u64>(v, &w, Some(h), shape, count, sum),
+                    );
+                    if shape == DpShape::TwoPhase {
+                        continue;
+                    }
+                    run(
+                        format!("allgather of {len} B, {shape:?}"),
+                        Expect::Allgather { block: len },
+                        &|v, h| build_allgather_shm(v, &w, Some(h), shape, len),
+                    );
+                }
+                for root in 0..n {
+                    for shape in [DpShape::Direct, DpShape::Hosts] {
+                        run(
+                            format!("bcast of {len} B from {root}, {shape:?}"),
+                            Expect::Bcast { root, total: len },
+                            &|v, h| build_bcast_shm(v, &w, Some(h), shape, root, len),
+                        );
+                    }
+                    run(
+                        format!("reduce of {len} B to {root}"),
+                        Expect::Reduce { root, total },
+                        &|v, _| build_reduce_shm::<u64>(v, &w, root, count, sum).expect("fits"),
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The message `f` panics with; it must panic.
 fn panic_of(f: impl FnOnce()) -> String {
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
@@ -678,4 +802,59 @@ fn a_misrouted_relay_or_a_missing_partial_is_caught_with_its_shape() {
     let message = panic_of(|| Expect::Allreduce { total: 768 }.check(what, &plans));
     assert!(message.starts_with(what), "{message}");
     assert!(message.contains("member 0's bytes 0..384"), "{message}");
+}
+
+#[test]
+fn a_segment_read_one_sequence_number_off_is_caught_with_its_shape() {
+    // 8 members blocked on 2 hosts, an allreduce of two and a half slots of
+    // a small window, host-sliced in segments. Member 0 reads its second
+    // segment's first run — the row and every read of it — one sequence
+    // number late, out of the third segment's exposures: the same writers,
+    // phases and places in the slot, so every read still names a published
+    // exposure, and its run covers it. But those exposures come after the
+    // second segment's relays, which wait for member 0's own partial of it:
+    // everybody waits.
+    let blocked = HostTopology::blocked(8, 2).unwrap();
+    let w = window(8, 16 * 1024);
+    let count = 5 * w.slot_bytes / 2 / 8;
+    let what = "allreduce of 10240 B, Hosts, n = 8 blocked on 2 hosts";
+    let mut plans = plans_of(&blocked, &|v, h| {
+        build_allreduce_shm::<u64>(v, &w, Some(h), DpShape::Hosts, count, ReduceOp::Sum)
+    });
+    assert!(plans[0].seqs >= 3, "{} segments", plans[0].seqs);
+    let ops = &mut plans[0].ops;
+    let row = ops
+        .iter()
+        .position(|op| matches!(op, SchedOp::AwaitRow { seg: 1, .. }))
+        .expect("a run in the second segment");
+    let mut run = ops[row..].iter_mut();
+    if let Some(SchedOp::AwaitRow { seg, .. }) = run.next() {
+        *seg = 2;
+    }
+    for op in run {
+        match op {
+            SchedOp::PullCopy { seg, .. } | SchedOp::FoldInPlace { seg, .. } => *seg = 2,
+            SchedOp::Copy { .. } | SchedOp::Fold { .. } => {}
+            _ => break,
+        }
+    }
+    check(what, &w, &plans);
+    let message = panic_of(|| Expect::Allreduce { total: 8 * count }.check(what, &plans));
+    assert!(message.starts_with(what), "{message}");
+    assert!(
+        message.contains("every member waits — 0: AwaitRow { phase: 0, writers: (1, 4), seg: 2 }"),
+        "{message}"
+    );
+
+    // And a member that takes one sequence number fewer than the others —
+    // its segment bound one off — is caught before anything runs.
+    let mut plans = plans_of(&blocked, &|v, h| {
+        build_allreduce_shm::<u64>(v, &w, Some(h), DpShape::Hosts, count, ReduceOp::Sum)
+    });
+    plans[3].seqs -= 1;
+    let message = panic_of(|| check(what, &w, &plans));
+    assert!(
+        message.contains(&format!("{what}: member 3 takes")),
+        "{message}"
+    );
 }

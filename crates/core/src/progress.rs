@@ -88,7 +88,9 @@ pub enum Loc {
 /// arena selected by the op's [`Loc`]. `tag_off` is the kind × step tag
 /// offset; the wire tag is resolved against the execution's live sequence
 /// number at run time (see [`crate::coll::bind_coll_tag`]), which is what
-/// makes a plan reusable across starts.
+/// makes a plan reusable across starts. The data-plane ops carry a `seg`
+/// instead: a collective cut into segments runs each as a window round of
+/// its own, on the start's sequence number plus `seg` ([`CollPlan::seqs`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SchedOp {
     /// Send `loc[start..end]` to `peer` (a world rank).
@@ -154,6 +156,8 @@ pub(crate) enum SchedOp {
     ClaimSlot {
         /// Who will read the exposure.
         readers: DpReaders,
+        /// The op's segment ([`CollPlan::seqs`]).
+        seg: u32,
     },
     /// Data plane: publish the plan's `pieces[lo..hi]` — byte ranges of `loc`,
     /// each with its place in this rank's data slot and its format — for the
@@ -173,6 +177,8 @@ pub(crate) enum SchedOp {
         pieces: (usize, usize),
         /// Who reads the exposure (whose completion lines gate slot reuse).
         readers: DpReaders,
+        /// The op's segment ([`CollPlan::seqs`]).
+        seg: u32,
     },
     /// Data plane: open a **run** — acquire, all or nothing, what the reads
     /// that follow it (up to the next op that can wait) consume: the `phase`
@@ -186,6 +192,8 @@ pub(crate) enum SchedOp {
         /// The writers whose flag lines are awaited, a range of group
         /// indices.
         writers: (usize, usize),
+        /// The op's segment ([`CollPlan::seqs`]).
+        seg: u32,
     },
     /// Data plane: copy `len` bytes from the exposure `src` names into
     /// `dst_loc[dst_start..]`: out of the stamped lines — a flag line or
@@ -196,6 +204,8 @@ pub(crate) enum SchedOp {
     PullCopy {
         /// The exposure and the region of it to read.
         src: DpSource,
+        /// The op's segment ([`CollPlan::seqs`]).
+        seg: u32,
         /// Byte length to pull.
         len: usize,
         /// Destination arena.
@@ -209,6 +219,8 @@ pub(crate) enum SchedOp {
     FoldInPlace {
         /// The exposure and the region of it to read.
         src: DpSource,
+        /// The op's segment ([`CollPlan::seqs`]).
+        seg: u32,
         /// Byte length to pull and fold.
         len: usize,
         /// Destination arena.
@@ -294,10 +306,9 @@ pub struct CollPlan {
     /// restored afterwards, so the contention model sees the reduced crowd
     /// without disturbing unrelated traffic.
     pub(crate) pairs_hint: Option<usize>,
-    /// Whether this rank reads data-plane exposures in the plan — a start
-    /// that does not run at once then announces the collective to the
-    /// transport ([`Transport::dp_begin`]).
-    pub(crate) reads_data_plane: bool,
+    /// How many collective sequence numbers one start consumes: one, or one
+    /// per segment of a collective cut into window rounds of a slot each.
+    pub(crate) seqs: u32,
     /// Whether the plan has any data-plane op: a start then counts as a
     /// collective on the shared window
     /// ([`crate::transport::DataPlaneStats::shm_colls`]), one without as a
@@ -321,12 +332,6 @@ impl CollPlan {
         scratch_len: usize,
         label: &'static str,
     ) -> Self {
-        let reads_data_plane = ops.iter().any(|op| {
-            matches!(
-                op,
-                SchedOp::PullCopy { src, .. } | SchedOp::FoldInPlace { src, .. } if src.last
-            )
-        });
         let on_window = ops.iter().any(|op| {
             !matches!(
                 op,
@@ -348,7 +353,7 @@ impl CollPlan {
             input_range,
             scratch_len,
             pairs_hint: None,
-            reads_data_plane,
+            seqs: 1,
             on_window,
             label,
         }
@@ -361,10 +366,30 @@ impl CollPlan {
         self
     }
 
-    /// Attach the piece table the plan's `ExposeRead` ops index.
-    pub(crate) fn with_pieces(mut self, pieces: Vec<DpPiece>) -> Self {
+    /// Attach the piece table the plan's `ExposeRead` ops index, and the
+    /// number of segments its data-plane ops run in.
+    pub(crate) fn with_pieces(mut self, pieces: Vec<DpPiece>, seqs: u32) -> Self {
         self.pieces = pieces;
+        self.seqs = seqs;
         self
+    }
+
+    /// What a start that does not run at once announces to the transport
+    /// ([`Transport::dp_begin`]), as `(segment, reads, exposes)`: a segment
+    /// whose last read this rank makes, and one it exposes or claims a slot
+    /// in — an entry per op, in op order.
+    pub(crate) fn dp_roles(&self) -> impl Iterator<Item = (u32, bool, bool)> + '_ {
+        self.ops.iter().filter_map(|op| match *op {
+            SchedOp::PullCopy { src, seg, .. } | SchedOp::FoldInPlace { src, seg, .. }
+                if src.last =>
+            {
+                Some((seg, true, false))
+            }
+            SchedOp::ExposeRead { seg, .. } | SchedOp::ClaimSlot { seg, .. } => {
+                Some((seg, false, true))
+            }
+            _ => None,
+        })
     }
 
     /// Name the collective the plan implements (see [`CollPlan::op`]).
@@ -662,8 +687,8 @@ impl Cursor {
                         d.copy_from_slice(s);
                     }
                 }
-                SchedOp::ClaimSlot { readers } => {
-                    if !t.dp_claim(clock, ctx, self.seq, readers)? {
+                SchedOp::ClaimSlot { readers, seg } => {
+                    if !t.dp_claim(clock, ctx, self.seq.wrapping_add(seg), readers)? {
                         // Slot still held by an earlier collective: pending.
                         return Ok(StepOutcome {
                             done: false,
@@ -676,10 +701,12 @@ impl Cursor {
                     loc,
                     pieces: (lo, hi),
                     readers,
+                    seg,
                 } => {
                     let from: &[u8] = arena(loc, buf, scratch);
                     let pieces = &plan.pieces[lo..hi];
-                    if !t.dp_expose(clock, ctx, self.seq, phase, pieces, from, readers)? {
+                    let seq = self.seq.wrapping_add(seg);
+                    if !t.dp_expose(clock, ctx, seq, phase, pieces, from, readers)? {
                         // Slot still held by an earlier collective: pending.
                         return Ok(StepOutcome {
                             done: false,
@@ -690,6 +717,7 @@ impl Cursor {
                 SchedOp::AwaitRow {
                     phase,
                     writers: (lo, hi),
+                    seg,
                 } => {
                     // The run's reads: up to the next op that can wait.
                     let mut reads = plan.ops[self.pos + 1..]
@@ -701,7 +729,8 @@ impl Cursor {
                             _ => None,
                         })
                         .flatten();
-                    if !t.dp_await_row(clock, ctx, self.seq, phase, lo..hi, &mut reads)? {
+                    let seq = self.seq.wrapping_add(seg);
+                    if !t.dp_await_row(clock, ctx, seq, phase, lo..hi, &mut reads)? {
                         // Some awaited line not up yet: pending.
                         return Ok(StepOutcome {
                             done: false,
@@ -711,15 +740,17 @@ impl Cursor {
                 }
                 SchedOp::PullCopy {
                     src,
+                    seg,
                     len,
                     dst_loc,
                     dst_start,
                 } => {
                     let dst = &mut arena(dst_loc, buf, scratch)[dst_start..dst_start + len];
-                    t.dp_pull(clock, ctx, self.seq, src, dst)?;
+                    t.dp_pull(clock, ctx, self.seq.wrapping_add(seg), src, dst)?;
                 }
                 SchedOp::FoldInPlace {
                     src,
+                    seg,
                     len,
                     dst_loc,
                     dst_start,
@@ -731,7 +762,7 @@ impl Cursor {
                         )
                     })?;
                     let stage = &mut scratch[stage_off..stage_off + len];
-                    t.dp_pull(clock, ctx, self.seq, src, stage)?;
+                    t.dp_pull(clock, ctx, self.seq.wrapping_add(seg), src, stage)?;
                     match dst_loc {
                         Loc::Scratch => {
                             let (d, s) = disjoint_mut(scratch, dst_start, stage_off, len)?;

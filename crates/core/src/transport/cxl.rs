@@ -43,6 +43,7 @@ use std::sync::Arc;
 use cmpi_fabric::clock::{transfer_ns, SimNs};
 use cmpi_fabric::cost::CoherenceMode;
 use cmpi_fabric::{CxlContentionModel, CxlCostModel, SimClock};
+use cxl_shm::alloc::align_alloc_size;
 use cxl_shm::slots::{
     stamped_lines, stamped_pos, stamped_span, SLOT_CELL_DATA_OFF, SLOT_CELL_SIZE, SLOT_CELL_TS_OFF,
     SLOT_DONE_ENTRY,
@@ -75,9 +76,14 @@ const BARRIER_OBJECT: &str = "cmpi/init_barrier";
 /// window object exists and its control region is zeroed.
 const DP_WINDOW_OK: u64 = 0x6450_4c4e_5f4f_4b21;
 
-/// Value published instead when window creation failed (pool exhausted): the
-/// communicator runs ring-only on every member.
+/// Value published instead when window creation failed (the pool's headroom
+/// cannot hold it): the communicator runs ring-only on every member.
 const DP_WINDOW_FAIL: u64 = 0x6450_4c4e_5f42_5553;
+
+/// Offset, past the init barrier's own bytes, of the word in its ready line
+/// that counts the pool bytes data-plane windows have drawn from the
+/// headroom ([`CxlTransport::draw_headroom`]).
+const DRAWN_OFF: usize = 8;
 
 /// Bound on the attempts [`open_poisoned`] makes before deciding the creator
 /// is never going to produce the object. Attempts are separated by scheduler
@@ -153,6 +159,13 @@ struct DpState {
     /// Nonblocking and persistent collectives this rank has started
     /// ([`Transport::dp_begin`]) and not finished reading.
     reading: Vec<u32>,
+    /// Those it has started and not yet exposed in: a later exposure waits
+    /// for an earlier one of the same slot, whichever collective is driven
+    /// first, so a slot never holds a later occupant than one still to come
+    /// — whose readers could never show done through it.
+    writing: Vec<u32>,
+    /// Whether the last exposure refused waited for one of `writing`.
+    behind: bool,
     /// Highest sequence number this rank ever set out to read, plus one.
     read_top: u64,
     /// The value this rank's completion line holds: every exposure of every
@@ -954,6 +967,15 @@ pub struct CxlTransport {
     /// Per-communicator data-plane windows. `Some(None)` memoizes a failed
     /// creation so the communicator never retries (ring-only forever).
     dp: BTreeMap<CtxId, Option<DpState>>,
+    /// The pool bytes data-plane windows may draw, all ranks' windows
+    /// together: the object region less what the connection state and the
+    /// init barrier are sized to need ([`CxlTransport::required_shared_bytes`]),
+    /// so that a window never takes the room of a queue, a doorbell or a
+    /// shared receive queue some rank has yet to create.
+    dp_headroom: u64,
+    /// The init barrier's object, whose ready line counts what the windows
+    /// have drawn so far.
+    ledger: ShmObject,
     cost: CxlCostModel,
     contention: CxlContentionModel,
     coherence: CoherenceMode,
@@ -1060,11 +1082,14 @@ impl CxlTransport {
             cells: config.cells_per_queue,
         };
         let barrier_bytes = SeqBarrier::required_bytes(ranks);
+        let reserved = Self::required_shared_bytes(ranks, config)? - config.window_headroom;
+        let dp_headroom = arena.layout().objects_size.saturating_sub(reserved) as u64;
 
         let barrier_obj = if rank == 0 {
             let barrier_obj = arena.create(BARRIER_OBJECT, barrier_bytes + 64)?;
             let barrier = SeqBarrier::new(barrier_obj.clone(), 0, 0, ranks, poison.clone());
             barrier.format()?;
+            barrier_obj.nt_store_u64_at((barrier_bytes + DRAWN_OFF) as u64, 0)?;
             // Raise the ready flag only after formatting is complete.
             barrier_obj.nt_store_u64_at(barrier_bytes as u64, WINDOW_READY_MAGIC)?;
             barrier_obj
@@ -1117,6 +1142,7 @@ impl CxlTransport {
             }
         };
 
+        let ledger = barrier_obj.clone();
         let barrier = SeqBarrier::new(barrier_obj, 0, rank, ranks, poison.clone());
 
         Ok(CxlTransport {
@@ -1129,6 +1155,8 @@ impl CxlTransport {
             partial_rx: (0..ranks).map(|_| None).collect(),
             windows: Vec::new(),
             dp: BTreeMap::new(),
+            dp_headroom,
+            ledger,
             cost: CxlCostModel::default(),
             contention: CxlContentionModel::default(),
             coherence: config.coherence,
@@ -1213,20 +1241,60 @@ impl CxlTransport {
         }
     }
 
+    /// Draw `bytes` of the pool's headroom for a data-plane window — `false`,
+    /// drawing nothing, when the windows already drawn leave less than that.
+    /// One word of the pool counts every rank's draws, so the lead of any
+    /// communicator, on any host, sees what all the others took.
+    fn draw_headroom(&self, bytes: u64) -> Result<bool> {
+        let at = self.drawn_at();
+        let mut drawn = self.ledger.nt_load_u64_at(at)?;
+        loop {
+            if drawn.saturating_add(bytes) > self.dp_headroom {
+                return Ok(false);
+            }
+            match self
+                .ledger
+                .nt_compare_exchange_u64_at(at, drawn, drawn + bytes)?
+            {
+                Ok(_) => return Ok(true),
+                Err(now) => drawn = now,
+            }
+        }
+    }
+
+    /// Where [`CxlTransport::draw_headroom`] counts in its ledger.
+    fn drawn_at(&self) -> u64 {
+        (SeqBarrier::required_bytes(self.ranks) + DRAWN_OFF) as u64
+    }
+
     /// Whether this rank's slot for collective `seq` on `ctx` is writable:
     /// free, already claimed by `seq`, or released just now (see
     /// [`release_held`]). `false` while some reader has not finished with an
-    /// earlier occupant — the caller reports busy and the progress engine
-    /// retries.
+    /// earlier occupant, or while a started collective still has to expose
+    /// an earlier sequence number in the slot — the caller reports busy and
+    /// the progress engine retries.
     fn dp_free_slot(&mut self, clock: &mut SimClock, ctx: CtxId, seq: u32) -> Result<bool> {
         let cost = self.dp_cost();
         let Some(Some(state)) = self.dp.get_mut(&ctx) else {
             return no_data_plane();
         };
         let slot = seq as usize % state.layout.slots();
+        let slots = state.layout.slots();
+        let before = |w: u32| (seq.wrapping_sub(w) as i32) > 0;
+        let writing = &state.writing;
+        state.behind = writing
+            .iter()
+            .any(|&w| w as usize % slots == slot && before(w));
+        if state.behind {
+            return Ok(false);
+        }
         let stats = &self.counters.data_plane;
-        Ok(state.held[slot].is_none_or(|owner| owner == seq)
-            || release_held(state, seq, &self.poison, stats, clock, &cost)?)
+        let free = state.held[slot].is_none_or(|owner| owner == seq)
+            || release_held(state, seq, &self.poison, stats, clock, &cost)?;
+        if free {
+            state.writing.retain(|&w| w != seq);
+        }
+        Ok(free)
     }
 
     /// [`Transport::dp_claim`], for an exposure of `pieces` (which a
@@ -2258,10 +2326,24 @@ impl Transport for CxlTransport {
         let state = if self.rank == lead {
             // The tiny status object is created *first* and unconditionally,
             // so non-leads always have something to open: a data-window
-            // failure is announced through it rather than by absence.
+            // failure is announced through it rather than by absence. The
+            // window comes out of the headroom only, never out of the room
+            // the connection state is sized to need.
             let status = self.arena.create(&status_name, 64)?;
-            match self.arena.create(&data_name, layout.total_len()) {
-                Ok(obj) => {
+            let bytes = align_alloc_size(layout.total_len()) as u64;
+            let created = if self.draw_headroom(bytes)? {
+                let obj = self.arena.create(&data_name, layout.total_len()).ok();
+                if obj.is_none() {
+                    // Hand back a draw the pool could not honour.
+                    let refund = bytes.wrapping_neg();
+                    self.ledger.nt_fetch_add_u64_at(self.drawn_at(), refund)?;
+                }
+                obj
+            } else {
+                None
+            };
+            match created {
+                Some(obj) => {
                     let zeros = vec![0u8; layout.control_len()];
                     obj.write_flush_at(0, &zeros)?;
                     clock.advance(
@@ -2272,8 +2354,8 @@ impl Transport for CxlTransport {
                     store_stamped(&status, 0, DP_WINDOW_OK, clock.now())?;
                     Some(obj)
                 }
-                Err(_) => {
-                    // Pool exhausted: announce the failure and run ring-only.
+                None => {
+                    // No room: announce the failure and run ring-only.
                     clock.advance(2.0 * nt);
                     store_stamped(&status, 0, DP_WINDOW_FAIL, clock.now())?;
                     None
@@ -2306,6 +2388,8 @@ impl Transport for CxlTransport {
                         held: vec![None; layout.slots()],
                         readers: vec![0; layout.slots() * group.len().div_ceil(64)],
                         reading: Vec::new(),
+                        writing: Vec::new(),
+                        behind: false,
                         read_top: 0,
                         done_through: 0,
                         done_stores: 0,
@@ -2424,10 +2508,19 @@ impl Transport for CxlTransport {
         Ok(true)
     }
 
-    fn dp_begin(&mut self, ctx: CtxId, seq: u32) {
+    fn dp_begin(&mut self, ctx: CtxId, seq: u32, reads: bool, writes: bool) {
         if let Some(Some(state)) = self.dp.get_mut(&ctx) {
-            state.begin_reading(seq);
+            if reads {
+                state.begin_reading(seq);
+            }
+            if writes && !state.writing.contains(&seq) {
+                state.writing.push(seq);
+            }
         }
+    }
+
+    fn dp_behind(&self, ctx: CtxId) -> bool {
+        matches!(self.dp.get(&ctx), Some(Some(state)) if state.behind)
     }
 
     fn dp_await_row(

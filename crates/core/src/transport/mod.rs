@@ -493,15 +493,15 @@ impl DpGather {
 
 /// Geometry and cost terms of a communicator's shared exposure window, as
 /// reported by [`Transport::dp_window`]: what the collective builders need to
-/// decide whether a payload fits the single-copy data plane, which format
-/// each exposure takes and which plan shape is cheaper on it. The cost terms
+/// decide how many segments a payload takes on the single-copy data plane,
+/// which format each exposure takes and which plan shape is cheaper on it. The cost terms
 /// are the same on every member — the contention crowd is the one the
 /// transport assumes before any concurrency hint — because every member must
 /// build the same plan; what a rank is *charged* follows its live hint.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpWindow {
     /// Usable bytes in one exposure slot (a collective whose shared footprint
-    /// exceeds this falls back to the ring path).
+    /// exceeds this runs in segments, a slot each).
     pub slot_bytes: usize,
     /// Members of the group the window serves.
     pub ranks: usize,
@@ -1040,13 +1040,23 @@ pub trait Transport: Send {
         no_data_plane()
     }
 
-    /// Announce that this rank has started collective `seq` on `ctx` and will
-    /// read exposures of it. Blocking collectives need no announcement (their
-    /// first [`Transport::dp_pull`] comes before anything later can finish);
-    /// a nonblocking or persistent start must make one, because until that
-    /// collective completes, a later one finishing first may not report the
-    /// rank done *through* it.
-    fn dp_begin(&mut self, _ctx: CtxId, _seq: u32) {}
+    /// Announce that this rank has started collective `seq` on `ctx` and
+    /// will read exposures of it (`reads`) or expose in it (`writes`).
+    /// Blocking collectives need no announcement (their first
+    /// [`Transport::dp_pull`] comes before anything later can finish, and
+    /// nothing started after them can expose while they run); a nonblocking
+    /// or persistent start must make one, because until that collective
+    /// completes, a later one finishing first may not report the rank done
+    /// *through* it, and a later one may not take the slot it will expose
+    /// in.
+    fn dp_begin(&mut self, _ctx: CtxId, _seq: u32, _reads: bool, _writes: bool) {}
+
+    /// Whether the last exposure this rank was refused on `ctx` waits for a
+    /// collective it started earlier to expose in the same slot first — one
+    /// that only driving it moves ([`Transport::dp_begin`]).
+    fn dp_behind(&self, _ctx: CtxId) -> bool {
+        false
+    }
 
     /// Acquire a **run**: everything the run's `reads` — `(source, bytes)`,
     /// in the order they will be made — consume of collective `seq`, in one

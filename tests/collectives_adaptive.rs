@@ -917,15 +917,16 @@ fn data_plane_scatter_bcast_matches_ring_above_cutoff() {
     }
 }
 
-/// Oversize payloads must fall back to the ring path mid-sweep — never
-/// error — and both paths' work must land in the right counters.
+/// Oversize payloads run on the window mid-sweep, in slot-sized segments —
+/// never on the ring path, never an error — with every rank's vector folded
+/// in exactly once, and all of it counted on the window.
 #[test]
-fn data_plane_oversize_payloads_fall_back_to_ring_mid_sweep() {
+fn data_plane_oversize_payloads_run_segmented_on_the_window_mid_sweep() {
     use cmpi::mpi::{CollTuning, HierarchyMode};
     use common::with_window_headroom;
 
-    // 4 KiB per-rank arena → 1 KiB slots: 64 u64 fit (512 B + 136 B block
-    // footprint), 512 u64 (4 KiB) do not.
+    // 4 KiB per-rank arena → 1 KiB slots: 64 u64 fit one, 512 u64 (4 KiB)
+    // take several segments.
     let tuning = CollTuning {
         hierarchy: HierarchyMode::Off,
         shm_arena_bytes: 4096,
@@ -933,19 +934,16 @@ fn data_plane_oversize_payloads_fall_back_to_ring_mid_sweep() {
     let config = with_window_headroom(UniverseConfig::cxl_small(4), 64 * 1024 * 1024)
         .with_coll_tuning(tuning);
     let results = Universe::run(config, |comm: &mut Comm| {
+        let (me, n) = (comm.rank() as u64, comm.size() as u64);
         for &count in &[64usize, 512, 64, 512] {
-            let mut v = vec![1u64; count];
+            let mut v: Vec<u64> = (0..count as u64).map(|i| (me + 1) * (i + 1)).collect();
             comm.allreduce(&mut v, ReduceOp::Sum)?;
-            assert!(v.iter().all(|&x| x == comm.size() as u64));
-            let algo = comm.last_coll_algorithm();
-            if count == 64 {
-                assert_eq!(algo, "allreduce/shm");
-            } else {
-                assert!(
-                    algo.starts_with("allreduce/") && !algo.contains("/shm"),
-                    "oversize payload should ring-fall-back, got {algo}"
-                );
-            }
+            let want = |i: u64| n * (n + 1) / 2 * (i + 1);
+            assert!(
+                v.iter().zip(0..).all(|(&x, i)| x == want(i)),
+                "{count}: {v:?}"
+            );
+            assert_eq!(comm.last_coll_algorithm(), "allreduce/shm", "{count}");
         }
         Ok(())
     })
@@ -954,9 +952,13 @@ fn data_plane_oversize_payloads_fall_back_to_ring_mid_sweep() {
         let dp = &report.data_plane;
         assert_eq!(dp.window_setups, 1, "{dp:?}");
         assert_eq!(dp.window_failures, 0, "{dp:?}");
-        assert_eq!(dp.shm_colls, 2, "{dp:?}");
-        assert_eq!(dp.ring_colls, 2, "{dp:?}");
-        assert!(dp.shm_bytes > 0 && dp.ring_bytes > dp.shm_bytes, "{dp:?}");
+        assert_eq!(dp.shm_colls, 4, "{dp:?}");
+        assert_eq!(dp.ring_colls, 0, "{dp:?}");
+        assert_eq!(
+            (dp.shm_bytes, dp.ring_bytes),
+            (2 * 8 * (64 + 512), 0),
+            "{dp:?}"
+        );
     }
 }
 

@@ -450,12 +450,15 @@ fn two_outstanding_rows_are_polled_in_turn_and_charged_once_each() {
 
 #[test]
 fn a_straggler_costs_its_readers_one_row_and_one_gather() {
-    // The 64 KiB form of the straggler test: the blocks sit in data slots,
-    // and a reader that has seen six flags up still reads nothing until the
-    // seventh is. What all-or-nothing costs under skew is therefore an
-    // identity, not a surprise: every rank ends at the straggler's stamp plus
-    // the row, the whole gathered read and its completion line.
-    const BLOCK: usize = 64 * 1024;
+    // The data-slot form of the straggler test: 3 KiB blocks sit in data
+    // slots behind flag lines, and a reader that has seen six flags up still
+    // reads nothing until the seventh is. What all-or-nothing costs under
+    // skew is therefore an identity, not a surprise: every rank ends at the
+    // straggler's stamp plus the row, the whole gathered read and its
+    // completion line. (Blocks this size take the direct shape; from 3946 B
+    // the host-sliced one is cheaper, and it runs in segments wherever it
+    // does not fit a slot.)
+    const BLOCK: usize = 3 * 1024;
     let dp = dp_cost(4);
     for (rank, (after, stats)) in after_a_stragglers_flag(BLOCK).iter().enumerate() {
         let span = span_of(rank);

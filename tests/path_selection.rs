@@ -128,13 +128,16 @@ fn barrier() -> Box<Build> {
 #[test]
 fn allgather_with_a_large_result_and_a_block_that_fits() {
     // 8 × 512 KiB = 4 MiB: the block fits a slot and the result reaches the
-    // allgather's cutoff, so Auto gives the job to the hierarchy.
+    // allgather's cutoff, so Auto gives the job to the hierarchy. Below it,
+    // and without the hierarchy, the window keeps it — host-sliced in
+    // segments, which beats the direct shape's one slot, and at a block past
+    // the slot too.
     let cases = [
         (SLOT, EIGHT, H::Auto, "allgather/hier+ring"),
-        (SLOT - 1, EIGHT, H::Auto, "allgather/shm"),
-        (SLOT, EIGHT, H::Off, "allgather/shm"),
+        (SLOT - 1, EIGHT, H::Auto, "allgather/shm+hosts"),
+        (SLOT, EIGHT, H::Off, "allgather/shm+hosts"),
         (SLOT, EIGHT, H::Force, "allgather/hier+ring"),
-        (SLOT + 1, EIGHT, H::Off, "allgather/ring"),
+        (SLOT + 1, EIGHT, H::Off, "allgather/shm+hosts"),
         // Without a window the hierarchy wins from the cutoff on, Bruck below.
         (SLOT, NONE, H::Auto, "allgather/hier+ring"),
         (4 * KIB, NONE, H::Auto, "allgather/bruck"),
@@ -157,7 +160,8 @@ fn bcast_and_reduce_at_the_slot_size_which_is_also_the_hierarchy_cutoff() {
         (SLOT + 1, EIGHT, H::Auto, "hier+binomial", "hier+binomial"),
         (SLOT - 1, EIGHT, H::Force, "hier+binomial", "hier+binomial"),
         (SLOT, EIGHT, H::Off, "shm+hosts", "shm"),
-        (SLOT + 1, EIGHT, H::Off, "scatter-allgather", "binomial"),
+        // Past the slot, in segments.
+        (SLOT + 1, EIGHT, H::Off, "shm+hosts", "shm"),
         (SLOT - 1, NONE, H::Auto, "scatter-allgather", "binomial"),
         (SLOT, NONE, H::Auto, "hier+binomial", "hier+binomial"),
     ];
@@ -222,8 +226,10 @@ fn round_robin_allreduce_stays_flat_where_its_top_exchange_is_same_host() {
         label(rr, tuning(H::Force), &allreduce(MIB)),
         "allreduce/hier+rabenseifner"
     );
-    // With a window a 1 MiB vector does not fit a slot: still flat. The same
-    // shape blocked over the hosts composes.
+    // With a window too: at 1 MiB the two-level composition is eligible, so
+    // the window steps aside, and the flat algorithm's top exchange stays on
+    // each host, so Auto keeps it flat. The same shape blocked over the hosts
+    // composes.
     let rr_window = Shape { window: true, ..rr };
     assert_eq!(
         label(rr_window, CollTuning::default(), &allreduce(MIB)),
@@ -267,8 +273,8 @@ fn every_data_plane_and_hierarchy_mode() {
         );
         assert_eq!(label(shape, t, &bcast(8)), small, "{h:?}, window {window}");
     }
-    // The alltoall's whole exchange image must fit: 8 × 64 KiB = 512 KiB
-    // does, 8 × 64 KiB + 8 does not.
+    // The alltoall's whole exchange image fits at 8 × 64 KiB = 512 KiB, and
+    // at 8 × 64 KiB + 8 runs in segments of every block.
     for (h, shape, want) in [
         (H::Auto, EIGHT, "alltoall/shm"),
         (H::Auto, NONE, "alltoall/pairwise"),
@@ -286,7 +292,7 @@ fn every_data_plane_and_hierarchy_mode() {
     }
     assert_eq!(
         label(EIGHT, CollTuning::default(), &alltoall(64 * KIB + 1)),
-        "alltoall/pairwise"
+        "alltoall/shm"
     );
 }
 
