@@ -249,10 +249,10 @@ impl Comm {
     /// for one bounded progress attempt and releases it before backing off,
     /// so concurrent threads of this rank (and the background progress
     /// engine) interleave at attempt granularity instead of serializing
-    /// behind one blocked collective. An attempt that waits for a collective
-    /// this rank started earlier to expose in the window slot it wants
-    /// drives the rank's outstanding operations, as a blocked receive does:
-    /// nothing else would.
+    /// behind one blocked collective. An attempt that moved nothing while it
+    /// may wait for a collective this rank started earlier
+    /// ([`Transport::dp_behind`]) drives the rank's outstanding operations,
+    /// as a blocked receive does: nothing else would.
     fn drive_coll(&self, spec: &Spec, buf: &mut [u8], scratch: &mut [u8]) -> Result<()> {
         let seq = self.shard().next_coll_seq(spec.plan.seqs);
         let mut cursor = Cursor::new(Arc::clone(&spec.plan), seq);
@@ -260,7 +260,7 @@ impl Comm {
             let (step, behind) = {
                 let io = &mut *self.shared.io();
                 let step = cursor.progress(io.transport.as_mut(), &mut io.clock, buf, scratch)?;
-                (step, io.transport.dp_behind(self.ctx))
+                (step, io.transport.dp_behind(self.ctx, seq))
             };
             Ok(match (step.done, step.ops) {
                 (true, _) => Polled::Ready(()),

@@ -250,9 +250,10 @@ impl Comm {
                 return Ok((None, 0));
             }
             let state = slot.state.as_mut().expect("pending collective has state");
-            let step = {
+            let (step, behind) = {
                 let io = &mut *self.shared.io();
-                state.progress(io.transport.as_mut(), &mut io.clock)
+                let step = state.progress(io.transport.as_mut(), &mut io.clock);
+                (step, io.transport.dp_behind(self.ctx, state.exec.seq()))
             };
             let step = match step {
                 Ok(step) => step,
@@ -268,6 +269,14 @@ impl Comm {
                 counters.ops_in_test.add(ops as u64);
             }
             if !step.done {
+                if ops == 0 && behind {
+                    // Only driving an earlier collective moves this one (see
+                    // `Transport::dp_behind`) — and a loop of `test` on this
+                    // request alone must still finish. A waiter that holds
+                    // the poller token sweeps siblings itself; this is then
+                    // a no-op, as it is for this request's own cell.
+                    self.shared.engine.poll_siblings(&self.shared);
+                }
                 return Ok((None, ops));
             }
             counters.colls_completed.add(1);

@@ -35,8 +35,12 @@ pub struct CxlShmTransportConfig {
     pub cells_per_queue: usize,
     /// Coherence mode used on the data path (the paper uses `clflushopt`).
     pub coherence: CoherenceMode,
-    /// Extra device headroom reserved for RMA windows, the collectives'
-    /// shared windows and user objects, bytes.
+    /// Extra device headroom reserved for RMA windows and the collectives'
+    /// shared windows (with their status objects), bytes. One counter in the
+    /// pool tracks what they draw. A collective window comes out of it only:
+    /// one it cannot hold leaves its communicator ring-only. An RMA window
+    /// larger than what is left takes the rest from the room sized for lazy
+    /// streams, whose pairs then stay on the shared receive queue.
     pub window_headroom: usize,
     /// Eager queue matrix vs lazy sparse connection table (see [`ConnMode`]).
     pub conn_mode: ConnMode,

@@ -81,9 +81,15 @@ const DP_WINDOW_OK: u64 = 0x6450_4c4e_5f4f_4b21;
 const DP_WINDOW_FAIL: u64 = 0x6450_4c4e_5f42_5553;
 
 /// Offset, past the init barrier's own bytes, of the word in its ready line
-/// that counts the pool bytes data-plane windows have drawn from the
-/// headroom ([`CxlTransport::draw_headroom`]).
+/// that counts the pool bytes drawn from the headroom
+/// ([`CxlTransport::draw_headroom`]).
 const DRAWN_OFF: usize = 8;
+
+/// Headroom a window leaves undrawn for the 64-byte status objects of the
+/// data-plane windows still to come — room for 256 of them — so that a pool
+/// filled by windows still lets a later communicator announce that its own
+/// window failed.
+const STATUS_ROOM: u64 = 256 * 64;
 
 /// Bound on the attempts [`open_poisoned`] makes before deciding the creator
 /// is never going to produce the object. Attempts are separated by scheduler
@@ -633,6 +639,9 @@ struct WindowState {
     pscw: [EpochSide; 2],
     /// Targets this rank currently holds a passive-target lock on.
     held_locks: Vec<Rank>,
+    /// What its creator drew of the pool's headroom for it (none on the
+    /// other ranks), handed back when it is freed.
+    drawn: u64,
 }
 
 impl WindowState {
@@ -967,14 +976,16 @@ pub struct CxlTransport {
     /// Per-communicator data-plane windows. `Some(None)` memoizes a failed
     /// creation so the communicator never retries (ring-only forever).
     dp: BTreeMap<CtxId, Option<DpState>>,
-    /// The pool bytes data-plane windows may draw, all ranks' windows
-    /// together: the object region less what the connection state and the
-    /// init barrier are sized to need ([`CxlTransport::required_shared_bytes`]),
-    /// so that a window never takes the room of a queue, a doorbell or a
-    /// shared receive queue some rank has yet to create.
-    dp_headroom: u64,
-    /// The init barrier's object, whose ready line counts what the windows
-    /// have drawn so far.
+    /// The pool bytes windows — RMA and data-plane — and the data-plane
+    /// windows' status objects draw on, all ranks' together: the object
+    /// region less what the connection state and the init barrier are sized
+    /// to need ([`CxlTransport::required_shared_bytes`]). A data-plane
+    /// window and a status come out of it only, so neither takes the room
+    /// of a queue, a doorbell or a shared receive queue some rank has yet to
+    /// create.
+    headroom: u64,
+    /// The init barrier's object, whose ready line counts what has been
+    /// drawn from `headroom` so far.
     ledger: ShmObject,
     cost: CxlCostModel,
     contention: CxlContentionModel,
@@ -1083,7 +1094,7 @@ impl CxlTransport {
         };
         let barrier_bytes = SeqBarrier::required_bytes(ranks);
         let reserved = Self::required_shared_bytes(ranks, config)? - config.window_headroom;
-        let dp_headroom = arena.layout().objects_size.saturating_sub(reserved) as u64;
+        let headroom = arena.layout().objects_size.saturating_sub(reserved) as u64;
 
         let barrier_obj = if rank == 0 {
             let barrier_obj = arena.create(BARRIER_OBJECT, barrier_bytes + 64)?;
@@ -1155,7 +1166,7 @@ impl CxlTransport {
             partial_rx: (0..ranks).map(|_| None).collect(),
             windows: Vec::new(),
             dp: BTreeMap::new(),
-            dp_headroom,
+            headroom,
             ledger,
             cost: CxlCostModel::default(),
             contention: CxlContentionModel::default(),
@@ -1241,25 +1252,54 @@ impl CxlTransport {
         }
     }
 
-    /// Draw `bytes` of the pool's headroom for a data-plane window — `false`,
-    /// drawing nothing, when the windows already drawn leave less than that.
-    /// One word of the pool counts every rank's draws, so the lead of any
-    /// communicator, on any host, sees what all the others took.
-    fn draw_headroom(&self, bytes: u64) -> Result<bool> {
+    /// Draw `bytes` of the pool's headroom, leaving `keep` of it undrawn —
+    /// or, `partial`, as much of `bytes` as that allows. Returns what was
+    /// drawn: without `partial`, all of `bytes` or nothing. One word of the
+    /// pool counts every rank's draws, so any rank, on any host, sees what
+    /// all the others took.
+    fn draw_headroom(&self, bytes: u64, keep: u64, partial: bool) -> Result<u64> {
         let at = self.drawn_at();
         let mut drawn = self.ledger.nt_load_u64_at(at)?;
         loop {
-            if drawn.saturating_add(bytes) > self.dp_headroom {
-                return Ok(false);
+            let left = self.headroom.saturating_sub(drawn).saturating_sub(keep);
+            let take = match partial {
+                true => bytes.min(left),
+                false if bytes <= left => bytes,
+                false => 0,
+            };
+            if take == 0 {
+                return Ok(0);
             }
             match self
                 .ledger
-                .nt_compare_exchange_u64_at(at, drawn, drawn + bytes)?
+                .nt_compare_exchange_u64_at(at, drawn, drawn + take)?
             {
-                Ok(_) => return Ok(true),
+                Ok(_) => return Ok(take),
                 Err(now) => drawn = now,
             }
         }
+    }
+
+    /// Hand back `bytes` a [`CxlTransport::draw_headroom`] took.
+    fn refund_headroom(&self, bytes: u64) -> Result<()> {
+        self.ledger
+            .nt_fetch_add_u64_at(self.drawn_at(), bytes.wrapping_neg())?;
+        Ok(())
+    }
+
+    /// Create object `name` of `size` bytes out of the pool's headroom, and
+    /// only out of it: `None`, creating nothing, when what has been drawn
+    /// leaves less than its bytes plus `keep` undrawn. A creation the pool
+    /// refuses hands its draw back.
+    fn create_in_headroom(&self, name: &str, size: usize, keep: u64) -> Result<Option<ShmObject>> {
+        let bytes = align_alloc_size(size) as u64;
+        if self.draw_headroom(bytes, keep, false)? == 0 {
+            return Ok(None);
+        }
+        self.arena.create(name, size).map(Some).or_else(|e| {
+            self.refund_headroom(bytes)?;
+            Err(e.into())
+        })
     }
 
     /// Where [`CxlTransport::draw_headroom`] counts in its ledger.
@@ -2098,8 +2138,24 @@ impl Transport for CxlTransport {
         // The ready value is tied to the window id so that stale bytes left in
         // reused device memory by a freed window can never look "ready".
         let ready_value = WINDOW_READY_MAGIC ^ id as u64;
+        let mut drawn = 0;
         let obj = if self.rank == 0 {
-            let obj = self.arena.create(&name, layout.total_bytes())?;
+            // The window draws what it can of the headroom, so that a
+            // data-plane window made after it finds that much less. Past
+            // that it is carved out of the room sized for connection state;
+            // every rank's doorbell and shared receive queue exist before
+            // user code runs (the init barrier), so what it can take there
+            // is the lazy streams' room, and a stream that finds none keeps
+            // its pair on the shared receive queue.
+            let bytes = align_alloc_size(layout.total_bytes()) as u64;
+            drawn = self.draw_headroom(bytes, STATUS_ROOM, true)?;
+            let obj = match self.arena.create(&name, layout.total_bytes()) {
+                Ok(obj) => obj,
+                Err(e) => {
+                    self.refund_headroom(drawn)?;
+                    return Err(e.into());
+                }
+            };
             // Zero the synchronization region (cells, locks, fence slots):
             // every pair of a new window starts at epoch 1.
             let zeros = vec![0u8; layout.sync_bytes() - CACHE_LINE_SIZE];
@@ -2126,6 +2182,7 @@ impl Transport for CxlTransport {
             fence_barrier,
             pscw: Default::default(),
             held_locks: Vec::new(),
+            drawn,
         }));
         // Window allocation is collective: synchronize before anyone uses it.
         self.barrier(clock)?;
@@ -2133,10 +2190,11 @@ impl Transport for CxlTransport {
     }
 
     fn win_free(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
-        Self::window_in(&mut self.windows, win)?;
+        let drawn = Self::window_in(&mut self.windows, win)?.drawn;
         self.barrier(clock)?;
         if self.rank == 0 {
             self.arena.destroy_by_name(&format!("cmpi/win_{win}"))?;
+            self.refund_headroom(drawn)?;
         }
         self.windows[win] = None;
         Ok(())
@@ -2324,24 +2382,21 @@ impl Transport for CxlTransport {
         let status_name = format!("cmpi/dps_{ctx}_{lead}");
         let data_name = format!("cmpi/dp_{ctx}_{lead}");
         let state = if self.rank == lead {
-            // The tiny status object is created *first* and unconditionally,
-            // so non-leads always have something to open: a data-window
-            // failure is announced through it rather than by absence. The
-            // window comes out of the headroom only, never out of the room
-            // the connection state is sized to need.
-            let status = self.arena.create(&status_name, 64)?;
-            let bytes = align_alloc_size(layout.total_len()) as u64;
-            let created = if self.draw_headroom(bytes)? {
-                let obj = self.arena.create(&data_name, layout.total_len()).ok();
-                if obj.is_none() {
-                    // Hand back a draw the pool could not honour.
-                    let refund = bytes.wrapping_neg();
-                    self.ledger.nt_fetch_add_u64_at(self.drawn_at(), refund)?;
-                }
-                obj
-            } else {
-                None
-            };
+            // The tiny status object is created *first*, so non-leads always
+            // have something to open: a data-window failure is announced
+            // through it rather than by absence. Both come out of the
+            // headroom only, never out of the room the connection state is
+            // sized to need; the window leaves room for later statuses.
+            let status = self.create_in_headroom(&status_name, 64, 0)?.ok_or(
+                cxl_shm::ShmError::OutOfMemory {
+                    requested: 64,
+                    largest_free: 0,
+                },
+            )?;
+            let created = self
+                .create_in_headroom(&data_name, layout.total_len(), STATUS_ROOM)
+                .ok()
+                .flatten();
             match created {
                 Some(obj) => {
                     let zeros = vec![0u8; layout.control_len()];
@@ -2519,8 +2574,10 @@ impl Transport for CxlTransport {
         }
     }
 
-    fn dp_behind(&self, ctx: CtxId) -> bool {
-        matches!(self.dp.get(&ctx), Some(Some(state)) if state.behind)
+    fn dp_behind(&self, ctx: CtxId, seq: u32) -> bool {
+        let before = |w: u32| (seq.wrapping_sub(w) as i32) > 0;
+        matches!(self.dp.get(&ctx), Some(Some(state))
+            if state.behind || state.reading.iter().any(|&r| before(r)))
     }
 
     fn dp_await_row(

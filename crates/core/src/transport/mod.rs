@@ -1051,10 +1051,13 @@ pub trait Transport: Send {
     /// in.
     fn dp_begin(&mut self, _ctx: CtxId, _seq: u32, _reads: bool, _writes: bool) {}
 
-    /// Whether the last exposure this rank was refused on `ctx` waits for a
-    /// collective it started earlier to expose in the same slot first — one
-    /// that only driving it moves ([`Transport::dp_begin`]).
-    fn dp_behind(&self, _ctx: CtxId) -> bool {
+    /// Whether collective `seq` on `ctx` may be waiting for one this rank
+    /// started earlier ([`Transport::dp_begin`]) that only driving it moves:
+    /// the last exposure this rank was refused waits for an earlier
+    /// collective to expose in the same slot first, or this rank still has
+    /// an earlier collective to read — whose writer may hold the slot a
+    /// later exposure, its own or a peer's, needs, until this rank reads it.
+    fn dp_behind(&self, _ctx: CtxId, _seq: u32) -> bool {
         false
     }
 

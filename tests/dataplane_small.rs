@@ -291,7 +291,9 @@ fn four_outstanding_collectives_complete_in_reverse_order() {
     assert!(results.iter().all(|(len, _)| *len > 0));
 }
 
-/// Poll `req` alone (a `test` drives nothing else) until it completes.
+/// Poll `req` alone until it completes (a `test` drives nothing else unless
+/// this rank started an earlier collective it has yet to read, or `req`'s
+/// exposure waits for one to expose first).
 fn test_until_done(comm: &mut Comm, req: &mut Request) -> cmpi::mpi::Result<()> {
     while comm.test(req)?.is_none() {
         std::thread::yield_now();

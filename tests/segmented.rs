@@ -2,10 +2,11 @@
 //! segments, each a window round on a sequence number of its own: byte for
 //! byte against the ring oracle (a communicator without a window) in the
 //! blocking, `i*` and persistent forms, with persistent requests restarted
-//! past the slot rotation and past the collective sequence-tag wrap; what a
-//! near-slot allreduce costs per byte next to a smaller one; and a window the
-//! pool's headroom cannot hold, which must fail alone, never a later
-//! transport object.
+//! past the slot rotation and past the collective sequence-tag wrap; a
+//! started collective that must move while the rank waits on a later one;
+//! what a near-slot allreduce costs per byte next to a smaller one; and a
+//! window the pool's headroom cannot hold, which must fail alone, never a
+//! later transport object, with RMA windows drawing on the same headroom.
 
 use cmpi::mpi::dataplane::DP_SLOTS;
 use cmpi::mpi::{
@@ -271,6 +272,84 @@ fn a_later_collective_waits_for_an_earlier_one_to_expose_in_its_slot() {
     }
 }
 
+/// How a rank waits for the later of two started collectives.
+#[derive(Clone, Copy, Debug)]
+enum Between {
+    /// A blocking window broadcast of 8 bytes, then `wait` on the earlier.
+    Blocking,
+    /// A nonblocking one, completed by `test` alone, then `wait`.
+    TestLoop,
+}
+
+#[test]
+fn a_started_collective_moves_while_the_rank_waits_on_a_later_one() {
+    // A broadcast or a persistent allreduce of more segments than the window
+    // has slots is started; then comes an 8-byte window broadcast, and only
+    // then the wait for the first. The root exposes the started one's
+    // segments into every slot while it waits to expose the broadcast, and
+    // every slot stays held until the other ranks read those segments — which
+    // they do only if an idle wait, theirs on the root's row, drives the
+    // rank's outstanding operations, in the default (Polling) progress mode.
+    // The same holds for a loop of `test` on the later request. At 4 KiB
+    // slots on 3 ranks over 2 hosts, and at the default tuning with 2 MiB.
+    const MIB: usize = 1024 * 1024;
+    let small = CollTuning {
+        shm_arena_bytes: ARENA,
+        ..force_shm()
+    };
+    let cases = [
+        (3, small, (DP_SLOTS + 1) * SLOT + 7),
+        (2, CollTuning::default(), 2 * MIB),
+    ];
+    for (n, tuning, len) in cases {
+        for between in [Between::Blocking, Between::TestLoop] {
+            for persistent in [false, true] {
+                let case = format!("n={n}, {len} B, {between:?}, persistent {persistent}");
+                let run = |tuning: CollTuning| {
+                    Universe::run(config(n, 2, false, tuning), move |world: &mut Comm| {
+                        let mut comm = world.comm_dup()?;
+                        let me = comm.rank();
+                        let mut first = if persistent {
+                            let mut req =
+                                comm.allreduce_init(&payload(me, 1, len), ReduceOp::Sum)?;
+                            comm.start(&mut req)?;
+                            req
+                        } else {
+                            comm.ibcast_into(0, &payload(me, 1, len))?
+                        };
+                        let mut out = payload(me, 2, 8);
+                        match between {
+                            Between::Blocking => comm.bcast_into(0, &mut out)?,
+                            Between::TestLoop => {
+                                let mut later = comm.ibcast_into(0, &out)?;
+                                while comm.test(&mut later)?.is_none() {}
+                                out = later.take_values::<u8>()?;
+                            }
+                        }
+                        comm.wait(&mut first)?;
+                        if persistent {
+                            out.extend(first.read_result::<u8>()?);
+                            first.release()?;
+                        } else {
+                            out.extend(first.take_values::<u8>()?);
+                        }
+                        Ok((out, comm.last_coll_algorithm()))
+                    })
+                    .unwrap_or_else(|e| panic!("{case}: {e}"))
+                };
+                let (shm, ring) = (run(tuning), run(force_ring()));
+                for (rank, (((got, label), report), ((want, _), _))) in
+                    shm.iter().zip(&ring).enumerate()
+                {
+                    assert!(got == want, "{case}: rank {rank} diverged from the ring");
+                    assert!(label.contains("/shm"), "{case}: rank {rank} ran {label}");
+                    assert_eq!(report.data_plane.shm_colls, 2, "{case}: rank {rank}");
+                }
+            }
+        }
+    }
+}
+
 /// Virtual µs per byte of an allreduce of `bytes` bytes of `f64` among `n`
 /// ranks blocked on 2 hosts, default tuning: the slowest rank's clock over
 /// four back-to-back calls.
@@ -336,7 +415,10 @@ fn a_window_the_headroom_cannot_hold_fails_alone() {
     // They used to be carved out of the room the connection state is sized
     // to need, so a shared receive queue created later found no extent and
     // killed the launch. Now both windows fail, the communicators run
-    // ring-only, and nothing else does.
+    // ring-only, and nothing else does. An RMA window of 40 MiB takes the
+    // whole headroom and more: what it takes past the headroom only a
+    // stream can miss — every shared receive queue exists before user code
+    // runs — and a stream that finds no room keeps its pair on the queue.
     const MIB: usize = 1024 * 1024;
     for launch in 0..5 {
         let tuning = CollTuning {
@@ -347,6 +429,7 @@ fn a_window_the_headroom_cannot_hold_fails_alone() {
             .with_hosts(2)
             .with_coll_tuning(tuning);
         let results = Universe::run(config, move |world: &mut Comm| {
+            let win = world.win_allocate(5 * MIB)?;
             let mut comm = world.comm_dup()?;
             let (me, n) = (comm.rank(), comm.size());
             let mut buf = if me == 0 {
@@ -362,7 +445,13 @@ fn a_window_the_headroom_cannot_hold_fails_alone() {
                 let (_, got) = comm.sendrecv(next, 7, &sent, prev, 7)?;
                 assert!(got == payload(prev, launch + round, MIB), "launch {launch}");
             }
-            Ok(())
+            world.win_fence(win)?;
+            world.put(win, (me + 1) % n, 5 * MIB - 8, &[me as u8; 8])?;
+            world.win_fence(win)?;
+            let mut got = [0u8; 8];
+            world.get(win, me, 5 * MIB - 8, &mut got)?;
+            assert_eq!(got, [((me + n - 1) % n) as u8; 8], "launch {launch}");
+            world.win_free(win)
         })
         .unwrap_or_else(|e| panic!("launch {launch}: {e}"));
         for (rank, (_, report)) in results.iter().enumerate() {
@@ -371,6 +460,69 @@ fn a_window_the_headroom_cannot_hold_fails_alone() {
                 (dp.window_setups, dp.window_failures),
                 (0, 2),
                 "rank {rank}: {dp:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn rma_windows_draw_the_same_headroom_as_the_data_plane_windows() {
+    // 8 ranks on 2 hosts, 2 MiB arenas: a data-plane window is 16 MiB, and
+    // an RMA window of 1.5 MiB a rank 12 MiB, of the pool's 32 MiB of
+    // headroom, which world's window draws from at launch. With the RMA
+    // window up, the duplicate's data-plane window must fail rather than
+    // take the room the connection state is sized to need — the shared
+    // receive queues and streams of the 1 MiB exchanges that follow; once
+    // the RMA window is freed, its room serves the next duplicate's window.
+    // The RMA window works meanwhile.
+    const MIB: usize = 1024 * 1024;
+    const SIZE: usize = 3 * MIB / 2;
+    for launch in 0..3 {
+        let tuning = CollTuning {
+            shm_arena_bytes: 2 * MIB,
+            ..force_shm()
+        };
+        let config = UniverseConfig::cxl(8)
+            .with_hosts(2)
+            .with_coll_tuning(tuning);
+        let results = Universe::run(config, move |world: &mut Comm| {
+            let (me, n) = (world.rank(), world.size());
+            let win = world.win_allocate(SIZE)?;
+            let exchange = |comm: &mut Comm, round: usize| -> Result<()> {
+                let mut buf = if me == 0 {
+                    payload(0, launch + round, MIB)
+                } else {
+                    vec![0; MIB]
+                };
+                comm.bcast_into(0, &mut buf)?;
+                assert!(buf == payload(0, launch + round, MIB), "rank {me}");
+                let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+                let sent = payload(me, launch + round, MIB);
+                let (_, got) = comm.sendrecv(next, 7, &sent, prev, 7)?;
+                assert!(got == payload(prev, launch + round, MIB), "rank {me}");
+                Ok(())
+            };
+            let mut dup = world.comm_dup()?;
+            exchange(&mut dup, 0)?;
+            world.win_fence(win)?;
+            world.put(win, (me + 1) % n, SIZE - 8, &[me as u8; 8])?;
+            world.win_fence(win)?;
+            let mut got = [0u8; 8];
+            world.get(win, me, SIZE - 8, &mut got)?;
+            assert_eq!(got, [((me + n - 1) % n) as u8; 8], "rank {me}");
+            world.win_free(win)?;
+            let mut again = world.comm_dup()?;
+            exchange(&mut again, 1)?;
+            Ok(again.last_coll_algorithm())
+        })
+        .unwrap_or_else(|e| panic!("launch {launch}: {e}"));
+        for (rank, (label, report)) in results.iter().enumerate() {
+            let dp = &report.data_plane;
+            assert!(label.contains("/shm"), "rank {rank} ran {label}");
+            assert_eq!(
+                (dp.window_setups, dp.window_failures),
+                (2, 1),
+                "launch {launch}, rank {rank}: {dp:?}"
             );
         }
     }
