@@ -53,8 +53,8 @@ use crate::pod::bytes_of_mut;
 use crate::progress::{CollPlan, ProgressStats};
 use crate::spin::{PoisonFlag, WaitStats};
 use crate::topology::{HostHierarchy, HostTopology};
-use crate::transport::{DataPlaneStats, Transport, TransportStats};
-use crate::types::{CtxId, Rank, ReduceOp, Status, WORLD_CTX};
+use crate::transport::{CompletionStats, DataPlaneStats, Transport, TransportStats};
+use crate::types::{CtxId, Rank, ReduceOp, Status, RETIRED_CTX, WORLD_CTX};
 use crate::Result;
 
 mod collectives;
@@ -107,6 +107,42 @@ pub struct CommCollStats {
     pub alltoalls: u64,
     /// Payload bytes this rank contributed across those collectives.
     pub payload_bytes: u64,
+}
+
+impl CommCollStats {
+    /// Add `other`'s counts to these; the group size becomes the larger of
+    /// the two.
+    fn fold(&mut self, other: &CommCollStats) {
+        let CommCollStats {
+            ctx: _,
+            comm_size,
+            barriers,
+            bcasts,
+            gathers,
+            scatters,
+            allgathers,
+            reduces,
+            allreduces,
+            reduce_scatters,
+            scans,
+            exscans,
+            alltoalls,
+            payload_bytes,
+        } = *other;
+        self.comm_size = self.comm_size.max(comm_size);
+        self.barriers += barriers;
+        self.bcasts += bcasts;
+        self.gathers += gathers;
+        self.scatters += scatters;
+        self.allgathers += allgathers;
+        self.reduces += reduces;
+        self.allreduces += allreduces;
+        self.reduce_scatters += reduce_scatters;
+        self.scans += scans;
+        self.exscans += exscans;
+        self.alltoalls += alltoalls;
+        self.payload_bytes += payload_bytes;
+    }
 }
 
 /// The wire half of a rank: the transport endpoint and the virtual clock,
@@ -200,8 +236,9 @@ pub(crate) struct RankShared {
     io: Mutex<RankIo>,
     /// Context-id allocator and algorithm telemetry.
     ctl: Mutex<RankCtl>,
-    /// Registry of every live communicator shard, for rank-level reporting.
-    shards: Mutex<BTreeMap<CtxId, Arc<Mutex<CommShard>>>>,
+    /// The live communicators' shards, and what the dropped ones counted,
+    /// for rank-level reporting.
+    shards: Mutex<Shards>,
     /// The rank's counter block, shared with the transport: bumped and read
     /// without any lock.
     pub(crate) counters: Arc<RankCounters>,
@@ -222,6 +259,18 @@ pub(crate) struct RankShared {
     pub(crate) engine: ProgressEngine,
 }
 
+/// The communicator shards of one rank: the live ones, and what the dropped
+/// ones counted.
+#[derive(Default)]
+struct Shards {
+    /// The shard of every live communicator, by context id.
+    live: BTreeMap<CtxId, Arc<Mutex<CommShard>>>,
+    /// The collective counters of every communicator dropped so far, folded
+    /// into one row ([`RETIRED_CTX`]), so that a rank's totals do not depend
+    /// on which of its communicators are still alive.
+    retired: Option<CommCollStats>,
+}
+
 impl RankShared {
     /// Lock the io half, ignoring poisoning of the mutex itself (a rank
     /// thread that panicked mid-hold has already raised the universe poison
@@ -238,12 +287,17 @@ impl RankShared {
     /// The shard registered for `ctx` (created on demand — used by
     /// communicator construction).
     fn shard(&self, ctx: CtxId, comm_size: usize) -> Arc<Mutex<CommShard>> {
-        let mut shards = self.shards.lock().unwrap_or_else(|e| e.into_inner());
+        let mut shards = self.shards();
         Arc::clone(
             shards
+                .live
                 .entry(ctx)
                 .or_insert_with(|| Arc::new(Mutex::new(CommShard::new(ctx, comm_size)))),
         )
+    }
+
+    fn shards(&self) -> MutexGuard<'_, Shards> {
+        self.shards.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Eagerly create (or open) the shared-window data plane for `ctx` over
@@ -293,8 +347,29 @@ pub struct Comm {
 }
 
 impl Drop for Comm {
+    /// The last handle of a communicator stores the completion line this
+    /// rank holds back on its window — nothing of the communicator's could
+    /// carry it any more — and retires its shard: the plan cache goes, and
+    /// the collective counters fold into the rank's retired row.
     fn drop(&mut self) {
         collectives::retire_arena(std::mem::take(&mut self.arena));
+        let mut shards = self.shared.shards();
+        // The registry's reference and this handle's.
+        if Arc::strong_count(&self.shard) > 2 {
+            return;
+        }
+        shards.live.remove(&self.ctx);
+        let stats = self.shard().stats;
+        let retired = shards.retired.get_or_insert(CommCollStats {
+            ctx: RETIRED_CTX,
+            ..CommCollStats::default()
+        });
+        retired.fold(&stats);
+        drop(shards);
+        let io = &mut *self.shared.io();
+        // A drop has nobody to report an error to; a store into the window
+        // fails only if the pool itself does, which every later call sees.
+        let _ = io.transport.dp_settle(&mut io.clock, self.ctx);
     }
 }
 
@@ -325,7 +400,7 @@ impl Comm {
                 last_algo: "none",
                 algo_counts: BTreeMap::new(),
             }),
-            shards: Mutex::new(BTreeMap::new()),
+            shards: Mutex::new(Shards::default()),
             counters,
             post_seq: AtomicU64::new(0),
             poison: poison.clone(),
@@ -401,8 +476,10 @@ impl Comm {
     /// every communicator's cache (which takes each cache's shard lock).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         let mut stats = self.shared.counters.plan_cache.snapshot();
-        let shards = self.shared.shards.lock().unwrap_or_else(|e| e.into_inner());
-        stats.entries = shards
+        stats.entries = self
+            .shared
+            .shards()
+            .live
             .values()
             .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).plans.len())
             .sum();
@@ -419,14 +496,23 @@ impl Comm {
         self.shared.counters.data_plane.snapshot()
     }
 
+    /// How this rank's completion lines of the data plane went out (across
+    /// all communicators sharing the rank state): riding an exposure, or by
+    /// themselves. One snapshot of the counter block's completion section,
+    /// taken without a lock.
+    pub fn completion_stats(&self) -> CompletionStats {
+        self.shared.counters.completions.snapshot()
+    }
+
     /// Snapshot of the per-communicator collective counters accumulated by
     /// this rank so far (across *all* communicators sharing the rank state).
     pub(crate) fn coll_stats_snapshot(&self) -> Vec<CommCollStats> {
-        let shards = self.shared.shards.lock().unwrap_or_else(|e| e.into_inner());
-        shards
+        let shards = self.shared.shards();
+        let live = shards
+            .live
             .values()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).stats)
-            .collect()
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).stats);
+        live.chain(shards.retired).collect()
     }
 
     /// Label of the algorithm chosen by the most recent collective executed by

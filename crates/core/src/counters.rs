@@ -4,10 +4,11 @@
 //! One [`RankCounters`] is created where the rank is launched and shared
 //! (`Arc`) by the transport, its lazy connection table, the communicator
 //! layer and the rank's failure-state handle, which bump it directly. Each of
-//! its five sections is declared next to what it counts, by
+//! its six sections is declared next to what it counts, by
 //! `counter_section!`, as one list of fields from which the public snapshot
-//! type (`TransportStats`, `DataPlaneStats`, `ProgressStats`,
-//! `PlanCacheStats`, `WaitStats`) and the live section are both emitted.
+//! type (`TransportStats`, `DataPlaneStats`, `CompletionStats`,
+//! `ProgressStats`, `PlanCacheStats`, `WaitStats`) and the live section are
+//! both emitted.
 //! Counters are relaxed atomics: nothing synchronizes through a count — the
 //! data it describes is published by the transport's own protocol — so a bump
 //! is one `fetch_add` and a snapshot is one load per field, under no lock.
@@ -17,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::plan::PlanCacheSection;
 use crate::progress::ProgressSection;
 use crate::spin::WaitSection;
-use crate::transport::{DataPlaneSection, TransportSection};
+use crate::transport::{CompletionSection, DataPlaneSection, TransportSection};
 
 /// One counter of the block: bumped and read through a shared reference.
 #[derive(Debug, Default)]
@@ -50,6 +51,8 @@ pub struct RankCounters {
     pub plan_cache: PlanCacheSection,
     /// Blocking waits, per wait site.
     pub waits: WaitSection,
+    /// How the data plane's completion lines went out.
+    pub completions: CompletionSection,
 }
 
 /// Declare one section of [`RankCounters`]: the snapshot struct `Stats` (with

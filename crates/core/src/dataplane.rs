@@ -67,24 +67,38 @@
 //!   the row and the whole gathered read, at worst the early pieces' read
 //!   time later than a reader that polled writer by writer, and by an amount
 //!   that does not depend on the host's schedule;
-//! * after its last read of a collective a reader stores its **completion
+//! * after its last read of a collective a reader owes its **completion
 //!   line** once — one line per rank, holding the sequence number through
 //!   which the rank has finished everything exposed to it, whoever wrote it
 //!   (the contiguous prefix: a collective completed out of order never
 //!   vouches for an earlier one still open), with the stamps of its last
-//!   [`DP_SLOTS`] stores;
+//!   [`DP_SLOTS`] stores. It holds the line back: if its next exposure on
+//!   the window is stamped lines in a free slot — its flag line, lines in
+//!   the data slot, a barrier's arrival — the line is one more line of that
+//!   exposure's store stream, one fence for both
+//!   ([`crate::transport::DpCost::expose_joined`]). Anything else stores it
+//!   by itself first, a line as before: a sweep or a refused slot, a slot
+//!   exposure (whose stream would show the line only at its end), a run's
+//!   acquire, another window, a point-to-point, RMA or barrier call, the
+//!   communicator's drop — so a rank never waits while a peer may wait for
+//!   its line, and where the line goes is fixed by program order;
 //! * consecutive collectives rotate through [`DP_SLOTS`] slots per rank
 //!   (slot = sequence number mod slots), so a writer exposes without asking
 //!   anybody. Only when the slot it wants is still held does it read its
 //!   readers' completion lines — one row read, from the first awaited
 //!   reader's line to the last one's, that releases every slot it holds,
-//!   i.e. once per [`DP_SLOTS`] collectives in a steady stream.
+//!   i.e. once per [`DP_SLOTS`] collectives in a steady stream. A reader
+//!   sweeping at the same sequence number needs this writer's line in turn,
+//!   which is why a sweep stores the held-back line first.
 //!
-//! An 8-byte allgather among `n` ranks is therefore a line, a row and a line
-//! per rank plus a quarter of a row amortised — three transactions whatever
-//! `n` is — a 1 KiB one a stamped publish, one gathered read and a line, and
-//! a barrier a line and a row, where a message-based one pays per-message
-//! software overhead on top of several lines per hop.
+//! An 8-byte allgather among `n` ranks is therefore two transactions and a
+//! quarter of two more amortised, whatever `n` is: a store stream of two
+//! lines — the flag line and the completion line of the call before — and a
+//! row; once per [`DP_SLOTS`] calls the completion line goes by itself ahead
+//! of the flag line, and the sweep reads a row of completion lines. A 1 KiB
+//! one is a stamped publish carrying the completion line and one gathered
+//! read, and a barrier a line and a row, where a message-based one pays
+//! per-message software overhead on top of several lines per hop.
 //!
 //! Broadcast, allgather and allreduce each have more than one **shape** on
 //! the window (`DpShape`). The **direct** one reads every byte straight out
@@ -645,8 +659,10 @@ pub(crate) fn exchange_stride(dp: Option<DpWindow>, n: usize) -> usize {
 /// index `pieces`) on window `w`, not counting time spent waiting for peers:
 /// every expose, every row, every run's gathered read — of slots behind flag
 /// lines and of stamped lines — and the completion line, priced with the
-/// terms the transport charges. `same_host(idx)` says whether group member
-/// `idx` shares the rank's host.
+/// terms the transport charges; the completion line as a line of its own,
+/// which it is unless the rank's next exposure carries it — in the next
+/// collective, past the op list priced here. `same_host(idx)` says whether
+/// group member `idx` shares the rank's host.
 fn serial_cost(
     ops: &[SchedOp],
     pieces: &[DpPiece],

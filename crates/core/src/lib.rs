@@ -159,9 +159,10 @@ pub use request::{Request, RequestState};
 pub use runtime::{FtOutcome, RankReport, Universe};
 pub use spin::{PoisonFlag, WaitCell, WaitStats};
 pub use topology::{HostHierarchy, HostTopology};
-pub use transport::{DataPlaneStats, DpWindow, FaultInjector};
+pub use transport::{CompletionStats, DataPlaneStats, DpWindow, FaultInjector};
 pub use types::{
-    CtxId, Rank, ReduceOp, Reducible, Status, Tag, ANY_SOURCE, ANY_TAG, COLL_TAG_BASE, WORLD_CTX,
+    CtxId, Rank, ReduceOp, Reducible, Status, Tag, ANY_SOURCE, ANY_TAG, COLL_TAG_BASE, RETIRED_CTX,
+    WORLD_CTX,
 };
 
 /// Result alias used across the crate.

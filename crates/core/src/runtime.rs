@@ -63,6 +63,9 @@ pub struct RankReport {
     pub stats: TransportStats,
     /// Per-communicator collective counters, ordered by context id. The world
     /// communicator (context 0) includes the `MPI_Init`-style startup barrier.
+    /// The communicators the rank dropped are folded into one last row,
+    /// context [`crate::types::RETIRED_CTX`], whose group size is their
+    /// largest.
     pub comm_colls: Vec<CommCollStats>,
     /// How often each collective algorithm was chosen by this rank, as
     /// `(label, count)` pairs ordered by label (e.g.

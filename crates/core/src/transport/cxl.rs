@@ -63,8 +63,9 @@ use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{block_until, PoisonFlag, Polled, WaitSite};
 use crate::transport::conn::{ConnTable, SrqConsumer, SrqProducer, Stream, Took};
 use crate::transport::{
-    no_data_plane, raises_flag, DataPlaneSection, DpCost, DpFormat, DpGather, DpPiece, DpReaders,
-    DpSource, DpWindow, ExposurePrice, FaultInjector, RecvDest, Transport, TransportSection, WinId,
+    no_data_plane, raises_flag, stamped_only, DataPlaneSection, DpCost, DpFormat, DpGather,
+    DpPiece, DpReaders, DpSource, DpWindow, ExposurePrice, FaultInjector, RecvDest, Transport,
+    TransportSection, WinId,
 };
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
@@ -174,10 +175,12 @@ struct DpState {
     behind: bool,
     /// Highest sequence number this rank ever set out to read, plus one.
     read_top: u64,
-    /// The value this rank's completion line holds: every exposure of every
-    /// collective with a smaller sequence number has been read for the last
-    /// time. It is the contiguous prefix of what this rank finished, so
-    /// collectives completed out of order never claim an earlier one done.
+    /// The value this rank's completion line holds, or — while the line is
+    /// held back ([`CxlTransport::held_back`]) — will hold once stored: every
+    /// exposure of every collective with a smaller sequence number has been
+    /// read for the last time. It is the contiguous prefix of what this rank
+    /// finished, so collectives completed out of order never claim an
+    /// earlier one done.
     done_through: u64,
     /// Stores this rank has made to its completion line, which keeps the
     /// last `done_entries` of them: the next goes to entry `done_stores` mod
@@ -304,6 +307,14 @@ impl DpState {
             self.done_through = through;
             through
         })
+    }
+
+    /// Where this rank's next completion store goes: the entry after the
+    /// last one's.
+    fn next_done_off(&mut self) -> usize {
+        let entry = self.done_stores % self.layout.done_entries();
+        self.done_stores += 1;
+        self.layout.done_off(self.my_idx, entry)
     }
 }
 
@@ -976,6 +987,13 @@ pub struct CxlTransport {
     /// Per-communicator data-plane windows. `Some(None)` memoizes a failed
     /// creation so the communicator never retries (ring-only forever).
     dp: BTreeMap<CtxId, Option<DpState>>,
+    /// The window whose completion line this rank holds back: it finished
+    /// reading a collective there, and the new `done_through` rides its next
+    /// exposure on that window if that is stamped lines in a free slot. Any
+    /// other call stores it first, by itself ([`CxlTransport::store_held_back`]),
+    /// before the call can wait: a rank never waits on a peer that may be
+    /// waiting for this line.
+    held_back: Option<CtxId>,
     /// The pool bytes windows — RMA and data-plane — and the data-plane
     /// windows' status objects draw on, all ranks' together: the object
     /// region less what the connection state and the init barrier are sized
@@ -1166,6 +1184,7 @@ impl CxlTransport {
             partial_rx: (0..ranks).map(|_| None).collect(),
             windows: Vec::new(),
             dp: BTreeMap::new(),
+            held_back: None,
             headroom,
             ledger,
             cost: CxlCostModel::default(),
@@ -1307,12 +1326,36 @@ impl CxlTransport {
         (SeqBarrier::required_bytes(self.ranks) + DRAWN_OFF) as u64
     }
 
+    /// Store the completion line this rank holds back, by itself — one line,
+    /// stamped now — unless it is `keep`'s window's, which may still carry it.
+    /// Every call of this transport but [`Transport::poll_incoming`] makes
+    /// this its first step (a data-plane call keeps its own window's line),
+    /// so where a held-back line goes out is fixed by program order: at the
+    /// entry of a call or a plan op, never at an idle poll.
+    fn store_held_back(&mut self, clock: &mut SimClock, keep: Option<CtxId>) -> Result<()> {
+        let Some(ctx) = self.held_back.filter(|&held| Some(held) != keep) else {
+            return Ok(());
+        };
+        self.held_back = None;
+        let line = self.dp_cost().line();
+        if let Some(Some(state)) = self.dp.get_mut(&ctx) {
+            let done = state.next_done_off();
+            store_stamped(&state.obj, done, state.done_through, clock.now())?;
+            clock.advance(line);
+            self.counters.completions.completions_alone.add(1);
+        }
+        Ok(())
+    }
+
     /// Whether this rank's slot for collective `seq` on `ctx` is writable:
     /// free, already claimed by `seq`, or released just now (see
     /// [`release_held`]). `false` while some reader has not finished with an
     /// earlier occupant, or while a started collective still has to expose
     /// an earlier sequence number in the slot — the caller reports busy and
-    /// the progress engine retries.
+    /// the progress engine retries. Unless the slot is writable at once, the
+    /// completion line this rank holds back goes out first, by itself: a
+    /// sweep waits for the peers' lines, and a peer sweeping at the same
+    /// sequence number waits for this one.
     fn dp_free_slot(&mut self, clock: &mut SimClock, ctx: CtxId, seq: u32) -> Result<bool> {
         let cost = self.dp_cost();
         let Some(Some(state)) = self.dp.get_mut(&ctx) else {
@@ -1325,12 +1368,17 @@ impl CxlTransport {
         state.behind = writing
             .iter()
             .any(|&w| w as usize % slots == slot && before(w));
+        let at_once = !state.behind && state.held[slot].is_none_or(|owner| owner == seq);
+        if !at_once {
+            self.store_held_back(clock, None)?;
+        }
+        let state = self.dp.get_mut(&ctx).and_then(Option::as_mut);
+        let state = state.expect("data-plane window vanished between two lookups");
         if state.behind {
             return Ok(false);
         }
         let stats = &self.counters.data_plane;
-        let free = state.held[slot].is_none_or(|owner| owner == seq)
-            || release_held(state, seq, &self.poison, stats, clock, &cost)?;
+        let free = at_once || release_held(state, seq, &self.poison, stats, clock, &cost)?;
         if free {
             state.writing.retain(|&w| w != seq);
         }
@@ -1381,6 +1429,7 @@ impl CxlTransport {
         for &peer in open.unwrap_or_default() {
             self.check_rank(peer)?;
         }
+        self.store_held_back(clock, None)?;
         let (rank, nt) = (self.rank, self.cost.nt_access());
         let state = Self::window_in(&mut self.windows, win)?;
         let side = &mut state.pscw[usize::from(access)];
@@ -1894,6 +1943,7 @@ impl Transport for CxlTransport {
         cursor: &mut usize,
     ) -> Result<bool> {
         self.check_rank(dst)?;
+        self.store_held_back(clock, None)?;
         let nt = self.cost.nt_access();
         let total = data.len();
         let charge = self.charge_for(dst);
@@ -2070,6 +2120,7 @@ impl Transport for CxlTransport {
         if let Some(s) = src {
             self.check_rank(s)?;
         }
+        self.store_held_back(clock, None)?;
         if let RecvDest::Probe = dest {
             if let Some(m) = self.unexpected.probe(ctx, src, tag) {
                 return Ok(Some(m.status));
@@ -2116,6 +2167,7 @@ impl Transport for CxlTransport {
     }
 
     fn barrier(&mut self, clock: &mut SimClock) -> Result<()> {
+        self.store_held_back(clock, None)?;
         self.barrier.enter(clock, self.cost.nt_access())
     }
 
@@ -2132,6 +2184,7 @@ impl Transport for CxlTransport {
     // and every curve gated*).
 
     fn win_allocate(&mut self, clock: &mut SimClock, size_per_rank: usize) -> Result<WinId> {
+        self.store_held_back(clock, None)?;
         let id = self.windows.len();
         let layout = WindowLayout::new(self.ranks, size_per_rank);
         let name = format!("cmpi/win_{id}");
@@ -2190,6 +2243,7 @@ impl Transport for CxlTransport {
     }
 
     fn win_free(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
+        self.store_held_back(clock, None)?;
         let drawn = Self::window_in(&mut self.windows, win)?.drawn;
         self.barrier(clock)?;
         if self.rank == 0 {
@@ -2209,6 +2263,7 @@ impl Transport for CxlTransport {
         data: &[u8],
     ) -> Result<()> {
         self.check_rank(target)?;
+        self.store_held_back(clock, None)?;
         let state = Self::window_in(&mut self.windows, win)?;
         state.store(state.data_addr(target, offset, data.len())?, data)?;
         self.charge_rma(clock, data.len(), true);
@@ -2229,6 +2284,7 @@ impl Transport for CxlTransport {
         buf: &mut [u8],
     ) -> Result<()> {
         self.check_rank(target)?;
+        self.store_held_back(clock, None)?;
         let state = Self::window_in(&mut self.windows, win)?;
         let addr = state.data_addr(target, offset, buf.len())?;
         state.obj.read_coherent_at(addr, buf)?;
@@ -2248,6 +2304,7 @@ impl Transport for CxlTransport {
         op: ReduceOp,
     ) -> Result<()> {
         self.check_rank(target)?;
+        self.store_held_back(clock, None)?;
         let bytes = data.len() * 8;
         let state = Self::window_in(&mut self.windows, win)?;
         let addr = state.data_addr(target, offset, bytes)?;
@@ -2277,6 +2334,7 @@ impl Transport for CxlTransport {
         offset: usize,
         buf: &mut [u8],
     ) -> Result<()> {
+        self.store_held_back(clock, None)?;
         let state = Self::window_in(&mut self.windows, win)?;
         let addr = state.data_addr(self.rank, offset, buf.len())?;
         state.obj.read_coherent_at(addr, buf)?;
@@ -2291,6 +2349,7 @@ impl Transport for CxlTransport {
         offset: usize,
         data: &[u8],
     ) -> Result<()> {
+        self.store_held_back(clock, None)?;
         let state = Self::window_in(&mut self.windows, win)?;
         state.store(state.data_addr(self.rank, offset, data.len())?, data)?;
         self.charge_rma(clock, data.len(), true);
@@ -2315,6 +2374,7 @@ impl Transport for CxlTransport {
 
     fn lock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<()> {
         self.check_rank(target)?;
+        self.store_held_back(clock, None)?;
         let state = Self::window_in(&mut self.windows, win)?;
         if state.held_locks.contains(&target) {
             return Err(MpiError::InvalidSyncState(format!(
@@ -2330,6 +2390,7 @@ impl Transport for CxlTransport {
 
     fn unlock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<()> {
         self.check_rank(target)?;
+        self.store_held_back(clock, None)?;
         let state = Self::window_in(&mut self.windows, win)?;
         let Some(pos) = state.held_locks.iter().position(|&t| t == target) else {
             return Err(MpiError::InvalidSyncState(format!(
@@ -2344,6 +2405,7 @@ impl Transport for CxlTransport {
     }
 
     fn fence(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
+        self.store_held_back(clock, None)?;
         let state = Self::window_in(&mut self.windows, win)?;
         self.counters
             .transport
@@ -2366,6 +2428,7 @@ impl Transport for CxlTransport {
         if self.dp.contains_key(&ctx) {
             return Ok(self.dp_window(ctx));
         }
+        self.store_held_back(clock, None)?;
         let Some(my_idx) = group.iter().position(|&r| r == self.rank) else {
             return Ok(None);
         };
@@ -2489,6 +2552,7 @@ impl Transport for CxlTransport {
         seq: u32,
         readers: DpReaders,
     ) -> Result<bool> {
+        self.store_held_back(clock, Some(ctx))?;
         self.dp_claim_for(clock, ctx, seq, readers, &[])
     }
 
@@ -2502,6 +2566,7 @@ impl Transport for CxlTransport {
         buf: &[u8],
         readers: DpReaders,
     ) -> Result<bool> {
+        self.store_held_back(clock, Some(ctx))?;
         // An empty exposure is only its sequence value: it must not overwrite
         // a held flag line, but has nothing to hold itself.
         let writable = if pieces.is_empty() {
@@ -2511,6 +2576,14 @@ impl Transport for CxlTransport {
         };
         if !writable {
             return Ok(false);
+        }
+        // The completion line held back rides a stamped exposure; ahead of a
+        // slot one it would show only once the whole payload is out, so it
+        // goes first, by itself.
+        let joined = self.held_back.is_some() && stamped_only(pieces);
+        match joined {
+            true => self.held_back = None,
+            false => self.store_held_back(clock, None)?,
         }
         let cost = self.dp_cost();
         let state = self.dp.get_mut(&ctx).and_then(Option::as_mut);
@@ -2527,9 +2600,18 @@ impl Transport for CxlTransport {
         // so there is no line to flush — for *all* readers, then the flag
         // line unless every piece validates itself. This is the whole point
         // of the single-copy path: no per-chunk headers, no per-message
-        // software overhead.
-        clock.advance(cost.expose(pieces));
+        // software overhead. A joined completion line is one more line of
+        // the stream, stored first.
+        clock.advance(match joined {
+            true => cost.expose_joined(pieces),
+            false => cost.expose(pieces),
+        });
         let ts = clock.now();
+        if joined {
+            let done = state.next_done_off();
+            store_stamped(&state.obj, done, state.done_through, ts)?;
+            self.counters.completions.completions_joined.add(1);
+        }
         let slot_off = state.layout.data_off(state.my_idx, slot);
         let mut in_flag: &[u8] = &[];
         let mut bytes = 0;
@@ -2554,8 +2636,7 @@ impl Transport for CxlTransport {
             let awaited = Awaited::line_of(seq, true);
             store_lines(&state.obj, flag, awaited, ts, in_flag, &mut state.stage)?;
         }
-        let stamped = |p: &DpPiece| matches!(p.format, DpFormat::Stamped { .. });
-        if !pieces.is_empty() && pieces.iter().all(stamped) {
+        if !pieces.is_empty() && stamped_only(pieces) {
             self.counters.data_plane.stamped_exposes.add(1);
         }
         self.counters.data_plane.expose_ops.add(1);
@@ -2589,6 +2670,8 @@ impl Transport for CxlTransport {
         writers: Range<usize>,
         reads: &mut dyn Iterator<Item = (DpSource, usize)>,
     ) -> Result<bool> {
+        // A run may wait: whatever line this rank holds back goes out first.
+        self.store_held_back(clock, None)?;
         let cost = self.dp_cost();
         let Some(Some(state)) = self.dp.get_mut(&ctx) else {
             return no_data_plane();
@@ -2670,6 +2753,7 @@ impl Transport for CxlTransport {
         src: DpSource,
         buf: &mut [u8],
     ) -> Result<()> {
+        self.store_held_back(clock, Some(ctx))?;
         let cost = self.dp_cost();
         let Some(Some(state)) = self.dp.get_mut(&ctx) else {
             return no_data_plane();
@@ -2717,15 +2801,20 @@ impl Transport for CxlTransport {
             if let Some(f) = self.fault.as_mut() {
                 f.on_ack()?;
             }
-            if let Some(through) = state.finish_reading(seq) {
-                let entry = state.done_stores % state.layout.done_entries();
-                state.done_stores += 1;
-                let done = state.layout.done_off(state.my_idx, entry);
-                store_stamped(&state.obj, done, through, clock.now())?;
-                clock.advance(cost.line());
+            // The new done-through value is held back for the next exposure
+            // (one already held back on this window now says it too).
+            if state.finish_reading(seq).is_some() {
+                self.held_back = Some(ctx);
             }
         }
         self.counters.data_plane.bytes_pulled.add(buf.len() as u64);
+        Ok(())
+    }
+
+    fn dp_settle(&mut self, clock: &mut SimClock, ctx: CtxId) -> Result<()> {
+        if self.held_back == Some(ctx) {
+            self.store_held_back(clock, None)?;
+        }
         Ok(())
     }
 

@@ -35,8 +35,8 @@
 //!
 //! A transport keeps no counters and the trait has no stats method: the
 //! constructor takes the rank's [`crate::counters::RankCounters`], into whose
-//! two sections declared here — [`TransportStats`], [`DataPlaneStats`] — the
-//! transport counts directly.
+//! three sections declared here — [`TransportStats`], [`DataPlaneStats`],
+//! [`CompletionStats`] — the transport counts directly.
 
 pub mod conn;
 pub mod cxl;
@@ -353,7 +353,10 @@ impl DpCost {
     /// stream and one fence — none when there are none — then, with `flag`,
     /// the flag line. A stamped exposure of `k` lines in the slot is
     /// `publish(64·k, false)`, one in the row `publish(0, true)` (a line), a
-    /// slot-and-flag one of `len` bytes `publish(len, true)`.
+    /// slot-and-flag one of `len` bytes `publish(len, true)`. A stamped
+    /// exposure that carries the writer's held-back completion line too is
+    /// `publish(64·(k + 1), false)`, its flag line one of the `k`
+    /// ([`Self::expose_joined`]).
     pub fn publish(&self, streamed: usize, flag: bool) -> SimNs {
         let stream = match streamed {
             0 => 0.0,
@@ -366,10 +369,29 @@ impl DpCost {
     /// slot — stamped pieces as whole lines — in one store stream, however
     /// many pieces there are, and the flag line unless every piece is
     /// stamped in the slot (no pieces at all: the flag line alone, a
-    /// barrier's arrival).
+    /// barrier's arrival). What the writer's completion line costs beside it
+    /// is a line of its own, unless the exposure carries it
+    /// ([`Self::expose_joined`]).
     pub fn expose(&self, pieces: &[DpPiece]) -> SimNs {
         let streamed = pieces.iter().map(DpPiece::streamed).sum();
         self.publish(streamed, raises_flag(pieces))
+    }
+
+    /// Publish `pieces` — stamped lines only, or none: a barrier's arrival —
+    /// together with the completion line the writer held back since its last
+    /// read: every line, the flag line and the completion line among them, in
+    /// one store stream and one fence. For an exposure of `k` lines that is
+    /// `publish(64·(k + 1), false)` where [`Self::expose`] and a line of its
+    /// own are `publish(64·k, false) + line()` — or two lines, for a flag
+    /// line alone.
+    pub fn expose_joined(&self, pieces: &[DpPiece]) -> SimNs {
+        debug_assert!(
+            stamped_only(pieces),
+            "a slot exposure carries no completion line"
+        );
+        let streamed: usize = pieces.iter().map(DpPiece::streamed).sum();
+        let flag = usize::from(raises_flag(pieces)) * SLOT_CELL_SIZE;
+        self.publish(streamed + flag + SLOT_CELL_SIZE, false)
     }
 
     /// Acquire `lines` consecutive control lines — the flag lines of one
@@ -607,6 +629,16 @@ pub(crate) fn raises_flag(pieces: &[DpPiece]) -> bool {
     pieces.is_empty() || pieces.iter().any(|p| p.format.in_row())
 }
 
+/// Whether an exposure of `pieces` is stamped lines and nothing else — its
+/// flag line too, if it raises one — so that one more stamped line, the
+/// writer's completion line, can join its store stream
+/// ([`DpCost::expose_joined`]). No pieces, a barrier's arrival, is one.
+pub(crate) fn stamped_only(pieces: &[DpPiece]) -> bool {
+    pieces
+        .iter()
+        .all(|p| matches!(p.format, DpFormat::Stamped { .. }))
+}
+
 /// Which group members read an exposure — the ranks whose completion lines
 /// the writer consults before it reuses the slot, **and nobody else's**: a
 /// member named here that never reads never moves its completion line for
@@ -717,6 +749,27 @@ counter_section! {
         bytes_exposed,
         /// Bytes pulled out of peers' window slots.
         bytes_pulled,
+    }
+}
+
+counter_section! {
+    /// How this rank's completion lines of the data plane went out, surfaced
+    /// by `Comm::completion_stats`. A section of the rank's counter block of
+    /// its own, outside [`DataPlaneStats`] and so outside
+    /// [`crate::runtime::RankReport`]: a larger report moved the peak
+    /// resident set of a process that keeps one per launch (the `e2e`
+    /// benchmark) by several per cent.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    CompletionStats / CompletionSection {
+        /// Completion lines that rode this rank's next exposure on the same
+        /// window — stamped lines, its flag line or a barrier's arrival — in
+        /// its one store stream ([`DpCost::expose_joined`]).
+        completions_joined,
+        /// Completion lines stored by themselves, a line each: before this
+        /// rank swept, was refused a slot, exposed in slot format, acquired a
+        /// run, used another window, made a point-to-point, RMA or barrier
+        /// call, or dropped the communicator.
+        completions_alone,
     }
 }
 
@@ -1025,7 +1078,10 @@ pub trait Transport: Send {
     /// Returns `false` — without blocking — while an earlier collective
     /// still holds the slot. No pieces at all publishes only the sequence
     /// value (a barrier's arrival): there is nothing a late reader could
-    /// lose, so it holds nothing.
+    /// lose, so it holds nothing. The completion line this rank holds back
+    /// on the window ([`Transport::dp_pull`]) rides an exposure of stamped
+    /// lines that finds its slot free ([`DpCost::expose_joined`]); before
+    /// any other it is stored by itself.
     #[allow(clippy::too_many_arguments)]
     fn dp_expose(
         &mut self,
@@ -1099,7 +1155,12 @@ pub trait Transport: Send {
     /// `src.last`, this rank will not read any exposure of `seq` again: it
     /// stores its completion line — the sequence number through which it has
     /// finished *every* collective it started reading — unless an earlier
-    /// one is still open, whose completion will then cover both.
+    /// one is still open, whose completion will then cover both. The line is
+    /// held back, not stored: it rides this rank's next exposure on the
+    /// window if that is stamped lines and takes a free slot
+    /// ([`DpCost::expose_joined`]), and is stored by itself before anything
+    /// else that could wait, or that uses another window or the transport
+    /// ([`Transport::dp_settle`]).
     fn dp_pull(
         &mut self,
         _clock: &mut SimClock,
@@ -1109,6 +1170,14 @@ pub trait Transport: Send {
         _buf: &mut [u8],
     ) -> Result<()> {
         no_data_plane()
+    }
+
+    /// Store the completion line this rank holds back on `ctx`'s window
+    /// ([`Transport::dp_pull`]), by itself, if it holds one: what dropping
+    /// the communicator does, since nothing of the communicator's could carry
+    /// the line after that.
+    fn dp_settle(&mut self, _clock: &mut SimClock, _ctx: CtxId) -> Result<()> {
+        Ok(())
     }
 
     /// Arm fault injection on this rank's transport (see [`FaultInjector`]).

@@ -21,6 +21,11 @@ pub type CtxId = u32;
 /// Context id of the world communicator.
 pub const WORLD_CTX: CtxId = 0;
 
+/// Context id of the row of [`crate::runtime::RankReport::comm_colls`] that
+/// holds the collective counters of every communicator dropped so far: no
+/// live communicator ever has it.
+pub const RETIRED_CTX: CtxId = CtxId::MAX;
+
 /// Wildcard accepted by receive operations: match any source rank.
 pub const ANY_SOURCE: Option<Rank> = None;
 

@@ -186,6 +186,14 @@ pub fn stamped_read(off: usize, len: usize) -> usize {
     (1 + stamped_span(off, len).len()) * SLOT_CELL_SIZE
 }
 
+/// What a writer pays to publish a stamped exposure of `streamed` bytes of
+/// lines — `SLOT_CELL_SIZE` for one that is its flag line — with the
+/// completion line it held back riding in the same store stream
+/// ([`DpCost::expose_joined`]).
+pub fn publish_joined(dp: &DpCost, streamed: usize) -> f64 {
+    dp.publish(streamed + SLOT_CELL_SIZE, false)
+}
+
 /// `colls` back-to-back calls of `step` on a duplicate of the world
 /// communicator, in steady state: per rank, the data-plane counters before
 /// and after them and the virtual nanoseconds they took. A barrier and
@@ -196,17 +204,44 @@ pub fn steady_colls(
     colls: usize,
     step: impl Fn(&mut Comm) -> Result<()> + Send + Sync + 'static,
 ) -> Vec<(DataPlaneStats, DataPlaneStats, f64)> {
+    steady_completions(config, colls, step)
+        .into_iter()
+        .map(|(before, after, virt_ns, _)| (before, after, virt_ns))
+        .collect()
+}
+
+/// [`steady_colls`], and per rank how many completion lines the timed calls
+/// stored `(joined, alone)`: riding an exposure, or by themselves.
+pub fn steady_completions(
+    config: UniverseConfig,
+    colls: usize,
+    step: impl Fn(&mut Comm) -> Result<()> + Send + Sync + 'static,
+) -> Vec<(DataPlaneStats, DataPlaneStats, f64, (u64, u64))> {
     Universe::run(config, move |world: &mut Comm| {
         let mut comm = world.comm_dup()?;
         comm.barrier()?;
         for _ in 0..DP_SLOTS {
             step(&mut comm)?;
         }
-        let (before, start) = (comm.data_plane_stats(), world.clock_ns());
+        let (before, lines, start) = (
+            comm.data_plane_stats(),
+            comm.completion_stats(),
+            world.clock_ns(),
+        );
         for _ in 0..colls {
             step(&mut comm)?;
         }
-        Ok((before, comm.data_plane_stats(), world.clock_ns() - start))
+        let now = comm.completion_stats();
+        let completions = (
+            now.completions_joined - lines.completions_joined,
+            now.completions_alone - lines.completions_alone,
+        );
+        Ok((
+            before,
+            comm.data_plane_stats(),
+            world.clock_ns() - start,
+            completions,
+        ))
     })
     .expect("steady collectives")
     .into_iter()

@@ -4,7 +4,7 @@
 //! barriers + typed collectives on split halves (the acceptance scenario).
 
 use cmpi::fabric::cost::TcpNic;
-use cmpi::mpi::{Comm, ReduceOp, Universe, UniverseConfig};
+use cmpi::mpi::{Comm, ReduceOp, Universe, UniverseConfig, RETIRED_CTX, WORLD_CTX};
 
 /// Minimal xorshift64* PRNG for reproducible pseudo-random cases.
 struct Rng(u64);
@@ -328,6 +328,50 @@ fn split_type_host_yields_same_host_communicators() {
                 Ok(())
             })
             .unwrap_or_else(|e| panic!("{label} {placement:?}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn dropped_communicators_retire_their_shards() {
+    // A thousand duplicates, each used for one 8 B broadcast and dropped: the
+    // rank keeps a shard, and plans, for the live communicators only, and
+    // folds what the dropped ones counted into one retired row — the report
+    // adds up to the same totals. Without windows: a communicator's window
+    // and its status object stay in the pool for good (ROADMAP item 1), and
+    // at 2 ranks the status objects alone fill the pool's object directory
+    // at the 997th duplicate.
+    const CYCLES: usize = 1000;
+    for n in [2usize, 8] {
+        let mut config = UniverseConfig::cxl(n).with_hosts(2);
+        config.coll.shm_arena_bytes = 0;
+        let results = Universe::run(config, |world: &mut Comm| {
+            let base = world.plan_cache_stats().entries;
+            for cycle in 0..CYCLES {
+                let mut dup = world.comm_dup()?;
+                let mut buf = [cycle as u8; 8];
+                dup.bcast_into(0, &mut buf)?;
+                assert_eq!(buf, [cycle as u8; 8]);
+                assert_eq!(world.plan_cache_stats().entries, base + 1);
+            }
+            Ok(world.plan_cache_stats().entries - base)
+        })
+        .unwrap();
+        for (rank, (resident, report)) in results.iter().enumerate() {
+            assert_eq!(
+                *resident, 0,
+                "n={n}, rank {rank}: plans of dropped communicators"
+            );
+            let rows: Vec<_> = report.comm_colls.iter().map(|c| c.ctx).collect();
+            assert_eq!(rows, [WORLD_CTX, RETIRED_CTX], "n={n}, rank {rank}");
+            let retired = &report.comm_colls[1];
+            assert_eq!(
+                (retired.comm_size, retired.bcasts, retired.payload_bytes),
+                (n, CYCLES as u64, 8 * CYCLES as u64),
+                "n={n}, rank {rank}"
+            );
+            // Every duplicate's context agreement ran on world.
+            assert_eq!(report.comm_colls[0].allreduces, CYCLES as u64);
         }
     }
 }

@@ -16,8 +16,8 @@ use cmpi::mpi::{CollTuning, Comm, ProgressMode, ReduceOp, Request, Universe, Uni
 
 mod common;
 use common::{
-    dp_cost, force_ring, force_shm, matrix_hosts, peers_pieces, stamped, stamped_read,
-    steady_colls, with_window_headroom,
+    dp_cost, force_ring, force_shm, matrix_hosts, peers_pieces, publish_joined, stamped,
+    stamped_read, steady_completions, with_window_headroom,
 };
 
 /// The payload sizes that straddle the flag line's 48-byte capacity, the
@@ -344,11 +344,23 @@ fn finishing_a_later_collective_does_not_report_an_earlier_one_done() {
     .unwrap();
 }
 
+/// What one rank of [`after_a_stragglers_flag`] saw.
+struct AfterStraggler {
+    /// How long after the straggler's flag went up the rank's clock stopped.
+    after: f64,
+    /// Its data-plane counters.
+    stats: DataPlaneStats,
+    /// What dropping the communicator then added to its clock.
+    drop_ns: f64,
+    /// The completion lines it stored `(joined, alone)`, the drop's included.
+    completions: (u64, u64),
+}
+
 /// One allgather of `block` bytes per rank among 8 ranks on 2 hosts that all
 /// leave the same virtual instant, rank 5 a virtual millisecond (and 20 ms of
-/// wall time) late, with the ring path's bytes: per rank, how long after the
-/// straggler's flag went up its clock stopped, and its data-plane counters.
-fn after_a_stragglers_flag(block: usize) -> Vec<(f64, DataPlaneStats)> {
+/// wall time) late, with the ring path's bytes, then the communicator
+/// dropped: per rank, what it saw.
+fn after_a_stragglers_flag(block: usize) -> Vec<AfterStraggler> {
     const START_NS: f64 = 1e7;
     const LATE_NS: f64 = 1e6;
     let run = move |tuning: CollTuning| {
@@ -362,7 +374,11 @@ fn after_a_stragglers_flag(block: usize) -> Vec<(f64, DataPlaneStats)> {
             }
             let mut all = vec![0u8; 8 * block];
             comm.allgather_into(&payload(me, 0, block), &mut all)?;
-            Ok((all, world.clock_ns()))
+            let end = world.clock_ns();
+            drop(comm);
+            let lines = world.completion_stats();
+            let completions = (lines.completions_joined, lines.completions_alone);
+            Ok((all, end, world.clock_ns() - end, completions))
         })
         .unwrap()
     };
@@ -373,11 +389,31 @@ fn after_a_stragglers_flag(block: usize) -> Vec<(f64, DataPlaneStats)> {
     let stamp = START_NS + LATE_NS + dp_cost(4).publish(streamed, true);
     shm.iter()
         .zip(&ring)
-        .map(|(((bytes, end), report), ((ring_bytes, _), _))| {
-            assert!(bytes == ring_bytes);
-            (end - stamp, report.data_plane)
-        })
+        .map(
+            |(((bytes, end, drop_ns, completions), report), ((ring_bytes, ..), _))| {
+                assert!(bytes == ring_bytes);
+                AfterStraggler {
+                    after: end - stamp,
+                    stats: report.data_plane,
+                    drop_ns: *drop_ns,
+                    completions: *completions,
+                }
+            },
+        )
         .collect()
+}
+
+/// Every rank's completion line of the straggler's allgather was still held
+/// back when its clock stopped: dropping the communicator stored it, by
+/// itself, as one line.
+fn assert_dropped_line(seen: &AfterStraggler, rank: usize) {
+    let line = dp_cost(4).line();
+    assert!(
+        (seen.drop_ns - line).abs() < 1e-3,
+        "rank {rank}: the drop took {} ns, a line is {line}",
+        seen.drop_ns
+    );
+    assert_eq!(seen.completions, (0, 1), "rank {rank}");
 }
 
 /// The flag lines rank `me` of 8 spans when it reads every peer: ranks 0 and
@@ -393,17 +429,19 @@ fn span_of(me: usize) -> usize {
 #[test]
 fn a_straggler_costs_its_readers_one_row_not_a_line_per_peer() {
     // An 8 B allgather. Whoever waits for all of a row is released by its
-    // last flag: every rank must end at the straggler's stamp plus one row
-    // and its completion line — where a load per peer ended it seven lines
-    // later.
+    // last flag: every rank must end at the straggler's stamp plus one row —
+    // where a load per peer ended it seven lines later. Its completion line
+    // is held back for its next exposure; the drop of the communicator stores
+    // it instead, a line.
     let dp = dp_cost(4);
-    for (rank, (after, stats)) in after_a_stragglers_flag(8).iter().enumerate() {
-        let planned = dp.row(span_of(rank)) + dp.line();
+    for (rank, seen) in after_a_stragglers_flag(8).iter().enumerate() {
+        let (after, planned) = (seen.after, dp.row(span_of(rank)));
         assert!(
             (after - planned).abs() < 1e-3,
-            "rank {rank} ended {after} ns after the straggler's stamp, a row and a line are {planned}"
+            "rank {rank} ended {after} ns after the straggler's stamp, a row is {planned}"
         );
-        assert_eq!(stats.row_reads, 1, "rank {rank}");
+        assert_eq!(seen.stats.row_reads, 1, "rank {rank}");
+        assert_dropped_line(seen, rank);
     }
 }
 
@@ -456,21 +494,24 @@ fn a_straggler_costs_its_readers_one_row_and_one_gather() {
     // slots behind flag lines, and a reader that has seen six flags up still
     // reads nothing until the seventh is. What all-or-nothing costs under
     // skew is therefore an identity, not a surprise: every rank ends at the
-    // straggler's stamp plus the row, the whole gathered read and its
-    // completion line. (Blocks this size take the direct shape; from 3946 B
-    // the host-sliced one is cheaper, and it runs in segments wherever it
-    // does not fit a slot.)
+    // straggler's stamp plus the row and the whole gathered read; its
+    // completion line, held back, is stored when the communicator is
+    // dropped. (Blocks this size take the direct shape; from 3946 B the
+    // host-sliced one is cheaper, and it runs in segments wherever it does
+    // not fit a slot.)
     const BLOCK: usize = 3 * 1024;
     let dp = dp_cost(4);
-    for (rank, (after, stats)) in after_a_stragglers_flag(BLOCK).iter().enumerate() {
+    for (rank, seen) in after_a_stragglers_flag(BLOCK).iter().enumerate() {
         let span = span_of(rank);
-        let planned = dp.row(span) + dp.gather(span, peers_pieces(rank, BLOCK)) + dp.line();
+        let (after, stats) = (seen.after, &seen.stats);
+        let planned = dp.row(span) + dp.gather(span, peers_pieces(rank, BLOCK));
         assert!(
             (after - planned).abs() < 1e-3,
-            "rank {rank} ended {after} ns after the straggler's stamp, row + gather + line are {planned}"
+            "rank {rank} ended {after} ns after the straggler's stamp, row + gather are {planned}"
         );
         assert_eq!((stats.row_reads, stats.pull_ops), (1, 7), "rank {rank}");
         assert_eq!(stats.bytes_pulled, 7 * BLOCK as u64, "rank {rank}");
+        assert_dropped_line(seen, rank);
     }
 }
 
@@ -631,19 +672,60 @@ fn assert_costs(
     sweeps: u64,
     counts: PerCall,
 ) {
+    // A rank in the middle of the group spans the whole row of eight lines,
+    // and the ranks at its ends, whose own spans are a line shorter, wait for
+    // it in every call.
+    let planned = COLLS as f64 * per_call + sweeps as f64 * dp_cost(4).row(8);
+    check_steady(what, tuning, step, planned, sweeps, counts, None);
+}
+
+/// [`assert_costs`] for a collective that reads and exposes stamped lines
+/// only: the completion line one call's last read leaves held back rides
+/// the next call's exposure, which then costs one line more in its store
+/// stream and nothing else — a call `joined` virtual nanoseconds. The
+/// `SWEEPS` calls that find their slot held store the line by itself before
+/// they sweep, and expose alone: `alone` nanoseconds, plus the row of the
+/// sweep. Every rank stores one joined line a call and one lone line a sweep.
+fn assert_joined_costs(
+    what: &str,
+    step: impl Fn(&mut Comm) -> cmpi::mpi::Result<()> + Send + Sync + 'static,
+    joined: f64,
+    alone: f64,
+    counts: PerCall,
+) {
+    let row = dp_cost(4).row(8);
+    let planned = (COLLS - SWEEPS) as f64 * joined + SWEEPS as f64 * (alone + row);
+    let completions = Some((COLLS - SWEEPS, SWEEPS));
+    check_steady(
+        what,
+        force_shm(),
+        step,
+        planned,
+        SWEEPS,
+        counts,
+        completions,
+    );
+}
+
+/// The checks of [`assert_costs`] against a `planned` total, and, if given,
+/// the completion lines every rank stored `(joined, alone)`.
+fn check_steady(
+    what: &str,
+    tuning: CollTuning,
+    step: impl Fn(&mut Comm) -> cmpi::mpi::Result<()> + Send + Sync + 'static,
+    planned: f64,
+    sweeps: u64,
+    counts: PerCall,
+    completions: Option<(u64, u64)>,
+) {
     let PerCall {
         exposes,
         stamped,
         pulls,
         rows,
     } = counts;
-    // A rank in the middle of the group spans the whole row of eight lines,
-    // and the ranks at its ends, whose own spans are a line shorter, wait for
-    // it in every call.
-    let row = dp_cost(4).row(8);
-    let planned = COLLS as f64 * per_call + sweeps as f64 * row;
-    let results = steady_colls(config(8, 2, tuning), COLLS as usize, step);
-    for (rank, (before, after, virt_ns)) in results.iter().enumerate() {
+    let results = steady_completions(config(8, 2, tuning), COLLS as usize, step);
+    for (rank, (before, after, virt_ns, stored)) in results.iter().enumerate() {
         let moved = |counter: fn(&DataPlaneStats) -> u64| counter(after) - counter(before);
         assert_eq!(
             moved(|s| s.expose_ops),
@@ -667,6 +749,9 @@ fn assert_costs(
             rows * COLLS + sweeps,
             "{what}, rank {rank}"
         );
+        if let Some(completions) = completions {
+            assert_eq!(*stored, completions, "{what}, rank {rank}: (joined, alone)");
+        }
         assert!(
             (virt_ns - planned).abs() <= 0.002 * planned,
             "{what}, rank {rank}: {virt_ns} ns, planned {planned} ns"
@@ -691,99 +776,76 @@ fn a_barrier_costs_one_store_and_one_row() {
 #[test]
 fn an_allgather_costs_its_budget_of_round_trips() {
     // 8 B allgather among 8 ranks: one flag line stored — the exposure's one
-    // stamped line — the seven peers' lines, payloads and all, acquired in
-    // one row, the completion line stored; and one more row, of completion
-    // lines, per DP_SLOTS calls.
+    // stamped line — with the completion line the last call held back in the
+    // same store stream, two lines; the seven peers' lines, payloads and all,
+    // acquired in one row. Per DP_SLOTS calls, one stores its completion line
+    // by itself, then the flag line alone, and reads one more row, of
+    // completion lines.
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allgather_into(&[7u8; 8], &mut [0u8; 64]);
-    let per_call = dp.line() + dp.row(8) + dp.line();
-    assert_costs(
-        "8 B allgather",
-        force_shm(),
-        step,
-        per_call,
-        SWEEPS,
-        flat(1, 1),
-    );
+    let joined = publish_joined(&dp, stamped(8)) + dp.row(8);
+    let alone = dp.line() + dp.line() + dp.row(8);
+    assert_joined_costs("8 B allgather", step, joined, alone, flat(1, 1));
 }
 
 #[test]
 fn a_small_allreduce_costs_what_the_allgather_does() {
-    // One expose, one row, seven folds out of it, one completion line.
+    // One expose carrying the last call's completion line, one row, seven
+    // folds out of it; and one lone completion line per sweep.
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allreduce(&mut [3u64], ReduceOp::Sum);
-    let per_call = dp.line() + dp.row(8) + dp.line();
-    assert_costs(
-        "8 B allreduce",
-        force_shm(),
-        step,
-        per_call,
-        SWEEPS,
-        flat(1, 1),
-    );
+    let joined = publish_joined(&dp, stamped(8)) + dp.row(8);
+    let alone = dp.line() + dp.line() + dp.row(8);
+    assert_joined_costs("8 B allreduce", step, joined, alone, flat(1, 1));
 }
 
 #[test]
 fn a_56_byte_allgather_costs_a_stamped_publish_and_one_gathered_read() {
     // Seven u64 each among 8 ranks: 56 B is past the flag line's 48, so each
     // block is two stamped lines at the head of its writer's slot — one store
-    // stream of 128 B, no flag — and the seven peers' blocks are one gathered
-    // read, three out of the shared cache, four off the device, with no row
-    // ahead of it; then the completion line.
+    // stream of 128 B, no flag, and the last call's completion line in it —
+    // and the seven peers' blocks are one gathered read, three out of the
+    // shared cache, four off the device, with no row ahead of it. A sweeping
+    // call stores its completion line by itself first.
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allgather_into(&[7u64; 7], &mut [0u64; 56]);
     let lines = stamped(56);
-    let per_call = dp.publish(lines, false) + dp.gather(0, peers_pieces(3, lines)) + dp.line();
-    assert_costs(
-        "56 B allgather",
-        force_shm(),
-        step,
-        per_call,
-        SWEEPS,
-        flat(0, 1),
-    );
+    let reads = dp.gather(0, peers_pieces(3, lines));
+    let joined = publish_joined(&dp, lines) + reads;
+    let alone = dp.line() + dp.publish(lines, false) + reads;
+    assert_joined_costs("56 B allgather", step, joined, alone, flat(0, 1));
 }
 
 #[test]
 fn an_alltoall_costs_a_stamped_publish_and_one_gathered_read() {
     // 8 B blocks among 8 ranks: the 64 B image is two stamped lines, so it is
-    // published with one store stream and no flag line, and read with one
-    // gathered read of each peer's first line — and, for the ranks whose
-    // block lies past the first line's 48 B, its second: those set the pace.
-    // Then the completion line. A publish, a flag line, a row and a gathered
-    // read behind it it is not.
+    // published with one store stream — the last call's completion line in
+    // it — and no flag line, and read with one gathered read of each peer's
+    // first line — and, for the ranks whose block lies past the first line's
+    // 48 B, its second: those set the pace. A publish, a flag line, a row and
+    // a gathered read behind it it is not.
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.alltoall(&[9u8; 64], &mut [0u8; 64]);
     let reads = dp.gather(0, peers_pieces(7, stamped_read(7 * 8, 8)));
-    let per_call = dp.publish(stamped(64), false) + reads + dp.line();
-    assert_costs(
-        "8 B alltoall",
-        force_shm(),
-        step,
-        per_call,
-        SWEEPS,
-        flat(0, 1),
-    );
+    let joined = publish_joined(&dp, stamped(64)) + reads;
+    let alone = dp.line() + dp.publish(stamped(64), false) + reads;
+    assert_joined_costs("8 B alltoall", step, joined, alone, flat(0, 1));
 }
 
 #[test]
 #[allow(non_snake_case)]
 fn a_1KiB_allreduce_costs_a_stamped_publish_and_one_gathered_read() {
-    // 128 u64: every rank exposes its vector in nineteen stamped lines and
-    // folds its seven peers' whole vectors, staged one at a time, out of one
-    // gathered read of their lines — no flag line, no row.
+    // 128 u64: every rank exposes its vector in nineteen stamped lines — and
+    // the last call's completion line — and folds its seven peers' whole
+    // vectors, staged one at a time, out of one gathered read of their lines:
+    // no flag line, no row.
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allreduce(&mut [5u64; 128], ReduceOp::Sum);
     let lines = stamped(1024);
-    let per_call = dp.publish(lines, false) + dp.gather(0, peers_pieces(3, lines)) + dp.line();
-    assert_costs(
-        "1 KiB allreduce",
-        force_shm(),
-        step,
-        per_call,
-        SWEEPS,
-        flat(0, 1),
-    );
+    let reads = dp.gather(0, peers_pieces(3, lines));
+    let joined = publish_joined(&dp, lines) + reads;
+    let alone = dp.line() + dp.publish(lines, false) + reads;
+    assert_joined_costs("1 KiB allreduce", step, joined, alone, flat(0, 1));
 }
 
 /// The default window: 512 KiB slots, room for the host-sliced shapes of
@@ -868,15 +930,20 @@ fn a_256KiB_allreduce_folds_one_block_off_the_other_host() {
 fn an_irregular_exchange_costs_one_stamped_publish_and_one_gathered_read() {
     // 8 ranks on 2 hosts, 512 B to every peer: each segment is ten stamped
     // lines in its reader's region, so per call a rank's clock moves by one
-    // store stream of its seven segments' lines — no flag line — one gathered
-    // read of its peers' segments for it (three out of the shared cache, four
-    // off the device), no row ahead of it, and its completion line; plus the
-    // row of completion lines it loads, DP_SLOTS calls' worth at a time,
-    // before it reuses a slot. Nothing per message: there are none.
+    // store stream of its seven segments' lines — no flag line — and one
+    // gathered read of its peers' segments for it (three out of the shared
+    // cache, four off the device), no row ahead of it. The completion line a
+    // call's reads leave held back rides the next call's store stream, one
+    // line more in it; before it reuses a slot, DP_SLOTS calls' worth at a
+    // time, a rank stores that line by itself and loads the row of completion
+    // lines. The barrier ahead of the timed calls stores the line the untimed
+    // ones left, so the first timed call has none to carry. Nothing per
+    // message: there are none.
     const SEG: usize = 512;
     let dp = dp_cost(4);
     let lines = stamped(SEG);
-    let per_call = dp.publish(7 * lines, false) + dp.gather(0, peers_pieces(3, lines)) + dp.line();
+    let plain = dp.publish(7 * lines, false) + dp.gather(0, peers_pieces(3, lines));
+    let joined_line = publish_joined(&dp, 7 * lines) - dp.publish(7 * lines, false);
     let results = Universe::run(config(8, 2, force_shm()), move |world: &mut Comm| {
         let mut comm = world.comm_dup()?;
         let n = comm.size();
@@ -886,8 +953,9 @@ fn an_irregular_exchange_costs_one_stamped_publish_and_one_gathered_read() {
         }
         assert_eq!(comm.last_coll_algorithm(), "alltoallv/shm");
         comm.barrier()?;
-        let (before, sent, start) = (
+        let (before, lines_before, sent, start) = (
             comm.data_plane_stats(),
+            comm.completion_stats(),
             comm.stats().msgs_sent,
             world.clock_ns(),
         );
@@ -907,14 +975,25 @@ fn an_irregular_exchange_costs_one_stamped_publish_and_one_gathered_read() {
             after.bytes_pulled - before.bytes_pulled,
             COLLS * 7 * SEG as u64
         );
-        // No run has a row: every row is a sweep's.
+        // No run has a row: every row is a sweep's, and every sweep stores
+        // a lone completion line; every other call but the first carries one.
         let sweeps = after.row_reads - before.row_reads;
         assert_eq!(7 * sweeps, after.notify_waits - before.notify_waits);
+        let lines_after = comm.completion_stats();
+        assert_eq!(
+            (
+                lines_after.completions_joined - lines_before.completions_joined,
+                lines_after.completions_alone - lines_before.completions_alone,
+            ),
+            (COLLS - 1 - sweeps, sweeps)
+        );
         Ok((sweeps, world.clock_ns() - start))
     })
     .unwrap();
     for (rank, ((sweeps, virt_ns), _)) in results.iter().enumerate() {
-        let planned = COLLS as f64 * per_call + *sweeps as f64 * dp.row(8);
+        let joined = (COLLS - 1 - sweeps) as f64;
+        let planned =
+            COLLS as f64 * plain + joined * joined_line + *sweeps as f64 * (dp.line() + dp.row(8));
         assert!(
             (virt_ns - planned).abs() <= 0.002 * planned,
             "rank {rank}: {virt_ns} ns, planned {planned} ns"

@@ -1187,9 +1187,9 @@ fn counters_are_pinned_by_a_ping_pong() {
 /// The data-plane, progress and plan-cache blocks after a fixed 2-rank
 /// script of 32 B allreduces on a windowed duplicate of world — two
 /// blocking, one nonblocking, two persistent starts, the plans invalidated
-/// once in between: every counter `e2e`'s per-layer rows read is driven, and
-/// each `Comm::*_stats` snapshot at the end of the body is the `RankReport`
-/// block.
+/// once in between, the duplicate dropped at the end: every counter `e2e`'s
+/// per-layer rows read is driven, and each `Comm::*_stats` snapshot at the
+/// end of the body is the `RankReport` block.
 #[test]
 fn collective_counters_are_pinned_by_a_fixed_script() {
     let config = with_window_headroom(lazy(2), 64 * 1024 * 1024).with_coll_tuning(force_shm());
@@ -1207,15 +1207,22 @@ fn collective_counters_are_pinned_by_a_fixed_script() {
             comm.wait(&mut persistent)?;
         }
         persistent.release()?;
+        let resident = comm.plan_cache_stats().entries;
+        drop(comm);
         Ok((
-            comm.stats(),
-            comm.data_plane_stats(),
-            comm.progress_stats(),
-            comm.plan_cache_stats(),
+            resident,
+            (
+                world.stats(),
+                world.data_plane_stats(),
+                world.progress_stats(),
+                world.plan_cache_stats(),
+            ),
         ))
     })
     .unwrap();
-    for (rank, ((stats, dp, progress, plans), report)) in reports.into_iter().enumerate() {
+    for (rank, ((resident, (stats, dp, progress, plans)), report)) in
+        reports.into_iter().enumerate()
+    {
         assert_eq!(
             (stats, dp, progress, plans),
             (
@@ -1245,12 +1252,14 @@ fn collective_counters_are_pinned_by_a_fixed_script() {
             (3, 3, 2),
             "{progress:?}"
         );
-        // Built, reused, dropped, rebuilt, reused.
+        // Built, reused, dropped, rebuilt, reused; resident until the
+        // duplicate is dropped, which retires its plan cache with it.
         assert_eq!(
-            (plans.hits, plans.misses, plans.invalidations, plans.entries),
+            (plans.hits, plans.misses, plans.invalidations, resident),
             (2, 2, 1, 1),
             "{plans:?}"
         );
+        assert_eq!(plans.entries, 0, "{plans:?}");
     }
 }
 

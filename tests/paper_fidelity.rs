@@ -11,8 +11,9 @@
 //! as cost-model identities — device lines per call — and the distance to
 //! the paper's one-sided anchor that leaves is written down next to them.
 //! The small flat collectives of the shared-window data plane, an extension
-//! with no counterpart in the paper, are pinned the same way: a store, a row
-//! and a line.
+//! with no counterpart in the paper, are pinned the same way: a store — the
+//! exposure and the completion line the call before held back, in one store
+//! stream — and a row, with a line of its own per completion sweep.
 
 use cmpi::fabric::cost::{CoherenceMode, CxlCostModel, TcpNic};
 use cmpi::fabric::profiles::InterconnectKind;
@@ -195,39 +196,53 @@ fn rma_synchronization_costs_one_device_line_per_peer_and_call() {
 #[test]
 fn small_flat_collectives_cost_a_store_a_row_and_a_line() {
     // The library default at 8 ranks on 2 hosts, 16 calls in steady state:
-    // what a rank stores is a line, and what it reads of its seven peers is
-    // one streamed read of the row their flag lines form — 879.5 ns for the
-    // eight lines a rank in the middle of the group spans, which the ranks at
-    // the ends wait for — where a load per peer was seven times 790 ns. An
-    // 8 B payload rides in those lines; reading one costs the completion line
-    // a writer's sweep then finds, one more row per `DP_SLOTS` collectives.
+    // what a barrier stores is a line, and what a rank reads of its seven
+    // peers is one streamed read of the row their flag lines form — 879.5 ns
+    // for the eight lines a rank in the middle of the group spans, which the
+    // ranks at the ends wait for — where a load per peer was seven times
+    // 790 ns. An 8 B payload rides in those lines; reading one costs the
+    // completion line a writer's sweep then finds, one more row per
+    // `DP_SLOTS` collectives. The completion line rides the rank's next flag
+    // line: one store stream of two lines, 834.9 ns where two lines were
+    // 1 580. Only a call that sweeps stores it by itself first, once per
+    // `DP_SLOTS` calls.
     const COLLS: usize = 4 * DP_SLOTS;
+    const SWEEPS: usize = COLLS / DP_SLOTS;
     let dp = common::dp_cost(4);
     let (line, row) = (dp.line(), dp.row(8));
     assert_within("a row of eight lines", row, 879.5, 0.001);
+    let two_lines = common::publish_joined(&dp, common::stamped(8));
+    assert_within("a flag line and a completion line", two_lines, 834.9, 0.001);
     let steady = |step: fn(&mut Comm) -> Result<()>| {
-        common::steady_colls(UniverseConfig::cxl(8).with_hosts(2), COLLS, step)
+        common::steady_completions(UniverseConfig::cxl(8).with_hosts(2), COLLS, step)
     };
-    let sweeps = (COLLS / DP_SLOTS) as f64 * row;
     let barrier = steady(Comm::barrier);
     let allgather = steady(|comm| comm.allgather_into(&[7u8; 8], &mut [0u8; 64]));
     let allreduce = steady(|comm| comm.allreduce(&mut [3u64], ReduceOp::Sum));
+    // Calls that carry a completion line, and those that sweep.
+    let (joined, sweeps) = ((COLLS - SWEEPS) as f64, SWEEPS as f64);
+    let small = joined * (two_lines + row) + sweeps * (line + line + row + row);
     for rank in 0..8 {
         let calls = COLLS as f64;
-        for (what, virt_ns, planned) in [
-            ("barrier", barrier[rank].2, calls * (line + row)),
+        for (what, run, planned, completions) in [
+            ("barrier", &barrier[rank], calls * (line + row), (0, 0)),
             (
                 "8 B allgather",
-                allgather[rank].2,
-                calls * (line + row + line) + sweeps,
+                &allgather[rank],
+                small,
+                (COLLS - SWEEPS, SWEEPS),
             ),
             (
                 "8 B allreduce",
-                allreduce[rank].2,
-                calls * (line + row + line) + sweeps,
+                &allreduce[rank],
+                small,
+                (COLLS - SWEEPS, SWEEPS),
             ),
         ] {
-            assert_within(&format!("{what}, rank {rank}"), virt_ns, planned, 0.002);
+            let what = format!("{what}, rank {rank}");
+            assert_within(&what, run.2, planned, 0.002);
+            let completions = (completions.0 as u64, completions.1 as u64);
+            assert_eq!(run.3, completions, "{what}: (joined, alone)");
         }
     }
 }
@@ -236,29 +251,37 @@ fn small_flat_collectives_cost_a_store_a_row_and_a_line() {
 fn an_8_byte_alltoall_is_a_stamped_publish_and_one_gathered_read() {
     // Same universe, 8 B to every peer: the 64 B image is two stamped lines,
     // each carrying the collective's sequence word, so publishing it is one
-    // store stream of 128 B and no flag line, and reading it is one gathered
-    // read — no row ahead of it — of each peer's first line and, for a block
-    // past the first line's 48 B, its second. A flag line, a row and a
-    // gathered read behind it made the call 4.11 µs; the ranks that read two
-    // lines of every peer set the pace at 2.54.
+    // store stream — of 192 B, with the completion line the call before held
+    // back — and no flag line, and reading it is one gathered read — no row
+    // ahead of it — of each peer's first line and, for a block past the first
+    // line's 48 B, its second. A flag line, a row and a gathered read behind
+    // it made the call 4.11 µs, the same stream of 128 B and a completion
+    // line of its own 2.54; the ranks that read two lines of every peer set
+    // the pace at 1.76. One call in `DP_SLOTS` sweeps, and stores its
+    // completion line by itself first.
     const COLLS: usize = 4 * DP_SLOTS;
+    const SWEEPS: usize = COLLS / DP_SLOTS;
     let dp = common::dp_cost(4);
     let reads = |me: usize| dp.gather(0, common::peers_pieces(me, common::stamped_read(8 * me, 8)));
-    let per_call = dp.publish(common::stamped(64), false) + reads(7) + dp.line();
-    assert_within("an 8 B alltoall among 8 ranks", per_call, 2540.99, 0.001);
+    let image = common::stamped(64);
+    let joined = common::publish_joined(&dp, image) + reads(7);
+    let alone = dp.line() + dp.publish(image, false) + reads(7);
+    assert_within("an 8 B alltoall among 8 ranks", joined, 1758.43, 0.001);
+    assert_within("one that sweeps, before its row", alone, 2540.99, 0.001);
     assert!(reads(3) < reads(7));
-    let sweeps = (COLLS / DP_SLOTS) as f64 * dp.row(8);
     let step = |comm: &mut Comm| comm.alltoall(&[9u8; 64], &mut [0u8; 64]);
-    let runs = common::steady_colls(UniverseConfig::cxl(8).with_hosts(2), COLLS, step);
-    for (rank, (before, after, virt_ns)) in runs.iter().enumerate() {
-        let planned = COLLS as f64 * per_call + sweeps;
+    let runs = common::steady_completions(UniverseConfig::cxl(8).with_hosts(2), COLLS, step);
+    for (rank, (before, after, virt_ns, completions)) in runs.iter().enumerate() {
+        let planned = (COLLS - SWEEPS) as f64 * joined + SWEEPS as f64 * (alone + dp.row(8));
         assert_within(&format!("rank {rank}"), *virt_ns, planned, 0.002);
         assert_eq!(after.pull_ops - before.pull_ops, 7 * COLLS as u64);
         assert_eq!(after.stamped_exposes - before.stamped_exposes, COLLS as u64);
         // The completion sweeps are the only rows.
+        assert_eq!(after.row_reads - before.row_reads, SWEEPS as u64);
         assert_eq!(
-            after.row_reads - before.row_reads,
-            (COLLS / DP_SLOTS) as u64
+            *completions,
+            ((COLLS - SWEEPS) as u64, SWEEPS as u64),
+            "rank {rank}: (joined, alone)"
         );
     }
 }
