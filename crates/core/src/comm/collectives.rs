@@ -29,13 +29,13 @@
 //! Ordering rules: all ranks must start collectives on one communicator in
 //! the same order (as in MPI; init calls are collective too), and every
 //! started collective must eventually be completed on every rank. Without a
-//! progress thread, progress only happens inside `wait`/`test`-family calls
-//! of the rank holding the request, and a bare `wait(&mut one_request)`
-//! advances only that request — so to complete several outstanding
-//! collectives, either wait for them in start order or drive them together
-//! (`wait_all`, a `wait_any` loop, `test_all`, or `test` polling), which
-//! progresses every request passed. Waiting single requests in an order that
-//! differs across ranks can deadlock (see the README's request-mixing rules).
+//! progress thread, progress only happens inside the library calls of the
+//! rank holding the request, under one rule: every idle attempt of a
+//! blocking call, `wait`, `test` or probe drives every operation the rank
+//! has started ([`Comm::idle`]). To complete several outstanding collectives,
+//! wait for them in start order or drive them together (`wait_all`, a
+//! `wait_any` loop, `test_all`, or `test` polling); see the README's
+//! request-mixing rules.
 
 use std::mem::{size_of, size_of_val};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -249,46 +249,24 @@ impl Comm {
     /// for one bounded progress attempt and releases it before backing off,
     /// so concurrent threads of this rank (and the background progress
     /// engine) interleave at attempt granularity instead of serializing
-    /// behind one blocked collective. An attempt that moved nothing while it
-    /// may wait for a collective this rank started earlier
-    /// ([`Transport::dp_behind`]) drives the rank's outstanding operations,
-    /// as a blocked receive does: nothing else would.
+    /// behind one blocked collective. An attempt that moved nothing drives
+    /// the rank's started operations ([`Comm::idle`]), as every idle attempt
+    /// does: the collective may wait for one of them.
     fn drive_coll(&self, spec: &Spec, buf: &mut [u8], scratch: &mut [u8]) -> Result<()> {
         let seq = self.shard().next_coll_seq(spec.plan.seqs);
         let mut cursor = Cursor::new(Arc::clone(&spec.plan), seq);
         block_until(WaitSite::Collective, &self.shared.poison, || {
-            let (step, behind) = {
+            let step = {
                 let io = &mut *self.shared.io();
-                let step = cursor.progress(io.transport.as_mut(), &mut io.clock, buf, scratch)?;
-                (step, io.transport.dp_behind(self.ctx, seq))
+                cursor.progress(io.transport.as_mut(), &mut io.clock, buf, scratch)?
             };
             Ok(match (step.done, step.ops) {
                 (true, _) => Polled::Ready(()),
-                (false, 0) if behind && self.shared.engine.poll_siblings(&self.shared) > 0 => {
-                    Polled::Moved
-                }
-                (false, 0) => Polled::Idle,
+                (false, 0) => self.idle(None),
                 (false, _) => Polled::Moved,
             })
         })
         .map_err(|e| self.map_ft_err(e))?;
-        self.account_plan(&spec.plan, spec.payload);
-        Ok(())
-    }
-
-    /// Blocking form of a pure-sender role (non-root contributor of a gather,
-    /// root of a scatter), whose buffer is the caller's `&[T]`. Runs under
-    /// one io-lock hold: the transports drain incoming traffic internally
-    /// while flow-control spinning, so a send cannot deadlock against this
-    /// rank's own unconsumed messages. Sends need no scratch.
-    fn run_coll_send_only(&self, spec: &Spec, payload: &[u8]) -> Result<()> {
-        let seq = self.shard().next_coll_seq(spec.plan.seqs);
-        let mut cursor = Cursor::new(Arc::clone(&spec.plan), seq);
-        let sent = {
-            let io = &mut *self.shared.io();
-            cursor.run_send_only(io.transport.as_mut(), &mut io.clock, payload)
-        };
-        sent.map_err(|e| self.map_ft_err(e))?;
         self.account_plan(&spec.plan, spec.payload);
         Ok(())
     }
@@ -505,7 +483,7 @@ impl Comm {
     ) -> Result<()> {
         if self.rank != root {
             let spec = self.spec_gather(root, size_of_val(send))?;
-            return self.run_coll_send_only(&spec, bytes_of(send));
+            return self.run_coll_staged(&spec, bytes_of(send), |_| ());
         }
         let recv = recv.ok_or_else(|| {
             MpiError::InvalidCollective("gather_into root must provide a receive buffer".into())
@@ -576,9 +554,9 @@ impl Comm {
         let spec = self.spec_scatter(root, send, recv.len())?;
         match send {
             Some(send) if self.rank == root => {
-                self.run_coll_send_only(&spec, bytes_of(send))?;
-                recv.copy_from_slice(&send[root * recv.len()..(root + 1) * recv.len()]);
-                Ok(())
+                self.run_coll_staged(&spec, bytes_of(send), |mine| {
+                    bytes_of_mut(recv).copy_from_slice(mine)
+                })
             }
             _ => self.run_coll(&spec, bytes_of_mut(recv)),
         }

@@ -6,6 +6,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::Comm;
+use crate::engine::OpCell;
 use crate::error::MpiError;
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
 use crate::request::{Contention, Request, RequestState};
@@ -104,10 +105,10 @@ impl Comm {
     }
 
     /// The one blocked receive: an attempt per io-lock hold, so other
-    /// threads of this rank keep progressing between attempts; a receive
-    /// stalled on its sender drives the rank's outstanding collectives
-    /// meanwhile, and backs off (`block_until` at the `Recv` site, which
-    /// also fails it on a dead peer) when that moved nothing.
+    /// threads of this rank keep progressing between attempts; an idle one
+    /// drives the rank's started operations ([`Comm::idle`]), and backs off
+    /// (`block_until` at the `Recv` site, which also fails it on a dead
+    /// peer) when that moved nothing.
     fn recv_blocking(
         &self,
         src: Option<Rank>,
@@ -115,14 +116,24 @@ impl Comm {
         mut dest: RecvDest<'_>,
     ) -> Result<Status> {
         block_until(WaitSite::Recv, &self.shared.poison, || {
-            if let Some(status) = self.try_recv_once(src, tag, dest.reborrow())? {
-                return Ok(Polled::Ready(status));
-            }
-            Ok(match self.shared.engine.poll_siblings(&self.shared) {
-                0 => Polled::Idle,
-                _ => Polled::Moved,
+            Ok(match self.try_recv_once(src, tag, dest.reborrow())? {
+                Some(status) => Polled::Ready(status),
+                None => self.idle(None),
             })
         })
+    }
+
+    /// The end of an idle attempt — of a blocking call, `wait`, `test` or
+    /// probe — under the rank's one progress rule: drive every operation the
+    /// rank has started but `own`
+    /// ([`crate::engine::ProgressEngine::drive_started`]). `Moved` when that
+    /// serviced any; `Idle` otherwise, also when another thread of this
+    /// rank, or the engine thread, is the one driving them.
+    pub(super) fn idle<T>(&self, own: Option<&OpCell>) -> Polled<T> {
+        match self.shared.engine.drive_started(&self.shared, own) {
+            Some(ops) if ops > 0 => Polled::Moved,
+            _ => Polled::Idle,
+        }
     }
 
     /// Blocking receive into `buf`; returns the completion status. A matched
@@ -154,7 +165,7 @@ impl Comm {
         Self::check_user_tag_sel(tag)?;
         let src = src.map(|s| self.world_of(s)).transpose()?;
         let mut data = Vec::new();
-        let found = self.try_recv_once(src, tag, RecvDest::Vec(&mut data))?;
+        let found = self.poll_recv(src, tag, RecvDest::Vec(&mut data))?;
         Ok(found.map(|status| (status, data)))
     }
 
@@ -164,7 +175,23 @@ impl Comm {
     pub fn iprobe(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Result<Option<Status>> {
         Self::check_user_tag_sel(tag)?;
         let src = src.map(|s| self.world_of(s)).transpose()?;
-        self.try_recv_once(src, tag, RecvDest::Probe)
+        self.poll_recv(src, tag, RecvDest::Probe)
+    }
+
+    /// [`Comm::try_recv_once`] for the public one-attempt calls, `try_recv`
+    /// and `iprobe`: one that finds nothing is an idle attempt, like a
+    /// `test`'s, and drives the rank's started operations ([`Comm::idle`]).
+    fn poll_recv(
+        &self,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+        dest: RecvDest<'_>,
+    ) -> Result<Option<Status>> {
+        let found = self.try_recv_once(src, tag, dest)?;
+        if found.is_none() {
+            self.idle::<()>(None);
+        }
+        Ok(found)
     }
 
     /// Non-blocking send (eager: completes immediately once enqueued).
@@ -225,7 +252,8 @@ impl Comm {
     /// attempt serviced, so blocking loops can reset their backoff on partial
     /// progress. `during_wait` routes the poll/op counters into the wait
     /// columns of [`ProgressStats`] (nonblocking `test`-family polls are the
-    /// overlap metric — progress made during user compute).
+    /// overlap metric — progress made during user compute). It drives this
+    /// request alone: its callers end an idle attempt with [`Comm::idle`].
     fn progress_coll(
         &mut self,
         request: &mut Request,
@@ -250,10 +278,9 @@ impl Comm {
                 return Ok((None, 0));
             }
             let state = slot.state.as_mut().expect("pending collective has state");
-            let (step, behind) = {
+            let step = {
                 let io = &mut *self.shared.io();
-                let step = state.progress(io.transport.as_mut(), &mut io.clock);
-                (step, io.transport.dp_behind(self.ctx, state.exec.seq()))
+                state.progress(io.transport.as_mut(), &mut io.clock)
             };
             let step = match step {
                 Ok(step) => step,
@@ -269,14 +296,6 @@ impl Comm {
                 counters.ops_in_test.add(ops as u64);
             }
             if !step.done {
-                if ops == 0 && behind {
-                    // Only driving an earlier collective moves this one (see
-                    // `Transport::dp_behind`) — and a loop of `test` on this
-                    // request alone must still finish. A waiter that holds
-                    // the poller token sweeps siblings itself; this is then
-                    // a no-op, as it is for this request's own cell.
-                    self.shared.engine.poll_siblings(&self.shared);
-                }
                 return Ok((None, ops));
             }
             counters.colls_completed.add(1);
@@ -483,15 +502,15 @@ impl Comm {
         }
     }
 
-    /// Polling-mode terminal wait on a collective request. Drives this
-    /// request's own schedule; whenever it stalls on remote peers, also
-    /// drives **every other outstanding operation** of the rank
-    /// (cross-communicator opportunistic progress — the `opal_progress`
-    /// idiom). At most one thread per rank sweeps at a time: the first
-    /// stalled waiter takes the poller token and batches everyone's schedule
-    /// work into its scheduling quantum, completing sibling cells and waking
-    /// their waiters by directed unpark; threads that lose the token park on
-    /// their own cell instead of contending for the io lock. A poisoned
+    /// Polling-mode terminal wait on a collective request. Every lap drives
+    /// this request's own schedule, then **every other outstanding
+    /// operation** of the rank
+    /// ([`crate::engine::ProgressEngine::drive_started`] — the
+    /// `opal_progress` idiom). At most one thread per rank sweeps at a time:
+    /// the waiter holding the poller token batches everyone's schedule work
+    /// into its scheduling quantum, completing sibling cells and waking their
+    /// waiters by directed unpark; a waiter that finds the token taken parks
+    /// on its own cell instead of contending for the io lock. A poisoned
     /// universe aborts the wait instead of parking forever, and partial
     /// progress restarts the backoff escalation so a steadily advancing
     /// schedule never degrades to parked sleeps.
@@ -511,31 +530,26 @@ impl Comm {
                     Ok((None, _)) => Polled::Moved,
                 });
             }
-            if self.shared.engine.try_poller() {
-                // This thread is the rank's poller: drive its own schedule
-                // and every sibling's, batching all outstanding work into
-                // one scheduling quantum on the io lock.
-                let own = self.progress_coll(request, true);
-                let sibling_ops = self.shared.engine.drive_siblings(&self.shared, Some(&cell));
-                self.shared.engine.release_poller();
-                return Ok(match own {
-                    Err(e) => Polled::Ready(Err(e)),
-                    Ok((Some(status), _)) => Polled::Ready(Ok(status)),
-                    Ok((None, ops)) if ops + sibling_ops > 0 => Polled::Moved,
-                    Ok((None, _)) => Polled::Idle,
-                });
-            }
-            // Another thread of this rank holds the poller token: it drives
-            // this cell too and unparks us the moment completion is
-            // published. Register, re-check, park — no spinning, no io-lock
-            // contention; the park timeout is only a safety net against a
-            // poller that left without a hand-off. (Each wake drains the
-            // registration, so re-register every lap.)
-            cell.waiter().register();
-            Ok(if cell.is_done() {
-                Polled::Moved
-            } else {
-                Polled::Handed
+            let own = self.progress_coll(request, true);
+            let siblings = self.shared.engine.drive_started(&self.shared, Some(&cell));
+            Ok(match (own, siblings) {
+                (Err(e), _) => Polled::Ready(Err(e)),
+                (Ok((Some(status), _)), _) => Polled::Ready(Ok(status)),
+                (Ok((None, ops)), siblings) if ops + siblings.unwrap_or(0) > 0 => Polled::Moved,
+                (Ok(_), Some(_)) => Polled::Idle,
+                // Another thread of this rank holds the poller token: it
+                // drives this cell too and unparks us the moment completion
+                // is published. Register, re-check, park — no spinning; the
+                // park timeout is only a safety net against a poller that
+                // left without a hand-off. (Each wake drains the
+                // registration, so re-register every lap.)
+                (Ok(_), None) => {
+                    cell.waiter().register();
+                    match cell.is_done() {
+                        true => Polled::Moved,
+                        false => Polled::Handed,
+                    }
+                }
             })
         })
         .unwrap_or_else(|e| Err(self.map_ft_err(e)));
@@ -569,14 +583,22 @@ impl Comm {
         waited.map_err(|e| self.map_ft_err(e))
     }
 
-    /// Test a request for completion without blocking.
+    /// Test a request for completion without blocking. A test that finds it
+    /// pending drives the rank's other started operations, as every idle
+    /// attempt does (MPI's progress rule).
     pub fn test(&mut self, request: &mut Request) -> Result<Option<Status>> {
         match request.state() {
             RequestState::SendComplete | RequestState::RecvComplete => {
                 Ok(Some(request.status().ok_or(MpiError::StaleRequest)?))
             }
             RequestState::Consumed | RequestState::Inactive => Err(MpiError::StaleRequest),
-            RequestState::RecvPending => self.try_complete(request, false),
+            RequestState::RecvPending => {
+                let found = self.try_complete(request, false)?;
+                if found.is_none() {
+                    self.idle::<()>(request.coll.as_deref());
+                }
+                Ok(found)
+            }
         }
     }
 
@@ -590,12 +612,7 @@ impl Comm {
         let shared = Arc::clone(&self.shared);
         let ordered = Request::any_contention(requests);
         let swept = block_until(WaitSite::WaitAll, &shared.poison, || {
-            Ok(match self.sweep_all(requests, true, ordered) {
-                Err(e) => Polled::Ready(Err(e)),
-                Ok((true, _)) => Polled::Ready(Ok(())),
-                Ok((false, true)) => Polled::Moved,
-                Ok((false, false)) => Polled::Idle,
-            })
+            Ok(self.sweep_all(requests, true, ordered))
         });
         swept.unwrap_or_else(|e| {
             // The universe failure state fired mid-wait. Sweep once more so a
@@ -621,30 +638,36 @@ impl Comm {
     }
 
     /// One completion attempt on every pending request, for
-    /// [`Comm::wait_all`] and [`Comm::test_all`]: whether all are complete
-    /// now, and whether this sweep completed any.
+    /// [`Comm::wait_all`] and [`Comm::test_all`]: ready once all are
+    /// complete (or one failed), moved if this sweep completed any, and
+    /// otherwise an idle attempt ([`Comm::idle`]).
     fn sweep_all(
         &mut self,
         requests: &mut [Request],
         during_wait: bool,
         ordered: bool,
-    ) -> Result<(bool, bool)> {
+    ) -> Polled<Result<()>> {
         let (mut all_done, mut progressed) = (true, false);
         for i in 0..requests.len() {
             match requests[i].state() {
                 RequestState::SendComplete | RequestState::RecvComplete => {}
                 RequestState::Consumed | RequestState::Inactive => {
-                    return Err(MpiError::StaleRequest)
+                    return Polled::Ready(Err(MpiError::StaleRequest))
                 }
                 RequestState::RecvPending => {
-                    match self.try_complete_in(requests, i, during_wait, ordered)? {
-                        Some(_) => progressed = true,
-                        None => all_done = false,
+                    match self.try_complete_in(requests, i, during_wait, ordered) {
+                        Ok(Some(_)) => progressed = true,
+                        Ok(None) => all_done = false,
+                        Err(e) => return Polled::Ready(Err(e)),
                     }
                 }
             }
         }
-        Ok((all_done, progressed))
+        match (all_done, progressed) {
+            (true, _) => Polled::Ready(Ok(())),
+            (false, true) => Polled::Moved,
+            (false, false) => self.idle(None),
+        }
     }
 
     /// Post-failure attribution sweep shared by [`Comm::wait_all`] and
@@ -669,12 +692,7 @@ impl Comm {
         let shared = Arc::clone(&self.shared);
         let ordered = Request::any_contention(requests);
         let polled = block_until(WaitSite::WaitAny, &shared.poison, || {
-            Ok(match self.poll_any(requests, true, ordered) {
-                Err(e) => Polled::Ready(Err(e)),
-                Ok(PollAny::Ready(i, status)) => Polled::Ready(Ok((i, status))),
-                Ok(PollAny::Pending) => Polled::Idle,
-                Ok(PollAny::NoneActive) => Polled::Ready(Err(MpiError::StaleRequest)),
-            })
+            Ok(self.poll_any(requests, true, ordered))
         });
         polled.unwrap_or_else(|e| {
             self.attribute_failure(requests)?;
@@ -687,40 +705,45 @@ impl Comm {
     /// [`MpiError::StaleRequest`] if the slice is empty or fully consumed.
     pub fn test_any(&mut self, requests: &mut [Request]) -> Result<Option<(usize, Status)>> {
         let ordered = Request::any_contention(requests);
-        match self.poll_any(requests, false, ordered)? {
-            PollAny::Ready(i, status) => Ok(Some((i, status))),
-            PollAny::Pending => Ok(None),
-            PollAny::NoneActive => Err(MpiError::StaleRequest),
+        match self.poll_any(requests, false, ordered) {
+            Polled::Ready(found) => found.map(Some),
+            _ => Ok(None),
         }
     }
 
+    /// One completion attempt on the pending requests, for
+    /// [`Comm::wait_any`] and [`Comm::test_any`], up to the first complete
+    /// one: ready with it (or with the failure, or with
+    /// [`MpiError::StaleRequest`] when none is active), and otherwise an
+    /// idle attempt ([`Comm::idle`]).
     fn poll_any(
         &mut self,
         requests: &mut [Request],
         during_wait: bool,
         ordered: bool,
-    ) -> Result<PollAny> {
+    ) -> Polled<Result<(usize, Status)>> {
         let mut any_pending = false;
         for i in 0..requests.len() {
             match requests[i].state() {
                 RequestState::SendComplete | RequestState::RecvComplete => {
-                    let status = requests[i].status().ok_or(MpiError::StaleRequest)?;
-                    return Ok(PollAny::Ready(i, status));
+                    let status = requests[i].status().ok_or(MpiError::StaleRequest);
+                    return Polled::Ready(status.map(|status| (i, status)));
                 }
                 RequestState::Consumed | RequestState::Inactive => {}
                 RequestState::RecvPending => {
                     any_pending = true;
-                    if let Some(status) = self.try_complete_in(requests, i, during_wait, ordered)? {
-                        return Ok(PollAny::Ready(i, status));
+                    match self.try_complete_in(requests, i, during_wait, ordered) {
+                        Ok(None) => {}
+                        Ok(Some(status)) => return Polled::Ready(Ok((i, status))),
+                        Err(e) => return Polled::Ready(Err(e)),
                     }
                 }
             }
         }
-        Ok(if any_pending {
-            PollAny::Pending
-        } else {
-            PollAny::NoneActive
-        })
+        match any_pending {
+            true => self.idle(None),
+            false => Polled::Ready(Err(MpiError::StaleRequest)),
+        }
     }
 
     /// Test whether *every* request has completed; if so, returns their
@@ -729,10 +752,10 @@ impl Comm {
     /// [`MpiError::StaleRequest`] if any request was already consumed.
     pub fn test_all(&mut self, requests: &mut [Request]) -> Result<Option<Vec<Status>>> {
         let ordered = Request::any_contention(requests);
-        if !self.sweep_all(requests, false, ordered)?.0 {
-            return Ok(None);
+        match self.sweep_all(requests, false, ordered) {
+            Polled::Ready(done) => done.and_then(|()| Self::statuses(requests)).map(Some),
+            _ => Ok(None),
         }
-        Self::statuses(requests).map(Some)
     }
 
     /// Combined send + receive (deadlock-safe pairwise exchange), full duplex:
@@ -805,10 +828,4 @@ impl Comm {
         counters.drained_messages.add(moved as u64);
         Ok(moved)
     }
-}
-
-enum PollAny {
-    Ready(usize, Status),
-    Pending,
-    NoneActive,
 }

@@ -6,11 +6,11 @@
 //! # Two progress modes
 //!
 //! In [`Polling`](crate::config::ProgressMode::Polling) mode (the default)
-//! collectives advance only inside `test`/`wait`-family calls — MPI's weak
-//! progress. A *blocking* wait additionally drives every other outstanding
-//! operation of the rank whenever its own stalls on remote peers
-//! (cross-communicator opportunistic progress, gated by a per-rank poller
-//! token — see `ProgressEngine::poll_siblings`). In
+//! collectives advance only inside the rank's own library calls — MPI's weak
+//! progress, under one rule: every idle attempt of a blocking call, `wait`,
+//! `test` or probe drives every operation the rank has started, on any
+//! communicator (one thread per rank at a time, holding a poller token —
+//! see `ProgressEngine::drive_started`). In
 //! [`Thread`](crate::config::ProgressMode::Thread) mode the
 //! engine thread (`cmpi-progress-<rank>`) drives every enqueued operation
 //! with bounded io-lock holds, so an `iallreduce` completes while the caller
@@ -191,19 +191,20 @@ struct EngineState {
 /// [`Thread`](crate::config::ProgressMode::Thread) mode the engine thread
 /// (started by the world-communicator constructor, joined by
 /// `ProgressEngine::shutdown`) drives it; in
-/// [`Polling`](crate::config::ProgressMode::Polling) mode blocked waiters
-/// drive it cross-communicator via `ProgressEngine::poll_siblings` — the
-/// `opal_progress` idiom: any wait stalled on remote peers advances *every*
-/// outstanding operation of the rank, so on an oversubscribed host a single
-/// scheduling quantum completes work for many submitter threads at once.
+/// [`Polling`](crate::config::ProgressMode::Polling) mode idle callers
+/// drive it cross-communicator via `ProgressEngine::drive_started` — the
+/// `opal_progress` idiom: any idle attempt advances *every* outstanding
+/// operation of the rank, so on an oversubscribed host a single scheduling
+/// quantum completes work for many submitter threads at once.
 #[derive(Debug)]
 pub struct ProgressEngine {
     state: Mutex<EngineState>,
     stop: AtomicBool,
     running: AtomicBool,
     /// Polling-mode poller token: at most one thread per rank sweeps the
-    /// registry at a time. Losers park on their own cell's directed-unpark
-    /// registry instead of contending for the io lock.
+    /// registry at a time. A collective `wait` that finds it taken parks on
+    /// its own cell's directed-unpark registry instead of contending for the
+    /// io lock.
     poller: AtomicBool,
     /// World rank (thread naming / diagnostics).
     rank: usize,
@@ -253,8 +254,8 @@ impl ProgressEngine {
 
     /// Register a cell in the outstanding-operation registry (both modes)
     /// and, in Thread mode, ring the engine thread's doorbell. In Polling
-    /// mode the registry is what lets a blocked waiter drive *sibling*
-    /// operations opportunistically (`ProgressEngine::poll_siblings`).
+    /// mode the registry is what an idle caller drives
+    /// ([`ProgressEngine::drive_started`]).
     pub(crate) fn enqueue(&self, cell: Arc<OpCell>) {
         cell.activate();
         let mut st = self.state();
@@ -282,33 +283,28 @@ impl ProgressEngine {
         cells.extend(st.queue.iter().cloned());
     }
 
-    /// Try to become the rank's single Polling-mode poller. Returns `false`
-    /// while the engine thread runs (Thread mode owns progress) or when
-    /// another thread already holds the token. Pair with
-    /// [`ProgressEngine::release_poller`].
-    pub(crate) fn try_poller(&self) -> bool {
-        !self.is_running()
+    /// The rank's one progress rule — MPI's, the `opal_progress` idiom:
+    /// every idle attempt of a blocking call, `wait`, `test` or probe (and
+    /// every lap of a Polling-mode collective `wait`) drives every operation
+    /// the rank has started, one bounded attempt each, except `own`, which
+    /// the caller drives itself. At most one thread of a rank sweeps at a
+    /// time, holding the poller token: `None` when another one holds it or
+    /// the engine thread runs (Thread mode owns progress), else the ops
+    /// serviced.
+    /// Completed operations are published via [`OpCell::complete`], so their
+    /// waiters unpark at once; their ops count as `ops_in_wait` — they ran
+    /// inside a caller's call, not on a background thread. Allocation-free:
+    /// cells are visited by index under brief registry locks rather than by
+    /// cloning the queue; pruning is left to [`ProgressEngine::enqueue`].
+    pub(crate) fn drive_started(&self, rank: &RankShared, own: Option<&OpCell>) -> Option<usize> {
+        let token = !self.is_running()
             && self
                 .poller
                 .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-    }
-
-    /// Release the poller token taken by [`ProgressEngine::try_poller`].
-    pub(crate) fn release_poller(&self) {
-        self.poller.store(false, Ordering::Release);
-    }
-
-    /// Drive every outstanding operation except `own` (which the caller
-    /// drives itself) one bounded attempt each — cross-communicator
-    /// opportunistic progress. Caller holds the poller token. Completed
-    /// siblings are published via [`OpCell::complete`], so their waiters
-    /// unpark immediately. Sibling ops are accounted to `ops_in_wait`: they
-    /// ran inside a blocking wait, not a background thread. Allocation-free
-    /// (this runs on every iteration of every Polling-mode wait): cells are
-    /// visited by index under brief registry locks rather than by cloning
-    /// the queue; pruning is left to [`ProgressEngine::enqueue`].
-    pub(crate) fn drive_siblings(&self, rank: &RankShared, own: Option<&OpCell>) -> usize {
+                .is_ok();
+        if !token {
+            return None;
+        }
         let mut ops = 0usize;
         let mut i = 0usize;
         loop {
@@ -325,20 +321,8 @@ impl ProgressEngine {
             }
             ops += engine_drive(rank, &cell, &rank.counters.progress.ops_in_wait);
         }
-        ops
-    }
-
-    /// Opportunistic one-shot sweep for waits that have no operation cell of
-    /// their own (blocking p2p receives): take the token if free, drive
-    /// everything outstanding, release. The ops serviced: none while another
-    /// thread is already polling or the engine thread runs.
-    pub(crate) fn poll_siblings(&self, rank: &RankShared) -> usize {
-        if self.is_running() || !self.try_poller() {
-            return 0;
-        }
-        let ops = self.drive_siblings(rank, None);
-        self.release_poller();
-        ops
+        self.poller.store(false, Ordering::Release);
+        Some(ops)
     }
 
     /// A polling waiter is leaving (its operation completed): wake one
@@ -346,7 +330,7 @@ impl ProgressEngine {
     /// re-filled instead of every sibling sleeping out its park timeout —
     /// the first pending cell, other than `own`, that has one. No-op in
     /// Thread mode (the engine drives; nobody polls). Allocation-free, like
-    /// [`ProgressEngine::drive_siblings`]: cells are visited by index under
+    /// [`ProgressEngine::drive_started`]: cells are visited by index under
     /// brief registry locks.
     pub(crate) fn handoff(&self, own: &OpCell) {
         if self.is_running() {

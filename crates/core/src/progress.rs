@@ -783,41 +783,6 @@ impl Cursor {
             ops: completed,
         })
     }
-
-    /// Execute a plan that consists solely of `Send` ops reading from the
-    /// primary arena, against an *immutable* buffer. Used by blocking
-    /// collectives on their pure-sender roles (gather non-root, scatter root),
-    /// whose user buffers are `&[T]`: the op list is identical to what the
-    /// nonblocking path executes, just driven without a mutable view.
-    pub(crate) fn run_send_only(
-        &mut self,
-        t: &mut dyn Transport,
-        clock: &mut SimClock,
-        buf: &[u8],
-    ) -> Result<()> {
-        let plan = Arc::clone(&self.plan);
-        while let Some(op) = plan.ops.get(self.pos) {
-            match *op {
-                SchedOp::Send {
-                    peer,
-                    tag_off,
-                    loc: Loc::Buf,
-                    start,
-                    end,
-                } => {
-                    let tag = bind_coll_tag(tag_off, self.seq);
-                    t.send(clock, peer, plan.ctx, tag, &buf[start..end], &mut 0)?
-                }
-                ref other => {
-                    return Err(MpiError::InvalidCollective(format!(
-                        "send-only plan contains a non-send op: {other:?}"
-                    )))
-                }
-            }
-            self.pos += 1;
-        }
-        Ok(())
-    }
 }
 
 /// The lightweight per-start state of one collective: a cursor into the

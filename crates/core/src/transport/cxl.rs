@@ -171,8 +171,6 @@ struct DpState {
     /// first, so a slot never holds a later occupant than one still to come
     /// — whose readers could never show done through it.
     writing: Vec<u32>,
-    /// Whether the last exposure refused waited for one of `writing`.
-    behind: bool,
     /// Highest sequence number this rank ever set out to read, plus one.
     read_top: u64,
     /// The value this rank's completion line holds, or — while the line is
@@ -223,6 +221,31 @@ struct RowTag {
 const ROW_CHECKED: u64 = u64::MAX;
 
 impl DpState {
+    /// The window `obj` of `layout`, for group member `my_idx` of `group`,
+    /// before any collective has run on it.
+    fn new(obj: ShmObject, layout: SlotLayout, group: &[Rank], my_idx: usize) -> Self {
+        DpState {
+            obj,
+            layout,
+            group: group.to_vec(),
+            my_idx,
+            held: vec![None; layout.slots()],
+            readers: vec![0; layout.slots() * group.len().div_ceil(64)],
+            reading: Vec::new(),
+            writing: Vec::new(),
+            read_top: 0,
+            done_through: 0,
+            done_stores: 0,
+            row: vec![0; group.len() * SLOT_CELL_SIZE],
+            row_of: None,
+            lines: Vec::new(),
+            images: Vec::with_capacity(group.len()),
+            taken: 0,
+            stage: Vec::new(),
+            run: DpGather::default(),
+        }
+    }
+
     /// Words of one slot's reader set.
     fn set_words(&self) -> usize {
         self.group.len().div_ceil(64)
@@ -1364,19 +1387,19 @@ impl CxlTransport {
         let slot = seq as usize % state.layout.slots();
         let slots = state.layout.slots();
         let before = |w: u32| (seq.wrapping_sub(w) as i32) > 0;
-        let writing = &state.writing;
-        state.behind = writing
+        let behind = state
+            .writing
             .iter()
             .any(|&w| w as usize % slots == slot && before(w));
-        let at_once = !state.behind && state.held[slot].is_none_or(|owner| owner == seq);
+        let at_once = !behind && state.held[slot].is_none_or(|owner| owner == seq);
         if !at_once {
             self.store_held_back(clock, None)?;
         }
-        let state = self.dp.get_mut(&ctx).and_then(Option::as_mut);
-        let state = state.expect("data-plane window vanished between two lookups");
-        if state.behind {
+        if behind {
             return Ok(false);
         }
+        let state = self.dp.get_mut(&ctx).and_then(Option::as_mut);
+        let state = state.expect("data-plane window vanished between two lookups");
         let stats = &self.counters.data_plane;
         let free = at_once || release_held(state, seq, &self.poison, stats, clock, &cost)?;
         if free {
@@ -2496,30 +2519,8 @@ impl Transport for CxlTransport {
         match state {
             Some(obj) => {
                 self.counters.data_plane.window_setups.add(1);
-                self.dp.insert(
-                    ctx,
-                    Some(DpState {
-                        obj,
-                        layout,
-                        group: group.to_vec(),
-                        my_idx,
-                        held: vec![None; layout.slots()],
-                        readers: vec![0; layout.slots() * group.len().div_ceil(64)],
-                        reading: Vec::new(),
-                        writing: Vec::new(),
-                        behind: false,
-                        read_top: 0,
-                        done_through: 0,
-                        done_stores: 0,
-                        row: vec![0; group.len() * SLOT_CELL_SIZE],
-                        row_of: None,
-                        lines: Vec::new(),
-                        images: Vec::with_capacity(group.len()),
-                        taken: 0,
-                        stage: Vec::new(),
-                        run: DpGather::default(),
-                    }),
-                );
+                let state = DpState::new(obj, layout, group, my_idx);
+                self.dp.insert(ctx, Some(state));
             }
             None => {
                 self.counters.data_plane.window_failures.add(1);
@@ -2653,12 +2654,6 @@ impl Transport for CxlTransport {
                 state.writing.push(seq);
             }
         }
-    }
-
-    fn dp_behind(&self, ctx: CtxId, seq: u32) -> bool {
-        let before = |w: u32| (seq.wrapping_sub(w) as i32) > 0;
-        matches!(self.dp.get(&ctx), Some(Some(state))
-            if state.behind || state.reading.iter().any(|&r| before(r)))
     }
 
     fn dp_await_row(
@@ -3012,6 +3007,30 @@ mod tests {
         .is_some());
         let ahead = Awaited::line_of(SEQ + 5, true);
         assert!(load_lines(&mut image_of(&obj, 0, 0), LineWords::all(ahead), 0, &mut []).is_none());
+    }
+
+    /// Broadcasts #0 and #4 share a slot of four. A reader that started #0
+    /// (announced, never driven) and then finished #1 to #7 — #4 announced
+    /// too, the rest blocking — must keep its completion line at 0: a writer
+    /// knows only the slot, and a line past 4 would vouch for #0, unread, and
+    /// free the slot for #8. Once #0 is read the line covers everything
+    /// through #7; a later announced collective still open stops it there.
+    #[test]
+    fn a_completion_line_covers_only_the_contiguous_prefix_of_what_was_read() {
+        let layout = SlotLayout::new(3, DP_SLOTS, 4096);
+        let mut state = DpState::new(lines_object(8), layout, &[0, 1, 2], 2);
+        assert_eq!(DP_SLOTS, 4, "the script below counts slots");
+        state.begin_reading(0);
+        state.begin_reading(4);
+        for seq in 1..8 {
+            assert_eq!(state.finish_reading(seq), None, "#{seq} finished, #0 open");
+            assert_eq!(state.done_through, 0);
+        }
+        state.begin_reading(8);
+        assert_eq!(state.finish_reading(0), Some(8));
+        assert_eq!(state.finish_reading(9), None, "#9 finished, #8 open");
+        assert_eq!(state.finish_reading(8), Some(10));
+        assert_eq!(state.done_through, 10);
     }
 
     #[test]

@@ -1104,18 +1104,11 @@ pub trait Transport: Send {
     /// or persistent start must make one, because until that collective
     /// completes, a later one finishing first may not report the rank done
     /// *through* it, and a later one may not take the slot it will expose
-    /// in.
+    /// in. What then waits for it — a later exposure refused behind it, a
+    /// peer's slot this rank has yet to read — moves only when it is driven,
+    /// which every idle attempt of the rank's calls does
+    /// (`ProgressEngine::drive_started`).
     fn dp_begin(&mut self, _ctx: CtxId, _seq: u32, _reads: bool, _writes: bool) {}
-
-    /// Whether collective `seq` on `ctx` may be waiting for one this rank
-    /// started earlier ([`Transport::dp_begin`]) that only driving it moves:
-    /// the last exposure this rank was refused waits for an earlier
-    /// collective to expose in the same slot first, or this rank still has
-    /// an earlier collective to read — whose writer may hold the slot a
-    /// later exposure, its own or a peer's, needs, until this rank reads it.
-    fn dp_behind(&self, _ctx: CtxId, _seq: u32) -> bool {
-        false
-    }
 
     /// Acquire a **run**: everything the run's `reads` — `(source, bytes)`,
     /// in the order they will be made — consume of collective `seq`, in one

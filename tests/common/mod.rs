@@ -148,6 +148,17 @@ pub fn force_ring() -> CollTuning {
     }
 }
 
+/// Run `f` on a thread of its own and return what it returns, failing the
+/// test — instead of hanging it — if that takes longer than a minute.
+pub fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{what}: still running after a minute"))
+}
+
 /// Elements of `T` in the smallest payload past `bytes`. Past a flat
 /// crossover constant — a `*_MIN_BYTES` one, large from the constant on, or
 /// a `*_MAX_BYTES` one, small up to it — the large-payload algorithm runs.

@@ -6,25 +6,14 @@
 //! class in a seeded order lands on the same virtual clocks in every launch.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cmpi::mpi::dataplane::DP_SLOTS;
 use cmpi::mpi::{Comm, ProgressMode, ReduceOp, Universe, UniverseConfig};
 
 mod common;
-use common::{force_shm, with_window_headroom};
-
-/// Run `f` on a thread of its own and return what it returns, failing the
-/// test — instead of hanging it — if that takes longer than a minute.
-fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(Duration::from_secs(60))
-        .unwrap_or_else(|_| panic!("{what}: still running after a minute"))
-}
+use common::{force_shm, with_window_headroom, within_a_minute};
 
 /// What a reader does right after its last read of the root's first
 /// `DP_SLOTS` broadcasts, while its completion line for them is held back.

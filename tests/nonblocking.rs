@@ -13,10 +13,12 @@ use cmpi::mpi::coll::{
     REDUCE_SCATTER_DIRECT_MIN_BYTES,
 };
 use cmpi::mpi::pod::bytes_of;
-use cmpi::mpi::{Comm, MpiError, ReduceOp, Request, Universe, UniverseConfig};
+use cmpi::mpi::{
+    CollTuning, Comm, MpiError, ProgressMode, ReduceOp, Request, Universe, UniverseConfig,
+};
 
 mod common;
-use common::{configs, force_hier, force_ring, past};
+use common::{configs, force_hier, force_ring, force_shm, past, within_a_minute};
 
 /// Element counts just past the flat crossovers among `n` ranks: a `u64`
 /// bcast, an `i64` allreduce, a `u32` allgather block and an `i64`
@@ -510,6 +512,92 @@ fn wait_all_completes_regardless_of_slice_order() {
             Ok(())
         })
         .unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
+}
+
+/// How rank 0 waits for a message after starting a broadcast.
+#[derive(Clone, Copy, Debug)]
+enum Awaits {
+    WaitAll,
+    WaitAny,
+    TestLoop,
+    /// `iprobe` until the message is there, then `wait` on the receive.
+    ProbeLoop,
+    /// `try_recv` until it takes the message; no receive posted.
+    TryRecvLoop,
+}
+
+#[test]
+fn waiting_on_a_receive_drives_a_started_broadcast_its_sender_needs() {
+    // Rank 0 starts a broadcast it roots, then waits for a message that rank
+    // 1 sends only once its blocking half of that broadcast is done. In
+    // Polling mode nothing but rank 0's waiting can move the broadcast, so
+    // every idle attempt of `wait_all`, `wait_any`, `test`, `iprobe` or
+    // `try_recv` must drive it: on the window (`force_shm`, and the default
+    // tuning at this size) and on the ring.
+    let sent: [u8; 8] = *b"started!";
+    let tunings = [
+        ("force_shm", force_shm()),
+        ("default", CollTuning::default()),
+        ("force_ring", force_ring()),
+    ];
+    for (path, tuning) in tunings {
+        let all = [
+            Awaits::WaitAll,
+            Awaits::WaitAny,
+            Awaits::TestLoop,
+            Awaits::ProbeLoop,
+            Awaits::TryRecvLoop,
+        ];
+        for awaits in all {
+            let what = format!("{path}, {awaits:?}");
+            let config = UniverseConfig::cxl(2)
+                .with_hosts(2)
+                .with_coll_tuning(tuning)
+                .with_progress_mode(ProgressMode::Polling);
+            let case = what.clone();
+            within_a_minute(&what, move || {
+                Universe::run(config, move |world: &mut Comm| {
+                    let mut comm = world.comm_dup()?;
+                    if comm.rank() == 0 {
+                        let mut bcast = comm.ibcast_into(0, &sent)?;
+                        let got = match awaits {
+                            Awaits::TryRecvLoop => loop {
+                                if let Some((_, data)) = comm.try_recv(Some(1), Some(5))? {
+                                    break data;
+                                }
+                            },
+                            _ => {
+                                let mut reqs = [comm.irecv(Some(1), Some(5))?];
+                                match awaits {
+                                    Awaits::WaitAll => drop(comm.wait_all(&mut reqs)?),
+                                    Awaits::WaitAny => drop(comm.wait_any(&mut reqs)?),
+                                    Awaits::TestLoop => while comm.test(&mut reqs[0])?.is_none() {},
+                                    _ => {
+                                        while comm.iprobe(Some(1), Some(5))?.is_none() {}
+                                        comm.wait(&mut reqs[0])?;
+                                    }
+                                }
+                                reqs[0].take_data()?
+                            }
+                        };
+                        assert_eq!(got, b"done");
+                        comm.wait(&mut bcast)?;
+                        assert_eq!(bcast.take_values::<u8>()?, sent);
+                    } else {
+                        let mut got = [0u8; 8];
+                        comm.bcast_into(0, &mut got)?;
+                        assert_eq!(got, sent);
+                        comm.send(0, 5, b"done")?;
+                        let on_window = comm.last_coll_algorithm().contains("/shm");
+                        assert!(on_window || path != "force_shm", "took the ring");
+                        assert!(!on_window || path != "force_ring", "took the window");
+                    }
+                    Ok(())
+                })
+                .unwrap_or_else(|e| panic!("{case}: {e}"))
+            });
+        }
     }
 }
 

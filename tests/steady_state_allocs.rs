@@ -7,8 +7,9 @@
 //! to the run's size. From then on:
 //!
 //! * posted p2p, every blocking collective of the `coll_mix` benchmark at
-//!   2 ranks and at 8 ranks on 2 hosts, a persistent `start` + `wait` (under
-//!   either progress mode) and the RMA calls allocate **nothing**;
+//!   2 ranks and at 8 ranks on 2 hosts, a blocking gather and scatter, a
+//!   persistent `start` + `wait` (those two under either progress mode) and
+//!   the RMA calls allocate **nothing**;
 //! * a call whose signature returns a fresh `Vec` (`wait_all`, `alltoallv`, a
 //!   root's `reduce`) allocates **exactly that one**.
 
@@ -187,6 +188,49 @@ fn blocking_collectives_allocate_nothing_at_two_ranks() {
 fn blocking_collectives_allocate_nothing_at_eight_ranks_on_two_hosts() {
     let config = UniverseConfig::cxl(8).with_hosts(2);
     check(config, |comm| collectives(comm, &[8, 64 << 10, 256 << 10]));
+}
+
+/// Blocking `gather_into` and `scatter_from` rooted at rank 0, every role:
+/// the non-root of the gather and the root of the scatter stage the
+/// caller's `&[T]` in the communicator's arena, like every other blocking
+/// collective whose buffer is not the caller's to write.
+fn gather_and_scatter(comm: &mut Comm) -> Result<Vec<Row>> {
+    let mut comm = comm.comm_dup()?;
+    let (n, me) = (comm.size(), comm.rank());
+    let sizes = [8, 64 << 10, 1 << 20];
+    let largest = sizes[sizes.len() - 1];
+    let send = vec![me as u8; n * largest];
+    let mut recv = vec![0u8; n * largest];
+    let mut rows = Vec::with_capacity(2 * sizes.len());
+    for size in sizes {
+        let what = match me {
+            0 => "gather_into at root",
+            _ => "gather_into",
+        };
+        count(&mut comm, &mut rows, what, size, 0, |comm| {
+            let recv = (me == 0).then_some(&mut recv[..n * size]);
+            comm.gather_into(0, &send[..size], recv)
+        })?;
+        let what = match me {
+            0 => "scatter_from at root",
+            _ => "scatter_from",
+        };
+        count(&mut comm, &mut rows, what, size, 0, |comm| {
+            let send = (me == 0).then_some(&send[..n * size]);
+            comm.scatter_from(0, send, &mut recv[..size])
+        })?;
+    }
+    Ok(rows)
+}
+
+#[test]
+fn blocking_gather_and_scatter_allocate_nothing_in_either_progress_mode() {
+    for mode in [ProgressMode::Polling, ProgressMode::Thread] {
+        let config = UniverseConfig::cxl(2)
+            .with_hosts(2)
+            .with_progress_mode(mode);
+        check(config, gather_and_scatter);
+    }
 }
 
 /// One round trip between ranks 0 and 1, rank 0 sending first.
