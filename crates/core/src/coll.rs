@@ -77,9 +77,9 @@ use std::ops::Range;
 
 use crate::config::{CollTuning, HierarchyMode};
 use crate::dataplane::{
-    allgather_shape, allreduce_shm_shape, bcast_shape, build_allgather_shm, build_allreduce_shm,
-    build_alltoall_shm, build_barrier_shm, build_bcast_shm, build_reduce_shm, exchange_stride,
-    DpOps,
+    allgather_choice, allreduce_choice, alltoall_choice, bcast_choice, build_allgather_shm,
+    build_allreduce_shm, build_alltoall_shm, build_barrier_shm, build_bcast_shm, build_reduce_shm,
+    exchange_stride, reduce_choice, DpOps,
 };
 use crate::group::Group;
 use crate::progress::{fold_bytes, CollPlan, FoldFn, Loc, SchedOp};
@@ -639,10 +639,12 @@ pub fn build_bcast(
 ) -> CollPlan {
     let (n, me) = (view.size(), view.rank);
     let input = if me == root { (0, total) } else { (0, 0) };
-    let shape = dp.and_then(|w| bcast_shape(&w, hier, root, total));
+    let choice = dp.and_then(|w| bcast_choice(&w, hier, root, total));
     let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
-    match (select_path(n, tuning, hier, dp, total, hier_min), shape) {
-        (Path::Window(w), Some(shape)) => build_bcast_shm(view, &w, hier, shape, root, total),
+    match (select_path(n, tuning, hier, dp, total, hier_min), choice) {
+        (Path::Window(w), Some(c)) => {
+            build_bcast_shm(view, &w, hier, (c.shape, c.segments), root, total)
+        }
         (Path::TwoLevel(h), _) => {
             let root_slot = h.slot_of(root);
             let root_leader = h.leader_of(root_slot);
@@ -884,10 +886,12 @@ pub fn build_allgather(
         let plan = Plan::new(view, 4);
         return plan.finish(None, Loc::Buf, (0, block), input, 0, "allgather/local");
     }
-    let shape = dp.and_then(|w| allgather_shape(&w, hier, n, block));
+    let choice = dp.and_then(|w| allgather_choice(&w, hier, n, block));
     let hier_min = Some(HIER_ALLGATHER_MIN_BYTES);
-    match (select_path(n, tuning, hier, dp, total, hier_min), shape) {
-        (Path::Window(w), Some(shape)) => build_allgather_shm(view, &w, hier, shape, block),
+    match (select_path(n, tuning, hier, dp, total, hier_min), choice) {
+        (Path::Window(w), Some(c)) => {
+            build_allgather_shm(view, &w, hier, (c.shape, c.segments), block)
+        }
         (Path::TwoLevel(h), _) => {
             let slots = h.hosts_spanned();
             let mut slot_off = vec![0; slots + 1];
@@ -1047,8 +1051,9 @@ pub fn build_reduce<T: Reducible>(
     let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
     let path = select_path(view.size(), tuning, hier, dp, total, hier_min);
     if let Path::Window(w) = path {
-        if let Some(plan) = build_reduce_shm::<T>(view, &w, root, count, op) {
-            return plan;
+        let elem = std::mem::size_of::<T>();
+        if let Some(c) = reduce_choice(&w, hier, (view.size(), root), count, elem) {
+            return build_reduce_shm::<T>(view, &w, root, (count, c.segments), op);
         }
     }
     match path {
@@ -1160,11 +1165,11 @@ pub fn build_allreduce<T: Reducible>(
         let plan = Plan::new(view, 6);
         return plan.finish(fold, Loc::Buf, (0, total), (0, total), 0, "allreduce/local");
     }
-    let shape = dp.and_then(|w| allreduce_shm_shape(&w, hier, n, count, elem));
+    let choice = dp.and_then(|w| allreduce_choice(&w, hier, n, count, elem));
     let hier_min = Some(HIER_MIN_PAYLOAD_BYTES);
-    match (select_path(n, tuning, hier, dp, total, hier_min), shape) {
-        (Path::Window(w), Some(shape)) => {
-            build_allreduce_shm::<T>(view, &w, hier, shape, count, op)
+    match (select_path(n, tuning, hier, dp, total, hier_min), choice) {
+        (Path::Window(w), Some(c)) => {
+            build_allreduce_shm::<T>(view, &w, hier, (c.shape, c.segments), count, op)
         }
         (Path::TwoLevel(h), _)
             if tuning.hierarchy != HierarchyMode::Auto
@@ -1625,8 +1630,8 @@ pub fn build_alltoall(
     let hier_min = Some(HIER_ALLTOALL_MIN_BYTES);
     let path = select_path(n, tuning, hier, dp, total, hier_min);
     if let Path::Window(w) = path {
-        if let Some(plan) = build_alltoall_shm(view, &w, block) {
-            return plan;
+        if let Some(c) = alltoall_choice(&w, hier, n, block) {
+            return build_alltoall_shm(view, &w, block, c.segments);
         }
     }
     match path {

@@ -347,10 +347,12 @@ pub struct Comm {
 }
 
 impl Drop for Comm {
-    /// The last handle of a communicator stores the completion line this
-    /// rank holds back on its window — nothing of the communicator's could
-    /// carry it any more — and retires its shard: the plan cache goes, and
-    /// the collective counters fold into the rank's retired row.
+    /// The last handle of a communicator retires its shard — the plan cache
+    /// goes, and the collective counters fold into the rank's retired row —
+    /// and lets go of its window ([`Transport::dp_settle`]): the completion
+    /// line this rank holds back on it is stored, since nothing of the
+    /// communicator's could carry it any more, and the last member to let go
+    /// frees the window.
     fn drop(&mut self) {
         collectives::retire_arena(std::mem::take(&mut self.arena));
         let mut shards = self.shared.shards();
@@ -469,6 +471,19 @@ impl Comm {
         Some(self.hierarchy())
     }
 
+    /// What this communicator's collective plans are built against: its
+    /// window, if it has one, and its host hierarchy.
+    #[cfg(test)]
+    pub(crate) fn plan_inputs(
+        &self,
+    ) -> (
+        Option<crate::transport::DpWindow>,
+        Option<Arc<HostHierarchy>>,
+    ) {
+        let dp = self.shared.io().transport.dp_window(self.ctx);
+        (dp, self.hier_for_coll())
+    }
+
     /// Aggregate plan-cache counters of this rank (hits, misses, evictions,
     /// invalidations — across all communicators sharing the rank state; also
     /// surfaced in [`crate::runtime::RankReport::plan_cache`]): a snapshot of
@@ -494,6 +509,14 @@ impl Comm {
     /// surfaced in [`crate::runtime::RankReport::data_plane`].
     pub fn data_plane_stats(&self) -> DataPlaneStats {
         self.shared.counters.data_plane.snapshot()
+    }
+
+    /// Bytes of the pool's window headroom drawn so far, every rank's draws
+    /// together — RMA windows, communicators' data-plane windows and their
+    /// status objects — or `None` on a transport without a shared pool. A
+    /// freed window hands its bytes back.
+    pub fn headroom_drawn(&self) -> Result<Option<u64>> {
+        self.shared.io().transport.headroom_drawn()
     }
 
     /// How this rank's completion lines of the data plane went out (across

@@ -34,7 +34,7 @@ impl Comm {
     /// Attribute a completion failure to the request at `index` in a
     /// `wait_any`/`wait_all`/`test_all` slice: names the request in the error
     /// detail and spends the failed request (so sibling requests stay
-    /// individually completable under [`ErrHandler::ErrorsReturn`]), then
+    /// individually completable under [`ErrHandler::ErrorsReturn`](super::ErrHandler::ErrorsReturn)), then
     /// applies the communicator's error handler.
     fn fail_request(&self, request: &mut Request, index: usize, e: MpiError) -> MpiError {
         let e = match e {
@@ -251,7 +251,7 @@ impl Comm {
     /// Returns the completion status (if reached) plus the schedule ops this
     /// attempt serviced, so blocking loops can reset their backoff on partial
     /// progress. `during_wait` routes the poll/op counters into the wait
-    /// columns of [`ProgressStats`] (nonblocking `test`-family polls are the
+    /// columns of [`ProgressStats`](crate::ProgressStats) (nonblocking `test`-family polls are the
     /// overlap metric — progress made during user compute). It drives this
     /// request alone: its callers end an idle attempt with [`Comm::idle`].
     fn progress_coll(
@@ -563,7 +563,7 @@ impl Comm {
 
     /// Thread-mode terminal wait on an engine-managed collective request:
     /// register on the cell's waiter list, re-check the completion flag, and
-    /// park until the engine's directed unpark (see [`WaitCell`]). The
+    /// park until the engine's directed unpark (see [`WaitCell`](crate::spin::WaitCell)). The
     /// caller finalizes via [`Comm::progress_coll`] afterwards.
     fn wait_engine_managed(&mut self, request: &mut Request) -> Result<()> {
         let cell = Arc::clone(request.coll.as_ref().expect("collective request has cell"));

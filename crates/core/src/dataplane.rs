@@ -71,8 +71,8 @@
 //!   line** once — one line per rank, holding the sequence number through
 //!   which the rank has finished everything exposed to it, whoever wrote it
 //!   (the contiguous prefix: a collective completed out of order never
-//!   vouches for an earlier one still open), with the stamps of its last
-//!   [`DP_SLOTS`] stores. It holds the line back: if its next exposure on
+//!   vouches for an earlier one still open), with the stamps of [`DP_SLOTS`]
+//!   of its stores: the latest ones, except any a writer may still ask for. It holds the line back: if its next exposure on
 //!   the window is stamped lines in a free slot — its flag line, lines in
 //!   the data slot, a barrier's arrival — the line is one more line of that
 //!   exposure's store stream, one fence for both
@@ -116,10 +116,10 @@
 //! hosts' partials of it (one cross-host read per host), and relays the
 //! reduced block (phases 0, 1 and 2). That is why a group window has
 //! [`cxl_shm::slots::SLOT_PHASES`] = 3 flag rows per slot. Which shape runs is
-//! not a byte threshold: `cheapest` walks each candidate's op list with
-//! `serial_cost` on the window's member-invariant cost terms, takes the
-//! slowest member when hosts are uneven, and sends a tie to the direct
-//! shape. At 8 ranks blocked on 2 hosts the model turns a broadcast at
+//! not a byte threshold: `cheapest` walks each candidate's op lists on the
+//! window's member-invariant cost terms — the priced members' together, each
+//! row waiting for its writers — and sends a tie to the direct shape. At 8
+//! ranks blocked on 2 hosts the model turns a broadcast at
 //! 15 592 B, an allgather at 3 946 B per block and an allreduce at 22 737 B
 //! per vector; one host, or one rank per host, never slices. The plan label
 //! says which shape ran: `…/shm` or `…/shm+hosts`.
@@ -146,18 +146,30 @@
 //! amortized across every start on the communicator, and blocking,
 //! nonblocking and persistent starts execute byte-identical schedules.
 //!
-//! A collective whose shape does not fit one slot runs as **segments**: the
-//! same shape over consecutive sub-ranges — of the payload's bytes or the
-//! vector's elements; for an allgather or an alltoall the same sub-range of
-//! every member's block — each a complete window round on a sequence number
-//! of its own, so segment `i` of a start at `seq` takes slot
-//! `(seq + i) mod DP_SLOTS`. Nothing else paces them: a writer exposes
-//! segment `i + 1` while its readers still pull segment `i`, and the
-//! completion-row read of a slot it wants back is the flow control. The
-//! segment is the largest sub-range whose footprint fits a slot, and
-//! `cheapest` prices every shape in the fewest segments it fits in — one,
-//! the whole collective, wherever it fits — so a size that fits a slot keeps
-//! its plan.
+//! A collective may run as **segments**: the same shape over consecutive
+//! sub-ranges — of the payload's bytes or the vector's elements; for an
+//! allgather or an alltoall the same sub-range of every member's block — each
+//! a complete window round on a sequence number of its own, so segment `i`
+//! of a start at `seq` takes slot `(seq + i) mod DP_SLOTS`. Nothing else
+//! paces them: a writer exposes segment `i + 1` while its readers still pull
+//! segment `i`, and the completion-row read of a slot it wants back is the
+//! flow control. How many segments is priced, not fixed: `cheapest` walks
+//! every shape at the fewest segments it fits a slot in (`fewest`: one
+//! wherever the whole fits), then at twice and four times as many and so
+//! on, until a segment would be shorter than a line, and takes the
+//! `(shape, depth)` whose pipeline is cheapest (`pipeline`): the latency of
+//! one segment down the shape's stage chain (root → cross-host puller →
+//! relay → host-mate, each an `AwaitRow` on the one before), one segment per
+//! the slowest member's serial cost after it, and past [`DP_SLOTS`]
+//! segments the drained pipeline every completion-row sweep leaves. Deeper
+//! segments overlap the stages, and their shorter pieces each read closer to
+//! the device's full share (`CxlContentionModel` sheds bandwidth past its
+//! knee); each also costs a row, a fence and a completion line. A depth that
+//! would make the collective dearer issued back to back — its writer
+//! running ahead of its readers, the slowest member's work and the sweeps'
+//! refills per collective — than the cheapest shape at its fewest segments is
+//! not taken. The payload is cut evenly into the depth chosen
+//! (`segmented`), one path whether the whole fits a slot or not.
 //!
 //! Whether a collective runs here at all is decided per plan, in one place:
 //! `coll::select_path`. A communicator that has a window uses it, unless the
@@ -240,8 +252,23 @@ struct Segments {
 }
 
 impl Segments {
+    /// `units` cut into `segments` segments of `⌈units / segments⌉` units,
+    /// the last one what is left — fewer, when that leaves nothing for the
+    /// last ones; one empty segment when there are no units.
+    fn cut(units: usize, segments: usize) -> Self {
+        Segments {
+            units,
+            len: units.div_ceil(segments.max(1)).max(1),
+        }
+    }
+
     fn count(self) -> usize {
-        self.units.div_ceil(self.len)
+        self.units.div_ceil(self.len).max(1)
+    }
+
+    /// Units in the last segment.
+    fn last(self) -> usize {
+        self.units - (self.count() - 1) * self.len
     }
 
     /// The sub-range of every segment, in order.
@@ -255,12 +282,16 @@ impl Segments {
 type Emit<'a> = &'a dyn Fn(&mut DpOps, Range<usize>) -> Fit;
 
 /// The fewest segments the collective of `units` units whose one segment
-/// `emit` appends cuts into on window `w`, when the whole does not fit a
-/// slot: the largest sub-range that does (a footprint grows with its range,
-/// and is the same on every member: member 0's ops measure it). `None` when
-/// not even one unit fits.
-fn fit(w: &DpWindow, units: usize, emit: Emit<'_>) -> Option<Segments> {
+/// `emit` appends runs in on window `w`: one when the whole fits a slot,
+/// otherwise as many as the largest sub-range that does takes (a footprint
+/// grows with its range, and is the same on every member: member 0's ops
+/// measure it). `None` when not even one unit fits. The walk
+/// ([`cheapest`]) prices this depth and deeper ones.
+fn fewest(w: &DpWindow, units: usize, emit: Emit<'_>) -> Option<usize> {
     let fits = |len| emit(&mut DpOps::new(0), 0..len).footprint <= w.slot_bytes;
+    if fits(units) {
+        return Some(1);
+    }
     if !fits(1) {
         return None;
     }
@@ -273,28 +304,23 @@ fn fit(w: &DpWindow, units: usize, emit: Emit<'_>) -> Option<Segments> {
             hi = mid;
         }
     }
-    let segs = Segments { units, len: lo };
-    fits(units - (segs.count() - 1) * lo).then_some(segs)
+    Some(units.div_ceil(lo))
 }
 
 /// Member `me`'s ops of the collective of `units` units whose one segment
-/// `emit` appends, on window `w`, and the scratch bytes the largest segment
-/// needs: the whole collective when it fits a slot, otherwise the segments
-/// [`fit`] cuts it into, each a window round of its own. `None` when not
-/// even one unit fits.
-fn segmented(w: &DpWindow, me: usize, units: usize, emit: Emit<'_>) -> Option<(DpOps, usize)> {
-    let mut ops = DpOps::new(me);
-    let whole = emit(&mut ops, 0..units);
-    if whole.footprint <= w.slot_bytes {
-        return Some((ops, whole.scratch));
-    }
+/// `emit` appends, cut into `segments` segments ([`Segments::cut`]), each a
+/// window round of its own — one, the whole collective, is the same plan —
+/// and the scratch bytes the largest segment needs. The depth is the walk's
+/// ([`cheapest`]); a depth below [`fewest`]'s makes exposures that overflow
+/// their slot.
+fn segmented(me: usize, units: usize, segments: usize, emit: Emit<'_>) -> (DpOps, usize) {
     let mut ops = DpOps::new(me);
     let mut scratch = 0;
-    for (i, range) in fit(w, units, emit)?.ranges().enumerate() {
+    for (i, range) in Segments::cut(units, segments).ranges().enumerate() {
         ops.segment(i as u32);
         scratch = scratch.max(emit(&mut ops, range).scratch);
     }
-    Some((ops, scratch))
+    (ops, scratch)
 }
 
 /// The data-plane op list of one rank, with the piece table its exposes
@@ -655,46 +681,232 @@ pub(crate) fn exchange_stride(dp: Option<DpWindow>, n: usize) -> usize {
     })
 }
 
+/// One member's ops of one segment (`list`, whose exposes index `pieces`)
+/// walked on the virtual clock, with the terms the transport charges: every
+/// expose, every row, every run's gathered read — of slots behind flag lines
+/// and of stamped lines — and the completion line, as a line of its own,
+/// which it is unless the member's next exposure carries it (in the next
+/// segment, past the op list walked here). A row waits for its writers'
+/// exposures, as the transport's does.
+struct Walk<'a> {
+    list: &'a [SchedOp],
+    pieces: &'a [DpPiece],
+    at: usize,
+    clock: SimNs,
+    run: DpGather,
+    /// When this member published each phase.
+    stamps: [Option<SimNs>; cxl_shm::slots::SLOT_PHASES],
+}
+
+impl<'a> Walk<'a> {
+    fn new(list: &'a [SchedOp], pieces: &'a [DpPiece]) -> Self {
+        Walk {
+            list,
+            pieces,
+            at: 0,
+            clock: 0.0,
+            run: DpGather::default(),
+            stamps: [None; cxl_shm::slots::SLOT_PHASES],
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.at == self.list.len()
+    }
+
+    /// Walk on as far as the exposures `stamp(writer, phase)` knows let the
+    /// rows go. Stopped at a row, return what it waits for: `stamp`'s `Err`
+    /// for the first exposure it does not know yet — the writer, if nobody
+    /// walked stands in for it. `same_host(idx)` says whether group member
+    /// `idx` shares this member's host.
+    fn advance(
+        &mut self,
+        w: &DpWindow,
+        same_host: &dyn Fn(usize) -> bool,
+        stamp: &dyn Fn(usize, u8) -> Result<SimNs, Option<usize>>,
+    ) -> Option<Option<usize>> {
+        while let Some(op) = self.list.get(self.at) {
+            match *op {
+                SchedOp::AwaitRow {
+                    phase,
+                    writers: (lo, hi),
+                    ..
+                } => {
+                    // The row's writers, and those of the stamped lines the
+                    // run's reads take out of data slots.
+                    let reads = self.list[self.at + 1..].iter().map_while(|op| match op {
+                        SchedOp::PullCopy { src, .. } | SchedOp::FoldInPlace { src, .. } => {
+                            Some(Some(src.writer_idx))
+                        }
+                        SchedOp::Copy { .. } | SchedOp::Fold { .. } => Some(None),
+                        _ => None,
+                    });
+                    let mut ready = self.clock;
+                    for writer in (lo..hi).chain(reads.flatten()) {
+                        match stamp(writer, phase) {
+                            Ok(at) => ready = ready.max(at),
+                            Err(unknown) => return Some(unknown),
+                        }
+                    }
+                    self.run = w.cost.run(hi - lo);
+                    self.clock = ready + w.cost.row(hi - lo);
+                }
+                SchedOp::ExposeRead {
+                    phase,
+                    pieces: (lo, hi),
+                    ..
+                } => {
+                    self.clock += w.cost.expose(&self.pieces[lo..hi]);
+                    self.stamps[usize::from(phase)] = Some(self.clock);
+                }
+                SchedOp::PullCopy { src, len, .. } | SchedOp::FoldInPlace { src, len, .. } => {
+                    // A payload in the writer's flag line came with its row.
+                    if let bytes @ 1.. = src.slot_bytes(len) {
+                        let near = same_host(src.writer_idx);
+                        self.clock += w.cost.gather_piece(&mut self.run, bytes, near);
+                    }
+                    if src.last {
+                        self.clock += w.cost.line();
+                    }
+                }
+                _ => {}
+            }
+            self.at += 1;
+        }
+        None
+    }
+}
+
 /// What one rank's clock advances by while it executes `ops` (whose exposes
 /// index `pieces`) on window `w`, not counting time spent waiting for peers:
-/// every expose, every row, every run's gathered read — of slots behind flag
-/// lines and of stamped lines — and the completion line, priced with the
-/// terms the transport charges; the completion line as a line of its own,
-/// which it is unless the rank's next exposure carries it — in the next
-/// collective, past the op list priced here. `same_host(idx)` says whether
-/// group member `idx` shares the rank's host.
+/// its [`Walk`] with every writer's exposure out at the start.
+/// `same_host(idx)` says whether group member `idx` shares the rank's host.
 fn serial_cost(
     ops: &[SchedOp],
     pieces: &[DpPiece],
     w: &DpWindow,
     same_host: impl Fn(usize) -> bool,
 ) -> SimNs {
-    let mut run = DpGather::default();
-    ops.iter()
-        .map(|op| match *op {
-            SchedOp::AwaitRow {
-                writers: (lo, hi), ..
-            } => {
-                run = w.cost.run(hi - lo);
-                w.cost.row(hi - lo)
-            }
-            SchedOp::ExposeRead {
-                pieces: (lo, hi), ..
-            } => w.cost.expose(&pieces[lo..hi]),
-            SchedOp::PullCopy { src, len, .. } | SchedOp::FoldInPlace { src, len, .. } => {
-                let done = if src.last { w.cost.line() } else { 0.0 };
-                // A payload in the writer's flag line came with its row.
-                let read = match src.slot_bytes(len) {
-                    0 => 0.0,
-                    bytes => w
-                        .cost
-                        .gather_piece(&mut run, bytes, same_host(src.writer_idx)),
+    let mut walk = Walk::new(ops, pieces);
+    walk.advance(w, &same_host, &|_, _| Ok(0.0));
+    walk.clock
+}
+
+/// Whether group member `r` shares member `m`'s host.
+fn host_of(hier: Option<&HostHierarchy>, m: usize) -> impl Fn(usize) -> bool + '_ {
+    move |r| hier.is_some_and(|h| h.slot_of(r) == h.slot_of(m))
+}
+
+/// The latency of one segment along its shape's stage chain: the `ops` of
+/// the priced members walked together from a common start, every row
+/// waiting for the exposures of its writers. A writer that is not walked is
+/// stood in for by a walked member that has published the phase, on its
+/// host or else on a host of the same size (hosts of one size run the same
+/// share of a shape, their first member the largest); when there is none,
+/// its own ops — `emit(writer)` — join the walk. The last member to finish
+/// sets the latency; a chain in which every member waits never finishes.
+fn chain(
+    w: &DpWindow,
+    hier: Option<&HostHierarchy>,
+    mut ops: Vec<DpOps>,
+    emit: &dyn Fn(usize) -> DpOps,
+) -> SimNs {
+    let size = |r: usize| hier.map_or(0, |h| h.count(h.slot_of(r)));
+    let mut stamps = Vec::with_capacity(ops.len());
+    loop {
+        let mut walks: Vec<_> = ops.iter().map(|o| Walk::new(&o.list, &o.pieces)).collect();
+        let missing = loop {
+            stamps.clear();
+            stamps.extend(ops.iter().zip(&walks).map(|(o, k)| (o.me, k.stamps)));
+            let mut moved = false;
+            let mut missing = None;
+            for (o, walk) in ops.iter().zip(walks.iter_mut()).filter(|(_, k)| !k.done()) {
+                let stamp = |writer: usize, phase: u8| {
+                    let phase = usize::from(phase);
+                    if writer == o.me {
+                        return Ok(0.0);
+                    }
+                    if let Some((_, at)) = stamps.iter().find(|(m, _)| *m == writer) {
+                        return at[phase].ok_or(None);
+                    }
+                    let host_mate = stamps.iter().filter(|(m, _)| host_of(hier, *m)(writer));
+                    let same_size = stamps.iter().filter(|(m, _)| size(*m) == size(writer));
+                    let stand_in = host_mate.chain(same_size).find_map(|(_, at)| at[phase]);
+                    stand_in.ok_or(Some(writer))
                 };
-                read + done
+                let at = walk.at;
+                let waits = walk.advance(w, &host_of(hier, o.me), &stamp);
+                moved |= walk.at > at;
+                missing = missing.or(waits.flatten());
             }
-            _ => 0.0,
-        })
-        .sum()
+            if walks.iter().all(Walk::done) {
+                return walks.iter().map(|k| k.clock).fold(0.0, SimNs::max);
+            }
+            if !moved {
+                break missing;
+            }
+        };
+        match missing {
+            Some(writer) => ops.push(emit(writer)),
+            None => return SimNs::INFINITY,
+        }
+    }
+}
+
+/// What a window collective costs at one depth ([`pipeline`]).
+#[derive(Debug, Clone, Copy)]
+struct Priced {
+    /// One collective, from a common start to its last member's end.
+    path: SimNs,
+    /// Each of a stream of such collectives, issued back to back.
+    period: SimNs,
+}
+
+/// What a window collective of `units` units costs cut into `segments`
+/// segments. Along the pipeline's critical path: the first segment's latency
+/// down the stage chain ([`chain`]), then one segment per the slowest
+/// priced member's serial cost ([`Walk`]) — the members work on consecutive
+/// segments at once. A writer holds [`DP_SLOTS`] segments' slots; the one
+/// after waits until its readers' completion lines show every earlier one
+/// read, then reads them in one row — so past [`DP_SLOTS`] segments every
+/// group of that many starts from a drained pipeline: the chain latency
+/// again instead of a segment's serial cost, and the row. In a stream of
+/// such collectives the writer runs ahead of its readers, so a collective
+/// costs its slowest member's serial cost of every segment, and a drained
+/// pipeline every [`DP_SLOTS`] segments. `members` are the priced members;
+/// `emit(ops, range)` appends a member's ops of one segment.
+fn pipeline(
+    w: &DpWindow,
+    hier: Option<&HostHierarchy>,
+    members: &[usize],
+    segs: Segments,
+    emit: Emit<'_>,
+) -> Priced {
+    let ops = |m: usize, len: usize| {
+        let mut ops = DpOps::new(m);
+        emit(&mut ops, 0..len);
+        ops
+    };
+    let serial = |ops: &[DpOps]| {
+        let cost = |o: &DpOps| serial_cost(&o.list, &o.pieces, w, host_of(hier, o.me));
+        ops.iter().map(cost).fold(0.0, SimNs::max)
+    };
+    let full: Vec<DpOps> = members.iter().map(|&m| ops(m, segs.len)).collect();
+    let each = serial(&full);
+    let last = match segs.last() {
+        len if len == segs.len => each,
+        len => serial(&members.iter().map(|&m| ops(m, len)).collect::<Vec<_>>()),
+    };
+    let latency = chain(w, hier, full, &|m| ops(m, segs.len));
+    let k = segs.count();
+    let refill = latency - each + w.cost.row(w.ranks - 1);
+    let drains = k.div_ceil(DP_SLOTS) - 1;
+    let path = match k {
+        1 => latency,
+        _ => latency + each * (k - 2) as f64 + last + refill * drains as f64,
+    };
+    let period = each * (k - 1) as f64 + last + refill * k as f64 / DP_SLOTS as f64;
+    Priced { path, period }
 }
 
 /// Which of its window shapes a collective takes: what [`cheapest`] picks
@@ -760,64 +972,84 @@ fn priced(hier: Option<&HostHierarchy>, skip: Option<usize>) -> Vec<usize> {
     members
 }
 
-/// The cheapest of `shapes` on window `w` for a collective of `units`
-/// units, each shape priced in the fewest segments it fits a slot in
-/// ([`fit`]) — `None` when no shape fits even one unit. The host-sliced
-/// shape is a candidate only on two hosts or more. A shape costs what
-/// [`serial_cost`] walks out of its segments' ops, appended by
-/// `emit(ops, shape, range)`, for the slowest of `members`, each reading its
-/// own host out of the shared cache: segments of one length cost the same,
-/// so a member prices one full segment and the last. Nothing here depends on
-/// the member asking, so every member reaches the same verdict; a tie goes to
-/// the earlier shape, so the cost model, not a byte threshold, puts every
-/// crossover.
+/// How a window collective runs, as the walk ([`cheapest`]) chose it: its
+/// shape, the number of segments it is cut into, and what that was priced
+/// at ([`pipeline`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct DpChoice {
+    pub(crate) shape: DpShape,
+    pub(crate) segments: usize,
+    pub(crate) priced: SimNs,
+}
+
+/// The cheapest `(shape, depth)` on window `w` for a collective of `units`
+/// units of `unit` bytes — `None` when no shape fits even one unit. The
+/// host-sliced shape is a candidate only on two hosts or more. Each shape is
+/// priced at its [`fewest`] segments `k`, then at `2k`, `4k`, … until a
+/// segment would be shorter than a line, each depth by the pipeline of the
+/// ops `emit(ops, shape, range)` appends for `members`, each reading its own
+/// host out of the shared cache ([`pipeline`]). The choice is the least
+/// critical path among the depths that do not slow a stream of the
+/// collective down: none may cost more per collective issued back to back
+/// than the shape that is cheapest at its fewest segments — the plan a
+/// payload that fits a slot runs as one round. Nothing here depends on the
+/// member asking, so every member reaches the same verdict; a tie goes to the
+/// earlier shape, then to the shallower depth, so the cost model, not a byte
+/// threshold or a segment size, puts every crossover.
 fn cheapest(
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     members: &[usize],
     shapes: &[DpShape],
-    units: usize,
+    (units, unit): (usize, usize),
     emit: impl Fn(&mut DpOps, DpShape, Range<usize>) -> Fit,
-) -> Option<DpShape> {
-    let mut best: Option<(SimNs, DpShape)> = None;
+) -> Option<DpChoice> {
     let sliced = spread(hier).is_some();
-    'shapes: for &shape in shapes.iter().filter(|&&s| sliced || s != DpShape::Hosts) {
+    let shapes = shapes.iter().filter(|&&s| sliced || s != DpShape::Hosts);
+    // Each shape's fewest segments and what they cost (a list names each of
+    // the three shapes once at most); the cheapest of those is the
+    // reference a deeper cut's stream must not lose to.
+    let mut fewest_of: [Option<(usize, Priced)>; 3] = [None; 3];
+    for (slot, &shape) in fewest_of.iter_mut().zip(shapes.clone()) {
         let emit = |ops: &mut DpOps, range: Range<usize>| emit(ops, shape, range);
-        // The segments, once a member's whole collective did not fit.
-        let mut segs: Option<Segments> = None;
-        let mut cost: SimNs = 0.0;
-        for &m in members {
-            let same_host = |r: usize| hier.is_some_and(|h| h.slot_of(r) == h.slot_of(m));
-            let price = |len: usize| {
-                let mut ops = DpOps::new(m);
-                let fit = emit(&mut ops, 0..len);
-                (serial_cost(&ops.list, &ops.pieces, w, same_host), fit)
-            };
-            let (whole, fits) = price(units);
-            if fits.footprint <= w.slot_bytes {
-                cost = cost.max(whole);
-                continue;
+        *slot = fewest(w, units, &emit).map(|segments| {
+            let segs = Segments::cut(units, segments);
+            (segments, pipeline(w, hier, members, segs, &emit))
+        });
+    }
+    let least = |best: Option<Priced>, p: Priced| match best {
+        Some(b) if b.path <= p.path => best,
+        _ => Some(p),
+    };
+    let stream = fewest_of
+        .iter()
+        .flatten()
+        .map(|f| f.1)
+        .fold(None, least)?
+        .period;
+    let mut best: Option<DpChoice> = None;
+    for (fewest, &shape) in fewest_of.iter().zip(shapes) {
+        let Some((mut segments, mut priced)) = *fewest else {
+            continue;
+        };
+        let emit = |ops: &mut DpOps, range: Range<usize>| emit(ops, shape, range);
+        loop {
+            let Priced { path, period } = priced;
+            if period <= stream && best.is_none_or(|b| path < b.priced) {
+                best = Some(DpChoice {
+                    shape,
+                    segments,
+                    priced: path,
+                });
             }
-            if segs.is_none() {
-                segs = fit(w, units, &emit);
+            segments *= 2;
+            if segments > units || units.div_ceil(segments) * unit < SLOT_CELL_SIZE {
+                break;
             }
-            let Some(segs) = segs else {
-                continue 'shapes;
-            };
-            let last = units - (segs.count() - 1) * segs.len;
-            let each = price(segs.len).0;
-            let tail = if last == segs.len {
-                each
-            } else {
-                price(last).0
-            };
-            cost = cost.max(each * (segs.count() - 1) as f64 + tail);
-        }
-        if best.is_none_or(|(least, _)| cost < least) {
-            best = Some((cost, shape));
+            priced = pipeline(w, hier, members, Segments::cut(units, segments), &emit);
         }
     }
-    best.map(|(_, shape)| shape)
+    best
 }
 
 /// Barrier as a zero-byte all-to-all exchange on the flag lines: every rank
@@ -842,20 +1074,31 @@ pub(crate) fn build_barrier_shm(view: &CommView<'_>) -> CollPlan {
 }
 
 /// The broadcast of `total` bytes from `root` on window `w` that costs its
-/// slowest reader least ([`cheapest`]).
-pub(crate) fn bcast_shape(
+/// slowest reader least ([`cheapest`]): its shape and its depth.
+pub(crate) fn bcast_choice(
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     root: Rank,
     total: usize,
-) -> Option<DpShape> {
+) -> Option<DpChoice> {
     // The root's host reads the root's exposure directly in either shape.
     let mut members = priced(hier, spread(hier).map(|h| h.slot_of(root)));
-    members.push(root);
+    if members.iter().all(|&m| m == root) {
+        // One host: price a reader besides the root.
+        members.push((root + 1) % w.ranks);
+    }
+    if !members.contains(&root) {
+        members.push(root);
+    }
     let shapes = [DpShape::Direct, DpShape::Hosts];
-    cheapest(w, hier, &members, &shapes, total, |ops, shape, range| {
-        bcast_ops(ops, w, hier, shape, root, range)
-    })
+    cheapest(
+        w,
+        hier,
+        &members,
+        &shapes,
+        (total, 1),
+        |ops, shape, range| bcast_ops(ops, w, hier, shape, root, range),
+    )
 }
 
 /// Single-copy broadcast. The root exposes the whole payload once; how the
@@ -880,12 +1123,12 @@ pub(crate) fn build_bcast_shm(
     view: &CommView<'_>,
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
-    shape: DpShape,
+    (shape, segments): (DpShape, usize),
     root: Rank,
     total: usize,
 ) -> CollPlan {
     let emit: Emit<'_> = &|ops, range| bcast_ops(ops, w, hier, shape, root, range);
-    let (ops, _) = segmented(w, view.rank, total, emit).expect("a broadcast shape that fits");
+    let (ops, _) = segmented(view.rank, total, segments, emit);
     let input = if view.rank == root {
         (0, total)
     } else {
@@ -942,30 +1185,53 @@ fn bcast_ops(
     }
 }
 
+/// The depth of the rooted reduce of `count` elements of `elem` bytes among
+/// `n` members to `root` on window `w` ([`cheapest`], one shape). `None`
+/// when not even one element fits a slot.
+pub(crate) fn reduce_choice(
+    w: &DpWindow,
+    hier: Option<&HostHierarchy>,
+    (n, root): (usize, Rank),
+    count: usize,
+    elem: usize,
+) -> Option<DpChoice> {
+    let mut members = priced(hier, None);
+    if !members.contains(&root) {
+        members.push(root);
+    }
+    cheapest(
+        w,
+        hier,
+        &members,
+        &[DpShape::Direct],
+        (count, elem),
+        |ops, _, range| reduce_ops(ops, w, n, root, elem, range),
+    )
+}
+
 /// Single-copy rooted reduce: every non-root exposes its full vector; the
 /// root pulls each one through a scratch staging block and folds it into its
 /// own buffer, storing its completion line after the last contributor — the
 /// one reader every exposure has. The root moves each vector across the
-/// fabric exactly once, with no intermediate partial-sum hops. `None` when
-/// not even one element fits a slot.
+/// fabric exactly once, with no intermediate partial-sum hops.
 ///
-/// Slot footprint: the vector's (`count × sizeof(T)` bytes); a vector that
-/// does not fit runs in segments of consecutive elements.
+/// Slot footprint: the vector's (`count × sizeof(T)` bytes); the walk's
+/// `segments` are consecutive runs of elements.
 pub(crate) fn build_reduce_shm<T: Reducible>(
     view: &CommView<'_>,
     w: &DpWindow,
     root: Rank,
-    count: usize,
+    (count, segments): (usize, usize),
     op: ReduceOp,
-) -> Option<CollPlan> {
+) -> CollPlan {
     let (me, n) = (view.rank, view.size());
     let elem = std::mem::size_of::<T>();
     let emit: Emit<'_> = &|ops, range| reduce_ops(ops, w, n, root, elem, range);
-    let (ops, scratch_len) = segmented(w, me, count, emit)?;
+    let (ops, scratch_len) = segmented(me, count, segments, emit);
     let total = count * elem;
     let result = if me == root { (0, total) } else { (0, 0) };
     let fold = Some((op, fold_bytes::<T> as FoldFn));
-    Some(ops.into_plan(view, fold, result, (0, total), scratch_len, "reduce/shm"))
+    ops.into_plan(view, fold, result, (0, total), scratch_len, "reduce/shm")
 }
 
 /// Member `ops.me`'s part of the reduce of elements `seg` of `elem` bytes
@@ -1234,38 +1500,43 @@ fn allreduce_ops(
     }
 }
 
-/// The allreduce shape among `n` members reducing `count` elements of `elem`
-/// bytes that costs its slowest member least on window `w` — one phase, two
-/// phases or host-sliced ([`cheapest`]). A tie goes to the single round.
-pub(crate) fn allreduce_shm_shape(
+/// The allreduce among `n` members reducing `count` elements of `elem` bytes
+/// that costs its slowest member least on window `w` — one phase, two phases
+/// or host-sliced, and its depth ([`cheapest`]). A tie goes to the single
+/// round.
+pub(crate) fn allreduce_choice(
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     n: usize,
     count: usize,
     elem: usize,
-) -> Option<DpShape> {
+) -> Option<DpChoice> {
     let shapes = [DpShape::Direct, DpShape::TwoPhase, DpShape::Hosts];
     let members = priced(hier, None);
-    cheapest(w, hier, &members, &shapes, count, |ops, shape, range| {
-        allreduce_ops(ops, w, hier, shape, (n, elem), range)
-    })
+    cheapest(
+        w,
+        hier,
+        &members,
+        &shapes,
+        (count, elem),
+        |ops, shape, range| allreduce_ops(ops, w, hier, shape, (n, elem), range),
+    )
 }
 
-/// Single-copy allreduce of `count` elements of `T`, in `shape` — in
-/// segments of consecutive elements when the shape does not fit a slot.
+/// Single-copy allreduce of `count` elements of `T`, in `shape`, in the
+/// walk's `segments` of consecutive elements.
 pub(crate) fn build_allreduce_shm<T: Reducible>(
     view: &CommView<'_>,
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
-    shape: DpShape,
+    (shape, segments): (DpShape, usize),
     count: usize,
     op: ReduceOp,
 ) -> CollPlan {
     let elem = std::mem::size_of::<T>();
     let vector = (view.size(), elem);
     let emit: Emit<'_> = &|ops, range| allreduce_ops(ops, w, hier, shape, vector, range);
-    let segmented = segmented(w, view.rank, count, emit);
-    let (ops, scratch_len) = segmented.expect("an allreduce shape that fits");
+    let (ops, scratch_len) = segmented(view.rank, count, segments, emit);
     let total = count * elem;
     let fold = Some((op, fold_bytes::<T> as FoldFn));
     let label = shape.label("allreduce/shm", "allreduce/shm+hosts");
@@ -1273,18 +1544,23 @@ pub(crate) fn build_allreduce_shm<T: Reducible>(
 }
 
 /// The allgather of `block` bytes per member among `n` on window `w` that
-/// costs its slowest member least — direct or host-sliced.
-pub(crate) fn allgather_shape(
+/// costs its slowest member least — direct or host-sliced — and its depth.
+pub(crate) fn allgather_choice(
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     n: usize,
     block: usize,
-) -> Option<DpShape> {
+) -> Option<DpChoice> {
     let shapes = [DpShape::Direct, DpShape::Hosts];
     let members = priced(hier, None);
-    cheapest(w, hier, &members, &shapes, block, |ops, shape, range| {
-        allgather_ops(ops, w, hier, shape, (n, block), range)
-    })
+    cheapest(
+        w,
+        hier,
+        &members,
+        &shapes,
+        (block, 1),
+        |ops, shape, range| allgather_ops(ops, w, hier, shape, (n, block), range),
+    )
 }
 
 /// Single-copy allgather: every rank exposes its own block (phase 0), then,
@@ -1306,12 +1582,12 @@ pub(crate) fn build_allgather_shm(
     view: &CommView<'_>,
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
-    shape: DpShape,
+    (shape, segments): (DpShape, usize),
     block: usize,
 ) -> CollPlan {
     let (me, n) = (view.rank, view.size());
     let emit: Emit<'_> = &|ops, range| allgather_ops(ops, w, hier, shape, (n, block), range);
-    let (ops, _) = segmented(w, me, block, emit).expect("an allgather shape that fits");
+    let (ops, _) = segmented(me, block, segments, emit);
     let input = (me * block, (me + 1) * block);
     let label = shape.label("allgather/shm", "allgather/shm+hosts");
     ops.into_plan(view, None, (0, n * block), input, 0, label)
@@ -1389,6 +1665,26 @@ fn allgather_ops(
     }
 }
 
+/// The depth of the alltoall of `block` bytes per peer among `n` members on
+/// window `w` ([`cheapest`], one shape). `None` when not even a byte of every
+/// block fits a slot.
+pub(crate) fn alltoall_choice(
+    w: &DpWindow,
+    hier: Option<&HostHierarchy>,
+    n: usize,
+    block: usize,
+) -> Option<DpChoice> {
+    let members = priced(hier, None);
+    cheapest(
+        w,
+        hier,
+        &members,
+        &[DpShape::Direct],
+        (block, 1),
+        |ops, _, range| alltoall_ops(ops, w, (n, block), range),
+    )
+}
+
 /// Single-copy alltoall: every rank exposes its **whole send image** once
 /// (n blocks, block `i` addressed to rank `i`), then pulls block `me` out of
 /// each peer's exposure directly into that peer's slice of its own buffer —
@@ -1398,29 +1694,29 @@ fn allgather_ops(
 /// n−1 concurrent pulls. WAR safety needs no extra guard: the exposure
 /// publishes a *copy* into the window, so the local buffer is free to receive
 /// pulled blocks immediately, and slot reuse across consecutive collectives
-/// is gated by the readers' completion lines. `None` when not even a byte
-/// of every block fits a slot.
+/// is gated by the readers' completion lines.
 ///
-/// Slot footprint: the full send image's (`n × block` bytes). An image that
-/// does not fit runs in segments, each the same byte range of every block,
+/// Slot footprint: the full send image's (`n × block` bytes). In the walk's
+/// `segments` of more than one, each is the same byte range of every block,
 /// packed into scratch and exposed as the image of the segment.
 pub(crate) fn build_alltoall_shm(
     view: &CommView<'_>,
     w: &DpWindow,
     block: usize,
-) -> Option<CollPlan> {
+    segments: usize,
+) -> CollPlan {
     let n = view.size();
     let emit: Emit<'_> = &|ops, range| alltoall_ops(ops, w, (n, block), range);
-    let (ops, scratch_len) = segmented(w, view.rank, block, emit)?;
+    let (ops, scratch_len) = segmented(view.rank, block, segments, emit);
     let total = n * block;
-    Some(ops.into_plan(
+    ops.into_plan(
         view,
         None,
         (0, total),
         (0, total),
         scratch_len,
         "alltoall/shm",
-    ))
+    )
 }
 
 /// Member `ops.me`'s part of the alltoall of bytes `seg` of every
@@ -1522,19 +1818,25 @@ mod tests {
     fn bcast_plan_shape() {
         let group = Group::from_world_ranks(vec![0, 1, 2, 3]).unwrap();
         let w = window(4, 64 * 1024);
-        let root_plan = build_bcast_shm(&view_of(&group, 1), &w, None, DpShape::Direct, 1, 256);
+        let root_plan =
+            build_bcast_shm(&view_of(&group, 1), &w, None, (DpShape::Direct, 1), 1, 256);
         // Root: one expose, nothing to wait for.
         assert_eq!(shape(&root_plan), (1, 0, 0));
         assert_eq!(root_plan.label, "bcast/shm");
         assert_eq!(root_plan.input_len(), 256);
-        let leaf_plan = build_bcast_shm(&view_of(&group, 3), &w, None, DpShape::Direct, 1, 256);
+        let leaf_plan =
+            build_bcast_shm(&view_of(&group, 3), &w, None, (DpShape::Direct, 1), 1, 256);
         // Non-root: a single pull, which is also its last read.
         assert_eq!(shape(&leaf_plan), (0, 1, 1));
         assert_eq!(leaf_plan.input_len(), 0);
         assert_eq!(leaf_plan.result_len(), 256);
         // A zero-byte broadcast moves nothing and touches no line.
-        assert!(build_bcast_shm(&view_of(&group, 1), &w, None, DpShape::Direct, 1, 0).is_empty());
-        assert!(build_bcast_shm(&view_of(&group, 3), &w, None, DpShape::Direct, 1, 0).is_empty());
+        assert!(
+            build_bcast_shm(&view_of(&group, 1), &w, None, (DpShape::Direct, 1), 1, 0).is_empty()
+        );
+        assert!(
+            build_bcast_shm(&view_of(&group, 3), &w, None, (DpShape::Direct, 1), 1, 0).is_empty()
+        );
     }
 
     #[test]
@@ -1549,7 +1851,14 @@ mod tests {
             (16 * 1024, DpFormat::Slot),
         ];
         for (bytes, format) in formats {
-            let leaf = build_bcast_shm(&view_of(&group, 2), &w, None, DpShape::Direct, 0, bytes);
+            let leaf = build_bcast_shm(
+                &view_of(&group, 2),
+                &w,
+                None,
+                (DpShape::Direct, 1),
+                0,
+                bytes,
+            );
             let Some(&SchedOp::PullCopy { src, len, .. }) = leaf.ops.last() else {
                 panic!("leaf plan ends with {:?}", leaf.ops.last());
             };
@@ -1558,13 +1867,20 @@ mod tests {
                 (format, 0, 0, bytes)
             );
             // The root publishes in the format its readers expect.
-            let root = build_bcast_shm(&view_of(&group, 0), &w, None, DpShape::Direct, 0, bytes);
+            let root = build_bcast_shm(
+                &view_of(&group, 0),
+                &w,
+                None,
+                (DpShape::Direct, 1),
+                0,
+                bytes,
+            );
             assert_eq!(root.pieces[0].format, format, "{bytes} B");
         }
         // An alltoall reader takes its own block out of the middle of the
         // peer's image — by its offset in the image, line or lines alike.
         for (block, format) in [(16, INLINE), (32, STAMPED)] {
-            let plan = build_alltoall_shm(&view_of(&group, 1), &w, block).unwrap();
+            let plan = build_alltoall_shm(&view_of(&group, 1), &w, block, 1);
             let SchedOp::PullCopy { src, len, .. } = plan.ops[2] else {
                 panic!("expected a pull, got {:?}", plan.ops[2]);
             };
@@ -1743,7 +2059,7 @@ mod tests {
         let w = window(8, 64 * 1024);
         // Allgather of a flag-line payload: every peer's line in one row,
         // then seven reads that wait for nothing.
-        let plan = build_allgather_shm(&view_of(&group, 3), &w, None, DpShape::Direct, 8);
+        let plan = build_allgather_shm(&view_of(&group, 3), &w, None, (DpShape::Direct, 1), 8);
         assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
         assert!(matches!(plan.ops[1], SchedOp::AwaitRow { phase: 0, .. }));
         assert_eq!(rows(&plan.ops), [(0, 8)]);
@@ -1751,22 +2067,36 @@ mod tests {
         for (rank, row) in [(0, (1, 8)), (7, (0, 7))] {
             assert_eq!(
                 rows(
-                    &build_allgather_shm(&view_of(&group, rank), &w, None, DpShape::Direct, 8).ops
+                    &build_allgather_shm(&view_of(&group, rank), &w, None, (DpShape::Direct, 1), 8)
+                        .ops
                 ),
                 [row]
             );
         }
         // A broadcast leaf's row is the root's line alone.
-        let leaf = build_bcast_shm(&view_of(&group, 5), &w, None, DpShape::Direct, 2, 48);
+        let leaf = build_bcast_shm(&view_of(&group, 5), &w, None, (DpShape::Direct, 1), 2, 48);
         assert_eq!(rows(&leaf.ops), [(2, 3)]);
         // Reads out of data slots come in the same runs.
-        let plan = build_allgather_shm(&view_of(&group, 3), &w, None, DpShape::Direct, 16 * 1024);
+        let plan = build_allgather_shm(
+            &view_of(&group, 3),
+            &w,
+            None,
+            (DpShape::Direct, 1),
+            16 * 1024,
+        );
         assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
         assert_eq!(rows(&plan.ops), [(0, 8)]);
-        let leaf = build_bcast_shm(&view_of(&group, 5), &w, None, DpShape::Direct, 2, 64 * 1024);
+        let leaf = build_bcast_shm(
+            &view_of(&group, 5),
+            &w,
+            None,
+            (DpShape::Direct, 1),
+            2,
+            64 * 1024,
+        );
         assert_eq!(rows(&leaf.ops), [(2, 3)]);
         // Stamped lines in data slots need no row: one run, no lines.
-        let plan = build_allgather_shm(&view_of(&group, 3), &w, None, DpShape::Direct, 64);
+        let plan = build_allgather_shm(&view_of(&group, 3), &w, None, (DpShape::Direct, 1), 64);
         assert_eq!((plan.len(), shape(&plan)), (9, (1, 7, 1)));
         assert_eq!(rows(&plan.ops), [(0, 0)]);
         // The one-phase allreduce's local copy and fold sit inside the run.
@@ -1902,7 +2232,7 @@ mod tests {
                 &view_of(&group, rank),
                 &w,
                 Some(&h),
-                DpShape::Hosts,
+                (DpShape::Hosts, 1),
                 0,
                 total,
             )
@@ -1929,13 +2259,29 @@ mod tests {
         assert_eq!(remote.result_len(), total);
         // The walk keeps 256 B direct and slices 128 KiB.
         let h = hier(4);
-        assert_eq!(bcast_shape(&w, Some(&h), 0, 256), Some(DpShape::Direct));
-        assert_eq!(bcast_shape(&w, Some(&h), 0, total), Some(DpShape::Hosts));
+        assert_eq!(
+            bcast_choice(&w, Some(&h), 0, 256).map(|c| c.shape),
+            Some(DpShape::Direct)
+        );
+        assert_eq!(
+            bcast_choice(&w, Some(&h), 0, total).map(|c| c.shape),
+            Some(DpShape::Hosts)
+        );
         // On one host there is nothing to slice by.
         let one_host = HostTopology::blocked(6, 1).unwrap();
         let h1 = HostHierarchy::derive(&group, &one_host, 4);
-        assert_eq!(bcast_shape(&w, Some(&h1), 0, total), Some(DpShape::Direct));
-        let flat = build_bcast_shm(&view_of(&group, 4), &w, Some(&h1), DpShape::Hosts, 0, total);
+        assert_eq!(
+            bcast_choice(&w, Some(&h1), 0, total).map(|c| c.shape),
+            Some(DpShape::Direct)
+        );
+        let flat = build_bcast_shm(
+            &view_of(&group, 4),
+            &w,
+            Some(&h1),
+            (DpShape::Hosts, 1),
+            0,
+            total,
+        );
         assert_eq!(shape(&flat), (0, 1, 1));
     }
 
@@ -2004,11 +2350,12 @@ mod tests {
         // Rank 0 folds in place; the others stage their own vector too.
         assert_eq!(plan(0, 64).scratch_len(), 512);
         assert_eq!(plan(3, 64).scratch_len(), 1024);
-        // Each shape priced in the fewest segments it fits a slot in: on
+        // Each shape priced from the fewest segments it fits a slot in: on
         // 64 KiB slots the two-phase shape holds 7280 f64 (the vector and
         // an eighth of it, each on lines of its own) in one; 7281, and a
-        // whole slot's 8192, take two segments and still beat folding whole
-        // vectors; 20 000 take three.
+        // whole slot's 8192, take two and still beat folding whole vectors;
+        // 20 000 take three. No deeper cut pays there: the segments are cut
+        // evenly, so 7281 runs as 3641 and 3640 elements.
         let tight = Some(window(8, 64 * 1024));
         let view = view_of(&group, 0);
         let segments = |count| {
@@ -2017,9 +2364,7 @@ mod tests {
             (plan.seqs, shape(&plan))
         };
         assert_eq!(segments(7280), (1, (2, 14, 1)));
-        // One element left over: rank 0 owns it, folds it and reads nothing
-        // back in the second segment.
-        assert_eq!(segments(7281), (2, (4, 21, 2)));
+        assert_eq!(segments(7281), (2, (4, 28, 2)));
         assert_eq!(segments(8192), (2, (4, 28, 2)));
         assert_eq!(segments(20_000), (3, (6, 42, 3)));
     }
@@ -2213,7 +2558,7 @@ mod tests {
             &view_of(&group, 0),
             &window(3, 4096),
             None,
-            DpShape::Direct,
+            (DpShape::Direct, 1),
             128,
         );
         // 1 expose, a run, 2 pulls, the second of which ends the collective.
@@ -2221,5 +2566,83 @@ mod tests {
         assert_eq!(plan.len(), 4);
         assert_eq!(plan.result_len(), 3 * 128);
         assert_eq!(plan.input_len(), 128);
+    }
+
+    /// A collective the pricing is checked against a run of.
+    #[derive(Debug, Clone, Copy)]
+    enum Run {
+        Bcast,
+        Allreduce,
+        Allgather,
+        Alltoall,
+    }
+
+    /// `op` of `bytes` (per block, for the allgather and the alltoall) on
+    /// `comm` in its steady state, behind a barrier: this rank's virtual time
+    /// in it, and the walk's choice for it.
+    fn timed(comm: &mut crate::Comm, op: Run, bytes: usize) -> crate::Result<(SimNs, DpChoice)> {
+        let (n, me) = (comm.size(), comm.rank());
+        let (w, hier) = comm.plan_inputs();
+        let (w, hier) = (w.expect("a window"), hier.as_deref());
+        let choice = match op {
+            Run::Bcast => bcast_choice(&w, hier, 0, bytes),
+            Run::Allreduce => allreduce_choice(&w, hier, n, bytes / 8, 8),
+            Run::Allgather => allgather_choice(&w, hier, n, bytes),
+            Run::Alltoall => alltoall_choice(&w, hier, n, bytes),
+        };
+        let mut values = vec![1.0f64; bytes / 8];
+        let send = vec![me as u8; n * bytes];
+        let mut recv = vec![0u8; n * bytes];
+        let mut once = |comm: &mut crate::Comm| match op {
+            Run::Bcast => comm.bcast_into(0, &mut recv[..bytes]),
+            Run::Allreduce => comm.allreduce(&mut values, ReduceOp::Sum),
+            Run::Allgather => comm.allgather_into(&send[..bytes], &mut recv),
+            Run::Alltoall => comm.alltoall(&send, &mut recv),
+        };
+        once(comm)?;
+        once(comm)?;
+        comm.barrier()?;
+        let start = comm.clock_ns();
+        once(comm)?;
+        Ok((comm.clock_ns() - start, choice.expect("a window choice")))
+    }
+
+    #[test]
+    fn a_run_takes_the_time_its_depth_was_priced_at() {
+        // The slowest rank's virtual time in a steady-state collective is
+        // within 10 % of the critical path the walk priced its choice at.
+        const KIB: usize = 1024;
+        let cases: [(usize, &[(Run, usize)]); 2] = [
+            (
+                8,
+                &[
+                    (Run::Bcast, 64 * KIB),
+                    (Run::Bcast, 256 * KIB),
+                    (Run::Allreduce, 64 * KIB),
+                    (Run::Allreduce, 256 * KIB),
+                    (Run::Allgather, 64 * KIB),
+                    (Run::Alltoall, 64 * KIB),
+                ],
+            ),
+            (2, &[(Run::Bcast, 1024 * KIB), (Run::Allreduce, 1024 * KIB)]),
+        ];
+        for (ranks, runs) in cases {
+            let config = crate::UniverseConfig::cxl(ranks).with_hosts(2);
+            let results = crate::Universe::run(config, |comm| {
+                runs.iter()
+                    .map(|&(op, bytes)| timed(comm, op, bytes))
+                    .collect::<crate::Result<Vec<_>>>()
+            })
+            .unwrap();
+            for (i, &(op, bytes)) in runs.iter().enumerate() {
+                let choice = results[0].0[i].1;
+                let measured = results.iter().map(|(r, _)| r[i].0).fold(0.0, SimNs::max);
+                let what = format!("{op:?} of {bytes} B at {ranks} ranks on 2 hosts, {choice:?}");
+                assert!(
+                    (measured - choice.priced).abs() <= 0.1 * measured,
+                    "{what}: measured {measured:.1} ns"
+                );
+            }
+        }
     }
 }

@@ -59,6 +59,15 @@ fn seg_of(op: &SchedOp) -> Option<u32> {
     }
 }
 
+/// Where the room of a piece at `region_off` of an exposure read by
+/// `readers` ends on window `w`: its reader's region of the slot, or the slot.
+fn room(w: &DpWindow, readers: DpReaders, region_off: usize) -> usize {
+    match readers {
+        DpReaders::PerPiece { stride } => (region_off / stride + 1) * stride,
+        _ => w.slot_bytes,
+    }
+}
+
 /// Check the plans of one shape: `plans[i]` is member `i`'s. Panics naming
 /// `shape` and the member at the first disagreement.
 fn check(shape: &str, w: &DpWindow, plans: &[CollPlan]) {
@@ -109,10 +118,7 @@ fn check(shape: &str, w: &DpWindow, plans: &[CollPlan]) {
                 }
                 for p in &plan.pieces[lo..hi] {
                     let len = p.end - p.start;
-                    let room = match readers {
-                        DpReaders::PerPiece { stride } => (p.region_off / stride + 1) * stride,
-                        _ => w.slot_bytes,
-                    };
+                    let room = room(w, readers, p.region_off);
                     let what = format!("{shape}: writer {writer}'s exposure at {}", p.region_off);
                     assert!(
                         p.region_off + p.format.footprint(len) <= room,
@@ -666,7 +672,7 @@ fn every_window_shape_computes_its_collective() {
                     run(
                         format!("allreduce of {len} B"),
                         Expect::Allreduce { total },
-                        &|v, h| build_allreduce_shm::<u64>(v, &w, Some(h), shape, count, sum),
+                        &|v, h| build_allreduce_shm::<u64>(v, &w, Some(h), (shape, 1), count, sum),
                     );
                     if shape == DpShape::TwoPhase {
                         continue;
@@ -674,13 +680,13 @@ fn every_window_shape_computes_its_collective() {
                     run(
                         format!("allgather of {len} B"),
                         Expect::Allgather { block: len },
-                        &|v, h| build_allgather_shm(v, &w, Some(h), shape, len),
+                        &|v, h| build_allgather_shm(v, &w, Some(h), (shape, 1), len),
                     );
                     for root in 0..n {
                         run(
                             format!("bcast of {len} B from {root}"),
                             Expect::Bcast { root, total: len },
-                            &|v, h| build_bcast_shm(v, &w, Some(h), shape, root, len),
+                            &|v, h| build_bcast_shm(v, &w, Some(h), (shape, 1), root, len),
                         );
                     }
                 }
@@ -689,58 +695,103 @@ fn every_window_shape_computes_its_collective() {
     }
 }
 
+/// Whether every exposure of `plans` fits its slot on window `w`, or its
+/// reader's region of it.
+fn fits(w: &DpWindow, plans: &[CollPlan]) -> bool {
+    plans.iter().all(|plan| {
+        plan.ops.iter().all(|op| match *op {
+            SchedOp::ExposeRead {
+                pieces: (lo, hi),
+                readers,
+                ..
+            } => plan.pieces[lo..hi].iter().all(|p| {
+                p.region_off + p.format.footprint(p.end - p.start) <= room(w, readers, p.region_off)
+            }),
+            _ => true,
+        })
+    })
+}
+
+/// A builder of one member's plan of a window collective in a given number
+/// of segments.
+type BuildAt<'a> = &'a dyn Fn(&CommView<'_>, &HostHierarchy, usize) -> CollPlan;
+
+/// The fewest segments every exposure of a window collective of `units`
+/// units fits a slot in among `topology`'s members.
+fn fewest(w: &DpWindow, topology: &HostTopology, units: usize, build: BuildAt<'_>) -> usize {
+    (1..=units)
+        .find(|&k| fits(w, &plans_of(topology, &|v, h| build(v, h, k))))
+        .expect("a unit fits")
+}
+
+/// The depths a window collective of `units` units is checked at: the
+/// fewest segments ([`fewest`]), twice and four times that — the depths the
+/// walk prices first — and the first depth past [`DP_SLOTS`] and four times
+/// the fewest whose last segment is shorter than the others.
+fn depths(w: &DpWindow, topology: &HostTopology, units: usize, build: BuildAt<'_>) -> [usize; 4] {
+    let fewest = fewest(w, topology, units, build);
+    let uneven = ((4 * fewest + 1).max(DP_SLOTS + 1)..)
+        .find(|&k| !units.is_multiple_of(units.div_ceil(k)))
+        .expect("an uneven cut");
+    [fewest, 2 * fewest, 4 * fewest, uneven]
+}
+
 #[test]
-fn every_window_shape_computes_its_collective_in_segments() {
-    // The same, every shape past one slot of a small window: a byte past it
-    // and two and a half slots, so that every segment's exposures land in
-    // their own slot of the rotation — and the rooted reduce and the
-    // alltoall besides.
+fn every_window_shape_computes_its_collective_at_every_depth() {
+    // Every shape past one slot of a small window — two and a half slots —
+    // at every depth the walk can pick: the fewest segments, twice and four
+    // times as many, and an uneven cut past the slot rotation, so that
+    // segments share a slot. The rooted reduce and the alltoall besides.
     let sum = ReduceOp::Sum;
-    let shapes = [DpShape::Direct, DpShape::TwoPhase, DpShape::Hosts];
-    for n in [2, 3, 5, 6, 7, 8, 33] {
+    for n in [2, 3, 5, 8] {
         let w = window(n, 16 * 1024);
+        let len = 5 * w.slot_bytes / 2;
+        let (count, total) = (len / 8, len / 8 * 8);
+        let block = len.div_ceil(n);
         for (layout, topology) in layouts(n) {
-            for len in [w.slot_bytes + 1, 5 * w.slot_bytes / 2] {
-                let (count, total) = (len / 8, len / 8 * 8);
-                let run = |what: String, result, build: Build<'_>| {
-                    let shape = format!("{what}, n = {n} {layout}");
-                    run(&shape, &w, &topology, Some(result), build);
-                };
-                let block = len.div_ceil(n);
+            let run = |what: String, units: usize, result, build: BuildAt<'_>| {
+                for k in depths(&w, &topology, units, build) {
+                    let shape = format!("{what} in {k} segments, n = {n} {layout}");
+                    run(&shape, &w, &topology, Some(result), &|v, h| build(v, h, k));
+                }
+            };
+            run(
+                format!("alltoall of {block} B blocks"),
+                block,
+                Expect::Alltoall { block },
+                &|v, _, k| build_alltoall_shm(v, &w, block, k),
+            );
+            for shape in [DpShape::Direct, DpShape::TwoPhase, DpShape::Hosts] {
                 run(
-                    format!("alltoall of {block} B blocks"),
-                    Expect::Alltoall { block },
-                    &|v, _| build_alltoall_shm(v, &w, block).expect("a byte of a block fits"),
+                    format!("allreduce of {len} B, {shape:?}"),
+                    count,
+                    Expect::Allreduce { total },
+                    &|v, h, k| build_allreduce_shm::<u64>(v, &w, Some(h), (shape, k), count, sum),
                 );
-                for shape in shapes {
+            }
+            for shape in [DpShape::Direct, DpShape::Hosts] {
+                run(
+                    format!("allgather of {len} B, {shape:?}"),
+                    len,
+                    Expect::Allgather { block: len },
+                    &|v, h, k| build_allgather_shm(v, &w, Some(h), (shape, k), len),
+                );
+            }
+            for root in 0..n {
+                for shape in [DpShape::Direct, DpShape::Hosts] {
                     run(
-                        format!("allreduce of {len} B, {shape:?}"),
-                        Expect::Allreduce { total },
-                        &|v, h| build_allreduce_shm::<u64>(v, &w, Some(h), shape, count, sum),
-                    );
-                    if shape == DpShape::TwoPhase {
-                        continue;
-                    }
-                    run(
-                        format!("allgather of {len} B, {shape:?}"),
-                        Expect::Allgather { block: len },
-                        &|v, h| build_allgather_shm(v, &w, Some(h), shape, len),
-                    );
-                }
-                for root in 0..n {
-                    for shape in [DpShape::Direct, DpShape::Hosts] {
-                        run(
-                            format!("bcast of {len} B from {root}, {shape:?}"),
-                            Expect::Bcast { root, total: len },
-                            &|v, h| build_bcast_shm(v, &w, Some(h), shape, root, len),
-                        );
-                    }
-                    run(
-                        format!("reduce of {len} B to {root}"),
-                        Expect::Reduce { root, total },
-                        &|v, _| build_reduce_shm::<u64>(v, &w, root, count, sum).expect("fits"),
+                        format!("bcast of {len} B from {root}, {shape:?}"),
+                        len,
+                        Expect::Bcast { root, total: len },
+                        &|v, h, k| build_bcast_shm(v, &w, Some(h), (shape, k), root, len),
                     );
                 }
+                run(
+                    format!("reduce of {len} B to {root}"),
+                    count,
+                    Expect::Reduce { root, total },
+                    &|v, _, k| build_reduce_shm::<u64>(v, &w, root, (count, k), sum),
+                );
             }
         }
     }
@@ -767,7 +818,7 @@ fn a_misrouted_relay_or_a_missing_partial_is_caught_with_its_shape() {
     let w = window(8, 64 << 20);
     let what = "allgather of 4096 B, Hosts, n = 8 blocked on 2 hosts";
     let mut plans = plans_of(&blocked, &|v, h| {
-        build_allgather_shm(v, &w, Some(h), DpShape::Hosts, 4096)
+        build_allgather_shm(v, &w, Some(h), (DpShape::Hosts, 1), 4096)
     });
     let relay = plans[0].ops.iter_mut().find_map(|op| match op {
         SchedOp::PullCopy { src, .. } if src.phase == 1 => Some(src),
@@ -791,7 +842,7 @@ fn a_misrouted_relay_or_a_missing_partial_is_caught_with_its_shape() {
     let w = window(6, 64 << 20);
     let what = "allreduce of 768 B, Hosts, n = 6 blocked on 3 hosts";
     let mut plans = plans_of(&three, &|v, h| {
-        build_allreduce_shm::<u64>(v, &w, Some(h), DpShape::Hosts, 96, sum)
+        build_allreduce_shm::<u64>(v, &w, Some(h), (DpShape::Hosts, 1), 96, sum)
     });
     let folds = plans[0].ops.len();
     plans[0].ops.retain(|op| {
@@ -818,9 +869,11 @@ fn a_segment_read_one_sequence_number_off_is_caught_with_its_shape() {
     let w = window(8, 16 * 1024);
     let count = 5 * w.slot_bytes / 2 / 8;
     let what = "allreduce of 10240 B, Hosts, n = 8 blocked on 2 hosts";
-    let mut plans = plans_of(&blocked, &|v, h| {
-        build_allreduce_shm::<u64>(v, &w, Some(h), DpShape::Hosts, count, ReduceOp::Sum)
-    });
+    let build: BuildAt<'_> = &|v, h, k| {
+        build_allreduce_shm::<u64>(v, &w, Some(h), (DpShape::Hosts, k), count, ReduceOp::Sum)
+    };
+    let k = fewest(&w, &blocked, count, build);
+    let mut plans = plans_of(&blocked, &|v, h| build(v, h, k));
     assert!(plans[0].seqs >= 3, "{} segments", plans[0].seqs);
     let ops = &mut plans[0].ops;
     let row = ops
@@ -848,9 +901,7 @@ fn a_segment_read_one_sequence_number_off_is_caught_with_its_shape() {
 
     // And a member that takes one sequence number fewer than the others —
     // its segment bound one off — is caught before anything runs.
-    let mut plans = plans_of(&blocked, &|v, h| {
-        build_allreduce_shm::<u64>(v, &w, Some(h), DpShape::Hosts, count, ReduceOp::Sum)
-    });
+    let mut plans = plans_of(&blocked, &|v, h| build(v, h, k));
     plans[3].seqs -= 1;
     let message = panic_of(|| check(what, &w, &plans));
     assert!(

@@ -81,6 +81,15 @@ const DP_WINDOW_OK: u64 = 0x6450_4c4e_5f4f_4b21;
 /// cannot hold it): the communicator runs ring-only on every member.
 const DP_WINDOW_FAIL: u64 = 0x6450_4c4e_5f42_5553;
 
+/// Offset in a data-plane window's status object of the count of members
+/// still holding the window: set to the group size before the verdict goes
+/// out, taken down by one as each member drops its communicator
+/// ([`Transport::dp_settle`]).
+const DP_MEMBERS_OFF: u64 = SLOT_CELL_DATA_OFF as u64;
+
+/// Bytes a data-plane window's status object is created with.
+const STATUS_BYTES: usize = 64;
+
 /// Offset, past the init barrier's own bytes, of the word in its ready line
 /// that counts the pool bytes drawn from the headroom
 /// ([`CxlTransport::draw_headroom`]).
@@ -180,10 +189,13 @@ struct DpState {
     /// finished, so collectives completed out of order never claim an
     /// earlier one done.
     done_through: u64,
-    /// Stores this rank has made to its completion line, which keeps the
-    /// last `done_entries` of them: the next goes to entry `done_stores` mod
-    /// that.
-    done_stores: usize,
+    /// The value each entry of this rank's completion line holds, 0 while it
+    /// holds none ([`DpState::next_done_off`]).
+    done_entries: Vec<u64>,
+    /// Per group member, the latest collective in which this rank read an
+    /// exposure of it: the one whose slot that writer may still hold, and
+    /// ask this rank's completion line about.
+    last_read: Vec<Option<u32>>,
     /// The control lines of this rank's latest span read, one line per group
     /// member at most: a run of flag lines ([`Transport::dp_await_row`]) or
     /// of completion lines ([`release_held`]).
@@ -235,7 +247,8 @@ impl DpState {
             writing: Vec::new(),
             read_top: 0,
             done_through: 0,
-            done_stores: 0,
+            done_entries: vec![0; layout.done_entries()],
+            last_read: vec![None; group.len()],
             row: vec![0; group.len() * SLOT_CELL_SIZE],
             row_of: None,
             lines: Vec::new(),
@@ -332,11 +345,38 @@ impl DpState {
         })
     }
 
-    /// Where this rank's next completion store goes: the entry after the
-    /// last one's.
-    fn next_done_off(&mut self) -> usize {
-        let entry = self.done_stores % self.layout.done_entries();
-        self.done_stores += 1;
+    /// Where in this rank's completion line the store of `value` goes. A
+    /// writer that still holds the slot of a collective this rank read it in
+    /// asks the line for the store that first showed that collective done —
+    /// the smallest value past it ([`reached`]) — and however far this rank
+    /// has run ahead of it since, through collectives that writer has no
+    /// part in, must find that store's stamp: so such an entry is kept while
+    /// another one is free. Of the others the oldest goes; when every entry
+    /// is owed, the oldest of all.
+    fn next_done_off(&mut self, value: u64) -> usize {
+        // A bit per entry (a line holds `DP_SLOTS` of them).
+        let mut owed = 0u64;
+        let mut asked = None;
+        for &seq in self.last_read.iter().flatten() {
+            if asked.replace(seq) == Some(seq) {
+                continue;
+            }
+            let past = self.done_entries.iter().enumerate();
+            let first = past
+                .filter(|&(_, &v)| v > u64::from(seq))
+                .min_by_key(|&(_, &v)| v);
+            if let Some((entry, _)) = first {
+                owed |= 1 << entry;
+            }
+        }
+        let oldest = |free: bool| {
+            (0..self.done_entries.len())
+                .filter(|&e| !free || owed >> e & 1 == 0)
+                .min_by_key(|&e| self.done_entries[e])
+        };
+        let entry = oldest(true).or_else(|| oldest(false));
+        let entry = entry.expect("a completion line has entries");
+        self.done_entries[entry] = value;
         self.layout.done_off(self.my_idx, entry)
     }
 }
@@ -1010,6 +1050,9 @@ pub struct CxlTransport {
     /// Per-communicator data-plane windows. `Some(None)` memoizes a failed
     /// creation so the communicator never retries (ring-only forever).
     dp: BTreeMap<CtxId, Option<DpState>>,
+    /// The status object of every data-plane window this rank holds, created
+    /// or failed: its member count says who frees the window.
+    dp_status: BTreeMap<CtxId, ShmObject>,
     /// The window whose completion line this rank holds back: it finished
     /// reading a collective there, and the new `done_through` rides its next
     /// exposure on that window if that is stamped lines in a free slot. Any
@@ -1207,6 +1250,7 @@ impl CxlTransport {
             partial_rx: (0..ranks).map(|_| None).collect(),
             windows: Vec::new(),
             dp: BTreeMap::new(),
+            dp_status: BTreeMap::new(),
             held_back: None,
             headroom,
             ledger,
@@ -1362,7 +1406,7 @@ impl CxlTransport {
         self.held_back = None;
         let line = self.dp_cost().line();
         if let Some(Some(state)) = self.dp.get_mut(&ctx) {
-            let done = state.next_done_off();
+            let done = state.next_done_off(state.done_through);
             store_stamped(&state.obj, done, state.done_through, clock.now())?;
             clock.advance(line);
             self.counters.completions.completions_alone.add(1);
@@ -2467,18 +2511,20 @@ impl Transport for CxlTransport {
         // own window, keyed by its own leader.
         let status_name = format!("cmpi/dps_{ctx}_{lead}");
         let data_name = format!("cmpi/dp_{ctx}_{lead}");
-        let state = if self.rank == lead {
+        let (status, state) = if self.rank == lead {
             // The tiny status object is created *first*, so non-leads always
             // have something to open: a data-window failure is announced
             // through it rather than by absence. Both come out of the
             // headroom only, never out of the room the connection state is
             // sized to need; the window leaves room for later statuses.
-            let status = self.create_in_headroom(&status_name, 64, 0)?.ok_or(
-                cxl_shm::ShmError::OutOfMemory {
-                    requested: 64,
+            let status = self
+                .create_in_headroom(&status_name, STATUS_BYTES, 0)?
+                .ok_or(cxl_shm::ShmError::OutOfMemory {
+                    requested: STATUS_BYTES,
                     largest_free: 0,
-                },
-            )?;
+                })?;
+            // In the verdict's line, ahead of it.
+            status.nt_store_u64_at(DP_MEMBERS_OFF, group.len() as u64)?;
             let created = self
                 .create_in_headroom(&data_name, layout.total_len(), STATUS_ROOM)
                 .ok()
@@ -2493,13 +2539,13 @@ impl Transport for CxlTransport {
                             + 2.0 * nt,
                     );
                     store_stamped(&status, 0, DP_WINDOW_OK, clock.now())?;
-                    Some(obj)
+                    (status, Some(obj))
                 }
                 None => {
                     // No room: announce the failure and run ring-only.
                     clock.advance(2.0 * nt);
                     store_stamped(&status, 0, DP_WINDOW_FAIL, clock.now())?;
-                    None
+                    (status, None)
                 }
             }
         } else {
@@ -2511,11 +2557,13 @@ impl Transport for CxlTransport {
             clock.merge(ts);
             clock.advance(2.0 * nt);
             if verdict == DP_WINDOW_OK {
-                Some(open_poisoned(&self.arena, &data_name, &self.poison)?)
+                let obj = open_poisoned(&self.arena, &data_name, &self.poison)?;
+                (status, Some(obj))
             } else {
-                None
+                (status, None)
             }
         };
+        self.dp_status.insert(ctx, status);
         match state {
             Some(obj) => {
                 self.counters.data_plane.window_setups.add(1);
@@ -2528,6 +2576,10 @@ impl Transport for CxlTransport {
             }
         }
         Ok(self.dp_window(ctx))
+    }
+
+    fn headroom_drawn(&self) -> Result<Option<u64>> {
+        Ok(Some(self.ledger.nt_load_u64_at(self.drawn_at())?))
     }
 
     fn dp_window(&self, ctx: CtxId) -> Option<DpWindow> {
@@ -2609,7 +2661,7 @@ impl Transport for CxlTransport {
         });
         let ts = clock.now();
         if joined {
-            let done = state.next_done_off();
+            let done = state.next_done_off(state.done_through);
             store_stamped(&state.obj, done, state.done_through, ts)?;
             self.counters.completions.completions_joined.add(1);
         }
@@ -2771,6 +2823,7 @@ impl Transport for CxlTransport {
                 src.writer_idx
             )));
         }
+        state.last_read[src.writer_idx] = Some(seq);
         let from_slot = src.slot_bytes(buf.len());
         if src.format == DpFormat::Slot {
             // A streamed read: load fence, then NT loads straight from the
@@ -2810,7 +2863,30 @@ impl Transport for CxlTransport {
         if self.held_back == Some(ctx) {
             self.store_held_back(clock, None)?;
         }
-        Ok(())
+        let state = self.dp.get(&ctx).and_then(Option::as_ref);
+        if state.is_some_and(|s| !s.reading.is_empty() || !s.writing.is_empty()) {
+            // A collective started on it is still in flight: the window
+            // stays, and this member keeps counting as holding it.
+            return Ok(());
+        }
+        let state = self.dp.remove(&ctx).flatten();
+        let Some(mut status) = self.dp_status.remove(&ctx) else {
+            return Ok(());
+        };
+        // One RMW; the last member out frees what the window's creation drew.
+        if status.nt_fetch_add_u64_at(DP_MEMBERS_OFF, 1u64.wrapping_neg())? != 1 {
+            return Ok(());
+        }
+        let mut drawn = align_alloc_size(STATUS_BYTES);
+        if let Some(mut state) = state {
+            drawn += align_alloc_size(state.layout.total_len());
+            self.arena.destroy(&mut state.obj)?;
+        }
+        // The pool hands freed bytes out again as they are: a later status
+        // object there must not show this one's verdict before its own.
+        status.nt_store_u64_at(0, 0)?;
+        self.arena.destroy(&mut status)?;
+        self.refund_headroom(drawn as u64)
     }
 
     fn set_fault_injector(&mut self, injector: FaultInjector) {
@@ -3031,6 +3107,36 @@ mod tests {
         assert_eq!(state.finish_reading(9), None, "#9 finished, #8 open");
         assert_eq!(state.finish_reading(8), Some(10));
         assert_eq!(state.done_through, 10);
+    }
+
+    /// Member 2 of 3 read member 0's exposure in collective #11, then ran
+    /// ahead through #12..#16, which only member 1 wrote to it: its line
+    /// still holds the store that first showed #11 done, for member 0's
+    /// sweep, however late that comes; the other entries take the newer
+    /// stores in turn.
+    #[test]
+    fn a_completion_entry_a_writer_may_still_ask_for_outlives_the_readers_lead() {
+        let layout = SlotLayout::new(3, DP_SLOTS, 64);
+        let lines = layout.total_len().div_ceil(SLOT_CELL_SIZE);
+        let mut state = DpState::new(lines_object(lines), layout, &[0, 1, 2], 2);
+        let store = |state: &mut DpState, value: u64| {
+            let off = state.next_done_off(value);
+            store_stamped(&state.obj, off, value, value as f64).unwrap();
+        };
+        state.last_read[0] = Some(11);
+        store(&mut state, 12);
+        for seq in 12..17 {
+            state.last_read[1] = Some(seq);
+            store(&mut state, u64::from(seq) + 1);
+        }
+        let mut line = vec![0; SLOT_CELL_SIZE];
+        let at = state.layout.done_off(2, 0) as u64;
+        state.obj.nt_load_at(at, &mut line).unwrap();
+        let entries = state.layout.done_entries();
+        assert_eq!(reached(&line, entries, 12), Some(12.0));
+        assert_eq!(reached(&line, entries, 16), Some(16.0));
+        assert_eq!(reached(&line, entries, 17), Some(17.0));
+        assert_eq!(reached(&line, entries, 18), None);
     }
 
     #[test]

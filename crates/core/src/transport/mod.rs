@@ -1041,6 +1041,13 @@ pub trait Transport: Send {
         Ok(None)
     }
 
+    /// Bytes of the shared pool's window headroom drawn so far, every rank's
+    /// draws together — RMA windows, data-plane windows and their status
+    /// objects — or `None` without a shared pool.
+    fn headroom_drawn(&self) -> Result<Option<u64>> {
+        Ok(None)
+    }
+
     /// Geometry of the established window for `ctx`, if any (cheap lookup;
     /// consulted by the collective builders on every plan-cache miss).
     fn dp_window(&self, _ctx: CtxId) -> Option<DpWindow> {
@@ -1165,10 +1172,15 @@ pub trait Transport: Send {
         no_data_plane()
     }
 
-    /// Store the completion line this rank holds back on `ctx`'s window
-    /// ([`Transport::dp_pull`]), by itself, if it holds one: what dropping
-    /// the communicator does, since nothing of the communicator's could carry
-    /// the line after that.
+    /// Let go of `ctx`'s window: what dropping the communicator does. Store
+    /// the completion line this rank holds back on it
+    /// ([`Transport::dp_pull`]), by itself, if it holds one — nothing of the
+    /// communicator's could carry the line after that — and count this
+    /// member out of the window with one read-modify-write, waiting for
+    /// nobody. The last member out destroys the window's data and status
+    /// objects and hands their bytes back to the pool's headroom. A member
+    /// with a collective of the communicator still in flight keeps the window
+    /// (and its count) for good.
     fn dp_settle(&mut self, _clock: &mut SimClock, _ctx: CtxId) -> Result<()> {
         Ok(())
     }

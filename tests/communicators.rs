@@ -337,23 +337,29 @@ fn dropped_communicators_retire_their_shards() {
     // A thousand duplicates, each used for one 8 B broadcast and dropped: the
     // rank keeps a shard, and plans, for the live communicators only, and
     // folds what the dropped ones counted into one retired row — the report
-    // adds up to the same totals. Without windows: a communicator's window
-    // and its status object stay in the pool for good (ROADMAP item 1), and
-    // at 2 ranks the status objects alone fill the pool's object directory
-    // at the 997th duplicate.
+    // adds up to the same totals. Every duplicate gets a window, and the last
+    // member to drop it frees it: no creation fails, and what the windows
+    // drew from the pool's headroom is back once every member has let go
+    // (a world barrier, after the drops).
     const CYCLES: usize = 1000;
     for n in [2usize, 8] {
-        let mut config = UniverseConfig::cxl(n).with_hosts(2);
-        config.coll.shm_arena_bytes = 0;
+        let config = UniverseConfig::cxl(n).with_hosts(2);
         let results = Universe::run(config, |world: &mut Comm| {
             let base = world.plan_cache_stats().entries;
+            world.barrier()?;
+            let drawn = world.headroom_drawn()?;
+            let failures = world.data_plane_stats().window_failures;
             for cycle in 0..CYCLES {
                 let mut dup = world.comm_dup()?;
                 let mut buf = [cycle as u8; 8];
                 dup.bcast_into(0, &mut buf)?;
                 assert_eq!(buf, [cycle as u8; 8]);
+                assert_eq!(dup.last_coll_algorithm(), "bcast/shm", "cycle {cycle}");
                 assert_eq!(world.plan_cache_stats().entries, base + 1);
             }
+            world.barrier()?;
+            assert_eq!(world.data_plane_stats().window_failures, failures);
+            assert_eq!(world.headroom_drawn()?, drawn);
             Ok(world.plan_cache_stats().entries - base)
         })
         .unwrap();
@@ -372,6 +378,7 @@ fn dropped_communicators_retire_their_shards() {
             );
             // Every duplicate's context agreement ran on world.
             assert_eq!(report.comm_colls[0].allreduces, CYCLES as u64);
+            assert_eq!(report.data_plane.window_failures, 0, "n={n}, rank {rank}");
         }
     }
 }

@@ -848,36 +848,40 @@ fn roomy() -> CollTuning {
 #[test]
 #[allow(non_snake_case)]
 fn a_64KiB_allgather_crosses_each_host_once() {
-    // Host-sliced, 8 ranks blocked on 2 hosts: every rank publishes its
-    // block, then reads its three host-mates' out of the shared cache and
-    // the one block of the other host it relays off the device — one run,
-    // whose row spans from the first to the last member it reads (every
-    // member raises its phase-0 line); the slowest, a host's last member
-    // or the other host's first, spans all eight. It relays that block to
-    // its host-mates, and reads their three relays in a run behind a row of
-    // their lines, four for a member in the middle. Then its completion
-    // line. A row acquires the lines of the members it spans and does not
-    // read too: from the four a host's first member reads to the seven the
-    // last one's row spans.
+    // Host-sliced, 8 ranks blocked on 2 hosts, in the two segments of 32 KiB
+    // of every block the walk cuts it into — each a window round of its own,
+    // so a call takes two sequence numbers and every other one sweeps. In
+    // each, every rank publishes its block's half, then reads its three
+    // host-mates' out of the shared cache and the one block of the other
+    // host it relays off the device — one run, whose row spans from the
+    // first to the last member it reads (every member raises its phase-0
+    // line); the slowest, a host's last member or the other host's first,
+    // spans all eight. It relays that block to its host-mates, and reads
+    // their three relays in a run behind a row of their lines, four for a
+    // member in the middle. Then its completion line. A row acquires the
+    // lines of the members it spans and does not read too: from the four a
+    // host's first member reads to the seven the last one's row spans.
     const BLOCK: usize = 64 * 1024;
+    const SEGMENT: usize = BLOCK / 2;
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allgather_into(&[1u8; BLOCK], &mut vec![0u8; 8 * BLOCK]);
-    let phase0 = [(BLOCK, true); 3].into_iter().chain([(BLOCK, false)]);
-    let phase1 = [(BLOCK, true); 3];
-    let per_call = dp.publish(BLOCK, true)
+    let phase0 = [(SEGMENT, true); 3].into_iter().chain([(SEGMENT, false)]);
+    let phase1 = [(SEGMENT, true); 3];
+    let per_segment = dp.publish(SEGMENT, true)
         + dp.row(8)
         + dp.gather(8, phase0)
-        + dp.publish(BLOCK, true)
+        + dp.publish(SEGMENT, true)
         + dp.row(4)
         + dp.gather(4, phase1)
         + dp.line();
     let counts = PerCall {
-        exposes: 2,
+        exposes: 4,
         stamped: 0,
-        pulls: [7, 8, 9, 10, 10, 9, 8, 7],
-        rows: 2,
+        pulls: [14, 16, 18, 20, 20, 18, 16, 14],
+        rows: 4,
     };
-    assert_costs("64 KiB allgather", roomy(), step, per_call, SWEEPS, counts);
+    let (per_call, sweeps) = (2.0 * per_segment, 2 * SWEEPS);
+    assert_costs("64 KiB allgather", roomy(), step, per_call, sweeps, counts);
 }
 
 #[test]

@@ -154,10 +154,14 @@ fn host_sliced_shapes_match_the_ring_in_every_form() {
                     sliced.extend(labels.iter().filter(|l| l.ends_with("+hosts")).cloned());
                 }
                 // Labels per round: `n` bcasts, the allgather, the allreduce.
+                // At 6 and 7 ranks on 3 hosts, and 7 round-robin on 2, the
+                // walk runs the far round's bcast (and at 7 on 3 hosts its
+                // allgather) direct in two segments instead: cheaper, by its
+                // critical path, than slicing it in one.
                 let labels = &shm[0].0 .1;
                 let far = match (n, hosts, round_robin) {
                     (8, 2, false) => &labels[..],
-                    (6.., ..) => &labels[n + 2..],
+                    (8, ..) | (6, 2, _) | (7, 2, false) => &labels[n + 2..],
                     _ => &[],
                 };
                 // On 3 hosts the walk keeps the allreduce's other shapes.
