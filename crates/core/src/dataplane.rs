@@ -285,10 +285,10 @@ type Emit<'a> = &'a dyn Fn(&mut DpOps, Range<usize>) -> Fit;
 /// `emit` appends runs in on window `w`: one when the whole fits a slot,
 /// otherwise as many as the largest sub-range that does takes (a footprint
 /// grows with its range, and is the same on every member: member 0's ops
-/// measure it). `None` when not even one unit fits. The walk
+/// measure it, in `pricer`). `None` when not even one unit fits. The walk
 /// ([`cheapest`]) prices this depth and deeper ones.
-fn fewest(w: &DpWindow, units: usize, emit: Emit<'_>) -> Option<usize> {
-    let fits = |len| emit(&mut DpOps::new(0), 0..len).footprint <= w.slot_bytes;
+fn fewest(w: &DpWindow, units: usize, emit: Emit<'_>, pricer: &mut Pricer) -> Option<usize> {
+    let mut fits = |len| pricer.fit(emit, len).footprint <= w.slot_bytes;
     if fits(units) {
         return Some(1);
     }
@@ -316,9 +316,15 @@ fn fewest(w: &DpWindow, units: usize, emit: Emit<'_>) -> Option<usize> {
 fn segmented(me: usize, units: usize, segments: usize, emit: Emit<'_>) -> (DpOps, usize) {
     let mut ops = DpOps::new(me);
     let mut scratch = 0;
-    for (i, range) in Segments::cut(units, segments).ranges().enumerate() {
+    let segs = Segments::cut(units, segments);
+    for (i, range) in segs.ranges().enumerate() {
         ops.segment(i as u32);
         scratch = scratch.max(emit(&mut ops, range).scratch);
+        if i == 0 {
+            // Every segment takes as many ops and pieces as the first.
+            let more = segs.count() - 1;
+            ops.reserve(more * ops.list.len(), more * ops.pieces.len());
+        }
     }
     (ops, scratch)
 }
@@ -374,6 +380,14 @@ impl DpOps {
     fn reserve(&mut self, ops: usize, pieces: usize) {
         self.list.reserve(ops);
         self.pieces.reserve(pieces);
+    }
+
+    /// Empty the list for group member `me`, keeping its room.
+    fn reset(&mut self, me: usize) {
+        self.list.clear();
+        self.pieces.clear();
+        self.me = me;
+        self.segment(0);
     }
 
     /// Append the ops of segment `seg` from here on: a window round of its
@@ -584,14 +598,17 @@ impl DpOps {
     /// same place of the buffer. `pieces(i)` is what cohort member `i`
     /// relays, every member computing the same list for it; a member alone
     /// on its host has nobody to relay to.
-    fn relay<I: IntoIterator<Item = Relayed>>(
+    fn relay<I>(
         &mut self,
         w: &DpWindow,
         cohort: &[usize],
         j: usize,
         (phase, readers): (u8, DpReaders),
         pieces: impl Fn(usize) -> I,
-    ) {
+    ) where
+        I: IntoIterator<Item = Relayed>,
+        I::IntoIter: Clone,
+    {
         if cohort.len() < 2 {
             return;
         }
@@ -647,18 +664,19 @@ struct Relayed {
 /// The pieces of one member's relay exposure on window `w`, empty ones left
 /// out, each in the format its length and region get: a piece alone may be
 /// the flag line, several share it and may not.
-fn relayed(w: &DpWindow, relays: impl IntoIterator<Item = Relayed>) -> Vec<DpPiece> {
-    let relays: Vec<Relayed> = relays.into_iter().filter(|r| r.len > 0).collect();
-    let own_line = relays.len() == 1;
-    relays
-        .iter()
-        .map(|r| DpPiece {
-            region_off: r.region,
-            start: r.start,
-            end: r.start + r.len,
-            format: w.format(r.len, r.region..w.slot_bytes, own_line),
-        })
-        .collect()
+fn relayed<'w, I>(w: &'w DpWindow, relays: I) -> impl Iterator<Item = DpPiece> + 'w
+where
+    I: IntoIterator<Item = Relayed>,
+    I::IntoIter: Clone + 'w,
+{
+    let relays = relays.into_iter().filter(|r| r.len > 0);
+    let own_line = relays.clone().count() == 1;
+    relays.map(move |r| DpPiece {
+        region_off: r.region,
+        start: r.start,
+        end: r.start + r.len,
+        format: w.format(r.len, r.region..w.slot_bytes, own_line),
+    })
 }
 
 /// The format of the irregular-exchange piece of `len` bytes for `reader`
@@ -681,51 +699,39 @@ pub(crate) fn exchange_stride(dp: Option<DpWindow>, n: usize) -> usize {
     })
 }
 
-/// One member's ops of one segment (`list`, whose exposes index `pieces`)
-/// walked on the virtual clock, with the terms the transport charges: every
-/// expose, every row, every run's gathered read — of slots behind flag lines
-/// and of stamped lines — and the completion line, as a line of its own,
-/// which it is unless the member's next exposure carries it (in the next
+/// One member's ops of one segment (an op list and the pieces its exposes
+/// index) walked on the virtual clock, with the terms the transport charges:
+/// every expose, every row, every run's gathered read — of slots behind flag
+/// lines and of stamped lines — and the completion line, as a line of its
+/// own, which it is unless the member's next exposure carries it (in the next
 /// segment, past the op list walked here). A row waits for its writers'
 /// exposures, as the transport's does.
-struct Walk<'a> {
-    list: &'a [SchedOp],
-    pieces: &'a [DpPiece],
+#[derive(Debug, Default, Clone, Copy)]
+struct Walk {
     at: usize,
     clock: SimNs,
     run: DpGather,
     /// When this member published each phase.
     stamps: [Option<SimNs>; cxl_shm::slots::SLOT_PHASES],
+    /// `stamps` as the other members' walks see them ([`Pricer::chain`]).
+    seen: [Option<SimNs>; cxl_shm::slots::SLOT_PHASES],
 }
 
-impl<'a> Walk<'a> {
-    fn new(list: &'a [SchedOp], pieces: &'a [DpPiece]) -> Self {
-        Walk {
-            list,
-            pieces,
-            at: 0,
-            clock: 0.0,
-            run: DpGather::default(),
-            stamps: [None; cxl_shm::slots::SLOT_PHASES],
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.list.len()
-    }
-
-    /// Walk on as far as the exposures `stamp(writer, phase)` knows let the
-    /// rows go. Stopped at a row, return what it waits for: `stamp`'s `Err`
-    /// for the first exposure it does not know yet — the writer, if nobody
-    /// walked stands in for it. `same_host(idx)` says whether group member
-    /// `idx` shares this member's host.
+impl Walk {
+    /// Walk `list` (whose exposes index `pieces`) on as far as the exposures
+    /// `stamp(writer, phase)` knows let the rows go. Stopped at a row, return
+    /// what it waits for: `stamp`'s `Err` for the first exposure it does not
+    /// know yet — the writer, if nobody walked stands in for it.
+    /// `same_host(idx)` says whether group member `idx` shares this member's
+    /// host.
     fn advance(
         &mut self,
+        (list, pieces): (&[SchedOp], &[DpPiece]),
         w: &DpWindow,
         same_host: &dyn Fn(usize) -> bool,
         stamp: &dyn Fn(usize, u8) -> Result<SimNs, Option<usize>>,
     ) -> Option<Option<usize>> {
-        while let Some(op) = self.list.get(self.at) {
+        while let Some(op) = list.get(self.at) {
             match *op {
                 SchedOp::AwaitRow {
                     phase,
@@ -734,7 +740,7 @@ impl<'a> Walk<'a> {
                 } => {
                     // The row's writers, and those of the stamped lines the
                     // run's reads take out of data slots.
-                    let reads = self.list[self.at + 1..].iter().map_while(|op| match op {
+                    let reads = list[self.at + 1..].iter().map_while(|op| match op {
                         SchedOp::PullCopy { src, .. } | SchedOp::FoldInPlace { src, .. } => {
                             Some(Some(src.writer_idx))
                         }
@@ -756,7 +762,7 @@ impl<'a> Walk<'a> {
                     pieces: (lo, hi),
                     ..
                 } => {
-                    self.clock += w.cost.expose(&self.pieces[lo..hi]);
+                    self.clock += w.cost.expose(&pieces[lo..hi]);
                     self.stamps[usize::from(phase)] = Some(self.clock);
                 }
                 SchedOp::PullCopy { src, len, .. } | SchedOp::FoldInPlace { src, len, .. } => {
@@ -787,8 +793,8 @@ fn serial_cost(
     w: &DpWindow,
     same_host: impl Fn(usize) -> bool,
 ) -> SimNs {
-    let mut walk = Walk::new(ops, pieces);
-    walk.advance(w, &same_host, &|_, _| Ok(0.0));
+    let mut walk = Walk::default();
+    walk.advance((ops, pieces), w, &same_host, &|_, _| Ok(0.0));
     walk.clock
 }
 
@@ -797,58 +803,120 @@ fn host_of(hier: Option<&HostHierarchy>, m: usize) -> impl Fn(usize) -> bool + '
     move |r| hier.is_some_and(|h| h.slot_of(r) == h.slot_of(m))
 }
 
-/// The latency of one segment along its shape's stage chain: the `ops` of
-/// the priced members walked together from a common start, every row
-/// waiting for the exposures of its writers. A writer that is not walked is
-/// stood in for by a walked member that has published the phase, on its
-/// host or else on a host of the same size (hosts of one size run the same
-/// share of a shape, their first member the largest); when there is none,
-/// its own ops — `emit(writer)` — join the walk. The last member to finish
-/// sets the latency; a chain in which every member waits never finishes.
-fn chain(
-    w: &DpWindow,
-    hier: Option<&HostHierarchy>,
-    mut ops: Vec<DpOps>,
-    emit: &dyn Fn(usize) -> DpOps,
-) -> SimNs {
-    let size = |r: usize| hier.map_or(0, |h| h.count(h.slot_of(r)));
-    let mut stamps = Vec::with_capacity(ops.len());
-    loop {
-        let mut walks: Vec<_> = ops.iter().map(|o| Walk::new(&o.list, &o.pieces)).collect();
-        let missing = loop {
-            stamps.clear();
-            stamps.extend(ops.iter().zip(&walks).map(|(o, k)| (o.me, k.stamps)));
-            let mut moved = false;
-            let mut missing = None;
-            for (o, walk) in ops.iter().zip(walks.iter_mut()).filter(|(_, k)| !k.done()) {
-                let stamp = |writer: usize, phase: u8| {
-                    let phase = usize::from(phase);
-                    if writer == o.me {
-                        return Ok(0.0);
+/// What the walk ([`cheapest`]) prices with, kept from one candidate to the
+/// next so that pricing another shape or depth allocates nothing: an op list
+/// per walked member — the first `used` of `ops` — and their [`Walk`]s.
+#[derive(Default)]
+struct Pricer {
+    ops: Vec<DpOps>,
+    used: usize,
+    walks: Vec<Walk>,
+}
+
+impl Pricer {
+    /// Walk member `m` too: its ops of the segment of `units` units `emit`
+    /// appends, and what that segment needs.
+    fn push(&mut self, m: usize, emit: Emit<'_>, units: usize) -> Fit {
+        if self.used == self.ops.len() {
+            self.ops.push(DpOps::new(m));
+        }
+        let ops = &mut self.ops[self.used];
+        ops.reset(m);
+        self.used += 1;
+        emit(ops, 0..units)
+    }
+
+    /// What the segment of `units` units `emit` appends needs: member 0's
+    /// ops measure it, the only ones walked after.
+    fn fit(&mut self, emit: Emit<'_>, units: usize) -> Fit {
+        self.used = 0;
+        self.push(0, emit, units)
+    }
+
+    /// Walk `members`, and nobody else, over the segment of `units` units
+    /// `emit` appends.
+    fn fill(&mut self, members: &[usize], emit: Emit<'_>, units: usize) {
+        self.used = 0;
+        for &m in members {
+            self.push(m, emit, units);
+        }
+    }
+
+    /// The slowest walked member's serial cost ([`serial_cost`]).
+    fn serial(&self, w: &DpWindow, hier: Option<&HostHierarchy>) -> SimNs {
+        let cost = |o: &DpOps| serial_cost(&o.list, &o.pieces, w, host_of(hier, o.me));
+        self.ops[..self.used].iter().map(cost).fold(0.0, SimNs::max)
+    }
+
+    /// The latency of one segment of `units` units along its shape's stage
+    /// chain: the walked members' ops walked together from a common start,
+    /// every row waiting for the exposures of its writers. A writer that is
+    /// not walked is stood in for by a walked member that has published the
+    /// phase, on its host or else on a host of the same size (hosts of one
+    /// size run the same share of a shape, their first member the largest);
+    /// when there is none, its own ops — appended by `emit` — join the walk.
+    /// The last member to finish sets the latency; a chain in which every
+    /// member waits never finishes.
+    fn chain(
+        &mut self,
+        w: &DpWindow,
+        hier: Option<&HostHierarchy>,
+        emit: Emit<'_>,
+        units: usize,
+    ) -> SimNs {
+        let size = |r: usize| hier.map_or(0, |h| h.count(h.slot_of(r)));
+        loop {
+            let (ops, walks) = (&self.ops[..self.used], &mut self.walks);
+            walks.clear();
+            walks.resize(ops.len(), Walk::default());
+            let missing = loop {
+                // Every walk of a sweep sees the stamps as it began.
+                for walk in walks.iter_mut() {
+                    walk.seen = walk.stamps;
+                }
+                let mut moved = false;
+                let mut missing = None;
+                for (i, o) in ops.iter().enumerate() {
+                    let mut walk = walks[i];
+                    if walk.at == o.list.len() {
+                        continue;
                     }
-                    if let Some((_, at)) = stamps.iter().find(|(m, _)| *m == writer) {
-                        return at[phase].ok_or(None);
-                    }
-                    let host_mate = stamps.iter().filter(|(m, _)| host_of(hier, *m)(writer));
-                    let same_size = stamps.iter().filter(|(m, _)| size(*m) == size(writer));
-                    let stand_in = host_mate.chain(same_size).find_map(|(_, at)| at[phase]);
-                    stand_in.ok_or(Some(writer))
-                };
-                let at = walk.at;
-                let waits = walk.advance(w, &host_of(hier, o.me), &stamp);
-                moved |= walk.at > at;
-                missing = missing.or(waits.flatten());
+                    let published = || ops.iter().zip(walks.iter()).map(|(o, k)| (o.me, k.seen));
+                    let stamp = |writer: usize, phase: u8| {
+                        let phase = usize::from(phase);
+                        if writer == o.me {
+                            return Ok(0.0);
+                        }
+                        if let Some((_, at)) = published().find(|(m, _)| *m == writer) {
+                            return at[phase].ok_or(None);
+                        }
+                        let host_mate = published().filter(|(m, _)| host_of(hier, *m)(writer));
+                        let same_size = published().filter(|(m, _)| size(*m) == size(writer));
+                        let stand_in = host_mate.chain(same_size).find_map(|(_, at)| at[phase]);
+                        stand_in.ok_or(Some(writer))
+                    };
+                    let waits = walk.advance((&o.list, &o.pieces), w, &host_of(hier, o.me), &stamp);
+                    moved |= walk.at > walks[i].at;
+                    missing = missing.or(waits.flatten());
+                    walks[i] = walk;
+                }
+                if ops
+                    .iter()
+                    .zip(walks.iter())
+                    .all(|(o, k)| k.at == o.list.len())
+                {
+                    return walks.iter().map(|k| k.clock).fold(0.0, SimNs::max);
+                }
+                if !moved {
+                    break missing;
+                }
+            };
+            match missing {
+                Some(writer) => {
+                    self.push(writer, emit, units);
+                }
+                None => return SimNs::INFINITY,
             }
-            if walks.iter().all(Walk::done) {
-                return walks.iter().map(|k| k.clock).fold(0.0, SimNs::max);
-            }
-            if !moved {
-                break missing;
-            }
-        };
-        match missing {
-            Some(writer) => ops.push(emit(writer)),
-            None => return SimNs::INFINITY,
         }
     }
 }
@@ -864,40 +932,37 @@ struct Priced {
 
 /// What a window collective of `units` units costs cut into `segments`
 /// segments. Along the pipeline's critical path: the first segment's latency
-/// down the stage chain ([`chain`]), then one segment per the slowest
-/// priced member's serial cost ([`Walk`]) — the members work on consecutive
-/// segments at once. A writer holds [`DP_SLOTS`] segments' slots; the one
-/// after waits until its readers' completion lines show every earlier one
-/// read, then reads them in one row — so past [`DP_SLOTS`] segments every
-/// group of that many starts from a drained pipeline: the chain latency
-/// again instead of a segment's serial cost, and the row. In a stream of
-/// such collectives the writer runs ahead of its readers, so a collective
-/// costs its slowest member's serial cost of every segment, and a drained
-/// pipeline every [`DP_SLOTS`] segments. `members` are the priced members;
-/// `emit(ops, range)` appends a member's ops of one segment.
+/// down the stage chain ([`Pricer::chain`]), then one segment per the
+/// slowest priced member's serial cost ([`Walk`]) — the members work on
+/// consecutive segments at once. A writer holds [`DP_SLOTS`] segments'
+/// slots; the one after waits until its readers' completion lines show
+/// every earlier one read, then reads them in one row — so past
+/// [`DP_SLOTS`] segments every group of that many starts from a drained
+/// pipeline: the chain latency again instead of a segment's serial cost, and
+/// the row. In a stream of such collectives the writer runs ahead of its
+/// readers, so a collective costs its slowest member's serial cost of every
+/// segment, and a drained pipeline every [`DP_SLOTS`] segments. `members`
+/// are the priced members; `emit(ops, range)` appends a member's ops of one
+/// segment; `pricer` holds the op lists walked.
 fn pipeline(
     w: &DpWindow,
     hier: Option<&HostHierarchy>,
     members: &[usize],
     segs: Segments,
     emit: Emit<'_>,
+    pricer: &mut Pricer,
 ) -> Priced {
-    let ops = |m: usize, len: usize| {
-        let mut ops = DpOps::new(m);
-        emit(&mut ops, 0..len);
-        ops
-    };
-    let serial = |ops: &[DpOps]| {
-        let cost = |o: &DpOps| serial_cost(&o.list, &o.pieces, w, host_of(hier, o.me));
-        ops.iter().map(cost).fold(0.0, SimNs::max)
-    };
-    let full: Vec<DpOps> = members.iter().map(|&m| ops(m, segs.len)).collect();
-    let each = serial(&full);
     let last = match segs.last() {
-        len if len == segs.len => each,
-        len => serial(&members.iter().map(|&m| ops(m, len)).collect::<Vec<_>>()),
+        len if len == segs.len => None,
+        len => {
+            pricer.fill(members, emit, len);
+            Some(pricer.serial(w, hier))
+        }
     };
-    let latency = chain(w, hier, full, &|m| ops(m, segs.len));
+    pricer.fill(members, emit, segs.len);
+    let each = pricer.serial(w, hier);
+    let last = last.unwrap_or(each);
+    let latency = pricer.chain(w, hier, emit, segs.len);
     let k = segs.count();
     let refill = latency - each + w.cost.row(w.ranks - 1);
     let drains = k.div_ceil(DP_SLOTS) - 1;
@@ -961,11 +1026,9 @@ fn priced(hier: Option<&HostHierarchy>, skip: Option<usize>) -> Vec<usize> {
     let Some(h) = spread(hier) else {
         return vec![0];
     };
-    let mut sizes = Vec::new();
-    let mut members = Vec::new();
+    let mut members: Vec<usize> = Vec::new();
     for s in (0..h.hosts_spanned()).filter(|&s| Some(s) != skip) {
-        if !sizes.contains(&h.count(s)) {
-            sizes.push(h.count(s));
+        if members.iter().all(|&m| h.count(h.slot_of(m)) != h.count(s)) {
             members.push(h.leader_of(s));
         }
     }
@@ -1006,15 +1069,19 @@ fn cheapest(
 ) -> Option<DpChoice> {
     let sliced = spread(hier).is_some();
     let shapes = shapes.iter().filter(|&&s| sliced || s != DpShape::Hosts);
+    let mut pricer = Pricer::default();
     // Each shape's fewest segments and what they cost (a list names each of
     // the three shapes once at most); the cheapest of those is the
     // reference a deeper cut's stream must not lose to.
     let mut fewest_of: [Option<(usize, Priced)>; 3] = [None; 3];
     for (slot, &shape) in fewest_of.iter_mut().zip(shapes.clone()) {
         let emit = |ops: &mut DpOps, range: Range<usize>| emit(ops, shape, range);
-        *slot = fewest(w, units, &emit).map(|segments| {
+        *slot = fewest(w, units, &emit, &mut pricer).map(|segments| {
             let segs = Segments::cut(units, segments);
-            (segments, pipeline(w, hier, members, segs, &emit))
+            (
+                segments,
+                pipeline(w, hier, members, segs, &emit, &mut pricer),
+            )
         });
     }
     let least = |best: Option<Priced>, p: Priced| match best {
@@ -1046,7 +1113,8 @@ fn cheapest(
             if segments > units || units.div_ceil(segments) * unit < SLOT_CELL_SIZE {
                 break;
             }
-            priced = pipeline(w, hier, members, Segments::cut(units, segments), &emit);
+            let segs = Segments::cut(units, segments);
+            priced = pipeline(w, hier, members, segs, &emit, &mut pricer);
         }
     }
     best

@@ -738,60 +738,67 @@ fn depths(w: &DpWindow, topology: &HostTopology, units: usize, build: BuildAt<'_
 
 #[test]
 fn every_window_shape_computes_its_collective_at_every_depth() {
-    // Every shape past one slot of a small window — two and a half slots —
-    // at every depth the walk can pick: the fewest segments, twice and four
-    // times as many, and an uneven cut past the slot rotation, so that
-    // segments share a slot. The rooted reduce and the alltoall besides.
+    // Every shape past one slot of a small window — a byte past it and two
+    // and a half slots — at every depth the walk can pick: the fewest
+    // segments, twice and four times as many, and an uneven cut past the
+    // slot rotation, so that segments share a slot; a group of 33 members
+    // at the fewest segments only. The rooted reduce and the alltoall
+    // besides.
     let sum = ReduceOp::Sum;
-    for n in [2, 3, 5, 8] {
+    for n in [2, 3, 5, 6, 7, 8, 33] {
         let w = window(n, 16 * 1024);
-        let len = 5 * w.slot_bytes / 2;
-        let (count, total) = (len / 8, len / 8 * 8);
-        let block = len.div_ceil(n);
+        let every = n < 33;
         for (layout, topology) in layouts(n) {
-            let run = |what: String, units: usize, result, build: BuildAt<'_>| {
-                for k in depths(&w, &topology, units, build) {
-                    let shape = format!("{what} in {k} segments, n = {n} {layout}");
-                    run(&shape, &w, &topology, Some(result), &|v, h| build(v, h, k));
-                }
-            };
-            run(
-                format!("alltoall of {block} B blocks"),
-                block,
-                Expect::Alltoall { block },
-                &|v, _, k| build_alltoall_shm(v, &w, block, k),
-            );
-            for shape in [DpShape::Direct, DpShape::TwoPhase, DpShape::Hosts] {
+            for len in [w.slot_bytes + 1, 5 * w.slot_bytes / 2] {
+                let (count, total) = (len / 8, len / 8 * 8);
+                let block = len.div_ceil(n);
+                let run = |what: String, units: usize, result, build: BuildAt<'_>| {
+                    let depths = depths(&w, &topology, units, build);
+                    for &k in &depths[..if every { depths.len() } else { 1 }] {
+                        let shape = format!("{what} in {k} segments, n = {n} {layout}");
+                        run(&shape, &w, &topology, Some(result), &|v, h| build(v, h, k));
+                    }
+                };
                 run(
-                    format!("allreduce of {len} B, {shape:?}"),
-                    count,
-                    Expect::Allreduce { total },
-                    &|v, h, k| build_allreduce_shm::<u64>(v, &w, Some(h), (shape, k), count, sum),
+                    format!("alltoall of {block} B blocks"),
+                    block,
+                    Expect::Alltoall { block },
+                    &|v, _, k| build_alltoall_shm(v, &w, block, k),
                 );
-            }
-            for shape in [DpShape::Direct, DpShape::Hosts] {
-                run(
-                    format!("allgather of {len} B, {shape:?}"),
-                    len,
-                    Expect::Allgather { block: len },
-                    &|v, h, k| build_allgather_shm(v, &w, Some(h), (shape, k), len),
-                );
-            }
-            for root in 0..n {
-                for shape in [DpShape::Direct, DpShape::Hosts] {
+                for shape in [DpShape::Direct, DpShape::TwoPhase, DpShape::Hosts] {
                     run(
-                        format!("bcast of {len} B from {root}, {shape:?}"),
-                        len,
-                        Expect::Bcast { root, total: len },
-                        &|v, h, k| build_bcast_shm(v, &w, Some(h), (shape, k), root, len),
+                        format!("allreduce of {len} B, {shape:?}"),
+                        count,
+                        Expect::Allreduce { total },
+                        &|v, h, k| {
+                            build_allreduce_shm::<u64>(v, &w, Some(h), (shape, k), count, sum)
+                        },
                     );
                 }
-                run(
-                    format!("reduce of {len} B to {root}"),
-                    count,
-                    Expect::Reduce { root, total },
-                    &|v, _, k| build_reduce_shm::<u64>(v, &w, root, (count, k), sum),
-                );
+                for shape in [DpShape::Direct, DpShape::Hosts] {
+                    run(
+                        format!("allgather of {len} B, {shape:?}"),
+                        len,
+                        Expect::Allgather { block: len },
+                        &|v, h, k| build_allgather_shm(v, &w, Some(h), (shape, k), len),
+                    );
+                }
+                for root in 0..n {
+                    for shape in [DpShape::Direct, DpShape::Hosts] {
+                        run(
+                            format!("bcast of {len} B from {root}, {shape:?}"),
+                            len,
+                            Expect::Bcast { root, total: len },
+                            &|v, h, k| build_bcast_shm(v, &w, Some(h), (shape, k), root, len),
+                        );
+                    }
+                    run(
+                        format!("reduce of {len} B to {root}"),
+                        count,
+                        Expect::Reduce { root, total },
+                        &|v, _, k| build_reduce_shm::<u64>(v, &w, root, (count, k), sum),
+                    );
+                }
             }
         }
     }

@@ -87,8 +87,43 @@ const DP_WINDOW_FAIL: u64 = 0x6450_4c4e_5f42_5553;
 /// ([`Transport::dp_settle`]).
 const DP_MEMBERS_OFF: u64 = SLOT_CELL_DATA_OFF as u64;
 
+/// Offset in a data-plane window's status object of the word that names
+/// the window the verdict is for ([`window_key`]): the pool hands freed bytes
+/// out again as they are, so a new status object may hold an old verdict, or
+/// payload bytes, until its lead stores its own.
+const DP_KEY_OFF: u64 = DP_MEMBERS_OFF + 8;
+
 /// Bytes a data-plane window's status object is created with.
 const STATUS_BYTES: usize = 64;
+
+/// The word that names the data-plane window of context `ctx` led by world
+/// rank `lead`: context ids are never reused, and the groups of one
+/// `comm_split` that share one have different leads.
+fn window_key(ctx: CtxId, lead: Rank) -> u64 {
+    u64::from(ctx) << 32 | lead as u64
+}
+
+/// The lead's verdict in a data-plane window's status object, if it is
+/// there for the window named `key`: one poll. The name is read first —
+/// the lead clears the verdict word before it stores the name, so a verdict
+/// read after the name is the lead's, never what the pool's bytes held.
+fn verdict_of(status: &ShmObject, key: u64) -> Result<Option<u64>> {
+    if status.nt_load_u64_at(DP_KEY_OFF)? != key {
+        return Ok(None);
+    }
+    let v = status.nt_load_u64_at(0)?;
+    Ok((v == DP_WINDOW_OK || v == DP_WINDOW_FAIL).then_some(v))
+}
+
+/// A communicator's data-plane window as this rank holds it.
+struct DpEntry {
+    /// The window's status object: the lead's verdict, and how many members
+    /// still hold the window. `None` for a group with no window to create.
+    status: Option<ShmObject>,
+    /// The window; `None` memoizes a failed or skipped creation, so the
+    /// communicator never retries (ring-only forever).
+    state: Option<DpState>,
+}
 
 /// Offset, past the init barrier's own bytes, of the word in its ready line
 /// that counts the pool bytes drawn from the headroom
@@ -1047,12 +1082,8 @@ pub struct CxlTransport {
     /// them).
     partial_rx: Vec<Option<ChunkAssembler>>,
     windows: Vec<Option<WindowState>>,
-    /// Per-communicator data-plane windows. `Some(None)` memoizes a failed
-    /// creation so the communicator never retries (ring-only forever).
-    dp: BTreeMap<CtxId, Option<DpState>>,
-    /// The status object of every data-plane window this rank holds, created
-    /// or failed: its member count says who frees the window.
-    dp_status: BTreeMap<CtxId, ShmObject>,
+    /// Per-communicator data-plane windows.
+    dp: BTreeMap<CtxId, DpEntry>,
     /// The window whose completion line this rank holds back: it finished
     /// reading a collective there, and the new `done_through` rides its next
     /// exposure on that window if that is stamped lines in a free slot. Any
@@ -1250,7 +1281,6 @@ impl CxlTransport {
             partial_rx: (0..ranks).map(|_| None).collect(),
             windows: Vec::new(),
             dp: BTreeMap::new(),
-            dp_status: BTreeMap::new(),
             held_back: None,
             headroom,
             ledger,
@@ -1405,7 +1435,10 @@ impl CxlTransport {
         };
         self.held_back = None;
         let line = self.dp_cost().line();
-        if let Some(Some(state)) = self.dp.get_mut(&ctx) {
+        if let Some(DpEntry {
+            state: Some(state), ..
+        }) = self.dp.get_mut(&ctx)
+        {
             let done = state.next_done_off(state.done_through);
             store_stamped(&state.obj, done, state.done_through, clock.now())?;
             clock.advance(line);
@@ -1425,7 +1458,10 @@ impl CxlTransport {
     /// sequence number waits for this one.
     fn dp_free_slot(&mut self, clock: &mut SimClock, ctx: CtxId, seq: u32) -> Result<bool> {
         let cost = self.dp_cost();
-        let Some(Some(state)) = self.dp.get_mut(&ctx) else {
+        let Some(DpEntry {
+            state: Some(state), ..
+        }) = self.dp.get_mut(&ctx)
+        else {
             return no_data_plane();
         };
         let slot = seq as usize % state.layout.slots();
@@ -1442,7 +1478,7 @@ impl CxlTransport {
         if behind {
             return Ok(false);
         }
-        let state = self.dp.get_mut(&ctx).and_then(Option::as_mut);
+        let state = self.dp.get_mut(&ctx).and_then(|e| e.state.as_mut());
         let state = state.expect("data-plane window vanished between two lookups");
         let stats = &self.counters.data_plane;
         let free = at_once || release_held(state, seq, &self.poison, stats, clock, &cost)?;
@@ -1466,7 +1502,7 @@ impl CxlTransport {
         if !self.dp_free_slot(clock, ctx, seq)? {
             return Ok(false);
         }
-        let state = self.dp.get_mut(&ctx).and_then(Option::as_mut);
+        let state = self.dp.get_mut(&ctx).and_then(|e| e.state.as_mut());
         let state = state.expect("data-plane window vanished between two lookups");
         state.occupy(seq, readers, pieces, &self.host_of);
         Ok(true)
@@ -2501,7 +2537,11 @@ impl Transport for CxlTransport {
         };
         let layout = SlotLayout::new(group.len(), DP_SLOTS, arena_bytes / DP_SLOTS);
         if group.len() < 2 || layout.slot_bytes() == 0 {
-            self.dp.insert(ctx, None);
+            let skipped = DpEntry {
+                status: None,
+                state: None,
+            };
+            self.dp.insert(ctx, skipped);
             return Ok(None);
         }
         let nt = self.cost.nt_access();
@@ -2523,7 +2563,10 @@ impl Transport for CxlTransport {
                     requested: STATUS_BYTES,
                     largest_free: 0,
                 })?;
-            // In the verdict's line, ahead of it.
+            // In the verdict's line, ahead of it: whatever the pool's bytes
+            // held there goes first, then the window's name.
+            status.nt_store_u64_at(0, 0)?;
+            status.nt_store_u64_at(DP_KEY_OFF, window_key(ctx, lead))?;
             status.nt_store_u64_at(DP_MEMBERS_OFF, group.len() as u64)?;
             let created = self
                 .create_in_headroom(&data_name, layout.total_len(), STATUS_ROOM)
@@ -2550,8 +2593,9 @@ impl Transport for CxlTransport {
             }
         } else {
             let status = open_poisoned(&self.arena, &status_name, &self.poison)?;
-            let verdict = spin_flag(&status, 0, &self.poison, |v| {
-                v == DP_WINDOW_OK || v == DP_WINDOW_FAIL
+            let key = window_key(ctx, lead);
+            let verdict = block_until(WaitSite::Flag, &self.poison, || {
+                Ok(verdict_of(&status, key)?.into())
             })?;
             let ts = f64::from_bits(status.nt_load_u64_at(SLOT_CELL_TS_OFF as u64)?);
             clock.merge(ts);
@@ -2563,18 +2607,18 @@ impl Transport for CxlTransport {
                 (status, None)
             }
         };
-        self.dp_status.insert(ctx, status);
-        match state {
+        let state = match state {
             Some(obj) => {
                 self.counters.data_plane.window_setups.add(1);
-                let state = DpState::new(obj, layout, group, my_idx);
-                self.dp.insert(ctx, Some(state));
+                Some(DpState::new(obj, layout, group, my_idx))
             }
             None => {
                 self.counters.data_plane.window_failures.add(1);
-                self.dp.insert(ctx, None);
+                None
             }
-        }
+        };
+        let status = Some(status);
+        self.dp.insert(ctx, DpEntry { status, state });
         Ok(self.dp_window(ctx))
     }
 
@@ -2583,7 +2627,7 @@ impl Transport for CxlTransport {
     }
 
     fn dp_window(&self, ctx: CtxId) -> Option<DpWindow> {
-        let layout = self.dp.get(&ctx)?.as_ref()?.layout;
+        let layout = self.dp.get(&ctx)?.state.as_ref()?.layout;
         // Plans are priced with the crowd every member assumes, not with this
         // rank's live hint: two members that priced differently would build
         // plans that do not fit together.
@@ -2639,7 +2683,7 @@ impl Transport for CxlTransport {
             false => self.store_held_back(clock, None)?,
         }
         let cost = self.dp_cost();
-        let state = self.dp.get_mut(&ctx).and_then(Option::as_mut);
+        let state = self.dp.get_mut(&ctx).and_then(|e| e.state.as_mut());
         let state = state.expect("data-plane window vanished between two lookups");
         let slot = seq as usize % state.layout.slots();
         // Publish entry (slot claimed, nothing written yet): the
@@ -2698,7 +2742,10 @@ impl Transport for CxlTransport {
     }
 
     fn dp_begin(&mut self, ctx: CtxId, seq: u32, reads: bool, writes: bool) {
-        if let Some(Some(state)) = self.dp.get_mut(&ctx) {
+        if let Some(DpEntry {
+            state: Some(state), ..
+        }) = self.dp.get_mut(&ctx)
+        {
             if reads {
                 state.begin_reading(seq);
             }
@@ -2720,7 +2767,10 @@ impl Transport for CxlTransport {
         // A run may wait: whatever line this rank holds back goes out first.
         self.store_held_back(clock, None)?;
         let cost = self.dp_cost();
-        let Some(Some(state)) = self.dp.get_mut(&ctx) else {
+        let Some(DpEntry {
+            state: Some(state), ..
+        }) = self.dp.get_mut(&ctx)
+        else {
             return no_data_plane();
         };
         let (first, lines) = (writers.start, writers.len());
@@ -2802,7 +2852,10 @@ impl Transport for CxlTransport {
     ) -> Result<()> {
         self.store_held_back(clock, Some(ctx))?;
         let cost = self.dp_cost();
-        let Some(Some(state)) = self.dp.get_mut(&ctx) else {
+        let Some(DpEntry {
+            state: Some(state), ..
+        }) = self.dp.get_mut(&ctx)
+        else {
             return no_data_plane();
         };
         let missing = || {
@@ -2863,14 +2916,17 @@ impl Transport for CxlTransport {
         if self.held_back == Some(ctx) {
             self.store_held_back(clock, None)?;
         }
-        let state = self.dp.get(&ctx).and_then(Option::as_ref);
+        let state = self.dp.get(&ctx).and_then(|e| e.state.as_ref());
         if state.is_some_and(|s| !s.reading.is_empty() || !s.writing.is_empty()) {
             // A collective started on it is still in flight: the window
             // stays, and this member keeps counting as holding it.
             return Ok(());
         }
-        let state = self.dp.remove(&ctx).flatten();
-        let Some(mut status) = self.dp_status.remove(&ctx) else {
+        let Some(DpEntry {
+            status: Some(mut status),
+            state,
+        }) = self.dp.remove(&ctx)
+        else {
             return Ok(());
         };
         // One RMW; the last member out frees what the window's creation drew.
@@ -2882,9 +2938,6 @@ impl Transport for CxlTransport {
             drawn += align_alloc_size(state.layout.total_len());
             self.arena.destroy(&mut state.obj)?;
         }
-        // The pool hands freed bytes out again as they are: a later status
-        // object there must not show this one's verdict before its own.
-        status.nt_store_u64_at(0, 0)?;
         self.arena.destroy(&mut status)?;
         self.refund_headroom(drawn as u64)
     }
@@ -3107,6 +3160,24 @@ mod tests {
         assert_eq!(state.finish_reading(9), None, "#9 finished, #8 open");
         assert_eq!(state.finish_reading(8), Some(10));
         assert_eq!(state.done_through, 10);
+    }
+
+    /// A status object over freed bytes that hold another window's verdict
+    /// shows no verdict until its lead has cleared the word and named it.
+    #[test]
+    fn a_verdict_counts_only_for_the_window_it_names() {
+        let status = lines_object(1);
+        let (old, new) = (window_key(7, 0), window_key(9, 0));
+        store_stamped(&status, 0, DP_WINDOW_OK, 1.0).unwrap();
+        status.nt_store_u64_at(DP_KEY_OFF, old).unwrap();
+        assert_eq!(verdict_of(&status, new).unwrap(), None);
+        // The lead's order: clear, name, verdict.
+        status.nt_store_u64_at(0, 0).unwrap();
+        status.nt_store_u64_at(DP_KEY_OFF, new).unwrap();
+        assert_eq!(verdict_of(&status, new).unwrap(), None);
+        store_stamped(&status, 0, DP_WINDOW_FAIL, 2.0).unwrap();
+        assert_eq!(verdict_of(&status, new).unwrap(), Some(DP_WINDOW_FAIL));
+        assert_eq!(verdict_of(&status, old).unwrap(), None);
     }
 
     /// Member 2 of 3 read member 0's exposure in collective #11, then ran

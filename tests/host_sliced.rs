@@ -154,11 +154,28 @@ fn host_sliced_shapes_match_the_ring_in_every_form() {
                     sliced.extend(labels.iter().filter(|l| l.ends_with("+hosts")).cloned());
                 }
                 // Labels per round: `n` bcasts, the allgather, the allreduce.
-                // At 6 and 7 ranks on 3 hosts, and 7 round-robin on 2, the
-                // walk runs the far round's bcast (and at 7 on 3 hosts its
-                // allgather) direct in two segments instead: cheaper, by its
-                // critical path, than slicing it in one.
                 let labels = &shm[0].0 .1;
+                // At 6 and 7 ranks on 3 hosts, and from the roots of the
+                // host of three at 7 round-robin on 2, the walk runs the far
+                // round's bcast (and at 7 on 3 hosts its allgather) direct in
+                // two segments instead: cheaper, by its critical path, than
+                // slicing it in one. Those layouts' far rounds are pinned as
+                // the walk picks them.
+                let far_bcast = |root: usize| match hosts {
+                    2 if root.is_multiple_of(2) => "bcast/shm+hosts",
+                    _ => "bcast/shm",
+                };
+                let pinned = match (n, hosts, round_robin) {
+                    (6, 3, _) => Some(["allgather/shm+hosts", "allreduce/shm"]),
+                    (7, 3, _) => Some(["allgather/shm", "allreduce/shm"]),
+                    (7, 2, true) => Some(["allgather/shm+hosts", "allreduce/shm+hosts"]),
+                    _ => None,
+                };
+                if let Some(rest) = pinned {
+                    let want: Vec<&str> = (0..n).map(far_bcast).chain(rest).collect();
+                    let far: Vec<&str> = labels[n + 2..].iter().map(String::as_str).collect();
+                    assert_eq!(far, want, "{layout}");
+                }
                 let far = match (n, hosts, round_robin) {
                     (8, 2, false) => &labels[..],
                     (8, ..) | (6, 2, _) | (7, 2, false) => &labels[n + 2..],
