@@ -121,11 +121,16 @@ impl SeqBarrier {
             // genuinely passed this barrier and cannot block it; the wait
             // goes on for the live stragglers so ranks that have not
             // installed an error handler yet (e.g. the startup barrier) don't
-            // abort a completable barrier. Hard poison still aborts.
+            // abort a completable barrier. Hard poison still aborts. The
+            // death is looked up before the cell is loaded: a rank records
+            // its death after its arrival, so a rank found dead whose cell
+            // is still down never arrived — looked up after, it may have
+            // arrived, passed and died in between.
             let ts = block_until(WaitSite::Barrier, &self.poison, || {
+                let alive = self.poison.check_alive(r);
                 match load_stamped(&self.obj, self.cell(r, self.seq), self.seq)? {
                     Some(ts) => Ok(Polled::Ready(ts)),
-                    None => self.poison.check_alive(r).map(|()| Polled::Idle),
+                    None => alive.map(|()| Polled::Idle),
                 }
             })?;
             latest = latest.max(ts);

@@ -111,7 +111,7 @@ impl Comm {
     /// it on first use. Every collective — blocking, nonblocking or
     /// persistent — resolves through here, so repeated shapes skip planning
     /// entirely (and every form inherits the [`Comm::ft_precheck`] failure
-    /// gate); the cache is per context id and LRU-bounded by
+    /// gate); the cache is per context id and bounded by
     /// [`PLAN_CACHE_ENTRIES`].
     fn spec(
         &self,

@@ -193,7 +193,7 @@ pub(crate) struct CommShard {
     /// Collective-operation counters of this communicator.
     stats: CommCollStats,
     /// Compiled plans of repeated collective shapes, so planning runs once
-    /// per (communicator, shape) instead of once per call. LRU-bounded by
+    /// per (communicator, shape) instead of once per call. Bounded by
     /// [`crate::plan::PLAN_CACHE_ENTRIES`].
     plans: PlanCache,
     /// Process-failure error handler ([`ErrHandler::ErrorsAbort`] is the MPI

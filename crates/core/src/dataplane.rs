@@ -84,21 +84,28 @@
 //!   its line, and where the line goes is fixed by program order;
 //! * consecutive collectives rotate through [`DP_SLOTS`] slots per rank
 //!   (slot = sequence number mod slots), so a writer exposes without asking
-//!   anybody. Only when the slot it wants is still held does it read its
-//!   readers' completion lines — one row read, from the first awaited
-//!   reader's line to the last one's, that releases every slot it holds,
-//!   i.e. once per [`DP_SLOTS`] collectives in a steady stream. A reader
-//!   sweeping at the same sequence number needs this writer's line in turn,
-//!   which is why a sweep stores the held-back line first.
+//!   anybody. The completion also rides the other way: the first line of
+//!   every exposure says, in its stamp word, whether its writer had then
+//!   finished reading every earlier collective of the window — only where
+//!   that is fixed by program order, so never while a collective it started
+//!   is still unread. A writer that has read such an exposure of each of a
+//!   slot's readers, past the slot's occupant, frees the slot for nothing;
+//! * only when the slot it wants is still held after that does a writer
+//!   read its readers' completion lines — one row read, from the first
+//!   awaited reader's line to the last one's, that waits for every earlier
+//!   occupant and releases them all: the fallback of a writer that reads
+//!   nothing of its readers (a broadcast root), runs ahead of them (started
+//!   collectives) or is left ahead of a straggler. A reader sweeping at the
+//!   same sequence number needs this writer's line in turn, which is why a
+//!   sweep stores the held-back line first.
 //!
-//! An 8-byte allgather among `n` ranks is therefore two transactions and a
-//! quarter of two more amortised, whatever `n` is: a store stream of two
-//! lines — the flag line and the completion line of the call before — and a
-//! row; once per [`DP_SLOTS`] calls the completion line goes by itself ahead
-//! of the flag line, and the sweep reads a row of completion lines. A 1 KiB
-//! one is a stamped publish carrying the completion line and one gathered
-//! read, and a barrier a line and a row, where a message-based one pays
-//! per-message software overhead on top of several lines per hop.
+//! An 8-byte allgather among `n` ranks is therefore two transactions,
+//! whatever `n` is: a store stream of two lines — the flag line and the
+//! completion line of the call before — and a row, whose flag lines free the
+//! slot of the call before last. A 1 KiB one is a stamped publish carrying
+//! the completion line and one gathered read, and a barrier a line and a
+//! row, where a message-based one pays per-message software overhead on top
+//! of several lines per hop.
 //!
 //! Broadcast, allgather and allreduce each have more than one **shape** on
 //! the window (`DpShape`). The **direct** one reads every byte straight out
@@ -153,7 +160,8 @@
 //! of a start at `seq` takes slot `(seq + i) mod DP_SLOTS`. Nothing else
 //! paces them: a writer exposes segment `i + 1` while its readers still pull
 //! segment `i`, and the completion-row read of a slot it wants back is the
-//! flow control. How many segments is priced, not fixed: `cheapest` walks
+//! flow control — the fallback sweep, where no exposure it read has freed
+//! the slot. How many segments is priced, not fixed: `cheapest` walks
 //! every shape at the fewest segments it fits a slot in (`fewest`: one
 //! wherever the whole fits), then at twice and four times as many and so
 //! on, until a segment would be shorter than a line, and takes the
@@ -941,7 +949,10 @@ struct Priced {
 /// pipeline: the chain latency again instead of a segment's serial cost, and
 /// the row. In a stream of such collectives the writer runs ahead of its
 /// readers, so a collective costs its slowest member's serial cost of every
-/// segment, and a drained pipeline every [`DP_SLOTS`] segments. `members`
+/// segment, and a drained pipeline every [`DP_SLOTS`] segments. That refill
+/// is the fallback sweep's: a writer that read its readers' exposures past
+/// an occupant frees its slot without one, so the price is an upper bound
+/// where it does. `members`
 /// are the priced members; `emit(ops, range)` appends a member's ops of one
 /// segment; `pricer` holds the op lists walked.
 fn pipeline(

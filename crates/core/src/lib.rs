@@ -85,7 +85,7 @@
 //!   `iallreduce`, ...) advance it incrementally from `test`/`wait` for
 //!   compute/communication overlap, and the MPI-4-style persistent `*_init`
 //!   requests re-run it via `start`/`startall`.
-//! * [`plan`] — the per-communicator LRU plan cache: repeated
+//! * [`plan`] — the per-communicator plan cache: repeated
 //!   collectives of one shape (one-shot *or* persistent) skip planning
 //!   entirely; hit/miss counters land in [`runtime::RankReport::plan_cache`]
 //!   and the bound is [`plan::PLAN_CACHE_ENTRIES`].

@@ -14,8 +14,9 @@
 //!
 //! One `PlanCache` exists per communicator (keyed by context id in the rank
 //! core, so cached plans can never leak between communicators even when
-//! shapes agree), each LRU-bounded by [`PLAN_CACHE_ENTRIES`]. The key captures
-//! everything a builder consults besides the communicator itself: the
+//! shapes agree), each bounded by [`PLAN_CACHE_ENTRIES`]: an irregular
+//! exchange's plan is evicted first, then the least recently used. The key
+//! captures everything a builder consults besides the communicator itself: the
 //! operation, the root, the payload shape (byte count + element count), the
 //! element type and the reduction operator. The remaining inputs —
 //! group, topology-derived hierarchy, tuning and the availability of the
@@ -136,6 +137,12 @@ impl<'a> PlanKey<'a> {
         }
     }
 
+    /// Whether this is an irregular exchange's key: one count vector among
+    /// as many as the caller makes, where a regular shape recurs.
+    pub fn is_irregular(&self) -> bool {
+        !self.counts.iter().all(|c| c.is_empty())
+    }
+
     /// Key of a rooted, fold-free operation.
     pub fn rooted(op: PlanOp, root: Rank, bytes: usize) -> Self {
         PlanKey {
@@ -163,8 +170,8 @@ impl<'a> PlanKey<'a> {
     }
 }
 
-/// How many compiled plans each communicator keeps, least recently used
-/// evicted first.
+/// How many compiled plans each communicator keeps: irregular exchanges'
+/// plans evicted first, least recently used first within each kind.
 pub const PLAN_CACHE_ENTRIES: usize = 64;
 
 counter_section! {
@@ -178,7 +185,7 @@ counter_section! {
         /// Collective calls that had to build (first call of a shape, or a
         /// rebuilt eviction victim).
         misses,
-        /// Plans evicted by the LRU bound.
+        /// Plans evicted by the bound ([`PLAN_CACHE_ENTRIES`]).
         evictions,
         /// Plans dropped by explicit invalidation (`Comm::invalidate_plans`,
         /// e.g. after a revoke/shrink made the cached schedules unusable).
@@ -190,10 +197,13 @@ counter_section! {
     }
 }
 
-/// One communicator's LRU-bounded plan cache. Lookup is a linear scan — the
+/// One communicator's bounded plan cache. Lookup is a linear scan — the
 /// bound is small (tens of entries) and keys compare in a handful of words,
-/// so a scan beats hashing at this size while keeping strict LRU order
-/// trivial.
+/// so a scan beats hashing at this size while keeping LRU order trivial.
+/// A full cache evicts an irregular exchange's plan before any regular one:
+/// an `alltoallv` whose counts change every call caches a plan that is never
+/// hit again, and under plain LRU a run of those pushes out the regular
+/// plans a program comes back to.
 #[derive(Debug, Default)]
 pub(crate) struct PlanCache {
     /// `(key, plan, last-use tick)` triples.
@@ -218,8 +228,9 @@ impl PlanCache {
         None
     }
 
-    /// Cache a freshly built plan under `key`, evicting the LRU entry at the
-    /// `capacity` bound ([`PLAN_CACHE_ENTRIES`] outside tests).
+    /// Cache a freshly built plan under `key`, evicting at the `capacity`
+    /// bound ([`PLAN_CACHE_ENTRIES`] outside tests) the least recently used
+    /// irregular plan, or the least recently used plan if none is irregular.
     pub fn insert(
         &mut self,
         key: PlanKey<'_>,
@@ -232,7 +243,7 @@ impl PlanCache {
                 .slots
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, (_, _, t))| *t)
+                .min_by_key(|(_, (k, _, t))| (!k.is_irregular(), *t))
                 .map(|(i, _)| i)
                 .expect("non-empty cache at capacity");
             self.slots.swap_remove(oldest);
@@ -338,5 +349,27 @@ mod tests {
         get_or_build(&mut cache, keys[0].clone(), 2, || unreachable!());
         get_or_build(&mut cache, keys[1].clone(), 2, || plan("1 again"));
         assert_eq!(cache.stats.misses.get(), 4);
+    }
+
+    #[test]
+    fn an_irregular_plan_is_evicted_before_any_regular_one() {
+        let mut cache = Counted::default();
+        let regular = PlanKey::shaped(PlanOp::Alltoall, 64);
+        let counts: Vec<[usize; 2]> = (0..4).map(|i| [i, 3 - i]).collect();
+        let irregular = |i: usize| PlanKey::irregular(PlanOp::Alltoallv, &counts[i], &counts[i], 8);
+        get_or_build(&mut cache, regular.clone(), 2, || plan("regular"));
+        // The regular plan is the least recently used from here on, and stays.
+        for i in 0..4 {
+            get_or_build(&mut cache, irregular(i), 2, || plan("irregular"));
+        }
+        assert_eq!(cache.stats.evictions.get(), 3);
+        get_or_build(&mut cache, regular, 2, || unreachable!("regular evicted"));
+        // With only regular plans resident, the LRU one goes.
+        let other = PlanKey::shaped(PlanOp::Bcast, 64);
+        get_or_build(&mut cache, other.clone(), 2, || plan("other"));
+        get_or_build(&mut cache, PlanKey::shaped(PlanOp::Allgather, 8), 2, || {
+            plan("third")
+        });
+        get_or_build(&mut cache, other, 2, || unreachable!("most recent evicted"));
     }
 }

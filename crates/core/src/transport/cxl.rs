@@ -63,9 +63,8 @@ use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{block_until, PoisonFlag, Polled, WaitSite};
 use crate::transport::conn::{ConnTable, SrqConsumer, SrqProducer, Stream, Took};
 use crate::transport::{
-    no_data_plane, raises_flag, stamped_only, DataPlaneSection, DpCost, DpFormat, DpGather,
-    DpPiece, DpReaders, DpSource, DpWindow, ExposurePrice, FaultInjector, RecvDest, Transport,
-    TransportSection, WinId,
+    no_data_plane, raises_flag, stamped_only, DpCost, DpFormat, DpGather, DpPiece, DpReaders,
+    DpSource, DpWindow, ExposurePrice, FaultInjector, RecvDest, Transport, TransportSection, WinId,
 };
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
@@ -195,11 +194,13 @@ struct DpState {
     my_idx: usize,
     /// Per slot of this rank: the collective whose exposure occupies it.
     /// Claimed by the collective's first non-empty expose (or an explicit
-    /// claim ahead of it) and released — together with every other earlier
-    /// occupant — by the completion-line sweep of a later expose that finds
-    /// its own slot held; until then an expose that maps to a held slot
-    /// reports "busy" instead of overwriting data (or an inline payload) a
-    /// slow reader may not have pulled yet.
+    /// claim ahead of it) and released by a later expose: once every reader
+    /// of it has shown done past it in an exposure of its own
+    /// ([`DpState::release_shown`]), or else — together with every other
+    /// earlier occupant — by the completion-line sweep of an expose that
+    /// finds its own slot still held. Until then an expose that maps to a
+    /// held slot reports "busy" instead of overwriting data (or an inline
+    /// payload) a slow reader may not have pulled yet.
     held: Vec<Option<u32>>,
     /// Who reads each slot's occupant: a bit per group member, `set_words`
     /// words per slot — the exact set a [`DpReaders`] resolved to when the
@@ -231,6 +232,12 @@ struct DpState {
     /// exposure of it: the one whose slot that writer may still hold, and
     /// ask this rank's completion line about.
     last_read: Vec<Option<u32>>,
+    /// Per group member, the largest sequence number `s` of an exposure of
+    /// it this rank read that said its writer had finished reading every
+    /// collective before `s` ([`stamp_word`]): a lower bound of that
+    /// member's `done_through`, learnt for free from what this rank had to
+    /// read anyway. 0 while none has said so.
+    shown: Vec<u64>,
     /// The control lines of this rank's latest span read, one line per group
     /// member at most: a run of flag lines ([`Transport::dp_await_row`]) or
     /// of completion lines ([`release_held`]).
@@ -284,6 +291,7 @@ impl DpState {
             done_through: 0,
             done_entries: vec![0; layout.done_entries()],
             last_read: vec![None; group.len()],
+            shown: vec![0; group.len()],
             row: vec![0; group.len() * SLOT_CELL_SIZE],
             row_of: None,
             lines: Vec::new(),
@@ -378,6 +386,38 @@ impl DpState {
             self.done_through = through;
             through
         })
+    }
+
+    /// Whether an exposure of collective `seq` this rank makes now tells
+    /// its readers it has finished reading every earlier collective of the
+    /// window: nothing it started is still unread, and the contiguous prefix
+    /// it finished reaches `seq`. Both hold at a point of program order — a
+    /// blocking collective's exposure — or not at all, so what the exposure
+    /// says never depends on how far the host scheduler let a started
+    /// collective run.
+    fn shows_done(&self, seq: u32) -> bool {
+        self.reading.is_empty() && self.done_through >= u64::from(seq)
+    }
+
+    /// Release every occupant of this rank's slots earlier than `seq` whose
+    /// readers have all shown done past it in exposures of their own
+    /// ([`DpState::shown`]): they need no completion line read. Returns how
+    /// many it released.
+    fn release_shown(&mut self, seq: u32) -> u64 {
+        let mut freed = 0;
+        for slot in 0..self.held.len() {
+            let Some(occupant) = self.held[slot] else {
+                continue;
+            };
+            let past = u64::from(occupant) + 1;
+            let earlier = (seq.wrapping_sub(occupant) as i32) > 0;
+            let shown = |peer: usize| !self.reads(slot, peer) || self.shown[peer] >= past;
+            if earlier && (0..self.group.len()).all(shown) {
+                self.held[slot] = None;
+                freed += 1;
+            }
+        }
+        freed
     }
 
     /// Where in this rank's completion line the store of `value` goes. A
@@ -602,14 +642,34 @@ fn image_parts(
     })
 }
 
+/// The stamp word of a window exposure's lines: the writer's clock `ts`
+/// when it stored them and, in the sign bit, which a clock never sets,
+/// whether the writer had then finished reading every earlier collective of
+/// the window ([`DpState::shows_done`]). The fact takes no line, word or
+/// payload byte: [`load_lines`] hands back the clock, [`shown_done`] the
+/// fact.
+fn stamp_word(ts: f64, done: bool) -> f64 {
+    match done {
+        true => -ts,
+        false => ts,
+    }
+}
+
+/// What the stamp word of `image`'s first line — an exposure's flag line or
+/// its first stamped line in the data slot — says of its writer
+/// ([`stamp_word`]).
+fn shown_done(image: &[u8]) -> bool {
+    f64::from_bits(read_u64(image, SLOT_CELL_TS_OFF)).is_sign_negative()
+}
+
 /// Check-and-copy, the reader's half of [`store_lines`]. `image` is this
 /// rank's copy of a stamped exposure's first line followed by the lines that
 /// hold bytes `off..off + out.len()` ([`stamped_span`]). Every line's word
 /// is checked before a byte is taken: unless each shows what `words` awaits
 /// in it, nothing is copied and `None` returned — a line behind, or one of
 /// another exposure, never reaches `out`. Otherwise the bytes are copied out
-/// and the first line's stamp returned; in debug builds every line checked is
-/// left marked [`ROW_CHECKED`].
+/// and the first line's stamp returned — the clock of its [`stamp_word`]; in
+/// debug builds every line checked is left marked [`ROW_CHECKED`].
 pub(crate) fn load_lines(
     image: &mut [u8],
     words: LineWords,
@@ -620,7 +680,7 @@ pub(crate) fn load_lines(
     if !lines.all(|(i, line)| words.line(i).shown_by(read_u64(line, 0))) {
         return None;
     }
-    let stamp = f64::from_bits(read_u64(image, SLOT_CELL_TS_OFF));
+    let stamp = f64::from_bits(read_u64(image, SLOT_CELL_TS_OFF)).abs();
     if cfg!(debug_assertions) {
         for line in image.chunks_exact_mut(SLOT_CELL_SIZE) {
             line[..8].copy_from_slice(&ROW_CHECKED.to_le_bytes());
@@ -633,9 +693,12 @@ pub(crate) fn load_lines(
     Some(stamp)
 }
 
-/// A writer about to expose collective `seq` found the slot it wants still
-/// held: release **every** slot an earlier collective holds, once every
-/// reader of every such occupant shows done through it. The awaited peers'
+/// The fallback sweep. A writer about to expose collective `seq` found the
+/// slot it wants still held after what its readers' own exposures showed
+/// ([`DpState::release_shown`]) — it reads nothing of them (a broadcast
+/// root), runs ahead of them (started collectives) or one of them straggles:
+/// release **every** slot an earlier collective holds, once every reader of
+/// every such occupant shows done through it. The awaited peers'
 /// completion lines — one value each covers all of this writer's slots, so a
 /// line per peer retires up to `slots` collectives — are loaded in one span
 /// read, from the first awaited peer's line to the last one's, and charged
@@ -654,7 +717,7 @@ fn release_held(
     state: &mut DpState,
     seq: u32,
     poison: &PoisonFlag,
-    stats: &DataPlaneSection,
+    counters: &RankCounters,
     clock: &mut SimClock,
     cost: &DpCost,
 ) -> Result<bool> {
@@ -700,12 +763,13 @@ fn release_held(
         }
         clock.merge(stamp);
         clock.advance(cost.row(lines));
-        stats.notify_waits.add(shown);
-        stats.row_reads.add(1);
+        counters.data_plane.notify_waits.add(shown);
+        counters.data_plane.row_reads.add(1);
     }
     for held in &mut state.held {
         if held.is_some_and(earlier) {
             *held = None;
+            counters.completions.freed_by_sweeps.add(1);
         }
     }
     Ok(true)
@@ -1448,8 +1512,10 @@ impl CxlTransport {
     }
 
     /// Whether this rank's slot for collective `seq` on `ctx` is writable:
-    /// free, already claimed by `seq`, or released just now (see
-    /// [`release_held`]). `false` while some reader has not finished with an
+    /// free, already claimed by `seq`, or released just now — by what its
+    /// readers' exposures showed ([`DpState::release_shown`], first, for
+    /// every earlier occupant) or by the fallback sweep ([`release_held`]).
+    /// `false` while some reader has not finished with an
     /// earlier occupant, or while a started collective still has to expose
     /// an earlier sequence number in the slot — the caller reports busy and
     /// the progress engine retries. Unless the slot is writable at once, the
@@ -1466,6 +1532,8 @@ impl CxlTransport {
         };
         let slot = seq as usize % state.layout.slots();
         let slots = state.layout.slots();
+        let shown = state.release_shown(seq);
+        self.counters.completions.freed_by_exposures.add(shown);
         let before = |w: u32| (seq.wrapping_sub(w) as i32) > 0;
         let behind = state
             .writing
@@ -1480,8 +1548,8 @@ impl CxlTransport {
         }
         let state = self.dp.get_mut(&ctx).and_then(|e| e.state.as_mut());
         let state = state.expect("data-plane window vanished between two lookups");
-        let stats = &self.counters.data_plane;
-        let free = at_once || release_held(state, seq, &self.poison, stats, clock, &cost)?;
+        let counters = &self.counters;
+        let free = at_once || release_held(state, seq, &self.poison, counters, clock, &cost)?;
         if free {
             state.writing.retain(|&w| w != seq);
         }
@@ -2704,6 +2772,7 @@ impl Transport for CxlTransport {
             false => cost.expose(pieces),
         });
         let ts = clock.now();
+        let stamp = stamp_word(ts, state.shows_done(seq));
         if joined {
             let done = state.next_done_off(state.done_through);
             store_stamped(&state.obj, done, state.done_through, ts)?;
@@ -2722,7 +2791,7 @@ impl Transport for CxlTransport {
                 DpFormat::Stamped { in_row: true } => in_flag = data,
                 DpFormat::Stamped { in_row: false } => {
                     let awaited = Awaited::line_of(seq, false);
-                    store_lines(&state.obj, at, awaited, ts, data, &mut state.stage)?;
+                    store_lines(&state.obj, at, awaited, stamp, data, &mut state.stage)?;
                 }
                 DpFormat::Slot => state.obj.nt_store_at(at as u64, data)?,
             }
@@ -2731,7 +2800,7 @@ impl Transport for CxlTransport {
         if raises_flag(pieces) {
             let flag = state.layout.flag_off(state.my_idx, slot, phase as usize);
             let awaited = Awaited::line_of(seq, true);
-            store_lines(&state.obj, flag, awaited, ts, in_flag, &mut state.stage)?;
+            store_lines(&state.obj, flag, awaited, stamp, in_flag, &mut state.stage)?;
         }
         if !pieces.is_empty() && stamped_only(pieces) {
             self.counters.data_plane.stamped_exposes.add(1);
@@ -2875,6 +2944,13 @@ impl Transport for CxlTransport {
                 "read of collective {seq} out of writer {}'s lines that its run did not check",
                 src.writer_idx
             )));
+        }
+        // An exposure this rank reads holds its slot until this rank is done
+        // with it, so what its first line says is its own writer's — unlike a
+        // row's flag line, which a later barrier's arrival may overwrite.
+        if shown_done(lines) {
+            let shown = &mut state.shown[src.writer_idx];
+            *shown = (*shown).max(u64::from(seq));
         }
         state.last_read[src.writer_idx] = Some(seq);
         let from_slot = src.slot_bytes(buf.len());
@@ -3160,6 +3236,63 @@ mod tests {
         assert_eq!(state.finish_reading(9), None, "#9 finished, #8 open");
         assert_eq!(state.finish_reading(8), Some(10));
         assert_eq!(state.done_through, 10);
+    }
+
+    /// Once a collective is started and unread, no exposure says its writer
+    /// is done — not even one of a later or an earlier sequence number — until
+    /// the started one is read: when it would be read depends on how far the
+    /// host scheduler let it run.
+    #[test]
+    fn a_started_collectives_exposure_never_says_done() {
+        let layout = SlotLayout::new(3, DP_SLOTS, 4096);
+        let mut state = DpState::new(lines_object(8), layout, &[0, 1, 2], 2);
+        for seq in 0..4 {
+            state.finish_reading(seq);
+        }
+        assert!(state.shows_done(4));
+        assert!(!state.shows_done(5), "#4 is not read yet");
+        state.begin_reading(4);
+        for seq in [3, 4, 5, 9] {
+            assert!(!state.shows_done(seq), "#{seq} exposed while #4 is started");
+        }
+        assert_eq!(state.finish_reading(5), None);
+        assert!(!state.shows_done(6));
+        assert_eq!(state.finish_reading(4), Some(6));
+        assert!(state.shows_done(6));
+    }
+
+    /// What an exposure says rides the sign of its stamp word: the stamp
+    /// comes back as stored, the clock at 0 included.
+    #[test]
+    fn an_exposure_says_done_in_its_stamp_word_and_keeps_its_stamp() {
+        for (ts, done) in [(0.0, true), (0.0, false), (1234.5, true), (1234.5, false)] {
+            let mut image = Vec::new();
+            let words = LineWords::all(Awaited::line_of(7, false));
+            words.compose(&mut image, stamp_word(ts, done), &[&[5u8; 60]]);
+            assert_eq!(shown_done(&image), done, "{ts}, {done}");
+            let mut out = [0u8; 60];
+            assert_eq!(load_lines(&mut image, words, 0, &mut out), Some(ts));
+            assert_eq!(out, [5u8; 60]);
+        }
+    }
+
+    /// Member 2 of 3 frees its slot of #4 — read by both others — once both
+    /// have shown done past #4, not at #4: member 0 having exposed #4 with
+    /// the fact says only that it had finished what came before.
+    #[test]
+    fn a_slot_is_freed_once_every_reader_showed_done_past_its_occupant() {
+        let layout = SlotLayout::new(3, DP_SLOTS, 4096);
+        let mut state = DpState::new(lines_object(8), layout, &[0, 1, 2], 2);
+        state.occupy(4, DpReaders::Others, &[], &[0, 0, 0]);
+        state.occupy(5, DpReaders::One(1), &[], &[0, 0, 0]);
+        state.shown = vec![4, 6, 0];
+        assert_eq!(state.release_shown(8), 1, "#5 is member 1's alone");
+        assert_eq!(state.held[4 % DP_SLOTS], Some(4));
+        state.shown[0] = 5;
+        // Not for a collective that is not earlier than the exposure.
+        assert_eq!(state.release_shown(4), 0);
+        assert_eq!(state.release_shown(8), 1);
+        assert!(state.held.iter().all(Option::is_none));
     }
 
     /// A status object over freed bytes that hold another window's verdict

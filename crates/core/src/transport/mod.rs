@@ -770,6 +770,13 @@ counter_section! {
         /// run, used another window, made a point-to-point, RMA or barrier
         /// call, or dropped the communicator.
         completions_alone,
+        /// Slots of this rank released because every reader of their
+        /// occupant had since shown done past it in an exposure this rank
+        /// read: no completion line loaded.
+        freed_by_exposures,
+        /// Slots of this rank released by a completion sweep: a row of its
+        /// readers' completion lines loaded and waited for.
+        freed_by_sweeps,
     }
 }
 
@@ -1081,7 +1088,11 @@ pub trait Transport: Send {
     /// format is the plan's, not the transport's, because the readers must
     /// know it too, and a reader of a gathered exposure knows its own piece
     /// but not the writer's others. `readers` names who will read it; the
-    /// slot stays held until their completion lines show they are done.
+    /// slot stays held until each of them has shown it is done: in an
+    /// exposure of its own this rank read ([`Transport::dp_pull`]), or else
+    /// in its completion line. The exposure's first line says, in turn,
+    /// whether this rank had then finished reading every earlier collective
+    /// of the window — unless a collective it started is still unread.
     /// Returns `false` — without blocking — while an earlier collective
     /// still holds the slot. No pieces at all publishes only the sequence
     /// value (a barrier's arrival): there is nothing a late reader could
@@ -1160,7 +1171,9 @@ pub trait Transport: Send {
     /// window if that is stamped lines and takes a free slot
     /// ([`DpCost::expose_joined`]), and is stored by itself before anything
     /// else that could wait, or that uses another window or the transport
-    /// ([`Transport::dp_settle`]).
+    /// ([`Transport::dp_settle`]). What the exposure's first line says of
+    /// its writer — done with every collective before `seq` — is kept: it
+    /// frees this rank's slots that writer was the last to read.
     fn dp_pull(
         &mut self,
         _clock: &mut SimClock,

@@ -667,31 +667,28 @@ fn assert_costs(
     check_steady(what, tuning, step, planned, sweeps, counts, None);
 }
 
-/// [`assert_costs`] for a collective that reads and exposes stamped lines
-/// only: the completion line one call's last read leaves held back rides
-/// the next call's exposure, which then costs one line more in its store
-/// stream and nothing else — a call `joined` virtual nanoseconds. The
-/// `SWEEPS` calls that find their slot held store the line by itself before
-/// they sweep, and expose alone: `alone` nanoseconds, plus the row of the
-/// sweep. Every rank stores one joined line a call and one lone line a sweep.
+/// [`assert_costs`] for a collective in which every rank reads and exposes
+/// stamped lines only: the completion line one call's last read leaves held
+/// back rides the next call's exposure, which then costs one line more in
+/// its store stream and nothing else — a call `joined` virtual nanoseconds.
+/// No call sweeps: each peer's exposure a rank reads says that peer had
+/// finished the call before, and that frees the slot the rank needs next.
+/// Every rank stores one joined line a call and none by itself.
 fn assert_joined_costs(
     what: &str,
     step: impl Fn(&mut Comm) -> cmpi::mpi::Result<()> + Send + Sync + 'static,
     joined: f64,
-    alone: f64,
     counts: PerCall,
 ) {
-    let row = dp_cost(4).row(8);
-    let planned = (COLLS - SWEEPS) as f64 * joined + SWEEPS as f64 * (alone + row);
-    let completions = Some((COLLS - SWEEPS, SWEEPS));
+    let planned = COLLS as f64 * joined;
     check_steady(
         what,
         force_shm(),
         step,
         planned,
-        SWEEPS,
+        0,
         counts,
-        completions,
+        Some((COLLS, 0)),
     );
 }
 
@@ -766,25 +763,22 @@ fn an_allgather_costs_its_budget_of_round_trips() {
     // 8 B allgather among 8 ranks: one flag line stored — the exposure's one
     // stamped line — with the completion line the last call held back in the
     // same store stream, two lines; the seven peers' lines, payloads and all,
-    // acquired in one row. Per DP_SLOTS calls, one stores its completion line
-    // by itself, then the flag line alone, and reads one more row, of
-    // completion lines.
+    // acquired in one row. No call sweeps a row of completion lines: the
+    // flag lines read say every peer is done with the call before.
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allgather_into(&[7u8; 8], &mut [0u8; 64]);
     let joined = publish_joined(&dp, stamped(8)) + dp.row(8);
-    let alone = dp.line() + dp.line() + dp.row(8);
-    assert_joined_costs("8 B allgather", step, joined, alone, flat(1, 1));
+    assert_joined_costs("8 B allgather", step, joined, flat(1, 1));
 }
 
 #[test]
 fn a_small_allreduce_costs_what_the_allgather_does() {
     // One expose carrying the last call's completion line, one row, seven
-    // folds out of it; and one lone completion line per sweep.
+    // folds out of it; no sweep.
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allreduce(&mut [3u64], ReduceOp::Sum);
     let joined = publish_joined(&dp, stamped(8)) + dp.row(8);
-    let alone = dp.line() + dp.line() + dp.row(8);
-    assert_joined_costs("8 B allreduce", step, joined, alone, flat(1, 1));
+    assert_joined_costs("8 B allreduce", step, joined, flat(1, 1));
 }
 
 #[test]
@@ -793,15 +787,14 @@ fn a_56_byte_allgather_costs_a_stamped_publish_and_one_gathered_read() {
     // block is two stamped lines at the head of its writer's slot — one store
     // stream of 128 B, no flag, and the last call's completion line in it —
     // and the seven peers' blocks are one gathered read, three out of the
-    // shared cache, four off the device, with no row ahead of it. A sweeping
-    // call stores its completion line by itself first.
+    // shared cache, four off the device, with no row ahead of it, and no
+    // sweep.
     let dp = dp_cost(4);
     let step = |comm: &mut Comm| comm.allgather_into(&[7u64; 7], &mut [0u64; 56]);
     let lines = stamped(56);
     let reads = dp.gather(0, peers_pieces(3, lines));
     let joined = publish_joined(&dp, lines) + reads;
-    let alone = dp.line() + dp.publish(lines, false) + reads;
-    assert_joined_costs("56 B allgather", step, joined, alone, flat(0, 1));
+    assert_joined_costs("56 B allgather", step, joined, flat(0, 1));
 }
 
 #[test]
@@ -816,8 +809,7 @@ fn an_alltoall_costs_a_stamped_publish_and_one_gathered_read() {
     let step = |comm: &mut Comm| comm.alltoall(&[9u8; 64], &mut [0u8; 64]);
     let reads = dp.gather(0, peers_pieces(7, stamped_read(7 * 8, 8)));
     let joined = publish_joined(&dp, stamped(64)) + reads;
-    let alone = dp.line() + dp.publish(stamped(64), false) + reads;
-    assert_joined_costs("8 B alltoall", step, joined, alone, flat(0, 1));
+    assert_joined_costs("8 B alltoall", step, joined, flat(0, 1));
 }
 
 #[test]
@@ -832,8 +824,7 @@ fn a_1KiB_allreduce_costs_a_stamped_publish_and_one_gathered_read() {
     let lines = stamped(1024);
     let reads = dp.gather(0, peers_pieces(3, lines));
     let joined = publish_joined(&dp, lines) + reads;
-    let alone = dp.line() + dp.publish(lines, false) + reads;
-    assert_joined_costs("1 KiB allreduce", step, joined, alone, flat(0, 1));
+    assert_joined_costs("1 KiB allreduce", step, joined, flat(0, 1));
 }
 
 /// The default window: 512 KiB slots, room for the host-sliced shapes of
@@ -926,11 +917,11 @@ fn an_irregular_exchange_costs_one_stamped_publish_and_one_gathered_read() {
     // gathered read of its peers' segments for it (three out of the shared
     // cache, four off the device), no row ahead of it. The completion line a
     // call's reads leave held back rides the next call's store stream, one
-    // line more in it; before it reuses a slot, DP_SLOTS calls' worth at a
-    // time, a rank stores that line by itself and loads the row of completion
-    // lines. The barrier ahead of the timed calls stores the line the untimed
-    // ones left, so the first timed call has none to carry. Nothing per
-    // message: there are none.
+    // line more in it. No call sweeps a row of completion lines: the first
+    // line of every segment read says its writer had finished the call
+    // before, and that frees the slot a rank wants next. The barrier ahead
+    // of the timed calls stores the line the untimed ones left, so the first
+    // timed call has none to carry. Nothing per message: there are none.
     const SEG: usize = 512;
     let dp = dp_cost(4);
     let lines = stamped(SEG);
@@ -967,9 +958,11 @@ fn an_irregular_exchange_costs_one_stamped_publish_and_one_gathered_read() {
             after.bytes_pulled - before.bytes_pulled,
             COLLS * 7 * SEG as u64
         );
-        // No run has a row: every row is a sweep's, and every sweep stores
-        // a lone completion line; every other call but the first carries one.
+        // No run has a row: every row would be a sweep's, and every sweep
+        // would store a lone completion line; every other call but the first
+        // carries one. None sweeps.
         let sweeps = after.row_reads - before.row_reads;
+        assert_eq!(sweeps, 0);
         assert_eq!(7 * sweeps, after.notify_waits - before.notify_waits);
         let lines_after = comm.completion_stats();
         assert_eq!(

@@ -1235,13 +1235,13 @@ fn collective_counters_are_pinned_by_a_fixed_script() {
         );
         // Two windows (world's, the duplicate's); five allreduces on the
         // duplicate's, each one inline exposure and one row of one flag line
-        // read; the fifth reuses the first's slot, which costs one completion
-        // line read in one more row. The context agreement of `comm_dup` runs
-        // on the ring path.
+        // read; the fifth reuses the first's slot, which the second's flag
+        // line, read, freed: its writer had finished the first. The context
+        // agreement of `comm_dup` runs on the ring path.
         assert_eq!((dp.window_setups, dp.window_failures), (2, 0), "{dp:?}");
         assert_eq!((dp.shm_colls, dp.ring_colls), (5, 1), "{dp:?}");
         assert_eq!((dp.expose_ops, dp.pull_ops), (5, 5), "{dp:?}");
-        assert_eq!((dp.row_reads, dp.notify_waits), (6, 1), "{dp:?}");
+        assert_eq!((dp.row_reads, dp.notify_waits), (5, 0), "{dp:?}");
         // One nonblocking start and two persistent ones, each waited for.
         assert_eq!(
             (

@@ -200,14 +200,13 @@ fn small_flat_collectives_cost_a_store_a_row_and_a_line() {
     // peers is one streamed read of the row their flag lines form — 879.5 ns
     // for the eight lines a rank in the middle of the group spans, which the
     // ranks at the ends wait for — where a load per peer was seven times
-    // 790 ns. An 8 B payload rides in those lines; reading one costs the
-    // completion line a writer's sweep then finds, one more row per
-    // `DP_SLOTS` collectives. The completion line rides the rank's next flag
-    // line: one store stream of two lines, 834.9 ns where two lines were
-    // 1 580. Only a call that sweeps stores it by itself first, once per
-    // `DP_SLOTS` calls.
+    // 790 ns. An 8 B payload rides in those lines, and so does what frees a
+    // writer's slot: each flag line read says its writer had finished the
+    // call before, so no writer sweeps a row of completion lines. The
+    // completion line a reader still stores, for writers that read nothing
+    // of it, rides the rank's next flag line: one store stream of two lines,
+    // 834.9 ns where two lines were 1 580.
     const COLLS: usize = 4 * DP_SLOTS;
-    const SWEEPS: usize = COLLS / DP_SLOTS;
     let dp = common::dp_cost(4);
     let (line, row) = (dp.line(), dp.row(8));
     assert_within("a row of eight lines", row, 879.5, 0.001);
@@ -219,25 +218,14 @@ fn small_flat_collectives_cost_a_store_a_row_and_a_line() {
     let barrier = steady(Comm::barrier);
     let allgather = steady(|comm| comm.allgather_into(&[7u8; 8], &mut [0u8; 64]));
     let allreduce = steady(|comm| comm.allreduce(&mut [3u64], ReduceOp::Sum));
-    // Calls that carry a completion line, and those that sweep.
-    let (joined, sweeps) = ((COLLS - SWEEPS) as f64, SWEEPS as f64);
-    let small = joined * (two_lines + row) + sweeps * (line + line + row + row);
+    // Every call carries a completion line.
+    let calls = COLLS as f64;
+    let small = calls * (two_lines + row);
     for rank in 0..8 {
-        let calls = COLLS as f64;
         for (what, run, planned, completions) in [
             ("barrier", &barrier[rank], calls * (line + row), (0, 0)),
-            (
-                "8 B allgather",
-                &allgather[rank],
-                small,
-                (COLLS - SWEEPS, SWEEPS),
-            ),
-            (
-                "8 B allreduce",
-                &allreduce[rank],
-                small,
-                (COLLS - SWEEPS, SWEEPS),
-            ),
+            ("8 B allgather", &allgather[rank], small, (COLLS, 0)),
+            ("8 B allreduce", &allreduce[rank], small, (COLLS, 0)),
         ] {
             let what = format!("{what}, rank {rank}");
             assert_within(&what, run.2, planned, 0.002);
@@ -257,10 +245,10 @@ fn an_8_byte_alltoall_is_a_stamped_publish_and_one_gathered_read() {
     // line's 48 B, its second. A flag line, a row and a gathered read behind
     // it made the call 4.11 µs, the same stream of 128 B and a completion
     // line of its own 2.54; the ranks that read two lines of every peer set
-    // the pace at 1.76. One call in `DP_SLOTS` sweeps, and stores its
-    // completion line by itself first.
+    // the pace at 1.76. No call sweeps: the lines read say their writers had
+    // finished the call before. One that did (a writer that reads nothing of
+    // its readers) would store its completion line by itself first.
     const COLLS: usize = 4 * DP_SLOTS;
-    const SWEEPS: usize = COLLS / DP_SLOTS;
     let dp = common::dp_cost(4);
     let reads = |me: usize| dp.gather(0, common::peers_pieces(me, common::stamped_read(8 * me, 8)));
     let image = common::stamped(64);
@@ -272,15 +260,15 @@ fn an_8_byte_alltoall_is_a_stamped_publish_and_one_gathered_read() {
     let step = |comm: &mut Comm| comm.alltoall(&[9u8; 64], &mut [0u8; 64]);
     let runs = common::steady_completions(UniverseConfig::cxl(8).with_hosts(2), COLLS, step);
     for (rank, (before, after, virt_ns, completions)) in runs.iter().enumerate() {
-        let planned = (COLLS - SWEEPS) as f64 * joined + SWEEPS as f64 * (alone + dp.row(8));
+        let planned = COLLS as f64 * joined;
         assert_within(&format!("rank {rank}"), *virt_ns, planned, 0.002);
         assert_eq!(after.pull_ops - before.pull_ops, 7 * COLLS as u64);
         assert_eq!(after.stamped_exposes - before.stamped_exposes, COLLS as u64);
-        // The completion sweeps are the only rows.
-        assert_eq!(after.row_reads - before.row_reads, SWEEPS as u64);
+        // No row: neither of flag lines nor of completion lines.
+        assert_eq!(after.row_reads - before.row_reads, 0);
         assert_eq!(
             *completions,
-            ((COLLS - SWEEPS) as u64, SWEEPS as u64),
+            (COLLS as u64, 0),
             "rank {rank}: (joined, alone)"
         );
     }

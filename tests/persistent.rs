@@ -247,6 +247,53 @@ fn plan_cache_keys_isolate_every_shape_component() {
 }
 
 #[test]
+fn one_use_irregular_plans_never_push_out_the_regular_ones() {
+    // Every round at 2 ranks: an alltoall, a cache's worth of alltoallv calls
+    // whose counts cycle through one pattern more than the cache holds — so
+    // none of them is ever hit — and an allreduce. Least recently used
+    // first, those plans pushed both regular ones out every round; an
+    // irregular plan going first, the regular two are built once.
+    use cmpi::mpi::plan::PLAN_CACHE_ENTRIES;
+    const ROUNDS: usize = 200;
+    const PATTERNS: usize = PLAN_CACHE_ENTRIES + 1;
+    Universe::run(UniverseConfig::cxl(2), |comm: &mut Comm| {
+        let me = comm.rank();
+        // Elements `src` sends `dst` in pattern `p`: distinct per pattern.
+        let count = |p: usize, dst: usize| 1 + if dst == 0 { p % 8 } else { p / 8 };
+        let before = comm.plan_cache_stats();
+        let mut call = 0;
+        for round in 0..ROUNDS {
+            let mut cells = [me as u64 + 1; 2];
+            comm.alltoall(&[me as u64 * 2, me as u64 * 2 + 1], &mut cells)?;
+            assert_eq!(cells, [me as u64, me as u64 + 2]);
+            for _ in 0..PLAN_CACHE_ENTRIES {
+                let p = call % PATTERNS;
+                call += 1;
+                let send_counts = [count(p, 0), count(p, 1)];
+                let recv_counts = [count(p, me); 2];
+                let send: Vec<u8> = (0..2)
+                    .flat_map(|dst| std::iter::repeat_n((me * 16 + dst) as u8, send_counts[dst]))
+                    .collect();
+                let got = comm.alltoallv(&send, &send_counts, &recv_counts)?;
+                let want: Vec<u8> = (0..2)
+                    .flat_map(|src| std::iter::repeat_n((src * 16 + me) as u8, recv_counts[src]))
+                    .collect();
+                assert_eq!(got, want, "round {round}, pattern {p}");
+            }
+            let mut sum = [round as u64 + me as u64];
+            comm.allreduce(&mut sum, ReduceOp::Sum)?;
+            assert_eq!(sum, [2 * round as u64 + 1]);
+        }
+        let after = comm.plan_cache_stats();
+        let irregular = (ROUNDS * PLAN_CACHE_ENTRIES) as u64;
+        assert_eq!(after.misses - before.misses, 2 + irregular, "{after:?}");
+        assert_eq!(after.hits - before.hits, 2 * (ROUNDS as u64 - 1));
+        Ok(())
+    })
+    .unwrap();
+}
+
+#[test]
 fn interleaved_persistent_and_one_shot_survive_seq_window_wrap() {
     // The collective tag layout keeps 2048 in-flight sequence numbers
     // distinct; > 2048 starts on one communicator wrap the window. A
