@@ -7,8 +7,10 @@
 //! every rank its own slot in a shared *barrier array*: to enter the barrier a
 //! rank increments its private sequence number, publishes it to its own slot
 //! (a plain non-temporal store — single writer per slot, so no atomicity is
-//! needed), and then spin-waits until every other rank's published sequence
-//! number is at least as large as its own.
+//! needed), and then waits until every other rank's published sequence
+//! number is at least as large as its own. The wait is the caller's: each
+//! [`SeqBarrier::attempt`] polls once, so a `Comm` call drives the rank's
+//! started operations between attempts.
 //!
 //! A slot is two `(sequence number, timestamp)` cells in one cache line — the
 //! stamped cell every flag in the pool is — used alternately by the parity of
@@ -32,7 +34,7 @@ use cmpi_fabric::SimClock;
 use cxl_shm::slots::SLOT_DONE_ENTRY;
 use cxl_shm::ShmObject;
 
-use crate::spin::{block_until, PoisonFlag, Polled, WaitSite};
+use crate::spin::{block_until, PoisonFlag, WaitSite};
 use crate::transport::cxl::{load_stamped, store_stamped};
 use crate::types::Rank;
 use crate::Result;
@@ -50,6 +52,9 @@ pub struct SeqBarrier {
     ranks: usize,
     /// This rank's private sequence number.
     seq: u64,
+    /// While entry `seq` waits: the latest stamp merged so far and the first
+    /// peer not yet seen there.
+    waiting: Option<(SimNs, Rank)>,
     /// The rank's failure-state handle: hard poison aborts the wait with
     /// `PeerDead`, a straggler recorded dead with `ProcFailed`.
     poison: PoisonFlag,
@@ -70,6 +75,7 @@ impl SeqBarrier {
             rank,
             ranks,
             seq: 0,
+            waiting: None,
             poison,
         }
     }
@@ -97,23 +103,25 @@ impl SeqBarrier {
         self.slot(rank) + SLOT_DONE_ENTRY * (seq & 1) as usize
     }
 
-    /// Enter the barrier: publish the incremented sequence number and wait for
-    /// every other rank to reach it. `clock` is advanced by one `line` access
-    /// for the publication and one per peer slot, then merged with the latest
-    /// peer timestamp observed.
-    pub fn enter(&mut self, clock: &mut SimClock, line: SimNs) -> Result<()> {
-        self.seq += 1;
-        clock.advance(self.ranks as f64 * line);
-        store_stamped(
-            &self.obj,
-            self.cell(self.rank, self.seq),
-            self.seq,
-            clock.now(),
-        )?;
-
-        // Wait for everyone else and merge their timestamps.
-        let mut latest = clock.now();
-        for r in (0..self.ranks).filter(|&r| r != self.rank) {
+    /// One attempt at the barrier; `Ok(true)` once every rank has reached
+    /// this entry. The first attempt of an entry arrives: it publishes the
+    /// incremented sequence number, charging `clock` one `line` access for
+    /// the publication and one per peer slot. Every attempt then polls the
+    /// peers not yet seen, in rank order, and the one that sees the last of
+    /// them merges the latest stamp observed. An attempt that fails leaves
+    /// no entry half made: the next one arrives anew.
+    pub fn attempt(&mut self, clock: &mut SimClock, line: SimNs) -> Result<bool> {
+        let (mut latest, first) = match self.waiting.take() {
+            Some(waiting) => waiting,
+            None => {
+                self.seq += 1;
+                clock.advance(self.ranks as f64 * line);
+                let cell = self.cell(self.rank, self.seq);
+                store_stamped(&self.obj, cell, self.seq, clock.now())?;
+                (clock.now(), 0)
+            }
+        };
+        for r in (first..self.ranks).filter(|&r| r != self.rank) {
             // A recorded (survivable) death only dooms this wait if the
             // straggler waited on is the dead rank — it will never publish.
             // Faults fire at transfer operations, never inside a barrier
@@ -121,22 +129,39 @@ impl SeqBarrier {
             // genuinely passed this barrier and cannot block it; the wait
             // goes on for the live stragglers so ranks that have not
             // installed an error handler yet (e.g. the startup barrier) don't
-            // abort a completable barrier. Hard poison still aborts. The
-            // death is looked up before the cell is loaded: a rank records
-            // its death after its arrival, so a rank found dead whose cell
-            // is still down never arrived — looked up after, it may have
-            // arrived, passed and died in between.
-            let ts = block_until(WaitSite::Barrier, &self.poison, || {
-                let alive = self.poison.check_alive(r);
-                match load_stamped(&self.obj, self.cell(r, self.seq), self.seq)? {
-                    Some(ts) => Ok(Polled::Ready(ts)),
-                    None => alive.map(|()| Polled::Idle),
+            // abort a completable barrier. Hard poison is the waiter's
+            // check. The death is looked up before the cell is loaded: a
+            // rank records its death after its arrival, so a rank found dead
+            // whose cell is still down never arrived — looked up after, it
+            // may have arrived, passed and died in between.
+            let alive = self.poison.check_alive(r);
+            match load_stamped(&self.obj, self.cell(r, self.seq), self.seq)? {
+                Some(ts) => latest = latest.max(ts),
+                None => {
+                    alive?;
+                    self.waiting = Some((latest, r));
+                    return Ok(false);
                 }
-            })?;
-            latest = latest.max(ts);
+            }
         }
         clock.merge(latest);
-        Ok(())
+        Ok(true)
+    }
+
+    /// Whether an entry has arrived and waits for peers (its next attempt
+    /// polls them, without arriving again).
+    pub fn is_waiting(&self) -> bool {
+        self.waiting.is_some()
+    }
+
+    /// Enter the barrier and wait for every other rank to reach it: attempts
+    /// until one sees them all, at the `Barrier` wait site. For the calls
+    /// that barrier inside the transport (window allocation and free).
+    pub fn enter(&mut self, clock: &mut SimClock, line: SimNs) -> Result<()> {
+        let poison = self.poison.clone();
+        block_until(WaitSite::Barrier, &poison, || {
+            Ok(self.attempt(clock, line)?.then_some(()).into())
+        })
     }
 }
 

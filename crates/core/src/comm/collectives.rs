@@ -9,11 +9,16 @@
 //! runs:
 //!
 //! * **blocking** (`allreduce`, `bcast_into`, ...) binds the *caller's*
-//!   buffer in place and runs the plan to completion ([`Comm::run_coll`]);
+//!   buffer in place and runs the plan to completion ([`Comm::run_coll`]): a
+//!   bare cursor over the communicator's arena — no request, no allocation —
+//!   whose step is the attempt of every lap of the one blocking loop,
+//!   `Comm::drive_until`;
 //! * **nonblocking** (`i*`, MPI-3) stages an owned image of the contribution
 //!   ([`CollPlan::image`]) and activates it at once ([`Comm::start_coll`]);
 //!   the request completes through `wait`/`test`-family calls, mixing freely
-//!   with p2p requests, and yields its result via [`Request::take_values`];
+//!   with p2p requests, and yields its result via [`Request::take_values`]
+//!   (each call steps its cell, `OpCell::step`, and `wait` does it in
+//!   `Comm::drive_until`);
 //! * **persistent** (`*_init`, MPI-4) stages the same image into an
 //!   **inactive** request ([`Comm::init_coll`]); [`Comm::start`] /
 //!   [`Comm::startall`] activate it any number of times — no re-planning, no
@@ -30,12 +35,12 @@
 //! the same order (as in MPI; init calls are collective too), and every
 //! started collective must eventually be completed on every rank. Without a
 //! progress thread, progress only happens inside the library calls of the
-//! rank holding the request, under one rule: every idle attempt of a
-//! blocking call, `wait`, `test` or probe drives every operation the rank
-//! has started ([`Comm::idle`]). To complete several outstanding collectives,
-//! wait for them in start order or drive them together (`wait_all`, a
-//! `wait_any` loop, `test_all`, or `test` polling); see the README's
-//! request-mixing rules.
+//! rank holding the request, under one rule: every attempt of a blocking
+//! call, `wait`, `test` or probe that did not finish drives every operation
+//! the rank has started (`ProgressEngine::drive_started`). To complete
+//! several outstanding collectives, wait for them in start order or drive
+//! them together (`wait_all`, a `wait_any` loop, `test_all`, or `test`
+//! polling); see the README's request-mixing rules.
 
 use std::mem::{size_of, size_of_val};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -49,7 +54,7 @@ use crate::plan::{PlanKey, PlanOp, PLAN_CACHE_ENTRIES};
 use crate::pod::{bytes_of, bytes_of_mut, vec_from_bytes, Pod};
 use crate::progress::{CollPlan, CollState, Cursor, Execution};
 use crate::request::{Request, RequestState};
-use crate::spin::{block_until, Polled, WaitSite};
+use crate::spin::{Polled, WaitSite};
 use crate::topology::HostHierarchy;
 use crate::transport::DpWindow;
 use crate::types::{Rank, ReduceOp, Reducible, WORLD_CTX};
@@ -193,11 +198,11 @@ impl Comm {
     }
 
     /// Blocking form: bind `spec`'s plan to the caller's buffer in place and
-    /// drive it to completion over the communicator's arena as scratch
-    /// ([`Comm::drive_coll`]).
+    /// run it to completion over the communicator's arena as scratch
+    /// ([`Comm::run_plan`]).
     pub(super) fn run_coll(&mut self, spec: &Spec, buf: &mut [u8]) -> Result<()> {
         let mut arena = self.lend_arena(spec.plan.scratch_len());
-        let out = self.drive_coll(spec, buf, &mut arena);
+        let out = self.run_plan(spec, buf, &mut arena);
         self.arena = arena;
         out
     }
@@ -219,7 +224,7 @@ impl Comm {
         let (buf, scratch) = arena.split_at_mut(image);
         plan.stage(contribution, buf);
         let out = self
-            .drive_coll(spec, buf, scratch)
+            .run_plan(spec, buf, scratch)
             .map(|()| read(plan.result(buf, scratch)));
         self.arena = arena;
         out
@@ -244,25 +249,18 @@ impl Comm {
         arena
     }
 
-    /// Drive `spec`'s plan to completion over `buf` and `scratch` with a
-    /// **lock-per-attempt** loop — each iteration takes the rank's io lock
-    /// for one bounded progress attempt and releases it before backing off,
-    /// so concurrent threads of this rank (and the background progress
-    /// engine) interleave at attempt granularity instead of serializing
-    /// behind one blocked collective. An attempt that moved nothing drives
-    /// the rank's started operations ([`Comm::idle`]), as every idle attempt
-    /// does: the collective may wait for one of them.
-    fn drive_coll(&self, spec: &Spec, buf: &mut [u8], scratch: &mut [u8]) -> Result<()> {
+    /// Run `spec`'s plan to completion over `buf` and `scratch`: a bare
+    /// [`Cursor`] (no request, no allocation) whose progress step is the
+    /// attempt of every lap of [`Comm::drive_until`].
+    fn run_plan(&self, spec: &Spec, buf: &mut [u8], scratch: &mut [u8]) -> Result<()> {
         let seq = self.shard().next_coll_seq(spec.plan.seqs);
         let mut cursor = Cursor::new(Arc::clone(&spec.plan), seq);
-        block_until(WaitSite::Collective, &self.shared.poison, || {
-            let step = {
-                let io = &mut *self.shared.io();
-                cursor.progress(io.transport.as_mut(), &mut io.clock, buf, scratch)?
-            };
+        self.drive_until(WaitSite::Collective, None, || {
+            let io = &mut *self.shared.io();
+            let step = cursor.progress(io.transport.as_mut(), &mut io.clock, buf, scratch)?;
             Ok(match (step.done, step.ops) {
                 (true, _) => Polled::Ready(()),
-                (false, 0) => self.idle(None),
+                (false, 0) => Polled::Idle,
                 (false, _) => Polled::Moved,
             })
         })
@@ -390,11 +388,11 @@ impl Comm {
         // consumes one, so the counters agree across ranks no matter which
         // barrier implementation a communicator uses.
         self.shard().next_coll_seq(1);
-        let entered = {
+        self.drive_until(WaitSite::Barrier, None, || {
             let io = &mut *self.shared.io();
-            io.transport.barrier(&mut io.clock)
-        };
-        entered.map_err(|e| self.map_ft_err(e))?;
+            Ok(io.transport.barrier(&mut io.clock)?.then_some(()).into())
+        })
+        .map_err(|e| self.map_ft_err(e))?;
         self.account(PlanOp::Barrier, "barrier/sequence", 0);
         Ok(())
     }

@@ -104,36 +104,63 @@ impl Comm {
         found.map(|status| self.localize(status)).transpose()
     }
 
-    /// The one blocked receive: an attempt per io-lock hold, so other
-    /// threads of this rank keep progressing between attempts; an idle one
-    /// drives the rank's started operations ([`Comm::idle`]), and backs off
-    /// (`block_until` at the `Recv` site, which also fails it on a dead
-    /// peer) when that moved nothing.
+    /// The one blocking loop of every blocking `Comm` call — `recv`, `wait`,
+    /// `wait_all`, `wait_any`, the collectives, the world barrier and
+    /// `win_fence`. Each lap runs the caller's `attempt` once (one io-lock
+    /// hold at most, so the rank's other threads and its engine thread get
+    /// the lock between laps) and, unless that finished, drives every other
+    /// operation the rank has started
+    /// ([`crate::engine::ProgressEngine::drive_started`], MPI's progress
+    /// rule). When another thread of this rank, or the engine thread, owns
+    /// that progress, a lap waiting on `cell` registers on the cell's
+    /// [`WaitCell`](crate::spin::WaitCell), re-checks and parks until the
+    /// completer unparks it; any other lap backs off. Fails as `site` says
+    /// ([`block_until`]); the caller maps the error.
+    pub(super) fn drive_until<T>(
+        &self,
+        site: WaitSite,
+        cell: Option<&OpCell>,
+        mut attempt: impl FnMut() -> Result<Polled<T>>,
+    ) -> Result<T> {
+        let out = block_until(site, &self.shared.poison, || {
+            let own = attempt()?;
+            if matches!(own, Polled::Ready(_)) {
+                return Ok(own);
+            }
+            let others = self.shared.engine.drive_started(&self.shared, cell);
+            Ok(match (own, others, cell) {
+                (Polled::Moved, ..) | (_, Some(1..), _) => Polled::Moved,
+                (_, None, Some(cell)) => {
+                    // Each wake drains the registration: register every lap.
+                    cell.waiter().register();
+                    match cell.is_done() {
+                        true => Polled::Moved,
+                        false => Polled::Handed,
+                    }
+                }
+                _ => Polled::Idle,
+            })
+        });
+        if let Some(cell) = cell {
+            cell.waiter().deregister();
+            // This waiter leaving may leave the rank with no poller: wake a
+            // still-pending sibling's waiter to take the token over.
+            self.shared.engine.handoff(cell);
+        }
+        out
+    }
+
+    /// A blocked receive: one receive attempt per lap of
+    /// [`Comm::drive_until`].
     fn recv_blocking(
         &self,
         src: Option<Rank>,
         tag: Option<Tag>,
         mut dest: RecvDest<'_>,
     ) -> Result<Status> {
-        block_until(WaitSite::Recv, &self.shared.poison, || {
-            Ok(match self.try_recv_once(src, tag, dest.reborrow())? {
-                Some(status) => Polled::Ready(status),
-                None => self.idle(None),
-            })
+        self.drive_until(WaitSite::Recv, None, || {
+            Ok(self.try_recv_once(src, tag, dest.reborrow())?.into())
         })
-    }
-
-    /// The end of an idle attempt — of a blocking call, `wait`, `test` or
-    /// probe — under the rank's one progress rule: drive every operation the
-    /// rank has started but `own`
-    /// ([`crate::engine::ProgressEngine::drive_started`]). `Moved` when that
-    /// serviced any; `Idle` otherwise, also when another thread of this
-    /// rank, or the engine thread, is the one driving them.
-    pub(super) fn idle<T>(&self, own: Option<&OpCell>) -> Polled<T> {
-        match self.shared.engine.drive_started(&self.shared, own) {
-            Some(ops) if ops > 0 => Polled::Moved,
-            _ => Polled::Idle,
-        }
     }
 
     /// Blocking receive into `buf`; returns the completion status. A matched
@@ -179,8 +206,8 @@ impl Comm {
     }
 
     /// [`Comm::try_recv_once`] for the public one-attempt calls, `try_recv`
-    /// and `iprobe`: one that finds nothing is an idle attempt, like a
-    /// `test`'s, and drives the rank's started operations ([`Comm::idle`]).
+    /// and `iprobe`: one that finds nothing drives the rank's started
+    /// operations, like a `test`.
     fn poll_recv(
         &self,
         src: Option<Rank>,
@@ -189,7 +216,7 @@ impl Comm {
     ) -> Result<Option<Status>> {
         let found = self.try_recv_once(src, tag, dest)?;
         if found.is_none() {
-            self.idle::<()>(None);
+            self.shared.engine.drive_started(&self.shared, None);
         }
         Ok(found)
     }
@@ -245,92 +272,62 @@ impl Comm {
         Ok(())
     }
 
-    /// One incremental progress attempt on a pending nonblocking-collective
-    /// request: advances its schedule through the progress engine and, on
-    /// completion, fulfills the request with the collective's result bytes.
-    /// Returns the completion status (if reached) plus the schedule ops this
-    /// attempt serviced, so blocking loops can reset their backoff on partial
-    /// progress. `during_wait` routes the poll/op counters into the wait
-    /// columns of [`ProgressStats`](crate::ProgressStats) (nonblocking `test`-family polls are the
-    /// overlap metric — progress made during user compute). It drives this
-    /// request alone: its callers end an idle attempt with [`Comm::idle`].
-    fn progress_coll(
-        &mut self,
-        request: &mut Request,
-        during_wait: bool,
-    ) -> Result<(Option<Status>, usize)> {
+    /// One completion attempt on a pending collective request: a step of
+    /// its cell ([`OpCell::step`]; in Thread mode the engine thread steps it
+    /// and this attempt only looks), then, once the cell is terminal, the
+    /// request's fulfilment. Ready with its status, moved when the step
+    /// serviced ops, idle otherwise. `during_wait` puts the poll and its ops
+    /// into the wait columns of [`ProgressStats`](crate::ProgressStats), else
+    /// the test ones (`test`-family polls are the overlap metric — progress
+    /// made during user compute).
+    fn progress_coll(&self, request: &mut Request, during_wait: bool) -> Result<Polled<Status>> {
         self.check_request_ctx(request)?;
         let cell = Arc::clone(request.coll.as_ref().expect("collective request has cell"));
         debug_assert_eq!(cell.ctx(), request.ctx, "cell/request context mismatch");
         let counters = &self.shared.counters.progress;
-        if during_wait {
-            counters.wait_polls.add(1);
-        } else {
-            counters.test_polls.add(1);
+        let (polls, ops) = match during_wait {
+            true => (&counters.wait_polls, &counters.ops_in_wait),
+            false => (&counters.test_polls, &counters.ops_in_test),
+        };
+        polls.add(1);
+        let stepped = match self.shared.engine.is_running() {
+            true => 0,
+            false => cell.step(&self.shared, ops),
+        };
+        if !cell.is_done() {
+            return Ok(match stepped {
+                0 => Polled::Idle,
+                _ => Polled::Moved,
+            });
         }
+        // Terminal: finalize into the request. The outcome was published raw
+        // by whoever drove the last step; an error is mapped through this
+        // communicator's error handler here, the same in both modes.
         let mut slot = cell.lock();
-        let mut ops = 0usize;
-        if slot.outcome.is_none() {
-            if self.shared.engine.is_running() {
-                // The background engine owns progress in Thread mode: this
-                // poll merely observes (and the fast path above it, the
-                // `done` flag, is one atomic load).
-                return Ok((None, 0));
-            }
-            let state = slot.state.as_mut().expect("pending collective has state");
-            let step = {
-                let io = &mut *self.shared.io();
-                state.progress(io.transport.as_mut(), &mut io.clock)
-            };
-            let step = match step {
-                Ok(step) => step,
-                Err(e) => {
-                    drop(slot);
-                    return Err(self.map_ft_err(e));
-                }
-            };
-            ops = step.ops;
-            if during_wait {
-                counters.ops_in_wait.add(ops as u64);
-            } else {
-                counters.ops_in_test.add(ops as u64);
-            }
-            if !step.done {
-                return Ok((None, ops));
-            }
-            counters.colls_completed.add(1);
-            let status = state.completion_status();
-            cell.complete(&mut slot, Ok(status));
-        }
-        // Terminal: finalize into the request. Errors were published raw by
-        // whoever drove the final step; map them through this communicator's
-        // error handler here (identical observable behavior in both modes).
-        match slot.outcome.clone().expect("terminal cell has outcome") {
+        let status = match slot.outcome.clone().expect("terminal cell has outcome") {
+            Ok(status) => status,
             Err(e) => {
                 drop(slot);
-                Err(self.map_ft_err(e))
+                return Err(self.map_ft_err(e));
             }
-            Ok(status) => {
-                if request.is_persistent() {
-                    // Persistent completion keeps the execution state and
-                    // buffers: the request stays restartable, and the result
-                    // is read in place via `Request::read_result`.
-                    drop(slot);
-                    request.fulfill(status);
-                    Ok((Some(status), ops))
-                } else {
-                    let state = slot.state.take().expect("one-shot result not yet consumed");
-                    drop(slot);
-                    let (status, data) = state.finish();
-                    request.data = data;
-                    request.fulfill(status);
-                    // Drop the cell: the request is spent (algorithm label
-                    // cleared, engine queue prunes the inactive cell).
-                    request.coll = None;
-                    Ok((Some(status), ops))
-                }
-            }
+        };
+        if request.is_persistent() {
+            // Persistent completion keeps the execution state and buffers:
+            // the request stays restartable, and the result is read in place
+            // via `Request::read_result`.
+            drop(slot);
+            request.fulfill(status);
+            return Ok(Polled::Ready(status));
         }
+        let state = slot.state.take().expect("one-shot result not yet consumed");
+        drop(slot);
+        let (status, data) = state.finish();
+        request.data = data;
+        request.fulfill(status);
+        // Drop the cell: the request is spent (algorithm label cleared,
+        // engine queue prunes the inactive cell).
+        request.coll = None;
+        Ok(Polled::Ready(status))
     }
 
     /// A pending receive posted from a specific source that is recorded dead
@@ -359,9 +356,12 @@ impl Comm {
     /// One non-blocking completion attempt for a pending request (receive or
     /// collective). `during_wait` only affects how collective progress is
     /// accounted.
-    fn try_complete(&mut self, request: &mut Request, during_wait: bool) -> Result<Option<Status>> {
+    fn try_complete(&self, request: &mut Request, during_wait: bool) -> Result<Option<Status>> {
         if request.is_coll() {
-            return self.progress_coll(request, during_wait).map(|(s, _)| s);
+            return Ok(match self.progress_coll(request, during_wait)? {
+                Polled::Ready(status) => Some(status),
+                _ => None,
+            });
         }
         let (src, tag) = (request.src, request.tag);
         self.try_complete_recv(request, src, tag)
@@ -371,7 +371,7 @@ impl Comm {
     /// the request's own selectors, or the one message of them a sweep has
     /// already picked ([`Comm::try_complete_after_earlier`]).
     fn try_complete_recv(
-        &mut self,
+        &self,
         request: &mut Request,
         src: Option<Rank>,
         tag: Option<Tag>,
@@ -412,7 +412,7 @@ impl Comm {
     /// only the later receive matches completes it, however long the earlier
     /// receive stays pending.
     fn try_complete_in(
-        &mut self,
+        &self,
         requests: &mut [Request],
         i: usize,
         during_wait: bool,
@@ -432,7 +432,7 @@ impl Comm {
     }
 
     fn try_complete_after_earlier(
-        &mut self,
+        &self,
         requests: &mut [Request],
         i: usize,
     ) -> Result<Option<Status>> {
@@ -463,6 +463,9 @@ impl Comm {
 
     /// Block until the request completes; returns its status. For receive
     /// requests the payload is then available via [`Request::take_data`].
+    /// Each lap of the wait (`Comm::drive_until`) is one completion attempt;
+    /// a collective request's lap parks on its cell while another thread of
+    /// this rank, or the engine thread, drives it.
     pub fn wait(&mut self, request: &mut Request) -> Result<Status> {
         match request.state() {
             RequestState::SendComplete | RequestState::RecvComplete => {
@@ -471,18 +474,14 @@ impl Comm {
             RequestState::Consumed | RequestState::Inactive => Err(MpiError::StaleRequest),
             RequestState::RecvPending => {
                 self.check_request_ctx(request)?;
-                if request.is_coll() {
-                    if self.shared.engine.is_running() {
-                        // Thread mode: the engine drives; this thread parks
-                        // on the cell's waiter registry and is unparked by a
-                        // directed token the instant the engine publishes
-                        // completion. The escalation timeout only bounds
-                        // lost-wakeup latency.
-                        self.wait_engine_managed(request)?;
-                        let (status, _) = self.progress_coll(request, true)?;
-                        return status.ok_or(MpiError::StaleRequest);
-                    }
-                    return self.wait_polling(request);
+                if let Some(cell) = request.coll.clone() {
+                    // Idempotent: covers a request started before the engine
+                    // thread, or pruned from the registry.
+                    self.shared.engine.enqueue(Arc::clone(&cell));
+                    let waited = self.drive_until(WaitSite::CollWait, Some(&cell), || {
+                        self.progress_coll(request, true)
+                    });
+                    return waited.map_err(|e| self.map_ft_err(e));
                 }
                 let (src, tag) = (request.src, request.tag);
                 match self.recv_blocking(src, tag, request.dest()) {
@@ -502,90 +501,9 @@ impl Comm {
         }
     }
 
-    /// Polling-mode terminal wait on a collective request. Every lap drives
-    /// this request's own schedule, then **every other outstanding
-    /// operation** of the rank
-    /// ([`crate::engine::ProgressEngine::drive_started`] — the
-    /// `opal_progress` idiom). At most one thread per rank sweeps at a time:
-    /// the waiter holding the poller token batches everyone's schedule work
-    /// into its scheduling quantum, completing sibling cells and waking their
-    /// waiters by directed unpark; a waiter that finds the token taken parks
-    /// on its own cell instead of contending for the io lock. A poisoned
-    /// universe aborts the wait instead of parking forever, and partial
-    /// progress restarts the backoff escalation so a steadily advancing
-    /// schedule never degrades to parked sleeps.
-    fn wait_polling(&mut self, request: &mut Request) -> Result<Status> {
-        let cell = Arc::clone(request.coll.as_ref().expect("collective request has cell"));
-        // Idempotent re-registration: covers requests started before a
-        // registry prune dropped them (e.g. after an error elsewhere).
-        self.shared.engine.enqueue(Arc::clone(&cell));
-        let shared = Arc::clone(&self.shared);
-        let out = block_until(WaitSite::CollWait, &shared.poison, || {
-            // Fast path: completion already published — by a sibling poller,
-            // a prior test, or the p2p-wait sweep. One atomic load.
-            if cell.is_done() {
-                return Ok(match self.progress_coll(request, true) {
-                    Err(e) => Polled::Ready(Err(e)),
-                    Ok((Some(status), _)) => Polled::Ready(Ok(status)),
-                    Ok((None, _)) => Polled::Moved,
-                });
-            }
-            let own = self.progress_coll(request, true);
-            let siblings = self.shared.engine.drive_started(&self.shared, Some(&cell));
-            Ok(match (own, siblings) {
-                (Err(e), _) => Polled::Ready(Err(e)),
-                (Ok((Some(status), _)), _) => Polled::Ready(Ok(status)),
-                (Ok((None, ops)), siblings) if ops + siblings.unwrap_or(0) > 0 => Polled::Moved,
-                (Ok(_), Some(_)) => Polled::Idle,
-                // Another thread of this rank holds the poller token: it
-                // drives this cell too and unparks us the moment completion
-                // is published. Register, re-check, park — no spinning; the
-                // park timeout is only a safety net against a poller that
-                // left without a hand-off. (Each wake drains the
-                // registration, so re-register every lap.)
-                (Ok(_), None) => {
-                    cell.waiter().register();
-                    match cell.is_done() {
-                        true => Polled::Moved,
-                        false => Polled::Handed,
-                    }
-                }
-            })
-        })
-        .unwrap_or_else(|e| Err(self.map_ft_err(e)));
-        cell.waiter().deregister();
-        // This waiter leaving may leave the rank with no poller: wake one
-        // still-pending sibling so it promptly takes over the token rather
-        // than sleeping out its park timeout.
-        self.shared.engine.handoff(&cell);
-        out
-    }
-
-    /// Thread-mode terminal wait on an engine-managed collective request:
-    /// register on the cell's waiter list, re-check the completion flag, and
-    /// park until the engine's directed unpark (see [`WaitCell`](crate::spin::WaitCell)). The
-    /// caller finalizes via [`Comm::progress_coll`] afterwards.
-    fn wait_engine_managed(&mut self, request: &mut Request) -> Result<()> {
-        let cell = Arc::clone(request.coll.as_ref().expect("collective request has cell"));
-        // Idempotent: `start`/`start_coll` already enqueued the cell; this
-        // covers requests created before the engine started.
-        self.shared.engine.enqueue(Arc::clone(&cell));
-        let counters = &self.shared.counters.progress;
-        cell.waiter().register();
-        let waited = block_until(WaitSite::EngineWait, &self.shared.poison, || {
-            if cell.is_done() {
-                return Ok(Polled::Ready(()));
-            }
-            counters.wait_polls.add(1);
-            Ok(Polled::Idle)
-        });
-        cell.waiter().deregister();
-        waited.map_err(|e| self.map_ft_err(e))
-    }
-
     /// Test a request for completion without blocking. A test that finds it
-    /// pending drives the rank's other started operations, as every idle
-    /// attempt does (MPI's progress rule).
+    /// pending drives the rank's other started operations, as every attempt
+    /// that did not finish does (MPI's progress rule).
     pub fn test(&mut self, request: &mut Request) -> Result<Option<Status>> {
         match request.state() {
             RequestState::SendComplete | RequestState::RecvComplete => {
@@ -595,7 +513,9 @@ impl Comm {
             RequestState::RecvPending => {
                 let found = self.try_complete(request, false)?;
                 if found.is_none() {
-                    self.idle::<()>(request.coll.as_deref());
+                    self.shared
+                        .engine
+                        .drive_started(&self.shared, request.coll.as_deref());
                 }
                 Ok(found)
             }
@@ -609,9 +529,8 @@ impl Comm {
     /// deadlocking. Errors with [`MpiError::StaleRequest`] if any request was
     /// already consumed.
     pub fn wait_all(&mut self, requests: &mut [Request]) -> Result<Vec<Status>> {
-        let shared = Arc::clone(&self.shared);
         let ordered = Request::any_contention(requests);
-        let swept = block_until(WaitSite::WaitAll, &shared.poison, || {
+        let swept = self.drive_until(WaitSite::WaitAll, None, || {
             Ok(self.sweep_all(requests, true, ordered))
         });
         swept.unwrap_or_else(|e| {
@@ -639,10 +558,10 @@ impl Comm {
 
     /// One completion attempt on every pending request, for
     /// [`Comm::wait_all`] and [`Comm::test_all`]: ready once all are
-    /// complete (or one failed), moved if this sweep completed any, and
-    /// otherwise an idle attempt ([`Comm::idle`]).
+    /// complete (or one failed), moved if this sweep completed any, idle
+    /// otherwise.
     fn sweep_all(
-        &mut self,
+        &self,
         requests: &mut [Request],
         during_wait: bool,
         ordered: bool,
@@ -666,7 +585,7 @@ impl Comm {
         match (all_done, progressed) {
             (true, _) => Polled::Ready(Ok(())),
             (false, true) => Polled::Moved,
-            (false, false) => self.idle(None),
+            (false, false) => Polled::Idle,
         }
     }
 
@@ -675,7 +594,7 @@ impl Comm {
     /// failure is reported against the specific request that can never
     /// complete (via [`Comm::fail_request`], which also spends just that
     /// request). Requests that completed in the meantime are left complete.
-    fn attribute_failure(&mut self, requests: &mut [Request]) -> Result<()> {
+    fn attribute_failure(&self, requests: &mut [Request]) -> Result<()> {
         for i in 0..requests.len() {
             if matches!(requests[i].state(), RequestState::RecvPending) {
                 self.try_complete_in(requests, i, true, true)?;
@@ -689,9 +608,8 @@ impl Comm {
     /// Errors with [`MpiError::StaleRequest`] if the slice is empty or every
     /// request has been consumed.
     pub fn wait_any(&mut self, requests: &mut [Request]) -> Result<(usize, Status)> {
-        let shared = Arc::clone(&self.shared);
         let ordered = Request::any_contention(requests);
-        let polled = block_until(WaitSite::WaitAny, &shared.poison, || {
+        let polled = self.drive_until(WaitSite::WaitAny, None, || {
             Ok(self.poll_any(requests, true, ordered))
         });
         polled.unwrap_or_else(|e| {
@@ -707,17 +625,19 @@ impl Comm {
         let ordered = Request::any_contention(requests);
         match self.poll_any(requests, false, ordered) {
             Polled::Ready(found) => found.map(Some),
-            _ => Ok(None),
+            _ => {
+                self.shared.engine.drive_started(&self.shared, None);
+                Ok(None)
+            }
         }
     }
 
     /// One completion attempt on the pending requests, for
     /// [`Comm::wait_any`] and [`Comm::test_any`], up to the first complete
     /// one: ready with it (or with the failure, or with
-    /// [`MpiError::StaleRequest`] when none is active), and otherwise an
-    /// idle attempt ([`Comm::idle`]).
+    /// [`MpiError::StaleRequest`] when none is active), idle otherwise.
     fn poll_any(
-        &mut self,
+        &self,
         requests: &mut [Request],
         during_wait: bool,
         ordered: bool,
@@ -741,7 +661,7 @@ impl Comm {
             }
         }
         match any_pending {
-            true => self.idle(None),
+            true => Polled::Idle,
             false => Polled::Ready(Err(MpiError::StaleRequest)),
         }
     }
@@ -754,7 +674,10 @@ impl Comm {
         let ordered = Request::any_contention(requests);
         match self.sweep_all(requests, false, ordered) {
             Polled::Ready(done) => done.and_then(|()| Self::statuses(requests)).map(Some),
-            _ => Ok(None),
+            _ => {
+                self.shared.engine.drive_started(&self.shared, None);
+                Ok(None)
+            }
         }
     }
 

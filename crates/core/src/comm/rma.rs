@@ -8,6 +8,7 @@
 
 use super::Comm;
 use crate::error::MpiError;
+use crate::spin::WaitSite;
 use crate::transport::WinId;
 use crate::types::{Rank, ReduceOp};
 use crate::Result;
@@ -142,9 +143,13 @@ impl Comm {
         io.transport.unlock(&mut io.clock, win, target)
     }
 
-    /// Fence synchronization over the window (`MPI_Win_fence`).
+    /// Fence synchronization over the window (`MPI_Win_fence`): one fence
+    /// attempt per lap of `Comm::drive_until`, so the operations this rank
+    /// has started keep moving while it waits.
     pub fn win_fence(&mut self, win: WinId) -> Result<()> {
-        let io = &mut *self.shared.io();
-        io.transport.fence(&mut io.clock, win)
+        self.drive_until(WaitSite::Barrier, None, || {
+            let io = &mut *self.shared.io();
+            Ok(io.transport.fence(&mut io.clock, win)?.then_some(()).into())
+        })
     }
 }

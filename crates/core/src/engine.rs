@@ -7,15 +7,17 @@
 //!
 //! In [`Polling`](crate::config::ProgressMode::Polling) mode (the default)
 //! collectives advance only inside the rank's own library calls — MPI's weak
-//! progress, under one rule: every idle attempt of a blocking call, `wait`,
-//! `test` or probe drives every operation the rank has started, on any
-//! communicator (one thread per rank at a time, holding a poller token —
-//! see `ProgressEngine::drive_started`). In
+//! progress, under one rule: every attempt of a blocking call, `wait`,
+//! `test` or probe that did not finish drives every operation the rank has
+//! started, on any communicator (one thread per rank at a time, holding a
+//! poller token — see `ProgressEngine::drive_started`; every blocking call
+//! applies it at each lap of its loop, `Comm::drive_until`). In
 //! [`Thread`](crate::config::ProgressMode::Thread) mode the
 //! engine thread (`cmpi-progress-<rank>`) drives every enqueued operation
 //! with bounded io-lock holds, so an `iallreduce` completes while the caller
 //! is busy computing and a subsequent `wait` merely observes the completion
 //! flag — MPI's strong progress, the MPICH async-progress-thread idiom.
+//! Either way an operation moves by one step, `OpCell::step`.
 //!
 //! # The operation cell
 //!
@@ -26,14 +28,15 @@
 //! caller-facing fast paths — `test` in Thread mode, `poll` from the futures
 //! adapter — are one atomic load. The engine and the caller synchronize
 //! purely through the slot lock: whoever holds it drives; the other side
-//! skips the attempt (`try_lock`) or waits.
+//! skips the attempt (`try_lock`).
 //!
-//! Completion is published **raw**: the engine stores the terminal
-//! `Result<Status>` without applying the communicator's error handler or
-//! extracting result bytes. The *caller* finalizes — takes the outcome,
-//! maps failures through the error handler of the communicator it waits on,
-//! and (for one-shot ops) consumes the state for its payload. Observable
-//! error behavior is therefore identical in both modes.
+//! Completion is published **raw**: whoever drove the last step stores the
+//! terminal `Result<Status>`, an error too, without applying the
+//! communicator's error handler or extracting result bytes. The *caller*
+//! finalizes — takes the outcome, maps failures through the error handler
+//! of the communicator it waits on, and (for one-shot ops) consumes the
+//! state for its payload. Observable error behavior is therefore identical
+//! in both modes.
 //!
 //! Lock order: cell slot → (shard → ctl →) io. The engine takes a slot
 //! `try_lock` first and the io lock strictly inside it, the same order every
@@ -175,6 +178,46 @@ impl OpCell {
         self.done.store(true, Ordering::Release);
         self.waiter.wake_all();
     }
+
+    /// Drive the operation one bounded attempt under the rank's io lock —
+    /// the one step of every driver: the engine thread, the sweep of the
+    /// rank's started operations, `test` and `wait`. Its schedule ops count
+    /// into `into`, the driver's column; its outcome, an error too, is
+    /// published raw ([`OpCell::complete`]), a completion also counting in
+    /// `colls_completed`. Returns the ops serviced: none also when another
+    /// thread holds the slot (driving or finalizing), or the cell is
+    /// terminal or inactive.
+    pub(crate) fn step(&self, rank: &RankShared, into: &Counter) -> usize {
+        let Ok(mut slot) = self.slot.try_lock() else {
+            return 0;
+        };
+        // Under the slot lock, a published outcome has set the done flag.
+        if self.is_done() || !self.active.load(Ordering::Acquire) {
+            return 0;
+        }
+        let Some(state) = slot.state.as_mut() else {
+            return 0;
+        };
+        let step = {
+            let io = &mut *rank.io();
+            state.progress(io.transport.as_mut(), &mut io.clock)
+        };
+        match step {
+            Ok(step) => {
+                into.add(step.ops as u64);
+                if step.done {
+                    let status = state.completion_status();
+                    rank.counters.progress.colls_completed.add(1);
+                    self.complete(&mut slot, Ok(status));
+                }
+                step.ops
+            }
+            Err(e) => {
+                self.complete(&mut slot, Err(e));
+                0
+            }
+        }
+    }
 }
 
 /// Engine-internal shared state: the work queue and the thread handle.
@@ -284,16 +327,14 @@ impl ProgressEngine {
     }
 
     /// The rank's one progress rule — MPI's, the `opal_progress` idiom:
-    /// every idle attempt of a blocking call, `wait`, `test` or probe (and
-    /// every lap of a Polling-mode collective `wait`) drives every operation
-    /// the rank has started, one bounded attempt each, except `own`, which
-    /// the caller drives itself. At most one thread of a rank sweeps at a
-    /// time, holding the poller token: `None` when another one holds it or
-    /// the engine thread runs (Thread mode owns progress), else the ops
-    /// serviced.
-    /// Completed operations are published via [`OpCell::complete`], so their
-    /// waiters unpark at once; their ops count as `ops_in_wait` — they ran
-    /// inside a caller's call, not on a background thread. Allocation-free:
+    /// every attempt of a blocking call, `wait`, `test` or probe that did not
+    /// finish drives every operation the rank has started, one
+    /// [`OpCell::step`] each, except `own`, which the caller drives itself.
+    /// At most one thread of a rank sweeps at a time, holding the poller
+    /// token: `None` when another one holds it or the engine thread runs
+    /// (Thread mode owns progress), else the ops serviced. Their ops count
+    /// as `ops_in_wait` — they ran inside a caller's call, not on a
+    /// background thread; a completion unparks its waiters. Allocation-free:
     /// cells are visited by index under brief registry locks rather than by
     /// cloning the queue; pruning is left to [`ProgressEngine::enqueue`].
     pub(crate) fn drive_started(&self, rank: &RankShared, own: Option<&OpCell>) -> Option<usize> {
@@ -319,7 +360,7 @@ impl ProgressEngine {
             if own.is_some_and(|o| std::ptr::eq(o, cell.as_ref())) {
                 continue;
             }
-            ops += engine_drive(rank, &cell, &rank.counters.progress.ops_in_wait);
+            ops += cell.step(rank, &rank.counters.progress.ops_in_wait);
         }
         self.poller.store(false, Ordering::Release);
         Some(ops)
@@ -374,8 +415,8 @@ impl ProgressEngine {
 }
 
 /// The engine thread body, until the rank stops the engine or drops its
-/// state (or hard poison): sweep the queue, drive each cell one bounded
-/// attempt, and back off at the `Engine` wait site.
+/// state (or hard poison): sweep the queue, [`OpCell::step`] each cell, and
+/// back off at the `Engine` wait site.
 fn engine_main(shared: Weak<RankShared>, poison: PoisonFlag) {
     // The poll holds the rank only while it sweeps, never across a nap.
     let mut cells = Vec::new();
@@ -392,7 +433,7 @@ fn engine_main(shared: Weak<RankShared>, poison: PoisonFlag) {
         }
         let mut ops = 0usize;
         for cell in &cells {
-            ops += engine_drive(&rank, cell, &rank.counters.progress.ops_in_thread);
+            ops += cell.step(&rank, &rank.counters.progress.ops_in_thread);
         }
         // Hold no cell past the sweep that drove it.
         cells.clear();
@@ -401,49 +442,6 @@ fn engine_main(shared: Weak<RankShared>, poison: PoisonFlag) {
             _ => Polled::Moved,
         })
     });
-}
-
-/// Drive one cell one bounded progress attempt under the io lock, crediting
-/// serviced schedule ops to `into` (`ops_in_thread` from the engine thread,
-/// `ops_in_wait` from a polling waiter's sibling sweep). Returns the ops
-/// serviced (0 when the caller holds the slot, the cell is already terminal,
-/// or no progress was possible).
-fn engine_drive(rank: &RankShared, cell: &OpCell, into: &Counter) -> usize {
-    if cell.is_done() || !cell.active.load(Ordering::Acquire) {
-        return 0;
-    }
-    // A caller holding the slot is driving (or finalizing) this op itself —
-    // skip rather than block the whole sweep behind one cell.
-    let Ok(mut slot) = cell.slot.try_lock() else {
-        return 0;
-    };
-    if slot.outcome.is_some() {
-        return 0;
-    }
-    let Some(state) = slot.state.as_mut() else {
-        return 0;
-    };
-    let step = {
-        let io = &mut *rank.io();
-        state.progress(io.transport.as_mut(), &mut io.clock)
-    };
-    match step {
-        Ok(step) => {
-            into.add(step.ops as u64);
-            if step.done {
-                let status = state.completion_status();
-                rank.counters.progress.colls_completed.add(1);
-                cell.complete(&mut slot, Ok(status));
-            }
-            step.ops
-        }
-        Err(e) => {
-            // Publish the raw error; the waiting caller maps it through its
-            // communicator's error handler at finalize.
-            cell.complete(&mut slot, Err(e));
-            0
-        }
-    }
 }
 
 #[cfg(test)]

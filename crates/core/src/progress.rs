@@ -26,26 +26,17 @@
 //! irregular exchange sends first everywhere and relies on a blocked `Send`
 //! draining arrivals); op `i + 1` never starts before op `i` has completed.
 //!
-//! An execution can be driven two ways:
+//! Every call of [`Execution::progress`] (or of a bare cursor's) executes
+//! ops until one cannot complete (a `SchedOp::Recv` whose message has not
+//! arrived, probed through [`Transport::try_recv`]) and then returns. It is
+//! the step of every driver: of each lap of a blocking collective in the one
+//! blocking loop (`Comm::drive_until`), and of a request's cell
+//! (`crate::engine::OpCell::step`) under `test`, `wait`, the rank's sweep of
+//! its started operations (Polling mode, MPI's weak progress: only inside
+//! library calls) and the engine thread (Thread mode). So blocking,
+//! nonblocking and persistent collectives execute byte-identical plans and
+//! cannot diverge.
 //!
-//! * **to completion** — the blocking collective API binds the plan over the
-//!   caller's buffer and loops on the same progress step until it is done,
-//!   so blocking, nonblocking and persistent collectives execute
-//!   byte-identical plans and cannot diverge;
-//! * **incrementally** — each [`Execution::progress`] call executes ops
-//!   until one cannot complete (a `SchedOp::Recv` whose message has not
-//!   arrived, probed through [`Transport::try_recv`]) and then returns. This
-//!   is what `Comm::test`/`Comm::wait` (and the `*_any`/`*_all` combinators)
-//!   call on a collective request, giving MPI-3-style compute/communication
-//!   overlap.
-//!
-//! Who makes progress: in the default [`crate::config::ProgressMode::Polling`]
-//! mode, the rank that holds the request, whenever it calls `test`/`wait`-
-//! family functions — like MPICH's default configuration, communication
-//! advances only inside MPI calls. In
-//! [`crate::config::ProgressMode::Thread`] mode each rank additionally runs a
-//! background progress thread (see `crate::engine`) that drives every
-//! outstanding execution, so requests complete while the caller computes.
 //! A `Send` op advances through the transports' nonblocking
 //! [`Transport::try_send`]; while it waits (for ring space or a missing
 //! message) the engine drains fully-arrived traffic off the wire

@@ -12,16 +12,17 @@
 //! failure check made before every backoff step; and it counts, per site,
 //! the calls that had to wait ([`WaitStats`]).
 //!
-//! The sites: a blocking receive, a collective request's `wait` (polling or
-//! engine-driven), `wait_all`, `wait_any`, a blocking collective and send;
-//! the CXL transport's flags, PSCW epoch cell, and the rest of a drained or
-//! truncated message; the sequence barrier, the bakery lock's line scan, the
-//! agreement; the progress engine and [`crate::future::block_on`]; the TCP
-//! transport's barrier, window allocation, PSCW `start`/`wait`, lock, fence.
+//! The sites: a blocking receive, a collective request's `wait`, `wait_all`,
+//! `wait_any`, a blocking collective, the world barrier and a window's fence
+//! (each a `Comm` call, waiting in `Comm::drive_until`); a blocking send; the
+//! CXL transport's flags, PSCW epoch cell, and the rest of a drained or
+//! truncated message; the bakery lock's line scan, the agreement; the
+//! progress engine and [`crate::future::block_on`]; the TCP transport's
+//! window allocation, PSCW `start`/`wait` and lock.
 //!
 //! The failure check has two strengths. By default it is
 //! [`PoisonFlag::check`]. The sites that must outlive a recorded death (the
-//! agreement, both barriers, the progress engine) check hard poison only; a
+//! agreement, the barrier, the progress engine) check hard poison only; a
 //! barrier's poll fails by itself once a straggler it waits on is recorded
 //! dead, because that rank will never arrive.
 //!
@@ -420,10 +421,8 @@ macro_rules! wait_sites {
 wait_sites! {
     /// A blocking receive (`recv`, `recv_owned`, a receive request's `wait`).
     Recv => recv, BACKOFF, check;
-    /// A polling-mode `wait` on a collective request.
+    /// A `wait` on a collective request.
     CollWait => coll_wait, BACKOFF, check;
-    /// A `wait` on a collective request the progress engine drives.
-    EngineWait => engine_wait, REGISTERED, check;
     /// `Comm::wait_all`.
     WaitAll => wait_all, BACKOFF, check;
     /// `Comm::wait_any`.
@@ -440,7 +439,8 @@ wait_sites! {
     Drain => drain, BACKOFF, check;
     /// The rest of a message a receive truncates.
     Truncation => truncation, BACKOFF, check;
-    /// The CXL sequence-number barrier.
+    /// The world barrier or a window's fence (the CXL sequence-number
+    /// barrier, the TCP transport's arrival cells).
     Barrier => barrier, BACKOFF, check_hard;
     /// A line scan of the bakery lock.
     Bakery => bakery, BACKOFF, check;
@@ -450,8 +450,6 @@ wait_sites! {
     Engine => engine, ENGINE, check_hard;
     /// `future::block_on`.
     BlockOn => block_on, EXECUTOR, check;
-    /// The TCP transport's barrier.
-    TcpBarrier => tcp_barrier, BACKOFF, check_hard;
     /// A window allocation on the TCP transport.
     TcpWindow => tcp_window, BACKOFF, check;
     /// A PSCW `start` on the TCP transport.
@@ -460,8 +458,6 @@ wait_sites! {
     TcpWait => tcp_wait, BACKOFF, check;
     /// A passive-target lock on the TCP transport.
     TcpLock => tcp_lock, BACKOFF, check;
-    /// A fence on the TCP transport.
-    TcpFence => tcp_fence, BACKOFF, check;
 }
 
 /// What one poll of a [`block_until`] wait found.
@@ -522,10 +518,6 @@ type Tiers = (u32, u32, u64, u64);
 /// is a bubble. A handed lap is registered with a [`WaitCell`] whose completer
 /// unparks it, so its 2 ms park is only a safety net.
 const BACKOFF: Tiers = (6, 1024, 50, 2000);
-/// A waiter registered with a [`WaitCell`] while the progress thread works:
-/// off the critical path, so it reaches the 2 ms safety-net park fast instead
-/// of competing with the engine for cycles.
-const REGISTERED: Tiers = (6, 32, 2000, 2000);
 /// The progress engine: a sweep that found everything stalled yields (so the
 /// threads that would unstall it run); one with nothing to drive naps until
 /// an enqueue unparks it, 1 ms at most.
@@ -673,15 +665,17 @@ mod tests {
 
     #[test]
     fn registered_wait_escalation_is_poison_aware() {
+        // A waiter registered with a `WaitCell` parks handed; poison fails
+        // its lap like any idle one, at every escalation step.
         let poison = PoisonFlag::new();
-        let laps = REGISTERED.0 + REGISTERED.1 + 2;
+        let laps = BACKOFF.0 + BACKOFF.1 + 2;
         for step in 0..laps {
-            back_off(WaitSite::EngineWait, &poison, step, false).unwrap();
+            back_off(WaitSite::CollWait, &poison, step, false).unwrap();
         }
         poison.poison("rank 0 panicked");
         for handed in [false, true] {
             assert!(matches!(
-                back_off(WaitSite::EngineWait, &poison, laps, handed),
+                back_off(WaitSite::CollWait, &poison, laps, handed),
                 Err(MpiError::PeerDead(_))
             ));
         }
@@ -708,7 +702,7 @@ mod tests {
         let universe = PoisonFlag::new();
         let rank = universe.for_rank(&Arc::default());
         universe.mark_dead(3, "killed");
-        for site in [WaitSite::Barrier, WaitSite::TcpBarrier, WaitSite::Agree] {
+        for site in [WaitSite::Barrier, WaitSite::Agree] {
             for step in 0..BACKOFF.0 + 2 {
                 assert_eq!(
                     back_off(site, &rank, step, false).unwrap(),

@@ -2337,9 +2337,9 @@ impl Transport for CxlTransport {
         Ok(moved)
     }
 
-    fn barrier(&mut self, clock: &mut SimClock) -> Result<()> {
+    fn barrier(&mut self, clock: &mut SimClock) -> Result<bool> {
         self.store_held_back(clock, None)?;
-        self.barrier.enter(clock, self.cost.nt_access())
+        self.barrier.attempt(clock, self.cost.nt_access())
     }
 
     // ------------------------------------------------------------------
@@ -2409,14 +2409,14 @@ impl Transport for CxlTransport {
             drawn,
         }));
         // Window allocation is collective: synchronize before anyone uses it.
-        self.barrier(clock)?;
+        self.barrier.enter(clock, self.cost.nt_access())?;
         Ok(id)
     }
 
     fn win_free(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
         self.store_held_back(clock, None)?;
         let drawn = Self::window_in(&mut self.windows, win)?.drawn;
-        self.barrier(clock)?;
+        self.barrier.enter(clock, self.cost.nt_access())?;
         if self.rank == 0 {
             self.arena.destroy_by_name(&format!("cmpi/win_{win}"))?;
             self.refund_headroom(drawn)?;
@@ -2575,14 +2575,16 @@ impl Transport for CxlTransport {
         Ok(())
     }
 
-    fn fence(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
+    fn fence(&mut self, clock: &mut SimClock, win: WinId) -> Result<bool> {
         self.store_held_back(clock, None)?;
         let state = Self::window_in(&mut self.windows, win)?;
-        self.counters
-            .transport
-            .rma_sync_lines
-            .add(self.ranks as u64);
-        state.fence_barrier.enter(clock, self.cost.nt_access())
+        if !state.fence_barrier.is_waiting() {
+            self.counters
+                .transport
+                .rma_sync_lines
+                .add(self.ranks as u64);
+        }
+        state.fence_barrier.attempt(clock, self.cost.nt_access())
     }
 
     // ------------------------------------------------------------------

@@ -906,8 +906,13 @@ pub trait Transport: Send {
         })
     }
 
-    /// Barrier across every rank in the universe.
-    fn barrier(&mut self, clock: &mut SimClock) -> Result<()>;
+    /// One attempt at the barrier across every rank in the universe:
+    /// `Ok(true)` once every rank has entered it. The first call of an entry
+    /// arrives (charged and stamped); later ones poll the stragglers, and
+    /// the one that sees the last of them merges the latest stamp. A call
+    /// that fails leaves no entry half made: the next one arrives anew. A
+    /// straggler recorded dead fails the call only if it never arrived.
+    fn barrier(&mut self, clock: &mut SimClock) -> Result<bool>;
 
     // ------------------------------------------------------------------
     // One-sided (RMA)
@@ -991,8 +996,10 @@ pub trait Transport: Send {
     /// Release the passive-target lock on `target`'s window.
     fn unlock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<()>;
 
-    /// Fence synchronization across all ranks of the window (`MPI_Win_fence`).
-    fn fence(&mut self, clock: &mut SimClock, win: WinId) -> Result<()>;
+    /// One attempt at the fence across all ranks of the window
+    /// (`MPI_Win_fence`): `Ok(true)` once every rank has entered it, under
+    /// the rules of [`Transport::barrier`].
+    fn fence(&mut self, clock: &mut SimClock, win: WinId) -> Result<bool>;
 
     // ------------------------------------------------------------------
     // Introspection

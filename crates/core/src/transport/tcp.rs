@@ -71,6 +71,52 @@ fn all_arrived(arrivals: &Arrivals, seq: u64) -> Option<f64> {
         .then(|| entries(arrivals, seq).map(|(_, t)| t).fold(0.0, f64::max))
 }
 
+/// One rank's side of a barrier or fence: its entry count, and whether its
+/// last entry has arrived and waits for the others.
+#[derive(Default)]
+struct Entries {
+    seq: u64,
+    waiting: bool,
+}
+
+impl Entries {
+    /// One attempt at the next entry into `arrivals` (see
+    /// [`Transport::barrier`]): unless the last one still waits, arrive —
+    /// charge `cost`, then store the stamp — and then poll. A straggler
+    /// recorded dead fails the attempt, and the next one arrives anew.
+    fn attempt(
+        &mut self,
+        arrivals: &Mutex<Arrivals>,
+        rank: Rank,
+        clock: &mut SimClock,
+        cost: f64,
+        poison: &PoisonFlag,
+    ) -> Result<bool> {
+        if !self.waiting {
+            clock.advance(cost);
+            self.seq += 1;
+            arrivals.lock()[rank][(self.seq & 1) as usize] = (self.seq, clock.now());
+        }
+        let arrivals = arrivals.lock();
+        if let Some(latest) = all_arrived(&arrivals, self.seq) {
+            self.waiting = false;
+            clock.merge(latest);
+            return Ok(true);
+        }
+        // A recorded death only dooms the entry if the dead rank has not
+        // arrived yet (it never will). If every straggler is alive — the
+        // victim passed this entry before dying — the entry still completes,
+        // so ranks that have not installed an error handler yet (e.g. the
+        // startup barrier) don't abort a completable barrier.
+        let alive = entries(&arrivals, self.seq)
+            .enumerate()
+            .filter(|&(_, (s, _))| s < self.seq)
+            .try_for_each(|(r, _)| poison.check_alive(r));
+        self.waiting = alive.is_ok();
+        alive.map(|()| false)
+    }
+}
+
 /// One RMA window shared by every rank (the functional backing store).
 struct SharedWindow {
     size_per_rank: usize,
@@ -124,8 +170,8 @@ struct TcpWindowState {
     exposure_group: Vec<Rank>,
     access_group: Vec<Rank>,
     held_locks: Vec<Rank>,
-    /// Local fence sequence number.
-    fence_seq: u64,
+    /// This rank's fence entries.
+    fence: Entries,
 }
 
 /// MPI-over-TCP baseline transport for one rank.
@@ -140,7 +186,8 @@ pub struct TcpTransport {
     windows: Vec<Option<TcpWindowState>>,
     /// The rank's counter block (shared with the communicator layer).
     counters: Arc<RankCounters>,
-    barrier_seq: u64,
+    /// This rank's world-barrier entries.
+    barrier: Entries,
     label: &'static str,
     /// Universe peer-death flag: every blocking wait checks it.
     poison: PoisonFlag,
@@ -203,7 +250,7 @@ impl TcpTransport {
             shared,
             windows: Vec::new(),
             counters,
-            barrier_seq: 0,
+            barrier: Entries::default(),
             label,
             poison,
             fault: None,
@@ -222,6 +269,23 @@ impl TcpTransport {
 
     fn share(&self) -> f64 {
         1.0 / self.fabric.flows_per_nic() as f64
+    }
+
+    /// What a barrier or fence entry is charged: a dissemination barrier's
+    /// ⌈log2(n)⌉ message exchanges (it synchronizes functionally through the
+    /// shared arrival cells).
+    fn sync_cost(&self) -> f64 {
+        let rounds = (self.ranks.max(2) as f64).log2().ceil();
+        rounds * self.model.mpi_message_time(8, self.share())
+    }
+
+    /// The world barrier to its end, inside the transport (window allocation
+    /// and free).
+    fn barrier_to_end(&mut self, clock: &mut SimClock) -> Result<()> {
+        let poison = self.poison.clone();
+        block_until(WaitSite::Barrier, &poison, || {
+            Ok(self.barrier(clock)?.then_some(()).into())
+        })
     }
 
     /// When the origin of a one-sided data transfer of `bytes` started at
@@ -354,34 +418,11 @@ impl Transport for TcpTransport {
         Ok(self.endpoint.drain())
     }
 
-    fn barrier(&mut self, clock: &mut SimClock) -> Result<()> {
-        // A dissemination barrier costs ⌈log2(n)⌉ message exchanges; charge
-        // that, then synchronize functionally through the shared array.
-        let rounds = (self.ranks.max(2) as f64).log2().ceil();
-        clock.advance(rounds * self.model.mpi_message_time(8, self.share()));
-        self.barrier_seq += 1;
-        let my_seq = self.barrier_seq;
-        self.shared.barrier_seq.lock()[self.rank][(my_seq & 1) as usize] = (my_seq, clock.now());
-        // A recorded death only dooms the barrier if the dead rank has not
-        // arrived yet (it never will). If every straggler is alive — the
-        // victim passed this barrier before dying — the barrier still
-        // completes, so ranks that have not installed an error handler yet
-        // (e.g. the startup barrier) don't abort a completable barrier.
-        let latest = block_until(WaitSite::TcpBarrier, &self.poison, || {
-            let seqs = self.shared.barrier_seq.lock();
-            if let Some(latest) = all_arrived(&seqs, my_seq) {
-                return Ok(Polled::Ready(latest));
-            }
-            for (r, _) in entries(&seqs, my_seq)
-                .enumerate()
-                .filter(|&(_, (s, _))| s < my_seq)
-            {
-                self.poison.check_alive(r)?;
-            }
-            Ok(Polled::Idle)
-        })?;
-        clock.merge(latest);
-        Ok(())
+    fn barrier(&mut self, clock: &mut SimClock) -> Result<bool> {
+        let cost = self.sync_cost();
+        let arrivals = &self.shared.barrier_seq;
+        self.barrier
+            .attempt(arrivals, self.rank, clock, cost, &self.poison)
     }
 
     fn win_allocate(&mut self, clock: &mut SimClock, size_per_rank: usize) -> Result<WinId> {
@@ -404,15 +445,15 @@ impl Transport for TcpTransport {
             exposure_group: Vec::new(),
             access_group: Vec::new(),
             held_locks: Vec::new(),
-            fence_seq: 0,
+            fence: Entries::default(),
         }));
-        self.barrier(clock)?;
+        self.barrier_to_end(clock)?;
         Ok(id)
     }
 
     fn win_free(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
         self.window(win)?;
-        self.barrier(clock)?;
+        self.barrier_to_end(clock)?;
         self.windows[win] = None;
         Ok(())
     }
@@ -677,19 +718,13 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn fence(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
-        let rank = self.rank;
-        let rounds = (self.ranks.max(2) as f64).log2().ceil();
-        clock.advance(rounds * self.model.mpi_message_time(8, self.share()));
+    fn fence(&mut self, clock: &mut SimClock, win: WinId) -> Result<bool> {
+        let cost = self.sync_cost();
         let state = Self::window_in(&mut self.windows, win)?;
-        state.fence_seq += 1;
-        let my_seq = state.fence_seq;
-        state.shared.fence_seq.lock()[rank][(my_seq & 1) as usize] = (my_seq, clock.now());
-        let latest = block_until(WaitSite::TcpFence, &self.poison, || {
-            Ok(all_arrived(&state.shared.fence_seq.lock(), my_seq).into())
-        })?;
-        clock.merge(latest);
-        Ok(())
+        let arrivals = &state.shared.fence_seq;
+        state
+            .fence
+            .attempt(arrivals, self.rank, clock, cost, &self.poison)
     }
 
     fn set_concurrency_hint(&mut self, pairs: usize) {

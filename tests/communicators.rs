@@ -334,27 +334,34 @@ fn split_type_host_yields_same_host_communicators() {
 
 #[test]
 fn dropped_communicators_retire_their_shards() {
-    // A thousand duplicates, each used for one 8 B broadcast and dropped: the
-    // rank keeps a shard, and plans, for the live communicators only, and
-    // folds what the dropped ones counted into one retired row — the report
-    // adds up to the same totals. Every duplicate gets a window, and the last
-    // member to drop it frees it: no creation fails, and what the windows
-    // drew from the pool's headroom is back once every member has let go
-    // (a world barrier, after the drops).
+    // A thousand communicators, each used for one 8 B broadcast and dropped:
+    // duplicates of world, and `comm_split` halves (whose two windows, one
+    // per color, are named by each color's own lead under one shared context
+    // id; at n = 2 a half is one rank and has no window). The rank keeps a
+    // shard, and plans, for the live communicators only, and folds what the
+    // dropped ones counted into one retired row — the report adds up to the
+    // same totals. Every one of them gets a window, and the last member to
+    // drop it frees it: no creation fails, and what the windows drew from
+    // the pool's headroom is back once every member has let go (a world
+    // barrier, after the drops).
     const CYCLES: usize = 1000;
-    for n in [2usize, 8] {
+    for (n, split) in [(2usize, false), (8, false), (4, true), (8, true)] {
         let config = UniverseConfig::cxl(n).with_hosts(2);
-        let results = Universe::run(config, |world: &mut Comm| {
+        let results = Universe::run(config, move |world: &mut Comm| {
             let base = world.plan_cache_stats().entries;
             world.barrier()?;
             let drawn = world.headroom_drawn()?;
             let failures = world.data_plane_stats().window_failures;
+            let color = (2 * world.rank() / n) as i32;
             for cycle in 0..CYCLES {
-                let mut dup = world.comm_dup()?;
+                let mut sub = match split {
+                    false => world.comm_dup()?,
+                    true => world.comm_split(color, 0)?.expect("every rank has a color"),
+                };
                 let mut buf = [cycle as u8; 8];
-                dup.bcast_into(0, &mut buf)?;
+                sub.bcast_into(0, &mut buf)?;
                 assert_eq!(buf, [cycle as u8; 8]);
-                assert_eq!(dup.last_coll_algorithm(), "bcast/shm", "cycle {cycle}");
+                assert_eq!(sub.last_coll_algorithm(), "bcast/shm", "cycle {cycle}");
                 assert_eq!(world.plan_cache_stats().entries, base + 1);
             }
             world.barrier()?;
@@ -364,21 +371,23 @@ fn dropped_communicators_retire_their_shards() {
         })
         .unwrap();
         for (rank, (resident, report)) in results.iter().enumerate() {
-            assert_eq!(
-                *resident, 0,
-                "n={n}, rank {rank}: plans of dropped communicators"
-            );
+            let what = format!("n={n}, split {split}, rank {rank}");
+            assert_eq!(*resident, 0, "{what}: plans of dropped communicators");
             let rows: Vec<_> = report.comm_colls.iter().map(|c| c.ctx).collect();
-            assert_eq!(rows, [WORLD_CTX, RETIRED_CTX], "n={n}, rank {rank}");
+            assert_eq!(rows, [WORLD_CTX, RETIRED_CTX], "{what}");
             let retired = &report.comm_colls[1];
+            let size = if split { n / 2 } else { n };
             assert_eq!(
                 (retired.comm_size, retired.bcasts, retired.payload_bytes),
-                (n, CYCLES as u64, 8 * CYCLES as u64),
-                "n={n}, rank {rank}"
+                (size, CYCLES as u64, 8 * CYCLES as u64),
+                "{what}"
             );
-            // Every duplicate's context agreement ran on world.
-            assert_eq!(report.comm_colls[0].allreduces, CYCLES as u64);
-            assert_eq!(report.data_plane.window_failures, 0, "n={n}, rank {rank}");
+            // Every communicator's context agreement ran on world: a
+            // duplicate's is an allreduce, a split's an allgather.
+            let world = &report.comm_colls[0];
+            let agreements = [world.allreduces, world.allgathers][split as usize];
+            assert_eq!(agreements, CYCLES as u64, "{what}");
+            assert_eq!(report.data_plane.window_failures, 0, "{what}");
         }
     }
 }

@@ -515,7 +515,8 @@ fn wait_all_completes_regardless_of_slice_order() {
     }
 }
 
-/// How rank 0 waits for a message after starting a broadcast.
+/// How rank 0 waits, after starting a broadcast, for rank 1 to have done
+/// its blocking half of it.
 #[derive(Clone, Copy, Debug)]
 enum Awaits {
     WaitAll,
@@ -525,78 +526,104 @@ enum Awaits {
     ProbeLoop,
     /// `try_recv` until it takes the message; no receive posted.
     TryRecvLoop,
+    /// No message: both ranks enter the world barrier.
+    WorldBarrier,
+    /// No message: both ranks enter a fence on a world window.
+    Fence,
+}
+
+/// Rank 0's receive of rank 1's message, as `awaits` says.
+fn awaited_message(comm: &mut Comm, awaits: Awaits) -> Result<Vec<u8>, MpiError> {
+    if let Awaits::TryRecvLoop = awaits {
+        loop {
+            if let Some((_, data)) = comm.try_recv(Some(1), Some(5))? {
+                return Ok(data);
+            }
+        }
+    }
+    let mut reqs = [comm.irecv(Some(1), Some(5))?];
+    match awaits {
+        Awaits::WaitAll => drop(comm.wait_all(&mut reqs)?),
+        Awaits::WaitAny => drop(comm.wait_any(&mut reqs)?),
+        Awaits::TestLoop => while comm.test(&mut reqs[0])?.is_none() {},
+        _ => {
+            while comm.iprobe(Some(1), Some(5))?.is_none() {}
+            comm.wait(&mut reqs[0])?;
+        }
+    }
+    reqs[0].take_data()
 }
 
 #[test]
 fn waiting_on_a_receive_drives_a_started_broadcast_its_sender_needs() {
     // Rank 0 starts a broadcast it roots, then waits for a message that rank
-    // 1 sends only once its blocking half of that broadcast is done. In
+    // 1 sends only once its blocking half of that broadcast is done — or
+    // enters the world barrier or a fence that rank 1 enters only then. In
     // Polling mode nothing but rank 0's waiting can move the broadcast, so
-    // every idle attempt of `wait_all`, `wait_any`, `test`, `iprobe` or
-    // `try_recv` must drive it: on the window (`force_shm`, and the default
-    // tuning at this size) and on the ring.
+    // every idle attempt of `wait_all`, `wait_any`, `test`, `iprobe`,
+    // `try_recv`, the barrier or the fence must drive it; in Thread mode
+    // none may hold the io lock across its wait, or the engine thread could
+    // not drive it. On the window (`force_shm`, and the default tuning at
+    // this size) and on the ring.
     let sent: [u8; 8] = *b"started!";
     let tunings = [
         ("force_shm", force_shm()),
         ("default", CollTuning::default()),
         ("force_ring", force_ring()),
     ];
-    for (path, tuning) in tunings {
-        let all = [
-            Awaits::WaitAll,
-            Awaits::WaitAny,
-            Awaits::TestLoop,
-            Awaits::ProbeLoop,
-            Awaits::TryRecvLoop,
-        ];
-        for awaits in all {
-            let what = format!("{path}, {awaits:?}");
-            let config = UniverseConfig::cxl(2)
-                .with_hosts(2)
-                .with_coll_tuning(tuning)
-                .with_progress_mode(ProgressMode::Polling);
-            let case = what.clone();
-            within_a_minute(&what, move || {
-                Universe::run(config, move |world: &mut Comm| {
-                    let mut comm = world.comm_dup()?;
-                    if comm.rank() == 0 {
-                        let mut bcast = comm.ibcast_into(0, &sent)?;
-                        let got = match awaits {
-                            Awaits::TryRecvLoop => loop {
-                                if let Some((_, data)) = comm.try_recv(Some(1), Some(5))? {
-                                    break data;
-                                }
-                            },
-                            _ => {
-                                let mut reqs = [comm.irecv(Some(1), Some(5))?];
-                                match awaits {
-                                    Awaits::WaitAll => drop(comm.wait_all(&mut reqs)?),
-                                    Awaits::WaitAny => drop(comm.wait_any(&mut reqs)?),
-                                    Awaits::TestLoop => while comm.test(&mut reqs[0])?.is_none() {},
-                                    _ => {
-                                        while comm.iprobe(Some(1), Some(5))?.is_none() {}
-                                        comm.wait(&mut reqs[0])?;
-                                    }
-                                }
-                                reqs[0].take_data()?
+    for mode in [ProgressMode::Polling, ProgressMode::Thread] {
+        for (path, tuning) in tunings {
+            let all = [
+                Awaits::WaitAll,
+                Awaits::WaitAny,
+                Awaits::TestLoop,
+                Awaits::ProbeLoop,
+                Awaits::TryRecvLoop,
+                Awaits::WorldBarrier,
+                Awaits::Fence,
+            ];
+            for awaits in all {
+                let what = format!("{mode:?}, {path}, {awaits:?}");
+                let config = UniverseConfig::cxl(2)
+                    .with_hosts(2)
+                    .with_coll_tuning(tuning)
+                    .with_progress_mode(mode);
+                let case = what.clone();
+                within_a_minute(&what, move || {
+                    Universe::run(config, move |world: &mut Comm| {
+                        let mut comm = world.comm_dup()?;
+                        let fence = matches!(awaits, Awaits::Fence);
+                        let win = fence.then(|| world.win_allocate(8)).transpose()?;
+                        if comm.rank() == 0 {
+                            let mut bcast = comm.ibcast_into(0, &sent)?;
+                            match (awaits, win) {
+                                (Awaits::WorldBarrier, _) => world.barrier()?,
+                                (Awaits::Fence, Some(win)) => world.win_fence(win)?,
+                                _ => assert_eq!(awaited_message(&mut comm, awaits)?, b"done"),
                             }
-                        };
-                        assert_eq!(got, b"done");
-                        comm.wait(&mut bcast)?;
-                        assert_eq!(bcast.take_values::<u8>()?, sent);
-                    } else {
-                        let mut got = [0u8; 8];
-                        comm.bcast_into(0, &mut got)?;
-                        assert_eq!(got, sent);
-                        comm.send(0, 5, b"done")?;
-                        let on_window = comm.last_coll_algorithm().contains("/shm");
-                        assert!(on_window || path != "force_shm", "took the ring");
-                        assert!(!on_window || path != "force_ring", "took the window");
-                    }
-                    Ok(())
-                })
-                .unwrap_or_else(|e| panic!("{case}: {e}"))
-            });
+                            comm.wait(&mut bcast)?;
+                            assert_eq!(bcast.take_values::<u8>()?, sent);
+                        } else {
+                            let mut got = [0u8; 8];
+                            comm.bcast_into(0, &mut got)?;
+                            assert_eq!(got, sent);
+                            let on_window = comm.last_coll_algorithm().contains("/shm");
+                            assert!(on_window || path != "force_shm", "took the ring");
+                            assert!(!on_window || path != "force_ring", "took the window");
+                            match (awaits, win) {
+                                (Awaits::WorldBarrier, _) => world.barrier()?,
+                                (Awaits::Fence, Some(win)) => world.win_fence(win)?,
+                                _ => comm.send(0, 5, b"done")?,
+                            }
+                        }
+                        if let Some(win) = win {
+                            world.win_free(win)?;
+                        }
+                        Ok(())
+                    })
+                    .unwrap_or_else(|e| panic!("{case}: {e}"))
+                });
+            }
         }
     }
 }
