@@ -34,7 +34,7 @@ use cmpi_fabric::SimClock;
 use cxl_shm::slots::SLOT_DONE_ENTRY;
 use cxl_shm::ShmObject;
 
-use crate::spin::{block_until, PoisonFlag, WaitSite};
+use crate::spin::PoisonFlag;
 use crate::transport::cxl::{load_stamped, store_stamped};
 use crate::types::Rank;
 use crate::Result;
@@ -55,8 +55,8 @@ pub struct SeqBarrier {
     /// While entry `seq` waits: the latest stamp merged so far and the first
     /// peer not yet seen there.
     waiting: Option<(SimNs, Rank)>,
-    /// The rank's failure-state handle: hard poison aborts the wait with
-    /// `PeerDead`, a straggler recorded dead with `ProcFailed`.
+    /// The rank's failure-state handle: a straggler recorded dead fails an
+    /// attempt with `ProcFailed`.
     poison: PoisonFlag,
 }
 
@@ -67,7 +67,7 @@ impl SeqBarrier {
     }
 
     /// Attach rank `rank` to the barrier array at `base` within `obj`;
-    /// [`SeqBarrier::enter`] waits on `poison`.
+    /// [`SeqBarrier::attempt`] looks its stragglers' deaths up in `poison`.
     pub fn new(obj: ShmObject, base: u64, rank: Rank, ranks: usize, poison: PoisonFlag) -> Self {
         SeqBarrier {
             obj,
@@ -153,22 +153,22 @@ impl SeqBarrier {
     pub fn is_waiting(&self) -> bool {
         self.waiting.is_some()
     }
-
-    /// Enter the barrier and wait for every other rank to reach it: attempts
-    /// until one sees them all, at the `Barrier` wait site. For the calls
-    /// that barrier inside the transport (window allocation and free).
-    pub fn enter(&mut self, clock: &mut SimClock, line: SimNs) -> Result<()> {
-        let poison = self.poison.clone();
-        block_until(WaitSite::Barrier, &poison, || {
-            Ok(self.attempt(clock, line)?.then_some(()).into())
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spin::{block_until, WaitSite};
     use cxl_shm::{ArenaConfig, CxlShmArena, CxlView, DaxDevice, HostCache};
+
+    /// Attempts until every rank reached the entry, waiting as the world
+    /// barrier's `Comm` call does (the `Barrier` site, hard poison only).
+    fn enter(b: &mut SeqBarrier, clock: &mut SimClock, line: SimNs) -> Result<()> {
+        let poison = b.poison.clone();
+        block_until(WaitSite::Barrier, &poison, || {
+            Ok(b.attempt(clock, line)?.then_some(()).into())
+        })
+    }
 
     fn make_barriers(ranks: usize) -> Vec<SeqBarrier> {
         let dev = DaxDevice::with_alignment("barrier-test", 4 * 1024 * 1024, 4096).unwrap();
@@ -201,7 +201,7 @@ mod tests {
     fn single_rank_barrier_is_trivial() {
         let mut barriers = make_barriers(1);
         let mut clock = SimClock::new();
-        barriers[0].enter(&mut clock, 0.0).unwrap();
+        enter(&mut barriers[0], &mut clock, 0.0).unwrap();
         assert_eq!(barriers[0].seq, 1);
     }
 
@@ -214,7 +214,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut clock = SimClock::starting_at((b.rank as f64) * 100.0);
                     for _ in 0..10 {
-                        b.enter(&mut clock, 10.0).unwrap();
+                        enter(&mut b, &mut clock, 10.0).unwrap();
                     }
                     (b.seq, clock.now())
                 })
@@ -243,7 +243,7 @@ mod tests {
             poison.poison("rank 1 panicked");
         });
         let mut clock = SimClock::new();
-        let err = b0.enter(&mut clock, 0.0).unwrap_err();
+        let err = enter(&mut b0, &mut clock, 0.0).unwrap_err();
         assert!(matches!(err, MpiError::PeerDead(_)), "got {err:?}");
         t.join().unwrap();
     }
@@ -268,12 +268,12 @@ mod tests {
             store_stamped(&b1.obj, b1.cell(1, b1.seq), b1.seq, 0.0)?;
         }
         universe.mark_dead(1, "killed at send #1");
-        let entered = std::thread::spawn(move || b0.enter(&mut SimClock::new(), 0.0));
+        let entered = std::thread::spawn(move || enter(&mut b0, &mut SimClock::new(), 0.0));
         if arrives {
             while counters.waits.barrier.get() == 0 {
                 std::thread::yield_now();
             }
-            b2.enter(&mut SimClock::new(), 0.0)?;
+            enter(&mut b2, &mut SimClock::new(), 0.0)?;
         }
         entered.join().unwrap()
     }
@@ -312,7 +312,7 @@ mod tests {
         let entered0 = Arc::clone(&entered);
         let t0 = std::thread::spawn(move || {
             let mut clock = SimClock::new();
-            b0.enter(&mut clock, 0.0).unwrap();
+            enter(&mut b0, &mut clock, 0.0).unwrap();
             assert!(
                 entered0.load(Ordering::SeqCst),
                 "rank 0 left the barrier before rank 1 entered"
@@ -323,7 +323,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(20));
             entered1.store(true, Ordering::SeqCst);
             let mut clock = SimClock::new();
-            b1.enter(&mut clock, 0.0).unwrap();
+            enter(&mut b1, &mut clock, 0.0).unwrap();
         });
         t0.join().unwrap();
         t1.join().unwrap();

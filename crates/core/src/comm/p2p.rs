@@ -71,20 +71,27 @@ impl Comm {
     }
 
     /// Blocking send of `data` to local rank `dst` with `tag` (user tags must
-    /// stay below [`crate::types::COLL_TAG_BASE`]). Runs the transports' one
-    /// blocked-send loop under one io-lock hold: from its first segment to
-    /// its last a message has the pair's queue to itself, and while flow
-    /// control holds it the loop keeps this rank's own arrivals drained.
+    /// stay below [`crate::types::COLL_TAG_BASE`]): one send attempt per lap
+    /// of [`Comm::drive_until`], and while flow control holds the message, a
+    /// drain of this rank's own arrivals (two ranks that each send the other
+    /// more than a queue holds both move).
     pub fn send(&mut self, dst: Rank, tag: Tag, data: &[u8]) -> Result<()> {
         Self::check_user_tag(tag)?;
         let dst = self.world_of(dst)?;
         self.check_peer_alive(dst, "send")?;
-        let sent = {
+        let mut cursor = 0;
+        self.drive_until(WaitSite::Send, None, || {
             let io = &mut *self.shared.io();
-            io.transport
-                .send(&mut io.clock, dst, self.ctx, tag, data, &mut 0)
-        };
-        sent.map_err(|e| self.map_ft_err(e))
+            let (t, clock) = (&mut io.transport, &mut io.clock);
+            if t.try_send(clock, dst, self.ctx, tag, data, &mut cursor)? {
+                return Ok(Polled::Ready(()));
+            }
+            Ok(match t.poll_incoming(clock)? {
+                0 => Polled::Idle,
+                _ => Polled::Moved,
+            })
+        })
+        .map_err(|e| self.map_ft_err(e))
     }
 
     /// One receive attempt — one io-lock hold — for the next message matching
@@ -104,9 +111,9 @@ impl Comm {
         found.map(|status| self.localize(status)).transpose()
     }
 
-    /// The one blocking loop of every blocking `Comm` call — `recv`, `wait`,
-    /// `wait_all`, `wait_any`, the collectives, the world barrier and
-    /// `win_fence`. Each lap runs the caller's `attempt` once (one io-lock
+    /// The one blocking loop of every blocking `Comm` call — `send`, `recv`,
+    /// `wait`, `wait_all`, `wait_any`, the collectives, the world barrier and
+    /// the window calls. Each lap runs the caller's `attempt` once (one io-lock
     /// hold at most, so the rank's other threads and its engine thread get
     /// the lock between laps) and, unless that finished, drives every other
     /// operation the rank has started
@@ -683,8 +690,8 @@ impl Comm {
 
     /// Combined send + receive (deadlock-safe pairwise exchange), full duplex:
     /// both partners send first, so the exchange costs one one-way latency,
-    /// not two. What makes that safe is the blocked-send loop every
-    /// [`Comm::send`] runs: while the destination ring (or stream) is full it
+    /// not two. What makes that safe is the blocked send's loop in
+    /// [`Comm::send`]: while the destination ring (or stream) is full it
     /// keeps this rank's own arrivals drained — exactly what a plan's `Send`
     /// op does — so two ranks whose messages exceed the queue capacity
     /// unblock each other instead of wedging.

@@ -43,10 +43,8 @@
 //! ([`Transport::poll_incoming`]), so peers blocked on flow control keep
 //! moving and concurrent independent executions stay deadlock-free. One
 //! commitment rule: once the first chunk of a multi-chunk message is in a
-//! destination ring, the op finishes the message — in the transports' one
-//! blocked-send loop, [`Transport::send`] — before control returns (the pair's
-//! queue carries one whole message per sender at a time): the same liveness
-//! class as the blocking sends the schedules replaced.
+//! destination ring, the op finishes the message before control returns:
+//! the same liveness class as the blocking sends the schedules replaced.
 //!
 //! Who made which progress is counted in the progress section of the rank's
 //! [`crate::counters::RankCounters`], declared here ([`ProgressSection`]):
@@ -62,6 +60,7 @@ use crate::coll::bind_coll_tag;
 use crate::counters::counter_section;
 use crate::error::MpiError;
 use crate::plan::PlanOp;
+use crate::spin::{block_until, Polled, WaitSite};
 use crate::transport::{DpPiece, DpReaders, DpSource, RecvDest, Transport};
 use crate::types::{CtxId, Rank, ReduceOp, Status, Tag, COLL_TAG_BASE};
 use crate::Result;
@@ -256,6 +255,13 @@ pub struct StepOutcome {
     pub done: bool,
     /// Ops completed by this call.
     pub ops: usize,
+}
+
+impl StepOutcome {
+    /// Not done: stopped at an op that cannot complete yet, after `ops`.
+    fn pending(ops: usize) -> Self {
+        StepOutcome { done: false, ops }
+    }
 }
 
 /// The immutable compiled form of one collective operation from one rank's
@@ -581,31 +587,26 @@ impl Cursor {
                 } => {
                     let tag = bind_coll_tag(tag_off, self.seq);
                     let data: &[u8] = &arena(loc, buf, scratch)[start..end];
-                    while !t.try_send(clock, peer, ctx, tag, data, &mut self.send_cursor)? {
-                        // Destination ring full. Drain our own inbound rings
-                        // (unblocking the peers that must drain ours) before
-                        // deciding how to wait.
-                        let drained = t.poll_incoming(clock)?;
-                        if self.send_cursor > 0 {
-                            // Mid-message: chunks already sit in the
-                            // destination ring, and the ring's contiguity
-                            // invariant (a whole message per sender before
-                            // the next begins) forbids handing control back —
-                            // another send to the same peer would interleave
-                            // chunks and corrupt reassembly. Finish it in the
-                            // blocked-send loop; same liveness class as the
-                            // blocking sends these plans replaced.
-                            t.send(clock, peer, ctx, tag, data, &mut self.send_cursor)?;
-                            break;
+                    let poison = t.poison().clone();
+                    let sent = block_until(WaitSite::Send, &poison, || {
+                        if t.try_send(clock, peer, ctx, tag, data, &mut self.send_cursor)? {
+                            return Ok(Polled::Ready(true));
                         }
-                        // Nothing committed yet: the op can be deferred
-                        // freely. Retry only if the drain made progress.
-                        if drained == 0 {
-                            return Ok(StepOutcome {
-                                done: false,
-                                ops: completed,
-                            });
-                        }
+                        // Destination full: drain our own inbound rings
+                        // (unblocking the peers that must drain ours).
+                        Ok(match (t.poll_incoming(clock)?, self.send_cursor) {
+                            // Nothing committed yet: defer the op.
+                            (0, 0) => Polled::Ready(false),
+                            // Mid-message: the rest goes out before control
+                            // returns, as its receiver drains it at a receive
+                            // attempt, plan step or send lap of its own, none
+                            // of which waits for this rank.
+                            (0, _) => Polled::Idle,
+                            _ => Polled::Moved,
+                        })
+                    })?;
+                    if !sent {
+                        return Ok(StepOutcome::pending(completed));
                     }
                     self.send_cursor = 0;
                 }
@@ -633,10 +634,7 @@ impl Cursor {
                             // peer wedges on flow control; a drained message
                             // may be the one we need, so retry on progress.
                             if t.poll_incoming(clock)? == 0 {
-                                return Ok(StepOutcome {
-                                    done: false,
-                                    ops: completed,
-                                });
+                                return Ok(StepOutcome::pending(completed));
                             }
                             continue;
                         }
@@ -681,10 +679,7 @@ impl Cursor {
                 SchedOp::ClaimSlot { readers, seg } => {
                     if !t.dp_claim(clock, ctx, self.seq.wrapping_add(seg), readers)? {
                         // Slot still held by an earlier collective: pending.
-                        return Ok(StepOutcome {
-                            done: false,
-                            ops: completed,
-                        });
+                        return Ok(StepOutcome::pending(completed));
                     }
                 }
                 SchedOp::ExposeRead {
@@ -699,10 +694,7 @@ impl Cursor {
                     let seq = self.seq.wrapping_add(seg);
                     if !t.dp_expose(clock, ctx, seq, phase, pieces, from, readers)? {
                         // Slot still held by an earlier collective: pending.
-                        return Ok(StepOutcome {
-                            done: false,
-                            ops: completed,
-                        });
+                        return Ok(StepOutcome::pending(completed));
                     }
                 }
                 SchedOp::AwaitRow {
@@ -723,10 +715,7 @@ impl Cursor {
                     let seq = self.seq.wrapping_add(seg);
                     if !t.dp_await_row(clock, ctx, seq, phase, lo..hi, &mut reads)? {
                         // Some awaited line not up yet: pending.
-                        return Ok(StepOutcome {
-                            done: false,
-                            ops: completed,
-                        });
+                        return Ok(StepOutcome::pending(completed));
                     }
                 }
                 SchedOp::PullCopy {
@@ -831,7 +820,7 @@ impl Execution {
     /// Nothing in here blocks on a peer that has not committed: `Recv` ops
     /// probe via [`Transport::try_recv`], and `Send` ops advance via
     /// [`Transport::try_send`] (a message that flow control stops partway is
-    /// finished by the blocked-send loop, [`Transport::send`]). Whenever the current op cannot complete, the
+    /// finished in the same call). Whenever the current op cannot complete, the
     /// engine drains fully-arrived messages off the wire
     /// ([`Transport::poll_incoming`]) and retries — freeing ring cells keeps
     /// peers' sends moving, which makes concurrent independent executions

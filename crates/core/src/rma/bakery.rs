@@ -16,16 +16,17 @@
 //! requires. An uncontended acquisition is two stores (doorway flag; ticket
 //! and cleared flag as one line, ticket first) and `2⌈n/4⌉` loads.
 //!
-//! A waiter re-polls a line until nobody in it is ahead, and every re-poll is
-//! reported: what a *contended* lock costs in virtual time still depends on
-//! how often the host let the waiter spin, and the release carries no
-//! timestamp. Stamping it would fix both: the ROADMAP item *Fig 10 through
-//! `Comm`, the large-n cliff, and every curve gated* lists it as "a stamped
-//! bakery release".
+//! An acquisition is a run of attempts, and the wait between them is the
+//! caller's (`Comm::win_lock` drives the rank's started operations there):
+//! the first attempt takes the doorway, and each scans on from the line the
+//! last one found someone ahead in. Every re-poll is reported: what a
+//! *contended* lock costs in virtual time still depends on how often the
+//! host let the waiter retry, and the release carries no timestamp. Stamping
+//! it would fix both: the ROADMAP item *Fig 10 through `Comm`, the large-n
+//! cliff, and every curve gated* lists it as "a stamped bakery release".
 
 use cxl_shm::{ShmObject, CACHE_LINE_SIZE};
 
-use crate::spin::{block_until, PoisonFlag, WaitSite};
 use crate::types::Rank;
 use crate::Result;
 
@@ -33,6 +34,12 @@ use crate::Result;
 const SLOT_BYTES: usize = 16;
 /// Slots one line load returns.
 const SLOTS_PER_LINE: usize = CACHE_LINE_SIZE / SLOT_BYTES;
+
+/// An acquisition between two attempts: the base of the lock it is for, the
+/// ticket its doorway drew, the first line not yet seen clear, and the device
+/// lines accessed so far.
+#[derive(Debug, Clone, Copy)]
+pub struct Ticket(u64, u64, usize, u64);
 
 /// A bakery lock at a fixed, line-aligned offset of an SHM object. Rank `r`
 /// may only call [`BakeryLock::lock`]/[`BakeryLock::unlock`] with its own id.
@@ -76,40 +83,42 @@ impl BakeryLock {
         }))
     }
 
-    /// Acquire the lock as rank `me`, which must not hold it. Returns the
-    /// device lines stored or loaded (what the cost model charges). A rank
-    /// dying while holding or queued for the lock raises `poison`, which
-    /// aborts the wait with `PeerDead` instead of hanging.
-    pub fn lock(&self, me: Rank, poison: &PoisonFlag) -> Result<u64> {
+    /// One attempt to acquire the lock as rank `me`, which must not hold it:
+    /// once no rank is ahead, the device lines stored or loaded in all (what
+    /// the cost model charges), `None` before. One that finds no ticket of
+    /// this lock in `ticket` takes the doorway and keeps its ticket there.
+    pub fn lock(&self, me: Rank, ticket: &mut Option<Ticket>) -> Result<Option<u64>> {
         let lines = self.ranks.div_ceil(SLOTS_PER_LINE);
-        // Doorway: pick a ticket one larger than every visible ticket (this
-        // rank's own is 0 — it does not hold the lock).
-        self.obj.nt_store_u64_at(self.slot_off(me), 1)?;
-        let mut ticket = 0u64;
-        for line in 0..lines {
-            for (r, _, number) in self.load_line(line)? {
-                if r != me {
-                    ticket = ticket.max(number);
+        let Ticket(_, number, line, accesses) = match ticket {
+            Some(t) if t.0 == self.base => t,
+            _ => {
+                // Doorway: pick a ticket one larger than every visible ticket
+                // (this rank's own is 0 — it does not hold the lock).
+                self.obj.nt_store_u64_at(self.slot_off(me), 1)?;
+                let mut number = 1u64;
+                for line in 0..lines {
+                    let others = self.load_line(line)?.filter(|&(r, ..)| r != me);
+                    number = others.fold(number, |max, (.., n)| max.max(n + 1));
                 }
+                // One line, ticket first: whoever sees the flag down sees it.
+                self.obj.nt_store_u64_at(self.slot_off(me) + 8, number)?;
+                self.obj.nt_store_u64_at(self.slot_off(me), 0)?;
+                ticket.insert(Ticket(self.base, number, 0, 2 + lines as u64))
             }
-        }
-        ticket += 1;
-        // One line, ticket first: whoever sees the flag down sees the ticket.
-        self.obj.nt_store_u64_at(self.slot_off(me) + 8, ticket)?;
-        self.obj.nt_store_u64_at(self.slot_off(me), 0)?;
-
-        // Wait until no rank of a line is in its doorway or precedes us.
-        let ahead = |(r, choosing, number): (Rank, u64, u64)| {
-            r != me && (choosing != 0 || (number != 0 && (number, r) < (ticket, me)))
         };
-        let mut accesses = 2 + lines as u64;
-        for line in 0..lines {
-            block_until(WaitSite::Bakery, poison, || {
-                accesses += 1;
-                Ok((!self.load_line(line)?.any(ahead)).then_some(()).into())
-            })?;
+        // Wait until no rank of a line is in its doorway or precedes us.
+        let mine = (*number, me);
+        let ahead = |(r, choosing, number): (Rank, u64, u64)| {
+            r != me && (choosing != 0 || (number != 0 && (number, r) < mine))
+        };
+        while *line < lines {
+            *accesses += 1;
+            if self.load_line(*line)?.any(ahead) {
+                return Ok(None);
+            }
+            *line += 1;
         }
-        Ok(accesses)
+        Ok(ticket.take().map(|t| t.3))
     }
 
     /// Release the lock as rank `me`: one store.
@@ -123,6 +132,18 @@ impl BakeryLock {
 mod tests {
     use super::*;
     use cxl_shm::{ArenaConfig, CxlShmArena, CxlView, DaxDevice, HostCache};
+
+    /// Attempts until `me` holds the lock: the lines they accessed.
+    #[allow(clippy::disallowed_methods)]
+    fn acquire(lock: &BakeryLock, me: Rank) -> u64 {
+        let mut ticket = None;
+        loop {
+            if let Some(accesses) = lock.lock(me, &mut ticket).unwrap() {
+                return accesses;
+            }
+            std::thread::yield_now();
+        }
+    }
 
     fn make_locks(ranks: usize) -> Vec<BakeryLock> {
         let dev = DaxDevice::with_alignment("bakery-test", 4 * 1024 * 1024, 4096).unwrap();
@@ -151,9 +172,9 @@ mod tests {
     #[test]
     fn single_rank_lock_unlock() {
         let locks = make_locks(1);
-        locks[0].lock(0, &PoisonFlag::new()).unwrap();
+        acquire(&locks[0], 0);
         locks[0].unlock(0).unwrap();
-        locks[0].lock(0, &PoisonFlag::new()).unwrap();
+        acquire(&locks[0], 0);
         locks[0].unlock(0).unwrap();
     }
 
@@ -169,7 +190,7 @@ mod tests {
             .map(|(me, lock)| {
                 std::thread::spawn(move || {
                     for _ in 0..iters {
-                        lock.lock(me, &PoisonFlag::new()).unwrap();
+                        acquire(&lock, me);
                         let v = lock.obj.nt_load_u64_at(counter_off).unwrap();
                         lock.obj.nt_store_u64_at(counter_off, v + 1).unwrap();
                         lock.unlock(me).unwrap();
@@ -200,7 +221,7 @@ mod tests {
         for (ranks, lines) in [(1, 4), (2, 4), (4, 4), (5, 6), (8, 6), (9, 8)] {
             let locks = make_locks(ranks);
             let me = ranks - 1;
-            let accesses = locks[me].lock(me, &PoisonFlag::new()).unwrap();
+            let accesses = acquire(&locks[me], me);
             assert_eq!(accesses, lines, "{ranks} ranks");
             locks[me].unlock(me).unwrap();
         }
@@ -214,11 +235,11 @@ mod tests {
         // so it reports more than the four accesses of an uncontended lock.
         let mut locks = make_locks(2);
         let (l1, l0) = (locks.pop().unwrap(), locks.pop().unwrap());
-        l0.lock(0, &PoisonFlag::new()).unwrap();
+        acquire(&l0, 0);
         let view = l1.obj.view().clone();
         let loaded = move || view.counters().nt_bytes_read;
         let before = loaded();
-        let waiter = std::thread::spawn(move || l1.lock(1, &PoisonFlag::new()).unwrap());
+        let waiter = std::thread::spawn(move || acquire(&l1, 1));
         while loaded() < before + 3 * CACHE_LINE_SIZE as u64 {
             std::thread::yield_now();
         }

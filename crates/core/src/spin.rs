@@ -12,13 +12,10 @@
 //! failure check made before every backoff step; and it counts, per site,
 //! the calls that had to wait ([`WaitStats`]).
 //!
-//! The sites: a blocking receive, a collective request's `wait`, `wait_all`,
-//! `wait_any`, a blocking collective, the world barrier and a window's fence
-//! (each a `Comm` call, waiting in `Comm::drive_until`); a blocking send; the
-//! CXL transport's flags, PSCW epoch cell, and the rest of a drained or
-//! truncated message; the bakery lock's line scan, the agreement; the
-//! progress engine and [`crate::future::block_on`]; the TCP transport's
-//! window allocation, PSCW `start`/`wait` and lock.
+//! The sites ([`WaitSite`]): every blocking `Comm` call, waiting in
+//! `Comm::drive_until`; the waits left inside a plan's send and the CXL
+//! transport, on a peer already committed to what is waited for; the
+//! agreement; the progress engine and [`crate::future::block_on`].
 //!
 //! The failure check has two strengths. By default it is
 //! [`PoisonFlag::check`]. The sites that must outlive a recorded death (the
@@ -429,35 +426,28 @@ wait_sites! {
     WaitAny => wait_any, BACKOFF, check;
     /// A blocking collective.
     Collective => collective, BACKOFF, check;
-    /// A blocking send that flow control holds.
+    /// A blocking send, or a plan's send, that flow control holds.
     Send => send, BACKOFF, check;
-    /// A shared flag of the CXL transport (setup and window handshakes).
+    /// A shared flag of the CXL transport (connection setup and the
+    /// data-plane window's verdict).
     Flag => flag, BACKOFF, check;
-    /// A PSCW `start` or `wait` on the CXL transport, for the peer's epoch.
-    Pscw => pscw, BACKOFF, check;
+    /// An RMA synchronization: `win_start`, `win_wait`, `win_lock`, and a
+    /// window allocation waiting for its creator.
+    RmaSync => rma_sync, BACKOFF, check;
     /// The rest of a matched message its sender is still publishing.
     Drain => drain, BACKOFF, check;
     /// The rest of a message a receive truncates.
     Truncation => truncation, BACKOFF, check;
-    /// The world barrier or a window's fence (the CXL sequence-number
-    /// barrier, the TCP transport's arrival cells).
+    /// The world barrier (also closing a window's allocation and opening its
+    /// free) or a window's fence (the CXL sequence-number barrier, the TCP
+    /// transport's arrival cells).
     Barrier => barrier, BACKOFF, check_hard;
-    /// A line scan of the bakery lock.
-    Bakery => bakery, BACKOFF, check;
     /// The fault-tolerant agreement rendezvous.
     Agree => agree, BACKOFF, check_hard;
     /// The progress engine with nothing to drive, or everything stalled.
     Engine => engine, ENGINE, check_hard;
     /// `future::block_on`.
     BlockOn => block_on, EXECUTOR, check;
-    /// A window allocation on the TCP transport.
-    TcpWindow => tcp_window, BACKOFF, check;
-    /// A PSCW `start` on the TCP transport.
-    TcpStart => tcp_start, BACKOFF, check;
-    /// A PSCW `wait` on the TCP transport.
-    TcpWait => tcp_wait, BACKOFF, check;
-    /// A passive-target lock on the TCP transport.
-    TcpLock => tcp_lock, BACKOFF, check;
 }
 
 /// What one poll of a [`block_until`] wait found.

@@ -58,6 +58,7 @@ use crate::error::MpiError;
 use crate::p2p::{BufferPool, ChunkAssembler, PendingMessage, UnexpectedQueue};
 use crate::pod::{bytes_of, bytes_of_mut};
 use crate::queue::{CellHeader, QueueGeometry, QueueMatrix, SpscQueue, CELL_HEADER_SIZE};
+use crate::rma::bakery::Ticket;
 use crate::rma::layout::WINDOW_READY_MAGIC;
 use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{block_until, PoisonFlag, Polled, WaitSite};
@@ -170,7 +171,11 @@ pub(crate) fn open_poisoned(
 }
 
 /// Wait, with non-temporal loads, until the `u64` flag at `off` satisfies
-/// `pred` (the `Flag` wait site), failing on a dead peer.
+/// `pred` (the `Flag` wait site), failing on a dead peer. Only connection
+/// setup waits here, for an object its creator makes ready without waiting:
+/// the init barrier's and eager matrix's (before user code runs), a doorbell
+/// or shared receive queue (before the init barrier), a stream (made before
+/// its writer rang the doorbell that sent this rank here).
 pub(crate) fn spin_flag(
     obj: &ShmObject,
     off: u64,
@@ -802,6 +807,8 @@ struct EpochSide {
     group: Vec<Rank>,
     /// Per peer ever named: epochs opened with it, the open one included.
     epochs: BTreeMap<Rank, u64>,
+    /// The peer of `group` a waiting `start` or `wait` has not seen yet.
+    waiting: Option<usize>,
 }
 
 struct WindowState {
@@ -812,6 +819,8 @@ struct WindowState {
     pscw: [EpochSide; 2],
     /// Targets this rank currently holds a passive-target lock on.
     held_locks: Vec<Rank>,
+    /// The lock this rank is acquiring, between two attempts.
+    acquiring: Option<Ticket>,
     /// What its creator drew of the pool's headroom for it (none on the
     /// other ranks), handed back when it is freed.
     drawn: u64,
@@ -1195,6 +1204,8 @@ pub struct CxlTransport {
     /// full-ring probe has been charged (see [`charge_full_probe`]); cleared
     /// by the enqueue that gets through.
     tx_blocked: Vec<bool>,
+    /// Per destination: a message is partly out to it ([`Transport::try_send`]).
+    tx_open: Vec<bool>,
     /// Scratch for snapshots of the pending-sender set (keeps the lazy poll
     /// path allocation-free in steady state).
     pending_scan: Vec<Rank>,
@@ -1360,6 +1371,7 @@ impl CxlTransport {
             fault: None,
             fault_armed: BTreeSet::new(),
             tx_blocked: vec![false; ranks],
+            tx_open: vec![false; ranks],
             pending_scan: Vec::new(),
             tx_scratch: Vec::new(),
             acc_scratch: Vec::new(),
@@ -1589,14 +1601,15 @@ impl CxlTransport {
     /// exposure side (`post`/`wait`), `open` an epoch with these peers or
     /// (`None`) close the open one. An epoch is announced by its number in
     /// the pair's cell — by the target in `post`, by the origin in `complete`
-    /// — and the peer's `start`, or `wait`, waits for that number.
+    /// — and the peer's `start`, or `wait`, is `true` once every peer's is
+    /// there, resuming at the first peer whose number was missing.
     fn pscw(
         &mut self,
         clock: &mut SimClock,
         win: WinId,
         access: bool,
         open: Option<&[Rank]>,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         for &peer in open.unwrap_or_default() {
             self.check_rank(peer)?;
         }
@@ -1604,18 +1617,21 @@ impl CxlTransport {
         let (rank, nt) = (self.rank, self.cost.nt_access());
         let state = Self::window_in(&mut self.windows, win)?;
         let side = &mut state.pscw[usize::from(access)];
-        if open.is_some() != side.group.is_empty() {
+        let first = side.waiting.take();
+        if first.is_none() && open.is_some() != side.group.is_empty() {
             let [closer, opener] = [["wait", "post"], ["complete", "start"]][usize::from(access)];
             return Err(MpiError::InvalidSyncState(match open {
                 Some(_) => format!("{opener} called before the {closer} of the open epoch"),
                 None => format!("{closer} called without a matching {opener}"),
             }));
         }
-        side.group.extend_from_slice(open.unwrap_or_default());
+        side.group
+            .extend_from_slice(open.filter(|_| first.is_none()).unwrap_or_default());
         let publishes = access != open.is_some();
-        for &peer in &side.group {
+        for (i, &peer) in side.group.iter().enumerate().skip(first.unwrap_or(0)) {
+            // An epoch is opened with a peer when the first attempt reaches it.
             let epoch = side.epochs.entry(peer).or_default();
-            *epoch += u64::from(open.is_some());
+            *epoch += u64::from(open.is_some() && Some(i) != first);
             let (reader, writer) = if publishes {
                 (peer, rank)
             } else {
@@ -1629,9 +1645,10 @@ impl CxlTransport {
                 clock.advance(nt);
                 store_stamped(&state.obj, cell, *epoch, clock.now())?;
             } else {
-                let stamp = block_until(WaitSite::Pscw, &self.poison, || {
-                    Ok(load_stamped(&state.obj, cell, *epoch)?.into())
-                })?;
+                let Some(stamp) = load_stamped(&state.obj, cell, *epoch)? else {
+                    side.waiting = Some(i);
+                    return Ok(false);
+                };
                 clock.merge(stamp);
                 clock.advance(nt);
             }
@@ -1643,7 +1660,7 @@ impl CxlTransport {
         if open.is_none() {
             side.group.clear();
         }
-        Ok(())
+        Ok(true)
     }
 
     fn check_rank(&self, rank: Rank) -> Result<()> {
@@ -1696,6 +1713,10 @@ impl CxlTransport {
         let price = self.message_price(sender);
         let mut ring = self.conn.rx_ring(sender, price)?;
         let (mut next, mut received) = (Some(*first), 0usize);
+        // The sender has this message partly out and holds back anything
+        // else for this rank until it is whole (the commit rule); its next
+        // attempts, each one hold of its own io lock, publish the rest.
+        debug_assert!(self.held_back.is_none(), "line held back");
         block_until(WaitSite::Drain, &self.poison, || {
             // What follows is guaranteed to belong to this message (the
             // sender publishes a whole message before starting the next), but
@@ -1977,7 +1998,8 @@ impl CxlTransport {
                     // MPI truncation: the message is consumed (into staging,
                     // recycled immediately) and the receive errors. Blocking
                     // for the remainder is fine — the sender of a matching
-                    // partial message is committed and actively publishing.
+                    // partial message is committed to it, as in the drain.
+                    debug_assert!(self.held_back.is_none(), "line held back");
                     let poison = self.poison.clone();
                     let msg = block_until(WaitSite::Truncation, &poison, || {
                         Ok(self.pump_queue(clock, sender)?.into())
@@ -2085,11 +2107,11 @@ impl Transport for CxlTransport {
     }
 
     /// One send body, nonblocking and resumable, whichever way the pair is
-    /// connected: the progress engine calls it as is, the blocking
-    /// [`Transport::send`] drives it in a loop that keeps this rank's arrivals
-    /// drained while it is blocked. `cursor` counts what is already out —
-    /// stream segments on a promoted pair, cells on an eager ring or a cold
-    /// pair's shared receive queue.
+    /// connected: a blocking `Comm::send` attempts it once a lap, a plan's
+    /// send once a step. `cursor` counts what is already out — stream
+    /// segments on a promoted pair, cells on an eager ring or a cold pair's
+    /// shared receive queue — and a fresh message toward a peer with another
+    /// partly out returns at once, before anything of it is charged.
     ///
     /// In lazy mode, message entry (`cursor == 0`; idempotent, nothing is out
     /// yet) opens and opportunistically promotes the pair. On a promoted pair
@@ -2115,6 +2137,9 @@ impl Transport for CxlTransport {
     ) -> Result<bool> {
         self.check_rank(dst)?;
         self.store_held_back(clock, None)?;
+        if *cursor == 0 && self.tx_open[dst] {
+            return Ok(false);
+        }
         let nt = self.cost.nt_access();
         let total = data.len();
         let charge = self.charge_for(dst);
@@ -2129,8 +2154,8 @@ impl Transport for CxlTransport {
             let peer = match *cursor {
                 0 => table.prepare_send(dst, clock, nt, price)?,
                 // Mid-message the route is settled: a pair is only promoted
-                // at message entry, and nothing starts a message toward a
-                // peer while another is mid-flight to it.
+                // at message entry, and no message starts toward a peer
+                // while another is partly out to it (`tx_open`).
                 _ => table.peer_mut(dst)?,
             };
             let Some(stream) = peer.stream.as_mut() else {
@@ -2142,6 +2167,7 @@ impl Transport for CxlTransport {
             let stamped = stream.stamped_lines(total);
             while *cursor < segments {
                 let Some(lapped) = stream.reserve()? else {
+                    self.tx_open[dst] = *cursor > 0;
                     return Ok(false);
                 };
                 if *cursor == 0 {
@@ -2194,6 +2220,7 @@ impl Transport for CxlTransport {
                 self.counters.transport.stamped_msgs.add(1);
             }
             table.note_sent(dst, None);
+            self.tx_open[dst] = false;
             self.counters.transport.msgs_sent.add(1);
             self.counters.transport.bytes_sent.add(total as u64);
             return Ok(true);
@@ -2208,6 +2235,7 @@ impl Transport for CxlTransport {
                 // spinning — the caller drains its own arrivals and retries.
                 let head_ts = ring.head_timestamp()?;
                 charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
+                self.tx_open[dst] = *cursor > 0;
                 return Ok(false);
             }
             self.tx_blocked[dst] = false;
@@ -2251,6 +2279,7 @@ impl Transport for CxlTransport {
                         // flow-control check: retreat as a plain "full".
                         let head_ts = ring.head_timestamp()?;
                         charge_full_probe(clock, &mut self.tx_blocked[dst], head_ts, nt);
+                        self.tx_open[dst] = *cursor > 0;
                         return Ok(false);
                     };
                     // The ticket claim is one RMW round-trip.
@@ -2266,6 +2295,7 @@ impl Transport for CxlTransport {
         if let ConnState::Lazy(table) = &mut self.conn {
             table.note_sent(dst, srq_ticket);
         }
+        self.tx_open[dst] = false;
         self.counters.transport.msgs_sent.add(1);
         self.counters.transport.bytes_sent.add(total as u64);
         Ok(true)
@@ -2354,10 +2384,10 @@ impl Transport for CxlTransport {
     // release" in the ROADMAP item *Fig 10 through `Comm`, the large-n cliff,
     // and every curve gated*).
 
-    fn win_allocate(&mut self, clock: &mut SimClock, size_per_rank: usize) -> Result<WinId> {
+    fn win_allocate(&mut self, clock: &mut SimClock, size: usize) -> Result<Option<WinId>> {
         self.store_held_back(clock, None)?;
         let id = self.windows.len();
-        let layout = WindowLayout::new(self.ranks, size_per_rank);
+        let layout = WindowLayout::new(self.ranks, size);
         let name = format!("cmpi/win_{id}");
         // The ready value is tied to the window id so that stale bytes left in
         // reused device memory by a freed window can never look "ready".
@@ -2387,10 +2417,15 @@ impl Transport for CxlTransport {
             obj.nt_store_u64_at(layout.ready_offset(), ready_value)?;
             obj
         } else {
-            let obj = open_poisoned(&self.arena, &name, &self.poison)?;
-            spin_flag(&obj, layout.ready_offset(), &self.poison, |v| {
-                v == ready_value
-            })?;
+            // One look: its creator may itself be waiting for an operation
+            // this rank started, so the wait is the caller's.
+            let obj = match self.arena.open(&name) {
+                Err(cxl_shm::ShmError::ObjectNotFound(_)) => return Ok(None),
+                opened => opened?,
+            };
+            if obj.nt_load_u64_at(layout.ready_offset())? != ready_value {
+                return Ok(None);
+            }
             obj
         };
         let fence_barrier = SeqBarrier::new(
@@ -2406,17 +2441,15 @@ impl Transport for CxlTransport {
             fence_barrier,
             pscw: Default::default(),
             held_locks: Vec::new(),
+            acquiring: None,
             drawn,
         }));
-        // Window allocation is collective: synchronize before anyone uses it.
-        self.barrier.enter(clock, self.cost.nt_access())?;
-        Ok(id)
+        Ok(Some(id))
     }
 
     fn win_free(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
         self.store_held_back(clock, None)?;
         let drawn = Self::window_in(&mut self.windows, win)?.drawn;
-        self.barrier.enter(clock, self.cost.nt_access())?;
         if self.rank == 0 {
             self.arena.destroy_by_name(&format!("cmpi/win_{win}"))?;
             self.refund_headroom(drawn)?;
@@ -2528,22 +2561,22 @@ impl Transport for CxlTransport {
     }
 
     fn post(&mut self, clock: &mut SimClock, win: WinId, origins: &[Rank]) -> Result<()> {
-        self.pscw(clock, win, false, Some(origins))
+        self.pscw(clock, win, false, Some(origins)).map(drop)
     }
 
-    fn start(&mut self, clock: &mut SimClock, win: WinId, targets: &[Rank]) -> Result<()> {
+    fn start(&mut self, clock: &mut SimClock, win: WinId, targets: &[Rank]) -> Result<bool> {
         self.pscw(clock, win, true, Some(targets))
     }
 
     fn complete(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
-        self.pscw(clock, win, true, None)
+        self.pscw(clock, win, true, None).map(drop)
     }
 
-    fn wait(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
+    fn wait(&mut self, clock: &mut SimClock, win: WinId) -> Result<bool> {
         self.pscw(clock, win, false, None)
     }
 
-    fn lock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<()> {
+    fn lock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<bool> {
         self.check_rank(target)?;
         self.store_held_back(clock, None)?;
         let state = Self::window_in(&mut self.windows, win)?;
@@ -2552,11 +2585,13 @@ impl Transport for CxlTransport {
                 "lock on target {target} already held"
             )));
         }
-        let lines = state.bakery(target).lock(self.rank, &self.poison)?;
+        let Some(lines) = state.bakery(target).lock(self.rank, &mut state.acquiring)? else {
+            return Ok(false);
+        };
         clock.advance(lines as f64 * self.cost.nt_access());
         self.counters.transport.rma_sync_lines.add(lines);
         state.held_locks.push(target);
-        Ok(())
+        Ok(true)
     }
 
     fn unlock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<()> {
@@ -2664,6 +2699,11 @@ impl Transport for CxlTransport {
         } else {
             let status = open_poisoned(&self.arena, &status_name, &self.poison)?;
             let key = window_key(ctx, lead);
+            // No reason holds that the lead cannot need this rank: it goes
+            // from the collective that agreed on `ctx` to its verdict without
+            // a wait, but a lap of that collective may drive a started send
+            // of its own committed to this rank, which drains nothing here.
+            debug_assert!(self.held_back.is_none(), "line held back");
             let verdict = block_until(WaitSite::Flag, &self.poison, || {
                 Ok(verdict_of(&status, key)?.into())
             })?;

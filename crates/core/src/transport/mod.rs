@@ -24,14 +24,13 @@
 //! * [`Transport::poll_incoming`] — move arrived messages to local staging, so
 //!   that peers blocked on this rank's queues keep moving.
 //!
-//! Everything that blocks is a loop over them. The blocked send is the one
-//! provided method, [`Transport::send`], which no transport overrides; the
-//! blocked receive lives with the communicator (`Comm`), because between two
-//! attempts it lets go of the rank's io lock. The send loop never does: from a
-//! message's first segment to its last the pair's queue belongs to that
-//! message (continuation segments carry no frame, and the receiver keeps one
-//! reassembly per sender), so whoever calls [`Transport::send`] holds the lock
-//! across the call, and a second thread's send to the same peer waits outside.
+//! Everything that blocks is a loop over them, and the loop is the
+//! communicator's (`Comm`): between two attempts it lets go of the rank's io
+//! lock and drives the rank's started operations. From a message's first
+//! segment to its last the pair's queue belongs to that message
+//! (continuation segments carry no frame, and the receiver keeps one
+//! reassembly per sender), so [`Transport::try_send`] holds a fresh message
+//! back while another is partly out to the same peer.
 //!
 //! A transport keeps no counters and the trait has no stats method: the
 //! constructor takes the rank's [`crate::counters::RankCounters`], into whose
@@ -52,7 +51,7 @@ use cxl_shm::slots::{stamped_lines, stamped_span, SLOT_CELL_SIZE};
 use crate::config::FaultTrigger;
 use crate::counters::counter_section;
 use crate::error::MpiError;
-use crate::spin::{block_until, PoisonFlag, Polled, WaitSite};
+use crate::spin::PoisonFlag;
 use crate::types::{CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
 
@@ -838,8 +837,8 @@ pub trait Transport: Send {
     /// once the whole message has been handed off (standard mode: it
     /// completes locally, in the queue or the NIC), `false` — without
     /// blocking — when flow control (a full ring or stream whose receiver has
-    /// not drained) stops it partway. While `cursor` is non-zero nothing else
-    /// may be sent to `dst`.
+    /// not drained) stops it partway, or — uncharged — when it is fresh and
+    /// another message is partly out to `dst`, which goes out whole first.
     fn try_send(
         &mut self,
         clock: &mut SimClock,
@@ -874,38 +873,6 @@ pub trait Transport: Send {
     /// transport.
     fn poll_incoming(&mut self, clock: &mut SimClock) -> Result<usize>;
 
-    /// Blocking standard-mode send — the one blocked send: attempt; while
-    /// flow control holds the message, drain this rank's own arrivals (two
-    /// ranks that each send the other more than a queue holds both move) and
-    /// attempt again, backing off (`block_until` at the `Send` site, which
-    /// also fails the send on a dead peer) only when nothing moved. Pass a
-    /// zero `cursor` for a fresh message, or the cursor of a message a
-    /// [`Transport::try_send`] left partly out. The caller holds the rank's
-    /// io lock across the call (see the module documentation).
-    fn send(
-        &mut self,
-        clock: &mut SimClock,
-        dst: Rank,
-        ctx: CtxId,
-        tag: Tag,
-        data: &[u8],
-        cursor: &mut usize,
-    ) -> Result<()> {
-        if self.try_send(clock, dst, ctx, tag, data, cursor)? {
-            return Ok(());
-        }
-        // The poll borrows the whole transport, so the wait checks a handle.
-        let poison = self.poison().clone();
-        block_until(WaitSite::Send, &poison, || {
-            let drained = self.poll_incoming(clock)?;
-            Ok(match self.try_send(clock, dst, ctx, tag, data, cursor)? {
-                true => Polled::Ready(()),
-                false if drained == 0 => Polled::Idle,
-                false => Polled::Moved,
-            })
-        })
-    }
-
     /// One attempt at the barrier across every rank in the universe:
     /// `Ok(true)` once every rank has entered it. The first call of an entry
     /// arrives (charged and stamped); later ones poll the stragglers, and
@@ -915,14 +882,18 @@ pub trait Transport: Send {
     fn barrier(&mut self, clock: &mut SimClock) -> Result<bool>;
 
     // ------------------------------------------------------------------
-    // One-sided (RMA)
+    // One-sided (RMA). `win_allocate`, `start`, `wait`, `lock` and `fence`
+    // are attempts, as `barrier` is: a call after one that did not finish
+    // resumes where that one stopped, with the same arguments.
     // ------------------------------------------------------------------
 
-    /// Collectively allocate an RMA window with `size_per_rank` bytes exposed
-    /// by every rank. Every rank must call this in the same order.
-    fn win_allocate(&mut self, clock: &mut SimClock, size_per_rank: usize) -> Result<WinId>;
+    /// This rank's part of allocating an RMA window with `size` bytes exposed
+    /// by every rank: its id, `None` while its creator has not made it yet.
+    /// Every rank allocates in the same order, and a world barrier
+    /// ([`Transport::barrier`]) follows each allocation.
+    fn win_allocate(&mut self, clock: &mut SimClock, size: usize) -> Result<Option<WinId>>;
 
-    /// Collectively free a window.
+    /// Free a window, after a world barrier that follows its last access.
     fn win_free(&mut self, clock: &mut SimClock, win: WinId) -> Result<()>;
 
     /// One-sided write into `target`'s window region.
@@ -981,24 +952,26 @@ pub trait Transport: Send {
     /// PSCW: open an exposure epoch for the given origin ranks (`MPI_Win_post`).
     fn post(&mut self, clock: &mut SimClock, win: WinId, origins: &[Rank]) -> Result<()>;
 
-    /// PSCW: open an access epoch to the given target ranks (`MPI_Win_start`).
-    fn start(&mut self, clock: &mut SimClock, win: WinId, targets: &[Rank]) -> Result<()>;
+    /// PSCW: open an access epoch to the given target ranks
+    /// (`MPI_Win_start`): `true` once every target has posted.
+    fn start(&mut self, clock: &mut SimClock, win: WinId, targets: &[Rank]) -> Result<bool>;
 
     /// PSCW: close the access epoch (`MPI_Win_complete`).
     fn complete(&mut self, clock: &mut SimClock, win: WinId) -> Result<()>;
 
-    /// PSCW: close the exposure epoch (`MPI_Win_wait`).
-    fn wait(&mut self, clock: &mut SimClock, win: WinId) -> Result<()>;
+    /// PSCW: close the exposure epoch (`MPI_Win_wait`): `true` once every
+    /// origin has completed.
+    fn wait(&mut self, clock: &mut SimClock, win: WinId) -> Result<bool>;
 
-    /// Passive-target exclusive lock on `target`'s window.
-    fn lock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<()>;
+    /// Passive-target exclusive lock on `target`'s window: `true` once held.
+    fn lock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<bool>;
 
     /// Release the passive-target lock on `target`'s window.
     fn unlock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<()>;
 
-    /// One attempt at the fence across all ranks of the window
-    /// (`MPI_Win_fence`): `Ok(true)` once every rank has entered it, under
-    /// the rules of [`Transport::barrier`].
+    /// The fence across all ranks of the window (`MPI_Win_fence`): `true`
+    /// once every rank has entered it, under the rules of
+    /// [`Transport::barrier`].
     fn fence(&mut self, clock: &mut SimClock, win: WinId) -> Result<bool>;
 
     // ------------------------------------------------------------------

@@ -29,7 +29,7 @@ use cmpi_netsim::{NetMessage, TcpEndpoint, TcpFabric, TcpFabricConfig};
 use crate::config::TcpTransportConfig;
 use crate::counters::RankCounters;
 use crate::error::MpiError;
-use crate::spin::{block_until, PoisonFlag, Polled, WaitSite};
+use crate::spin::PoisonFlag;
 use crate::topology::HostTopology;
 use crate::transport::{FaultInjector, RecvDest, Transport, WinId};
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
@@ -132,6 +132,17 @@ struct SharedWindow {
     lock_owner: Mutex<Vec<Option<Rank>>>,
     /// Fence entries per rank.
     fence_seq: Mutex<Arrivals>,
+}
+
+/// The flags keyed `(me, peer)` for every `peer` of `group`, taken once all
+/// are set: the latest of their stamps (what merging each in turn gives).
+fn take_all(flags: &Mutex<BTreeMap<(Rank, Rank), f64>>, me: Rank, group: &[Rank]) -> Option<f64> {
+    let mut flags = flags.lock();
+    if !group.iter().all(|&peer| flags.contains_key(&(me, peer))) {
+        return None;
+    }
+    let stamps = group.iter().filter_map(|&peer| flags.remove(&(me, peer)));
+    Some(stamps.fold(0.0, f64::max))
 }
 
 impl SharedWindow {
@@ -279,15 +290,6 @@ impl TcpTransport {
         rounds * self.model.mpi_message_time(8, self.share())
     }
 
-    /// The world barrier to its end, inside the transport (window allocation
-    /// and free).
-    fn barrier_to_end(&mut self, clock: &mut SimClock) -> Result<()> {
-        let poison = self.poison.clone();
-        block_until(WaitSite::Barrier, &poison, || {
-            Ok(self.barrier(clock)?.then_some(()).into())
-        })
-    }
-
     /// When the origin of a one-sided data transfer of `bytes` started at
     /// `now` is free again: a two-sided message's cost less its wire latency.
     /// The data lands that latency later. No arrival time is kept: every call
@@ -425,17 +427,18 @@ impl Transport for TcpTransport {
             .attempt(arrivals, self.rank, clock, cost, &self.poison)
     }
 
-    fn win_allocate(&mut self, clock: &mut SimClock, size_per_rank: usize) -> Result<WinId> {
+    /// Ready at once: this rank's `id` earlier windows are in the shared
+    /// registry already, and the first rank to reach window `id` creates it.
+    fn win_allocate(&mut self, _clock: &mut SimClock, size: usize) -> Result<Option<WinId>> {
         let id = self.windows.len();
-        // The first rank to get here creates the window.
-        let shared_win = block_until(WaitSite::TcpWindow, &self.poison, || {
+        let shared_win = {
             let mut windows = self.shared.windows.lock();
             if windows.len() == id {
-                windows.push(Arc::new(SharedWindow::new(self.ranks, size_per_rank)));
+                windows.push(Arc::new(SharedWindow::new(self.ranks, size)));
             }
-            Ok(windows.get(id).cloned().into())
-        })?;
-        if shared_win.size_per_rank != size_per_rank || shared_win.ranks != self.ranks {
+            Arc::clone(&windows[id])
+        };
+        if shared_win.size_per_rank != size || shared_win.ranks != self.ranks {
             return Err(MpiError::InvalidCollective(format!(
                 "win_allocate called with inconsistent sizes for window {id}"
             )));
@@ -447,13 +450,11 @@ impl Transport for TcpTransport {
             held_locks: Vec::new(),
             fence: Entries::default(),
         }));
-        self.barrier_to_end(clock)?;
-        Ok(id)
+        Ok(Some(id))
     }
 
-    fn win_free(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
+    fn win_free(&mut self, _clock: &mut SimClock, win: WinId) -> Result<()> {
         self.window(win)?;
-        self.barrier_to_end(clock)?;
         self.windows[win] = None;
         Ok(())
     }
@@ -596,7 +597,7 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn start(&mut self, clock: &mut SimClock, win: WinId, targets: &[Rank]) -> Result<()> {
+    fn start(&mut self, clock: &mut SimClock, win: WinId, targets: &[Rank]) -> Result<bool> {
         for &t in targets {
             self.check_rank(t)?;
         }
@@ -607,19 +608,12 @@ impl Transport for TcpTransport {
                 "start called while an access epoch is already open".into(),
             ));
         }
-        for &target in targets {
-            let posted = block_until(WaitSite::TcpStart, &self.poison, || {
-                Ok(state
-                    .shared
-                    .post_flags
-                    .lock()
-                    .remove(&(rank, target))
-                    .into())
-            })?;
-            clock.merge(posted);
-        }
+        let Some(posted) = take_all(&state.shared.post_flags, rank, targets) else {
+            return Ok(false);
+        };
+        clock.merge(posted);
         state.access_group = targets.to_vec();
-        Ok(())
+        Ok(true)
     }
 
     fn complete(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
@@ -645,7 +639,7 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn wait(&mut self, clock: &mut SimClock, win: WinId) -> Result<()> {
+    fn wait(&mut self, clock: &mut SimClock, win: WinId) -> Result<bool> {
         let rank = self.rank;
         let sync_extra = self.model.onesided_sync_extra();
         let state = Self::window_in(&mut self.windows, win)?;
@@ -654,22 +648,17 @@ impl Transport for TcpTransport {
                 "wait called without a matching post".into(),
             ));
         }
-        for origin in std::mem::take(&mut state.exposure_group) {
-            let completed = block_until(WaitSite::TcpWait, &self.poison, || {
-                Ok(state
-                    .shared
-                    .complete_flags
-                    .lock()
-                    .remove(&(rank, origin))
-                    .into())
-            })?;
-            clock.merge(completed);
-        }
+        let Some(completed) = take_all(&state.shared.complete_flags, rank, &state.exposure_group)
+        else {
+            return Ok(false);
+        };
+        clock.merge(completed);
+        state.exposure_group.clear();
         clock.advance(sync_extra);
-        Ok(())
+        Ok(true)
     }
 
-    fn lock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<()> {
+    fn lock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<bool> {
         self.check_rank(target)?;
         let rank = self.rank;
         // Lock acquisition is a request/grant round trip over the network.
@@ -680,17 +669,16 @@ impl Transport for TcpTransport {
                 "lock on target {target} already held"
             )));
         }
-        block_until(WaitSite::TcpLock, &self.poison, || {
+        {
             let mut owners = state.shared.lock_owner.lock();
             if owners[target].is_some() {
-                return Ok(Polled::Idle);
+                return Ok(false);
             }
             owners[target] = Some(rank);
-            Ok(Polled::Ready(()))
-        })?;
+        }
         clock.advance(round_trip);
         state.held_locks.push(target);
-        Ok(())
+        Ok(true)
     }
 
     fn unlock(&mut self, clock: &mut SimClock, win: WinId, target: Rank) -> Result<()> {

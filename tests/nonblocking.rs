@@ -13,6 +13,7 @@ use cmpi::mpi::coll::{
     REDUCE_SCATTER_DIRECT_MIN_BYTES,
 };
 use cmpi::mpi::pod::bytes_of;
+use cmpi::mpi::transport::WinId;
 use cmpi::mpi::{
     CollTuning, Comm, MpiError, ProgressMode, ReduceOp, Request, Universe, UniverseConfig,
 };
@@ -530,6 +531,33 @@ enum Awaits {
     WorldBarrier,
     /// No message: both ranks enter a fence on a world window.
     Fence,
+    /// Rank 0 sends rank 1 a message larger than the pair's queue holds.
+    Send4MiB,
+    /// Rank 0 opens an access epoch to rank 1, which posts to it.
+    WinStart,
+    /// Rank 0 posts to rank 1 and waits for the epoch rank 1 then opens.
+    WinWait,
+    /// Rank 0 locks rank 1's window, whose lock rank 1 holds across its
+    /// broadcast.
+    WinLock,
+    /// Both ranks free a world window.
+    WinFree,
+    /// Both ranks allocate a world window, which rank 0 creates.
+    WinAllocate,
+    /// As `WinAllocate`, with rank 1 rooting the broadcast: the rank that
+    /// creates the window is the one in `bcast_into`.
+    WinAllocateMirror,
+}
+
+/// The message `Awaits::Send4MiB` sends: 4 MiB.
+const LARGE: usize = 4 << 20;
+
+impl Awaits {
+    /// Whether the ranks allocate a world window before the broadcast.
+    fn on_window(self) -> bool {
+        use Awaits::*;
+        matches!(self, Fence | WinStart | WinWait | WinLock | WinFree)
+    }
 }
 
 /// Rank 0's receive of rank 1's message, as `awaits` says.
@@ -554,17 +582,65 @@ fn awaited_message(comm: &mut Comm, awaits: Awaits) -> Result<Vec<u8>, MpiError>
     reqs[0].take_data()
 }
 
+/// What a rank does once it has started (`rooted`) or finished its half of
+/// the broadcast, as `awaits` says: the root's call waits for the other
+/// rank's, which that rank makes only once the broadcast reached it.
+fn after_the_broadcast(
+    world: &mut Comm,
+    comm: &mut Comm,
+    awaits: Awaits,
+    win: Option<WinId>,
+    rooted: bool,
+) -> Result<(), MpiError> {
+    let other = 1 - world.rank();
+    match (awaits, win, rooted) {
+        (Awaits::WorldBarrier, ..) => world.barrier(),
+        (Awaits::Fence, Some(win), _) => world.win_fence(win),
+        (Awaits::Send4MiB, _, true) => comm.send(1, 5, &vec![7u8; LARGE]),
+        (Awaits::Send4MiB, _, false) => {
+            let (_, got) = comm.recv_owned(Some(0), Some(5))?;
+            assert!(got.len() == LARGE && got.iter().all(|&b| b == 7));
+            Ok(())
+        }
+        (Awaits::WinStart, Some(win), true) | (Awaits::WinWait, Some(win), false) => {
+            world.win_start(win, &[other])?;
+            world.win_complete(win)
+        }
+        (Awaits::WinWait, Some(win), true) | (Awaits::WinStart, Some(win), false) => {
+            world.win_post(win, &[other])?;
+            world.win_wait(win)
+        }
+        (Awaits::WinLock, Some(win), true) => {
+            world.win_lock(win, 1)?;
+            world.win_unlock(win, 1)
+        }
+        (Awaits::WinLock, Some(win), false) => world.win_unlock(win, 1),
+        (Awaits::WinFree, Some(win), _) => world.win_free(win),
+        (Awaits::WinAllocate | Awaits::WinAllocateMirror, ..) => {
+            let win = world.win_allocate(8)?;
+            world.win_free(win)
+        }
+        (_, _, true) => {
+            assert_eq!(awaited_message(comm, awaits)?, b"done");
+            Ok(())
+        }
+        (_, _, false) => comm.send(0, 5, b"done"),
+    }
+}
+
 #[test]
 fn waiting_on_a_receive_drives_a_started_broadcast_its_sender_needs() {
     // Rank 0 starts a broadcast it roots, then waits for a message that rank
     // 1 sends only once its blocking half of that broadcast is done — or
-    // enters the world barrier or a fence that rank 1 enters only then. In
-    // Polling mode nothing but rank 0's waiting can move the broadcast, so
-    // every idle attempt of `wait_all`, `wait_any`, `test`, `iprobe`,
-    // `try_recv`, the barrier or the fence must drive it; in Thread mode
-    // none may hold the io lock across its wait, or the engine thread could
-    // not drive it. On the window (`force_shm`, and the default tuning at
-    // this size) and on the ring.
+    // makes a blocking call that rank 1's matching call (a barrier, a fence,
+    // the receive of a message past the queue, a PSCW epoch, a lock release,
+    // a window's allocation or free) ends only then. In Polling mode nothing
+    // but rank 0's waiting can move the broadcast, so every idle attempt of
+    // each of those calls must drive it; in Thread mode none may hold the io
+    // lock across its wait, or the engine thread could not drive it. The
+    // mirrored allocation roots the broadcast at rank 1, so that the rank
+    // creating the window is the one the broadcast holds. On the window
+    // (`force_shm`, and the default tuning at this size) and on the ring.
     let sent: [u8; 8] = *b"started!";
     let tunings = [
         ("force_shm", force_shm()),
@@ -581,6 +657,13 @@ fn waiting_on_a_receive_drives_a_started_broadcast_its_sender_needs() {
                 Awaits::TryRecvLoop,
                 Awaits::WorldBarrier,
                 Awaits::Fence,
+                Awaits::Send4MiB,
+                Awaits::WinStart,
+                Awaits::WinWait,
+                Awaits::WinLock,
+                Awaits::WinFree,
+                Awaits::WinAllocate,
+                Awaits::WinAllocateMirror,
             ];
             for awaits in all {
                 let what = format!("{mode:?}, {path}, {awaits:?}");
@@ -592,34 +675,36 @@ fn waiting_on_a_receive_drives_a_started_broadcast_its_sender_needs() {
                 within_a_minute(&what, move || {
                     Universe::run(config, move |world: &mut Comm| {
                         let mut comm = world.comm_dup()?;
-                        let fence = matches!(awaits, Awaits::Fence);
-                        let win = fence.then(|| world.win_allocate(8)).transpose()?;
-                        if comm.rank() == 0 {
-                            let mut bcast = comm.ibcast_into(0, &sent)?;
-                            match (awaits, win) {
-                                (Awaits::WorldBarrier, _) => world.barrier()?,
-                                (Awaits::Fence, Some(win)) => world.win_fence(win)?,
-                                _ => assert_eq!(awaited_message(&mut comm, awaits)?, b"done"),
+                        let root = usize::from(matches!(awaits, Awaits::WinAllocateMirror));
+                        let win = awaits
+                            .on_window()
+                            .then(|| world.win_allocate(8))
+                            .transpose()?;
+                        if let (Awaits::WinLock, Some(win)) = (awaits, win) {
+                            // Rank 1 holds the lock before the broadcast starts.
+                            if world.rank() == 1 {
+                                world.win_lock(win, 1)?;
                             }
+                            world.barrier()?;
+                        }
+                        if comm.rank() == root {
+                            let mut bcast = comm.ibcast_into(root, &sent)?;
+                            after_the_broadcast(world, &mut comm, awaits, win, true)?;
                             comm.wait(&mut bcast)?;
                             assert_eq!(bcast.take_values::<u8>()?, sent);
                         } else {
                             let mut got = [0u8; 8];
-                            comm.bcast_into(0, &mut got)?;
+                            comm.bcast_into(root, &mut got)?;
                             assert_eq!(got, sent);
                             let on_window = comm.last_coll_algorithm().contains("/shm");
                             assert!(on_window || path != "force_shm", "took the ring");
                             assert!(!on_window || path != "force_ring", "took the window");
-                            match (awaits, win) {
-                                (Awaits::WorldBarrier, _) => world.barrier()?,
-                                (Awaits::Fence, Some(win)) => world.win_fence(win)?,
-                                _ => comm.send(0, 5, b"done")?,
-                            }
+                            after_the_broadcast(world, &mut comm, awaits, win, false)?;
                         }
-                        if let Some(win) = win {
-                            world.win_free(win)?;
+                        match (awaits, win) {
+                            (Awaits::WinFree, _) | (_, None) => Ok(()),
+                            (_, Some(win)) => world.win_free(win),
                         }
-                        Ok(())
                     })
                     .unwrap_or_else(|e| panic!("{case}: {e}"))
                 });

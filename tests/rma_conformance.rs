@@ -11,6 +11,7 @@
 
 use cmpi::fabric::cost::TcpNic;
 use cmpi::mpi::pod::{bytes_to_f64, f64_to_bytes};
+use cmpi::mpi::transport::WinId;
 use cmpi::mpi::{Comm, MpiError, ReduceOp, Result, Universe, UniverseConfig};
 
 mod common;
@@ -725,14 +726,41 @@ fn windows_on_split_communicators() {
             rev.barrier()?;
             rev.win_free(win)?;
 
-            // True subsets reject the window API.
+            // True subsets reject the window API: allocation, and every call
+            // on a world window, the ones that translate no rank included.
             let mut solo = comm.comm_split(me as i32, 0)?.expect("own color");
             assert_eq!(solo.size(), 1);
             assert!(matches!(
                 solo.win_allocate(16),
                 Err(MpiError::InvalidCommunicator(_))
             ));
-            comm.barrier()?;
+            let world_win = comm.win_allocate(16)?;
+            type Call = fn(&mut Comm, WinId) -> Result<()>;
+            let calls: [(&str, Call); 13] = [
+                ("win_fence", |c, w| c.win_fence(w)),
+                ("win_complete", |c, w| c.win_complete(w)),
+                ("win_wait", |c, w| c.win_wait(w)),
+                ("win_lock", |c, w| c.win_lock(w, 0)),
+                ("win_unlock", |c, w| c.win_unlock(w, 0)),
+                ("win_post", |c, w| c.win_post(w, &[0])),
+                ("win_start", |c, w| c.win_start(w, &[0])),
+                ("put", |c, w| c.put(w, 0, 0, &[1])),
+                ("get", |c, w| c.get(w, 0, 0, &mut [0])),
+                ("accumulate", |c, w| {
+                    c.accumulate(w, 0, 0, &[1.0], ReduceOp::Sum)
+                }),
+                ("win_read_local", |c, w| c.win_read_local(w, 0, &mut [0])),
+                ("win_write_local", |c, w| c.win_write_local(w, 0, &[1])),
+                ("win_free", |c, w| c.win_free(w)),
+            ];
+            for (name, call) in calls {
+                let got = call(&mut solo, world_win);
+                assert!(
+                    matches!(got, Err(MpiError::InvalidCommunicator(_))),
+                    "{label}: {name} on a one-rank split gave {got:?}"
+                );
+            }
+            comm.win_free(world_win)?;
             Ok(())
         })
         .unwrap_or_else(|e| panic!("{label}: {e}"));
